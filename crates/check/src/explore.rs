@@ -30,9 +30,13 @@
 //! ## Deduplication and pruning
 //!
 //! States are deduplicated by the engine's behavioral
-//! [`digest`](Runner::digest) (a 128-bit fingerprint via the same
-//! double-hash construction as [`nbc_core::fingerprint128`]) mixed with
-//! the remaining budgets. The map stores the best remaining depth a state
+//! [`digest`](Runner::digest) — a 128-bit fingerprint from the pinned
+//! [`Fp128`] hasher, which a runner assembles from per-site fingerprints it
+//! caches between mutations — folded together with the four remaining
+//! budgets by the same hasher (`state_key`). The key is uniform in both
+//! halves, so the dedup maps take it as its own hash ([`FpBuildHasher`]:
+//! high half to the table, low bits to the shard index) instead of
+//! SipHashing it again. The map stores the best remaining depth a state
 //! was reached with; a revisit with less remaining depth is pruned, a
 //! revisit with more is re-expanded (so the depth bound never hides states
 //! a shallower path could reach).
@@ -111,12 +115,12 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
-use nbc_core::{fingerprint128, Analysis, Protocol, RunSet, SpillStats};
+use nbc_core::{Analysis, Fp128, FpBuildHasher, Protocol, RunSet, SpillStats};
 use nbc_engine::{channel_of, Channel, RunConfig, Runner, TerminationRule, Wire};
 use nbc_simnet::NetEvent;
 
 use crate::oracle::{Oracles, Witnessed};
-use crate::schedule::{channel_head, channel_tail, Step};
+use crate::schedule::{channel_head, channel_tail, step_for, Step};
 
 /// Knobs of one check run.
 #[derive(Debug, Clone)]
@@ -214,6 +218,33 @@ struct Budgets {
     suspicions: u32,
 }
 
+impl Budgets {
+    fn of(opts: &CheckOptions) -> Self {
+        Self {
+            faults: opts.faults,
+            recoveries: opts.recoveries,
+            drops: opts.drops,
+            suspicions: opts.suspicions,
+        }
+    }
+}
+
+/// The dedup key of one explored state: the engine's behavioral digest
+/// with the remaining budgets folded in (same digest, different budgets =
+/// different futures).
+fn state_key(digest: u128, b: Budgets) -> u128 {
+    let mut h = Fp128::new();
+    h.write_u128(digest);
+    h.write_u32(b.faults);
+    h.write_u32(b.recoveries);
+    h.write_u32(b.drops);
+    h.write_u32(b.suspicions);
+    h.finish()
+}
+
+/// A dedup map keyed by [`state_key`]s, which are their own hash.
+type KeyMap<V> = HashMap<u128, V, FpBuildHasher>;
+
 /// One branchable scheduler action.
 #[derive(Debug, Clone)]
 enum Action {
@@ -298,19 +329,6 @@ fn dest_of(ev: &NetEvent<Wire>) -> usize {
         NetEvent::Deliver { dst, .. } => *dst,
         NetEvent::FailureNotice { observer, .. } | NetEvent::RecoveryNotice { observer, .. } => {
             *observer
-        }
-    }
-}
-
-/// The schedule step that delivers `ev`.
-fn step_for(ev: &NetEvent<Wire>) -> Step {
-    match ev {
-        NetEvent::Deliver { src, dst, .. } => Step::Deliver { src: *src, dst: *dst },
-        NetEvent::FailureNotice { observer, crashed } => {
-            Step::FailNotice { observer: *observer, crashed: *crashed }
-        }
-        NetEvent::RecoveryNotice { observer, recovered } => {
-            Step::RecoveryNotice { observer: *observer, recovered: *recovered }
         }
     }
 }
@@ -418,7 +436,7 @@ struct PlanStats {
 /// task count hits zero, so peak memory tracks the plans in flight, not
 /// the whole plan set.
 struct PlanShared {
-    shards: Vec<Mutex<HashMap<u128, Entry>>>,
+    shards: Vec<Mutex<KeyMap<Entry>>>,
     /// The cold tier: sorted run files the hot shards spill into when a
     /// `mem_budget` is set. Lock order: a spiller holds *all* shard locks
     /// (ascending) before taking the write lock; a prober holds exactly
@@ -443,7 +461,7 @@ struct PlanShared {
 impl PlanShared {
     fn new(shards: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(KeyMap::default())).collect(),
             store: RwLock::new(RunSet::new()),
             inserted: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
@@ -586,11 +604,9 @@ impl<'a> Stepper<'a> {
     /// All branchable actions in `runner` under remaining budgets `b`, in
     /// deterministic order.
     fn enumerate(&self, runner: &Runner<'a>, b: Budgets) -> Vec<Action> {
-        let pending = runner.pending_events();
-        // First (head) and last (tail) pending event per channel, in
-        // ascending send order.
+        // The channels with something in flight, in canonical order.
         let mut channels: Vec<Channel> = Vec::new();
-        for (_, ev) in &pending {
+        for (_, _, ev) in runner.iter_pending() {
             let ch = channel_of(ev);
             if !channels.contains(&ch) {
                 channels.push(ch);
@@ -607,8 +623,9 @@ impl<'a> Stepper<'a> {
             && b.drops == 0
             && b.suspicions == 0
             && runner.sites().iter().all(|s| s.suspects.is_empty());
-        if no_faults && !pending.is_empty() {
-            let mut dests: Vec<usize> = pending.iter().map(|(_, ev)| dest_of(ev)).collect();
+        if no_faults && !channels.is_empty() {
+            let mut dests: Vec<usize> =
+                runner.iter_pending().map(|(_, _, ev)| dest_of(ev)).collect();
             dests.sort_unstable();
             let distinct = dests.windows(2).all(|w| w[0] != w[1]);
             if distinct {
@@ -642,9 +659,11 @@ impl<'a> Stepper<'a> {
                 if self.protocol.quorum().is_some() && !self.protocol.is_acceptor(site) {
                     continue;
                 }
-                let in_flight = pending
-                    .iter()
-                    .filter(|(_, ev)| matches!(ev, NetEvent::Deliver { src, .. } if *src == site))
+                let in_flight = runner
+                    .iter_pending()
+                    .filter(
+                        |(_, _, ev)| matches!(ev, NetEvent::Deliver { src, .. } if *src == site),
+                    )
                     .count();
                 for lose in 0..=in_flight {
                     actions.push(Action::CrashSuffix { site, lose });
@@ -715,9 +734,12 @@ impl<'a> Stepper<'a> {
         // their protocol traffic is live.
         if b2.recoveries == 0 {
             loop {
-                let dead = runner.pending_events().into_iter().find_map(|(seq, ev)| {
-                    (!runner.sites()[dest_of(&ev)].is_up()).then(|| (seq, step_for(&ev)))
-                });
+                // Earliest first, as the time-ordered driver would.
+                let dead = runner
+                    .iter_pending()
+                    .filter(|(_, _, ev)| !runner.sites()[dest_of(ev)].is_up())
+                    .min_by_key(|&(at, seq, _)| (at, seq))
+                    .map(|(_, seq, ev)| (seq, step_for(ev)));
                 let Some((seq, step)) = dead else { break };
                 self.path.push(step);
                 runner.fire_scheduled(seq);
@@ -735,17 +757,20 @@ impl<'a> Stepper<'a> {
         match action {
             Action::Fire(ch) => {
                 let (seq, ev) = channel_head(runner, *ch).expect("enumerated channel has a head");
-                self.path.push(step_for(&ev));
+                self.path.push(step_for(ev));
                 runner.fire_scheduled(seq);
                 Ok(b)
             }
             Action::Fuse(chs) => {
                 // Snapshot the heads first: a fired handler's new sends
                 // must not join this macro-step.
-                let heads: Vec<(u64, NetEvent<Wire>)> =
-                    chs.iter().map(|&ch| channel_head(runner, ch).expect("head")).collect();
-                for (seq, ev) in heads {
-                    self.path.push(step_for(&ev));
+                let heads: Vec<(u64, Step)> = chs
+                    .iter()
+                    .map(|&ch| channel_head(runner, ch).expect("head"))
+                    .map(|(seq, ev)| (seq, step_for(ev)))
+                    .collect();
+                for (seq, step) in heads {
+                    self.path.push(step);
                     runner.fire_scheduled(seq);
                 }
                 Ok(b)
@@ -756,10 +781,9 @@ impl<'a> Stepper<'a> {
                 // crash schedules are not deliveries and never match, but
                 // snapshotting first keeps the intent obvious.
                 let mut sends: Vec<(u64, usize)> = runner
-                    .pending_events()
-                    .iter()
-                    .filter_map(|(seq, ev)| match ev {
-                        NetEvent::Deliver { src, dst, .. } if src == site => Some((*seq, *dst)),
+                    .iter_pending()
+                    .filter_map(|(_, seq, ev)| match ev {
+                        NetEvent::Deliver { src, dst, .. } if src == site => Some((seq, *dst)),
                         _ => None,
                     })
                     .collect();
@@ -978,7 +1002,8 @@ impl<'w, 'a> Worker<'w, 'a> {
         }
 
         let budget = self.shared.opts.mem_budget;
-        let fp = fingerprint128(&(runner.digest(), b.faults, b.recoveries, b.drops, b.suspicions));
+        let digest = runner.digest();
+        let fp = state_key(digest, b);
         let shard = &ps.shards[(fp as usize) & self.shared.shard_mask];
         {
             let mut map = shard.lock().expect("shard poisoned");
@@ -1046,7 +1071,11 @@ impl<'w, 'a> Worker<'w, 'a> {
         let mut actions = self.stepper.enumerate(&runner, b);
         if let Some(seed) = self.shared.opts.seed {
             if actions.len() > 1 {
-                let rot = fingerprint128(&(seed, runner.digest(), depth_left)) as usize;
+                let mut h = Fp128::new();
+                h.write_u64(seed);
+                h.write_u128(digest);
+                h.write_u32(depth_left);
+                let rot = h.finish() as usize;
                 let len = actions.len();
                 actions.rotate_left(rot % len);
             }
@@ -1170,7 +1199,7 @@ enum Target {
 /// cap and returns `None`.
 struct Search<'a, 'o> {
     stepper: Stepper<'a>,
-    seen: HashMap<u128, u32>,
+    seen: KeyMap<u32>,
     stack: Vec<Frame<'a>>,
     opts: &'o CheckOptions,
     target: Target,
@@ -1195,7 +1224,7 @@ impl<'a> Search<'a, '_> {
         {
             return Some(("", String::new(), self.stepper.path.clone()));
         }
-        let fp = fingerprint128(&(runner.digest(), b.faults, b.recoveries, b.drops, b.suspicions));
+        let fp = state_key(runner.digest(), b);
         if let Some(&best) = self.seen.get(&fp) {
             if best >= depth_left {
                 return None;
@@ -1268,16 +1297,11 @@ fn canonical_witness<'a>(
     votes: &[bool],
     target: Target,
 ) -> WitnessFound {
-    let budgets = Budgets {
-        faults: opts.faults,
-        recoveries: opts.recoveries,
-        drops: opts.drops,
-        suspicions: opts.suspicions,
-    };
+    let budgets = Budgets::of(opts);
     let root = Runner::new(protocol, analysis, plan_config(protocol.n_sites(), votes, opts.rule));
     let mut search = Search {
         stepper: Stepper::new(protocol, analysis),
-        seen: HashMap::new(),
+        seen: KeyMap::default(),
         stack: Vec::new(),
         opts,
         target,
@@ -1300,7 +1324,7 @@ fn canonical_witness<'a>(
 /// hot+cold tiers enforced together.
 struct Redo<'a> {
     stepper: Stepper<'a>,
-    map: HashMap<u128, Entry>,
+    map: KeyMap<Entry>,
     stack: Vec<Frame<'a>>,
     max_states: usize,
     cap_hit: bool,
@@ -1320,7 +1344,7 @@ impl<'a> Redo<'a> {
         if runner.net_quiescent() && !Oracles::blocked_sites(&runner).is_empty() {
             self.blocking = true;
         }
-        let fp = fingerprint128(&(runner.digest(), b.faults, b.recoveries, b.drops, b.suspicions));
+        let fp = state_key(runner.digest(), b);
         let known = match self.map.get(&fp) {
             Some(e) if e.best >= depth_left => return,
             Some(_) => true,
@@ -1413,16 +1437,11 @@ fn canonical_capped_sweep<'a>(
     opts: &CheckOptions,
     votes: &[bool],
 ) -> (PlanStats, u8, bool, Witnessed) {
-    let budgets = Budgets {
-        faults: opts.faults,
-        recoveries: opts.recoveries,
-        drops: opts.drops,
-        suspicions: opts.suspicions,
-    };
+    let budgets = Budgets::of(opts);
     let root = Runner::new(protocol, analysis, plan_config(protocol.n_sites(), votes, opts.rule));
     let mut redo = Redo {
         stepper: Stepper::new(protocol, analysis),
-        map: HashMap::new(),
+        map: KeyMap::default(),
         stack: Vec::new(),
         max_states: opts.max_states,
         cap_hit: false,
@@ -1490,12 +1509,7 @@ pub fn explore<'a>(
         hot_bytes: AtomicUsize::new(0),
         spill_runs: AtomicU64::new(0),
     };
-    let budgets = Budgets {
-        faults: opts.faults,
-        recoveries: opts.recoveries,
-        drops: opts.drops,
-        suspicions: opts.suspicions,
-    };
+    let budgets = Budgets::of(opts);
 
     // Seed: expand each plan's root on this thread (observing it and
     // claiming it in the plan's map), then queue one task per root

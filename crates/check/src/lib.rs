@@ -107,6 +107,40 @@ pub fn replay_flight_dump(
     Ok(rec.with(|r| r.dump_jsonl()))
 }
 
+/// Why a check could not run at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckError {
+    /// The protocol failed validation or analysis.
+    Protocol(ProtocolError),
+    /// [`CheckOptions::vote_plan`] does not name one vote per site of the
+    /// protocol (acceptors included: `paxos:1` at n=2 has 5 sites).
+    VotePlanLength {
+        /// The protocol's site count.
+        expected: usize,
+        /// The plan's length.
+        got: usize,
+    },
+}
+
+impl std::fmt::Display for CheckError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Protocol(e) => e.fmt(f),
+            Self::VotePlanLength { expected, got } => {
+                write!(f, "vote plan names {got} sites, protocol has {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckError {}
+
+impl From<ProtocolError> for CheckError {
+    fn from(e: ProtocolError) -> Self {
+        Self::Protocol(e)
+    }
+}
+
 /// One oracle failure, with its shrunk, strictly replayable counterexample.
 #[derive(Debug)]
 pub struct OracleFailure {
@@ -343,7 +377,15 @@ type ShrinkPredicate<'a> = Box<dyn Fn(&Runner<'_>, bool) -> bool + 'a>;
 /// Run the full check: build the analysis, explore every schedule within
 /// the budgets, evaluate the four oracles, and shrink whatever witnesses
 /// or violations turned up.
-pub fn run_check(protocol: &Protocol, options: CheckOptions) -> Result<CheckReport, ProtocolError> {
+pub fn run_check(protocol: &Protocol, options: CheckOptions) -> Result<CheckReport, CheckError> {
+    if let Some(plan) = &options.vote_plan {
+        if plan.len() != protocol.n_sites() {
+            return Err(CheckError::VotePlanLength {
+                expected: protocol.n_sites(),
+                got: plan.len(),
+            });
+        }
+    }
     let analysis = Analysis::build(protocol)?;
     let theorem = theorem::check_with(protocol, &analysis);
     let resil = resilience::resilience_with(protocol, &theorem);

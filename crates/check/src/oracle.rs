@@ -181,7 +181,7 @@ impl<'a> Oracles<'a> {
     /// still must not contradict the global one.
     pub fn check_recovery(&self, runner: &Runner<'_>, site: usize) -> Result<(), String> {
         let s = &runner.sites()[site];
-        let records = Wal::recover(&s.wal.full_image())
+        let records = Wal::recover(s.wal.as_bytes())
             .map_err(|e| format!("site{site} WAL replay failed on recovery: {e:?}"))?;
         let d = Self::global_decision(runner);
         let acceptor = self.protocol.is_acceptor(site);

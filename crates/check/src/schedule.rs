@@ -145,14 +145,39 @@ impl fmt::Display for ReplayError {
     }
 }
 
+/// The schedule step that delivers `ev`.
+pub(crate) fn step_for(ev: &NetEvent<nbc_engine::Wire>) -> Step {
+    match *ev {
+        NetEvent::Deliver { src, dst, .. } => Step::Deliver { src, dst },
+        NetEvent::FailureNotice { observer, crashed } => Step::FailNotice { observer, crashed },
+        NetEvent::RecoveryNotice { observer, recovered } => {
+            Step::RecoveryNotice { observer, recovered }
+        }
+    }
+}
+
 /// Head (earliest-sent pending) event of one FIFO channel, if any.
-pub fn channel_head(runner: &Runner<'_>, ch: Channel) -> Option<(u64, NetEvent<nbc_engine::Wire>)> {
-    runner.pending_events().into_iter().find(|(_, ev)| channel_of(ev) == ch)
+pub fn channel_head<'r>(
+    runner: &'r Runner<'_>,
+    ch: Channel,
+) -> Option<(u64, &'r NetEvent<nbc_engine::Wire>)> {
+    runner
+        .iter_pending()
+        .filter(|(_, _, ev)| channel_of(ev) == ch)
+        .min_by_key(|&(at, seq, _)| (at, seq))
+        .map(|(_, seq, ev)| (seq, ev))
 }
 
 /// Tail (most recently sent pending) event of one FIFO channel, if any.
-pub fn channel_tail(runner: &Runner<'_>, ch: Channel) -> Option<(u64, NetEvent<nbc_engine::Wire>)> {
-    runner.pending_events().into_iter().rfind(|(_, ev)| channel_of(ev) == ch)
+pub fn channel_tail<'r>(
+    runner: &'r Runner<'_>,
+    ch: Channel,
+) -> Option<(u64, &'r NetEvent<nbc_engine::Wire>)> {
+    runner
+        .iter_pending()
+        .filter(|(_, _, ev)| channel_of(ev) == ch)
+        .max_by_key(|&(at, seq, _)| (at, seq))
+        .map(|(_, seq, ev)| (seq, ev))
 }
 
 /// Apply one step to a runner. Returns `Err` with the reason when the step
@@ -177,7 +202,7 @@ pub fn apply_step(runner: &mut Runner<'_>, step: &Step) -> Result<(), String> {
             let (seq, ev) = channel_head(runner, Channel::Detector(*observer))
                 .ok_or_else(|| format!("no detector notice pending for site{observer}"))?;
             match ev {
-                NetEvent::FailureNotice { crashed: c, .. } if c == *crashed => {
+                NetEvent::FailureNotice { crashed: c, .. } if c == crashed => {
                     runner.fire_scheduled(seq);
                     Ok(())
                 }
@@ -190,7 +215,7 @@ pub fn apply_step(runner: &mut Runner<'_>, step: &Step) -> Result<(), String> {
             let (seq, ev) = channel_head(runner, Channel::Detector(*observer))
                 .ok_or_else(|| format!("no detector notice pending for site{observer}"))?;
             match ev {
-                NetEvent::RecoveryNotice { recovered: r, .. } if r == *recovered => {
+                NetEvent::RecoveryNotice { recovered: r, .. } if r == recovered => {
                     runner.fire_scheduled(seq);
                     Ok(())
                 }

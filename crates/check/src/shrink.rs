@@ -15,11 +15,11 @@
 //! `nbc simulate --schedule` re-executes.
 
 use nbc_core::{Analysis, Protocol};
-use nbc_engine::{channel_of, Channel, Runner};
+use nbc_engine::{channel_of, Runner};
 
 use crate::explore::{plan_config, CHECK_TXN};
 use crate::oracle::Oracles;
-use crate::schedule::{apply_step, channel_head, Schedule, Step};
+use crate::schedule::{apply_step, channel_head, step_for, Schedule, Step};
 use crate::CheckOptions;
 
 /// Upper bound on drain deliveries — far above any real execution; only a
@@ -31,32 +31,16 @@ const DRAIN_CAP: usize = 10_000;
 /// `false` if the cap was hit.
 pub fn drain(runner: &mut Runner<'_>, record: &mut Vec<Step>) -> bool {
     for _ in 0..DRAIN_CAP {
-        let pending = runner.pending_events();
-        let Some(first) =
-            pending.iter().map(|(seq, ev)| (channel_of(ev), *seq)).min().map(|(ch, _)| ch)
-        else {
+        let Some(first) = runner.iter_pending().map(|(_, _, ev)| channel_of(ev)).min() else {
             return true;
         };
-        let step = head_step(runner, first);
+        let (_, head) = channel_head(runner, first).expect("channel has a head");
+        let step = step_for(head);
         let applied = apply_step(runner, &step).is_ok();
         debug_assert!(applied, "head step of a pending channel must apply");
         record.push(step);
     }
     false
-}
-
-/// The step that delivers the head of `ch`.
-fn head_step(runner: &Runner<'_>, ch: Channel) -> Step {
-    let (_, ev) = channel_head(runner, ch).expect("channel has a head");
-    match ev {
-        nbc_simnet::NetEvent::Deliver { src, dst, .. } => Step::Deliver { src, dst },
-        nbc_simnet::NetEvent::FailureNotice { observer, crashed } => {
-            Step::FailNotice { observer, crashed }
-        }
-        nbc_simnet::NetEvent::RecoveryNotice { observer, recovered } => {
-            Step::RecoveryNotice { observer, recovered }
-        }
-    }
 }
 
 /// Shrink `steps` to a 1-minimal list still satisfying `predicate`, then

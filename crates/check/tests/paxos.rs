@@ -1,7 +1,7 @@
 //! Paxos Commit under the model checker, and the Gray–Lamport degeneracy
 //! claim: at f=0 the protocol decides exactly like central-site 2PC.
 
-use nbc_check::{run_check, CheckOptions};
+use nbc_check::{run_check, CheckError, CheckOptions};
 use nbc_core::protocols::central_2pc;
 use nbc_engine::{run_one, RunConfig};
 use nbc_paxos::paxos_commit;
@@ -40,6 +40,21 @@ fn f1_full_plan_set_on_the_small_instance() {
     assert!(!report.stats.truncated, "must be exhaustive");
     assert!(report.prediction_complete, "{}", report.render());
     assert!(report.blocking_witness.is_none(), "{}", report.render());
+}
+
+#[test]
+fn short_vote_plan_is_a_typed_error_not_a_panic() {
+    // `paxos:1` at n=2 has five sites (two participants + three
+    // acceptors): a plan naming only the participants used to reach the
+    // engine's `one vote per site` assertion.
+    let options = CheckOptions { vote_plan: Some(vec![true; 2]), ..CheckOptions::default() };
+    match run_check(&paxos_commit(2, 1), options) {
+        Err(e) => {
+            assert_eq!(e, CheckError::VotePlanLength { expected: 5, got: 2 });
+            assert_eq!(e.to_string(), "vote plan names 2 sites, protocol has 5");
+        }
+        Ok(report) => panic!("short plan accepted:\n{}", report.render()),
+    }
 }
 
 #[test]

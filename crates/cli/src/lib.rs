@@ -657,17 +657,13 @@ pub fn cmd_check(args: &[String]) -> Result<CheckRun, CliError> {
         i += 1;
     }
     let protocol = resolve_protocol(proto_arg, n)?;
-    if let Some(plan) = &opts.vote_plan {
-        if plan.len() != protocol.n_sites() {
-            return fail(format!(
-                "--votes names {} sites, protocol has {}",
-                plan.len(),
-                protocol.n_sites()
-            ));
-        }
-    }
     let budgeted = opts.mem_budget > 0;
-    let report = nbc_check::run_check(&protocol, opts).map_err(|e| CliError(e.to_string()))?;
+    let report = nbc_check::run_check(&protocol, opts).map_err(|e| match e {
+        nbc_check::CheckError::VotePlanLength { expected, got } => {
+            CliError(format!("--votes names {got} sites, protocol has {expected}"))
+        }
+        e => CliError(e.to_string()),
+    })?;
     // Spill stats go to stderr only: the rendered report and JSON stay
     // byte-identical with and without a budget.
     if budgeted {

@@ -56,6 +56,8 @@ use crate::fsa::StateClass;
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
 use crate::reach::{self, NodeId, ReachGraph, ReachOptions, StateFolder, StreamStats};
+use crate::recovery_analysis::{self, RecoveryClass};
+use crate::termination::{self, ClassDecisionTable};
 
 /// A concurrency-set member serving as a theorem witness: the occupied
 /// `(site, state)` pair that puts a commit or abort state in the set.
@@ -85,6 +87,11 @@ pub struct Analysis {
     classes: Vec<Vec<StateClass>>,
     /// Lazily materialized `BTreeSet` view of each slot's concurrency row.
     cs_views: Vec<OnceLock<BTreeSet<(SiteId, StateId)>>>,
+    /// Lazily derived per-protocol tables the engine consults on every
+    /// run: memoised here so a batch of runs over one analysis derives
+    /// them once, not once per `Runner`.
+    class_decisions: OnceLock<ClassDecisionTable>,
+    recovery_classes: OnceLock<Vec<Vec<RecoveryClass>>>,
     /// The retained graph, unless the analysis was streamed.
     graph: Option<ReachGraph>,
     /// Streaming statistics, when the analysis was streamed.
@@ -185,6 +192,8 @@ impl Analysis {
             abort_mask,
             classes,
             cs_views: (0..total).map(|_| OnceLock::new()).collect(),
+            class_decisions: OnceLock::new(),
+            recovery_classes: OnceLock::new(),
             graph,
             stream,
             slots,
@@ -212,6 +221,38 @@ impl Analysis {
     /// Number of sites of the analyzed protocol.
     pub fn n_sites(&self) -> usize {
         self.n_sites
+    }
+
+    /// Every occupied `(site, state)` with its class, in ascending
+    /// `(SiteId, StateId)` order.
+    pub fn occupied_states(&self) -> impl Iterator<Item = (SiteId, StateId, StateClass)> + '_ {
+        self.classes.iter().enumerate().flat_map(move |(i, classes)| {
+            let site = SiteId(i as u32);
+            classes.iter().enumerate().filter_map(move |(s, &class)| {
+                let s = StateId(s as u32);
+                self.occupied(site, s).then_some((site, s, class))
+            })
+        })
+    }
+
+    /// The backup-coordinator decision per state class (see
+    /// [`termination::class_decisions`]), derived on first request and
+    /// cached for the life of the analysis.
+    pub fn class_decisions(&self) -> &ClassDecisionTable {
+        self.class_decisions.get_or_init(|| termination::class_decisions(self))
+    }
+
+    /// `recovery_classes()[site][state]`: what a site recovering in that
+    /// durable state may conclude on its own (see
+    /// [`recovery_analysis::recovery_classes`]); unoccupied states read
+    /// [`RecoveryClass::MustAsk`]. Derived on first request and cached.
+    pub fn recovery_classes(&self) -> &[Vec<RecoveryClass>] {
+        self.recovery_classes.get_or_init(|| recovery_analysis::recovery_classes(self))
+    }
+
+    /// Number of local states of `site`'s automaton.
+    pub fn state_count(&self, site: SiteId) -> usize {
+        self.classes[site.index()].len()
     }
 
     /// The concurrency set of `(site, state)` as `(other_site, state)` pairs.

@@ -60,6 +60,7 @@ pub mod dot;
 pub mod error;
 pub mod extmem;
 mod facts;
+pub mod fp128;
 pub mod fsa;
 pub mod ids;
 pub mod kpc;
@@ -78,6 +79,7 @@ pub use analysis::Analysis;
 pub use codec::{PackedArena, StateCodec};
 pub use error::ProtocolError;
 pub use extmem::{RunSet, SpillStats};
+pub use fp128::{Fp128, FpBuildHasher, MultisetFp};
 pub use fsa::{Consume, Envelope, Fsa, FsaBuilder, StateClass, StateInfo, Transition, Vote};
 pub use ids::{MsgKind, SiteId, StateId};
 pub use protocol::{InitialMsg, Paradigm, Protocol};

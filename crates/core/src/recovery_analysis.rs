@@ -27,7 +27,7 @@ use crate::analysis::Analysis;
 use crate::fsa::StateClass;
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
-use crate::termination::{class_decisions, Decision};
+use crate::termination::Decision;
 
 /// What a recovering site may conclude from its last durable state alone.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -68,47 +68,53 @@ pub struct RecoveryRow {
     pub reachable_decisions: Vec<Decision>,
 }
 
+/// The classification alone, `[site][state]`, derived from the analysis
+/// (unoccupied states read [`RecoveryClass::MustAsk`]). This is the
+/// derivation; read it through [`Analysis::recovery_classes`], which
+/// memoises it per analysis.
+pub fn recovery_classes(analysis: &Analysis) -> Vec<Vec<RecoveryClass>> {
+    let mut table: Vec<Vec<RecoveryClass>> = (0..analysis.n_sites())
+        .map(|i| vec![RecoveryClass::MustAsk; analysis.state_count(SiteId(i as u32))])
+        .collect();
+    for (site, s, state_class) in analysis.occupied_states() {
+        table[site.index()][s.index()] = match state_class {
+            StateClass::Committed => RecoveryClass::IndependentCommit,
+            StateClass::Aborted => RecoveryClass::IndependentAbort,
+            _ if !analysis.yes_voted(site, s) => RecoveryClass::IndependentAbort,
+            _ => RecoveryClass::MustAsk,
+        };
+    }
+    table
+}
+
 /// Classify every occupied state of the protocol.
 pub fn classify(protocol: &Protocol, analysis: &Analysis) -> Vec<RecoveryRow> {
-    let decisions = class_decisions(protocol, analysis);
+    let decisions = analysis.class_decisions();
+    let classes = analysis.recovery_classes();
     let mut rows = Vec::new();
-    for site in protocol.sites() {
+    for (site, s, state_class) in analysis.occupied_states() {
         let fsa = protocol.fsa(site);
-        for idx in 0..fsa.state_count() {
-            let s = StateId(idx as u32);
-            if !analysis.occupied(site, s) {
-                continue;
-            }
-            let state_class = fsa.state(s).class;
-            // Decisions the survivors could reach, judging from the
-            // classes concurrently occupiable with s.
-            let mut reachable: Vec<Decision> = analysis
-                .concurrency_classes(site, s)
-                .into_iter()
-                .chain([state_class])
-                .filter_map(|c| decisions.get(&c).copied())
-                .collect();
-            reachable.sort_by_key(|d| match d {
-                Decision::Commit => 0,
-                Decision::Abort => 1,
-                Decision::Blocked => 2,
-            });
-            reachable.dedup();
-
-            let class = match state_class {
-                StateClass::Committed => RecoveryClass::IndependentCommit,
-                StateClass::Aborted => RecoveryClass::IndependentAbort,
-                _ if !analysis.yes_voted(site, s) => RecoveryClass::IndependentAbort,
-                _ => RecoveryClass::MustAsk,
-            };
-            rows.push(RecoveryRow {
-                site,
-                state: s,
-                state_name: fsa.state(s).name.clone(),
-                class,
-                reachable_decisions: reachable,
-            });
-        }
+        // Decisions the survivors could reach, judging from the
+        // classes concurrently occupiable with s.
+        let mut reachable: Vec<Decision> = analysis
+            .concurrency_classes(site, s)
+            .into_iter()
+            .chain([state_class])
+            .filter_map(|c| decisions.get(&c).copied())
+            .collect();
+        reachable.sort_by_key(|d| match d {
+            Decision::Commit => 0,
+            Decision::Abort => 1,
+            Decision::Blocked => 2,
+        });
+        reachable.dedup();
+        rows.push(RecoveryRow {
+            site,
+            state: s,
+            state_name: fsa.state(s).name.clone(),
+            class: classes[site.index()][s.index()],
+            reachable_decisions: reachable,
+        });
     }
     rows
 }

@@ -9,6 +9,7 @@
 //! the two-phase backup broadcast, handling of cascading failures — lives
 //! in the `nbc-engine` crate.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::analysis::Analysis;
@@ -96,6 +97,9 @@ pub fn cautious_decision(analysis: &Analysis, states: &[(SiteId, StateId)]) -> D
     Decision::Blocked
 }
 
+/// The class → decision table of one protocol.
+pub type ClassDecisionTable = BTreeMap<StateClass, Decision>;
+
 /// The backup decision rule applied per state *class* — the canonical form
 /// in which the paper presents its 3PC decision table (commit iff
 /// `s ∈ {p, c}`).
@@ -114,20 +118,13 @@ pub fn cautious_decision(analysis: &Analysis, states: &[(SiteId, StateId)]) -> D
 ///   concurrent with an abort state → **commit**;
 /// * else → **blocked** (a blocking class; impossible for protocols
 ///   satisfying the fundamental nonblocking theorem).
-pub fn class_decisions(
-    protocol: &Protocol,
-    analysis: &Analysis,
-) -> std::collections::BTreeMap<StateClass, Decision> {
-    let mut by_class: std::collections::BTreeMap<StateClass, Vec<(SiteId, StateId)>> =
-        std::collections::BTreeMap::new();
-    for site in protocol.sites() {
-        let fsa = protocol.fsa(site);
-        for idx in 0..fsa.state_count() {
-            let s = StateId(idx as u32);
-            if analysis.occupied(site, s) {
-                by_class.entry(fsa.state(s).class).or_default().push((site, s));
-            }
-        }
+///
+/// This is the derivation; callers should read the table through
+/// [`Analysis::class_decisions`], which memoises it per analysis.
+pub fn class_decisions(analysis: &Analysis) -> ClassDecisionTable {
+    let mut by_class: BTreeMap<StateClass, Vec<(SiteId, StateId)>> = BTreeMap::new();
+    for (site, s, class) in analysis.occupied_states() {
+        by_class.entry(class).or_default().push((site, s));
     }
     by_class
         .into_iter()

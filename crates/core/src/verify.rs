@@ -31,7 +31,7 @@ use crate::fsa::StateClass;
 use crate::ids::SiteId;
 use crate::protocol::Protocol;
 use crate::reach::NodeId;
-use crate::termination::{class_decisions, Decision};
+use crate::termination::Decision;
 
 /// A global state + survivor subset where termination misbehaves.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub fn verify_termination_with(
     protocol: &Protocol,
     analysis: &Analysis,
 ) -> TerminationVerification {
-    let decisions = class_decisions(protocol, analysis);
+    let decisions = analysis.class_decisions();
     let graph =
         analysis.graph().expect("termination verification requires a graph-retaining analysis");
     let n = protocol.n_sites();

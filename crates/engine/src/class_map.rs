@@ -16,21 +16,27 @@ pub fn encode_class(class: StateClass) -> u8 {
     }
 }
 
-/// Decode a storage/wire code back to a state class.
-///
-/// # Panics
-/// Panics on codes between the reserved range and `CUSTOM_BASE` (they are
-/// never produced by [`encode_class`]).
-pub fn decode_class(code: u8) -> StateClass {
-    match code {
+/// Decode a storage/wire code back to a state class; `None` for codes
+/// between the reserved range and `CUSTOM_BASE` (never produced by
+/// [`encode_class`]).
+pub fn try_decode_class(code: u8) -> Option<StateClass> {
+    Some(match code {
         class_codes::INITIAL => StateClass::Initial,
         class_codes::WAIT => StateClass::Wait,
         class_codes::PREPARED => StateClass::Prepared,
         class_codes::ABORTED => StateClass::Aborted,
         class_codes::COMMITTED => StateClass::Committed,
         c if c >= class_codes::CUSTOM_BASE => StateClass::Custom(c - class_codes::CUSTOM_BASE),
-        other => panic!("invalid class code {other}"),
-    }
+        _ => return None,
+    })
+}
+
+/// Decode a storage/wire code back to a state class.
+///
+/// # Panics
+/// Panics on codes [`try_decode_class`] rejects.
+pub fn decode_class(code: u8) -> StateClass {
+    try_decode_class(code).unwrap_or_else(|| panic!("invalid class code {code}"))
 }
 
 #[cfg(test)]

@@ -1,26 +1,24 @@
-//! Termination decisions over state *classes* — the engine-facing wrapper
-//! around [`nbc_core::termination::class_decisions`], keyed by the `u8`
-//! class codes that travel in WAL records and wire messages.
+//! Termination decisions over state *classes* — the engine-facing view of
+//! [`Analysis::class_decisions`], addressed by the `u8` class codes that
+//! travel in WAL records and wire messages.
 
-use std::collections::BTreeMap;
+use nbc_core::termination::ClassDecisionTable;
+use nbc_core::{Analysis, Decision};
 
-use nbc_core::{Analysis, Decision, Protocol};
+use crate::class_map::try_decode_class;
 
-/// Precomputed class → decision table for one protocol.
-#[derive(Debug, Clone)]
-pub struct ClassDecisions {
-    table: BTreeMap<u8, Decision>,
+/// The class → decision table of one protocol: a borrowed view of the
+/// table its [`Analysis`] derives once and memoises, so every run over
+/// that analysis shares it.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassDecisions<'a> {
+    table: &'a ClassDecisionTable,
 }
 
-impl ClassDecisions {
-    /// Build the table from an analysis (delegates to
-    /// `nbc_core::termination::class_decisions`).
-    pub fn build(protocol: &Protocol, analysis: &Analysis) -> Self {
-        let table = nbc_core::termination::class_decisions(protocol, analysis)
-            .into_iter()
-            .map(|(class, d)| (crate::class_map::encode_class(class), d))
-            .collect();
-        Self { table }
+impl<'a> ClassDecisions<'a> {
+    /// The analysis's (memoised) table.
+    pub fn build(analysis: &'a Analysis) -> Self {
+        Self { table: analysis.class_decisions() }
     }
 
     /// Decision for one class code.
@@ -28,7 +26,10 @@ impl ClassDecisions {
     /// Unknown codes (possible when a custom protocol aligns to a class
     /// the analysis never saw) conservatively block.
     pub fn decide(&self, class_code: u8) -> Decision {
-        self.table.get(&class_code).copied().unwrap_or(Decision::Blocked)
+        try_decode_class(class_code)
+            .and_then(|class| self.table.get(&class))
+            .copied()
+            .unwrap_or(Decision::Blocked)
     }
 
     /// Cooperative decision over a set of class codes: any committed →
@@ -64,7 +65,7 @@ mod tests {
     fn three_pc_table_matches_paper() {
         for p in [central_3pc(3), decentralized_3pc(3)] {
             let a = Analysis::build(&p).unwrap();
-            let t = ClassDecisions::build(&p, &a);
+            let t = ClassDecisions::build(&a);
             assert_eq!(t.decide(INITIAL), Decision::Abort, "{}", p.name);
             assert_eq!(t.decide(WAIT), Decision::Abort, "{}", p.name);
             assert_eq!(t.decide(PREPARED), Decision::Commit, "{}", p.name);
@@ -77,7 +78,7 @@ mod tests {
     fn two_pc_wait_blocks() {
         let p = central_2pc(3);
         let a = Analysis::build(&p).unwrap();
-        let t = ClassDecisions::build(&p, &a);
+        let t = ClassDecisions::build(&a);
         assert_eq!(t.decide(WAIT), Decision::Blocked);
         assert_eq!(t.decide(INITIAL), Decision::Abort);
     }
@@ -86,7 +87,7 @@ mod tests {
     fn cooperative_unblocks_with_knowledge() {
         let p = central_2pc(3);
         let a = Analysis::build(&p).unwrap();
-        let t = ClassDecisions::build(&p, &a);
+        let t = ClassDecisions::build(&a);
         assert_eq!(t.decide_cooperative([WAIT, WAIT]), Decision::Blocked);
         assert_eq!(t.decide_cooperative([WAIT, COMMITTED]), Decision::Commit);
         assert_eq!(t.decide_cooperative([WAIT, ABORTED]), Decision::Abort);
@@ -97,7 +98,7 @@ mod tests {
     fn unknown_class_blocks() {
         let p = central_3pc(2);
         let a = Analysis::build(&p).unwrap();
-        let t = ClassDecisions::build(&p, &a);
+        let t = ClassDecisions::build(&a);
         assert_eq!(t.decide(200), Decision::Blocked);
     }
 
@@ -106,7 +107,7 @@ mod tests {
     fn cooperative_needs_input() {
         let p = central_3pc(2);
         let a = Analysis::build(&p).unwrap();
-        let t = ClassDecisions::build(&p, &a);
+        let t = ClassDecisions::build(&a);
         let _ = t.decide_cooperative([]);
     }
 }

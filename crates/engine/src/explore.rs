@@ -7,7 +7,8 @@
 //! [`Runner`], without touching the time-ordered path:
 //!
 //! * [`Runner::pending_events`] — every scheduled network event with its
-//!   stable sequence handle, in deterministic order;
+//!   stable sequence handle, in deterministic order ([`Runner::iter_pending`]
+//!   is the borrowing, unordered form for hot loops);
 //! * [`Runner::fire_scheduled`] / [`Runner::drop_scheduled`] — deliver or
 //!   lose one chosen event, out of time order (per-link FIFO is the
 //!   checker's responsibility: it should only fire a link's *head* event,
@@ -29,14 +30,13 @@
 //! is what makes the digest converge across interleavings.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
-use nbc_simnet::NetEvent;
+use nbc_core::{Fp128, MultisetFp};
+use nbc_simnet::{NetEvent, Time};
 
 use crate::config::RunConfig;
-use crate::run::Runner;
-use crate::site::{Mode, SiteRt};
+use crate::run::{Runner, Timer};
+use crate::site::SiteCell;
 use crate::wire::Wire;
 
 /// The FIFO channel an event belongs to. Protocol and control messages
@@ -65,8 +65,11 @@ pub fn channel_of(ev: &NetEvent<Wire>) -> Channel {
 
 // The parallel model checker clones a `Runner` per explored branch and
 // moves the clones across worker threads, so `Runner: Send` is part of
-// the engine's public contract: no interior mutability anywhere in a
-// runner's state, and any shared tracer sink sits behind `Arc<Mutex<_>>`.
+// the engine's public contract: everything a fork shares with its parent
+// (site states, the run configuration) sits behind `Arc` and is only ever
+// mutated through copy-on-write, any shared tracer sink sits behind
+// `Arc<Mutex<_>>`, and the one piece of interior mutability — each site
+// slot's cached fingerprint, a `Cell` — is per runner, never shared.
 // Keep it compile-time checked so an `Rc`/`RefCell` slipping into the
 // engine fails here, not in the checker's thread spawn.
 const _: () = {
@@ -89,14 +92,23 @@ impl RunConfig {
 
 impl<'a> Runner<'a> {
     /// Read-only view of the per-site runtimes (states, inboxes, WALs,
-    /// modes, visited-state monitors).
-    pub fn sites(&self) -> &[SiteRt] {
+    /// modes, visited-state monitors); each slot derefs to its
+    /// [`SiteRt`](crate::site::SiteRt).
+    pub fn sites(&self) -> &[SiteCell] {
         &self.sites
     }
 
     /// The protocol this run executes.
     pub fn protocol(&self) -> &'a nbc_core::Protocol {
         self.protocol
+    }
+
+    /// Every pending network event as `(time, sequence handle, event)`,
+    /// borrowed, in **unspecified** order — the allocation-free form of
+    /// [`Runner::pending_events`]. Delivery order (and FIFO order within a
+    /// [`Channel`]) is ascending `(time, sequence)`.
+    pub fn iter_pending(&self) -> impl Iterator<Item = (Time, u64, &NetEvent<Wire>)> {
+        self.net.iter_scheduled()
     }
 
     /// Every pending network event as `(sequence handle, event)`, in
@@ -196,108 +208,96 @@ impl<'a> Runner<'a> {
     /// bookkeeping) and the visited-state monitors — none of them alter
     /// future behavior under exploration, and including them would stop
     /// converging interleavings from deduplicating.
+    ///
+    /// One allocation-free pass into the pinned [`Fp128`] hasher: each
+    /// site contributes its cached [`SiteCell::digest`] at its own
+    /// position (so only sites mutated since the last call are re-hashed,
+    /// and swapping two sites' contents changes the result), followed by
+    /// the network, the timers and the partition. The order-free parts —
+    /// the set of channels, the timer set — are combined commutatively
+    /// ([`MultisetFp`]); order *within* a channel is kept by hashing each
+    /// event with its rank in its channel.
     pub fn digest(&self) -> u128 {
-        let mut h1 = DefaultHasher::new();
-        self.digest_into(&mut h1);
-        let mut h2 = DefaultHasher::new();
-        h2.write_u64(0x9e37_79b9_7f4a_7c15);
-        self.digest_into(&mut h2);
-        ((h1.finish() as u128) << 64) | h2.finish() as u128
+        let mut h = Fp128::new();
+        for s in &self.sites {
+            h.write_u128(s.digest());
+        }
+        let mut in_flight = MultisetFp::default();
+        for (at, seq, ev) in self.net.iter_scheduled() {
+            let ch = channel_of(ev);
+            let rank = self
+                .net
+                .iter_scheduled()
+                .filter(|&(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
+                .count();
+            let mut eh = Fp128::new();
+            match ch {
+                Channel::Link(src, dst) => {
+                    eh.write_u8(0);
+                    eh.write_usize(src);
+                    eh.write_usize(dst);
+                }
+                Channel::Detector(observer) => {
+                    eh.write_u8(1);
+                    eh.write_usize(observer);
+                }
+            }
+            eh.write_usize(rank);
+            match ev {
+                NetEvent::Deliver { msg, .. } => {
+                    eh.write_u8(0);
+                    msg.fingerprint_into(&mut eh);
+                }
+                NetEvent::FailureNotice { crashed, .. } => {
+                    eh.write_u8(1);
+                    eh.write_usize(*crashed);
+                }
+                NetEvent::RecoveryNotice { recovered, .. } => {
+                    eh.write_u8(2);
+                    eh.write_usize(*recovered);
+                }
+            }
+            in_flight.add(eh.finish());
+        }
+        in_flight.write_into(&mut h);
+        let mut timers = MultisetFp::default();
+        for &Reverse((at, timer)) in &self.timers {
+            let mut th = Fp128::new();
+            th.write_u64(at);
+            match timer {
+                Timer::Crash(s) => {
+                    th.write_u8(0);
+                    th.write_usize(s);
+                }
+                Timer::Recover(s) => {
+                    th.write_u8(1);
+                    th.write_usize(s);
+                }
+                Timer::Partition => th.write_u8(2),
+            }
+            timers.add(th.finish());
+        }
+        timers.write_into(&mut h);
+        match self.net.partition_groups() {
+            None => h.write_u8(0),
+            Some(groups) => {
+                h.write_u8(1);
+                h.write_usize(groups.len());
+                for &g in groups {
+                    h.write_usize(g);
+                }
+            }
+        }
+        h.finish()
     }
 
-    fn digest_into(&self, h: &mut impl Hasher) {
-        for s in &self.sites {
-            match &s.mode {
-                Mode::Normal => h.write_u8(0),
-                Mode::Terminating { backup } => {
-                    h.write_u8(1);
-                    h.write_usize(*backup);
-                }
-                Mode::Blocked => h.write_u8(2),
-                Mode::Down => h.write_u8(3),
-                Mode::Recovering => h.write_u8(4),
-                Mode::Done => h.write_u8(5),
-            }
-            h.write_u32(s.state.0);
-            let mut inbox = s.inbox.clone();
-            inbox.sort_unstable_by_key(|&(src, kind)| (src, kind));
-            inbox.hash(h);
-            s.wal.full_image().hash(h);
-            h.write_usize(s.wal.durable_len());
-            s.view.hash(h);
-            s.aligned_class.hash(h);
-            s.outcome.hash(h);
-            s.backup_state.phase1_sent.hash(h);
-            s.backup_state.pending_acks.hash(h);
-            // Arrival-order collections whose every consumer is
-            // order-independent (set membership, counts, sends to
-            // distinct sites): hash them canonically sorted so states
-            // differing only in arrival order merge.
-            let mut collected = s.backup_state.collected.clone();
-            collected.sort_unstable();
-            collected.hash(h);
-            let mut queries = s.pending_queries.clone();
-            queries.sort_unstable();
-            queries.hash(h);
-            let mut replies = s.recovery_replies.clone();
-            replies.sort_unstable();
-            replies.hash(h);
-            s.recovered_peers.hash(h);
-            // Suspicions are behavioral state: they gate which
-            // suspect/unsuspect actions are enabled and what an
-            // unsuspicion will restore. (`ever_down` stays out — it is
-            // monitor-only, and today `Recovering` implies it.)
-            s.suspects.hash(h);
-        }
-        // In-flight messages, canonicalized per FIFO channel: channel
-        // order is irrelevant (sorted), order *within* a channel is the
-        // delivery order and is preserved.
-        let scheduled = self.net.scheduled();
-        let mut channels: Vec<(Channel, Vec<&NetEvent<Wire>>)> = Vec::new();
-        for (_, _, ev) in &scheduled {
-            let ch = channel_of(ev);
-            match channels.iter_mut().find(|(c, _)| *c == ch) {
-                Some((_, q)) => q.push(ev),
-                None => channels.push((ch, vec![ev])),
-            }
-        }
-        channels.sort_by_key(|&(c, _)| c);
-        for (ch, queue) in channels {
-            ch.hash(h);
-            for ev in queue {
-                match ev {
-                    NetEvent::Deliver { msg, .. } => {
-                        h.write_u8(0);
-                        msg.hash(h);
-                    }
-                    NetEvent::FailureNotice { crashed, .. } => {
-                        h.write_u8(1);
-                        h.write_usize(*crashed);
-                    }
-                    NetEvent::RecoveryNotice { recovered, .. } => {
-                        h.write_u8(2);
-                        h.write_usize(*recovered);
-                    }
-                }
-            }
-        }
-        let mut timers: Vec<_> = self.timers.iter().map(|Reverse(t)| *t).collect();
-        timers.sort_unstable();
-        h.write_usize(timers.len());
-        for (at, timer) in timers {
-            h.write_u64(at);
-            match timer {
-                crate::run::Timer::Crash(s) => {
-                    h.write_u8(0);
-                    h.write_usize(s);
-                }
-                crate::run::Timer::Recover(s) => {
-                    h.write_u8(1);
-                    h.write_usize(s);
-                }
-                crate::run::Timer::Partition => h.write_u8(2),
-            }
-        }
-        self.net.partition_groups().hash(h);
+    /// A fork sharing nothing with `self` and caching nothing: its
+    /// [`Runner::digest`] is recomputed from scratch, which is what the
+    /// cache-coherence tests compare the cached value against.
+    #[cfg(test)]
+    pub(crate) fn deep_copy(&self) -> Self {
+        let mut copy = self.clone();
+        copy.sites = self.sites.iter().map(SiteCell::deep_copy).collect();
+        copy
     }
 }

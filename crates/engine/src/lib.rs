@@ -34,6 +34,8 @@
 pub mod class_map;
 pub mod config;
 pub mod decide;
+#[cfg(test)]
+mod digest_tests;
 pub mod explore;
 pub mod report;
 pub mod run;

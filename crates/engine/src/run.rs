@@ -29,8 +29,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use nbc_core::recovery_analysis::{classify, RecoveryClass};
+use nbc_core::recovery_analysis::RecoveryClass;
 use nbc_core::{Analysis, Protocol, StateClass, StateId, Vote};
 use nbc_obs::{Event, EventKind, LinesSink, SharedSink, Tracer};
 use nbc_simnet::{DetectorEvent, LatencyModel, NetEvent, Network, Suspicion, Time};
@@ -40,7 +41,7 @@ use nbc_storage::LogRecord;
 use crate::config::{CrashPoint, RunConfig, TerminationRule, TransitionProgress};
 use crate::decide::ClassDecisions;
 use crate::report::{RunReport, SiteOutcome};
-use crate::site::{Mode, SiteRt, CLIENT_SRC};
+use crate::site::{Mode, SiteCell, SiteRt, CLIENT_SRC};
 use crate::wire::Wire;
 
 /// Transaction id used for single-transaction runs.
@@ -57,20 +58,21 @@ pub(crate) enum Timer {
 ///
 /// `Clone` forks the entire run — sites, WALs, in-flight messages, timers —
 /// which is how the model checker (`nbc-check`) branches an execution at a
-/// nondeterministic choice point. A cloned runner shares the (reference-
-/// counted) tracer sinks of its parent, so clone-heavy exploration should
-/// run untraced.
+/// nondeterministic choice point. A fork costs what it will *touch*, not
+/// what it holds: everything immutable for the run (the configuration; the
+/// per-protocol decision tables, which live memoised on the [`Analysis`])
+/// is shared, and each site's state is copy-on-write ([`SiteCell`]) — a
+/// step un-shares only the site it mutates. A cloned runner also shares
+/// the (reference-counted) tracer sinks of its parent, so clone-heavy
+/// exploration should run untraced.
 #[derive(Clone)]
 pub struct Runner<'a> {
     pub(crate) protocol: &'a Protocol,
     pub(crate) analysis: &'a Analysis,
-    decisions: ClassDecisions,
-    /// `recovery_classes[site][state]`: what a recovered site may conclude
-    /// from its durable state alone (see `nbc_core::recovery_analysis`).
-    recovery_classes: Vec<Vec<RecoveryClass>>,
-    pub(crate) config: RunConfig,
+    decisions: ClassDecisions<'a>,
+    pub(crate) config: Arc<RunConfig>,
     pub(crate) net: Network<Wire>,
-    pub(crate) sites: Vec<SiteRt>,
+    pub(crate) sites: Vec<SiteCell>,
     pub(crate) timers: BinaryHeap<Reverse<(Time, Timer)>>,
     /// Pending `OnTransition` crash points, per site.
     transition_crashes: Vec<Option<(u32, TransitionProgress, Option<Time>)>>,
@@ -129,8 +131,9 @@ impl<'a> Runner<'a> {
         };
         let mut net = Network::new(n, config.latency.clone(), config.detect_delay);
         net.set_tracer(tracer.clone());
-        let sites =
-            (0..n).map(|i| SiteRt::new(i, protocol.fsa(nbc_core::SiteId(i as u32)), n)).collect();
+        let sites = (0..n)
+            .map(|i| SiteCell::new(SiteRt::new(i, protocol.fsa(nbc_core::SiteId(i as u32)), n)))
+            .collect();
         let mut timers = BinaryHeap::new();
         let mut transition_crashes = vec![None; n];
         for spec in &config.crashes {
@@ -149,12 +152,7 @@ impl<'a> Runner<'a> {
         if let Some(p) = &config.partition {
             timers.push(Reverse((p.at, Timer::Partition)));
         }
-        let decisions = ClassDecisions::build(protocol, analysis);
-        let mut recovery_classes: Vec<Vec<RecoveryClass>> =
-            protocol.fsas().iter().map(|f| vec![RecoveryClass::MustAsk; f.state_count()]).collect();
-        for row in classify(protocol, analysis) {
-            recovery_classes[row.site.index()][row.state.index()] = row.class;
-        }
+        let decisions = ClassDecisions::build(analysis);
         let start_at = config.start_at;
         // An accurate detector (heartbeats always beat the timeout) can
         // never falsely suspect; it is behaviorally the perfect detector,
@@ -172,8 +170,7 @@ impl<'a> Runner<'a> {
             protocol,
             analysis,
             decisions,
-            recovery_classes,
-            config,
+            config: Arc::new(config),
             net,
             sites,
             timers,
@@ -378,13 +375,19 @@ impl<'a> Runner<'a> {
         consumed: &[(usize, nbc_core::MsgKind)],
         vote_cast: Option<Vote>,
     ) {
-        for &(src, kind) in consumed {
-            let taken = self.sites[ix].take_msg(src, kind);
-            debug_assert!(taken, "chosen transition must be satisfiable");
-        }
         let txn = self.config.txn_id;
+        let from = self.sites[ix].state;
+        {
+            // One mutable borrow — one copy-on-write check — per transition.
+            let site = &mut *self.sites[ix];
+            for &(src, kind) in consumed {
+                let taken = site.take_msg(src, kind);
+                debug_assert!(taken, "chosen transition must be satisfiable");
+            }
+            site.log_progress(txn, to, to_class);
+            site.enter_state(to);
+        }
         self.tracer.emit(|| {
-            let from = self.sites[ix].state;
             let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
             self.ev(EventKind::Transition {
                 from: fsa.state(from).name.clone(),
@@ -395,7 +398,6 @@ impl<'a> Runner<'a> {
         if let Some(v) = vote_cast {
             self.tracer.emit(|| self.ev(EventKind::Vote { yes: v == Vote::Yes }).at_site(ix));
         }
-        self.sites[ix].log_progress(txn, to, to_class);
         self.tracer.emit(|| {
             let rec = LogRecord::Progress {
                 txn,
@@ -406,14 +408,18 @@ impl<'a> Runner<'a> {
                 .at_site(ix)
         });
         self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
-        self.sites[ix].enter_state(to);
     }
 
     /// Reach a final outcome at `ix` (via the protocol or a decision).
     fn finish(&mut self, ix: usize, commit: bool) {
-        if self.sites[ix].outcome.is_none() {
-            let txn = self.config.txn_id;
-            self.sites[ix].log_decision(txn, commit);
+        let txn = self.config.txn_id;
+        let site = &mut *self.sites[ix];
+        let decides = site.outcome.is_none();
+        if decides {
+            site.log_decision(txn, commit);
+        }
+        site.mode = Mode::Done;
+        if decides {
             self.tracer.emit(|| {
                 let rec = LogRecord::Decision { txn, commit };
                 self.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "decision".into() })
@@ -422,7 +428,6 @@ impl<'a> Runner<'a> {
             self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
             self.tracer.emit(|| self.ev(EventKind::Decision { commit }).at_site(ix));
         }
-        self.sites[ix].mode = Mode::Done;
         self.answer_pending_queries(ix);
     }
 
@@ -541,8 +546,9 @@ impl<'a> Runner<'a> {
     }
 
     fn on_failure_notice(&mut self, observer: usize, crashed: usize) {
-        self.sites[observer].view[crashed] = false;
-        self.sites[observer].recovered_peers.remove(&crashed);
+        let site = &mut *self.sites[observer];
+        site.view[crashed] = false;
+        site.recovered_peers.remove(&crashed);
         if self.protocol.quorum().is_some()
             && (self.protocol.is_acceptor(crashed) || self.protocol.is_acceptor(observer))
         {
@@ -602,11 +608,12 @@ impl<'a> Runner<'a> {
         }
         self.tracer
             .emit(|| self.ev(EventKind::Unsuspect { suspected: peer as u32 }).at_site(observer));
-        self.sites[observer].view[peer] = true;
+        let site = &mut *self.sites[observer];
+        site.view[peer] = true;
         // Evidence of life postdating the suspicion plays the role a
         // recovery notice plays for real crashes: a stale AlignTo must not
         // re-mark this peer dead.
-        self.sites[observer].recovered_peers.insert(peer);
+        site.recovered_peers.insert(peer);
         // A decided site's decision broadcast skipped every peer it was
         // suspecting at that moment, so restored life doubles as a
         // missed-broadcast signal: resend the outcome. Duplicate
@@ -666,9 +673,10 @@ impl<'a> Runner<'a> {
 
         let peers = self.term_peers(ix);
         let my_class = self.reported_class_of(ix);
-        self.sites[ix].backup_state.pending_acks = peers.iter().copied().collect();
-        self.sites[ix].backup_state.collected.clear();
-        self.sites[ix].backup_state.phase1_sent = true;
+        let bs = &mut self.sites[ix].backup_state;
+        bs.pending_acks = peers.iter().copied().collect();
+        bs.collected.clear();
+        bs.phase1_sent = true;
         if peers.is_empty() {
             self.backup_decide(ix);
             return;
@@ -709,7 +717,8 @@ impl<'a> Runner<'a> {
         // instead would deadlock the backup's round: it waits for an ack
         // this site would never send.
         for j in 0..backup {
-            if j != ix && !self.sites[ix].recovered_peers.contains(&j) {
+            let site = &self.sites[ix];
+            if j != ix && site.view[j] && !site.recovered_peers.contains(&j) {
                 self.sites[ix].view[j] = false;
             }
         }
@@ -724,11 +733,9 @@ impl<'a> Runner<'a> {
         if !fsa.state(self.sites[ix].state).class.is_final() {
             // Make the transition to the backup's state: durable first.
             let txn = self.config.txn_id;
-            self.sites[ix]
-                .wal
-                .append_sync(&LogRecord::AlignedTo { txn, class })
-                .expect("wal record fits");
-            self.sites[ix].aligned_class = Some(class);
+            let site = &mut *self.sites[ix];
+            site.wal.append_sync(&LogRecord::AlignedTo { txn, class }).expect("wal record fits");
+            site.aligned_class = Some(class);
             self.tracer.emit(|| {
                 let rec = LogRecord::AlignedTo { txn, class };
                 self.ev(EventKind::WalAppend {
@@ -874,17 +881,18 @@ impl<'a> Runner<'a> {
             return;
         }
         // Volatile state is lost: only the synced WAL prefix survives.
-        let image = self.sites[ix].wal.crash_image();
+        let site = &mut *self.sites[ix];
+        let durable = &site.wal.as_bytes()[..site.wal.durable_len()];
         let (wal, _) =
-            nbc_storage::Wal::from_image(&image).expect("own crash image is well-formed");
-        self.sites[ix].wal = wal;
-        self.sites[ix].inbox.clear();
-        self.sites[ix].backup_state = Default::default();
-        self.sites[ix].pending_queries.clear();
-        self.sites[ix].recovery_replies.clear();
-        self.sites[ix].suspects.clear();
-        self.sites[ix].ever_down = true;
-        self.sites[ix].mode = Mode::Down;
+            nbc_storage::Wal::from_image(durable).expect("own crash image is well-formed");
+        site.wal = wal;
+        site.inbox.clear();
+        site.backup_state = Default::default();
+        site.pending_queries.clear();
+        site.recovery_replies.clear();
+        site.suspects.clear();
+        site.ever_down = true;
+        site.mode = Mode::Down;
         self.tracer.emit(|| self.ev(EventKind::Crash).at_site(ix));
         if let Some(d) = self.detector.as_mut() {
             // No oracle notice: peers will suspect the silence, each at
@@ -899,14 +907,15 @@ impl<'a> Runner<'a> {
         if self.sites[ix].mode != Mode::Down {
             return;
         }
-        let records = nbc_storage::Wal::recover(&self.sites[ix].wal.full_image()).expect("own log");
+        let records = nbc_storage::Wal::recover(self.sites[ix].wal.as_bytes()).expect("own log");
         let summaries = summarize(&records);
         let summary = summaries.iter().find(|t| t.txn == self.config.txn_id);
         // Fresh view: the recovering site interacts via the recovery
         // protocol only, so an optimistic view is harmless.
         let n = self.sites.len();
-        self.sites[ix].view = vec![true; n];
-        self.sites[ix].recovery_replies.clear();
+        let site = &mut *self.sites[ix];
+        site.view = vec![true; n];
+        site.recovery_replies.clear();
         self.tracer.emit(|| self.ev(EventKind::Recover).at_site(ix));
         if let Some(d) = self.detector.as_mut() {
             // No oracle notice: peers detect the recovery when heartbeats
@@ -924,13 +933,10 @@ impl<'a> Runner<'a> {
                 self.sites[ix].mode = Mode::Recovering;
                 self.finish(ix, false);
             }
-            Some(TxnOutcome::Committed) => {
-                self.sites[ix].outcome = Some(true);
-                self.sites[ix].mode = Mode::Done;
-            }
-            Some(TxnOutcome::Aborted) => {
-                self.sites[ix].outcome = Some(false);
-                self.sites[ix].mode = Mode::Done;
+            Some(decided @ (TxnOutcome::Committed | TxnOutcome::Aborted)) => {
+                let site = &mut *self.sites[ix];
+                site.outcome = Some(matches!(decided, TxnOutcome::Committed));
+                site.mode = Mode::Done;
             }
             other => {
                 // MustAsk from any site — or any undecided acceptor log.
@@ -939,9 +945,10 @@ impl<'a> Runner<'a> {
                 // committed through the other acceptors, and its decision
                 // record must mirror theirs, so it always asks.
                 if let Some(TxnOutcome::MustAsk { state, aligned_class, .. }) = other {
-                    self.sites[ix].enter_state(StateId(*state));
-                    self.sites[ix].aligned_class = *aligned_class;
-                    self.sites[ix].mode = Mode::Recovering;
+                    let site = &mut *self.sites[ix];
+                    site.enter_state(StateId(*state));
+                    site.aligned_class = *aligned_class;
+                    site.mode = Mode::Recovering;
                     // Independent recovery (nbc-core::recovery_analysis): a
                     // durable state that provably never cast a yes vote lets
                     // the site abort unilaterally — no commit can exist or
@@ -950,7 +957,7 @@ impl<'a> Runner<'a> {
                     // alignment intervened (alignment may carry another
                     // site's progress) — and never to an acceptor, whose
                     // vote is not part of that argument.
-                    let rc = self.recovery_classes[ix][*state as usize];
+                    let rc = self.analysis.recovery_classes()[ix][*state as usize];
                     if !acceptor && aligned_class.is_none() && rc == RecoveryClass::IndependentAbort
                     {
                         self.finish(ix, false);
@@ -1023,8 +1030,9 @@ impl<'a> Runner<'a> {
             // termination protocol.
             return;
         }
-        self.sites[ix].recovery_replies.retain(|&(s, _, _)| s != from);
-        self.sites[ix].recovery_replies.push((from, None, class));
+        let replies = &mut self.sites[ix].recovery_replies;
+        replies.retain(|&(s, _, _)| s != from);
+        replies.push((from, None, class));
         self.try_total_failure_recovery(ix);
     }
 
@@ -1078,7 +1086,7 @@ impl<'a> Runner<'a> {
             let o = if s.mode == Mode::Down {
                 // Inspect the durable log of the dead site.
                 let recs =
-                    nbc_storage::Wal::recover(&s.wal.full_image()).expect("own log well-formed");
+                    nbc_storage::Wal::recover(s.wal.as_bytes()).expect("own log well-formed");
                 let txn = self.config.txn_id;
                 match summarize(&recs).iter().find(|t| t.txn == txn).map(|t| &t.outcome) {
                     Some(TxnOutcome::Committed) => SiteOutcome::DownCommitted,

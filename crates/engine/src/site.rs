@@ -1,9 +1,12 @@
 //! Per-site runtime state: the FSA interpreter, inbox, WAL, and the mode
 //! machine (normal execution / termination / blocked / recovering).
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
-use nbc_core::{Consume, Fsa, MsgKind, SiteId, StateId, Vote};
+use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, SiteId, StateId, Vote};
 use nbc_storage::{LogRecord, Wal};
 
 use crate::class_map::encode_class;
@@ -88,7 +91,127 @@ pub struct SiteRt {
     pub visited: Vec<bool>,
 }
 
+/// One site slot of a [`Runner`](crate::Runner): the site's runtime
+/// state, shared copy-on-write between a runner and its forks, plus this
+/// runner's cached fingerprint of it.
+///
+/// Reads go through `Deref` and cost nothing. The *only* way to reach
+/// `&mut SiteRt` is `DerefMut`, which first gives this runner its own copy
+/// if a fork still shares the state and drops the cached fingerprint — so
+/// a mutation can neither leak into a fork nor leave a stale cache behind,
+/// by construction rather than by convention at each call site.
+#[derive(Clone)]
+pub struct SiteCell {
+    rt: Arc<SiteRt>,
+    /// [`SiteRt::digest`] of `rt`, once computed. A `Cell` keeps
+    /// [`Runner::digest`](crate::Runner::digest) a `&self` call; it makes
+    /// a runner `Send` but not `Sync`, which is all a fork handed to
+    /// another thread needs.
+    digest: Cell<Option<u128>>,
+}
+
+impl SiteCell {
+    pub(crate) fn new(rt: SiteRt) -> Self {
+        Self { rt: Arc::new(rt), digest: Cell::new(None) }
+    }
+
+    /// The site's behavioral fingerprint ([`SiteRt::digest`]), computed at
+    /// most once between mutations.
+    pub fn digest(&self) -> u128 {
+        if let Some(d) = self.digest.get() {
+            return d;
+        }
+        let d = self.rt.digest();
+        self.digest.set(Some(d));
+        d
+    }
+
+    /// An unshared copy with no cached fingerprint: the reference the
+    /// cache-coherence tests compare against.
+    #[cfg(test)]
+    pub(crate) fn deep_copy(&self) -> Self {
+        Self::new(SiteRt::clone(&self.rt))
+    }
+}
+
+impl Deref for SiteCell {
+    type Target = SiteRt;
+
+    #[inline]
+    fn deref(&self) -> &SiteRt {
+        &self.rt
+    }
+}
+
+impl DerefMut for SiteCell {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut SiteRt {
+        self.digest.set(None);
+        Arc::make_mut(&mut self.rt)
+    }
+}
+
+impl std::fmt::Debug for SiteCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.rt.fmt(f)
+    }
+}
+
 impl SiteRt {
+    /// Fingerprint of this site's *behavioral* state — exactly the
+    /// per-site fields [`Runner::digest`](crate::Runner::digest) documents
+    /// — in one allocation-free pass. Arrival-order collections whose
+    /// every consumer is order-independent (the inbox multiset, collected
+    /// acks, pending queries, recovery replies) are combined commutatively
+    /// so states differing only in arrival order merge. Excluded:
+    /// `transitions_attempted`, `ever_down`, `visited` (monitors and
+    /// crash-point bookkeeping) and `id` (the runner mixes each site in at
+    /// its own position).
+    pub fn digest(&self) -> u128 {
+        let mut h = Fp128::new();
+        match self.mode {
+            Mode::Normal => h.write_u8(0),
+            Mode::Terminating { backup } => {
+                h.write_u8(1);
+                h.write_usize(backup);
+            }
+            Mode::Blocked => h.write_u8(2),
+            Mode::Down => h.write_u8(3),
+            Mode::Recovering => h.write_u8(4),
+            Mode::Done => h.write_u8(5),
+        }
+        h.write_u32(self.state.0);
+        write_multiset(
+            &mut h,
+            self.inbox.iter().map(|&(src, kind)| [src as u64, kind.0.into(), 0]),
+        );
+        h.write_bytes(self.wal.as_bytes());
+        h.write_usize(self.wal.durable_len());
+        h.write_usize(self.view.len());
+        for bits in self.view.chunks(64) {
+            h.write_u64(bits.iter().enumerate().fold(0, |w, (i, &up)| w | u64::from(up) << i));
+        }
+        h.write_u64(opt_code(self.aligned_class));
+        h.write_u64(opt_code(self.outcome));
+        h.write_u8(u8::from(self.backup_state.phase1_sent));
+        write_set(&mut h, &self.backup_state.pending_acks);
+        write_multiset(
+            &mut h,
+            self.backup_state.collected.iter().map(|&(site, c)| [site as u64, c.into(), 0]),
+        );
+        write_multiset(&mut h, self.pending_queries.iter().map(|&q| [q as u64, 0, 0]));
+        write_multiset(
+            &mut h,
+            self.recovery_replies.iter().map(|&(site, o, c)| [site as u64, opt_code(o), c.into()]),
+        );
+        write_set(&mut h, &self.recovered_peers);
+        // Suspicions are behavioral state: they gate which
+        // suspect/unsuspect actions are enabled and what an unsuspicion
+        // will restore.
+        write_set(&mut h, &self.suspects);
+        h.finish()
+    }
+
     /// Fresh site at the FSA's initial state.
     pub fn new(id: usize, fsa: &Fsa, n: usize) -> Self {
         let mut visited = vec![false; fsa.state_count()];
@@ -238,6 +361,33 @@ impl SiteRt {
     pub fn log_decision(&mut self, txn: u64, commit: bool) {
         self.wal.append_sync(&LogRecord::Decision { txn, commit }).expect("wal record fits");
         self.outcome = Some(commit);
+    }
+}
+
+/// `None` → 0, `Some(v)` → `v + 1`: an injective word for a small option.
+fn opt_code<T: Into<u64>>(o: Option<T>) -> u64 {
+    o.map_or(0, |v| v.into() + 1)
+}
+
+/// Absorb an order-independent collection commutatively (see
+/// [`MultisetFp`]): permutations merge, multiplicities do not.
+fn write_multiset(h: &mut Fp128, elems: impl Iterator<Item = [u64; 3]>) {
+    let mut m = MultisetFp::default();
+    for e in elems {
+        let mut eh = Fp128::new();
+        for w in e {
+            eh.write_u64(w);
+        }
+        m.add(eh.finish());
+    }
+    m.write_into(h);
+}
+
+/// Absorb an ordered set, length-prefixed.
+fn write_set(h: &mut Fp128, set: &BTreeSet<usize>) {
+    h.write_usize(set.len());
+    for &e in set {
+        h.write_usize(e);
     }
 }
 

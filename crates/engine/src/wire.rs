@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use nbc_core::MsgKind;
+use nbc_core::{Fp128, MsgKind};
 
 /// Everything that travels between sites during a run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -60,6 +60,50 @@ pub enum Wire {
         /// rule — acting on it races the in-flight termination protocol.
         settled: bool,
     },
+}
+
+impl Wire {
+    /// Absorb this message into a state fingerprint (injective: a variant
+    /// tag, then its fields). Lives next to the enum so a new variant
+    /// cannot be added without deciding how it is fingerprinted.
+    pub(crate) fn fingerprint_into(&self, h: &mut Fp128) {
+        match *self {
+            Wire::Proto(kind) => {
+                h.write_u8(0);
+                h.write_u32(kind.0.into());
+            }
+            Wire::AlignTo { backup, class } => {
+                h.write_u8(1);
+                h.write_usize(backup);
+                h.write_u8(class);
+            }
+            Wire::AlignAck { backup, reported_class } => {
+                h.write_u8(2);
+                h.write_usize(backup);
+                h.write_u8(reported_class);
+            }
+            Wire::TermDecision { backup, commit } => {
+                h.write_u8(3);
+                h.write_usize(backup);
+                h.write_u8(u8::from(commit));
+            }
+            Wire::TermBlocked { backup } => {
+                h.write_u8(4);
+                h.write_usize(backup);
+            }
+            Wire::WhatHappened => h.write_u8(5),
+            Wire::OutcomeIs { outcome, class, settled } => {
+                h.write_u8(6);
+                h.write_u8(match outcome {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                });
+                h.write_u8(class);
+                h.write_u8(u8::from(settled));
+            }
+        }
+    }
 }
 
 impl fmt::Display for Wire {

@@ -683,7 +683,7 @@ impl Pipeline {
                                 .for_txn(txn)
                         });
                         if commit {
-                            let records = Wal::recover(&self.wals[site].full_image())
+                            let records = Wal::recover(self.wals[site].as_bytes())
                                 .expect("pipeline WALs are well-formed");
                             self.stores[site].redo_one(&records, txn);
                         }

@@ -181,26 +181,7 @@ impl<M> Network<M> {
         M: std::fmt::Display,
     {
         assert_eq!(assignment.len(), self.n);
-        // In-flight messages crossing the cut die with the link.
-        let tracer = self.tracer.clone();
-        let retained: Vec<Reverse<Scheduled<M>>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|Reverse(sch)| match &sch.event {
-                NetEvent::Deliver { src, dst, msg } if assignment[*src] != assignment[*dst] => {
-                    self.stats.record_drop();
-                    tracer.emit(|| {
-                        Event::new(
-                            now,
-                            EventKind::MsgDrop { dst: *dst as u32, label: msg.to_string() },
-                        )
-                        .at_site(*src)
-                    });
-                    false
-                }
-                _ => true,
-            })
-            .collect();
-        self.heap = retained.into();
+        self.cut_in_flight(now, &assignment);
         for observer in 0..self.n {
             for other in 0..self.n {
                 if observer != other && assignment[observer] != assignment[other] {
@@ -224,26 +205,32 @@ impl<M> Network<M> {
         M: std::fmt::Display,
     {
         assert_eq!(assignment.len(), self.n);
-        let tracer = self.tracer.clone();
-        let retained: Vec<Reverse<Scheduled<M>>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|Reverse(sch)| match &sch.event {
-                NetEvent::Deliver { src, dst, msg } if assignment[*src] != assignment[*dst] => {
-                    self.stats.record_drop();
-                    tracer.emit(|| {
-                        Event::new(
-                            now,
-                            EventKind::MsgDrop { dst: *dst as u32, label: msg.to_string() },
-                        )
-                        .at_site(*src)
-                    });
-                    false
-                }
-                _ => true,
-            })
-            .collect();
-        self.heap = retained.into();
+        self.cut_in_flight(now, &assignment);
         self.groups = Some(assignment);
+    }
+
+    /// In-flight messages crossing the cut die with the link.
+    fn cut_in_flight(&mut self, now: Time, assignment: &[usize])
+    where
+        M: std::fmt::Display,
+    {
+        // Filter the heap's own buffer and re-heapify it whole: no
+        // reallocation, and the same layout a filter-and-collect yields
+        // (drop events are emitted in buffer order).
+        let (stats, tracer) = (&mut self.stats, &self.tracer);
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.retain(|Reverse(sch)| match &sch.event {
+            NetEvent::Deliver { src, dst, msg } if assignment[*src] != assignment[*dst] => {
+                stats.record_drop();
+                tracer.emit(|| {
+                    Event::new(now, EventKind::MsgDrop { dst: *dst as u32, label: msg.to_string() })
+                        .at_site(*src)
+                });
+                false
+            }
+            _ => true,
+        });
+        self.heap = entries.into();
     }
 
     /// Heal a partition (messages flow again; no automatic notices).
@@ -308,6 +295,14 @@ impl<M> Network<M> {
         self.heap.len()
     }
 
+    /// Every scheduled event as `(at, seq, event)`, borrowed, in
+    /// **unspecified** order — the allocation-free view. Delivery order is
+    /// ascending `(at, seq)`; callers that need it take a `min`/`max` or
+    /// use [`Network::scheduled`].
+    pub fn iter_scheduled(&self) -> impl Iterator<Item = (Time, u64, &NetEvent<M>)> {
+        self.heap.iter().map(|Reverse(s)| (s.at, s.seq, &s.event))
+    }
+
     /// Every scheduled event in deterministic `(at, seq)` order, with its
     /// sequence number. The sequence number is the handle for
     /// [`Network::take_seq`] / [`Network::drop_seq`]; a model checker uses
@@ -315,7 +310,7 @@ impl<M> Network<M> {
     /// (FIFO order on one `(src, dst)` link is exactly ascending `(at,
     /// seq)` order among that link's entries).
     pub fn scheduled(&self) -> Vec<(Time, u64, &NetEvent<M>)> {
-        let mut out: Vec<_> = self.heap.iter().map(|Reverse(s)| (s.at, s.seq, &s.event)).collect();
+        let mut out: Vec<_> = self.iter_scheduled().collect();
         out.sort_by_key(|&(at, seq, _)| (at, seq));
         out
     }
@@ -325,25 +320,18 @@ impl<M> Network<M> {
     /// hook. Counts as a delivery for [`NetStats`] when it is a
     /// [`NetEvent::Deliver`]. Returns `None` if no such event is pending.
     pub fn take_seq(&mut self, seq: u64) -> Option<(Time, NetEvent<M>)> {
-        let mut taken = None;
-        let retained: Vec<Reverse<Scheduled<M>>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter_map(|Reverse(s)| {
-                if s.seq == seq {
-                    taken = Some((s.at, s.event));
-                    None
-                } else {
-                    Some(Reverse(s))
-                }
-            })
-            .collect();
-        self.heap = retained.into();
-        if let Some((_, ev)) = &taken {
-            if matches!(ev, NetEvent::Deliver { .. }) {
-                self.stats.record_delivery();
-            }
+        // Remove in place: the heap's own buffer is re-heapified, never
+        // reallocated (order-preserving removal keeps the buffer layout a
+        // function of the push/remove history alone).
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        let taken =
+            entries.iter().position(|Reverse(s)| s.seq == seq).map(|at| entries.remove(at).0);
+        self.heap = entries.into();
+        let s = taken?;
+        if matches!(s.event, NetEvent::Deliver { .. }) {
+            self.stats.record_delivery();
         }
-        taken
+        Some((s.at, s.event))
     }
 
     /// Remove one specific scheduled event by sequence number *as a loss*:

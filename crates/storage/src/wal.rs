@@ -458,7 +458,13 @@ impl Wal {
         self.buf[..self.durable].to_vec()
     }
 
-    /// The full byte image (as if shut down cleanly).
+    /// Every appended byte, durable or not, borrowed — the read-only view
+    /// of [`Wal::full_image`].
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The full byte image (as if shut down cleanly), as an owned copy.
     pub fn full_image(&self) -> Vec<u8> {
         self.buf.clone()
     }

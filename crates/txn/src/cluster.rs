@@ -201,7 +201,7 @@ impl Cluster {
                             .expect("wal record fits");
                         self.wals[site].append(&LogRecord::End { txn }).expect("wal record fits");
                         if commit {
-                            let records = Wal::recover(&self.wals[site].full_image())
+                            let records = Wal::recover(self.wals[site].as_bytes())
                                 .expect("cluster WALs are well-formed");
                             self.stores[site].redo_one(&records, txn);
                         }
@@ -360,7 +360,7 @@ impl Cluster {
             // Rebuild the store from the durable log: the real recovery
             // path, exercising WAL decode + redo.
             let records =
-                Wal::recover(&self.wals[site].full_image()).expect("cluster WALs are well-formed");
+                Wal::recover(self.wals[site].as_bytes()).expect("cluster WALs are well-formed");
             let rebuilt = KvStore::redo_from_log(&records);
             // Staged-but-undecided data of future transactions does not
             // exist at this point (recover_all resolves everything), so

@@ -50,6 +50,6 @@ pub use config::{
 pub use decide::ClassDecisions;
 pub use explore::{channel_of, Channel};
 pub use report::{RunReport, SiteOutcome};
-pub use run::{run_one, run_traced, run_with, Runner};
+pub use run::{run_one, run_traced, run_with, AnalysisSource, Runner};
 pub use sweep::{enumerate_crash_specs, sweep, sweep_traced, SweepSummary};
 pub use wire::Wire;

@@ -29,7 +29,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use nbc_core::recovery_analysis::RecoveryClass;
 use nbc_core::{Analysis, Protocol, StateClass, StateId, Vote};
@@ -54,6 +54,32 @@ pub(crate) enum Timer {
     Partition,
 }
 
+/// Where a run finds its protocol's [`Analysis`]. The commit protocol
+/// itself never consults it — the paper's concurrency sets serve the
+/// termination and recovery protocols only — so a run reads it on the
+/// failure path alone, and a caller that expects mostly failure-free runs
+/// can defer the reachable-state-graph build until one of them needs it.
+#[derive(Clone, Copy)]
+pub enum AnalysisSource<'a> {
+    /// Built up front (sweeps, the checker: many failing runs, one graph).
+    Built(&'a Analysis),
+    /// Built with the default options by the first failure-path read of
+    /// any run sharing the cell; failure-free runs leave it empty.
+    OnDemand(&'a OnceLock<Analysis>),
+}
+
+impl<'a> From<&'a Analysis> for AnalysisSource<'a> {
+    fn from(analysis: &'a Analysis) -> Self {
+        Self::Built(analysis)
+    }
+}
+
+impl<'a> From<&'a OnceLock<Analysis>> for AnalysisSource<'a> {
+    fn from(cell: &'a OnceLock<Analysis>) -> Self {
+        Self::OnDemand(cell)
+    }
+}
+
 /// One in-flight simulation.
 ///
 /// `Clone` forks the entire run — sites, WALs, in-flight messages, timers —
@@ -68,8 +94,7 @@ pub(crate) enum Timer {
 #[derive(Clone)]
 pub struct Runner<'a> {
     pub(crate) protocol: &'a Protocol,
-    pub(crate) analysis: &'a Analysis,
-    decisions: ClassDecisions<'a>,
+    analysis: AnalysisSource<'a>,
     pub(crate) config: Arc<RunConfig>,
     pub(crate) net: Network<Wire>,
     pub(crate) sites: Vec<SiteCell>,
@@ -106,7 +131,11 @@ impl<'a> Runner<'a> {
     /// # Panics
     /// Panics if `config.votes.len()` differs from the protocol's site
     /// count.
-    pub fn new(protocol: &'a Protocol, analysis: &'a Analysis, config: RunConfig) -> Self {
+    pub fn new(
+        protocol: &'a Protocol,
+        analysis: impl Into<AnalysisSource<'a>>,
+        config: RunConfig,
+    ) -> Self {
         Self::with_tracer(protocol, analysis, config, Tracer::off())
     }
 
@@ -116,7 +145,7 @@ impl<'a> Runner<'a> {
     /// to the network, which reports partition drops through it.
     pub fn with_tracer(
         protocol: &'a Protocol,
-        analysis: &'a Analysis,
+        analysis: impl Into<AnalysisSource<'a>>,
         config: RunConfig,
         mut tracer: Tracer,
     ) -> Self {
@@ -152,7 +181,6 @@ impl<'a> Runner<'a> {
         if let Some(p) = &config.partition {
             timers.push(Reverse((p.at, Timer::Partition)));
         }
-        let decisions = ClassDecisions::build(analysis);
         let start_at = config.start_at;
         // An accurate detector (heartbeats always beat the timeout) can
         // never falsely suspect; it is behaviorally the perfect detector,
@@ -168,8 +196,7 @@ impl<'a> Runner<'a> {
         });
         let mut runner = Self {
             protocol,
-            analysis,
-            decisions,
+            analysis: analysis.into(),
             config: Arc::new(config),
             net,
             sites,
@@ -193,6 +220,23 @@ impl<'a> Runner<'a> {
             runner.pump(i);
         }
         runner
+    }
+
+    /// The protocol's analysis — the one accessor every failure-path read
+    /// goes through (termination's class decisions and concurrency sets,
+    /// recovery's independent-abort classes).
+    fn analysis(&self) -> &'a Analysis {
+        match self.analysis {
+            AnalysisSource::Built(analysis) => analysis,
+            AnalysisSource::OnDemand(cell) => {
+                cell.get_or_init(|| Analysis::build(self.protocol).expect("protocol analyzable"))
+            }
+        }
+    }
+
+    /// The termination protocol's class → decision table.
+    fn decisions(&self) -> ClassDecisions<'a> {
+        ClassDecisions::build(self.analysis())
     }
 
     /// Execute to quiescence and report.
@@ -802,7 +846,7 @@ impl<'a> Runner<'a> {
                         StateClass::Committed => Decision::Commit,
                         StateClass::Aborted => Decision::Abort,
                         _ => {
-                            if self.analysis.cs_has_commit(me, st) {
+                            if self.analysis().cs_has_commit(me, st) {
                                 Decision::Commit
                             } else {
                                 Decision::Abort
@@ -810,7 +854,7 @@ impl<'a> Runner<'a> {
                         }
                     }
                 }
-                TerminationRule::Skeen => self.decisions.decide(my_class),
+                TerminationRule::Skeen => self.decisions().decide(my_class),
                 TerminationRule::QuorumSkeen => {
                     // Count sites this backup believes operational (itself
                     // included); without a strict majority of all n sites the
@@ -818,18 +862,18 @@ impl<'a> Runner<'a> {
                     // partition might.
                     let operational = self.sites[ix].view.iter().filter(|&&up| up).count();
                     if 2 * operational > self.sites.len() {
-                        self.decisions.decide(my_class)
+                        self.decisions().decide(my_class)
                     } else {
                         Decision::Blocked
                     }
                 }
                 TerminationRule::Cooperative => {
-                    let base = self.decisions.decide(my_class);
+                    let base = self.decisions().decide(my_class);
                     if base == Decision::Blocked {
                         let mut classes: Vec<u8> =
                             self.sites[ix].backup_state.collected.iter().map(|&(_, c)| c).collect();
                         classes.push(my_class);
-                        self.decisions.decide_cooperative(classes)
+                        self.decisions().decide_cooperative(classes)
                     } else {
                         base
                     }
@@ -957,7 +1001,7 @@ impl<'a> Runner<'a> {
                     // alignment intervened (alignment may carry another
                     // site's progress) — and never to an acceptor, whose
                     // vote is not part of that argument.
-                    let rc = self.analysis.recovery_classes()[ix][*state as usize];
+                    let rc = self.analysis().recovery_classes()[ix][*state as usize];
                     if !acceptor && aligned_class.is_none() && rc == RecoveryClass::IndependentAbort
                     {
                         self.finish(ix, false);
@@ -1117,21 +1161,25 @@ impl<'a> Runner<'a> {
     }
 }
 
-/// Convenience: build the analysis and run one configuration.
+/// Convenience: run one configuration, analysing the protocol only if
+/// the run reaches the failure path.
 pub fn run_one(protocol: &Protocol, config: RunConfig) -> RunReport {
-    let analysis = Analysis::build(protocol).expect("protocol analyzable");
-    Runner::new(protocol, &analysis, config).run()
+    Runner::new(protocol, &OnceLock::new(), config).run()
 }
 
 /// As [`run_one`] with a shared analysis (for sweeps).
-pub fn run_with(protocol: &Protocol, analysis: &Analysis, config: RunConfig) -> RunReport {
+pub fn run_with<'a>(
+    protocol: &'a Protocol,
+    analysis: impl Into<AnalysisSource<'a>>,
+    config: RunConfig,
+) -> RunReport {
     Runner::new(protocol, analysis, config).run()
 }
 
 /// As [`run_with`], emitting typed events through `tracer`.
-pub fn run_traced(
-    protocol: &Protocol,
-    analysis: &Analysis,
+pub fn run_traced<'a>(
+    protocol: &'a Protocol,
+    analysis: impl Into<AnalysisSource<'a>>,
     config: RunConfig,
     tracer: Tracer,
 ) -> RunReport {

@@ -13,6 +13,29 @@
 //! transaction id), so the merged execution is a single deterministic
 //! discrete-event timeline.
 //!
+//! # The agenda
+//!
+//! The rounds in flight live, boxed, in a min-heap on `(due, txn)`: `due`
+//! is the runner's next event time, or `None` — which sorts first — once
+//! the round is quiescent and only awaits finalisation. There is exactly
+//! one entry per round in flight and no entry is ever stale: only the top
+//! round is stepped, it is re-keyed in place before the heap is consulted
+//! again, and stepping one round cannot move another's next event (rounds
+//! share stores, WALs and locks, never a network). A step therefore costs
+//! O(log in-flight). A step turns at most one round quiescent — the one
+//! stepped — and a quiescent round is finalised before anything else
+//! moves, smallest transaction id first. Blocked rounds wait for their
+//! reap timer in a second heap on `(reap_at, txn)`; on a tie a step goes
+//! before a reap.
+//!
+//! # The failure-free path builds no state graph
+//!
+//! The paper's concurrency sets are consulted by the termination and
+//! recovery protocols only, so every round is handed the pipeline's
+//! shared, initially empty analysis cell ([`nbc_engine::AnalysisSource`]):
+//! the first round that reaches the failure path fills it, later rounds
+//! and later batches reuse it, and a fault-free batch never pays for it.
+//!
 //! # Admission (wait-die, with a retry budget)
 //!
 //! Locks are acquired at admission. A requester older than every
@@ -34,7 +57,10 @@
 //! decision if one exists, else abort) and frees the locks, so blocking
 //! is *measurable* (deferrals, latency tails) rather than fatal.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use nbc_core::{Analysis, Protocol};
 use nbc_engine::{RunConfig, Runner};
@@ -117,21 +143,47 @@ impl PipelineConfig {
     }
 }
 
-/// An admitted round in flight.
+/// What every round of a pipeline shares: the commit protocol, and its
+/// analysis — built by the first round to reach the failure path, so a
+/// fault-free batch never pays for the reachable state graph and a later
+/// batch never rebuilds it.
+struct Shared {
+    protocol: Protocol,
+    analysis: OnceLock<Analysis>,
+}
+
+/// An admitted round in flight; ordered by `(due, txn)` on the agenda.
 struct Round<'a> {
     txn: u64,
     admitted_at: Time,
-    touched: Vec<bool>,
-    /// Set when `step()` returned false while events remain (truncated).
-    done: bool,
+    /// Per site, the bytes of that site's data WAL holding this
+    /// transaction's `Begin` + redo frames (`None`: site not touched).
+    logged: Vec<Option<Range<usize>>>,
+    /// Time of the runner's next event; `None` once the round is
+    /// quiescent (or truncated) and only awaits finalisation.
+    due: Option<Time>,
     runner: Runner<'a>,
 }
 
-/// A round that ended blocked, awaiting its reap timer.
-struct BlockedRound {
-    txn: u64,
-    reap_at: Time,
+impl Ord for Round<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.due, self.txn).cmp(&(other.due, other.txn))
+    }
 }
+
+impl PartialOrd for Round<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Round<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Round<'_> {}
 
 /// A transaction waiting for admission (parked on a lock, or restarting
 /// after a wait-die death).
@@ -155,6 +207,9 @@ enum Admission<'a> {
 /// call drains a batch of transactions to quiescence.
 pub struct Pipeline {
     cfg: PipelineConfig,
+    /// Behind an `Arc` so the rounds of a [`Pipeline::run`] can borrow it
+    /// while the scheduler mutates everything else.
+    shared: Arc<Shared>,
     stores: Vec<KvStore>,
     wals: Vec<Wal>,
     locks: Vec<LockManager>,
@@ -163,8 +218,8 @@ pub struct Pipeline {
     /// recovery and catch-up).
     ledger: BTreeMap<u64, bool>,
     /// Per-site transactions whose decision the site missed (crashed
-    /// during the round).
-    missed: Vec<Vec<u64>>,
+    /// during the round), each with its frames' range in the site's WAL.
+    missed: Vec<Vec<(u64, Range<usize>)>>,
     /// Persistent simulation clock: a second `run` continues where the
     /// first left off.
     clock: Time,
@@ -186,8 +241,10 @@ impl Pipeline {
                 w
             })
             .collect();
+        let shared = Shared { protocol: cfg.kind.build(n), analysis: OnceLock::new() };
         Self {
             cfg,
+            shared: Arc::new(shared),
             stores: (0..n).map(|_| KvStore::new()).collect(),
             wals,
             locks: (0..n).map(|_| LockManager::new()).collect(),
@@ -248,10 +305,8 @@ impl Pipeline {
     /// throughput. Deterministic: the same pipeline state and input
     /// produce an identical report.
     pub fn run(&mut self, txns: Vec<PipelineTxn>) -> ThroughputReport {
-        let n = self.cfg.n_sites;
         let max_in_flight = self.cfg.max_in_flight.max(1);
-        let protocol = self.cfg.kind.build(n);
-        let analysis = Analysis::build(&protocol).expect("catalog protocols analyze");
+        let shared = Arc::clone(&self.shared);
         let sync_base = self.sync_totals();
 
         let mut report = ThroughputReport { txns: txns.len() as u64, ..Default::default() };
@@ -264,8 +319,12 @@ impl Pipeline {
             })
             .collect();
         let mut parked: BTreeMap<u64, ParkedTxn> = BTreeMap::new();
-        let mut in_flight: Vec<Round<'_>> = Vec::new();
-        let mut blocked: Vec<BlockedRound> = Vec::new();
+        // The agenda: every round in flight, earliest `(due, txn)` on top.
+        // Only the top round is ever stepped, and it is re-keyed before the
+        // heap is looked at again, so each event costs O(log in-flight).
+        let mut agenda: BinaryHeap<Reverse<Box<Round<'_>>>> = BinaryHeap::new();
+        // Blocked rounds awaiting their reap timer, earliest `(reap_at, txn)` on top.
+        let mut blocked: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
         let mut latencies: Vec<Time> = Vec::new();
         let mut clock = self.clock;
         let mut dirty = true;
@@ -285,7 +344,7 @@ impl Pipeline {
                         at,
                         EventKind::Snapshot {
                             committed: report.committed,
-                            in_flight: in_flight.len() as u64,
+                            in_flight: agenda.len() as u64,
                             blocked: blocked.len() as u64,
                             wal_bytes: self.wal_bytes() as u64,
                         },
@@ -299,15 +358,14 @@ impl Pipeline {
                 dirty = false;
                 last_pass_progressed = false;
                 self.catch_up(clock);
-                let retry_ids: Vec<u64> = parked.keys().copied().collect();
-                for id in retry_ids {
-                    if in_flight.len() >= max_in_flight {
-                        break;
-                    }
-                    let entry = parked.remove(&id).expect("snapshotted id");
-                    match self.try_admit(&protocol, &analysis, id, &entry.spec, entry.dies, clock) {
+                // Parked transactions retry first, oldest first; whoever
+                // the limit leaves unserved stays parked.
+                let mut retry = std::mem::take(&mut parked).into_iter();
+                while agenda.len() < max_in_flight {
+                    let Some((id, entry)) = retry.next() else { break };
+                    match self.try_admit(&shared, id, &entry.spec, entry.dies, clock) {
                         Admission::Started(r) => {
-                            in_flight.push(*r);
+                            agenda.push(Reverse(r));
                             last_pass_progressed = true;
                         }
                         Admission::Parked => {
@@ -321,11 +379,12 @@ impl Pipeline {
                         }
                     }
                 }
-                while in_flight.len() < max_in_flight {
+                parked.extend(retry);
+                while agenda.len() < max_in_flight {
                     let Some((id, spec)) = pending.pop_front() else { break };
-                    match self.try_admit(&protocol, &analysis, id, &spec, 0, clock) {
+                    match self.try_admit(&shared, id, &spec, 0, clock) {
                         Admission::Started(r) => {
-                            in_flight.push(*r);
+                            agenda.push(Reverse(r));
                             last_pass_progressed = true;
                         }
                         Admission::Parked => {
@@ -341,71 +400,48 @@ impl Pipeline {
                 }
             }
 
-            // ---- Finalize quiescent rounds (smallest txn id first). ----
-            let quiescent = in_flight
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.done || r.runner.next_time().is_none())
-                .min_by_key(|(_, r)| r.txn)
-                .map(|(i, _)| i);
-            if let Some(i) = quiescent {
-                let round = in_flight.remove(i);
+            // ---- Finalize a quiescent round (`due: None` sorts first,
+            // smallest txn id first). ----
+            if agenda.peek().is_some_and(|Reverse(r)| r.due.is_none()) {
+                let Reverse(round) = agenda.pop().expect("peeked");
                 clock = clock.max(round.runner.now());
-                self.finalize(round, &mut report, &mut latencies, &mut blocked);
+                self.finalize(&round, &mut report, &mut latencies, &mut blocked);
                 dirty = true;
                 continue;
             }
 
             // ---- Pick the globally earliest event: round step or reap. ----
-            let round_next = in_flight
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| !r.done)
-                .filter_map(|(i, r)| r.runner.next_time().map(|t| (t, r.txn, i)))
-                .min();
-            let reap_next = blocked.iter().enumerate().map(|(i, b)| (b.reap_at, b.txn, i)).min();
-            let step_round = match (round_next, reap_next) {
-                (Some((t, txn, i)), reap) => {
-                    if reap.is_none_or(|(rt, rtxn, _)| (t, txn) <= (rt, rtxn)) {
-                        Some(Some(i))
-                    } else {
-                        Some(None)
-                    }
+            let step = agenda
+                .peek()
+                .map(|Reverse(r)| (r.due.expect("quiescent rounds sort first"), r.txn));
+            let reap = blocked.peek().map(|&Reverse(reap)| reap);
+            if step.is_some_and(|step| reap.is_none_or(|reap| step <= reap)) {
+                // Re-keyed in place; the heap re-sifts when `top` drops.
+                let mut top = agenda.peek_mut().expect("peeked");
+                let round = &mut top.0;
+                let stepped = round.runner.step();
+                round.due = if stepped { round.runner.next_time() } else { None };
+                clock = clock.max(round.runner.now());
+            } else if let Some((reap_at, txn)) = reap {
+                blocked.pop();
+                clock = clock.max(reap_at);
+                if self.reap(txn, reap_at) {
+                    report.reaped_commits += 1;
                 }
-                (None, Some(_)) => Some(None),
-                (None, None) => None,
-            };
-            match step_round {
-                Some(Some(i)) => {
-                    let round = &mut in_flight[i];
-                    if !round.runner.step() {
-                        round.done = true;
-                    }
-                    clock = clock.max(round.runner.now());
+                dirty = true;
+            } else {
+                if pending.is_empty() && parked.is_empty() {
+                    break;
                 }
-                Some(None) => {
-                    let (rt, _, i) = reap_next.expect("reap selected");
-                    clock = clock.max(rt);
-                    let b = blocked.remove(i);
-                    if self.reap(b.txn, rt) {
-                        report.reaped_commits += 1;
-                    }
-                    dirty = true;
-                }
-                None => {
-                    if pending.is_empty() && parked.is_empty() {
-                        break;
-                    }
-                    // Locks can only be held by parked transactions now;
-                    // an admission pass must admit or free something.
-                    assert!(
-                        last_pass_progressed,
-                        "pipeline admission stalled with {} parked, {} pending",
-                        parked.len(),
-                        pending.len()
-                    );
-                    dirty = true;
-                }
+                // Locks can only be held by parked transactions now;
+                // an admission pass must admit or free something.
+                assert!(
+                    last_pass_progressed,
+                    "pipeline admission stalled with {} parked, {} pending",
+                    parked.len(),
+                    pending.len()
+                );
+                dirty = true;
             }
         }
 
@@ -448,8 +484,7 @@ impl Pipeline {
     /// Try to start a commit round for `txn` at time `now`.
     fn try_admit<'a>(
         &mut self,
-        protocol: &'a Protocol,
-        analysis: &'a Analysis,
+        shared: &'a Shared,
         txn: u64,
         spec: &PipelineTxn,
         dies: u32,
@@ -459,6 +494,7 @@ impl Pipeline {
         let give_up = dies >= self.cfg.die_budget;
         let mut votes = vec![true; n];
         let mut touched = vec![false; n];
+        let mut logged = vec![None; n];
 
         for op in &spec.ops {
             let site = op.site();
@@ -514,11 +550,12 @@ impl Pipeline {
         // Write-ahead: Begin + redo images, group-commit batched.
         for (site, touched_here) in touched.iter().enumerate() {
             if *touched_here {
-                let before = self.wals[site].len() as u64;
+                let before = self.wals[site].len();
                 self.wals[site].append(&LogRecord::Begin { txn }).expect("wal record fits");
                 let store = &self.stores[site];
                 store.log_stage(txn, &mut self.wals[site]);
-                let appended = self.wals[site].len() as u64 - before;
+                logged[site] = Some(before..self.wals[site].len());
+                let appended = (self.wals[site].len() - before) as u64;
                 let physical = self.wals[site].sync_batched(now);
                 self.tracer.emit(|| {
                     Event::new(
@@ -536,7 +573,7 @@ impl Pipeline {
 
         // Quorum protocols bring extra acceptor sites along; they carry
         // no data and always "vote" yes.
-        let mut rc = RunConfig::happy(protocol.n_sites());
+        let mut rc = RunConfig::happy(shared.protocol.n_sites());
         rc.votes[..n].copy_from_slice(&votes);
         rc.crashes = spec.crashes.clone();
         rc.rule = self.cfg.kind.rule();
@@ -544,12 +581,14 @@ impl Pipeline {
         rc.detect_delay = self.cfg.detect_delay;
         let rc = rc.with_txn_id(txn).with_start_at(now);
         self.tracer.emit(|| Event::new(now, EventKind::Admit).for_txn(txn));
+        let runner =
+            Runner::with_tracer(&shared.protocol, &shared.analysis, rc, self.tracer.clone());
         Admission::Started(Box::new(Round {
             txn,
             admitted_at: now,
-            touched,
-            done: false,
-            runner: Runner::with_tracer(protocol, analysis, rc, self.tracer.clone()),
+            logged,
+            due: runner.next_time(),
+            runner,
         }))
     }
 
@@ -558,10 +597,10 @@ impl Pipeline {
     /// or park the round as blocked with a reap deadline.
     fn finalize(
         &mut self,
-        round: Round<'_>,
+        round: &Round<'_>,
         report: &mut ThroughputReport,
         latencies: &mut Vec<Time>,
-        blocked: &mut Vec<BlockedRound>,
+        blocked: &mut BinaryHeap<Reverse<(Time, u64)>>,
     ) {
         let txn = round.txn;
         let rr = round.runner.report();
@@ -578,12 +617,12 @@ impl Pipeline {
                 for site in 0..self.cfg.n_sites {
                     if rr.outcomes[site].operational() {
                         self.apply_decision(site, txn, commit, done_at);
-                    } else if round.touched[site] {
+                    } else if let Some(frames) = &round.logged[site] {
                         // Crashed during the round: volatile stage lost;
                         // the WAL's redo images remain for catch-up.
                         self.stores[site].abort(txn);
                         self.locks[site].release_all(txn);
-                        self.missed[site].push(txn);
+                        self.missed[site].push((txn, frames.clone()));
                     } else {
                         self.locks[site].release_all(txn);
                     }
@@ -605,7 +644,7 @@ impl Pipeline {
                     }
                 }
                 report.blocked += 1;
-                blocked.push(BlockedRound { txn, reap_at: done_at + self.cfg.reap_after });
+                blocked.push(Reverse((done_at + self.cfg.reap_after, txn)));
             }
         }
     }
@@ -654,11 +693,12 @@ impl Pipeline {
 
     /// Bring every site that missed a decision back up to date: replay the
     /// decision from the ledger and redo the staged images from the site's
-    /// own WAL.
+    /// own WAL — decoding only the transaction's own frames, whose range
+    /// admission recorded (a pipeline WAL only ever grows, so it holds).
     fn catch_up(&mut self, now: Time) {
         for site in 0..self.cfg.n_sites {
             let mut still_missing = Vec::new();
-            for txn in std::mem::take(&mut self.missed[site]) {
+            for (txn, frames) in std::mem::take(&mut self.missed[site]) {
                 match self.ledger.get(&txn).copied() {
                     Some(commit) => {
                         let decision = LogRecord::Decision { txn, commit };
@@ -683,12 +723,16 @@ impl Pipeline {
                                 .for_txn(txn)
                         });
                         if commit {
-                            let records = Wal::recover(self.wals[site].as_bytes())
+                            let records = Wal::recover(&self.wals[site].as_bytes()[frames])
                                 .expect("pipeline WALs are well-formed");
+                            assert!(
+                                matches!(records[0], LogRecord::Begin { txn: t } if t == txn),
+                                "pipeline WALs are never compacted: txn {txn}'s frames moved"
+                            );
                             self.stores[site].redo_one(&records, txn);
                         }
                     }
-                    None => still_missing.push(txn),
+                    None => still_missing.push((txn, frames)),
                 }
             }
             self.missed[site] = still_missing;
@@ -792,6 +836,20 @@ mod tests {
         assert_eq!(r.decided(), 8);
         assert!(r.blocked >= 1, "2PC coordinator crash must block: {r}");
         assert_eq!(p.locked_keys(), 0, "reaper must free strand-locks");
+        assert_eq!(p.total_balance(&w), w.expected_total());
+    }
+
+    #[test]
+    fn analysis_is_built_by_the_first_crash_and_shared_across_runs() {
+        let (mut p, mut w) = seeded_pipeline(ProtocolKind::Central3pc, 2);
+        let mut rng = SimRng::seed_from_u64(5);
+        p.run(bank_transfer_txns(&mut w, 8, 0, &mut rng));
+        assert!(p.shared.analysis.get().is_none(), "fault-free batches never analyse");
+        let r = p.run(bank_transfer_txns(&mut w, 16, 50, &mut rng));
+        assert_eq!(r.decided(), 16);
+        let first: *const Analysis = p.shared.analysis.get().expect("termination ran");
+        p.run(bank_transfer_txns(&mut w, 16, 50, &mut rng));
+        assert!(std::ptr::eq(first, p.shared.analysis.get().unwrap()), "one build per pipeline");
         assert_eq!(p.total_balance(&w), w.expected_total());
     }
 

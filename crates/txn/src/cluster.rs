@@ -15,6 +15,7 @@
 //! destroys throughput.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
 use nbc_core::{Analysis, Protocol};
@@ -142,8 +143,10 @@ pub struct Cluster {
     /// (including decisions durable only at crashed sites).
     ledger: BTreeMap<u64, bool>,
     /// Per-site transactions whose decision the site missed (crashed
-    /// during the round).
-    missed: Vec<Vec<u64>>,
+    /// during the round), each with the range of its `Begin` + redo frames
+    /// in the site's WAL ([`Cluster::checkpoint`], the only compaction,
+    /// requires this list to be empty, so a recorded range never moves).
+    missed: Vec<Vec<(u64, Range<usize>)>>,
     /// Blocked transactions (locks held).
     blocked_txns: Vec<u64>,
     /// Statistics.
@@ -193,7 +196,7 @@ impl Cluster {
     pub(crate) fn catch_up(&mut self) {
         for site in 0..self.cfg.n_sites {
             let mut still_missing = Vec::new();
-            for txn in std::mem::take(&mut self.missed[site]) {
+            for (txn, frames) in std::mem::take(&mut self.missed[site]) {
                 match self.ledger.get(&txn).copied() {
                     Some(commit) => {
                         self.wals[site]
@@ -201,12 +204,12 @@ impl Cluster {
                             .expect("wal record fits");
                         self.wals[site].append(&LogRecord::End { txn }).expect("wal record fits");
                         if commit {
-                            let records = Wal::recover(self.wals[site].as_bytes())
+                            let records = Wal::recover(&self.wals[site].as_bytes()[frames])
                                 .expect("cluster WALs are well-formed");
                             self.stores[site].redo_one(&records, txn);
                         }
                     }
-                    None => still_missing.push(txn),
+                    None => still_missing.push((txn, frames)),
                 }
             }
             self.missed[site] = still_missing;
@@ -221,6 +224,7 @@ impl Cluster {
         let n = self.cfg.n_sites;
         let mut votes = vec![true; n];
         let mut touched = vec![false; n];
+        let mut logged = vec![0..0; n];
 
         // Acquire locks and stage writes. A conflict (`Die`, or `Wait` on a
         // holder that will never release because it is blocked) makes the
@@ -254,9 +258,11 @@ impl Cluster {
         // Write-ahead: Begin + redo images, durable before the vote.
         for (site, touched_here) in touched.iter().enumerate() {
             if *touched_here {
+                let before = self.wals[site].len();
                 self.wals[site].append(&LogRecord::Begin { txn }).expect("wal record fits");
                 let store = &self.stores[site];
                 store.log_stage(txn, &mut self.wals[site]);
+                logged[site] = before..self.wals[site].len();
                 self.wals[site].sync();
             }
         }
@@ -291,7 +297,7 @@ impl Cluster {
                         // the WAL's redo images remain for recovery.
                         self.stores[site].abort(txn);
                         self.locks[site].release_all(txn);
-                        self.missed[site].push(txn);
+                        self.missed[site].push((txn, logged[site].clone()));
                     } else {
                         self.locks[site].release_all(txn);
                     }
@@ -350,7 +356,7 @@ impl Cluster {
         // Replay missed decisions from the WAL redo images.
         for site in 0..self.cfg.n_sites {
             let missed = std::mem::take(&mut self.missed[site]);
-            for txn in missed {
+            for (txn, _) in missed {
                 let commit = *self.ledger.get(&txn).expect("missed txn was decided");
                 self.wals[site]
                     .append_sync(&LogRecord::Decision { txn, commit })

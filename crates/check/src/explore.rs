@@ -76,26 +76,38 @@
 //!   the depth-side of `truncated` are recomputed *per entry at its
 //!   deepest expansion* rather than accumulated per traversal event
 //!   (re-expansions would otherwise double-count, differently per run);
-//! * concrete witnesses are **not** taken from the parallel sweep at all:
-//!   a second, serial, canonical-order search of the lexicographically
-//!   least flagged plan reproduces the first violation (and, separately,
-//!   the first blocking state) it reaches — the least (plan, branch
-//!   path) under the canonical enumeration order, byte-identical at any
-//!   thread count and any seed.
+//! * concrete witnesses are never taken from the parallel sweep: a
+//!   serial, canonical-order run of the least flagged plan reproduces
+//!   them (below), byte-identical at any thread count and any seed.
 //!
-//! Even the `max_states` safety valve is deterministic: once a plan
-//! trips it (which happens iff the plan's fixpoint reaches the cap — a
-//! property of the state space, not of scheduling), the plan's stats,
-//! violation flags, blocking flag and witnessed-state bitmap are
-//! *recomputed* by a serial canonical-order sweep under the same cap and
-//! the parallel results discarded — so truncated reports are
-//! byte-identical at any thread count **and any seed** (the redo ignores
-//! the seed), at the cost of one serial pass over the capped plan.
+//! ## One walk, run three ways
 //!
-//! Previously the sweep also stopped at the first hard violation, which
-//! left later plans unexplored while still reporting "exhaustive"; the
-//! sweep now always runs to its fixpoint and the `truncated` flag means
-//! exactly what it says.
+//! There is one walk — the `Worker`'s explicit-stack loop, its `visit`
+//! (judge the oracles, judge blocking, then prune → cap → claim, with the
+//! edge stats published at the deepest expansion), the per-plan store and
+//! its fold. It runs:
+//!
+//! 1. **as the parallel sweep**, over every plan with `threads` workers
+//!    and the seed's rotation. The sweep only *flags* which plans
+//!    violated an oracle or blocked, and always runs to its fixpoint;
+//! 2. **alone, as the canonical redo**: one worker on the calling thread,
+//!    one plan, no seed. With nobody to donate to, the FIFO queue of root
+//!    actions is plain canonical-order DFS. Every plan whose fixpoint
+//!    holds at least `max_states` states — the cap tripped, or the insert
+//!    count reached it; a property of the state space, not of scheduling
+//!    — has its stats, flags and witnessed-state bitmap replaced
+//!    wholesale by this run's, which is what makes truncated reports
+//!    byte-identical at any thread count **and any seed**;
+//! 3. **alone with a target, as the witness search** of the least flagged
+//!    plan: the same run, stopping at the first violation (state or
+//!    rejected `Recover`), or the first blocked quiescent state, that
+//!    `visit` judges — the least (plan, branch path) under the canonical
+//!    enumeration order. An uncapped sweep's visited set equals this
+//!    run's and a capped plan's flags come from run 2, whose traversal
+//!    this one repeats, so a flagged plan always yields its witness.
+//!
+//! Because runs 2 and 3 are the sweep's own code they use its store too:
+//! the serial passes honour [`CheckOptions::mem_budget`].
 //!
 //! ## External memory
 //!
@@ -431,6 +443,31 @@ struct PlanStats {
     spill: SpillStats,
 }
 
+/// What one walk established about one vote plan.
+struct PlanResult {
+    stats: PlanStats,
+    /// OR of [`violation_bit`]s over the plan's visited states.
+    violated: u8,
+    /// Some non-violating quiescent state has a blocked operational site.
+    blocking: bool,
+    /// The plan's fixpoint holds at least `max_states` states.
+    capped: bool,
+    witnessed: Witnessed,
+}
+
+/// What a walk run alone stops at.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// The first state, or rejected `Recover`, that violates an oracle.
+    Violation,
+    /// The first non-violating quiescent state with a blocked site.
+    Blocking,
+}
+
+/// Where a walk stopped: `(oracle, detail, path)`, the first two empty
+/// for [`Target::Blocking`].
+type Found = (&'static str, String, Vec<Step>);
+
 /// Per-vote-plan shared exploration state. The fingerprint shards are
 /// freed (folded into [`PlanStats`]) as soon as the plan's outstanding
 /// task count hits zero, so peak memory tracks the plans in flight, not
@@ -544,6 +581,8 @@ struct Shared<'a> {
     protocol: &'a Protocol,
     analysis: &'a Analysis,
     opts: CheckOptions,
+    /// What a walk run alone stops at; the sweep and the redo have none.
+    stop: Option<Target>,
     shard_mask: usize,
     plan_shared: Vec<PlanShared>,
     queue: Mutex<VecDeque<Task<'a>>>,
@@ -566,6 +605,34 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
+    fn new(
+        protocol: &'a Protocol,
+        analysis: &'a Analysis,
+        opts: CheckOptions,
+        plans: usize,
+        stop: Option<Target>,
+    ) -> Self {
+        let shards = (resolved_threads(opts.threads) * 4).next_power_of_two().min(64);
+        Self {
+            protocol,
+            analysis,
+            opts,
+            stop,
+            shard_mask: shards - 1,
+            plan_shared: (0..plans).map(|_| PlanShared::new(shards)).collect(),
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            idle: AtomicUsize::new(0),
+            outstanding: AtomicUsize::new(0),
+            done: AtomicBool::new(false),
+            plans_done: AtomicUsize::new(0),
+            distinct: AtomicUsize::new(0),
+            expansions: AtomicU64::new(0),
+            hot_bytes: AtomicUsize::new(0),
+            spill_runs: AtomicU64::new(0),
+        }
+    }
+
     /// Mark one task of `plan` finished; fold the plan when it was the
     /// last one and flip the global done flag when nothing is left.
     fn finish_task(&self, plan: usize) {
@@ -581,11 +648,31 @@ impl<'a> Shared<'a> {
             self.available.notify_all();
         }
     }
+
+    /// What the finished walk established about each plan; `wits` are the
+    /// workers' per-plan bitmaps, OR'd (order-independent).
+    fn results(&self, wits: &[HashMap<usize, Witnessed>]) -> Vec<PlanResult> {
+        let per_plan = |(idx, ps): (usize, &PlanShared)| {
+            let mut wit = Witnessed::for_protocol(self.protocol);
+            wits.iter().filter_map(|m| m.get(&idx)).for_each(|w| wit.merge(w));
+            PlanResult {
+                stats: ps.folded.lock().expect("fold poisoned").take().expect("plan not folded"),
+                violated: ps.violated.load(Ordering::Acquire),
+                blocking: ps.blocking.load(Ordering::Acquire),
+                // `cap_hit` covers every schedule that tripped the cap, the
+                // `inserted` test the knife-edge fixpoint == max_states
+                // schedules that filled the map without tripping it.
+                capped: ps.cap_hit.load(Ordering::Acquire)
+                    || ps.inserted.load(Ordering::Acquire) >= self.opts.max_states,
+                witnessed: wit,
+            }
+        };
+        self.plan_shared.iter().enumerate().map(per_plan).collect()
+    }
 }
 
 // ---------------------------------------------------------------------
-// The stepper: action enumeration and application, shared by the
-// parallel sweep and the canonical witness search
+// The stepper: action enumeration and application
 // ---------------------------------------------------------------------
 
 /// Enumerates and applies scheduler actions while maintaining the current
@@ -839,7 +926,7 @@ struct Frame<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Phase 1: the parallel sweep
+// The walk
 // ---------------------------------------------------------------------
 
 struct Worker<'w, 'a> {
@@ -850,8 +937,10 @@ struct Worker<'w, 'a> {
     /// Witnessed-state bitmaps, one per vote plan this worker touched.
     /// Kept per plan (not merged into the worker's oracles) so a
     /// state-cap-truncated plan's bitmap can be replaced wholesale by the
-    /// canonical redo's.
+    /// redo's.
     wit: HashMap<usize, Witnessed>,
+    /// Where this worker met [`Shared::stop`]'s target.
+    found: Option<Found>,
 }
 
 impl<'w, 'a> Worker<'w, 'a> {
@@ -862,16 +951,62 @@ impl<'w, 'a> Worker<'w, 'a> {
             stack: Vec::new(),
             plan: 0,
             wit: HashMap::new(),
+            found: None,
         }
     }
 
-    fn run(mut self) -> HashMap<usize, Witnessed> {
+    /// Expand each plan's root on this thread (observing it and claiming
+    /// it in the plan's map), then queue one task per root action. Roots
+    /// go through `visit` like every other state, so root handling and
+    /// inner-node handling cannot drift apart.
+    fn seed(&mut self, plans: &[Vec<bool>]) {
+        let shared = self.shared;
+        let mut queue = shared.queue.lock().expect("queue poisoned");
+        for (idx, votes) in plans.iter().enumerate() {
+            self.plan = idx;
+            let config = plan_config(shared.protocol.n_sites(), votes, shared.opts.rule);
+            let root = Runner::new(shared.protocol, shared.analysis, config);
+            self.visit(root, shared.opts.depth, Budgets::of(&shared.opts));
+            match self.stack.pop() {
+                Some(f) => {
+                    let k = f.actions.len();
+                    shared.plan_shared[idx].pending.store(k, Ordering::Release);
+                    shared.outstanding.fetch_add(k, Ordering::AcqRel);
+                    for action in f.actions {
+                        queue.push_back(Task {
+                            plan: idx,
+                            runner: f.runner.clone(),
+                            path: Vec::new(),
+                            depth_left: f.depth_left,
+                            budgets: f.budgets,
+                            action,
+                        });
+                    }
+                }
+                // Root is terminal (or violating): the plan is already
+                // fully explored.
+                None => {
+                    shared.plan_shared[idx].fold(&shared.hot_bytes);
+                    shared.plans_done.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        if shared.outstanding.load(Ordering::Acquire) == 0 {
+            shared.done.store(true, Ordering::Release);
+        }
+    }
+
+    /// Take tasks until the exploration is complete. Once the target is
+    /// found the remaining tasks are finished unrun, so the plan still
+    /// folds and the queue still drains.
+    fn run(&mut self) {
         while let Some(task) = self.next_task() {
             let plan = task.plan;
-            self.run_task(task);
+            if self.found.is_none() {
+                self.run_task(task);
+            }
             self.shared.finish_task(plan);
         }
-        self.wit
     }
 
     fn next_task(&self) -> Option<Task<'a>> {
@@ -892,25 +1027,35 @@ impl<'w, 'a> Worker<'w, 'a> {
     fn run_task(&mut self, task: Task<'a>) {
         self.plan = task.plan;
         self.stepper.path = task.path;
-        let mut runner = task.runner;
-        let cost = task.action.cost();
-        match self.stepper.apply(&mut runner, &task.action, task.budgets) {
-            Err(_) => {
-                self.flag_violation("recovery");
-            }
-            Ok(b2) => {
-                self.visit(runner, task.depth_left - cost, b2);
-                self.drain_stack();
-            }
-        }
+        self.branch(task.runner, &task.action, task.depth_left, task.budgets);
+        self.drain_stack();
         self.stepper.path.clear();
-        self.stack.clear();
     }
 
-    fn flag_violation(&self, oracle: &str) {
+    /// Apply `action` to a fork of its source state and visit the
+    /// successor.
+    fn branch(&mut self, mut runner: Runner<'a>, action: &Action, depth_left: u32, b: Budgets) {
+        match self.stepper.apply(&mut runner, action, b) {
+            Err(detail) => self.flag_violation("recovery", detail),
+            Ok(b2) => self.visit(runner, depth_left - action.cost(), b2),
+        }
+    }
+
+    /// Flag the plan; a violation search ends here (the path stops at the
+    /// violating state or rejected step).
+    fn flag_violation(&mut self, oracle: &'static str, detail: String) {
         self.shared.plan_shared[self.plan]
             .violated
             .fetch_or(violation_bit(oracle), Ordering::AcqRel);
+        if self.shared.stop == Some(Target::Violation) {
+            self.stop_at(oracle, detail);
+        }
+    }
+
+    /// Record the target and abandon the rest of the walk.
+    fn stop_at(&mut self, oracle: &'static str, detail: String) {
+        self.found = Some((oracle, detail, self.stepper.path.clone()));
+        self.stack.clear();
     }
 
     /// Exhaust the explicit DFS stack, donating the shallowest untried
@@ -918,31 +1063,18 @@ impl<'w, 'a> Worker<'w, 'a> {
     fn drain_stack(&mut self) {
         loop {
             self.maybe_donate();
-            let step = {
-                let Some(f) = self.stack.last_mut() else { break };
-                if f.next >= f.actions.len() {
-                    None
-                } else {
-                    // Re-anchor the path before each sibling branch.
-                    self.stepper.path.truncate(f.mark);
-                    let action = f.actions[f.next].clone();
-                    f.next += 1;
-                    Some((action, f.depth_left, f.budgets, f.runner.clone()))
-                }
-            };
-            match step {
-                None => {
-                    let f = self.stack.pop().expect("checked non-empty");
-                    self.stepper.path.truncate(f.mark);
-                }
-                Some((action, depth_left, budgets, mut next)) => {
-                    let cost = action.cost();
-                    match self.stepper.apply(&mut next, &action, budgets) {
-                        Err(_) => self.flag_violation("recovery"),
-                        Ok(b2) => self.visit(next, depth_left - cost, b2),
-                    }
-                }
+            let Some(f) = self.stack.last_mut() else { break };
+            // Re-anchor the path before each sibling branch (and on the
+            // way out).
+            self.stepper.path.truncate(f.mark);
+            if f.next >= f.actions.len() {
+                self.stack.pop();
+                continue;
             }
+            let action = f.actions[f.next].clone();
+            f.next += 1;
+            let (runner, depth_left, budgets) = (f.runner.clone(), f.depth_left, f.budgets);
+            self.branch(runner, &action, depth_left, budgets);
         }
     }
 
@@ -986,19 +1118,23 @@ impl<'w, 'a> Worker<'w, 'a> {
     /// store (hot tier, spilled runs consulted on a hot miss), and push
     /// its expansion frame if it survived dedup and the caps.
     fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) {
-        let ps = &self.shared.plan_shared[self.plan];
-        let wit = self
-            .wit
-            .entry(self.plan)
-            .or_insert_with(|| Witnessed::for_protocol(self.shared.protocol));
-        if let Err((oracle, _detail)) = self.stepper.oracles.observe_state_in(wit, &runner) {
-            // Violating states are never expanded (and never counted);
-            // the canonical search re-derives the witness path.
-            self.flag_violation(oracle);
+        let shared = self.shared;
+        let ps = &shared.plan_shared[self.plan];
+        let wit =
+            self.wit.entry(self.plan).or_insert_with(|| Witnessed::for_protocol(shared.protocol));
+        if let Err((oracle, detail)) = self.stepper.oracles.observe_state(wit, &runner) {
+            // Violating states are never expanded (and never counted).
+            self.flag_violation(oracle, detail);
             return;
         }
+        // Judged before dedup and the cap, as the oracles are: a state the
+        // cap turns away still counts.
         if runner.net_quiescent() && !Oracles::blocked_sites(&runner).is_empty() {
             ps.blocking.store(true, Ordering::Release);
+            if shared.stop == Some(Target::Blocking) {
+                self.stop_at("", String::new());
+                return;
+            }
         }
 
         let budget = self.shared.opts.mem_budget;
@@ -1017,7 +1153,7 @@ impl<'w, 'a> Worker<'w, 'a> {
             // note on `PlanShared::store`.
             let mut carried: Option<Entry> = None;
             if !hot && budget > 0 {
-                let spilled = self.shared.plan_shared[self.plan]
+                let spilled = ps
                     .store
                     .read()
                     .expect("store poisoned")
@@ -1180,290 +1316,27 @@ impl<'w, 'a> Worker<'w, 'a> {
 }
 
 // ---------------------------------------------------------------------
-// Phase 2: the canonical witness search
-// ---------------------------------------------------------------------
-
-/// What the canonical search is looking for.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Target {
-    Violation,
-    Blocking,
-}
-
-/// Serial, canonical-order (unseeded) explicit-stack DFS over one vote
-/// plan, stopping at the first state (or rejected `Recover` edge, for
-/// [`Target::Violation`]) exhibiting the target. Because the visited set
-/// is order-independent, a plan flagged by the parallel sweep is
-/// guaranteed to yield a witness here — unless the `max_states` valve
-/// truncated the sweep, in which case this search gives up at the same
-/// cap and returns `None`.
-struct Search<'a, 'o> {
-    stepper: Stepper<'a>,
-    seen: KeyMap<u32>,
-    stack: Vec<Frame<'a>>,
-    opts: &'o CheckOptions,
-    target: Target,
-}
-
-type WitnessFound = Option<(&'static str, String, Vec<Step>)>;
-
-impl<'a> Search<'a, '_> {
-    /// Shared visit logic for the root and every expanded child.
-    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) -> WitnessFound {
-        if let Err((oracle, detail)) = self.stepper.oracles.observe_state(&runner) {
-            return match self.target {
-                Target::Violation => Some((oracle, detail, self.stepper.path.clone())),
-                // A violating state is pruned, exactly as in the sweep —
-                // blocking candidates exclude it.
-                Target::Blocking => None,
-            };
-        }
-        if self.target == Target::Blocking
-            && runner.net_quiescent()
-            && !Oracles::blocked_sites(&runner).is_empty()
-        {
-            return Some(("", String::new(), self.stepper.path.clone()));
-        }
-        let fp = state_key(runner.digest(), b);
-        if let Some(&best) = self.seen.get(&fp) {
-            if best >= depth_left {
-                return None;
-            }
-        }
-        if self.seen.len() >= self.opts.max_states {
-            return None;
-        }
-        self.seen.insert(fp, depth_left);
-        let mut actions = self.stepper.enumerate(&runner, b);
-        actions.retain(|a| a.cost() <= depth_left);
-        if !actions.is_empty() {
-            self.stack.push(Frame {
-                mark: self.stepper.path.len(),
-                runner,
-                depth_left,
-                budgets: b,
-                actions,
-                next: 0,
-            });
-        }
-        None
-    }
-
-    fn run(&mut self, root: Runner<'a>, depth: u32, budgets: Budgets) -> WitnessFound {
-        if let Some(w) = self.visit(root, depth, budgets) {
-            return Some(w);
-        }
-        loop {
-            let step = {
-                let f = self.stack.last_mut()?;
-                if f.next >= f.actions.len() {
-                    None
-                } else {
-                    self.stepper.path.truncate(f.mark);
-                    let action = f.actions[f.next].clone();
-                    f.next += 1;
-                    Some((action, f.depth_left, f.budgets, f.runner.clone()))
-                }
-            };
-            match step {
-                None => {
-                    let f = self.stack.pop().expect("checked non-empty");
-                    self.stepper.path.truncate(f.mark);
-                }
-                Some((action, depth_left, budgets, mut next)) => {
-                    let cost = action.cost();
-                    match self.stepper.apply(&mut next, &action, budgets) {
-                        Err(detail) => {
-                            if self.target == Target::Violation {
-                                return Some(("recovery", detail, self.stepper.path.clone()));
-                            }
-                        }
-                        Ok(b2) => {
-                            if let Some(w) = self.visit(next, depth_left - cost, b2) {
-                                return Some(w);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn canonical_witness<'a>(
-    protocol: &'a Protocol,
-    analysis: &'a Analysis,
-    opts: &CheckOptions,
-    votes: &[bool],
-    target: Target,
-) -> WitnessFound {
-    let budgets = Budgets::of(opts);
-    let root = Runner::new(protocol, analysis, plan_config(protocol.n_sites(), votes, opts.rule));
-    let mut search = Search {
-        stepper: Stepper::new(protocol, analysis),
-        seen: KeyMap::default(),
-        stack: Vec::new(),
-        opts,
-        target,
-    };
-    search.run(root, opts.depth, budgets)
-}
-
-// ---------------------------------------------------------------------
-// Phase 1b: canonical redo of state-cap-truncated plans
-// ---------------------------------------------------------------------
-
-/// Serial canonical-order re-exploration of one vote plan under the same
-/// `max_states` cap — the deterministic replacement for a plan whose
-/// parallel sweep tripped (or filled) the cap. Mirrors `Worker::visit`
-/// exactly (prune → cap → insert/update, stats at the deepest
-/// expansion, violating states never expanded) minus the sharing and
-/// minus the seed rotation, so its results depend only on (protocol,
-/// options) — never on thread count or seed. The dedup map is held in
-/// RAM: it is bounded by `max_states` entries, the same bound the sweep's
-/// hot+cold tiers enforced together.
-struct Redo<'a> {
-    stepper: Stepper<'a>,
-    map: KeyMap<Entry>,
-    stack: Vec<Frame<'a>>,
-    max_states: usize,
-    cap_hit: bool,
-    violated: u8,
-    blocking: bool,
-    wit: Witnessed,
-}
-
-impl<'a> Redo<'a> {
-    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) {
-        if let Err((oracle, _detail)) =
-            self.stepper.oracles.observe_state_in(&mut self.wit, &runner)
-        {
-            self.violated |= violation_bit(oracle);
-            return;
-        }
-        if runner.net_quiescent() && !Oracles::blocked_sites(&runner).is_empty() {
-            self.blocking = true;
-        }
-        let fp = state_key(runner.digest(), b);
-        let known = match self.map.get(&fp) {
-            Some(e) if e.best >= depth_left => return,
-            Some(_) => true,
-            None => false,
-        };
-        if self.map.len() >= self.max_states {
-            self.cap_hit = true;
-            return;
-        }
-        if known {
-            self.map.get_mut(&fp).expect("entry just probed").best = depth_left;
-        } else {
-            self.map.insert(
-                fp,
-                Entry { best: depth_left, stats_depth: 0, edges: 0, fused: false, cut: false },
-            );
-        }
-        // Canonical enumeration order — deliberately no seed rotation, so
-        // a truncated report is also independent of `--seed`.
-        let mut actions = self.stepper.enumerate(&runner, b);
-        let mut edges = 0u32;
-        let mut fused = false;
-        let mut cut = false;
-        actions.retain(|a| {
-            if a.cost() <= depth_left {
-                edges += 1;
-                fused |= matches!(a, Action::Fuse(_));
-                true
-            } else {
-                cut = true;
-                false
-            }
-        });
-        let e = self.map.get_mut(&fp).expect("entry just claimed");
-        if depth_left >= e.stats_depth {
-            e.stats_depth = depth_left;
-            e.edges = edges;
-            e.fused = fused;
-            e.cut = cut;
-        }
-        if !actions.is_empty() {
-            self.stack.push(Frame {
-                mark: self.stepper.path.len(),
-                runner,
-                depth_left,
-                budgets: b,
-                actions,
-                next: 0,
-            });
-        }
-    }
-
-    fn drain(&mut self) {
-        loop {
-            let step = {
-                let Some(f) = self.stack.last_mut() else { break };
-                if f.next >= f.actions.len() {
-                    None
-                } else {
-                    self.stepper.path.truncate(f.mark);
-                    let action = f.actions[f.next].clone();
-                    f.next += 1;
-                    Some((action, f.depth_left, f.budgets, f.runner.clone()))
-                }
-            };
-            match step {
-                None => {
-                    let f = self.stack.pop().expect("checked non-empty");
-                    self.stepper.path.truncate(f.mark);
-                }
-                Some((action, depth_left, budgets, mut next)) => {
-                    let cost = action.cost();
-                    match self.stepper.apply(&mut next, &action, budgets) {
-                        Err(_) => self.violated |= V_RECOVERY,
-                        Ok(b2) => self.visit(next, depth_left - cost, b2),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Run the canonical capped sweep for one plan, returning its
-/// deterministic `(stats, violated bits, blocking flag, witnessed
-/// bitmap)` — everything the parallel sweep produced
-/// scheduling-dependently once the cap was in play.
-fn canonical_capped_sweep<'a>(
-    protocol: &'a Protocol,
-    analysis: &'a Analysis,
-    opts: &CheckOptions,
-    votes: &[bool],
-) -> (PlanStats, u8, bool, Witnessed) {
-    let budgets = Budgets::of(opts);
-    let root = Runner::new(protocol, analysis, plan_config(protocol.n_sites(), votes, opts.rule));
-    let mut redo = Redo {
-        stepper: Stepper::new(protocol, analysis),
-        map: KeyMap::default(),
-        stack: Vec::new(),
-        max_states: opts.max_states,
-        cap_hit: false,
-        violated: 0,
-        blocking: false,
-        wit: Witnessed::for_protocol(protocol),
-    };
-    redo.visit(root, opts.depth, budgets);
-    redo.drain();
-    let mut stats = PlanStats { cut: redo.cap_hit, ..Default::default() };
-    for e in redo.map.values() {
-        stats.distinct += 1;
-        stats.edges += u64::from(e.edges);
-        stats.fused += u64::from(e.fused);
-        stats.cut |= e.cut;
-    }
-    (stats, redo.violated, redo.blocking, redo.wit)
-}
-
-// ---------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------
+
+/// Run the walk alone: one worker on the calling thread, one plan, no
+/// seed rotation — so the result depends only on (protocol, options),
+/// never on thread count or seed. With a `stop` the walk ends at its
+/// first target and hands back where.
+fn alone<'a>(
+    protocol: &'a Protocol,
+    analysis: &'a Analysis,
+    opts: &CheckOptions,
+    votes: &Vec<bool>,
+    stop: Option<Target>,
+) -> (PlanResult, Option<Found>) {
+    let opts = CheckOptions { threads: 1, seed: None, progress: None, ..opts.clone() };
+    let shared = Shared::new(protocol, analysis, opts, 1, stop);
+    let mut worker = Worker::new(&shared);
+    worker.seed(std::slice::from_ref(votes));
+    worker.run();
+    (shared.results(&[worker.wit]).remove(0), worker.found)
+}
 
 /// Explore every schedule of `protocol` within `opts`' budgets, for every
 /// vote plan (or the one plan `opts.vote_plan` fixes), fanning the
@@ -1490,169 +1363,78 @@ pub fn explore<'a>(
         }
     };
 
-    let threads = resolved_threads(opts.threads);
-    let shards = (threads * 4).next_power_of_two().min(64);
-    let shared = Shared {
-        protocol,
-        analysis,
-        opts: opts.clone(),
-        shard_mask: shards - 1,
-        plan_shared: (0..plans.len()).map(|_| PlanShared::new(shards)).collect(),
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        idle: AtomicUsize::new(0),
-        outstanding: AtomicUsize::new(0),
-        done: AtomicBool::new(false),
-        plans_done: AtomicUsize::new(0),
-        distinct: AtomicUsize::new(0),
-        expansions: AtomicU64::new(0),
-        hot_bytes: AtomicUsize::new(0),
-        spill_runs: AtomicU64::new(0),
-    };
-    let budgets = Budgets::of(opts);
-
-    // Seed: expand each plan's root on this thread (observing it and
-    // claiming it in the plan's map), then queue one task per root
-    // action. The seeder reuses the worker machinery, so root handling
-    // and inner-node handling cannot drift apart.
+    // Phase 1: the parallel sweep.
+    let shared = Shared::new(protocol, analysis, opts.clone(), plans.len(), None);
     let mut seeder = Worker::new(&shared);
-    {
-        let mut queue = shared.queue.lock().expect("queue poisoned");
-        for (idx, votes) in plans.iter().enumerate() {
-            seeder.plan = idx;
-            let root = Runner::new(protocol, analysis, plan_config(n, votes, opts.rule));
-            seeder.visit(root, opts.depth, budgets);
-            match seeder.stack.pop() {
-                Some(f) => {
-                    let k = f.actions.len();
-                    shared.plan_shared[idx].pending.store(k, Ordering::Release);
-                    shared.outstanding.fetch_add(k, Ordering::AcqRel);
-                    for action in f.actions {
-                        queue.push_back(Task {
-                            plan: idx,
-                            runner: f.runner.clone(),
-                            path: Vec::new(),
-                            depth_left: f.depth_left,
-                            budgets: f.budgets,
-                            action,
-                        });
-                    }
-                }
-                // Root is terminal (or violating): the plan is already
-                // fully explored.
-                None => {
-                    shared.plan_shared[idx].fold(&shared.hot_bytes);
-                    shared.plans_done.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            seeder.stack.clear();
-            seeder.stepper.path.clear();
-        }
-        if shared.outstanding.load(Ordering::Acquire) == 0 {
-            shared.done.store(true, Ordering::Release);
-        }
-    }
-    let seeder_wit = seeder.wit;
-    let mut oracles = seeder.stepper.oracles;
-
-    let worker_wits: Vec<HashMap<usize, Witnessed>> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            (0..threads).map(|_| s.spawn(|| Worker::new(&shared).run())).collect();
+    seeder.seed(&plans);
+    let mut wits: Vec<HashMap<usize, Witnessed>> = std::thread::scope(|s| {
+        let work = || {
+            let mut worker = Worker::new(&shared);
+            worker.run();
+            worker.wit
+        };
+        let handles: Vec<_> = (0..resolved_threads(opts.threads)).map(|_| s.spawn(work)).collect();
         handles.into_iter().map(|h| h.join().expect("explorer worker panicked")).collect()
     });
+    wits.push(seeder.wit);
+    let mut oracles = seeder.stepper.oracles;
+    let mut results = shared.results(&wits);
 
-    // Per-plan witnessed bitmaps: the seeder's and every worker's
-    // contributions, OR'd (order-independent).
-    let mut plan_wit: Vec<Witnessed> =
-        plans.iter().map(|_| Witnessed::for_protocol(protocol)).collect();
-    for (idx, w) in &seeder_wit {
-        plan_wit[*idx].merge(w);
-    }
-    for m in &worker_wits {
-        for (idx, w) in m {
-            plan_wit[*idx].merge(w);
+    // Phase 1b: a capped plan's scheduling-dependent results are replaced
+    // wholesale by the walk run alone (the disk activity of both counts).
+    for (result, votes) in results.iter_mut().zip(&plans) {
+        if result.capped {
+            let sweep = std::mem::take(&mut result.stats.spill);
+            *result = alone(protocol, analysis, opts, votes, None).0;
+            add_spill(&mut result.stats.spill, sweep);
         }
     }
 
-    // Phase 1b: every plan within the state cap's reach is redone
-    // serially in canonical order, and its scheduling-dependent results
-    // (stats, violated/blocking flags, witnessed bitmap) are replaced
-    // wholesale. The trigger — the plan's fixpoint holds at least
-    // `max_states` states — is a property of (protocol, options), not of
-    // the schedule, so *whether* a redo runs is itself deterministic:
-    // `cap_hit` covers every schedule that tripped the cap, and the
-    // `inserted` test covers the knife-edge fixpoint == max_states
-    // schedules that filled the map without tripping it.
-    for (idx, ps) in shared.plan_shared.iter().enumerate() {
-        let capped = ps.cap_hit.load(Ordering::Acquire)
-            || ps.inserted.load(Ordering::Acquire) >= opts.max_states;
-        if !capped {
-            continue;
-        }
-        let (redo_stats, violated, blocking, wit) =
-            canonical_capped_sweep(protocol, analysis, opts, &plans[idx]);
-        let mut folded = ps.folded.lock().expect("fold poisoned");
-        let spill = folded.take().expect("plan not folded").spill;
-        *folded = Some(PlanStats { spill, ..redo_stats });
-        ps.violated.store(violated, Ordering::Release);
-        ps.blocking.store(blocking, Ordering::Release);
-        plan_wit[idx] = wit;
-    }
-
-    for w in &plan_wit {
-        oracles.absorb(w);
-    }
-
-    // Assemble the order-independent stats from the per-plan folds.
     let mut stats = ExploreStats { plans: plans.len(), ..ExploreStats::default() };
     let mut spill = SpillStats::default();
-    for ps in &shared.plan_shared {
-        let folded = ps.folded.lock().expect("fold poisoned").take().expect("plan not folded");
-        stats.distinct_states += folded.distinct;
-        stats.actions += folded.edges;
-        stats.fused += folded.fused;
-        stats.truncated |= folded.cut;
-        spill.runs_written += folded.spill.runs_written;
-        spill.bytes_written += folded.spill.bytes_written;
-        spill.merge_passes += folded.spill.merge_passes;
+    for result in &results {
+        oracles.absorb(&result.witnessed);
+        stats.distinct_states += result.stats.distinct;
+        stats.actions += result.stats.edges;
+        stats.fused += result.stats.fused;
+        stats.truncated |= result.stats.cut;
+        add_spill(&mut spill, result.stats.spill);
     }
 
     // Phase 2: canonical witnesses for the least flagged plans.
-    let violation =
-        shared.plan_shared.iter().position(|ps| ps.violated.load(Ordering::Acquire) != 0).map(
-            |idx| {
-                let votes = plans[idx].clone();
-                match canonical_witness(protocol, analysis, opts, &votes, Target::Violation) {
-                    Some((oracle, detail, path)) => (oracle, detail, votes, path),
-                    // Defensive: an uncapped sweep's visited set equals this
-                    // search's, and a capped plan's flags come from the
-                    // canonical redo, whose traversal this search repeats —
-                    // so a flagged plan always yields a witness here.
-                    None => {
-                        let bits = shared.plan_shared[idx].violated.load(Ordering::Acquire);
-                        let oracle = if bits & V_CONSISTENCY != 0 {
-                            "consistency"
-                        } else if bits & V_PREDICTION != 0 {
-                            "prediction"
-                        } else {
-                            "recovery"
-                        };
-                        let detail = "violation observed during a state-cap-truncated \
-                                  exploration; raise --max-states for a replayable witness"
-                            .to_string();
-                        (oracle, detail, votes, Vec::new())
-                    }
-                }
-            },
-        );
-    let blocking_witness =
-        shared.plan_shared.iter().position(|ps| ps.blocking.load(Ordering::Acquire)).and_then(
-            |idx| {
-                let votes = plans[idx].clone();
-                canonical_witness(protocol, analysis, opts, &votes, Target::Blocking)
-                    .map(|(_, _, path)| (votes, path))
-            },
-        );
+    let violation = results.iter().position(|r| r.violated != 0).map(|idx| {
+        let votes = plans[idx].clone();
+        match alone(protocol, analysis, opts, &votes, Some(Target::Violation)).1 {
+            Some((oracle, detail, path)) => (oracle, detail, votes, path),
+            // Defensive: a flagged plan always yields its witness (see
+            // the module docs).
+            None => {
+                let bits = results[idx].violated;
+                let oracle = if bits & V_CONSISTENCY != 0 {
+                    "consistency"
+                } else if bits & V_PREDICTION != 0 {
+                    "prediction"
+                } else {
+                    "recovery"
+                };
+                let detail = "violation observed during a state-cap-truncated \
+                              exploration; raise --max-states for a replayable witness"
+                    .to_string();
+                (oracle, detail, votes, Vec::new())
+            }
+        }
+    });
+    let blocking_witness = results.iter().position(|r| r.blocking).and_then(|idx| {
+        let votes = plans[idx].clone();
+        let found = alone(protocol, analysis, opts, &votes, Some(Target::Blocking)).1;
+        found.map(|(_, _, path)| (votes, path))
+    });
 
     Exploration { oracles, stats, blocking_witness, violation, spill }
+}
+
+fn add_spill(total: &mut SpillStats, s: SpillStats) {
+    total.runs_written += s.runs_written;
+    total.bytes_written += s.bytes_written;
+    total.merge_passes += s.merge_passes;
 }

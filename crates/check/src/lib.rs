@@ -24,9 +24,9 @@
 //! re-executes byte-for-byte. The whole pipeline is deterministic: the
 //! same protocol and options produce the same report, byte for byte, *at
 //! any thread count and any traversal seed* — the parallel sweep only
-//! flags order-independent facts, concrete witnesses come from a serial
-//! canonical-order search, and a `--max-states`-truncated plan is redone
-//! by that same canonical traversal so even truncated counts are
+//! flags order-independent facts, concrete witnesses come from the same
+//! walk run alone in canonical order, and a `--max-states`-truncated
+//! plan is redone by that same run so even truncated counts are
 //! schedule-independent (see [`explore`]). Setting a
 //! [`mem_budget`](CheckOptions::mem_budget) spills the fingerprint store
 //! to sorted disk runs without changing a byte of the report either.
@@ -315,57 +315,42 @@ impl CheckReport {
     /// Deterministic single-line JSON summary (schedules reported by step
     /// count; the full JSONL goes to `--counterexample` files).
     pub fn to_json(&self) -> String {
+        use nbc_obs::json::{array, string, Obj};
         let o = &self.options;
-        let failures: Vec<String> = self
-            .failures
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"oracle\":\"{}\",\"detail\":\"{}\",\"counterexample_steps\":{}}}",
-                    f.oracle,
-                    f.detail.replace('\\', "\\\\").replace('"', "\\\""),
-                    f.counterexample
-                        .as_ref()
-                        .map_or("null".to_string(), |c| c.steps.len().to_string()),
-                )
-            })
-            .collect();
-        let unwitnessed: Vec<String> =
-            self.unwitnessed.iter().map(|s| format!("\"{s}\"")).collect();
-        format!(
-            "{{\"protocol\":\"{}\",\"n\":{},\"rule\":\"{}\",\"depth\":{},\"faults\":{},\
-             \"recoveries\":{},\"drops\":{},\"suspicions\":{},\"seed\":{},\
-             \"certified_nonblocking\":{},\
-             \"max_tolerated_failures\":{},\"quorum_f\":{},\"within_resilience\":{},\"plans\":{},\
-             \"distinct_states\":{},\"actions\":{},\"fused\":{},\"truncated\":{},\
-             \"prediction_complete\":{},\"unwitnessed\":[{}],\"blocking_witness_steps\":{},\
-             \"failures\":[{}],\"ok\":{}}}",
-            self.protocol.replace('\\', "\\\\").replace('"', "\\\""),
-            self.n,
-            rule_name(o.rule),
-            o.depth,
-            o.faults,
-            o.recoveries,
-            o.drops,
-            o.suspicions,
-            o.seed.map_or("null".to_string(), |s| s.to_string()),
-            self.certified_nonblocking,
-            self.max_tolerated_failures,
-            self.quorum_f.map_or("null".to_string(), |f| f.to_string()),
-            self.within_resilience,
-            self.stats.plans,
-            self.stats.distinct_states,
-            self.stats.actions,
-            self.stats.fused,
-            self.stats.truncated,
-            self.prediction_complete,
-            unwitnessed.join(","),
-            self.blocking_witness
-                .as_ref()
-                .map_or("null".to_string(), |w| w.steps.len().to_string()),
-            failures.join(","),
-            self.ok(),
-        )
+        let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
+        let steps = |s: Option<&Schedule>| opt(s.map(|s| s.steps.len() as u64));
+        let failures = self.failures.iter().map(|f| {
+            Obj::new()
+                .str("oracle", f.oracle)
+                .str("detail", &f.detail)
+                .raw("counterexample_steps", &steps(f.counterexample.as_ref()))
+                .build()
+        });
+        Obj::new()
+            .str("protocol", &self.protocol)
+            .num("n", self.n as u64)
+            .str("rule", rule_name(o.rule))
+            .num("depth", o.depth.into())
+            .num("faults", o.faults.into())
+            .num("recoveries", o.recoveries.into())
+            .num("drops", o.drops.into())
+            .num("suspicions", o.suspicions.into())
+            .raw("seed", &opt(o.seed))
+            .bool("certified_nonblocking", self.certified_nonblocking)
+            .num("max_tolerated_failures", self.max_tolerated_failures as u64)
+            .raw("quorum_f", &opt(self.quorum_f.map(|f| f as u64)))
+            .bool("within_resilience", self.within_resilience)
+            .num("plans", self.stats.plans as u64)
+            .num("distinct_states", self.stats.distinct_states as u64)
+            .num("actions", self.stats.actions)
+            .num("fused", self.stats.fused)
+            .bool("truncated", self.stats.truncated)
+            .bool("prediction_complete", self.prediction_complete)
+            .raw("unwitnessed", &array(self.unwitnessed.iter().map(|s| string(s))))
+            .raw("blocking_witness_steps", &steps(self.blocking_witness.as_ref()))
+            .raw("failures", &array(failures))
+            .bool("ok", self.ok())
+            .build()
     }
 }
 

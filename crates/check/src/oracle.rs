@@ -43,8 +43,8 @@ use nbc_storage::Wal;
 /// state `s` in some explored execution (union of the runners' visited
 /// monitors). Kept separate from [`Oracles`] so the parallel explorer can
 /// accumulate one bitmap *per vote plan* and replace a state-cap-truncated
-/// plan's bitmap wholesale with the canonical redo's — the merged union
-/// stays deterministic even when the sweep's coverage was not.
+/// plan's bitmap wholesale with the one the walk run alone produces — the
+/// merged union stays deterministic even when the sweep's coverage was not.
 #[derive(Default, Clone)]
 pub struct Witnessed(Vec<Vec<bool>>);
 
@@ -80,20 +80,11 @@ impl<'a> Oracles<'a> {
         Self { protocol, analysis, txn, witnessed: Witnessed::for_protocol(protocol) }
     }
 
-    /// Fold one explored global state into the accumulators and check the
-    /// per-state oracles (consistency, prediction soundness). Returns the
-    /// first violation found, as `(oracle, detail)`.
-    pub fn observe_state(&mut self, runner: &Runner<'_>) -> Result<(), (&'static str, String)> {
-        let mut w = std::mem::take(&mut self.witnessed);
-        let r = self.observe_state_in(&mut w, runner);
-        self.witnessed = w;
-        r
-    }
-
-    /// [`Oracles::observe_state`], but recording the visited monitors into
-    /// a caller-held bitmap instead of this accumulator's own — the
-    /// per-vote-plan path of the parallel explorer.
-    pub fn observe_state_in(
+    /// Fold one explored global state's visited monitors into `witnessed`
+    /// (a caller-held bitmap: the explorer keeps one per vote plan) and
+    /// check the per-state oracles (consistency, prediction soundness).
+    /// Returns the first violation found, as `(oracle, detail)`.
+    pub fn observe_state(
         &self,
         witnessed: &mut Witnessed,
         runner: &Runner<'_>,
@@ -253,15 +244,8 @@ impl<'a> Oracles<'a> {
         Ok(())
     }
 
-    /// OR another walker's witnessed-state bitmap into this one. The
-    /// union is order-independent, so the merged bitmap is identical at
-    /// any thread count.
-    pub fn merge(&mut self, other: &Oracles<'_>) {
-        self.witnessed.merge(&other.witnessed);
-    }
-
-    /// OR a standalone [`Witnessed`] bitmap (a per-plan accumulator from
-    /// the parallel sweep or the canonical redo) into this one.
+    /// OR a per-plan [`Witnessed`] bitmap into this accumulator. The union
+    /// is order-independent, so it is identical at any thread count.
     pub fn absorb(&mut self, witnessed: &Witnessed) {
         self.witnessed.merge(witnessed);
     }

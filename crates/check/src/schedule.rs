@@ -15,6 +15,7 @@
 use std::fmt;
 
 use nbc_engine::{channel_of, Channel, Runner};
+use nbc_obs::json::{array, parse, Obj, Value};
 use nbc_simnet::NetEvent;
 
 /// One scheduler choice.
@@ -180,11 +181,36 @@ pub fn channel_tail<'r>(
         .map(|(_, seq, ev)| (seq, ev))
 }
 
+/// `Err` when `step` names a site outside `0..n`, or a partition that is
+/// not one group id below `n` per site. Schedule files and shrunk
+/// candidates are checked here, so nothing downstream indexes with a
+/// number it was merely handed.
+fn check_range(step: &Step, n: usize) -> Result<(), String> {
+    let named: &[usize] = match step {
+        Step::Deliver { src, dst } | Step::Drop { src, dst } => &[*src, *dst],
+        Step::FailNotice { observer, crashed: other }
+        | Step::RecoveryNotice { observer, recovered: other }
+        | Step::Suspect { observer, peer: other }
+        | Step::Unsuspect { observer, peer: other } => &[*observer, *other],
+        Step::Crash { site } | Step::Recover { site } => &[*site],
+        Step::Partition { groups } if groups.len() != n => {
+            return Err(format!("partition groups must cover all {n} sites"));
+        }
+        Step::Partition { groups } => groups,
+        Step::Heal => &[],
+    };
+    match named.iter().find(|&&i| i >= n) {
+        Some(i) => Err(format!("index {i} is outside 0..{n}")),
+        None => Ok(()),
+    }
+}
+
 /// Apply one step to a runner. Returns `Err` with the reason when the step
-/// is not applicable in the current state (nothing pending on the channel,
-/// site already down, head event mismatch, ...). The runner is unchanged
-/// on error.
+/// is not applicable in the current state (a site index out of range,
+/// nothing pending on the channel, site already down, head event mismatch,
+/// ...). The runner is unchanged on error.
 pub fn apply_step(runner: &mut Runner<'_>, step: &Step) -> Result<(), String> {
+    check_range(step, runner.sites().len())?;
     match step {
         Step::Deliver { src, dst } => {
             let (seq, _) = channel_head(runner, Channel::Link(*src, *dst))
@@ -262,12 +288,6 @@ pub fn apply_step(runner: &mut Runner<'_>, step: &Step) -> Result<(), String> {
             Ok(())
         }
         Step::Partition { groups } => {
-            if groups.len() != runner.sites().len() {
-                return Err(format!(
-                    "partition groups must cover all {} sites",
-                    runner.sites().len()
-                ));
-            }
             runner.partition_now(groups.clone());
             Ok(())
         }
@@ -308,16 +328,14 @@ impl Schedule {
     /// Serialize to JSONL: header line + one line per step. Deterministic
     /// byte-for-byte (fixed field order, no whitespace variance).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let votes: Vec<&str> =
-            self.votes.iter().map(|v| if *v { "true" } else { "false" }).collect();
-        out.push_str(&format!(
-            "{{\"schedule\":\"nbc-check/v1\",\"protocol\":\"{}\",\"n\":{},\"votes\":[{}],\"rule\":\"{}\"}}\n",
-            escape(&self.protocol),
-            self.n,
-            votes.join(","),
-            escape(&self.rule),
-        ));
+        let header = Obj::new()
+            .str("schedule", "nbc-check/v1")
+            .str("protocol", &self.protocol)
+            .num("n", self.n as u64)
+            .raw("votes", &array(self.votes.iter().map(|v| v.to_string())))
+            .str("rule", &self.rule);
+        let mut out = header.build();
+        out.push('\n');
         for s in &self.steps {
             out.push_str(&step_json(s));
             out.push('\n');
@@ -326,58 +344,97 @@ impl Schedule {
     }
 
     /// Parse the JSONL form. Accepts any object-field order; rejects
-    /// unknown step kinds and missing fields with a line-numbered error.
+    /// unknown step kinds, missing fields, a vote plan that is not one
+    /// vote per site, and any number that is not a site index in `0..n`,
+    /// with a line-numbered error.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty schedule")?;
-        let h = JsonObj::parse(header).map_err(|e| format!("line 1: {e}"))?;
-        if h.str_field("schedule") != Some("nbc-check/v1") {
-            return Err("line 1: not an nbc-check/v1 schedule header".into());
-        }
-        let protocol = h.str_field("protocol").ok_or("line 1: missing protocol")?.to_string();
-        let n = h.num_field("n").ok_or("line 1: missing n")? as usize;
-        let votes = h.bool_array("votes").ok_or("line 1: missing votes")?;
-        let rule = h.str_field("rule").ok_or("line 1: missing rule")?.to_string();
-        let mut steps = Vec::new();
+        let at = |ix: usize| move |e: String| format!("line {}: {e}", ix + 1);
+        let (ix, header) = lines.next().ok_or("empty schedule")?;
+        let mut sched = parse(header).and_then(|h| parse_header(&h)).map_err(at(ix))?;
         for (ix, line) in lines {
-            let o = JsonObj::parse(line).map_err(|e| format!("line {}: {e}", ix + 1))?;
-            steps.push(parse_step(&o).map_err(|e| format!("line {}: {e}", ix + 1))?);
+            let step = parse(line).and_then(|o| parse_step(&o)).map_err(at(ix))?;
+            check_range(&step, sched.n).map_err(at(ix))?;
+            sched.steps.push(step);
         }
-        Ok(Self { protocol, n, votes, rule, steps })
+        Ok(sched)
     }
 }
 
 fn step_json(s: &Step) -> String {
-    match s {
-        Step::Deliver { src, dst } => {
-            format!("{{\"step\":\"deliver\",\"src\":{src},\"dst\":{dst}}}")
-        }
-        Step::Drop { src, dst } => format!("{{\"step\":\"drop\",\"src\":{src},\"dst\":{dst}}}"),
+    let obj = |kind: &str| Obj::new().str("step", kind);
+    let id = |v: usize| v as u64;
+    match *s {
+        Step::Deliver { src, dst } => obj("deliver").num("src", id(src)).num("dst", id(dst)),
+        Step::Drop { src, dst } => obj("drop").num("src", id(src)).num("dst", id(dst)),
         Step::FailNotice { observer, crashed } => {
-            format!("{{\"step\":\"fail-notice\",\"observer\":{observer},\"crashed\":{crashed}}}")
+            obj("fail-notice").num("observer", id(observer)).num("crashed", id(crashed))
         }
         Step::RecoveryNotice { observer, recovered } => {
-            format!("{{\"step\":\"recovery-notice\",\"observer\":{observer},\"recovered\":{recovered}}}")
+            obj("recovery-notice").num("observer", id(observer)).num("recovered", id(recovered))
         }
         Step::Suspect { observer, peer } => {
-            format!("{{\"step\":\"suspect\",\"observer\":{observer},\"peer\":{peer}}}")
+            obj("suspect").num("observer", id(observer)).num("peer", id(peer))
         }
         Step::Unsuspect { observer, peer } => {
-            format!("{{\"step\":\"unsuspect\",\"observer\":{observer},\"peer\":{peer}}}")
+            obj("unsuspect").num("observer", id(observer)).num("peer", id(peer))
         }
-        Step::Crash { site } => format!("{{\"step\":\"crash\",\"site\":{site}}}"),
-        Step::Recover { site } => format!("{{\"step\":\"recover\",\"site\":{site}}}"),
-        Step::Partition { groups } => {
-            let g: Vec<String> = groups.iter().map(|x| x.to_string()).collect();
-            format!("{{\"step\":\"partition\",\"groups\":[{}]}}", g.join(","))
+        Step::Crash { site } => obj("crash").num("site", id(site)),
+        Step::Recover { site } => obj("recover").num("site", id(site)),
+        Step::Partition { ref groups } => {
+            obj("partition").raw("groups", &array(groups.iter().map(|g| g.to_string())))
         }
-        Step::Heal => "{\"step\":\"heal\"}".to_string(),
+        Step::Heal => obj("heal"),
     }
+    .build()
 }
 
-fn parse_step(o: &JsonObj) -> Result<Step, String> {
-    let kind = o.str_field("step").ok_or("missing step kind")?;
-    let num = |f: &str| o.num_field(f).map(|v| v as usize).ok_or(format!("missing {f}"));
+/// A non-negative integer (`as_u64` is what turns `-1`, `1.5` and anything
+/// past `u64::MAX` away).
+fn as_index(v: &Value) -> Option<usize> {
+    v.as_u64().and_then(|i| usize::try_from(i).ok())
+}
+
+fn index_field(o: &Value, field: &str) -> Result<usize, String> {
+    let v = o.get(field).ok_or(format!("missing {field}"))?;
+    as_index(v).ok_or(format!("{field} is not an index"))
+}
+
+/// A field holding an array whose every element `item` accepts.
+fn array_field<T>(
+    o: &Value,
+    field: &str,
+    item: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let items = match o.get(field) {
+        Some(Value::Arr(items)) => items.iter().map(item).collect(),
+        _ => None,
+    };
+    items.ok_or(format!("missing {field}"))
+}
+
+fn parse_header(h: &Value) -> Result<Schedule, String> {
+    let text = |field: &str| h.get(field).and_then(Value::as_str).map(str::to_string);
+    if text("schedule").as_deref() != Some("nbc-check/v1") {
+        return Err("not an nbc-check/v1 schedule header".into());
+    }
+    let votes = array_field(h, "votes", Value::as_bool)?;
+    let n = index_field(h, "n")?;
+    if votes.len() != n {
+        return Err(format!("{} votes for n={n}", votes.len()));
+    }
+    Ok(Schedule {
+        protocol: text("protocol").ok_or("missing protocol")?,
+        n,
+        votes,
+        rule: text("rule").ok_or("missing rule")?,
+        steps: Vec::new(),
+    })
+}
+
+fn parse_step(o: &Value) -> Result<Step, String> {
+    let kind = o.get("step").and_then(Value::as_str).ok_or("missing step kind")?;
+    let num = |field: &str| index_field(o, field);
     match kind {
         "deliver" => Ok(Step::Deliver { src: num("src")?, dst: num("dst")? }),
         "drop" => Ok(Step::Drop { src: num("src")?, dst: num("dst")? }),
@@ -391,205 +448,9 @@ fn parse_step(o: &JsonObj) -> Result<Step, String> {
         "unsuspect" => Ok(Step::Unsuspect { observer: num("observer")?, peer: num("peer")? }),
         "crash" => Ok(Step::Crash { site: num("site")? }),
         "recover" => Ok(Step::Recover { site: num("site")? }),
-        "partition" => {
-            Ok(Step::Partition { groups: o.num_array("groups").ok_or("missing groups")? })
-        }
+        "partition" => Ok(Step::Partition { groups: array_field(o, "groups", as_index)? }),
         "heal" => Ok(Step::Heal),
         other => Err(format!("unknown step kind {other:?}")),
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-// ----------------------------------------------------------------------
-// A deliberately tiny JSON object reader: flat objects whose values are
-// strings, integers, booleans, or arrays of integers/booleans — exactly
-// the schedule grammar. No dependency, no recursion, positioned errors.
-// ----------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Str(String),
-    Num(i64),
-    Bool(bool),
-    NumArr(Vec<i64>),
-    BoolArr(Vec<bool>),
-}
-
-struct JsonObj {
-    fields: Vec<(String, JsonVal)>,
-}
-
-impl JsonObj {
-    fn parse(line: &str) -> Result<Self, String> {
-        let mut p = Parser { bytes: line.trim().as_bytes(), pos: 0 };
-        p.expect(b'{')?;
-        let mut fields = Vec::new();
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            return Ok(Self { fields });
-        }
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let val = p.value()?;
-            fields.push((key, val));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(format!("expected ',' or '}}' at byte {}", p.pos)),
-            }
-        }
-        Ok(Self { fields })
-    }
-
-    fn field(&self, name: &str) -> Option<&JsonVal> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    fn str_field(&self, name: &str) -> Option<&str> {
-        match self.field(name) {
-            Some(JsonVal::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn num_field(&self, name: &str) -> Option<i64> {
-        match self.field(name) {
-            Some(JsonVal::Num(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn num_array(&self, name: &str) -> Option<Vec<usize>> {
-        match self.field(name) {
-            Some(JsonVal::NumArr(v)) => Some(v.iter().map(|&x| x as usize).collect()),
-            _ => None,
-        }
-    }
-
-    fn bool_array(&self, name: &str) -> Option<Vec<bool>> {
-        match self.field(name) {
-            Some(JsonVal::BoolArr(v)) => Some(v.clone()),
-            // [] parses as an empty numeric array; accept it as empty.
-            Some(JsonVal::NumArr(v)) if v.is_empty() => Some(Vec::new()),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'t> {
-    bytes: &'t [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.next() == Some(b) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-                },
-                Some(b) => out.push(b as char),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<i64, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or(format!("bad number at byte {start}"))
-    }
-
-    fn value(&mut self) -> Result<JsonVal, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(JsonVal::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(JsonVal::Bool(false))
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut nums = Vec::new();
-                let mut bools = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonVal::NumArr(nums));
-                }
-                loop {
-                    self.skip_ws();
-                    match self.value()? {
-                        JsonVal::Num(v) => nums.push(v),
-                        JsonVal::Bool(b) => bools.push(b),
-                        _ => return Err(format!("unsupported array element at byte {}", self.pos)),
-                    }
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => break,
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-                if !bools.is_empty() && nums.is_empty() {
-                    Ok(JsonVal::BoolArr(bools))
-                } else if bools.is_empty() {
-                    Ok(JsonVal::NumArr(nums))
-                } else {
-                    Err("mixed array".into())
-                }
-            }
-            Some(b'0'..=b'9' | b'-') => Ok(JsonVal::Num(self.number()?)),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
     }
 }
 

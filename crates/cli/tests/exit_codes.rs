@@ -141,6 +141,53 @@ fn trace_usage_errors_exit_two() {
     }
 }
 
+/// Exit 2 with a one-line `error:` first — not a panic message, not an
+/// abort.
+fn assert_typed_error(out: &std::process::Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked") && !stderr.contains("overflowed"), "{what}: {stderr}");
+}
+
+#[test]
+fn hostile_schedule_files_exit_two() {
+    // Each of these used to index the engine's site table (or trip its
+    // vote-count assertion) with a number the file supplied.
+    let header = |votes: &str| {
+        format!(
+            "{{\"schedule\":\"nbc-check/v1\",\"protocol\":\"central-site 2PC (n=3)\",\
+             \"n\":3,\"votes\":{votes},\"rule\":\"skeen\"}}\n"
+        )
+    };
+    let dir = std::env::temp_dir();
+    for (name, text) in [
+        ("site-99", header("[true,true,true]") + "{\"step\":\"crash\",\"site\":99}\n"),
+        ("short-votes", header("[true]")),
+        (
+            "peer-minus-1",
+            header("[true,true,true]") + "{\"step\":\"suspect\",\"observer\":0,\"peer\":-1}\n",
+        ),
+    ] {
+        let path = dir.join(format!("nbc-exit-hostile-{name}.jsonl"));
+        std::fs::write(&path, text).unwrap();
+        let out =
+            nbc(&["simulate", "central-2pc", "-n", "3", "--schedule", path.to_str().unwrap()]);
+        assert_typed_error(&out, name);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn deeply_nested_trace_exits_two() {
+    // 200 000 open brackets: the recursive JSON reader used to run out of
+    // stack (SIGABRT, status 134).
+    let path = std::env::temp_dir().join("nbc-exit-deep.jsonl");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    assert_typed_error(&nbc(&["trace", "verify", path.to_str().unwrap()]), "deep trace");
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn trace_stats_reads_pipeline_series() {
     let dir = std::env::temp_dir();

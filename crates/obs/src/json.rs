@@ -171,10 +171,16 @@ pub fn validate(input: &str) -> Result<(), String> {
     parse(input).map(|_| ())
 }
 
+/// Deepest array/object nesting `parse` accepts. The parser recurses
+/// per level, so unbounded input depth would be unbounded stack; the
+/// exporters here nest three or four levels.
+const MAX_DEPTH: usize = 64;
+
 /// Parse `input` as one well-formed JSON value (the same strict grammar
-/// as [`validate`]). Returns the byte offset and a message on failure.
+/// as [`validate`]), nested at most 64 deep. Returns the byte offset and a
+/// message on failure.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -187,6 +193,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +232,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
@@ -233,6 +241,19 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -419,6 +440,18 @@ mod tests {
         for bad in ["{", "{\"a\":}", "[1,]", "01x", "\"unterminated", "{} {}", "{\"a\" 1}"] {
             assert!(validate(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        parse(&nest(MAX_DEPTH)).unwrap();
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 64 at byte 64");
+        let objects = format!("{}1{}", "{\"a\":".repeat(65), "}".repeat(65));
+        assert!(parse(&objects).unwrap_err().starts_with("nesting deeper than 64"));
+        // The input that used to overflow the stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -160,36 +160,45 @@ impl StateCodec {
         for (i, &st) in state.locals.iter().enumerate() {
             w.write(u64::from(st.0), self.local_bits[i]);
         }
-        let mut present = 0usize;
+        // Both sides are sorted, so one merge walk places every held
+        // address; one the universe lacks is never passed and is left over.
+        let mut held = state.msgs.iter().peekable();
         for &addr in &self.addrs {
-            let c = state.msgs.count(addr);
-            if c > 0 {
-                w.write(1, 1);
-                w.write(u64::from(c), 16);
-                present += 1;
-            } else {
-                w.write(0, 1);
+            match held.next_if(|&(a, _)| a == addr) {
+                Some((_, count)) => w.write(1 | u64::from(count) << 1, 17),
+                None => w.write(0, 1),
             }
         }
-        assert_eq!(
-            present,
-            state.msgs.distinct_addrs(),
+        assert!(
+            held.next().is_none(),
             "state holds a message outside the codec's address universe"
         );
     }
 
     /// Decode one state from its packed words.
     pub fn decode(&self, words: &[u64]) -> GlobalState {
+        let locals = vec![StateId(0); self.local_bits.len()].into_boxed_slice();
+        let mut state = GlobalState { locals, msgs: Msgs::new() };
+        self.decode_into(words, &mut state);
+        state
+    }
+
+    /// Decode one state from its packed words over `state` (any state of
+    /// this codec's protocol), reusing its allocations.
+    pub fn decode_into(&self, words: &[u64], state: &mut GlobalState) {
+        assert_eq!(state.locals.len(), self.local_bits.len(), "site count mismatch");
         let mut r = BitReader::new(words);
-        let locals: Box<[StateId]> =
-            self.local_bits.iter().map(|&bits| StateId(r.read(bits) as u32)).collect();
-        let mut counts = Vec::new();
+        for (local, &bits) in state.locals.iter_mut().zip(&self.local_bits) {
+            *local = StateId(r.read(bits) as u32);
+        }
+        let mut counts = std::mem::take(&mut state.msgs).into_sorted_counts();
+        counts.clear();
         for &addr in &self.addrs {
             if r.read(1) == 1 {
                 counts.push((addr, r.read(16) as u16));
             }
         }
-        GlobalState { locals, msgs: Msgs::from_sorted_counts(counts) }
+        state.msgs = Msgs::from_sorted_counts(counts);
     }
 }
 
@@ -227,13 +236,33 @@ impl PackedArena {
     /// Pack `state` at the end of the arena.
     pub fn push(&mut self, codec: &StateCodec, state: &GlobalState) {
         codec.encode_into(state, &mut self.words);
+        self.seal();
+    }
+
+    /// Append state `i` of `other` (packed by the same codec) as it is.
+    pub fn push_packed(&mut self, other: &PackedArena, i: usize) {
+        self.words.extend_from_slice(other.packed(i));
+        self.seal();
+    }
+
+    /// Close the state whose words were just appended.
+    fn seal(&mut self) {
         self.ends.push(u32::try_from(self.words.len()).expect("arena exceeds 32 GiB"));
     }
 
     /// Decode state `i`.
     pub fn get(&self, codec: &StateCodec, i: usize) -> GlobalState {
+        codec.decode(self.packed(i))
+    }
+
+    /// Decode state `i` over `state`, reusing its allocations.
+    pub fn get_into(&self, codec: &StateCodec, i: usize, state: &mut GlobalState) {
+        codec.decode_into(self.packed(i), state);
+    }
+
+    fn packed(&self, i: usize) -> &[u64] {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        codec.decode(&self.words[start..self.ends[i] as usize])
+        &self.words[start..self.ends[i] as usize]
     }
 }
 

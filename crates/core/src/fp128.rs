@@ -25,8 +25,9 @@
 //! lanes differ in seed, multiplier *and* word rotation, so a collision in
 //! one lane says nothing about the other; with both finalised the
 //! collision probability for `N` distinct inputs is the birthday bound
-//! `N^2 / 2^129` — about 1.5e-21 at a billion states, the same figure
-//! [`fingerprint128`](crate::fingerprint128) documents.
+//! `N^2 / 2^129` — about 1.5e-21 at a billion states. The checker's
+//! explored-state set and `core::reach`'s streaming fold both deduplicate
+//! on it; the retained graph builders key exact tables on its high half.
 //!
 //! Variable-length data is length-prefixed ([`Fp128::write_bytes`]), so
 //! the encoding of a field sequence is prefix-free as long as callers
@@ -187,7 +188,13 @@ impl Hasher for FpKeyHasher {
         self.0 = (key >> 64) as u64;
     }
 
-    /// Not used by `u128` keys; folds arbitrary bytes so the hasher stays
+    /// A 64-bit key is one half of a fingerprint already.
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    /// Not used by fingerprint keys; folds arbitrary bytes so the hasher stays
     /// correct (if slow) for any other key type.
     fn write(&mut self, bytes: &[u8]) {
         let mut h = Fp128::new();

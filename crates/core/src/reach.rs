@@ -21,23 +21,33 @@
 //! practice, we seldom need to actually build it" — we do build it (that is
 //! the point of the reproduction), with a configurable node bound.
 //!
-//! ## Parallel construction
+//! ## One generator, one fingerprint, three builders
 //!
-//! [`ReachGraph::build_with`] runs a *frontier-parallel* BFS: the graph is
-//! grown level by level, each level's frontier is split across scoped
-//! worker threads that expand successors independently, and the successors
-//! are interned into shard-by-hash tables (one hash map per shard, shard
-//! chosen by a deterministic hash of the global state, so shards can be
-//! probed concurrently without locks). Node ids are then assigned in a
-//! deterministic serial merge — in order of each new state's *first
-//! occurrence* in the level's successor stream, which is exactly the
-//! discovery order of the serial FIFO BFS. The result is therefore
-//! **bit-identical** to [`ReachGraph::build_serial`]: same node ids, same
-//! edge order, same classification counts, for any thread count. The
-//! determinism tests assert this across the whole catalog.
+//! Every builder enumerates successors with [`for_each_successor`], which
+//! assembles each one in a caller-owned scratch state, and identifies
+//! states by [`state_fingerprint`], one allocation-free
+//! [`Fp128`](crate::fp128::Fp128) pass. A builder probes its tables with
+//! the scratch state and materialises a successor only when it is new.
+//!
+//! [`ReachGraph::build_with`] grows the graph level by level. A narrow
+//! frontier (and every frontier at one thread — the serial reference,
+//! [`ReachGraph::build_serial`]) is expanded inline, interning straight
+//! into the graph. A wide one is split into contiguous chunks, one scoped
+//! worker each: a worker resolves every successor against the prior
+//! levels' table (immutable while the level is in flight) or a chunk-local
+//! one, and clones only the states new to its chunk; the coordinator then
+//! walks the chunks *in order*, interns each chunk's new states in their
+//! first-occurrence order and appends the remapped edges. Ids are thus
+//! assigned in (chunk, first occurrence in chunk) order, which is first
+//! occurrence in the level's successor stream — the discovery order of the
+//! serial FIFO BFS. The result is **bit-identical** for any thread count:
+//! same node ids, same edge order, same classification counts
+//! (`tests/pinned_graphs.rs` holds the bytes). Retained graphs are exact:
+//! a hash hit is confirmed by comparing states ([`IdTable`]).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -45,7 +55,8 @@ use std::ops::Range;
 use crate::codec::{PackedArena, StateCodec};
 use crate::error::ProtocolError;
 use crate::extmem::{RunSet, SpillStats};
-use crate::fsa::{Consume, StateClass};
+use crate::fp128::{Fp128, FpBuildHasher};
+use crate::fsa::{Consume, StateClass, Transition};
 use crate::ids::{MsgKind, SiteId, StateId};
 use crate::protocol::Protocol;
 
@@ -128,16 +139,18 @@ impl Msgs {
 
     /// Remove one message; panics if absent (callers check first).
     pub fn remove(&mut self, addr: MsgAddr) {
-        match self.0.binary_search_by_key(&addr, |&(a, _)| a) {
-            Ok(i) => {
-                if self.0[i].1 == 1 {
-                    self.0.remove(i);
-                } else {
-                    self.0[i].1 -= 1;
-                }
-            }
-            Err(_) => panic!("removing absent message {addr:?}"),
+        assert!(self.take(addr), "removing absent message {addr:?}");
+    }
+
+    /// Remove one message if one is outstanding; says whether it was.
+    fn take(&mut self, addr: MsgAddr) -> bool {
+        let Ok(i) = self.0.binary_search_by_key(&addr, |&(a, _)| a) else { return false };
+        if self.0[i].1 == 1 {
+            self.0.remove(i);
+        } else {
+            self.0[i].1 -= 1;
         }
+        true
     }
 
     /// Iterate over `(address, count)` pairs.
@@ -158,6 +171,13 @@ impl Msgs {
         debug_assert!(v.iter().all(|&(_, c)| c > 0), "counts must be positive");
         Self(v)
     }
+
+    /// The sorted `(address, count)` pairs, giving up the multiset — with
+    /// [`Msgs::from_sorted_counts`], how the codec refills a scratch state
+    /// without a fresh allocation.
+    pub(crate) fn into_sorted_counts(self) -> Vec<(MsgAddr, u16)> {
+        self.0
+    }
 }
 
 /// One global transaction state.
@@ -170,10 +190,12 @@ pub struct GlobalState {
 }
 
 impl GlobalState {
-    /// An empty placeholder used when a state is moved out of a scratch
-    /// buffer during the parallel merge.
-    fn hollow() -> Self {
-        Self { locals: Box::from([]), msgs: Msgs::new() }
+    /// Overwrite with `src` (a state of the same protocol) in place: a
+    /// scratch state is reused across a whole build without allocating.
+    fn copy_from(&mut self, src: &GlobalState) {
+        self.locals.copy_from_slice(&src.locals);
+        self.msgs.0.clear();
+        self.msgs.0.extend_from_slice(&src.msgs.0);
     }
 }
 
@@ -216,9 +238,9 @@ pub struct LevelProgress {
 pub struct ReachOptions {
     /// Abort with [`ProtocolError::GraphTooLarge`] beyond this many nodes.
     pub max_states: usize,
-    /// Worker threads for frontier expansion and interning. `0` (the
-    /// default) picks [`std::thread::available_parallelism`] capped at 8;
-    /// `1` forces the serial reference path.
+    /// Worker threads for frontier expansion. `0` (the default) picks
+    /// [`std::thread::available_parallelism`] capped at 8; `1` forces the
+    /// serial reference path.
     pub threads: usize,
     /// Frontiers smaller than this are expanded inline even when `threads`
     /// allows fan-out — thread spawn overhead dwarfs the work on the
@@ -300,7 +322,10 @@ impl ReachOptions {
 #[derive(Clone)]
 pub struct ReachGraph {
     nodes: Vec<GlobalState>,
-    out_edges: Vec<Vec<Edge>>,
+    /// Every node's out-edges, back to back in node-id order.
+    edges: Vec<Edge>,
+    /// `edge_ends[id]` = one past node `id`'s last edge in `edges`.
+    edge_ends: Vec<usize>,
     initial: NodeId,
     /// `classes[i][s]` = class of state `s` of site `i` (copied from the
     /// protocol so the graph is self-contained for classification).
@@ -312,14 +337,13 @@ pub struct ReachGraph {
 /// a post-hoc pass over the finished node vector.
 ///
 /// Every distinct state belongs to exactly one BFS frontier and is folded
-/// exactly once, when that frontier is expanded (the serial path folds on
-/// dequeue, which visits the same set). The contract that keeps parallel
-/// folding bit-identical to serial: `fold` must only accumulate *monotone,
-/// order-independent* facts (set-once bits), `split` must return an empty
-/// accumulator sharing only read-only inputs, and `absorb` must merge with
-/// a commutative, associative, idempotent operation (bit-OR for the
-/// concurrency facts). Then any chunking of the frontier and any absorb
-/// order produce identical bits.
+/// exactly once, when that frontier is expanded. The contract that keeps
+/// parallel folding bit-identical to serial: `fold` must only accumulate
+/// *monotone, order-independent* facts (set-once bits), `split` must
+/// return an empty accumulator sharing only read-only inputs, and `absorb`
+/// must merge with a commutative, associative, idempotent operation
+/// (bit-OR for the concurrency facts). Then any chunking of the frontier
+/// and any absorb order produce identical bits.
 pub(crate) trait StateFolder: Send {
     /// Fold one distinct reachable global state.
     fn fold(&mut self, state: &GlobalState);
@@ -344,101 +368,135 @@ impl StateFolder for NoFolder {
     fn absorb(&mut self, _: Self) {}
 }
 
-/// A successor produced during frontier expansion, before interning: the
-/// state, its deterministic hash (used for shard routing and table
-/// probing), and the edge with a placeholder target.
-struct Succ {
-    state: GlobalState,
-    hash: u64,
-    edge: Edge,
-}
-
-/// Shard-local interning verdict for one successor occurrence.
-#[derive(Copy, Clone)]
-enum Interned {
-    /// The state already has a node id (discovered on an earlier level).
-    Old(NodeId),
-    /// The state is new this level; payload is the shard-local index.
-    New(u32),
-}
-
-fn state_hash(state: &GlobalState) -> u64 {
-    // DefaultHasher::new() uses fixed keys, so the hash — and with it the
-    // shard routing — is deterministic for a given state.
-    let mut h = DefaultHasher::new();
-    state.hash(&mut h);
+/// The 128-bit fingerprint of a global state: one [`Fp128`] pass over the
+/// locals (two per word; every state of a protocol has as many) and the
+/// sorted `(address, count)` pairs (two words each). The streaming fold
+/// deduplicates by it alone — hash compaction, collision probability
+/// about `N² / 2^129` for `N` distinct states — and spills it to
+/// [`crate::extmem`] run files, which is why the algorithm is a pinned one.
+fn state_fingerprint(state: &GlobalState) -> u128 {
+    let mut h = Fp128::new();
+    for pair in state.locals.chunks(2) {
+        let high = pair.get(1).map_or(0, |s| u64::from(s.0));
+        h.write_u64(u64::from(pair[0].0) | high << 32);
+    }
+    for &(a, count) in &state.msgs.0 {
+        h.write_u64(u64::from(a.src.0) | u64::from(a.dst.0) << 32);
+        h.write_u64(u64::from(a.kind.0) | u64::from(count) << 16);
+    }
     h.finish()
 }
 
-/// Pass-through hasher for maps keyed by an already-computed `u64` state
-/// hash: each global state is hashed exactly once, at expansion time, and
-/// every table probe after that is a plain integer lookup.
-#[derive(Clone, Default)]
-struct IdentityHasher(u64);
+/// The high half of [`state_fingerprint`]: the key of the retained
+/// builders' [`IdTable`]s, which confirm a hit by comparing states.
+fn state_hash(state: &GlobalState) -> u64 {
+    (state_fingerprint(state) >> 64) as u64
+}
 
-impl Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
+/// An exact `hash → id` index over states kept elsewhere: the first id
+/// recorded under a hash sits in the map, later ones (a 64-bit collision
+/// between distinct states) in an overflow list, and the caller's `same`
+/// confirms a candidate id by comparing states. The serial loop, the
+/// parallel coordinator and the workers' chunk-local maps all intern
+/// through it; the hash is an argument so a test can force a collision.
+#[derive(Default)]
+struct IdTable {
+    first: HashMap<u64, u32, FpBuildHasher>,
+    overflow: Vec<(u64, u32)>,
+}
+
+impl IdTable {
+    /// The id recorded under `hash` that `same` confirms.
+    fn find(&self, hash: u64, same: impl Fn(u32) -> bool) -> Option<u32> {
+        Self::confirm(*self.first.get(&hash)?, &self.overflow, hash, same)
     }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("identity hasher is only used with u64 keys");
+
+    /// As [`IdTable::find`]; when nothing matches, records `fresh` under
+    /// `hash` and returns `None`.
+    fn intern(&mut self, hash: u64, fresh: u32, same: impl Fn(u32) -> bool) -> Option<u32> {
+        match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+                None
+            }
+            Entry::Occupied(slot) => {
+                let found = Self::confirm(*slot.get(), &self.overflow, hash, same);
+                if found.is_none() {
+                    self.overflow.push((hash, fresh));
+                }
+                found
+            }
+        }
     }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
+
+    fn confirm(
+        first: u32,
+        overflow: &[(u64, u32)],
+        hash: u64,
+        same: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        if same(first) {
+            return Some(first);
+        }
+        overflow.iter().find(|&&(h, id)| h == hash && same(id)).map(|&(_, id)| id)
     }
 }
 
-/// One shard's intern table: precomputed state hash → ids of the nodes
-/// with that hash (a chain, in case of 64-bit collisions). Storing ids
-/// instead of states avoids cloning every interned state; candidates are
-/// compared against the node array.
-type ShardTable = HashMap<u64, Vec<NodeId>, std::hash::BuildHasherDefault<IdentityHasher>>;
+/// Where a worker's edge leads: a node of a prior level, or the chunk's
+/// `n`-th new state, which has no id until the coordinator merges it.
+#[derive(Copy, Clone)]
+enum Target {
+    Old(NodeId),
+    Fresh(u32),
+}
 
-/// What one expansion worker returns: the flattened successor stream of its
-/// chunk plus the per-source successor counts.
-type ExpandedChunk = Result<(Vec<Succ>, Vec<u32>), ProtocolError>;
+/// What one expansion worker hands the coordinator.
+#[derive(Default)]
+struct Chunk {
+    /// States no prior level holds, with their hashes, in the order the
+    /// chunk first met them.
+    fresh: Vec<(u64, GlobalState)>,
+    /// The chunk's successor stream.
+    edges: Vec<(Target, Edge)>,
+    /// One past each source node's last edge in `edges`.
+    edge_ends: Vec<usize>,
+}
 
-/// What interning one shard yields: verdicts aligned with the shard's
-/// occurrence list plus the first-occurrence indices of its new states.
-type ShardVerdicts = (Vec<Interned>, Vec<u32>);
-
-/// Resolve one shard's occurrences against its intern table plus a
-/// level-local map of states first seen this level. Returns the verdicts
-/// (aligned with `occs`) and the first-occurrence index of each new state,
-/// in ascending order.
-fn intern_shard(
-    occs: &[u32],
-    table: &ShardTable,
-    flat: &[Succ],
-    nodes: &[GlobalState],
-) -> ShardVerdicts {
-    let mut verdicts = Vec::with_capacity(occs.len());
-    let mut fresh: HashMap<u64, Vec<u32>, std::hash::BuildHasherDefault<IdentityHasher>> =
-        HashMap::default();
-    let mut first_occ: Vec<u32> = Vec::new();
-    'occs: for &occ in occs {
-        let s = &flat[occ as usize];
-        if let Some(chain) = table.get(&s.hash) {
-            for &id in chain {
-                if nodes[id as usize] == s.state {
-                    verdicts.push(Interned::Old(id));
-                    continue 'occs;
-                }
-            }
-        }
-        let chain = fresh.entry(s.hash).or_default();
-        for &local in chain.iter() {
-            if flat[first_occ[local as usize] as usize].state == s.state {
-                verdicts.push(Interned::New(local));
-                continue 'occs;
-            }
-        }
-        let local = first_occ.len() as u32;
-        first_occ.push(occ);
-        chain.push(local);
-        verdicts.push(Interned::New(local));
+/// Run `work` over `0..len` cut into `parts` contiguous ranges, one scoped
+/// worker each folding into a [`StateFolder::split`] of `folder`, and
+/// absorb the splits back at the barrier — OR-merge order cannot change
+/// the bits. One part runs inline on `folder` itself.
+fn fan_out<F: StateFolder, T: Send>(
+    folder: &mut F,
+    len: usize,
+    parts: usize,
+    work: impl Fn(Range<usize>, &mut F) -> T + Sync,
+) -> Vec<T> {
+    if parts <= 1 {
+        return vec![work(0..len, folder)];
     }
-    (verdicts, first_occ)
+    let chunk_len = len.div_ceil(parts);
+    let work = &work;
+    let results: Vec<(F, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk_len)
+            .map(|start| {
+                let mut fold = folder.split();
+                scope.spawn(move || {
+                    let out = work(start..(start + chunk_len).min(len), &mut fold);
+                    (fold, out)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("reach worker")).collect()
+    });
+    results
+        .into_iter()
+        .map(|(fold, out)| {
+            folder.absorb(fold);
+            out
+        })
+        .collect()
 }
 
 impl ReachGraph {
@@ -449,298 +507,115 @@ impl ReachGraph {
 
     /// Build with explicit options.
     ///
-    /// With `threads > 1` (or `threads == 0` on a multicore machine) this
-    /// runs the frontier-parallel construction; the output is bit-identical
-    /// to [`ReachGraph::build_serial`] in every case.
+    /// With `threads > 1` (or `threads == 0` on a multicore machine) wide
+    /// frontiers are expanded in parallel; the output is bit-identical to
+    /// [`ReachGraph::build_serial`] in every case.
     pub fn build_with(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
         Self::build_with_folder(protocol, opts, &mut NoFolder)
     }
 
+    /// The serial reference: every level expanded inline, in id order —
+    /// the FIFO BFS the parallel construction is tested (and benchmarked)
+    /// against.
+    pub fn build_serial(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
+        Self::build_with(protocol, opts.with_threads(1))
+    }
+
     /// Build with explicit options, folding `folder` over every distinct
-    /// state as it is discovered (each exactly once) — the fused-analysis
-    /// entry point.
+    /// state as its level is expanded (each exactly once) — the
+    /// fused-analysis entry point. See the module docs for the scheme and
+    /// the determinism argument.
     pub(crate) fn build_with_folder<F: StateFolder>(
         protocol: &Protocol,
         opts: ReachOptions,
         folder: &mut F,
     ) -> Result<Self, ProtocolError> {
         let threads = opts.resolved_threads();
-        if threads <= 1 {
-            return Self::build_serial_folding(protocol, opts, folder);
-        }
-        Self::build_parallel(protocol, opts, threads, folder)
-    }
-
-    /// The serial reference implementation: a FIFO BFS over a single
-    /// intern table. Kept as the ground truth the parallel construction is
-    /// tested (and benchmarked) against.
-    pub fn build_serial(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
-        Self::build_serial_folding(protocol, opts, &mut NoFolder)
-    }
-
-    /// Serial build folding `folder` over each state as it is dequeued.
-    pub(crate) fn build_serial_folding<F: StateFolder>(
-        protocol: &Protocol,
-        opts: ReachOptions,
-        folder: &mut F,
-    ) -> Result<Self, ProtocolError> {
-        let initial_state = initial_global_state(protocol)?;
-        let mut nodes: Vec<GlobalState> = vec![initial_state.clone()];
-        let mut index: HashMap<GlobalState, NodeId> = HashMap::new();
-        index.insert(initial_state, 0);
-        let mut out_edges: Vec<Vec<Edge>> = vec![Vec::new()];
-        let mut queue: VecDeque<NodeId> = VecDeque::from([0]);
-
-        // The FIFO queue dequeues ids in discovery order, so the level
-        // structure is implicit: when the dequeued id crosses `level_end`
-        // the previous frontier has been fully expanded.
-        let (mut level, mut level_start, mut level_end) = (0usize, 0usize, 1usize);
-        let mut dedup_hits = 0u64;
-
-        let mut scratch: Vec<Succ> = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            if let Some(hook) = opts.progress {
-                if id as usize >= level_end {
-                    hook(&LevelProgress {
-                        level,
-                        frontier: level_end - level_start,
-                        new_states: nodes.len() - level_end,
-                        dedup_hits,
-                        total: nodes.len(),
-                    });
-                    level += 1;
-                    level_start = level_end;
-                    level_end = nodes.len();
-                    dedup_hits = 0;
-                }
-            }
-            let state = nodes[id as usize].clone();
-            folder.fold(&state);
-            scratch.clear();
-            successors(protocol, &state, &mut scratch)?;
-            let mut edges = Vec::with_capacity(scratch.len());
-            for succ in scratch.drain(..) {
-                let Succ { state: succ_state, mut edge, .. } = succ;
-                let to = match index.get(&succ_state) {
-                    Some(&id) => {
-                        dedup_hits += 1;
-                        id
-                    }
-                    None => {
-                        if nodes.len() >= opts.max_states {
-                            return Err(ProtocolError::GraphTooLarge { limit: opts.max_states });
-                        }
-                        let id = nodes.len() as NodeId;
-                        nodes.push(succ_state.clone());
-                        index.insert(succ_state, id);
-                        out_edges.push(Vec::new());
-                        queue.push_back(id);
-                        id
-                    }
-                };
-                edge.to = to;
-                edges.push(edge);
-            }
-            out_edges[id as usize] = edges;
-        }
-        if let Some(hook) = opts.progress {
-            hook(&LevelProgress {
-                level,
-                frontier: level_end - level_start,
-                new_states: nodes.len() - level_end,
-                dedup_hits,
-                total: nodes.len(),
-            });
-        }
-
-        Ok(Self { nodes, out_edges, initial: 0, classes: class_table(protocol) })
-    }
-
-    /// Frontier-parallel construction (see the module docs for the scheme
-    /// and the determinism argument). Each expansion worker folds its
-    /// frontier chunk into a [`StateFolder::split`] of `folder`, absorbed
-    /// back at the level barrier — OR-merge order cannot change the bits.
-    fn build_parallel<F: StateFolder>(
-        protocol: &Protocol,
-        opts: ReachOptions,
-        threads: usize,
-        folder: &mut F,
-    ) -> Result<Self, ProtocolError> {
-        // Power-of-two shard count a few times the worker count keeps the
-        // per-shard tables small and the interning fan-out balanced.
-        let shards = (threads * 4).next_power_of_two().min(64);
-        let shard_of = |hash: u64| (hash as usize) & (shards - 1);
-
-        let initial_state = initial_global_state(protocol)?;
-        let mut tables: Vec<ShardTable> = vec![ShardTable::default(); shards];
-        let initial_hash = state_hash(&initial_state);
-        tables[shard_of(initial_hash)].entry(initial_hash).or_default().push(0);
-        let mut nodes: Vec<GlobalState> = vec![initial_state];
-        let mut out_edges: Vec<Vec<Edge>> = vec![Vec::new()];
+        let initial = initial_global_state(protocol)?;
+        let mut table = IdTable::default();
+        table.intern(state_hash(&initial), 0, |_| false);
+        let (mut source, mut scratch) = (initial.clone(), initial.clone());
+        let mut g = Self {
+            nodes: vec![initial],
+            edges: Vec::new(),
+            edge_ends: Vec::new(),
+            initial: 0,
+            classes: class_table(protocol),
+        };
         let mut level: Range<usize> = 0..1;
         let mut level_no = 0usize;
 
         while !level.is_empty() {
-            // 1. Expand the frontier into the level's successor stream
-            //    (`flat`, with `counts[k]` successors for the k-th frontier
-            //    node). Position in this stream — the "occurrence index" —
-            //    is exactly the serial BFS's discovery scan order. This is
-            //    the hot part (state cloning, multiset edits, hashing) and
-            //    parallelizes embarrassingly.
-            let expand_chunk = |chunk: &[GlobalState],
-                                fold: &mut F|
-             -> Result<(Vec<Succ>, Vec<u32>), ProtocolError> {
-                let mut flat = Vec::with_capacity(chunk.len() * 4);
-                let mut counts = Vec::with_capacity(chunk.len());
-                for s in chunk {
-                    fold.fold(s);
-                    let start = flat.len();
-                    successors(protocol, s, &mut flat)?;
-                    for succ in &mut flat[start..] {
-                        succ.hash = state_hash(&succ.state);
-                    }
-                    counts.push((flat.len() - start) as u32);
-                }
-                Ok((flat, counts))
-            };
-            let (mut flat, mut counts) = (Vec::new(), Vec::new());
-            {
-                let frontier = &nodes[level.clone()];
-                if frontier.len() >= opts.parallel_frontier_min {
-                    let chunk_len = frontier.len().div_ceil(threads);
-                    let expand_chunk = &expand_chunk;
-                    let results: Vec<(F, ExpandedChunk)> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = frontier
-                            .chunks(chunk_len)
-                            .map(|chunk| {
-                                let mut fold = folder.split();
-                                scope.spawn(move || {
-                                    let r = expand_chunk(chunk, &mut fold);
-                                    (fold, r)
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().expect("expand worker")).collect()
-                    });
-                    for (fold, r) in results {
-                        folder.absorb(fold);
-                        let (f, c) = r?;
-                        flat.extend(f);
-                        counts.extend(c);
-                    }
-                } else {
-                    (flat, counts) = expand_chunk(frontier, folder)?;
-                }
-            }
-
-            // 2. Route each occurrence to its shard (ascending occurrence
-            //    order within every shard, by construction).
-            let mut shard_occs: Vec<Vec<u32>> = vec![Vec::new(); shards];
-            for (occ, s) in flat.iter().enumerate() {
-                shard_occs[shard_of(s.hash)].push(occ as u32);
-            }
-
-            // 3. Intern per shard: each shard resolves its occurrences
-            //    against its own table plus a level-local map of states
-            //    first seen this level. Shards are independent, so workers
-            //    take them round-robin.
-            let shard_results: Vec<ShardVerdicts> = if flat.len() >= opts.parallel_frontier_min {
-                let (flat, nodes, shard_occs, tables) = (&flat, &nodes, &shard_occs, &tables);
-                let worker_out: Vec<Vec<(usize, ShardVerdicts)>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|w| {
-                            scope.spawn(move || {
-                                (w..shards)
-                                    .step_by(threads)
-                                    .map(|sh| {
-                                        (
-                                            sh,
-                                            intern_shard(&shard_occs[sh], &tables[sh], flat, nodes),
-                                        )
-                                    })
-                                    .collect()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("intern worker")).collect()
+            let edges_before = g.edges.len();
+            if threads > 1 && level.len() >= opts.parallel_frontier_min {
+                let (nodes, frontier) = (&g.nodes, &g.nodes[level.clone()]);
+                let chunks = fan_out(folder, frontier.len(), threads, |range, fold| {
+                    expand_chunk(protocol, &frontier[range], nodes, &table, fold)
                 });
-                let mut results: Vec<Option<(Vec<Interned>, Vec<u32>)>> =
-                    (0..shards).map(|_| None).collect();
-                for (sh, res) in worker_out.into_iter().flatten() {
-                    results[sh] = Some(res);
+                for chunk in chunks {
+                    g.merge_chunk(chunk?, &mut table, opts.max_states)?;
                 }
-                results.into_iter().map(|r| r.expect("every shard interned")).collect()
             } else {
-                (0..shards)
-                    .map(|sh| intern_shard(&shard_occs[sh], &tables[sh], &flat, &nodes))
-                    .collect()
-            };
-
-            // 4. Deterministic merge: assign node ids to new states in
-            //    ascending first-occurrence order — the serial discovery
-            //    order — regardless of which shard holds them. States move
-            //    out of the stream; the tables only record ids.
-            let mut news: Vec<(u32, u32, u32)> = Vec::new(); // (first_occ, shard, local)
-            for (sh, (_, first_occ)) in shard_results.iter().enumerate() {
-                for (local, &occ) in first_occ.iter().enumerate() {
-                    news.push((occ, sh as u32, local as u32));
+                for id in level.clone() {
+                    // The node vector grows under the expansion, so the
+                    // source is read from a copy.
+                    source.copy_from(&g.nodes[id]);
+                    folder.fold(&source);
+                    let (nodes, edges) = (&mut g.nodes, &mut g.edges);
+                    for_each_successor(protocol, &source, &mut scratch, |succ, mut edge| {
+                        let hash = state_hash(succ);
+                        edge.to = intern_node(
+                            nodes,
+                            &mut table,
+                            opts.max_states,
+                            hash,
+                            Cow::Borrowed(succ),
+                        )?;
+                        edges.push(edge);
+                        Ok(())
+                    })?;
+                    g.edge_ends.push(g.edges.len());
                 }
             }
-            news.sort_unstable_by_key(|&(occ, _, _)| occ);
-            let mut assigned: Vec<Vec<NodeId>> =
-                shard_results.iter().map(|(_, f)| vec![0; f.len()]).collect();
-            for &(occ, sh, local) in &news {
-                if nodes.len() >= opts.max_states {
-                    return Err(ProtocolError::GraphTooLarge { limit: opts.max_states });
-                }
-                let id = nodes.len() as NodeId;
-                let succ = &mut flat[occ as usize];
-                let hash = succ.hash;
-                let state = std::mem::replace(&mut succ.state, GlobalState::hollow());
-                tables[sh as usize].entry(hash).or_default().push(id);
-                nodes.push(state);
-                out_edges.push(Vec::new());
-                assigned[sh as usize][local as usize] = id;
-            }
-
-            // 5. Resolve every occurrence to its final node id.
-            let mut to_ids: Vec<NodeId> = vec![0; flat.len()];
-            for (sh, (verdicts, _)) in shard_results.iter().enumerate() {
-                for (&occ, &v) in shard_occs[sh].iter().zip(verdicts) {
-                    to_ids[occ as usize] = match v {
-                        Interned::Old(id) => id,
-                        Interned::New(local) => assigned[sh][local as usize],
-                    };
-                }
-            }
-
-            // 6. Materialize the frontier's edge lists in stream order.
-            let mut occ = 0usize;
-            for (k, node_id) in level.clone().enumerate() {
-                let mut edges = Vec::with_capacity(counts[k] as usize);
-                for _ in 0..counts[k] {
-                    let mut e = flat[occ].edge;
-                    e.to = to_ids[occ];
-                    edges.push(e);
-                    occ += 1;
-                }
-                out_edges[node_id] = edges;
-            }
-
             if let Some(hook) = opts.progress {
+                let new_states = g.nodes.len() - level.end;
                 hook(&LevelProgress {
                     level: level_no,
                     frontier: level.len(),
-                    new_states: nodes.len() - level.end,
-                    dedup_hits: (flat.len() - news.len()) as u64,
-                    total: nodes.len(),
+                    new_states,
+                    dedup_hits: (g.edges.len() - edges_before - new_states) as u64,
+                    total: g.nodes.len(),
                 });
             }
             level_no += 1;
-            level = level.end..nodes.len();
+            level = level.end..g.nodes.len();
         }
+        Ok(g)
+    }
 
-        Ok(Self { nodes, out_edges, initial: 0, classes: class_table(protocol) })
+    /// Append one worker's chunk: intern its new states in the order the
+    /// chunk met them (an earlier chunk of the level may have met one
+    /// first), then its edges with every target resolved to a node id.
+    fn merge_chunk(
+        &mut self,
+        chunk: Chunk,
+        table: &mut IdTable,
+        max_states: usize,
+    ) -> Result<(), ProtocolError> {
+        let mut ids = Vec::with_capacity(chunk.fresh.len());
+        for (hash, state) in chunk.fresh {
+            ids.push(intern_node(&mut self.nodes, table, max_states, hash, Cow::Owned(state))?);
+        }
+        let base = self.edges.len();
+        self.edges.extend(chunk.edges.into_iter().map(|(target, edge)| {
+            let to = match target {
+                Target::Old(id) => id,
+                Target::Fresh(ix) => ids[ix as usize],
+            };
+            Edge { to, ..edge }
+        }));
+        self.edge_ends.extend(chunk.edge_ends.into_iter().map(|end| base + end));
+        Ok(())
     }
 
     /// Number of reachable global states.
@@ -750,7 +625,7 @@ impl ReachGraph {
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.out_edges.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// The initial global state's node id.
@@ -770,7 +645,9 @@ impl ReachGraph {
 
     /// Out-edges of `id`.
     pub fn edges(&self, id: NodeId) -> &[Edge] {
-        &self.out_edges[id as usize]
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.edge_ends[id - 1] };
+        &self.edges[start..self.edge_ends[id]]
     }
 
     /// Class of local state `s` of site `i`.
@@ -787,7 +664,7 @@ impl ReachGraph {
     /// A global state is *terminal* if it has no immediately reachable
     /// successors.
     pub fn is_terminal(&self, id: NodeId) -> bool {
-        self.out_edges[id as usize].is_empty()
+        self.edges(id).is_empty()
     }
 
     /// A terminal state that is not final is *deadlocked*.
@@ -897,31 +774,31 @@ impl fmt::Display for StreamStats {
     }
 }
 
-/// A 128-bit fingerprint of any hashable value: a plain 64-bit hash
-/// concatenated with a second, domain-separated one. Dedup by fingerprint
-/// cannot compare candidates against retained payloads the way interning
-/// tables do, so it relies on hash compaction; at 128 bits the collision
-/// probability for `N` distinct values is about `N² / 2^129` — far below
-/// 1e-18 even at the streaming builder's 2^22 default node bound. Shared
-/// by the streaming reachability fold and the `nbc-check` model checker's
-/// explored-state set.
+/// A 128-bit fingerprint of any hashable value: two SipHash passes of the
+/// standard library's default hasher, the second domain-separated.
+///
+/// Nothing in this repository's crates calls it: the streaming fold and
+/// the retained builders identify states by the pinned
+/// [`Fp128`](crate::fp128::Fp128), and so has `nbc-check` since its dedup
+/// store moved to `Fp128`. It stays exported — and [`GlobalState`] stays
+/// `Hash` — only because the benchmark's `core.fingerprint128_ns` probe
+/// times it; ROADMAP item 3(a) retires both in a `benchmark` PR. The
+/// algorithm is unspecified across Rust releases, so its output must not
+/// be stored.
 pub fn fingerprint128<T: Hash + ?Sized>(value: &T) -> u128 {
-    let mut h1 = DefaultHasher::new();
+    let mut h1 = std::collections::hash_map::DefaultHasher::new();
     value.hash(&mut h1);
-    let mut h2 = DefaultHasher::new();
+    let mut h2 = std::collections::hash_map::DefaultHasher::new();
     h2.write_u64(0x9e37_79b9_7f4a_7c15);
     value.hash(&mut h2);
     ((h1.finish() as u128) << 64) | h2.finish() as u128
 }
 
-/// [`fingerprint128`] of a global state. The high half equals
-/// [`state_hash`], so the streaming dedup set and the interning tables'
-/// shard routing agree on the 64-bit prefix.
-fn state_fingerprint(state: &GlobalState) -> u128 {
-    fingerprint128(state)
-}
+/// The streaming fold's set of [`state_fingerprint`]s; the keys are
+/// uniform already, so the table reads them as they are.
+type FpSet = HashSet<u128, FpBuildHasher>;
 
-/// Approximate resident cost of one fingerprint in the hot `HashSet<u128>`
+/// Approximate resident cost of one fingerprint in the hot [`FpSet`]
 /// (key + table overhead), used to convert [`ReachOptions::mem_budget`]
 /// into a spill trigger.
 const SEEN_ENTRY_COST: usize = 48;
@@ -930,11 +807,21 @@ fn spill_io(e: std::io::Error) -> ProtocolError {
     ProtocolError::SpillIo { detail: e.to_string() }
 }
 
+/// One worker's successor stream: the packed states that survived its
+/// filters, their fingerprints, and how many occurrences did not.
+#[derive(Default)]
+struct Stream {
+    states: PackedArena,
+    fps: Vec<u128>,
+    dupes: u64,
+}
+
 /// Fold `folder` over every distinct reachable global state *without*
 /// retaining the graph: only the current frontier (bit-packed into a
 /// [`PackedArena`] by the protocol's [`StateCodec`]) and its successor
-/// stream are ever resident, and states are deduplicated by 128-bit
-/// fingerprint (see [`state_fingerprint`]). Frontiers at least
+/// stream (packed likewise, straight from the generator's scratch state)
+/// are ever resident, and states are deduplicated by 128-bit fingerprint
+/// (see [`state_fingerprint`]). Frontiers at least
 /// [`ReachOptions::parallel_frontier_min`] wide are expanded by scoped
 /// workers folding into [`StateFolder::split`]s, OR-merged at the level
 /// barrier — same determinism argument as the retained parallel build.
@@ -956,7 +843,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
     let threads = opts.resolved_threads();
     let codec = StateCodec::new(protocol);
     let initial = initial_global_state(protocol)?;
-    let mut seen: HashSet<u128> = HashSet::new();
+    let mut seen = FpSet::default();
     seen.insert(state_fingerprint(&initial));
     let mut runs: RunSet<0> = RunSet::new();
     let mut frontier = PackedArena::new();
@@ -968,79 +855,41 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         spill: SpillStats::default(),
     };
 
-    // Workers filter successors against the prior levels' hot `seen` set
-    // (immutable while a level is in flight) and a chunk-local dedup set,
-    // so the successor stream holds only states plausibly new at this
-    // level — without it, high-multiplicity levels would make the stream
-    // outgrow the retained node vector it is meant to undercut. Cross-chunk
-    // duplicates (the same state discovered by two workers) survive to the
-    // merge below, which is the arbiter of `distinct_states`. Fingerprints
-    // already spilled to disk are filtered at the level barrier instead.
-    type Stream = Result<(Vec<(GlobalState, u128)>, u64), ProtocolError>;
-    let expand = |range: Range<usize>,
-                  fold: &mut F,
-                  frontier: &PackedArena,
-                  seen: &HashSet<u128>|
-     -> Stream {
-        let mut scratch: Vec<Succ> = Vec::new();
-        let mut local: HashSet<u128> = HashSet::new();
-        let mut out = Vec::with_capacity(range.len() * 4);
-        let mut dupes = 0u64;
-        for i in range {
-            let s = frontier.get(&codec, i);
-            fold.fold(&s);
-            scratch.clear();
-            successors(protocol, &s, &mut scratch)?;
-            for succ in scratch.drain(..) {
-                let fp = state_fingerprint(&succ.state);
-                if !seen.contains(&fp) && local.insert(fp) {
-                    out.push((succ.state, fp));
-                } else {
-                    dupes += 1;
-                }
-            }
-        }
-        Ok((out, dupes))
-    };
-
     while !frontier.is_empty() {
         stats.levels += 1;
-        let mut dedup_hits = 0u64;
-        let mut streams: Vec<Vec<(GlobalState, u128)>> =
-            if threads > 1 && frontier.len() >= opts.parallel_frontier_min {
-                let chunk_len = frontier.len().div_ceil(threads);
-                let expand = &expand;
-                let (seen_ref, frontier_ref) = (&seen, &frontier);
-                let ranges: Vec<Range<usize>> = (0..frontier.len())
-                    .step_by(chunk_len)
-                    .map(|start| start..(start + chunk_len).min(frontier.len()))
-                    .collect();
-                let results: Vec<(F, Stream)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = ranges
-                        .into_iter()
-                        .map(|range| {
-                            let mut fold = folder.split();
-                            scope.spawn(move || {
-                                let r = expand(range, &mut fold, frontier_ref, seen_ref);
-                                (fold, r)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("stream worker")).collect()
-                });
-                let mut streams = Vec::new();
-                for (fold, r) in results {
-                    folder.absorb(fold);
-                    let (stream, dupes) = r?;
-                    dedup_hits += dupes;
-                    streams.push(stream);
-                }
-                streams
-            } else {
-                let (stream, dupes) = expand(0..frontier.len(), folder, &frontier, &seen)?;
-                dedup_hits += dupes;
-                vec![stream]
-            };
+        // Workers filter successors against the prior levels' hot `seen`
+        // set (immutable while a level is in flight) and a chunk-local
+        // dedup set, so the successor stream holds only states plausibly
+        // new at this level — without it, high-multiplicity levels would
+        // make the stream outgrow the retained node vector it is meant to
+        // undercut. Cross-chunk duplicates (the same state discovered by
+        // two workers) survive to the merge below, which is the arbiter of
+        // `distinct_states`. Fingerprints already spilled to disk are
+        // filtered at the level barrier instead.
+        let expand = |range: Range<usize>, fold: &mut F| -> Result<Stream, ProtocolError> {
+            let (mut source, mut scratch) = (initial.clone(), initial.clone());
+            let mut local = FpSet::default();
+            let mut out = Stream::default();
+            for i in range {
+                frontier.get_into(&codec, i, &mut source);
+                fold.fold(&source);
+                for_each_successor(protocol, &source, &mut scratch, |succ, _| {
+                    let fp = state_fingerprint(succ);
+                    if !seen.contains(&fp) && local.insert(fp) {
+                        out.states.push(&codec, succ);
+                        out.fps.push(fp);
+                    } else {
+                        out.dupes += 1;
+                    }
+                    Ok(())
+                })?;
+            }
+            Ok(out)
+        };
+        let parts =
+            if threads > 1 && frontier.len() >= opts.parallel_frontier_min { threads } else { 1 };
+        let streams: Vec<Stream> =
+            fan_out(folder, frontier.len(), parts, expand).into_iter().collect::<Result<_, _>>()?;
 
         // Disk filter at the level barrier, BEFORE the residency
         // accounting: occurrences whose fingerprint lives in a spilled run
@@ -1049,44 +898,40 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         // here — counting each dropped occurrence as a dedup hit — keeps
         // `streamed`, `peak_resident`, and every progress snapshot
         // byte-identical to the unlimited path.
+        let mut on_disk: Vec<u128> = Vec::new();
         if runs.run_count() > 0 {
-            let mut cand: Vec<u128> = streams.iter().flatten().map(|&(_, fp)| fp).collect();
+            let mut cand: Vec<u128> = streams.iter().flat_map(|s| &s.fps).copied().collect();
             cand.sort_unstable();
             cand.dedup();
             let flags = runs.contains_batch(&cand).map_err(spill_io)?;
-            let on_disk: Vec<u128> =
-                cand.into_iter().zip(flags).filter_map(|(k, hit)| hit.then_some(k)).collect();
-            if !on_disk.is_empty() {
-                for stream in &mut streams {
-                    stream.retain(|&(_, fp)| {
-                        if on_disk.binary_search(&fp).is_ok() {
-                            dedup_hits += 1;
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-            }
+            on_disk = cand.into_iter().zip(flags).filter_map(|(k, hit)| hit.then_some(k)).collect();
         }
-        let streamed: usize = streams.iter().map(Vec::len).sum();
-        stats.peak_resident = stats.peak_resident.max(frontier.len() + streamed);
 
         // Retire the expanded frontier; keep only this level's new states.
+        let mut dedup_hits: u64 = streams.iter().map(|s| s.dupes).sum();
+        let mut streamed = 0usize;
         let mut next = PackedArena::new();
-        for (state, fp) in streams.into_iter().flatten() {
-            if seen.insert(fp) {
-                if stats.distinct_states >= opts.max_states {
-                    return Err(ProtocolError::GraphTooLarge { limit: opts.max_states });
+        for stream in &streams {
+            for (i, &fp) in stream.fps.iter().enumerate() {
+                if on_disk.binary_search(&fp).is_ok() {
+                    dedup_hits += 1;
+                    continue;
                 }
-                stats.distinct_states += 1;
-                next.push(&codec, &state);
-            } else {
-                // Cross-chunk duplicate: the same state surfaced from two
-                // workers' chunk-local streams.
-                dedup_hits += 1;
+                streamed += 1;
+                if seen.insert(fp) {
+                    if stats.distinct_states >= opts.max_states {
+                        return Err(ProtocolError::GraphTooLarge { limit: opts.max_states });
+                    }
+                    stats.distinct_states += 1;
+                    next.push_packed(&stream.states, i);
+                } else {
+                    // Cross-chunk duplicate: the same state surfaced from
+                    // two workers' chunk-local streams.
+                    dedup_hits += 1;
+                }
             }
         }
+        stats.peak_resident = stats.peak_resident.max(frontier.len() + streamed);
         if let Some(hook) = opts.progress {
             hook(&LevelProgress {
                 level: stats.levels - 1,
@@ -1111,6 +956,63 @@ pub(crate) fn fold_reachable<F: StateFolder>(
     Ok(stats)
 }
 
+/// Resolve `state` to its node id, appending it as a new node — cloned
+/// only now, if it was borrowed — when no node equals it.
+fn intern_node(
+    nodes: &mut Vec<GlobalState>,
+    table: &mut IdTable,
+    max_states: usize,
+    hash: u64,
+    state: Cow<'_, GlobalState>,
+) -> Result<NodeId, ProtocolError> {
+    let fresh = nodes.len() as NodeId;
+    if let Some(id) = table.intern(hash, fresh, |id| nodes[id as usize] == *state) {
+        return Ok(id);
+    }
+    if nodes.len() >= max_states {
+        return Err(ProtocolError::GraphTooLarge { limit: max_states });
+    }
+    nodes.push(state.into_owned());
+    Ok(fresh)
+}
+
+/// One worker's share of a level: expand `frontier`, resolving each
+/// successor against the prior levels (`nodes` and `table`, immutable
+/// while the level is in flight) or the chunk's own new states.
+fn expand_chunk<F: StateFolder>(
+    protocol: &Protocol,
+    frontier: &[GlobalState],
+    nodes: &[GlobalState],
+    table: &IdTable,
+    fold: &mut F,
+) -> Result<Chunk, ProtocolError> {
+    let mut chunk = Chunk::default();
+    let mut local = IdTable::default();
+    let mut scratch = nodes[0].clone();
+    for source in frontier {
+        fold.fold(source);
+        let (fresh, edges) = (&mut chunk.fresh, &mut chunk.edges);
+        for_each_successor(protocol, source, &mut scratch, |succ, edge| {
+            let hash = state_hash(succ);
+            let target = match table.find(hash, |id| nodes[id as usize] == *succ) {
+                Some(id) => Target::Old(id),
+                None => {
+                    let next = fresh.len() as u32;
+                    let met = local.intern(hash, next, |ix| fresh[ix as usize].1 == *succ);
+                    if met.is_none() {
+                        fresh.push((hash, succ.clone()));
+                    }
+                    Target::Fresh(met.unwrap_or(next))
+                }
+            };
+            edges.push((target, edge));
+            Ok(())
+        })?;
+        chunk.edge_ends.push(chunk.edges.len());
+    }
+    Ok(chunk)
+}
+
 fn initial_global_state(protocol: &Protocol) -> Result<GlobalState, ProtocolError> {
     Ok(GlobalState {
         locals: protocol.fsas().iter().map(|f| f.initial()).collect(),
@@ -1126,79 +1028,67 @@ fn class_table(protocol: &Protocol) -> Vec<Vec<StateClass>> {
     protocol.fsas().iter().map(|f| f.states().iter().map(|s| s.class).collect()).collect()
 }
 
-/// Append the ordered successors of one global state to `out` — the
-/// enumeration order (sites ascending, transitions in table order, `Any`
-/// choices in trigger order) is what fixes node ids and edge order, so the
-/// serial and parallel constructions share this single implementation.
-/// Successor hashes are left 0; the parallel expander fills them in.
-fn successors(
+/// Visit the ordered successors of `state`, each assembled in `scratch`
+/// (any state of the same protocol; overwritten) and lent to `visit` with
+/// its edge, whose target is left 0. The enumeration order — sites
+/// ascending, transitions in table order, `Any` choices in trigger order,
+/// `Quorum` subsets lexicographic — is what fixes node ids and edge
+/// order, so every builder shares this single implementation. Nothing is
+/// allocated outside the `Quorum` arm.
+fn for_each_successor(
     protocol: &Protocol,
     state: &GlobalState,
-    out: &mut Vec<Succ>,
+    scratch: &mut GlobalState,
+    mut visit: impl FnMut(&GlobalState, Edge) -> Result<(), ProtocolError>,
 ) -> Result<(), ProtocolError> {
-    let n = protocol.n_sites();
-    for i in 0..n {
+    for (i, &local) in state.locals.iter().enumerate() {
         let site = SiteId(i as u32);
-        let fsa = protocol.fsa(site);
-        let local = state.locals[i];
-        for (ti, t) in fsa.outgoing(local) {
+        let addr = |&(src, kind): &(SiteId, MsgKind)| MsgAddr { src, dst: site, kind };
+        // With the trigger's messages consumed from `scratch`: move the
+        // site, emit, and hand the successor over.
+        let mut fire = |scratch: &mut GlobalState, ti: u32, t: &Transition, any_choice| {
+            scratch.locals[i] = t.to;
+            for e in &t.emit {
+                scratch.msgs.add(MsgAddr { src: site, dst: e.dst, kind: e.kind })?;
+            }
+            visit(scratch, Edge { to: 0, site, transition: ti, any_choice })
+        };
+        for (ti, t) in protocol.fsa(site).outgoing(local) {
             match &t.consume {
                 Consume::Spontaneous => {
-                    out.push(make_succ(state, i, t.to, &[], &t.emit, site, ti, None)?);
+                    scratch.copy_from(state);
+                    fire(scratch, ti, t, None)?;
                 }
                 Consume::All(v) => {
-                    let needed: Vec<MsgAddr> =
-                        v.iter().map(|&(src, kind)| MsgAddr { src, dst: site, kind }).collect();
-                    // The guard must honor *multiplicity*, not mere
-                    // containment: a trigger listing the same address twice
-                    // needs two outstanding copies, or consuming them
-                    // would underflow the multiset.
-                    let enabled = needed.iter().all(|&a| {
-                        let required = needed.iter().filter(|&&b| b == a).count();
-                        state.msgs.count(a) as usize >= required
-                    });
-                    if enabled {
-                        out.push(make_succ(state, i, t.to, &needed, &t.emit, site, ti, None)?);
+                    // Taking the messages one by one honours
+                    // *multiplicity*, not mere containment: a trigger
+                    // listing the same address twice needs two
+                    // outstanding copies.
+                    scratch.copy_from(state);
+                    if v.iter().all(|m| scratch.msgs.take(addr(m))) {
+                        fire(scratch, ti, t, None)?;
                     }
                 }
                 Consume::Any(v) => {
-                    for &(src, kind) in v {
-                        let addr = MsgAddr { src, dst: site, kind };
-                        if state.msgs.contains(addr) {
-                            out.push(make_succ(
-                                state,
-                                i,
-                                t.to,
-                                std::slice::from_ref(&addr),
-                                &t.emit,
-                                site,
-                                ti,
-                                Some(src),
-                            )?);
-                        }
+                    for m in v.iter().filter(|m| state.msgs.contains(addr(m))) {
+                        scratch.copy_from(state);
+                        scratch.msgs.remove(addr(m));
+                        fire(scratch, ti, t, Some(m.0))?;
                     }
                 }
                 Consume::Quorum { k, srcs } => {
                     // One successor per k-subset of the *available* listed
                     // messages (sources are distinct by validation, so
-                    // multiplicity is not a concern). Subsets enumerate in
-                    // lexicographic index order — deterministic, like the
-                    // `Any` choice order above.
-                    let avail: Vec<MsgAddr> = srcs
-                        .iter()
-                        .map(|&(src, kind)| MsgAddr { src, dst: site, kind })
-                        .filter(|&a| state.msgs.contains(a))
-                        .collect();
-                    let k = *k as usize;
-                    if avail.len() >= k {
-                        for combo in k_subsets(avail.len(), k) {
-                            let consumed: Vec<MsgAddr> =
-                                combo.iter().map(|&ix| avail[ix]).collect();
-                            out.push(make_succ(
-                                state, i, t.to, &consumed, &t.emit, site, ti, None,
-                            )?);
+                    // multiplicity is not a concern).
+                    let avail: Vec<MsgAddr> =
+                        srcs.iter().map(addr).filter(|&a| state.msgs.contains(a)).collect();
+                    for_each_k_subset(avail.len(), *k as usize, |combo| {
+                        scratch.copy_from(state);
+                        for &ix in combo {
+                            scratch.msgs.remove(avail[ix]);
                         }
-                    }
+                        fire(scratch, ti, t, None)
+                    })?;
                 }
             }
         }
@@ -1206,52 +1096,25 @@ fn successors(
     Ok(())
 }
 
-/// All `k`-element index subsets of `0..len`, in lexicographic order.
-fn k_subsets(len: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
+/// Visit every `k`-element index subset of `0..len`, in lexicographic
+/// order, advancing one index array in place.
+fn for_each_k_subset(
+    len: usize,
+    k: usize,
+    mut visit: impl FnMut(&[usize]) -> Result<(), ProtocolError>,
+) -> Result<(), ProtocolError> {
+    if k > len {
+        return Ok(());
+    }
     let mut combo: Vec<usize> = (0..k).collect();
     loop {
-        out.push(combo.clone());
-        // Advance to the next combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if combo[i] != i + len - k {
-                break;
-            }
-        }
+        visit(&combo)?;
+        let Some(i) = (0..k).rev().find(|&i| combo[i] != i + len - k) else { return Ok(()) };
         combo[i] += 1;
         for j in i + 1..k {
             combo[j] = combo[j - 1] + 1;
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_succ(
-    state: &GlobalState,
-    site_ix: usize,
-    to: StateId,
-    consumed: &[MsgAddr],
-    emit: &[crate::fsa::Envelope],
-    site: SiteId,
-    transition: u32,
-    any_choice: Option<SiteId>,
-) -> Result<Succ, ProtocolError> {
-    let mut locals = state.locals.clone();
-    locals[site_ix] = to;
-    let mut msgs = state.msgs.clone();
-    for &a in consumed {
-        msgs.remove(a);
-    }
-    for e in emit {
-        msgs.add(MsgAddr { src: site, dst: e.dst, kind: e.kind })?;
-    }
-    let succ = GlobalState { locals, msgs };
-    Ok(Succ { state: succ, hash: 0, edge: Edge { to: 0, site, transition, any_choice } })
 }
 
 #[cfg(test)]
@@ -1470,6 +1333,45 @@ mod tests {
         let init_edges = g.edges(g.initial());
         assert_eq!(init_edges.len(), 1);
         assert_eq!(init_edges[0].site, SiteId(0));
+    }
+
+    #[test]
+    fn colliding_hashes_keep_distinct_states_apart() {
+        // Four distinct states interned under one forced 64-bit hash: the
+        // first sits in the map, the rest in the overflow list, and each
+        // is found again only by comparing states.
+        let graph = ReachGraph::build(&central_2pc(2)).unwrap();
+        let states = &graph.nodes()[..4];
+        let (mut nodes, mut table) = (Vec::new(), IdTable::default());
+        let mut intern = |s: &GlobalState| {
+            intern_node(&mut nodes, &mut table, usize::MAX, 7, Cow::Borrowed(s)).unwrap()
+        };
+        let first: Vec<NodeId> = states.iter().map(&mut intern).collect();
+        assert_eq!(first, [0, 1, 2, 3], "distinct ids in first-come order");
+        let again: Vec<NodeId> = states.iter().rev().map(&mut intern).collect();
+        assert_eq!(again, [3, 2, 1, 0], "a state met before keeps its id");
+        assert_eq!(nodes, states, "nothing was interned twice");
+        assert_eq!(table.overflow.len(), 3);
+        for (id, s) in states.iter().enumerate() {
+            assert_eq!(table.find(7, |i| nodes[i as usize] == *s), Some(id as u32));
+        }
+        assert_eq!(table.find(8, |_| true), None, "another hash holds nothing");
+    }
+
+    #[test]
+    fn k_subsets_enumerate_lexicographically() {
+        let subsets = |len, k| {
+            let mut out: Vec<Vec<usize>> = Vec::new();
+            for_each_k_subset(len, k, |c| {
+                out.push(c.to_vec());
+                Ok(())
+            })
+            .unwrap();
+            out
+        };
+        assert_eq!(subsets(4, 2), [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]);
+        assert_eq!(subsets(3, 3), [[0, 1, 2]]);
+        assert_eq!(subsets(2, 3), Vec::<Vec<usize>>::new(), "fewer available than the quorum");
     }
 
     /// Node-for-node, edge-for-edge equality of two graphs.

@@ -405,12 +405,19 @@ impl Default for SimOpts {
 }
 
 impl SimOpts {
-    fn to_config(&self, n: usize) -> RunConfig {
+    /// The run these options describe on `n` sites; a flag naming a site
+    /// the protocol does not have is a usage error.
+    fn to_config(&self, n: usize) -> Result<RunConfig, CliError> {
+        let site_of = |flag: &str, site: usize| {
+            if site < n {
+                Ok(site)
+            } else {
+                fail(format!("{flag} names site {site}, but the protocol has {n} sites (0..{n})"))
+            }
+        };
         let mut cfg = RunConfig::happy(n);
         for &v in &self.no_voters {
-            if v < n {
-                cfg.votes[v] = false;
-            }
+            cfg.votes[site_of("--no-voter", v)?] = false;
         }
         cfg.rule = self.rule;
         if let Some((lo, hi)) = self.latency {
@@ -426,7 +433,7 @@ impl SimOpts {
         cfg.record_trace = self.trace;
         if let Some((site, ordinal, msgs)) = self.crash {
             cfg.crashes.push(CrashSpec {
-                site,
+                site: site_of("--crash", site)?,
                 point: CrashPoint::OnTransition {
                     ordinal,
                     progress: match msgs {
@@ -437,7 +444,7 @@ impl SimOpts {
                 recover_at: self.recover,
             });
         }
-        cfg
+        Ok(cfg)
     }
 }
 
@@ -506,7 +513,7 @@ pub fn cmd_simulate(
     if let Some(path) = &opts.schedule {
         return cmd_replay(protocol, analysis, path, opts);
     }
-    let cfg = opts.to_config(protocol.n_sites());
+    let cfg = opts.to_config(protocol.n_sites())?;
     let (report, metrics) = if opts.wants_events() {
         run_observed(protocol, analysis, cfg, opts)?
     } else {
@@ -953,7 +960,7 @@ pub fn cmd_sweep(
     opts: &SimOpts,
 ) -> Result<String, CliError> {
     let specs = enumerate_crash_specs(protocol, opts.recover);
-    let base = opts.to_config(protocol.n_sites());
+    let base = opts.to_config(protocol.n_sites())?;
     let mut metrics_table = None;
     let s = if opts.wants_events() {
         let events = SharedSink::new(MemorySink::default());
@@ -1018,7 +1025,7 @@ fn demo_run(
     if !opts.wants_events() {
         return Ok(());
     }
-    let mut cfg = opts.to_config(protocol.n_sites());
+    let mut cfg = opts.to_config(protocol.n_sites())?;
     if cfg.crashes.is_empty() {
         cfg.crashes.push(CrashSpec {
             site: 0,

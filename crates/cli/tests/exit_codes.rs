@@ -61,6 +61,29 @@ fn check_usage_error_exits_two() {
 }
 
 #[test]
+fn a_flag_naming_a_site_the_protocol_lacks_exits_two() {
+    // `--crash 9:2:1` used to index out of bounds (exit 101) and
+    // `--no-voter 9` used to be ignored in silence.
+    for (args, flag) in [
+        (&["simulate", "central-3pc", "--crash", "9:2:1"][..], "--crash"),
+        (&["simulate", "central-3pc", "--no-voter", "9"][..], "--no-voter"),
+        (&["simulate", "central-3pc", "-n", "4", "--no-voter", "4"][..], "--no-voter"),
+        (&["sweep", "central-3pc", "--no-voter", "3"][..], "--no-voter"),
+    ] {
+        let out = nbc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {stderr}");
+        let n = if args.contains(&"-n") { 4 } else { 3 };
+        let site = args.last().unwrap().split(':').next().unwrap();
+        let expected = format!("error: {flag} names site {site}, but the protocol has {n} sites");
+        assert!(stderr.starts_with(&expected), "args {args:?}: {stderr}");
+    }
+    // The last site is still a site.
+    let out = nbc(&["simulate", "central-3pc", "--crash", "2:1:log", "--no-voter", "2"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn non_check_commands_keep_their_exit_codes() {
     assert_eq!(nbc(&["list"]).status.code(), Some(0));
     assert_eq!(nbc(&["frobnicate"]).status.code(), Some(2));

@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 use nbc_core::recovery_analysis::RecoveryClass;
-use nbc_core::{Analysis, Protocol, StateClass, StateId, Vote};
+use nbc_core::{Analysis, Fsa, MsgKind, Protocol, StateClass, StateId, Transition, Vote};
 use nbc_obs::{Event, EventKind, LinesSink, SharedSink, Tracer};
 use nbc_simnet::{DetectorEvent, LatencyModel, NetEvent, Network, Suspicion, Time};
 use nbc_storage::recovery::{summarize, TxnOutcome};
@@ -125,12 +125,92 @@ pub struct Runner<'a> {
     legacy: Option<SharedSink<LinesSink>>,
 }
 
+/// What a handler needs besides the one site it mutates: the network, the
+/// tracer and the event skeleton. Borrowed apart from the runner's sites
+/// ([`Runner::site_io`]), so a handler holds a single `&mut SiteRt` — one
+/// copy-on-write check — across a whole event.
+struct Io<'r> {
+    net: &'r mut Network<Wire>,
+    tracer: &'r Tracer,
+    now: Time,
+    txn: u64,
+}
+
+impl Io<'_> {
+    /// Event skeleton: current simulation time, this run's transaction.
+    fn ev(&self, kind: EventKind) -> Event {
+        Event::new(self.now, kind).for_txn(self.txn)
+    }
+
+    /// Send with tracing. The send event is emitted even when a partition
+    /// swallows the message — the site *did* send it; the network follows
+    /// up with a drop event.
+    fn send(&mut self, src: usize, dst: usize, wire: Wire) {
+        self.tracer.emit(|| {
+            self.ev(EventKind::MsgSend { dst: dst as u32, label: wire.to_string() }).at_site(src)
+        });
+        self.net.send(self.now, src, dst, wire);
+    }
+
+    /// Fire `t` at `site`: consume its messages, log progress, move the
+    /// local state.
+    fn transition(&self, site: &mut SiteRt, fsa: &Fsa, t: &Transition) {
+        let (ix, txn, from, to) = (site.id, self.txn, site.state, t.to);
+        let to_class = fsa.state(to).class;
+        site.consume(&t.consume);
+        site.log_progress(txn, to, to_class);
+        site.enter_state(to);
+        self.tracer.emit(|| {
+            self.ev(EventKind::Transition {
+                from: fsa.state(from).name.clone(),
+                to: fsa.state(to).name.clone(),
+            })
+            .at_site(ix)
+        });
+        if let Some(v) = t.vote {
+            self.tracer.emit(|| self.ev(EventKind::Vote { yes: v == Vote::Yes }).at_site(ix));
+        }
+        self.tracer.emit(|| {
+            let rec = LogRecord::Progress {
+                txn,
+                state: to.0,
+                class: crate::class_map::encode_class(to_class),
+            };
+            self.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "progress".into() })
+                .at_site(ix)
+        });
+        self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
+    }
+
+    /// `site` reaches a final outcome (via the protocol or a decision):
+    /// logged unless it already holds one. The caller follows up with
+    /// [`Runner::answer_pending_queries`].
+    fn finish(&self, site: &mut SiteRt, commit: bool) {
+        let (ix, txn) = (site.id, self.txn);
+        let decides = site.outcome.is_none();
+        if decides {
+            site.log_decision(txn, commit);
+        }
+        site.mode = Mode::Done;
+        if decides {
+            self.tracer.emit(|| {
+                let rec = LogRecord::Decision { txn, commit };
+                self.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "decision".into() })
+                    .at_site(ix)
+            });
+            self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
+            self.tracer.emit(|| self.ev(EventKind::Decision { commit }).at_site(ix));
+        }
+    }
+}
+
 impl<'a> Runner<'a> {
     /// Set up a run.
     ///
     /// # Panics
     /// Panics if `config.votes.len()` differs from the protocol's site
-    /// count.
+    /// count, or if a [`CrashSpec`](crate::config::CrashSpec) names a site
+    /// the protocol does not have.
     pub fn new(
         protocol: &'a Protocol,
         analysis: impl Into<AnalysisSource<'a>>,
@@ -147,46 +227,97 @@ impl<'a> Runner<'a> {
         protocol: &'a Protocol,
         analysis: impl Into<AnalysisSource<'a>>,
         config: RunConfig,
-        mut tracer: Tracer,
+        tracer: Tracer,
     ) -> Self {
+        // An empty shell — no sites, nothing scheduled — for `arm` to fill.
+        let shell = Self {
+            protocol,
+            analysis: analysis.into(),
+            config: Arc::new(config),
+            net: Network::new(protocol.n_sites(), LatencyModel::constant(0), 0),
+            sites: Vec::with_capacity(protocol.n_sites()),
+            timers: BinaryHeap::new(),
+            transition_crashes: Vec::new(),
+            now: 0,
+            events: 0,
+            truncated: false,
+            tracer,
+            legacy: None,
+            detector: None,
+            elections: 0,
+        };
+        shell.arm()
+    }
+
+    /// Run `config` on this runner's protocol in the storage of a run that
+    /// is over: the event heap, the link tables, the timers, the site cells
+    /// and their inbox, view and WAL buffers are cleared and re-armed in
+    /// place instead of being dropped and allocated again. The result is
+    /// indistinguishable from [`Runner::with_tracer`] on the same
+    /// protocol, analysis, `config` and `tracer` — same report, same
+    /// digest after every step, same WAL bytes, same events.
+    ///
+    /// # Panics
+    /// As [`Runner::new`].
+    pub fn recycle(mut self, config: RunConfig, tracer: Tracer) -> Self {
+        self.config = Arc::new(config);
+        self.tracer = tracer;
+        self.arm()
+    }
+
+    /// Start the run `self.config` describes, whatever state `self` is in
+    /// — the one initialisation path of a fresh shell and of a recycled
+    /// runner. Sets every field but the protocol, its analysis, the
+    /// configuration and the caller's tracer.
+    fn arm(mut self) -> Self {
+        let protocol = self.protocol;
+        let config = Arc::clone(&self.config);
         let n = protocol.n_sites();
         assert_eq!(config.votes.len(), n, "one vote per site required");
-        let legacy = if config.record_trace {
+        self.legacy = config.record_trace.then(|| {
             let sink = SharedSink::new(LinesSink::default());
-            tracer.attach(sink.clone());
-            Some(sink)
-        } else {
-            None
-        };
-        let mut net = Network::new(n, config.latency.clone(), config.detect_delay);
-        net.set_tracer(tracer.clone());
-        let sites = (0..n)
-            .map(|i| SiteCell::new(SiteRt::new(i, protocol.fsa(nbc_core::SiteId(i as u32)), n)))
-            .collect();
-        let mut timers = BinaryHeap::new();
-        let mut transition_crashes = vec![None; n];
+            self.tracer.attach(sink.clone());
+            sink
+        });
+        self.net.reset(config.latency.clone(), config.detect_delay);
+        self.net.set_tracer(self.tracer.clone());
+        for i in 0..n {
+            let fsa = protocol.fsa(nbc_core::SiteId(i as u32));
+            match self.sites.get_mut(i) {
+                Some(site) => site.reset(fsa, n),
+                None => self.sites.push(SiteCell::new(SiteRt::new(i, fsa, n))),
+            }
+        }
+        self.timers.clear();
+        self.transition_crashes.clear();
+        self.transition_crashes.resize(n, None);
         for spec in &config.crashes {
+            assert!(spec.site < n, "crash spec names site {} of {n}", spec.site);
             match spec.point {
                 CrashPoint::AtTime(t) => {
-                    timers.push(Reverse((t, Timer::Crash(spec.site))));
+                    self.timers.push(Reverse((t, Timer::Crash(spec.site))));
                     if let Some(rt) = spec.recover_at {
-                        timers.push(Reverse((rt, Timer::Recover(spec.site))));
+                        self.timers.push(Reverse((rt, Timer::Recover(spec.site))));
                     }
                 }
                 CrashPoint::OnTransition { ordinal, progress } => {
-                    transition_crashes[spec.site] = Some((ordinal, progress, spec.recover_at));
+                    self.transition_crashes[spec.site] = Some((ordinal, progress, spec.recover_at));
                 }
             }
         }
         if let Some(p) = &config.partition {
-            timers.push(Reverse((p.at, Timer::Partition)));
+            self.timers.push(Reverse((p.at, Timer::Partition)));
         }
         let start_at = config.start_at;
+        self.now = start_at;
+        self.events = 0;
+        self.truncated = false;
+        self.elections = 0;
         // An accurate detector (heartbeats always beat the timeout) can
         // never falsely suspect; it is behaviorally the perfect detector,
         // so use the legacy notice path verbatim — the equivalence the
         // property tests pin down byte for byte.
-        let detector = config.detector.filter(|d| !d.is_accurate()).map(|d| {
+        self.detector = config.detector.filter(|d| !d.is_accurate()).map(|d| {
             let jitter = if d.jitter.0 == d.jitter.1 {
                 LatencyModel::constant(d.jitter.0)
             } else {
@@ -194,32 +325,15 @@ impl<'a> Runner<'a> {
             };
             Suspicion::new(n, d.timeout, jitter, start_at)
         });
-        let mut runner = Self {
-            protocol,
-            analysis: analysis.into(),
-            config: Arc::new(config),
-            net,
-            sites,
-            timers,
-            transition_crashes,
-            now: start_at,
-            events: 0,
-            truncated: false,
-            tracer,
-            legacy,
-            detector,
-            elections: 0,
-        };
         // Seed the client stimuli and let every site take its first steps,
         // so the run is steppable from the moment it is constructed.
-        for m in runner.protocol.initial_msgs() {
-            let dst = m.dst.index();
-            runner.sites[dst].inbox.push((CLIENT_SRC, m.kind));
+        for m in protocol.initial_msgs() {
+            self.sites[m.dst.index()].inbox.push((CLIENT_SRC, m.kind));
         }
-        for i in 0..runner.sites.len() {
-            runner.pump(i);
+        for i in 0..n {
+            self.pump(i, None);
         }
-        runner
+        self
     }
 
     /// The protocol's analysis — the one accessor every failure-path read
@@ -343,135 +457,88 @@ impl<'a> Runner<'a> {
     // Tracing
     // ------------------------------------------------------------------
 
+    /// The sites beside the rest of the runner a handler sends and traces
+    /// through.
+    fn sites_io(&mut self) -> (&mut [SiteCell], Io<'_>) {
+        let io =
+            Io { net: &mut self.net, tracer: &self.tracer, now: self.now, txn: self.config.txn_id };
+        (&mut self.sites, io)
+    }
+
+    /// Site `ix`, mutably — its one copy-on-write check — and the [`Io`].
+    fn site_io(&mut self, ix: usize) -> (&mut SiteRt, Io<'_>) {
+        let (sites, io) = self.sites_io();
+        (&mut *sites[ix], io)
+    }
+
     /// Event skeleton: current simulation time, this run's transaction.
     fn ev(&self, kind: EventKind) -> Event {
         Event::new(self.now, kind).for_txn(self.config.txn_id)
     }
 
-    /// Send with tracing. The send event is emitted even when a partition
-    /// swallows the message — the site *did* send it; the network follows
-    /// up with a drop event.
     fn send(&mut self, src: usize, dst: usize, wire: Wire) {
-        self.tracer.emit(|| {
-            self.ev(EventKind::MsgSend { dst: dst as u32, label: wire.to_string() }).at_site(src)
-        });
-        self.net.send(self.now, src, dst, wire);
+        self.sites_io().1.send(src, dst, wire);
     }
 
     // ------------------------------------------------------------------
     // Normal protocol execution
     // ------------------------------------------------------------------
 
-    /// Fire enabled transitions at `ix` until quiescent (or crash).
-    fn pump(&mut self, ix: usize) {
-        while self.sites[ix].mode == Mode::Normal {
-            let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
-            let vote = self.config.votes[ix];
-            let Some((ti, consumed)) = self.sites[ix].choose_transition(fsa, vote) else {
+    /// Take delivery of `arrived` (if any) at `ix`, then fire enabled
+    /// transitions there until quiescent (or crash).
+    fn pump(&mut self, ix: usize, arrived: Option<(usize, MsgKind)>) {
+        let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
+        let vote = self.config.votes[ix];
+        let crash_point = self.transition_crashes[ix];
+        let (site, mut io) = self.site_io(ix);
+        site.inbox.extend(arrived);
+        while site.mode == Mode::Normal {
+            let Some(ti) = site.choose_transition(fsa, vote) else {
                 return;
             };
             let t = &fsa.transitions()[ti as usize];
-            let (to, emits, vote_cast) = (t.to, t.emit.clone(), t.vote);
-            let to_class = fsa.state(to).class;
 
             // Crash-point check: is this the transition we die in?
-            self.sites[ix].transitions_attempted += 1;
-            let attempted = self.sites[ix].transitions_attempted;
-            if let Some((ordinal, progress, recover_at)) = self.transition_crashes[ix] {
-                if ordinal == attempted {
-                    self.transition_crashes[ix] = None;
-                    match progress {
-                        TransitionProgress::BeforeLog => {
-                            // Nothing durable, nothing sent.
-                        }
-                        TransitionProgress::AfterMsgs(k) => {
-                            self.apply_transition_state(ix, to, to_class, &consumed, vote_cast);
-                            for e in emits.iter().take(k as usize) {
-                                self.send(ix, e.dst.index(), Wire::Proto(e.kind));
-                            }
+            site.transitions_attempted += 1;
+            if let Some((_, progress, recover_at)) =
+                crash_point.filter(|&(ordinal, ..)| ordinal == site.transitions_attempted)
+            {
+                match progress {
+                    TransitionProgress::BeforeLog => {
+                        // Nothing durable, nothing sent.
+                    }
+                    TransitionProgress::AfterMsgs(k) => {
+                        io.transition(site, fsa, t);
+                        for e in t.emit.iter().take(k as usize) {
+                            io.send(ix, e.dst.index(), Wire::Proto(e.kind));
                         }
                     }
-                    if let Some(rt) = recover_at {
-                        self.timers.push(Reverse((rt.max(self.now + 1), Timer::Recover(ix))));
-                    }
-                    self.crash_site(ix);
-                    return;
                 }
+                self.transition_crashes[ix] = None;
+                if let Some(rt) = recover_at {
+                    self.timers.push(Reverse((rt.max(self.now + 1), Timer::Recover(ix))));
+                }
+                self.crash_site(ix);
+                return;
             }
 
-            self.apply_transition_state(ix, to, to_class, &consumed, vote_cast);
-            for e in &emits {
-                self.send(ix, e.dst.index(), Wire::Proto(e.kind));
+            io.transition(site, fsa, t);
+            for e in &t.emit {
+                io.send(ix, e.dst.index(), Wire::Proto(e.kind));
             }
+            let to_class = fsa.state(t.to).class;
             if to_class.is_final() {
-                self.finish(ix, to_class == StateClass::Committed);
+                io.finish(site, to_class == StateClass::Committed);
+                self.answer_pending_queries(ix);
                 return;
             }
         }
-    }
-
-    /// Consume messages, log progress, move the local state.
-    fn apply_transition_state(
-        &mut self,
-        ix: usize,
-        to: StateId,
-        to_class: StateClass,
-        consumed: &[(usize, nbc_core::MsgKind)],
-        vote_cast: Option<Vote>,
-    ) {
-        let txn = self.config.txn_id;
-        let from = self.sites[ix].state;
-        {
-            // One mutable borrow — one copy-on-write check — per transition.
-            let site = &mut *self.sites[ix];
-            for &(src, kind) in consumed {
-                let taken = site.take_msg(src, kind);
-                debug_assert!(taken, "chosen transition must be satisfiable");
-            }
-            site.log_progress(txn, to, to_class);
-            site.enter_state(to);
-        }
-        self.tracer.emit(|| {
-            let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
-            self.ev(EventKind::Transition {
-                from: fsa.state(from).name.clone(),
-                to: fsa.state(to).name.clone(),
-            })
-            .at_site(ix)
-        });
-        if let Some(v) = vote_cast {
-            self.tracer.emit(|| self.ev(EventKind::Vote { yes: v == Vote::Yes }).at_site(ix));
-        }
-        self.tracer.emit(|| {
-            let rec = LogRecord::Progress {
-                txn,
-                state: to.0,
-                class: crate::class_map::encode_class(to_class),
-            };
-            self.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "progress".into() })
-                .at_site(ix)
-        });
-        self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
     }
 
     /// Reach a final outcome at `ix` (via the protocol or a decision).
     fn finish(&mut self, ix: usize, commit: bool) {
-        let txn = self.config.txn_id;
-        let site = &mut *self.sites[ix];
-        let decides = site.outcome.is_none();
-        if decides {
-            site.log_decision(txn, commit);
-        }
-        site.mode = Mode::Done;
-        if decides {
-            self.tracer.emit(|| {
-                let rec = LogRecord::Decision { txn, commit };
-                self.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "decision".into() })
-                    .at_site(ix)
-            });
-            self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
-            self.tracer.emit(|| self.ev(EventKind::Decision { commit }).at_site(ix));
-        }
+        let (site, io) = self.site_io(ix);
+        io.finish(site, commit);
         self.answer_pending_queries(ix);
     }
 
@@ -533,8 +600,7 @@ impl<'a> Runner<'a> {
         match msg {
             Wire::Proto(kind) => {
                 if self.sites[dst].mode == Mode::Normal {
-                    self.sites[dst].inbox.push((src, kind));
-                    self.pump(dst);
+                    self.pump(dst, Some((src, kind)));
                 }
                 // Frozen (terminating/blocked/recovering/done) sites ignore
                 // protocol traffic; the termination or recovery protocol
@@ -647,12 +713,13 @@ impl<'a> Runner<'a> {
         if observer == peer || self.sites[observer].mode == Mode::Down {
             return;
         }
-        if !self.sites[observer].suspects.remove(&peer) {
+        if !self.sites[observer].suspects.contains(&peer) {
             return; // not currently suspected
         }
         self.tracer
             .emit(|| self.ev(EventKind::Unsuspect { suspected: peer as u32 }).at_site(observer));
         let site = &mut *self.sites[observer];
+        site.suspects.remove(&peer);
         site.view[peer] = true;
         // Evidence of life postdating the suspicion plays the role a
         // recovery notice plays for real crashes: a stale AlignTo must not
@@ -689,12 +756,13 @@ impl<'a> Runner<'a> {
         self.elections += 1;
         let backup = self.sites[ix].elected_backup();
         self.tracer.emit(|| self.ev(EventKind::Election { backup: backup as u32 }).at_site(ix));
-        self.sites[ix].mode = Mode::Terminating { backup };
+        let site = &mut *self.sites[ix];
+        site.mode = Mode::Terminating { backup };
         if backup == ix {
             self.start_backup(ix);
-        } else if self.sites[ix].backup_state.phase1_sent {
+        } else if site.backup_state.phase1_sent {
             // This site was the backup of an earlier round; drop that role.
-            self.sites[ix].backup_state = Default::default();
+            site.backup_state = Default::default();
         }
     }
 
@@ -715,18 +783,24 @@ impl<'a> Runner<'a> {
             return;
         }
 
-        let peers = self.term_peers(ix);
+        // A backup aligns with every other operational site — restricted
+        // to participants for quorum-based protocols, whose acceptors do
+        // not align (they adopt the final decision from
+        // [`Runner::broadcast_decision`], which still addresses everyone).
+        let term_sites = self.protocol.n_participants();
         let my_class = self.reported_class_of(ix);
-        let bs = &mut self.sites[ix].backup_state;
-        bs.pending_acks = peers.iter().copied().collect();
+        let (site, mut io) = self.site_io(ix);
+        let bs = &mut site.backup_state;
+        bs.pending_acks.clear();
+        bs.pending_acks.extend(peers_in(&site.view, term_sites, ix));
         bs.collected.clear();
         bs.phase1_sent = true;
-        if peers.is_empty() {
+        if bs.pending_acks.is_empty() {
             self.backup_decide(ix);
             return;
         }
-        for j in peers {
-            self.send(ix, j, Wire::AlignTo { backup: ix, class: my_class });
+        for j in peers_in(&site.view, term_sites, ix) {
+            io.send(ix, j, Wire::AlignTo { backup: ix, class: my_class });
         }
     }
 
@@ -771,30 +845,27 @@ impl<'a> Runner<'a> {
         if self.sites[ix].elected_backup() != backup {
             return;
         }
-        self.sites[ix].mode = Mode::Terminating { backup };
         let reported = self.reported_class_of(ix);
         let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
-        if !fsa.state(self.sites[ix].state).class.is_final() {
+        let (site, mut io) = self.site_io(ix);
+        site.mode = Mode::Terminating { backup };
+        if !fsa.state(site.state).class.is_final() {
             // Make the transition to the backup's state: durable first.
-            let txn = self.config.txn_id;
-            let site = &mut *self.sites[ix];
+            let txn = io.txn;
             site.wal.append_sync(&LogRecord::AlignedTo { txn, class }).expect("wal record fits");
             site.aligned_class = Some(class);
-            self.tracer.emit(|| {
+            io.tracer.emit(|| {
                 let rec = LogRecord::AlignedTo { txn, class };
-                self.ev(EventKind::WalAppend {
-                    bytes: rec.frame_len(),
-                    record: "aligned-to".into(),
-                })
-                .at_site(ix)
+                io.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "aligned-to".into() })
+                    .at_site(ix)
             });
-            self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
-            self.tracer.emit(|| {
+            io.tracer.emit(|| io.ev(EventKind::WalFsync { physical: true }).at_site(ix));
+            io.tracer.emit(|| {
                 let letter = crate::class_map::decode_class(class).letter();
-                self.ev(EventKind::Aligned { class: letter.to_string() }).at_site(ix)
+                io.ev(EventKind::Aligned { class: letter.to_string() }).at_site(ix)
             });
         }
-        self.send(ix, backup, Wire::AlignAck { backup, reported_class: reported });
+        io.send(ix, backup, Wire::AlignAck { backup, reported_class: reported });
     }
 
     fn on_align_ack(&mut self, ix: usize, from: usize, reported_class: u8) {
@@ -891,28 +962,21 @@ impl<'a> Runner<'a> {
             }
             Decision::Blocked => {
                 self.tracer.emit(|| self.ev(EventKind::Blocked { backup: ix as u32 }).at_site(ix));
-                self.sites[ix].mode = Mode::Blocked;
-                for j in self.term_peers(ix) {
-                    self.send(ix, j, Wire::TermBlocked { backup: ix });
+                let term_sites = self.protocol.n_participants();
+                let (site, mut io) = self.site_io(ix);
+                site.mode = Mode::Blocked;
+                for j in peers_in(&site.view, term_sites, ix) {
+                    io.send(ix, j, Wire::TermBlocked { backup: ix });
                 }
                 self.answer_pending_queries(ix);
             }
         }
     }
 
-    /// The sites a backup coordinator aligns with: every other operational
-    /// site — restricted to participants for quorum-based protocols,
-    /// whose acceptors do not align (they adopt the final decision from
-    /// [`Runner::broadcast_decision`], which still addresses everyone).
-    fn term_peers(&self, ix: usize) -> Vec<usize> {
-        (0..self.protocol.n_participants()).filter(|&j| j != ix && self.sites[ix].view[j]).collect()
-    }
-
     fn broadcast_decision(&mut self, ix: usize, commit: bool) {
-        let peers: Vec<usize> =
-            (0..self.sites.len()).filter(|&j| j != ix && self.sites[ix].view[j]).collect();
-        for j in peers {
-            self.send(ix, j, Wire::TermDecision { backup: ix, commit });
+        let (sites, mut io) = self.sites_io();
+        for j in peers_in(&sites[ix].view, sites.len(), ix) {
+            io.send(ix, j, Wire::TermDecision { backup: ix, commit });
         }
     }
 
@@ -958,7 +1022,7 @@ impl<'a> Runner<'a> {
         // protocol only, so an optimistic view is harmless.
         let n = self.sites.len();
         let site = &mut *self.sites[ix];
-        site.view = vec![true; n];
+        site.view.fill(true);
         site.recovery_replies.clear();
         self.tracer.emit(|| self.ev(EventKind::Recover).at_site(ix));
         if let Some(d) = self.detector.as_mut() {
@@ -1040,6 +1104,9 @@ impl<'a> Runner<'a> {
     }
 
     fn answer_pending_queries(&mut self, ix: usize) {
+        if self.sites[ix].pending_queries.is_empty() {
+            return;
+        }
         let outcome = self.sites[ix].outcome;
         let class = self.reported_class_of(ix);
         let settled = self.is_settled(ix);
@@ -1159,6 +1226,12 @@ impl<'a> Runner<'a> {
         report.elections = self.elections;
         report
     }
+}
+
+/// The sites below `upto`, other than `ix` itself, that `view` (site `ix`'s)
+/// holds operational.
+fn peers_in(view: &[bool], upto: usize, ix: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..upto).filter(move |&j| j != ix && view[j])
 }
 
 /// Convenience: run one configuration, analysing the protocol only if

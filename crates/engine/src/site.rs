@@ -214,15 +214,13 @@ impl SiteRt {
 
     /// Fresh site at the FSA's initial state.
     pub fn new(id: usize, fsa: &Fsa, n: usize) -> Self {
-        let mut visited = vec![false; fsa.state_count()];
-        visited[fsa.initial().index()] = true;
-        Self {
+        let mut site = Self {
             id,
             state: fsa.initial(),
             inbox: Vec::new(),
             wal: Wal::new(),
             mode: Mode::Normal,
-            view: vec![true; n],
+            view: Vec::new(),
             aligned_class: None,
             backup_state: BackupState::default(),
             outcome: None,
@@ -232,8 +230,55 @@ impl SiteRt {
             recovered_peers: BTreeSet::new(),
             suspects: BTreeSet::new(),
             ever_down: false,
+            visited: Vec::new(),
+        };
+        site.reset(fsa, n);
+        site
+    }
+
+    /// Back to what [`SiteRt::new`] returns for the same `id` — the one
+    /// definition of a site's initial state — keeping every collection's
+    /// allocation (inbox, WAL buffer, view, monitors). Destructured in
+    /// full so a new field cannot be left out of a recycled run.
+    pub fn reset(&mut self, fsa: &Fsa, n: usize) {
+        let Self {
+            id: _,
+            state,
+            inbox,
+            wal,
+            mode,
+            view,
+            aligned_class,
+            backup_state: BackupState { pending_acks, collected, phase1_sent },
+            outcome,
+            transitions_attempted,
+            pending_queries,
+            recovery_replies,
+            recovered_peers,
+            suspects,
+            ever_down,
             visited,
-        }
+        } = self;
+        *state = fsa.initial();
+        inbox.clear();
+        wal.clear();
+        *mode = Mode::Normal;
+        view.clear();
+        view.resize(n, true);
+        *aligned_class = None;
+        pending_acks.clear();
+        collected.clear();
+        *phase1_sent = false;
+        *outcome = None;
+        *transitions_attempted = 0;
+        pending_queries.clear();
+        recovery_replies.clear();
+        recovered_peers.clear();
+        suspects.clear();
+        *ever_down = false;
+        visited.clear();
+        visited.resize(fsa.state_count(), false);
+        visited[fsa.initial().index()] = true;
     }
 
     /// Move to local state `s`, recording it in the visited-state monitor.
@@ -278,45 +323,54 @@ impl SiteRt {
         }
     }
 
-    /// Does the inbox satisfy a trigger? Returns the concrete messages to
-    /// consume (`None` if not satisfiable). For `Any`, the first matching
-    /// source in list order is chosen.
-    pub fn satisfy(&self, consume: &Consume) -> Option<Vec<(usize, MsgKind)>> {
+    /// Does the inbox satisfy a trigger? Exactly when [`SiteRt::consume`]
+    /// would find every message it needs.
+    pub fn satisfied(&self, consume: &Consume) -> bool {
+        let present =
+            |&(src, kind): &(SiteId, MsgKind)| self.inbox.contains(&(src_index(src), kind));
         match consume {
-            Consume::Spontaneous => Some(Vec::new()),
+            Consume::Spontaneous => true,
+            // Every needed (src, kind) must be present; sources are
+            // distinct in well-formed protocols so counting is simple.
+            Consume::All(v) => v.iter().all(present),
+            Consume::Any(v) => v.iter().any(present),
+            // The k-th present candidate exists (and k = 0 never fires).
+            Consume::Quorum { k, srcs } => k.checked_sub(1).is_some_and(|last| {
+                quorum_candidates(srcs).filter(|&item| present(item)).nth(last as usize).is_some()
+            }),
+        }
+    }
+
+    /// Remove from the inbox the messages a [`SiteRt::satisfied`] trigger
+    /// consumes: all of `All`; for `Any`, the first listed message present;
+    /// for `Quorum`, the first `k` listed messages present, each source at
+    /// most once, in list order — a deterministic choice among the
+    /// k-subsets the analysis enumerates.
+    pub fn consume(&mut self, consume: &Consume) {
+        match consume {
+            Consume::Spontaneous => {}
             Consume::All(v) => {
-                let mut need: Vec<(usize, MsgKind)> =
-                    v.iter().map(|&(src, kind)| (src_index(src), kind)).collect();
-                // Every needed (src, kind) must be present; sources are
-                // distinct in well-formed protocols so counting is simple.
-                for item in &need {
-                    if !self.inbox.contains(item) {
-                        return None;
+                for (i, &(src, kind)) in v.iter().enumerate() {
+                    if i > 0 && v[i - 1] == (src, kind) {
+                        continue; // listed twice in a row: one message
                     }
+                    let taken = self.take_msg(src_index(src), kind);
+                    debug_assert!(taken, "chosen transition must be satisfiable");
                 }
-                need.dedup();
-                Some(need)
             }
-            Consume::Any(v) => v
-                .iter()
-                .map(|&(src, kind)| (src_index(src), kind))
-                .find(|item| self.inbox.contains(item))
-                .map(|item| vec![item]),
+            Consume::Any(v) => {
+                let taken = v.iter().any(|&(src, kind)| self.take_msg(src_index(src), kind));
+                debug_assert!(taken, "chosen transition must be satisfiable");
+            }
             Consume::Quorum { k, srcs } => {
-                // Take the first k listed messages present, each source at
-                // most once, in list order — a deterministic choice among
-                // the k-subsets the analysis enumerates.
-                let mut take: Vec<(usize, MsgKind)> = Vec::with_capacity(*k as usize);
-                for &(src, kind) in srcs {
-                    let item = (src_index(src), kind);
-                    if self.inbox.contains(&item) && !take.contains(&item) {
-                        take.push(item);
-                        if take.len() == *k as usize {
-                            return Some(take);
-                        }
+                let mut taken = 0;
+                for &(src, kind) in quorum_candidates(srcs) {
+                    if taken == *k {
+                        break;
                     }
+                    taken += u32::from(self.take_msg(src_index(src), kind));
                 }
-                None
+                debug_assert!(taken == *k, "chosen transition must be satisfiable");
             }
         }
     }
@@ -324,11 +378,7 @@ impl SiteRt {
     /// Pick the transition to fire under the vote plan: the first
     /// transition (in declaration order) that is vote-compatible and whose
     /// trigger the inbox satisfies.
-    pub fn choose_transition(
-        &self,
-        fsa: &Fsa,
-        vote_yes: bool,
-    ) -> Option<(u32, Vec<(usize, MsgKind)>)> {
+    pub fn choose_transition(&self, fsa: &Fsa, vote_yes: bool) -> Option<u32> {
         for (ti, t) in fsa.outgoing(self.state) {
             let compatible = match t.vote {
                 Some(Vote::Yes) => vote_yes,
@@ -343,8 +393,8 @@ impl SiteRt {
             if matches!(t.consume, Consume::Spontaneous) && t.vote.is_none() {
                 continue;
             }
-            if let Some(consumed) = self.satisfy(&t.consume) {
-                return Some((ti, consumed));
+            if self.satisfied(&t.consume) {
+                return Some(ti);
             }
         }
         None
@@ -391,6 +441,12 @@ fn write_set(h: &mut Fp128, set: &BTreeSet<usize>) {
     }
 }
 
+/// The entries of a quorum trigger that can each contribute a message:
+/// every listed `(src, kind)` but repeats of an earlier entry.
+fn quorum_candidates(srcs: &[(SiteId, MsgKind)]) -> impl Iterator<Item = &(SiteId, MsgKind)> {
+    srcs.iter().enumerate().filter(|&(i, item)| !srcs[..i].contains(item)).map(|(_, item)| item)
+}
+
 /// Map a core message source to a site index.
 ///
 /// # Panics
@@ -428,16 +484,64 @@ mod tests {
         let p = central_2pc(3);
         let mut s = SiteRt::new(0, p.fsa(SiteId(0)), 3);
         let all = Consume::All(vec![(SiteId(1), MsgKind::YES), (SiteId(2), MsgKind::YES)]);
-        assert!(s.satisfy(&all).is_none());
+        assert!(!s.satisfied(&all));
         s.inbox.push((1, MsgKind::YES));
-        assert!(s.satisfy(&all).is_none());
+        assert!(!s.satisfied(&all));
         s.inbox.push((2, MsgKind::YES));
-        assert_eq!(s.satisfy(&all).unwrap().len(), 2);
+        assert!(s.satisfied(&all));
 
         let any = Consume::Any(vec![(SiteId(1), MsgKind::NO), (SiteId(2), MsgKind::NO)]);
-        assert!(s.satisfy(&any).is_none());
+        assert!(!s.satisfied(&any));
         s.inbox.push((2, MsgKind::NO));
-        assert_eq!(s.satisfy(&any).unwrap(), vec![(2, MsgKind::NO)]);
+        assert!(s.satisfied(&any));
+        s.consume(&any);
+        assert_eq!(s.inbox, vec![(1, MsgKind::YES), (2, MsgKind::YES)]);
+        s.consume(&all);
+        assert!(s.inbox.is_empty());
+    }
+
+    #[test]
+    fn quorum_takes_the_first_k_present_each_source_once() {
+        let p = central_2pc(4);
+        let mut s = SiteRt::new(0, p.fsa(SiteId(0)), 4);
+        let yes = |i| (SiteId(i), MsgKind::YES);
+        // Site 2 is listed twice: it may contribute one message only.
+        let quorum = Consume::Quorum { k: 2, srcs: vec![yes(1), yes(2), yes(2), yes(3)] };
+        s.inbox.extend([(2, MsgKind::YES), (2, MsgKind::YES)]);
+        assert!(!s.satisfied(&quorum), "two messages from one source are one vote");
+        s.inbox.push((3, MsgKind::YES));
+        assert!(s.satisfied(&quorum));
+        s.inbox.push((1, MsgKind::YES));
+        s.consume(&quorum);
+        // First two present in list order: sites 1 and 2; site 3's stays.
+        s.inbox.sort_unstable();
+        assert_eq!(s.inbox, vec![(2, MsgKind::YES), (3, MsgKind::YES)]);
+        assert!(!s.satisfied(&Consume::Quorum { k: 0, srcs: vec![yes(2)] }), "k = 0 never fires");
+    }
+
+    #[test]
+    fn reset_site_equals_a_new_one() {
+        let p = central_2pc(3);
+        let fsa = p.fsa(SiteId(1));
+        let mut s = SiteRt::new(1, fsa, 3);
+        s.inbox.push((0, MsgKind::XACT));
+        s.log_progress(9, fsa.state_by_name("w").unwrap(), nbc_core::StateClass::Wait);
+        s.enter_state(fsa.state_by_name("w").unwrap());
+        s.log_decision(9, false);
+        s.mode = Mode::Blocked;
+        s.view[0] = false;
+        s.aligned_class = Some(2);
+        s.backup_state.pending_acks.insert(2);
+        s.backup_state.collected.push((2, 1));
+        s.backup_state.phase1_sent = true;
+        s.transitions_attempted = 3;
+        s.pending_queries.push(2);
+        s.recovery_replies.push((2, None, 1));
+        s.recovered_peers.insert(0);
+        s.suspects.insert(2);
+        s.ever_down = true;
+        s.reset(fsa, 3);
+        assert_eq!(format!("{s:?}"), format!("{:?}", SiteRt::new(1, fsa, 3)));
     }
 
     #[test]
@@ -447,10 +551,10 @@ mod tests {
         let mut s = SiteRt::new(1, fsa, 2);
         s.inbox.push((0, MsgKind::XACT));
         // Yes voter takes the yes transition (to w).
-        let (ti, _) = s.choose_transition(fsa, true).unwrap();
+        let ti = s.choose_transition(fsa, true).unwrap();
         assert!(fsa.transitions()[ti as usize].vote == Some(Vote::Yes));
         // No voter takes the no transition (to a).
-        let (ti, _) = s.choose_transition(fsa, false).unwrap();
+        let ti = s.choose_transition(fsa, false).unwrap();
         assert!(fsa.transitions()[ti as usize].vote == Some(Vote::No));
     }
 
@@ -464,8 +568,7 @@ mod tests {
         // A yes-voting coordinator with an empty inbox does nothing.
         assert!(s.choose_transition(fsa, true).is_none());
         // A no-voting coordinator aborts spontaneously.
-        let (ti, consumed) = s.choose_transition(fsa, false).unwrap();
-        assert!(consumed.is_empty());
+        let ti = s.choose_transition(fsa, false).unwrap();
         assert!(matches!(fsa.transitions()[ti as usize].consume, Consume::Spontaneous));
     }
 

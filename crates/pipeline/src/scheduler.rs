@@ -36,6 +36,17 @@
 //! the first round that reaches the failure path fills it, later rounds
 //! and later batches reuse it, and a fault-free batch never pays for it.
 //!
+//! # A finished round is the next round's storage
+//!
+//! A round's runner — its network heap and link tables, its site cells
+//! with their inboxes, views and WAL buffers — is sized by the protocol,
+//! not by the transaction, so a finalised round is not dropped: it waits
+//! in a list local to [`Pipeline::run`] (never longer than
+//! [`PipelineConfig::max_in_flight`]) and the next admission re-arms it
+//! in place ([`Runner::recycle`]), which is indistinguishable from a
+//! fresh [`Runner`] for the new configuration. The list cannot outlive
+//! `run`: a [`Runner`] borrows that call's handle on the shared protocol.
+//!
 //! # Admission (wait-die, with a retry budget)
 //!
 //! Locks are acquired at admission. A requester older than every
@@ -192,6 +203,19 @@ struct ParkedTxn {
     dies: u32,
 }
 
+/// What one [`Pipeline::run`] keeps between admissions instead of
+/// allocating it again: the finalised rounds (box, `logged` vector and
+/// runner, re-armed in place by the next admission) and the per-site
+/// scratch of [`Pipeline::try_admit`].
+#[derive(Default)]
+struct Spare<'a> {
+    // Boxed as on the agenda, so the box is recycled with its round.
+    #[allow(clippy::vec_box)]
+    rounds: Vec<Box<Round<'a>>>,
+    votes: Vec<bool>,
+    touched: Vec<bool>,
+}
+
 enum Admission<'a> {
     /// Round admitted and running.
     Started(Box<Round<'a>>),
@@ -323,6 +347,7 @@ impl Pipeline {
         // Only the top round is ever stepped, and it is re-keyed before the
         // heap is looked at again, so each event costs O(log in-flight).
         let mut agenda: BinaryHeap<Reverse<Box<Round<'_>>>> = BinaryHeap::new();
+        let mut spare = Spare::default();
         // Blocked rounds awaiting their reap timer, earliest `(reap_at, txn)` on top.
         let mut blocked: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
         let mut latencies: Vec<Time> = Vec::new();
@@ -363,7 +388,7 @@ impl Pipeline {
                 let mut retry = std::mem::take(&mut parked).into_iter();
                 while agenda.len() < max_in_flight {
                     let Some((id, entry)) = retry.next() else { break };
-                    match self.try_admit(&shared, id, &entry.spec, entry.dies, clock) {
+                    match self.try_admit(&shared, &mut spare, id, &entry.spec, entry.dies, clock) {
                         Admission::Started(r) => {
                             agenda.push(Reverse(r));
                             last_pass_progressed = true;
@@ -382,7 +407,7 @@ impl Pipeline {
                 parked.extend(retry);
                 while agenda.len() < max_in_flight {
                     let Some((id, spec)) = pending.pop_front() else { break };
-                    match self.try_admit(&shared, id, &spec, 0, clock) {
+                    match self.try_admit(&shared, &mut spare, id, &spec, 0, clock) {
                         Admission::Started(r) => {
                             agenda.push(Reverse(r));
                             last_pass_progressed = true;
@@ -406,6 +431,7 @@ impl Pipeline {
                 let Reverse(round) = agenda.pop().expect("peeked");
                 clock = clock.max(round.runner.now());
                 self.finalize(&round, &mut report, &mut latencies, &mut blocked);
+                spare.rounds.push(round);
                 dirty = true;
                 continue;
             }
@@ -485,16 +511,27 @@ impl Pipeline {
     fn try_admit<'a>(
         &mut self,
         shared: &'a Shared,
+        spare: &mut Spare<'a>,
         txn: u64,
         spec: &PipelineTxn,
         dies: u32,
         now: Time,
     ) -> Admission<'a> {
         let n = self.cfg.n_sites;
+        let round_sites = shared.protocol.n_sites();
+        for crash in &spec.crashes {
+            assert!(
+                crash.site < round_sites,
+                "crash addresses site {} of {round_sites}",
+                crash.site
+            );
+        }
         let give_up = dies >= self.cfg.die_budget;
-        let mut votes = vec![true; n];
-        let mut touched = vec![false; n];
-        let mut logged = vec![None; n];
+        let Spare { rounds, votes, touched } = spare;
+        votes.clear();
+        votes.resize(n, true);
+        touched.clear();
+        touched.resize(n, false);
 
         for op in &spec.ops {
             let site = op.site();
@@ -547,6 +584,13 @@ impl Pipeline {
             }
         }
 
+        // Admitted. A round that is over lends this one its storage.
+        let mut recycled = rounds.pop();
+        let mut logged =
+            recycled.as_mut().map(|r| std::mem::take(&mut r.logged)).unwrap_or_default();
+        logged.clear();
+        logged.resize(n, None);
+
         // Write-ahead: Begin + redo images, group-commit batched.
         for (site, touched_here) in touched.iter().enumerate() {
             if *touched_here {
@@ -573,23 +617,31 @@ impl Pipeline {
 
         // Quorum protocols bring extra acceptor sites along; they carry
         // no data and always "vote" yes.
-        let mut rc = RunConfig::happy(shared.protocol.n_sites());
-        rc.votes[..n].copy_from_slice(&votes);
+        let mut rc = RunConfig::happy(round_sites);
+        rc.votes[..n].copy_from_slice(votes);
         rc.crashes = spec.crashes.clone();
         rc.rule = self.cfg.kind.rule();
         rc.latency = LatencyModel::constant(self.cfg.latency);
         rc.detect_delay = self.cfg.detect_delay;
         let rc = rc.with_txn_id(txn).with_start_at(now);
         self.tracer.emit(|| Event::new(now, EventKind::Admit).for_txn(txn));
-        let runner =
-            Runner::with_tracer(&shared.protocol, &shared.analysis, rc, self.tracer.clone());
-        Admission::Started(Box::new(Round {
+        let tracer = self.tracer.clone();
+        let round = |runner: Runner<'a>| Round {
             txn,
             admitted_at: now,
             logged,
             due: runner.next_time(),
             runner,
-        }))
+        };
+        Admission::Started(match recycled {
+            Some(mut spent) => {
+                *spent = round(spent.runner.recycle(rc, tracer));
+                spent
+            }
+            None => {
+                Box::new(round(Runner::with_tracer(&shared.protocol, &shared.analysis, rc, tracer)))
+            }
+        })
     }
 
     /// Post-round bookkeeping, mirroring the serial cluster: apply the
@@ -837,6 +889,17 @@ mod tests {
         assert!(r.blocked >= 1, "2PC coordinator crash must block: {r}");
         assert_eq!(p.locked_keys(), 0, "reaper must free strand-locks");
         assert_eq!(p.total_balance(&w), w.expected_total());
+    }
+
+    #[test]
+    #[should_panic(expected = "crash addresses site 7 of 3")]
+    fn a_crash_at_a_site_the_round_lacks_is_refused_at_admission() {
+        use nbc_engine::{CrashPoint, CrashSpec};
+        let (mut p, mut w) = seeded_pipeline(ProtocolKind::Central3pc, 2);
+        let mut txns = bank_transfer_txns(&mut w, 2, 0, &mut SimRng::seed_from_u64(5));
+        txns[1].crashes =
+            vec![CrashSpec { site: 7, point: CrashPoint::AtTime(3), recover_at: None }];
+        p.run(txns);
     }
 
     #[test]

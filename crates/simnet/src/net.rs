@@ -128,6 +128,21 @@ impl<M> Network<M> {
         }
     }
 
+    /// Back to the state [`Network::new`] returns for the same `n` — nothing
+    /// scheduled, sequence numbers from zero, links idle, no partition,
+    /// counters zeroed, tracing off — keeping the event heap's and the link
+    /// tables' allocations.
+    pub fn reset(&mut self, latency: LatencyModel, detect_delay: Time) {
+        self.latency = latency;
+        self.detect_delay = detect_delay;
+        self.heap.clear();
+        self.seq = 0;
+        self.last_delivery.fill(0);
+        self.groups = None;
+        self.stats.reset();
+        self.tracer = Tracer::off();
+    }
+
     /// Attach an observability tracer (drop events are emitted through it).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
@@ -511,6 +526,32 @@ mod tests {
             s.events.iter().filter(|e| matches!(e.kind, EventKind::MsgDrop { .. })).count()
         });
         assert_eq!(drops, 2, "one in-flight cut + one swallowed send");
+    }
+
+    #[test]
+    fn reset_network_behaves_like_a_new_one() {
+        let mut used = net(3);
+        used.send(0, 0, 1, "a");
+        used.send(4, 0, 1, "b");
+        used.crash(1, 2);
+        used.partition(2, vec![0, 0, 1]);
+        used.send(3, 0, 2, "dropped");
+        used.reset(LatencyModel::constant(5), 2);
+        assert_eq!((used.pending(), used.is_partitioned()), (0, false));
+        assert_eq!(
+            (used.stats().sent(), used.stats().dropped(), used.stats().link(0, 1)),
+            (0, 0, 0)
+        );
+        let mut fresh = net(3);
+        for n in [&mut used, &mut fresh] {
+            // FIFO floor and sequence numbers restart with the network.
+            assert_eq!(n.send(1, 0, 1, "x"), Some(6));
+            n.send(1, 2, 1, "y");
+        }
+        let seqs = |n: &Network<&'static str>| {
+            n.scheduled().iter().map(|&(at, seq, ev)| (at, seq, ev.clone())).collect::<Vec<_>>()
+        };
+        assert_eq!(seqs(&used), seqs(&fresh));
     }
 
     #[test]

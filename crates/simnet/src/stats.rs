@@ -20,6 +20,14 @@ impl NetStats {
         Self { n, sent: 0, delivered: 0, dropped: 0, per_link: vec![0; n * n] }
     }
 
+    /// Zero every counter, keeping the per-link table.
+    pub(crate) fn reset(&mut self) {
+        self.sent = 0;
+        self.delivered = 0;
+        self.dropped = 0;
+        self.per_link.fill(0);
+    }
+
     pub(crate) fn record_send(&mut self, src: SiteIx, dst: SiteIx) {
         self.sent += 1;
         self.per_link[src * self.n + dst] += 1;

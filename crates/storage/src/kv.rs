@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::wal::{LogRecord, Wal};
+use crate::wal::{LogRecord, RecordRef, Wal};
 
 /// One staged operation of a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,16 +73,11 @@ impl KvStore {
     pub fn log_stage(&self, txn: u64, wal: &mut Wal) {
         if let Some(writes) = self.staged.get(&txn) {
             for w in writes {
-                match w {
-                    TxnWrite::Put(k, v) => {
-                        wal.append(&LogRecord::Put { txn, key: k.clone(), value: v.clone() })
-                            .expect("wal record fits");
-                    }
-                    TxnWrite::Delete(k) => {
-                        wal.append(&LogRecord::Delete { txn, key: k.clone() })
-                            .expect("wal record fits");
-                    }
-                }
+                let rec = match w {
+                    TxnWrite::Put(key, value) => RecordRef::Put { txn, key, value },
+                    TxnWrite::Delete(key) => RecordRef::Delete { txn, key },
+                };
+                wal.append_ref(rec).expect("wal record fits");
             }
         }
     }

@@ -146,7 +146,22 @@ pub enum LogRecord {
     },
 }
 
-impl LogRecord {
+/// A [`LogRecord`] with its key/value bytes borrowed: the one form every
+/// append encodes from, so a caller that already holds the bytes (the kv
+/// store's stage) logs them without building an owned record first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RecordRef<'a> {
+    Begin { txn: u64 },
+    Progress { txn: u64, state: u32, class: u8 },
+    Decision { txn: u64, commit: bool },
+    AlignedTo { txn: u64, class: u8 },
+    Put { txn: u64, key: &'a [u8], value: &'a [u8] },
+    Delete { txn: u64, key: &'a [u8] },
+    End { txn: u64 },
+    Checkpoint { pairs: &'a [(Vec<u8>, Vec<u8>)] },
+}
+
+impl RecordRef<'_> {
     fn tag(&self) -> u8 {
         match self {
             Self::Begin { .. } => 1,
@@ -175,20 +190,12 @@ impl LogRecord {
         }
     }
 
-    /// Size in bytes of the full on-log frame for this record: the 4-byte
-    /// length prefix, the 4-byte CRC, and the tag + payload. This is what
-    /// an append grows the log by — exposed so callers can account for WAL
-    /// traffic (e.g. bytes-per-transaction metrics) without re-deriving
-    /// the frame layout.
-    pub fn frame_len(&self) -> u64 {
-        8 + self.encoded_len()
-    }
-
     /// Check that every u32 length prefix in the frame actually fits:
     /// individual key/value lengths, the checkpoint pair count, and the
-    /// frame header's tag+payload length. A bare `len as u32` would
-    /// silently truncate and produce a frame that decodes garbage.
-    fn check_fits(&self) -> Result<(), WalError> {
+    /// frame header's tag+payload length — which is returned. A bare
+    /// `len as u32` would silently truncate and produce a frame that
+    /// decodes garbage.
+    fn check_fits(&self) -> Result<u32, WalError> {
         const MAX: u64 = u32::MAX as u64;
         let fits = |n: usize| n as u64 <= MAX;
         let fields_ok = match self {
@@ -203,7 +210,7 @@ impl LogRecord {
         if !fields_ok || len > MAX {
             return Err(WalError::RecordTooLarge { len });
         }
-        Ok(())
+        Ok(len as u32)
     }
 
     fn encode_payload(&self, out: &mut Vec<u8>) {
@@ -236,7 +243,7 @@ impl LogRecord {
             }
             Self::Checkpoint { pairs } => {
                 out.put_u32_le(pairs.len() as u32);
-                for (k, v) in pairs {
+                for (k, v) in *pairs {
                     out.put_u32_le(k.len() as u32);
                     out.put_slice(k);
                     out.put_u32_le(v.len() as u32);
@@ -244,6 +251,30 @@ impl LogRecord {
                 }
             }
         }
+    }
+}
+
+impl LogRecord {
+    fn borrowed(&self) -> RecordRef<'_> {
+        match *self {
+            Self::Begin { txn } => RecordRef::Begin { txn },
+            Self::Progress { txn, state, class } => RecordRef::Progress { txn, state, class },
+            Self::Decision { txn, commit } => RecordRef::Decision { txn, commit },
+            Self::AlignedTo { txn, class } => RecordRef::AlignedTo { txn, class },
+            Self::Put { txn, ref key, ref value } => RecordRef::Put { txn, key, value },
+            Self::Delete { txn, ref key } => RecordRef::Delete { txn, key },
+            Self::End { txn } => RecordRef::End { txn },
+            Self::Checkpoint { ref pairs } => RecordRef::Checkpoint { pairs },
+        }
+    }
+
+    /// Size in bytes of the full on-log frame for this record: the 4-byte
+    /// length prefix, the 4-byte CRC, and the tag + payload. This is what
+    /// an append grows the log by — exposed so callers can account for WAL
+    /// traffic (e.g. bytes-per-transaction metrics) without re-deriving
+    /// the frame layout.
+    pub fn frame_len(&self) -> u64 {
+        8 + self.borrowed().encoded_len()
     }
 
     fn decode(tag: u8, mut buf: &[u8], at: Lsn) -> Result<Self, WalError> {
@@ -363,21 +394,38 @@ impl Wal {
         Self::default()
     }
 
+    /// An empty log, keeping the buffer's allocation: `*self = Wal::new()`
+    /// but for the capacity, so a recycled site logs without regrowing.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        *self = Self { buf: std::mem::take(&mut self.buf), ..Self::default() };
+    }
+
     /// Append a record; returns its LSN. The record is *not* durable until
     /// [`Wal::sync`].
     ///
     /// Fails with [`WalError::RecordTooLarge`] — leaving the log untouched —
     /// if any u32 length prefix of the frame would be narrowed.
     pub fn append(&mut self, rec: &LogRecord) -> Result<Lsn, WalError> {
-        rec.check_fits()?;
-        let at = self.buf.len() as Lsn;
-        let mut payload = Vec::with_capacity(32);
-        payload.push(rec.tag());
-        rec.encode_payload(&mut payload);
-        self.buf.put_u32_le(payload.len() as u32);
-        self.buf.put_u32_le(crc32(&payload));
-        self.buf.extend_from_slice(&payload);
-        Ok(at)
+        self.append_ref(rec.borrowed())
+    }
+
+    /// [`Wal::append`] from borrowed bytes. The frame is built in place at
+    /// the end of the log: header reserved, tag + payload encoded straight
+    /// into the buffer, then length and checksum patched in.
+    pub(crate) fn append_ref(&mut self, rec: RecordRef<'_>) -> Result<Lsn, WalError> {
+        let at = self.buf.len();
+        let len = rec.check_fits()?;
+        self.buf.reserve(8 + len as usize);
+        self.buf.extend_from_slice(&[0; 8]);
+        self.buf.put_u8(rec.tag());
+        rec.encode_payload(&mut self.buf);
+        let body = &self.buf[at + 8..];
+        debug_assert_eq!(body.len(), len as usize, "encoded_len is exact");
+        let crc = crc32(body);
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        Ok(at as Lsn)
     }
 
     /// Append and immediately sync (the common protocol-record path —
@@ -508,13 +556,13 @@ impl Wal {
     /// any in-flight transaction's redo images are discarded with the old
     /// log, so its decision could no longer be replayed.
     pub fn checkpoint_compact(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Lsn, WalError> {
-        let rec = LogRecord::Checkpoint { pairs };
+        let rec = RecordRef::Checkpoint { pairs: &pairs };
         // Validate before clearing — a failed compaction must not lose the
         // existing log.
         rec.check_fits()?;
         self.buf.clear();
         self.durable = 0;
-        let lsn = self.append(&rec).expect("checked above");
+        let lsn = self.append_ref(rec).expect("checked above");
         self.sync();
         Ok(lsn)
     }
@@ -687,6 +735,27 @@ mod tests {
         restored.append_sync(&LogRecord::End { txn: 99 }).unwrap();
         let again = Wal::recover(&restored.crash_image()).unwrap();
         assert_eq!(again.len(), sample_records().len() + 1);
+    }
+
+    #[test]
+    fn cleared_log_is_a_new_log() {
+        let mut wal = Wal::new();
+        wal.set_group_window(3);
+        for r in sample_records() {
+            wal.append(&r).unwrap();
+        }
+        wal.sync_batched(5);
+        wal.append(&LogRecord::End { txn: 8 }).unwrap();
+        wal.clear();
+        assert_eq!(format!("{wal:?}"), format!("{:?}", Wal::new()));
+        // Same bytes, same watermark, same force accounting as a new log.
+        let mut fresh = Wal::new();
+        for w in [&mut wal, &mut fresh] {
+            w.append_sync(&LogRecord::Begin { txn: 2 }).unwrap();
+            w.append(&LogRecord::Decision { txn: 2, commit: false }).unwrap();
+            assert!(w.sync_batched(5), "no group window survives a clear");
+        }
+        assert_eq!(format!("{wal:?}"), format!("{fresh:?}"));
     }
 
     #[test]

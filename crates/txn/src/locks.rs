@@ -12,7 +12,8 @@
 //! operations synchronously, "waiting" surfaces as [`LockOutcome::Wait`]
 //! and the caller retries after the conflicting transaction finishes.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry::Occupied, Entry::Vacant};
+use std::sync::Arc;
 
 /// Lock modes.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -35,16 +36,24 @@ pub enum LockOutcome {
     Die,
 }
 
-#[derive(Debug, Default, Clone)]
-struct Entry {
-    /// `(txn, mode)` holders; multiple holders only when all shared.
-    holders: Vec<(u64, LockMode)>,
+/// Who holds a locked key. An exclusive lock has exactly one holder, so
+/// only shared locks carry a list.
+#[derive(Debug, Clone)]
+enum Holders {
+    Exclusive(u64),
+    Shared(Vec<u64>),
 }
 
 /// One site's lock table.
 #[derive(Debug, Default, Clone)]
 pub struct LockManager {
-    table: BTreeMap<Vec<u8>, Entry>,
+    /// Locked keys only: an entry leaves with its last holder.
+    table: BTreeMap<Arc<[u8]>, Holders>,
+    /// One `(txn, key)` per holder of each entry, sorted by transaction, so
+    /// a transaction's locks are one run found by binary search: releasing
+    /// and counting cost what the transaction holds, not what the table
+    /// holds. The key bytes are the table's own, shared.
+    held: Vec<(u64, Arc<[u8]>)>,
 }
 
 impl LockManager {
@@ -55,47 +64,73 @@ impl LockManager {
 
     /// Request `mode` on `key` for `txn`.
     pub fn request(&mut self, txn: u64, key: &[u8], mode: LockMode) -> LockOutcome {
-        let entry = self.table.entry(key.to_vec()).or_default();
-        // Re-entrant / upgrade handling.
-        if let Some(pos) = entry.holders.iter().position(|&(t, _)| t == txn) {
-            let held = entry.holders[pos].1;
-            if held == LockMode::Exclusive || mode == LockMode::Shared {
+        // The key is built first so that locking a free key — the common
+        // case — is a single descent of the table.
+        let mut slot = match self.table.entry(key.into()) {
+            Vacant(slot) => {
+                let key = Arc::clone(slot.key());
+                slot.insert(match mode {
+                    LockMode::Exclusive => Holders::Exclusive(txn),
+                    LockMode::Shared => Holders::Shared(vec![txn]),
+                });
+                self.note_held(txn, key);
                 return LockOutcome::Granted;
             }
-            // Upgrade shared -> exclusive: conflicts with other holders.
-            let others: Vec<u64> =
-                entry.holders.iter().filter(|&&(t, _)| t != txn).map(|&(t, _)| t).collect();
-            if others.is_empty() {
-                entry.holders[pos].1 = LockMode::Exclusive;
-                return LockOutcome::Granted;
+            Occupied(slot) => slot,
+        };
+        let holders = slot.get_mut();
+        let sharers = match holders {
+            // Re-entrant: the exclusive holder may ask for anything.
+            Holders::Exclusive(holder) if *holder == txn => return LockOutcome::Granted,
+            Holders::Exclusive(holder) => return wait_die(txn, &[*holder]),
+            Holders::Shared(sharers) => sharers,
+        };
+        let holds = sharers.contains(&txn);
+        match mode {
+            LockMode::Shared if holds => {}
+            LockMode::Shared => {
+                sharers.push(txn);
+                let key = Arc::clone(slot.key());
+                self.note_held(txn, key);
             }
-            return wait_die(txn, &others);
+            // Upgrade shared -> exclusive: the sole sharer upgrades in place.
+            LockMode::Exclusive if holds && sharers.len() == 1 => {
+                *holders = Holders::Exclusive(txn);
+            }
+            // Everyone else sharing the key conflicts.
+            LockMode::Exclusive => return wait_die(txn, sharers),
         }
+        LockOutcome::Granted
+    }
 
-        let conflicting: Vec<u64> = entry
-            .holders
-            .iter()
-            .filter(|&&(_, held)| held == LockMode::Exclusive || mode == LockMode::Exclusive)
-            .map(|&(t, _)| t)
-            .collect();
-        if conflicting.is_empty() {
-            entry.holders.push((txn, mode));
-            return LockOutcome::Granted;
-        }
-        wait_die(txn, &conflicting)
+    /// Record that `txn` now holds `key`, after its other keys.
+    fn note_held(&mut self, txn: u64, key: Arc<[u8]>) {
+        let at = self.held.partition_point(|&(t, _)| t <= txn);
+        self.held.insert(at, (txn, key));
+    }
+
+    /// The run of `held` that is `txn`'s.
+    fn held_range(&self, txn: u64) -> std::ops::Range<usize> {
+        let start = self.held.partition_point(|&(t, _)| t < txn);
+        start..start + self.held[start..].partition_point(|&(t, _)| t == txn)
     }
 
     /// Release every lock held by `txn` (strict 2PL: at commit/abort).
     pub fn release_all(&mut self, txn: u64) {
-        self.table.retain(|_, entry| {
-            entry.holders.retain(|&(t, _)| t != txn);
-            !entry.holders.is_empty()
-        });
+        for (_, key) in self.held.drain(self.held_range(txn)) {
+            let Occupied(mut entry) = self.table.entry(key) else {
+                unreachable!("a held key is in the table");
+            };
+            match entry.get_mut() {
+                Holders::Shared(sharers) if sharers.len() > 1 => sharers.retain(|&t| t != txn),
+                _ => drop(entry.remove()),
+            }
+        }
     }
 
     /// Locks currently held by `txn`.
     pub fn held_by(&self, txn: u64) -> usize {
-        self.table.values().filter(|e| e.holders.iter().any(|&(t, _)| t == txn)).count()
+        self.held_range(txn).len()
     }
 
     /// Total number of locked keys.
@@ -104,9 +139,11 @@ impl LockManager {
     }
 }
 
-fn wait_die(requester: u64, conflicting: &[u64]) -> LockOutcome {
-    // Older (smaller id) requester waits; younger dies.
-    if conflicting.iter().all(|&holder| requester < holder) {
+/// Wait-die against the other transactions among `holders` (an upgrading
+/// sharer is one of them itself): a requester older (smaller id) than all
+/// of them waits, a younger one dies.
+fn wait_die(requester: u64, holders: &[u64]) -> LockOutcome {
+    if holders.iter().all(|&holder| requester <= holder) {
         LockOutcome::Wait
     } else {
         LockOutcome::Die
@@ -179,5 +216,80 @@ mod tests {
         lm.release_all(1);
         assert_eq!(lm.held_by(1), 0);
         assert_eq!(lm.locked_keys(), 1);
+    }
+
+    fn holders(entry: &Holders) -> &[u64] {
+        match entry {
+            Holders::Exclusive(holder) => std::slice::from_ref(holder),
+            Holders::Shared(sharers) => sharers,
+        }
+    }
+
+    /// `held_by` the slow way: scan the whole table.
+    fn scan_held_by(lm: &LockManager, txn: u64) -> usize {
+        lm.table.values().filter(|e| holders(e).contains(&txn)).count()
+    }
+
+    /// The lock table as a flat `(key, txn, mode)` list: the rules spelled
+    /// out with no structure to keep in step.
+    #[derive(Default)]
+    struct Model(Vec<(u8, u64, LockMode)>);
+
+    impl Model {
+        fn request(&mut self, txn: u64, key: u8, mode: LockMode) -> LockOutcome {
+            let conflicting: Vec<u64> = self
+                .0
+                .iter()
+                .filter(|&&(k, t, held)| {
+                    k == key && t != txn && stronger(mode, held) == LockMode::Exclusive
+                })
+                .map(|&(_, t, _)| t)
+                .collect();
+            if !conflicting.is_empty() {
+                return wait_die(txn, &conflicting);
+            }
+            match self.0.iter_mut().find(|(k, t, _)| (*k, *t) == (key, txn)) {
+                Some((_, _, held)) => *held = stronger(mode, *held),
+                None => self.0.push((key, txn, mode)),
+            }
+            LockOutcome::Granted
+        }
+    }
+
+    fn stronger(a: LockMode, b: LockMode) -> LockMode {
+        if a == LockMode::Exclusive {
+            a
+        } else {
+            b
+        }
+    }
+
+    #[test]
+    fn random_requests_match_the_model_and_held_lists_a_full_table_scan() {
+        use nbc_simnet::SimRng;
+        let mut rng = SimRng::seed_from_u64(17);
+        let (mut lm, mut model) = (LockManager::new(), Model::default());
+        for step in 0..4_000 {
+            let txn = rng.gen_range(0u64..12);
+            if rng.gen_ratio(1, 5) {
+                lm.release_all(txn);
+                model.0.retain(|&(_, t, _)| t != txn);
+                assert_eq!(scan_held_by(&lm, txn), 0, "step {step}: release_all left a lock");
+            } else {
+                let key = rng.gen_range(0u32..10) as u8;
+                let mode = if rng.gen_bool(0.5) { LockMode::Shared } else { LockMode::Exclusive };
+                assert_eq!(lm.request(txn, &[key], mode), model.request(txn, key, mode), "{step}");
+            }
+            for t in 0..12 {
+                assert_eq!(lm.held_by(t), scan_held_by(&lm, t), "step {step}, txn {t}");
+                assert_eq!(lm.held_by(t), model.0.iter().filter(|e| e.1 == t).count(), "{step}");
+            }
+            assert!(lm.table.values().all(|e| !holders(e).is_empty()), "step {step}: empty entry");
+            assert_eq!(lm.held.len(), model.0.len(), "step {step}");
+        }
+        for t in 0..12 {
+            lm.release_all(t);
+        }
+        assert_eq!((lm.locked_keys(), lm.held.len()), (0, 0));
     }
 }

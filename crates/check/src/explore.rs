@@ -80,6 +80,18 @@
 //!   serial, canonical-order run of the least flagged plan reproduces
 //!   them (below), byte-identical at any thread count and any seed.
 //!
+//! ## What a fork costs
+//!
+//! Every generated successor starts as a copy of its source state, and
+//! two in three end in a dedup hit. So a worker never gives a [`Runner`]
+//! back to the allocator: one that no frame keeps goes on the worker's
+//! free list, the next fork is [`Clone::clone_from`] into it — every site,
+//! WAL buffer, inbox and event heap overwritten in place, cached site
+//! fingerprints included — and the last untried branch of a frame takes
+//! the frame's runner by move instead of forking it. Action lists and the
+//! stepper's scratch are recycled the same way; in steady state the walk
+//! allocates for dedup-map growth and donated tasks only.
+//!
 //! ## One walk, run three ways
 //!
 //! There is one walk — the `Worker`'s explicit-stack loop, its `visit`
@@ -258,13 +270,13 @@ fn state_key(digest: u128, b: Budgets) -> u128 {
 type KeyMap<V> = HashMap<u128, V, FpBuildHasher>;
 
 /// One branchable scheduler action.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Action {
     /// Deliver the head of this channel.
     Fire(Channel),
-    /// Deliver the heads of all these channels as one commuting
-    /// macro-step.
-    Fuse(Vec<Channel>),
+    /// Deliver every pending event — this many, each the head of its own
+    /// channel — in channel order, as one commuting macro-step.
+    Fuse(u32),
     /// Crash `site` and lose the last `lose` of its undelivered sends.
     CrashSuffix { site: usize, lose: usize },
     /// Restart a down site.
@@ -286,7 +298,7 @@ impl Action {
             | Action::DropTail { .. }
             | Action::Suspect { .. }
             | Action::Unsuspect { .. } => 1,
-            Action::Fuse(chs) => chs.len() as u32,
+            Action::Fuse(heads) => *heads,
             Action::CrashSuffix { lose, .. } => 1 + *lose as u32,
         }
     }
@@ -353,6 +365,12 @@ pub fn plan_config(n: usize, votes: &[bool], rule: TerminationRule) -> RunConfig
     config.txn_id = CHECK_TXN;
     config
 }
+
+/// The most worker threads [`CheckOptions::threads`] may ask for: the
+/// sharded fingerprint maps stop growing at 16 workers (× 4 shards), and
+/// every worker is a thread spawned up front, so a count far beyond the
+/// machine's is a typing mistake to refuse, not a request to honour.
+pub const MAX_THREADS: usize = 64;
 
 /// Worker-thread count for an options value (0 = auto).
 fn resolved_threads(threads: usize) -> usize {
@@ -651,10 +669,10 @@ impl<'a> Shared<'a> {
 
     /// What the finished walk established about each plan; `wits` are the
     /// workers' per-plan bitmaps, OR'd (order-independent).
-    fn results(&self, wits: &[HashMap<usize, Witnessed>]) -> Vec<PlanResult> {
+    fn results(&self, wits: &[Vec<Option<Witnessed>>]) -> Vec<PlanResult> {
         let per_plan = |(idx, ps): (usize, &PlanShared)| {
             let mut wit = Witnessed::for_protocol(self.protocol);
-            wits.iter().filter_map(|m| m.get(&idx)).for_each(|w| wit.merge(w));
+            wits.iter().filter_map(|w| w[idx].as_ref()).for_each(|w| wit.merge(w));
             PlanResult {
                 stats: ps.folded.lock().expect("fold poisoned").take().expect("plan not folded"),
                 violated: ps.violated.load(Ordering::Acquire),
@@ -681,18 +699,37 @@ struct Stepper<'a> {
     protocol: &'a Protocol,
     oracles: Oracles<'a>,
     path: Vec<Step>,
+    // Scratch, empty between calls and kept for its allocation: what
+    // `enumerate` sorts (the channels with something in flight, the pending
+    // events' destinations) and what `apply` snapshots before the first
+    // handler runs (the heads a macro-step fires, the sends a crash may
+    // lose).
+    channels: Vec<Channel>,
+    dests: Vec<usize>,
+    heads: Vec<(Channel, u64, Step)>,
+    sends: Vec<(u64, usize)>,
 }
 
 impl<'a> Stepper<'a> {
     fn new(protocol: &'a Protocol, analysis: &'a Analysis) -> Self {
-        Self { protocol, oracles: Oracles::new(protocol, analysis, CHECK_TXN), path: Vec::new() }
+        Self {
+            protocol,
+            oracles: Oracles::new(protocol, analysis, CHECK_TXN),
+            path: Vec::new(),
+            channels: Vec::new(),
+            dests: Vec::new(),
+            heads: Vec::new(),
+            sends: Vec::new(),
+        }
     }
 
-    /// All branchable actions in `runner` under remaining budgets `b`, in
-    /// deterministic order.
-    fn enumerate(&self, runner: &Runner<'a>, b: Budgets) -> Vec<Action> {
+    /// Fill `actions` with all branchable actions in `runner` under
+    /// remaining budgets `b`, in deterministic order.
+    fn enumerate(&mut self, runner: &Runner<'a>, b: Budgets, actions: &mut Vec<Action>) {
+        actions.clear();
         // The channels with something in flight, in canonical order.
-        let mut channels: Vec<Channel> = Vec::new();
+        let channels = &mut self.channels;
+        channels.clear();
         for (_, _, ev) in runner.iter_pending() {
             let ch = channel_of(ev);
             if !channels.contains(&ch) {
@@ -711,24 +748,26 @@ impl<'a> Stepper<'a> {
             && b.suspicions == 0
             && runner.sites().iter().all(|s| s.suspects.is_empty());
         if no_faults && !channels.is_empty() {
-            let mut dests: Vec<usize> =
-                runner.iter_pending().map(|(_, _, ev)| dest_of(ev)).collect();
+            let dests = &mut self.dests;
+            dests.clear();
+            dests.extend(runner.iter_pending().map(|(_, _, ev)| dest_of(ev)));
             dests.sort_unstable();
             let distinct = dests.windows(2).all(|w| w[0] != w[1]);
             if distinct {
                 // Every pending event is its channel's head and targets
                 // its own site: all interleavings commute, and no fault
                 // can intervene — fire them all as one macro-step.
-                return vec![Action::Fuse(channels)];
+                actions.push(Action::Fuse(dests.len() as u32));
+                return;
             }
         }
 
         // Events to a down site are still fired (the dead site simply
         // never reads them) — leaving them pending would stall quiescence
         // detection forever.
-        let mut actions: Vec<Action> = channels.iter().map(|&ch| Action::Fire(ch)).collect();
+        actions.extend(channels.iter().map(|&ch| Action::Fire(ch)));
         if b.drops > 0 {
-            for &ch in &channels {
+            for &ch in channels.iter() {
                 if let Channel::Link(src, dst) = ch {
                     actions.push(Action::DropTail { src, dst });
                 }
@@ -800,7 +839,6 @@ impl<'a> Stepper<'a> {
                 }
             }
         }
-        actions
     }
 
     /// Apply one action, appending its schedule steps to the path and
@@ -809,7 +847,7 @@ impl<'a> Stepper<'a> {
     fn apply(
         &mut self,
         runner: &mut Runner<'a>,
-        action: &Action,
+        action: Action,
         b: Budgets,
     ) -> Result<Budgets, String> {
         let b2 = self.apply_inner(runner, action, b)?;
@@ -838,74 +876,71 @@ impl<'a> Stepper<'a> {
     fn apply_inner(
         &mut self,
         runner: &mut Runner<'a>,
-        action: &Action,
+        action: Action,
         b: Budgets,
     ) -> Result<Budgets, String> {
         match action {
             Action::Fire(ch) => {
-                let (seq, ev) = channel_head(runner, *ch).expect("enumerated channel has a head");
+                let (seq, ev) = channel_head(runner, ch).expect("enumerated channel has a head");
                 self.path.push(step_for(ev));
                 runner.fire_scheduled(seq);
                 Ok(b)
             }
-            Action::Fuse(chs) => {
-                // Snapshot the heads first: a fired handler's new sends
-                // must not join this macro-step.
-                let heads: Vec<(u64, Step)> = chs
-                    .iter()
-                    .map(|&ch| channel_head(runner, ch).expect("head"))
-                    .map(|(seq, ev)| (seq, step_for(ev)))
-                    .collect();
-                for (seq, step) in heads {
+            Action::Fuse(_) => {
+                // Snapshot the heads — every pending event, see
+                // `enumerate` — first: a fired handler's new sends must
+                // not join this macro-step.
+                let pending = runner.iter_pending();
+                self.heads.extend(pending.map(|(_, seq, ev)| (channel_of(ev), seq, step_for(ev))));
+                self.heads.sort_unstable_by_key(|&(ch, ..)| ch);
+                for (_, seq, step) in self.heads.drain(..) {
                     self.path.push(step);
                     runner.fire_scheduled(seq);
                 }
                 Ok(b)
             }
             Action::CrashSuffix { site, lose } => {
-                self.path.push(Step::Crash { site: *site });
+                self.path.push(Step::Crash { site });
                 // Identify the suffix before crashing: the notices the
                 // crash schedules are not deliveries and never match, but
                 // snapshotting first keeps the intent obvious.
-                let mut sends: Vec<(u64, usize)> = runner
-                    .iter_pending()
-                    .filter_map(|(_, seq, ev)| match ev {
-                        NetEvent::Deliver { src, dst, .. } if src == site => Some((seq, *dst)),
-                        _ => None,
-                    })
-                    .collect();
-                runner.crash_now(*site);
+                self.sends.extend(runner.iter_pending().filter_map(|(_, seq, ev)| match ev {
+                    NetEvent::Deliver { src, dst, .. } if *src == site => Some((seq, *dst)),
+                    _ => None,
+                }));
+                runner.crash_now(site);
                 // Lose the `lose` most recent sends, newest first — each
                 // is the current tail of its link, which is what the
                 // `Drop` step replays.
-                sends.sort_unstable_by_key(|&(seq, _)| std::cmp::Reverse(seq));
-                for &(seq, dst) in sends.iter().take(*lose) {
-                    self.path.push(Step::Drop { src: *site, dst });
+                self.sends.sort_unstable_by_key(|&(seq, _)| std::cmp::Reverse(seq));
+                for &(seq, dst) in self.sends.iter().take(lose) {
+                    self.path.push(Step::Drop { src: site, dst });
                     runner.drop_scheduled(seq);
                 }
+                self.sends.clear();
                 Ok(Budgets { faults: b.faults - 1, ..b })
             }
             Action::Recover { site } => {
-                self.path.push(Step::Recover { site: *site });
-                self.oracles.check_recovery(runner, *site)?;
-                runner.recover_now(*site);
+                self.path.push(Step::Recover { site });
+                self.oracles.check_recovery(runner, site)?;
+                runner.recover_now(site);
                 Ok(Budgets { recoveries: b.recoveries - 1, ..b })
             }
             Action::DropTail { src, dst } => {
-                self.path.push(Step::Drop { src: *src, dst: *dst });
+                self.path.push(Step::Drop { src, dst });
                 let (seq, _) =
-                    channel_tail(runner, Channel::Link(*src, *dst)).expect("link has tail");
+                    channel_tail(runner, Channel::Link(src, dst)).expect("link has tail");
                 runner.drop_scheduled(seq);
                 Ok(Budgets { drops: b.drops - 1, ..b })
             }
             Action::Suspect { observer, peer } => {
-                self.path.push(Step::Suspect { observer: *observer, peer: *peer });
-                runner.suspect_now(*observer, *peer);
+                self.path.push(Step::Suspect { observer, peer });
+                runner.suspect_now(observer, peer);
                 Ok(Budgets { suspicions: b.suspicions - 1, ..b })
             }
             Action::Unsuspect { observer, peer } => {
-                self.path.push(Step::Unsuspect { observer: *observer, peer: *peer });
-                runner.unsuspect_now(*observer, *peer);
+                self.path.push(Step::Unsuspect { observer, peer });
+                runner.unsuspect_now(observer, peer);
                 Ok(b)
             }
         }
@@ -934,13 +969,21 @@ struct Worker<'w, 'a> {
     stepper: Stepper<'a>,
     stack: Vec<Frame<'a>>,
     plan: usize,
-    /// Witnessed-state bitmaps, one per vote plan this worker touched.
-    /// Kept per plan (not merged into the worker's oracles) so a
-    /// state-cap-truncated plan's bitmap can be replaced wholesale by the
-    /// redo's.
-    wit: HashMap<usize, Witnessed>,
+    /// Witnessed-state bitmaps by vote plan, `Some` for the plans this
+    /// worker touched. Kept per plan (not merged into the worker's
+    /// oracles) so a state-cap-truncated plan's bitmap can be replaced
+    /// wholesale by the redo's.
+    wit: Vec<Option<Witnessed>>,
     /// Where this worker met [`Shared::stop`]'s target.
     found: Option<Found>,
+    /// Runners no frame holds any more — dedup hits, leaves, finished
+    /// frames — kept so the next fork is a `clone_from` into storage this
+    /// worker already owns instead of an allocation per site, WAL and
+    /// heap. What state a spare was left in is irrelevant: `clone_from`
+    /// overwrites all of it.
+    spare: Vec<Runner<'a>>,
+    /// The action lists of finished frames, kept for their allocation.
+    spare_actions: Vec<Vec<Action>>,
 }
 
 impl<'w, 'a> Worker<'w, 'a> {
@@ -950,8 +993,10 @@ impl<'w, 'a> Worker<'w, 'a> {
             stepper: Stepper::new(shared.protocol, shared.analysis),
             stack: Vec::new(),
             plan: 0,
-            wit: HashMap::new(),
+            wit: vec![None; shared.plan_shared.len()],
             found: None,
+            spare: Vec::new(),
+            spare_actions: Vec::new(),
         }
     }
 
@@ -1027,17 +1072,30 @@ impl<'w, 'a> Worker<'w, 'a> {
     fn run_task(&mut self, task: Task<'a>) {
         self.plan = task.plan;
         self.stepper.path = task.path;
-        self.branch(task.runner, &task.action, task.depth_left, task.budgets);
+        self.branch(task.runner, task.action, task.depth_left, task.budgets);
         self.drain_stack();
         self.stepper.path.clear();
     }
 
     /// Apply `action` to a fork of its source state and visit the
     /// successor.
-    fn branch(&mut self, mut runner: Runner<'a>, action: &Action, depth_left: u32, b: Budgets) {
+    fn branch(&mut self, mut runner: Runner<'a>, action: Action, depth_left: u32, b: Budgets) {
         match self.stepper.apply(&mut runner, action, b) {
-            Err(detail) => self.flag_violation("recovery", detail),
+            Err(detail) => {
+                self.flag_violation("recovery", detail);
+                self.retire(runner);
+            }
             Ok(b2) => self.visit(runner, depth_left - action.cost(), b2),
+        }
+    }
+
+    /// Keep a runner no frame holds for a later fork to overwrite. The
+    /// walk itself hands back exactly what it took, but every task arrives
+    /// with a runner of its own, so the list is capped at what the deepest
+    /// stack the depth bound allows could ever fork from it.
+    fn retire(&mut self, runner: Runner<'a>) {
+        if self.spare.len() <= self.shared.opts.depth as usize {
+            self.spare.push(runner);
         }
     }
 
@@ -1067,14 +1125,29 @@ impl<'w, 'a> Worker<'w, 'a> {
             // Re-anchor the path before each sibling branch (and on the
             // way out).
             self.stepper.path.truncate(f.mark);
-            if f.next >= f.actions.len() {
-                self.stack.pop();
+            let Some(&action) = f.actions.get(f.next) else {
+                // Every branch tried (the last one perhaps donated).
+                let f = self.stack.pop().expect("frame just seen");
+                self.spare_actions.push(f.actions);
+                self.retire(f.runner);
                 continue;
-            }
-            let action = f.actions[f.next].clone();
+            };
             f.next += 1;
-            let (runner, depth_left, budgets) = (f.runner.clone(), f.depth_left, f.budgets);
-            self.branch(runner, &action, depth_left, budgets);
+            let (depth_left, budgets) = (f.depth_left, f.budgets);
+            // The last branch of a frame takes the frame's runner itself;
+            // every earlier one forks it, into a spare runner when there
+            // is one.
+            let runner = if f.next == f.actions.len() {
+                let f = self.stack.pop().expect("frame just seen");
+                self.spare_actions.push(f.actions);
+                f.runner
+            } else if let Some(mut fork) = self.spare.pop() {
+                fork.clone_from(&f.runner);
+                fork
+            } else {
+                f.runner.clone()
+            };
+            self.branch(runner, action, depth_left, budgets);
         }
     }
 
@@ -1095,7 +1168,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                 // donating it would just move this worker to the queue.
                 return;
             }
-            let action = f.actions[f.next].clone();
+            let action = f.actions[f.next];
             f.next += 1;
             let task = Task {
                 plan: self.plan,
@@ -1116,24 +1189,34 @@ impl<'w, 'a> Worker<'w, 'a> {
 
     /// Observe one reached state, claim it in the plan's fingerprint
     /// store (hot tier, spilled runs consulted on a hot miss), and push
-    /// its expansion frame if it survived dedup and the caps.
+    /// its expansion frame if it survived dedup and the caps. A runner no
+    /// frame keeps — a violation, a stop target, a dedup hit, the cap, a
+    /// leaf: two successors in three — is retired for the next fork.
     fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) {
+        if let Some(unkept) = self.expand(runner, depth_left, b) {
+            self.retire(unkept);
+        }
+    }
+
+    /// [`Worker::visit`] proper; hands the runner back unless a frame took
+    /// it.
+    fn expand(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) -> Option<Runner<'a>> {
         let shared = self.shared;
         let ps = &shared.plan_shared[self.plan];
         let wit =
-            self.wit.entry(self.plan).or_insert_with(|| Witnessed::for_protocol(shared.protocol));
+            self.wit[self.plan].get_or_insert_with(|| Witnessed::for_protocol(shared.protocol));
         if let Err((oracle, detail)) = self.stepper.oracles.observe_state(wit, &runner) {
             // Violating states are never expanded (and never counted).
             self.flag_violation(oracle, detail);
-            return;
+            return Some(runner);
         }
         // Judged before dedup and the cap, as the oracles are: a state the
         // cap turns away still counts.
-        if runner.net_quiescent() && !Oracles::blocked_sites(&runner).is_empty() {
+        if runner.net_quiescent() && Oracles::any_blocked(&runner) {
             ps.blocking.store(true, Ordering::Release);
             if shared.stop == Some(Target::Blocking) {
                 self.stop_at("", String::new());
-                return;
+                return Some(runner);
             }
         }
 
@@ -1144,7 +1227,7 @@ impl<'w, 'a> Worker<'w, 'a> {
         {
             let mut map = shard.lock().expect("shard poisoned");
             let hot = match map.get(&fp) {
-                Some(e) if e.best >= depth_left => return,
+                Some(e) if e.best >= depth_left => return Some(runner),
                 Some(_) => true,
                 None => false,
             };
@@ -1162,14 +1245,14 @@ impl<'w, 'a> Worker<'w, 'a> {
                 if let Some(payload) = spilled {
                     let e = decode_entry(&payload);
                     if e.best >= depth_left {
-                        return;
+                        return Some(runner);
                     }
                     carried = Some(e);
                 }
             }
             if ps.inserted.load(Ordering::Relaxed) >= self.shared.opts.max_states {
                 ps.cap_hit.store(true, Ordering::Release);
-                return;
+                return Some(runner);
             }
             if hot {
                 map.get_mut(&fp).expect("hot entry just probed").best = depth_left;
@@ -1204,7 +1287,8 @@ impl<'w, 'a> Worker<'w, 'a> {
             }
         }
 
-        let mut actions = self.stepper.enumerate(&runner, b);
+        let mut actions = self.spare_actions.pop().unwrap_or_default();
+        self.stepper.enumerate(&runner, b, &mut actions);
         if let Some(seed) = self.shared.opts.seed {
             if actions.len() > 1 {
                 let mut h = Fp128::new();
@@ -1262,16 +1346,19 @@ impl<'w, 'a> Worker<'w, 'a> {
             self.spill_plan();
         }
         self.progress_tick();
-        if !actions.is_empty() {
-            self.stack.push(Frame {
-                mark: self.stepper.path.len(),
-                runner,
-                depth_left,
-                budgets: b,
-                actions,
-                next: 0,
-            });
+        if actions.is_empty() {
+            self.spare_actions.push(actions);
+            return Some(runner);
         }
+        self.stack.push(Frame {
+            mark: self.stepper.path.len(),
+            runner,
+            depth_left,
+            budgets: b,
+            actions,
+            next: 0,
+        });
+        None
     }
 
     /// Drain the current plan's hot shards into one sorted run. All shard
@@ -1342,11 +1429,16 @@ fn alone<'a>(
 /// vote plan (or the one plan `opts.vote_plan` fixes), fanning the
 /// subtrees out over `opts.threads` workers. See the module docs for the
 /// determinism contract.
+///
+/// # Panics
+/// Panics if `opts.threads` exceeds [`MAX_THREADS`], which
+/// [`run_check`](crate::run_check) refuses with a typed error first.
 pub fn explore<'a>(
     protocol: &'a Protocol,
     analysis: &'a Analysis,
     opts: &CheckOptions,
 ) -> Exploration<'a> {
+    assert!(opts.threads <= MAX_THREADS, "at most {MAX_THREADS} worker threads");
     let n = protocol.n_sites();
     let plans: Vec<Vec<bool>> = match &opts.vote_plan {
         Some(p) => vec![p.clone()],
@@ -1367,7 +1459,7 @@ pub fn explore<'a>(
     let shared = Shared::new(protocol, analysis, opts.clone(), plans.len(), None);
     let mut seeder = Worker::new(&shared);
     seeder.seed(&plans);
-    let mut wits: Vec<HashMap<usize, Witnessed>> = std::thread::scope(|s| {
+    let mut wits: Vec<Vec<Option<Witnessed>>> = std::thread::scope(|s| {
         let work = || {
             let mut worker = Worker::new(&shared);
             worker.run();

@@ -120,6 +120,14 @@ pub enum CheckError {
         /// The plan's length.
         got: usize,
     },
+    /// [`CheckOptions::threads`] asks for more workers than
+    /// [`explore::MAX_THREADS`].
+    TooManyThreads {
+        /// The limit.
+        max: usize,
+        /// The count asked for.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for CheckError {
@@ -128,6 +136,9 @@ impl std::fmt::Display for CheckError {
             Self::Protocol(e) => e.fmt(f),
             Self::VotePlanLength { expected, got } => {
                 write!(f, "vote plan names {got} sites, protocol has {expected}")
+            }
+            Self::TooManyThreads { max, got } => {
+                write!(f, "{got} worker threads asked for, at most {max} are run")
             }
         }
     }
@@ -371,6 +382,9 @@ pub fn run_check(protocol: &Protocol, options: CheckOptions) -> Result<CheckRepo
             });
         }
     }
+    if options.threads > explore::MAX_THREADS {
+        return Err(CheckError::TooManyThreads { max: explore::MAX_THREADS, got: options.threads });
+    }
     let analysis = Analysis::build(protocol)?;
     let theorem = theorem::check_with(protocol, &analysis);
     let resil = resilience::resilience_with(protocol, &theorem);
@@ -437,9 +451,7 @@ pub fn run_check(protocol: &Protocol, options: CheckOptions) -> Result<CheckRepo
 
     // The blocking witness, shrunk to its minimal schedule.
     let blocking_witness = exploration.blocking_witness.as_ref().map(|(votes, path)| {
-        shrink::shrink(protocol, &analysis, &options, votes, path, |r, _| {
-            !Oracles::blocked_sites(r).is_empty()
-        })
+        shrink::shrink(protocol, &analysis, &options, votes, path, |r, _| Oracles::any_blocked(r))
     });
 
     // Nonblocking oracle verdicts.

@@ -34,7 +34,7 @@
 //! finished without it.
 
 use nbc_core::{Analysis, Protocol, SiteId, StateId};
-use nbc_engine::site::Mode;
+use nbc_engine::site::{Mode, SiteRt};
 use nbc_engine::Runner;
 use nbc_storage::recovery::{class_codes, summarize, TxnOutcome};
 use nbc_storage::Wal;
@@ -123,24 +123,29 @@ impl<'a> Oracles<'a> {
         Ok(())
     }
 
-    /// Operational sites that are *blocked* in `runner`, assuming network
-    /// quiescence: up, undecided, and not mid-recovery. A site still in
-    /// [`Mode::Recovering`] at quiescence is waiting on information only a
-    /// peer's recovery can supply — the paper's nonblocking property
-    /// covers operational sites, not recovering ones, so it is exempt.
-    /// The exemption is scoped to sites that actually went down: a live
-    /// site that was merely (falsely) suspected never lost state, is fully
-    /// operational in the paper's sense, and stays accountable.
+    /// Is `site` *blocked*, assuming network quiescence: up, undecided,
+    /// and not mid-recovery? A site still in [`Mode::Recovering`] at
+    /// quiescence is waiting on information only a peer's recovery can
+    /// supply — the paper's nonblocking property covers operational sites,
+    /// not recovering ones, so it is exempt. The exemption is scoped to
+    /// sites that actually went down: a live site that was merely
+    /// (falsely) suspected never lost state, is fully operational in the
+    /// paper's sense, and stays accountable.
+    fn is_blocked(site: &SiteRt) -> bool {
+        site.is_up() && site.outcome.is_none() && (site.mode != Mode::Recovering || !site.ever_down)
+    }
+
+    /// The operational sites that are blocked in `runner`, assuming
+    /// network quiescence.
     pub fn blocked_sites(runner: &Runner<'_>) -> Vec<usize> {
-        runner
-            .sites()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.is_up() && s.outcome.is_none() && (s.mode != Mode::Recovering || !s.ever_down)
-            })
-            .map(|(i, _)| i)
-            .collect()
+        let sites = runner.sites().iter().enumerate();
+        sites.filter(|(_, s)| Self::is_blocked(s)).map(|(i, _)| i).collect()
+    }
+
+    /// Is any operational site blocked in `runner`, assuming network
+    /// quiescence? [`Oracles::blocked_sites`] without the list.
+    pub fn any_blocked(runner: &Runner<'_>) -> bool {
+        runner.sites().iter().any(|s| Self::is_blocked(s))
     }
 
     /// The globally decided outcome, if any site has durably decided.

@@ -135,3 +135,17 @@ fn deep_exploration_runs_on_a_tiny_thread_stack() {
     assert!(!report.stats.truncated, "must be exhaustive");
     assert!(report.stats.distinct_states > 1000, "the chain actually is deep");
 }
+
+#[test]
+fn a_thread_count_over_the_limit_is_refused_not_spawned() {
+    use nbc_check::explore::MAX_THREADS;
+    use nbc_check::CheckError;
+    let p = central_3pc(2);
+    for got in [MAX_THREADS + 1, 100_000, usize::MAX] {
+        let refused = run_check(&p, CheckOptions { threads: got, ..CheckOptions::default() });
+        assert_eq!(refused.err(), Some(CheckError::TooManyThreads { max: MAX_THREADS, got }));
+    }
+    // The limit itself runs, and reports what one worker reports.
+    let at_limit = check_at(&p, MAX_THREADS, None);
+    assert_eq!(at_limit.render(), check_at(&p, 1, None).render());
+}

@@ -669,6 +669,9 @@ pub fn cmd_check(args: &[String]) -> Result<CheckRun, CliError> {
         nbc_check::CheckError::VotePlanLength { expected, got } => {
             CliError(format!("--votes names {got} sites, protocol has {expected}"))
         }
+        nbc_check::CheckError::TooManyThreads { max, got } => {
+            CliError(format!("--threads {got} is over the limit of {max} worker threads"))
+        }
         e => CliError(e.to_string()),
     })?;
     // Spill stats go to stderr only: the rendered report and JSON stay

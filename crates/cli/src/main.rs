@@ -89,7 +89,8 @@ against the paper's state-graph analysis with four oracles; shrunk
 counterexamples replay with `nbc simulate PROTO --schedule FILE`.
 check exits 0 when every oracle passes, 1 on an oracle violation, and
 2 on a usage or protocol error. `--threads T` fans the exploration out
-over T workers (0 = auto; results are identical at any thread count);
+over T workers (0 = auto, at most 64; results are identical at any
+thread count);
 `--seed S` perturbs traversal order only. With `--counterexample FILE`
 a failing check also replays the shrunk schedule under a flight
 recorder and writes its event tail to FILE.flight.jsonl.

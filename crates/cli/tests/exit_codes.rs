@@ -84,6 +84,23 @@ fn a_flag_naming_a_site_the_protocol_lacks_exits_two() {
 }
 
 #[test]
+fn a_thread_count_over_the_limit_exits_two() {
+    // `--threads 100000` used to spawn every worker up front and abort the
+    // process (exit 134) when the stack guard pages ran out.
+    for threads in ["65", "100000"] {
+        let out = nbc(&["check", "central-3pc", "-n", "2", "--threads", threads]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
+        let expected = format!("error: --threads {threads} is over the limit of 64 worker threads");
+        assert!(stderr.starts_with(&expected), "--threads {threads}: {stderr}");
+    }
+    // The limit itself is a count that runs, and says what every count says.
+    let out = nbc(&["check", "central-3pc", "-n", "2", "--threads", "64"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.stdout, nbc(&["check", "central-3pc", "-n", "2"]).stdout);
+}
+
+#[test]
 fn non_check_commands_keep_their_exit_codes() {
     assert_eq!(nbc(&["list"]).status.code(), Some(0));
     assert_eq!(nbc(&["frobnicate"]).status.code(), Some(2));

@@ -1,5 +1,6 @@
 //! What [`Runner::digest`] must and must not see, and that caching it per
-//! site and sharing sites between forks changes neither.
+//! site, copying the caches into forks — fresh ones and recycled ones — and
+//! ranking the in-flight events in one pass change neither.
 
 use std::cmp::Reverse;
 
@@ -9,6 +10,7 @@ use nbc_paxos::paxos_commit;
 use nbc_simnet::{NetEvent, SimRng};
 use nbc_storage::{LogRecord, Wal};
 
+use crate::explore::RANK_WINDOW;
 use crate::run::Timer;
 use crate::site::Mode;
 use crate::{channel_of, RunConfig, Runner, Wire};
@@ -64,9 +66,42 @@ fn random_action(r: &mut Runner<'_>, rng: &mut SimRng) {
     }
 }
 
+/// Every pending event as `channel #rank event`, sorted — the multiset the
+/// in-flight part of the digest is a function of — with each rank found by
+/// rescanning the whole heap: the quadratic definition `Runner::digest`
+/// used to run, kept as the reference for the one-pass ranking.
+fn ranks_rescanned(r: &Runner<'_>) -> Vec<String> {
+    let mut out: Vec<String> = r
+        .net
+        .iter_scheduled()
+        .map(|(at, seq, ev)| {
+            let ch = channel_of(ev);
+            let rank = r
+                .net
+                .iter_scheduled()
+                .filter(|&(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
+                .count();
+            format!("{ch:?} #{rank} {ev:?}")
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The same multiset as [`Runner::digest`] ranks it.
+fn ranks_one_pass(r: &Runner<'_>) -> Vec<String> {
+    let mut out = Vec::new();
+    r.for_each_ranked(|ch, rank, ev| out.push(format!("{ch:?} #{rank} {ev:?}")));
+    out.sort();
+    out
+}
+
 fn coherent_and_isolated(protocol: &Protocol, seeds: std::ops::Range<u64>) {
     let analysis = Analysis::build(protocol).expect("analyzable");
     let n = protocol.n_sites();
+    // The runner every other fork is copied into: whatever an earlier
+    // step, or an earlier seed's run, left in it.
+    let mut used = Runner::new(protocol, &analysis, RunConfig::lockstep(n));
     for seed in seeds {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut config = RunConfig::lockstep(n);
@@ -76,18 +111,36 @@ fn coherent_and_isolated(protocol: &Protocol, seeds: std::ops::Range<u64>) {
         let mut runner = Runner::new(protocol, &analysis, config);
         for step in 0..60 {
             let ctx = format!("{} seed {seed} step {step}", protocol.name);
-            // The parent keeps a fork of the pre-action state...
-            let parent = runner.clone();
+            // The parent keeps a fork of the pre-action state, by `clone()`
+            // and by `clone_from` into the used runner in turn...
+            let parent = if step % 2 == 0 {
+                runner.clone()
+            } else {
+                used.clone_from(&runner);
+                used
+            };
             let parent_digest = parent.digest();
+            assert_eq!(parent_digest, runner.digest(), "fork differs: {ctx}");
             let parent_sites = format!("{:?}", parent.sites);
             random_action(&mut runner, &mut rng);
+            assert_eq!(ranks_one_pass(&runner), ranks_rescanned(&runner), "ranks: {ctx}");
             // ...which the action on the other fork must not have touched,
             // neither its fields nor its (cached or recomputed) digest.
             assert_eq!(format!("{:?}", parent.sites), parent_sites, "fork leaked: {ctx}");
             assert_eq!(parent.digest(), parent_digest, "parent digest moved: {ctx}");
             assert_eq!(parent.deep_copy().digest(), parent_digest, "parent cache stale: {ctx}");
+            // A fork of the mutated runner, into a runner holding a cached
+            // fingerprint at every site — of the pre-action state — while
+            // the source has none at the sites the action touched, must
+            // not keep one of its own.
+            used = parent;
+            used.clone_from(&runner);
+            assert_eq!(used.digest(), runner.deep_copy().digest(), "recycled cache: {ctx}");
             // And the mutated fork's cached digest is the from-scratch one.
             assert_eq!(runner.digest(), runner.deep_copy().digest(), "stale site cache: {ctx}");
+            // Leave the used runner somewhere else again, caches filled.
+            random_action(&mut used, &mut rng);
+            used.digest();
         }
     }
 }
@@ -98,6 +151,37 @@ fn cached_digest_matches_recomputation_and_forks_are_isolated() {
         coherent_and_isolated(&protocol, 0..24);
     }
     coherent_and_isolated(&paxos_commit(2, 1), 0..24);
+}
+
+/// More events in flight than one ranking window holds, on few channels
+/// and many, sent in an order that is neither channel nor delivery order:
+/// every window boundary falls inside some channel's run.
+#[test]
+fn ranking_sweeps_the_heap_once_per_window() {
+    let p = central_3pc(3);
+    let a = Analysis::build(&p).unwrap();
+    let mut rng = SimRng::seed_from_u64(5);
+    for pending in [RANK_WINDOW - 1, RANK_WINDOW, RANK_WINDOW + 1, 3 * RANK_WINDOW + 5] {
+        for links in [1usize, 2, 6] {
+            let mut r = Runner::new(&p, &a, RunConfig::lockstep(3));
+            r.net.reset(nbc_simnet::LatencyModel::uniform(0, 9, pending as u64), 0);
+            for i in 0..pending {
+                let link = rng.gen_range(0..links);
+                let (src, dst) = (link % 3, (link % 3 + 1 + link / 3) % 3);
+                r.net.send(i as u64 / 4, src, dst, Wire::TermBlocked { backup: i });
+                if i % 7 == 3 {
+                    r.net.crash(i as u64 / 4, dst);
+                }
+            }
+            assert!(r.net.pending() >= pending);
+            assert_eq!(ranks_one_pass(&r), ranks_rescanned(&r), "{pending} on {links} links");
+            // Delivering out of the middle re-ranks what is left.
+            while let Some((seq, _)) = r.pending_events().get(r.net.pending() / 2).cloned() {
+                r.net.take_seq(seq);
+                assert_eq!(ranks_one_pass(&r), ranks_rescanned(&r), "{pending} on {links} links");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -84,14 +84,14 @@ impl<'a> From<&'a OnceLock<Analysis>> for AnalysisSource<'a> {
 ///
 /// `Clone` forks the entire run — sites, WALs, in-flight messages, timers —
 /// which is how the model checker (`nbc-check`) branches an execution at a
-/// nondeterministic choice point. A fork costs what it will *touch*, not
-/// what it holds: everything immutable for the run (the configuration; the
-/// per-protocol decision tables, which live memoised on the [`Analysis`])
-/// is shared, and each site's state is copy-on-write ([`SiteCell`]) — a
-/// step un-shares only the site it mutates. A cloned runner also shares
-/// the (reference-counted) tracer sinks of its parent, so clone-heavy
-/// exploration should run untraced.
-#[derive(Clone)]
+/// nondeterministic choice point. What is immutable for the run (the
+/// configuration; the per-protocol decision tables, which live memoised on
+/// the [`Analysis`]) is shared; everything else is copied, and
+/// [`Clone::clone_from`] copies it into the storage of a runner the caller
+/// already owns — a fork into a recycled runner is a handful of `memcpy`s
+/// and no allocation, whatever state the target was left in. A cloned
+/// runner also shares the (reference-counted) tracer sinks of its parent,
+/// so clone-heavy exploration should run untraced.
 pub struct Runner<'a> {
     pub(crate) protocol: &'a Protocol,
     analysis: AnalysisSource<'a>,
@@ -125,10 +125,71 @@ pub struct Runner<'a> {
     legacy: Option<SharedSink<LinesSink>>,
 }
 
+impl Clone for Runner<'_> {
+    fn clone(&self) -> Self {
+        Self {
+            protocol: self.protocol,
+            analysis: self.analysis,
+            config: Arc::clone(&self.config),
+            net: self.net.clone(),
+            sites: self.sites.clone(),
+            timers: self.timers.clone(),
+            transition_crashes: self.transition_crashes.clone(),
+            now: self.now,
+            events: self.events,
+            truncated: self.truncated,
+            detector: self.detector.clone(),
+            elections: self.elections,
+            tracer: self.tracer.clone(),
+            legacy: self.legacy.clone(),
+        }
+    }
+
+    /// Become a fork of `source` in this runner's storage, whatever run it
+    /// held: every site slot, WAL buffer, inbox, event heap and link table
+    /// is overwritten in place (a site slot's cached fingerprint with the
+    /// source's — see [`SiteCell`]). Destructured in full so a new field
+    /// cannot be left out of a fork.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            protocol,
+            analysis,
+            config,
+            net,
+            sites,
+            timers,
+            transition_crashes,
+            now,
+            events,
+            truncated,
+            detector,
+            elections,
+            tracer,
+            legacy,
+        } = self;
+        *protocol = source.protocol;
+        *analysis = source.analysis;
+        if !Arc::ptr_eq(config, &source.config) {
+            config.clone_from(&source.config);
+        }
+        net.clone_from(&source.net);
+        sites.clone_from(&source.sites);
+        timers.clone_from(&source.timers);
+        transition_crashes.clone_from(&source.transition_crashes);
+        *now = source.now;
+        *events = source.events;
+        *truncated = source.truncated;
+        detector.clone_from(&source.detector);
+        *elections = source.elections;
+        tracer.clone_from(&source.tracer);
+        legacy.clone_from(&source.legacy);
+    }
+}
+
 /// What a handler needs besides the one site it mutates: the network, the
 /// tracer and the event skeleton. Borrowed apart from the runner's sites
-/// ([`Runner::site_io`]), so a handler holds a single `&mut SiteRt` — one
-/// copy-on-write check — across a whole event.
+/// ([`Runner::site_io`]), so a handler holds a single `&mut SiteRt` — its
+/// cached fingerprint dropped once — across a whole event.
 struct Io<'r> {
     net: &'r mut Network<Wire>,
     tracer: &'r Tracer,
@@ -465,7 +526,7 @@ impl<'a> Runner<'a> {
         (&mut self.sites, io)
     }
 
-    /// Site `ix`, mutably — its one copy-on-write check — and the [`Io`].
+    /// Site `ix`, mutably, and the [`Io`].
     fn site_io(&mut self, ix: usize) -> (&mut SiteRt, Io<'_>) {
         let (sites, io) = self.sites_io();
         (&mut *sites[ix], io)
@@ -990,10 +1051,7 @@ impl<'a> Runner<'a> {
         }
         // Volatile state is lost: only the synced WAL prefix survives.
         let site = &mut *self.sites[ix];
-        let durable = &site.wal.as_bytes()[..site.wal.durable_len()];
-        let (wal, _) =
-            nbc_storage::Wal::from_image(durable).expect("own crash image is well-formed");
-        site.wal = wal;
+        site.wal.lose_volatile();
         site.inbox.clear();
         site.backup_state = Default::default();
         site.pending_queries.clear();

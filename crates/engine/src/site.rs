@@ -4,7 +4,6 @@
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, SiteId, StateId, Vote};
 use nbc_storage::{LogRecord, Wal};
@@ -32,7 +31,7 @@ pub enum Mode {
 }
 
 /// Backup-coordinator bookkeeping (only meaningful on the backup itself).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct BackupState {
     /// Sites whose phase-1 ack is still pending.
     pub pending_acks: BTreeSet<usize>,
@@ -42,8 +41,34 @@ pub struct BackupState {
     pub phase1_sent: bool,
 }
 
+/// `to.clone_from(from)` for a site's small ordered sets.
+/// `BTreeSet::clone_from` builds the copy node by node and frees the old
+/// tree; a fork's target is most often a sibling of its source that holds
+/// the same set already (usually the empty one), and telling so costs a
+/// length comparison.
+fn copy_set(to: &mut BTreeSet<usize>, from: &BTreeSet<usize>) {
+    if to != from {
+        to.clone_from(from);
+    }
+}
+
+impl Clone for BackupState {
+    fn clone(&self) -> Self {
+        let mut copy = Self::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { pending_acks, collected, phase1_sent } = self;
+        copy_set(pending_acks, &source.pending_acks);
+        collected.clone_from(&source.collected);
+        *phase1_sent = source.phase1_sent;
+    }
+}
+
 /// One simulated site.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SiteRt {
     /// This site's index.
     pub id: usize,
@@ -91,18 +116,66 @@ pub struct SiteRt {
     pub visited: Vec<bool>,
 }
 
+impl Clone for SiteRt {
+    fn clone(&self) -> Self {
+        let mut copy = Self::empty(self.id, self.state);
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copy `source` into this site's storage: the inbox, WAL buffer, view
+    /// and monitors keep their allocations, so copying over a site that
+    /// has run as far allocates nothing. Destructured in full, like
+    /// [`SiteRt::reset`], so a new field cannot be left out of a fork.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            id,
+            state,
+            inbox,
+            wal,
+            mode,
+            view,
+            aligned_class,
+            backup_state,
+            outcome,
+            transitions_attempted,
+            pending_queries,
+            recovery_replies,
+            recovered_peers,
+            suspects,
+            ever_down,
+            visited,
+        } = self;
+        *id = source.id;
+        *state = source.state;
+        inbox.clone_from(&source.inbox);
+        wal.clone_from(&source.wal);
+        mode.clone_from(&source.mode);
+        view.clone_from(&source.view);
+        *aligned_class = source.aligned_class;
+        backup_state.clone_from(&source.backup_state);
+        *outcome = source.outcome;
+        *transitions_attempted = source.transitions_attempted;
+        pending_queries.clone_from(&source.pending_queries);
+        recovery_replies.clone_from(&source.recovery_replies);
+        copy_set(recovered_peers, &source.recovered_peers);
+        copy_set(suspects, &source.suspects);
+        *ever_down = source.ever_down;
+        visited.clone_from(&source.visited);
+    }
+}
+
 /// One site slot of a [`Runner`](crate::Runner): the site's runtime
-/// state, shared copy-on-write between a runner and its forks, plus this
-/// runner's cached fingerprint of it.
+/// state plus the cached fingerprint of it.
 ///
 /// Reads go through `Deref` and cost nothing. The *only* way to reach
-/// `&mut SiteRt` is `DerefMut`, which first gives this runner its own copy
-/// if a fork still shares the state and drops the cached fingerprint — so
-/// a mutation can neither leak into a fork nor leave a stale cache behind,
-/// by construction rather than by convention at each call site.
-#[derive(Clone)]
+/// `&mut SiteRt` is `DerefMut`, which drops the cached fingerprint — so a
+/// mutation cannot leave a stale cache behind, by construction rather than
+/// by convention at each call site. A fork copies the state *and* the
+/// cache ([`Clone::clone_from`] into a slot that held another site state
+/// overwrites both), so what a step does not touch is never hashed again.
 pub struct SiteCell {
-    rt: Arc<SiteRt>,
+    rt: SiteRt,
     /// [`SiteRt::digest`] of `rt`, once computed. A `Cell` keeps
     /// [`Runner::digest`](crate::Runner::digest) a `&self` call; it makes
     /// a runner `Send` but not `Sync`, which is all a fork handed to
@@ -110,9 +183,24 @@ pub struct SiteCell {
     digest: Cell<Option<u128>>,
 }
 
+impl Clone for SiteCell {
+    fn clone(&self) -> Self {
+        Self { rt: self.rt.clone(), digest: self.digest.clone() }
+    }
+
+    /// Overwrite this slot with `source`'s state and `source`'s cached
+    /// fingerprint — never this slot's own, which describes the state
+    /// being overwritten.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { rt, digest } = self;
+        rt.clone_from(&source.rt);
+        digest.set(source.digest.get());
+    }
+}
+
 impl SiteCell {
     pub(crate) fn new(rt: SiteRt) -> Self {
-        Self { rt: Arc::new(rt), digest: Cell::new(None) }
+        Self { rt, digest: Cell::new(None) }
     }
 
     /// The site's behavioral fingerprint ([`SiteRt::digest`]), computed at
@@ -126,11 +214,11 @@ impl SiteCell {
         d
     }
 
-    /// An unshared copy with no cached fingerprint: the reference the
+    /// A copy with no cached fingerprint: the reference the
     /// cache-coherence tests compare against.
     #[cfg(test)]
     pub(crate) fn deep_copy(&self) -> Self {
-        Self::new(SiteRt::clone(&self.rt))
+        Self::new(self.rt.clone())
     }
 }
 
@@ -147,7 +235,7 @@ impl DerefMut for SiteCell {
     #[inline]
     fn deref_mut(&mut self) -> &mut SiteRt {
         self.digest.set(None);
-        Arc::make_mut(&mut self.rt)
+        &mut self.rt
     }
 }
 
@@ -214,9 +302,17 @@ impl SiteRt {
 
     /// Fresh site at the FSA's initial state.
     pub fn new(id: usize, fsa: &Fsa, n: usize) -> Self {
-        let mut site = Self {
+        let mut site = Self::empty(id, fsa.initial());
+        site.reset(fsa, n);
+        site
+    }
+
+    /// A site holding nothing, for [`SiteRt::reset`] or `clone_from` to
+    /// fill.
+    fn empty(id: usize, state: StateId) -> Self {
+        Self {
             id,
-            state: fsa.initial(),
+            state,
             inbox: Vec::new(),
             wal: Wal::new(),
             mode: Mode::Normal,
@@ -231,9 +327,7 @@ impl SiteRt {
             suspects: BTreeSet::new(),
             ever_down: false,
             visited: Vec::new(),
-        };
-        site.reset(fsa, n);
-        site
+        }
     }
 
     /// Back to what [`SiteRt::new`] returns for the same `id` — the one
@@ -542,6 +636,41 @@ mod tests {
         s.ever_down = true;
         s.reset(fsa, 3);
         assert_eq!(format!("{s:?}"), format!("{:?}", SiteRt::new(1, fsa, 3)));
+    }
+
+    #[test]
+    fn clone_from_overwrites_a_used_site() {
+        let (p, q) = (central_2pc(3), central_2pc(4));
+        let fsa = p.fsa(SiteId(1));
+        let mut source = SiteRt::new(1, fsa, 3);
+        source.inbox.push((0, MsgKind::XACT));
+        source.log_progress(9, fsa.state_by_name("w").unwrap(), nbc_core::StateClass::Wait);
+        source.enter_state(fsa.state_by_name("w").unwrap());
+        source.mode = Mode::Terminating { backup: 1 };
+        source.view[0] = false;
+        source.aligned_class = Some(2);
+        source.backup_state.pending_acks.insert(2);
+        source.backup_state.collected.push((2, 1));
+        source.backup_state.phase1_sent = true;
+        source.transitions_attempted = 3;
+        source.pending_queries.push(2);
+        source.recovery_replies.push((2, None, 1));
+        source.recovered_peers.insert(0);
+        source.suspects.insert(2);
+        source.ever_down = true;
+        // Another slot of another protocol, decided and busy; and a bare one.
+        let mut busy = SiteRt::new(0, q.fsa(SiteId(0)), 4);
+        busy.inbox.extend([(1, MsgKind::YES), (2, MsgKind::YES), (3, MsgKind::YES)]);
+        busy.log_decision(7, true);
+        busy.mode = Mode::Done;
+        busy.backup_state.pending_acks.extend([1, 3]);
+        busy.recovered_peers.extend([1, 2, 3]);
+        for mut target in [busy, SiteRt::new(2, p.fsa(SiteId(2)), 3)] {
+            target.clone_from(&source);
+            assert_eq!(format!("{target:?}"), format!("{source:?}"));
+            assert_eq!(target.digest(), source.digest());
+        }
+        assert_eq!(format!("{:?}", source.clone()), format!("{source:?}"));
     }
 
     #[test]

@@ -89,7 +89,6 @@ impl<M> Ord for Scheduled<M> {
 ///   delivery time are suppressed by the driver loop (see
 ///   [`Network::next_event`] — the network cannot know the future, so the
 ///   *driver* passes current liveness in).
-#[derive(Clone)]
 pub struct Network<M> {
     n: usize,
     latency: LatencyModel,
@@ -110,6 +109,31 @@ pub struct Network<M> {
     /// sends and deliveries are emitted by the driver, which knows the
     /// transaction and payload context.
     tracer: Tracer,
+}
+
+impl<M: Clone> Clone for Network<M> {
+    fn clone(&self) -> Self {
+        let mut copy = Self::new(0, LatencyModel::constant(0), 0);
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copy `source` into this network's storage: the event heap, the link
+    /// tables and the partition assignment keep their allocations.
+    /// Destructured in full so a new field cannot be left out of the copy.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { n, latency, detect_delay, heap, seq, last_delivery, groups, stats, tracer } =
+            self;
+        *n = source.n;
+        latency.clone_from(&source.latency);
+        *detect_delay = source.detect_delay;
+        heap.clone_from(&source.heap);
+        *seq = source.seq;
+        last_delivery.clone_from(&source.last_delivery);
+        groups.clone_from(&source.groups);
+        stats.clone_from(&source.stats);
+        tracer.clone_from(&source.tracer);
+    }
 }
 
 impl<M> Network<M> {
@@ -552,6 +576,42 @@ mod tests {
             n.scheduled().iter().map(|&(at, seq, ev)| (at, seq, ev.clone())).collect::<Vec<_>>()
         };
         assert_eq!(seqs(&used), seqs(&fresh));
+    }
+
+    #[test]
+    fn clone_from_overwrites_a_used_network() {
+        let mut source = net(3);
+        source.send(0, 0, 1, "a");
+        source.send(4, 2, 1, "b");
+        source.crash(1, 2);
+        source.partition_silent(2, vec![0, 0, 1]);
+        source.send(3, 0, 2, "dropped");
+        // Busier than the source (more events, other links, other groups),
+        // idle, and sized for another site count.
+        let mut busy = net(3);
+        for t in 0..9 {
+            busy.send(t, 1, 0, "x");
+        }
+        busy.partition(3, vec![1, 0, 0]);
+        for mut target in [busy, net(3), net(5)] {
+            target.clone_from(&source);
+            let seqs = |n: &Network<&'static str>| {
+                n.scheduled().iter().map(|&(at, seq, ev)| (at, seq, ev.clone())).collect::<Vec<_>>()
+            };
+            assert_eq!(seqs(&target), seqs(&source));
+            assert_eq!(format!("{:?}", target.stats()), format!("{:?}", source.stats()));
+            assert_eq!(target.partition_groups(), source.partition_groups());
+            // Sequence numbers, FIFO floors, the cut and the detection
+            // delay carry on from the source's.
+            let mut twin = source.clone();
+            for n in [&mut target, &mut twin] {
+                assert_eq!(n.send(1, 0, 1, "y"), Some(6));
+                assert_eq!(n.send(5, 0, 2, "cut"), None);
+                n.recover(5, 2);
+            }
+            assert_eq!(seqs(&target), seqs(&twin));
+            assert_eq!(format!("{:?}", target.stats()), format!("{:?}", twin.stats()));
+        }
     }
 
     #[test]

@@ -5,13 +5,32 @@
 use crate::net::SiteIx;
 
 /// Counters for one [`Network`](crate::net::Network) instance.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NetStats {
     n: usize,
     sent: u64,
     delivered: u64,
     dropped: u64,
     per_link: Vec<u64>,
+}
+
+impl Clone for NetStats {
+    fn clone(&self) -> Self {
+        let mut copy = Self::new(0);
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copy `source` over these counters, keeping the per-link table's
+    /// allocation.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { n, sent, delivered, dropped, per_link } = self;
+        *n = source.n;
+        *sent = source.sent;
+        *delivered = source.delivered;
+        *dropped = source.dropped;
+        per_link.clone_from(&source.per_link);
+    }
 }
 
 impl NetStats {
@@ -79,6 +98,19 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_overwrites_used_counters() {
+        let mut source = NetStats::new(3);
+        source.record_send(0, 1);
+        source.record_send(2, 1);
+        source.record_delivery();
+        source.record_drop();
+        let mut target = NetStats::new(4);
+        target.record_send(3, 3);
+        target.clone_from(&source);
+        assert_eq!(format!("{target:?}"), format!("{source:?}"));
+    }
 
     #[test]
     fn row_and_column_sums() {

@@ -379,13 +379,33 @@ impl SyncStats {
 }
 
 /// An in-memory write-ahead log with explicit durability.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Wal {
     buf: Vec<u8>,
     durable: usize,
     sync_stats: SyncStats,
     group_window: u64,
     last_force_at: Option<u64>,
+}
+
+impl Clone for Wal {
+    fn clone(&self) -> Self {
+        let mut copy = Self::new();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copy `source` into this log's buffer: no allocation once the buffer
+    /// has held a log as long. Destructured in full so a new field cannot
+    /// be left out of the copy.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { buf, durable, sync_stats, group_window, last_force_at } = self;
+        buf.clone_from(&source.buf);
+        *durable = source.durable;
+        *sync_stats = source.sync_stats;
+        *group_window = source.group_window;
+        *last_force_at = source.last_force_at;
+    }
 }
 
 impl Wal {
@@ -399,6 +419,19 @@ impl Wal {
     pub fn clear(&mut self) {
         self.buf.clear();
         *self = Self { buf: std::mem::take(&mut self.buf), ..Self::default() };
+    }
+
+    /// What a crash leaves of this log, in place: the unsynced tail is
+    /// gone and the volatile bookkeeping starts over, exactly as in the log
+    /// [`Wal::from_image`] restores from [`Wal::crash_image`] — without
+    /// decoding a record or touching the allocator (the synced prefix ends
+    /// on a frame boundary by construction: [`Wal::sync`] only ever moves
+    /// the watermark to the end of a whole append).
+    pub fn lose_volatile(&mut self) {
+        self.buf.truncate(self.durable);
+        self.sync_stats = SyncStats::default();
+        self.group_window = 0;
+        self.last_force_at = None;
     }
 
     /// Append a record; returns its LSN. The record is *not* durable until
@@ -756,6 +789,82 @@ mod tests {
             assert!(w.sync_batched(5), "no group window survives a clear");
         }
         assert_eq!(format!("{wal:?}"), format!("{fresh:?}"));
+    }
+
+    /// The crash a site takes in place must leave the log the decode path
+    /// left: for every number of synced records, with the rest of the log
+    /// cut at every byte (whole unsynced frames, a torn header, a torn
+    /// payload, nothing), `lose_volatile` against `from_image` of what a
+    /// reader would find on disk.
+    #[test]
+    fn lose_volatile_equals_restoring_the_crash_image() {
+        let mut whole = Wal::new();
+        let mut boundaries = vec![0];
+        for r in sample_records() {
+            whole.append(&r).unwrap();
+            boundaries.push(whole.len());
+        }
+        let image = whole.full_image();
+        let mut cases = 0;
+        for (synced, &durable) in boundaries.iter().enumerate() {
+            for cut in durable..=image.len() {
+                // `synced` records forced one by one (the last through an
+                // open group window), then `image[durable..cut]` written
+                // and never forced.
+                let mut wal = Wal::new();
+                wal.set_group_window(4);
+                for (t, r) in sample_records().iter().take(synced).enumerate() {
+                    wal.append(r).unwrap();
+                    wal.sync_batched(t as u64);
+                }
+                assert_eq!(wal.durable_len(), durable);
+                wal.buf.extend_from_slice(&image[durable..cut]);
+
+                // The torn tail is dropped by both: decoding `image[..cut]`
+                // keeps whole frames only, and nothing past `durable` was
+                // promised to survive.
+                let (from_disk, _) = Wal::from_image(&wal.crash_image()).unwrap();
+                let (from_torn, recs) = Wal::from_image(&image[..cut]).unwrap();
+                assert!(recs.len() >= synced && from_torn.len() >= durable, "cut {cut}");
+                wal.lose_volatile();
+                assert_eq!(format!("{wal:?}"), format!("{from_disk:?}"), "{synced} synced, {cut}");
+                assert_eq!(wal.as_bytes(), &from_torn.as_bytes()[..durable]);
+                assert_eq!(wal.sync_stats(), SyncStats::default());
+
+                // And both keep working identically: same bytes, same
+                // watermark, same force accounting (no window survives).
+                let mut restored = from_disk;
+                for w in [&mut wal, &mut restored] {
+                    w.append_sync(&LogRecord::End { txn: 99 }).unwrap();
+                    w.append(&LogRecord::Begin { txn: 100 }).unwrap();
+                    assert!(w.sync_batched(1), "no group window survives a crash");
+                }
+                assert_eq!(format!("{wal:?}"), format!("{restored:?}"), "{synced} synced, {cut}");
+                assert_eq!(Wal::recover(wal.as_bytes()).unwrap().len(), synced + 2);
+                cases += 1;
+            }
+        }
+        assert!(cases > 300, "every prefix at every tear: {cases}");
+    }
+
+    #[test]
+    fn clone_from_overwrites_a_used_log() {
+        let mut source = Wal::new();
+        source.set_group_window(3);
+        for (t, r) in sample_records().iter().enumerate() {
+            source.append(r).unwrap();
+            source.sync_batched(t as u64);
+        }
+        source.append(&LogRecord::End { txn: 8 }).unwrap();
+        // Longer than the source, shorter than it, and empty.
+        let mut long = source.clone();
+        long.append_sync(&LogRecord::Begin { txn: 9 }).unwrap();
+        let mut short = Wal::new();
+        short.append_sync(&LogRecord::Begin { txn: 1 }).unwrap();
+        for mut target in [long, short, Wal::new()] {
+            target.clone_from(&source);
+            assert_eq!(format!("{target:?}"), format!("{source:?}"));
+        }
     }
 
     #[test]

@@ -56,16 +56,22 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// One walk: its name, protocol and options, the distinct states it must
-/// report, and the allocation calls per distinct state measured for it —
-/// `run_check` whole, so the analysis, the per-plan stores and the thread
-/// spawn are in. The test allows a fifth more.
+/// Allocation calls per distinct state a walk may make, `run_check` whole:
+/// the analysis, the theorem checks, the per-plan stores and the thread
+/// spawn are in, which is why this is an absolute bound with room above
+/// the readings below rather than a margin on them — a growth-policy
+/// change in `std` must not fail it, one allocation per generated
+/// successor (3.5 per distinct state) must. The parent's 28 to 45 fail it
+/// ten times over.
+const BUDGET_PER_STATE: f64 = 3.0;
+
+/// One walk: its name, protocol and options, and the distinct states it
+/// must report.
 struct Row {
     name: &'static str,
     protocol: Protocol,
     options: CheckOptions,
     states: usize,
-    measured_per_state: f64,
 }
 
 #[test]
@@ -73,31 +79,30 @@ fn an_exhaustive_walk_stays_within_its_allocation_budget() {
     let all_yes = |p: &Protocol| Some(vec![true; p.n_sites()]);
     let paxos = paxos_commit(2, 1);
     let rows = [
+        // Read 0.88 per distinct state when this budget was set.
         Row {
             name: "central 3PC n=3, all plans",
             protocol: central_3pc(3),
             options: CheckOptions::default(),
             states: 4_402,
-            measured_per_state: 0.88,
         },
+        // Read 0.18.
         Row {
             name: "paxos:1 n=2, all-yes",
             options: CheckOptions { vote_plan: all_yes(&paxos), ..CheckOptions::default() },
             protocol: paxos,
             states: 6_514,
-            measured_per_state: 0.18,
         },
-        // A recovery replays the site's log (`Wal::recover` decodes it into
-        // records, `summarize` groups them) in the engine and again in the
-        // recovery oracle, and an ordered set copied into a fork that held
-        // another one is rebuilt node by node: dearer, and reported as it
-        // is.
+        // Read 2.13. A recovery replays the site's log (`Wal::recover`
+        // decodes it into records, `summarize` groups them) in the engine
+        // and again in the recovery oracle, and an ordered set copied into
+        // a fork that held another one is rebuilt node by node: dearer, and
+        // reported as it is.
         Row {
             name: "central 3PC n=3, all plans, --recoveries 1",
             protocol: central_3pc(3),
             options: CheckOptions { recoveries: 1, ..CheckOptions::default() },
             states: 62_133,
-            measured_per_state: 2.13,
         },
     ];
     for row in rows {
@@ -109,11 +114,11 @@ fn an_exhaustive_walk_stays_within_its_allocation_budget() {
         assert!(report.ok() && !report.stats.truncated, "{}: {}", row.name, report.render());
         assert_eq!(report.stats.distinct_states, row.states, "{}", row.name);
         let per_state = calls as f64 / row.states as f64;
+        println!("{}: {per_state:.2} allocation calls per distinct state", row.name);
         assert!(
-            per_state <= row.measured_per_state * 1.2,
-            "{}: {per_state:.2} allocations per distinct state, budget {:.2}",
+            per_state <= BUDGET_PER_STATE,
+            "{}: {per_state:.2} allocations per distinct state, budget {BUDGET_PER_STATE}",
             row.name,
-            row.measured_per_state * 1.2
         );
     }
 }

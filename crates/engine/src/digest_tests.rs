@@ -1,6 +1,6 @@
 //! What [`Runner::digest`] must and must not see, and that caching it per
-//! site, copying the caches into forks — fresh ones and recycled ones — and
-//! ranking the in-flight events in one pass change neither.
+//! site and copying the caches into forks — fresh ones and recycled ones —
+//! changes neither.
 
 use std::cmp::Reverse;
 
@@ -10,7 +10,6 @@ use nbc_paxos::paxos_commit;
 use nbc_simnet::{NetEvent, SimRng};
 use nbc_storage::{LogRecord, Wal};
 
-use crate::explore::RANK_WINDOW;
 use crate::run::Timer;
 use crate::site::Mode;
 use crate::{channel_of, RunConfig, Runner, Wire};
@@ -66,36 +65,6 @@ fn random_action(r: &mut Runner<'_>, rng: &mut SimRng) {
     }
 }
 
-/// Every pending event as `channel #rank event`, sorted — the multiset the
-/// in-flight part of the digest is a function of — with each rank found by
-/// rescanning the whole heap: the quadratic definition `Runner::digest`
-/// used to run, kept as the reference for the one-pass ranking.
-fn ranks_rescanned(r: &Runner<'_>) -> Vec<String> {
-    let mut out: Vec<String> = r
-        .net
-        .iter_scheduled()
-        .map(|(at, seq, ev)| {
-            let ch = channel_of(ev);
-            let rank = r
-                .net
-                .iter_scheduled()
-                .filter(|&(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
-                .count();
-            format!("{ch:?} #{rank} {ev:?}")
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// The same multiset as [`Runner::digest`] ranks it.
-fn ranks_one_pass(r: &Runner<'_>) -> Vec<String> {
-    let mut out = Vec::new();
-    r.for_each_ranked(|ch, rank, ev| out.push(format!("{ch:?} #{rank} {ev:?}")));
-    out.sort();
-    out
-}
-
 fn coherent_and_isolated(protocol: &Protocol, seeds: std::ops::Range<u64>) {
     let analysis = Analysis::build(protocol).expect("analyzable");
     let n = protocol.n_sites();
@@ -123,7 +92,6 @@ fn coherent_and_isolated(protocol: &Protocol, seeds: std::ops::Range<u64>) {
             assert_eq!(parent_digest, runner.digest(), "fork differs: {ctx}");
             let parent_sites = format!("{:?}", parent.sites);
             random_action(&mut runner, &mut rng);
-            assert_eq!(ranks_one_pass(&runner), ranks_rescanned(&runner), "ranks: {ctx}");
             // ...which the action on the other fork must not have touched,
             // neither its fields nor its (cached or recomputed) digest.
             assert_eq!(format!("{:?}", parent.sites), parent_sites, "fork leaked: {ctx}");
@@ -136,6 +104,8 @@ fn coherent_and_isolated(protocol: &Protocol, seeds: std::ops::Range<u64>) {
             used = parent;
             used.clone_from(&runner);
             assert_eq!(used.digest(), runner.deep_copy().digest(), "recycled cache: {ctx}");
+            let counters = |r: &Runner<'_>| format!("{:?}", r.net.stats());
+            assert_eq!(counters(&used), counters(&runner), "network counters: {ctx}");
             // And the mutated fork's cached digest is the from-scratch one.
             assert_eq!(runner.digest(), runner.deep_copy().digest(), "stale site cache: {ctx}");
             // Leave the used runner somewhere else again, caches filled.
@@ -151,37 +121,6 @@ fn cached_digest_matches_recomputation_and_forks_are_isolated() {
         coherent_and_isolated(&protocol, 0..24);
     }
     coherent_and_isolated(&paxos_commit(2, 1), 0..24);
-}
-
-/// More events in flight than one ranking window holds, on few channels
-/// and many, sent in an order that is neither channel nor delivery order:
-/// every window boundary falls inside some channel's run.
-#[test]
-fn ranking_sweeps_the_heap_once_per_window() {
-    let p = central_3pc(3);
-    let a = Analysis::build(&p).unwrap();
-    let mut rng = SimRng::seed_from_u64(5);
-    for pending in [RANK_WINDOW - 1, RANK_WINDOW, RANK_WINDOW + 1, 3 * RANK_WINDOW + 5] {
-        for links in [1usize, 2, 6] {
-            let mut r = Runner::new(&p, &a, RunConfig::lockstep(3));
-            r.net.reset(nbc_simnet::LatencyModel::uniform(0, 9, pending as u64), 0);
-            for i in 0..pending {
-                let link = rng.gen_range(0..links);
-                let (src, dst) = (link % 3, (link % 3 + 1 + link / 3) % 3);
-                r.net.send(i as u64 / 4, src, dst, Wire::TermBlocked { backup: i });
-                if i % 7 == 3 {
-                    r.net.crash(i as u64 / 4, dst);
-                }
-            }
-            assert!(r.net.pending() >= pending);
-            assert_eq!(ranks_one_pass(&r), ranks_rescanned(&r), "{pending} on {links} links");
-            // Delivering out of the middle re-ranks what is left.
-            while let Some((seq, _)) = r.pending_events().get(r.net.pending() / 2).cloned() {
-                r.net.take_seq(seq);
-                assert_eq!(ranks_one_pass(&r), ranks_rescanned(&r), "{pending} on {links} links");
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -32,7 +32,7 @@
 use std::cmp::Reverse;
 
 use nbc_core::{Fp128, MultisetFp};
-use nbc_simnet::{NetEvent, NetStats, Time};
+use nbc_simnet::{NetEvent, Time};
 
 use crate::config::RunConfig;
 use crate::run::{Runner, Timer};
@@ -101,11 +101,6 @@ impl<'a> Runner<'a> {
     /// The protocol this run executes.
     pub fn protocol(&self) -> &'a nbc_core::Protocol {
         self.protocol
-    }
-
-    /// The network's message counters so far.
-    pub fn net_stats(&self) -> &NetStats {
-        self.net.stats()
     }
 
     /// Every pending network event as `(time, sequence handle, event)`,
@@ -228,7 +223,13 @@ impl<'a> Runner<'a> {
             h.write_u128(s.digest());
         }
         let mut in_flight = MultisetFp::default();
-        self.for_each_ranked(|ch, rank, ev| {
+        for (at, seq, ev) in self.net.iter_scheduled() {
+            let ch = channel_of(ev);
+            let rank = self
+                .net
+                .iter_scheduled()
+                .filter(|&(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
+                .count();
             let mut eh = Fp128::new();
             match ch {
                 Channel::Link(src, dst) => {
@@ -257,7 +258,7 @@ impl<'a> Runner<'a> {
                 }
             }
             in_flight.add(eh.finish());
-        });
+        }
         in_flight.write_into(&mut h);
         let mut timers = MultisetFp::default();
         for &Reverse((at, timer)) in &self.timers {
@@ -290,74 +291,6 @@ impl<'a> Runner<'a> {
         h.finish()
     }
 
-    /// Call `f(channel, rank, event)` for every pending network event,
-    /// `rank` being the event's position in its channel's FIFO order (the
-    /// number of pending events of the same channel due before it), in
-    /// unspecified order. The event heap keeps no per-channel order, so the
-    /// events are insertion-sorted by `(channel, time, sequence)` into an
-    /// on-stack window and ranked in one sweep of it; a heap holding more
-    /// than a window's worth is swept again for the next window, starting
-    /// above the last key ranked. Allocation-free for any number of
-    /// pending events, one sweep for the few a protocol round has in
-    /// flight.
-    pub(crate) fn for_each_ranked(&self, mut f: impl FnMut(Channel, usize, &NetEvent<Wire>)) {
-        // `(channel, time, sequence)`, the channel as two plain words — any
-        // total order on channels will do, and comparing words keeps the
-        // sweep within a few nanoseconds of rescanning the two to five
-        // events a checked state has in flight. A detector feed sorts as
-        // a link from "site" `usize::MAX`, which no site index can be.
-        type Key = (usize, usize, Time, u64);
-        let key_of = |at: Time, seq: u64, ev: &NetEvent<Wire>| match channel_of(ev) {
-            Channel::Link(src, dst) => (src, dst, at, seq),
-            Channel::Detector(observer) => (usize::MAX, observer, at, seq),
-        };
-        let mut window: [(Key, Option<&NetEvent<Wire>>); RANK_WINDOW] =
-            [((0, 0, 0, 0), None); RANK_WINDOW];
-        // Exclusive lower bound of this window, and the channel and rank
-        // the previous one stopped at.
-        let mut above: Option<Key> = None;
-        let mut run: Option<((usize, usize), usize)> = None;
-        loop {
-            let mut len = 0;
-            for (at, seq, ev) in self.net.iter_scheduled() {
-                let key = key_of(at, seq, ev);
-                if above.is_some_and(|lo| key <= lo) {
-                    continue;
-                }
-                // Keep the RANK_WINDOW least keys, ascending: shift the
-                // greater ones up (the greatest out, once full).
-                let mut slot = len;
-                if len == RANK_WINDOW {
-                    if window[len - 1].0 < key {
-                        continue;
-                    }
-                    slot -= 1;
-                } else {
-                    len += 1;
-                }
-                while slot > 0 && window[slot - 1].0 > key {
-                    window[slot] = window[slot - 1];
-                    slot -= 1;
-                }
-                window[slot] = (key, Some(ev));
-            }
-            for &(key, ev) in &window[..len] {
-                let Some(ev) = ev else { break };
-                let channel = (key.0, key.1);
-                let rank = match run {
-                    Some((ch, last)) if ch == channel => last + 1,
-                    _ => 0,
-                };
-                run = Some((channel, rank));
-                f(channel_of(ev), rank, ev);
-                above = Some(key);
-            }
-            if len < RANK_WINDOW {
-                return;
-            }
-        }
-    }
-
     /// A fork caching nothing: its [`Runner::digest`] is recomputed from
     /// scratch, which is what the cache-coherence tests compare the cached
     /// value against.
@@ -368,10 +301,3 @@ impl<'a> Runner<'a> {
         copy
     }
 }
-
-/// How many pending events [`Runner::digest`] ranks per sweep of the event
-/// heap. The checked catalog instances have 2 to 5 in flight on average
-/// (16 at most, decentralized 3PC at n = 4), so one sweep is the rule, and
-/// every digest pays for the window's initialisation: 8 reads 4 ns better
-/// than 16.
-pub(crate) const RANK_WINDOW: usize = 8;

@@ -196,14 +196,16 @@ fn random_move(r: &mut Runner<'_>, rng: &mut SimRng) {
 
 /// Everything observable about a runner but its recorded story (forks
 /// share the story sink of their source, so each sees the other's lines).
+/// Of the network's counters the report carries the send count; the rest
+/// are compared where they can be reached, in the engine's `digest_tests`
+/// and in `nbc-simnet`'s own `clone_from` tests.
 fn fork_state(r: &Runner<'_>) -> String {
     let mut report = r.report();
     report.trace.clear();
     let pending = r.pending_events();
     format!(
-        "{report:?}\n{:032x}\n{pending:?}\n{:?}\n{:?} at {}\n{:?}",
+        "{report:?}\n{:032x}\n{pending:?}\n{:?} at {}\n{:?}",
         r.digest(),
-        r.net_stats(),
         r.next_time(),
         r.now(),
         r.sites()

@@ -1,10 +1,12 @@
 //! Golden `ThroughputReport`s and trace fingerprints, captured at commit
 //! bbb88d9 (the linear-scan scheduler with an eager per-batch `Analysis`)
 //! and pinned: any scheduler or engine change must reproduce every field
-//! and every traced event, byte for byte. Plus a randomised property
-//! sweep over the scheduler's configuration space.
+//! and every traced event, byte for byte. Plus property sweeps over the
+//! scheduler's configuration space, every case run watched and unwatched:
+//! attaching a tracer may not change anything a caller can observe.
 
 use nbc_core::Fp128;
+use nbc_engine::{CrashPoint, CrashSpec, TransitionProgress};
 use nbc_obs::{export::to_jsonl, Event, MemorySink, SharedSink, Tracer};
 use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn, ThroughputReport};
 use nbc_simnet::SimRng;
@@ -123,11 +125,62 @@ fn reports_and_traces_match_the_parent_commit() {
     }
 }
 
+/// What a batch leaves behind that a caller can observe.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    report: ThroughputReport,
+    now: u64,
+    wal_bytes: usize,
+    total_balance: i64,
+    /// Every account's committed balance as every site holds it.
+    committed: Vec<Option<i64>>,
+}
+
+/// Run `txns` under `cfg` twice, watched and unwatched, and hold both to
+/// the scheduler's invariants and to each other: a tracer may observe a
+/// batch, never steer it. Money is conserved, no lock survives, every
+/// transaction decides, and the merged timeline never runs backwards —
+/// every event a round emits carries a time no earlier than the one before
+/// it, whichever round that came from.
+fn watched_equals_unwatched(
+    label: &str,
+    cfg: &PipelineConfig,
+    bank: &BankWorkload,
+    txns: &[PipelineTxn],
+) {
+    let run = |tracer: Tracer| {
+        let mut p = Pipeline::new(cfg.clone());
+        p.set_tracer(tracer);
+        let report = p.run(txns.to_vec());
+        assert_eq!(report.decided(), report.txns, "{label}: every txn decides: {report}");
+        assert_eq!(p.locked_keys(), 0, "{label}: locks must drain: {report}");
+        let committed = (0..SITES)
+            .flat_map(|site| (0..bank.n_accounts).map(move |a| (site, a)))
+            .map(|(site, a)| p.get(site, &BankWorkload::key_of(a)).map(BankWorkload::decode))
+            .collect();
+        Observed {
+            report,
+            now: p.now(),
+            wal_bytes: p.wal_bytes(),
+            total_balance: p.total_balance(bank),
+            committed,
+        }
+    };
+    let sink = SharedSink::new(MemorySink::default());
+    let watched = run(Tracer::to_sink(sink.clone()));
+    assert_eq!(watched.total_balance, bank.expected_total(), "{label}: conservation");
+    assert_eq!(run(Tracer::off()), watched, "{label}: tracing must not change the batch");
+    sink.with(|s| {
+        let mut last = 0;
+        for e in s.events.iter().filter(|e| e.txn.is_some()) {
+            assert!(e.time >= last, "{label}: time ran backwards at {e:?}");
+            last = e.time;
+        }
+    });
+}
+
 /// Random corners of the configuration space (in-flight 1..=64, crash
-/// 0..=30 %, group window 0..=4): money is conserved, no lock survives,
-/// every transaction decides, and the merged timeline never runs
-/// backwards — every event a round emits carries a time no earlier than
-/// the one before it, whichever round that came from.
+/// 0..=30 %, group window 0..=4), each run with and without a tracer.
 #[test]
 fn scheduler_properties_over_random_configurations() {
     let mut rng = SimRng::seed_from_u64(0xA6E7DA);
@@ -145,20 +198,50 @@ fn scheduler_properties_over_random_configurations() {
             .with_in_flight(in_flight)
             .with_group_window(window)
             .with_reap_after(60);
-        let mut p = Pipeline::new(cfg);
-        let sink = SharedSink::new(MemorySink::default());
-        p.set_tracer(Tracer::to_sink(sink.clone()));
-        let r = p.run(txns);
+        watched_equals_unwatched(&label, &cfg, &bank, &txns);
+    }
+}
 
-        assert_eq!(r.decided(), 120, "{label}: every txn decides: {r}");
-        assert_eq!(p.total_balance(&bank), bank.expected_total(), "{label}: conservation: {r}");
-        assert_eq!(p.locked_keys(), 0, "{label}: locks must drain: {r}");
-        sink.with(|s| {
-            let mut last = 0;
-            for e in s.events.iter().filter(|e| e.txn.is_some()) {
-                assert!(e.time >= last, "{label}: time ran backwards at {e:?}");
-                last = e.time;
+/// Blocked 2PC rounds reaped after 1..=5 ticks: the reap deadlines land
+/// before, on and between the last events of the rounds still in flight,
+/// which is where "a round goes before a reap on a tie" decides the order.
+#[test]
+fn short_reap_timers_tie_with_round_ends_the_same_way_watched_or_not() {
+    let mut rng = SimRng::seed_from_u64(0x2EA9);
+    for reap_after in 1..=5u64 {
+        for (in_flight, crash_pct) in [(4, 25), (8, 40), (64, 30)] {
+            let label = format!("reap {reap_after} if{in_flight} crash {crash_pct}%");
+            let bank = BankWorkload::new(SITES, 24, 0, 0x2EA9 + reap_after);
+            let txns = bank_transfer_txns(&mut bank.clone(), 160, crash_pct, &mut rng);
+            assert!(txns.iter().any(|t| !t.crashes.is_empty()), "{label}: no crash drawn");
+            let cfg = PipelineConfig::new(SITES, C2PC)
+                .with_in_flight(in_flight)
+                .with_reap_after(reap_after);
+            watched_equals_unwatched(&label, &cfg, &bank, &txns);
+        }
+    }
+}
+
+/// Every coordinator crashes on its first transition before logging it: a
+/// round has almost nothing to do once admitted.
+#[test]
+fn rounds_that_die_at_their_first_transition_end_the_same_way_watched_or_not() {
+    let crash = CrashSpec {
+        site: 0,
+        point: CrashPoint::OnTransition { ordinal: 1, progress: TransitionProgress::BeforeLog },
+        recover_at: None,
+    };
+    for kind in [C2PC, C3PC, ProtocolKind::Decentralized3pc] {
+        for in_flight in [1, 8, 64] {
+            let label = format!("{kind:?} if{in_flight}, every round crashes at once");
+            let bank = BankWorkload::new(SITES, 24, 0, 0xD1E);
+            let mut txns =
+                bank_transfer_txns(&mut bank.clone(), 96, 0, &mut SimRng::seed_from_u64(0xD1E));
+            for t in &mut txns {
+                t.crashes = vec![crash];
             }
-        });
+            let cfg = PipelineConfig::new(SITES, kind).with_in_flight(in_flight).with_reap_after(7);
+            watched_equals_unwatched(&label, &cfg, &bank, &txns);
+        }
     }
 }

@@ -1173,6 +1173,9 @@ pub fn cmd_pipeline(args: &[String]) -> Result<String, CliError> {
     if n < 2 {
         return fail("pipeline needs -n >= 2");
     }
+    if in_flight == 0 {
+        return fail("--in-flight 0 leaves no room for a round: the limit is at least 1");
+    }
 
     let accounts = (n * 4).max(8);
     let mut w = BankWorkload::new(n, accounts, 1_000, seed);

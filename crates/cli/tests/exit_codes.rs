@@ -101,6 +101,19 @@ fn a_thread_count_over_the_limit_exits_two() {
 }
 
 #[test]
+fn an_in_flight_limit_of_zero_exits_two() {
+    // `--in-flight 0` used to print "in-flight 0" and run at 1.
+    let out = nbc(&["pipeline", "central-3pc", "--in-flight", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: --in-flight 0 "), "{stderr}");
+    assert!(out.stdout.is_empty(), "a refused batch prints no report");
+    // One round at a time is a limit that runs.
+    let out = nbc(&["pipeline", "central-3pc", "--txns", "8", "--in-flight", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn non_check_commands_keep_their_exit_codes() {
     assert_eq!(nbc(&["list"]).status.code(), Some(0));
     assert_eq!(nbc(&["frobnicate"]).status.code(), Some(2));

@@ -8,25 +8,44 @@
 //! transaction id ([`RunConfig::with_txn_id`]) and whose first stimulus
 //! fires at the admission instant ([`RunConfig::with_start_at`]). The
 //! scheduler owns the *shared* per-site state — key-value stores, data
-//! WALs, lock tables — and interleaves the rounds by always stepping the
-//! round with the globally earliest pending event (ties broken by
-//! transaction id), so the merged execution is a single deterministic
-//! discrete-event timeline.
+//! WALs, lock tables — and touches it at three kinds of moment only: an
+//! admission pass, the finalisation of a round that is over, the reap of a
+//! blocked one. Those scheduler actions happen in the order of one
+//! deterministic discrete-event timeline: a round ends at `(time of its
+//! last event, txn)`, a reap falls due at `(reap_at, txn)`, the earliest
+//! goes first, and a round goes before a reap on a tie.
+//!
+//! # Rounds are independent between admission and finalisation
+//!
+//! Rounds share stores, WALs and locks, never a network, and a round reads
+//! or writes none of the three while it runs: its votes are fixed at
+//! admission and its decision is applied at finalisation. So the order in
+//! which the *steps* of different rounds are taken is observable through
+//! the tracer alone. Everything else — the report, the clock, every WAL
+//! byte, who gets which lock — follows from the order of scheduler actions
+//! above, and that order follows from where each round ends, which no
+//! other round can move. An unwatched batch therefore runs each round to
+//! its end at admission, on one cache-hot runner; a batch with a tracer
+//! attached steps the rounds event by event in global `(time, txn)` order
+//! so the event stream is the merged timeline. That is the only
+//! difference between the two — one line where a round is admitted — and
+//! both go through the same loop.
 //!
 //! # The agenda
 //!
-//! The rounds in flight live, boxed, in a min-heap on `(due, txn)`: `due`
-//! is the runner's next event time, or `None` — which sorts first — once
-//! the round is quiescent and only awaits finalisation. There is exactly
-//! one entry per round in flight and no entry is ever stale: only the top
-//! round is stepped, it is re-keyed in place before the heap is consulted
-//! again, and stepping one round cannot move another's next event (rounds
-//! share stores, WALs and locks, never a network). A step therefore costs
-//! O(log in-flight). A step turns at most one round quiescent — the one
-//! stepped — and a quiescent round is finalised before anything else
-//! moves, smallest transaction id first. Blocked rounds wait for their
-//! reap timer in a second heap on `(reap_at, txn)`; on a tie a step goes
-//! before a reap.
+//! The rounds in flight live, boxed, in a min-heap on `(time, txn)`. A
+//! *live* round still holds its runner and `time` is its next event's; a
+//! round that is *over* (quiescent, or truncated by the event safety
+//! valve) has handed its runner back, kept the run's report, and stays
+//! where its last step was due. The loop takes the earliest of the top
+//! round and the top of a second heap of blocked rounds on `(reap_at,
+//! txn)`: a live round is stepped once and re-keyed in place before the
+//! heap is consulted again, a round that is over is finalised, a reap is
+//! run. A live round that steps to its end keeps its key and is still the
+//! minimum, so it is finalised before anything else moves. Unwatched,
+//! every round on the agenda is over: an event costs no heap operation at
+//! all and a transaction costs one push and one pop; watched, a step costs
+//! O(log in-flight).
 //!
 //! # The failure-free path builds no state graph
 //!
@@ -40,12 +59,15 @@
 //!
 //! A round's runner — its network heap and link tables, its site cells
 //! with their inboxes, views and WAL buffers — is sized by the protocol,
-//! not by the transaction, so a finalised round is not dropped: it waits
-//! in a list local to [`Pipeline::run`] (never longer than
-//! [`PipelineConfig::max_in_flight`]) and the next admission re-arms it
-//! in place ([`Runner::recycle`]), which is indistinguishable from a
-//! fresh [`Runner`] for the new configuration. The list cannot outlive
-//! `run`: a [`Runner`] borrows that call's handle on the shared protocol.
+//! not by the transaction, so it is not dropped when its round is over:
+//! it waits in a list local to [`Pipeline::run`] (never longer than
+//! [`PipelineConfig::max_in_flight`]; a single runner when nobody is
+//! watching) and the next admission re-arms it in place
+//! ([`Runner::recycle`]), which is indistinguishable from a fresh
+//! [`Runner`] for the new configuration. The finalised round's box and
+//! `logged` vector wait in a second list the same way. Neither list can
+//! outlive `run`: a [`Runner`] borrows that call's handle on the shared
+//! protocol.
 //!
 //! # Admission (wait-die, with a retry budget)
 //!
@@ -59,6 +81,15 @@
 //! starvation into an ordinary distributed abort (the serial cluster's
 //! behaviour).
 //!
+//! Under contention a transaction is refused several times before it
+//! runs, so a refusal is kept cheap. The refused wait in a list in id
+//! order — they are refused in id order, so a push keeps it sorted — that
+//! an admission pass walks in place. A parked transaction remembers the
+//! operation it was refused at and its retry resumes there: the operations
+//! before it hold their locks, and asking the lock manager again for a
+//! held lock is granted and changes nothing (a death starts over). And a
+//! refused request leaves the lock table untouched and allocates nothing.
+//!
 //! # Blocked rounds
 //!
 //! A round that ends blocked (2PC's curse) keeps its locks — that is how
@@ -69,12 +100,13 @@
 //! is *measurable* (deferrals, latency tails) rather than fatal.
 
 use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use nbc_core::{Analysis, Protocol};
-use nbc_engine::{RunConfig, Runner};
+use nbc_engine::{RunConfig, RunReport, Runner};
 use nbc_obs::{Event, EventKind, Tracer};
 use nbc_simnet::{LatencyModel, Time};
 use nbc_storage::{KvStore, LogRecord, SyncStats, Wal};
@@ -90,7 +122,7 @@ pub struct PipelineConfig {
     pub n_sites: usize,
     /// Commit protocol run by every round.
     pub kind: ProtocolKind,
-    /// Maximum concurrent commit rounds.
+    /// Maximum concurrent commit rounds (at least 1).
     pub max_in_flight: usize,
     /// Constant network latency of each round.
     pub latency: Time,
@@ -163,22 +195,44 @@ struct Shared {
     analysis: OnceLock<Analysis>,
 }
 
-/// An admitted round in flight; ordered by `(due, txn)` on the agenda.
+/// An admitted round in flight; ordered by `(time, txn)` on the agenda.
+#[derive(Default)]
 struct Round<'a> {
     txn: u64,
     admitted_at: Time,
     /// Per site, the bytes of that site's data WAL holding this
     /// transaction's `Begin` + redo frames (`None`: site not touched).
     logged: Vec<Option<Range<usize>>>,
-    /// Time of the runner's next event; `None` once the round is
-    /// quiescent (or truncated) and only awaits finalisation.
-    due: Option<Time>,
-    runner: Runner<'a>,
+    /// While the round is live, the time of its runner's next event; once
+    /// it is over, the time its last step was due — its last event's, or
+    /// for a truncated run the event the safety valve refused.
+    time: Time,
+    /// The runner, while the round is live.
+    runner: Option<Runner<'a>>,
+    /// What the round came to, once it is over (quiescent or truncated)
+    /// and only awaits finalisation.
+    report: Option<RunReport>,
+}
+
+impl<'a> Round<'a> {
+    /// Re-key the round after its runner moved. `live` is false when the
+    /// runner went as far as it goes; then, or when nothing is pending, the
+    /// round is over: it keeps its report and its place on the agenda, and
+    /// its runner is free for the next admission.
+    fn rekey(&mut self, live: bool, runners: &mut Vec<Runner<'a>>) {
+        let runner = self.runner.as_ref().expect("a live round has its runner");
+        let next = runner.next_time();
+        self.time = next.unwrap_or(runner.now());
+        if !live || next.is_none() {
+            self.report = Some(runner.report());
+            runners.extend(self.runner.take());
+        }
+    }
 }
 
 impl Ord for Round<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.due, self.txn).cmp(&(other.due, other.txn))
+        (self.time, self.txn).cmp(&(other.time, other.txn))
     }
 }
 
@@ -196,34 +250,38 @@ impl PartialEq for Round<'_> {
 
 impl Eq for Round<'_> {}
 
-/// A transaction waiting for admission (parked on a lock, or restarting
-/// after a wait-die death).
-struct ParkedTxn {
+/// A transaction waiting for admission: not tried yet, parked on a lock,
+/// or restarting after a wait-die death.
+struct Waiting {
+    txn: u64,
     spec: PipelineTxn,
     dies: u32,
+    /// The operation admission resumes at: the ones before it hold their
+    /// locks, and asking again for a held lock changes nothing.
+    resume_at: usize,
 }
 
 /// What one [`Pipeline::run`] keeps between admissions instead of
-/// allocating it again: the finalised rounds (box, `logged` vector and
-/// runner, re-armed in place by the next admission) and the per-site
-/// scratch of [`Pipeline::try_admit`].
+/// allocating it again: the finalised rounds (box and `logged` vector),
+/// the runners of the rounds that are over (re-armed in place by the next
+/// admission) and the per-site scratch of [`Pipeline::try_admit`].
 #[derive(Default)]
 struct Spare<'a> {
     // Boxed as on the agenda, so the box is recycled with its round.
     #[allow(clippy::vec_box)]
     rounds: Vec<Box<Round<'a>>>,
+    runners: Vec<Runner<'a>>,
     votes: Vec<bool>,
     touched: Vec<bool>,
 }
 
 enum Admission<'a> {
-    /// Round admitted and running.
+    /// Round admitted: live, or already over when nobody is watching.
     Started(Box<Round<'a>>),
-    /// Older than a conflicting holder: parked, keeping granted locks.
-    Parked,
-    /// Younger than a conflicting holder: released everything; retry.
-    /// `released` is true if any lock was actually freed.
-    Died { released: bool },
+    /// Older than a conflicting holder: parked where it was refused,
+    /// keeping granted locks. Or younger: it died, released everything and
+    /// starts over — `freed` is true if any lock was actually released.
+    Refused { freed: bool },
 }
 
 /// The concurrent commit scheduler. Owns the persistent per-site state
@@ -238,12 +296,14 @@ pub struct Pipeline {
     wals: Vec<Wal>,
     locks: Vec<LockManager>,
     next_txn: u64,
-    /// Omniscient decision record (the auditor's view, consulted by
-    /// recovery and catch-up).
+    /// What the reaper still has to learn: the decision of a blocked round
+    /// that is durable only at a crashed site (the auditor's view). An
+    /// entry leaves with the reap that reads it.
     ledger: BTreeMap<u64, bool>,
-    /// Per-site transactions whose decision the site missed (crashed
-    /// during the round), each with its frames' range in the site's WAL.
-    missed: Vec<Vec<(u64, Range<usize>)>>,
+    /// Per site, what it still has to learn: the transactions whose
+    /// decision it missed (crashed during the round), each with that
+    /// decision and its frames' range in the site's WAL.
+    missed: Vec<Vec<(u64, bool, Range<usize>)>>,
     /// Persistent simulation clock: a second `run` continues where the
     /// first left off.
     clock: Time,
@@ -257,6 +317,7 @@ impl Pipeline {
     /// A fresh pipeline: empty stores, group-commit windows armed.
     pub fn new(cfg: PipelineConfig) -> Self {
         assert!(cfg.n_sites >= 2, "need at least 2 sites");
+        assert!(cfg.max_in_flight >= 1, "need room for at least 1 round in flight");
         let n = cfg.n_sites;
         let wals = (0..n)
             .map(|_| {
@@ -324,28 +385,30 @@ impl Pipeline {
     }
 
     /// Drain `txns` through the scheduler: admit up to
-    /// [`PipelineConfig::max_in_flight`] rounds, interleave their events
-    /// in global time order, reap blocked rounds, and return the measured
+    /// [`PipelineConfig::max_in_flight`] rounds, finalise them and reap
+    /// the blocked ones in global time order, and return the measured
     /// throughput. Deterministic: the same pipeline state and input
-    /// produce an identical report.
+    /// produce an identical report, with or without a tracer attached.
     pub fn run(&mut self, txns: Vec<PipelineTxn>) -> ThroughputReport {
-        let max_in_flight = self.cfg.max_in_flight.max(1);
+        let max_in_flight = self.cfg.max_in_flight;
         let shared = Arc::clone(&self.shared);
         let sync_base = self.sync_totals();
 
         let mut report = ThroughputReport { txns: txns.len() as u64, ..Default::default() };
-        let mut pending: VecDeque<(u64, PipelineTxn)> = txns
+        let mut pending: VecDeque<Waiting> = txns
             .into_iter()
-            .map(|t| {
-                let id = self.next_txn;
+            .map(|spec| {
+                let txn = self.next_txn;
                 self.next_txn += 1;
-                (id, t)
+                Waiting { txn, spec, dies: 0, resume_at: 0 }
             })
             .collect();
-        let mut parked: BTreeMap<u64, ParkedTxn> = BTreeMap::new();
-        // The agenda: every round in flight, earliest `(due, txn)` on top.
-        // Only the top round is ever stepped, and it is re-keyed before the
-        // heap is looked at again, so each event costs O(log in-flight).
+        // Refused transactions, oldest first: they arrive in id order, and
+        // an admission pass walks them where they sit.
+        let mut parked: Vec<Waiting> = Vec::new();
+        // The agenda: every round in flight, earliest `(time, txn)` on top.
+        // Only the top round is ever touched, and a stepped one is re-keyed
+        // before the heap is looked at again.
         let mut agenda: BinaryHeap<Reverse<Box<Round<'_>>>> = BinaryHeap::new();
         let mut spare = Spare::default();
         // Blocked rounds awaiting their reap timer, earliest `(reap_at, txn)` on top.
@@ -383,71 +446,62 @@ impl Pipeline {
                 dirty = false;
                 last_pass_progressed = false;
                 self.catch_up(clock);
-                // Parked transactions retry first, oldest first; whoever
-                // the limit leaves unserved stays parked.
-                let mut retry = std::mem::take(&mut parked).into_iter();
-                while agenda.len() < max_in_flight {
-                    let Some((id, entry)) = retry.next() else { break };
-                    match self.try_admit(&shared, &mut spare, id, &entry.spec, entry.dies, clock) {
+                // Parked transactions retry first, oldest first; the
+                // refused, and whoever the limit leaves unserved, stay
+                // parked where they are.
+                parked.retain_mut(|waiting| {
+                    if agenda.len() >= max_in_flight {
+                        return true;
+                    }
+                    match self.try_admit(&shared, &mut spare, waiting, clock) {
                         Admission::Started(r) => {
                             agenda.push(Reverse(r));
                             last_pass_progressed = true;
+                            false
                         }
-                        Admission::Parked => {
+                        Admission::Refused { freed } => {
                             report.deferrals += 1;
-                            parked.insert(id, entry);
-                        }
-                        Admission::Died { released } => {
-                            report.deferrals += 1;
-                            last_pass_progressed |= released;
-                            parked.insert(id, ParkedTxn { dies: entry.dies + 1, ..entry });
+                            last_pass_progressed |= freed;
+                            true
                         }
                     }
-                }
-                parked.extend(retry);
+                });
                 while agenda.len() < max_in_flight {
-                    let Some((id, spec)) = pending.pop_front() else { break };
-                    match self.try_admit(&shared, &mut spare, id, &spec, 0, clock) {
+                    let Some(mut waiting) = pending.pop_front() else { break };
+                    match self.try_admit(&shared, &mut spare, &mut waiting, clock) {
                         Admission::Started(r) => {
                             agenda.push(Reverse(r));
                             last_pass_progressed = true;
                         }
-                        Admission::Parked => {
+                        Admission::Refused { freed } => {
                             report.deferrals += 1;
-                            parked.insert(id, ParkedTxn { spec, dies: 0 });
-                        }
-                        Admission::Died { released } => {
-                            report.deferrals += 1;
-                            last_pass_progressed |= released;
-                            parked.insert(id, ParkedTxn { spec, dies: 1 });
+                            last_pass_progressed |= freed;
+                            parked.push(waiting);
                         }
                     }
                 }
             }
 
-            // ---- Finalize a quiescent round (`due: None` sorts first,
-            // smallest txn id first). ----
-            if agenda.peek().is_some_and(|Reverse(r)| r.due.is_none()) {
-                let Reverse(round) = agenda.pop().expect("peeked");
-                clock = clock.max(round.runner.now());
-                self.finalize(&round, &mut report, &mut latencies, &mut blocked);
-                spare.rounds.push(round);
-                dirty = true;
-                continue;
-            }
-
-            // ---- Pick the globally earliest event: round step or reap. ----
-            let step = agenda
-                .peek()
-                .map(|Reverse(r)| (r.due.expect("quiescent rounds sort first"), r.txn));
+            // ---- Earliest key first: a round (it goes first on a tie) or
+            // a reap. ----
+            let round = agenda.peek().map(|Reverse(r)| (r.time, r.txn));
             let reap = blocked.peek().map(|&Reverse(reap)| reap);
-            if step.is_some_and(|step| reap.is_none_or(|reap| step <= reap)) {
-                // Re-keyed in place; the heap re-sifts when `top` drops.
+            if round.is_some_and(|round| reap.is_none_or(|reap| round <= reap)) {
                 let mut top = agenda.peek_mut().expect("peeked");
-                let round = &mut top.0;
-                let stepped = round.runner.step();
-                round.due = if stepped { round.runner.next_time() } else { None };
-                clock = clock.max(round.runner.now());
+                if let Some(runner) = &mut top.0.runner {
+                    // Live: one event, re-keyed in place; the heap re-sifts
+                    // when `top` drops.
+                    let stepped = runner.step();
+                    clock = clock.max(runner.now());
+                    top.0.rekey(stepped, &mut spare.runners);
+                } else {
+                    // Over: nothing in flight or blocked comes before its end.
+                    let Reverse(round) = PeekMut::pop(top);
+                    let done_at = self.finalize(&round, &mut report, &mut latencies, &mut blocked);
+                    clock = clock.max(done_at);
+                    spare.rounds.push(round);
+                    dirty = true;
+                }
             } else if let Some((reap_at, txn)) = reap {
                 blocked.pop();
                 clock = clock.max(reap_at);
@@ -507,18 +561,19 @@ impl Pipeline {
         total
     }
 
-    /// Try to start a commit round for `txn` at time `now`.
+    /// Try to start a commit round for `waiting` at time `now`. A refusal
+    /// records in `waiting` where the next attempt resumes; an admission
+    /// takes the keys, values and crash schedule out of its spec.
     fn try_admit<'a>(
         &mut self,
         shared: &'a Shared,
         spare: &mut Spare<'a>,
-        txn: u64,
-        spec: &PipelineTxn,
-        dies: u32,
+        waiting: &mut Waiting,
         now: Time,
     ) -> Admission<'a> {
         let n = self.cfg.n_sites;
         let round_sites = shared.protocol.n_sites();
+        let Waiting { txn, ref mut spec, ref mut dies, ref mut resume_at } = *waiting;
         for crash in &spec.crashes {
             assert!(
                 crash.site < round_sites,
@@ -526,19 +581,19 @@ impl Pipeline {
                 crash.site
             );
         }
-        let give_up = dies >= self.cfg.die_budget;
-        let Spare { rounds, votes, touched } = spare;
+        let give_up = *dies >= self.cfg.die_budget;
+        let Spare { rounds, runners, votes, touched } = spare;
         votes.clear();
         votes.resize(n, true);
         touched.clear();
         touched.resize(n, false);
 
-        for op in &spec.ops {
+        for (at, op) in spec.ops.iter().enumerate() {
             let site = op.site();
             assert!(site < n, "op addresses site {site} of {n}");
             touched[site] = true;
-            if !votes[site] {
-                continue; // site already doomed
+            if at < *resume_at || !votes[site] {
+                continue; // lock held since an earlier attempt, or site already doomed
             }
             let mode = if matches!(op, PipeOp::Read { .. }) {
                 LockMode::Shared
@@ -550,46 +605,52 @@ impl Pipeline {
                 LockOutcome::Wait if !give_up => {
                     self.tracer
                         .emit(|| Event::new(now, EventKind::Park).at_site(site).for_txn(txn));
-                    return Admission::Parked;
+                    *resume_at = at;
+                    return Admission::Refused { freed: false };
                 }
                 LockOutcome::Die if !give_up => {
-                    let released = self.locks.iter().map(|l| l.held_by(txn)).sum::<usize>() > 0;
-                    for l in &mut self.locks {
-                        l.release_all(txn);
+                    // Whatever it holds, it holds at a site it has touched.
+                    let mut freed = false;
+                    for held_at in (0..n).filter(|&s| touched[s]) {
+                        freed |= self.locks[held_at].held_by(txn) > 0;
+                        self.locks[held_at].release_all(txn);
                     }
                     self.tracer.emit(|| Event::new(now, EventKind::Die).at_site(site).for_txn(txn));
-                    return Admission::Died { released };
+                    *resume_at = 0;
+                    *dies += 1;
+                    return Admission::Refused { freed };
                 }
                 _ => votes[site] = false,
             }
         }
 
         // Stage writes at voting sites (own staged values visible, so
-        // repeated AddI64 on one key accumulates).
-        for op in &spec.ops {
+        // repeated AddI64 on one key accumulates). The stage takes the
+        // key and value bytes the transaction came with.
+        for op in &mut spec.ops {
             let site = op.site();
             if !votes[site] {
                 continue;
             }
+            let store = &mut self.stores[site];
             match op {
                 PipeOp::Read { .. } => {}
                 PipeOp::Write { key, value, .. } => {
-                    self.stores[site].stage_put(txn, key.clone(), value.clone());
+                    store.stage_put(txn, std::mem::take(key), std::mem::take(value));
                 }
                 PipeOp::AddI64 { key, delta, .. } => {
-                    let cur =
-                        self.stores[site].get_in_txn(txn, key).map(|v| decode_i64(&v)).unwrap_or(0);
-                    self.stores[site].stage_put(txn, key.clone(), encode_i64(cur + delta));
+                    let cur = store.get_in_txn(txn, key).map_or(0, decode_i64);
+                    store.stage_put(txn, std::mem::take(key), encode_i64(cur + *delta));
                 }
             }
         }
 
-        // Admitted. A round that is over lends this one its storage.
-        let mut recycled = rounds.pop();
-        let mut logged =
-            recycled.as_mut().map(|r| std::mem::take(&mut r.logged)).unwrap_or_default();
-        logged.clear();
-        logged.resize(n, None);
+        // Admitted. A finalised round lends this one its storage.
+        let mut round = rounds.pop().unwrap_or_default();
+        round.txn = txn;
+        round.admitted_at = now;
+        round.logged.clear();
+        round.logged.resize(n, None);
 
         // Write-ahead: Begin + redo images, group-commit batched.
         for (site, touched_here) in touched.iter().enumerate() {
@@ -598,7 +659,7 @@ impl Pipeline {
                 self.wals[site].append(&LogRecord::Begin { txn }).expect("wal record fits");
                 let store = &self.stores[site];
                 store.log_stage(txn, &mut self.wals[site]);
-                logged[site] = Some(before..self.wals[site].len());
+                round.logged[site] = Some(before..self.wals[site].len());
                 let appended = (self.wals[site].len() - before) as u64;
                 let physical = self.wals[site].sync_batched(now);
                 self.tracer.emit(|| {
@@ -619,43 +680,45 @@ impl Pipeline {
         // no data and always "vote" yes.
         let mut rc = RunConfig::happy(round_sites);
         rc.votes[..n].copy_from_slice(votes);
-        rc.crashes = spec.crashes.clone();
+        rc.crashes = std::mem::take(&mut spec.crashes);
         rc.rule = self.cfg.kind.rule();
         rc.latency = LatencyModel::constant(self.cfg.latency);
         rc.detect_delay = self.cfg.detect_delay;
         let rc = rc.with_txn_id(txn).with_start_at(now);
         self.tracer.emit(|| Event::new(now, EventKind::Admit).for_txn(txn));
         let tracer = self.tracer.clone();
-        let round = |runner: Runner<'a>| Round {
-            txn,
-            admitted_at: now,
-            logged,
-            due: runner.next_time(),
-            runner,
+        // A round that is over lends this one its runner.
+        let mut runner = match runners.pop() {
+            Some(spent) => spent.recycle(rc, tracer),
+            None => Runner::with_tracer(&shared.protocol, &shared.analysis, rc, tracer),
         };
-        Admission::Started(match recycled {
-            Some(mut spent) => {
-                *spent = round(spent.runner.recycle(rc, tracer));
-                spent
-            }
-            None => {
-                Box::new(round(Runner::with_tracer(&shared.protocol, &shared.analysis, rc, tracer)))
-            }
-        })
+        // The one line a watched and an unwatched batch differ by. Nothing
+        // a round does between admission and finalisation touches what the
+        // rounds share, so only a tracer can tell running it to its end
+        // here from stepping it event by event through the agenda.
+        let watched = self.tracer.enabled();
+        if !watched {
+            while runner.step() {}
+        }
+        round.runner = Some(runner);
+        round.report = None;
+        round.rekey(watched, runners);
+        Admission::Started(round)
     }
 
     /// Post-round bookkeeping, mirroring the serial cluster: apply the
     /// decision at operational sites, queue crashed sites for catch-up,
-    /// or park the round as blocked with a reap deadline.
+    /// or park the round as blocked with a reap deadline. Returns the time
+    /// of the round's last event.
     fn finalize(
         &mut self,
         round: &Round<'_>,
         report: &mut ThroughputReport,
         latencies: &mut Vec<Time>,
         blocked: &mut BinaryHeap<Reverse<(Time, u64)>>,
-    ) {
+    ) -> Time {
         let txn = round.txn;
-        let rr = round.runner.report();
+        let rr = round.report.as_ref().expect("a round that gave up its runner kept its report");
         assert!(rr.consistent, "txn {txn}: commit round violated atomicity: {rr}");
         report.events += rr.events as u64;
         report.msgs += rr.msgs_sent;
@@ -665,7 +728,6 @@ impl Pipeline {
         let is_blocked = rr.any_blocked || !rr.all_operational_decided || rr.truncated;
         match (is_blocked, rr.decision()) {
             (false, Some(commit)) => {
-                self.ledger.insert(txn, commit);
                 for site in 0..self.cfg.n_sites {
                     if rr.outcomes[site].operational() {
                         self.apply_decision(site, txn, commit, done_at);
@@ -674,7 +736,7 @@ impl Pipeline {
                         // the WAL's redo images remain for catch-up.
                         self.stores[site].abort(txn);
                         self.locks[site].release_all(txn);
-                        self.missed[site].push((txn, frames.clone()));
+                        self.missed[site].push((txn, commit, frames.clone()));
                     } else {
                         self.locks[site].release_all(txn);
                     }
@@ -699,14 +761,14 @@ impl Pipeline {
                 blocked.push(Reverse((done_at + self.cfg.reap_after, txn)));
             }
         }
+        done_at
     }
 
     /// Recovery decision for a blocked round: adopt a decision durable at
     /// a crashed site if one exists, else abort; apply everywhere and free
     /// the strand-locks. Returns true if the reap committed.
     fn reap(&mut self, txn: u64, now: Time) -> bool {
-        let commit = self.ledger.get(&txn).copied().unwrap_or(false);
-        self.ledger.insert(txn, commit);
+        let commit = self.ledger.remove(&txn).unwrap_or(false);
         self.tracer.emit(|| Event::new(now, EventKind::Reap { commit }).for_txn(txn));
         for site in 0..self.cfg.n_sites {
             self.apply_decision(site, txn, commit, now);
@@ -744,50 +806,42 @@ impl Pipeline {
     }
 
     /// Bring every site that missed a decision back up to date: replay the
-    /// decision from the ledger and redo the staged images from the site's
-    /// own WAL — decoding only the transaction's own frames, whose range
-    /// admission recorded (a pipeline WAL only ever grows, so it holds).
+    /// decision and redo the staged images from the site's own WAL —
+    /// decoding only the transaction's own frames, whose range admission
+    /// recorded (a pipeline WAL only ever grows, so it holds).
     fn catch_up(&mut self, now: Time) {
-        for site in 0..self.cfg.n_sites {
-            let mut still_missing = Vec::new();
-            for (txn, frames) in std::mem::take(&mut self.missed[site]) {
-                match self.ledger.get(&txn).copied() {
-                    Some(commit) => {
-                        let decision = LogRecord::Decision { txn, commit };
-                        let end = LogRecord::End { txn };
-                        self.wals[site].append(&decision).expect("wal record fits");
-                        let physical = self.wals[site].sync_batched(now);
-                        self.wals[site].append(&end).expect("wal record fits");
-                        self.tracer.emit(|| {
-                            Event::new(
-                                now,
-                                EventKind::WalAppend {
-                                    bytes: decision.frame_len() + end.frame_len(),
-                                    record: "catch-up".into(),
-                                },
-                            )
-                            .at_site(site)
-                            .for_txn(txn)
-                        });
-                        self.tracer.emit(|| {
-                            Event::new(now, EventKind::WalFsync { physical })
-                                .at_site(site)
-                                .for_txn(txn)
-                        });
-                        if commit {
-                            let records = Wal::recover(&self.wals[site].as_bytes()[frames])
-                                .expect("pipeline WALs are well-formed");
-                            assert!(
-                                matches!(records[0], LogRecord::Begin { txn: t } if t == txn),
-                                "pipeline WALs are never compacted: txn {txn}'s frames moved"
-                            );
-                            self.stores[site].redo_one(&records, txn);
-                        }
-                    }
-                    None => still_missing.push((txn, frames)),
+        let Self { missed, wals, stores, tracer, .. } = self;
+        for (site, missed) in missed.iter_mut().enumerate() {
+            for (txn, commit, frames) in missed.drain(..) {
+                let decision = LogRecord::Decision { txn, commit };
+                let end = LogRecord::End { txn };
+                wals[site].append(&decision).expect("wal record fits");
+                let physical = wals[site].sync_batched(now);
+                wals[site].append(&end).expect("wal record fits");
+                tracer.emit(|| {
+                    Event::new(
+                        now,
+                        EventKind::WalAppend {
+                            bytes: decision.frame_len() + end.frame_len(),
+                            record: "catch-up".into(),
+                        },
+                    )
+                    .at_site(site)
+                    .for_txn(txn)
+                });
+                tracer.emit(|| {
+                    Event::new(now, EventKind::WalFsync { physical }).at_site(site).for_txn(txn)
+                });
+                if commit {
+                    let records = Wal::recover(&wals[site].as_bytes()[frames])
+                        .expect("pipeline WALs are well-formed");
+                    assert!(
+                        matches!(records[0], LogRecord::Begin { txn: t } if t == txn),
+                        "pipeline WALs are never compacted: txn {txn}'s frames moved"
+                    );
+                    stores[site].redo_one(&records, txn);
                 }
             }
-            self.missed[site] = still_missing;
         }
     }
 }
@@ -889,6 +943,31 @@ mod tests {
         assert!(r.blocked >= 1, "2PC coordinator crash must block: {r}");
         assert_eq!(p.locked_keys(), 0, "reaper must free strand-locks");
         assert_eq!(p.total_balance(&w), w.expected_total());
+    }
+
+    #[test]
+    fn a_drained_batch_leaves_nothing_to_learn() {
+        use nbc_obs::{MemorySink, SharedSink};
+        let bank = BankWorkload::new(4, 32, 0, 31);
+        let txns = bank_transfer_txns(&mut bank.clone(), 3000, 10, &mut SimRng::seed_from_u64(37));
+        let mut p = Pipeline::new(PipelineConfig::new(4, ProtocolKind::Central2pc));
+        let sink = SharedSink::new(MemorySink::default());
+        p.set_tracer(Tracer::to_sink(sink.clone()));
+        let r = p.run(txns);
+        assert_eq!(r.decided(), 3000);
+        // Both stores were used: the reaper adopted decisions it found in
+        // the ledger, and crashed sites caught up on ones they missed.
+        assert!(r.reaped_commits > 0, "{r}");
+        let caught_up = |e: &Event| matches!(&e.kind, EventKind::WalAppend { record, .. } if record == "catch-up");
+        assert!(sink.with(|s| s.events.iter().any(caught_up)));
+        assert!(p.ledger.is_empty(), "a reap takes its entry with it: {:?}", p.ledger);
+        assert!(p.missed.iter().all(Vec::is_empty), "{:?}", p.missed);
+    }
+
+    #[test]
+    #[should_panic(expected = "need room for at least 1 round in flight")]
+    fn an_in_flight_limit_of_zero_is_refused() {
+        Pipeline::new(PipelineConfig::new(3, ProtocolKind::Central3pc).with_in_flight(0));
     }
 
     #[test]

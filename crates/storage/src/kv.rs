@@ -38,17 +38,17 @@ impl KvStore {
 
     /// Read through the stage of `txn` (its own writes win), falling back
     /// to the committed value.
-    pub fn get_in_txn(&self, txn: u64, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn get_in_txn(&self, txn: u64, key: &[u8]) -> Option<&[u8]> {
         if let Some(writes) = self.staged.get(&txn) {
             for w in writes.iter().rev() {
                 match w {
-                    TxnWrite::Put(k, v) if k == key => return Some(v.clone()),
+                    TxnWrite::Put(k, v) if k == key => return Some(v),
                     TxnWrite::Delete(k) if k == key => return None,
                     _ => {}
                 }
             }
         }
-        self.base.get(key).cloned()
+        self.get(key)
     }
 
     /// Stage a put for `txn`.
@@ -181,7 +181,7 @@ mod tests {
         let mut kv = KvStore::new();
         kv.stage_put(1, b"x".to_vec(), b"1".to_vec());
         assert_eq!(kv.get(b"x"), None);
-        assert_eq!(kv.get_in_txn(1, b"x"), Some(b"1".to_vec()));
+        assert_eq!(kv.get_in_txn(1, b"x"), Some(b"1".as_slice()));
         kv.commit(1);
         assert_eq!(kv.get(b"x"), Some(b"1".as_slice()));
     }
@@ -201,7 +201,7 @@ mod tests {
         let mut kv = KvStore::new();
         kv.stage_put(1, b"x".to_vec(), b"1".to_vec());
         kv.stage_put(1, b"x".to_vec(), b"2".to_vec());
-        assert_eq!(kv.get_in_txn(1, b"x"), Some(b"2".to_vec()));
+        assert_eq!(kv.get_in_txn(1, b"x"), Some(b"2".as_slice()));
         kv.stage_delete(1, b"x".to_vec());
         assert_eq!(kv.get_in_txn(1, b"x"), None);
     }

@@ -12,7 +12,7 @@
 //! operations synchronously, "waiting" surfaces as [`LockOutcome::Wait`]
 //! and the caller retries after the conflicting transaction finishes.
 
-use std::collections::btree_map::{BTreeMap, Entry::Occupied, Entry::Vacant};
+use std::collections::btree_map::{BTreeMap, Entry::Occupied};
 use std::sync::Arc;
 
 /// Lock modes.
@@ -38,7 +38,7 @@ pub enum LockOutcome {
 
 /// Who holds a locked key. An exclusive lock has exactly one holder, so
 /// only shared locks carry a list.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Holders {
     Exclusive(u64),
     Shared(Vec<u64>),
@@ -64,21 +64,19 @@ impl LockManager {
 
     /// Request `mode` on `key` for `txn`.
     pub fn request(&mut self, txn: u64, key: &[u8], mode: LockMode) -> LockOutcome {
-        // The key is built first so that locking a free key — the common
-        // case — is a single descent of the table.
-        let mut slot = match self.table.entry(key.into()) {
-            Vacant(slot) => {
-                let key = Arc::clone(slot.key());
-                slot.insert(match mode {
-                    LockMode::Exclusive => Holders::Exclusive(txn),
-                    LockMode::Shared => Holders::Shared(vec![txn]),
-                });
-                self.note_held(txn, key);
-                return LockOutcome::Granted;
-            }
-            Occupied(slot) => slot,
+        // Looked up before anything is built: a refusal — under contention
+        // the common outcome — and a re-request cost one descent of the
+        // table and leave it untouched; only a new entry pays for its key.
+        let Some(holders) = self.table.get_mut(key) else {
+            let key: Arc<[u8]> = key.into();
+            let holders = match mode {
+                LockMode::Exclusive => Holders::Exclusive(txn),
+                LockMode::Shared => Holders::Shared(vec![txn]),
+            };
+            self.table.insert(Arc::clone(&key), holders);
+            self.note_held(txn, key);
+            return LockOutcome::Granted;
         };
-        let holders = slot.get_mut();
         let sharers = match holders {
             // Re-entrant: the exclusive holder may ask for anything.
             Holders::Exclusive(holder) if *holder == txn => return LockOutcome::Granted,
@@ -90,8 +88,8 @@ impl LockManager {
             LockMode::Shared if holds => {}
             LockMode::Shared => {
                 sharers.push(txn);
-                let key = Arc::clone(slot.key());
-                self.note_held(txn, key);
+                let (key, _) = self.table.get_key_value(key).expect("found above");
+                self.note_held(txn, Arc::clone(key));
             }
             // Upgrade shared -> exclusive: the sole sharer upgrades in place.
             LockMode::Exclusive if holds && sharers.len() == 1 => {
@@ -218,6 +216,40 @@ mod tests {
         assert_eq!(lm.locked_keys(), 1);
     }
 
+    /// Panic unless `lm` has the table and the `held` list of `before`.
+    #[track_caller]
+    fn assert_unchanged(lm: &LockManager, before: &LockManager, what: &str) {
+        assert!(
+            lm.table == before.table && lm.held == before.held,
+            "{what}: {lm:?} from {before:?}"
+        );
+    }
+
+    #[test]
+    fn a_refused_request_leaves_the_table_and_the_held_list_untouched() {
+        let mut lm = LockManager::new();
+        lm.request(2, b"x", LockMode::Exclusive);
+        lm.request(2, b"s", LockMode::Shared);
+        lm.request(4, b"s", LockMode::Shared);
+        lm.request(1, b"mine", LockMode::Exclusive);
+        lm.request(3, b"mine too", LockMode::Shared);
+        let before = lm.clone();
+        for (txn, key, mode, refusal) in [
+            (1, b"x", LockMode::Exclusive, LockOutcome::Wait),
+            (1, b"x", LockMode::Shared, LockOutcome::Wait),
+            (3, b"x", LockMode::Exclusive, LockOutcome::Die),
+            (3, b"x", LockMode::Shared, LockOutcome::Die),
+            // Against sharers: a stranger's exclusive request, a sharer's upgrade.
+            (1, b"s", LockMode::Exclusive, LockOutcome::Wait),
+            (3, b"s", LockMode::Exclusive, LockOutcome::Die),
+            (2, b"s", LockMode::Exclusive, LockOutcome::Wait),
+            (4, b"s", LockMode::Exclusive, LockOutcome::Die),
+        ] {
+            assert_eq!(lm.request(txn, key, mode), refusal, "{txn} asks {mode:?} on {key:?}");
+            assert_unchanged(&lm, &before, &format!("{txn} was refused {mode:?} on {key:?}"));
+        }
+    }
+
     fn holders(entry: &Holders) -> &[u64] {
         match entry {
             Holders::Exclusive(holder) => std::slice::from_ref(holder),
@@ -275,6 +307,17 @@ mod tests {
                 lm.release_all(txn);
                 model.0.retain(|&(_, t, _)| t != txn);
                 assert_eq!(scan_held_by(&lm, txn), 0, "step {step}: release_all left a lock");
+            } else if rng.gen_ratio(1, 4) && !model.0.is_empty() {
+                // Asking again for what a transaction holds, at the strength it
+                // holds it or weaker, is granted and changes nothing — what a
+                // retry that skips the operations already locked relies on.
+                let (key, holder, held) =
+                    model.0[rng.gen_range(0u32..model.0.len() as u32) as usize];
+                let mode = if rng.gen_bool(0.5) { LockMode::Shared } else { held };
+                let before = lm.clone();
+                assert_eq!(lm.request(holder, &[key], mode), LockOutcome::Granted, "step {step}");
+                assert_eq!(model.request(holder, key, mode), LockOutcome::Granted, "step {step}");
+                assert_unchanged(&lm, &before, &format!("step {step}: a held lock re-requested"));
             } else {
                 let key = rng.gen_range(0u32..10) as u8;
                 let mode = if rng.gen_bool(0.5) { LockMode::Shared } else { LockMode::Exclusive };

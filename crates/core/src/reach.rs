@@ -1229,6 +1229,11 @@ mod tests {
         let g1 = ReachGraph::build(&build(1)).unwrap();
         // Only the spontaneous abort is enabled from the initial state.
         assert_eq!(g1.edges(g1.initial()).len(), 1);
+        for (copies, nodes) in [(1, 2), (2, 4), (3, 4)] {
+            for got in three_builders(&build(copies), 100) {
+                assert_eq!(got, Ok(nodes), "{copies} copies outstanding");
+            }
+        }
 
         // ...while two copies enable it and both are consumed.
         let g2 = ReachGraph::build(&build(2)).unwrap();
@@ -1245,6 +1250,107 @@ mod tests {
             dst: SiteId(0),
             kind: MsgKind::YES
         }));
+    }
+
+    /// What the three builders make of `p`: the serial inline loop, the
+    /// chunked workers and the streaming fold (workers forced on a
+    /// frontier of any width), as reachable-state counts.
+    fn three_builders(p: &Protocol, max_states: usize) -> [Result<usize, ProtocolError>; 3] {
+        let serial = ReachOptions { max_states, threads: 1, ..ReachOptions::default() };
+        let forced = ReachOptions { threads: 2, parallel_frontier_min: 1, ..serial };
+        [
+            ReachGraph::build_with(p, serial).map(|g| g.node_count()),
+            ReachGraph::build_with(p, forced).map(|g| g.node_count()),
+            fold_reachable(p, forced, &mut NoFolder).map(|st| st.distinct_states),
+        ]
+    }
+
+    /// A protocol `validate` refuses (`Cyclic`): site 0 re-enters `q`
+    /// sending a yes each time, site 1 reads one. `preloaded` yes messages
+    /// are outstanding at the start.
+    fn looping_sender(preloaded: usize) -> Protocol {
+        let mut sender = FsaBuilder::new("sender");
+        let q = sender.state("q", StateClass::Initial);
+        sender.transition(
+            q,
+            q,
+            Consume::Spontaneous,
+            vec![Envelope::new(SiteId(1), MsgKind::YES)],
+            None,
+            "/ yes",
+        );
+        let mut reader = FsaBuilder::new("reader");
+        let q1 = reader.state("q", StateClass::Initial);
+        let c1 = reader.state("c", StateClass::Committed);
+        reader.transition(q1, c1, Consume::one(SiteId(0), MsgKind::YES), vec![], None, "yes /");
+        let yes =
+            crate::protocol::InitialMsg { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
+        let p = Protocol::new(
+            "looping sender",
+            Paradigm::Custom,
+            vec![sender.build(), reader.build()],
+            vec![yes; preloaded],
+        );
+        assert_eq!(p.validate(), Err(ProtocolError::Cyclic { site: SiteId(0) }));
+        p
+    }
+
+    #[test]
+    fn a_looping_sender_ends_in_a_typed_error_from_every_builder() {
+        // Unbounded channel, bounded graph: the state cap stops it...
+        for got in three_builders(&looping_sender(0), 100) {
+            assert_eq!(got, Err(ProtocolError::GraphTooLarge { limit: 100 }));
+        }
+        // ...and under the default cap the channel's count does, five
+        // emissions short of it here.
+        let overflow =
+            ProtocolError::MsgOverflow { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
+        let default_cap = ReachOptions::default().max_states;
+        for got in three_builders(&looping_sender(usize::from(u16::MAX) - 5), default_cap) {
+            assert_eq!(got, Err(overflow.clone()));
+        }
+        // From an empty channel the serial loop walks all 65 536 counts.
+        let serial = ReachOptions::default().with_threads(1);
+        assert_eq!(ReachGraph::build_with(&looping_sender(0), serial).err(), Some(overflow));
+    }
+
+    #[test]
+    fn triggers_on_addresses_nobody_emits_never_fire() {
+        // Site 1 would commit on a COMMIT nobody sends, alone or as one
+        // half of an `All`; of the `Any` pair only the ABORT can arrive.
+        let mut coord = FsaBuilder::new("coordinator");
+        let q = coord.state("q", StateClass::Initial);
+        let a = coord.state("a", StateClass::Aborted);
+        coord.transition(
+            q,
+            a,
+            Consume::Spontaneous,
+            vec![Envelope::new(SiteId(1), MsgKind::ABORT)],
+            None,
+            "/ abort",
+        );
+        let mut slave = FsaBuilder::new("slave");
+        let q1 = slave.state("q", StateClass::Initial);
+        let c1 = slave.state("c", StateClass::Committed);
+        let a1 = slave.state("a", StateClass::Aborted);
+        let (commit, abort) = ((SiteId(0), MsgKind::COMMIT), (SiteId(0), MsgKind::ABORT));
+        slave.transition(q1, c1, Consume::All(vec![commit]), vec![], None, "commit /");
+        slave.transition(q1, c1, Consume::All(vec![abort, commit]), vec![], None, "both /");
+        slave.transition(q1, a1, Consume::Any(vec![commit, abort]), vec![], None, "either /");
+        let p = Protocol::new(
+            "phantom trigger",
+            Paradigm::Custom,
+            vec![coord.build(), slave.build()],
+            vec![],
+        );
+        for got in three_builders(&p, 100) {
+            assert_eq!(got, Ok(3), "q q, a q + abort, a a");
+        }
+        let g = ReachGraph::build(&p).unwrap();
+        let fired: Vec<_> = (0..3).flat_map(|id| g.edges(id).to_vec()).collect();
+        assert_eq!(fired.len(), 2);
+        assert_eq!((fired[1].site, fired[1].transition), (SiteId(1), 2));
+        assert_eq!(fired[1].any_choice, Some(SiteId(0)));
     }
 
     #[test]

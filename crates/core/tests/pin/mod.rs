@@ -23,11 +23,13 @@ thread_local! {
     static LEVELS: RefCell<Vec<LevelProgress>> = const { RefCell::new(Vec::new()) };
 }
 
-fn hook(p: &LevelProgress) {
+/// The progress hook every pinned build installs.
+pub fn hook(p: &LevelProgress) {
     LEVELS.with(|l| l.borrow_mut().push(*p));
 }
 
-fn take_levels() -> String {
+/// The level lines recorded on this thread since the last call.
+pub fn take_levels() -> String {
     let mut out = String::new();
     for p in LEVELS.with(|l| std::mem::take(&mut *l.borrow_mut())) {
         writeln!(

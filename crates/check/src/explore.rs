@@ -369,8 +369,10 @@ pub fn plan_config(n: usize, votes: &[bool], rule: TerminationRule) -> RunConfig
 /// The most worker threads [`CheckOptions::threads`] may ask for: the
 /// sharded fingerprint maps stop growing at 16 workers (× 4 shards), and
 /// every worker is a thread spawned up front, so a count far beyond the
-/// machine's is a typing mistake to refuse, not a request to honour.
-pub const MAX_THREADS: usize = 64;
+/// machine's is a typing mistake to refuse, not a request to honour. One
+/// limit for every exploration in the workspace: `nbc-core`'s graph
+/// builders refuse the same counts.
+pub use nbc_core::MAX_THREADS;
 
 /// Worker-thread count for an options value (0 = auto).
 fn resolved_threads(threads: usize) -> usize {

@@ -29,7 +29,7 @@ use nbc_core::kpc::k_phase_central;
 use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc, one_pc};
 use nbc_core::{
     dot, recovery_analysis, resilience, sync_check, synthesis, termination, theorem, verify,
-    Analysis, LevelProgress, Protocol, ReachGraph, ReachOptions,
+    Analysis, LevelProgress, Protocol, ProtocolError, ReachGraph, ReachOptions,
 };
 use nbc_engine::{
     enumerate_crash_specs, run_traced, run_with, sweep, sweep_traced, CrashPoint, CrashSpec,
@@ -139,7 +139,7 @@ pub fn build_analysis(
     if progress {
         opts = opts.with_progress(print_progress);
     }
-    let analysis = Analysis::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
+    let analysis = Analysis::build_with(protocol, opts).map_err(reach_error)?;
     if mem_budget > 0 {
         if let Some(st) = analysis.stream_stats() {
             let s = st.spill;
@@ -155,6 +155,20 @@ pub fn build_analysis(
         }
     }
     Ok(analysis)
+}
+
+/// The usage error for a `--threads` value over the explorers' limit.
+fn too_many_threads(max: usize, got: usize) -> CliError {
+    CliError(format!("--threads {got} is over the limit of {max} worker threads"))
+}
+
+/// A graph builder's refusal as the CLI reports it: a thread count over
+/// the limit names its flag, anything else reads as the library put it.
+fn reach_error(e: ProtocolError) -> CliError {
+    match e {
+        ProtocolError::TooManyThreads { max, got } => too_many_threads(max, got),
+        e => CliError(e.to_string()),
+    }
 }
 
 /// Parse a `--mem-budget` byte count: plain digits with an optional
@@ -302,7 +316,7 @@ pub fn cmd_graph(
     if progress {
         opts = opts.with_progress(print_progress);
     }
-    let g = ReachGraph::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
+    let g = ReachGraph::build_with(protocol, opts).map_err(reach_error)?;
     if dot_output {
         Ok(dot::reach_graph_to_dot(&g, protocol, true))
     } else {
@@ -669,9 +683,7 @@ pub fn cmd_check(args: &[String]) -> Result<CheckRun, CliError> {
         nbc_check::CheckError::VotePlanLength { expected, got } => {
             CliError(format!("--votes names {got} sites, protocol has {expected}"))
         }
-        nbc_check::CheckError::TooManyThreads { max, got } => {
-            CliError(format!("--threads {got} is over the limit of {max} worker threads"))
-        }
+        nbc_check::CheckError::TooManyThreads { max, got } => too_many_threads(max, got),
         e => CliError(e.to_string()),
     })?;
     // Spill stats go to stderr only: the rendered report and JSON stay

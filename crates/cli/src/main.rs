@@ -46,7 +46,8 @@ PROTO: central-2pc | central-3pc | decentralized-2pc | decentralized-3pc |
 MSGS in --crash: a number (messages sent before dying) or `log`
 (crash before the write-ahead record).
 
---threads T: worker threads for the reachability analysis (0 = auto).
+--threads T: worker threads for the reachability analysis (0 = auto, at
+most 64; more is a usage error).
 --stream: fold the analysis level by level without retaining the state
 graph — lower memory, but graph consumers (`verify`, `--dot`) need the
 retaining default.
@@ -55,7 +56,8 @@ states/sec) on stderr while the analysis builds.
 --mem-budget B: cap the in-RAM dedup store at B bytes (64K, 16M, 1G, or
 plain bytes), spilling sorted runs to temp files past it. Results are
 byte-identical with or without a budget; spill stats print on stderr.
-For analyze/synthesize it applies to the --stream reachability fold.
+Outside check it applies to the --stream reachability fold and is a
+usage error without --stream; graph takes neither flag.
 --story: print the run's human-readable execution trace.
 --detector-timeout T: replace the paper's perfect failure detector with
 timeout-based suspicion — a site suspects a peer after T units of
@@ -159,7 +161,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
     let mut threads = 0usize; // 0 = auto
     let mut stream = false;
     let mut progress = false;
-    let mut mem_budget = 0usize;
+    let mut mem_budget: Option<usize> = None;
     let mut opts = SimOpts::default();
     let mut i = 2;
     while i < args.len() {
@@ -176,7 +178,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     .map_err(|_| CliError("bad --threads value".into()))?
             }
             "--mem-budget" => {
-                mem_budget = parse_mem_budget(&next_val(args, &mut i)?, "--mem-budget")?
+                mem_budget = Some(parse_mem_budget(&next_val(args, &mut i)?, "--mem-budget")?)
             }
             "--story" => opts.trace = true,
             "--schedule" => opts.schedule = Some(next_val(args, &mut i)?),
@@ -228,6 +230,23 @@ fn run(args: &[String]) -> Result<String, CliError> {
         return Err(CliError(format!("unknown command {cmd:?}")));
     }
 
+    // A flag the command would parse and then ignore is a usage error,
+    // not a quieter run than the one asked for.
+    if cmd == "graph" && (stream || mem_budget.is_some()) {
+        let flag = if stream { "--stream" } else { "--mem-budget" };
+        return Err(CliError(format!(
+            "graph retains the reachable graph it prints, so {flag} does not apply; \
+             the streaming fold is `nbc analyze PROTO --stream`"
+        )));
+    }
+    if mem_budget.is_some() && !stream {
+        return Err(CliError(
+            "--mem-budget caps the --stream reachability fold; add --stream \
+             (the retained graph holds every state and has nothing to spill)"
+                .into(),
+        ));
+    }
+
     let protocol = resolve_protocol(proto_arg, n)?;
     if cmd == "graph" {
         return cmd_graph(&protocol, dot, threads, progress);
@@ -235,7 +254,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
 
     // Every remaining command consumes the analysis; build it once and
     // share it across the theorem/resilience/termination/report subpaths.
-    let analysis = build_analysis(&protocol, threads, stream, progress, mem_budget)?;
+    let analysis = build_analysis(&protocol, threads, stream, progress, mem_budget.unwrap_or(0))?;
     match cmd.as_str() {
         "analyze" => cmd_analyze(&protocol, &analysis),
         "verify" => cmd_verify(&protocol, &analysis),

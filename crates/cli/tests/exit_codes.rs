@@ -101,6 +101,64 @@ fn a_thread_count_over_the_limit_exits_two() {
 }
 
 #[test]
+fn a_reach_thread_count_over_the_limit_exits_two() {
+    // The graph builders cut a frontier into `--threads` parts and spawn a
+    // worker per part: `analyze central-3pc -n 9 --threads 1000000` used to
+    // abort (exit 134, "failed to spawn thread").
+    let commands = [
+        "graph",
+        "analyze",
+        "verify",
+        "synthesize",
+        "simulate",
+        "sweep",
+        "termination",
+        "recovery",
+    ];
+    for cmd in commands {
+        for threads in ["65", "1000000"] {
+            let out = nbc(&[cmd, "central-3pc", "-n", "4", "--threads", threads]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} --threads {threads}: {stderr}");
+            let expected =
+                format!("error: --threads {threads} is over the limit of 64 worker threads");
+            assert!(stderr.starts_with(&expected), "{cmd} --threads {threads}: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd}: a refused build prints nothing");
+        }
+        // The limit itself runs, and says what one thread says.
+        let out = nbc(&[cmd, "central-3pc", "-n", "4", "--threads", "64"]);
+        assert_eq!(out.status.code(), Some(0), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.stdout, nbc(&[cmd, "central-3pc", "-n", "4", "--threads", "1"]).stdout);
+    }
+}
+
+#[test]
+fn flags_a_command_would_ignore_exit_two() {
+    // Each of these used to exit 0 having dropped the flag: `graph` built
+    // the retained graph with no budget, `analyze` without `--stream` held
+    // every state whatever `--mem-budget` said.
+    for (args, flag) in [
+        (&["graph", "central-3pc", "--stream"][..], "--stream"),
+        (&["graph", "central-3pc", "--stream", "--mem-budget", "1K"][..], "--stream"),
+        (&["graph", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
+        (&["analyze", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
+        (&["synthesize", "central-2pc", "--mem-budget", "64K"][..], "--mem-budget"),
+    ] {
+        let out = nbc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.starts_with("error: ") && first.contains(flag), "{args:?}: {first}");
+        assert!(out.stdout.is_empty(), "{args:?}: a refused command prints nothing");
+    }
+    // With the fold it caps, the budget runs and changes nothing on stdout.
+    let budgeted = nbc(&["analyze", "central-3pc", "--stream", "--mem-budget", "1K"]);
+    assert_eq!(budgeted.status.code(), Some(0), "{}", String::from_utf8_lossy(&budgeted.stderr));
+    assert!(String::from_utf8_lossy(&budgeted.stderr).starts_with("reach spill: "));
+    assert_eq!(budgeted.stdout, nbc(&["analyze", "central-3pc", "--stream"]).stdout);
+}
+
+#[test]
 fn an_in_flight_limit_of_zero_exits_two() {
     // `--in-flight 0` used to print "in-flight 0" and run at 1.
     let out = nbc(&["pipeline", "central-3pc", "--in-flight", "0"]);

@@ -55,7 +55,7 @@ use crate::facts::{
 use crate::fsa::StateClass;
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
-use crate::reach::{self, NodeId, ReachGraph, ReachOptions, StateFolder, StreamStats};
+use crate::reach::{self, ReachGraph, ReachOptions, StreamStats};
 use crate::recovery_analysis::{self, RecoveryClass};
 use crate::termination::{self, ClassDecisionTable};
 
@@ -123,12 +123,12 @@ impl Analysis {
 
     /// Run the analysis post hoc over an already-built graph — the
     /// reference path the fused fold is property-tested against (and the
-    /// baseline the `analysis_throughput` bench compares with).
+    /// baseline the `analysis_throughput` bench compares with). Like the
+    /// fused fold it reads each node's site-local states off the graph's
+    /// packed words; it decodes no [`GlobalState`](crate::GlobalState).
     pub fn from_graph(protocol: &Protocol, graph: ReachGraph) -> Self {
         let mut facts = ConcurrencyFacts::new(protocol);
-        for id in 0..graph.node_count() as NodeId {
-            facts.fold(graph.node(id));
-        }
+        graph.fold_nodes(&mut facts);
         Self::finish(protocol, facts, Some(graph), None)
     }
 

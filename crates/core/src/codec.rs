@@ -1,28 +1,41 @@
-//! A compact bit-packed encoding of [`GlobalState`] for the streaming
-//! reachability fold.
+//! The fixed-width bit layout of a [`GlobalState`]: a state of a protocol
+//! is `W` machine words, the same `W` for every state of that protocol.
 //!
-//! A heap [`GlobalState`] costs two allocations per state (the locals box
-//! and the `Msgs` vector) plus padding; at n≥10 the frontier alone holds
-//! hundreds of thousands of them. [`StateCodec`] instead packs a state
-//! into a shared `Vec<u64>` arena ([`PackedArena`]):
+//! [`StateCodec`] lays the words out once per protocol:
 //!
 //! * each site's local state in exactly `ceil(log2(state_count))` bits
 //!   (0 bits for a single-state FSA);
-//! * the message multiset against the protocol's **address universe** —
-//!   the finite set of `(src, dst, kind)` triples any reachable state can
-//!   hold, computed once from the initial messages plus every transition
-//!   emission — as one presence bit per address, followed by a 16-bit
-//!   count for each present address (counts are `u16` by the `Msgs`
-//!   representation).
+//! * one count field for each address of the protocol's **address
+//!   universe** — the finite set of `(src, dst, kind)` triples any
+//!   reachable state can hold, the initial messages plus every transition
+//!   emission;
+//! * no field straddling a word, so a field is read with one shift and one
+//!   mask and written without a carry into its neighbour.
 //!
-//! Encoding is word-aligned per state so an arena slot is identified by a
-//! word range; `decode(encode(s)) == s` structurally (round-trip tested
-//! across the catalog), which is what lets the fold swap representations
-//! without perturbing any deterministic output.
+//! ## Why a count field can be narrow
+//!
+//! The paper's FSAs are acyclic ([`Fsa::validate`](crate::fsa::Fsa::validate)
+//! insists). A site whose state diagram is acyclic enters each state at
+//! most once, so it fires each transition at most once, so an address never
+//! holds more than its initial copies plus the emissions its sender's
+//! transition table lists. That static bound — 1 or 2 in the catalog —
+//! sizes the field; this is the statically bounded case of Pachl's
+//! reachability analysis for communicating finite state machines. A sender
+//! that does *not* pass the acyclicity check (an unvalidated protocol) gets
+//! a full 16-bit field, the width of a [`Msgs`] count. Either way the bound
+//! is a guard, never an assumption: an emission into a field already at its
+//! maximum is [`ProtocolError::MsgOverflow`], from the initial state on.
+//!
+//! The successor generator in [`crate::reach`] runs on these words, the
+//! retained graph and the streaming frontier store them back to back in a
+//! [`PackedArena`], and `decode(encode(s)) == s` structurally (round-trip
+//! tested across the catalog), so a [`GlobalState`] is built only for a
+//! caller that asks to read one.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
-use crate::ids::StateId;
+use crate::error::ProtocolError;
+use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
 use crate::reach::{GlobalState, MsgAddr, Msgs};
 
@@ -35,197 +48,264 @@ fn bits_for(count: usize) -> u32 {
     }
 }
 
-/// Append-only LSB-first bit writer over a `u64` vector.
-struct BitWriter<'a> {
-    out: &'a mut Vec<u64>,
-    /// Bits used in the last word (0 means the next write opens one).
+/// Widest count field: a [`Msgs`] multiplicity is a `u16`.
+const COUNT_BITS: u32 = u16::BITS;
+
+/// One field of the layout: the values `0..=mask`, `shift` bits up in word
+/// `word` of a state. A zero-width field has mask 0 and always reads 0.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) struct Field {
+    word: u32,
+    shift: u32,
+    mask: u64,
+}
+
+impl Field {
+    /// The field's value in `words`.
+    #[inline]
+    pub(crate) fn get(self, words: &[u64]) -> u64 {
+        (words[self.word as usize] >> self.shift) & self.mask
+    }
+
+    /// The largest value the field holds.
+    #[inline]
+    pub(crate) fn max(self) -> u64 {
+        self.mask
+    }
+
+    /// Overwrite the field with `value`, which must fit.
+    #[inline]
+    pub(crate) fn set(self, words: &mut [u64], value: u64) {
+        debug_assert!(value <= self.mask);
+        let w = &mut words[self.word as usize];
+        *w = (*w & !(self.mask << self.shift)) | (value << self.shift);
+    }
+
+    /// Raise the field by `n`; the caller has checked there is room.
+    #[inline]
+    pub(crate) fn add(self, words: &mut [u64], n: u64) {
+        debug_assert!(self.get(words) + n <= self.mask);
+        words[self.word as usize] += n << self.shift;
+    }
+
+    /// Lower the field by `n`; the caller has checked it holds that many.
+    #[inline]
+    pub(crate) fn sub(self, words: &mut [u64], n: u64) {
+        debug_assert!(self.get(words) >= n);
+        words[self.word as usize] -= n << self.shift;
+    }
+}
+
+/// Hands out fields front to back, opening a new word when the next field
+/// would straddle one.
+#[derive(Default)]
+struct Packer {
+    word: u32,
     used: u32,
 }
 
-impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut Vec<u64>) -> Self {
-        Self { out, used: 64 }
-    }
-
-    fn write(&mut self, value: u64, bits: u32) {
-        debug_assert!(bits <= 64);
-        debug_assert!(bits == 64 || value < (1u64 << bits));
+impl Packer {
+    fn place(&mut self, bits: u32) -> Field {
         if bits == 0 {
-            return;
+            return Field { word: 0, shift: 0, mask: 0 };
         }
-        if self.used == 64 {
-            self.out.push(0);
+        if self.used + bits > u64::BITS {
+            self.word += 1;
             self.used = 0;
         }
-        let avail = 64 - self.used;
-        let last = self.out.last_mut().expect("bit writer has a word");
-        *last |= value << self.used;
-        if bits <= avail {
-            self.used += bits;
-        } else {
-            self.out.push(value >> avail);
-            self.used = bits - avail;
-        }
+        let field = Field { word: self.word, shift: self.used, mask: u64::MAX >> (64 - bits) };
+        self.used += bits;
+        field
     }
 }
 
-/// LSB-first bit reader over an encoded word slice.
-struct BitReader<'a> {
-    words: &'a [u64],
-    word: usize,
-    used: u32,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        Self { words, word: 0, used: 0 }
-    }
-
-    fn read(&mut self, bits: u32) -> u64 {
-        debug_assert!(bits <= 64);
-        if bits == 0 {
-            return 0;
-        }
-        let avail = 64 - self.used;
-        let cur = self.words[self.word] >> self.used;
-        if bits <= avail {
-            self.used += bits;
-            if self.used == 64 {
-                self.word += 1;
-                self.used = 0;
-            }
-            cur & mask(bits)
-        } else {
-            self.word += 1;
-            let hi = self.words[self.word] & mask(bits - avail);
-            self.used = bits - avail;
-            cur | (hi << avail)
-        }
-    }
-}
-
-fn mask(bits: u32) -> u64 {
-    if bits == 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
-/// The per-protocol bit layout of a packed [`GlobalState`]. Build once,
-/// use for every encode/decode of states of that protocol.
+/// The per-protocol layout of a packed [`GlobalState`]. Build once, use
+/// for every state of that protocol.
+#[derive(Clone, Debug)]
 pub struct StateCodec {
-    /// Bits per site's local state index.
-    local_bits: Vec<u32>,
+    /// Words per state (at least one).
+    words: usize,
+    /// Each site's local-state field.
+    locals: Vec<Field>,
     /// The sorted address universe: every `MsgAddr` a reachable state of
     /// this protocol can possibly hold.
     addrs: Vec<MsgAddr>,
+    /// `counts[i]` = the count field of `addrs[i]`.
+    counts: Vec<Field>,
 }
 
 impl StateCodec {
-    /// Compute the layout for `protocol`.
-    pub fn new(protocol: &Protocol) -> Self {
-        let local_bits = protocol.fsas().iter().map(|f| bits_for(f.state_count())).collect();
-        let mut addrs: BTreeSet<MsgAddr> = protocol
-            .initial_msgs()
-            .iter()
-            .map(|m| MsgAddr { src: m.src, dst: m.dst, kind: m.kind })
-            .collect();
+    /// Compute the layout for `protocol`, which need not have been
+    /// validated. Fails with [`ProtocolError::BadStateRef`] if an initial
+    /// state or a transition target lies outside its site's state table:
+    /// such a value has no place in the site's field.
+    pub fn new(protocol: &Protocol) -> Result<Self, ProtocolError> {
+        // Most copies of each address that can be outstanding at once,
+        // were every sender acyclic (see the module docs).
+        let mut bounds: BTreeMap<MsgAddr, usize> = BTreeMap::new();
+        for m in protocol.initial_msgs() {
+            *bounds.entry(MsgAddr { src: m.src, dst: m.dst, kind: m.kind }).or_default() += 1;
+        }
+        let mut cyclic = Vec::with_capacity(protocol.n_sites());
         for (i, fsa) in protocol.fsas().iter().enumerate() {
-            let src = crate::ids::SiteId(i as u32);
-            for s in 0..fsa.state_count() {
-                for (_, t) in fsa.outgoing(StateId(s as u32)) {
-                    for e in &t.emit {
-                        addrs.insert(MsgAddr { src, dst: e.dst, kind: e.kind });
-                    }
-                }
+            let src = SiteId(i as u32);
+            let targets = fsa.transitions().iter().map(|t| t.to);
+            if let Some(state) =
+                targets.chain([fsa.initial()]).find(|s| s.index() >= fsa.state_count())
+            {
+                return Err(ProtocolError::BadStateRef { site: src, state });
+            }
+            cyclic.push(fsa.check_acyclic(src).is_err());
+            for e in fsa.transitions().iter().flat_map(|t| &t.emit) {
+                *bounds.entry(MsgAddr { src, dst: e.dst, kind: e.kind }).or_default() += 1;
             }
         }
-        Self { local_bits, addrs: addrs.into_iter().collect() }
+
+        let mut packer = Packer::default();
+        let locals =
+            protocol.fsas().iter().map(|f| packer.place(bits_for(f.state_count()))).collect();
+        let counts = bounds
+            .iter()
+            .map(|(addr, &bound)| {
+                let looping =
+                    !addr.src.is_client() && cyclic.get(addr.src.index()).is_some_and(|&c| c);
+                let bits = if looping { COUNT_BITS } else { bits_for(bound + 1).min(COUNT_BITS) };
+                packer.place(bits)
+            })
+            .collect();
+        Ok(Self {
+            words: packer.word as usize + 1,
+            locals,
+            addrs: bounds.into_keys().collect(),
+            counts,
+        })
     }
 
-    /// Size of the address universe (one presence bit each).
+    /// Words per state: every state of the protocol takes exactly this
+    /// many.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Size of the address universe (one count field each).
     pub fn universe_len(&self) -> usize {
         self.addrs.len()
     }
 
-    /// Append the packed form of `state` to `out`, starting at a fresh
-    /// word. Panics if `state` does not belong to this codec's protocol
-    /// (wrong site count, out-of-range local state, or a message outside
-    /// the address universe) — all impossible for states produced by the
-    /// reachability expansion the codec was built for.
+    /// The local-state field of site `site`.
+    pub(crate) fn local_field(&self, site: usize) -> Field {
+        self.locals[site]
+    }
+
+    /// The count field of `addr`, if the universe holds it.
+    pub(crate) fn count_field(&self, addr: MsgAddr) -> Option<Field> {
+        self.addrs.binary_search(&addr).ok().map(|i| self.counts[i])
+    }
+
+    /// The overflow error for the address whose count field is `field`.
+    pub(crate) fn overflow(&self, field: Field) -> ProtocolError {
+        let at = self.counts.iter().position(|&f| f == field).expect("a count field of this codec");
+        let MsgAddr { src, dst, kind } = self.addrs[at];
+        ProtocolError::MsgOverflow { src, dst, kind }
+    }
+
+    /// Every site's local state in site order, read from a packed state.
+    pub(crate) fn locals<'a>(&'a self, words: &'a [u64]) -> impl Iterator<Item = StateId> + 'a {
+        self.locals.iter().map(move |f| StateId(f.get(words) as u32))
+    }
+
+    /// The packed initial global state of `protocol` (the one this codec
+    /// was built for). Fails with [`ProtocolError::MsgOverflow`] if the
+    /// initial copies of one address outnumber a `u16`.
+    pub(crate) fn initial(&self, protocol: &Protocol) -> Result<Vec<u64>, ProtocolError> {
+        let mut words = vec![0u64; self.words];
+        for (field, fsa) in self.locals.iter().zip(protocol.fsas()) {
+            field.set(&mut words, u64::from(fsa.initial().0));
+        }
+        for m in protocol.initial_msgs() {
+            let addr = MsgAddr { src: m.src, dst: m.dst, kind: m.kind };
+            let field = self.count_field(addr).expect("initial messages are in the universe");
+            if field.get(&words) == field.max() {
+                return Err(self.overflow(field));
+            }
+            field.add(&mut words, 1);
+        }
+        Ok(words)
+    }
+
+    /// Append the packed form of `state` — [`StateCodec::words`] words —
+    /// to `out`. Panics if `state` does not fit this codec's protocol:
+    /// wrong site count, a local state outside its field, a message outside
+    /// the address universe, or a count above its field's maximum. None of
+    /// these is silently truncated, and none can happen to a state the
+    /// reachability expansion produced.
     pub fn encode_into(&self, state: &GlobalState, out: &mut Vec<u64>) {
-        assert_eq!(state.locals.len(), self.local_bits.len(), "site count mismatch");
-        let mut w = BitWriter::new(out);
-        for (i, &st) in state.locals.iter().enumerate() {
-            w.write(u64::from(st.0), self.local_bits[i]);
+        assert_eq!(state.locals.len(), self.locals.len(), "site count mismatch");
+        let at = out.len();
+        out.resize(at + self.words, 0);
+        let words = &mut out[at..];
+        for (field, &local) in self.locals.iter().zip(state.locals.iter()) {
+            assert!(u64::from(local.0) <= field.max(), "local state {local:?} outside its field");
+            field.set(words, u64::from(local.0));
         }
-        // Both sides are sorted, so one merge walk places every held
-        // address; one the universe lacks is never passed and is left over.
-        let mut held = state.msgs.iter().peekable();
-        for &addr in &self.addrs {
-            match held.next_if(|&(a, _)| a == addr) {
-                Some((_, count)) => w.write(1 | u64::from(count) << 1, 17),
-                None => w.write(0, 1),
-            }
+        for (addr, count) in state.msgs.iter() {
+            let field = self
+                .count_field(addr)
+                .expect("state holds a message outside the codec's address universe");
+            assert!(
+                u64::from(count) <= field.max(),
+                "{count} copies of {addr:?} are above its field's bound of {}",
+                field.max()
+            );
+            field.set(words, u64::from(count));
         }
-        assert!(
-            held.next().is_none(),
-            "state holds a message outside the codec's address universe"
-        );
     }
 
-    /// Decode one state from its packed words.
+    /// Decode one state from its packed words, allocating exactly what it
+    /// holds: the locals box, and the message vector unless it is empty.
     pub fn decode(&self, words: &[u64]) -> GlobalState {
-        let locals = vec![StateId(0); self.local_bits.len()].into_boxed_slice();
-        let mut state = GlobalState { locals, msgs: Msgs::new() };
-        self.decode_into(words, &mut state);
-        state
-    }
-
-    /// Decode one state from its packed words over `state` (any state of
-    /// this codec's protocol), reusing its allocations.
-    pub fn decode_into(&self, words: &[u64], state: &mut GlobalState) {
-        assert_eq!(state.locals.len(), self.local_bits.len(), "site count mismatch");
-        let mut r = BitReader::new(words);
-        for (local, &bits) in state.locals.iter_mut().zip(&self.local_bits) {
-            *local = StateId(r.read(bits) as u32);
-        }
-        let mut counts = std::mem::take(&mut state.msgs).into_sorted_counts();
-        counts.clear();
-        for &addr in &self.addrs {
-            if r.read(1) == 1 {
-                counts.push((addr, r.read(16) as u16));
-            }
-        }
-        state.msgs = Msgs::from_sorted_counts(counts);
+        assert_eq!(words.len(), self.words, "a packed state is {} words", self.words);
+        let held = self.counts.iter().filter(|f| f.get(words) != 0).count();
+        let mut msgs = Vec::with_capacity(held);
+        msgs.extend(self.addrs.iter().zip(&self.counts).filter_map(|(&addr, field)| {
+            let count = field.get(words) as u16;
+            (count != 0).then_some((addr, count))
+        }));
+        GlobalState { locals: self.locals(words).collect(), msgs: Msgs::from_sorted_counts(msgs) }
     }
 }
 
-/// A word arena of packed states: push with a codec, read back by index.
-/// Each state occupies a word-aligned range, so the whole frontier of a
-/// BFS level lives in two flat vectors instead of per-state allocations.
-#[derive(Default)]
+/// Packed states back to back: state `i` is words `i * stride ..
+/// (i + 1) * stride` of one flat vector, so a whole BFS level — or a whole
+/// graph — is one allocation and a state is found by a multiplication.
+#[derive(Clone, Debug)]
 pub struct PackedArena {
     words: Vec<u64>,
-    /// `ends[i]` = one-past-the-end word offset of state `i`.
-    ends: Vec<u32>,
+    stride: usize,
 }
 
 impl PackedArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty arena of `stride`-word states ([`StateCodec::words`]).
+    pub fn new(stride: usize) -> Self {
+        assert!(stride > 0, "a packed state is at least one word");
+        Self { words: Vec::new(), stride }
+    }
+
+    /// An empty arena with room for `states` states.
+    pub fn with_capacity(stride: usize, states: usize) -> Self {
+        let mut arena = Self::new(stride);
+        arena.words.reserve_exact(states * stride);
+        arena
     }
 
     /// Number of packed states.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.words.len() / self.stride
     }
 
     /// True if no states are packed.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.words.is_empty()
     }
 
     /// Words currently held (the arena's memory footprint in `u64`s).
@@ -233,115 +313,178 @@ impl PackedArena {
         self.words.len()
     }
 
-    /// Pack `state` at the end of the arena.
-    pub fn push(&mut self, codec: &StateCodec, state: &GlobalState) {
-        codec.encode_into(state, &mut self.words);
-        self.seal();
+    /// Append one packed state.
+    pub fn push(&mut self, state: &[u64]) {
+        assert_eq!(state.len(), self.stride, "a packed state is {} words", self.stride);
+        self.words.extend_from_slice(state);
     }
 
-    /// Append state `i` of `other` (packed by the same codec) as it is.
-    pub fn push_packed(&mut self, other: &PackedArena, i: usize) {
-        self.words.extend_from_slice(other.packed(i));
-        self.seal();
-    }
-
-    /// Close the state whose words were just appended.
-    fn seal(&mut self) {
-        self.ends.push(u32::try_from(self.words.len()).expect("arena exceeds 32 GiB"));
-    }
-
-    /// Decode state `i`.
-    pub fn get(&self, codec: &StateCodec, i: usize) -> GlobalState {
-        codec.decode(self.packed(i))
-    }
-
-    /// Decode state `i` over `state`, reusing its allocations.
-    pub fn get_into(&self, codec: &StateCodec, i: usize, state: &mut GlobalState) {
-        codec.decode_into(self.packed(i), state);
-    }
-
-    fn packed(&self, i: usize) -> &[u64] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.words[start..self.ends[i] as usize]
+    /// The packed state `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[u64] {
+        &self.words[i * self.stride..(i + 1) * self.stride]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fsa::{Consume, Envelope, FsaBuilder, StateClass};
+    use crate::ids::MsgKind;
     use crate::kpc::k_phase_central;
-    use crate::protocols::{
-        central_2pc, central_3pc, decentralized_2pc, decentralized_3pc, one_pc,
-    };
+    use crate::protocol::{InitialMsg, Paradigm};
+    use crate::protocols::{catalog, central_2pc, central_3pc, decentralized_3pc};
     use crate::reach::ReachGraph;
 
+    /// The most copies of `addr` a packed state can hold.
+    fn limit(codec: &StateCodec, addr: MsgAddr) -> u16 {
+        codec.count_field(addr).expect("an address of the universe").max() as u16
+    }
+
+    /// On every reachable state of `protocol`: each count is within the
+    /// bound its field was sized by, and the state survives the round trip.
     fn roundtrip_whole_graph(protocol: &Protocol) {
-        let codec = StateCodec::new(protocol);
+        let codec = StateCodec::new(protocol).unwrap();
         let graph = ReachGraph::build(protocol).unwrap();
-        let mut arena = PackedArena::new();
+        let mut arena = PackedArena::new(codec.words());
+        let mut words = Vec::new();
         for s in graph.nodes() {
-            arena.push(&codec, s);
+            for (addr, count) in s.msgs.iter() {
+                assert!(count <= limit(&codec, addr), "{}: {addr:?}", protocol.name);
+            }
+            words.clear();
+            codec.encode_into(s, &mut words);
+            arena.push(&words);
         }
+        assert_eq!(arena.len(), graph.node_count());
+        assert_eq!(arena.words_used(), graph.node_count() * codec.words());
         for (i, s) in graph.nodes().iter().enumerate() {
-            assert_eq!(&arena.get(&codec, i), s, "round-trip diverged at node {i}");
+            assert_eq!(&codec.decode(arena.get(i)), s, "{}: node {i}", protocol.name);
         }
-        // The packed form must actually be compact: every node fits well
-        // under its heap representation (locals box + msgs vec).
-        let per_state = arena.words_used() as f64 / graph.node_count() as f64;
-        assert!(per_state < 8.0, "packed state unexpectedly large: {per_state} words");
     }
 
     #[test]
-    fn catalog_roundtrips_exactly() {
-        for n in 2..=4 {
-            roundtrip_whole_graph(&central_2pc(n));
-            roundtrip_whole_graph(&central_3pc(n));
-            roundtrip_whole_graph(&one_pc(n));
+    fn every_reachable_state_is_within_its_bounds_and_roundtrips() {
+        for n in 2..=5 {
+            for p in catalog(n) {
+                roundtrip_whole_graph(&p);
+            }
         }
-        roundtrip_whole_graph(&decentralized_2pc(3));
-        roundtrip_whole_graph(&decentralized_3pc(3));
         roundtrip_whole_graph(&k_phase_central(3, 4).unwrap());
         roundtrip_whole_graph(&k_phase_central(3, 5).unwrap());
     }
 
     #[test]
-    fn adversarial_multiplicities_near_the_u16_bound_roundtrip() {
+    fn layout_widths_are_pinned() {
+        let words = |p: Protocol| StateCodec::new(&p).unwrap().words();
+        assert_eq!(words(central_2pc(7)), 1);
+        assert_eq!(words(central_3pc(7)), 2);
+        assert_eq!(words(central_3pc(10)), 2);
+        assert_eq!(words(decentralized_3pc(6)), 3);
+        // The catalog's channels hold one or two messages at most.
+        let codec = StateCodec::new(&central_3pc(7)).unwrap();
+        assert!(codec.counts.iter().all(|f| f.max() == 1 || f.max() == 3));
+    }
+
+    /// A reachable state of central 2PC n=3 with a message outstanding.
+    fn busy_state() -> (StateCodec, GlobalState) {
         let protocol = central_2pc(3);
-        let codec = StateCodec::new(&protocol);
         let graph = ReachGraph::build(&protocol).unwrap();
-        // Take a real reachable state and inflate each message count to
-        // the u16 edge values — the codec must carry full 16-bit counts.
-        let base = graph
-            .nodes()
-            .iter()
-            .find(|s| s.msgs.distinct_addrs() >= 2)
-            .expect("2pc has states with two outstanding addresses");
-        for count in [1u16, 2, 254, 255, 256, u16::MAX - 1, u16::MAX] {
-            let inflated = GlobalState {
-                locals: base.locals.clone(),
-                msgs: Msgs::from_sorted_counts(base.msgs.iter().map(|(a, _)| (a, count)).collect()),
-            };
-            let mut words = Vec::new();
-            codec.encode_into(&inflated, &mut words);
-            assert_eq!(codec.decode(&words), inflated, "count {count} lost in round-trip");
-        }
+        let state = graph.nodes().iter().find(|s| !s.msgs.is_empty()).unwrap().clone();
+        (StateCodec::new(&protocol).unwrap(), state)
+    }
+
+    #[test]
+    #[should_panic(expected = "above its field's bound")]
+    fn counts_above_their_bound_are_rejected_not_truncated() {
+        let (codec, mut state) = busy_state();
+        let (addr, _) = state.msgs.iter().next().unwrap();
+        let over = limit(&codec, addr) + 1;
+        state.msgs = Msgs::from_sorted_counts(vec![(addr, over)]);
+        codec.encode_into(&state, &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "outside the codec's address universe")]
     fn foreign_messages_are_rejected_not_silently_dropped() {
-        use crate::ids::{MsgKind, SiteId};
-        let protocol = central_2pc(3);
-        let codec = StateCodec::new(&protocol);
-        let graph = ReachGraph::build(&protocol).unwrap();
-        let mut state = graph.nodes()[0].clone();
+        let (codec, mut state) = busy_state();
         // A message kind no 2PC transition ever emits.
         state.msgs = Msgs::from_sorted_counts(vec![(
             MsgAddr { src: SiteId(0), dst: SiteId(1), kind: MsgKind(9999) },
             1,
         )]);
-        let mut words = Vec::new();
-        codec.encode_into(&state, &mut words);
+        codec.encode_into(&state, &mut Vec::new());
+    }
+
+    #[test]
+    fn a_cyclic_senders_addresses_get_sixteen_bits() {
+        // Site 0 re-enters q, so nothing bounds what it has sent; site 1's
+        // one reply is bounded by its table.
+        let mut sender = FsaBuilder::new("sender");
+        let q = sender.state("q", StateClass::Initial);
+        let yes = Envelope::new(SiteId(1), MsgKind::YES);
+        sender.transition(q, q, Consume::Spontaneous, vec![yes], None, "/ yes");
+        let mut reader = FsaBuilder::new("reader");
+        let q1 = reader.state("q", StateClass::Initial);
+        let c1 = reader.state("c", StateClass::Committed);
+        let ack = Envelope::new(SiteId(0), MsgKind::ACK);
+        reader.transition(q1, c1, Consume::one(SiteId(0), MsgKind::YES), vec![ack], None, "");
+        let request = InitialMsg { src: SiteId::CLIENT, dst: SiteId(0), kind: MsgKind::REQUEST };
+        let p = Protocol::new(
+            "looping sender",
+            Paradigm::Custom,
+            vec![sender.build(), reader.build()],
+            vec![request; 3],
+        );
+        let codec = StateCodec::new(&p).unwrap();
+        let looped = MsgAddr { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
+        let bounded = MsgAddr { src: SiteId(1), dst: SiteId(0), kind: MsgKind::ACK };
+        let preloaded = MsgAddr { src: SiteId::CLIENT, dst: SiteId(0), kind: MsgKind::REQUEST };
+        assert_eq!(limit(&codec, looped), u16::MAX);
+        assert_eq!(limit(&codec, bounded), 1);
+        assert_eq!(limit(&codec, preloaded), 3, "three initial copies take two bits");
+        assert_eq!(codec.words(), 1);
+
+        for count in [1u16, 255, 256, u16::MAX] {
+            let state = GlobalState {
+                locals: vec![StateId(0), StateId(1)].into(),
+                msgs: Msgs::from_sorted_counts(vec![(looped, count), (bounded, 1)]),
+            };
+            let mut words = Vec::new();
+            codec.encode_into(&state, &mut words);
+            assert_eq!(codec.decode(&words), state, "count {count} lost in round-trip");
+        }
+    }
+
+    #[test]
+    fn a_transition_into_a_state_the_table_lacks_is_a_typed_error() {
+        let mut b = FsaBuilder::new("bad");
+        let q = b.state("q", StateClass::Initial);
+        b.transition(q, StateId(7), Consume::Spontaneous, vec![], None, "astray");
+        let p = Protocol::new("bad ref", Paradigm::Custom, vec![b.build()], vec![]);
+        let bad = ProtocolError::BadStateRef { site: SiteId(0), state: StateId(7) };
+        assert_eq!(StateCodec::new(&p).err(), Some(bad.clone()));
+        assert_eq!(ReachGraph::build(&p).err(), Some(bad));
+    }
+
+    #[test]
+    fn fields_never_straddle_a_word() {
+        let mut packer = Packer::default();
+        let fields: Vec<Field> = [30, 30, 30, 0, 4, 16, 16, 16, 16].map(|b| packer.place(b)).into();
+        assert_eq!(fields[0], Field { word: 0, shift: 0, mask: (1 << 30) - 1 });
+        assert_eq!(fields[1].shift, 30);
+        assert_eq!((fields[2].word, fields[2].shift), (1, 0), "30 + 30 + 30 > 64");
+        assert_eq!(fields[3].mask, 0, "a single-state FSA takes no bits");
+        assert_eq!((fields[4].word, fields[4].shift), (1, 30));
+        assert_eq!((fields[6].word, fields[6].shift), (2, 0), "34 + 16 + 16 > 64");
+        assert_eq!((fields[8].word, fields[8].shift), (2, 32));
+
+        let mut words = vec![u64::MAX; 3];
+        fields[4].set(&mut words, 0);
+        assert_eq!(words, [u64::MAX, !(0xf << 30), u64::MAX], "a write stays in its field");
+        fields[4].add(&mut words, 9);
+        fields[4].sub(&mut words, 2);
+        assert_eq!(fields[4].get(&words), 7);
     }
 
     #[test]

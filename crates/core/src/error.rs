@@ -50,8 +50,12 @@ pub enum ProtocolError {
     NotLeveled { site: SiteId, state: StateId },
     /// A message multiset's per-address count overflowed `u16` — an
     /// unchecked increment would silently wrap to 0 and corrupt the
-    /// multiset.
+    /// multiset. The graph builders raise it when an emission finds its
+    /// address's count field full (see [`crate::codec`]).
     MsgOverflow { src: SiteId, dst: SiteId, kind: crate::ids::MsgKind },
+    /// More worker threads were asked for than a state-space exploration
+    /// accepts ([`crate::reach::MAX_THREADS`]).
+    TooManyThreads { max: usize, got: usize },
     /// An external-memory spill or lookup failed at the I/O layer (disk
     /// full, temp dir unwritable). Carries the underlying error text —
     /// a `String` so the variant stays `Eq` like the rest.
@@ -115,6 +119,9 @@ impl fmt::Display for ProtocolError {
                      (more than {} identical messages)",
                     u16::MAX
                 )
+            }
+            Self::TooManyThreads { max, got } => {
+                write!(f, "{got} worker threads requested; at most {max} are accepted")
             }
             Self::SpillIo { detail } => {
                 write!(f, "external-memory spill I/O failed: {detail}")

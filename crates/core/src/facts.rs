@@ -16,7 +16,8 @@
 //! * the concurrency set of a slot is one row of `words` 64-bit words;
 //! * occupancy, noncommittability, and yes-votedness are one row each.
 //!
-//! Folding one global state is `O(n + n·words)` word operations with zero
+//! Folding one global state — given as its site-local states, which is
+//! all these facts depend on — is `O(n + n·words)` word operations with zero
 //! allocations, and because every fact is a monotone bit (set-once), the
 //! accumulator can be **split per worker and OR-merged at every BFS level
 //! barrier**: OR is commutative, associative, and idempotent, so the merged
@@ -26,7 +27,7 @@
 use crate::fsa::{Fsa, Vote};
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
-use crate::reach::{GlobalState, StateFolder};
+use crate::reach::StateFolder;
 
 /// Maps `(site, state)` pairs to a dense site-major slot numbering.
 #[derive(Clone, Debug)]
@@ -209,17 +210,17 @@ impl ConcurrencyFacts {
 }
 
 impl StateFolder for ConcurrencyFacts {
-    fn fold(&mut self, state: &GlobalState) {
+    fn fold(&mut self, locals: &[StateId]) {
         self.folded += 1;
         self.state_mask.fill(0);
         let mut all_yes = true;
-        for (i, &s) in state.locals.iter().enumerate() {
+        for (i, &s) in locals.iter().enumerate() {
             let slot = self.slots.offsets[i] + s.0;
             bit_set(&mut self.state_mask, slot);
             all_yes &= bit_get(&self.yes_voted, slot);
         }
         let words = self.words;
-        for (i, &s) in state.locals.iter().enumerate() {
+        for (i, &s) in locals.iter().enumerate() {
             let slot = self.slots.offsets[i] + s.0;
             bit_set(&mut self.occupied, slot);
             if !all_yes {
@@ -327,15 +328,15 @@ mod tests {
         let g = crate::reach::ReachGraph::build(&p).unwrap();
         let mut straight = ConcurrencyFacts::new(&p);
         for id in 0..g.node_count() as crate::reach::NodeId {
-            straight.fold(g.node(id));
+            straight.fold(&g.node(id).locals);
         }
         let mut merged = ConcurrencyFacts::new(&p);
         let (mut a, mut b) = (merged.split(), merged.split());
         for id in 0..g.node_count() as crate::reach::NodeId {
             if id % 2 == 0 {
-                a.fold(g.node(id))
+                a.fold(&g.node(id).locals)
             } else {
-                b.fold(g.node(id))
+                b.fold(&g.node(id).locals)
             }
         }
         merged.absorb(b);

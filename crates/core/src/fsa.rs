@@ -408,7 +408,9 @@ impl Fsa {
         Ok(())
     }
 
-    fn check_acyclic(&self, site: SiteId) -> Result<(), ProtocolError> {
+    /// [`ProtocolError::Cyclic`] unless the state diagram is acyclic: the
+    /// property that bounds what a site can send (see [`crate::codec`]).
+    pub(crate) fn check_acyclic(&self, site: SiteId) -> Result<(), ProtocolError> {
         // Kahn's algorithm over the state diagram.
         let n = self.states.len();
         let mut indeg = vec![0usize; n];

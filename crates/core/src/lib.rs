@@ -85,6 +85,7 @@ pub use ids::{MsgKind, SiteId, StateId};
 pub use protocol::{InitialMsg, Paradigm, Protocol};
 pub use reach::{
     fingerprint128, GlobalState, GraphStats, LevelProgress, ReachGraph, ReachOptions, StreamStats,
+    MAX_THREADS,
 };
 pub use termination::Decision;
 pub use theorem::{TheoremReport, Violation};

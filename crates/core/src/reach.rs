@@ -21,13 +21,25 @@
 //! practice, we seldom need to actually build it" — we do build it (that is
 //! the point of the reproduction), with a configurable node bound.
 //!
+//! ## A state is a few machine words
+//!
+//! Construction never touches a [`GlobalState`]. [`StateCodec`] gives every
+//! state of a protocol the same fixed-width bit layout — a field per site's
+//! local state, a count field per message address, `W` words in all (one
+//! for central 2PC n=7, two for central 3PC n=7..10, three for
+//! decentralized 3PC n=6; [`crate::codec`] has the argument that bounds a
+//! channel) — and the protocol's transitions are compiled against it once
+//! (`Program`): which fields a trigger needs and how many of each, which
+//! fields an emission raises.
+//!
 //! ## One generator, one fingerprint, three builders
 //!
-//! Every builder enumerates successors with [`for_each_successor`], which
-//! assembles each one in a caller-owned scratch state, and identifies
-//! states by [`state_fingerprint`], one allocation-free
-//! [`Fp128`](crate::fp128::Fp128) pass. A builder probes its tables with
-//! the scratch state and materialises a successor only when it is new.
+//! Every builder enumerates successors with `for_each_successor`: copy the
+//! `W` words into a caller-owned scratch, subtract the consumed counts, set
+//! the firing site's field, add the emitted counts. States are identified
+//! by `fingerprint`, one [`Fp128`] pass over the `W`
+//! words. A builder probes its tables with the scratch words and copies
+//! them into an arena only when the state is new.
 //!
 //! [`ReachGraph::build_with`] grows the graph level by level. A narrow
 //! frontier (and every frontier at one thread — the serial reference,
@@ -35,7 +47,7 @@
 //! into the graph. A wide one is split into contiguous chunks, one scoped
 //! worker each: a worker resolves every successor against the prior
 //! levels' table (immutable while the level is in flight) or a chunk-local
-//! one, and clones only the states new to its chunk; the coordinator then
+//! one, and copies only the states new to its chunk; the coordinator then
 //! walks the chunks *in order*, interns each chunk's new states in their
 //! first-occurrence order and appends the remapped edges. Ids are thus
 //! assigned in (chunk, first occurrence in chunk) order, which is first
@@ -43,25 +55,40 @@
 //! serial FIFO BFS. The result is **bit-identical** for any thread count:
 //! same node ids, same edge order, same classification counts
 //! (`tests/pinned_graphs.rs` holds the bytes). Retained graphs are exact:
-//! a hash hit is confirmed by comparing states ([`IdTable`]).
+//! a hash hit is confirmed by comparing words (`IdTable`).
+//!
+//! ## Nodes on demand
+//!
+//! The finished [`ReachGraph`] keeps its nodes as it built them: one flat
+//! arena, `W` words a node. Classification ([`ReachGraph::is_final`],
+//! [`ReachGraph::stats`]) and the analysis fold read the site-local fields
+//! straight from the words, so `analyze`, the theorem and resilience never
+//! build a [`GlobalState`]. [`ReachGraph::node`] and [`ReachGraph::nodes`]
+//! decode the whole node vector once, on first use — what `verify`, DOT
+//! rendering and the transition-lead measurement pay, and nobody else.
 
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::OnceLock;
 
-use crate::codec::{PackedArena, StateCodec};
+use crate::codec::{Field, PackedArena, StateCodec};
 use crate::error::ProtocolError;
 use crate::extmem::{RunSet, SpillStats};
 use crate::fp128::{Fp128, FpBuildHasher};
-use crate::fsa::{Consume, StateClass, Transition};
+use crate::fsa::{Consume, StateClass};
 use crate::ids::{MsgKind, SiteId, StateId};
 use crate::protocol::Protocol;
 
 /// Index of a node in the reachable state graph.
 pub type NodeId = u32;
+
+/// Most worker threads a state-space exploration accepts — this module's
+/// builders and the model checker's walk alike. A request beyond it is a
+/// typed error, never a spawn per frontier state.
+pub const MAX_THREADS: usize = 64;
 
 /// Address of an outstanding message: who sent it, to whom, what kind.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -139,18 +166,14 @@ impl Msgs {
 
     /// Remove one message; panics if absent (callers check first).
     pub fn remove(&mut self, addr: MsgAddr) {
-        assert!(self.take(addr), "removing absent message {addr:?}");
-    }
-
-    /// Remove one message if one is outstanding; says whether it was.
-    fn take(&mut self, addr: MsgAddr) -> bool {
-        let Ok(i) = self.0.binary_search_by_key(&addr, |&(a, _)| a) else { return false };
+        let Ok(i) = self.0.binary_search_by_key(&addr, |&(a, _)| a) else {
+            panic!("removing absent message {addr:?}")
+        };
         if self.0[i].1 == 1 {
             self.0.remove(i);
         } else {
             self.0[i].1 -= 1;
         }
-        true
     }
 
     /// Iterate over `(address, count)` pairs.
@@ -171,32 +194,17 @@ impl Msgs {
         debug_assert!(v.iter().all(|&(_, c)| c > 0), "counts must be positive");
         Self(v)
     }
-
-    /// The sorted `(address, count)` pairs, giving up the multiset — with
-    /// [`Msgs::from_sorted_counts`], how the codec refills a scratch state
-    /// without a fresh allocation.
-    pub(crate) fn into_sorted_counts(self) -> Vec<(MsgAddr, u16)> {
-        self.0
-    }
 }
 
-/// One global transaction state.
+/// One global transaction state, as a reader sees it. The builders work on
+/// its packed form ([`StateCodec`]); a graph decodes its nodes into this
+/// on first request.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct GlobalState {
     /// `locals[i]` = local state of site `i`.
     pub locals: Box<[StateId]>,
     /// Outstanding messages on the network tape.
     pub msgs: Msgs,
-}
-
-impl GlobalState {
-    /// Overwrite with `src` (a state of the same protocol) in place: a
-    /// scratch state is reused across a whole build without allocating.
-    fn copy_from(&mut self, src: &GlobalState) {
-        self.locals.copy_from_slice(&src.locals);
-        self.msgs.0.clear();
-        self.msgs.0.extend_from_slice(&src.msgs.0);
-    }
 }
 
 /// An edge of the reachable state graph: site `site` fired transition
@@ -240,7 +248,8 @@ pub struct ReachOptions {
     pub max_states: usize,
     /// Worker threads for frontier expansion. `0` (the default) picks
     /// [`std::thread::available_parallelism`] capped at 8; `1` forces the
-    /// serial reference path.
+    /// serial reference path; more than [`MAX_THREADS`] is refused with
+    /// [`ProtocolError::TooManyThreads`] by every builder.
     pub threads: usize,
     /// Frontiers smaller than this are expanded inline even when `threads`
     /// allows fan-out — thread spawn overhead dwarfs the work on the
@@ -310,10 +319,11 @@ impl ReachOptions {
     }
 
     /// The effective worker count for these options.
-    fn resolved_threads(&self) -> usize {
+    fn resolved_threads(&self) -> Result<usize, ProtocolError> {
         match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()).min(8),
-            t => t,
+            0 => Ok(std::thread::available_parallelism().map_or(1, |p| p.get()).min(8)),
+            t if t > MAX_THREADS => Err(ProtocolError::TooManyThreads { max: MAX_THREADS, got: t }),
+            t => Ok(t),
         }
     }
 }
@@ -321,7 +331,12 @@ impl ReachOptions {
 /// The reachable state graph of a protocol (in the absence of failures).
 #[derive(Clone)]
 pub struct ReachGraph {
-    nodes: Vec<GlobalState>,
+    /// The layout `arena`'s states are packed in.
+    codec: StateCodec,
+    /// Every node's packed state, in node-id order.
+    arena: PackedArena,
+    /// The same nodes decoded, once somebody asks to read one.
+    nodes: OnceLock<Vec<GlobalState>>,
     /// Every node's out-edges, back to back in node-id order.
     edges: Vec<Edge>,
     /// `edge_ends[id]` = one past node `id`'s last edge in `edges`.
@@ -345,8 +360,10 @@ pub struct ReachGraph {
 /// (bit-OR for the concurrency facts). Then any chunking of the frontier
 /// and any absorb order produce identical bits.
 pub(crate) trait StateFolder: Send {
-    /// Fold one distinct reachable global state.
-    fn fold(&mut self, state: &GlobalState);
+    /// Fold one distinct reachable global state, given as its site-local
+    /// states (`locals[i]` = local state of site `i`): the builders read
+    /// them off the packed words, and no folder looks at the messages.
+    fn fold(&mut self, locals: &[StateId]);
     /// An empty accumulator for a worker thread to fold its chunk into.
     fn split(&self) -> Self
     where
@@ -361,36 +378,155 @@ pub(crate) trait StateFolder: Send {
 pub(crate) struct NoFolder;
 
 impl StateFolder for NoFolder {
-    fn fold(&mut self, _: &GlobalState) {}
+    fn fold(&mut self, _: &[StateId]) {}
     fn split(&self) -> Self {
         NoFolder
     }
     fn absorb(&mut self, _: Self) {}
 }
 
-/// The 128-bit fingerprint of a global state: one [`Fp128`] pass over the
-/// locals (two per word; every state of a protocol has as many) and the
-/// sorted `(address, count)` pairs (two words each). The streaming fold
-/// deduplicates by it alone — hash compaction, collision probability
-/// about `N² / 2^129` for `N` distinct states — and spills it to
-/// [`crate::extmem`] run files, which is why the algorithm is a pinned one.
-fn state_fingerprint(state: &GlobalState) -> u128 {
-    let mut h = Fp128::new();
-    for pair in state.locals.chunks(2) {
-        let high = pair.get(1).map_or(0, |s| u64::from(s.0));
-        h.write_u64(u64::from(pair[0].0) | high << 32);
+/// What a compiled transition reads, as ranges of [`Program::pool`].
+enum Trigger {
+    /// Nothing: enabled while the site occupies the source state.
+    Spontaneous,
+    /// Every listed field, the pair's number many copies of each (a
+    /// trigger naming one address twice needs two outstanding).
+    All(Range<usize>),
+    /// One listed field that holds a message, tried in trigger order; the
+    /// pair's number is the source site the edge records.
+    Any(Range<usize>),
+    /// `k` of the listed fields that hold a message.
+    Quorum { k: usize, of: Range<usize> },
+}
+
+/// One transition compiled against the layout.
+struct Step {
+    /// Index into the firing site's transition table.
+    transition: u32,
+    /// The target local state.
+    to: u64,
+    trigger: Trigger,
+    /// The count fields the transition raises, one pool entry per emitted
+    /// message, in emit order.
+    emit: Range<usize>,
+}
+
+/// One site's share of a [`Program`].
+struct SiteSteps {
+    /// The site's local-state field.
+    local: Field,
+    /// `outgoing[s]` = the steps leaving local state `s`, as a range of
+    /// [`Program::steps`] in transition-table order.
+    outgoing: Vec<Range<usize>>,
+}
+
+/// A protocol's transitions compiled against its [`StateCodec`], once per
+/// build: what `for_each_successor` runs instead of walking `Consume`
+/// lists and searching a sorted message vector per transition.
+struct Program {
+    sites: Vec<SiteSteps>,
+    steps: Vec<Step>,
+    /// `(count field, number)` pairs the steps' ranges point into.
+    pool: Vec<(Field, u32)>,
+}
+
+impl Program {
+    /// Compile `protocol` against its own `codec`. A transition whose
+    /// trigger can never be met is left out (see [`Program::trigger`]).
+    fn compile(protocol: &Protocol, codec: &StateCodec) -> Self {
+        let mut program = Self { sites: Vec::new(), steps: Vec::new(), pool: Vec::new() };
+        for (i, fsa) in protocol.fsas().iter().enumerate() {
+            let site = SiteId(i as u32);
+            let inbox = |&(src, kind): &(SiteId, MsgKind)| {
+                codec.count_field(MsgAddr { src, dst: site, kind })
+            };
+            let mut outgoing = Vec::with_capacity(fsa.state_count());
+            for s in 0..fsa.state_count() {
+                let first = program.steps.len();
+                for (transition, t) in fsa.outgoing(StateId(s as u32)) {
+                    let Some(trigger) = program.trigger(&t.consume, inbox) else { continue };
+                    let emit_at = program.pool.len();
+                    program.pool.extend(t.emit.iter().map(|e| {
+                        let addr = MsgAddr { src: site, dst: e.dst, kind: e.kind };
+                        (codec.count_field(addr).expect("every emission is in the universe"), 0)
+                    }));
+                    program.steps.push(Step {
+                        transition,
+                        to: u64::from(t.to.0),
+                        trigger,
+                        emit: emit_at..program.pool.len(),
+                    });
+                }
+                outgoing.push(first..program.steps.len());
+            }
+            program.sites.push(SiteSteps { local: codec.local_field(i), outgoing });
+        }
+        program
     }
-    for &(a, count) in &state.msgs.0 {
-        h.write_u64(u64::from(a.src.0) | u64::from(a.dst.0) << 32);
-        h.write_u64(u64::from(a.kind.0) | u64::from(count) << 16);
+
+    /// Compile one trigger onto the end of the pool; `inbox` finds the
+    /// count field of a listed `(source, kind)`. An address no transition
+    /// emits and no initial message carries is outside the universe and
+    /// holds nothing in any reachable state: an `All` naming one can never
+    /// be met (`None`), an `Any` or `Quorum` never picks it.
+    fn trigger(
+        &mut self,
+        consume: &Consume,
+        inbox: impl Fn(&(SiteId, MsgKind)) -> Option<Field>,
+    ) -> Option<Trigger> {
+        let pool = &mut self.pool;
+        let at = pool.len();
+        Some(match consume {
+            Consume::Spontaneous => Trigger::Spontaneous,
+            Consume::All(v) => {
+                if v.iter().any(|m| inbox(m).is_none()) {
+                    return None;
+                }
+                for field in v.iter().filter_map(&inbox) {
+                    match pool[at..].iter_mut().find(|(f, _)| *f == field) {
+                        Some((_, copies)) => *copies += 1,
+                        None => pool.push((field, 1)),
+                    }
+                }
+                Trigger::All(at..pool.len())
+            }
+            Consume::Any(v) => {
+                pool.extend(v.iter().filter_map(|m| Some((inbox(m)?, m.0 .0))));
+                Trigger::Any(at..pool.len())
+            }
+            Consume::Quorum { k, srcs } => {
+                // A quorum counts distinct respondents (validation insists
+                // the list is distinct already).
+                for field in srcs.iter().filter_map(&inbox) {
+                    if pool[at..].iter().all(|&(f, _)| f != field) {
+                        pool.push((field, 0));
+                    }
+                }
+                Trigger::Quorum { k: *k as usize, of: at..pool.len() }
+            }
+        })
+    }
+}
+
+/// The 128-bit fingerprint of a packed state: one [`Fp128`] pass over its
+/// words. The streaming fold deduplicates by it alone — hash compaction,
+/// collision probability about `N² / 2^129` for `N` distinct states — and
+/// spills it to [`crate::extmem`] run files, which is why the algorithm is
+/// a pinned one.
+#[inline]
+fn fingerprint(words: &[u64]) -> u128 {
+    let mut h = Fp128::new();
+    for &w in words {
+        h.write_u64(w);
     }
     h.finish()
 }
 
-/// The high half of [`state_fingerprint`]: the key of the retained
-/// builders' [`IdTable`]s, which confirm a hit by comparing states.
-fn state_hash(state: &GlobalState) -> u64 {
-    (state_fingerprint(state) >> 64) as u64
+/// The high half of [`fingerprint`]: the key of the retained builders'
+/// [`IdTable`]s, which confirm a hit by comparing words.
+#[inline]
+fn state_hash(words: &[u64]) -> u64 {
+    (fingerprint(words) >> 64) as u64
 }
 
 /// An exact `hash → id` index over states kept elsewhere: the first id
@@ -451,11 +587,12 @@ enum Target {
 }
 
 /// What one expansion worker hands the coordinator.
-#[derive(Default)]
 struct Chunk {
-    /// States no prior level holds, with their hashes, in the order the
-    /// chunk first met them.
-    fresh: Vec<(u64, GlobalState)>,
+    /// States no prior level holds, packed, in the order the chunk first
+    /// met them...
+    fresh: PackedArena,
+    /// ...and the hash of each.
+    hashes: Vec<u64>,
     /// The chunk's successor stream.
     edges: Vec<(Target, Edge)>,
     /// One past each source node's last edge in `edges`.
@@ -530,13 +667,20 @@ impl ReachGraph {
         opts: ReachOptions,
         folder: &mut F,
     ) -> Result<Self, ProtocolError> {
-        let threads = opts.resolved_threads();
-        let initial = initial_global_state(protocol)?;
+        let threads = opts.resolved_threads()?;
+        let codec = StateCodec::new(protocol)?;
+        let program = Program::compile(protocol, &codec);
+        let initial = codec.initial(protocol)?;
         let mut table = IdTable::default();
         table.intern(state_hash(&initial), 0, |_| false);
-        let (mut source, mut scratch) = (initial.clone(), initial.clone());
+        let mut arena = PackedArena::new(codec.words());
+        arena.push(&initial);
+        let mut locals: Vec<StateId> = Vec::new();
+        let (mut source, mut scratch) = (initial.clone(), initial);
         let mut g = Self {
-            nodes: vec![initial],
+            codec,
+            arena,
+            nodes: OnceLock::new(),
             edges: Vec::new(),
             edge_ends: Vec::new(),
             initial: 0,
@@ -548,47 +692,49 @@ impl ReachGraph {
         while !level.is_empty() {
             let edges_before = g.edges.len();
             if threads > 1 && level.len() >= opts.parallel_frontier_min {
-                let (nodes, frontier) = (&g.nodes, &g.nodes[level.clone()]);
-                let chunks = fan_out(folder, frontier.len(), threads, |range, fold| {
-                    expand_chunk(protocol, &frontier[range], nodes, &table, fold)
+                let (codec, arena, first) = (&g.codec, &g.arena, level.start);
+                let chunks = fan_out(folder, level.len(), threads, |range, fold| {
+                    let frontier = first + range.start..first + range.end;
+                    expand_chunk(&program, codec, frontier, arena, &table, fold)
                 });
                 for chunk in chunks {
                     g.merge_chunk(chunk?, &mut table, opts.max_states)?;
                 }
             } else {
                 for id in level.clone() {
-                    // The node vector grows under the expansion, so the
-                    // source is read from a copy.
-                    source.copy_from(&g.nodes[id]);
-                    folder.fold(&source);
-                    let (nodes, edges) = (&mut g.nodes, &mut g.edges);
-                    for_each_successor(protocol, &source, &mut scratch, |succ, mut edge| {
-                        let hash = state_hash(succ);
-                        edge.to = intern_node(
-                            nodes,
+                    // The arena grows under the expansion, so the source
+                    // is read from a copy.
+                    source.copy_from_slice(g.arena.get(id));
+                    locals.clear();
+                    locals.extend(g.codec.locals(&source));
+                    folder.fold(&locals);
+                    let (arena, edges) = (&mut g.arena, &mut g.edges);
+                    for_each_successor(&program, &g.codec, &source, &mut scratch, |succ, edge| {
+                        let to = intern_node(
+                            arena,
                             &mut table,
                             opts.max_states,
-                            hash,
-                            Cow::Borrowed(succ),
+                            state_hash(succ),
+                            succ,
                         )?;
-                        edges.push(edge);
+                        edges.push(Edge { to, ..edge });
                         Ok(())
                     })?;
                     g.edge_ends.push(g.edges.len());
                 }
             }
             if let Some(hook) = opts.progress {
-                let new_states = g.nodes.len() - level.end;
+                let new_states = g.node_count() - level.end;
                 hook(&LevelProgress {
                     level: level_no,
                     frontier: level.len(),
                     new_states,
                     dedup_hits: (g.edges.len() - edges_before - new_states) as u64,
-                    total: g.nodes.len(),
+                    total: g.node_count(),
                 });
             }
             level_no += 1;
-            level = level.end..g.nodes.len();
+            level = level.end..g.node_count();
         }
         Ok(g)
     }
@@ -602,9 +748,9 @@ impl ReachGraph {
         table: &mut IdTable,
         max_states: usize,
     ) -> Result<(), ProtocolError> {
-        let mut ids = Vec::with_capacity(chunk.fresh.len());
-        for (hash, state) in chunk.fresh {
-            ids.push(intern_node(&mut self.nodes, table, max_states, hash, Cow::Owned(state))?);
+        let mut ids = Vec::with_capacity(chunk.hashes.len());
+        for (ix, &hash) in chunk.hashes.iter().enumerate() {
+            ids.push(intern_node(&mut self.arena, table, max_states, hash, chunk.fresh.get(ix))?);
         }
         let base = self.edges.len();
         self.edges.extend(chunk.edges.into_iter().map(|(target, edge)| {
@@ -620,7 +766,7 @@ impl ReachGraph {
 
     /// Number of reachable global states.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.arena.len()
     }
 
     /// Total number of edges.
@@ -633,14 +779,35 @@ impl ReachGraph {
         self.initial
     }
 
-    /// The global state at `id`.
+    /// The global state at `id`. The first call (of this or of
+    /// [`ReachGraph::nodes`]) decodes every node; classification and the
+    /// analyses never make it.
     pub fn node(&self, id: NodeId) -> &GlobalState {
-        &self.nodes[id as usize]
+        &self.nodes()[id as usize]
     }
 
-    /// All nodes.
+    /// All nodes, decoded from their packed form on first use: one locals
+    /// box per node, and one message vector per node that holds messages.
     pub fn nodes(&self) -> &[GlobalState] {
-        &self.nodes
+        self.nodes.get_or_init(|| {
+            (0..self.node_count()).map(|id| self.codec.decode(self.arena.get(id))).collect()
+        })
+    }
+
+    /// The site-local states of node `id`, read from its packed words.
+    fn locals(&self, id: NodeId) -> impl Iterator<Item = (SiteId, StateId)> + '_ {
+        (0u32..).map(SiteId).zip(self.codec.locals(self.arena.get(id as usize)))
+    }
+
+    /// Fold `folder` over every node in id order, as the builders do
+    /// level by level.
+    pub(crate) fn fold_nodes<F: StateFolder>(&self, folder: &mut F) {
+        let mut locals: Vec<StateId> = Vec::new();
+        for id in 0..self.node_count() {
+            locals.clear();
+            locals.extend(self.codec.locals(self.arena.get(id)));
+            folder.fold(&locals);
+        }
     }
 
     /// Out-edges of `id`.
@@ -657,8 +824,7 @@ impl ReachGraph {
 
     /// A global state is *final* if all local states are final.
     pub fn is_final(&self, id: NodeId) -> bool {
-        let g = self.node(id);
-        g.locals.iter().enumerate().all(|(i, &s)| self.class_of(SiteId(i as u32), s).is_final())
+        self.locals(id).all(|(site, s)| self.class_of(site, s).is_final())
     }
 
     /// A global state is *terminal* if it has no immediately reachable
@@ -675,11 +841,10 @@ impl ReachGraph {
     /// A global state is *inconsistent* if it contains both a local commit
     /// and a local abort state.
     pub fn is_inconsistent(&self, id: NodeId) -> bool {
-        let g = self.node(id);
         let mut commit = false;
         let mut abort = false;
-        for (i, &s) in g.locals.iter().enumerate() {
-            match self.class_of(SiteId(i as u32), s) {
+        for (site, s) in self.locals(id) {
+            match self.class_of(site, s) {
                 StateClass::Committed => commit = true,
                 StateClass::Aborted => abort = true,
                 _ => {}
@@ -794,8 +959,8 @@ pub fn fingerprint128<T: Hash + ?Sized>(value: &T) -> u128 {
     ((h1.finish() as u128) << 64) | h2.finish() as u128
 }
 
-/// The streaming fold's set of [`state_fingerprint`]s; the keys are
-/// uniform already, so the table reads them as they are.
+/// The streaming fold's set of [`fingerprint`]s; the keys are uniform
+/// already, so the table reads them as they are.
 type FpSet = HashSet<u128, FpBuildHasher>;
 
 /// Approximate resident cost of one fingerprint in the hot [`FpSet`]
@@ -809,7 +974,6 @@ fn spill_io(e: std::io::Error) -> ProtocolError {
 
 /// One worker's successor stream: the packed states that survived its
 /// filters, their fingerprints, and how many occurrences did not.
-#[derive(Default)]
 struct Stream {
     states: PackedArena,
     fps: Vec<u128>,
@@ -817,11 +981,11 @@ struct Stream {
 }
 
 /// Fold `folder` over every distinct reachable global state *without*
-/// retaining the graph: only the current frontier (bit-packed into a
-/// [`PackedArena`] by the protocol's [`StateCodec`]) and its successor
-/// stream (packed likewise, straight from the generator's scratch state)
-/// are ever resident, and states are deduplicated by 128-bit fingerprint
-/// (see [`state_fingerprint`]). Frontiers at least
+/// retaining the graph: only the current frontier (a [`PackedArena`] in
+/// the protocol's [`StateCodec`] layout) and its successor stream (packed
+/// likewise, straight from the generator's scratch words) are ever
+/// resident, and states are deduplicated by 128-bit fingerprint (see
+/// [`fingerprint`]). Frontiers at least
 /// [`ReachOptions::parallel_frontier_min`] wide are expanded by scoped
 /// workers folding into [`StateFolder::split`]s, OR-merged at the level
 /// barrier — same determinism argument as the retained parallel build.
@@ -840,14 +1004,15 @@ pub(crate) fn fold_reachable<F: StateFolder>(
     opts: ReachOptions,
     folder: &mut F,
 ) -> Result<StreamStats, ProtocolError> {
-    let threads = opts.resolved_threads();
-    let codec = StateCodec::new(protocol);
-    let initial = initial_global_state(protocol)?;
+    let threads = opts.resolved_threads()?;
+    let codec = StateCodec::new(protocol)?;
+    let program = Program::compile(protocol, &codec);
+    let initial = codec.initial(protocol)?;
     let mut seen = FpSet::default();
-    seen.insert(state_fingerprint(&initial));
+    seen.insert(fingerprint(&initial));
     let mut runs: RunSet<0> = RunSet::new();
-    let mut frontier = PackedArena::new();
-    frontier.push(&codec, &initial);
+    let mut frontier = PackedArena::new(codec.words());
+    frontier.push(&initial);
     let mut stats = StreamStats {
         distinct_states: 1,
         levels: 0,
@@ -867,16 +1032,27 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         // `distinct_states`. Fingerprints already spilled to disk are
         // filtered at the level barrier instead.
         let expand = |range: Range<usize>, fold: &mut F| -> Result<Stream, ProtocolError> {
-            let (mut source, mut scratch) = (initial.clone(), initial.clone());
-            let mut local = FpSet::default();
-            let mut out = Stream::default();
+            let mut scratch = vec![0u64; codec.words()];
+            let mut locals: Vec<StateId> = Vec::new();
+            // Sized for a stream as long as the chunk is wide, which most
+            // are within a factor of two of: the buffers grow once or
+            // twice a level instead of ten times.
+            let width = range.len();
+            let mut local = FpSet::with_capacity_and_hasher(width, FpBuildHasher::default());
+            let mut out = Stream {
+                states: PackedArena::with_capacity(codec.words(), width),
+                fps: Vec::with_capacity(width),
+                dupes: 0,
+            };
             for i in range {
-                frontier.get_into(&codec, i, &mut source);
-                fold.fold(&source);
-                for_each_successor(protocol, &source, &mut scratch, |succ, _| {
-                    let fp = state_fingerprint(succ);
+                let source = frontier.get(i);
+                locals.clear();
+                locals.extend(codec.locals(source));
+                fold.fold(&locals);
+                for_each_successor(&program, &codec, source, &mut scratch, |succ, _| {
+                    let fp = fingerprint(succ);
                     if !seen.contains(&fp) && local.insert(fp) {
-                        out.states.push(&codec, succ);
+                        out.states.push(succ);
                         out.fps.push(fp);
                     } else {
                         out.dupes += 1;
@@ -910,7 +1086,8 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         // Retire the expanded frontier; keep only this level's new states.
         let mut dedup_hits: u64 = streams.iter().map(|s| s.dupes).sum();
         let mut streamed = 0usize;
-        let mut next = PackedArena::new();
+        let survivors = streams.iter().map(|s| s.fps.len()).sum();
+        let mut next = PackedArena::with_capacity(codec.words(), survivors);
         for stream in &streams {
             for (i, &fp) in stream.fps.iter().enumerate() {
                 if on_disk.binary_search(&fp).is_ok() {
@@ -923,7 +1100,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
                         return Err(ProtocolError::GraphTooLarge { limit: opts.max_states });
                     }
                     stats.distinct_states += 1;
-                    next.push_packed(&stream.states, i);
+                    next.push(stream.states.get(i));
                 } else {
                     // Cross-chunk duplicate: the same state surfaced from
                     // two workers' chunk-local streams.
@@ -956,51 +1133,63 @@ pub(crate) fn fold_reachable<F: StateFolder>(
     Ok(stats)
 }
 
-/// Resolve `state` to its node id, appending it as a new node — cloned
-/// only now, if it was borrowed — when no node equals it.
+/// Resolve the packed `state` to its node id, copying it onto the end of
+/// `arena` as a new node when no node equals it.
 fn intern_node(
-    nodes: &mut Vec<GlobalState>,
+    arena: &mut PackedArena,
     table: &mut IdTable,
     max_states: usize,
     hash: u64,
-    state: Cow<'_, GlobalState>,
+    state: &[u64],
 ) -> Result<NodeId, ProtocolError> {
-    let fresh = nodes.len() as NodeId;
-    if let Some(id) = table.intern(hash, fresh, |id| nodes[id as usize] == *state) {
+    let fresh = arena.len() as NodeId;
+    if let Some(id) = table.intern(hash, fresh, |id| arena.get(id as usize) == state) {
         return Ok(id);
     }
-    if nodes.len() >= max_states {
+    if arena.len() >= max_states {
         return Err(ProtocolError::GraphTooLarge { limit: max_states });
     }
-    nodes.push(state.into_owned());
+    arena.push(state);
     Ok(fresh)
 }
 
-/// One worker's share of a level: expand `frontier`, resolving each
-/// successor against the prior levels (`nodes` and `table`, immutable
-/// while the level is in flight) or the chunk's own new states.
+/// One worker's share of a level: expand the nodes `frontier` of `arena`,
+/// resolving each successor against the prior levels (`arena` and
+/// `table`, immutable while the level is in flight) or the chunk's own
+/// new states.
 fn expand_chunk<F: StateFolder>(
-    protocol: &Protocol,
-    frontier: &[GlobalState],
-    nodes: &[GlobalState],
+    program: &Program,
+    codec: &StateCodec,
+    frontier: Range<usize>,
+    arena: &PackedArena,
     table: &IdTable,
     fold: &mut F,
 ) -> Result<Chunk, ProtocolError> {
-    let mut chunk = Chunk::default();
+    let mut chunk = Chunk {
+        fresh: PackedArena::new(codec.words()),
+        hashes: Vec::new(),
+        edges: Vec::new(),
+        edge_ends: Vec::with_capacity(frontier.len()),
+    };
     let mut local = IdTable::default();
-    let mut scratch = nodes[0].clone();
-    for source in frontier {
-        fold.fold(source);
-        let (fresh, edges) = (&mut chunk.fresh, &mut chunk.edges);
-        for_each_successor(protocol, source, &mut scratch, |succ, edge| {
+    let mut scratch = vec![0u64; codec.words()];
+    let mut locals: Vec<StateId> = Vec::new();
+    for id in frontier {
+        let source = arena.get(id);
+        locals.clear();
+        locals.extend(codec.locals(source));
+        fold.fold(&locals);
+        let Chunk { fresh, hashes, edges, .. } = &mut chunk;
+        for_each_successor(program, codec, source, &mut scratch, |succ, edge| {
             let hash = state_hash(succ);
-            let target = match table.find(hash, |id| nodes[id as usize] == *succ) {
+            let target = match table.find(hash, |id| arena.get(id as usize) == succ) {
                 Some(id) => Target::Old(id),
                 None => {
                     let next = fresh.len() as u32;
-                    let met = local.intern(hash, next, |ix| fresh[ix as usize].1 == *succ);
+                    let met = local.intern(hash, next, |ix| fresh.get(ix as usize) == succ);
                     if met.is_none() {
-                        fresh.push((hash, succ.clone()));
+                        fresh.push(succ);
+                        hashes.push(hash);
                     }
                     Target::Fresh(met.unwrap_or(next))
                 }
@@ -1013,81 +1202,79 @@ fn expand_chunk<F: StateFolder>(
     Ok(chunk)
 }
 
-fn initial_global_state(protocol: &Protocol) -> Result<GlobalState, ProtocolError> {
-    Ok(GlobalState {
-        locals: protocol.fsas().iter().map(|f| f.initial()).collect(),
-        msgs: Msgs::from_addrs(protocol.initial_msgs().iter().map(|m| MsgAddr {
-            src: m.src,
-            dst: m.dst,
-            kind: m.kind,
-        }))?,
-    })
-}
-
 fn class_table(protocol: &Protocol) -> Vec<Vec<StateClass>> {
     protocol.fsas().iter().map(|f| f.states().iter().map(|s| s.class).collect()).collect()
 }
 
-/// Visit the ordered successors of `state`, each assembled in `scratch`
-/// (any state of the same protocol; overwritten) and lent to `visit` with
-/// its edge, whose target is left 0. The enumeration order — sites
-/// ascending, transitions in table order, `Any` choices in trigger order,
-/// `Quorum` subsets lexicographic — is what fixes node ids and edge
-/// order, so every builder shares this single implementation. Nothing is
-/// allocated outside the `Quorum` arm.
+/// Visit the ordered successors of the packed `state`, each assembled in
+/// `scratch` (as many words; overwritten) and lent to `visit` with its
+/// edge, whose target is left 0. The enumeration order — sites ascending,
+/// transitions in table order, `Any` choices in trigger order, `Quorum`
+/// subsets lexicographic — is what fixes node ids and edge order, so every
+/// builder shares this single implementation. Nothing is allocated outside
+/// the `Quorum` arm. An emission into a count field already at its maximum
+/// is [`ProtocolError::MsgOverflow`].
 fn for_each_successor(
-    protocol: &Protocol,
-    state: &GlobalState,
-    scratch: &mut GlobalState,
-    mut visit: impl FnMut(&GlobalState, Edge) -> Result<(), ProtocolError>,
+    program: &Program,
+    codec: &StateCodec,
+    state: &[u64],
+    scratch: &mut [u64],
+    mut visit: impl FnMut(&[u64], Edge) -> Result<(), ProtocolError>,
 ) -> Result<(), ProtocolError> {
-    for (i, &local) in state.locals.iter().enumerate() {
-        let site = SiteId(i as u32);
-        let addr = |&(src, kind): &(SiteId, MsgKind)| MsgAddr { src, dst: site, kind };
+    for (i, site) in program.sites.iter().enumerate() {
         // With the trigger's messages consumed from `scratch`: move the
         // site, emit, and hand the successor over.
-        let mut fire = |scratch: &mut GlobalState, ti: u32, t: &Transition, any_choice| {
-            scratch.locals[i] = t.to;
-            for e in &t.emit {
-                scratch.msgs.add(MsgAddr { src: site, dst: e.dst, kind: e.kind })?;
+        let mut fire = |scratch: &mut [u64], step: &Step, any_choice| {
+            site.local.set(scratch, step.to);
+            for &(field, _) in &program.pool[step.emit.clone()] {
+                if field.get(scratch) == field.max() {
+                    return Err(codec.overflow(field));
+                }
+                field.add(scratch, 1);
             }
-            visit(scratch, Edge { to: 0, site, transition: ti, any_choice })
+            let edge =
+                Edge { to: 0, site: SiteId(i as u32), transition: step.transition, any_choice };
+            visit(scratch, edge)
         };
-        for (ti, t) in protocol.fsa(site).outgoing(local) {
-            match &t.consume {
-                Consume::Spontaneous => {
-                    scratch.copy_from(state);
-                    fire(scratch, ti, t, None)?;
+        let local = site.local.get(state) as usize;
+        for step in &program.steps[site.outgoing[local].clone()] {
+            match &step.trigger {
+                Trigger::Spontaneous => {
+                    scratch.copy_from_slice(state);
+                    fire(scratch, step, None)?;
                 }
-                Consume::All(v) => {
-                    // Taking the messages one by one honours
-                    // *multiplicity*, not mere containment: a trigger
-                    // listing the same address twice needs two
-                    // outstanding copies.
-                    scratch.copy_from(state);
-                    if v.iter().all(|m| scratch.msgs.take(addr(m))) {
-                        fire(scratch, ti, t, None)?;
-                    }
-                }
-                Consume::Any(v) => {
-                    for m in v.iter().filter(|m| state.msgs.contains(addr(m))) {
-                        scratch.copy_from(state);
-                        scratch.msgs.remove(addr(m));
-                        fire(scratch, ti, t, Some(m.0))?;
-                    }
-                }
-                Consume::Quorum { k, srcs } => {
-                    // One successor per k-subset of the *available* listed
-                    // messages (sources are distinct by validation, so
-                    // multiplicity is not a concern).
-                    let avail: Vec<MsgAddr> =
-                        srcs.iter().map(addr).filter(|&a| state.msgs.contains(a)).collect();
-                    for_each_k_subset(avail.len(), *k as usize, |combo| {
-                        scratch.copy_from(state);
-                        for &ix in combo {
-                            scratch.msgs.remove(avail[ix]);
+                Trigger::All(needs) => {
+                    let needs = &program.pool[needs.clone()];
+                    if needs.iter().all(|&(field, copies)| field.get(state) >= u64::from(copies)) {
+                        scratch.copy_from_slice(state);
+                        for &(field, copies) in needs {
+                            field.sub(scratch, u64::from(copies));
                         }
-                        fire(scratch, ti, t, None)
+                        fire(scratch, step, None)?;
+                    }
+                }
+                Trigger::Any(choices) => {
+                    for &(field, src) in &program.pool[choices.clone()] {
+                        if field.get(state) > 0 {
+                            scratch.copy_from_slice(state);
+                            field.sub(scratch, 1);
+                            fire(scratch, step, Some(SiteId(src)))?;
+                        }
+                    }
+                }
+                Trigger::Quorum { k, of } => {
+                    // One successor per k-subset of the listed fields that
+                    // hold a message.
+                    let avail: Vec<Field> = program.pool[of.clone()]
+                        .iter()
+                        .filter_map(|&(field, _)| (field.get(state) > 0).then_some(field))
+                        .collect();
+                    for_each_k_subset(avail.len(), *k, |combo| {
+                        scratch.copy_from_slice(state);
+                        for &ix in combo {
+                            avail[ix].sub(scratch, 1);
+                        }
+                        fire(scratch, step, None)
                     })?;
                 }
             }
@@ -1445,21 +1632,21 @@ mod tests {
     fn colliding_hashes_keep_distinct_states_apart() {
         // Four distinct states interned under one forced 64-bit hash: the
         // first sits in the map, the rest in the overflow list, and each
-        // is found again only by comparing states.
+        // is found again only by comparing words.
         let graph = ReachGraph::build(&central_2pc(2)).unwrap();
-        let states = &graph.nodes()[..4];
-        let (mut nodes, mut table) = (Vec::new(), IdTable::default());
-        let mut intern = |s: &GlobalState| {
-            intern_node(&mut nodes, &mut table, usize::MAX, 7, Cow::Borrowed(s)).unwrap()
-        };
+        let states: Vec<&[u64]> = (0..4).map(|id| graph.arena.get(id)).collect();
+        let (mut arena, mut table) = (PackedArena::new(graph.codec.words()), IdTable::default());
+        let mut intern =
+            |s: &&[u64]| intern_node(&mut arena, &mut table, usize::MAX, 7, s).unwrap();
         let first: Vec<NodeId> = states.iter().map(&mut intern).collect();
         assert_eq!(first, [0, 1, 2, 3], "distinct ids in first-come order");
         let again: Vec<NodeId> = states.iter().rev().map(&mut intern).collect();
         assert_eq!(again, [3, 2, 1, 0], "a state met before keeps its id");
-        assert_eq!(nodes, states, "nothing was interned twice");
+        assert_eq!(arena.len(), 4, "nothing was interned twice");
         assert_eq!(table.overflow.len(), 3);
         for (id, s) in states.iter().enumerate() {
-            assert_eq!(table.find(7, |i| nodes[i as usize] == *s), Some(id as u32));
+            assert_eq!(arena.get(id), *s);
+            assert_eq!(table.find(7, |i| arena.get(i as usize) == *s), Some(id as u32));
         }
         assert_eq!(table.find(8, |_| true), None, "another hash holds nothing");
     }
@@ -1518,7 +1705,7 @@ mod tests {
     struct CountFolder(usize);
 
     impl StateFolder for CountFolder {
-        fn fold(&mut self, _: &GlobalState) {
+        fn fold(&mut self, _: &[StateId]) {
             self.0 += 1;
         }
         fn split(&self) -> Self {
@@ -1649,5 +1836,183 @@ mod tests {
         let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
         let auto = ReachGraph::build(&p).unwrap();
         assert_identical(&serial, &auto, "central 3PC n=4 auto");
+    }
+
+    #[test]
+    fn a_thread_count_over_the_limit_is_refused_by_every_builder() {
+        // `fan_out` spawns a worker per part: 1 000 000 threads used to
+        // abort the process on a frontier wide enough to cut that often.
+        let p = central_2pc(3);
+        for got in [MAX_THREADS + 1, 1_000_000, usize::MAX] {
+            let opts =
+                ReachOptions { threads: got, parallel_frontier_min: 1, ..Default::default() };
+            let refused = ProtocolError::TooManyThreads { max: MAX_THREADS, got };
+            assert_eq!(ReachGraph::build_with(&p, opts).err(), Some(refused.clone()));
+            assert_eq!(fold_reachable(&p, opts, &mut NoFolder).err(), Some(refused.clone()));
+            for stream in [false, true] {
+                let built = crate::Analysis::build_with(&p, opts.with_streaming(stream));
+                assert_eq!(built.err(), Some(refused.clone()));
+            }
+        }
+        // The limit itself is a count that runs.
+        let opts =
+            ReachOptions { threads: MAX_THREADS, parallel_frontier_min: 1, ..Default::default() };
+        let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
+        assert_identical(&serial, &ReachGraph::build_with(&p, opts).unwrap(), "64 threads");
+        assert_eq!(
+            fold_reachable(&p, opts, &mut NoFolder).unwrap().distinct_states,
+            serial.node_count()
+        );
+    }
+
+    #[test]
+    fn nodes_decode_on_first_use_and_classification_never_needs_them() {
+        for p in catalog(4) {
+            let g = ReachGraph::build(&p).unwrap();
+            // Classification reads the packed words alone...
+            let from_words = g.stats();
+            assert!(g.nodes.get().is_none(), "{}: stats() decoded the nodes", p.name);
+            let mut facts = CountFolder(0);
+            g.fold_nodes(&mut facts);
+            assert!(g.nodes.get().is_none(), "{}: the fold decoded the nodes", p.name);
+            assert_eq!(facts.0, g.node_count());
+
+            // ...and says what the decoded states say.
+            let classes = |s: &GlobalState| -> Vec<StateClass> {
+                s.locals.iter().zip(p.fsas()).map(|(&l, fsa)| fsa.state(l).class).collect()
+            };
+            let mut from_states = GraphStats {
+                nodes: g.nodes().len(),
+                edges: g.edge_count(),
+                ..GraphStats::default()
+            };
+            for (id, s) in g.nodes().iter().enumerate() {
+                let (classes, terminal) = (classes(s), g.edges(id as NodeId).is_empty());
+                let all_final = classes.iter().all(|c| c.is_final());
+                from_states.final_states += usize::from(all_final);
+                from_states.terminal_states += usize::from(terminal);
+                from_states.deadlocked_states += usize::from(terminal && !all_final);
+                from_states.inconsistent_states += usize::from(
+                    classes.contains(&StateClass::Committed)
+                        && classes.contains(&StateClass::Aborted),
+                );
+            }
+            assert_eq!(from_words, from_states, "{}", p.name);
+
+            // The lazily held vector is every node decoded, once: a clone
+            // taken before the first read decodes its own, equal one.
+            let fresh = ReachGraph::build(&p).unwrap();
+            let copy = fresh.clone();
+            let eager: Vec<GlobalState> =
+                (0..g.node_count()).map(|id| g.codec.decode(g.arena.get(id))).collect();
+            assert_eq!(g.nodes(), eager, "{}", p.name);
+            assert!(std::ptr::eq(g.nodes(), g.nodes()), "decoded once, lent thereafter");
+            assert_eq!(fresh.node(3), &eager[3]);
+            assert!(copy.nodes.get().is_none(), "a clone shares nothing with its source");
+            assert_eq!(copy.nodes(), eager);
+        }
+    }
+
+    /// The successors of `state` as the model defines them, worked out on
+    /// a [`GlobalState`] with [`Msgs`] arithmetic straight from the
+    /// transition tables, in the generator's enumeration order: the
+    /// reference the compiled word generator is held to.
+    fn reference_successors(p: &Protocol, state: &GlobalState) -> Vec<(GlobalState, Edge)> {
+        let mut out = Vec::new();
+        for (i, &local) in state.locals.iter().enumerate() {
+            let site = SiteId(i as u32);
+            let addr = |&(src, kind): &(SiteId, MsgKind)| MsgAddr { src, dst: site, kind };
+            for (transition, t) in p.fsa(site).outgoing(local) {
+                // Each way the trigger can be met: what it takes off the
+                // tape, and the choice the edge records.
+                let mut ways: Vec<(Vec<MsgAddr>, Option<SiteId>)> = Vec::new();
+                match &t.consume {
+                    Consume::Spontaneous => ways.push((vec![], None)),
+                    Consume::All(v) => ways.push((v.iter().map(addr).collect(), None)),
+                    Consume::Any(v) => ways.extend(v.iter().map(|m| (vec![addr(m)], Some(m.0)))),
+                    Consume::Quorum { k, srcs } => {
+                        let avail: Vec<MsgAddr> =
+                            srcs.iter().map(addr).filter(|&a| state.msgs.contains(a)).collect();
+                        for_each_k_subset(avail.len(), *k as usize, |combo| {
+                            ways.push((combo.iter().map(|&ix| avail[ix]).collect(), None));
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                }
+                for (taken, any_choice) in ways {
+                    let mut next = state.clone();
+                    // One by one, so an address listed twice must be
+                    // outstanding twice.
+                    let met = taken.iter().all(|&a| {
+                        let there = next.msgs.contains(a);
+                        if there {
+                            next.msgs.remove(a);
+                        }
+                        there
+                    });
+                    if !met {
+                        continue;
+                    }
+                    next.locals[i] = t.to;
+                    for e in &t.emit {
+                        next.msgs.add(MsgAddr { src: site, dst: e.dst, kind: e.kind }).unwrap();
+                    }
+                    out.push((next, Edge { to: 0, site, transition, any_choice }));
+                }
+            }
+        }
+        out
+    }
+
+    /// Three voters and a collector that commits on any two yes votes or
+    /// aborts on the first no.
+    fn two_of_three() -> Protocol {
+        let votes = |kind| (1..=3).map(|s| (SiteId(s), kind)).collect::<Vec<_>>();
+        let mut collector = FsaBuilder::new("collector");
+        let q = collector.state("q", StateClass::Initial);
+        let c = collector.state("c", StateClass::Committed);
+        let a = collector.state("a", StateClass::Aborted);
+        let quorum = Consume::Quorum { k: 2, srcs: votes(MsgKind::YES) };
+        collector.transition(q, c, quorum, vec![], None, "2 of 3 yes /");
+        collector.transition(q, a, Consume::Any(votes(MsgKind::NO)), vec![], None, "no /");
+        let mut fsas = vec![collector.build()];
+        for _ in 1..=3 {
+            let mut voter = FsaBuilder::new("voter");
+            let q = voter.state("q", StateClass::Initial);
+            let w = voter.state("w", StateClass::Wait);
+            let a = voter.state("a", StateClass::Aborted);
+            let vote = |kind| vec![Envelope::new(SiteId(0), kind)];
+            voter.transition(q, w, Consume::Spontaneous, vote(MsgKind::YES), None, "/ yes");
+            voter.transition(q, a, Consume::Spontaneous, vote(MsgKind::NO), None, "/ no");
+            fsas.push(voter.build());
+        }
+        Protocol::new("two of three", Paradigm::Custom, fsas, vec![])
+    }
+
+    #[test]
+    fn every_edge_is_its_transition_applied_to_its_source() {
+        let mut protocols: Vec<Protocol> = (2..=4).flat_map(catalog).collect();
+        protocols.push(crate::kpc::k_phase_central(3, 5).unwrap());
+        protocols.push(two_of_three());
+        for p in &protocols {
+            let g = ReachGraph::build(p).unwrap();
+            for id in 0..g.node_count() as NodeId {
+                let built: Vec<(GlobalState, Edge)> = g
+                    .edges(id)
+                    .iter()
+                    .map(|e| (g.node(e.to).clone(), Edge { to: 0, ..*e }))
+                    .collect();
+                assert_eq!(built, reference_successors(p, g.node(id)), "{}: node {id}", p.name);
+            }
+        }
+        let quorum = ReachGraph::build(&two_of_three()).unwrap();
+        assert!(
+            (0..quorum.node_count() as NodeId).any(|id| {
+                quorum.edges(id).iter().filter(|e| e.site == SiteId(0) && e.transition == 0).count()
+                    == 3
+            }),
+            "three yes votes outstanding are three ways to take two"
+        );
     }
 }

@@ -61,11 +61,12 @@
 //!
 //! The finished [`ReachGraph`] keeps its nodes as it built them: one flat
 //! arena, `W` words a node. Classification ([`ReachGraph::is_final`],
-//! [`ReachGraph::stats`]) and the analysis fold read the site-local fields
-//! straight from the words, so `analyze`, the theorem and resilience never
-//! build a [`GlobalState`]. [`ReachGraph::node`] and [`ReachGraph::nodes`]
-//! decode the whole node vector once, on first use — what `verify`, DOT
-//! rendering and the transition-lead measurement pay, and nobody else.
+//! [`ReachGraph::stats`]), the analysis fold, termination verification and
+//! the transition-lead walk read the site-local fields straight from the
+//! words, so `analyze`, `verify`, the theorem and resilience never build a
+//! [`GlobalState`]. [`ReachGraph::node`] and [`ReachGraph::nodes`] decode
+//! the whole node vector once, on first use — what DOT rendering and any
+//! caller that reads a node's messages pays, and nobody else.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -781,7 +782,7 @@ impl ReachGraph {
 
     /// The global state at `id`. The first call (of this or of
     /// [`ReachGraph::nodes`]) decodes every node; classification and the
-    /// analyses never make it.
+    /// analyses in this crate never make it.
     pub fn node(&self, id: NodeId) -> &GlobalState {
         &self.nodes()[id as usize]
     }
@@ -794,8 +795,10 @@ impl ReachGraph {
         })
     }
 
-    /// The site-local states of node `id`, read from its packed words.
-    fn locals(&self, id: NodeId) -> impl Iterator<Item = (SiteId, StateId)> + '_ {
+    /// The site-local states of node `id`, read from its packed words —
+    /// all that classification, the fold, termination verification and
+    /// the transition-lead walk need of a node.
+    pub(crate) fn locals(&self, id: NodeId) -> impl Iterator<Item = (SiteId, StateId)> + '_ {
         (0u32..).map(SiteId).zip(self.codec.locals(self.arena.get(id as usize)))
     }
 
@@ -1877,7 +1880,15 @@ mod tests {
             assert!(g.nodes.get().is_none(), "{}: the fold decoded the nodes", p.name);
             assert_eq!(facts.0, g.node_count());
 
-            // ...and says what the decoded states say.
+            // ...and so do the analyses that walk the graph node by node.
+            let analysis = crate::Analysis::from_graph(&p, g.clone());
+            let _ = crate::verify::verify_termination_with(&p, &analysis);
+            let _ = crate::sync_check::check_with(&p, &analysis, ReachOptions::default());
+            let _ = crate::theorem::check_with(&p, &analysis);
+            let walked = analysis.graph().expect("retained");
+            assert!(walked.nodes.get().is_none(), "{}: an analysis decoded the nodes", p.name);
+
+            // Classification says what the decoded states say.
             let classes = |s: &GlobalState| -> Vec<StateClass> {
                 s.locals.iter().zip(p.fsas()).map(|(&l, fsa)| fsa.state(l).class).collect()
             };

@@ -142,10 +142,10 @@ fn max_transition_lead(
     let mut witness = vec![0u32; n];
 
     while let Some((node, depths)) = queue.pop_front() {
-        let g = graph.node(node);
-        let executing: Vec<u32> = (0..n)
-            .filter(|&i| !graph.class_of(SiteId(i as u32), g.locals[i]).is_final())
-            .map(|i| depths[i])
+        let executing: Vec<u32> = graph
+            .locals(node)
+            .filter(|&(site, s)| !graph.class_of(site, s).is_final())
+            .map(|(site, _)| depths[site.index()])
             .collect();
         if executing.len() >= 2 {
             let lead = executing.iter().max().unwrap() - executing.iter().min().unwrap();

@@ -61,12 +61,13 @@
 //!
 //! The finished [`ReachGraph`] keeps its nodes as it built them: one flat
 //! arena, `W` words a node. Classification ([`ReachGraph::is_final`],
-//! [`ReachGraph::stats`]), the analysis fold, termination verification and
-//! the transition-lead walk read the site-local fields straight from the
-//! words, so `analyze`, `verify`, the theorem and resilience never build a
+//! [`ReachGraph::stats`]), the analysis fold and the transition-lead walk
+//! of [`crate::sync_check`] read the site-local fields straight from the
+//! words, so `analyze`, the theorem and resilience never build a
 //! [`GlobalState`]. [`ReachGraph::node`] and [`ReachGraph::nodes`] decode
-//! the whole node vector once, on first use — what DOT rendering and any
-//! caller that reads a node's messages pays, and nobody else.
+//! the whole node vector once, on first use — what termination
+//! verification, DOT rendering and any caller that reads a node's messages
+//! pays, and nobody else.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -781,8 +782,8 @@ impl ReachGraph {
     }
 
     /// The global state at `id`. The first call (of this or of
-    /// [`ReachGraph::nodes`]) decodes every node; classification and the
-    /// analyses in this crate never make it.
+    /// [`ReachGraph::nodes`]) decodes every node; classification, the
+    /// fold and `analyze` never make it.
     pub fn node(&self, id: NodeId) -> &GlobalState {
         &self.nodes()[id as usize]
     }
@@ -796,8 +797,8 @@ impl ReachGraph {
     }
 
     /// The site-local states of node `id`, read from its packed words —
-    /// all that classification, the fold, termination verification and
-    /// the transition-lead walk need of a node.
+    /// all that classification, the fold and the transition-lead walk
+    /// need of a node.
     pub(crate) fn locals(&self, id: NodeId) -> impl Iterator<Item = (SiteId, StateId)> + '_ {
         (0u32..).map(SiteId).zip(self.codec.locals(self.arena.get(id as usize)))
     }
@@ -1882,7 +1883,6 @@ mod tests {
 
             // ...and so do the analyses that walk the graph node by node.
             let analysis = crate::Analysis::from_graph(&p, g.clone());
-            let _ = crate::verify::verify_termination_with(&p, &analysis);
             let _ = crate::sync_check::check_with(&p, &analysis, ReachOptions::default());
             let _ = crate::theorem::check_with(&p, &analysis);
             let walked = analysis.graph().expect("retained");

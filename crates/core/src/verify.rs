@@ -123,12 +123,13 @@ pub fn verify_termination_with(
     let mut stuck_witnesses = Vec::new();
 
     for node in 0..graph.node_count() as NodeId {
+        let g = graph.node(node);
         // Per-site decision the backup rule would derive from this global
         // state, and the final-state facts.
         let mut site_decision = Vec::with_capacity(n);
         let mut final_decision: Vec<Option<bool>> = Vec::with_capacity(n);
-        for (site, s) in graph.locals(node) {
-            let class = graph.class_of(site, s);
+        for (i, &s) in g.locals.iter().enumerate() {
+            let class = graph.class_of(SiteId(i as u32), s);
             site_decision.push(decisions.get(&class).copied().unwrap_or(Decision::Blocked));
             final_decision.push(match class {
                 StateClass::Committed => Some(true),

@@ -7,8 +7,12 @@ use nbc_engine::{
     enumerate_crash_specs, run_with, sweep, CrashPoint, CrashSpec, RunConfig, TerminationRule,
     TransitionProgress,
 };
-use nbc_simnet::SimRng;
-use nbc_txn::{BankWorkload, Cluster, ClusterConfig, ProtocolKind, TxnResult};
+use nbc_obs::{EventKind, MemorySink, SharedSink, Tracer};
+use nbc_pipeline::{
+    bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn, ThroughputReport, MAX_REAP_AFTER,
+};
+use nbc_simnet::{SimRng, Time};
+use nbc_txn::{BankWorkload, ProtocolKind};
 
 use crate::table::Table;
 
@@ -133,6 +137,44 @@ pub fn b3_latency() -> String {
     )
 }
 
+/// What a batch came to under the serial driver.
+struct SerialRun {
+    /// The batch's own report (the setup transaction is not in it).
+    report: ThroughputReport,
+    /// Messages of every round, the setup transaction's included.
+    msgs: u64,
+    /// Simulated time from zero to the end of the last round: the rounds
+    /// back to back, setup first, the reaps after them not counted.
+    ticks: Time,
+}
+
+/// Seed `w`'s accounts and run `batch` one round at a time: the scheduler
+/// at in-flight 1 with a physical force per sync, every lock conflict a no
+/// vote, and blocked rounds stranding their locks until the batch is over.
+fn run_serial(kind: ProtocolKind, w: &BankWorkload, batch: Vec<PipelineTxn>) -> SerialRun {
+    let mut p = Pipeline::new(PipelineConfig {
+        max_in_flight: 1,
+        group_window: 0,
+        die_budget: 0,
+        reap_after: MAX_REAP_AFTER,
+        ..PipelineConfig::new(w.n_sites, kind)
+    });
+    let setup = p.run(vec![PipelineTxn::from_ops(&w.setup_ops())]);
+    assert_eq!(setup.committed, 1, "{}: setup must commit", kind.name());
+    // The report's clock ends at the last reap; the rounds end at the last
+    // event before the first one.
+    let sink = SharedSink::new(MemorySink::default());
+    p.set_tracer(Tracer::to_sink(sink.clone()));
+    let report = p.run(batch);
+    let ticks = sink.with(|s| {
+        let rounds = s.events.iter().take_while(|e| !matches!(e.kind, EventKind::Reap { .. }));
+        rounds.last().map_or(setup.finished_at, |e| e.time)
+    });
+    assert_eq!(p.total_balance(w), w.expected_total(), "{}: conservation", kind.name());
+    assert_eq!(p.locked_keys(), 0, "{}: the reaps drain every lock", kind.name());
+    SerialRun { msgs: setup.msgs + report.msgs, report, ticks }
+}
+
 /// B4 — committed-transaction throughput under coordinator crashes, 2PC vs
 /// 3PC over the bank workload. Shape: 3PC keeps terminating (no blocked
 /// transactions, bounded abort rate); 2PC strands transactions whose locks
@@ -150,44 +192,19 @@ pub fn b4_throughput_under_failures() -> String {
     for kind in [ProtocolKind::Central2pc, ProtocolKind::Central3pc] {
         for crash_pct in [0u32, 10, 25, 50] {
             let mut rng = SimRng::seed_from_u64(2024);
-            let w0 = BankWorkload::new(3, 12, 1_000, 31);
-            let mut c = Cluster::new(ClusterConfig::new(3, kind));
-            assert_eq!(c.execute(&w0.setup_ops()), TxnResult::Committed);
-            let mut w = w0.clone();
-            let total = 200u32;
-            for _ in 0..total {
-                let (f, to, amt) = w.random_transfer();
-                let crashes = if rng.gen_ratio(crash_pct, 100) {
-                    vec![CrashSpec {
-                        site: 0,
-                        point: CrashPoint::OnTransition {
-                            ordinal: 2,
-                            progress: TransitionProgress::AfterMsgs(rng.gen_range(0u32..=2)),
-                        },
-                        recover_at: None,
-                    }]
-                } else {
-                    vec![]
-                };
-                let _ = c.transfer_with_crashes(&w, f, to, amt, &crashes);
-            }
-            let stats = c.stats.clone();
+            let w = BankWorkload::new(3, 12, 1_000, 31);
+            let total = 200usize;
+            let batch = bank_transfer_txns(&mut w.clone(), total, crash_pct, &mut rng);
+            let r = run_serial(kind, &w, batch).report;
             t.row([
                 kind.name().to_string(),
                 format!("{crash_pct}%"),
                 total.to_string(),
-                (stats.committed - 1).to_string(), // minus the setup txn
-                stats.aborted.to_string(),
-                stats.blocked.to_string(),
-                format!("{:.2}", (stats.committed - 1) as f64 / total as f64),
+                r.committed.to_string(),
+                r.aborted.to_string(),
+                r.blocked.to_string(),
+                format!("{:.2}", r.committed as f64 / total as f64),
             ]);
-            c.recover_all();
-            assert_eq!(
-                c.total_balance(&w),
-                w.expected_total(),
-                "{}: conservation after recovery",
-                kind.name()
-            );
         }
     }
     format!(
@@ -199,14 +216,12 @@ pub fn b4_throughput_under_failures() -> String {
     )
 }
 
-/// B6 — concurrent commit pipeline vs the serial cluster: transactions
+/// B6 — concurrent commit pipeline vs one round at a time: transactions
 /// per kilotick at growing in-flight limits, with group-commit savings.
 /// Shape: concurrency multiplies throughput for both protocols (rounds
 /// overlap on the wire), but 2PC's blocked rounds strand locks until the
 /// reaper fires, so its speedup saturates below 3PC's under crashes.
 pub fn b6_pipeline_group_commit() -> String {
-    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
-
     let mut t = Table::new([
         "protocol",
         "crash rate",
@@ -222,52 +237,28 @@ pub fn b6_pipeline_group_commit() -> String {
     let txns = 100usize;
     for kind in [ProtocolKind::Central2pc, ProtocolKind::Central3pc] {
         for crash_pct in [0u32, 25] {
-            // Serial baseline: the pre-pipeline cluster, one round at a
-            // time, a physical force per sync.
             let w = BankWorkload::new(3, 24, 1_000, 31);
             let batch = {
                 let mut rng = SimRng::seed_from_u64(0xB6);
                 bank_transfer_txns(&mut w.clone(), txns, crash_pct, &mut rng)
             };
-            let mut serial = Cluster::new(ClusterConfig::new(3, kind));
-            assert_eq!(serial.execute(&w.setup_ops()), TxnResult::Committed);
-            {
-                let mut rng = SimRng::seed_from_u64(0xB6);
-                let mut wc = w.clone();
-                for _ in 0..txns {
-                    let (f, to, amt) = wc.random_transfer();
-                    let crashes = if crash_pct > 0 && rng.gen_ratio(crash_pct, 100) {
-                        vec![CrashSpec {
-                            site: 0,
-                            point: CrashPoint::OnTransition {
-                                ordinal: 2,
-                                progress: TransitionProgress::AfterMsgs(rng.gen_range(0u32..=2)),
-                            },
-                            recover_at: None,
-                        }]
-                    } else {
-                        vec![]
-                    };
-                    let _ = serial.transfer_with_crashes(&wc, f, to, amt, &crashes);
-                }
-                serial.recover_all();
-                assert_eq!(serial.total_balance(&wc), wc.expected_total());
-            }
-            let serial_ticks = serial.stats.sim_time.max(1);
+            // Serial baseline: the same batch, one round at a time, a
+            // physical force per sync.
+            let serial = run_serial(kind, &w, batch.clone());
+            let serial_ticks = serial.ticks.max(1);
             let serial_rate = txns as f64 * 1000.0 / serial_ticks as f64;
             t.row([
                 kind.name().to_string(),
                 format!("{crash_pct}%"),
                 "serial".to_string(),
-                (serial.stats.committed - 1).to_string(),
-                serial.stats.aborted.to_string(),
-                serial.stats.blocked.to_string(),
+                serial.report.committed.to_string(),
+                serial.report.aborted.to_string(),
+                serial.report.blocked.to_string(),
                 serial_ticks.to_string(),
                 format!("{serial_rate:.1}"),
                 "1.00x".to_string(),
                 "-".to_string(),
             ]);
-
             for in_flight in [4usize, 8] {
                 let mut p = Pipeline::new(
                     PipelineConfig::new(3, kind)
@@ -347,33 +338,34 @@ pub fn b8_paxos_resilience() -> String {
         for crash_pct in [0u32, 25, 50] {
             let mut rng = SimRng::seed_from_u64(0xB8 + f as u64);
             let w0 = BankWorkload::new(n, 12, 1_000, 31);
-            let mut c = Cluster::new(ClusterConfig::new(n, ProtocolKind::Paxos { f }));
-            assert_eq!(c.execute(&w0.setup_ops()), TxnResult::Committed);
             let mut w = w0.clone();
             let total = 120u32;
-            for _ in 0..total {
-                let (from, to, amt) = w.random_transfer();
-                let crashes = if rng.gen_ratio(crash_pct, 100) {
-                    // One random acceptor dies before relaying its verdict
-                    // to the leader — the crash the quorum exists to absorb.
-                    vec![CrashSpec {
-                        site: n + rng.gen_range(0..acceptors),
-                        point: CrashPoint::OnTransition {
-                            ordinal: 1,
-                            progress: TransitionProgress::AfterMsgs(0),
-                        },
-                        recover_at: None,
-                    }]
-                } else {
-                    vec![]
-                };
-                let _ = c.transfer_with_crashes(&w, from, to, amt, &crashes);
-            }
-            let stats = c.stats.clone();
+            let batch = (0..total)
+                .map(|_| {
+                    let (from, to, amt) = w.random_transfer();
+                    let crashes = if rng.gen_ratio(crash_pct, 100) {
+                        // One random acceptor dies before relaying its verdict
+                        // to the leader — the crash the quorum exists to absorb.
+                        vec![CrashSpec {
+                            site: n + rng.gen_range(0..acceptors),
+                            point: CrashPoint::OnTransition {
+                                ordinal: 1,
+                                progress: TransitionProgress::AfterMsgs(0),
+                            },
+                            recover_at: None,
+                        }]
+                    } else {
+                        vec![]
+                    };
+                    PipelineTxn::new(w.transfer_ops(from, to, amt)).with_crashes(crashes)
+                })
+                .collect();
+            let run = run_serial(ProtocolKind::Paxos { f }, &w0, batch);
+            let r = &run.report;
             let rounds = (total + 1) as f64; // incl. the setup txn
             if f >= 1 {
                 assert_eq!(
-                    stats.blocked, 0,
+                    r.blocked, 0,
                     "f={f} @ {crash_pct}%: a quorum must absorb one acceptor crash"
                 );
             }
@@ -382,19 +374,13 @@ pub fn b8_paxos_resilience() -> String {
                 acceptors.to_string(),
                 format!("{crash_pct}%"),
                 total.to_string(),
-                (stats.committed - 1).to_string(), // minus the setup txn
-                stats.aborted.to_string(),
-                stats.blocked.to_string(),
-                format!("{:.2}", (stats.committed - 1) as f64 / total as f64),
-                format!("{:.1}", stats.messages as f64 / rounds),
-                format!("{:.1}", stats.sim_time as f64 / rounds),
+                r.committed.to_string(),
+                r.aborted.to_string(),
+                r.blocked.to_string(),
+                format!("{:.2}", r.committed as f64 / total as f64),
+                format!("{:.1}", run.msgs as f64 / rounds),
+                format!("{:.1}", run.ticks as f64 / rounds),
             ]);
-            c.recover_all();
-            assert_eq!(
-                c.total_balance(&w),
-                w.expected_total(),
-                "f={f} @ {crash_pct}%: conservation after recovery"
-            );
         }
     }
 

@@ -62,6 +62,9 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
 /// managers); the protocol instance adds its `2F + 1` acceptor sites on
 /// top, so `paxos:1 -n 3` is a 6-site protocol.
 pub fn resolve_protocol(arg: &str, n: usize) -> Result<Protocol, CliError> {
+    if n < 2 {
+        return fail(format!("-n {n}: a commit protocol needs at least 2 sites (-n >= 2)"));
+    }
     match arg {
         "central-2pc" | "2pc" => Ok(central_2pc(n)),
         "central-3pc" | "3pc" => Ok(central_3pc(n)),
@@ -92,14 +95,20 @@ pub fn resolve_protocol(arg: &str, n: usize) -> Result<Protocol, CliError> {
     }
 }
 
-/// Build `paxos_commit(n, f)` with CLI-grade errors.
-fn build_paxos(n: usize, f: usize) -> Result<Protocol, CliError> {
+/// The bounds every command puts on a Paxos Commit instance.
+fn check_paxos(n: usize, f: usize) -> Result<(), CliError> {
     if n < 2 {
         return fail("paxos needs -n >= 2 participants");
     }
     if f > 8 {
         return fail("paxos:F needs F <= 8 (2F+1 acceptor sites)");
     }
+    Ok(())
+}
+
+/// Build `paxos_commit(n, f)` with CLI-grade errors.
+fn build_paxos(n: usize, f: usize) -> Result<Protocol, CliError> {
+    check_paxos(n, f)?;
     Ok(nbc_paxos::paxos_commit(n, f))
 }
 
@@ -1109,7 +1118,7 @@ pub fn cmd_recovery(
 /// Parses its own argument tail: `PROTO [--txns T] [--crash-pct P]
 /// [--in-flight K] [--window W] [--reap T] [--seed S] [-n N]`.
 pub fn cmd_pipeline(args: &[String]) -> Result<String, CliError> {
-    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
+    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn, MAX_REAP_AFTER};
     use nbc_simnet::SimRng;
     use nbc_txn::{BankWorkload, ProtocolKind};
 
@@ -1185,8 +1194,16 @@ pub fn cmd_pipeline(args: &[String]) -> Result<String, CliError> {
     if n < 2 {
         return fail("pipeline needs -n >= 2");
     }
+    if let ProtocolKind::Paxos { f } = kind {
+        check_paxos(n, f)?;
+    }
     if in_flight == 0 {
         return fail("--in-flight 0 leaves no room for a round: the limit is at least 1");
+    }
+    if reap > MAX_REAP_AFTER {
+        return fail(format!(
+            "--reap {reap} is past what the clock carries: the limit is {MAX_REAP_AFTER}"
+        ));
     }
 
     let accounts = (n * 4).max(8);

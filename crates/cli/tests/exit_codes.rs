@@ -172,6 +172,69 @@ fn an_in_flight_limit_of_zero_exits_two() {
 }
 
 #[test]
+fn a_site_count_below_two_exits_two() {
+    // `-n 0` and `-n 1` used to reach the catalog constructors' asserts
+    // (exit 101) on every command that resolves a protocol.
+    let commands = [
+        "analyze",
+        "verify",
+        "graph",
+        "synthesize",
+        "simulate",
+        "sweep",
+        "termination",
+        "recovery",
+        "check",
+    ];
+    let protocols =
+        ["central-2pc", "central-3pc", "decentralized-2pc", "decentralized-3pc", "1pc", "kpc:3"];
+    for cmd in commands {
+        for proto in protocols {
+            for n in ["0", "1"] {
+                let out = nbc(&[cmd, proto, "-n", n]);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{cmd} {proto} -n {n}: {stderr}");
+                assert!(stderr.starts_with(&format!("error: -n {n}: ")), "{cmd} {proto}: {stderr}");
+                assert!(stderr.contains("-n >= 2"), "{cmd} {proto}: {stderr}");
+            }
+        }
+    }
+}
+
+#[test]
+fn pipeline_keeps_the_paxos_bound_of_the_other_commands() {
+    // `pipeline` has its own protocol-name table; it used to skip the
+    // bound and build 201 acceptors.
+    let simulate = nbc(&["simulate", "paxos:100"]);
+    let pipeline = nbc(&["pipeline", "paxos:100"]);
+    for out in [&simulate, &pipeline] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.starts_with("error: paxos:F needs F <= 8 "), "{stderr}");
+    }
+    assert!(pipeline.stdout.is_empty(), "a refused batch prints no report");
+    let out = nbc(&["pipeline", "paxos:8", "--txns", "4"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn a_reap_delay_the_clock_cannot_carry_exits_two() {
+    // `done_at + reap_after` used to overflow: a panic in a debug build,
+    // deadlines in the past in a release one.
+    let out =
+        nbc(&["pipeline", "central-2pc", "--reap", "18446744073709551615", "--crash-pct", "50"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: --reap 18446744073709551615 "), "{stderr}");
+    assert!(stderr.contains("1099511627776"), "the message names the limit: {stderr}");
+    assert!(out.stdout.is_empty(), "a refused batch prints no report");
+    // The limit itself runs, and means "after the batch".
+    let out = nbc(&["pipeline", "central-2pc", "--reap", "1099511627776", "--crash-pct", "50"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("conservation: ok"));
+}
+
+#[test]
 fn non_check_commands_keep_their_exit_codes() {
     assert_eq!(nbc(&["list"]).status.code(), Some(0));
     assert_eq!(nbc(&["frobnicate"]).status.code(), Some(2));

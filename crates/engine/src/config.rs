@@ -134,9 +134,6 @@ pub struct RunConfig {
     /// uses the paper's perfect detector; an inaccurate spec replaces it
     /// with suspicion timers that can falsely suspect live sites.
     pub detector: Option<DetectorSpec>,
-    /// Enable cooperative total-failure recovery (decide once *all* sites
-    /// have recovered and none holds a durable decision).
-    pub total_failure_recovery: bool,
     /// Safety valve: abort the run after this many network events.
     pub max_events: usize,
     /// Record a human-readable execution trace into the report.
@@ -163,7 +160,6 @@ impl RunConfig {
             latency: LatencyModel::constant(1),
             detect_delay: 5,
             detector: None,
-            total_failure_recovery: true,
             max_events: 200_000,
             record_trace: false,
             txn_id: crate::run::TXN,

@@ -1213,9 +1213,6 @@ impl<'a> Runner<'a> {
     /// state (impossible here by construction, but kept for symmetry),
     /// else abort.
     fn try_total_failure_recovery(&mut self, ix: usize) {
-        if !self.config.total_failure_recovery {
-            return;
-        }
         if self.sites[ix].mode != Mode::Recovering {
             return;
         }

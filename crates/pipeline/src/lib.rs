@@ -1,9 +1,11 @@
-//! # nbc-pipeline — a concurrent multi-transaction commit scheduler
+//! # nbc-pipeline — the transaction driver: a concurrent commit scheduler
 //!
 //! The rest of the repository studies one commit round at a time. This
-//! crate asks the throughput question: what happens when a cluster keeps
-//! *many* distributed transactions in flight, each running its own
-//! 2PC/3PC round over shared sites, logs, and lock tables?
+//! crate puts per-site stores, WALs and lock tables around the rounds and
+//! asks the throughput question: what happens when the sites keep *many*
+//! distributed transactions in flight, each running its own 2PC/3PC
+//! round over shared sites, logs, and lock tables? It is the only driver:
+//! one round at a time is [`PipelineConfig`] at in-flight 1.
 //!
 //! Three mechanisms interact:
 //!
@@ -30,5 +32,5 @@ pub mod scheduler;
 pub mod txn;
 
 pub use report::ThroughputReport;
-pub use scheduler::{Pipeline, PipelineConfig};
-pub use txn::{bank_transfer_txns, PipeOp, PipelineTxn};
+pub use scheduler::{Pipeline, PipelineConfig, MAX_REAP_AFTER};
+pub use txn::{bank_transfer_txns, PipelineTxn};

@@ -78,8 +78,9 @@
 //! original id — the classic wait-die restart, which ages it toward
 //! victory. A transaction that dies more than [`PipelineConfig::die_budget`]
 //! times is admitted anyway with a no vote at the contested site, turning
-//! starvation into an ordinary distributed abort (the serial cluster's
-//! behaviour).
+//! starvation into an ordinary distributed abort. At a budget of 0 nobody
+//! waits: every conflict is a no vote, which with one round in flight is
+//! the serial driver (see [`PipelineConfig`]).
 //!
 //! Under contention a transaction is refused several times before it
 //! runs, so a refusal is kept cheap. The refused wait in a list in id
@@ -110,12 +111,24 @@ use nbc_engine::{RunConfig, RunReport, Runner};
 use nbc_obs::{Event, EventKind, Tracer};
 use nbc_simnet::{LatencyModel, Time};
 use nbc_storage::{KvStore, LogRecord, SyncStats, Wal};
-use nbc_txn::{BankWorkload, LockManager, LockMode, LockOutcome, ProtocolKind};
+use nbc_txn::{BankWorkload, LockManager, LockMode, LockOutcome, Op, ProtocolKind};
 
 use crate::report::{percentile, ThroughputReport};
-use crate::txn::{PipeOp, PipelineTxn};
+use crate::txn::PipelineTxn;
+
+/// The longest [`PipelineConfig::reap_after`]: far past the end of any
+/// batch (a round is tens of ticks), so it means "reap after the batch",
+/// and small enough that the `u64` clock carries millions of such
+/// deadlines without wrapping.
+pub const MAX_REAP_AFTER: Time = 1 << 40;
 
 /// Scheduler configuration.
+///
+/// One round at a time — the serial driver the B tables use as their
+/// baseline — is this scheduler at `max_in_flight` 1, `group_window` 0
+/// (a physical force per sync), `die_budget` 0 (a lock conflict is a no
+/// vote, never a wait) and `reap_after` [`MAX_REAP_AFTER`] (a blocked
+/// round keeps its locks until the batch is over).
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Number of sites.
@@ -132,7 +145,7 @@ pub struct PipelineConfig {
     /// every sync requested within this window (0 = force every sync).
     pub group_window: u64,
     /// Sim ticks a blocked round may hold its locks before the scheduler
-    /// reaps it through the recovery decision.
+    /// reaps it through the recovery decision (at most [`MAX_REAP_AFTER`]).
     pub reap_after: Time,
     /// Wait-die restarts a transaction may suffer before it is admitted
     /// doomed (no vote at the contested site) instead of retried.
@@ -144,9 +157,8 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Defaults matching the serial cluster (latency 1, detection 5) with
-    /// 8-way concurrency, a 2-tick group-commit window, and patient
-    /// reaping.
+    /// Defaults: latency 1, detection delay 5, 8-way concurrency, a
+    /// 2-tick group-commit window, and patient reaping.
     pub fn new(n_sites: usize, kind: ProtocolKind) -> Self {
         Self {
             n_sites,
@@ -318,6 +330,11 @@ impl Pipeline {
     pub fn new(cfg: PipelineConfig) -> Self {
         assert!(cfg.n_sites >= 2, "need at least 2 sites");
         assert!(cfg.max_in_flight >= 1, "need room for at least 1 round in flight");
+        assert!(
+            cfg.reap_after <= MAX_REAP_AFTER,
+            "reap_after {} is past the longest reap delay, {MAX_REAP_AFTER}",
+            cfg.reap_after
+        );
         let n = cfg.n_sites;
         let wals = (0..n)
             .map(|_| {
@@ -382,6 +399,29 @@ impl Pipeline {
                     .unwrap_or(w.initial_balance)
             })
             .sum()
+    }
+
+    /// Compact every site's WAL into one checkpoint record of its
+    /// committed pairs. Sound between any two [`Pipeline::run`] calls: a
+    /// run drains its reaps and catch-ups, so no transaction still needs
+    /// the redo frames that go, and no recorded frame range outlives them.
+    pub fn checkpoint(&mut self) {
+        assert!(self.missed.iter().all(Vec::is_empty), "a drained run leaves nothing missed");
+        for (store, wal) in self.stores.iter().zip(&mut self.wals) {
+            wal.checkpoint_compact(store.snapshot()).expect("wal record fits");
+        }
+    }
+
+    /// Cold restart: replace every site's store by the one its own log
+    /// rebuilds — decode what a crash would leave of the WAL, redo the
+    /// committed transactions on top of the last checkpoint. Between runs
+    /// that is the store it replaces.
+    pub fn restart_from_logs(&mut self) {
+        for (store, wal) in self.stores.iter_mut().zip(&self.wals) {
+            let records = Wal::recover(&wal.as_bytes()[..wal.durable_len()])
+                .expect("pipeline WALs are well-formed");
+            *store = KvStore::redo_from_log(&records);
+        }
     }
 
     /// Drain `txns` through the scheduler: admit up to
@@ -595,11 +635,8 @@ impl Pipeline {
             if at < *resume_at || !votes[site] {
                 continue; // lock held since an earlier attempt, or site already doomed
             }
-            let mode = if matches!(op, PipeOp::Read { .. }) {
-                LockMode::Shared
-            } else {
-                LockMode::Exclusive
-            };
+            let mode =
+                if matches!(op, Op::Read { .. }) { LockMode::Shared } else { LockMode::Exclusive };
             match self.locks[site].request(txn, op.key(), mode) {
                 LockOutcome::Granted => {}
                 LockOutcome::Wait if !give_up => {
@@ -634,11 +671,11 @@ impl Pipeline {
             }
             let store = &mut self.stores[site];
             match op {
-                PipeOp::Read { .. } => {}
-                PipeOp::Write { key, value, .. } => {
+                Op::Read { .. } => {}
+                Op::Write { key, value, .. } => {
                     store.stage_put(txn, std::mem::take(key), std::mem::take(value));
                 }
-                PipeOp::AddI64 { key, delta, .. } => {
+                Op::AddI64 { key, delta, .. } => {
                     let cur = store.get_in_txn(txn, key).map_or(0, decode_i64);
                     store.stage_put(txn, std::mem::take(key), encode_i64(cur + *delta));
                 }
@@ -706,10 +743,9 @@ impl Pipeline {
         Admission::Started(round)
     }
 
-    /// Post-round bookkeeping, mirroring the serial cluster: apply the
-    /// decision at operational sites, queue crashed sites for catch-up,
-    /// or park the round as blocked with a reap deadline. Returns the time
-    /// of the round's last event.
+    /// Post-round bookkeeping: apply the decision at operational sites,
+    /// queue crashed sites for catch-up, or park the round as blocked with
+    /// a reap deadline. Returns the time of the round's last event.
     fn finalize(
         &mut self,
         round: &Round<'_>,
@@ -808,7 +844,7 @@ impl Pipeline {
     /// Bring every site that missed a decision back up to date: replay the
     /// decision and redo the staged images from the site's own WAL —
     /// decoding only the transaction's own frames, whose range admission
-    /// recorded (a pipeline WAL only ever grows, so it holds).
+    /// recorded (within a run a WAL only grows, so it holds).
     fn catch_up(&mut self, now: Time) {
         let Self { missed, wals, stores, tracer, .. } = self;
         for (site, missed) in missed.iter_mut().enumerate() {
@@ -837,7 +873,7 @@ impl Pipeline {
                         .expect("pipeline WALs are well-formed");
                     assert!(
                         matches!(records[0], LogRecord::Begin { txn: t } if t == txn),
-                        "pipeline WALs are never compacted: txn {txn}'s frames moved"
+                        "a WAL is compacted between runs only: txn {txn}'s frames moved"
                     );
                     stores[site].redo_one(&records, txn);
                 }
@@ -906,8 +942,8 @@ mod tests {
         // contention, so admission must defer or doom most of them.
         let ops = || {
             vec![
-                PipeOp::AddI64 { site: 0, key: BankWorkload::key_of(0), delta: -1 },
-                PipeOp::AddI64 { site: 1, key: BankWorkload::key_of(1), delta: 1 },
+                Op::AddI64 { site: 0, key: BankWorkload::key_of(0), delta: -1 },
+                Op::AddI64 { site: 1, key: BankWorkload::key_of(1), delta: 1 },
             ]
         };
         let txns: Vec<PipelineTxn> = (0..10).map(|_| PipelineTxn::new(ops())).collect();
@@ -943,6 +979,45 @@ mod tests {
         assert!(r.blocked >= 1, "2PC coordinator crash must block: {r}");
         assert_eq!(p.locked_keys(), 0, "reaper must free strand-locks");
         assert_eq!(p.total_balance(&w), w.expected_total());
+    }
+
+    #[test]
+    fn the_longest_reap_delay_reaps_after_the_batch() {
+        use nbc_obs::{MemorySink, SharedSink};
+        // The serial driver the B tables run: one round in flight, every
+        // conflict a no vote, blocked rounds strand their locks until the
+        // batch is over.
+        let w = BankWorkload::new(3, 12, 1_000, 31);
+        let mut p = Pipeline::new(PipelineConfig {
+            max_in_flight: 1,
+            group_window: 0,
+            die_budget: 0,
+            reap_after: MAX_REAP_AFTER,
+            ..PipelineConfig::new(3, ProtocolKind::Central2pc)
+        });
+        assert_eq!(p.run(vec![PipelineTxn::from_ops(&w.setup_ops())]).committed, 1);
+        let sink = SharedSink::new(MemorySink::default());
+        p.set_tracer(Tracer::to_sink(sink.clone()));
+        let r = p.run(bank_transfer_txns(&mut w.clone(), 64, 50, &mut SimRng::seed_from_u64(5)));
+        assert_eq!(r.decided(), 64);
+        assert!(r.blocked > 0 && r.deferrals == 0, "{r}");
+        let events = sink.with(|s| s.events.clone());
+        let is_reap = |e: &Event| matches!(e.kind, EventKind::Reap { .. });
+        let first_reap = events.iter().position(is_reap).expect("blocked rounds are reaped");
+        let (rounds, reaps) = events.split_at(first_reap);
+        assert!(rounds.last().expect("rounds ran").time < MAX_REAP_AFTER);
+        assert!(!reaps.iter().any(|e| matches!(e.kind, EventKind::Admit)), "a round after a reap");
+        assert_eq!(reaps.iter().filter(|e| is_reap(e)).count() as u64, r.blocked);
+        assert!(reaps.iter().all(|e| e.time >= MAX_REAP_AFTER));
+        assert_eq!(p.locked_keys(), 0, "the reaps drain the strand-locks");
+        assert_eq!(p.total_balance(&w), w.expected_total());
+    }
+
+    #[test]
+    #[should_panic(expected = "past the longest reap delay")]
+    fn a_reap_delay_the_clock_cannot_carry_is_refused() {
+        let cfg = PipelineConfig::new(3, ProtocolKind::Central2pc);
+        Pipeline::new(cfg.with_reap_after(Time::MAX));
     }
 
     #[test]

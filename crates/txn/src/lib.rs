@@ -1,4 +1,4 @@
-//! # nbc-txn — a distributed transaction manager over the commit engine
+//! # nbc-txn — what a transaction driver is made of
 //!
 //! The paper motivates unilateral aborts with local concurrency control:
 //! *"a server may not be able to commit its part of a transaction due to
@@ -8,23 +8,24 @@
 //!
 //! * [`locks`] — a per-site lock manager with shared/exclusive locks and
 //!   **wait-die** deadlock avoidance, so no votes arise organically;
-//! * [`cluster`] — a multi-site cluster: each site holds a transactional
-//!   key-value store and a persistent WAL; distributed transactions stage
-//!   writes under locks and then run a commit round through `nbc-engine`
-//!   with the configured protocol (2PC or 3PC, central or decentralized),
-//!   optionally under injected crashes. Blocked commit rounds (2PC's
-//!   curse) leave their locks held — which is exactly how blocking
-//!   destroys throughput, and what the failure benchmarks measure;
-//! * [`workload`] — bank-transfer and inventory workload generators with
-//!   conservation invariants used by the property tests.
+//! * [`kind`] — [`ProtocolKind`]: which catalog protocol (2PC or 3PC,
+//!   central or decentralized, or Paxos Commit) every round runs, and the
+//!   termination rule that goes with it;
+//! * [`workload`] — the data operations of a distributed transaction
+//!   ([`Op`]) and bank-transfer and inventory generators whose
+//!   conservation invariants hold iff the commit protocol is atomic.
+//!
+//! The driver that puts these around commit rounds — stores, WALs,
+//! admission, blocked rounds that keep their locks — is `nbc-pipeline`;
+//! one round at a time is that scheduler at in-flight 1.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cluster;
+pub mod kind;
 pub mod locks;
 pub mod workload;
 
-pub use cluster::{Cluster, ClusterConfig, ProtocolKind, TxnResult};
+pub use kind::ProtocolKind;
 pub use locks::{LockManager, LockMode, LockOutcome};
 pub use workload::{BankWorkload, InventoryWorkload, Op};

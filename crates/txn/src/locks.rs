@@ -8,9 +8,10 @@
 //! votes no in the commit protocol — the paper's organic source of
 //! unilateral aborts.
 //!
-//! This manager resolves requests eagerly: because the cluster executes
-//! operations synchronously, "waiting" surfaces as [`LockOutcome::Wait`]
-//! and the caller retries after the conflicting transaction finishes.
+//! This manager resolves requests eagerly: because the scheduler takes a
+//! transaction's locks at admission, "waiting" surfaces as
+//! [`LockOutcome::Wait`] and the caller retries after the conflicting
+//! transaction finishes.
 
 use std::collections::btree_map::{BTreeMap, Entry::Occupied};
 use std::sync::Arc;

@@ -22,13 +22,34 @@ pub enum Op {
         /// New value.
         value: Vec<u8>,
     },
+    /// Add `delta` to the little-endian i64 at `key` on `site` (exclusive
+    /// lock; missing key reads as 0). The read-modify-write primitive
+    /// overlapping rounds need: the value a transfer writes depends on
+    /// what committed before it, so the delta is resolved against the
+    /// committed (plus own-staged) state *at admission*, after the lock is
+    /// granted — two-phase locking makes that serializable.
+    AddI64 {
+        /// Site holding the key.
+        site: usize,
+        /// Key bytes.
+        key: Vec<u8>,
+        /// Signed delta applied at admission time.
+        delta: i64,
+    },
 }
 
 impl Op {
     /// The site this operation touches.
     pub fn site(&self) -> usize {
         match self {
-            Self::Read { site, .. } | Self::Write { site, .. } => *site,
+            Self::Read { site, .. } | Self::Write { site, .. } | Self::AddI64 { site, .. } => *site,
+        }
+    }
+
+    /// The key this operation touches.
+    pub fn key(&self) -> &[u8] {
+        match self {
+            Self::Read { key, .. } | Self::Write { key, .. } | Self::AddI64 { key, .. } => key,
         }
     }
 }
@@ -72,13 +93,14 @@ impl BankWorkload {
     }
 
     /// Decode a balance (missing value = initial balance not yet
-    /// materialized is *not* supported here; the cluster seeds all keys).
+    /// materialized is *not* supported here; the setup transaction seeds
+    /// all keys).
     pub fn decode(bytes: &[u8]) -> i64 {
         i64::from_le_bytes(bytes.try_into().expect("8-byte balance"))
     }
 
-    /// Seed operations creating every account (one giant setup txn is
-    /// split per site by the cluster).
+    /// Seed operations creating every account (one setup transaction
+    /// touching every site).
     pub fn setup_ops(&self) -> Vec<Op> {
         (0..self.n_accounts)
             .map(|a| Op::Write {
@@ -99,6 +121,17 @@ impl BankWorkload {
         }
         let amount = self.rng.gen_range(1i64..=100);
         (from, to, amount)
+    }
+
+    /// Move `amount` from account `from` to account `to`: two deltas, on
+    /// the sites the accounts live at.
+    pub fn transfer_ops(&self, from: usize, to: usize, amount: i64) -> Vec<Op> {
+        let leg = |acct: usize, delta: i64| Op::AddI64 {
+            site: self.site_of(acct),
+            key: Self::key_of(acct),
+            delta,
+        };
+        vec![leg(from, -amount), leg(to, amount)]
     }
 
     /// The expected total balance.

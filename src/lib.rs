@@ -15,8 +15,10 @@
 //! * [`nbc_storage`] — write-ahead log and transactional KV store;
 //! * [`nbc_engine`] — discrete-event execution, crash injection,
 //!   termination and recovery protocols, exhaustive sweeps;
-//! * [`nbc_txn`] — a distributed transaction manager (2PL + wait-die) over
-//!   the engine.
+//! * [`nbc_txn`] — strict 2PL with wait-die, the protocol catalog as an
+//!   enum, and the bank and inventory workloads;
+//! * [`nbc_pipeline`] — the transaction driver: stores, WALs and locks
+//!   around one or many commit rounds in flight.
 //!
 //! Start with `examples/quickstart.rs`, or regenerate every figure of the
 //! paper with `cargo run -p nbc-bench --bin experiments`.
@@ -25,6 +27,7 @@
 
 pub use nbc_core;
 pub use nbc_engine;
+pub use nbc_pipeline;
 pub use nbc_simnet;
 pub use nbc_storage;
 pub use nbc_txn;

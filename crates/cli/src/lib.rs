@@ -16,28 +16,35 @@
 //! nbc analyze path/to/custom.nbc -n 4      # spec files work everywhere
 //! ```
 //!
-//! The command implementations live here (returning strings) so they are
-//! unit-testable; `main.rs` is a thin shell.
+//! The front end is table → [`args::Invocation`] → command: [`args::parse`]
+//! is the only code that reads `argv`, [`run_argv`] hands what it accepted
+//! to a `cmd_*` function (each returns its output as a string, so all of it
+//! is unit-testable), and `main.rs` prints the [`Outcome`] and exits.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod args;
+
 use std::fmt::Write as _;
 
+use args::{Cmd, Invocation, Value};
 use nbc_check::{CheckOptions, CheckProgress, Schedule};
 use nbc_core::kpc::k_phase_central;
-use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc, one_pc};
+use nbc_core::protocols::{central_2pc, central_3pc, one_pc};
 use nbc_core::{
     dot, recovery_analysis, resilience, sync_check, synthesis, termination, theorem, verify,
-    Analysis, LevelProgress, Protocol, ProtocolError, ReachGraph, ReachOptions,
+    Analysis, LevelProgress, Protocol, ReachGraph, ReachOptions,
 };
 use nbc_engine::{
     enumerate_crash_specs, run_traced, run_with, sweep, sweep_traced, CrashPoint, CrashSpec,
     DetectorSpec, RunConfig, RunReport, Runner, TerminationRule, TransitionProgress,
 };
 use nbc_obs::export::{to_chrome, to_jsonl};
-use nbc_obs::{analyze, Event, EventKind, FlightRecorder, MemorySink, Metrics, SharedSink, Tracer};
+use nbc_obs::json::Obj;
+use nbc_obs::{analyze, EventKind, FlightRecorder, MemorySink, Metrics, SharedSink, Tracer};
 use nbc_simnet::LatencyModel;
+use nbc_txn::ProtocolKind;
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -55,6 +62,113 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
+/// What one command line came to: the exit status (0 = done, and for
+/// `check` and `trace verify` every oracle passed; 1 = an oracle reported
+/// a violation; 2 = usage or protocol error), everything for stdout, and
+/// the error with the usage text for stderr. Progress, spill statistics
+/// and flight-recorder notes go to stderr as the command runs.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The process exit status.
+    pub code: i32,
+    /// What the command prints.
+    pub stdout: String,
+    /// `error: ...` and the usage text, when `code` is 2.
+    pub stderr: String,
+}
+
+/// Run one `nbc` command line (without the program name).
+pub fn run_argv(args: &[String]) -> Outcome {
+    match args::parse(args).and_then(|inv| run(&inv)) {
+        Ok(run) => Outcome { code: i32::from(!run.ok), stdout: run.output, stderr: String::new() },
+        Err(e) => Outcome {
+            code: 2,
+            stdout: String::new(),
+            stderr: format!("error: {e}\n\n{}\n", args::usage()),
+        },
+    }
+}
+
+/// Run the command a parsed command line names.
+fn run(inv: &Invocation) -> Result<CheckRun, CliError> {
+    let printed = |output| CheckRun { output, ok: true };
+    match inv.cmd {
+        Cmd::Help => Ok(printed(args::usage())),
+        Cmd::List => Ok(printed(cmd_list())),
+        Cmd::Check => cmd_check(inv),
+        Cmd::Trace => cmd_trace(inv),
+        Cmd::Pipeline => cmd_pipeline(inv).map(printed),
+        Cmd::Paxos => cmd_paxos(inv).map(printed),
+        _ => run_on_protocol(inv).map(printed),
+    }
+}
+
+/// The eight commands that resolve PROTO and build its reachable graph.
+fn run_on_protocol(inv: &Invocation) -> Result<String, CliError> {
+    let protocol = resolve_protocol(&inv.operands[0], inv.n())?;
+    let (threads, progress) = (inv.num("--threads").unwrap_or(0), inv.has("--progress"));
+    if inv.cmd == Cmd::Graph {
+        return cmd_graph(&protocol, inv.has("--dot"), threads, progress);
+    }
+    // Every remaining command consumes the analysis; build it once and
+    // share it across the theorem/resilience/termination/report subpaths.
+    let budget = inv.num("--mem-budget").unwrap_or(0);
+    let analysis = build_analysis(&protocol, threads, inv.has("--stream"), progress, budget)?;
+    let opts = SimOpts::of(inv);
+    match inv.cmd {
+        Cmd::Analyze => cmd_analyze(&protocol, &analysis),
+        Cmd::Verify => cmd_verify(&protocol, &analysis),
+        Cmd::Synthesize => cmd_synthesize(&protocol, &analysis),
+        Cmd::Simulate => cmd_simulate(&protocol, &analysis, &opts),
+        Cmd::Sweep => cmd_sweep(&protocol, &analysis, &opts),
+        Cmd::Termination => cmd_termination(&protocol, &analysis, &opts),
+        Cmd::Recovery => cmd_recovery(&protocol, &analysis, &opts),
+        other => unreachable!("{other:?} does not take the reach flags"),
+    }
+}
+
+/// What a protocol argument names.
+enum Named<'a> {
+    /// A protocol `nbc pipeline` can run a cluster on.
+    Cluster(ProtocolKind),
+    OnePc,
+    Kpc(u32),
+    Spec(&'a str),
+}
+
+/// The one protocol-name table: a catalog name, `kpc:K`, `paxos:F`, or a
+/// spec file path (anything containing `/` or ending in `.nbc`).
+fn protocol_name(arg: &str) -> Result<Named<'_>, CliError> {
+    Ok(match arg {
+        "central-2pc" | "2pc" => Named::Cluster(ProtocolKind::Central2pc),
+        "central-3pc" | "3pc" => Named::Cluster(ProtocolKind::Central3pc),
+        "decentralized-2pc" | "d2pc" => Named::Cluster(ProtocolKind::Decentralized2pc),
+        "decentralized-3pc" | "d3pc" => Named::Cluster(ProtocolKind::Decentralized3pc),
+        "1pc" | "central-1pc" => Named::OnePc,
+        "paxos" | "paxos-commit" => Named::Cluster(ProtocolKind::Paxos { f: 1 }),
+        _ if arg.starts_with("paxos:") => {
+            let f: usize = arg[6..]
+                .parse()
+                .map_err(|_| CliError(format!("bad acceptor-fault count in {arg:?}")))?;
+            if f as u64 > args::MAX_PAXOS_F {
+                let max = args::MAX_PAXOS_F;
+                return fail(format!("paxos:F needs F <= {max} (2F+1 acceptor sites)"));
+            }
+            Named::Cluster(ProtocolKind::Paxos { f })
+        }
+        _ if arg.starts_with("kpc:") => {
+            let k: u32 =
+                arg[4..].parse().map_err(|_| CliError(format!("bad phase count in {arg:?}")))?;
+            if k < 2 {
+                return fail("kpc:K needs K >= 2");
+            }
+            Named::Kpc(k)
+        }
+        _ if arg.contains('/') || arg.ends_with(".nbc") => Named::Spec(arg),
+        _ => return fail(format!("unknown protocol {arg:?}; try `nbc list` or a spec file path")),
+    })
+}
+
 /// Resolve a protocol argument: a catalog name, `kpc:K`, `paxos:F`, or a
 /// spec file path (anything containing `/` or ending in `.nbc`).
 ///
@@ -63,53 +177,18 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
 /// top, so `paxos:1 -n 3` is a 6-site protocol.
 pub fn resolve_protocol(arg: &str, n: usize) -> Result<Protocol, CliError> {
     if n < 2 {
-        return fail(format!("-n {n}: a commit protocol needs at least 2 sites (-n >= 2)"));
+        return Err(args::too_few_sites("-n", n as u64));
     }
-    match arg {
-        "central-2pc" | "2pc" => Ok(central_2pc(n)),
-        "central-3pc" | "3pc" => Ok(central_3pc(n)),
-        "decentralized-2pc" | "d2pc" => Ok(decentralized_2pc(n)),
-        "decentralized-3pc" | "d3pc" => Ok(decentralized_3pc(n)),
-        "1pc" | "central-1pc" => Ok(one_pc(n)),
-        "paxos" | "paxos-commit" => build_paxos(n, 1),
-        _ if arg.starts_with("paxos:") => {
-            let f: usize = arg[6..]
-                .parse()
-                .map_err(|_| CliError(format!("bad acceptor-fault count in {arg:?}")))?;
-            build_paxos(n, f)
+    match protocol_name(arg)? {
+        Named::Cluster(kind) => Ok(kind.build(n)),
+        Named::OnePc => Ok(one_pc(n)),
+        Named::Kpc(k) => k_phase_central(n, k).map_err(|e| CliError(e.to_string())),
+        Named::Spec(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+            nbc_spec::parse(&text, n).map_err(|e| CliError(format!("{path}: {e}")))
         }
-        _ if arg.starts_with("kpc:") => {
-            let k: u32 =
-                arg[4..].parse().map_err(|_| CliError(format!("bad phase count in {arg:?}")))?;
-            if k < 2 {
-                return fail("kpc:K needs K >= 2");
-            }
-            k_phase_central(n, k).map_err(|e| CliError(e.to_string()))
-        }
-        _ if arg.contains('/') || arg.ends_with(".nbc") => {
-            let text = std::fs::read_to_string(arg)
-                .map_err(|e| CliError(format!("cannot read {arg}: {e}")))?;
-            nbc_spec::parse(&text, n).map_err(|e| CliError(format!("{arg}: {e}")))
-        }
-        _ => fail(format!("unknown protocol {arg:?}; try `nbc list` or a spec file path")),
     }
-}
-
-/// The bounds every command puts on a Paxos Commit instance.
-fn check_paxos(n: usize, f: usize) -> Result<(), CliError> {
-    if n < 2 {
-        return fail("paxos needs -n >= 2 participants");
-    }
-    if f > 8 {
-        return fail("paxos:F needs F <= 8 (2F+1 acceptor sites)");
-    }
-    Ok(())
-}
-
-/// Build `paxos_commit(n, f)` with CLI-grade errors.
-fn build_paxos(n: usize, f: usize) -> Result<Protocol, CliError> {
-    check_paxos(n, f)?;
-    Ok(nbc_paxos::paxos_commit(n, f))
 }
 
 /// `nbc list`
@@ -148,7 +227,7 @@ pub fn build_analysis(
     if progress {
         opts = opts.with_progress(print_progress);
     }
-    let analysis = Analysis::build_with(protocol, opts).map_err(reach_error)?;
+    let analysis = Analysis::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
     if mem_budget > 0 {
         if let Some(st) = analysis.stream_stats() {
             let s = st.spill;
@@ -164,37 +243,6 @@ pub fn build_analysis(
         }
     }
     Ok(analysis)
-}
-
-/// The usage error for a `--threads` value over the explorers' limit.
-fn too_many_threads(max: usize, got: usize) -> CliError {
-    CliError(format!("--threads {got} is over the limit of {max} worker threads"))
-}
-
-/// A graph builder's refusal as the CLI reports it: a thread count over
-/// the limit names its flag, anything else reads as the library put it.
-fn reach_error(e: ProtocolError) -> CliError {
-    match e {
-        ProtocolError::TooManyThreads { max, got } => too_many_threads(max, got),
-        e => CliError(e.to_string()),
-    }
-}
-
-/// Parse a `--mem-budget` byte count: plain digits with an optional
-/// case-insensitive `K`/`M`/`G` suffix (KiB/MiB/GiB multipliers).
-pub fn parse_mem_budget(s: &str, flag: &str) -> Result<usize, CliError> {
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'k') | Some(b'K') => (&s[..s.len() - 1], 1usize << 10),
-        Some(b'm') | Some(b'M') => (&s[..s.len() - 1], 1usize << 20),
-        Some(b'g') | Some(b'G') => (&s[..s.len() - 1], 1usize << 30),
-        _ => (s, 1usize),
-    };
-    let value: usize = digits
-        .parse()
-        .map_err(|_| CliError(format!("bad {flag} value {s:?} (want BYTES, 64K, 16M, 1G)")))?;
-    value
-        .checked_mul(mult)
-        .ok_or_else(|| CliError(format!("{flag} value {s:?} overflows a byte count")))
 }
 
 /// The `--progress` hook: one stderr line per completed BFS level, with a
@@ -325,7 +373,7 @@ pub fn cmd_graph(
     if progress {
         opts = opts.with_progress(print_progress);
     }
-    let g = ReachGraph::build_with(protocol, opts).map_err(reach_error)?;
+    let g = ReachGraph::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
     if dot_output {
         Ok(dot::reach_graph_to_dot(&g, protocol, true))
     } else {
@@ -428,6 +476,28 @@ impl Default for SimOpts {
 }
 
 impl SimOpts {
+    /// The options a parsed command line carries.
+    fn of(inv: &Invocation) -> Self {
+        Self {
+            crash: inv.crash(),
+            recover: inv.num("--recover"),
+            no_voters: inv.nums("--no-voter").collect(),
+            rule: inv.rule(),
+            latency: inv.span("--latency"),
+            detector_timeout: inv.num("--detector-timeout"),
+            detector_jitter: inv.span("--detector-jitter"),
+            seed: inv.num("--seed").unwrap_or(0),
+            trace: inv.has("--story"),
+            trace_path: inv.text("--trace"),
+            trace_chrome: inv.get("--trace-format") == Some(&Value::Chrome(true)),
+            metrics: inv.has("--metrics"),
+            flight_path: inv.text("--flight"),
+            flight_cap: inv.num("--flight-cap").unwrap_or(256),
+            json: inv.has("--json"),
+            schedule: inv.text("--schedule"),
+        }
+    }
+
     /// The run these options describe on `n` sites; a flag naming a site
     /// the protocol does not have is a usage error.
     fn to_config(&self, n: usize) -> Result<RunConfig, CliError> {
@@ -479,11 +549,67 @@ impl SimOpts {
     }
 }
 
-/// Serialize `events` to `path` in the requested format (`--trace` /
-/// `--trace-format`).
-fn write_trace(path: &str, chrome: bool, events: &[Event]) -> Result<(), CliError> {
-    let data = if chrome { to_chrome(events) } else { to_jsonl(events) };
-    std::fs::write(path, data).map_err(|e| CliError(format!("cannot write {path}: {e}")))
+/// The sinks a run records into — the event list behind `--trace` (and
+/// `--trace-format`), the `--metrics` counters, the `--flight` ring (sized
+/// by `--flight-cap`) — and what becomes of them when the run ends.
+struct Observers<'a> {
+    trace_path: Option<&'a str>,
+    chrome: bool,
+    metrics: bool,
+    events: SharedSink<MemorySink>,
+    counters: SharedSink<Metrics>,
+    flight: Option<(&'a str, SharedSink<FlightRecorder>)>,
+}
+
+impl<'a> Observers<'a> {
+    fn of(opts: &'a SimOpts) -> Self {
+        let ring = || SharedSink::new(FlightRecorder::new(opts.flight_cap.max(1)));
+        Self {
+            trace_path: opts.trace_path.as_deref(),
+            chrome: opts.trace_chrome,
+            metrics: opts.metrics,
+            events: SharedSink::new(MemorySink::default()),
+            counters: SharedSink::new(Metrics::default()),
+            flight: opts.flight_path.as_deref().map(|path| (path, ring())),
+        }
+    }
+
+    fn tracer(&self) -> Tracer {
+        let mut tracer = Tracer::to_sink(self.events.clone());
+        if self.metrics {
+            tracer.attach(self.counters.clone());
+        }
+        if let Some((_, ring)) = &self.flight {
+            tracer.attach(ring.clone());
+        }
+        tracer
+    }
+
+    /// Write the flight recorder's tail to its path; `why` opens the note
+    /// on stderr.
+    fn dump_flight(&self, why: &str) -> Result<(), CliError> {
+        let Some((path, ring)) = &self.flight else { return Ok(()) };
+        let (dump, kept, total) = ring.with(|r| (r.dump_jsonl(), r.len(), r.total_seen()));
+        std::fs::write(path, dump).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        eprintln!("flight recorder: {why}dumped last {kept} of {total} events to {path}");
+        Ok(())
+    }
+
+    /// The run is over: write the trace file, dump the flight recorder if
+    /// the run `ended_badly` (a clean run leaves nothing behind, so the
+    /// file's existence is itself a signal scripts can gate on), and hand
+    /// back the counters if they were asked for.
+    fn finish(&self, ended_badly: Option<&str>) -> Result<Option<Metrics>, CliError> {
+        if let Some(path) = self.trace_path {
+            let export = if self.chrome { to_chrome } else { to_jsonl };
+            std::fs::write(path, self.events.with(|s| export(&s.events)))
+                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        }
+        if let Some(why) = ended_badly {
+            self.dump_flight(why)?;
+        }
+        Ok(self.metrics.then(|| self.counters.with(|m| m.clone())))
+    }
 }
 
 /// Execute one run through a tracer, honoring the trace/metrics options:
@@ -495,35 +621,10 @@ fn run_observed(
     cfg: RunConfig,
     opts: &SimOpts,
 ) -> Result<(RunReport, Option<Metrics>), CliError> {
-    let events = SharedSink::new(MemorySink::default());
-    let metrics = SharedSink::new(Metrics::default());
-    let flight = opts
-        .flight_path
-        .as_ref()
-        .map(|_| SharedSink::new(FlightRecorder::new(opts.flight_cap.max(1))));
-    let mut tracer = Tracer::to_sink(events.clone());
-    if opts.metrics {
-        tracer.attach(metrics.clone());
-    }
-    if let Some(rec) = &flight {
-        tracer.attach(rec.clone());
-    }
-    let report = run_traced(protocol, analysis, cfg, tracer);
-    if let Some(path) = &opts.trace_path {
-        events.with(|s| write_trace(path, opts.trace_chrome, &s.events))?;
-    }
-    // The flight dump is written only when the run ends badly: a clean
-    // run leaves nothing behind, so the file's existence is itself a
-    // signal scripts can gate on.
-    if let (Some(path), Some(rec)) = (&opts.flight_path, &flight) {
-        if !report.consistent || !report.all_operational_decided {
-            let (dump, kept, total) = rec.with(|r| (r.dump_jsonl(), r.len(), r.total_seen()));
-            std::fs::write(path, dump)
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-            eprintln!("flight recorder: dumped last {kept} of {total} events to {path}");
-        }
-    }
-    let metrics = opts.metrics.then(|| metrics.with(|m| m.clone()));
+    let observers = Observers::of(opts);
+    let report = run_traced(protocol, analysis, cfg, observers.tracer());
+    let ended_badly = !report.consistent || !report.all_operational_decided;
+    let metrics = observers.finish(ended_badly.then_some(""))?;
     Ok((report, metrics))
 }
 
@@ -542,25 +643,16 @@ pub fn cmd_simulate(
     } else {
         (run_with(protocol, analysis, cfg), None)
     };
-    let mut out = String::new();
     if opts.json {
         // `--json --metrics` nests both documents under fixed keys so a
         // script gets the verdict and the counters in one parse.
-        match &metrics {
-            Some(m) => {
-                let _ = writeln!(
-                    out,
-                    "{{\"report\":{},\"metrics\":{}}}",
-                    report.to_json(),
-                    m.to_json()
-                );
-            }
-            None => {
-                let _ = writeln!(out, "{}", report.to_json());
-            }
-        }
-        return Ok(out);
+        let report = report.to_json();
+        return Ok(match &metrics {
+            Some(m) => Obj::new().raw("report", &report).raw("metrics", &m.to_json()).build(),
+            None => report,
+        } + "\n");
     }
+    let mut out = String::new();
     for line in &report.trace {
         let _ = writeln!(out, "{line}");
     }
@@ -648,51 +740,30 @@ pub struct CheckRun {
 }
 
 /// `nbc check PROTO [opts]` — run the schedule-exploring model checker.
-pub fn cmd_check(args: &[String]) -> Result<CheckRun, CliError> {
-    fn val(args: &[String], i: &mut usize) -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i).cloned().ok_or_else(|| CliError(format!("{} needs a value", args[*i - 1])))
-    }
-    let Some(proto_arg) = args.first() else {
-        return fail("check: missing protocol argument");
+pub fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
+    let defaults = CheckOptions::default();
+    let opts = CheckOptions {
+        depth: inv.num("--depth").unwrap_or(defaults.depth),
+        faults: inv.num("--faults").unwrap_or(defaults.faults),
+        recoveries: inv.num("--recoveries").unwrap_or(defaults.recoveries),
+        drops: inv.num("--drops").unwrap_or(defaults.drops),
+        suspicions: inv.num("--suspicions").unwrap_or(defaults.suspicions),
+        rule: inv.rule(),
+        seed: inv.num("--seed"),
+        vote_plan: inv.votes(),
+        max_states: inv.num("--max-states").unwrap_or(defaults.max_states),
+        threads: inv.num("--threads").unwrap_or(defaults.threads),
+        progress: inv.has("--progress").then_some(print_check_progress),
+        mem_budget: inv.num("--mem-budget").unwrap_or(defaults.mem_budget),
     };
-    let mut n = 3usize;
-    let mut opts = CheckOptions::default();
-    let mut json = false;
-    let mut trace = false;
-    let mut cx_path: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-n" => n = parse_num(&val(args, &mut i)?, "-n")?,
-            "--depth" => opts.depth = parse_num(&val(args, &mut i)?, "--depth")?,
-            "--faults" => opts.faults = parse_num(&val(args, &mut i)?, "--faults")?,
-            "--recoveries" => opts.recoveries = parse_num(&val(args, &mut i)?, "--recoveries")?,
-            "--drops" => opts.drops = parse_num(&val(args, &mut i)?, "--drops")?,
-            "--suspicions" => opts.suspicions = parse_num(&val(args, &mut i)?, "--suspicions")?,
-            "--seed" => opts.seed = Some(parse_num(&val(args, &mut i)?, "--seed")?),
-            "--threads" => opts.threads = parse_num(&val(args, &mut i)?, "--threads")?,
-            "--max-states" => opts.max_states = parse_num(&val(args, &mut i)?, "--max-states")?,
-            "--mem-budget" => {
-                opts.mem_budget = parse_mem_budget(&val(args, &mut i)?, "--mem-budget")?
-            }
-            "--rule" => opts.rule = parse_rule_arg(&val(args, &mut i)?)?,
-            "--votes" => opts.vote_plan = Some(parse_votes_arg(&val(args, &mut i)?)?),
-            "--json" => json = true,
-            "--trace" => trace = true,
-            "--progress" => opts.progress = Some(print_check_progress),
-            "--counterexample" => cx_path = Some(val(args, &mut i)?),
-            other => return fail(format!("check: unknown flag {other:?}")),
-        }
-        i += 1;
-    }
-    let protocol = resolve_protocol(proto_arg, n)?;
+    let (json, trace, cx_path) =
+        (inv.has("--json"), inv.has("--trace"), inv.text("--counterexample"));
+    let protocol = resolve_protocol(&inv.operands[0], inv.n())?;
     let budgeted = opts.mem_budget > 0;
     let report = nbc_check::run_check(&protocol, opts).map_err(|e| match e {
         nbc_check::CheckError::VotePlanLength { expected, got } => {
             CliError(format!("--votes names {got} sites, protocol has {expected}"))
         }
-        nbc_check::CheckError::TooManyThreads { max, got } => too_many_threads(max, got),
         e => CliError(e.to_string()),
     })?;
     // Spill stats go to stderr only: the rendered report and JSON stay
@@ -770,30 +841,17 @@ pub fn cmd_check(args: &[String]) -> Result<CheckRun, CliError> {
 /// time-series snapshot curve; it always exits 0 unless the trace is
 /// unreadable. Both are pure functions of the file bytes: the same trace
 /// renders byte-identically on every run.
-pub fn cmd_trace(args: &[String]) -> Result<CheckRun, CliError> {
-    let Some(sub) = args.first() else {
-        return fail("trace: missing subcommand (verify | stats)");
-    };
+pub fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
+    let (sub, files) = inv.operands.split_first().expect("the table asks for a subcommand");
     let verify_mode = match sub.as_str() {
         "verify" => true,
         "stats" => false,
         other => return fail(format!("trace: unknown subcommand {other:?} (verify | stats)")),
     };
-    let mut json = false;
-    let mut files: Vec<&str> = Vec::new();
-    for a in &args[1..] {
-        match a.as_str() {
-            "--json" => json = true,
-            f if f.starts_with('-') => return fail(format!("trace {sub}: unknown flag {f:?}")),
-            f => files.push(f),
-        }
-    }
-    if files.is_empty() {
-        return fail(format!("trace {sub}: missing trace file argument"));
-    }
+    let json = inv.has("--json");
     let mut out = String::new();
     let mut ok = true;
-    for path in &files {
+    for path in files {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
         let events = analyze::parse_jsonl(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
@@ -828,17 +886,15 @@ pub fn cmd_trace(args: &[String]) -> Result<CheckRun, CliError> {
 fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), CliError> {
     let analysis = build_analysis(protocol, 0, false, false, 0)?;
     let cfg = RunConfig::happy(protocol.n_sites());
-    let events = SharedSink::new(MemorySink::default());
-    let metrics = SharedSink::new(Metrics::default());
-    let mut tracer = Tracer::to_sink(events.clone());
-    tracer.attach(metrics.clone());
-    let report = run_traced(protocol, &analysis, cfg, tracer);
+    let opts = SimOpts { metrics: true, ..SimOpts::default() };
+    let observers = Observers::of(&opts);
+    let report = run_traced(protocol, &analysis, cfg, observers.tracer());
     if !report.consistent {
         return fail(format!("{}: happy-path run was inconsistent", protocol.name));
     }
     // Delays: unit network latency makes "time until the last site logs
     // its decision" exactly the sequential-message-delay count.
-    let delays = events.with(|s| {
+    let delays = observers.events.with(|s| {
         let start = s.events.iter().map(|e| e.time).min().unwrap_or(0);
         let last = s
             .events
@@ -849,7 +905,7 @@ fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), C
             .unwrap_or(start);
         (last - start) as usize
     });
-    let m = metrics.with(|m| m.clone());
+    let m = observers.counters.with(|m| m.clone());
     let row = nbc_paxos::CostRow {
         messages: m.txns.values().map(|t| t.msgs_sent).sum::<u64>() as usize,
         stable_writes: m.txns.values().map(|t| t.stable_writes).sum::<u64>() as usize,
@@ -863,27 +919,11 @@ fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), C
 /// print the Gray–Lamport cost table: measured messages / stable writes /
 /// message delays per committed transaction for Paxos Commit next to this
 /// repo's central 2PC and 3PC, plus Gray & Lamport's analytic predictions.
-pub fn cmd_paxos(args: &[String]) -> Result<String, CliError> {
-    fn val(args: &[String], i: &mut usize) -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i).cloned().ok_or_else(|| CliError(format!("{} needs a value", args[*i - 1])))
-    }
-    let mut sites = 3usize;
-    let mut faults = 1usize;
-    let mut want_metrics = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sites" | "-n" => sites = parse_num(&val(args, &mut i)?, "--sites")?,
-            "--faults" | "-f" => faults = parse_num(&val(args, &mut i)?, "--faults")?,
-            "--metrics" => want_metrics = true,
-            "--json" => json = true,
-            other => return fail(format!("paxos: unknown flag {other:?}")),
-        }
-        i += 1;
-    }
-    let paxos = build_paxos(sites, faults)?;
+pub fn cmd_paxos(inv: &Invocation) -> Result<String, CliError> {
+    let sites: usize = inv.num("--sites").unwrap_or(3);
+    let faults: usize = inv.num("--faults").unwrap_or(1);
+    let (want_metrics, json) = (inv.has("--metrics"), inv.has("--json"));
+    let paxos = nbc_paxos::paxos_commit(sites, faults);
     let (px, px_metrics) = measured_cost(&paxos)?;
     let (c2, _) = measured_cost(&central_2pc(sites))?;
     let (c3, _) = measured_cost(&central_3pc(sites))?;
@@ -893,26 +933,25 @@ pub fn cmd_paxos(args: &[String]) -> Result<String, CliError> {
     let glp = nbc_paxos::gl_paxos_cost(sites, faults);
 
     if json {
-        let mut out = String::new();
         let row = |r: &nbc_paxos::CostRow| {
-            format!(
-                "{{\"messages\":{},\"stable_writes\":{},\"delays\":{}}}",
-                r.messages, r.stable_writes, r.delays
-            )
+            Obj::new()
+                .num("messages", r.messages as u64)
+                .num("stable_writes", r.stable_writes as u64)
+                .num("delays", r.delays as u64)
+                .build()
         };
-        let _ = writeln!(
-            out,
-            "{{\"protocol\":{:?},\"sites\":{sites},\"faults\":{faults},\
-             \"measured\":{{\"paxos\":{},\"central_2pc\":{},\"central_3pc\":{}}},\
-             \"gray_lamport\":{{\"paxos\":{},\"two_pc\":{}}}}}",
-            paxos.name,
-            row(&px),
-            row(&c2),
-            row(&c3),
-            row(&glp),
-            row(&gl2),
-        );
-        return Ok(out);
+        let measured = Obj::new()
+            .raw("paxos", &row(&px))
+            .raw("central_2pc", &row(&c2))
+            .raw("central_3pc", &row(&c3));
+        let predicted = Obj::new().raw("paxos", &row(&glp)).raw("two_pc", &row(&gl2));
+        let doc = Obj::new()
+            .str("protocol", &paxos.name)
+            .num("sites", sites as u64)
+            .num("faults", faults as u64)
+            .raw("measured", &measured.build())
+            .raw("gray_lamport", &predicted.build());
+        return Ok(doc.build() + "\n");
     }
 
     let mut out = String::new();
@@ -965,18 +1004,6 @@ pub fn cmd_paxos(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parse a `--votes` plan: one `y`/`1` (yes) or `n`/`0` (no) per site,
-/// e.g. `yyn`.
-pub fn parse_votes_arg(arg: &str) -> Result<Vec<bool>, CliError> {
-    arg.chars()
-        .map(|c| match c {
-            'y' | '1' => Ok(true),
-            'n' | '0' => Ok(false),
-            _ => fail(format!("bad --votes character {c:?} (want y/n or 1/0)")),
-        })
-        .collect()
-}
-
 /// `nbc sweep PROTO [opts]`
 pub fn cmd_sweep(
     protocol: &Protocol,
@@ -985,25 +1012,13 @@ pub fn cmd_sweep(
 ) -> Result<String, CliError> {
     let specs = enumerate_crash_specs(protocol, opts.recover);
     let base = opts.to_config(protocol.n_sites())?;
-    let mut metrics_table = None;
+    let observers = Observers::of(opts);
     let s = if opts.wants_events() {
-        let events = SharedSink::new(MemorySink::default());
-        let metrics = SharedSink::new(Metrics::default());
-        let mut tracer = Tracer::to_sink(events.clone());
-        if opts.metrics {
-            tracer.attach(metrics.clone());
-        }
-        let s = sweep_traced(protocol, analysis, &base, &specs, tracer);
-        if let Some(path) = &opts.trace_path {
-            events.with(|sink| write_trace(path, opts.trace_chrome, &sink.events))?;
-        }
-        if opts.metrics {
-            metrics_table = Some(metrics.with(|m| m.clone()));
-        }
-        s
+        sweep_traced(protocol, analysis, &base, &specs, observers.tracer())
     } else {
         sweep(protocol, analysis, &base, &specs)
     };
+    let metrics_table = observers.finish(None)?;
     if opts.json {
         return Ok(format!("{}\n", s.to_json()));
     }
@@ -1114,97 +1129,32 @@ pub fn cmd_recovery(
 /// over a bank workload and report throughput, latency percentiles, and
 /// group-commit savings, alongside a serial baseline (the same scheduler
 /// at in-flight 1 with group commit off).
-///
-/// Parses its own argument tail: `PROTO [--txns T] [--crash-pct P]
-/// [--in-flight K] [--window W] [--reap T] [--seed S] [-n N]`.
-pub fn cmd_pipeline(args: &[String]) -> Result<String, CliError> {
-    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn, MAX_REAP_AFTER};
+pub fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
+    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
     use nbc_simnet::SimRng;
-    use nbc_txn::{BankWorkload, ProtocolKind};
+    use nbc_txn::BankWorkload;
 
-    let Some(proto) = args.first() else {
-        return fail("pipeline: missing protocol argument");
-    };
-    let kind = match proto.as_str() {
-        "central-2pc" | "2pc" => ProtocolKind::Central2pc,
-        "central-3pc" | "3pc" => ProtocolKind::Central3pc,
-        "decentralized-2pc" | "d2pc" => ProtocolKind::Decentralized2pc,
-        "decentralized-3pc" | "d3pc" => ProtocolKind::Decentralized3pc,
-        "paxos" | "paxos-commit" => ProtocolKind::Paxos { f: 1 },
-        p if p.starts_with("paxos:") => {
-            let f: usize = p[6..]
-                .parse()
-                .map_err(|_| CliError(format!("bad acceptor-fault count in {p:?}")))?;
-            ProtocolKind::Paxos { f }
-        }
-        other => {
+    let kind = match protocol_name(&inv.operands[0])? {
+        Named::Cluster(kind) => kind,
+        _ => {
             return fail(format!(
                 "pipeline runs the cluster protocols only \
                  (central-2pc | central-3pc | decentralized-2pc | decentralized-3pc | paxos:F), \
-                 got {other:?}"
+                 got {:?}",
+                inv.operands[0]
             ))
         }
     };
-
-    let mut n = 3usize;
-    let mut txns = 64usize;
-    let mut crash_pct = 0u32;
-    let mut in_flight = 8usize;
-    let mut window = 2u64;
-    let mut reap = 200u64;
-    let mut seed = 42u64;
-    let mut trace_path: Option<String> = None;
-    let mut trace_chrome = false;
-    let mut metrics = false;
-    let mut series_every = 0u64;
-    let mut flight_path: Option<String> = None;
-    let mut flight_cap = 256usize;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut val = |what: &str| -> Result<String, CliError> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| CliError(format!("{what} needs a value")))
-        };
-        match flag {
-            "-n" => n = parse_num(&val("-n")?, "-n")?,
-            "--txns" => txns = parse_num(&val("--txns")?, "--txns")?,
-            "--crash-pct" => {
-                crash_pct = parse_num(&val("--crash-pct")?, "--crash-pct")?;
-                if crash_pct > 100 {
-                    return fail("--crash-pct wants 0..=100");
-                }
-            }
-            "--in-flight" => in_flight = parse_num(&val("--in-flight")?, "--in-flight")?,
-            "--window" => window = parse_num(&val("--window")?, "--window")?,
-            "--reap" => reap = parse_num(&val("--reap")?, "--reap")?,
-            "--seed" => seed = parse_num(&val("--seed")?, "--seed")?,
-            "--trace" => trace_path = Some(val("--trace")?),
-            "--trace-format" => trace_chrome = parse_trace_format(&val("--trace-format")?)?,
-            "--metrics" => metrics = true,
-            "--series-every" => {
-                series_every = parse_num(&val("--series-every")?, "--series-every")?
-            }
-            "--flight" => flight_path = Some(val("--flight")?),
-            "--flight-cap" => flight_cap = parse_num(&val("--flight-cap")?, "--flight-cap")?,
-            other => return fail(format!("unknown flag {other:?}")),
-        }
-        i += 1;
-    }
-    if n < 2 {
-        return fail("pipeline needs -n >= 2");
-    }
-    if let ProtocolKind::Paxos { f } = kind {
-        check_paxos(n, f)?;
-    }
-    if in_flight == 0 {
-        return fail("--in-flight 0 leaves no room for a round: the limit is at least 1");
-    }
-    if reap > MAX_REAP_AFTER {
-        return fail(format!(
-            "--reap {reap} is past what the clock carries: the limit is {MAX_REAP_AFTER}"
-        ));
-    }
+    let n = inv.n();
+    let txns: usize = inv.num("--txns").unwrap_or(64);
+    let crash_pct: u32 = inv.num("--crash-pct").unwrap_or(0);
+    let in_flight: usize = inv.num("--in-flight").unwrap_or(8);
+    let window: u64 = inv.num("--window").unwrap_or(2);
+    let reap: u64 = inv.num("--reap").unwrap_or(200);
+    let seed: u64 = inv.num("--seed").unwrap_or(42);
+    let series_every: u64 = inv.num("--series-every").unwrap_or(0);
+    let opts = SimOpts::of(inv);
+    let observers = Observers::of(&opts);
 
     let accounts = (n * 4).max(8);
     let mut w = BankWorkload::new(n, accounts, 1_000, seed);
@@ -1232,36 +1182,16 @@ pub fn cmd_pipeline(args: &[String]) -> Result<String, CliError> {
         (r, ticks, conserved)
     };
     let (serial, serial_ticks, serial_ok) = run_with(1, 0, None);
-    let events = SharedSink::new(MemorySink::default());
-    let metrics_sink = SharedSink::new(Metrics::default());
-    let flight =
-        flight_path.as_ref().map(|_| SharedSink::new(FlightRecorder::new(flight_cap.max(1))));
-    let tracer = (trace_path.is_some() || metrics || flight.is_some()).then(|| {
-        let mut t = Tracer::to_sink(events.clone());
-        if metrics {
-            t.attach(metrics_sink.clone());
-        }
-        if let Some(rec) = &flight {
-            t.attach(rec.clone());
-        }
-        t
-    });
+    let tracer = opts.wants_events().then(|| observers.tracer());
     // With a flight recorder attached, a scheduler panic still yields its
     // black box: catch the unwind, dump the ring, then surface the error.
-    let dump_flight = |note: &str| -> Result<(), CliError> {
-        let (Some(path), Some(rec)) = (&flight_path, &flight) else { return Ok(()) };
-        let (dump, kept, total) = rec.with(|r| (r.dump_jsonl(), r.len(), r.total_seen()));
-        std::fs::write(path, dump).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        eprintln!("flight recorder: {note}; dumped last {kept} of {total} events to {path}");
-        Ok(())
-    };
-    let (report, pipe_ticks, pipe_ok) = if flight.is_some() {
+    let (report, pipe_ticks, pipe_ok) = if observers.flight.is_some() {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_with(in_flight, window, tracer)
         })) {
             Ok(r) => r,
             Err(panic) => {
-                dump_flight("scheduler panicked")?;
+                observers.dump_flight("scheduler panicked; ")?;
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_string())
@@ -1273,12 +1203,7 @@ pub fn cmd_pipeline(args: &[String]) -> Result<String, CliError> {
     } else {
         run_with(in_flight, window, tracer)
     };
-    if let Some(path) = &trace_path {
-        events.with(|s| write_trace(path, trace_chrome, &s.events))?;
-    }
-    if !pipe_ok {
-        dump_flight("conservation violated")?;
-    }
+    let metrics = observers.finish((!pipe_ok).then_some("conservation violated; "))?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1301,89 +1226,33 @@ pub fn cmd_pipeline(args: &[String]) -> Result<String, CliError> {
         "speedup over serial: {speedup:.2}x; conservation: {}",
         if serial_ok && pipe_ok { "ok" } else { "VIOLATED" }
     );
-    if metrics {
-        let _ = write!(out, "{}", metrics_sink.with(|m| m.clone()));
+    if let Some(m) = metrics {
+        let _ = write!(out, "{m}");
     }
     Ok(out)
-}
-
-fn parse_num<T: std::str::FromStr>(arg: &str, flag: &str) -> Result<T, CliError> {
-    arg.parse().map_err(|_| CliError(format!("bad {flag} value {arg:?}")))
-}
-
-/// Parse `site:ordinal:msgs` (msgs may be `log`).
-pub fn parse_crash_arg(arg: &str) -> Result<(usize, u32, Option<u32>), CliError> {
-    let parts: Vec<&str> = arg.split(':').collect();
-    if parts.len() != 3 {
-        return fail(format!("--crash wants SITE:ORDINAL:MSGS, got {arg:?}"));
-    }
-    let site = parts[0].parse().map_err(|_| CliError(format!("bad site {:?}", parts[0])))?;
-    let ordinal = parts[1].parse().map_err(|_| CliError(format!("bad ordinal {:?}", parts[1])))?;
-    let msgs = if parts[2] == "log" {
-        None
-    } else {
-        Some(parts[2].parse().map_err(|_| CliError(format!("bad msg count {:?}", parts[2])))?)
-    };
-    Ok((site, ordinal, msgs))
-}
-
-/// Parse a `lo..hi` latency range.
-pub fn parse_latency_arg(arg: &str) -> Result<(u64, u64), CliError> {
-    let (lo, hi) =
-        arg.split_once("..").ok_or(CliError(format!("--latency wants LO..HI, got {arg:?}")))?;
-    let lo = lo.parse().map_err(|_| CliError(format!("bad latency {lo:?}")))?;
-    let hi = hi.parse().map_err(|_| CliError(format!("bad latency {hi:?}")))?;
-    if lo > hi {
-        return fail("--latency LO..HI needs LO <= HI");
-    }
-    Ok((lo, hi))
-}
-
-/// Parse a `--detector-jitter` heartbeat-latency range (`lo..hi`).
-pub fn parse_jitter_arg(arg: &str) -> Result<(u64, u64), CliError> {
-    let (lo, hi) = arg
-        .split_once("..")
-        .ok_or(CliError(format!("--detector-jitter wants LO..HI, got {arg:?}")))?;
-    let lo = lo.parse().map_err(|_| CliError(format!("bad jitter bound {lo:?}")))?;
-    let hi = hi.parse().map_err(|_| CliError(format!("bad jitter bound {hi:?}")))?;
-    if lo > hi {
-        return fail("--detector-jitter LO..HI needs LO <= HI");
-    }
-    Ok((lo, hi))
-}
-
-/// Parse a `--detector-timeout` value (must be positive).
-pub fn parse_timeout_arg(arg: &str) -> Result<u64, CliError> {
-    let t: u64 = parse_num(arg, "--detector-timeout")?;
-    if t == 0 {
-        return fail("--detector-timeout needs a positive value");
-    }
-    Ok(t)
-}
-
-/// Parse a `--trace-format` value; `true` selects Chrome trace-event JSON.
-pub fn parse_trace_format(arg: &str) -> Result<bool, CliError> {
-    match arg {
-        "jsonl" => Ok(false),
-        "chrome" => Ok(true),
-        _ => fail(format!("unknown trace format {arg:?} (jsonl | chrome)")),
-    }
-}
-
-/// Parse a termination-rule name.
-pub fn parse_rule_arg(arg: &str) -> Result<TerminationRule, CliError> {
-    match arg {
-        "skeen" => Ok(TerminationRule::Skeen),
-        "cooperative" => Ok(TerminationRule::Cooperative),
-        "naive" => Ok(TerminationRule::NaiveCs),
-        "quorum" => Ok(TerminationRule::QuorumSkeen),
-        _ => fail(format!("unknown rule {arg:?} (skeen | cooperative | naive | quorum)")),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::{
+        parse_crash_arg, parse_mem_budget, parse_rule_arg, parse_span, parse_trace_format,
+    };
+
+    /// `nbc CMD ARGS...` through the table, as `run_argv` takes it.
+    fn parsed(cmd: &str, args: &[String]) -> Result<Invocation, CliError> {
+        let words: Vec<String> =
+            std::iter::once(cmd.to_string()).chain(args.iter().cloned()).collect();
+        args::parse(&words)
+    }
+
+    fn pipeline(args: &[String]) -> Result<String, CliError> {
+        cmd_pipeline(&parsed("pipeline", args)?)
+    }
+
+    fn trace(args: &[String]) -> Result<CheckRun, CliError> {
+        cmd_trace(&parsed("trace", args)?)
+    }
 
     #[test]
     fn mem_budget_parses_suffixes() {
@@ -1554,7 +1423,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let out = cmd_pipeline(&args).unwrap();
+        let out = pipeline(&args).unwrap();
         assert!(out.contains("speedup over serial"), "{out}");
         assert!(out.contains("conservation: ok"), "{out}");
         assert!(out.contains("saved by group commit"), "{out}");
@@ -1564,7 +1433,7 @@ mod tests {
     fn pipeline_command_rejects_junk() {
         let bad = |v: &[&str]| {
             let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-            cmd_pipeline(&args)
+            pipeline(&args)
         };
         assert!(bad(&[]).is_err());
         assert!(bad(&["1pc"]).is_err(), "non-cluster protocol");
@@ -1649,7 +1518,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let out = cmd_pipeline(&args).unwrap();
+        let out = pipeline(&args).unwrap();
         assert!(out.contains("scheduler"), "{out}");
         assert!(out.contains("admits="), "{out}");
         let data = std::fs::read_to_string(&path).unwrap();
@@ -1671,16 +1540,16 @@ mod tests {
         };
         cmd_simulate(&p, &a, &opts).unwrap();
         let args = vec!["verify".to_string(), path.to_string_lossy().into_owned()];
-        let run = cmd_trace(&args).unwrap();
+        let run = trace(&args).unwrap();
         assert!(run.ok, "{}", run.output);
         assert!(run.output.contains("result: PASS"), "{}", run.output);
         assert!(run.output.contains("gray-lamport:"), "{}", run.output);
         // Byte-determinism: a second pass over the same file is identical.
-        assert_eq!(run.output, cmd_trace(&args).unwrap().output);
+        assert_eq!(run.output, trace(&args).unwrap().output);
         // --json emits one valid object with the same verdict.
         let jargs =
             vec!["verify".to_string(), path.to_string_lossy().into_owned(), "--json".into()];
-        let jrun = cmd_trace(&jargs).unwrap();
+        let jrun = trace(&jargs).unwrap();
         nbc_obs::json::validate(jrun.output.trim()).unwrap();
         assert!(jrun.output.contains("\"ok\":true"), "{}", jrun.output);
         let _ = std::fs::remove_file(&path);
@@ -1713,7 +1582,7 @@ mod tests {
         assert_ne!(text, corrupted, "trace had no delivery to remove");
         std::fs::write(&path, corrupted).unwrap();
         let args = vec!["verify".to_string(), path.to_string_lossy().into_owned()];
-        let run = cmd_trace(&args).unwrap();
+        let run = trace(&args).unwrap();
         assert!(!run.ok, "{}", run.output);
         assert!(run.output.contains("conservation"), "{}", run.output);
         assert!(run.output.contains("result: FAIL"), "{}", run.output);
@@ -1737,15 +1606,15 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        cmd_pipeline(&args).unwrap();
+        pipeline(&args).unwrap();
         let targs = vec!["stats".to_string(), path.to_string_lossy().into_owned()];
-        let run = cmd_trace(&targs).unwrap();
+        let run = trace(&targs).unwrap();
         assert!(run.ok);
         assert!(run.output.contains("decision latency: n="), "{}", run.output);
         assert!(run.output.contains("p95="), "{}", run.output);
         assert!(run.output.contains("time series ("), "{}", run.output);
         let jargs = vec!["stats".to_string(), path.to_string_lossy().into_owned(), "--json".into()];
-        let jrun = cmd_trace(&jargs).unwrap();
+        let jrun = trace(&jargs).unwrap();
         nbc_obs::json::validate(jrun.output.trim()).unwrap();
         assert!(jrun.output.contains("\"snapshots\":["), "{}", jrun.output);
         let _ = std::fs::remove_file(&path);
@@ -1754,11 +1623,11 @@ mod tests {
     #[test]
     fn trace_usage_errors() {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(cmd_trace(&s(&[])).is_err(), "missing subcommand");
-        assert!(cmd_trace(&s(&["frob", "x.jsonl"])).is_err(), "unknown subcommand");
-        assert!(cmd_trace(&s(&["verify"])).is_err(), "missing file");
-        assert!(cmd_trace(&s(&["verify", "--bogus", "x.jsonl"])).is_err(), "unknown flag");
-        assert!(cmd_trace(&s(&["verify", "/does/not/exist.jsonl"])).is_err(), "missing file");
+        assert!(trace(&s(&[])).is_err(), "missing subcommand");
+        assert!(trace(&s(&["frob", "x.jsonl"])).is_err(), "unknown subcommand");
+        assert!(trace(&s(&["verify"])).is_err(), "missing file");
+        assert!(trace(&s(&["verify", "--bogus", "x.jsonl"])).is_err(), "unknown flag");
+        assert!(trace(&s(&["verify", "/does/not/exist.jsonl"])).is_err(), "missing file");
     }
 
     #[test]
@@ -1819,8 +1688,8 @@ mod tests {
         assert_eq!(parse_crash_arg("0:3:1").unwrap(), (0, 3, Some(1)));
         assert_eq!(parse_crash_arg("2:1:log").unwrap(), (2, 1, None));
         assert!(parse_crash_arg("1:2").is_err());
-        assert_eq!(parse_latency_arg("1..20").unwrap(), (1, 20));
-        assert!(parse_latency_arg("9..2").is_err());
+        assert_eq!(parse_span("--latency", "1..20").unwrap(), (1, 20));
+        assert!(parse_span("--latency", "9..2").is_err());
         assert!(parse_rule_arg("cooperative").is_ok());
         assert!(parse_rule_arg("yolo").is_err());
         assert!(!parse_trace_format("jsonl").unwrap());

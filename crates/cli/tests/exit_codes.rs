@@ -143,12 +143,44 @@ fn flags_a_command_would_ignore_exit_two() {
         (&["graph", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
         (&["analyze", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
         (&["synthesize", "central-2pc", "--mem-budget", "64K"][..], "--mem-budget"),
+        // The flag loop every analysis command shared parsed all of these
+        // and handed each command only what it reads: text where JSON was
+        // asked for, sites 9 and 77 never checked, the perfect detector
+        // where jitter was given, n=4 where `-n 3 -n 4` was.
+        (
+            &["analyze", "3pc", "--crash", "9:1:1", "--no-voter", "77", "--story", "--json"][..],
+            "--crash",
+        ),
+        (
+            &[
+                "verify",
+                "3pc",
+                "--flight",
+                "/nonexistent/x",
+                "--detector-timeout",
+                "3",
+                "--seed",
+                "5",
+            ][..],
+            "--flight",
+        ),
+        (&["graph", "3pc", "--metrics", "--rule", "naive"][..], "--metrics"),
+        (&["termination", "3pc", "--json", "--recover", "3"][..], "--json"),
+        (&["sweep", "3pc", "--dot"][..], "--dot"),
+        (&["sweep", "3pc", "--crash", "0:2:1"][..], "--crash"),
+        (&["simulate", "3pc", "-n", "3", "-n", "4"][..], "-n"),
+        // A qualifier without the flag it qualifies.
+        (&["simulate", "3pc", "--detector-jitter", "1..5"][..], "--detector-jitter"),
+        (&["simulate", "3pc", "--trace-format", "chrome"][..], "--trace-format"),
+        (&["pipeline", "3pc", "--flight-cap", "8"][..], "--flight-cap"),
+        (&["simulate", "3pc", "--recover", "300"][..], "--recover"),
     ] {
         let out = nbc(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         let first = stderr.lines().next().unwrap_or_default();
         assert!(first.starts_with("error: ") && first.contains(flag), "{args:?}: {first}");
+        assert!(first.contains(args[0]), "{args:?}: the refusal names the command: {first}");
         assert!(out.stdout.is_empty(), "{args:?}: a refused command prints nothing");
     }
     // With the fold it caps, the budget runs and changes nothing on stdout.
@@ -156,6 +188,63 @@ fn flags_a_command_would_ignore_exit_two() {
     assert_eq!(budgeted.status.code(), Some(0), "{}", String::from_utf8_lossy(&budgeted.stderr));
     assert!(String::from_utf8_lossy(&budgeted.stderr).starts_with("reach spill: "));
     assert_eq!(budgeted.stdout, nbc(&["analyze", "central-3pc", "--stream"]).stdout);
+    // `--recover` is its own subject where the command supplies the crashes.
+    for cmd in ["sweep", "termination", "recovery"] {
+        let out = nbc(&[cmd, "central-3pc", "--recover", "300"]);
+        assert_eq!(out.status.code(), Some(0), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
+#[test]
+fn a_number_past_its_ceiling_exits_two() {
+    // None of these had a ceiling: the site counts and the batch size
+    // aborted on a multi-gigabyte allocation (exit 134), the times
+    // overflowed the simulated clock (a panic in a debug build), and
+    // `--flight-cap 0` quietly became 1.
+    let max = "18446744073709551615";
+    for (args, flag, limit) in [
+        (&["analyze", "central-2pc", "-n", "100000"][..], "-n", "64"),
+        (&["simulate", "central-2pc", "-n", "100000"][..], "-n", "64"),
+        (&["check", "central-2pc", "-n", "65"][..], "-n", "64"),
+        (&["paxos", "--sites", "100000"][..], "--sites", "64"),
+        (&["paxos", "--faults", "9"][..], "--faults", "8"),
+        (&["pipeline", "central-3pc", "-n", "100000", "--txns", "1"][..], "-n", "64"),
+        (&["pipeline", "central-3pc", "--txns", "99999999999999"][..], "--txns", "16777216"),
+        (&["pipeline", "central-3pc", "--in-flight", max][..], "--in-flight", "16777216"),
+        (&["pipeline", "central-3pc", "--crash-pct", "101"][..], "--crash-pct", "100"),
+        (&["pipeline", "central-3pc", "--window", max][..], "--window", "1099511627776"),
+        (
+            &["simulate", "central-3pc", "--crash", "0:2:1", "--recover", max][..],
+            "--recover",
+            "1099511627776",
+        ),
+        (&["sweep", "central-2pc", "--recover", max][..], "--recover", "1099511627776"),
+        (
+            &["simulate", "central-3pc", "--latency", "0..18446744073709551615"][..],
+            "--latency",
+            "1099511627776",
+        ),
+        (&["simulate", "central-3pc", "--detector-timeout", "0"][..], "--detector-timeout", "1"),
+        (&["simulate", "central-3pc", "--no-voter", "99"][..], "--no-voter", "80"),
+        (
+            &["simulate", "central-3pc", "--flight", "f.jsonl", "--flight-cap", "0"][..],
+            "--flight-cap",
+            "1",
+        ),
+        (&["check", "central-3pc", "--depth", "4294967296"][..], "--depth", "4294967295"),
+    ] {
+        let out = nbc(args);
+        assert_typed_error(&out, &format!("{args:?}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(flag) && first.contains(limit), "{args:?}: {first}");
+        assert!(out.stdout.is_empty(), "{args:?}: a refused command prints nothing");
+    }
+    // The ceilings themselves are values that run.
+    let out = nbc(&["simulate", "central-3pc", "--crash", "0:2:1", "--recover", "1099511627776"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = nbc(&["pipeline", "central-3pc", "--txns", "8", "--in-flight", "16777216"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Reachable-state-graph experiments: the 2-site 2PC figure and the
 //! exponential-growth observation.
 
-use nbc_core::protocols::{catalog, central_2pc};
-use nbc_core::{dot, Analysis, ReachGraph, ReachOptions, SiteId};
+use nbc_core::protocols::{catalog, central_2pc, central_3pc};
+use nbc_core::{dot, Analysis, Count, ReachGraph, ReachOptions, SiteId};
 
 use crate::table::Table;
 
@@ -68,10 +68,10 @@ pub fn e2_two_site_2pc_graph() -> String {
 /// the number of sites", plus the serial-vs-parallel construction race on
 /// the large central 2PC instances the growth unlocks.
 pub fn b5_graph_growth() -> String {
-    b5_impl(6, &[6, 7, 8, 9])
+    b5_impl(6, &[6, 7, 8, 9], &[7, 10, 16, 24, 32, 48, 64])
 }
 
-fn b5_impl(max_n: usize, timing_ns: &[usize]) -> String {
+fn b5_impl(max_n: usize, timing_ns: &[usize], quotient_ns: &[usize]) -> String {
     let mut t = Table::new(["protocol", "n", "global states", "edges", ""]);
     for n in 2..=max_n {
         for p in catalog(n) {
@@ -175,6 +175,35 @@ fn b5_impl(max_n: usize, timing_ns: &[usize]) -> String {
             format!("{} ({:.1}%)", peak, 100.0 * peak as f64 / nodes as f64),
         ]);
     }
+    // The streaming fold walks the graph modulo site symmetry: one
+    // representative per orbit of the interchangeable slaves, the counts
+    // exact sums over the orbits.
+    let mut quotient = Table::new([
+        "protocol",
+        "n",
+        "representatives",
+        "global states (orbit sum)",
+        "levels",
+        "peak resident",
+        "fold",
+    ]);
+    for &n in quotient_ns {
+        for p in [central_2pc(n), central_3pc(n)] {
+            let t0 = std::time::Instant::now();
+            let streamed = Analysis::build_with(&p, auto.with_streaming(true)).expect("bounded");
+            let fold = t0.elapsed();
+            let st = streamed.stream_stats().expect("streamed");
+            quotient.row([
+                p.name.replace(&format!(" (n={n})"), ""),
+                n.to_string(),
+                st.representatives.to_string(),
+                Count(st.distinct_states).to_string(),
+                st.levels.to_string(),
+                st.peak_resident.to_string(),
+                format!("{:.1} ms", fold.as_secs_f64() * 1e3),
+            ]);
+        }
+    }
     format!(
         "{}\nGrowth factor per added site (≈ constant ⇒ exponential growth, \
          as the paper observes):\n{}\nConstruction wall-clock, serial vs. \
@@ -182,11 +211,14 @@ fn b5_impl(max_n: usize, timing_ns: &[usize]) -> String {
          the pre-bitset BTreeSet pass, the bitset post-hoc pass, and the \
          pass fused into the BFS (streaming retires node payloads per \
          level; peak resident = frontier + deduplicated successor \
-         stream):\n{}",
+         stream, both of orbit representatives):\n{}\nThe streaming fold \
+         alone, modulo site symmetry — states explored against states \
+         counted (a sum past 2^128 - 1 prints as \"at least\"):\n{}",
         t.render(),
         growth.render(),
         race.render(),
-        fused.render()
+        fused.render(),
+        quotient.render()
     )
 }
 
@@ -206,12 +238,15 @@ mod tests {
     #[test]
     fn b5_shows_growth() {
         // Small instances only — the full n<=9 sweep is for release runs.
-        let s = b5_impl(3, &[3]);
+        let s = b5_impl(3, &[3], &[4]);
         assert!(s.contains("Growth factor"));
         assert!(s.contains("central-site 2PC"));
         assert!(s.contains("serial vs"));
         assert!(s.contains("speedup"));
         assert!(s.contains("post-hoc"));
         assert!(s.contains("peak resident"));
+        // 156 states of central 3PC n=4 from 49 representatives.
+        assert!(s.contains("representatives"));
+        assert!(s.contains("central-site 3PC  4  49 "), "{s}");
     }
 }

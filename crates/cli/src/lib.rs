@@ -34,7 +34,7 @@ use nbc_core::kpc::k_phase_central;
 use nbc_core::protocols::{central_2pc, central_3pc, one_pc};
 use nbc_core::{
     dot, recovery_analysis, resilience, sync_check, synthesis, termination, theorem, verify,
-    Analysis, LevelProgress, Protocol, ReachGraph, ReachOptions,
+    Analysis, Count, LevelProgress, Protocol, ProtocolError, ReachGraph, ReachOptions,
 };
 use nbc_engine::{
     enumerate_crash_specs, run_traced, run_with, sweep, sweep_traced, CrashPoint, CrashSpec,
@@ -65,27 +65,33 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
 /// What one command line came to: the exit status (0 = done, and for
 /// `check` and `trace verify` every oracle passed; 1 = an oracle reported
 /// a violation; 2 = usage or protocol error), everything for stdout, and
-/// the error with the usage text for stderr. Progress, spill statistics
-/// and flight-recorder notes go to stderr as the command runs.
+/// the error for stderr — followed by the usage text when the command
+/// line itself was at fault. Progress, spill statistics and
+/// flight-recorder notes go to stderr as the command runs.
 #[derive(Debug)]
 pub struct Outcome {
     /// The process exit status.
     pub code: i32,
     /// What the command prints.
     pub stdout: String,
-    /// `error: ...` and the usage text, when `code` is 2.
+    /// `error: ...` when `code` is 2, with the usage text after it if
+    /// [`args::parse`] refused the line.
     pub stderr: String,
 }
 
-/// Run one `nbc` command line (without the program name).
+/// Run one `nbc` command line (without the program name). A line the flag
+/// table refuses is answered with the error and the synopsis; a command
+/// that parsed and then failed — a missing spec file, a protocol error, a
+/// spill that could not be written — with the error alone.
 pub fn run_argv(args: &[String]) -> Outcome {
-    match args::parse(args).and_then(|inv| run(&inv)) {
+    let failed = |stderr| Outcome { code: 2, stdout: String::new(), stderr };
+    let inv = match args::parse(args) {
+        Ok(inv) => inv,
+        Err(e) => return failed(format!("error: {e}\n\n{}\n", args::usage())),
+    };
+    match run(&inv) {
         Ok(run) => Outcome { code: i32::from(!run.ok), stdout: run.output, stderr: String::new() },
-        Err(e) => Outcome {
-            code: 2,
-            stdout: String::new(),
-            stderr: format!("error: {e}\n\n{}\n", args::usage()),
-        },
+        Err(e) => failed(format!("error: {e}\n")),
     }
 }
 
@@ -227,7 +233,7 @@ pub fn build_analysis(
     if progress {
         opts = opts.with_progress(print_progress);
     }
-    let analysis = Analysis::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
+    let analysis = Analysis::build_with(protocol, opts).map_err(|e| reach_error(e, !stream))?;
     if mem_budget > 0 {
         if let Some(st) = analysis.stream_stats() {
             let s = st.spill;
@@ -245,17 +251,33 @@ pub fn build_analysis(
     Ok(analysis)
 }
 
+/// A failed build as a CLI error. A retained build that ran into the state
+/// limit names the way out: the streaming fold holds one representative
+/// per orbit of interchangeable sites, and no graph.
+fn reach_error(e: ProtocolError, retained: bool) -> CliError {
+    match e {
+        ProtocolError::GraphTooLarge { .. } if retained => CliError(format!(
+            "{e} (`nbc analyze --stream` folds the facts without keeping the graph)"
+        )),
+        e => CliError(e.to_string()),
+    }
+}
+
 /// The `--progress` hook: one stderr line per completed BFS level, with a
 /// nodes/sec rate derived from a thread-local clock (stderr only — stdout
 /// and all results stay byte-identical with or without it).
 fn print_progress(p: &LevelProgress) {
-    let rate = match tick_rate(p.new_states as u64) {
+    let rate = match tick_rate(u64::try_from(p.new_states).unwrap_or(u64::MAX)) {
         Some(r) => format!(" ({r:.0} states/s)"),
         None => String::new(),
     };
     eprintln!(
         "level {:>3}: frontier {:>7}  new {:>7}  dedup {:>8}  total {:>8}{rate}",
-        p.level, p.frontier, p.new_states, p.dedup_hits, p.total
+        p.level,
+        Count(p.frontier),
+        Count(p.new_states),
+        Count(p.dedup_hits),
+        Count(p.total)
     );
 }
 
@@ -373,7 +395,7 @@ pub fn cmd_graph(
     if progress {
         opts = opts.with_progress(print_progress);
     }
-    let g = ReachGraph::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
+    let g = ReachGraph::build_with(protocol, opts).map_err(|e| reach_error(e, true))?;
     if dot_output {
         Ok(dot::reach_graph_to_dot(&g, protocol, true))
     } else {
@@ -1265,6 +1287,23 @@ mod tests {
         assert!(parse_mem_budget("K", "--mem-budget").is_err());
         assert!(parse_mem_budget("12Q", "--mem-budget").is_err());
         assert!(parse_mem_budget("999999999999999999G", "--mem-budget").is_err());
+    }
+
+    #[test]
+    fn a_retained_build_over_the_state_limit_names_the_streaming_fold() {
+        // The mapping, not a run: a retained central 3PC n=12 holds 4.2 M
+        // nodes and some 17 M edges before it gives up.
+        let over = ProtocolError::GraphTooLarge { limit: 4_194_304 };
+        assert_eq!(
+            reach_error(over.clone(), true).0,
+            "reachable state graph exceeds limit of 4194304 global states \
+             (`nbc analyze --stream` folds the facts without keeping the graph)"
+        );
+        // The fold has nothing further to suggest, and no other error
+        // grows a hint.
+        assert_eq!(reach_error(over.clone(), false).0, over.to_string());
+        let threads = ProtocolError::TooManyThreads { max: 64, got: 65 };
+        assert_eq!(reach_error(threads.clone(), true).0, threads.to_string());
     }
 
     #[test]

@@ -530,3 +530,42 @@ fn check_counterexample_writes_flight_dump() {
     assert!(stdout.contains("result: FAIL"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_command_that_parsed_and_failed_prints_its_error_and_no_synopsis() {
+    // A missing spec file and a spec that does not parse used to be
+    // followed by the whole usage text, as if the flags had been wrong.
+    let dir = std::env::temp_dir().join(format!("nbc-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let garbage = dir.join("garbage.nbc");
+    std::fs::write(&garbage, "garbage\n").unwrap();
+    let missing = dir.join("nosuch.nbc");
+    for (path, says) in [(&missing, "cannot read"), (&garbage, "garbage.nbc:")] {
+        let out = nbc(&["analyze", path.to_str().unwrap()]);
+        assert_typed_error(&out, says);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(says), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one line, no synopsis: {stderr}");
+        assert!(!stderr.contains("USAGE:"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A command line the flag table refuses still gets the synopsis.
+    let out = nbc(&["analyze", "central-3pc", "--bogus"]);
+    assert_typed_error(&out, "--bogus");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.lines().next().unwrap().contains("--bogus"), "{stderr}");
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+#[test]
+fn the_streamed_analysis_runs_past_the_retained_state_limit() {
+    // 15 909 884 global states, four times the retained builders' limit,
+    // stood for by a few hundred orbit representatives: this exited 2 with
+    // `GraphTooLarge` after expanding 4.2 M states.
+    let out = nbc(&["analyze", "central-3pc", "-n", "12", "--stream"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("streamed analysis: 15909884 global states across 37 levels"));
+    assert!(stdout.contains("NONBLOCKING (both theorem conditions hold)"), "{stdout}");
+}

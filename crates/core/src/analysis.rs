@@ -141,7 +141,7 @@ impl Analysis {
         graph: Option<ReachGraph>,
         stream: Option<StreamStats>,
     ) -> Self {
-        let (slots, yes_voted, mut cs, occupied, noncommittable, _folded) = facts.into_parts();
+        let (slots, yes_voted, mut cs, occupied, noncommittable) = facts.into_parts();
         let words = slots.words();
         let total = slots.total();
 
@@ -545,7 +545,7 @@ mod tests {
         assert!(retained.graph().is_some() && retained.stream_stats().is_none());
         assert!(streamed.graph().is_none());
         let stats = streamed.stream_stats().unwrap();
-        assert_eq!(stats.distinct_states, retained.graph().unwrap().node_count());
+        assert_eq!(stats.distinct_states, retained.graph().unwrap().node_count() as u128);
         assert!(stats.levels > 1 && stats.peak_resident >= 1);
         for site in p.sites() {
             for i in 0..p.fsa(site).state_count() {

@@ -73,6 +73,21 @@ impl Field {
         self.mask
     }
 
+    /// The field's width in bits.
+    pub(crate) fn bits(self) -> u32 {
+        u64::BITS - self.mask.leading_zeros()
+    }
+
+    /// `self` and `next` as one field — `next`'s value above `self`'s —
+    /// when `next` begins at the bit where `self` ends, in the same word.
+    pub(crate) fn join(self, next: Field) -> Option<Field> {
+        (self.word == next.word && self.shift + self.bits() == next.shift).then_some(Field {
+            word: self.word,
+            shift: self.shift,
+            mask: self.mask | next.mask << self.bits(),
+        })
+    }
+
     /// Overwrite the field with `value`, which must fit.
     #[inline]
     pub(crate) fn set(self, words: &mut [u64], value: u64) {
@@ -200,6 +215,12 @@ impl StateCodec {
     /// The count field of `addr`, if the universe holds it.
     pub(crate) fn count_field(&self, addr: MsgAddr) -> Option<Field> {
         self.addrs.binary_search(&addr).ok().map(|i| self.counts[i])
+    }
+
+    /// Every address of the universe with its count field, in address
+    /// order: what [`crate::symmetry`] cuts a site's block out of.
+    pub(crate) fn channels(&self) -> impl Iterator<Item = (MsgAddr, Field)> + '_ {
+        self.addrs.iter().copied().zip(self.counts.iter().copied())
     }
 
     /// The overflow error for the address whose count field is `field`.

@@ -170,8 +170,6 @@ pub(crate) struct ConcurrencyFacts {
     noncommittable: Vec<u64>,
     /// Scratch: the slot mask of the global state being folded.
     state_mask: Vec<u64>,
-    /// Number of states folded (for throughput accounting).
-    folded: u64,
 }
 
 impl ConcurrencyFacts {
@@ -195,23 +193,32 @@ impl ConcurrencyFacts {
             occupied: vec![0; words],
             noncommittable: vec![0; words],
             state_mask: vec![0; words],
-            folded: 0,
             slots,
         }
     }
 
     /// Consume the accumulator, returning its parts for
     /// [`crate::Analysis`]: `(slots, yes_voted, cs, occupied,
-    /// noncommittable, folded)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(self) -> (SlotMap, Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>, u64) {
-        (self.slots, self.yes_voted, self.cs, self.occupied, self.noncommittable, self.folded)
+    /// noncommittable)`.
+    pub(crate) fn into_parts(self) -> (SlotMap, Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
+        (self.slots, self.yes_voted, self.cs, self.occupied, self.noncommittable)
     }
+}
+
+/// Set bits `i` and `j` of `row` to their OR; true if one of them was new.
+#[inline]
+fn join_bits(row: &mut [u64], i: u32, j: u32) -> bool {
+    let (x, y) = (bit_get(row, i), bit_get(row, j));
+    if x == y {
+        return false;
+    }
+    bit_set(row, i);
+    bit_set(row, j);
+    true
 }
 
 impl StateFolder for ConcurrencyFacts {
     fn fold(&mut self, locals: &[StateId]) {
-        self.folded += 1;
         self.state_mask.fill(0);
         let mut all_yes = true;
         for (i, &s) in locals.iter().enumerate() {
@@ -240,7 +247,6 @@ impl StateFolder for ConcurrencyFacts {
             occupied: vec![0; self.words],
             noncommittable: vec![0; self.words],
             state_mask: vec![0; self.words],
-            folded: 0,
         }
     }
 
@@ -248,7 +254,61 @@ impl StateFolder for ConcurrencyFacts {
         or_into(&mut self.cs, &other.cs);
         or_into(&mut self.occupied, &other.occupied);
         or_into(&mut self.noncommittable, &other.noncommittable);
-        self.folded += other.folded;
+    }
+
+    /// The transposition is an involution on slots — `(a, s) ↔ (b, s)` —
+    /// and on the concurrency matrix's cells, row and column both mapped;
+    /// a cell and its image end up holding the OR of the two. In place,
+    /// over the two sites' slot ranges: nothing is allocated per row.
+    fn close_under_swap(&mut self, a: SiteId, b: SiteId) -> bool {
+        let (at_a, at_b) = (self.slots.site_range(a), self.slots.site_range(b));
+        debug_assert_eq!(at_a.len(), at_b.len(), "interchangeable sites have as many states");
+        let states = at_a.len() as u32;
+        let (a0, b0, words) = (at_a.start, at_b.start, self.words);
+        let mut grew = false;
+        for s in 0..states {
+            grew |= join_bits(&mut self.occupied, a0 + s, b0 + s);
+            grew |= join_bits(&mut self.noncommittable, a0 + s, b0 + s);
+        }
+        // A row of neither site is its own image row: its cells under the
+        // two sites' columns pair up within it.
+        for slot in (0..self.slots.total).filter(|s| !at_a.contains(s) && !at_b.contains(s)) {
+            let row = &mut self.cs[slot as usize * words..(slot as usize + 1) * words];
+            for s in 0..states {
+                grew |= join_bits(row, a0 + s, b0 + s);
+            }
+        }
+        // Row `(a, s)` pairs with row `(b, s)`: cell by cell under the two
+        // sites' columns (each with the other site's column), word by word
+        // under every other column (each with the same column).
+        self.state_mask.fill(0);
+        for slot in at_a.clone().chain(at_b.clone()) {
+            bit_set(&mut self.state_mask, slot);
+        }
+        let (lo, hi) = (a0.min(b0), a0.max(b0));
+        for s in 0..states {
+            let (head, tail) = self.cs.split_at_mut((hi + s) as usize * words);
+            let row_lo = &mut head[(lo + s) as usize * words..(lo + s + 1) as usize * words];
+            let row_hi = &mut tail[..words];
+            for t in 0..states {
+                for (i, j) in [(lo + t, hi + t), (hi + t, lo + t)] {
+                    let (x, y) = (bit_get(row_lo, i), bit_get(row_hi, j));
+                    if x != y {
+                        bit_set(row_lo, i);
+                        bit_set(row_hi, j);
+                        grew = true;
+                    }
+                }
+            }
+            for ((x, y), &swapped) in row_lo.iter_mut().zip(row_hi.iter_mut()).zip(&self.state_mask)
+            {
+                let both = (*x | *y) & !swapped;
+                grew |= both & !(*x & *y) != 0;
+                *x |= both;
+                *y |= both;
+            }
+        }
+        grew
     }
 }
 
@@ -344,6 +404,5 @@ mod tests {
         assert_eq!(straight.cs, merged.cs);
         assert_eq!(straight.occupied, merged.occupied);
         assert_eq!(straight.noncommittable, merged.noncommittable);
-        assert_eq!(straight.folded, merged.folded);
     }
 }

@@ -69,6 +69,7 @@ pub mod protocols;
 pub mod reach;
 pub mod recovery_analysis;
 pub mod resilience;
+pub mod symmetry;
 pub mod sync_check;
 pub mod synthesis;
 pub mod termination;
@@ -84,8 +85,9 @@ pub use fsa::{Consume, Envelope, Fsa, FsaBuilder, StateClass, StateInfo, Transit
 pub use ids::{MsgKind, SiteId, StateId};
 pub use protocol::{InitialMsg, Paradigm, Protocol};
 pub use reach::{
-    fingerprint128, GlobalState, GraphStats, LevelProgress, ReachGraph, ReachOptions, StreamStats,
-    MAX_THREADS,
+    fingerprint128, Count, GlobalState, GraphStats, LevelProgress, ReachGraph, ReachOptions,
+    StreamStats, MAX_THREADS,
 };
+pub use symmetry::Symmetry;
 pub use termination::Decision;
 pub use theorem::{TheoremReport, Violation};

@@ -83,6 +83,7 @@ use crate::fp128::{Fp128, FpBuildHasher};
 use crate::fsa::{Consume, StateClass};
 use crate::ids::{MsgKind, SiteId, StateId};
 use crate::protocol::Protocol;
+use crate::symmetry::Symmetry;
 
 /// Index of a node in the reachable state graph.
 pub type NodeId = u32;
@@ -229,24 +230,49 @@ pub struct Edge {
 /// coordinating thread, after the level barrier) for every completed BFS
 /// level; the hook observes the build but cannot perturb it — node ids,
 /// edge order, and fold results are identical with or without it.
+///
+/// The counts describe the reachable graph, whoever reports them: the
+/// streaming fold, which expands one representative per orbit of the
+/// protocol's site symmetry, reports the exact sums over the orbits, and
+/// those can outgrow a `u64` (see [`Count`]).
 #[derive(Copy, Clone, Debug)]
 pub struct LevelProgress {
     /// The completed BFS level (`0` holds only the initial state).
     pub level: usize,
     /// States expanded at this level (the frontier width).
-    pub frontier: usize,
+    pub frontier: u128,
     /// Distinct new states this level's expansion discovered.
-    pub new_states: usize,
+    pub new_states: u128,
     /// Successor occurrences that resolved to already-known states.
-    pub dedup_hits: u64,
+    pub dedup_hits: u128,
     /// Distinct states discovered so far, this level included.
-    pub total: usize,
+    pub total: u128,
+}
+
+/// A count of global states or successor occurrences, for display. The
+/// streaming fold adds such counts up in `u128` with saturating
+/// arithmetic, so `u128::MAX` means "at least this many" and is printed
+/// that way: a count never wraps, is never a float, and never fails the
+/// analysis it describes.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Count(pub u128);
+
+impl fmt::Display for Count {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            u128::MAX => f.pad(&format!("at least {}", u128::MAX)),
+            exact => fmt::Display::fmt(&exact, f),
+        }
+    }
 }
 
 /// Options for graph construction.
 #[derive(Copy, Clone, Debug)]
 pub struct ReachOptions {
     /// Abort with [`ProtocolError::GraphTooLarge`] beyond this many nodes.
+    /// The bound is on what a builder holds and expands: nodes for the
+    /// retained builders, orbit representatives for the streaming fold,
+    /// whose `distinct_states` may be far larger.
     pub max_states: usize,
     /// Worker threads for frontier expansion. `0` (the default) picks
     /// [`std::thread::available_parallelism`] capped at 8; `1` forces the
@@ -361,6 +387,10 @@ pub struct ReachGraph {
 /// must merge with a commutative, associative, idempotent operation
 /// (bit-OR for the concurrency facts). Then any chunking of the frontier
 /// and any absorb order produce identical bits.
+///
+/// The retained builders fold every state. The streaming fold folds one
+/// representative of each orbit of the protocol's site symmetry and then
+/// closes the accumulator under the group with `close_under_swap`.
 pub(crate) trait StateFolder: Send {
     /// Fold one distinct reachable global state, given as its site-local
     /// states (`locals[i]` = local state of site `i`): the builders read
@@ -374,6 +404,10 @@ pub(crate) trait StateFolder: Send {
     fn absorb(&mut self, other: Self)
     where
         Self: Sized;
+    /// OR in the image of what has been folded under swapping the
+    /// interchangeable sites `a` and `b` — what folding every state with
+    /// the two renamed would have added; true if anything was new.
+    fn close_under_swap(&mut self, a: SiteId, b: SiteId) -> bool;
 }
 
 /// The no-op folder behind the plain graph-building entry points.
@@ -385,6 +419,9 @@ impl StateFolder for NoFolder {
         NoFolder
     }
     fn absorb(&mut self, _: Self) {}
+    fn close_under_swap(&mut self, _: SiteId, _: SiteId) -> bool {
+        false
+    }
 }
 
 /// What a compiled transition reads, as ranges of [`Program::pool`].
@@ -729,10 +766,10 @@ impl ReachGraph {
                 let new_states = g.node_count() - level.end;
                 hook(&LevelProgress {
                     level: level_no,
-                    frontier: level.len(),
-                    new_states,
-                    dedup_hits: (g.edges.len() - edges_before - new_states) as u64,
-                    total: g.node_count(),
+                    frontier: level.len() as u128,
+                    new_states: new_states as u128,
+                    dedup_hits: (g.edges.len() - edges_before - new_states) as u128,
+                    total: g.node_count() as u128,
                 });
             }
             level_no += 1;
@@ -915,16 +952,27 @@ impl fmt::Display for GraphStats {
 }
 
 /// Statistics of a streaming (non-retaining) reachability fold.
+///
+/// `distinct_states` and `levels` describe the reachable graph and equal
+/// the retained build's node count and depth; `representatives` and
+/// `peak_resident` describe the fold, which holds and expands one state
+/// per orbit of the protocol's site symmetry ([`crate::symmetry`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Distinct reachable global states folded.
-    pub distinct_states: usize,
+    /// Distinct reachable global states: the sizes of the orbits the fold
+    /// met, summed (see [`Count`] for a sum past `u128`).
+    pub distinct_states: u128,
+    /// Orbit representatives folded and expanded — all the fold ever
+    /// holds, and what [`ReachOptions::max_states`] bounds. Equal to
+    /// `distinct_states` for a protocol without interchangeable sites.
+    pub representatives: usize,
     /// BFS levels expanded (graph depth + 1).
     pub levels: usize,
     /// Peak number of simultaneously resident state payloads: a frontier
-    /// plus its successor stream, the latter already filtered against the
-    /// prior levels' fingerprints — the streaming analogue of the retained
-    /// path's full node vector, and the memory-headroom figure of merit.
+    /// of representatives plus its successor stream, the latter already
+    /// canonical and filtered against the prior levels' fingerprints — the
+    /// streaming analogue of the retained path's full node vector, and
+    /// the memory-headroom figure of merit.
     pub peak_resident: usize,
     /// External-memory activity when [`ReachOptions::mem_budget`] is set
     /// (all zero otherwise). Deliberately excluded from the `Display`
@@ -938,7 +986,9 @@ impl fmt::Display for StreamStats {
         write!(
             f,
             "{} global states across {} levels; peak resident {} states (graph not retained)",
-            self.distinct_states, self.levels, self.peak_resident
+            Count(self.distinct_states),
+            self.levels,
+            self.peak_resident
         )
     }
 }
@@ -976,23 +1026,35 @@ fn spill_io(e: std::io::Error) -> ProtocolError {
     ProtocolError::SpillIo { detail: e.to_string() }
 }
 
-/// One worker's successor stream: the packed states that survived its
-/// filters, their fingerprints, and how many occurrences did not.
+/// One worker's successor stream: the packed representatives that
+/// survived its filters, their fingerprints, and how many successor
+/// occurrences its chunk of the frontier stands for in the full graph.
 struct Stream {
     states: PackedArena,
     fps: Vec<u128>,
-    dupes: u64,
+    occurrences: u128,
 }
 
-/// Fold `folder` over every distinct reachable global state *without*
-/// retaining the graph: only the current frontier (a [`PackedArena`] in
-/// the protocol's [`StateCodec`] layout) and its successor stream (packed
-/// likewise, straight from the generator's scratch words) are ever
-/// resident, and states are deduplicated by 128-bit fingerprint (see
-/// [`fingerprint`]). Frontiers at least
-/// [`ReachOptions::parallel_frontier_min`] wide are expanded by scoped
-/// workers folding into [`StateFolder::split`]s, OR-merged at the level
-/// barrier — same determinism argument as the retained parallel build.
+/// Fold `folder` over the reachable global states *without* retaining the
+/// graph, and modulo the protocol's site symmetry ([`Symmetry`]): every
+/// successor is rewritten to the representative of its orbit before it is
+/// fingerprinted, so the frontier (a [`PackedArena`] in the protocol's
+/// [`StateCodec`] layout), its successor stream, the `seen` set, the
+/// workers' chunk-local sets and the spill runs all hold representatives,
+/// one per orbit. Depth, out-degree and what a folder reads are the same
+/// for every state of an orbit, so the fold reports the full graph's
+/// counts — [`StreamStats::distinct_states`], every [`LevelProgress`]
+/// field — as sums weighted by orbit size, folds each representative
+/// once, and closes `folder` under the group after the last level: the
+/// facts are those of folding every state. A protocol without
+/// interchangeable sites takes the same path with every orbit of size 1.
+///
+/// Only the current frontier and its stream are ever resident, and states
+/// are deduplicated by 128-bit fingerprint (see [`fingerprint`]).
+/// Frontiers at least [`ReachOptions::parallel_frontier_min`] wide are
+/// expanded by scoped workers folding into [`StateFolder::split`]s,
+/// OR-merged at the level barrier — same determinism argument as the
+/// retained parallel build.
 ///
 /// With [`ReachOptions::mem_budget`] set, the retired-level fingerprint
 /// set additionally spills to sorted temp-file runs whenever it outgrows
@@ -1001,8 +1063,7 @@ struct Stream {
 /// deterministic output is byte-identical to the unlimited path.
 ///
 /// Returns the fold's [`StreamStats`]; fails with
-/// [`ProtocolError::GraphTooLarge`] at `opts.max_states` distinct states,
-/// exactly like the retained builders.
+/// [`ProtocolError::GraphTooLarge`] at `opts.max_states` representatives.
 pub(crate) fn fold_reachable<F: StateFolder>(
     protocol: &Protocol,
     opts: ReachOptions,
@@ -1010,15 +1071,23 @@ pub(crate) fn fold_reachable<F: StateFolder>(
 ) -> Result<StreamStats, ProtocolError> {
     let threads = opts.resolved_threads()?;
     let codec = StateCodec::new(protocol)?;
+    let symmetry = Symmetry::of(protocol, &codec);
     let program = Program::compile(protocol, &codec);
-    let initial = codec.initial(protocol)?;
+    let mut initial = codec.initial(protocol)?;
+    let mut keys: Vec<u64> = Vec::new();
+    symmetry.canonicalise(&mut initial, &mut keys);
     let mut seen = FpSet::default();
     seen.insert(fingerprint(&initial));
     let mut runs: RunSet<0> = RunSet::new();
+    // The frontier's representatives, the size of each one's orbit, and
+    // the sizes' sum: the full graph's frontier width.
     let mut frontier = PackedArena::new(codec.words());
     frontier.push(&initial);
+    let mut orbits: Vec<u128> = vec![symmetry.orbit_size(&initial, &mut keys)];
+    let mut width = orbits[0];
     let mut stats = StreamStats {
-        distinct_states: 1,
+        distinct_states: width,
+        representatives: 1,
         levels: 0,
         peak_resident: 1,
         spill: SpillStats::default(),
@@ -1033,10 +1102,12 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         // make the stream outgrow the retained node vector it is meant to
         // undercut. Cross-chunk duplicates (the same state discovered by
         // two workers) survive to the merge below, which is the arbiter of
-        // `distinct_states`. Fingerprints already spilled to disk are
-        // filtered at the level barrier instead.
+        // what is new. Fingerprints already spilled to disk are filtered
+        // at the level barrier instead.
         let expand = |range: Range<usize>, fold: &mut F| -> Result<Stream, ProtocolError> {
             let mut scratch = vec![0u64; codec.words()];
+            let mut canon = vec![0u64; codec.words()];
+            let mut keys: Vec<u64> = Vec::new();
             let mut locals: Vec<StateId> = Vec::new();
             // Sized for a stream as long as the chunk is wide, which most
             // are within a factor of two of: the buffers grow once or
@@ -1046,23 +1117,27 @@ pub(crate) fn fold_reachable<F: StateFolder>(
             let mut out = Stream {
                 states: PackedArena::with_capacity(codec.words(), width),
                 fps: Vec::with_capacity(width),
-                dupes: 0,
+                occurrences: 0,
             };
             for i in range {
                 let source = frontier.get(i);
                 locals.clear();
                 locals.extend(codec.locals(source));
                 fold.fold(&locals);
+                let mut fanout = 0u128;
                 for_each_successor(&program, &codec, source, &mut scratch, |succ, _| {
-                    let fp = fingerprint(succ);
+                    canon.copy_from_slice(succ);
+                    symmetry.canonicalise(&mut canon, &mut keys);
+                    let fp = fingerprint(&canon);
                     if !seen.contains(&fp) && local.insert(fp) {
-                        out.states.push(succ);
+                        out.states.push(&canon);
                         out.fps.push(fp);
-                    } else {
-                        out.dupes += 1;
                     }
+                    fanout += 1;
                     Ok(())
                 })?;
+                // Every state of the source's orbit has as many successors.
+                out.occurrences = out.occurrences.saturating_add(orbits[i].saturating_mul(fanout));
             }
             Ok(out)
         };
@@ -1075,9 +1150,8 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         // accounting: occurrences whose fingerprint lives in a spilled run
         // are exactly those the unlimited path's workers would have
         // filtered against its complete in-RAM `seen`, so dropping them
-        // here — counting each dropped occurrence as a dedup hit — keeps
-        // `streamed`, `peak_resident`, and every progress snapshot
-        // byte-identical to the unlimited path.
+        // here keeps `streamed`, `peak_resident`, and every progress
+        // snapshot byte-identical to the unlimited path.
         let mut on_disk: Vec<u128> = Vec::new();
         if runs.run_count() > 0 {
             let mut cand: Vec<u128> = streams.iter().flat_map(|s| &s.fps).copied().collect();
@@ -1087,38 +1161,49 @@ pub(crate) fn fold_reachable<F: StateFolder>(
             on_disk = cand.into_iter().zip(flags).filter_map(|(k, hit)| hit.then_some(k)).collect();
         }
 
-        // Retire the expanded frontier; keep only this level's new states.
-        let mut dedup_hits: u64 = streams.iter().map(|s| s.dupes).sum();
+        // Retire the expanded frontier; keep only this level's new
+        // representatives, each with its orbit's size.
         let mut streamed = 0usize;
         let survivors = streams.iter().map(|s| s.fps.len()).sum();
         let mut next = PackedArena::with_capacity(codec.words(), survivors);
+        let mut next_orbits: Vec<u128> = Vec::with_capacity(survivors);
+        let mut new_states = 0u128;
         for stream in &streams {
             for (i, &fp) in stream.fps.iter().enumerate() {
                 if on_disk.binary_search(&fp).is_ok() {
-                    dedup_hits += 1;
                     continue;
                 }
                 streamed += 1;
+                // A miss here is a cross-chunk duplicate: the same state
+                // surfaced from two workers' chunk-local streams.
                 if seen.insert(fp) {
-                    if stats.distinct_states >= opts.max_states {
+                    if stats.representatives >= opts.max_states {
                         return Err(ProtocolError::GraphTooLarge { limit: opts.max_states });
                     }
-                    stats.distinct_states += 1;
-                    next.push(stream.states.get(i));
-                } else {
-                    // Cross-chunk duplicate: the same state surfaced from
-                    // two workers' chunk-local streams.
-                    dedup_hits += 1;
+                    stats.representatives += 1;
+                    let state = stream.states.get(i);
+                    let orbit = symmetry.orbit_size(state, &mut keys);
+                    new_states = new_states.saturating_add(orbit);
+                    next.push(state);
+                    next_orbits.push(orbit);
                 }
             }
         }
+        stats.distinct_states = stats.distinct_states.saturating_add(new_states);
         stats.peak_resident = stats.peak_resident.max(frontier.len() + streamed);
         if let Some(hook) = opts.progress {
+            // Every successor occurrence of the level either discovered a
+            // state or hit a known one; a saturated sum stays saturated.
+            let occurrences =
+                streams.iter().fold(0u128, |sum, s| sum.saturating_add(s.occurrences));
             hook(&LevelProgress {
                 level: stats.levels - 1,
-                frontier: frontier.len(),
-                new_states: next.len(),
-                dedup_hits,
+                frontier: width,
+                new_states,
+                dedup_hits: match occurrences {
+                    u128::MAX => u128::MAX,
+                    exact => exact - new_states,
+                },
                 total: stats.distinct_states,
             });
         }
@@ -1131,8 +1216,9 @@ pub(crate) fn fold_reachable<F: StateFolder>(
             let entries: Vec<(u128, [u8; 0])> = seen.drain().map(|fp| (fp, [])).collect();
             runs.spill(entries, |_, b| *b).map_err(spill_io)?;
         }
-        frontier = next;
+        (frontier, orbits, width) = (next, next_orbits, new_states);
     }
+    symmetry.close(folder);
     stats.spill = runs.stats();
     Ok(stats)
 }
@@ -1312,7 +1398,7 @@ fn for_each_k_subset(
 mod tests {
     use super::*;
     use crate::fsa::{Envelope, FsaBuilder};
-    use crate::protocol::Paradigm;
+    use crate::protocol::{InitialMsg, Paradigm};
     use crate::protocols::{
         catalog, central_2pc, central_3pc, decentralized_2pc, decentralized_3pc,
     };
@@ -1446,63 +1532,73 @@ mod tests {
     /// What the three builders make of `p`: the serial inline loop, the
     /// chunked workers and the streaming fold (workers forced on a
     /// frontier of any width), as reachable-state counts.
-    fn three_builders(p: &Protocol, max_states: usize) -> [Result<usize, ProtocolError>; 3] {
+    fn three_builders(p: &Protocol, max_states: usize) -> [Result<u128, ProtocolError>; 3] {
         let serial = ReachOptions { max_states, threads: 1, ..ReachOptions::default() };
         let forced = ReachOptions { threads: 2, parallel_frontier_min: 1, ..serial };
         [
-            ReachGraph::build_with(p, serial).map(|g| g.node_count()),
-            ReachGraph::build_with(p, forced).map(|g| g.node_count()),
+            ReachGraph::build_with(p, serial).map(|g| g.node_count() as u128),
+            ReachGraph::build_with(p, forced).map(|g| g.node_count() as u128),
             fold_reachable(p, forced, &mut NoFolder).map(|st| st.distinct_states),
         ]
     }
 
     /// A protocol `validate` refuses (`Cyclic`): site 0 re-enters `q`
-    /// sending a yes each time, site 1 reads one. `preloaded` yes messages
-    /// are outstanding at the start.
-    fn looping_sender(preloaded: usize) -> Protocol {
+    /// sending every reader a yes each time, each of the `readers` sites
+    /// after it reads one. `preloaded` yes messages to each are outstanding
+    /// at the start.
+    fn looping_sender(readers: u32, preloaded: usize) -> Protocol {
+        let yes = |r| InitialMsg { src: SiteId(0), dst: SiteId(r), kind: MsgKind::YES };
         let mut sender = FsaBuilder::new("sender");
         let q = sender.state("q", StateClass::Initial);
         sender.transition(
             q,
             q,
             Consume::Spontaneous,
-            vec![Envelope::new(SiteId(1), MsgKind::YES)],
+            (1..=readers).map(|r| Envelope::new(SiteId(r), MsgKind::YES)).collect(),
             None,
             "/ yes",
         );
-        let mut reader = FsaBuilder::new("reader");
-        let q1 = reader.state("q", StateClass::Initial);
-        let c1 = reader.state("c", StateClass::Committed);
-        reader.transition(q1, c1, Consume::one(SiteId(0), MsgKind::YES), vec![], None, "yes /");
-        let yes =
-            crate::protocol::InitialMsg { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
-        let p = Protocol::new(
-            "looping sender",
-            Paradigm::Custom,
-            vec![sender.build(), reader.build()],
-            vec![yes; preloaded],
-        );
+        let mut fsas = vec![sender.build()];
+        for _ in 0..readers {
+            let mut reader = FsaBuilder::new("reader");
+            let q1 = reader.state("q", StateClass::Initial);
+            let c1 = reader.state("c", StateClass::Committed);
+            reader.transition(q1, c1, Consume::one(SiteId(0), MsgKind::YES), vec![], None, "yes /");
+            fsas.push(reader.build());
+        }
+        let tape = (1..=readers).flat_map(|r| vec![yes(r); preloaded]).collect();
+        let p = Protocol::new("looping sender", Paradigm::Custom, fsas, tape);
         assert_eq!(p.validate(), Err(ProtocolError::Cyclic { site: SiteId(0) }));
         p
     }
 
     #[test]
     fn a_looping_sender_ends_in_a_typed_error_from_every_builder() {
-        // Unbounded channel, bounded graph: the state cap stops it...
-        for got in three_builders(&looping_sender(0), 100) {
-            assert_eq!(got, Err(ProtocolError::GraphTooLarge { limit: 100 }));
+        // One reader, and two that the streaming fold finds interchangeable
+        // and sorts — 16-bit count fields and all.
+        for readers in [1, 2] {
+            // Unbounded channel, bounded graph: the state cap stops it...
+            for got in three_builders(&looping_sender(readers, 0), 100) {
+                assert_eq!(got, Err(ProtocolError::GraphTooLarge { limit: 100 }));
+            }
+            // ...and under the default cap the channel's count does, five
+            // emissions short of it here.
+            let overflow =
+                ProtocolError::MsgOverflow { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
+            let default_cap = ReachOptions::default().max_states;
+            let nearly_full = looping_sender(readers, usize::from(u16::MAX) - 5);
+            for got in three_builders(&nearly_full, default_cap) {
+                assert_eq!(got, Err(overflow.clone()));
+            }
         }
-        // ...and under the default cap the channel's count does, five
-        // emissions short of it here.
-        let overflow =
-            ProtocolError::MsgOverflow { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
-        let default_cap = ReachOptions::default().max_states;
-        for got in three_builders(&looping_sender(usize::from(u16::MAX) - 5), default_cap) {
-            assert_eq!(got, Err(overflow.clone()));
-        }
+        let codec = StateCodec::new(&looping_sender(2, 0)).unwrap();
+        let found = Symmetry::of(&looping_sender(2, 0), &codec);
+        assert_eq!(found.classes().collect::<Vec<_>>(), [[SiteId(1), SiteId(2)]]);
         // From an empty channel the serial loop walks all 65 536 counts.
         let serial = ReachOptions::default().with_threads(1);
-        assert_eq!(ReachGraph::build_with(&looping_sender(0), serial).err(), Some(overflow));
+        let overflow =
+            ProtocolError::MsgOverflow { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
+        assert_eq!(ReachGraph::build_with(&looping_sender(1, 0), serial).err(), Some(overflow));
     }
 
     #[test]
@@ -1718,34 +1814,53 @@ mod tests {
         fn absorb(&mut self, other: Self) {
             self.0 += other.0;
         }
+        fn close_under_swap(&mut self, _: SiteId, _: SiteId) -> bool {
+            false
+        }
     }
 
     #[test]
-    fn folders_visit_every_distinct_state_exactly_once() {
+    fn folders_visit_every_state_or_every_representative_exactly_once() {
         for p in catalog(3) {
             let expect =
                 ReachGraph::build_serial(&p, ReachOptions::default()).unwrap().node_count();
             for threads in [1usize, 2, 4] {
                 let opts =
                     ReachOptions { threads, parallel_frontier_min: 1, ..ReachOptions::default() };
+                // The retained build folds every node once...
                 let mut c = CountFolder(0);
                 let g = ReachGraph::build_with_folder(&p, opts, &mut c).unwrap();
                 assert_eq!(g.node_count(), expect, "{} retained threads={threads}", p.name);
                 assert_eq!(c.0, expect, "{} retained folds threads={threads}", p.name);
 
+                // ...the streaming fold every representative once, and the
+                // orbits of what it folded add up to the node count.
                 let mut c = CountFolder(0);
                 let st = fold_reachable(&p, opts, &mut c).unwrap();
-                assert_eq!(st.distinct_states, expect, "{} stream count threads={threads}", p.name);
-                assert_eq!(c.0, expect, "{} stream folds threads={threads}", p.name);
+                assert_eq!(c.0, st.representatives, "{} stream folds threads={threads}", p.name);
+                assert_eq!(
+                    st.distinct_states, expect as u128,
+                    "{} stream count threads={threads}",
+                    p.name
+                );
                 assert!(st.levels > 1 && st.peak_resident >= 1, "{}", p.name);
             }
         }
+        // Two interchangeable slaves fold to fewer representatives than
+        // states; peers that talk to each other are not reduced.
+        let reps = |p: &Protocol| {
+            let st = fold_reachable(p, ReachOptions::default(), &mut NoFolder).unwrap();
+            (st.representatives as u128, st.distinct_states)
+        };
+        assert_eq!(reps(&central_2pc(3)), (24, 38));
+        let (folded, states) = reps(&decentralized_2pc(3));
+        assert_eq!(folded, states);
     }
 
     #[test]
     fn progress_snapshots_identical_across_all_build_paths() {
         use std::sync::Mutex;
-        type Snap = (usize, usize, usize, u64, usize);
+        type Snap = (usize, u128, u128, u128, u128);
         static SNAPS: Mutex<Vec<Snap>> = Mutex::new(Vec::new());
         fn hook(p: &LevelProgress) {
             SNAPS.lock().unwrap().push((p.level, p.frontier, p.new_states, p.dedup_hits, p.total));
@@ -1760,7 +1875,7 @@ mod tests {
         for (i, s) in reference.iter().enumerate() {
             assert_eq!(s.0, i, "levels are numbered consecutively");
         }
-        assert_eq!(reference.last().unwrap().4, serial.node_count());
+        assert_eq!(reference.last().unwrap().4, serial.node_count() as u128);
         assert_eq!(reference.last().unwrap().2, 0, "final level discovers nothing");
 
         for threads in [2usize, 4] {
@@ -1771,7 +1886,7 @@ mod tests {
             assert_eq!(take(), reference, "parallel threads={threads}");
 
             let st = fold_reachable(&p, opts, &mut NoFolder).unwrap();
-            assert_eq!(st.distinct_states, serial.node_count());
+            assert_eq!(st.distinct_states, serial.node_count() as u128);
             assert_eq!(take(), reference, "streaming threads={threads}");
         }
     }
@@ -1780,7 +1895,7 @@ mod tests {
     fn streaming_spill_path_is_byte_identical_to_unlimited() {
         use crate::extmem::SpillStats;
         use std::sync::Mutex;
-        type Snap = (usize, usize, usize, u64, usize);
+        type Snap = (usize, u128, u128, u128, u128);
         static SNAPS: Mutex<Vec<Snap>> = Mutex::new(Vec::new());
         fn hook(p: &LevelProgress) {
             SNAPS.lock().unwrap().push((p.level, p.frontier, p.new_states, p.dedup_hits, p.total));
@@ -1807,7 +1922,7 @@ mod tests {
             let st = fold_reachable(&p, opts, &mut c).unwrap();
             assert!(st.spill.runs_written >= 2, "budget of 1 byte must force repeated spilling");
             assert!(st.spill.bytes_written > 0);
-            assert_eq!(c.0, unlimited.distinct_states, "folds diverged threads={threads}");
+            assert_eq!(c.0, unlimited.representatives, "folds diverged threads={threads}");
             assert_eq!(take(), reference, "progress diverged threads={threads}");
             assert_eq!(
                 StreamStats { spill: SpillStats::default(), ..st },
@@ -1865,7 +1980,7 @@ mod tests {
         assert_identical(&serial, &ReachGraph::build_with(&p, opts).unwrap(), "64 threads");
         assert_eq!(
             fold_reachable(&p, opts, &mut NoFolder).unwrap().distinct_states,
-            serial.node_count()
+            serial.node_count() as u128
         );
     }
 

@@ -47,7 +47,7 @@
 //! `m! / ∏ run!` over runs of equal keys.
 
 use crate::codec::{Field, StateCodec};
-use crate::fsa::{Consume, Transition, Vote};
+use crate::fsa::{Consume, Fsa, StateClass, Transition, Vote};
 use crate::ids::{MsgKind, SiteId};
 use crate::protocol::Protocol;
 use crate::reach::StateFolder;
@@ -96,10 +96,12 @@ fn shape(t: &Transition, rename: impl Fn(SiteId) -> SiteId) -> Shape {
 /// Does swapping sites `a` and `b` map `protocol` onto itself?
 fn is_automorphism(protocol: &Protocol, a: SiteId, b: SiteId) -> bool {
     let (fa, fb) = (protocol.fsa(a), protocol.fsa(b));
-    let classes = |f: &crate::fsa::Fsa| f.states().iter().map(|s| s.class).collect::<Vec<_>>();
+    fn classes(f: &Fsa) -> impl Iterator<Item = StateClass> + '_ {
+        f.states().iter().map(|s| s.class)
+    }
     if protocol.is_acceptor(a.index()) != protocol.is_acceptor(b.index())
         || fa.initial() != fb.initial()
-        || classes(fa) != classes(fb)
+        || !classes(fa).eq(classes(fb))
     {
         return false;
     }
@@ -209,11 +211,9 @@ impl Class {
                 .chain(channels.iter().map(|&(_, field)| field))
                 .filter(|f| f.bits() > 0);
             for field in fields {
-                match block.last_mut() {
-                    Some((last, _)) if last.join(field).is_some() => {
-                        *last = last.join(field).expect("just checked");
-                    }
-                    _ => block.push((field, used)),
+                match block.last_mut().and_then(|(last, _)| Some((last.join(field)?, last))) {
+                    Some((joined, last)) => *last = joined,
+                    None => block.push((field, used)),
                 }
                 used += field.bits();
             }
@@ -222,9 +222,6 @@ impl Class {
             }
             blocks.push(block);
         }
-        let widths =
-            |block: &Vec<(Field, u32)>| -> u32 { block.iter().map(|(f, _)| f.bits()).sum() };
-        debug_assert!(blocks.iter().all(|b| widths(b) == widths(&blocks[0])));
         Some(Self { sites: sites.to_vec(), blocks })
     }
 
@@ -351,11 +348,14 @@ impl Symmetry {
     /// orbit would have set.
     pub(crate) fn close<F: StateFolder>(&self, folder: &mut F) {
         for class in &self.classes {
-            while class
-                .sites
-                .windows(2)
-                .fold(false, |grew, pair| folder.close_under_swap(pair[0], pair[1]) | grew)
-            {
+            loop {
+                let mut grew = false;
+                for pair in class.sites.windows(2) {
+                    grew |= folder.close_under_swap(pair[0], pair[1]);
+                }
+                if !grew {
+                    break;
+                }
             }
         }
     }
@@ -364,12 +364,8 @@ impl Symmetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Analysis;
-    use crate::fsa::{Fsa, FsaBuilder, StateClass};
-    use crate::ids::StateId;
-    use crate::protocol::InitialMsg;
+    use crate::fsa::FsaBuilder;
     use crate::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
-    use crate::reach::ReachOptions;
 
     fn reduced(p: &Protocol) -> Vec<Vec<u32>> {
         let codec = StateCodec::new(p).unwrap();
@@ -394,117 +390,6 @@ mod tests {
             assert_eq!(interchangeable_classes(&p), [all], "{}", p.name);
             assert_eq!(reduced(&p), Vec::<Vec<u32>>::new(), "{}", p.name);
         }
-    }
-
-    /// `fsa` rebuilt with its states and transitions passed through `edit`.
-    fn edited(
-        fsa: &Fsa,
-        edit: impl FnOnce(&mut Vec<(String, StateClass)>, &mut Vec<Transition>),
-    ) -> Fsa {
-        let mut states: Vec<(String, StateClass)> =
-            fsa.states().iter().map(|s| (s.name.clone(), s.class)).collect();
-        let mut transitions = fsa.transitions().to_vec();
-        edit(&mut states, &mut transitions);
-        let mut b = FsaBuilder::new(fsa.role.clone());
-        for (name, class) in states {
-            b.state(name, class);
-        }
-        b.initial(fsa.initial());
-        for t in transitions {
-            b.transition(t.from, t.to, t.consume, t.emit, t.vote, t.label);
-        }
-        b.build()
-    }
-
-    /// Central 3PC n=4 with site `site`'s automaton edited and `extra`
-    /// initial messages added.
-    fn central_3pc_but(
-        site: usize,
-        extra: Vec<InitialMsg>,
-        edit: impl FnOnce(&mut Vec<(String, StateClass)>, &mut Vec<Transition>),
-    ) -> Protocol {
-        let p = central_3pc(4);
-        let mut fsas = p.fsas().to_vec();
-        fsas[site] = edited(&fsas[site], edit);
-        let tape = p.initial_msgs().iter().copied().chain(extra).collect();
-        Protocol::new("central 3PC but", p.paradigm, fsas, tape)
-    }
-
-    /// The streamed analysis of `p` reads as the retained one.
-    fn assert_fold_is_sound(p: &Protocol, what: &str) {
-        let retained = Analysis::build(p).unwrap();
-        let streamed =
-            Analysis::build_with(p, ReachOptions::default().with_streaming(true)).unwrap();
-        let nodes = retained.graph().unwrap().node_count() as u128;
-        assert_eq!(streamed.stream_stats().unwrap().distinct_states, nodes, "{what}");
-        for site in p.sites() {
-            for s in (0..p.fsa(site).state_count()).map(|s| StateId(s as u32)) {
-                assert_eq!(streamed.occupied(site, s), retained.occupied(site, s), "{what}");
-                assert_eq!(streamed.committable(site, s), retained.committable(site, s), "{what}");
-                assert_eq!(
-                    streamed.concurrency_set(site, s),
-                    retained.concurrency_set(site, s),
-                    "{what}: {site} {s:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_site_that_differs_in_one_detail_is_not_interchangeable() {
-        let slave_yes = |ts: &Vec<Transition>| {
-            ts.iter().position(|t| t.vote == Some(Vote::Yes)).expect("the slave's yes vote")
-        };
-        let cases: Vec<(&str, Protocol)> = vec![
-            (
-                "slave 2's yes transition carries no vote tag",
-                central_3pc_but(2, vec![], |_, ts| {
-                    let yes = slave_yes(ts);
-                    ts[yes].vote = None;
-                }),
-            ),
-            (
-                "slave 2's wait state is of another class",
-                central_3pc_but(2, vec![], |states, _| {
-                    let w = states.iter().position(|s| s.1 == StateClass::Wait).unwrap();
-                    states[w].1 = StateClass::Custom(7);
-                }),
-            ),
-            (
-                "slave 2 has a message waiting at the start",
-                central_3pc_but(
-                    0,
-                    vec![InitialMsg { src: SiteId(0), dst: SiteId(2), kind: MsgKind::ABORT }],
-                    |_, _| {},
-                ),
-            ),
-            (
-                "the coordinator does not listen for slave 2's no",
-                central_3pc_but(0, vec![], |_, ts| {
-                    for t in ts {
-                        if let Consume::Any(srcs) = &mut t.consume {
-                            srcs.retain(|&(s, _)| s != SiteId(2));
-                        }
-                    }
-                }),
-            ),
-        ];
-        for (what, p) in &cases {
-            assert_eq!(reduced(p), [[1, 3]], "{what}");
-            assert_fold_is_sound(p, what);
-        }
-        // The same edit made to every slave leaves them interchangeable.
-        let mut p = central_3pc(4);
-        for site in 1..4 {
-            let mut fsas = p.fsas().to_vec();
-            fsas[site] = edited(&fsas[site], |_, ts| {
-                let yes = slave_yes(ts);
-                ts[yes].vote = None;
-            });
-            p = Protocol::new("central 3PC, no tags", p.paradigm, fsas, p.initial_msgs().to_vec());
-        }
-        assert_eq!(reduced(&p), [[1, 2, 3]]);
-        assert_fold_is_sound(&p, "no slave tags its yes");
     }
 
     #[test]

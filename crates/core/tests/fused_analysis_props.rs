@@ -109,8 +109,13 @@ fn assert_analysis_matches(p: &nbc_core::Protocol, r: &Reference, a: &Analysis, 
 
 #[test]
 fn fused_analysis_equals_naive_reference_across_catalog() {
-    for n in [2usize, 3, 4] {
-        for p in catalog(n) {
+    // n=5 and a four-phase protocol are where the forced workers cut a
+    // level into chunks more than a state or two wide.
+    let four_phase = nbc_core::kpc::k_phase_central(3, 4).unwrap();
+    for (n, protocols) in
+        [2usize, 3, 4, 5].map(|n| (n, catalog(n))).into_iter().chain([(3, vec![four_phase])])
+    {
+        for p in protocols {
             let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
             let reference = naive_reference(&p, &serial);
 

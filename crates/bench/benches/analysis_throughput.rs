@@ -1,81 +1,34 @@
-//! B5 (analysis face): throughput of the fused, bitset-based analysis —
-//! facts folded inside the reachability BFS — against the post-hoc passes,
-//! plus the streaming mode's memory proxy (retained node count vs peak
-//! resident states).
+//! B5 (analysis face): throughput of the bitset-based analysis by its two
+//! routes, plus the streaming mode's memory proxy (retained node count vs
+//! peak resident states).
 //!
-//! Three contenders per protocol/size:
-//! * `fused` / `fused_stream` — `Analysis::build_with`, facts folded during
-//!   construction (stream additionally retires node payloads per level);
-//! * `posthoc_bitset` — build the graph, then `Analysis::from_graph`
-//!   (same bitset accumulator, but a second pass over the node vector);
-//! * `posthoc_btreeset` — build the graph, then the pre-fusion baseline:
-//!   an O(nodes·n²) re-traversal doing a `BTreeSet::insert` per
-//!   (site, state) pair ([`nbc_bench::baseline::legacy_concurrency_pass`]).
-//!
-//! A pass-only table also times the two post-hoc passes in isolation on a
-//! prebuilt graph, where the bitset rework's advantage is not diluted by
-//! the shared graph-construction cost.
+//! Two contenders per protocol/size, both `Analysis::build_with`:
+//! * `retained` — build the graph, then fold its nodes in one pass
+//!   (`Analysis::from_graph`);
+//! * `streamed` — fold the facts level by level, retiring node payloads,
+//!   one representative per orbit of the site symmetry.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use nbc_bench::baseline::legacy_concurrency_pass;
 use nbc_bench::BenchGroup;
 use nbc_core::protocols::{central_2pc, central_3pc};
-use nbc_core::{Analysis, ReachGraph, ReachOptions};
+use nbc_core::{Analysis, ReachOptions};
 
-fn bench_fused_vs_posthoc() {
+fn bench_retained_vs_streamed() {
     let mut g = BenchGroup::new("analysis_throughput");
     g.sample_size(10);
     for (label, p) in [("central_2pc/7", central_2pc(7)), ("central_3pc/5", central_3pc(5))] {
-        g.bench(&format!("{label}/fused"), || Analysis::build(black_box(&p)).unwrap().n_sites());
-        g.bench(&format!("{label}/fused_stream"), || {
+        g.bench(&format!("{label}/retained"), || Analysis::build(black_box(&p)).unwrap().n_sites());
+        g.bench(&format!("{label}/streamed"), || {
             Analysis::build_with(black_box(&p), ReachOptions::default().with_streaming(true))
                 .unwrap()
                 .n_sites()
         });
-        g.bench(&format!("{label}/posthoc_bitset"), || {
-            let graph = ReachGraph::build(black_box(&p)).unwrap();
-            Analysis::from_graph(&p, graph).n_sites()
-        });
-        g.bench(&format!("{label}/posthoc_btreeset"), || {
-            let graph = ReachGraph::build(black_box(&p)).unwrap();
-            legacy_concurrency_pass(&p, &graph)
-        });
     }
 }
 
-/// Pass-only comparison on a prebuilt graph (best of 5): the bitset fold
-/// against the legacy BTreeSet pass, with graph construction — the cost
-/// the end-to-end group shares across contenders — excluded. Clones for
-/// the consuming `from_graph` are made outside the timed region.
-fn pass_only_table() {
-    println!("\n== analysis_pass_only (post-hoc pass on a prebuilt graph, best of 5) ==");
-    for (label, p) in [("central_2pc/7", central_2pc(7)), ("central_3pc/5", central_3pc(5))] {
-        let graph = ReachGraph::build(&p).unwrap();
-        let nodes = graph.node_count();
-        let mut legacy = std::time::Duration::MAX;
-        for _ in 0..5 {
-            let t = Instant::now();
-            black_box(legacy_concurrency_pass(&p, &graph));
-            legacy = legacy.min(t.elapsed());
-        }
-        let mut bitset = std::time::Duration::MAX;
-        for _ in 0..5 {
-            let g2 = graph.clone();
-            let t = Instant::now();
-            black_box(Analysis::from_graph(&p, g2).n_sites());
-            bitset = bitset.min(t.elapsed());
-        }
-        println!(
-            "{label:<16} nodes {nodes:>8}  btreeset pass {legacy:>9.2?}  \
-             bitset pass {bitset:>9.2?}  ({:.1}x)",
-            legacy.as_secs_f64() / bitset.as_secs_f64()
-        );
-    }
-}
-
-/// Single-shot throughput and memory-proxy table: nodes/sec of the fused
+/// Single-shot throughput and memory-proxy table: nodes/sec of the retained
 /// build, and the streaming peak-resident count against the retained node
 /// vector — the figure of merit for the extra-sites headroom.
 fn throughput_and_memory_table() {
@@ -87,7 +40,7 @@ fn throughput_and_memory_table() {
     ] {
         let t = Instant::now();
         let retained = Analysis::build(&p).unwrap();
-        let t_fused = t.elapsed();
+        let t_retained = t.elapsed();
         let nodes = retained.graph().unwrap().node_count();
 
         let t = Instant::now();
@@ -97,10 +50,10 @@ fn throughput_and_memory_table() {
         let st = streamed.stream_stats().unwrap();
 
         println!(
-            "{label:<16} nodes {nodes:>8}  fused {:>9.2?} ({:>10.0} nodes/s)  \
+            "{label:<16} nodes {nodes:>8}  retained {:>9.2?} ({:>10.0} nodes/s)  \
              stream {:>9.2?}  peak resident {:>7} ({:.1}% of retained)",
-            t_fused,
-            nodes as f64 / t_fused.as_secs_f64(),
+            t_retained,
+            nodes as f64 / t_retained.as_secs_f64(),
             t_stream,
             st.peak_resident,
             100.0 * st.peak_resident as f64 / nodes as f64,
@@ -109,7 +62,6 @@ fn throughput_and_memory_table() {
 }
 
 fn main() {
-    bench_fused_vs_posthoc();
-    pass_only_table();
+    bench_retained_vs_streamed();
     throughput_and_memory_table();
 }

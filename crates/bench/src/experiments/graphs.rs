@@ -126,51 +126,32 @@ fn b5_impl(max_n: usize, timing_ns: &[usize], quotient_ns: &[usize]) -> String {
             format!("{:.2}x", serial.as_secs_f64() / parallel.as_secs_f64()),
         ]);
     }
-    // Fused (in-BFS bitset) analysis vs the post-hoc pass, and the
-    // streaming memory proxy: peak resident states against the retained
-    // node vector. All three columns are end-to-end (graph construction
-    // included) at the auto thread count, so the analysis-pass delta is
-    // not drowned by thread-oversubscription noise on small containers.
-    let mut fused = Table::new([
+    // The two routes to the analysis, end to end at the auto thread
+    // count, and the streaming memory proxy: peak resident states against
+    // the retained node vector.
+    let mut analysis = Table::new([
         "central 2PC n",
         "global states",
-        "post-hoc BTreeSet",
-        "post-hoc bitset",
-        "fused",
-        "fused+stream",
+        "retained (graph + bitset pass)",
+        "streamed",
         "peak resident",
     ]);
     let auto = ReachOptions::default();
     for &n in timing_ns {
         let p = central_2pc(n);
-        // Fused and streaming first, while the process heap is smallest
-        // (single-shot timings here are sensitive to allocator pressure
-        // from a preceding multi-hundred-MB graph); then one shared build
-        // whose cost both post-hoc columns add their pass to.
-        let t1 = std::time::Instant::now();
-        let fused_a = Analysis::build_with(&p, auto).expect("bounded");
-        let fused_t = t1.elapsed();
-        let nodes = fused_a.graph().expect("retained").node_count();
-        drop(fused_a);
-        let t2 = std::time::Instant::now();
-        let streamed = Analysis::build_with(&p, auto.with_streaming(true)).expect("bounded");
-        let stream_t = t2.elapsed();
-        let peak = streamed.stream_stats().expect("streamed").peak_resident;
         let t0 = std::time::Instant::now();
-        let g = ReachGraph::build_with(&p, auto).expect("bounded");
-        let build_t = t0.elapsed();
-        let tl = std::time::Instant::now();
-        std::hint::black_box(crate::baseline::legacy_concurrency_pass(&p, &g));
-        let legacy_t = build_t + tl.elapsed();
-        let tp = std::time::Instant::now();
-        let _post = Analysis::from_graph(&p, g);
-        let posthoc = build_t + tp.elapsed();
-        fused.row([
+        let retained = Analysis::build_with(&p, auto).expect("bounded");
+        let retained_t = t0.elapsed();
+        let nodes = retained.graph().expect("retained").node_count();
+        drop(retained);
+        let t1 = std::time::Instant::now();
+        let streamed = Analysis::build_with(&p, auto.with_streaming(true)).expect("bounded");
+        let stream_t = t1.elapsed();
+        let peak = streamed.stream_stats().expect("streamed").peak_resident;
+        analysis.row([
             n.to_string(),
             nodes.to_string(),
-            format!("{:.1} ms", legacy_t.as_secs_f64() * 1e3),
-            format!("{:.1} ms", posthoc.as_secs_f64() * 1e3),
-            format!("{:.1} ms", fused_t.as_secs_f64() * 1e3),
+            format!("{:.1} ms", retained_t.as_secs_f64() * 1e3),
             format!("{:.1} ms", stream_t.as_secs_f64() * 1e3),
             format!("{} ({:.1}%)", peak, 100.0 * peak as f64 / nodes as f64),
         ]);
@@ -208,16 +189,16 @@ fn b5_impl(max_n: usize, timing_ns: &[usize], quotient_ns: &[usize]) -> String {
         "{}\nGrowth factor per added site (≈ constant ⇒ exponential growth, \
          as the paper observes):\n{}\nConstruction wall-clock, serial vs. \
          frontier-parallel BFS:\n{}\nConcurrency-set analysis end to end: \
-         the pre-bitset BTreeSet pass, the bitset post-hoc pass, and the \
-         pass fused into the BFS (streaming retires node payloads per \
-         level; peak resident = frontier + deduplicated successor \
-         stream, both of orbit representatives):\n{}\nThe streaming fold \
+         the graph built and then folded in one bitset pass over its \
+         nodes, and the fold over a stream (streaming retires node \
+         payloads per level; peak resident = frontier + deduplicated \
+         successor stream, both of orbit representatives):\n{}\nThe streaming fold \
          alone, modulo site symmetry — states explored against states \
          counted (a sum past 2^128 - 1 prints as \"at least\"):\n{}",
         t.render(),
         growth.render(),
         race.render(),
-        fused.render(),
+        analysis.render(),
         quotient.render()
     )
 }
@@ -243,7 +224,7 @@ mod tests {
         assert!(s.contains("central-site 2PC"));
         assert!(s.contains("serial vs"));
         assert!(s.contains("speedup"));
-        assert!(s.contains("post-hoc"));
+        assert!(s.contains("retained (graph + bitset pass)  streamed  peak resident"), "{s}");
         assert!(s.contains("peak resident"));
         // 156 states of central 3PC n=4 from 49 representatives.
         assert!(s.contains("representatives"));

@@ -6,7 +6,6 @@
 //! quantitative shape claims (message complexity, latency in phases,
 //! throughput under failures, reachable-graph growth).
 
-pub mod baseline;
 pub mod experiments;
 pub mod harness;
 pub mod table;

@@ -23,19 +23,24 @@
 //! only shrink the committable set, never grow it — and it is exact for
 //! every protocol in the catalog.
 //!
-//! ## Fused, bitset-backed computation
+//! ## Bitset-backed computation, two routes to the states
 //!
 //! All facts are stored as packed bitsets over *(site, state) slots* (see
-//! [`crate::facts`](self)) and are accumulated **inside** the reachability
-//! BFS via the `StateFolder` hook in [`crate::reach`], not in a post-hoc
-//! pass over the finished node vector. Queries like [`cs_has_commit`] are
-//! word-wise intersections against a precomputed commit mask instead of
-//! `BTreeSet` scans. The `BTreeSet` form of a concurrency set is still
-//! available through [`concurrency_set`] and is materialized lazily, once,
-//! on first request.
+//! [`crate::facts`](self)) and are accumulated by one `StateFolder`, which
+//! reads a state's site-local fields off its packed words. Queries like
+//! [`cs_has_commit`] are word-wise intersections against a precomputed
+//! commit mask instead of `BTreeSet` scans. The `BTreeSet` form of a
+//! concurrency set is still available through [`concurrency_set`] and is
+//! materialized lazily, once, on first request.
 //!
-//! With [`ReachOptions::stream`] set, [`Analysis::build_with`] *streams*
-//! the fold: node payloads are retired as soon as their BFS level has been
+//! By default [`Analysis::build_with`] builds the [`ReachGraph`] and then
+//! folds its nodes in one pass ([`Analysis::from_graph`]): the builders
+//! know nothing of the analysis. The pass used to run inside the BFS; with
+//! a node `W` words in a flat arena it costs the same either way (DESIGN,
+//! "Bitset analysis"), so there is one retained path, not two.
+//!
+//! With [`ReachOptions::stream`] set, the fold runs over a *stream*
+//! instead: node payloads are retired as soon as their BFS level has been
 //! expanded, only the current frontier stays resident, and no
 //! [`ReachGraph`] is kept — [`Analysis::graph`] returns `None`. Graph
 //! consumers (DOT rendering, termination verification, transition-lead
@@ -64,7 +69,7 @@ use crate::termination::{self, ClassDecisionTable};
 pub type Witness = (SiteId, StateId);
 
 /// All per-state facts the theorem and termination rules need, accumulated
-/// in one fused pass during reachable-graph construction.
+/// in one pass over the reachable global states.
 pub struct Analysis {
     n_sites: usize,
     slots: SlotMap,
@@ -104,27 +109,23 @@ impl Analysis {
         Self::build_with(protocol, ReachOptions::default())
     }
 
-    /// As [`Analysis::build`] with explicit graph options.
-    ///
-    /// The analysis facts are folded *during* construction (per-worker
-    /// accumulators OR-merged at each BFS level barrier — bit-identical
-    /// for any thread count). With [`ReachOptions::stream`] set, node
-    /// payloads are retired level by level and no graph is retained.
+    /// As [`Analysis::build`] with explicit graph options: the graph is
+    /// built and then folded ([`Analysis::from_graph`]), or, with
+    /// [`ReachOptions::stream`] set, the facts are folded level by level as
+    /// the states are met — per-worker accumulators OR-merged at each level
+    /// barrier, bit-identical for any thread count — and no graph is
+    /// retained.
     pub fn build_with(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
-        let mut facts = ConcurrencyFacts::new(protocol);
-        if opts.stream {
-            let stats = reach::fold_reachable(protocol, opts, &mut facts)?;
-            Ok(Self::finish(protocol, facts, None, Some(stats)))
-        } else {
-            let graph = ReachGraph::build_with_folder(protocol, opts, &mut facts)?;
-            Ok(Self::finish(protocol, facts, Some(graph), None))
+        if !opts.stream {
+            return Ok(Self::from_graph(protocol, ReachGraph::build_with(protocol, opts)?));
         }
+        let mut facts = ConcurrencyFacts::new(protocol);
+        let stats = reach::fold_reachable(protocol, opts, &mut facts)?;
+        Ok(Self::finish(protocol, facts, None, Some(stats)))
     }
 
-    /// Run the analysis post hoc over an already-built graph — the
-    /// reference path the fused fold is property-tested against (and the
-    /// baseline the `analysis_throughput` bench compares with). Like the
-    /// fused fold it reads each node's site-local states off the graph's
+    /// Run the analysis over an already-built graph: one pass over its
+    /// nodes in id order, reading each node's site-local states off the
     /// packed words; it decodes no [`GlobalState`](crate::GlobalState).
     pub fn from_graph(protocol: &Protocol, graph: ReachGraph) -> Self {
         let mut facts = ConcurrencyFacts::new(protocol);

@@ -1,12 +1,12 @@
 //! Packed bitset representation of the per-state analysis facts, and the
-//! accumulator that folds them up *during* reachable-graph construction.
+//! accumulator that folds them up one global state at a time.
 //!
 //! The concurrency set C(s) is the load-bearing object of the paper — both
 //! conditions of the Fundamental Nonblocking Theorem and the
 //! termination-protocol decision rule are queries over it. Representing it
-//! as a `BTreeSet<(SiteId, StateId)>` per local state (the pre-fusion
-//! implementation) costs an allocation-heavy `O(nodes · n²)` re-traversal
-//! of the finished graph. This module instead packs every fact into
+//! as a `BTreeSet<(SiteId, StateId)>` per local state (the first
+//! implementation) costs an allocation-heavy `O(nodes · n²)` traversal of
+//! the finished graph. This module instead packs every fact into
 //! fixed-width bitsets over *(site, state) slots*:
 //!
 //! * slots are numbered site-major (`slot(i, s) = offsets[i] + s`), so
@@ -18,11 +18,12 @@
 //!
 //! Folding one global state — given as its site-local states, which is
 //! all these facts depend on — is `O(n + n·words)` word operations with zero
-//! allocations, and because every fact is a monotone bit (set-once), the
-//! accumulator can be **split per worker and OR-merged at every BFS level
-//! barrier**: OR is commutative, associative, and idempotent, so the merged
-//! bits are identical for any thread count, any chunking, and any merge
-//! order — the same determinism argument as the interned graph itself.
+//! allocations. Over a retained graph that is one serial pass in node-id
+//! order. Over a stream, because every fact is a monotone bit (set-once),
+//! the accumulator can be **split per worker and OR-merged at every BFS
+//! level barrier**: OR is commutative, associative, and idempotent, so the
+//! merged bits are identical for any thread count, any chunking, and any
+//! merge order, and equal to the serial pass's.
 
 use crate::fsa::{Fsa, Vote};
 use crate::ids::{SiteId, StateId};
@@ -140,13 +141,13 @@ pub(crate) fn iter_ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
     })
 }
 
-/// The fused analysis accumulator: everything [`crate::Analysis`] needs,
-/// folded one global state at a time as the BFS discovers it.
+/// The analysis accumulator: everything [`crate::Analysis`] needs, folded
+/// one global state at a time.
 ///
-/// Implements [`StateFolder`], so `core::reach` can fold states inside the
-/// frontier-parallel construction: each worker gets a [`split`] of the main
-/// accumulator, folds the frontier chunk it expands, and the main thread
-/// [`absorb`]s the workers back at the level barrier.
+/// Implements [`StateFolder`]: a retained graph folds its nodes into one
+/// accumulator, and the streaming fold of `core::reach` hands each worker a
+/// [`split`] of the main accumulator to fold the frontier chunk it expands
+/// into, which the main thread [`absorb`]s back at the level barrier.
 ///
 /// [`split`]: StateFolder::split
 /// [`absorb`]: StateFolder::absorb

@@ -32,7 +32,7 @@
 //! (`Program`): which fields a trigger needs and how many of each, which
 //! fields an emission raises.
 //!
-//! ## One generator, one fingerprint, three builders
+//! ## One generator, one fingerprint, three walks
 //!
 //! Every builder enumerates successors with `for_each_successor`: copy the
 //! `W` words into a caller-owned scratch, subtract the consumed counts, set
@@ -56,6 +56,13 @@
 //! same node ids, same edge order, same classification counts
 //! (`tests/pinned_graphs.rs` holds the bytes). Retained graphs are exact:
 //! a hash hit is confirmed by comparing words (`IdTable`).
+//!
+//! The retained builders build and nothing else. An analysis reaches the
+//! states by one of two routes: [`ReachGraph::fold_nodes`], a pass over the
+//! finished arena, or the third walk, `fold_reachable`, which keeps no
+//! graph — a frontier of orbit representatives and a fingerprint set — and
+//! folds the facts as it goes ([`crate::Analysis::build_with`] picks by
+//! [`ReachOptions::stream`]).
 //!
 //! ## Nodes on demand
 //!
@@ -283,10 +290,10 @@ pub struct ReachOptions {
     /// allows fan-out — thread spawn overhead dwarfs the work on the
     /// shallow levels every graph starts with.
     pub parallel_frontier_min: usize,
-    /// Stream the reachability fold instead of retaining the graph:
-    /// [`crate::Analysis::build_with`] folds its facts level by level and
-    /// retires node payloads as soon as a level has been expanded, keeping
-    /// only the current frontier resident. The resulting analysis has no
+    /// Fold the analysis over a stream of states instead of a retained
+    /// graph: [`crate::Analysis::build_with`] folds its facts level by
+    /// level and retires node payloads as soon as a level has been
+    /// expanded, keeping only the current frontier resident. The resulting analysis has no
     /// [`ReachGraph`] (`Analysis::graph()` returns `None`), so graph
     /// consumers (`dot`, termination verification, lead measurement) need
     /// the default retaining mode. Ignored by [`ReachGraph::build_with`]
@@ -375,26 +382,29 @@ pub struct ReachGraph {
     classes: Vec<Vec<StateClass>>,
 }
 
-/// A hook folded over every distinct reachable global state during BFS
-/// construction — the fusion point for analyses that would otherwise need
-/// a post-hoc pass over the finished node vector.
+/// An analysis folded over the distinct reachable global states. It has
+/// two routes to them: [`ReachGraph::fold_nodes`] over a finished graph,
+/// every node once in id order, and [`fold_reachable`] over a stream —
+/// there each state belongs to exactly one BFS frontier and is folded when
+/// that frontier is expanded, wide frontiers by workers holding a `split`
+/// each. The retained builders know nothing of folders.
 ///
-/// Every distinct state belongs to exactly one BFS frontier and is folded
-/// exactly once, when that frontier is expanded. The contract that keeps
-/// parallel folding bit-identical to serial: `fold` must only accumulate
-/// *monotone, order-independent* facts (set-once bits), `split` must
-/// return an empty accumulator sharing only read-only inputs, and `absorb`
-/// must merge with a commutative, associative, idempotent operation
-/// (bit-OR for the concurrency facts). Then any chunking of the frontier
-/// and any absorb order produce identical bits.
+/// The contract that keeps the streamed, parallel fold bit-identical to
+/// the pass over the graph: `fold` must only accumulate *monotone,
+/// order-independent* facts (set-once bits), `split` must return an empty
+/// accumulator sharing only read-only inputs (workers call it on the
+/// shared original, hence `Sync`), and `absorb` must merge with a
+/// commutative, associative, idempotent operation (bit-OR for the
+/// concurrency facts). Then any chunking of the frontier and any absorb
+/// order produce identical bits.
 ///
-/// The retained builders fold every state. The streaming fold folds one
+/// The pass over a graph folds every state. The streaming fold folds one
 /// representative of each orbit of the protocol's site symmetry and then
 /// closes the accumulator under the group with `close_under_swap`.
-pub(crate) trait StateFolder: Send {
+pub(crate) trait StateFolder: Send + Sync {
     /// Fold one distinct reachable global state, given as its site-local
-    /// states (`locals[i]` = local state of site `i`): the builders read
-    /// them off the packed words, and no folder looks at the messages.
+    /// states (`locals[i]` = local state of site `i`), read off the packed
+    /// words: no folder looks at the messages.
     fn fold(&mut self, locals: &[StateId]);
     /// An empty accumulator for a worker thread to fold its chunk into.
     fn split(&self) -> Self
@@ -408,20 +418,6 @@ pub(crate) trait StateFolder: Send {
     /// interchangeable sites `a` and `b` — what folding every state with
     /// the two renamed would have added; true if anything was new.
     fn close_under_swap(&mut self, a: SiteId, b: SiteId) -> bool;
-}
-
-/// The no-op folder behind the plain graph-building entry points.
-pub(crate) struct NoFolder;
-
-impl StateFolder for NoFolder {
-    fn fold(&mut self, _: &[StateId]) {}
-    fn split(&self) -> Self {
-        NoFolder
-    }
-    fn absorb(&mut self, _: Self) {}
-    fn close_under_swap(&mut self, _: SiteId, _: SiteId) -> bool {
-        false
-    }
 }
 
 /// What a compiled transition reads, as ranges of [`Program::pool`].
@@ -639,40 +635,17 @@ struct Chunk {
 }
 
 /// Run `work` over `0..len` cut into `parts` contiguous ranges, one scoped
-/// worker each folding into a [`StateFolder::split`] of `folder`, and
-/// absorb the splits back at the barrier — OR-merge order cannot change
-/// the bits. One part runs inline on `folder` itself.
-fn fan_out<F: StateFolder, T: Send>(
-    folder: &mut F,
-    len: usize,
-    parts: usize,
-    work: impl Fn(Range<usize>, &mut F) -> T + Sync,
-) -> Vec<T> {
-    if parts <= 1 {
-        return vec![work(0..len, folder)];
-    }
+/// worker each, and return what they made in range order.
+fn fan_out<T: Send>(len: usize, parts: usize, work: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
     let chunk_len = len.div_ceil(parts);
     let work = &work;
-    let results: Vec<(F, T)> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..len)
             .step_by(chunk_len)
-            .map(|start| {
-                let mut fold = folder.split();
-                scope.spawn(move || {
-                    let out = work(start..(start + chunk_len).min(len), &mut fold);
-                    (fold, out)
-                })
-            })
+            .map(|start| scope.spawn(move || work(start..(start + chunk_len).min(len))))
             .collect();
         handles.into_iter().map(|h| h.join().expect("reach worker")).collect()
-    });
-    results
-        .into_iter()
-        .map(|(fold, out)| {
-            folder.absorb(fold);
-            out
-        })
-        .collect()
+    })
 }
 
 impl ReachGraph {
@@ -687,25 +660,6 @@ impl ReachGraph {
     /// frontiers are expanded in parallel; the output is bit-identical to
     /// [`ReachGraph::build_serial`] in every case.
     pub fn build_with(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
-        Self::build_with_folder(protocol, opts, &mut NoFolder)
-    }
-
-    /// The serial reference: every level expanded inline, in id order —
-    /// the FIFO BFS the parallel construction is tested (and benchmarked)
-    /// against.
-    pub fn build_serial(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
-        Self::build_with(protocol, opts.with_threads(1))
-    }
-
-    /// Build with explicit options, folding `folder` over every distinct
-    /// state as its level is expanded (each exactly once) — the
-    /// fused-analysis entry point. See the module docs for the scheme and
-    /// the determinism argument.
-    pub(crate) fn build_with_folder<F: StateFolder>(
-        protocol: &Protocol,
-        opts: ReachOptions,
-        folder: &mut F,
-    ) -> Result<Self, ProtocolError> {
         let threads = opts.resolved_threads()?;
         let codec = StateCodec::new(protocol)?;
         let program = Program::compile(protocol, &codec);
@@ -714,7 +668,6 @@ impl ReachGraph {
         table.intern(state_hash(&initial), 0, |_| false);
         let mut arena = PackedArena::new(codec.words());
         arena.push(&initial);
-        let mut locals: Vec<StateId> = Vec::new();
         let (mut source, mut scratch) = (initial.clone(), initial);
         let mut g = Self {
             codec,
@@ -732,9 +685,9 @@ impl ReachGraph {
             let edges_before = g.edges.len();
             if threads > 1 && level.len() >= opts.parallel_frontier_min {
                 let (codec, arena, first) = (&g.codec, &g.arena, level.start);
-                let chunks = fan_out(folder, level.len(), threads, |range, fold| {
+                let chunks = fan_out(level.len(), threads, |range| {
                     let frontier = first + range.start..first + range.end;
-                    expand_chunk(&program, codec, frontier, arena, &table, fold)
+                    expand_chunk(&program, codec, frontier, arena, &table)
                 });
                 for chunk in chunks {
                     g.merge_chunk(chunk?, &mut table, opts.max_states)?;
@@ -744,9 +697,6 @@ impl ReachGraph {
                     // The arena grows under the expansion, so the source
                     // is read from a copy.
                     source.copy_from_slice(g.arena.get(id));
-                    locals.clear();
-                    locals.extend(g.codec.locals(&source));
-                    folder.fold(&locals);
                     let (arena, edges) = (&mut g.arena, &mut g.edges);
                     for_each_successor(&program, &g.codec, &source, &mut scratch, |succ, edge| {
                         let to = intern_node(
@@ -776,6 +726,13 @@ impl ReachGraph {
             level = level.end..g.node_count();
         }
         Ok(g)
+    }
+
+    /// The serial reference: every level expanded inline, in id order —
+    /// the FIFO BFS the parallel construction is tested (and benchmarked)
+    /// against.
+    pub fn build_serial(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
+        Self::build_with(protocol, opts.with_threads(1))
     }
 
     /// Append one worker's chunk: intern its new states in the order the
@@ -838,17 +795,6 @@ impl ReachGraph {
     /// need of a node.
     pub(crate) fn locals(&self, id: NodeId) -> impl Iterator<Item = (SiteId, StateId)> + '_ {
         (0u32..).map(SiteId).zip(self.codec.locals(self.arena.get(id as usize)))
-    }
-
-    /// Fold `folder` over every node in id order, as the builders do
-    /// level by level.
-    pub(crate) fn fold_nodes<F: StateFolder>(&self, folder: &mut F) {
-        let mut locals: Vec<StateId> = Vec::new();
-        for id in 0..self.node_count() {
-            locals.clear();
-            locals.extend(self.codec.locals(self.arena.get(id)));
-            folder.fold(&locals);
-        }
     }
 
     /// Out-edges of `id`.
@@ -1053,8 +999,7 @@ struct Stream {
 /// are deduplicated by 128-bit fingerprint (see [`fingerprint`]).
 /// Frontiers at least [`ReachOptions::parallel_frontier_min`] wide are
 /// expanded by scoped workers folding into [`StateFolder::split`]s,
-/// OR-merged at the level barrier — same determinism argument as the
-/// retained parallel build.
+/// OR-merged at the level barrier.
 ///
 /// With [`ReachOptions::mem_budget`] set, the retired-level fingerprint
 /// set additionally spills to sorted temp-file runs whenever it outgrows
@@ -1141,10 +1086,26 @@ pub(crate) fn fold_reachable<F: StateFolder>(
             }
             Ok(out)
         };
-        let parts =
-            if threads > 1 && frontier.len() >= opts.parallel_frontier_min { threads } else { 1 };
-        let streams: Vec<Stream> =
-            fan_out(folder, frontier.len(), parts, expand).into_iter().collect::<Result<_, _>>()?;
+        // A wide frontier goes to workers, each folding into a split of
+        // `folder`; the splits are absorbed back at the barrier, and an
+        // OR-merge's order cannot change the bits.
+        let streams: Vec<Stream> = if threads > 1 && frontier.len() >= opts.parallel_frontier_min {
+            let empty = &*folder;
+            let split = fan_out(frontier.len(), threads, |range| {
+                let mut fold = empty.split();
+                let stream = expand(range, &mut fold);
+                (fold, stream)
+            });
+            split
+                .into_iter()
+                .map(|(fold, stream)| {
+                    folder.absorb(fold);
+                    stream
+                })
+                .collect::<Result<_, _>>()?
+        } else {
+            vec![expand(0..frontier.len(), folder)?]
+        };
 
         // Disk filter at the level barrier, BEFORE the residency
         // accounting: occurrences whose fingerprint lives in a spilled run
@@ -1223,6 +1184,19 @@ pub(crate) fn fold_reachable<F: StateFolder>(
     Ok(stats)
 }
 
+impl ReachGraph {
+    /// Fold `folder` over every node in id order — the graph's one
+    /// meeting point with an analysis.
+    pub(crate) fn fold_nodes<F: StateFolder>(&self, folder: &mut F) {
+        let mut locals: Vec<StateId> = Vec::new();
+        for id in 0..self.node_count() {
+            locals.clear();
+            locals.extend(self.codec.locals(self.arena.get(id)));
+            folder.fold(&locals);
+        }
+    }
+}
+
 /// Resolve the packed `state` to its node id, copying it onto the end of
 /// `arena` as a new node when no node equals it.
 fn intern_node(
@@ -1247,13 +1221,12 @@ fn intern_node(
 /// resolving each successor against the prior levels (`arena` and
 /// `table`, immutable while the level is in flight) or the chunk's own
 /// new states.
-fn expand_chunk<F: StateFolder>(
+fn expand_chunk(
     program: &Program,
     codec: &StateCodec,
     frontier: Range<usize>,
     arena: &PackedArena,
     table: &IdTable,
-    fold: &mut F,
 ) -> Result<Chunk, ProtocolError> {
     let mut chunk = Chunk {
         fresh: PackedArena::new(codec.words()),
@@ -1263,12 +1236,8 @@ fn expand_chunk<F: StateFolder>(
     };
     let mut local = IdTable::default();
     let mut scratch = vec![0u64; codec.words()];
-    let mut locals: Vec<StateId> = Vec::new();
     for id in frontier {
         let source = arena.get(id);
-        locals.clear();
-        locals.extend(codec.locals(source));
-        fold.fold(&locals);
         let Chunk { fresh, hashes, edges, .. } = &mut chunk;
         for_each_successor(program, codec, source, &mut scratch, |succ, edge| {
             let hash = state_hash(succ);
@@ -1799,9 +1768,23 @@ mod tests {
         }
     }
 
+    /// Folds nothing: for the tests that want a walk's counts alone.
+    struct NoFolder;
+
+    impl StateFolder for NoFolder {
+        fn fold(&mut self, _: &[StateId]) {}
+        fn split(&self) -> Self {
+            NoFolder
+        }
+        fn absorb(&mut self, _: Self) {}
+        fn close_under_swap(&mut self, _: SiteId, _: SiteId) -> bool {
+            false
+        }
+    }
+
     /// Counts folds — the simplest possible [`StateFolder`], used to pin
     /// the "every distinct state is folded exactly once" invariant that
-    /// the fused analysis relies on.
+    /// the analysis relies on.
     struct CountFolder(usize);
 
     impl StateFolder for CountFolder {
@@ -1827,9 +1810,10 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 let opts =
                     ReachOptions { threads, parallel_frontier_min: 1, ..ReachOptions::default() };
-                // The retained build folds every node once...
+                // A fold over the retained graph visits every node once...
                 let mut c = CountFolder(0);
-                let g = ReachGraph::build_with_folder(&p, opts, &mut c).unwrap();
+                let g = ReachGraph::build_with(&p, opts).unwrap();
+                g.fold_nodes(&mut c);
                 assert_eq!(g.node_count(), expect, "{} retained threads={threads}", p.name);
                 assert_eq!(c.0, expect, "{} retained folds threads={threads}", p.name);
 

@@ -377,7 +377,7 @@ pub use nbc_core::MAX_THREADS;
 /// Worker-thread count for an options value (0 = auto).
 fn resolved_threads(threads: usize) -> usize {
     if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
+        nbc_core::auto_threads()
     } else {
         threads
     }

@@ -85,8 +85,8 @@ pub use fsa::{Consume, Envelope, Fsa, FsaBuilder, StateClass, StateInfo, Transit
 pub use ids::{MsgKind, SiteId, StateId};
 pub use protocol::{InitialMsg, Paradigm, Protocol};
 pub use reach::{
-    fingerprint128, Count, GlobalState, GraphStats, LevelProgress, ReachGraph, ReachOptions,
-    StreamStats, MAX_THREADS,
+    auto_threads, fingerprint128, Count, GlobalState, GraphStats, LevelProgress, ReachGraph,
+    ReachOptions, StreamStats, MAX_THREADS,
 };
 pub use symmetry::Symmetry;
 pub use termination::Decision;

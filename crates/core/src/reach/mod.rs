@@ -108,6 +108,13 @@ pub type NodeId = u32;
 /// typed error, never a spawn per frontier state.
 pub const MAX_THREADS: usize = 64;
 
+/// The worker count a thread option of `0` stands for, wherever this
+/// workspace fans work out: [`std::thread::available_parallelism`] capped
+/// at 8, and 1 when it cannot be read.
+pub fn auto_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get()).min(8)
+}
+
 /// Address of an outstanding message: who sent it, to whom, what kind.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct MsgAddr {
@@ -290,9 +297,9 @@ pub struct ReachOptions {
     /// whose `distinct_states` may be far larger.
     pub max_states: usize,
     /// Worker threads for frontier expansion. `0` (the default) picks
-    /// [`std::thread::available_parallelism`] capped at 8; `1` forces the
-    /// serial reference path; more than [`MAX_THREADS`] is refused with
-    /// [`ProtocolError::TooManyThreads`] by every builder.
+    /// [`auto_threads`]; `1` forces the serial reference path; more than
+    /// [`MAX_THREADS`] is refused with [`ProtocolError::TooManyThreads`] by
+    /// every builder.
     pub threads: usize,
     /// Frontiers smaller than this are expanded inline even when `threads`
     /// allows fan-out — thread spawn overhead dwarfs the work on the
@@ -364,7 +371,7 @@ impl ReachOptions {
     /// The effective worker count for these options.
     fn resolved_threads(&self) -> Result<usize, ProtocolError> {
         match self.threads {
-            0 => Ok(std::thread::available_parallelism().map_or(1, |p| p.get()).min(8)),
+            0 => Ok(auto_threads()),
             t if t > MAX_THREADS => Err(ProtocolError::TooManyThreads { max: MAX_THREADS, got: t }),
             t => Ok(t),
         }

@@ -7,10 +7,9 @@
 //! such sites will be nonblocking as long as one of them remains
 //! operational.
 
-use crate::analysis::Analysis;
 use crate::error::ProtocolError;
 use crate::protocol::Protocol;
-use crate::theorem::{check_with, TheoremReport};
+use crate::theorem::{self, TheoremReport};
 
 /// Resiliency analysis of one protocol.
 #[derive(Clone, Debug)]
@@ -43,8 +42,7 @@ impl ResilienceReport {
 
 /// Run the corollary against a protocol.
 pub fn resilience(protocol: &Protocol) -> Result<ResilienceReport, ProtocolError> {
-    let analysis = Analysis::build(protocol)?;
-    Ok(resilience_with(protocol, &check_with(protocol, &analysis)))
+    Ok(resilience_with(protocol, &theorem::check(protocol)?))
 }
 
 /// Derive the resiliency report from an existing theorem report.

@@ -22,6 +22,7 @@ use crate::analysis::Analysis;
 use crate::error::ProtocolError;
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
+use crate::reach::ReachOptions;
 
 /// A concrete witness of a theorem-condition violation.
 ///
@@ -118,9 +119,10 @@ impl fmt::Display for TheoremReport {
     }
 }
 
-/// Check the fundamental nonblocking theorem, building the analysis.
+/// Check the fundamental nonblocking theorem, building the analysis. The
+/// theorem reads facts only, so the analysis is streamed: no graph is kept.
 pub fn check(protocol: &Protocol) -> Result<TheoremReport, ProtocolError> {
-    let analysis = Analysis::build(protocol)?;
+    let analysis = Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))?;
     Ok(check_with(protocol, &analysis))
 }
 

@@ -164,7 +164,7 @@ pub fn sweep(
     base: &RunConfig,
     specs: &[CrashSpec],
 ) -> SweepSummary {
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get()).min(8);
+    let threads = nbc_core::auto_threads();
     if threads <= 1 || specs.len() < 2 * threads {
         return sweep_serial(protocol, analysis, base, specs);
     }

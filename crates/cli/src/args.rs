@@ -156,12 +156,15 @@ pub struct Flag {
     /// The flag it qualifies, and the commands on which it does nothing
     /// without that flag.
     pub requires: Option<(&'static str, u16)>,
+    /// The flags that do nothing beside it, because it brings its own
+    /// values for what they set.
+    pub overrides: &'static [&'static str],
     /// What `nbc help` says about it.
     pub help: &'static str,
 }
 
 const fn switch(names: &'static [&'static str], cmds: u16) -> Flag {
-    Flag { names, value: None, repeat: false, cmds, requires: None, help: "" }
+    Flag { names, value: None, repeat: false, cmds, requires: None, overrides: &[], help: "" }
 }
 
 const fn option(names: &'static [&'static str], meta: &'static str, kind: Kind, cmds: u16) -> Flag {
@@ -175,6 +178,10 @@ impl Flag {
 
     const fn requires(self, flag: &'static str, on: u16) -> Self {
         Self { requires: Some((flag, on)), ..self }
+    }
+
+    const fn overrides(self, overrides: &'static [&'static str]) -> Self {
+        Self { overrides, ..self }
     }
 
     const fn repeatable(self) -> Self {
@@ -269,10 +276,27 @@ pub const FLAGS: &[Flag] = &[
     option(&["--detector-jitter"], "LO..HI", Kind::Span, RUNS)
         .requires("--detector-timeout", RUNS)
         .help("heartbeat-latency bounds of the timeout detector."),
-    option(&["--schedule"], "FILE", Kind::Path, Simulate as u16).help(
-        "strictly replay a recorded `nbc check` schedule instead of the timed run; the file \
-         carries its own votes, rule and faults.",
-    ),
+    option(&["--schedule"], "FILE", Kind::Path, Simulate as u16)
+        .overrides(&[
+            "--crash",
+            "--recover",
+            "--no-voter",
+            "--rule",
+            "--latency",
+            "--detector-timeout",
+            "--detector-jitter",
+            "--seed",
+            "--trace",
+            "--trace-format",
+            "--metrics",
+            "--flight",
+            "--flight-cap",
+        ])
+        .help(
+            "strictly replay a recorded `nbc check` schedule instead of the timed run; the file \
+             carries its own votes, rule and faults, so beside it only --story and --json say \
+             anything.",
+        ),
     option(&["--depth"], "D", Kind::Num(0, U32, "steps"), CHECK)
         .help("most scheduler actions per execution (default 64)."),
     option(&["--faults"], "F", Kind::Num(0, U32, "crashes"), CHECK)
@@ -517,7 +541,8 @@ pub fn parse_votes_arg(arg: &str) -> Result<Vec<bool>, CliError> {
 /// Check a command line against the tables. Every refusal — an unknown
 /// command, a missing or surplus operand, a flag the command does not
 /// read, a missing, unparsable or out-of-range value, a flag given twice,
-/// a qualifier without its subject — is an error naming what was typed,
+/// a qualifier without its subject, a flag beside one that overrides it —
+/// is an error naming what was typed,
 /// returned before any protocol is built.
 pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
     let Some(word) = args.first() else {
@@ -571,7 +596,16 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
     {
         return fail(format!("{name}: unexpected argument {extra:?}"));
     }
-    for flag in FLAGS.iter().filter(|f| f.read_by(cmd) && inv.has(f.names[0])) {
+    let given = || FLAGS.iter().filter(|f| f.read_by(cmd) && inv.has(f.names[0]));
+    // Overridden before unqualified: `--recover T --schedule F` is told to
+    // drop `--recover`, not to add the `--crash` that would be refused next.
+    for flag in given() {
+        if let Some(idle) = flag.overrides.iter().find(|idle| inv.has(idle)) {
+            let flag = flag.names[0];
+            return fail(format!("{idle} does nothing on `nbc {name}` beside {flag}; drop it"));
+        }
+    }
+    for flag in given() {
         match flag.requires {
             Some((subject, on)) if on & cmd as u16 != 0 && !inv.has(subject) => {
                 let flag = flag.names[0];

@@ -196,6 +196,53 @@ fn flags_a_command_would_ignore_exit_two() {
 }
 
 #[test]
+fn a_flag_the_schedule_overrides_exits_two_beside_it() {
+    // `simulate --schedule FILE` replays the file's votes, rule and faults
+    // in lockstep and reads `--story` and `--json` only; each of these was
+    // parsed, range-checked and dropped. The refusal comes from the flag
+    // table, before the schedule (here a file that does not exist) is
+    // opened, and a qualifier is told to go, not to bring its subject.
+    for (flag, value) in [
+        ("--crash", Some("0:2:1")),
+        ("--recover", Some("300")),
+        ("--no-voter", Some("1")),
+        ("--rule", Some("quorum")),
+        ("--latency", Some("1..5")),
+        ("--detector-timeout", Some("3")),
+        ("--detector-jitter", Some("1..5")),
+        ("--seed", Some("7")),
+        ("--trace", Some("t.jsonl")),
+        ("--trace-format", Some("chrome")),
+        ("--metrics", None),
+        ("--flight", Some("f.jsonl")),
+        ("--flight-cap", Some("8")),
+    ] {
+        let mut args = vec!["simulate", "central-2pc", "-n", "3", "--schedule", "/nonexistent/w"];
+        args.push(flag);
+        args.extend(value);
+        let out = nbc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(
+            first,
+            format!("error: {flag} does nothing on `nbc simulate` beside --schedule; drop it"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: a refused command prints nothing");
+    }
+    // What the replay does read still reaches it: the missing file is the error.
+    for extra in [&[][..], &["--story"][..], &["--json"][..], &["--threads", "1"][..]] {
+        let mut args = vec!["simulate", "central-2pc", "-n", "3", "--schedule", "/nonexistent/w"];
+        args.extend(extra);
+        let out = nbc(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: cannot read /nonexistent/w"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn a_number_past_its_ceiling_exits_two() {
     // None of these had a ceiling: the site counts and the batch size
     // aborted on a multi-gigabyte allocation (exit 134), the times

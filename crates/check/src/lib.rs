@@ -3,7 +3,7 @@
 //! `nbc-core` *predicts* how a commit protocol behaves (reachable state
 //! graph, concurrency sets, the fundamental nonblocking theorem);
 //! `nbc-engine` *executes* it. This crate drives the real engine
-//! [`Runner`](nbc_engine::Runner) through **every** interleaving of
+//! [`Runner`] through **every** interleaving of
 //! message delivery, message loss, site crash, site recovery and
 //! imperfect-detector suspicion (including *false* suspicion of live
 //! sites, and its revocation) within configurable budgets, and

@@ -58,7 +58,7 @@
 //! a hash hit is confirmed by comparing words (`IdTable`).
 //!
 //! The retained builders build and nothing else. An analysis reaches the
-//! states by one of two routes: [`ReachGraph::fold_nodes`], a pass over the
+//! states by one of two routes: `ReachGraph::fold_nodes`, a pass over the
 //! finished arena, or the third walk, `fold_reachable`, which keeps no
 //! graph — a frontier of orbit representatives and a fingerprint set — and
 //! folds the facts as it goes ([`crate::Analysis::build_with`] picks by
@@ -83,6 +83,8 @@
 //! compiled transitions and the successor generator are in `program`, the
 //! retained graph and its builders in `graph`, the streaming fold and the
 //! `StateFolder` both routes feed in `stream`.
+//!
+//! [`StateCodec`]: crate::StateCodec
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -224,6 +226,8 @@ impl Msgs {
 /// One global transaction state, as a reader sees it. The builders work on
 /// its packed form ([`StateCodec`]); a graph decodes its nodes into this
 /// on first request.
+///
+/// [`StateCodec`]: crate::StateCodec
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct GlobalState {
     /// `locals[i]` = local state of site `i`.
@@ -396,13 +400,12 @@ fn fingerprint(words: &[u64]) -> u128 {
 /// standard library's default hasher, the second domain-separated.
 ///
 /// Nothing in this repository's crates calls it: the streaming fold and
-/// the retained builders identify states by the pinned
-/// [`Fp128`](crate::fp128::Fp128), and so has `nbc-check` since its dedup
-/// store moved to `Fp128`. It stays exported — and [`GlobalState`] stays
-/// `Hash` — only because the benchmark's `core.fingerprint128_ns` probe
-/// times it; ROADMAP item 3(a) retires both in a `benchmark` PR. The
-/// algorithm is unspecified across Rust releases, so its output must not
-/// be stored.
+/// the retained builders identify states by the pinned [`Fp128`], and so
+/// has `nbc-check` since its dedup store moved to `Fp128`. It stays
+/// exported — and [`GlobalState`] stays `Hash` — only because the
+/// benchmark's `core.fingerprint128_ns` probe times it; ROADMAP item 3(b)
+/// retires both in a `benchmark` PR. The algorithm is unspecified across
+/// Rust releases, so its output must not be stored.
 pub fn fingerprint128<T: Hash + ?Sized>(value: &T) -> u128 {
     let mut h1 = std::collections::hash_map::DefaultHasher::new();
     value.hash(&mut h1);

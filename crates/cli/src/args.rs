@@ -542,8 +542,8 @@ pub fn parse_votes_arg(arg: &str) -> Result<Vec<bool>, CliError> {
 /// command, a missing or surplus operand, a flag the command does not
 /// read, a missing, unparsable or out-of-range value, a flag given twice,
 /// a qualifier without its subject, a flag beside one that overrides it —
-/// is an error naming what was typed,
-/// returned before any protocol is built.
+/// is an error naming what was typed, returned before any protocol is
+/// built.
 pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
     let Some(word) = args.first() else {
         return Ok(Invocation { cmd: Help, operands: Vec::new(), values: Vec::new() });

@@ -202,6 +202,7 @@ fn a_flag_the_schedule_overrides_exits_two_beside_it() {
     // parsed, range-checked and dropped. The refusal comes from the flag
     // table, before the schedule (here a file that does not exist) is
     // opened, and a qualifier is told to go, not to bring its subject.
+    let replay = ["simulate", "central-2pc", "-n", "3", "--schedule", "/nonexistent/w"];
     for (flag, value) in [
         ("--crash", Some("0:2:1")),
         ("--recover", Some("300")),
@@ -217,7 +218,7 @@ fn a_flag_the_schedule_overrides_exits_two_beside_it() {
         ("--flight", Some("f.jsonl")),
         ("--flight-cap", Some("8")),
     ] {
-        let mut args = vec!["simulate", "central-2pc", "-n", "3", "--schedule", "/nonexistent/w"];
+        let mut args = replay.to_vec();
         args.push(flag);
         args.extend(value);
         let out = nbc(&args);
@@ -233,7 +234,7 @@ fn a_flag_the_schedule_overrides_exits_two_beside_it() {
     }
     // What the replay does read still reaches it: the missing file is the error.
     for extra in [&[][..], &["--story"][..], &["--json"][..], &["--threads", "1"][..]] {
-        let mut args = vec!["simulate", "central-2pc", "-n", "3", "--schedule", "/nonexistent/w"];
+        let mut args = replay.to_vec();
         args.extend(extra);
         let out = nbc(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

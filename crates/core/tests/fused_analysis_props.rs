@@ -111,10 +111,9 @@ fn assert_analysis_matches(p: &nbc_core::Protocol, r: &Reference, a: &Analysis, 
 fn fused_analysis_equals_naive_reference_across_catalog() {
     // n=5 and a four-phase protocol are where the forced workers cut a
     // level into chunks more than a state or two wide.
-    let four_phase = nbc_core::kpc::k_phase_central(3, 4).unwrap();
-    for (n, protocols) in
-        [2usize, 3, 4, 5].map(|n| (n, catalog(n))).into_iter().chain([(3, vec![four_phase])])
-    {
+    let mut inputs: Vec<_> = [2usize, 3, 4, 5].map(|n| (n, catalog(n))).into();
+    inputs.push((3, vec![nbc_core::kpc::k_phase_central(3, 4).unwrap()]));
+    for (n, protocols) in inputs {
         for p in protocols {
             let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
             let reference = naive_reference(&p, &serial);

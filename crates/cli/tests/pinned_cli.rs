@@ -35,6 +35,10 @@ const PINNED: &str = "\
 0 442a1d7341c61081764ff77f8e057fff - - $ verify central-2pc -n 4 --threads 2 --progress
 0 5da1fd5394fa366d0e74ae46908854e1 - - $ verify paxos:1 -n 2
 0 36f79b9dcc14565b20cbd8e98191f269 - - $ verify $S/central-3pc.nbc -n 3
+0 a3004ee874d3feea5e6c0bfceff0a267 - - $ verify central-2pc -n 6
+0 839d291da51b92d9ae95a6c8cda48f09 - - $ verify decentralized-2pc -n 5
+0 03cdfc74b4cc79efaa0d5184dc19ed70 - - $ verify kpc:4 -n 4
+0 9a714cea5d4bbe8db54fc6f84c74ad6e - - $ verify central-3pc -n 7 --threads 1
 0 945e2f3735ef33b3d5253bba224ef8ba - - $ graph central-2pc -n 2 --dot
 0 ae0ec7b68a62478de0e8a1b70eae709e - - $ graph central-3pc -n 4 --threads 2 --progress
 0 5c5063c370b393d5602c38fbd78f0c84 - - $ graph paxos:1 -n 2
@@ -160,6 +164,10 @@ const LINES: &[(&str, &[&str])] = &[
     ("verify central-2pc -n 4 --threads 2 --progress", &[]),
     ("verify paxos:1 -n 2", &[]),
     ("verify $S/central-3pc.nbc -n 3", &[]),
+    ("verify central-2pc -n 6", &[]),
+    ("verify decentralized-2pc -n 5", &[]),
+    ("verify kpc:4 -n 4", &[]),
+    ("verify central-3pc -n 7 --threads 1", &[]),
     // graph
     ("graph central-2pc -n 2 --dot", &[]),
     ("graph central-3pc -n 4 --threads 2 --progress", &[]),

@@ -608,6 +608,7 @@ pub(super) mod tests {
             let analysis = crate::Analysis::from_graph(&p, g.clone());
             let _ = crate::sync_check::check_with(&p, &analysis, ReachOptions::default());
             let _ = crate::theorem::check_with(&p, &analysis);
+            let _ = crate::verify::verify_termination_with(&p, &analysis);
             let walked = analysis.graph().expect("retained");
             assert!(walked.nodes.get().is_none(), "{}: an analysis decoded the nodes", p.name);
 

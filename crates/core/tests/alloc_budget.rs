@@ -11,6 +11,7 @@
 mod counting;
 
 use nbc_core::protocols::central_3pc;
+use nbc_core::verify::verify_termination_with;
 use nbc_core::{Analysis, ReachOptions};
 
 #[global_allocator]
@@ -60,6 +61,18 @@ fn a_graph_build_allocates_per_level_not_per_state() {
     let before = counting::calls();
     assert_eq!(graph.stats().nodes, 2612);
     assert_eq!(counting::calls() - before, 0, "classification allocates nothing");
+
+    // Termination verification reads the packed words too (the first
+    // read below still decodes every node): 63 survivor subsets a state
+    // judged as five site bitmasks, a survivor list built only for a
+    // witness (3PC has none): 0.008 calls a state, the class decisions and
+    // the per-site table. Built one per subset on the decoded graph it
+    // was ≈ 65.
+    let before = counting::calls();
+    let v = verify_termination_with(&p, &analysis);
+    let verifying = (counting::calls() - before) as f64 / 2612.0;
+    assert_eq!((v.cases, v.nonblocking()), (2612 * 63, true));
+    assert!(verifying <= 0.05, "{verifying:.3} allocations per state verifying, budget 0.05");
 
     // The first read decodes every node: the vector that holds them, a
     // locals box each, and a message vector for each that holds messages.

@@ -40,7 +40,8 @@ pub mod schedule;
 pub mod shrink;
 
 use nbc_core::{
-    resilience, theorem, Analysis, Protocol, ProtocolError, SiteId, SpillStats, StateId,
+    resilience, theorem, Analysis, Protocol, ProtocolError, ReachOptions, SiteId, SpillStats,
+    StateId,
 };
 use nbc_engine::{Runner, TerminationRule};
 
@@ -85,7 +86,8 @@ pub fn replay_flight_dump(
     capacity: usize,
 ) -> Result<String, ProtocolError> {
     use nbc_obs::{FlightRecorder, SharedSink, Tracer};
-    let analysis = Analysis::build(protocol)?;
+    // The runner reads facts, never a graph: stream the analysis.
+    let analysis = Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))?;
     let rule = rule_from_name(&sched.rule).unwrap_or(TerminationRule::Cooperative);
     let replay_once = |strict: bool| {
         let rec = SharedSink::new(FlightRecorder::new(capacity));
@@ -385,7 +387,8 @@ pub fn run_check(protocol: &Protocol, options: CheckOptions) -> Result<CheckRepo
     if options.threads > explore::MAX_THREADS {
         return Err(CheckError::TooManyThreads { max: explore::MAX_THREADS, got: options.threads });
     }
-    let analysis = Analysis::build(protocol)?;
+    // The theorem, the oracles and the runners read facts, never a graph.
+    let analysis = Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))?;
     let theorem = theorem::check_with(protocol, &analysis);
     let resil = resilience::resilience_with(protocol, &theorem);
     let certified = theorem.nonblocking();

@@ -80,8 +80,9 @@ impl Field {
 
     /// `self` and `next` as one field — `next`'s value above `self`'s —
     /// when `next` begins at the bit where `self` ends, in the same word.
+    /// (Built lazily: a field that fills its word cannot shift `next` in.)
     pub(crate) fn join(self, next: Field) -> Option<Field> {
-        (self.word == next.word && self.shift + self.bits() == next.shift).then_some(Field {
+        (self.word == next.word && self.shift + self.bits() == next.shift).then(|| Field {
             word: self.word,
             shift: self.shift,
             mask: self.mask | next.mask << self.bits(),
@@ -506,6 +507,18 @@ mod tests {
         fields[4].add(&mut words, 9);
         fields[4].sub(&mut words, 2);
         assert_eq!(fields[4].get(&words), 7);
+    }
+
+    #[test]
+    fn adjacent_fields_join_and_a_full_word_joins_nothing() {
+        let mut packer = Packer::default();
+        let fields: Vec<Field> = [16, 16, 32, 64].map(|b| packer.place(b)).into();
+        let low = fields[0].join(fields[1]).expect("adjacent in word 0");
+        assert_eq!(low, Field { word: 0, shift: 0, mask: u32::MAX.into() });
+        let full = low.join(fields[2]).expect("adjacent in word 0");
+        assert_eq!(full.bits(), 64);
+        assert_eq!(full.join(fields[3]), None, "the next field is in word 1");
+        assert_eq!(fields[1].join(fields[0]), None, "order matters");
     }
 
     #[test]

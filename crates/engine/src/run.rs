@@ -32,7 +32,9 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 use nbc_core::recovery_analysis::RecoveryClass;
-use nbc_core::{Analysis, Fsa, MsgKind, Protocol, StateClass, StateId, Transition, Vote};
+use nbc_core::{
+    Analysis, Fsa, MsgKind, Protocol, ReachOptions, StateClass, StateId, Transition, Vote,
+};
 use nbc_obs::{Event, EventKind, LinesSink, SharedSink, Tracer};
 use nbc_simnet::{DetectorEvent, LatencyModel, NetEvent, Network, Suspicion, Time};
 use nbc_storage::recovery::{summarize, TxnOutcome};
@@ -61,10 +63,11 @@ pub(crate) enum Timer {
 /// can defer the reachable-state-graph build until one of them needs it.
 #[derive(Clone, Copy)]
 pub enum AnalysisSource<'a> {
-    /// Built up front (sweeps, the checker: many failing runs, one graph).
+    /// Built up front (sweeps, the checker: many failing runs, one analysis).
     Built(&'a Analysis),
-    /// Built with the default options by the first failure-path read of
-    /// any run sharing the cell; failure-free runs leave it empty.
+    /// Built, streaming (a run reads facts, never a graph), by the first
+    /// failure-path read of any run sharing the cell; failure-free runs
+    /// leave it empty.
     OnDemand(&'a OnceLock<Analysis>),
 }
 
@@ -403,9 +406,10 @@ impl<'a> Runner<'a> {
     fn analysis(&self) -> &'a Analysis {
         match self.analysis {
             AnalysisSource::Built(analysis) => analysis,
-            AnalysisSource::OnDemand(cell) => {
-                cell.get_or_init(|| Analysis::build(self.protocol).expect("protocol analyzable"))
-            }
+            AnalysisSource::OnDemand(cell) => cell.get_or_init(|| {
+                let opts = ReachOptions::default().with_streaming(true);
+                Analysis::build_with(self.protocol, opts).expect("protocol analyzable")
+            }),
         }
     }
 

@@ -69,6 +69,16 @@ fn every_fault_budget_on_central_3pc() {
 }
 
 #[test]
+fn depth_truncated_runs() {
+    // A depth bound that cuts: each state's stats come from its deepest
+    // expansion, which only the depth-left revisit rule finds.
+    let at = |depth| CheckOptions { depth, ..CheckOptions::default() };
+    assert_eq!(counts(&central_2pc(3), at(9)), (4_038, 8_670, 1_009, true));
+    assert_eq!(counts(&central_3pc(3), at(10)), (4_207, 9_162, 1_266, true));
+    assert_eq!(counts(&decentralized_3pc(3), at(14)), (101_291, 367_537, 7_458, true));
+}
+
+#[test]
 fn false_suspicion_on_central_3pc() {
     let o = CheckOptions { suspicions: 1, ..CheckOptions::default() };
     assert_eq!(counts(&central_3pc(3), o), (164_620, 430_273, 31_050, false));

@@ -8,11 +8,13 @@
 //!   change a byte of the report, the JSON summary, or any replayable
 //!   schedule, at any thread count.
 //! * **Truncation determinism** — a `--max-states`-truncated run is
-//!   redone by the serial canonical sweep, so even its counts and
-//!   verdicts are identical across thread counts *and* traversal seeds.
+//!   redone by the serial canonical sweep, and a `--depth`-truncated one
+//!   keeps the depth-left revisit rule's fixpoint, so even their counts
+//!   and verdicts are identical across thread counts *and* traversal
+//!   seeds.
 
 use nbc_check::{run_check, CheckOptions, CheckReport};
-use nbc_core::protocols::{central_2pc, central_3pc};
+use nbc_core::protocols::{central_2pc, central_3pc, decentralized_3pc};
 
 /// Everything observable about two reports must agree: the full render
 /// (which inlines witness and counterexample JSONL), the JSON summary,
@@ -107,6 +109,41 @@ fn truncated_runs_are_identical_across_threads_and_seeds() {
             run.blocking_witness.as_ref().map(|w| w.to_jsonl()),
             "truncated witness diverged at threads={threads} seed={seed:?}"
         );
+    }
+}
+
+#[test]
+fn depth_truncated_runs_are_identical_across_threads_and_seeds() {
+    // A depth bound that cuts leaves no state cap to redo, so these runs
+    // keep the parallel sweep's own counts: the depth-left revisit rule
+    // must make them a function of (protocol, options) by itself.
+    let cases = [(central_2pc(3), 9), (central_3pc(3), 10), (decentralized_3pc(3), 14)];
+    for (protocol, depth) in &cases {
+        let opts = |threads, seed| CheckOptions {
+            depth: *depth,
+            threads,
+            seed,
+            ..CheckOptions::default()
+        };
+        let base = run_check(protocol, opts(1, None)).unwrap();
+        assert!(base.stats.truncated, "depth {depth} must actually truncate");
+        for threads in [2, 4] {
+            let run = run_check(protocol, opts(threads, None)).unwrap();
+            assert_identical(
+                &base,
+                &run,
+                &format!("{} depth {depth} at {threads} threads", protocol.name),
+            );
+        }
+        for (threads, seed) in [(1, 1), (2, 7), (4, 99)] {
+            let run = run_check(protocol, opts(threads, Some(seed))).unwrap();
+            assert_eq!(
+                render_sans_seed(&base),
+                render_sans_seed(&run),
+                "{} depth {depth} diverged at threads={threads} seed={seed}",
+                protocol.name
+            );
+        }
     }
 }
 

@@ -23,14 +23,17 @@ const PINNED: &str = "\
 0 2695037d4dd353a41ef982a03b113e8e - - $ analyze central-2pc
 0 7c95a7f74c9bfe961e4a19c4f9202960 - - $ analyze central-3pc -n 4 --threads 2
 0 5c7e1111bb837688b942ff49bd38ece7 - - $ analyze decentralized-3pc -n 3 --stream --threads 1
+0 9e8baab2ae541aa1e90e1c66ffb0e6cb - - $ analyze decentralized-3pc -n 3 --threads 1
 0 07667f7710bc70cd6fd41085a2963f13 18a5cba567d00a1162a41c80fe2df9aa - $ analyze central-3pc -n 4 --stream --mem-budget 1K
 0 ec5d3bb5aa9964619605a54e965f029b - - $ analyze central-3pc -n 3 --stream --progress
+0 e21e2cb781bbe286263a633ca8756516 - - $ analyze central-3pc
 0 97f5888d5d7db467b89265ab6d24488d - - $ analyze decentralized-2pc -n 2
 0 648ebc2473dbf3f3391db2c4ae020736 - - $ analyze 1pc
 0 a3abcd06a3531199ee04440eed3e1717 - - $ analyze kpc:4 -n 3
 0 a6c33ecc658e02e2c2bc43b068cec248 - - $ analyze paxos:1 -n 2
 0 7ccf6bb936da35ca1c38d6561a4bdbf2 - - $ analyze $S/linear-2pc.nbc -n 3
 0 f50c4b231ff9caeefc09e14b0095b8f4 - - $ analyze $S/linear-irrevocable.nbc -n 3 --stream
+0 ccaa252cb2bf8c48693fddda99b5446b - - $ analyze $S/linear-irrevocable.nbc -n 3
 0 be65ffb36ff82bd22c620cc5215d2072 - - $ verify central-3pc
 0 442a1d7341c61081764ff77f8e057fff - - $ verify central-2pc -n 4 --threads 2 --progress
 0 5da1fd5394fa366d0e74ae46908854e1 - - $ verify paxos:1 -n 2
@@ -153,14 +156,17 @@ const LINES: &[(&str, &[&str])] = &[
     ("analyze central-2pc", &[]),
     ("analyze central-3pc -n 4 --threads 2", &[]),
     ("analyze decentralized-3pc -n 3 --stream --threads 1", &[]),
+    ("analyze decentralized-3pc -n 3 --threads 1", &[]),
     ("analyze central-3pc -n 4 --stream --mem-budget 1K", &[]),
     ("analyze central-3pc -n 3 --stream --progress", &[]),
+    ("analyze central-3pc", &[]),
     ("analyze decentralized-2pc -n 2", &[]),
     ("analyze 1pc", &[]),
     ("analyze kpc:4 -n 3", &[]),
     ("analyze paxos:1 -n 2", &[]),
     ("analyze $S/linear-2pc.nbc -n 3", &[]),
     ("analyze $S/linear-irrevocable.nbc -n 3 --stream", &[]),
+    ("analyze $S/linear-irrevocable.nbc -n 3", &[]),
     // verify
     ("verify central-3pc", &[]),
     ("verify central-2pc -n 4 --threads 2 --progress", &[]),

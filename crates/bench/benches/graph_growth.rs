@@ -4,7 +4,7 @@
 
 use nbc_bench::BenchGroup;
 use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
-use nbc_core::{Analysis, ReachGraph, ReachOptions};
+use nbc_core::{Analysis, ReachGraph};
 use std::hint::black_box;
 
 fn bench_graph_build() {
@@ -24,26 +24,6 @@ fn bench_graph_build() {
     }
 }
 
-/// Serial vs. frontier-parallel construction on the big central 2PC
-/// instances (small ones are below the parallel threshold anyway).
-fn bench_graph_build_parallel() {
-    let mut g = BenchGroup::new("reach_graph_build_parallel");
-    g.sample_size(10);
-    for n in [7usize, 8] {
-        let p = central_2pc(n);
-        g.bench(&format!("central_2pc/{n}/serial"), || {
-            ReachGraph::build_serial(black_box(&p), ReachOptions::default()).unwrap().node_count()
-        });
-        for threads in [2usize, 4] {
-            g.bench(&format!("central_2pc/{n}/threads{threads}"), || {
-                ReachGraph::build_with(black_box(&p), ReachOptions::default().with_threads(threads))
-                    .unwrap()
-                    .node_count()
-            });
-        }
-    }
-}
-
 fn bench_full_analysis() {
     let mut g = BenchGroup::new("full_analysis");
     g.sample_size(20);
@@ -58,6 +38,5 @@ fn bench_full_analysis() {
 
 fn main() {
     bench_graph_build();
-    bench_graph_build_parallel();
     bench_full_analysis();
 }

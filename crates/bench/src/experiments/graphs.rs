@@ -65,8 +65,8 @@ pub fn e2_two_site_2pc_graph() -> String {
 }
 
 /// B5 — graph growth: "the reachable state graph grows exponentially with
-/// the number of sites", plus the serial-vs-parallel construction race on
-/// the large central 2PC instances the growth unlocks.
+/// the number of sites", plus the two routes to the analysis on the large
+/// central 2PC instances the growth unlocks.
 pub fn b5_graph_growth() -> String {
     b5_impl(6, &[6, 7, 8, 9], &[7, 10, 16, 24, 32, 48, 64])
 }
@@ -102,30 +102,6 @@ fn b5_impl(max_n: usize, timing_ns: &[usize], quotient_ns: &[usize]) -> String {
         growth.row(row);
     }
 
-    // Serial vs. frontier-parallel construction on central 2PC, where the
-    // growth actually bites. Parallel uses 4 worker threads; both builds
-    // are verified to agree on the node count (full bit-identity is a
-    // regression test in nbc-core).
-    let mut race =
-        Table::new(["central 2PC n", "global states", "serial", "parallel (4 threads)", "speedup"]);
-    for &n in timing_ns {
-        let p = central_2pc(n);
-        let t0 = std::time::Instant::now();
-        let gs = ReachGraph::build_serial(&p, ReachOptions::default()).expect("bounded");
-        let serial = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        let gp =
-            ReachGraph::build_with(&p, ReachOptions::default().with_threads(4)).expect("bounded");
-        let parallel = t1.elapsed();
-        assert_eq!(gs.node_count(), gp.node_count(), "parallel must match serial");
-        race.row([
-            n.to_string(),
-            gs.node_count().to_string(),
-            format!("{:.1} ms", serial.as_secs_f64() * 1e3),
-            format!("{:.1} ms", parallel.as_secs_f64() * 1e3),
-            format!("{:.2}x", serial.as_secs_f64() / parallel.as_secs_f64()),
-        ]);
-    }
     // The two routes to the analysis, end to end at the auto thread
     // count, and the streaming memory proxy: peak resident states against
     // the retained node vector.
@@ -187,8 +163,7 @@ fn b5_impl(max_n: usize, timing_ns: &[usize], quotient_ns: &[usize]) -> String {
     }
     format!(
         "{}\nGrowth factor per added site (≈ constant ⇒ exponential growth, \
-         as the paper observes):\n{}\nConstruction wall-clock, serial vs. \
-         frontier-parallel BFS:\n{}\nConcurrency-set analysis end to end: \
+         as the paper observes):\n{}\nConcurrency-set analysis end to end: \
          the graph built and then folded in one bitset pass over its \
          nodes, and the fold over a stream (streaming retires node \
          payloads per level; peak resident = frontier + deduplicated \
@@ -197,7 +172,6 @@ fn b5_impl(max_n: usize, timing_ns: &[usize], quotient_ns: &[usize]) -> String {
          counted (a sum past 2^128 - 1 prints as \"at least\"):\n{}",
         t.render(),
         growth.render(),
-        race.render(),
         analysis.render(),
         quotient.render()
     )
@@ -222,8 +196,6 @@ mod tests {
         let s = b5_impl(3, &[3], &[4]);
         assert!(s.contains("Growth factor"));
         assert!(s.contains("central-site 2PC"));
-        assert!(s.contains("serial vs"));
-        assert!(s.contains("speedup"));
         assert!(s.contains("retained (graph + bitset pass)  streamed  peak resident"), "{s}");
         assert!(s.contains("peak resident"));
         // 156 states of central 3PC n=4 from 49 representatives.

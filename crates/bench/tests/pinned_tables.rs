@@ -27,10 +27,10 @@ fn b4_prints_the_committed_table() {
 
 #[test]
 fn b6_prints_the_committed_table() {
-    assert_pinned("b6", 746, 761);
+    assert_pinned("b6", 738, 753);
 }
 
 #[test]
 fn b8_prints_the_committed_tables() {
-    assert_pinned("b8", 768, 789);
+    assert_pinned("b8", 760, 781);
 }

@@ -199,9 +199,10 @@ impl Flag {
     }
 }
 
-/// Commands that build the reachable graph of a PROTO.
+/// Commands that explore the reachable states of a PROTO.
 const REACH: u16 = Graph as u16 | Verify as u16 | FOLD;
-/// Commands that can build it as a streaming fold instead.
+/// Commands that read facts only, folded over a stream of the states
+/// without retaining the graph; `graph` and `verify` read its edges.
 const FOLD: u16 = Analyze as u16 | Synthesize as u16 | RUNS;
 /// Commands that run the engine on a [`crate::SimOpts`] configuration.
 const RUNS: u16 = Simulate as u16 | Sweep as u16 | DEMO;
@@ -227,21 +228,16 @@ pub const FLAGS: &[Flag] = &[
         &["--threads"],
         "T",
         Kind::Num(0, nbc_core::MAX_THREADS as u64, "worker threads"),
-        REACH | CHECK,
+        FOLD | CHECK,
     )
     .help(
-        "worker threads for the reachability analysis, or for check's exploration (0 = auto, at \
-         most 64; results are identical at any thread count).",
+        "worker threads for the analysis fold, or for check's exploration (0 = auto, at most 64; \
+         results are identical at any thread count).",
     ),
-    switch(&["--stream"], FOLD).help(
-        "fold the analysis level by level without retaining the state graph — lower memory, but \
-         graph consumers (`verify`, `graph`) need the retaining default.",
-    ),
-    option(&["--mem-budget"], "B", Kind::Bytes, FOLD | CHECK).requires("--stream", FOLD).help(
+    option(&["--mem-budget"], "B", Kind::Bytes, FOLD | CHECK).help(
         "cap the in-RAM dedup store at B bytes (64K, 16M, 1G, or plain bytes), spilling sorted \
          runs to temp files past it. Results are byte-identical with or without a budget; spill \
-         stats print on stderr. Outside check it caps the --stream fold (the retained graph \
-         holds every state and has nothing to spill).",
+         stats print on stderr.",
     ),
     switch(&["--progress"], REACH | CHECK).help(
         "per-level BFS progress (frontier, new states, dedup hits, states/sec) on stderr while \
@@ -788,7 +784,7 @@ mod tests {
     fn a_qualifier_without_its_subject_is_refused() {
         let words = |l: &str| l.split_whitespace().map(str::to_string).collect::<Vec<_>>();
         for (bad, good) in [
-            ("analyze 3pc --mem-budget 1K", "analyze 3pc --mem-budget 1K --stream"),
+            ("termination 3pc --flight-cap 9", "analyze 3pc --mem-budget 1K"),
             ("simulate 3pc --detector-jitter 1..5", "check 3pc --mem-budget 1K"),
             ("sweep 3pc --trace-format chrome", "sweep 3pc --recover 5"),
             ("pipeline 3pc --flight-cap 9", "termination 3pc --recover 5"),

@@ -109,21 +109,26 @@ fn run(inv: &Invocation) -> Result<CheckRun, CliError> {
     }
 }
 
-/// The eight commands that resolve PROTO and build its reachable graph.
+/// The eight commands that resolve PROTO and explore its reachable states.
 fn run_on_protocol(inv: &Invocation) -> Result<String, CliError> {
     let protocol = resolve_protocol(&inv.operands[0], inv.n())?;
-    let (threads, progress) = (inv.num("--threads").unwrap_or(0), inv.has("--progress"));
-    if inv.cmd == Cmd::Graph {
-        return cmd_graph(&protocol, inv.has("--dot"), threads, progress);
+    let progress = inv.has("--progress");
+    match inv.cmd {
+        Cmd::Graph => return cmd_graph(&protocol, inv.has("--dot"), progress),
+        Cmd::Verify => {
+            let graph = build_graph(&protocol, progress)?;
+            return cmd_verify(&protocol, &Analysis::from_graph(&protocol, graph));
+        }
+        _ => {}
     }
-    // Every remaining command consumes the analysis; build it once and
-    // share it across the theorem/resilience/termination/report subpaths.
-    let budget = inv.num("--mem-budget").unwrap_or(0);
-    let analysis = build_analysis(&protocol, threads, inv.has("--stream"), progress, budget)?;
+    // Every remaining command reads facts only; fold them once and share
+    // them across the theorem/resilience/termination/report subpaths.
+    let (threads, budget) =
+        (inv.num("--threads").unwrap_or(0), inv.num("--mem-budget").unwrap_or(0));
+    let analysis = build_analysis(&protocol, threads, progress, budget)?;
     let opts = SimOpts::of(inv);
     match inv.cmd {
         Cmd::Analyze => cmd_analyze(&protocol, &analysis),
-        Cmd::Verify => cmd_verify(&protocol, &analysis),
         Cmd::Synthesize => cmd_synthesize(&protocol, &analysis),
         Cmd::Simulate => cmd_simulate(&protocol, &analysis, &opts),
         Cmd::Sweep => cmd_sweep(&protocol, &analysis, &opts),
@@ -212,53 +217,53 @@ pub fn cmd_list() -> String {
 }
 
 /// Build the single [`Analysis`] an invocation shares across every
-/// analysis-consuming subcommand (theorem, resilience, sync, termination,
-/// recovery, simulation), honoring `--threads`, `--stream`, and
-/// `--progress`.
-///
-/// With `stream` set the reachability fold retires node payloads level by
-/// level and retains no graph — graph consumers ([`cmd_verify`],
-/// `--dot`) need the default retaining mode.
+/// facts-only subcommand (theorem, resilience, sync, termination,
+/// recovery, simulation), honoring `--threads`, `--mem-budget` and
+/// `--progress`. The reachability fold retires node payloads level by
+/// level and retains no graph; [`cmd_graph`] and [`cmd_verify`], which
+/// read edges, build the graph instead.
 pub fn build_analysis(
     protocol: &Protocol,
     threads: usize,
-    stream: bool,
     progress: bool,
     mem_budget: usize,
 ) -> Result<Analysis, CliError> {
     let mut opts = ReachOptions::default()
         .with_threads(threads)
-        .with_streaming(stream)
+        .with_streaming(true)
         .with_mem_budget(mem_budget);
     if progress {
         opts = opts.with_progress(print_progress);
     }
-    let analysis = Analysis::build_with(protocol, opts).map_err(|e| reach_error(e, !stream))?;
+    let analysis = Analysis::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
     if mem_budget > 0 {
-        if let Some(st) = analysis.stream_stats() {
-            let s = st.spill;
-            eprintln!(
-                "{}",
-                nbc_obs::progress::spill_line(
-                    "reach",
-                    s.runs_written,
-                    s.bytes_written,
-                    s.merge_passes
-                )
-            );
-        }
+        let s = analysis.stream_stats().expect("a streamed analysis carries its stats").spill;
+        eprintln!(
+            "{}",
+            nbc_obs::progress::spill_line("reach", s.runs_written, s.bytes_written, s.merge_passes)
+        );
     }
     Ok(analysis)
 }
 
-/// A failed build as a CLI error. A retained build that ran into the state
-/// limit names the way out: the streaming fold holds one representative
-/// per orbit of interchangeable sites, and no graph.
-fn reach_error(e: ProtocolError, retained: bool) -> CliError {
+/// Build the retained reachable graph, for the commands that read its
+/// edges (`graph`, `verify`), honoring `--progress`.
+fn build_graph(protocol: &Protocol, progress: bool) -> Result<ReachGraph, CliError> {
+    let mut opts = ReachOptions::default();
+    if progress {
+        opts = opts.with_progress(print_progress);
+    }
+    ReachGraph::build_with(protocol, opts).map_err(graph_error)
+}
+
+/// A failed retained build as a CLI error. One that ran into the state
+/// limit names the way out: the streaming fold behind `nbc analyze` holds
+/// one representative per orbit of interchangeable sites, and no graph.
+fn graph_error(e: ProtocolError) -> CliError {
     match e {
-        ProtocolError::GraphTooLarge { .. } if retained => CliError(format!(
-            "{e} (`nbc analyze --stream` folds the facts without keeping the graph)"
-        )),
+        ProtocolError::GraphTooLarge { .. } => {
+            CliError(format!("{e} (`nbc analyze` folds the facts without keeping the graph)"))
+        }
         e => CliError(e.to_string()),
     }
 }
@@ -324,15 +329,7 @@ pub fn cmd_analyze(protocol: &Protocol, analysis: &Analysis) -> Result<String, C
 
     let mut out = String::new();
     let _ = writeln!(out, "{protocol}");
-    match analysis.graph() {
-        Some(g) => {
-            let _ = writeln!(out, "reachable state graph: {}", g.stats());
-        }
-        None => {
-            let st = analysis.stream_stats().expect("streamed analysis carries stream stats");
-            let _ = writeln!(out, "streamed analysis: {st}");
-        }
-    }
+    let _ = writeln!(out, "reachable state graph: {}", analysis.graph_stats());
     let _ = writeln!(
         out,
         "synchronous within one state transition: {}",
@@ -349,11 +346,8 @@ pub fn cmd_analyze(protocol: &Protocol, analysis: &Analysis) -> Result<String, C
     Ok(out)
 }
 
-/// `nbc verify PROTO`
+/// `nbc verify PROTO`, over an analysis that retains its graph.
 pub fn cmd_verify(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
-    if analysis.graph().is_none() {
-        return fail("verify model-checks the retained reachable graph; rerun without --stream");
-    }
     let v = verify::verify_termination_with(protocol, analysis);
     let mut out = String::new();
     let _ = writeln!(
@@ -388,14 +382,9 @@ pub fn cmd_verify(protocol: &Protocol, analysis: &Analysis) -> Result<String, Cl
 pub fn cmd_graph(
     protocol: &Protocol,
     dot_output: bool,
-    threads: usize,
     progress: bool,
 ) -> Result<String, CliError> {
-    let mut opts = ReachOptions::default().with_threads(threads);
-    if progress {
-        opts = opts.with_progress(print_progress);
-    }
-    let g = ReachGraph::build_with(protocol, opts).map_err(|e| reach_error(e, true))?;
+    let g = build_graph(protocol, progress)?;
     if dot_output {
         Ok(dot::reach_graph_to_dot(&g, protocol, true))
     } else {
@@ -906,7 +895,7 @@ pub fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
 /// delays (the latest decision latency under the constant-1 lockstep
 /// clock) per committed transaction.
 fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), CliError> {
-    let analysis = build_analysis(protocol, 0, false, false, 0)?;
+    let analysis = build_analysis(protocol, 0, false, 0)?;
     let cfg = RunConfig::happy(protocol.n_sites());
     let opts = SimOpts { metrics: true, ..SimOpts::default() };
     let observers = Observers::of(&opts);
@@ -1295,15 +1284,13 @@ mod tests {
         // nodes and some 17 M edges before it gives up.
         let over = ProtocolError::GraphTooLarge { limit: 4_194_304 };
         assert_eq!(
-            reach_error(over.clone(), true).0,
+            graph_error(over).0,
             "reachable state graph exceeds limit of 4194304 global states \
-             (`nbc analyze --stream` folds the facts without keeping the graph)"
+             (`nbc analyze` folds the facts without keeping the graph)"
         );
-        // The fold has nothing further to suggest, and no other error
-        // grows a hint.
-        assert_eq!(reach_error(over.clone(), false).0, over.to_string());
+        // No other error grows a hint.
         let threads = ProtocolError::TooManyThreads { max: 64, got: 65 };
-        assert_eq!(reach_error(threads.clone(), true).0, threads.to_string());
+        assert_eq!(graph_error(threads.clone()).0, threads.to_string());
     }
 
     #[test]
@@ -1316,19 +1303,20 @@ mod tests {
         assert!(resolve_protocol("/does/not/exist.nbc", 3).is_err());
     }
 
-    fn retained(p: &Protocol) -> Analysis {
-        build_analysis(p, 0, false, false, 0).unwrap()
+    fn streamed(p: &Protocol) -> Analysis {
+        build_analysis(p, 0, false, 0).unwrap()
     }
 
     #[test]
     fn analyze_reports_verdicts() {
         let p = resolve_protocol("2pc", 3).unwrap();
-        let out = cmd_analyze(&p, &retained(&p)).unwrap();
+        let out = cmd_analyze(&p, &streamed(&p)).unwrap();
         assert!(out.contains("BLOCKING"));
         assert!(out.contains("1 clean site(s) of 3"));
         let p = resolve_protocol("3pc", 3).unwrap();
-        let out = cmd_analyze(&p, &retained(&p)).unwrap();
+        let out = cmd_analyze(&p, &streamed(&p)).unwrap();
         assert!(out.contains("NONBLOCKING"));
+        assert_eq!(out, cmd_analyze(&p, &Analysis::build(&p).unwrap()).unwrap());
     }
 
     #[test]
@@ -1336,47 +1324,25 @@ mod tests {
         // A 1-byte budget forces a spill after every level; the rendered
         // analysis must not change by a byte.
         let p = resolve_protocol("3pc", 3).unwrap();
-        let unlimited = cmd_analyze(&p, &build_analysis(&p, 2, true, false, 0).unwrap()).unwrap();
-        let budgeted = cmd_analyze(&p, &build_analysis(&p, 2, true, false, 1).unwrap()).unwrap();
+        let unlimited = cmd_analyze(&p, &build_analysis(&p, 2, false, 0).unwrap()).unwrap();
+        let budgeted = cmd_analyze(&p, &build_analysis(&p, 2, false, 1).unwrap()).unwrap();
         assert_eq!(unlimited, budgeted);
-    }
-
-    #[test]
-    fn streamed_analyze_matches_retained_verdicts() {
-        for (name, verdict) in [("2pc", "BLOCKING"), ("3pc", "NONBLOCKING")] {
-            let p = resolve_protocol(name, 3).unwrap();
-            let streamed = build_analysis(&p, 2, true, false, 0).unwrap();
-            let out = cmd_analyze(&p, &streamed).unwrap();
-            assert!(out.contains(verdict), "{name}: {out}");
-            assert!(out.contains("streamed analysis:"), "{name}: {out}");
-            assert!(out.contains("graph not retained"), "{name}: {out}");
-            // Everything below the stats line is identical to the retained run.
-            let retained_out = cmd_analyze(&p, &retained(&p)).unwrap();
-            let tail = |s: &str| s.lines().skip_while(|l| !l.starts_with("synchronous")).count();
-            assert_eq!(tail(&out), tail(&retained_out));
-        }
     }
 
     #[test]
     fn verify_distinguishes_blocking() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        assert!(cmd_verify(&p, &retained(&p)).unwrap().contains("HOLDS — nonblocking"));
+        let retained = Analysis::build(&p).unwrap();
+        assert!(cmd_verify(&p, &retained).unwrap().contains("HOLDS — nonblocking"));
         let p = resolve_protocol("2pc", 3).unwrap();
-        assert!(cmd_verify(&p, &retained(&p)).unwrap().contains("blocking"));
-    }
-
-    #[test]
-    fn verify_rejects_streamed_analysis() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let streamed = build_analysis(&p, 0, true, false, 0).unwrap();
-        let err = cmd_verify(&p, &streamed).unwrap_err();
-        assert!(err.0.contains("--stream"), "{err}");
+        let retained = Analysis::build(&p).unwrap();
+        assert!(cmd_verify(&p, &retained).unwrap().contains("blocking"));
     }
 
     #[test]
     fn simulate_happy_path() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let out = cmd_simulate(&p, &retained(&p), &SimOpts::default()).unwrap();
+        let out = cmd_simulate(&p, &streamed(&p), &SimOpts::default()).unwrap();
         assert!(out.contains("committed"));
         assert!(out.contains("preserved"));
     }
@@ -1386,7 +1352,7 @@ mod tests {
         let p = resolve_protocol("3pc", 3).unwrap();
         let opts =
             SimOpts { crash: Some((0, 3, Some(1))), recover: Some(300), ..SimOpts::default() };
-        let out = cmd_simulate(&p, &retained(&p), &opts).unwrap();
+        let out = cmd_simulate(&p, &streamed(&p), &opts).unwrap();
         assert!(out.contains("preserved"), "{out}");
     }
 
@@ -1397,7 +1363,7 @@ mod tests {
         // (alignment) before deciding, so the whole termination protocol
         // shows up in the trace.
         let opts = SimOpts { crash: Some((0, 2, Some(1))), trace: true, ..SimOpts::default() };
-        let out = cmd_simulate(&p, &retained(&p), &opts).unwrap();
+        let out = cmd_simulate(&p, &streamed(&p), &opts).unwrap();
         assert!(out.contains("CRASH"), "{out}");
         assert!(out.contains("align-to"), "{out}");
         assert!(out.contains("align-ack"), "{out}");
@@ -1408,9 +1374,9 @@ mod tests {
     #[test]
     fn sweep_verdicts() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        assert!(cmd_sweep(&p, &retained(&p), &SimOpts::default()).unwrap().contains("nonblocking"));
+        assert!(cmd_sweep(&p, &streamed(&p), &SimOpts::default()).unwrap().contains("nonblocking"));
         let p = resolve_protocol("2pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let opts = SimOpts { rule: TerminationRule::Cooperative, ..SimOpts::default() };
         assert!(cmd_sweep(&p, &a, &opts).unwrap().contains("blocking window"));
         let opts =
@@ -1421,35 +1387,31 @@ mod tests {
     #[test]
     fn synthesize_2pc() {
         let p = resolve_protocol("2pc", 3).unwrap();
-        let out = cmd_synthesize(&p, &retained(&p)).unwrap();
+        let out = cmd_synthesize(&p, &streamed(&p)).unwrap();
         assert!(out.contains("after:  0 violation(s), 3 phase(s)"), "{out}");
     }
 
     #[test]
     fn tables_render() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let o = SimOpts::default();
         assert!(cmd_termination(&p, &a, &o).unwrap().contains("commit"));
         assert!(cmd_recovery(&p, &a, &o).unwrap().contains("must ask"));
-        assert!(cmd_graph(&p, false, 0, false).unwrap().contains("global states"));
-        assert!(cmd_graph(&p, true, 0, false).unwrap().contains("digraph"));
-        assert_eq!(
-            cmd_graph(&p, false, 1, false).unwrap(),
-            cmd_graph(&p, false, 4, false).unwrap()
-        );
+        assert!(cmd_graph(&p, false, false).unwrap().contains("global states"));
+        assert!(cmd_graph(&p, true, false).unwrap().contains("digraph"));
     }
 
     #[test]
     fn tables_identical_under_streaming() {
         // Termination and recovery tables are pure concurrency-set
-        // queries, so the streamed analysis must produce byte-identical
-        // output at any thread count.
+        // queries, so the streamed analysis must produce the retained
+        // one's bytes at any thread count.
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = Analysis::build(&p).unwrap();
         let o = SimOpts::default();
         for threads in [1, 2, 4] {
-            let s = build_analysis(&p, threads, true, false, 0).unwrap();
+            let s = build_analysis(&p, threads, false, 0).unwrap();
             assert_eq!(cmd_termination(&p, &a, &o).unwrap(), cmd_termination(&p, &s, &o).unwrap());
             assert_eq!(cmd_recovery(&p, &a, &o).unwrap(), cmd_recovery(&p, &s, &o).unwrap());
         }
@@ -1483,7 +1445,7 @@ mod tests {
     #[test]
     fn simulate_json_and_metrics() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let out = cmd_simulate(&p, &a, &SimOpts { json: true, ..SimOpts::default() }).unwrap();
         nbc_obs::json::validate(out.trim()).unwrap();
         assert!(out.contains("\"decision\":true"), "{out}");
@@ -1497,7 +1459,7 @@ mod tests {
     #[test]
     fn simulate_writes_trace_files() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let dir = std::env::temp_dir();
         let jsonl = dir.join("nbc-cli-test-trace.jsonl");
         let chrome = dir.join("nbc-cli-test-trace.chrome.json");
@@ -1530,7 +1492,7 @@ mod tests {
     #[test]
     fn sweep_json_is_valid() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let out = cmd_sweep(&p, &a, &SimOpts { json: true, ..SimOpts::default() }).unwrap();
         nbc_obs::json::validate(out.trim()).unwrap();
         assert!(out.contains("\"nonblocking\":true"), "{out}");
@@ -1539,7 +1501,7 @@ mod tests {
     #[test]
     fn tables_append_exemplar_run_when_observed() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let opts = SimOpts { metrics: true, ..SimOpts::default() };
         let out = cmd_termination(&p, &a, &opts).unwrap();
         assert!(out.contains("exemplar run"), "{out}");
@@ -1570,7 +1532,7 @@ mod tests {
     #[test]
     fn trace_verify_passes_on_recorded_trace() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let path = std::env::temp_dir().join("nbc-cli-test-trace-verify.jsonl");
         let opts = SimOpts {
             crash: Some((0, 2, Some(1))),
@@ -1597,7 +1559,7 @@ mod tests {
     #[test]
     fn trace_verify_detects_corruption() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let path = std::env::temp_dir().join("nbc-cli-test-trace-corrupt.jsonl");
         let opts =
             SimOpts { trace_path: Some(path.to_string_lossy().into_owned()), ..SimOpts::default() };
@@ -1674,7 +1636,7 @@ mod tests {
         let dir = std::env::temp_dir();
         // Clean run: no dump.
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let clean = dir.join("nbc-cli-test-flight-clean.jsonl");
         let _ = std::fs::remove_file(&clean);
         let opts = SimOpts {
@@ -1686,7 +1648,7 @@ mod tests {
 
         // Blocked run (2PC coordinator crash, cooperative rule): dump.
         let p = resolve_protocol("2pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let bad = dir.join("nbc-cli-test-flight-bad.jsonl");
         let _ = std::fs::remove_file(&bad);
         let opts = SimOpts {
@@ -1709,7 +1671,7 @@ mod tests {
     #[test]
     fn simulate_json_with_metrics_nests_both() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let a = retained(&p);
+        let a = streamed(&p);
         let opts = SimOpts { json: true, metrics: true, ..SimOpts::default() };
         let out = cmd_simulate(&p, &a, &opts).unwrap();
         let v = nbc_obs::json::parse(out.trim()).unwrap();

@@ -102,19 +102,10 @@ fn a_thread_count_over_the_limit_exits_two() {
 
 #[test]
 fn a_reach_thread_count_over_the_limit_exits_two() {
-    // The graph builders cut a frontier into `--threads` parts and spawn a
-    // worker per part: `analyze central-3pc -n 9 --threads 1000000` used to
-    // abort (exit 134, "failed to spawn thread").
-    let commands = [
-        "graph",
-        "analyze",
-        "verify",
-        "synthesize",
-        "simulate",
-        "sweep",
-        "termination",
-        "recovery",
-    ];
+    // The streaming fold cuts a frontier into `--threads` parts and spawns
+    // a worker per part: `analyze central-3pc -n 9 --threads 1000000` used
+    // to abort (exit 134, "failed to spawn thread").
+    let commands = ["analyze", "synthesize", "simulate", "sweep", "termination", "recovery"];
     for cmd in commands {
         for threads in ["65", "1000000"] {
             let out = nbc(&[cmd, "central-3pc", "-n", "4", "--threads", threads]);
@@ -133,16 +124,36 @@ fn a_reach_thread_count_over_the_limit_exits_two() {
 }
 
 #[test]
+fn the_deleted_stream_flag_and_the_retained_thread_count_exit_two() {
+    // Every facts-only command streams, so `--stream` is gone; `graph` and
+    // `verify` build the retained graph in one serial loop, so they read
+    // no thread count. Both are refusals naming the flag, not a run.
+    let mut lines: Vec<(Vec<&str>, &str)> = nbc_cli::args::COMMANDS
+        .iter()
+        .map(|c| (vec![c.names[0], "central-3pc", "--stream"], "--stream"))
+        .collect();
+    for cmd in ["graph", "verify"] {
+        for threads in ["1", "4"] {
+            lines.push((vec![cmd, "central-3pc", "--threads", threads], "--threads"));
+        }
+    }
+    for (args, flag) in lines {
+        let out = nbc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.starts_with("error: ") && first.contains(flag), "{args:?}: {first}");
+        assert!(out.stdout.is_empty(), "{args:?}: a refused command prints nothing");
+    }
+}
+
+#[test]
 fn flags_a_command_would_ignore_exit_two() {
     // Each of these used to exit 0 having dropped the flag: `graph` built
-    // the retained graph with no budget, `analyze` without `--stream` held
-    // every state whatever `--mem-budget` said.
+    // the retained graph with no budget.
     for (args, flag) in [
-        (&["graph", "central-3pc", "--stream"][..], "--stream"),
-        (&["graph", "central-3pc", "--stream", "--mem-budget", "1K"][..], "--stream"),
         (&["graph", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
-        (&["analyze", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
-        (&["synthesize", "central-2pc", "--mem-budget", "64K"][..], "--mem-budget"),
+        (&["verify", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
         // The flag loop every analysis command shared parsed all of these
         // and handed each command only what it reads: text where JSON was
         // asked for, sites 9 and 77 never checked, the perfect detector
@@ -184,10 +195,13 @@ fn flags_a_command_would_ignore_exit_two() {
         assert!(out.stdout.is_empty(), "{args:?}: a refused command prints nothing");
     }
     // With the fold it caps, the budget runs and changes nothing on stdout.
-    let budgeted = nbc(&["analyze", "central-3pc", "--stream", "--mem-budget", "1K"]);
-    assert_eq!(budgeted.status.code(), Some(0), "{}", String::from_utf8_lossy(&budgeted.stderr));
-    assert!(String::from_utf8_lossy(&budgeted.stderr).starts_with("reach spill: "));
-    assert_eq!(budgeted.stdout, nbc(&["analyze", "central-3pc", "--stream"]).stdout);
+    for cmd in ["analyze", "synthesize"] {
+        let budgeted = nbc(&[cmd, "central-3pc", "--mem-budget", "1K"]);
+        let stderr = String::from_utf8_lossy(&budgeted.stderr);
+        assert_eq!(budgeted.status.code(), Some(0), "{cmd}: {stderr}");
+        assert!(stderr.starts_with("reach spill: "), "{cmd}: {stderr}");
+        assert_eq!(budgeted.stdout, nbc(&[cmd, "central-3pc"]).stdout, "{cmd}");
+    }
     // `--recover` is its own subject where the command supplies the crashes.
     for cmd in ["sweep", "termination", "recovery"] {
         let out = nbc(&[cmd, "central-3pc", "--recover", "300"]);
@@ -607,13 +621,13 @@ fn a_command_that_parsed_and_failed_prints_its_error_and_no_synopsis() {
 }
 
 #[test]
-fn the_streamed_analysis_runs_past_the_retained_state_limit() {
-    // 15 909 884 global states, four times the retained builders' limit,
-    // stood for by a few hundred orbit representatives: this exited 2 with
-    // `GraphTooLarge` after expanding 4.2 M states.
-    let out = nbc(&["analyze", "central-3pc", "-n", "12", "--stream"]);
+fn the_analysis_runs_past_the_retained_state_limit() {
+    // 15 909 884 global states, four times the retained builder's limit,
+    // stood for by a few hundred orbit representatives: without `--stream`
+    // this exited 2 with `GraphTooLarge` after expanding 4.2 M states.
+    let out = nbc(&["analyze", "central-3pc", "-n", "12"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("streamed analysis: 15909884 global states across 37 levels"));
+    assert!(stdout.contains("reachable state graph: 15909884 global states, "), "{stdout}");
     assert!(stdout.contains("NONBLOCKING (both theorem conditions hold)"), "{stdout}");
 }

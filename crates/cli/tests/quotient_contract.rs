@@ -1,31 +1,22 @@
 //! The text side of `crates/core/tests/quotient_contract.rs`: what `nbc
-//! analyze --stream` prints for the catalog at n=7 is what `nbc analyze`
-//! prints, but for the one line that says which of the two ran.
+//! analyze` prints for the catalog at n=7, from the streaming fold, is
+//! what `cmd_analyze` prints over the retained build, byte for byte.
 
 use std::process::Command;
 
-fn analyze(protocol: &str, stream: bool) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_nbc"));
-    cmd.args(["analyze", protocol, "-n", "7"]);
-    if stream {
-        cmd.arg("--stream");
-    }
-    let out = cmd.output().expect("run nbc binary");
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    String::from_utf8(out.stdout).expect("utf-8")
-}
+use nbc_cli::{cmd_analyze, resolve_protocol};
+use nbc_core::Analysis;
 
 #[test]
-fn streamed_and_retained_reports_differ_in_one_line() {
+fn the_streamed_report_is_the_retained_report() {
     for protocol in ["central-2pc", "decentralized-2pc", "central-3pc", "decentralized-3pc"] {
-        let without = |text: &str, prefix: &str| -> Vec<String> {
-            let kept: Vec<String> =
-                text.lines().filter(|l| !l.starts_with(prefix)).map(str::to_string).collect();
-            assert_eq!(kept.len() + 1, text.lines().count(), "{protocol}: one {prefix:?} line");
-            kept
-        };
-        let retained = without(&analyze(protocol, false), "reachable state graph:");
-        let streamed = without(&analyze(protocol, true), "streamed analysis:");
-        assert_eq!(streamed, retained, "{protocol}");
+        let out = Command::new(env!("CARGO_BIN_EXE_nbc"))
+            .args(["analyze", protocol, "-n", "7"])
+            .output()
+            .expect("run nbc binary");
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let p = resolve_protocol(protocol, 7).unwrap();
+        let retained = cmd_analyze(&p, &Analysis::build(&p).unwrap()).unwrap();
+        assert_eq!(String::from_utf8(out.stdout).expect("utf-8"), retained, "{protocol}");
     }
 }

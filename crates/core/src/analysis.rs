@@ -42,9 +42,11 @@
 //! With [`ReachOptions::stream`] set, the fold runs over a *stream*
 //! instead: node payloads are retired as soon as their BFS level has been
 //! expanded, only the current frontier stays resident, and no
-//! [`ReachGraph`] is kept — [`Analysis::graph`] returns `None`. Graph
-//! consumers (DOT rendering, termination verification, transition-lead
-//! measurement) need the default retaining mode.
+//! [`ReachGraph`] is kept — [`Analysis::graph`] returns `None`, while
+//! [`Analysis::graph_stats`] reads the same counts either way. Every
+//! facts-only `nbc` command streams. Graph consumers (DOT rendering,
+//! termination verification, transition-lead measurement) need the
+//! default retaining mode.
 //!
 //! [`Vote`]: crate::fsa::Vote
 //! [`cs_has_commit`]: Analysis::cs_has_commit
@@ -60,7 +62,7 @@ use crate::facts::{
 use crate::fsa::StateClass;
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
-use crate::reach::{self, ReachGraph, ReachOptions, StreamStats};
+use crate::reach::{self, GraphStats, ReachGraph, ReachOptions, StreamStats};
 use crate::recovery_analysis::{self, RecoveryClass};
 use crate::termination::{self, ClassDecisionTable};
 
@@ -217,6 +219,16 @@ impl Analysis {
     /// [`ReachOptions::stream`].
     pub fn stream_stats(&self) -> Option<&StreamStats> {
         self.stream.as_ref()
+    }
+
+    /// The reachable graph's classification counts, whichever route built
+    /// the analysis: [`ReachGraph::stats`] of the retained graph, or the
+    /// equal orbit-weighted sums the streaming fold counted.
+    pub fn graph_stats(&self) -> GraphStats {
+        match &self.graph {
+            Some(graph) => graph.stats(),
+            None => self.stream.expect("an analysis without a graph was streamed").graph,
+        }
     }
 
     /// Number of sites of the analyzed protocol.
@@ -547,6 +559,7 @@ mod tests {
         assert!(streamed.graph().is_none());
         let stats = streamed.stream_stats().unwrap();
         assert_eq!(stats.distinct_states, retained.graph().unwrap().node_count() as u128);
+        assert_eq!(streamed.graph_stats(), retained.graph_stats());
         assert!(stats.levels > 1 && stats.peak_resident >= 1);
         for site in p.sites() {
             for i in 0..p.fsa(site).state_count() {

@@ -1,7 +1,7 @@
 //! The retained reachable state graph: the exact id table, the serial loop
-//! and the chunked workers that build it, and what a finished
-//! [`ReachGraph`] answers. The builders build and nothing else — an
-//! analysis meets the graph afterwards, through `ReachGraph::fold_nodes`.
+//! that builds it, and what a finished [`ReachGraph`] answers. The builder
+//! builds and nothing else — an analysis meets the graph afterwards,
+//! through `ReachGraph::fold_nodes`.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -10,7 +10,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use super::program::{for_each_successor, Program};
-use super::{fan_out, fingerprint, Edge, GlobalState, LevelProgress, NodeId, ReachOptions};
+use super::{fingerprint, Count, Edge, GlobalState, LevelProgress, NodeId, ReachOptions};
 use crate::codec::{PackedArena, StateCodec};
 use crate::error::ProtocolError;
 use crate::fp128::FpBuildHasher;
@@ -37,8 +37,8 @@ pub struct ReachGraph {
     classes: Vec<Vec<StateClass>>,
 }
 
-/// The high half of [`fingerprint`]: the key of the retained builders'
-/// [`IdTable`]s, which confirm a hit by comparing words.
+/// The high half of [`fingerprint`]: the key of the retained builder's
+/// [`IdTable`], which confirms a hit by comparing words.
 #[inline]
 fn state_hash(words: &[u64]) -> u64 {
     (fingerprint(words) >> 64) as u64
@@ -47,9 +47,8 @@ fn state_hash(words: &[u64]) -> u64 {
 /// An exact `hash → id` index over states kept elsewhere: the first id
 /// recorded under a hash sits in the map, later ones (a 64-bit collision
 /// between distinct states) in an overflow list, and the caller's `same`
-/// confirms a candidate id by comparing states. The serial loop, the
-/// parallel coordinator and the workers' chunk-local maps all intern
-/// through it; the hash is an argument so a test can force a collision.
+/// confirms a candidate id by comparing states. The hash is an argument so
+/// a test can force a collision.
 #[derive(Default)]
 struct IdTable {
     first: HashMap<u64, u32, FpBuildHasher>,
@@ -57,13 +56,8 @@ struct IdTable {
 }
 
 impl IdTable {
-    /// The id recorded under `hash` that `same` confirms.
-    fn find(&self, hash: u64, same: impl Fn(u32) -> bool) -> Option<u32> {
-        Self::confirm(*self.first.get(&hash)?, &self.overflow, hash, same)
-    }
-
-    /// As [`IdTable::find`]; when nothing matches, records `fresh` under
-    /// `hash` and returns `None`.
+    /// The id recorded under `hash` that `same` confirms; when nothing
+    /// matches, records `fresh` under `hash` and returns `None`.
     fn intern(&mut self, hash: u64, fresh: u32, same: impl Fn(u32) -> bool) -> Option<u32> {
         match self.first.entry(hash) {
             Entry::Vacant(slot) => {
@@ -71,7 +65,12 @@ impl IdTable {
                 None
             }
             Entry::Occupied(slot) => {
-                let found = Self::confirm(*slot.get(), &self.overflow, hash, same);
+                let first = *slot.get();
+                let found = if same(first) {
+                    Some(first)
+                } else {
+                    self.overflow.iter().find(|&&(h, id)| h == hash && same(id)).map(|&(_, id)| id)
+                };
                 if found.is_none() {
                     self.overflow.push((hash, fresh));
                 }
@@ -79,39 +78,6 @@ impl IdTable {
             }
         }
     }
-
-    fn confirm(
-        first: u32,
-        overflow: &[(u64, u32)],
-        hash: u64,
-        same: impl Fn(u32) -> bool,
-    ) -> Option<u32> {
-        if same(first) {
-            return Some(first);
-        }
-        overflow.iter().find(|&&(h, id)| h == hash && same(id)).map(|&(_, id)| id)
-    }
-}
-
-/// Where a worker's edge leads: a node of a prior level, or the chunk's
-/// `n`-th new state, which has no id until the coordinator merges it.
-#[derive(Copy, Clone)]
-enum Target {
-    Old(NodeId),
-    Fresh(u32),
-}
-
-/// What one expansion worker hands the coordinator.
-struct Chunk {
-    /// States no prior level holds, packed, in the order the chunk first
-    /// met them...
-    fresh: PackedArena,
-    /// ...and the hash of each.
-    hashes: Vec<u64>,
-    /// The chunk's successor stream.
-    edges: Vec<(Target, Edge)>,
-    /// One past each source node's last edge in `edges`.
-    edge_ends: Vec<usize>,
 }
 
 impl ReachGraph {
@@ -120,13 +86,13 @@ impl ReachGraph {
         Self::build_with(protocol, ReachOptions::default())
     }
 
-    /// Build with explicit options.
-    ///
-    /// With `threads > 1` (or `threads == 0` on a multicore machine) wide
-    /// frontiers are expanded in parallel; the output is bit-identical to
-    /// [`ReachGraph::build_serial`] in every case.
+    /// Build with explicit options: a FIFO BFS, level by level, each
+    /// frontier expanded in id order and every successor interned straight
+    /// into the graph, so node ids are discovery order. It reads
+    /// [`ReachOptions::max_states`] and [`ReachOptions::progress`] and
+    /// ignores the rest: the fan-out `threads` buys belongs to the
+    /// streaming fold.
     pub fn build_with(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
-        let threads = opts.resolved_threads()?;
         let codec = StateCodec::new(protocol)?;
         let program = Program::compile(protocol, &codec);
         let initial = codec.initial(protocol)?;
@@ -149,34 +115,18 @@ impl ReachGraph {
 
         while !level.is_empty() {
             let edges_before = g.edges.len();
-            if threads > 1 && level.len() >= opts.parallel_frontier_min {
-                let (codec, arena, first) = (&g.codec, &g.arena, level.start);
-                let chunks = fan_out(level.len(), threads, |range| {
-                    let frontier = first + range.start..first + range.end;
-                    expand_chunk(&program, codec, frontier, arena, &table)
-                });
-                for chunk in chunks {
-                    g.merge_chunk(chunk?, &mut table, opts.max_states)?;
-                }
-            } else {
-                for id in level.clone() {
-                    // The arena grows under the expansion, so the source
-                    // is read from a copy.
-                    source.copy_from_slice(g.arena.get(id));
-                    let (arena, edges) = (&mut g.arena, &mut g.edges);
-                    for_each_successor(&program, &g.codec, &source, &mut scratch, |succ, edge| {
-                        let to = intern_node(
-                            arena,
-                            &mut table,
-                            opts.max_states,
-                            state_hash(succ),
-                            succ,
-                        )?;
-                        edges.push(Edge { to, ..edge });
-                        Ok(())
-                    })?;
-                    g.edge_ends.push(g.edges.len());
-                }
+            for id in level.clone() {
+                // The arena grows under the expansion, so the source
+                // is read from a copy.
+                source.copy_from_slice(g.arena.get(id));
+                let (arena, edges) = (&mut g.arena, &mut g.edges);
+                for_each_successor(&program, &g.codec, &source, &mut scratch, |succ, edge| {
+                    let to =
+                        intern_node(arena, &mut table, opts.max_states, state_hash(succ), succ)?;
+                    edges.push(Edge { to, ..edge });
+                    Ok(())
+                })?;
+                g.edge_ends.push(g.edges.len());
             }
             if let Some(hook) = opts.progress {
                 let new_states = g.node_count() - level.end;
@@ -192,38 +142,6 @@ impl ReachGraph {
             level = level.end..g.node_count();
         }
         Ok(g)
-    }
-
-    /// The serial reference: every level expanded inline, in id order —
-    /// the FIFO BFS the parallel construction is tested (and benchmarked)
-    /// against.
-    pub fn build_serial(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
-        Self::build_with(protocol, opts.with_threads(1))
-    }
-
-    /// Append one worker's chunk: intern its new states in the order the
-    /// chunk met them (an earlier chunk of the level may have met one
-    /// first), then its edges with every target resolved to a node id.
-    fn merge_chunk(
-        &mut self,
-        chunk: Chunk,
-        table: &mut IdTable,
-        max_states: usize,
-    ) -> Result<(), ProtocolError> {
-        let mut ids = Vec::with_capacity(chunk.hashes.len());
-        for (ix, &hash) in chunk.hashes.iter().enumerate() {
-            ids.push(intern_node(&mut self.arena, table, max_states, hash, chunk.fresh.get(ix))?);
-        }
-        let base = self.edges.len();
-        self.edges.extend(chunk.edges.into_iter().map(|(target, edge)| {
-            let to = match target {
-                Target::Old(id) => id,
-                Target::Fresh(ix) => ids[ix as usize],
-            };
-            Edge { to, ..edge }
-        }));
-        self.edge_ends.extend(chunk.edge_ends.into_iter().map(|end| base + end));
-        Ok(())
     }
 
     /// Number of reachable global states.
@@ -275,9 +193,14 @@ impl ReachGraph {
         self.classes[site.index()][s.index()]
     }
 
+    /// Node `id` classified: `(final, inconsistent)`.
+    fn classify(&self, id: NodeId) -> (bool, bool) {
+        classify(&self.classes, self.locals(id).map(|(_, s)| s))
+    }
+
     /// A global state is *final* if all local states are final.
     pub fn is_final(&self, id: NodeId) -> bool {
-        self.locals(id).all(|(site, s)| self.class_of(site, s).is_final())
+        self.classify(id).0
     }
 
     /// A global state is *terminal* if it has no immediately reachable
@@ -294,58 +217,77 @@ impl ReachGraph {
     /// A global state is *inconsistent* if it contains both a local commit
     /// and a local abort state.
     pub fn is_inconsistent(&self, id: NodeId) -> bool {
-        let mut commit = false;
-        let mut abort = false;
-        for (site, s) in self.locals(id) {
-            match self.class_of(site, s) {
-                StateClass::Committed => commit = true,
-                StateClass::Aborted => abort = true,
-                _ => {}
-            }
-        }
-        commit && abort
+        self.classify(id).1
     }
 
     /// Summary statistics over the whole graph.
     pub fn stats(&self) -> GraphStats {
-        let mut st = GraphStats {
-            nodes: self.node_count(),
-            edges: self.edge_count(),
-            ..GraphStats::default()
-        };
+        let mut st = GraphStats::default();
         for id in 0..self.node_count() as NodeId {
-            if self.is_final(id) {
-                st.final_states += 1;
-            }
-            if self.is_terminal(id) {
-                st.terminal_states += 1;
-            }
-            if self.is_deadlocked(id) {
-                st.deadlocked_states += 1;
-            }
-            if self.is_inconsistent(id) {
-                st.inconsistent_states += 1;
-            }
+            st.add(1, self.edges(id).len() as u128, self.classify(id));
         }
         st
     }
 }
 
-/// Aggregate classification counts for a reachable state graph.
+/// Aggregate classification counts for a reachable state graph. The
+/// streaming fold counts them as sums over orbits of interchangeable
+/// sites, which can outgrow a `u64`: they add up in `u128` with saturating
+/// arithmetic and print through [`Count`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Reachable global states.
-    pub nodes: usize,
+    pub nodes: u128,
     /// Transitions between them.
-    pub edges: usize,
+    pub edges: u128,
     /// States where every local state is final.
-    pub final_states: usize,
+    pub final_states: u128,
     /// States with no successors.
-    pub terminal_states: usize,
+    pub terminal_states: u128,
     /// Terminal but not final.
-    pub deadlocked_states: usize,
+    pub deadlocked_states: u128,
     /// States containing both a local commit and a local abort.
-    pub inconsistent_states: usize,
+    pub inconsistent_states: u128,
+}
+
+impl GraphStats {
+    /// Count `weight` states alike: each with `fanout` successors and the
+    /// `(final, inconsistent)` classification [`classify`] gives them.
+    pub(super) fn add(
+        &mut self,
+        weight: u128,
+        fanout: u128,
+        (is_final, inconsistent): (bool, bool),
+    ) {
+        let terminal = fanout == 0;
+        self.nodes = self.nodes.saturating_add(weight);
+        self.edges = self.edges.saturating_add(weight.saturating_mul(fanout));
+        for (count, holds) in [
+            (&mut self.final_states, is_final),
+            (&mut self.terminal_states, terminal),
+            (&mut self.deadlocked_states, terminal && !is_final),
+            (&mut self.inconsistent_states, inconsistent),
+        ] {
+            if holds {
+                *count = count.saturating_add(weight);
+            }
+        }
+    }
+
+    /// Add `other`'s counts to these (a saturated sum stays saturated, so
+    /// the order of the additions cannot show).
+    pub(super) fn absorb(&mut self, other: &GraphStats) {
+        for (count, more) in [
+            (&mut self.nodes, other.nodes),
+            (&mut self.edges, other.edges),
+            (&mut self.final_states, other.final_states),
+            (&mut self.terminal_states, other.terminal_states),
+            (&mut self.deadlocked_states, other.deadlocked_states),
+            (&mut self.inconsistent_states, other.inconsistent_states),
+        ] {
+            *count = count.saturating_add(more);
+        }
+    }
 }
 
 impl fmt::Display for GraphStats {
@@ -353,14 +295,32 @@ impl fmt::Display for GraphStats {
         write!(
             f,
             "{} global states, {} edges; {} final, {} terminal, {} deadlocked, {} inconsistent",
-            self.nodes,
-            self.edges,
-            self.final_states,
-            self.terminal_states,
-            self.deadlocked_states,
-            self.inconsistent_states
+            Count(self.nodes),
+            Count(self.edges),
+            Count(self.final_states),
+            Count(self.terminal_states),
+            Count(self.deadlocked_states),
+            Count(self.inconsistent_states)
         )
     }
+}
+
+/// A global state with these site-local states (`locals[i]` of site `i`)
+/// classified: `(final, inconsistent)` — every local state final; a local
+/// commit beside a local abort. Both are the same for every state of an
+/// orbit of interchangeable sites.
+pub(super) fn classify(
+    classes: &[Vec<StateClass>],
+    locals: impl Iterator<Item = StateId>,
+) -> (bool, bool) {
+    let (mut all_final, mut commit, mut abort) = (true, false, false);
+    for (site, s) in classes.iter().zip(locals) {
+        let class = site[s.index()];
+        all_final &= class.is_final();
+        commit |= class == StateClass::Committed;
+        abort |= class == StateClass::Aborted;
+    }
+    (all_final, commit && abort)
 }
 
 /// Resolve the packed `state` to its node id, copying it onto the end of
@@ -383,56 +343,13 @@ fn intern_node(
     Ok(fresh)
 }
 
-/// One worker's share of a level: expand the nodes `frontier` of `arena`,
-/// resolving each successor against the prior levels (`arena` and
-/// `table`, immutable while the level is in flight) or the chunk's own
-/// new states.
-fn expand_chunk(
-    program: &Program,
-    codec: &StateCodec,
-    frontier: Range<usize>,
-    arena: &PackedArena,
-    table: &IdTable,
-) -> Result<Chunk, ProtocolError> {
-    let mut chunk = Chunk {
-        fresh: PackedArena::new(codec.words()),
-        hashes: Vec::new(),
-        edges: Vec::new(),
-        edge_ends: Vec::with_capacity(frontier.len()),
-    };
-    let mut local = IdTable::default();
-    let mut scratch = vec![0u64; codec.words()];
-    for id in frontier {
-        let source = arena.get(id);
-        let Chunk { fresh, hashes, edges, .. } = &mut chunk;
-        for_each_successor(program, codec, source, &mut scratch, |succ, edge| {
-            let hash = state_hash(succ);
-            let target = match table.find(hash, |id| arena.get(id as usize) == succ) {
-                Some(id) => Target::Old(id),
-                None => {
-                    let next = fresh.len() as u32;
-                    let met = local.intern(hash, next, |ix| fresh.get(ix as usize) == succ);
-                    if met.is_none() {
-                        fresh.push(succ);
-                        hashes.push(hash);
-                    }
-                    Target::Fresh(met.unwrap_or(next))
-                }
-            };
-            edges.push((target, edge));
-            Ok(())
-        })?;
-        chunk.edge_ends.push(chunk.edges.len());
-    }
-    Ok(chunk)
-}
-
-fn class_table(protocol: &Protocol) -> Vec<Vec<StateClass>> {
+/// `class_table(protocol)[i][s]` = class of state `s` of site `i`.
+pub(super) fn class_table(protocol: &Protocol) -> Vec<Vec<StateClass>> {
     protocol.fsas().iter().map(|f| f.states().iter().map(|s| s.class).collect()).collect()
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::super::stream::tests::CountFolder;
     use super::*;
     use crate::protocols::{
@@ -500,12 +417,9 @@ pub(super) mod tests {
 
     #[test]
     fn graph_limit_enforced() {
-        let p = central_3pc(3);
-        for threads in [1, 2, 4] {
-            let opts = ReachOptions { max_states: 4, threads, ..ReachOptions::default() };
-            let err = ReachGraph::build_with(&p, opts);
-            assert!(matches!(err, Err(ProtocolError::GraphTooLarge { limit: 4 })));
-        }
+        let opts = ReachOptions { max_states: 4, ..ReachOptions::default() };
+        let err = ReachGraph::build_with(&central_3pc(3), opts);
+        assert!(matches!(err, Err(ProtocolError::GraphTooLarge { limit: 4 })));
     }
 
     #[test]
@@ -545,51 +459,7 @@ pub(super) mod tests {
         assert_eq!(table.overflow.len(), 3);
         for (id, s) in states.iter().enumerate() {
             assert_eq!(arena.get(id), *s);
-            assert_eq!(table.find(7, |i| arena.get(i as usize) == *s), Some(id as u32));
         }
-        assert_eq!(table.find(8, |_| true), None, "another hash holds nothing");
-    }
-
-    /// Node-for-node, edge-for-edge equality of two graphs.
-    pub(crate) fn assert_identical(a: &ReachGraph, b: &ReachGraph, context: &str) {
-        assert_eq!(a.node_count(), b.node_count(), "{context}: node counts differ");
-        assert_eq!(a.initial(), b.initial(), "{context}: initial ids differ");
-        for id in 0..a.node_count() as NodeId {
-            assert_eq!(a.node(id), b.node(id), "{context}: node {id} differs");
-            assert_eq!(a.edges(id), b.edges(id), "{context}: edges of {id} differ");
-        }
-        assert_eq!(a.stats(), b.stats(), "{context}: classification differs");
-    }
-
-    #[test]
-    fn parallel_graph_is_bit_identical_to_serial() {
-        // Every catalog protocol, thread counts 1/2/4, with the inline
-        // threshold forced to 1 so the parallel machinery actually runs on
-        // these small graphs.
-        for n in [2usize, 4] {
-            for p in catalog(n) {
-                let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
-                for threads in [1usize, 2, 4] {
-                    let opts = ReachOptions {
-                        threads,
-                        parallel_frontier_min: 1,
-                        ..ReachOptions::default()
-                    };
-                    let par = ReachGraph::build_with(&p, opts).unwrap();
-                    assert_identical(&serial, &par, &format!("{} threads={threads}", p.name));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn default_options_match_serial() {
-        // The auto-threaded default path (whatever this machine resolves it
-        // to) must agree with the reference implementation too.
-        let p = central_3pc(4);
-        let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
-        let auto = ReachGraph::build(&p).unwrap();
-        assert_identical(&serial, &auto, "central 3PC n=4 auto");
     }
 
     #[test]
@@ -617,17 +487,17 @@ pub(super) mod tests {
                 s.locals.iter().zip(p.fsas()).map(|(&l, fsa)| fsa.state(l).class).collect()
             };
             let mut from_states = GraphStats {
-                nodes: g.nodes().len(),
-                edges: g.edge_count(),
+                nodes: g.nodes().len() as u128,
+                edges: g.edge_count() as u128,
                 ..GraphStats::default()
             };
             for (id, s) in g.nodes().iter().enumerate() {
                 let (classes, terminal) = (classes(s), g.edges(id as NodeId).is_empty());
                 let all_final = classes.iter().all(|c| c.is_final());
-                from_states.final_states += usize::from(all_final);
-                from_states.terminal_states += usize::from(terminal);
-                from_states.deadlocked_states += usize::from(terminal && !all_final);
-                from_states.inconsistent_states += usize::from(
+                from_states.final_states += u128::from(all_final);
+                from_states.terminal_states += u128::from(terminal);
+                from_states.deadlocked_states += u128::from(terminal && !all_final);
+                from_states.inconsistent_states += u128::from(
                     classes.contains(&StateClass::Committed)
                         && classes.contains(&StateClass::Aborted),
                 );

@@ -32,37 +32,29 @@
 //! (`Program`): which fields a trigger needs and how many of each, which
 //! fields an emission raises.
 //!
-//! ## One generator, one fingerprint, three walks
+//! ## One generator, one fingerprint, two walks
 //!
-//! Every builder enumerates successors with `for_each_successor`: copy the
+//! Both walks enumerate successors with `for_each_successor`: copy the
 //! `W` words into a caller-owned scratch, subtract the consumed counts, set
 //! the firing site's field, add the emitted counts. States are identified
 //! by `fingerprint`, one [`Fp128`] pass over the `W`
-//! words. A builder probes its tables with the scratch words and copies
+//! words. A walk probes its tables with the scratch words and copies
 //! them into an arena only when the state is new.
 //!
-//! [`ReachGraph::build_with`] grows the graph level by level. A narrow
-//! frontier (and every frontier at one thread — the serial reference,
-//! [`ReachGraph::build_serial`]) is expanded inline, interning straight
-//! into the graph. A wide one is split into contiguous chunks, one scoped
-//! worker each: a worker resolves every successor against the prior
-//! levels' table (immutable while the level is in flight) or a chunk-local
-//! one, and copies only the states new to its chunk; the coordinator then
-//! walks the chunks *in order*, interns each chunk's new states in their
-//! first-occurrence order and appends the remapped edges. Ids are thus
-//! assigned in (chunk, first occurrence in chunk) order, which is first
-//! occurrence in the level's successor stream — the discovery order of the
-//! serial FIFO BFS. The result is **bit-identical** for any thread count:
-//! same node ids, same edge order, same classification counts
-//! (`tests/pinned_graphs.rs` holds the bytes). Retained graphs are exact:
-//! a hash hit is confirmed by comparing words (`IdTable`).
+//! [`ReachGraph::build_with`] grows the graph level by level in one serial
+//! loop, a FIFO BFS that interns every successor straight into the graph,
+//! so node ids are discovery order (`tests/pinned_graphs.rs` holds the
+//! bytes). Retained graphs are exact: a hash hit is confirmed by comparing
+//! words (`IdTable`). The builder builds and nothing else, and only what
+//! reads edges needs it: `nbc graph`, `nbc verify` and library callers.
 //!
-//! The retained builders build and nothing else. An analysis reaches the
-//! states by one of two routes: `ReachGraph::fold_nodes`, a pass over the
-//! finished arena, or the third walk, `fold_reachable`, which keeps no
-//! graph — a frontier of orbit representatives and a fingerprint set — and
-//! folds the facts as it goes ([`crate::Analysis::build_with`] picks by
-//! [`ReachOptions::stream`]).
+//! An analysis reaches the states by one of two routes:
+//! `ReachGraph::fold_nodes`, a pass over the finished arena, or the second
+//! walk, `fold_reachable`, which keeps no graph — a frontier of orbit
+//! representatives and a fingerprint set, wide frontiers fanned out to
+//! scoped workers — and folds the facts and counts the graph's
+//! [`GraphStats`] as it goes ([`crate::Analysis::build_with`] picks by
+//! [`ReachOptions::stream`]; every facts-only `nbc` command streams).
 //!
 //! ## Nodes on demand
 //!
@@ -81,7 +73,7 @@
 //! This file holds what a reader of the graph sees — [`GlobalState`],
 //! [`Msgs`], [`Edge`] — and what a caller sets, [`ReachOptions`]. The
 //! compiled transitions and the successor generator are in `program`, the
-//! retained graph and its builders in `graph`, the streaming fold and the
+//! retained graph and its builder in `graph`, the streaming fold and the
 //! `StateFolder` both routes feed in `stream`.
 //!
 //! [`StateCodec`]: crate::StateCodec
@@ -106,8 +98,8 @@ pub(crate) use stream::{fold_reachable, StateFolder};
 pub type NodeId = u32;
 
 /// Most worker threads a state-space exploration accepts — this module's
-/// builders and the model checker's walk alike. A request beyond it is a
-/// typed error, never a spawn per frontier state.
+/// streaming fold and the model checker's walk alike. A request beyond it
+/// is a typed error, never a spawn per frontier state.
 pub const MAX_THREADS: usize = 64;
 
 /// The worker count a thread option of `0` stands for, wherever this
@@ -223,7 +215,7 @@ impl Msgs {
     }
 }
 
-/// One global transaction state, as a reader sees it. The builders work on
+/// One global transaction state, as a reader sees it. The walks work on
 /// its packed form ([`StateCodec`]); a graph decodes its nodes into this
 /// on first request.
 ///
@@ -296,14 +288,16 @@ impl fmt::Display for Count {
 #[derive(Copy, Clone, Debug)]
 pub struct ReachOptions {
     /// Abort with [`ProtocolError::GraphTooLarge`] beyond this many nodes.
-    /// The bound is on what a builder holds and expands: nodes for the
-    /// retained builders, orbit representatives for the streaming fold,
+    /// The bound is on what a walk holds and expands: nodes for the
+    /// retained builder, orbit representatives for the streaming fold,
     /// whose `distinct_states` may be far larger.
     pub max_states: usize,
-    /// Worker threads for frontier expansion. `0` (the default) picks
-    /// [`auto_threads`]; `1` forces the serial reference path; more than
-    /// [`MAX_THREADS`] is refused with [`ProtocolError::TooManyThreads`] by
-    /// every builder.
+    /// Worker threads for the streaming fold's frontier expansion. `0`
+    /// (the default) picks [`auto_threads`]; `1` expands every frontier
+    /// inline; more than [`MAX_THREADS`] is refused with
+    /// [`ProtocolError::TooManyThreads`]. Ignored by
+    /// [`ReachGraph::build_with`], which runs one serial loop, as it
+    /// ignores `stream` and `mem_budget`.
     pub threads: usize,
     /// Frontiers smaller than this are expanded inline even when `threads`
     /// allows fan-out — thread spawn overhead dwarfs the work on the
@@ -330,7 +324,7 @@ pub struct ReachOptions {
     /// deterministic output — fold results, [`StreamStats`] counts,
     /// [`LevelProgress`] snapshots — is byte-identical to the unlimited
     /// path; only [`StreamStats::spill`] differs. Ignored by the retaining
-    /// graph builders, which must hold every node anyway.
+    /// graph builder, which must hold every node anyway.
     pub mem_budget: usize,
 }
 
@@ -400,7 +394,7 @@ fn fingerprint(words: &[u64]) -> u128 {
 /// standard library's default hasher, the second domain-separated.
 ///
 /// Nothing in this repository's crates calls it: the streaming fold and
-/// the retained builders identify states by the pinned [`Fp128`], and so
+/// the retained builder identify states by the pinned [`Fp128`], and so
 /// has `nbc-check` since its dedup store moved to `Fp128`. It stays
 /// exported — and [`GlobalState`] stays `Hash` — only because the
 /// benchmark's `core.fingerprint128_ns` probe times it; ROADMAP item 3(b)

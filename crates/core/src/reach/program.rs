@@ -292,7 +292,7 @@ mod tests {
         // Only the spontaneous abort is enabled from the initial state.
         assert_eq!(g1.edges(g1.initial()).len(), 1);
         for (copies, nodes) in [(1, 2), (2, 4), (3, 4)] {
-            for got in three_builders(&build(copies), 100) {
+            for got in both_walks(&build(copies), 100) {
                 assert_eq!(got, Ok(nodes), "{copies} copies outstanding");
             }
         }
@@ -314,16 +314,15 @@ mod tests {
         }));
     }
 
-    /// What the three builders make of `p`: the serial inline loop, the
-    /// chunked workers and the streaming fold (workers forced on a
-    /// frontier of any width), as reachable-state counts.
-    fn three_builders(p: &Protocol, max_states: usize) -> [Result<u128, ProtocolError>; 3] {
-        let serial = ReachOptions { max_states, threads: 1, ..ReachOptions::default() };
-        let forced = ReachOptions { threads: 2, parallel_frontier_min: 1, ..serial };
+    /// What the two walks make of `p`: the retained builder's serial loop
+    /// and the streaming fold (workers forced on a frontier of any width),
+    /// as reachable-state counts.
+    fn both_walks(p: &Protocol, max_states: usize) -> [Result<u128, ProtocolError>; 2] {
+        let opts =
+            ReachOptions { max_states, threads: 2, parallel_frontier_min: 1, ..Default::default() };
         [
-            ReachGraph::build_with(p, serial).map(|g| g.node_count() as u128),
-            ReachGraph::build_with(p, forced).map(|g| g.node_count() as u128),
-            fold_reachable(p, forced, &mut NoFolder).map(|st| st.distinct_states),
+            ReachGraph::build_with(p, opts).map(|g| g.node_count() as u128),
+            fold_reachable(p, opts, &mut NoFolder).map(|st| st.distinct_states),
         ]
     }
 
@@ -363,7 +362,7 @@ mod tests {
         // and sorts — 16-bit count fields and all.
         for readers in [1, 2] {
             // Unbounded channel, bounded graph: the state cap stops it...
-            for got in three_builders(&looping_sender(readers, 0), 100) {
+            for got in both_walks(&looping_sender(readers, 0), 100) {
                 assert_eq!(got, Err(ProtocolError::GraphTooLarge { limit: 100 }));
             }
             // ...and under the default cap the channel's count does, five
@@ -372,7 +371,7 @@ mod tests {
                 ProtocolError::MsgOverflow { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
             let default_cap = ReachOptions::default().max_states;
             let nearly_full = looping_sender(readers, usize::from(u16::MAX) - 5);
-            for got in three_builders(&nearly_full, default_cap) {
+            for got in both_walks(&nearly_full, default_cap) {
                 assert_eq!(got, Err(overflow.clone()));
             }
         }
@@ -380,10 +379,9 @@ mod tests {
         let found = Symmetry::of(&looping_sender(2, 0), &codec);
         assert_eq!(found.classes().collect::<Vec<_>>(), [[SiteId(1), SiteId(2)]]);
         // From an empty channel the serial loop walks all 65 536 counts.
-        let serial = ReachOptions::default().with_threads(1);
         let overflow =
             ProtocolError::MsgOverflow { src: SiteId(0), dst: SiteId(1), kind: MsgKind::YES };
-        assert_eq!(ReachGraph::build_with(&looping_sender(1, 0), serial).err(), Some(overflow));
+        assert_eq!(ReachGraph::build(&looping_sender(1, 0)).err(), Some(overflow));
     }
 
     #[test]
@@ -415,7 +413,7 @@ mod tests {
             vec![coord.build(), slave.build()],
             vec![],
         );
-        for got in three_builders(&p, 100) {
+        for got in both_walks(&p, 100) {
             assert_eq!(got, Ok(3), "q q, a q + abort, a a");
         }
         let g = ReachGraph::build(&p).unwrap();

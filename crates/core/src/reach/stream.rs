@@ -1,12 +1,14 @@
 //! The fold: [`StateFolder`], the analysis accumulator's interface, and its
 //! two routes to the reachable states — `ReachGraph::fold_nodes` over a
 //! finished graph and [`fold_reachable`] over a stream that retains none,
-//! walking one representative per orbit of the protocol's site symmetry.
+//! walking one representative per orbit of the protocol's site symmetry
+//! and counting the graph's [`GraphStats`] as it goes.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 
+use super::graph::{class_table, classify, GraphStats};
 use super::program::{for_each_successor, Program};
 use super::{fan_out, fingerprint, Count, LevelProgress, ReachGraph, ReachOptions};
 use crate::codec::{PackedArena, StateCodec};
@@ -57,14 +59,19 @@ pub(crate) trait StateFolder: Send + Sync {
 
 /// Statistics of a streaming (non-retaining) reachability fold.
 ///
-/// `distinct_states` and `levels` describe the reachable graph and equal
-/// the retained build's node count and depth; `representatives` and
-/// `peak_resident` describe the fold, which holds and expands one state
-/// per orbit of the protocol's site symmetry ([`crate::symmetry`]).
+/// `graph`, `distinct_states` and `levels` describe the reachable graph
+/// and equal the retained build's statistics, node count and depth;
+/// `representatives` and `peak_resident` describe the fold, which holds
+/// and expands one state per orbit of the protocol's site symmetry
+/// ([`crate::symmetry`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
+    /// The reachable graph's classification counts, each a sum over the
+    /// orbits the fold met: what [`ReachGraph::stats`] says of the
+    /// retained graph.
+    pub graph: GraphStats,
     /// Distinct reachable global states: the sizes of the orbits the fold
-    /// met, summed (see [`Count`] for a sum past `u128`).
+    /// met, summed (see [`Count`] for a sum past `u128`); `graph.nodes`.
     pub distinct_states: u128,
     /// Orbit representatives folded and expanded — all the fold ever
     /// holds, and what [`ReachOptions::max_states`] bounds. Equal to
@@ -111,12 +118,13 @@ fn spill_io(e: std::io::Error) -> ProtocolError {
 }
 
 /// One worker's successor stream: the packed representatives that
-/// survived its filters, their fingerprints, and how many successor
-/// occurrences its chunk of the frontier stands for in the full graph.
+/// survived its filters, their fingerprints, and what its chunk of the
+/// frontier stands for in the full graph — states, their successor
+/// occurrences (`counts.edges`) and their classification.
 struct Stream {
     states: PackedArena,
     fps: Vec<u128>,
-    occurrences: u128,
+    counts: GraphStats,
 }
 
 /// Fold `folder` over the reachable global states *without* retaining the
@@ -130,8 +138,11 @@ struct Stream {
 /// counts — [`StreamStats::distinct_states`], every [`LevelProgress`]
 /// field — as sums weighted by orbit size, folds each representative
 /// once, and closes `folder` under the group after the last level: the
-/// facts are those of folding every state. A protocol without
-/// interchangeable sites takes the same path with every orbit of size 1.
+/// facts are those of folding every state. The same weights turn each
+/// representative's locals and out-degree into the graph's
+/// [`StreamStats::graph`] counts, since classification and out-degree are
+/// constant on an orbit too. A protocol without interchangeable sites
+/// takes the same path with every orbit of size 1.
 ///
 /// Only the current frontier and its stream are ever resident, and states
 /// are deduplicated by 128-bit fingerprint (see [`fingerprint`]).
@@ -154,6 +165,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
 ) -> Result<StreamStats, ProtocolError> {
     let threads = opts.resolved_threads()?;
     let codec = StateCodec::new(protocol)?;
+    let classes = class_table(protocol);
     let symmetry = Symmetry::of(protocol, &codec);
     let program = Program::compile(protocol, &codec);
     let mut initial = codec.initial(protocol)?;
@@ -169,6 +181,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
     let mut orbits: Vec<u128> = vec![symmetry.orbit_size(&initial, &mut keys)];
     let mut width = orbits[0];
     let mut stats = StreamStats {
+        graph: GraphStats::default(),
         distinct_states: width,
         representatives: 1,
         levels: 0,
@@ -200,7 +213,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
             let mut out = Stream {
                 states: PackedArena::with_capacity(codec.words(), width),
                 fps: Vec::with_capacity(width),
-                occurrences: 0,
+                counts: GraphStats::default(),
             };
             for i in range {
                 let source = frontier.get(i);
@@ -219,8 +232,9 @@ pub(crate) fn fold_reachable<F: StateFolder>(
                     fanout += 1;
                     Ok(())
                 })?;
-                // Every state of the source's orbit has as many successors.
-                out.occurrences = out.occurrences.saturating_add(orbits[i].saturating_mul(fanout));
+                // Every state of the source's orbit has as many successors,
+                // and is classified alike.
+                out.counts.add(orbits[i], fanout, classify(&classes, locals.iter().copied()));
             }
             Ok(out)
         };
@@ -290,11 +304,14 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         }
         stats.distinct_states = stats.distinct_states.saturating_add(new_states);
         stats.peak_resident = stats.peak_resident.max(frontier.len() + streamed);
+        for stream in &streams {
+            stats.graph.absorb(&stream.counts);
+        }
         if let Some(hook) = opts.progress {
             // Every successor occurrence of the level either discovered a
             // state or hit a known one; a saturated sum stays saturated.
             let occurrences =
-                streams.iter().fold(0u128, |sum, s| sum.saturating_add(s.occurrences));
+                streams.iter().fold(0u128, |sum, s| sum.saturating_add(s.counts.edges));
             hook(&LevelProgress {
                 level: stats.levels - 1,
                 frontier: width,
@@ -318,6 +335,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
         (frontier, orbits, width) = (next, next_orbits, new_states);
     }
     symmetry.close(folder);
+    debug_assert_eq!(stats.graph.nodes, stats.distinct_states);
     stats.spill = runs.stats();
     Ok(stats)
 }
@@ -337,7 +355,6 @@ impl ReachGraph {
 
 #[cfg(test)]
 pub(super) mod tests {
-    use super::super::graph::tests::assert_identical;
     use super::super::MAX_THREADS;
     use super::*;
     use crate::protocols::{catalog, central_2pc, central_3pc, decentralized_2pc};
@@ -379,28 +396,21 @@ pub(super) mod tests {
     #[test]
     fn folders_visit_every_state_or_every_representative_exactly_once() {
         for p in catalog(3) {
-            let expect =
-                ReachGraph::build_serial(&p, ReachOptions::default()).unwrap().node_count();
+            // A fold over the retained graph visits every node once...
+            let g = ReachGraph::build(&p).unwrap();
+            let mut c = CountFolder(0);
+            g.fold_nodes(&mut c);
+            assert_eq!(c.0, g.node_count(), "{} retained folds", p.name);
             for threads in [1usize, 2, 4] {
                 let opts =
                     ReachOptions { threads, parallel_frontier_min: 1, ..ReachOptions::default() };
-                // A fold over the retained graph visits every node once...
-                let mut c = CountFolder(0);
-                let g = ReachGraph::build_with(&p, opts).unwrap();
-                g.fold_nodes(&mut c);
-                assert_eq!(g.node_count(), expect, "{} retained threads={threads}", p.name);
-                assert_eq!(c.0, expect, "{} retained folds threads={threads}", p.name);
-
                 // ...the streaming fold every representative once, and the
-                // orbits of what it folded add up to the node count.
+                // orbits of what it folded add up to the graph's counts.
                 let mut c = CountFolder(0);
                 let st = fold_reachable(&p, opts, &mut c).unwrap();
                 assert_eq!(c.0, st.representatives, "{} stream folds threads={threads}", p.name);
-                assert_eq!(
-                    st.distinct_states, expect as u128,
-                    "{} stream count threads={threads}",
-                    p.name
-                );
+                assert_eq!(st.graph, g.stats(), "{} stream counts threads={threads}", p.name);
+                assert_eq!(st.distinct_states, g.node_count() as u128, "{}", p.name);
                 assert!(st.levels > 1 && st.peak_resident >= 1, "{}", p.name);
             }
         }
@@ -416,7 +426,7 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn progress_snapshots_identical_across_all_build_paths() {
+    fn progress_snapshots_identical_across_both_walks() {
         use std::sync::Mutex;
         type Snap = (usize, u128, u128, u128, u128);
         static SNAPS: Mutex<Vec<Snap>> = Mutex::new(Vec::new());
@@ -427,7 +437,7 @@ pub(super) mod tests {
 
         let p = central_3pc(3);
         let serial =
-            ReachGraph::build_serial(&p, ReachOptions::default().with_progress(hook)).unwrap();
+            ReachGraph::build_with(&p, ReachOptions::default().with_progress(hook)).unwrap();
         let reference = take();
         assert!(reference.len() > 2, "expected several levels, got {reference:?}");
         for (i, s) in reference.iter().enumerate() {
@@ -436,13 +446,9 @@ pub(super) mod tests {
         assert_eq!(reference.last().unwrap().4, serial.node_count() as u128);
         assert_eq!(reference.last().unwrap().2, 0, "final level discovers nothing");
 
-        for threads in [2usize, 4] {
+        for threads in [1usize, 2, 4] {
             let opts = ReachOptions { threads, parallel_frontier_min: 1, ..Default::default() }
                 .with_progress(hook);
-            let par = ReachGraph::build_with(&p, opts).unwrap();
-            assert_eq!(par.node_count(), serial.node_count());
-            assert_eq!(take(), reference, "parallel threads={threads}");
-
             let st = fold_reachable(&p, opts, &mut NoFolder).unwrap();
             assert_eq!(st.distinct_states, serial.node_count() as u128);
             assert_eq!(take(), reference, "streaming threads={threads}");
@@ -506,29 +512,24 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn a_thread_count_over_the_limit_is_refused_by_every_builder() {
+    fn a_thread_count_over_the_limit_is_refused_by_the_fold() {
         // `fan_out` spawns a worker per part: 1 000 000 threads used to
         // abort the process on a frontier wide enough to cut that often.
+        // The retained builder runs one loop and reads no thread count.
         let p = central_2pc(3);
+        let nodes = ReachGraph::build(&p).unwrap().node_count();
         for got in [MAX_THREADS + 1, 1_000_000, usize::MAX] {
             let opts =
                 ReachOptions { threads: got, parallel_frontier_min: 1, ..Default::default() };
             let refused = ProtocolError::TooManyThreads { max: MAX_THREADS, got };
-            assert_eq!(ReachGraph::build_with(&p, opts).err(), Some(refused.clone()));
             assert_eq!(fold_reachable(&p, opts, &mut NoFolder).err(), Some(refused.clone()));
-            for stream in [false, true] {
-                let built = crate::Analysis::build_with(&p, opts.with_streaming(stream));
-                assert_eq!(built.err(), Some(refused.clone()));
-            }
+            let built = crate::Analysis::build_with(&p, opts.with_streaming(true));
+            assert_eq!(built.err(), Some(refused));
+            assert_eq!(ReachGraph::build_with(&p, opts).unwrap().node_count(), nodes);
         }
         // The limit itself is a count that runs.
         let opts =
             ReachOptions { threads: MAX_THREADS, parallel_frontier_min: 1, ..Default::default() };
-        let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
-        assert_identical(&serial, &ReachGraph::build_with(&p, opts).unwrap(), "64 threads");
-        assert_eq!(
-            fold_reachable(&p, opts, &mut NoFolder).unwrap().distinct_states,
-            serial.node_count() as u128
-        );
+        assert_eq!(fold_reachable(&p, opts, &mut NoFolder).unwrap().distinct_states, nodes as u128);
     }
 }

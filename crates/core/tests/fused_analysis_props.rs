@@ -1,7 +1,7 @@
-//! Property test: the fused, bitset-based analysis (facts accumulated
-//! inside the BFS, with or without streaming, at any thread count) is
-//! exactly equal to an independently computed naive reference over the
-//! serial reachable graph — occupancy, yes-votedness, committability, full
+//! Property test: the bitset-based analysis (facts folded over the
+//! retained graph, or over the stream at any thread count) is exactly
+//! equal to an independently computed naive reference over the retained
+//! reachable graph — occupancy, yes-votedness, committability, full
 //! concurrency sets, class projections, and theorem witnesses.
 //!
 //! The naive reference below deliberately re-derives everything from first
@@ -115,33 +115,31 @@ fn fused_analysis_equals_naive_reference_across_catalog() {
     inputs.push((3, vec![nbc_core::kpc::k_phase_central(3, 4).unwrap()]));
     for (n, protocols) in inputs {
         for p in protocols {
-            let serial = ReachGraph::build_serial(&p, ReachOptions::default()).unwrap();
+            let serial = ReachGraph::build(&p).unwrap();
             let reference = naive_reference(&p, &serial);
 
             // The retained post-hoc path (`from_graph`) over the serial graph.
             let posthoc = Analysis::from_graph(&p, serial);
             assert_analysis_matches(&p, &reference, &posthoc, &format!("{} n={n} posthoc", p.name));
 
-            // The fused path: threads 1/2/4 × streaming off/on, with the
-            // inline threshold forced down so the parallel machinery and
-            // its OR-merges actually run on these small graphs.
+            // The streamed path at threads 1/2/4, with the inline
+            // threshold forced down so the workers and their OR-merges
+            // actually run on these small graphs.
             for threads in [1usize, 2, 4] {
-                for stream in [false, true] {
-                    let opts = ReachOptions {
-                        threads,
-                        parallel_frontier_min: 1,
-                        stream,
-                        ..ReachOptions::default()
-                    };
-                    let fused = Analysis::build_with(&p, opts).unwrap();
-                    assert_eq!(fused.graph().is_none(), stream);
-                    assert_analysis_matches(
-                        &p,
-                        &reference,
-                        &fused,
-                        &format!("{} n={n} threads={threads} stream={stream}", p.name),
-                    );
-                }
+                let opts = ReachOptions {
+                    threads,
+                    parallel_frontier_min: 1,
+                    stream: true,
+                    ..ReachOptions::default()
+                };
+                let streamed = Analysis::build_with(&p, opts).unwrap();
+                assert!(streamed.graph().is_none());
+                assert_analysis_matches(
+                    &p,
+                    &reference,
+                    &streamed,
+                    &format!("{} n={n} threads={threads} streamed", p.name),
+                );
             }
         }
     }

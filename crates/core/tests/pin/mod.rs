@@ -1,14 +1,14 @@
-//! Everything the three `core::reach` builders decide about one protocol,
+//! Everything the two `core::reach` walks decide about one protocol,
 //! rendered as text for `pinned_graphs.rs` (here and in `crates/paxos`,
 //! which includes this file by path because core cannot depend on it).
 //!
 //! The block holds an `Fp128` over every node's `(locals, msgs)` and every
 //! edge's `(to, site, transition, any_choice)` in id order, the graph's
 //! classification counts, the streaming fold's counts, and the per-level
-//! progress sequence. Rendering also asserts that every builder, at
-//! threads 1, 2 and 4 with the parallel paths forced on, and the
-//! streaming fold under a 4 KiB spill budget, reproduces the serial
-//! reference — so one golden block pins all of them.
+//! progress sequence. Rendering also asserts that the streaming fold, at
+//! threads 1, 2 and 4 with the workers forced on and under a 4 KiB spill
+//! budget, reproduces the retained build's counts and progress — so one
+//! golden block pins both.
 
 use std::cell::RefCell;
 use std::fmt::Write;
@@ -86,7 +86,7 @@ fn graph_line(g: &ReachGraph) -> String {
 /// The pinned block for `protocol`, headed by `label`.
 pub fn render(label: &str, protocol: &Protocol) -> String {
     let serial =
-        ReachGraph::build_serial(protocol, ReachOptions::default().with_progress(hook)).unwrap();
+        ReachGraph::build_with(protocol, ReachOptions::default().with_progress(hook)).unwrap();
     let graph = graph_line(&serial);
     let levels = take_levels();
     assert_eq!(
@@ -99,16 +99,13 @@ pub fn render(label: &str, protocol: &Protocol) -> String {
     for threads in [1usize, 2, 4] {
         let opts = ReachOptions { threads, parallel_frontier_min: 1, ..ReachOptions::default() }
             .with_progress(hook);
-        let retained = ReachGraph::build_with(protocol, opts).unwrap();
-        assert_eq!(graph_line(&retained), graph, "{label}: retained graph, threads={threads}");
-        assert_eq!(take_levels(), levels, "{label}: retained progress, threads={threads}");
-
         let streamed = |opts: ReachOptions| {
             let a = Analysis::build_with(protocol, opts.with_streaming(true)).unwrap();
             *a.stream_stats().expect("streamed analyses carry their stats")
         };
         let unlimited = streamed(opts);
         assert_eq!(take_levels(), levels, "{label}: streaming progress, threads={threads}");
+        assert_eq!(unlimited.graph, serial.stats(), "{label}: streamed counts, threads={threads}");
         let budgeted = streamed(opts.with_mem_budget(4096));
         assert_eq!(take_levels(), levels, "{label}: spilling progress, threads={threads}");
         assert_eq!(

@@ -1,6 +1,6 @@
 //! What the streaming fold owes its callers, whatever it walks to get
-//! there: the facts, the counts and the progress lines of the retained
-//! build. `quotient_contract.rs` holds the catalog to it here, and
+//! there: the facts, the counts — the graph's classification counts
+//! included — and the progress lines of the retained build. `quotient_contract.rs` holds the catalog to it here, and
 //! `crates/paxos` and `crates/spec` include this file by path for the
 //! protocols core cannot name.
 //!
@@ -66,7 +66,8 @@ pub fn assert_streamed_equals_retained(label: &str, p: &Protocol) {
         Analysis::build_with(p, ReachOptions::default().with_threads(1).with_progress(pin::hook))
             .unwrap();
     let levels = pin::take_levels();
-    let nodes = retained.graph().expect("retained").node_count();
+    let graph = retained.graph().expect("retained");
+    let (nodes, stats) = (graph.node_count(), graph.stats());
     for threads in [1usize, 2, 4] {
         for budget in [0usize, 4096, 1] {
             let ctx = format!("{label}: threads={threads} budget={budget}");
@@ -84,6 +85,7 @@ pub fn assert_streamed_equals_retained(label: &str, p: &Protocol) {
             // As text: the count's type is the fold's business.
             assert_eq!(st.distinct_states.to_string(), nodes.to_string(), "{ctx}: distinct");
             assert_eq!(st.levels, levels.lines().count(), "{ctx}: levels");
+            assert_eq!(st.graph, stats, "{ctx}: graph stats");
             assert_same_facts(p, &retained, &streamed, &ctx);
         }
     }

@@ -341,8 +341,8 @@ fn accepted_command_lines_run() {
     for (line, code) in [
         ("list", 0),
         ("help", 0),
-        ("analyze 2pc -n 2 --stream --mem-budget 0 --threads 64", 0),
-        ("graph d3pc -n 2 --dot --threads 0", 0),
+        ("analyze 2pc -n 2 --mem-budget 0 --threads 64", 0),
+        ("graph d3pc -n 2 --dot", 0),
         ("simulate 3pc --crash 2:4294967295:4294967295 --recover 0 --no-voter 0 --no-voter 0", 0),
         ("simulate 3pc --latency 0..0 --seed 18446744073709551615 --detector-timeout 1", 0),
         ("sweep 2pc -n 2 --recover 1099511627776 --rule quorum --json", 0),

@@ -22,39 +22,39 @@ const PINNED: &str = "\
 0 dd4fdb85d36d47a807909ea4b0b7ba66 - - $ list
 0 2695037d4dd353a41ef982a03b113e8e - - $ analyze central-2pc
 0 7c95a7f74c9bfe961e4a19c4f9202960 - - $ analyze central-3pc -n 4 --threads 2
-0 5c7e1111bb837688b942ff49bd38ece7 - - $ analyze decentralized-3pc -n 3 --stream --threads 1
 0 9e8baab2ae541aa1e90e1c66ffb0e6cb - - $ analyze decentralized-3pc -n 3 --threads 1
-0 07667f7710bc70cd6fd41085a2963f13 18a5cba567d00a1162a41c80fe2df9aa - $ analyze central-3pc -n 4 --stream --mem-budget 1K
-0 ec5d3bb5aa9964619605a54e965f029b - - $ analyze central-3pc -n 3 --stream --progress
+0 9e8baab2ae541aa1e90e1c66ffb0e6cb - - $ analyze decentralized-3pc -n 3 --threads 1
+0 7c95a7f74c9bfe961e4a19c4f9202960 18a5cba567d00a1162a41c80fe2df9aa - $ analyze central-3pc -n 4 --mem-budget 1K
+0 e21e2cb781bbe286263a633ca8756516 - - $ analyze central-3pc -n 3 --progress
 0 e21e2cb781bbe286263a633ca8756516 - - $ analyze central-3pc
 0 97f5888d5d7db467b89265ab6d24488d - - $ analyze decentralized-2pc -n 2
 0 648ebc2473dbf3f3391db2c4ae020736 - - $ analyze 1pc
 0 a3abcd06a3531199ee04440eed3e1717 - - $ analyze kpc:4 -n 3
 0 a6c33ecc658e02e2c2bc43b068cec248 - - $ analyze paxos:1 -n 2
 0 7ccf6bb936da35ca1c38d6561a4bdbf2 - - $ analyze $S/linear-2pc.nbc -n 3
-0 f50c4b231ff9caeefc09e14b0095b8f4 - - $ analyze $S/linear-irrevocable.nbc -n 3 --stream
+0 ccaa252cb2bf8c48693fddda99b5446b - - $ analyze $S/linear-irrevocable.nbc -n 3
 0 ccaa252cb2bf8c48693fddda99b5446b - - $ analyze $S/linear-irrevocable.nbc -n 3
 0 be65ffb36ff82bd22c620cc5215d2072 - - $ verify central-3pc
-0 442a1d7341c61081764ff77f8e057fff - - $ verify central-2pc -n 4 --threads 2 --progress
+0 442a1d7341c61081764ff77f8e057fff - - $ verify central-2pc -n 4 --progress
 0 5da1fd5394fa366d0e74ae46908854e1 - - $ verify paxos:1 -n 2
 0 36f79b9dcc14565b20cbd8e98191f269 - - $ verify $S/central-3pc.nbc -n 3
 0 a3004ee874d3feea5e6c0bfceff0a267 - - $ verify central-2pc -n 6
 0 839d291da51b92d9ae95a6c8cda48f09 - - $ verify decentralized-2pc -n 5
 0 03cdfc74b4cc79efaa0d5184dc19ed70 - - $ verify kpc:4 -n 4
-0 9a714cea5d4bbe8db54fc6f84c74ad6e - - $ verify central-3pc -n 7 --threads 1
+0 9a714cea5d4bbe8db54fc6f84c74ad6e - - $ verify central-3pc -n 7
 0 945e2f3735ef33b3d5253bba224ef8ba - - $ graph central-2pc -n 2 --dot
-0 ae0ec7b68a62478de0e8a1b70eae709e - - $ graph central-3pc -n 4 --threads 2 --progress
+0 ae0ec7b68a62478de0e8a1b70eae709e - - $ graph central-3pc -n 4 --progress
 0 5c5063c370b393d5602c38fbd78f0c84 - - $ graph paxos:1 -n 2
 0 b2aab43161b297821143089f45dfc01d - - $ graph $S/decentralized-3pc.nbc -n 3 --dot
 0 4bfad48d7d8f97b113909d0c70e08d49 - - $ synthesize central-2pc
-0 e92bbcc0ed756afd18de77f0071fba91 - - $ synthesize decentralized-2pc -n 3 --threads 1 --stream --mem-budget 4K --progress
+0 e92bbcc0ed756afd18de77f0071fba91 - - $ synthesize decentralized-2pc -n 3 --threads 1 --mem-budget 4K --progress
 0 4c8563f204f0d3da191be133211435f9 - - $ synthesize $S/central-2pc.nbc -n 3
 2 7d8795253d270d3cbc80efa97dca1234 - - $ synthesize $S/linear-2pc.nbc -n 3
 0 a7e6213cfaa2ec4782525295569c3cc5 - - $ simulate central-3pc
 0 c7c0d5b48652181968d9128fd63115c8 - - $ simulate central-3pc --crash 0:2:1 --recover 300 --story
 0 207fd99ce2b4673b26de9ecd3b973ff1 e441a1990c35018ef07d92bad60e6671 flight.jsonl=f3c212f2901a0739a59e692e36474c85 $ simulate central-2pc --crash 0:2:0 --rule cooperative --flight flight.jsonl --flight-cap 32
 0 a7e6213cfaa2ec4782525295569c3cc5 - - $ simulate central-3pc --flight clean-flight.jsonl
-0 fe51044f741cb64f5f6c275a161bbf7b 18a5cba567d00a1162a41c80fe2df9aa - $ simulate central-3pc -n 4 --no-voter 1 --no-voter 2 --latency 1..20 --seed 7 --threads 2 --stream --mem-budget 1K --story
+0 fe51044f741cb64f5f6c275a161bbf7b 18a5cba567d00a1162a41c80fe2df9aa - $ simulate central-3pc -n 4 --no-voter 1 --no-voter 2 --latency 1..20 --seed 7 --threads 2 --mem-budget 1K --story
 0 953b1a78fd621adc3529436f1d8c33ae - - $ simulate central-3pc -n 4 --progress
 0 e34d1bcd35e53cf46dbd0e5063fccfd0 - - $ simulate central-3pc --crash 0:2:1 --detector-timeout 3 --detector-jitter 1..5 --seed 3 --story
 0 323dbc0c759d493f21754a0d43d7256b - - $ simulate central-3pc --crash 0:2:1 --detector-timeout 3 --story
@@ -88,16 +88,16 @@ const PINNED: &str = "\
 0 c9de8327d1f34d1ef56f78c6ea30c303 - - $ sweep central-2pc --rule naive --no-voter 0
 0 81b576326a4c2d1cae407c0a32a193db - - $ sweep central-3pc --detector-timeout 2 --seed 7 --json
 0 5e703e711b0a93cae1bcf7a127f0a62b - - $ sweep central-3pc --detector-timeout 2 --detector-jitter 1..4 --seed 7 --rule quorum --json
-0 54ee03f64f7b13af88d365e510ef9dc6 - - $ sweep central-3pc -n 4 --latency 1..9 --seed 2 --threads 2 --stream --progress
-0 54ee03f64f7b13af88d365e510ef9dc6 18a5cba567d00a1162a41c80fe2df9aa - $ sweep central-3pc -n 4 --stream --mem-budget 2K
+0 54ee03f64f7b13af88d365e510ef9dc6 - - $ sweep central-3pc -n 4 --latency 1..9 --seed 2 --threads 2 --progress
+0 54ee03f64f7b13af88d365e510ef9dc6 18a5cba567d00a1162a41c80fe2df9aa - $ sweep central-3pc -n 4 --mem-budget 2K
 0 07b3265c6ce6a57d965528b5129fb300 - sweep.jsonl=5da772db08ae2b8d592844ff3d00a317 $ sweep central-3pc --trace sweep.jsonl --metrics
 0 d72ead251e38087e102fcf59fb33e4b7 - sweep.chrome.json=3b0e9617c4e4ae1417886349405545e2 $ sweep central-2pc --trace sweep.chrome.json --trace-format chrome
 0 d63e4819446cb50d857d102ef8fd7754 - - $ sweep central-3pc --no-voter 1 --json
 0 c59552e64177303d5f4ae598190796fa - - $ sweep paxos:1 -n 2
 0 f64f8113fcea679af18947ba1f72b2ab - - $ sweep $S/central-3pc.nbc -n 3
 0 5d802b1eab4b5c0fbb0413490ccce76a - - $ termination central-3pc
-0 029d2c9acdb067a8f586fa593d5f460d - - $ termination central-2pc -n 4 --threads 2 --stream --progress
-0 0b905b6587fde100fd2710c8402fb4f7 18a5cba567d00a1162a41c80fe2df9aa - $ termination central-3pc -n 4 --stream --mem-budget 2K
+0 029d2c9acdb067a8f586fa593d5f460d - - $ termination central-2pc -n 4 --threads 2 --progress
+0 0b905b6587fde100fd2710c8402fb4f7 18a5cba567d00a1162a41c80fe2df9aa - $ termination central-3pc -n 4 --mem-budget 2K
 0 5d802b1eab4b5c0fbb0413490ccce76a - - $ termination central-3pc --recover 3
 0 b007f31b9154ee6e5c63dd224a77771f - - $ termination central-3pc --metrics
 0 f6f1843df2243166e941d45aefee4844 - term.jsonl=d631245d0205a189440a6bf50025defd $ termination central-3pc --trace term.jsonl --trace-format jsonl
@@ -107,8 +107,8 @@ const PINNED: &str = "\
 0 a966e2a4f9dd5f6b645dc26f39a21406 - - $ termination paxos:1 -n 2
 0 88a240e6153652092f145739ee0c6f11 - - $ termination $S/linear-2pc.nbc -n 3 --metrics
 0 aca72c15aec0144daf5ec1f149b7172c - - $ recovery central-3pc
-0 c1d5e4727a43fd10b8f2f14a5b8baaf2 - - $ recovery central-2pc -n 4 --threads 2 --stream --progress
-0 0f8c6bcc29f2c00a1657251a14a4b287 18a5cba567d00a1162a41c80fe2df9aa - $ recovery central-3pc -n 4 --stream --mem-budget 2K
+0 c1d5e4727a43fd10b8f2f14a5b8baaf2 - - $ recovery central-2pc -n 4 --threads 2 --progress
+0 0f8c6bcc29f2c00a1657251a14a4b287 18a5cba567d00a1162a41c80fe2df9aa - $ recovery central-3pc -n 4 --mem-budget 2K
 0 aca72c15aec0144daf5ec1f149b7172c - - $ recovery central-3pc --recover 3
 0 bfe7cc8507ee07af360b239deefc66b0 - - $ recovery central-3pc --metrics
 0 8aad27aeb99a11926381dc5ea29519f6 - rec.chrome.json=39569721b4cd682cb862cfdb54249922 $ recovery central-3pc --trace rec.chrome.json --trace-format chrome --recover 120
@@ -155,35 +155,35 @@ const LINES: &[(&str, &[&str])] = &[
     // analyze
     ("analyze central-2pc", &[]),
     ("analyze central-3pc -n 4 --threads 2", &[]),
-    ("analyze decentralized-3pc -n 3 --stream --threads 1", &[]),
     ("analyze decentralized-3pc -n 3 --threads 1", &[]),
-    ("analyze central-3pc -n 4 --stream --mem-budget 1K", &[]),
-    ("analyze central-3pc -n 3 --stream --progress", &[]),
+    ("analyze decentralized-3pc -n 3 --threads 1", &[]),
+    ("analyze central-3pc -n 4 --mem-budget 1K", &[]),
+    ("analyze central-3pc -n 3 --progress", &[]),
     ("analyze central-3pc", &[]),
     ("analyze decentralized-2pc -n 2", &[]),
     ("analyze 1pc", &[]),
     ("analyze kpc:4 -n 3", &[]),
     ("analyze paxos:1 -n 2", &[]),
     ("analyze $S/linear-2pc.nbc -n 3", &[]),
-    ("analyze $S/linear-irrevocable.nbc -n 3 --stream", &[]),
+    ("analyze $S/linear-irrevocable.nbc -n 3", &[]),
     ("analyze $S/linear-irrevocable.nbc -n 3", &[]),
     // verify
     ("verify central-3pc", &[]),
-    ("verify central-2pc -n 4 --threads 2 --progress", &[]),
+    ("verify central-2pc -n 4 --progress", &[]),
     ("verify paxos:1 -n 2", &[]),
     ("verify $S/central-3pc.nbc -n 3", &[]),
     ("verify central-2pc -n 6", &[]),
     ("verify decentralized-2pc -n 5", &[]),
     ("verify kpc:4 -n 4", &[]),
-    ("verify central-3pc -n 7 --threads 1", &[]),
+    ("verify central-3pc -n 7", &[]),
     // graph
     ("graph central-2pc -n 2 --dot", &[]),
-    ("graph central-3pc -n 4 --threads 2 --progress", &[]),
+    ("graph central-3pc -n 4 --progress", &[]),
     ("graph paxos:1 -n 2", &[]),
     ("graph $S/decentralized-3pc.nbc -n 3 --dot", &[]),
     // synthesize
     ("synthesize central-2pc", &[]),
-    ("synthesize decentralized-2pc -n 3 --threads 1 --stream --mem-budget 4K --progress", &[]),
+    ("synthesize decentralized-2pc -n 3 --threads 1 --mem-budget 4K --progress", &[]),
     ("synthesize $S/central-2pc.nbc -n 3", &[]),
     ("synthesize $S/linear-2pc.nbc -n 3", &[]),
     // simulate
@@ -196,7 +196,7 @@ const LINES: &[(&str, &[&str])] = &[
     ("simulate central-3pc --flight clean-flight.jsonl", &[]),
     (
         "simulate central-3pc -n 4 --no-voter 1 --no-voter 2 --latency 1..20 --seed 7 --threads 2 \
-         --stream --mem-budget 1K --story",
+         --mem-budget 1K --story",
         &[],
     ),
     ("simulate central-3pc -n 4 --progress", &[]),
@@ -253,8 +253,8 @@ const LINES: &[(&str, &[&str])] = &[
         "sweep central-3pc --detector-timeout 2 --detector-jitter 1..4 --seed 7 --rule quorum --json",
         &[],
     ),
-    ("sweep central-3pc -n 4 --latency 1..9 --seed 2 --threads 2 --stream --progress", &[]),
-    ("sweep central-3pc -n 4 --stream --mem-budget 2K", &[]),
+    ("sweep central-3pc -n 4 --latency 1..9 --seed 2 --threads 2 --progress", &[]),
+    ("sweep central-3pc -n 4 --mem-budget 2K", &[]),
     ("sweep central-3pc --trace sweep.jsonl --metrics", &["sweep.jsonl"]),
     (
         "sweep central-2pc --trace sweep.chrome.json --trace-format chrome",
@@ -265,8 +265,8 @@ const LINES: &[(&str, &[&str])] = &[
     ("sweep $S/central-3pc.nbc -n 3", &[]),
     // termination / recovery
     ("termination central-3pc", &[]),
-    ("termination central-2pc -n 4 --threads 2 --stream --progress", &[]),
-    ("termination central-3pc -n 4 --stream --mem-budget 2K", &[]),
+    ("termination central-2pc -n 4 --threads 2 --progress", &[]),
+    ("termination central-3pc -n 4 --mem-budget 2K", &[]),
     ("termination central-3pc --recover 3", &[]),
     ("termination central-3pc --metrics", &[]),
     ("termination central-3pc --trace term.jsonl --trace-format jsonl", &["term.jsonl"]),
@@ -283,8 +283,8 @@ const LINES: &[(&str, &[&str])] = &[
     ("termination paxos:1 -n 2", &[]),
     ("termination $S/linear-2pc.nbc -n 3 --metrics", &[]),
     ("recovery central-3pc", &[]),
-    ("recovery central-2pc -n 4 --threads 2 --stream --progress", &[]),
-    ("recovery central-3pc -n 4 --stream --mem-budget 2K", &[]),
+    ("recovery central-2pc -n 4 --threads 2 --progress", &[]),
+    ("recovery central-3pc -n 4 --mem-budget 2K", &[]),
     ("recovery central-3pc --recover 3", &[]),
     ("recovery central-3pc --metrics", &[]),
     (

@@ -1,6 +1,6 @@
-//! The B4, B6 and B8 tables are pinned to the text committed in
-//! `docs/experiments_output.txt`: every cell, both shape sentences and
-//! B8's cost table (not the wall-clock `(bN finished in …)` lines).
+//! The E12, B4, B6 and B8 tables are pinned to the text committed in
+//! `docs/experiments_output.txt`: every cell, the shape sentences and
+//! B8's cost table (not the wall-clock `(… finished in …)` lines).
 
 use nbc_bench::experiments;
 
@@ -18,6 +18,11 @@ fn assert_pinned(id: &str, first: usize, last: usize) {
         committed_lines(first, last),
         "{id} no longer prints docs/experiments_output.txt lines {first}-{last}"
     );
+}
+
+#[test]
+fn e12_prints_the_committed_table() {
+    assert_pinned("e12", 582, 589);
 }
 
 #[test]

@@ -42,6 +42,9 @@ const PINNED: &str = "\
 0 839d291da51b92d9ae95a6c8cda48f09 - - $ verify decentralized-2pc -n 5
 0 03cdfc74b4cc79efaa0d5184dc19ed70 - - $ verify kpc:4 -n 4
 0 9a714cea5d4bbe8db54fc6f84c74ad6e - - $ verify central-3pc -n 7
+0 26669a4f0ca42964850208f5e328d174 - - $ verify central-3pc -n 9
+0 734e15bbdaca97fc0c18547e6a712992 - - $ verify decentralized-3pc -n 4
+0 05beef40fad125ace2ac5e9f38bf1085 - - $ verify 1pc -n 12
 0 945e2f3735ef33b3d5253bba224ef8ba - - $ graph central-2pc -n 2 --dot
 0 ae0ec7b68a62478de0e8a1b70eae709e - - $ graph central-3pc -n 4 --progress
 0 5c5063c370b393d5602c38fbd78f0c84 - - $ graph paxos:1 -n 2
@@ -176,6 +179,9 @@ const LINES: &[(&str, &[&str])] = &[
     ("verify decentralized-2pc -n 5", &[]),
     ("verify kpc:4 -n 4", &[]),
     ("verify central-3pc -n 7", &[]),
+    ("verify central-3pc -n 9", &[]),
+    ("verify decentralized-3pc -n 4", &[]),
+    ("verify 1pc -n 12", &[]),
     // graph
     ("graph central-2pc -n 2 --dot", &[]),
     ("graph central-3pc -n 4 --progress", &[]),

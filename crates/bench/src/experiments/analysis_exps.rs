@@ -1,8 +1,11 @@
 //! Concurrency-set, theorem, and synchronicity experiments.
 
+use std::collections::{HashSet, VecDeque};
+
 use nbc_core::canonical::canonical_2pc;
 use nbc_core::protocols::{catalog, decentralized_2pc};
-use nbc_core::{sync_check, theorem, Analysis, SiteId, StateId};
+use nbc_core::reach::NodeId;
+use nbc_core::{sync_check, theorem, Analysis, ReachGraph, ReachOptions, SiteId, StateId};
 
 use crate::table::Table;
 
@@ -88,9 +91,44 @@ pub fn e11_theorem_catalog() -> String {
     )
 }
 
+/// The largest lead, in transitions taken, of one still-executing site
+/// over another on any path of `graph`, with the per-site counts where a
+/// breadth-first walk over (node, counts) first meets it. Sites in a final
+/// state are left out of the spread: a unilateral abort legitimately
+/// finishes a site early. The walk ends because a commit protocol's
+/// reachable graph has no cycle.
+fn max_transition_lead(graph: &ReachGraph) -> (u32, Vec<u32>) {
+    let n = graph.node(graph.initial()).locals.len();
+    let init: (NodeId, Box<[u32]>) = (graph.initial(), vec![0u32; n].into_boxed_slice());
+    let mut seen = HashSet::from([init.clone()]);
+    let mut queue = VecDeque::from([init]);
+    let (mut max_lead, mut witness) = (0u32, vec![0u32; n]);
+    while let Some((node, depths)) = queue.pop_front() {
+        let executing: Vec<u32> = (graph.node(node).locals.iter().enumerate())
+            .filter(|&(i, &s)| !graph.class_of(SiteId(i as u32), s).is_final())
+            .map(|(i, _)| depths[i])
+            .collect();
+        if let (Some(most), Some(least)) = (executing.iter().max(), executing.iter().min()) {
+            if most - least > max_lead {
+                max_lead = most - least;
+                witness = depths.to_vec();
+            }
+        }
+        for e in graph.edges(node) {
+            let mut next = depths.clone();
+            next[e.site.index()] += 1;
+            if seen.insert((e.to, next.clone())) {
+                queue.push_back((e.to, next));
+            }
+        }
+    }
+    (max_lead, witness)
+}
+
 /// E12 — synchronicity within one state transition, plus the committable
 /// states per protocol ("a blocking protocol usually has only one
 /// committable state, while nonblocking protocols always have more").
+/// The lead column walks each protocol's retained graph.
 pub fn e12_synchronicity() -> String {
     let mut t = Table::new([
         "protocol",
@@ -99,8 +137,10 @@ pub fn e12_synchronicity() -> String {
         "committable state classes",
     ]);
     for p in catalog(3) {
-        let a = Analysis::build(&p).expect("analyzable");
-        let r = sync_check::check_with(&p, &a, nbc_core::ReachOptions::default());
+        let a = Analysis::build_with(&p, ReachOptions::default().with_streaming(true))
+            .expect("analyzable");
+        let r = sync_check::check_with(&p, &a);
+        let (max_lead, _) = max_transition_lead(&ReachGraph::build(&p).expect("analyzable"));
         let mut committable = std::collections::BTreeSet::new();
         for site in p.sites() {
             let fsa = p.fsa(site);
@@ -114,7 +154,7 @@ pub fn e12_synchronicity() -> String {
         t.row([
             p.name.clone(),
             if r.synchronous_within_one() { "yes".into() } else { "NO".to_string() },
-            r.max_lead.to_string(),
+            max_lead.to_string(),
             committable.into_iter().map(String::from).collect::<Vec<_>>().join(", "),
         ]);
     }
@@ -155,5 +195,39 @@ mod tests {
     fn e12_committable_classes() {
         let s = e12_synchronicity();
         assert!(s.contains("p, c"), "{s}");
+    }
+
+    #[test]
+    fn commit_paths_have_lead_at_most_one() {
+        use nbc_core::protocols::{central_2pc, central_3pc, decentralized_3pc};
+        for p in [central_2pc(3), central_3pc(3), decentralized_2pc(3), decentralized_3pc(3)] {
+            let (lead, witness) = max_transition_lead(&ReachGraph::build(&p).unwrap());
+            assert!(lead <= 1, "{}: still-executing lead {lead} at {witness:?}", p.name);
+        }
+    }
+
+    #[test]
+    fn a_site_two_transitions_ahead_leads_by_two() {
+        use nbc_core::{Consume, Envelope, FsaBuilder, MsgKind, Paradigm, Protocol, StateClass};
+        // Site 0 takes two spontaneous transitions before site 1 can move.
+        let mut b0 = FsaBuilder::new("runner");
+        let q0 = b0.state("q", StateClass::Initial);
+        let m0 = b0.state("m", StateClass::Custom(1));
+        let z0 = b0.state("z", StateClass::Custom(2));
+        let c0 = b0.state("c", StateClass::Committed);
+        b0.transition(q0, m0, Consume::Spontaneous, vec![], None, "step1");
+        let commit = vec![Envelope::new(SiteId(1), MsgKind::COMMIT)];
+        b0.transition(m0, z0, Consume::Spontaneous, commit, None, "step2 / commit");
+        b0.transition(z0, c0, Consume::one(SiteId(1), MsgKind::ACK), vec![], None, "ack /");
+        let mut b1 = FsaBuilder::new("waiter");
+        let q1 = b1.state("q", StateClass::Initial);
+        let c1 = b1.state("c", StateClass::Committed);
+        let ack = vec![Envelope::new(SiteId(0), MsgKind::ACK)];
+        b1.transition(q1, c1, Consume::one(SiteId(0), MsgKind::COMMIT), ack, None, "commit / ack");
+        let p = Protocol::new("lead-2", Paradigm::Custom, vec![b0.build(), b1.build()], vec![]);
+        // While the runner sits in z (two transitions in) the waiter is
+        // still executing at zero transitions.
+        let (lead, witness) = max_transition_lead(&ReachGraph::build(&p).unwrap());
+        assert_eq!((lead, witness), (2, vec![2, 0]));
     }
 }

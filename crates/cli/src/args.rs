@@ -202,7 +202,8 @@ impl Flag {
 /// Commands that explore the reachable states of a PROTO.
 const REACH: u16 = Graph as u16 | Verify as u16 | FOLD;
 /// Commands that read facts only, folded over a stream of the states
-/// without retaining the graph; `graph` and `verify` read its edges.
+/// without retaining the graph, and take the fold's own flags. `verify`
+/// streams too, at the default options; `graph` reads the edges.
 const FOLD: u16 = Analyze as u16 | Synthesize as u16 | RUNS;
 /// Commands that run the engine on a [`crate::SimOpts`] configuration.
 const RUNS: u16 = Simulate as u16 | Sweep as u16 | DEMO;

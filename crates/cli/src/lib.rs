@@ -113,13 +113,12 @@ fn run(inv: &Invocation) -> Result<CheckRun, CliError> {
 fn run_on_protocol(inv: &Invocation) -> Result<String, CliError> {
     let protocol = resolve_protocol(&inv.operands[0], inv.n())?;
     let progress = inv.has("--progress");
-    match inv.cmd {
-        Cmd::Graph => return cmd_graph(&protocol, inv.has("--dot"), progress),
-        Cmd::Verify => {
-            let graph = build_graph(&protocol, progress)?;
-            return cmd_verify(&protocol, &Analysis::from_graph(&protocol, graph));
-        }
-        _ => {}
+    if inv.cmd == Cmd::Graph {
+        return cmd_graph(&protocol, inv.has("--dot"), progress);
+    }
+    if inv.cmd == Cmd::Verify && protocol.n_sites() > verify::MAX_SITES {
+        let (max, name, n) = (verify::MAX_SITES, &protocol.name, protocol.n_sites());
+        return fail(format!("verify judges at most {max} sites, and {name} has {n}"));
     }
     // Every remaining command reads facts only; fold them once and share
     // them across the theorem/resilience/termination/report subpaths.
@@ -129,6 +128,7 @@ fn run_on_protocol(inv: &Invocation) -> Result<String, CliError> {
     let opts = SimOpts::of(inv);
     match inv.cmd {
         Cmd::Analyze => cmd_analyze(&protocol, &analysis),
+        Cmd::Verify => cmd_verify(&protocol, &analysis),
         Cmd::Synthesize => cmd_synthesize(&protocol, &analysis),
         Cmd::Simulate => cmd_simulate(&protocol, &analysis, &opts),
         Cmd::Sweep => cmd_sweep(&protocol, &analysis, &opts),
@@ -217,11 +217,11 @@ pub fn cmd_list() -> String {
 }
 
 /// Build the single [`Analysis`] an invocation shares across every
-/// facts-only subcommand (theorem, resilience, sync, termination,
-/// recovery, simulation), honoring `--threads`, `--mem-budget` and
-/// `--progress`. The reachability fold retires node payloads level by
-/// level and retains no graph; [`cmd_graph`] and [`cmd_verify`], which
-/// read edges, build the graph instead.
+/// facts-only subcommand (theorem, resilience, sync, termination
+/// verification, termination, recovery, simulation), honoring
+/// `--threads`, `--mem-budget` and `--progress`. The reachability fold
+/// retires node payloads level by level and retains no graph; only
+/// [`cmd_graph`], which reads edges, builds the graph instead.
 pub fn build_analysis(
     protocol: &Protocol,
     threads: usize,
@@ -244,16 +244,6 @@ pub fn build_analysis(
         );
     }
     Ok(analysis)
-}
-
-/// Build the retained reachable graph, for the commands that read its
-/// edges (`graph`, `verify`), honoring `--progress`.
-fn build_graph(protocol: &Protocol, progress: bool) -> Result<ReachGraph, CliError> {
-    let mut opts = ReachOptions::default();
-    if progress {
-        opts = opts.with_progress(print_progress);
-    }
-    ReachGraph::build_with(protocol, opts).map_err(graph_error)
 }
 
 /// A failed retained build as a CLI error. One that ran into the state
@@ -325,7 +315,7 @@ fn tick_rate(events: u64) -> Option<f64> {
 pub fn cmd_analyze(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
     let report = theorem::check_with(protocol, analysis);
     let res = resilience::resilience_with(protocol, &report);
-    let sync = sync_check::check_with(protocol, analysis, ReachOptions::default());
+    let sync = sync_check::check_with(protocol, analysis);
 
     let mut out = String::new();
     let _ = writeln!(out, "{protocol}");
@@ -346,45 +336,50 @@ pub fn cmd_analyze(protocol: &Protocol, analysis: &Analysis) -> Result<String, C
     Ok(out)
 }
 
-/// `nbc verify PROTO`, over an analysis that retains its graph.
+/// `nbc verify PROTO`: the verdict, the counts and the first witnesses.
 pub fn cmd_verify(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
     let v = verify::verify_termination_with(protocol, analysis);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{}: model-checked {} (global state x survivor subset) cases",
-        v.protocol, v.cases
+        v.protocol,
+        Count(v.cases)
     );
     let _ = writeln!(
         out,
         "safety (no decision contradicts a durable final): {}",
         if v.safe() { "HOLDS" } else { "VIOLATED" }
     );
-    for w in v.unsafe_witnesses.iter().take(5) {
+    for w in &v.unsafe_witnesses {
         let _ = writeln!(out, "  ! {w}");
     }
     let _ = writeln!(
         out,
         "liveness (every survivor subset can decide): {}",
-        if v.stuck_witnesses.is_empty() {
-            "HOLDS — nonblocking".to_string()
-        } else {
-            format!("{} stuck cases — blocking", v.stuck_witnesses.len())
+        match v.stuck_cases {
+            0 => "HOLDS — nonblocking".to_string(),
+            stuck => format!("{} stuck cases — blocking", Count(stuck)),
         }
     );
-    for w in v.stuck_witnesses.iter().take(3) {
+    for w in &v.stuck_witnesses {
         let _ = writeln!(out, "  . {w}");
     }
     Ok(out)
 }
 
-/// `nbc graph PROTO [--dot] [--progress]`
+/// `nbc graph PROTO [--dot] [--progress]`: the one command that reads
+/// the edges, so the one that builds the retained graph.
 pub fn cmd_graph(
     protocol: &Protocol,
     dot_output: bool,
     progress: bool,
 ) -> Result<String, CliError> {
-    let g = build_graph(protocol, progress)?;
+    let mut opts = ReachOptions::default();
+    if progress {
+        opts = opts.with_progress(print_progress);
+    }
+    let g = ReachGraph::build_with(protocol, opts).map_err(graph_error)?;
     if dot_output {
         Ok(dot::reach_graph_to_dot(&g, protocol, true))
     } else {
@@ -1332,11 +1327,17 @@ mod tests {
     #[test]
     fn verify_distinguishes_blocking() {
         let p = resolve_protocol("3pc", 3).unwrap();
-        let retained = Analysis::build(&p).unwrap();
-        assert!(cmd_verify(&p, &retained).unwrap().contains("HOLDS — nonblocking"));
+        let out = cmd_verify(&p, &build_analysis(&p, 0, false, 0).unwrap()).unwrap();
+        assert!(out.contains("HOLDS — nonblocking"), "{out}");
         let p = resolve_protocol("2pc", 3).unwrap();
-        let retained = Analysis::build(&p).unwrap();
-        assert!(cmd_verify(&p, &retained).unwrap().contains("blocking"));
+        let out = cmd_verify(&p, &build_analysis(&p, 0, false, 0).unwrap()).unwrap();
+        assert!(out.contains("stuck cases — blocking"), "{out}");
+        assert!(out.contains("  . state (w1, q, q), survivors [0]: no survivor"), "{out}");
+        // Survivor subsets are 64-bit masks: 62 participants and three
+        // acceptors are refused before anything is walked.
+        let refused = run_argv(&["verify", "paxos:1", "-n", "62"].map(String::from));
+        assert_eq!(refused.code, 2, "{}", refused.stderr);
+        assert!(refused.stderr.contains("at most 64 sites"), "{}", refused.stderr);
     }
 
     #[test]

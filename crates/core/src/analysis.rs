@@ -44,9 +44,10 @@
 //! expanded, only the current frontier stays resident, and no
 //! [`ReachGraph`] is kept — [`Analysis::graph`] returns `None`, while
 //! [`Analysis::graph_stats`] reads the same counts either way. Every
-//! facts-only `nbc` command streams. Graph consumers (DOT rendering,
-//! termination verification, transition-lead measurement) need the
-//! default retaining mode.
+//! facts-only `nbc` command streams, `verify` included: termination
+//! verification ([`crate::verify`]) walks the states a second time, with
+//! the options the analysis was built with. Only what reads edges (DOT
+//! rendering, a walk over the edges) needs the default retaining mode.
 //!
 //! [`Vote`]: crate::fsa::Vote
 //! [`cs_has_commit`]: Analysis::cs_has_commit
@@ -103,6 +104,10 @@ pub struct Analysis {
     graph: Option<ReachGraph>,
     /// Streaming statistics, when the analysis was streamed.
     stream: Option<StreamStats>,
+    /// The options the states were walked with, less the progress hook
+    /// (the defaults for an analysis made [`from_graph`](Self::from_graph)):
+    /// what a second walk over them, termination verification's, reuses.
+    pub(crate) walk: ReachOptions,
 }
 
 impl Analysis {
@@ -118,12 +123,14 @@ impl Analysis {
     /// barrier, bit-identical for any thread count — and no graph is
     /// retained.
     pub fn build_with(protocol: &Protocol, opts: ReachOptions) -> Result<Self, ProtocolError> {
+        let walk = ReachOptions { progress: None, ..opts };
         if !opts.stream {
-            return Ok(Self::from_graph(protocol, ReachGraph::build_with(protocol, opts)?));
+            let graph = ReachGraph::build_with(protocol, opts)?;
+            return Ok(Self { walk, ..Self::from_graph(protocol, graph) });
         }
         let mut facts = ConcurrencyFacts::new(protocol);
         let stats = reach::fold_reachable(protocol, opts, &mut facts)?;
-        Ok(Self::finish(protocol, facts, None, Some(stats)))
+        Ok(Self { walk, ..Self::finish(protocol, facts, None, Some(stats)) })
     }
 
     /// Run the analysis over an already-built graph: one pass over its
@@ -199,6 +206,7 @@ impl Analysis {
             recovery_classes: OnceLock::new(),
             graph,
             stream,
+            walk: ReachOptions::default(),
             slots,
         }
     }

@@ -28,7 +28,7 @@
 use crate::fsa::{Fsa, Vote};
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
-use crate::reach::StateFolder;
+use crate::reach::{StateFolder, Visit};
 
 /// Maps `(site, state)` pairs to a dense site-major slot numbering.
 #[derive(Clone, Debug)]
@@ -219,7 +219,8 @@ fn join_bits(row: &mut [u64], i: u32, j: u32) -> bool {
 }
 
 impl StateFolder for ConcurrencyFacts {
-    fn fold(&mut self, locals: &[StateId]) {
+    fn fold(&mut self, state: &Visit<'_>) {
+        let locals = state.locals;
         self.state_mask.fill(0);
         let mut all_yes = true;
         for (i, &s) in locals.iter().enumerate() {
@@ -387,17 +388,18 @@ mod tests {
         // split accumulators and absorbing must equal one straight fold.
         let p = central_2pc(2);
         let g = crate::reach::ReachGraph::build(&p).unwrap();
+        let visit = |locals| Visit { locals, words: &[], orbit: 1, level: 0 };
         let mut straight = ConcurrencyFacts::new(&p);
         for id in 0..g.node_count() as crate::reach::NodeId {
-            straight.fold(&g.node(id).locals);
+            straight.fold(&visit(&g.node(id).locals));
         }
         let mut merged = ConcurrencyFacts::new(&p);
         let (mut a, mut b) = (merged.split(), merged.split());
         for id in 0..g.node_count() as crate::reach::NodeId {
             if id % 2 == 0 {
-                a.fold(&g.node(id).locals)
+                a.fold(&visit(&g.node(id).locals))
             } else {
-                b.fold(&g.node(id).locals)
+                b.fold(&visit(&g.node(id).locals))
             }
         }
         merged.absorb(b);

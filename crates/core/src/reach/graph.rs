@@ -174,13 +174,6 @@ impl ReachGraph {
         })
     }
 
-    /// The site-local states of node `id`, read from its packed words —
-    /// all that classification, the fold and the transition-lead walk
-    /// need of a node.
-    pub(crate) fn locals(&self, id: NodeId) -> impl Iterator<Item = (SiteId, StateId)> + '_ {
-        (0u32..).map(SiteId).zip(self.codec.locals(self.arena.get(id as usize)))
-    }
-
     /// Out-edges of `id`.
     pub fn edges(&self, id: NodeId) -> &[Edge] {
         let id = id as usize;
@@ -193,9 +186,10 @@ impl ReachGraph {
         self.classes[site.index()][s.index()]
     }
 
-    /// Node `id` classified: `(final, inconsistent)`.
+    /// Node `id` classified: `(final, inconsistent)`, from the site-local
+    /// states read off its packed words.
     fn classify(&self, id: NodeId) -> (bool, bool) {
-        classify(&self.classes, self.locals(id).map(|(_, s)| s))
+        classify(&self.classes, self.codec.locals(self.arena.get(id as usize)))
     }
 
     /// A global state is *final* if all local states are final.
@@ -474,9 +468,11 @@ mod tests {
             assert!(g.nodes.get().is_none(), "{}: the fold decoded the nodes", p.name);
             assert_eq!(facts.0, g.node_count());
 
-            // ...and so do the analyses that walk the graph node by node.
+            // ...and so do the analyses of a retained analysis, which
+            // read its facts, and termination verification, which walks
+            // the states again without the graph.
             let analysis = crate::Analysis::from_graph(&p, g.clone());
-            let _ = crate::sync_check::check_with(&p, &analysis, ReachOptions::default());
+            let _ = crate::sync_check::check_with(&p, &analysis);
             let _ = crate::theorem::check_with(&p, &analysis);
             let _ = crate::verify::verify_termination_with(&p, &analysis);
             let walked = analysis.graph().expect("retained");

@@ -46,7 +46,8 @@
 //! so node ids are discovery order (`tests/pinned_graphs.rs` holds the
 //! bytes). Retained graphs are exact: a hash hit is confirmed by comparing
 //! words (`IdTable`). The builder builds and nothing else, and only what
-//! reads edges needs it: `nbc graph`, `nbc verify` and library callers.
+//! reads edges needs it: `nbc graph` and library callers, such as the
+//! transition-lead walk behind the experiments' E12 table.
 //!
 //! An analysis reaches the states by one of two routes:
 //! `ReachGraph::fold_nodes`, a pass over the finished arena, or the second
@@ -60,13 +61,12 @@
 //!
 //! The finished [`ReachGraph`] keeps its nodes as it built them: one flat
 //! arena, `W` words a node. Classification ([`ReachGraph::is_final`],
-//! [`ReachGraph::stats`]), the analysis fold and the transition-lead walk
-//! of [`crate::sync_check`] read the site-local fields straight from the
-//! words, so `analyze`, the theorem and resilience never build a
-//! [`GlobalState`]. [`ReachGraph::node`] and [`ReachGraph::nodes`] decode
-//! the whole node vector once, on first use — what termination
-//! verification, DOT rendering and any caller that reads a node's messages
-//! pays, and nobody else.
+//! [`ReachGraph::stats`]) and the analysis fold read the site-local fields
+//! straight from the words, so the theorem and resilience never build a
+//! [`GlobalState`] from a retained graph either. [`ReachGraph::node`] and
+//! [`ReachGraph::nodes`] decode the whole node vector once, on first use —
+//! what DOT rendering and any caller that reads a node pays, and nobody
+//! else.
 //!
 //! ## Where things live
 //!
@@ -92,7 +92,7 @@ mod stream;
 
 pub use graph::{GraphStats, ReachGraph};
 pub use stream::StreamStats;
-pub(crate) use stream::{fold_reachable, StateFolder};
+pub(crate) use stream::{fold_reachable, StateFolder, Visit};
 
 /// Index of a node in the reachable state graph.
 pub type NodeId = u32;
@@ -306,11 +306,12 @@ pub struct ReachOptions {
     /// Fold the analysis over a stream of states instead of a retained
     /// graph: [`crate::Analysis::build_with`] folds its facts level by
     /// level and retires node payloads as soon as a level has been
-    /// expanded, keeping only the current frontier resident. The resulting analysis has no
-    /// [`ReachGraph`] (`Analysis::graph()` returns `None`), so graph
-    /// consumers (`dot`, termination verification, lead measurement) need
-    /// the default retaining mode. Ignored by [`ReachGraph::build_with`]
-    /// itself — a graph is inherently retained.
+    /// expanded, keeping only the current frontier resident. The resulting
+    /// analysis has no [`ReachGraph`] (`Analysis::graph()` returns `None`),
+    /// so what reads edges (DOT rendering, a walk over the edges) needs
+    /// the default retaining mode; termination verification does not.
+    /// Ignored by [`ReachGraph::build_with`] itself — a graph is inherently
+    /// retained.
     pub stream: bool,
     /// Called once per completed BFS level with a [`LevelProgress`]
     /// snapshot. A plain `fn` pointer (not a closure) so the options stay

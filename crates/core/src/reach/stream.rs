@@ -35,14 +35,15 @@ use crate::symmetry::Symmetry;
 /// concurrency facts). Then any chunking of the frontier and any absorb
 /// order produce identical bits.
 ///
+/// A folder that counts instead (termination verification) folds each
+/// state once, so a saturating sum merges as well as an OR does.
+///
 /// The pass over a graph folds every state. The streaming fold folds one
 /// representative of each orbit of the protocol's site symmetry and then
 /// closes the accumulator under the group with `close_under_swap`.
 pub(crate) trait StateFolder: Send + Sync {
-    /// Fold one distinct reachable global state, given as its site-local
-    /// states (`locals[i]` = local state of site `i`), read off the packed
-    /// words: no folder looks at the messages.
-    fn fold(&mut self, locals: &[StateId]);
+    /// Fold one distinct reachable global state.
+    fn fold(&mut self, state: &Visit<'_>);
     /// An empty accumulator for a worker thread to fold its chunk into.
     fn split(&self) -> Self
     where
@@ -55,6 +56,22 @@ pub(crate) trait StateFolder: Send + Sync {
     /// interchangeable sites `a` and `b` — what folding every state with
     /// the two renamed would have added; true if anything was new.
     fn close_under_swap(&mut self, a: SiteId, b: SiteId) -> bool;
+}
+
+/// A state as a [`StateFolder`] is handed it. No folder looks at the
+/// messages.
+pub(crate) struct Visit<'a> {
+    /// The site-local states read off the packed words: `locals[i]` is the
+    /// local state of site `i`.
+    pub(crate) locals: &'a [StateId],
+    /// The packed words: on the stream, the canonical representative of
+    /// the orbit.
+    pub(crate) words: &'a [u64],
+    /// How many states of the graph the visit stands for: the orbit's size
+    /// on the stream (saturating, like [`Count`]).
+    pub(crate) orbit: u128,
+    /// The state's BFS level, the same for every state of its orbit.
+    pub(crate) level: usize,
 }
 
 /// Statistics of a streaming (non-retaining) reachability fold.
@@ -190,6 +207,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
     };
 
     while !frontier.is_empty() {
+        let level = stats.levels;
         stats.levels += 1;
         // Workers filter successors against the prior levels' hot `seen`
         // set (immutable while a level is in flight) and a chunk-local
@@ -219,7 +237,7 @@ pub(crate) fn fold_reachable<F: StateFolder>(
                 let source = frontier.get(i);
                 locals.clear();
                 locals.extend(codec.locals(source));
-                fold.fold(&locals);
+                fold.fold(&Visit { locals: &locals, words: source, orbit: orbits[i], level });
                 let mut fanout = 0u128;
                 for_each_successor(&program, &codec, source, &mut scratch, |succ, _| {
                     canon.copy_from_slice(succ);
@@ -342,13 +360,15 @@ pub(crate) fn fold_reachable<F: StateFolder>(
 
 impl ReachGraph {
     /// Fold `folder` over every node in id order — the graph's one
-    /// meeting point with an analysis.
+    /// meeting point with an analysis. Each node is its own orbit, and
+    /// is handed at level 0: the graph keeps no levels, and the facts,
+    /// the one folder that meets it, read neither.
     pub(crate) fn fold_nodes<F: StateFolder>(&self, folder: &mut F) {
         let mut locals: Vec<StateId> = Vec::new();
-        for id in 0..self.node_count() {
+        for words in (0..self.node_count()).map(|id| self.arena.get(id)) {
             locals.clear();
-            locals.extend(self.codec.locals(self.arena.get(id)));
-            folder.fold(&locals);
+            locals.extend(self.codec.locals(words));
+            folder.fold(&Visit { locals: &locals, words, orbit: 1, level: 0 });
         }
     }
 }
@@ -363,7 +383,7 @@ pub(super) mod tests {
     pub(crate) struct NoFolder;
 
     impl StateFolder for NoFolder {
-        fn fold(&mut self, _: &[StateId]) {}
+        fn fold(&mut self, _: &Visit<'_>) {}
         fn split(&self) -> Self {
             NoFolder
         }
@@ -379,7 +399,7 @@ pub(super) mod tests {
     pub(crate) struct CountFolder(pub(crate) usize);
 
     impl StateFolder for CountFolder {
-        fn fold(&mut self, _: &[StateId]) {
+        fn fold(&mut self, _: &Visit<'_>) {
             self.0 += 1;
         }
         fn split(&self) -> Self {

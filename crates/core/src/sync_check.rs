@@ -21,18 +21,17 @@
 //! such a site trails in raw transition count without ever being
 //! concurrent with a non-adjacent class.
 //!
-//! For completeness the report also carries the raw maximum
-//! transition-count lead, measured by exhaustive exploration of the
-//! reachable graph augmented with per-site transition counters.
+//! The raw transition-count lead reads the graph's edges, so it is
+//! measured beside the one table that prints it: E12, in `nbc-bench`.
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 
 use crate::analysis::Analysis;
 use crate::error::ProtocolError;
 use crate::fsa::StateClass;
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
-use crate::reach::{NodeId, ReachGraph, ReachOptions};
+use crate::reach::ReachOptions;
 
 /// A concurrency-set member outside the adjacency set of the state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,11 +55,6 @@ pub struct SyncReport {
     /// is synchronous within one state transition in the Lemma-relevant
     /// sense).
     pub escapes: Vec<AdjacencyEscape>,
-    /// Largest observed lead of one still-executing site over another, in
-    /// raw transition counts.
-    pub max_lead: u32,
-    /// Per-site transition counts at the point of maximum lead.
-    pub witness: Vec<u32>,
 }
 
 impl SyncReport {
@@ -74,12 +68,12 @@ impl SyncReport {
 
 /// Check synchronicity, building the analysis.
 pub fn check(protocol: &Protocol) -> Result<SyncReport, ProtocolError> {
-    let analysis = Analysis::build(protocol)?;
-    Ok(check_with(protocol, &analysis, ReachOptions::default()))
+    let analysis = Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))?;
+    Ok(check_with(protocol, &analysis))
 }
 
 /// Check against a precomputed [`Analysis`].
-pub fn check_with(protocol: &Protocol, analysis: &Analysis, opts: ReachOptions) -> SyncReport {
+pub fn check_with(protocol: &Protocol, analysis: &Analysis) -> SyncReport {
     // Canonical quotient adjacency: class pairs connected by some site's
     // transition (undirected), plus reflexivity.
     let mut quotient: BTreeSet<(StateClass, StateClass)> = BTreeSet::new();
@@ -112,62 +106,7 @@ pub fn check_with(protocol: &Protocol, analysis: &Analysis, opts: ReachOptions) 
         }
     }
 
-    // The raw lead measurement walks the retained graph; a streamed
-    // analysis has none, so the adjacency verdict stands alone and the
-    // lead is reported as zero with an empty witness.
-    let (max_lead, witness) = match analysis.graph() {
-        Some(graph) => max_transition_lead(protocol, graph, opts),
-        None => (0, Vec::new()),
-    };
-
-    SyncReport { protocol: protocol.name.clone(), escapes, max_lead, witness }
-}
-
-/// Exhaustively measure the largest transition-count lead between two
-/// still-executing sites. Sites that have reached a final state are
-/// excluded from the spread: a unilateral abort legitimately finishes a
-/// site early.
-fn max_transition_lead(
-    protocol: &Protocol,
-    graph: &ReachGraph,
-    opts: ReachOptions,
-) -> (u32, Vec<u32>) {
-    let n = protocol.n_sites();
-    let init: (NodeId, Box<[u32]>) = (graph.initial(), vec![0u32; n].into_boxed_slice());
-    let mut seen: HashSet<(NodeId, Box<[u32]>)> = HashSet::new();
-    seen.insert(init.clone());
-    let mut queue = VecDeque::from([init]);
-
-    let mut max_lead = 0u32;
-    let mut witness = vec![0u32; n];
-
-    while let Some((node, depths)) = queue.pop_front() {
-        let executing: Vec<u32> = graph
-            .locals(node)
-            .filter(|&(site, s)| !graph.class_of(site, s).is_final())
-            .map(|(site, _)| depths[site.index()])
-            .collect();
-        if executing.len() >= 2 {
-            let lead = executing.iter().max().unwrap() - executing.iter().min().unwrap();
-            if lead > max_lead {
-                max_lead = lead;
-                witness = depths.to_vec();
-            }
-        }
-        for e in graph.edges(node) {
-            let mut next = depths.clone();
-            next[e.site.index()] += 1;
-            let key = (e.to, next);
-            if !seen.contains(&key) {
-                if seen.len() >= opts.max_states {
-                    return (max_lead, witness);
-                }
-                seen.insert(key.clone());
-                queue.push_back(key);
-            }
-        }
-    }
-    (max_lead, witness)
+    SyncReport { protocol: protocol.name.clone(), escapes }
 }
 
 #[cfg(test)]
@@ -176,7 +115,6 @@ mod tests {
     use crate::fsa::{Consume, Envelope, FsaBuilder};
     use crate::ids::MsgKind;
     use crate::protocol::{InitialMsg, Paradigm};
-    use crate::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
 
     #[test]
     fn whole_catalog_is_synchronous_within_one() {
@@ -184,20 +122,6 @@ mod tests {
         for p in crate::protocols::catalog(3) {
             let r = check(&p).unwrap();
             assert!(r.synchronous_within_one(), "{}: escapes {:?}", p.name, r.escapes);
-        }
-    }
-
-    #[test]
-    fn commit_paths_have_lead_at_most_one() {
-        for p in [central_2pc(3), central_3pc(3), decentralized_2pc(3), decentralized_3pc(3)] {
-            let r = check(&p).unwrap();
-            assert!(
-                r.max_lead <= 1,
-                "{}: still-executing lead {} at {:?}",
-                p.name,
-                r.max_lead,
-                r.witness
-            );
         }
     }
 
@@ -242,9 +166,6 @@ mod tests {
         // The waiter's q co-occurs with runner states m and z, whose
         // classes are not among waiter-q's adjacent classes — an escape.
         assert!(!r.synchronous_within_one(), "escapes: {:?}", r.escapes);
-        // And while the runner sits in z (two transitions in) the waiter is
-        // still executing at zero transitions: a raw lead of 2.
-        assert_eq!(r.max_lead, 2);
     }
 
     #[test]
@@ -272,6 +193,5 @@ mod tests {
         );
         let r = check(&p).unwrap();
         assert!(r.synchronous_within_one());
-        assert!(r.max_lead <= 1);
     }
 }

@@ -26,9 +26,11 @@ static ALLOCATOR: counting::Counting = counting::Counting;
 /// key buffer, the chunk's dedup set, its stream, the next frontier and
 /// its orbit sizes, and what they grow by — plus finding the group once;
 /// closing the facts under it allocates nothing. Its figure is calls per
-/// representative. The test allows a fifth more.
+/// representative, and so is termination verification's, a second walk
+/// of the same representatives. The test allows a fifth more.
 const MEASURED_STREAMING: f64 = 4.816;
 const MEASURED_RETAINED: f64 = 0.051;
+const MEASURED_VERIFYING: f64 = 4.560;
 
 #[test]
 fn a_graph_build_allocates_per_level_not_per_state() {
@@ -62,17 +64,23 @@ fn a_graph_build_allocates_per_level_not_per_state() {
     assert_eq!(graph.stats().nodes, 2612);
     assert_eq!(counting::calls() - before, 0, "classification allocates nothing");
 
-    // Termination verification reads the packed words too (the first
-    // read below still decodes every node): 63 survivor subsets a state
-    // judged as five site bitmasks, a survivor list built only for a
-    // witness (3PC has none): 0.008 calls a state, the class decisions and
-    // the per-site table. Built one per subset on the decoded graph it
-    // was ≈ 65.
+    // Termination verification walks the 125 representatives again,
+    // streamed, and decodes no node of the retained graph (the first read
+    // below still decodes every one): it allocates per level as the
+    // streaming fold does, plus the class decisions. Its 63 survivor
+    // subsets a state are judged as five site
+    // bitmasks, and a survivor list is built only for a witness (3PC has
+    // none). Built one per subset on the decoded graph it was ≈ 65 calls
+    // a state; over the retained graph's words, 0.008.
     let before = counting::calls();
     let v = verify_termination_with(&p, &analysis);
-    let verifying = (counting::calls() - before) as f64 / 2612.0;
+    let verifying = (counting::calls() - before) as f64 / st.representatives as f64;
     assert_eq!((v.cases, v.nonblocking()), (2612 * 63, true));
-    assert!(verifying <= 0.05, "{verifying:.3} allocations per state verifying, budget 0.05");
+    assert!(
+        verifying <= MEASURED_VERIFYING * 1.2,
+        "{verifying:.3} allocations per representative verifying, budget {:.3}",
+        MEASURED_VERIFYING * 1.2
+    );
 
     // The first read decodes every node: the vector that holds them, a
     // locals box each, and a message vector for each that holds messages.

@@ -1,6 +1,8 @@
 //! What the streaming fold owes its callers, whatever it walks to get
 //! there: the facts, the counts — the graph's classification counts
-//! included — and the progress lines of the retained build. `quotient_contract.rs` holds the catalog to it here, and
+//! included — and the progress lines of the retained build, and a
+//! termination verification that no thread count or spill budget can
+//! move. `quotient_contract.rs` holds the catalog to it here, and
 //! `crates/paxos` and `crates/spec` include this file by path for the
 //! protocols core cannot name.
 //!
@@ -11,6 +13,7 @@
 #[path = "../pin/mod.rs"]
 mod pin;
 
+use nbc_core::verify::verify_termination_with;
 use nbc_core::{
     resilience, synthesis, theorem, Analysis, Paradigm, Protocol, ReachOptions, StateId,
 };
@@ -60,12 +63,15 @@ fn assert_same_facts(p: &Protocol, want: &Analysis, got: &Analysis, ctx: &str) {
 
 /// The streamed analysis of `p` — at threads 1, 2 and 4 with the workers
 /// forced on, unlimited, under a 4 KiB budget and spilling at every level
-/// — against the serial retained build.
+/// — against the serial retained build. Termination verification walks
+/// the states again with each analysis's options, so its whole result is
+/// held to the serial one's too.
 pub fn assert_streamed_equals_retained(label: &str, p: &Protocol) {
     let retained =
         Analysis::build_with(p, ReachOptions::default().with_threads(1).with_progress(pin::hook))
             .unwrap();
     let levels = pin::take_levels();
+    let verified = verify_termination_with(p, &retained);
     let graph = retained.graph().expect("retained");
     let (nodes, stats) = (graph.node_count(), graph.stats());
     for threads in [1usize, 2, 4] {
@@ -87,6 +93,9 @@ pub fn assert_streamed_equals_retained(label: &str, p: &Protocol) {
             assert_eq!(st.levels, levels.lines().count(), "{ctx}: levels");
             assert_eq!(st.graph, stats, "{ctx}: graph stats");
             assert_same_facts(p, &retained, &streamed, &ctx);
+            if budget != 4096 {
+                assert_eq!(verify_termination_with(p, &streamed), verified, "{ctx}: verify");
+            }
         }
     }
 

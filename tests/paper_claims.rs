@@ -4,7 +4,7 @@
 //! reproduction's keystone test.
 
 use nonblocking_commit::nbc_core::protocols::catalog;
-use nonblocking_commit::nbc_core::{resilience, sync_check, theorem, Analysis, ReachOptions};
+use nonblocking_commit::nbc_core::{resilience, sync_check, theorem, Analysis};
 use nonblocking_commit::nbc_engine::{enumerate_crash_specs, sweep, RunConfig, TerminationRule};
 
 #[test]
@@ -64,7 +64,7 @@ fn resilience_matches_double_failure_sweeps() {
 fn synchronicity_holds_across_catalog() {
     for p in catalog(3) {
         let a = Analysis::build(&p).unwrap();
-        let r = sync_check::check_with(&p, &a, ReachOptions::default());
+        let r = sync_check::check_with(&p, &a);
         assert!(r.synchronous_within_one(), "{}: {:?}", p.name, r.escapes);
     }
 }

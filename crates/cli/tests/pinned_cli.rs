@@ -35,16 +35,16 @@ const PINNED: &str = "\
 0 ccaa252cb2bf8c48693fddda99b5446b - - $ analyze $S/linear-irrevocable.nbc -n 3
 0 ccaa252cb2bf8c48693fddda99b5446b - - $ analyze $S/linear-irrevocable.nbc -n 3
 0 be65ffb36ff82bd22c620cc5215d2072 - - $ verify central-3pc
-0 442a1d7341c61081764ff77f8e057fff - - $ verify central-2pc -n 4 --progress
-0 5da1fd5394fa366d0e74ae46908854e1 - - $ verify paxos:1 -n 2
+0 c1c85862ce9d03bc18df991ab054a5d4 - - $ verify central-2pc -n 4 --progress
+0 4ac46929f3de6f26cd79e06ce8cdad2b - - $ verify paxos:1 -n 2
 0 36f79b9dcc14565b20cbd8e98191f269 - - $ verify $S/central-3pc.nbc -n 3
-0 a3004ee874d3feea5e6c0bfceff0a267 - - $ verify central-2pc -n 6
-0 839d291da51b92d9ae95a6c8cda48f09 - - $ verify decentralized-2pc -n 5
+0 31ebc34ed4a37007abf02a7f2a3b15ef - - $ verify central-2pc -n 6
+0 e65ece3635b76268393572afaf97ede6 - - $ verify decentralized-2pc -n 5
 0 03cdfc74b4cc79efaa0d5184dc19ed70 - - $ verify kpc:4 -n 4
 0 9a714cea5d4bbe8db54fc6f84c74ad6e - - $ verify central-3pc -n 7
 0 26669a4f0ca42964850208f5e328d174 - - $ verify central-3pc -n 9
 0 734e15bbdaca97fc0c18547e6a712992 - - $ verify decentralized-3pc -n 4
-0 05beef40fad125ace2ac5e9f38bf1085 - - $ verify 1pc -n 12
+0 6f963a16618dbb42c1954808ced88bd3 - - $ verify 1pc -n 12
 0 945e2f3735ef33b3d5253bba224ef8ba - - $ graph central-2pc -n 2 --dot
 0 ae0ec7b68a62478de0e8a1b70eae709e - - $ graph central-3pc -n 4 --progress
 0 5c5063c370b393d5602c38fbd78f0c84 - - $ graph paxos:1 -n 2

@@ -5,7 +5,7 @@ use std::collections::{HashSet, VecDeque};
 use nbc_core::canonical::canonical_2pc;
 use nbc_core::protocols::{catalog, decentralized_2pc};
 use nbc_core::reach::NodeId;
-use nbc_core::{sync_check, theorem, Analysis, ReachGraph, ReachOptions, SiteId, StateId};
+use nbc_core::{sync_check, theorem, Analysis, ReachGraph, SiteId, StateId};
 
 use crate::table::Table;
 
@@ -137,8 +137,7 @@ pub fn e12_synchronicity() -> String {
         "committable state classes",
     ]);
     for p in catalog(3) {
-        let a = Analysis::build_with(&p, ReachOptions::default().with_streaming(true))
-            .expect("analyzable");
+        let a = Analysis::build(&p).expect("analyzable");
         let r = sync_check::check_with(&p, &a);
         let (max_lead, _) = max_transition_lead(&ReachGraph::build(&p).expect("analyzable"));
         let mut committable = std::collections::BTreeSet::new();
@@ -204,6 +203,28 @@ mod tests {
             let (lead, witness) = max_transition_lead(&ReachGraph::build(&p).unwrap());
             assert!(lead <= 1, "{}: still-executing lead {lead} at {witness:?}", p.name);
         }
+    }
+
+    #[test]
+    fn lockstep_protocol_leads_by_at_most_one() {
+        use nbc_core::{
+            Consume, Envelope, FsaBuilder, InitialMsg, MsgKind, Paradigm, Protocol, StateClass,
+        };
+        // Site 0 commits on the client's request and passes the commit on.
+        let mut b0 = FsaBuilder::new("a");
+        let q0 = b0.state("q", StateClass::Initial);
+        let c0 = b0.state("c", StateClass::Committed);
+        let commit = vec![Envelope::new(SiteId(1), MsgKind::COMMIT)];
+        let request = Consume::one(SiteId::CLIENT, MsgKind::REQUEST);
+        b0.transition(q0, c0, request, commit, None, "request / commit");
+        let mut b1 = FsaBuilder::new("b");
+        let q1 = b1.state("q", StateClass::Initial);
+        let c1 = b1.state("c", StateClass::Committed);
+        b1.transition(q1, c1, Consume::one(SiteId(0), MsgKind::COMMIT), vec![], None, "commit");
+        let init = InitialMsg { src: SiteId::CLIENT, dst: SiteId(0), kind: MsgKind::REQUEST };
+        let p = Protocol::new("token", Paradigm::Custom, vec![b0.build(), b1.build()], vec![init]);
+        let (lead, witness) = max_transition_lead(&ReachGraph::build(&p).unwrap());
+        assert!(lead <= 1, "still-executing lead {lead} at {witness:?}");
     }
 
     #[test]

@@ -37,7 +37,10 @@
 //! unsafe case at all, are the same for every state of its orbit, so the
 //! counts are exact orbit-weighted sums and [`TerminationVerification::safe`]
 //! is exact; the witnesses shown are the first ones in the order of (BFS
-//! level, canonical words), whichever thread met them.
+//! level, canonical words), whichever thread met them. Like the streamed
+//! analysis, the walk deduplicates by 128-bit fingerprint, so "every
+//! state" holds unless two reachable states collide (about 10⁻²¹ at 10⁹
+//! states).
 
 use std::fmt;
 
@@ -108,9 +111,10 @@ pub struct TerminationVerification {
     /// contradicting existing final states). Empty iff there are none,
     /// which must hold for *every* protocol under the class-based rule.
     pub unsafe_witnesses: Vec<TerminationWitness>,
-    /// The first three stuck cases. Empty iff the protocol is
-    /// nonblocking. The witnesses kept are the first in the order of (BFS
-    /// level, canonical words) of their state, then their order in it.
+    /// The first three stuck cases: empty iff there are none, but its
+    /// length is not their count, which is [`stuck_cases`](Self::stuck_cases).
+    /// The witnesses kept are the first in the order of (BFS level,
+    /// canonical words) of their state, then their order in it.
     pub stuck_witnesses: Vec<TerminationWitness>,
 }
 

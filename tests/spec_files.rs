@@ -101,7 +101,7 @@ fn linear_irrevocable_is_nonblocking_without_buffer_states() {
     assert!(verdict.nonblocking(), "{verdict}");
 
     let v = verify::verify_termination(&p).unwrap();
-    assert!(v.nonblocking(), "stuck: {}", v.stuck_witnesses.len());
+    assert!(v.nonblocking(), "stuck: {}", v.stuck_cases);
 
     let a = Analysis::build(&p).unwrap();
     let specs = enumerate_crash_specs(&p, None);

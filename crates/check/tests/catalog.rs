@@ -14,7 +14,7 @@ fn linear_2pc() -> Protocol {
     let text =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/linear-2pc.nbc"))
             .expect("spec file");
-    nbc_spec::parse(&text, 3).expect("linear-2pc parses")
+    nbc_core::spec::parse(&text, 3).expect("linear-2pc parses")
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! deterministic `SimRng` (the workspace has no proptest dependency).
 //!
 //! A seeded generator emits random-but-valid central-site commit protocol
-//! *specs* (the `nbc-spec` text grammar): a coordinator collects votes,
+//! *specs* (the `nbc_core::spec` text grammar): a coordinator collects votes,
 //! then drives `k` broadcast/ack rounds before the final commit, with the
 //! site count, the round count and the message vocabulary all drawn from
 //! the rng. `k = 1` is 2PC, `k = 2` is 3PC, `k = 3` is a 4PC; the paper's
@@ -99,7 +99,7 @@ fn random_specs_agree_with_the_theorem() {
         let n = rng.gen_range(2..=3usize);
         let k = rng.gen_range(1..=3usize);
         let text = gen_spec(&mut rng, k);
-        let protocol = nbc_spec::parse(&text, n)
+        let protocol = nbc_core::spec::parse(&text, n)
             .unwrap_or_else(|e| panic!("draw {draw}: generated spec invalid: {e}\n{text}"));
 
         let report = run_check(&protocol, CheckOptions::default())

@@ -649,7 +649,7 @@ pub fn usage() -> String {
     }
     out.push_str(
         "\nPROTO: central-2pc | central-3pc | decentralized-2pc | decentralized-3pc |\n\
-         \x20      1pc | kpc:K | paxos:F | a .nbc spec file (see the nbc-spec crate docs)\n\n",
+         \x20      1pc | kpc:K | paxos:F | a .nbc spec file (format: specs/*.nbc, nbc_core::spec)\n\n",
     );
     for f in FLAGS {
         let mut head = f.names.join(" | ");

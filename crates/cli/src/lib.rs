@@ -197,7 +197,7 @@ pub fn resolve_protocol(arg: &str, n: usize) -> Result<Protocol, CliError> {
         Named::Spec(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-            nbc_spec::parse(&text, n).map_err(|e| CliError(format!("{path}: {e}")))
+            nbc_core::spec::parse(&text, n).map_err(|e| CliError(format!("{path}: {e}")))
         }
     }
 }

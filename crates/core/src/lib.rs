@@ -69,6 +69,7 @@ pub mod protocols;
 pub mod reach;
 pub mod recovery_analysis;
 pub mod resilience;
+pub mod spec;
 pub mod symmetry;
 pub mod sync_check;
 pub mod synthesis;

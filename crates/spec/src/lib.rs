@@ -1,181 +1,10 @@
-//! # nbc-spec — a text format for commit protocols
+//! # nbc-spec — the spec parser's old name
 //!
-//! The analyses of `nbc-core` are only useful to a downstream user if new
-//! protocols can be described without writing Rust. This crate parses a
-//! small line-oriented specification language into an
-//! [`nbc_core::Protocol`], instantiated for a chosen site count.
-//!
-//! ## The format
-//!
-//! ```text
-//! # Central-site two-phase commit, as a spec.
-//! protocol my-2pc
-//! paradigm central
-//!
-//! init request to site 0
-//!
-//! fsa coordinator site 0
-//!   state q1 initial
-//!   state w1 wait
-//!   state a1 aborted
-//!   state c1 committed
-//!   q1 -> w1 : recv request from client ; send xact to slaves
-//!   w1 -> c1 : recv yes from all slaves ; send commit to slaves ; vote yes
-//!   w1 -> a1 : recv no from any slave ; send abort to slaves
-//!   w1 -> a1 : spontaneous ; send abort to slaves ; vote no
-//!
-//! fsa slave sites 1..
-//!   state q initial
-//!   state w wait
-//!   state a aborted
-//!   state c committed
-//!   q -> w : recv xact from site 0 ; send yes to site 0 ; vote yes
-//!   q -> a : recv xact from site 0 ; send no to site 0 ; vote no
-//!   w -> c : recv commit from site 0
-//!   w -> a : recv abort from site 0
-//! ```
-//!
-//! * `paradigm` — `central`, `decentralized`, or `custom`.
-//! * `init KIND to SITESET` — pre-loads client stimuli.
-//! * `fsa NAME SITESET` — an automaton and which sites run it. Site sets:
-//!   `site N`, `sites N..` (N to the last site), `sites N..M` (inclusive),
-//!   `all` (every site).
-//! * Transitions: `FROM -> TO : TRIGGER [; ACTION]*` where
-//!   * `TRIGGER` is `spontaneous`, `recv KIND from SRC`,
-//!     `recv KIND from all SET`, or `recv KIND from any SET`;
-//!   * `ACTION` is `send KIND to SET` or `vote yes|no`;
-//!   * `SRC`/`SET` is `client`, `site N`, `slaves` (sites 1..), `peers`
-//!     (all sites, including the sender), or `others` (all but the
-//!     sender).
-//! * Message kinds: the built-ins (`request`, `xact`, `yes`, `no`,
-//!   `commit`, `abort`, `prepare`, `ack`) plus any further identifier,
-//!   interned automatically.
-//! * `#` starts a comment; indentation is free-form.
+//! The parser for the `.nbc` protocol format lives in `nbc-core` as
+//! [`nbc_core::spec`], where the protocol catalog is written in it. This
+//! crate only re-exports it for callers that still name `nbc_spec`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod parser;
-
-pub use parser::{parse, ParseError};
-
-/// The canonical spec text for the catalog protocols, provided both as
-/// documentation of the format and as parser fixtures.
-pub mod examples {
-    /// Central-site 2PC.
-    pub const CENTRAL_2PC: &str = r#"
-protocol spec-central-2pc
-paradigm central
-
-init request to site 0
-
-fsa coordinator site 0
-  state q1 initial
-  state w1 wait
-  state a1 aborted
-  state c1 committed
-  q1 -> w1 : recv request from client ; send xact to slaves
-  w1 -> c1 : recv yes from all slaves ; send commit to slaves ; vote yes
-  w1 -> a1 : recv no from any slave ; send abort to slaves
-  w1 -> a1 : spontaneous ; send abort to slaves ; vote no
-
-fsa slave sites 1..
-  state q initial
-  state w wait
-  state a aborted
-  state c committed
-  q -> w : recv xact from site 0 ; send yes to site 0 ; vote yes
-  q -> a : recv xact from site 0 ; send no to site 0 ; vote no
-  w -> c : recv commit from site 0
-  w -> a : recv abort from site 0
-"#;
-
-    /// Central-site 3PC.
-    pub const CENTRAL_3PC: &str = r#"
-protocol spec-central-3pc
-paradigm central
-
-init request to site 0
-
-fsa coordinator site 0
-  state q1 initial
-  state w1 wait
-  state a1 aborted
-  state p1 prepared
-  state c1 committed
-  q1 -> w1 : recv request from client ; send xact to slaves
-  w1 -> p1 : recv yes from all slaves ; send prepare to slaves ; vote yes
-  w1 -> a1 : recv no from any slave ; send abort to slaves
-  w1 -> a1 : spontaneous ; send abort to slaves ; vote no
-  p1 -> c1 : recv ack from all slaves ; send commit to slaves
-
-fsa slave sites 1..
-  state q initial
-  state w wait
-  state a aborted
-  state p prepared
-  state c committed
-  q -> w : recv xact from site 0 ; send yes to site 0 ; vote yes
-  q -> a : recv xact from site 0 ; send no to site 0 ; vote no
-  w -> p : recv prepare from site 0 ; send ack to site 0
-  w -> a : recv abort from site 0
-  p -> c : recv commit from site 0
-"#;
-
-    /// Decentralized 2PC.
-    pub const DECENTRALIZED_2PC: &str = r#"
-protocol spec-decentralized-2pc
-paradigm decentralized
-
-init xact to all
-
-fsa peer all
-  state q initial
-  state w wait
-  state a aborted
-  state c committed
-  q -> w : recv xact from client ; send yes to peers ; vote yes
-  q -> a : recv xact from client ; send no to peers ; vote no
-  w -> c : recv yes from all peers
-  w -> a : recv no from any peer
-"#;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc};
-    use nbc_core::theorem;
-
-    #[test]
-    fn spec_central_2pc_matches_catalog_analysis() {
-        let spec = parse(examples::CENTRAL_2PC, 3).unwrap();
-        spec.validate_strict().unwrap();
-        let hand = central_2pc(3);
-        assert_eq!(spec.phase_count(), hand.phase_count());
-        let rs = theorem::check(&spec).unwrap();
-        let rh = theorem::check(&hand).unwrap();
-        assert_eq!(rs.nonblocking(), rh.nonblocking());
-        assert_eq!(rs.violations.len(), rh.violations.len());
-        assert_eq!(rs.clean, rh.clean);
-    }
-
-    #[test]
-    fn spec_central_3pc_is_nonblocking() {
-        let spec = parse(examples::CENTRAL_3PC, 4).unwrap();
-        spec.validate_strict().unwrap();
-        let hand = central_3pc(4);
-        assert_eq!(spec.phase_count(), hand.phase_count());
-        assert!(theorem::check(&spec).unwrap().nonblocking());
-    }
-
-    #[test]
-    fn spec_decentralized_2pc_matches_catalog() {
-        let spec = parse(examples::DECENTRALIZED_2PC, 3).unwrap();
-        spec.validate_strict().unwrap();
-        let hand = decentralized_2pc(3);
-        let rs = theorem::check(&spec).unwrap();
-        let rh = theorem::check(&hand).unwrap();
-        assert_eq!(rs.violations.len(), rh.violations.len());
-    }
-}
+pub use nbc_core::spec::{parse, ParseError};

@@ -42,7 +42,7 @@ fn corpus(name: &str) -> (String, Schedule) {
 fn resolve(schedule: &Schedule) -> Protocol {
     let protocol = if schedule.protocol.starts_with("linear-2pc") {
         let path = format!("{}/specs/linear-2pc.nbc", env!("CARGO_MANIFEST_DIR"));
-        nbc_spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
+        nbc_core::spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
     } else {
         nbc_core::protocols::catalog(schedule.n)
             .into_iter()

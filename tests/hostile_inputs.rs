@@ -23,7 +23,7 @@ const MUTANTS_PER_FILE: u64 = 2_000;
 fn protocol_of(schedule: &Schedule) -> Protocol {
     if schedule.protocol.starts_with("linear-2pc") {
         let path = format!("{}/specs/linear-2pc.nbc", env!("CARGO_MANIFEST_DIR"));
-        nbc_spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
+        nbc_core::spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
     } else {
         let catalog = nbc_core::protocols::catalog(schedule.n);
         catalog.into_iter().find(|p| p.name == schedule.protocol).expect("catalog protocol")
@@ -146,12 +146,13 @@ fn mutated_spec_files_never_panic() {
         let text = std::fs::read_to_string(path).unwrap();
         // A spec written for exactly three sites is refused at the other
         // counts, mutated or not: the sweep runs at the counts it parses at.
-        let sizes: Vec<usize> = (2..=5).filter(|&n| nbc_spec::parse(&text, n).is_ok()).collect();
+        let sizes: Vec<usize> =
+            (2..=5).filter(|&n| nbc_core::spec::parse(&text, n).is_ok()).collect();
         assert!(!sizes.is_empty(), "{path:?} parses at no n in 2..=5");
         for n in sizes {
             let salt = (file_ix * 8 + n) as u64;
             sweep_mutants(&format!("{path:?} n={n}"), &text, salt, 500, |mutant| {
-                nbc_spec::parse(mutant, n).is_ok()
+                nbc_core::spec::parse(mutant, n).is_ok()
             });
         }
     }

@@ -177,13 +177,16 @@ fn reducing_both_paxos_classes_independently_miscounts() {
 fn a_chain_has_no_interchangeable_sites() {
     for file in ["linear-2pc.nbc", "linear-irrevocable.nbc"] {
         let path = format!("{}/specs/{file}", env!("CARGO_MANIFEST_DIR"));
-        let p = nbc_spec::parse(&std::fs::read_to_string(&path).unwrap(), 3).unwrap();
+        let p =
+            nonblocking_commit::nbc_core::spec::parse(&std::fs::read_to_string(&path).unwrap(), 3)
+                .unwrap();
         let codec = StateCodec::new(&p).unwrap();
         assert_eq!(classes_of(&Symmetry::of(&p, &codec)), Vec::<Vec<u32>>::new(), "{file}");
     }
     // The spec of central 3PC gets what its text has: the slaves.
     let path = format!("{}/specs/central-3pc.nbc", env!("CARGO_MANIFEST_DIR"));
-    let p = nbc_spec::parse(&std::fs::read_to_string(&path).unwrap(), 5).unwrap();
+    let p = nonblocking_commit::nbc_core::spec::parse(&std::fs::read_to_string(&path).unwrap(), 5)
+        .unwrap();
     let codec = StateCodec::new(&p).unwrap();
     assert_eq!(classes_of(&Symmetry::of(&p, &codec)), [[1, 2, 3, 4]]);
 }

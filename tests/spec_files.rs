@@ -1,12 +1,48 @@
 //! The shipped `.nbc` spec files must parse, validate, and analyze to the
-//! same verdicts as their hand-written catalog counterparts.
+//! same verdicts as their catalog counterparts, and the three twins of
+//! catalog protocols must build the same automata.
 
-use nonblocking_commit::nbc_core::{theorem, verify};
+use nonblocking_commit::nbc_core::protocols::{central_2pc, central_3pc, decentralized_3pc};
+use nonblocking_commit::nbc_core::{theorem, verify, Protocol};
 
-fn load(name: &str, n: usize) -> nonblocking_commit::nbc_core::Protocol {
+fn load(name: &str, n: usize) -> Protocol {
     let path = format!("{}/specs/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    nbc_spec::parse(&text, n).unwrap_or_else(|e| panic!("{path}: {e}"))
+    nonblocking_commit::nbc_core::spec::parse(&text, n).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Everything of a protocol but its name and its transitions' labels:
+/// paradigm, quorum, initial messages, and per site the role, each
+/// state's name and class, and each transition's endpoints, consume,
+/// emit and vote.
+fn structure(p: &Protocol) -> String {
+    let sites: Vec<_> = p
+        .fsas()
+        .iter()
+        .map(|f| {
+            let transitions: Vec<_> = f
+                .transitions()
+                .iter()
+                .map(|t| (t.from, t.to, &t.consume, &t.emit, t.vote))
+                .collect();
+            (&f.role, f.states(), f.initial(), transitions)
+        })
+        .collect();
+    format!("{:?} {:?} {:?} {sites:?}", p.paradigm, p.quorum(), p.initial_msgs())
+}
+
+#[test]
+fn shipped_twins_build_the_catalog_automata() {
+    let twins = [
+        ("central-2pc.nbc", central_2pc as fn(usize) -> Protocol),
+        ("central-3pc.nbc", central_3pc),
+        ("decentralized-3pc.nbc", decentralized_3pc),
+    ];
+    for (file, catalog) in twins {
+        for n in 2..=6 {
+            assert_eq!(structure(&load(file, n)), structure(&catalog(n)), "{file} at n={n}");
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,6 @@
 //! then builds the protocol for `n` sites. [`parse`] is their composition;
 //! the catalog keeps one `Spec` per text and instantiates it per call.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::fsa::{Consume, Envelope, Fsa, FsaBuilder, StateClass, Vote};
@@ -242,11 +241,12 @@ impl Spec {
             return err(0, "no `fsa` blocks");
         }
 
-        let mut kinds = Kinds::default();
-        let automata = fsas.iter().map(|f| Automaton::resolve(f, &mut kinds)).collect();
-        let inits = inits.into_iter().map(|(kind, set, line)| (kinds.intern(&kind), set, line));
+        let mut kinds = Vec::new();
+        let automata = fsas.into_iter().map(|f| Automaton::resolve(f, &mut kinds)).collect();
+        let inits =
+            inits.into_iter().map(|(kind, set, line)| (intern(&mut kinds, &kind), set, line));
         let inits = inits.collect();
-        Ok(Self { name, paradigm, inits, automata, kinds: kinds.names })
+        Ok(Self { name, paradigm, inits, automata, kinds })
     }
 
     /// Build the protocol for `n_sites >= 2` sites: everything [`parse`]
@@ -311,34 +311,25 @@ pub fn parse(text: &str, n_sites: usize) -> Result<Protocol, ParseError> {
     Spec::parse(text)?.instantiate(n_sites)
 }
 
-/// The kind names a text mentions, in order of first mention.
-#[derive(Default)]
-struct Kinds {
-    index: BTreeMap<String, KindIx>,
-    names: Vec<(String, Option<MsgKind>)>,
-}
-
-impl Kinds {
-    fn intern(&mut self, name: &str) -> KindIx {
-        if let Some(&ix) = self.index.get(name) {
-            return ix;
-        }
-        let builtin = [
-            MsgKind::REQUEST,
-            MsgKind::XACT,
-            MsgKind::YES,
-            MsgKind::NO,
-            MsgKind::COMMIT,
-            MsgKind::ABORT,
-            MsgKind::PREPARE,
-            MsgKind::ACK,
-        ]
-        .into_iter()
-        .find(|k| k.builtin_name() == Some(name));
-        self.index.insert(name.to_string(), self.names.len());
-        self.names.push((name.to_string(), builtin));
-        self.names.len() - 1
+/// The index of kind `name` in `kinds`, appending it on first mention.
+fn intern(kinds: &mut Vec<(String, Option<MsgKind>)>, name: &str) -> KindIx {
+    if let Some(ix) = kinds.iter().position(|(nm, _)| nm == name) {
+        return ix;
     }
+    let builtin = [
+        MsgKind::REQUEST,
+        MsgKind::XACT,
+        MsgKind::YES,
+        MsgKind::NO,
+        MsgKind::COMMIT,
+        MsgKind::ABORT,
+        MsgKind::PREPARE,
+        MsgKind::ACK,
+    ]
+    .into_iter()
+    .find(|k| k.builtin_name() == Some(name));
+    kinds.push((name.to_string(), builtin));
+    kinds.len() - 1
 }
 
 /// One protocol's message ids: a custom kind gets the next free id the
@@ -513,7 +504,7 @@ impl Rule {
     fn resolve(
         t: &TransitionSpec,
         states: &[(String, StateClass)],
-        kinds: &mut Kinds,
+        kinds: &mut Vec<(String, Option<MsgKind>)>,
     ) -> Result<Self, ParseError> {
         let id = |name: &str| {
             let ix = states.iter().position(|(nm, _)| nm == name);
@@ -521,12 +512,12 @@ impl Rule {
                 .ok_or(ParseError { line: t.line, message: format!("unknown state {name:?}") })
         };
         let (from, to) = (id(&t.from)?, id(&t.to)?);
-        let trigger = t.trigger.as_ref().map(|(kind, src)| (kinds.intern(kind), *src));
+        let trigger = t.trigger.as_ref().map(|(kind, src)| (intern(kinds, kind), *src));
         let mut sends = Vec::new();
         let mut vote = None;
         for a in &t.actions {
             match a {
-                Action::Send { kind, to } => sends.push((kinds.intern(kind), *to)),
+                Action::Send { kind, to } => sends.push((intern(kinds, kind), *to)),
                 Action::Vote(v) => vote = Some(*v),
             }
         }
@@ -536,7 +527,7 @@ impl Rule {
 }
 
 impl Automaton {
-    fn resolve(spec: &FsaSpec, kinds: &mut Kinds) -> Self {
+    fn resolve(spec: FsaSpec, kinds: &mut Vec<(String, Option<MsgKind>)>) -> Self {
         let mut rules = Vec::new();
         let mut error = None;
         if !spec.states.iter().any(|(_, c)| *c == StateClass::Initial) {
@@ -553,13 +544,7 @@ impl Automaton {
                 }
             }
         }
-        Self {
-            role: spec.role.clone(),
-            sites: spec.sites,
-            states: spec.states.clone(),
-            rules,
-            error,
-        }
+        Self { role: spec.role, sites: spec.sites, states: spec.states, rules, error }
     }
 
     fn build(&self, me: usize, n: usize, kinds: &mut KindIds<'_>) -> Result<Fsa, ParseError> {

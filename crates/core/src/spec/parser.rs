@@ -596,6 +596,7 @@ impl Automaton {
         }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -369,3 +369,116 @@ fn forks_copied_into_dirty_runners_match_fresh_clones() {
         DIRT.iter().filter(|&what| dirt.get(what).is_none_or(|&n| n == 0)).collect();
     assert!(missing.is_empty(), "dirty starts missing: {missing:?} of {dirt:?}");
 }
+
+// ---------------------------------------------------------------------
+// Re-forks: clone_from into a runner forked from the same line before
+// ---------------------------------------------------------------------
+
+/// `fork`, just refreshed from `source`, must equal `source.clone()` field
+/// for field, and again after each of a dozen seeded moves made on both.
+fn matches_a_clone(fork: &mut Runner<'_>, source: &Runner<'_>, rng: &mut SimRng, label: &str) {
+    assert!(caches_coherent(fork), "stale fingerprint cached: {label}");
+    let mut reference = source.clone();
+    assert_eq!(fork_state(fork), fork_state(&reference), "at the re-fork: {label}");
+    let mut moves = rng.clone();
+    for step in 0..12 {
+        random_move(&mut reference, rng);
+        random_move(fork, &mut moves);
+        assert!(caches_coherent(fork), "move {step}: {label}");
+        assert_eq!(fork_state(fork), fork_state(&reference), "move {step}: {label}");
+    }
+}
+
+/// The sites' fields, without asking for a digest (which would fill the
+/// caches a case may want empty).
+fn sites_text(r: &Runner<'_>) -> String {
+    format!("{:?}", r.sites())
+}
+
+/// The four ways a fork meets its source again, each compared with a fresh
+/// clone. Returns, per case, how often the runner refreshed did differ
+/// from its source before the refresh.
+fn re_forks_match_clones(p: &Protocol, a: &Analysis) -> [usize; 4] {
+    let mut differed = [0; 4];
+    let stride = 2 * p.n_sites().min(5) - 5;
+    for (i, cfg) in configs(p, stride).into_iter().enumerate() {
+        let label = |case: &str| format!("{} config {i}, {case}: {cfg:?}", p.name);
+        let mut rng = SimRng::seed_from_u64(1_000 + i as u64);
+        let mut source = Runner::new(p, a, cfg.clone());
+        for _ in 0..rng.gen_range(0..30) {
+            random_move(&mut source, &mut rng);
+        }
+        // A used target, its caches filled for a state it is about to lose.
+        let mut fork = Runner::new(p, a, RunConfig::happy(p.n_sites()));
+        (0..i % 7).for_each(|_| random_move(&mut fork, &mut rng));
+        fork.digest();
+        if i % 2 == 0 {
+            source.digest();
+        }
+
+        // (a) Forked, the fork moved on, forked again from the same source.
+        fork.clone_from(&source);
+        (0..1 + i % 4).for_each(|_| random_move(&mut fork, &mut rng));
+        if i % 3 != 0 {
+            fork.digest();
+        }
+        differed[0] += usize::from(sites_text(&fork) != sites_text(&source));
+        fork.clone_from(&source);
+        matches_a_clone(&mut fork, &source, &mut rng, &label("re-forked after the fork moved"));
+
+        // (b) Forked, the source moved on, forked again.
+        fork.clone_from(&source);
+        if i % 3 == 1 {
+            fork.digest();
+        }
+        let at_fork = sites_text(&source);
+        (0..1 + i % 4).for_each(|_| random_move(&mut source, &mut rng));
+        assert_eq!(sites_text(&fork), at_fork, "fork moved with its source: {}", label("(b)"));
+        differed[1] += usize::from(sites_text(&fork) != sites_text(&source));
+        fork.clone_from(&source);
+        matches_a_clone(&mut fork, &source, &mut rng, &label("re-forked after the source moved"));
+
+        // (c) A fork of a fork: refreshed from the middle runner after it
+        // moved, then from the first source.
+        let mut middle = Runner::new(p, a, RunConfig::happy(p.n_sites()));
+        middle.clone_from(&source);
+        fork.clone_from(&middle);
+        (0..1 + i % 4).for_each(|_| random_move(&mut middle, &mut rng));
+        if i % 2 == 1 {
+            fork.digest();
+            middle.digest();
+        }
+        differed[2] += usize::from(sites_text(&fork) != sites_text(&middle));
+        fork.clone_from(&middle);
+        matches_a_clone(&mut fork, &middle, &mut rng, &label("fork of a fork, from the middle"));
+        fork.clone_from(&source);
+        matches_a_clone(&mut fork, &source, &mut rng, &label("fork of a fork, from the first"));
+
+        // (d) Forked, recycled for another run, forked again.
+        fork.clone_from(&source);
+        let mut fork = fork.recycle(RunConfig::happy(p.n_sites()), Tracer::off());
+        if i % 2 == 0 {
+            fork.digest();
+        }
+        differed[3] += usize::from(sites_text(&fork) != sites_text(&source));
+        fork.clone_from(&source);
+        matches_a_clone(&mut fork, &source, &mut rng, &label("re-forked after a recycle"));
+    }
+    differed
+}
+
+#[test]
+fn re_forks_into_runners_forked_before_match_fresh_clones() {
+    let mut protocols: Vec<Protocol> = (3..=4).flat_map(catalog).collect();
+    protocols.push(paxos_commit(2, 1));
+    let mut differed = [0; 4];
+    for p in &protocols {
+        let a = Analysis::build(p).unwrap();
+        let seen = re_forks_match_clones(p, &a);
+        differed.iter_mut().zip(seen).for_each(|(total, d)| *total += d);
+    }
+    assert!(
+        differed.iter().all(|&d| d > 0),
+        "a case never differed before its re-fork: {differed:?}"
+    );
+}

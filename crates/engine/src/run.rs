@@ -151,8 +151,10 @@ impl Clone for Runner<'_> {
     /// Become a fork of `source` in this runner's storage, whatever run it
     /// held: every site slot, WAL buffer, inbox, event heap and link table
     /// is overwritten in place (a site slot's cached fingerprint with the
-    /// source's — see [`SiteCell`]). Destructured in full so a new field
-    /// cannot be left out of a fork.
+    /// source's — see [`SiteCell`]). The source's site slots are stamped
+    /// first, so a slot this runner already holds under the same stamp — a
+    /// site the last fork from `source` left alone — is not copied at all.
+    /// Destructured in full so a new field cannot be left out of a fork.
     fn clone_from(&mut self, source: &Self) {
         let Self {
             protocol,
@@ -176,6 +178,7 @@ impl Clone for Runner<'_> {
             config.clone_from(&source.config);
         }
         net.clone_from(&source.net);
+        source.sites.iter().for_each(SiteCell::stamp);
         sites.clone_from(&source.sites);
         timers.clone_from(&source.timers);
         transition_crashes.clone_from(&source.transition_crashes);
@@ -827,7 +830,7 @@ impl<'a> Runner<'a> {
             self.start_backup(ix);
         } else if site.backup_state.phase1_sent {
             // This site was the backup of an earlier round; drop that role.
-            site.backup_state = Default::default();
+            site.backup_state.clear();
         }
     }
 
@@ -1057,7 +1060,7 @@ impl<'a> Runner<'a> {
         let site = &mut *self.sites[ix];
         site.wal.lose_volatile();
         site.inbox.clear();
-        site.backup_state = Default::default();
+        site.backup_state.clear();
         site.pending_queries.clear();
         site.recovery_replies.clear();
         site.suspects.clear();

@@ -4,6 +4,7 @@
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, SiteId, StateId, Vote};
 use nbc_storage::{LogRecord, Wal};
@@ -49,6 +50,17 @@ pub struct BackupState {
 fn copy_set(to: &mut BTreeSet<usize>, from: &BTreeSet<usize>) {
     if to != from {
         to.clone_from(from);
+    }
+}
+
+impl BackupState {
+    /// Back to the default — no acks pending or collected, phase 1 not
+    /// sent — keeping `collected`'s allocation.
+    pub fn clear(&mut self) {
+        let Self { pending_acks, collected, phase1_sent } = self;
+        pending_acks.clear();
+        collected.clear();
+        *phase1_sent = false;
     }
 }
 
@@ -166,14 +178,21 @@ impl Clone for SiteRt {
 }
 
 /// One site slot of a [`Runner`](crate::Runner): the site's runtime
-/// state plus the cached fingerprint of it.
+/// state, the cached fingerprint of it, and a stamp naming it.
 ///
 /// Reads go through `Deref` and cost nothing. The *only* way to reach
-/// `&mut SiteRt` is `DerefMut`, which drops the cached fingerprint — so a
-/// mutation cannot leave a stale cache behind, by construction rather than
-/// by convention at each call site. A fork copies the state *and* the
-/// cache ([`Clone::clone_from`] into a slot that held another site state
-/// overwrites both), so what a step does not touch is never hashed again.
+/// `&mut SiteRt` is `DerefMut`, which drops the cached fingerprint and the
+/// stamp — so a mutation cannot leave a stale cache or a stale name
+/// behind, by construction rather than by convention at each call site. A
+/// fork copies the state, the cache and the stamp together, so what a step
+/// does not touch is never hashed again.
+///
+/// A nonzero stamp is a process-unique name for the contents it was given
+/// to, when a fork was taken from them. Contents and stamp are only ever
+/// copied together, and any change zeroes the stamp, so two slots holding
+/// the same nonzero stamp hold equal contents. [`Clone::clone_from`] skips
+/// the copy when they do — a sibling re-forked from its frame copies the
+/// one site the previous sibling dirtied, not all of them.
 pub struct SiteCell {
     rt: SiteRt,
     /// [`SiteRt::digest`] of `rt`, once computed. A `Cell` keeps
@@ -181,26 +200,44 @@ pub struct SiteCell {
     /// a runner `Send` but not `Sync`, which is all a fork handed to
     /// another thread needs.
     digest: Cell<Option<u128>>,
+    /// 0, or the name of exactly these contents. A `Cell` for the same
+    /// reason: the source of a fork is stamped through `&self`.
+    stamp: Cell<u64>,
 }
 
 impl Clone for SiteCell {
     fn clone(&self) -> Self {
-        Self { rt: self.rt.clone(), digest: self.digest.clone() }
+        Self { rt: self.rt.clone(), digest: self.digest.clone(), stamp: self.stamp.clone() }
     }
 
-    /// Overwrite this slot with `source`'s state and `source`'s cached
-    /// fingerprint — never this slot's own, which describes the state
-    /// being overwritten.
+    /// Overwrite this slot with `source`'s state, fingerprint and stamp —
+    /// never keeping this slot's own cache, which describes the state being
+    /// overwritten — unless both carry the same nonzero stamp, when the
+    /// contents are equal already and only a missing cache is taken over.
     fn clone_from(&mut self, source: &Self) {
-        let Self { rt, digest } = self;
-        rt.clone_from(&source.rt);
-        digest.set(source.digest.get());
+        let Self { rt, digest, stamp } = self;
+        let name = source.stamp.get();
+        if name == 0 || name != stamp.get() {
+            rt.clone_from(&source.rt);
+            digest.set(source.digest.get());
+            stamp.set(name);
+        } else if digest.get().is_none() {
+            digest.set(source.digest.get());
+        }
     }
 }
 
 impl SiteCell {
     pub(crate) fn new(rt: SiteRt) -> Self {
-        Self { rt, digest: Cell::new(None) }
+        Self { rt, digest: Cell::new(None), stamp: Cell::new(0) }
+    }
+
+    /// Name this slot's contents, unless they have a name already: the
+    /// source side of a fork, so the fork carries the name with the copy.
+    pub(crate) fn stamp(&self) {
+        if self.stamp.get() == 0 {
+            self.stamp.set(fresh_stamp());
+        }
     }
 
     /// The site's behavioral fingerprint ([`SiteRt::digest`]), computed at
@@ -235,8 +272,30 @@ impl DerefMut for SiteCell {
     #[inline]
     fn deref_mut(&mut self) -> &mut SiteRt {
         self.digest.set(None);
+        self.stamp.set(0);
         &mut self.rt
     }
+}
+
+/// A nonzero stamp no other call in this process returns. Each thread
+/// takes a block of stamps from one shared counter and hands them out one
+/// by one, so workers forking side by side do not take turns on a cache
+/// line per fork.
+fn fresh_stamp() -> u64 {
+    const BLOCK: u64 = 1 << 16;
+    // Uniqueness comes from the read-modify-write alone; the counter
+    // publishes no other data, so `Relaxed`.
+    static NEXT_BLOCK: AtomicU64 = AtomicU64::new(1);
+    thread_local!(static BLOCK_LEFT: Cell<(u64, u64)> = const { Cell::new((0, 0)) });
+    BLOCK_LEFT.with(|left| {
+        let (mut next, mut end) = left.get();
+        if next == end {
+            next = NEXT_BLOCK.fetch_add(BLOCK, Ordering::Relaxed);
+            end = next + BLOCK;
+        }
+        left.set((next + 1, end));
+        next
+    })
 }
 
 impl std::fmt::Debug for SiteCell {
@@ -343,7 +402,7 @@ impl SiteRt {
             mode,
             view,
             aligned_class,
-            backup_state: BackupState { pending_acks, collected, phase1_sent },
+            backup_state,
             outcome,
             transitions_attempted,
             pending_queries,
@@ -360,9 +419,7 @@ impl SiteRt {
         view.clear();
         view.resize(n, true);
         *aligned_class = None;
-        pending_acks.clear();
-        collected.clear();
-        *phase1_sent = false;
+        backup_state.clear();
         *outcome = None;
         *transitions_attempted = 0;
         pending_queries.clear();

@@ -79,29 +79,25 @@ fn an_exhaustive_walk_stays_within_its_allocation_budget() {
     let all_yes = |p: &Protocol| Some(vec![true; p.n_sites()]);
     let paxos = paxos_commit(2, 1);
     let rows = [
-        // Read 0.88 per distinct state when this budget was set, 0.83 once
-        // every state was expanded once, 0.82 since a fork copies only the
-        // sites its target lacks.
+        // Reads 0.82 per distinct state; 0.88 when this budget was set.
         Row {
             name: "central 3PC n=3, all plans",
             protocol: central_3pc(3),
             options: CheckOptions::default(),
             states: 4_402,
         },
-        // Read 0.18, then 0.15, then 0.16 with boxed runners.
+        // Reads 0.16; 0.18 when the budget was set.
         Row {
             name: "paxos:1 n=2, all-yes",
             options: CheckOptions { vote_plan: all_yes(&paxos), ..CheckOptions::default() },
             protocol: paxos,
             states: 6_514,
         },
-        // Read 2.13, then 2.09 once every state was expanded once; keeping
-        // a dropped backup role's `collected` list did not move it. A
-        // recovery replays the site's log
-        // (`Wal::recover` decodes it into records, `summarize` groups them)
-        // in the engine and again in the recovery oracle, and an ordered
-        // set copied into a fork that held another one is rebuilt node by
-        // node: dearer, and reported as it is.
+        // Reads 2.09; 2.13 when the budget was set. A recovery replays the
+        // site's log (`Wal::recover` decodes it into records, `summarize`
+        // groups them) in the engine and again in the recovery oracle, and
+        // an ordered set copied into a fork that held another one is rebuilt
+        // node by node: dearer, and reported as it is.
         Row {
             name: "central 3PC n=3, all plans, --recoveries 1",
             protocol: central_3pc(3),

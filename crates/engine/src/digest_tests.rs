@@ -12,10 +12,9 @@ use nbc_paxos::paxos_commit;
 use nbc_simnet::{NetEvent, SimRng};
 use nbc_storage::{LogRecord, Wal};
 
-use crate::explore::{in_flight_fingerprint, in_flight_words};
 use crate::run::Timer;
 use crate::site::Mode;
-use crate::{channel_of, Channel, RunConfig, Runner, Wire};
+use crate::{channel_of, RunConfig, Runner, Wire};
 
 // ---------------------------------------------------------------------
 // Cache coherence and fork isolation on random schedules
@@ -313,12 +312,12 @@ fn in_flight_notice_order_matters_within_a_feed_only() {
 }
 
 /// Messages that differ from some other one in the list in one field
-/// alone, every variant and every field, within the lanes of a run's site
-/// indices.
-fn one_field_apart(sites: &[usize]) -> Vec<Wire> {
+/// alone, every variant and every field, each at the edges of its range
+/// (a backup is absorbed as a whole `usize`, so `usize::MAX` too).
+fn one_field_apart() -> Vec<Wire> {
     let mut wires = vec![Wire::WhatHappened];
     wires.extend([0, 1, 7, 8, u16::MAX].map(|k| Wire::Proto(MsgKind(k))));
-    for &backup in sites {
+    for backup in [0, 1, 2, usize::MAX] {
         for class in [0, 1, u8::MAX] {
             wires.push(Wire::AlignTo { backup, class });
             wires.push(Wire::AlignAck { backup, reported_class: class });
@@ -343,7 +342,7 @@ fn every_field_of_every_message_and_notice_moves_the_digest() {
     let mut fresh = |what: String, r: Runner<'_>| {
         assert!(seen.insert(r.digest()), "{what} collides with another in-flight event");
     };
-    for wire in one_field_apart(&[0, 1, 2]) {
+    for wire in one_field_apart() {
         let mut r = base.clone();
         r.net.send(0, 1, 2, wire.clone());
         fresh(format!("{wire:?}"), r);
@@ -358,72 +357,4 @@ fn every_field_of_every_message_and_notice_moves_the_digest() {
         r.net.recover(0, site);
         fresh(format!("recovery notice of site {site}"), r);
     }
-}
-
-/// Site indices at the lane's edges: the largest a packed word holds, the
-/// first it does not, the largest a core `SiteId` names (one below
-/// `SiteId::CLIENT`) and the largest a `usize` holds.
-const EDGE_SITES: [usize; 6] = [0, 1, (1 << 16) - 1, 1 << 16, u32::MAX as usize - 1, usize::MAX];
-const EDGE_RANKS: [usize; 6] = [0, 1, (1 << 31) - 1, 1 << 31, 1 << 32, usize::MAX];
-
-/// In-flight events, no two alike, each one field away from another, over
-/// every edge value of every field.
-fn edge_events() -> Vec<(Channel, usize, NetEvent<Wire>)> {
-    let mut events = Vec::new();
-    for msg in one_field_apart(&EDGE_SITES) {
-        events.push((Channel::Link(0, 1), 0, NetEvent::Deliver { src: 0, dst: 1, msg }));
-    }
-    for src in EDGE_SITES {
-        for dst in EDGE_SITES {
-            let msg = Wire::TermBlocked { backup: 2 };
-            events.push((Channel::Link(src, dst), 0, NetEvent::Deliver { src, dst, msg }));
-        }
-    }
-    for observer in EDGE_SITES {
-        for site in EDGE_SITES {
-            let ch = Channel::Detector(observer);
-            events.push((ch, 0, NetEvent::FailureNotice { observer, crashed: site }));
-            events.push((ch, 0, NetEvent::RecoveryNotice { observer, recovered: site }));
-        }
-    }
-    for rank in EDGE_RANKS.into_iter().skip(1) {
-        let msg = Wire::Proto(MsgKind(u16::MAX));
-        events.push((Channel::Link(1, 0), rank, NetEvent::Deliver { src: 1, dst: 0, msg }));
-        let notice = NetEvent::FailureNotice { observer: 1, crashed: 0 };
-        events.push((Channel::Detector(1), rank, notice));
-    }
-    events
-}
-
-/// Two packed words while every site index fits 16 bits and the rank 31;
-/// past a lane the event is widened, never truncated into another's words.
-#[test]
-fn the_packed_in_flight_encoding_is_injective_up_to_every_edge() {
-    let events = edge_events();
-    let mut seen = HashSet::new();
-    let mut widened = 0;
-    for (ch, rank, ev) in &events {
-        assert_eq!(channel_of(ev), *ch, "{ev:?}");
-        let named = match ev {
-            NetEvent::Deliver { msg, .. } => match *msg {
-                Wire::AlignTo { backup, .. }
-                | Wire::AlignAck { backup, .. }
-                | Wire::TermDecision { backup, .. }
-                | Wire::TermBlocked { backup } => backup,
-                _ => 0,
-            },
-            NetEvent::FailureNotice { crashed: site, .. }
-            | NetEvent::RecoveryNotice { recovered: site, .. } => *site,
-        };
-        let (a, b) = match *ch {
-            Channel::Link(src, dst) => (src, dst),
-            Channel::Detector(observer) => (observer, 0),
-        };
-        let fits = [a, b, named].iter().all(|&s| s < 1 << 16) && *rank < 1 << 31;
-        assert_eq!(in_flight_words(*ch, *rank, ev).is_some(), fits, "{ch:?} {rank} {ev:?}");
-        widened += usize::from(!fits);
-        let fp = in_flight_fingerprint(*ch, *rank, ev);
-        assert!(seen.insert(fp), "{ch:?} rank {rank} {ev:?} collides with another event");
-    }
-    assert!(widened > 0 && widened < events.len(), "{widened} of {} widened", events.len());
 }

@@ -37,7 +37,7 @@ use nbc_simnet::{NetEvent, Time};
 use crate::config::RunConfig;
 use crate::run::{Runner, Timer};
 use crate::site::SiteCell;
-use crate::wire::{Wire, SITE_BITS};
+use crate::wire::Wire;
 
 /// The FIFO channel an event belongs to. Protocol and control messages
 /// travel ordered per `(src, dst)` link; failure/recovery notices form one
@@ -61,46 +61,6 @@ pub fn channel_of(ev: &NetEvent<Wire>) -> Channel {
             Channel::Detector(*observer)
         }
     }
-}
-
-/// Bits the rank of an event in its channel gets in a packed word.
-const RANK_BITS: u32 = 31;
-
-/// The two words [`Runner::digest`] absorbs for one in-flight event, the
-/// `rank`-th of its channel, or `None` when a field does not fit its lane:
-///
-/// * `(channel, rank)`: the channel's kind in bit 63, its site (a link's
-///   source, a feed's observer) in bits 47..63 and a link's destination in
-///   bits 31..47, lanes of [`SITE_BITS`], and the rank in bits 0..31;
-/// * the payload: the event's kind in bits 0..2, then the message's
-///   [`Wire::pack`] or the site a notice names.
-pub(crate) fn in_flight_words(ch: Channel, rank: usize, ev: &NetEvent<Wire>) -> Option<[u64; 2]> {
-    let (kind, a, b) = match ch {
-        Channel::Link(src, dst) => (0, src, dst),
-        Channel::Detector(observer) => (1u64, observer, 0),
-    };
-    let site = |site: usize| (site >> SITE_BITS == 0).then_some(site as u64);
-    let payload = match ev {
-        NetEvent::Deliver { msg, .. } => msg.pack()? << 2,
-        NetEvent::FailureNotice { crashed, .. } => 1 | site(*crashed)? << 2,
-        NetEvent::RecoveryNotice { recovered, .. } => 2 | site(*recovered)? << 2,
-    };
-    let fits = (a | b) >> SITE_BITS == 0 && rank >> RANK_BITS == 0;
-    fits.then_some([kind << 63 | (a as u64) << 47 | (b as u64) << 31 | rank as u64, payload])
-}
-
-/// The fingerprint of one in-flight event, the `rank`-th of its channel:
-/// its two [`in_flight_words`]. An event with a field past its lane — a
-/// site index of 2^16 or more, a rank of 2^31 — is absorbed as its full
-/// text instead, which is never two words long, so the encoding stays
-/// injective over every value the fields can hold.
-pub(crate) fn in_flight_fingerprint(ch: Channel, rank: usize, ev: &NetEvent<Wire>) -> u128 {
-    let mut h = Fp128::new();
-    match in_flight_words(ch, rank, ev) {
-        Some(words) => words.into_iter().for_each(|w| h.write_u64(w)),
-        None => h.write_bytes(format!("{ch:?} {rank} {ev:?}").as_bytes()),
-    }
-    h.finish()
 }
 
 // The parallel model checker forks a `Runner` per explored branch and
@@ -256,8 +216,7 @@ impl<'a> Runner<'a> {
     /// the network, the timers and the partition. The order-free parts —
     /// the set of channels, the timer set — are combined commutatively
     /// ([`MultisetFp`]); order *within* a channel is kept by hashing each
-    /// event with its rank in its channel, as two packed words: `(channel,
-    /// rank)` and the payload ([`Wire`]'s, or a notice's).
+    /// event with its rank in its channel.
     pub fn digest(&self) -> u128 {
         let mut h = Fp128::new();
         for s in &self.sites {
@@ -271,7 +230,34 @@ impl<'a> Runner<'a> {
                 .iter_scheduled()
                 .filter(|&(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
                 .count();
-            in_flight.add(in_flight_fingerprint(ch, rank, ev));
+            let mut eh = Fp128::new();
+            match ch {
+                Channel::Link(src, dst) => {
+                    eh.write_u8(0);
+                    eh.write_usize(src);
+                    eh.write_usize(dst);
+                }
+                Channel::Detector(observer) => {
+                    eh.write_u8(1);
+                    eh.write_usize(observer);
+                }
+            }
+            eh.write_usize(rank);
+            match ev {
+                NetEvent::Deliver { msg, .. } => {
+                    eh.write_u8(0);
+                    msg.fingerprint_into(&mut eh);
+                }
+                NetEvent::FailureNotice { crashed, .. } => {
+                    eh.write_u8(1);
+                    eh.write_usize(*crashed);
+                }
+                NetEvent::RecoveryNotice { recovered, .. } => {
+                    eh.write_u8(2);
+                    eh.write_usize(*recovered);
+                }
+            }
+            in_flight.add(eh.finish());
         }
         in_flight.write_into(&mut h);
         let mut timers = MultisetFp::default();

@@ -277,25 +277,12 @@ impl DerefMut for SiteCell {
     }
 }
 
-/// A nonzero stamp no other call in this process returns. Each thread
-/// takes a block of stamps from one shared counter and hands them out one
-/// by one, so workers forking side by side do not take turns on a cache
-/// line per fork.
+/// A nonzero stamp no other call in this process returns.
 fn fresh_stamp() -> u64 {
-    const BLOCK: u64 = 1 << 16;
     // Uniqueness comes from the read-modify-write alone; the counter
     // publishes no other data, so `Relaxed`.
-    static NEXT_BLOCK: AtomicU64 = AtomicU64::new(1);
-    thread_local!(static BLOCK_LEFT: Cell<(u64, u64)> = const { Cell::new((0, 0)) });
-    BLOCK_LEFT.with(|left| {
-        let (mut next, mut end) = left.get();
-        if next == end {
-            next = NEXT_BLOCK.fetch_add(BLOCK, Ordering::Relaxed);
-            end = next + BLOCK;
-        }
-        left.set((next + 1, end));
-        next
-    })
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl std::fmt::Debug for SiteCell {

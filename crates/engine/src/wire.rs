@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use nbc_core::MsgKind;
+use nbc_core::{Fp128, MsgKind};
 
 /// Everything that travels between sites during a run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -62,34 +62,47 @@ pub enum Wire {
     },
 }
 
-/// Bits a site index gets in a packed digest word ([`Wire::pack`] and the
-/// in-flight words of [`Runner::digest`](crate::Runner::digest)): enough
-/// for 65 536 sites, past any run a machine can hold (each site keeps a
-/// view of all of them, and the network a delivery clock per link).
-pub(crate) const SITE_BITS: u32 = 16;
-
 impl Wire {
-    /// The message as one word of a state fingerprint, or `None` when the
-    /// backup it names does not fit [`SITE_BITS`]. The variant tag takes
-    /// bits 0..3, its small fields bits 3..19 (a message kind's 16 bits, a
-    /// class code's 8, a flag's 1, an outcome's 2) and the backup bits
-    /// 24..40, so the word is injective over every message it is given
-    /// for. Lives next to the enum so a new variant cannot be added without
-    /// deciding how it is fingerprinted.
-    pub(crate) fn pack(&self) -> Option<u64> {
-        let outcome = |o: Option<bool>| o.map_or(0, |commit| 1 + u64::from(commit));
-        let (tag, fields, backup) = match *self {
-            Wire::Proto(kind) => (0, u64::from(kind.0), 0),
-            Wire::AlignTo { backup, class } => (1, u64::from(class), backup),
-            Wire::AlignAck { backup, reported_class } => (2, u64::from(reported_class), backup),
-            Wire::TermDecision { backup, commit } => (3, u64::from(commit), backup),
-            Wire::TermBlocked { backup } => (4, 0, backup),
-            Wire::WhatHappened => (5, 0, 0),
-            Wire::OutcomeIs { outcome: o, class, settled } => {
-                (6, outcome(o) | u64::from(class) << 2 | u64::from(settled) << 10, 0)
+    /// Absorb this message into a state fingerprint (injective: a variant
+    /// tag, then its fields). Lives next to the enum so a new variant
+    /// cannot be added without deciding how it is fingerprinted.
+    pub(crate) fn fingerprint_into(&self, h: &mut Fp128) {
+        match *self {
+            Wire::Proto(kind) => {
+                h.write_u8(0);
+                h.write_u32(kind.0.into());
             }
-        };
-        (backup >> SITE_BITS == 0).then_some(tag | fields << 3 | (backup as u64) << 24)
+            Wire::AlignTo { backup, class } => {
+                h.write_u8(1);
+                h.write_usize(backup);
+                h.write_u8(class);
+            }
+            Wire::AlignAck { backup, reported_class } => {
+                h.write_u8(2);
+                h.write_usize(backup);
+                h.write_u8(reported_class);
+            }
+            Wire::TermDecision { backup, commit } => {
+                h.write_u8(3);
+                h.write_usize(backup);
+                h.write_u8(u8::from(commit));
+            }
+            Wire::TermBlocked { backup } => {
+                h.write_u8(4);
+                h.write_usize(backup);
+            }
+            Wire::WhatHappened => h.write_u8(5),
+            Wire::OutcomeIs { outcome, class, settled } => {
+                h.write_u8(6);
+                h.write_u8(match outcome {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                });
+                h.write_u8(class);
+                h.write_u8(u8::from(settled));
+            }
+        }
     }
 }
 

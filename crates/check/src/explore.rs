@@ -111,7 +111,9 @@
 //! stamps each site slot a fork is taken from (`SiteCell` in
 //! `nbc-engine`). A spare that was the previous sibling's fork still holds
 //! the frame's other sites under the frame's stamps, so the next sibling
-//! copies the one site the previous one dirtied.
+//! copies the one site the previous one dirtied. Runners are boxed on the
+//! stack, in tasks and on the free list, so `branch`, `visit`, `expand`
+//! and `retire` hand one over as a pointer.
 //!
 //! ## One walk, run three ways
 //!
@@ -624,7 +626,7 @@ impl PlanShared {
 /// resulting subtree.
 struct Task<'a> {
     plan: usize,
-    runner: Runner<'a>,
+    runner: Box<Runner<'a>>,
     path: Vec<Step>,
     depth_left: u32,
     budgets: Budgets,
@@ -997,7 +999,7 @@ impl<'a> Stepper<'a> {
 /// One node of the explicit DFS stack: a state, its remaining depth and
 /// budgets, and the (cost-filtered) actions not yet branched on.
 struct Frame<'a> {
-    runner: Runner<'a>,
+    runner: Box<Runner<'a>>,
     depth_left: u32,
     budgets: Budgets,
     actions: Vec<Action>,
@@ -1014,13 +1016,13 @@ struct Frame<'a> {
 /// A fork of `source`: [`Clone::clone_from`] into a spare runner when
 /// there is one, so it copies only the sites the spare does not hold
 /// already, else a fresh clone.
-fn fork<'a>(spare: &mut Vec<Runner<'a>>, source: &Runner<'a>) -> Runner<'a> {
+fn fork<'a>(spare: &mut Vec<Box<Runner<'a>>>, source: &Runner<'a>) -> Box<Runner<'a>> {
     match spare.pop() {
         Some(mut runner) => {
-            runner.clone_from(source);
+            Runner::clone_from(&mut runner, source);
             runner
         }
-        None => source.clone(),
+        None => Box::new(source.clone()),
     }
 }
 
@@ -1040,8 +1042,10 @@ struct Worker<'w, 'a> {
     /// frames — kept so the next fork is a `clone_from` into storage this
     /// worker already owns instead of an allocation per site, WAL and
     /// heap. What state a spare was left in is irrelevant: `clone_from`
-    /// overwrites all of it.
-    spare: Vec<Runner<'a>>,
+    /// overwrites all of it. Boxed as on the stack and in tasks, so a
+    /// runner changes hands as a pointer.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Runner<'a>>>,
     /// The action lists of finished frames, kept for their allocation.
     spare_actions: Vec<Vec<Action>>,
 }
@@ -1070,7 +1074,7 @@ impl<'w, 'a> Worker<'w, 'a> {
         for (idx, votes) in plans.iter().enumerate() {
             self.plan = idx;
             let config = plan_config(shared.protocol.n_sites(), votes, shared.opts.rule);
-            let root = Runner::new(shared.protocol, shared.analysis, config);
+            let root = Box::new(Runner::new(shared.protocol, shared.analysis, config));
             self.visit(root, shared.opts.depth, Budgets::of(&shared.opts));
             match self.stack.pop() {
                 Some(f) => {
@@ -1140,7 +1144,7 @@ impl<'w, 'a> Worker<'w, 'a> {
 
     /// Apply `action` to a fork of its source state and visit the
     /// successor.
-    fn branch(&mut self, mut runner: Runner<'a>, action: Action, depth_left: u32, b: Budgets) {
+    fn branch(&mut self, mut runner: Box<Runner<'a>>, action: Action, depth_left: u32, b: Budgets) {
         match self.stepper.apply(&mut runner, action, b) {
             Err(detail) => {
                 self.flag_violation("recovery", detail);
@@ -1154,7 +1158,7 @@ impl<'w, 'a> Worker<'w, 'a> {
     /// walk itself hands back exactly what it took, but every task arrives
     /// with a runner of its own, so the list is capped at what the deepest
     /// stack the depth bound allows could ever fork from it.
-    fn retire(&mut self, runner: Runner<'a>) {
+    fn retire(&mut self, runner: Box<Runner<'a>>) {
         if self.spare.len() <= self.shared.opts.depth as usize {
             self.spare.push(runner);
         }
@@ -1254,7 +1258,7 @@ impl<'w, 'a> Worker<'w, 'a> {
     /// its expansion frame if it survived dedup and the caps. A runner no
     /// frame keeps — a violation, a stop target, a dedup hit, the cap, a
     /// leaf: two successors in three — is retired for the next fork.
-    fn visit(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) {
+    fn visit(&mut self, runner: Box<Runner<'a>>, depth_left: u32, b: Budgets) {
         if let Some(unkept) = self.expand(runner, depth_left, b) {
             self.retire(unkept);
         }
@@ -1262,7 +1266,12 @@ impl<'w, 'a> Worker<'w, 'a> {
 
     /// [`Worker::visit`] proper; hands the runner back unless a frame took
     /// it.
-    fn expand(&mut self, runner: Runner<'a>, depth_left: u32, b: Budgets) -> Option<Runner<'a>> {
+    fn expand(
+        &mut self,
+        runner: Box<Runner<'a>>,
+        depth_left: u32,
+        b: Budgets,
+    ) -> Option<Box<Runner<'a>>> {
         let shared = self.shared;
         let ps = &shared.plan_shared[self.plan];
         let wit =

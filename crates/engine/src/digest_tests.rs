@@ -1,7 +1,6 @@
 //! What [`Runner::digest`] must and must not see, and that caching it per
 //! site and copying the caches into forks — fresh ones and recycled ones —
-//! changes neither; and that the two packed words an in-flight event is
-//! absorbed as tell every value of every field apart.
+//! changes neither.
 
 use std::cmp::Reverse;
 use std::collections::HashSet;

@@ -666,6 +666,10 @@ struct Shared<'a> {
     hot_bytes: AtomicUsize,
     /// Runs spilled so far, over all plans (progress reporting).
     spill_runs: AtomicU64,
+    /// The unreduced walk the tests hold the reduction against: every
+    /// transition of every state, no fused macro-steps.
+    #[cfg(test)]
+    unreduced: bool,
 }
 
 impl<'a> Shared<'a> {
@@ -697,6 +701,8 @@ impl<'a> Shared<'a> {
             expansions: AtomicU64::new(0),
             hot_bytes: AtomicUsize::new(0),
             spill_runs: AtomicU64::new(0),
+            #[cfg(test)]
+            unreduced: tests::UNREDUCED.get(),
         }
     }
 
@@ -757,6 +763,8 @@ struct Stepper<'a> {
     dests: Vec<usize>,
     heads: Vec<(Channel, u64, Step)>,
     sends: Vec<(u64, usize)>,
+    #[cfg(test)]
+    unreduced: bool,
 }
 
 impl<'a> Stepper<'a> {
@@ -769,6 +777,8 @@ impl<'a> Stepper<'a> {
             dests: Vec::new(),
             heads: Vec::new(),
             sends: Vec::new(),
+            #[cfg(test)]
+            unreduced: false,
         }
     }
 
@@ -796,6 +806,8 @@ impl<'a> Stepper<'a> {
             && b.drops == 0
             && b.suspicions == 0
             && runner.sites().iter().all(|s| s.suspects.is_empty());
+        #[cfg(test)]
+        let no_faults = no_faults && !self.unreduced;
         if no_faults && !channels.is_empty() {
             let dests = &mut self.dests;
             dests.clear();
@@ -1052,9 +1064,15 @@ struct Worker<'w, 'a> {
 
 impl<'w, 'a> Worker<'w, 'a> {
     fn new(shared: &'w Shared<'a>) -> Self {
+        #[allow(unused_mut)]
+        let mut stepper = Stepper::new(shared.protocol, shared.analysis);
+        #[cfg(test)]
+        {
+            stepper.unreduced = shared.unreduced;
+        }
         Self {
             shared,
-            stepper: Stepper::new(shared.protocol, shared.analysis),
+            stepper,
             stack: Vec::new(),
             plan: 0,
             wit: vec![None; shared.plan_shared.len()],
@@ -1662,6 +1680,7 @@ fn add_spill(total: &mut SpillStats, s: SpillStats) {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::collections::HashSet;
 
     use nbc_core::kpc::k_phase_central;
@@ -1672,6 +1691,20 @@ mod tests {
     use nbc_paxos::paxos_commit;
 
     use super::*;
+
+    thread_local! {
+        /// Read by [`Shared::new`]: set, a walk started on this thread is
+        /// the unreduced one.
+        pub(super) static UNREDUCED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `f`, with every walk it starts unreduced.
+    fn unreduced<T>(f: impl FnOnce() -> T) -> T {
+        UNREDUCED.set(true);
+        let out = f();
+        UNREDUCED.set(false);
+        out
+    }
 
     fn analyse(protocol: &Protocol) -> Analysis {
         Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))
@@ -1836,5 +1869,107 @@ mod tests {
             // Not vacuous: pairs at fused and at unfused states alike.
             assert!(pairs.iter().all(|&p| p > 0), "{}: {pairs:?}", protocol.name);
         }
+    }
+
+    /// What a reduction must keep of a check: per plan, the oracles its
+    /// visited states violated, its blocking flag and its witnessed
+    /// bitmap; and the report's verdict, failed oracles, prediction
+    /// completeness, unwitnessed slots and whether it has a blocking
+    /// witness.
+    #[derive(Debug, PartialEq)]
+    struct Kept {
+        plans: Vec<(u8, bool, Witnessed)>,
+        ok: bool,
+        failed: Vec<&'static str>,
+        prediction_complete: bool,
+        unwitnessed: Vec<String>,
+        blocking: bool,
+    }
+
+    fn kept(protocol: &Protocol, opts: &CheckOptions, verdict_only: bool) -> (Kept, ExploreStats) {
+        let analysis = analyse(protocol);
+        let plans = if verdict_only {
+            Vec::new()
+        } else {
+            let (_, results) = swept(protocol, &analysis, opts);
+            results.into_iter().map(|r| (r.violated, r.blocking, r.witnessed)).collect()
+        };
+        let report = crate::run_check(protocol, opts.clone()).expect("catalog protocols analyse");
+        let kept = Kept {
+            plans,
+            ok: report.ok(),
+            failed: report.failures.iter().map(|f| f.oracle).collect(),
+            prediction_complete: report.prediction_complete,
+            unwitnessed: report.unwitnessed,
+            blocking: report.blocking_witness.is_some(),
+        };
+        (kept, report.stats)
+    }
+
+    /// Run `opts` on `protocol` with the walk and with the unreduced walk,
+    /// and hold the two to the same verdicts. With `verdict_only` (a run
+    /// the state cap cuts, whose per-plan sweep results depend on
+    /// scheduling), only the report's are compared.
+    fn holds(protocol: &Protocol, opts: CheckOptions, verdict_only: bool) {
+        let (got, stats) = kept(protocol, &opts, verdict_only);
+        let (want, full) = unreduced(|| kept(protocol, &opts, verdict_only));
+        assert_eq!(got, want, "{}: the walk and the unreduced walk disagree", protocol.name);
+        println!(
+            "{} (depth {} faults {} recoveries {} drops {} suspicions {} plans {}): \
+             {} states, {} actions; unreduced {} states, {} actions",
+            protocol.name,
+            opts.depth,
+            opts.faults,
+            opts.recoveries,
+            opts.drops,
+            opts.suspicions,
+            stats.plans,
+            stats.distinct_states,
+            stats.actions,
+            full.distinct_states,
+            full.actions
+        );
+    }
+
+    fn with(f: fn(&mut CheckOptions)) -> CheckOptions {
+        let mut o = CheckOptions::default();
+        f(&mut o);
+        o
+    }
+
+    #[test]
+    fn the_catalog_keeps_its_verdicts_unreduced() {
+        for protocol in [
+            central_2pc(3),
+            central_3pc(3),
+            decentralized_2pc(3),
+            decentralized_3pc(3),
+            one_pc(3),
+            k_phase_central(3, 4).expect("kpc builds"),
+        ] {
+            holds(&protocol, CheckOptions::default(), false);
+        }
+    }
+
+    /// Every budget row `pinned_counts.rs` pins but the catalog's.
+    #[test]
+    fn every_pinned_budget_keeps_its_verdicts_unreduced() {
+        holds(&central_2pc(4), with(|o| o.vote_plan = Some(vec![true; 4])), false);
+        holds(&central_3pc(3), with(|o| o.recoveries = 1), false);
+        holds(&central_3pc(3), with(|o| o.drops = 1), false);
+        holds(&central_3pc(3), with(|o| o.faults = 2), false);
+        holds(&central_3pc(3), with(|o| o.max_states = 500), true);
+        holds(&central_2pc(3), with(|o| o.depth = 9), false);
+        holds(&central_3pc(3), with(|o| o.depth = 10), false);
+        holds(&decentralized_3pc(3), with(|o| o.depth = 14), false);
+        holds(&central_3pc(3), with(|o| o.suspicions = 1), false);
+        holds(&central_2pc(3), with(|o| o.recoveries = 1), false);
+    }
+
+    #[test]
+    fn paxos_commit_keeps_its_verdicts_unreduced() {
+        let p = paxos_commit(2, 1);
+        holds(&p, with(|o| o.vote_plan = Some(vec![true; 5])), false);
+        holds(&p, CheckOptions::default(), false);
     }
 }

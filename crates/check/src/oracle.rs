@@ -45,7 +45,7 @@ use nbc_storage::Wal;
 /// accumulate one bitmap *per vote plan* and replace a state-cap-truncated
 /// plan's bitmap wholesale with the one the walk run alone produces — the
 /// merged union stays deterministic even when the sweep's coverage was not.
-#[derive(Default, Clone)]
+#[derive(Default, Clone, Debug, PartialEq, Eq)]
 pub struct Witnessed(Vec<Vec<bool>>);
 
 impl Witnessed {

@@ -38,32 +38,75 @@
 //! high half to the table, low bits to the shard index) instead of
 //! SipHashing it again.
 //!
-//! A revisit prunes, so every state is expanded once. That is exact while
-//! the depth bound cuts nothing: an uncut walk's visited set is closed
-//! under successors, so it is the whole reachable set, and an entry's
-//! edges and fused bit are functions of its state. The first expansion
-//! that leaves an action out for depth abandons the walk instead, and
-//! `walk` runs it again **exact**, under the depth-left revisit rule:
-//! the map stores the best remaining depth a state was reached with, a
-//! revisit with less is pruned and one with more is re-expanded, so the
-//! depth bound never hides a state a shallower path could reach. Under
-//! the default depth nothing is cut, and the rule's re-expansions (5 985
-//! expansions for central 3PC n=3's 4 402 states) would only revisit
-//! known states. The abandoned walk's cost is measured, not bounded: at
-//! every depth that cuts decentralized 3PC n=3 or central 3PC n=4 it
-//! expanded at most 435 states, 0.12 % of the exact run's expansions.
+//! A revisit prunes unless it wakes a slept delivery (below), so every
+//! state is expanded in full once. That is exact while the depth bound
+//! cuts nothing: an uncut walk's visited set is closed under successors —
+//! each enabled action of a visited state is applied from it or, slept,
+//! reaches a state the walk visits anyway — so it is the whole reachable
+//! set, and an entry's edge count is a function of its state. The first
+//! expansion that leaves an action out for depth abandons the walk
+//! instead, and `walk` runs it again **exact**, under the depth-left
+//! revisit rule: the map stores the best remaining depth a state was
+//! reached with, a revisit with less is pruned (unless it wakes a slept
+//! delivery) and one with more is re-expanded, so the depth bound never
+//! hides a state a shallower path could reach. Under the default depth
+//! nothing is cut, and the rule's re-expansions (6 346 full expansions for
+//! central 3PC n=3's 4 676 states) would only revisit known states. The
+//! abandoned walk stops at its first cut, long before it has seen a
+//! quarter of the states (`a_cut_walk_is_abandoned_and_rerun_exact`).
 //!
-//! When every fault budget is exhausted and every pending event targets a
-//! distinct site, all pending heads are **fused** into one macro-step:
-//! handlers of distinct destination sites commute as state transformers,
-//! nothing can interleave between them, and decisions are monotone (an
-//! oracle violation visible in a skipped intermediate state is still
-//! visible in the fused successor — outcomes never unset and the visited
-//! monitors are cumulative). Two further sound reductions: events
-//! addressed to a permanently-down site (no recovery budget left) are
-//! pure no-ops and are drained eagerly rather than branched over, and the
-//! behavioral digest canonicalizes arrival-order collections whose
-//! consumers are order-independent.
+//! Two further sound reductions: events addressed to a permanently-down
+//! site (no recovery budget left) are pure no-ops and are drained eagerly
+//! rather than branched over, and the behavioral digest canonicalizes
+//! arrival-order collections whose consumers are order-independent.
+//!
+//! ## Sleep sets
+//!
+//! Two deliveries into different sites commute. A handler mutates only the
+//! site it delivers into and appends its sends to channel tails, so it
+//! neither changes nor disables another channel's head; fired in either
+//! order, with the dead-site drain after each, the two leave one state and
+//! spend no budget (`heads_to_distinct_sites_commute` checks every such
+//! pair at every state of nine walks). Every other action — crash,
+//! recover, drop, suspect, unsuspect — is taken to depend on every action.
+//! That is the independence relation of Godefroid's sleep sets (LNCS 1032,
+//! 1996), which the walk keeps over `Fire` actions:
+//!
+//! * **Branching.** A frame's actions start with the deliveries it
+//!   *sleeps on*, which it does not apply. The branch on `Fire(c)` into
+//!   site d sleeps on every delivery before it in the frame, slept on or
+//!   branched on, except those into d. A branch on any other action sleeps
+//!   on nothing. Seeded and donated tasks carry their branch's set.
+//! * **Revisits.** A dedup entry stores the set its state was expanded
+//!   under. A revisit under Z prunes iff the stored set ⊆ Z. Otherwise it
+//!   applies only the *woken* deliveries, stored \ Z (still under the
+//!   `cost ≤ depth_left` filter, which cuts a woken delivery like any
+//!   other), sleeps on stored ∩ Z, and stores stored ∩ Z. Under the
+//!   depth-left rule a deeper revisit re-expands in full and stores its own
+//!   set; a shallower one applies the woken deliveries and leaves the
+//!   stored set as it was, since they were applied with less depth than
+//!   the entry claims.
+//! * **Stats.** `actions` counts a state's *enabled* actions at its deepest
+//!   expansion, slept or not: a function of the state, equal to the
+//!   unreduced walk's count.
+//!
+//! Why no state is lost: a delivery t sleeps at s only because a frame on
+//! the path to s applied t in an earlier branch, and every step from that
+//! frame to s is a delivery independent of t. Commuting t forward along
+//! those steps, one at a time, shows s·t is reached from that earlier
+//! branch by the same steps, with the same remaining depth, since every
+//! delivery costs one. The stored set keeps this true across revisits: an
+//! entry never claims a delivery applied that no expansion at its depth
+//! applied. So sleep sets prune transitions, never states: the walk reaches
+//! exactly the unreduced walk's states, which the `*_unreduced` tests
+//! check against a test-only walk with every sleep set empty, on the
+//! catalog, every pinned budget row and Paxos Commit.
+//!
+//! The stored set is a `Sleep` mask over the state's own pending
+//! channels in canonical order. Every slept delivery is pending at its
+//! state, so 32 bits name the sleepers of any state with at most 32
+//! channels in flight, for any number of sites; a delivery past the last
+//! bit is applied, never slept. An entry stays 16 bytes, its hot slot 32.
 //!
 //! ## Parallel exploration and determinism
 //!
@@ -84,11 +127,11 @@
 //!   (an uncut walk visits the reachable set; in an exact one a state is
 //!   expanded whenever reached with more remaining depth than any prior
 //!   expansion, so the final map is the same whatever the interleaving);
-//! * `distinct_states` counts that map's entries; `actions`, `fused` and
-//!   the depth-side of `truncated` are recomputed *per entry at its
-//!   deepest expansion* rather than accumulated per traversal event
-//!   (an exact walk's re-expansions would otherwise double-count,
-//!   differently per run);
+//! * `distinct_states` counts that map's entries; `actions` and the
+//!   depth-side of `truncated` are recomputed *per entry at its deepest
+//!   expansion* rather than accumulated per traversal event (an exact
+//!   walk's re-expansions would otherwise double-count, differently per
+//!   run);
 //! * concrete witnesses are never taken from the parallel sweep: a
 //!   serial, canonical-order run of the least flagged plan reproduces
 //!   them (below), byte-identical at any thread count and any seed.
@@ -106,8 +149,8 @@
 //! stepper's scratch are recycled the same way; in steady state the walk
 //! allocates for dedup-map growth and a donated task's path only.
 //!
-//! Most of a fork is not copied at all. Every action but a fused
-//! macro-step changes one site, besides the network, and the engine
+//! Most of a fork is not copied at all. Every action changes one site,
+//! besides the network, and the engine
 //! stamps each site slot a fork is taken from (`SiteCell` in
 //! `nbc-engine`). A spare that was the previous sibling's fork still holds
 //! the frame's other sites under the frame's stamps, so the next sibling
@@ -118,9 +161,9 @@
 //! ## One walk, run three ways
 //!
 //! There is one walk — the `Worker`'s explicit-stack loop, its `visit`
-//! (judge the oracles, judge blocking, then prune → cap → claim, with the
-//! edge stats published at the deepest expansion), the per-plan store and
-//! its fold. It runs:
+//! (judge the oracles, judge blocking, then prune or wake → cap → claim,
+//! with the edge stats published at the deepest expansion), the per-plan
+//! store and its fold. It runs:
 //!
 //! 1. **as the parallel sweep**, over every plan with `threads` workers
 //!    and the seed's rotation. The sweep only *flags* which plans
@@ -141,14 +184,16 @@
 //!    run's and a capped plan's flags come from run 2, whose traversal
 //!    this one repeats, so a flagged plan always yields its witness.
 //!
-//! Each of the three first prunes every revisit and, abandoned at a cut,
+//! Each of the three first re-expands no revisit and, abandoned at a cut,
 //! runs again exact at the same thread count. Runs 2 and 3 depend on the
 //! order of first visits, not only on the visited set, and that order is
 //! the exact run's too as long as nothing was cut before. Every action
 //! costs at least one step of depth, so a path back to a state on the DFS
-//! stack arrives with strictly less depth left, and the exact rule prunes
-//! it. An exact re-expansion therefore revisits a state whose subtree the
-//! DFS has already closed, and finds nothing new in it. A target found
+//! stack arrives with strictly less depth left, and the exact rule does
+//! not re-expand it. An exact re-expansion therefore revisits a state
+//! whose subtree the DFS has already closed, and finds nothing new in it;
+//! nor does a woken delivery, which an earlier, closed branch applied
+//! first (see "Sleep sets"). A target found
 //! before the first cut is the exact run's target. One more case runs
 //! run 2 again exact: a plan that fills the map to exactly `max_states`
 //! with no state turned away. The exact rule's deeper revisits of the full
@@ -310,9 +355,6 @@ type KeyMap<V> = HashMap<u128, V, FpBuildHasher>;
 enum Action {
     /// Deliver the head of this channel.
     Fire(Channel),
-    /// Deliver every pending event — this many, each the head of its own
-    /// channel — in channel order, as one commuting macro-step.
-    Fuse(u32),
     /// Crash `site` and lose the last `lose` of its undelivered sends.
     CrashSuffix { site: usize, lose: usize },
     /// Restart a down site.
@@ -334,7 +376,6 @@ impl Action {
             | Action::DropTail { .. }
             | Action::Suspect { .. }
             | Action::Unsuspect { .. } => 1,
-            Action::Fuse(heads) => *heads,
             Action::CrashSuffix { lose, .. } => 1 + *lose as u32,
         }
     }
@@ -347,10 +388,14 @@ impl Action {
 pub struct ExploreStats {
     /// Distinct `(behavioral digest, budgets)` states, summed over plans.
     pub distinct_states: usize,
-    /// Edges of the deduplicated exploration graph: scheduler actions
-    /// applied from each distinct state at its deepest expansion.
+    /// Edges of the exploration graph: the scheduler actions enabled at
+    /// each distinct state at its deepest expansion, whether the walk
+    /// applied them or slept through them (see the module docs) — a
+    /// function of the state, so the unreduced walk counts the same.
     pub actions: u64,
-    /// Distinct states whose commuting macro-step was taken.
+    /// Always 0: distinct states whose commuting macro-step was taken, when
+    /// the walk had one. Sleep sets replaced it; the field stays for the
+    /// callers that read it.
     pub fused: u64,
     /// Vote plans explored.
     pub plans: usize,
@@ -385,13 +430,25 @@ pub const CHECK_TXN: u64 = 1;
 /// Destination site of a pending event — the only site its handler
 /// mutates.
 fn dest_of(ev: &NetEvent<Wire>) -> usize {
-    match ev {
-        NetEvent::Deliver { dst, .. } => *dst,
-        NetEvent::FailureNotice { observer, .. } | NetEvent::RecoveryNotice { observer, .. } => {
-            *observer
-        }
+    into_site(channel_of(ev))
+}
+
+/// The site a delivery on `ch` delivers into. Two deliveries are
+/// independent exactly when they deliver into different sites.
+fn into_site(ch: Channel) -> usize {
+    match ch {
+        Channel::Link(_, dst) => dst,
+        Channel::Detector(observer) => observer,
     }
 }
+
+/// A stored sleep set: bit `i` stands for the `i`-th channel with
+/// something in flight at the state, in canonical order. A state's slept
+/// deliveries are all pending at it (only a delivery into its site could
+/// disable one, and that delivery wakes it), so the state's own channels
+/// name them, for any number of sites. A delivery past the last bit cannot
+/// be named: it is explored, never slept.
+type Sleep = u32;
 
 /// Build the lockstep engine configuration for one vote plan.
 pub fn plan_config(n: usize, votes: &[bool], rule: TerminationRule) -> RunConfig {
@@ -439,14 +496,58 @@ fn violation_bit(oracle: &str) -> u8 {
 
 /// One dedup entry: the deepest remaining depth the state was expanded
 /// with, plus the edge statistics recomputed at that depth (`stats_depth`
-/// guards against a shallower racing expansion publishing last).
+/// guards against a shallower racing expansion publishing last), and the
+/// deliveries no expansion at depth `best` has applied. Sixteen bytes, so a
+/// hot `(u128, Entry)` slot stays at 32.
 #[derive(Clone, Copy)]
 struct Entry {
     best: u32,
     stats_depth: u32,
+    /// Enabled actions at `stats_depth`, with [`CUT`] set if the depth
+    /// bound left one of them out.
     edges: u32,
-    fused: bool,
-    cut: bool,
+    sleep: Sleep,
+}
+
+/// The flag bit of [`Entry::edges`]: the depth bound cut the expansion.
+const CUT: u32 = 1 << 31;
+
+/// What a visit does with a state the store already holds.
+enum Claim {
+    /// Nothing new: every delivery it could apply has been applied, or is
+    /// slept along this path.
+    Prune,
+    /// Expand it in full: it is new, or deeper than before under the
+    /// depth-left rule.
+    Expand,
+    /// Apply only the `woken` deliveries; the frame sleeps on `asleep`.
+    Wake { woken: Sleep, asleep: Sleep },
+}
+
+impl Entry {
+    /// The revisit rule: under sleep set `z` with `depth_left` to go, a
+    /// revisit prunes unless it wakes a slept delivery — one the entry has
+    /// not applied that `z` does not sleep on — or the depth-left rule asks
+    /// for a deeper expansion. Updates the entry to what the visit will
+    /// have applied: an expansion at its best depth shrinks the stored set
+    /// to the intersection; a deeper one stores `z` afresh.
+    fn revisit(&mut self, depth_left: u32, z: Sleep, exact: bool) -> Claim {
+        if exact && depth_left > self.best {
+            self.best = depth_left;
+            self.sleep = z;
+            return Claim::Expand;
+        }
+        let woken = self.sleep & !z;
+        if woken == 0 {
+            return Claim::Prune;
+        }
+        let asleep = self.sleep & z;
+        // A shallower revisit's deliveries do not count at `best`.
+        if !exact || depth_left == self.best {
+            self.sleep = asleep;
+        }
+        Claim::Wake { woken, asleep }
+    }
 }
 
 /// Approximate resident cost of one hot `(u128, Entry)` map entry
@@ -459,31 +560,31 @@ const ENTRY_BYTES: usize = 16;
 
 fn encode_entry(e: &Entry) -> [u8; ENTRY_BYTES] {
     let mut b = [0u8; ENTRY_BYTES];
-    b[0..4].copy_from_slice(&e.best.to_le_bytes());
-    b[4..8].copy_from_slice(&e.stats_depth.to_le_bytes());
-    b[8..12].copy_from_slice(&e.edges.to_le_bytes());
-    b[12] = u8::from(e.fused) | (u8::from(e.cut) << 1);
+    for (i, word) in [e.best, e.stats_depth, e.edges, e.sleep].into_iter().enumerate() {
+        b[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+    }
     b
 }
 
 fn decode_entry(b: &[u8; ENTRY_BYTES]) -> Entry {
-    Entry {
-        best: u32::from_le_bytes(b[0..4].try_into().expect("best")),
-        stats_depth: u32::from_le_bytes(b[4..8].try_into().expect("stats_depth")),
-        edges: u32::from_le_bytes(b[8..12].try_into().expect("edges")),
-        fused: b[12] & 1 != 0,
-        cut: b[12] & 2 != 0,
-    }
+    let word = |i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().expect("four bytes"));
+    Entry { best: word(0), stats_depth: word(1), edges: word(2), sleep: word(3) }
 }
 
 /// Merge two spilled copies of the same state: the record expanded at
 /// the deepest `stats_depth` carries the authoritative edge stats (tie →
-/// the newer copy, mirroring the hot tier's `>=` publish guard), and
-/// `best` is the monotone max of both.
+/// the newer copy, mirroring the hot tier's `>=` publish guard), `best` is
+/// the monotone max of both, and the sleep sets intersect — what either
+/// copy applied at that depth has been applied.
 fn combine_entries(older: &[u8; ENTRY_BYTES], newer: &[u8; ENTRY_BYTES]) -> [u8; ENTRY_BYTES] {
     let (o, n) = (decode_entry(older), decode_entry(newer));
     let mut r = if n.stats_depth >= o.stats_depth { n } else { o };
     r.best = o.best.max(n.best);
+    r.sleep = match o.best.cmp(&n.best) {
+        std::cmp::Ordering::Less => n.sleep,
+        std::cmp::Ordering::Greater => o.sleep,
+        std::cmp::Ordering::Equal => o.sleep & n.sleep,
+    };
     encode_entry(&r)
 }
 
@@ -492,7 +593,6 @@ fn combine_entries(older: &[u8; ENTRY_BYTES], newer: &[u8; ENTRY_BYTES]) -> [u8;
 struct PlanStats {
     distinct: usize,
     edges: u64,
-    fused: u64,
     cut: bool,
     /// External-memory activity of this plan's store (all zero without a
     /// budget) — out-of-band reporting only.
@@ -575,9 +675,8 @@ impl PlanShared {
             PlanStats { cut: self.cap_hit.load(Ordering::Acquire), ..Default::default() };
         let mut tally = |e: &Entry| {
             stats.distinct += 1;
-            stats.edges += u64::from(e.edges);
-            stats.fused += u64::from(e.fused);
-            stats.cut |= e.cut;
+            stats.edges += u64::from(e.edges & !CUT);
+            stats.cut |= e.edges & CUT != 0;
         };
         let mut hot: Vec<(u128, Entry)> = Vec::new();
         for shard in &self.shards {
@@ -623,7 +722,7 @@ impl PlanShared {
 
 /// One unit of queued work: apply `action` to `runner` (already at
 /// `path`, with `depth_left`/`budgets` remaining) and exhaust the
-/// resulting subtree.
+/// resulting subtree under the sleep set `sleep`.
 struct Task<'a> {
     plan: usize,
     runner: Box<Runner<'a>>,
@@ -631,6 +730,7 @@ struct Task<'a> {
     depth_left: u32,
     budgets: Budgets,
     action: Action,
+    sleep: Vec<Channel>,
 }
 
 struct Shared<'a> {
@@ -666,8 +766,11 @@ struct Shared<'a> {
     hot_bytes: AtomicUsize,
     /// Runs spilled so far, over all plans (progress reporting).
     spill_runs: AtomicU64,
+    /// Successors applied, summed as each worker finishes (reporting
+    /// only).
+    applied: AtomicU64,
     /// The unreduced walk the tests hold the reduction against: every
-    /// transition of every state, no fused macro-steps.
+    /// sleep set empty, so every enabled action of every state is applied.
     #[cfg(test)]
     unreduced: bool,
 }
@@ -701,6 +804,7 @@ impl<'a> Shared<'a> {
             expansions: AtomicU64::new(0),
             hot_bytes: AtomicUsize::new(0),
             spill_runs: AtomicU64::new(0),
+            applied: AtomicU64::new(0),
             #[cfg(test)]
             unreduced: tests::UNREDUCED.get(),
         }
@@ -754,17 +858,12 @@ struct Stepper<'a> {
     protocol: &'a Protocol,
     oracles: Oracles<'a>,
     path: Vec<Step>,
-    // Scratch, empty between calls and kept for its allocation: what
-    // `enumerate` sorts (the channels with something in flight, the pending
-    // events' destinations) and what `apply` snapshots before the first
-    // handler runs (the heads a macro-step fires, the sends a crash may
-    // lose).
+    /// The channels with something in flight at the state last passed to
+    /// [`Stepper::collect`], in canonical order.
     channels: Vec<Channel>,
-    dests: Vec<usize>,
-    heads: Vec<(Channel, u64, Step)>,
+    /// Scratch, empty between calls and kept for its allocation: the sends
+    /// a crash may lose, snapshotted before the crash.
     sends: Vec<(u64, usize)>,
-    #[cfg(test)]
-    unreduced: bool,
 }
 
 impl<'a> Stepper<'a> {
@@ -774,19 +873,13 @@ impl<'a> Stepper<'a> {
             oracles: Oracles::new(protocol, analysis, CHECK_TXN),
             path: Vec::new(),
             channels: Vec::new(),
-            dests: Vec::new(),
-            heads: Vec::new(),
             sends: Vec::new(),
-            #[cfg(test)]
-            unreduced: false,
         }
     }
 
-    /// Fill `actions` with all branchable actions in `runner` under
-    /// remaining budgets `b`, in deterministic order.
-    fn enumerate(&mut self, runner: &Runner<'a>, b: Budgets, actions: &mut Vec<Action>) {
-        actions.clear();
-        // The channels with something in flight, in canonical order.
+    /// Collect `runner`'s channels with something in flight, in canonical
+    /// order, for [`Stepper::sleep_mask`] and [`Stepper::enumerate`].
+    fn collect(&mut self, runner: &Runner<'a>) {
         let channels = &mut self.channels;
         channels.clear();
         for (_, _, ev) in runner.iter_pending() {
@@ -796,32 +889,40 @@ impl<'a> Stepper<'a> {
             }
         }
         channels.sort_unstable();
+    }
 
-        // Fusion is sound only when no scheduler-injected action can
-        // interleave between the fused deliveries: every fault budget must
-        // be spent AND no standing suspicion remain (Unsuspect actions are
-        // budget-free, so they exist as long as any suspicion does).
-        let no_faults = b.faults == 0
-            && b.recoveries == 0
-            && b.drops == 0
-            && b.suspicions == 0
-            && runner.sites().iter().all(|s| s.suspects.is_empty());
-        #[cfg(test)]
-        let no_faults = no_faults && !self.unreduced;
-        if no_faults && !channels.is_empty() {
-            let dests = &mut self.dests;
-            dests.clear();
-            dests.extend(runner.iter_pending().map(|(_, _, ev)| dest_of(ev)));
-            dests.sort_unstable();
-            let distinct = dests.windows(2).all(|w| w[0] != w[1]);
-            if distinct {
-                // Every pending event is its channel's head and targets
-                // its own site: all interleavings commute, and no fault
-                // can intervene — fire them all as one macro-step.
-                actions.push(Action::Fuse(dests.len() as u32));
-                return;
+    /// Bit `i` of the collected channels' [`Sleep`] mask, if it has one.
+    fn bit(&self, ch: Channel) -> Option<Sleep> {
+        let i = self.channels.iter().position(|&c| c == ch)?;
+        (i < Sleep::BITS as usize).then(|| 1 << i)
+    }
+
+    /// The nameable part of the sleep set `sleep` at the collected state.
+    fn sleep_mask(&self, sleep: &[Channel]) -> Sleep {
+        sleep.iter().filter_map(|&ch| self.bit(ch)).fold(0, |z, bit| z | bit)
+    }
+
+    /// Move the deliveries `z` sleeps on to the front of `actions`, keeping
+    /// the order of the rest, and count them.
+    fn sleep_first(&self, actions: &mut [Action], z: Sleep) -> usize {
+        let mut slept = 0;
+        for i in 0..actions.len() {
+            if let Action::Fire(ch) = actions[i] {
+                if z != 0 && self.bit(ch).is_some_and(|bit| z & bit != 0) {
+                    actions[slept..=i].rotate_right(1);
+                    slept += 1;
+                }
             }
         }
+        slept
+    }
+
+    /// Fill `actions` with all branchable actions in `runner` under
+    /// remaining budgets `b`, in deterministic order. Reads the channels
+    /// [`Stepper::collect`] took from the same runner.
+    fn enumerate(&mut self, runner: &Runner<'a>, b: Budgets, actions: &mut Vec<Action>) {
+        actions.clear();
+        let channels = &self.channels;
 
         // Events to a down site are still fired (the dead site simply
         // never reads them) — leaving them pending would stall quiescence
@@ -947,19 +1048,6 @@ impl<'a> Stepper<'a> {
                 runner.fire_scheduled(seq);
                 Ok(b)
             }
-            Action::Fuse(_) => {
-                // Snapshot the heads — every pending event, see
-                // `enumerate` — first: a fired handler's new sends must
-                // not join this macro-step.
-                let pending = runner.iter_pending();
-                self.heads.extend(pending.map(|(_, seq, ev)| (channel_of(ev), seq, step_for(ev))));
-                self.heads.sort_unstable_by_key(|&(ch, ..)| ch);
-                for (_, seq, step) in self.heads.drain(..) {
-                    self.path.push(step);
-                    runner.fire_scheduled(seq);
-                }
-                Ok(b)
-            }
             Action::CrashSuffix { site, lose } => {
                 self.path.push(Step::Crash { site });
                 // Identify the suffix before crashing: the notices the
@@ -1009,7 +1097,8 @@ impl<'a> Stepper<'a> {
 }
 
 /// One node of the explicit DFS stack: a state, its remaining depth and
-/// budgets, and the (cost-filtered) actions not yet branched on.
+/// budgets, and its (cost-filtered) actions. The first `next` are done:
+/// the deliveries the frame sleeps on, then the branches already taken.
 struct Frame<'a> {
     runner: Box<Runner<'a>>,
     depth_left: u32,
@@ -1038,6 +1127,20 @@ fn fork<'a>(spare: &mut Vec<Box<Runner<'a>>>, source: &Runner<'a>) -> Box<Runner
     }
 }
 
+/// Fill `out` with the sleep set of the branch on `actions[i]`: the
+/// deliveries done before it in its frame — slept on or branched on — less
+/// those into the site it delivers into. Every other action depends on
+/// every action, so its branch sleeps on nothing.
+fn sleep_of(actions: &[Action], i: usize, out: &mut Vec<Channel>) {
+    out.clear();
+    let Action::Fire(c) = actions[i] else { return };
+    let site = into_site(c);
+    out.extend(actions[..i].iter().filter_map(|a| match *a {
+        Action::Fire(ch) if into_site(ch) != site => Some(ch),
+        _ => None,
+    }));
+}
+
 struct Worker<'w, 'a> {
     shared: &'w Shared<'a>,
     stepper: Stepper<'a>,
@@ -1060,32 +1163,32 @@ struct Worker<'w, 'a> {
     spare: Vec<Box<Runner<'a>>>,
     /// The action lists of finished frames, kept for their allocation.
     spare_actions: Vec<Vec<Action>>,
+    /// The sleep set of the branch being taken, kept for its allocation.
+    sleep: Vec<Channel>,
+    /// Successors this worker applied.
+    applied: u64,
 }
 
 impl<'w, 'a> Worker<'w, 'a> {
     fn new(shared: &'w Shared<'a>) -> Self {
-        #[allow(unused_mut)]
-        let mut stepper = Stepper::new(shared.protocol, shared.analysis);
-        #[cfg(test)]
-        {
-            stepper.unreduced = shared.unreduced;
-        }
         Self {
             shared,
-            stepper,
+            stepper: Stepper::new(shared.protocol, shared.analysis),
             stack: Vec::new(),
             plan: 0,
             wit: vec![None; shared.plan_shared.len()],
             found: None,
             spare: Vec::new(),
             spare_actions: Vec::new(),
+            sleep: Vec::new(),
+            applied: 0,
         }
     }
 
     /// Expand each plan's root on this thread (observing it and claiming
-    /// it in the plan's map), then queue one task per root action. Roots
-    /// go through `visit` like every other state, so root handling and
-    /// inner-node handling cannot drift apart.
+    /// it in the plan's map), then queue one task per root action, with
+    /// its sleep set. Roots go through `visit` like every other state, so
+    /// root handling and inner-node handling cannot drift apart.
     fn seed(&mut self, plans: &[Vec<bool>]) {
         let shared = self.shared;
         let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -1093,20 +1196,23 @@ impl<'w, 'a> Worker<'w, 'a> {
             self.plan = idx;
             let config = plan_config(shared.protocol.n_sites(), votes, shared.opts.rule);
             let root = Box::new(Runner::new(shared.protocol, shared.analysis, config));
-            self.visit(root, shared.opts.depth, Budgets::of(&shared.opts));
+            self.visit(root, shared.opts.depth, Budgets::of(&shared.opts), &[]);
             match self.stack.pop() {
                 Some(f) => {
-                    let k = f.actions.len();
-                    shared.plan_shared[idx].pending.store(k, Ordering::Release);
-                    shared.outstanding.fetch_add(k, Ordering::AcqRel);
-                    for action in f.actions {
+                    let branches = f.next..f.actions.len();
+                    shared.plan_shared[idx].pending.store(branches.len(), Ordering::Release);
+                    shared.outstanding.fetch_add(branches.len(), Ordering::AcqRel);
+                    for i in branches {
+                        let mut sleep = Vec::new();
+                        sleep_of(&f.actions, i, &mut sleep);
                         queue.push_back(Task {
                             plan: idx,
                             runner: fork(&mut self.spare, &f.runner),
                             path: Vec::new(),
                             depth_left: f.depth_left,
                             budgets: f.budgets,
-                            action,
+                            action: f.actions[i],
+                            sleep,
                         });
                     }
                     self.retire(f.runner);
@@ -1135,6 +1241,7 @@ impl<'w, 'a> Worker<'w, 'a> {
             }
             self.shared.finish_task(plan);
         }
+        self.shared.applied.fetch_add(self.applied, Ordering::Relaxed);
     }
 
     fn next_task(&self) -> Option<Task<'a>> {
@@ -1155,20 +1262,28 @@ impl<'w, 'a> Worker<'w, 'a> {
     fn run_task(&mut self, task: Task<'a>) {
         self.plan = task.plan;
         self.stepper.path = task.path;
-        self.branch(task.runner, task.action, task.depth_left, task.budgets);
+        self.branch(task.runner, task.action, task.depth_left, task.budgets, &task.sleep);
         self.drain_stack();
         self.stepper.path.clear();
     }
 
     /// Apply `action` to a fork of its source state and visit the
-    /// successor.
-    fn branch(&mut self, mut runner: Box<Runner<'a>>, action: Action, depth_left: u32, b: Budgets) {
+    /// successor under the sleep set `sleep`.
+    fn branch(
+        &mut self,
+        mut runner: Box<Runner<'a>>,
+        action: Action,
+        depth_left: u32,
+        b: Budgets,
+        sleep: &[Channel],
+    ) {
+        self.applied += 1;
         match self.stepper.apply(&mut runner, action, b) {
             Err(detail) => {
                 self.flag_violation("recovery", detail);
                 self.retire(runner);
             }
-            Ok(b2) => self.visit(runner, depth_left - action.cost(), b2),
+            Ok(b2) => self.visit(runner, depth_left - action.cost(), b2, sleep),
         }
     }
 
@@ -1219,6 +1334,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                 self.retire(f.runner);
                 continue;
             };
+            sleep_of(&f.actions, f.next, &mut self.sleep);
             f.next += 1;
             let (depth_left, budgets) = (f.depth_left, f.budgets);
             // The last branch of a frame takes the frame's runner itself;
@@ -1231,13 +1347,15 @@ impl<'w, 'a> Worker<'w, 'a> {
             } else {
                 fork(&mut self.spare, &f.runner)
             };
-            self.branch(runner, action, depth_left, budgets);
+            let sleep = std::mem::take(&mut self.sleep);
+            self.branch(runner, action, depth_left, budgets, &sleep);
+            self.sleep = sleep;
         }
     }
 
-    /// Hand the shallowest untried branch of this stack to an idle worker
-    /// as a fresh task. Donation only reorders the traversal, which no
-    /// reported quantity depends on.
+    /// Hand the shallowest untried branch of this stack, with its sleep
+    /// set, to an idle worker as a fresh task. Donation only reorders the
+    /// traversal, which no reported quantity depends on.
     fn maybe_donate(&mut self) {
         if self.shared.idle.load(Ordering::Relaxed) == 0 {
             return;
@@ -1252,6 +1370,8 @@ impl<'w, 'a> Worker<'w, 'a> {
                 // donating it would just move this worker to the queue.
                 return;
             }
+            let mut sleep = Vec::new();
+            sleep_of(&f.actions, f.next, &mut sleep);
             let action = f.actions[f.next];
             f.next += 1;
             let task = Task {
@@ -1261,6 +1381,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                 depth_left: f.depth_left,
                 budgets: f.budgets,
                 action,
+                sleep,
             };
             let ps = &self.shared.plan_shared[self.plan];
             ps.pending.fetch_add(1, Ordering::AcqRel);
@@ -1271,13 +1392,13 @@ impl<'w, 'a> Worker<'w, 'a> {
         }
     }
 
-    /// Observe one reached state, claim it in the plan's fingerprint
-    /// store (hot tier, spilled runs consulted on a hot miss), and push
-    /// its expansion frame if it survived dedup and the caps. A runner no
-    /// frame keeps — a violation, a stop target, a dedup hit, the cap, a
-    /// leaf: two successors in three — is retired for the next fork.
-    fn visit(&mut self, runner: Box<Runner<'a>>, depth_left: u32, b: Budgets) {
-        if let Some(unkept) = self.expand(runner, depth_left, b) {
+    /// Observe one state reached under the sleep set `sleep`, claim it in
+    /// the plan's fingerprint store (hot tier, spilled runs consulted on a
+    /// hot miss), and push its expansion frame if it survived dedup and the
+    /// caps. A runner no frame keeps — a violation, a stop target, a
+    /// pruned revisit, the cap, a leaf — is retired for the next fork.
+    fn visit(&mut self, runner: Box<Runner<'a>>, depth_left: u32, b: Budgets, sleep: &[Channel]) {
+        if let Some(unkept) = self.expand(runner, depth_left, b, sleep) {
             self.retire(unkept);
         }
     }
@@ -1289,6 +1410,7 @@ impl<'w, 'a> Worker<'w, 'a> {
         runner: Box<Runner<'a>>,
         depth_left: u32,
         b: Budgets,
+        sleep: &[Channel],
     ) -> Option<Box<Runner<'a>>> {
         let shared = self.shared;
         let ps = &shared.plan_shared[self.plan];
@@ -1309,144 +1431,152 @@ impl<'w, 'a> Worker<'w, 'a> {
             }
         }
 
-        let budget = self.shared.opts.mem_budget;
+        let budget = shared.opts.mem_budget;
         let digest = runner.digest();
         let fp = state_key(digest, b);
-        let shard = &ps.shards[(fp as usize) & self.shared.shard_mask];
-        // A revisit prunes unless the depth-left rule asks for a deeper
-        // expansion.
-        let prunes = |e: &Entry| !shared.exact || e.best >= depth_left;
-        {
+        let shard = &ps.shards[(fp as usize) & shared.shard_mask];
+        #[cfg(test)]
+        let sleep = if shared.unreduced { &[][..] } else { sleep };
+        // The channels name the sleep set; a state reached with none is
+        // spared collecting them unless it is expanded.
+        let z = if sleep.is_empty() {
+            0
+        } else {
+            self.stepper.collect(&runner);
+            self.stepper.sleep_mask(sleep)
+        };
+        let claim = {
             let mut map = shard.lock().expect("shard poisoned");
-            let hot = match map.get(&fp) {
-                Some(e) if prunes(e) => return Some(runner),
-                Some(_) => true,
-                None => false,
-            };
+            let hot = map.get(&fp).copied();
             // Hot miss with a budget: the entry may have been spilled.
             // One shard lock + the store read lock — see the lock-order
             // note on `PlanShared::store`.
-            let mut carried: Option<Entry> = None;
-            if !hot && budget > 0 {
-                let spilled = ps
+            let spilled = match hot {
+                None if budget > 0 => ps
                     .store
                     .read()
                     .expect("store poisoned")
                     .get(fp)
-                    .unwrap_or_else(|e| panic!("external-memory probe failed: {e}"));
-                if let Some(payload) = spilled {
-                    let e = decode_entry(&payload);
-                    if prunes(&e) {
-                        return Some(runner);
-                    }
-                    carried = Some(e);
+                    .unwrap_or_else(|e| panic!("external-memory probe failed: {e}"))
+                    .map(|payload| decode_entry(&payload)),
+                _ => None,
+            };
+            let (claim, entry) = match hot.or(spilled) {
+                Some(mut e) => (e.revisit(depth_left, z, shared.exact), e),
+                None => {
+                    let e = Entry { best: depth_left, stats_depth: 0, edges: 0, sleep: z };
+                    (Claim::Expand, e)
                 }
+            };
+            match claim {
+                Claim::Prune => return Some(runner),
+                Claim::Expand if ps.inserted.load(Ordering::Relaxed) >= shared.opts.max_states => {
+                    ps.cap_hit.store(true, Ordering::Release);
+                    return Some(runner);
+                }
+                _ => {}
             }
-            if ps.inserted.load(Ordering::Relaxed) >= self.shared.opts.max_states {
-                ps.cap_hit.store(true, Ordering::Release);
-                return Some(runner);
-            }
-            if hot {
-                map.get_mut(&fp).expect("hot entry just probed").best = depth_left;
-            } else {
-                match carried {
-                    // Deepening a spilled state: bring its record back
-                    // hot (stats carried over; the fold's deepest-wins
-                    // combine resolves the duplicate) without recounting
-                    // it as an insert.
-                    Some(mut e) => {
-                        e.best = depth_left;
-                        map.insert(fp, e);
-                    }
-                    None => {
-                        map.insert(
-                            fp,
-                            Entry {
-                                best: depth_left,
-                                stats_depth: 0,
-                                edges: 0,
-                                fused: false,
-                                cut: false,
-                            },
-                        );
-                        ps.inserted.fetch_add(1, Ordering::Relaxed);
-                        self.shared.distinct.fetch_add(1, Ordering::Relaxed);
-                    }
+            // A spilled state comes back hot with its stats (the fold's
+            // combine resolves the duplicate) and is not recounted.
+            if hot.is_none() {
+                if spilled.is_none() {
+                    ps.inserted.fetch_add(1, Ordering::Relaxed);
+                    shared.distinct.fetch_add(1, Ordering::Relaxed);
                 }
                 if budget > 0 {
-                    self.shared.hot_bytes.fetch_add(HOT_ENTRY_COST, Ordering::Relaxed);
+                    shared.hot_bytes.fetch_add(HOT_ENTRY_COST, Ordering::Relaxed);
                 }
             }
+            map.insert(fp, entry);
+            claim
+        };
+        if sleep.is_empty() {
+            self.stepper.collect(&runner);
         }
 
         let mut actions = self.spare_actions.pop().unwrap_or_default();
-        self.stepper.enumerate(&runner, b, &mut actions);
-        if let Some(seed) = self.shared.opts.seed {
-            if actions.len() > 1 {
-                let mut h = Fp128::new();
-                h.write_u64(seed);
-                h.write_u128(digest);
-                h.write_u32(depth_left);
-                let rot = h.finish() as usize;
-                let len = actions.len();
-                actions.rotate_left(rot % len);
-            }
-        }
-        // Edge stats at *this* depth; published under the stats_depth
-        // guard so the deepest expansion's numbers win whatever order the
-        // racing expansions finish in.
-        let mut edges = 0u32;
-        let mut fused = false;
-        let mut cut = false;
-        actions.retain(|a| {
-            if a.cost() <= depth_left {
-                edges += 1;
-                fused |= matches!(a, Action::Fuse(_));
-                true
-            } else {
-                cut = true;
-                false
-            }
-        });
-        if cut && !shared.exact {
-            // Pruning every revisit reaches what the depth-left rule
-            // reaches only when nothing is cut: abandon the walk.
-            shared.cut.store(true, Ordering::Relaxed);
-            self.stack.clear();
-            self.spare_actions.push(actions);
-            return Some(runner);
-        }
-        {
-            let mut map = shard.lock().expect("shard poisoned");
-            match map.get_mut(&fp) {
-                Some(e) => {
-                    if depth_left >= e.stats_depth {
-                        e.stats_depth = depth_left;
-                        e.edges = edges;
-                        e.fused = fused;
-                        e.cut = cut;
+        let slept = match claim {
+            Claim::Prune => unreachable!("a pruned visit has returned"),
+            Claim::Expand => {
+                self.stepper.enumerate(&runner, b, &mut actions);
+                if let Some(seed) = shared.opts.seed {
+                    if actions.len() > 1 {
+                        let mut h = Fp128::new();
+                        h.write_u64(seed);
+                        h.write_u128(digest);
+                        h.write_u32(depth_left);
+                        let rot = h.finish() as usize;
+                        let len = actions.len();
+                        actions.rotate_left(rot % len);
                     }
                 }
-                // The claimed entry was spilled between the two critical
-                // sections: publish the stats as a fresh hot record — the
-                // fold's deepest-wins combine merges it with the spilled
-                // copy, exactly like the in-RAM `>=` guard would have.
-                None => {
-                    map.insert(
-                        fp,
-                        Entry { best: depth_left, stats_depth: depth_left, edges, fused, cut },
-                    );
-                    if budget > 0 {
-                        self.shared.hot_bytes.fetch_add(HOT_ENTRY_COST, Ordering::Relaxed);
+                // Edge stats at *this* depth, over every enabled action,
+                // slept or not; published under the stats_depth guard so
+                // the deepest expansion's numbers win whatever order the
+                // racing expansions finish in.
+                let mut edges = 0u32;
+                let mut cut = false;
+                actions.retain(|a| {
+                    let kept = a.cost() <= depth_left;
+                    edges += u32::from(kept);
+                    cut |= !kept;
+                    kept
+                });
+                if cut && !shared.exact {
+                    return self.abandon(runner, actions);
+                }
+                let edges = if cut { edges | CUT } else { edges };
+                let mut map = shard.lock().expect("shard poisoned");
+                match map.get_mut(&fp) {
+                    Some(e) => {
+                        if depth_left >= e.stats_depth {
+                            e.stats_depth = depth_left;
+                            e.edges = edges;
+                        }
+                    }
+                    // The claimed entry was spilled between the two
+                    // critical sections: publish the stats as a fresh hot
+                    // record — the fold's deepest-wins combine merges it
+                    // with the spilled copy, exactly like the in-RAM `>=`
+                    // guard would have.
+                    None => {
+                        let e =
+                            Entry { best: depth_left, stats_depth: depth_left, edges, sleep: z };
+                        map.insert(fp, e);
+                        if budget > 0 {
+                            shared.hot_bytes.fetch_add(HOT_ENTRY_COST, Ordering::Relaxed);
+                        }
                     }
                 }
+                drop(map);
+                self.progress_tick();
+                self.stepper.sleep_first(&mut actions, z)
             }
-        }
-        if budget > 0 && self.shared.hot_bytes.load(Ordering::Relaxed) > budget {
+            Claim::Wake { woken, asleep } => {
+                actions.clear();
+                let channels = &self.stepper.channels;
+                let fires = |mask: Sleep| {
+                    let named = channels.iter().take(Sleep::BITS as usize).enumerate();
+                    named
+                        .filter(move |&(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, &ch)| Action::Fire(ch))
+                };
+                actions.extend(fires(asleep));
+                let slept = actions.len();
+                actions.extend(fires(woken));
+                if actions.iter().any(|a| a.cost() > depth_left) {
+                    if !shared.exact {
+                        return self.abandon(runner, actions);
+                    }
+                    actions.clear();
+                }
+                slept
+            }
+        };
+        if budget > 0 && shared.hot_bytes.load(Ordering::Relaxed) > budget {
             self.spill_plan();
         }
-        self.progress_tick();
-        if actions.is_empty() {
+        if slept == actions.len() {
             self.spare_actions.push(actions);
             return Some(runner);
         }
@@ -1456,9 +1586,23 @@ impl<'w, 'a> Worker<'w, 'a> {
             depth_left,
             budgets: b,
             actions,
-            next: 0,
+            next: slept,
         });
         None
+    }
+
+    /// Pruning every revisit reaches what the depth-left rule reaches only
+    /// when nothing is cut: abandon the walk, and hand back what the
+    /// expansion held.
+    fn abandon(
+        &mut self,
+        runner: Box<Runner<'a>>,
+        actions: Vec<Action>,
+    ) -> Option<Box<Runner<'a>>> {
+        self.shared.cut.store(true, Ordering::Relaxed);
+        self.stack.clear();
+        self.spare_actions.push(actions);
+        Some(runner)
     }
 
     /// Drain the current plan's hot shards into one sorted run. All shard
@@ -1635,7 +1779,6 @@ pub fn explore<'a>(
         oracles.absorb(&result.witnessed);
         stats.distinct_states += result.stats.distinct;
         stats.actions += result.stats.edges;
-        stats.fused += result.stats.fused;
         stats.truncated |= result.stats.cut;
         add_spill(&mut spill, result.stats.spill);
     }
@@ -1744,7 +1887,7 @@ mod tests {
             let expansions = shared.expansions.load(Ordering::Relaxed);
             assert_eq!(expansions, distinct as u64, "{}", protocol.name);
         }
-        // The depth-left rule re-expands: 5 985 expansions for 4 402
+        // The depth-left rule re-expands: 6 346 full expansions for 4 676
         // states on central 3PC.
         let protocol = central_3pc(3);
         let analysis = analyse(&protocol);
@@ -1752,17 +1895,37 @@ mod tests {
         let plans = vote_plans(&protocol, &opts);
         let exact = Shared::new(&protocol, &analysis, opts, plans.len(), None, true);
         sweep(&exact, &plans);
-        assert_eq!(exact.expansions.load(Ordering::Relaxed), 5_985);
+        assert_eq!(exact.expansions.load(Ordering::Relaxed), 6_346);
+    }
+
+    /// The sleep sets' saving, pinned on the two walks the benchmark's
+    /// `check-exhaustive` pass runs: one worker applies a successor per
+    /// enabled action the unreduced walk would, less the slept ones.
+    #[test]
+    fn the_walk_applies_fewer_successors_than_it_counts_edges() {
+        let paxos = paxos_commit(2, 1);
+        let rows = [
+            (central_3pc(3), CheckOptions::default(), (4_676, 10_604, 7_936)),
+            (paxos, with(|o| o.vote_plan = Some(vec![true; 5])), (6_517, 27_480, 14_216)),
+        ];
+        for (protocol, opts, want) in rows {
+            let analysis = analyse(&protocol);
+            let (shared, results) = swept(&protocol, &analysis, &opts);
+            let distinct = results.iter().map(|r| r.stats.distinct).sum::<usize>();
+            let edges = results.iter().map(|r| r.stats.edges).sum::<u64>();
+            let applied = shared.applied.load(Ordering::Relaxed);
+            assert_eq!((distinct, edges, applied), want, "{}", protocol.name);
+        }
     }
 
     #[test]
     fn a_cut_walk_is_abandoned_and_rerun_exact() {
         let rows = [
-            (central_2pc(3), 9, (4_038, 8_670, 1_009)),
-            (central_3pc(3), 10, (4_207, 9_162, 1_266)),
-            (decentralized_3pc(3), 14, (101_291, 367_537, 7_458)),
+            (central_2pc(3), 9, (4_290, 9_701)),
+            (central_3pc(3), 10, (4_449, 10_144)),
+            (decentralized_3pc(3), 14, (101_662, 373_530)),
         ];
-        for (protocol, depth, (states, actions, fused)) in rows {
+        for (protocol, depth, (states, actions)) in rows {
             let analysis = analyse(&protocol);
             let opts = CheckOptions { depth, ..CheckOptions::default() };
             let plans = vote_plans(&protocol, &opts);
@@ -1777,22 +1940,22 @@ mod tests {
             // the pinned rows.
             let (shared, results) = swept(&protocol, &analysis, &opts);
             assert!(shared.exact);
-            let got = results.iter().fold((0, 0, 0, false), |(d, a, f, c), r| {
-                (d + r.stats.distinct, a + r.stats.edges, f + r.stats.fused, c | r.stats.cut)
+            let got = results.iter().fold((0, 0, false), |(d, a, c), r| {
+                (d + r.stats.distinct, a + r.stats.edges, c | r.stats.cut)
             });
-            assert_eq!(got, (states, actions, fused, true), "{} at depth {depth}", protocol.name);
+            assert_eq!(got, (states, actions, true), "{} at depth {depth}", protocol.name);
         }
     }
 
-    /// Call `at` on every state a walk under `opts` expands in the plan
-    /// `votes`, with whether the walk fuses it: a depth-first search over
-    /// the stepper that prunes every revisit.
+    /// Call `at` on every state the unreduced walk under `opts` expands in
+    /// the plan `votes`, with the stepper and the state's budgets: a
+    /// depth-first search over the stepper that prunes every revisit.
     fn search<'a>(
         protocol: &'a Protocol,
         analysis: &'a Analysis,
         opts: &CheckOptions,
         votes: &[bool],
-        mut at: impl FnMut(&Runner<'a>, bool),
+        mut at: impl FnMut(&mut Stepper<'a>, &Runner<'a>, Budgets),
     ) {
         let mut stepper = Stepper::new(protocol, analysis);
         let mut seen = HashSet::new();
@@ -1803,9 +1966,10 @@ mod tests {
             if !seen.insert(state_key(runner.digest(), b)) {
                 continue;
             }
+            at(&mut stepper, &runner, b);
             let mut actions = Vec::new();
+            stepper.collect(&runner);
             stepper.enumerate(&runner, b, &mut actions);
-            at(&runner, matches!(actions[..], [Action::Fuse(_)]));
             for action in actions.into_iter().filter(|a| a.cost() <= depth_left) {
                 let mut next = runner.clone();
                 stepper.path.clear();
@@ -1816,58 +1980,55 @@ mod tests {
         }
     }
 
-    /// `Action::Fuse` fires every pending head in channel order because
-    /// heads addressed to distinct sites commute: fired in either order,
-    /// two of them leave the same behavioral state.
+    /// The independence the sleep sets rest on: two deliveries into
+    /// distinct sites commute. Applied as the walk applies them —
+    /// `Stepper::apply`, dead-site drain included — in either order, from
+    /// every state of the unreduced walk, they leave the same behavioral
+    /// state and the same budgets.
     #[test]
     fn heads_to_distinct_sites_commute() {
-        let budgets = |f: fn(&mut CheckOptions)| {
-            let mut o = CheckOptions::default();
-            f(&mut o);
-            o
-        };
         let cases = [
-            (central_2pc(3), budgets(|_| {})),
-            (central_3pc(3), budgets(|_| {})),
-            (paxos_commit(2, 1), budgets(|o| o.vote_plan = Some(vec![true; 5]))),
-            (central_3pc(3), budgets(|o| o.drops = 1)),
-            (central_3pc(3), budgets(|o| o.recoveries = 1)),
-            (central_3pc(3), budgets(|o| o.suspicions = 1)),
+            (central_2pc(3), CheckOptions::default()),
+            (central_3pc(3), CheckOptions::default()),
+            (paxos_commit(2, 1), with(|o| o.vote_plan = Some(vec![true; 5]))),
+            (paxos_commit(2, 1), CheckOptions::default()),
+            (central_3pc(3), with(|o| o.faults = 2)),
+            (central_3pc(3), with(|o| o.rule = TerminationRule::QuorumSkeen)),
+            (central_3pc(3), with(|o| o.drops = 1)),
+            (central_3pc(3), with(|o| o.recoveries = 1)),
+            (central_3pc(3), with(|o| o.suspicions = 1)),
         ];
         for (protocol, opts) in &cases {
-            let mut pairs = [0usize; 2];
+            let mut pairs = 0usize;
             let analysis = analyse(protocol);
             for votes in vote_plans(protocol, opts) {
-                search(protocol, &analysis, opts, &votes, |runner, fused| {
-                    let mut channels: Vec<Channel> =
-                        runner.iter_pending().map(|(_, _, ev)| channel_of(ev)).collect();
-                    channels.sort_unstable();
-                    channels.dedup();
-                    let heads: Vec<(u64, usize)> = channels
-                        .iter()
-                        .map(|&ch| channel_head(runner, ch).expect("channel has a head"))
-                        .map(|(seq, ev)| (seq, dest_of(ev)))
-                        .collect();
-                    let fire = |first: u64, second: u64| {
+                search(protocol, &analysis, opts, &votes, |stepper, runner, b| {
+                    stepper.collect(runner);
+                    let channels = stepper.channels.clone();
+                    let mut fire = |first: Channel, second: Channel| {
                         let mut r = runner.clone();
-                        assert!(r.fire_scheduled(first) && r.fire_scheduled(second));
+                        let b1 = stepper.apply(&mut r, Action::Fire(first), b);
+                        let b2 = stepper.apply(&mut r, Action::Fire(second), b);
+                        assert_eq!((b1, b2), (Ok(b), Ok(b)), "a delivery spends no budget");
                         r.digest()
                     };
-                    for (i, &(a, site_a)) in heads.iter().enumerate() {
-                        for &(b, site_b) in heads[i + 1..].iter().filter(|h| h.1 != site_a) {
+                    for (i, &a) in channels.iter().enumerate() {
+                        for &c in
+                            channels[i + 1..].iter().filter(|&&c| into_site(c) != into_site(a))
+                        {
                             assert_eq!(
-                                fire(a, b),
-                                fire(b, a),
-                                "{}: heads to site{site_a} and site{site_b} do not commute",
+                                fire(a, c),
+                                fire(c, a),
+                                "{}: {a:?} and {c:?} do not commute",
                                 protocol.name
                             );
-                            pairs[usize::from(fused)] += 1;
+                            pairs += 1;
                         }
                     }
                 });
             }
-            // Not vacuous: pairs at fused and at unfused states alike.
-            assert!(pairs.iter().all(|&p| p > 0), "{}: {pairs:?}", protocol.name);
+            // Not vacuous.
+            assert!(pairs > 0, "{}: no pair to commute", protocol.name);
         }
     }
 
@@ -1886,13 +2047,20 @@ mod tests {
         blocking: bool,
     }
 
-    fn kept(protocol: &Protocol, opts: &CheckOptions, verdict_only: bool) -> (Kept, ExploreStats) {
+    /// What `kept` keeps, the run's stats, and the successors its sweep
+    /// applied.
+    fn kept(
+        protocol: &Protocol,
+        opts: &CheckOptions,
+        verdict_only: bool,
+    ) -> (Kept, ExploreStats, u64) {
         let analysis = analyse(protocol);
-        let plans = if verdict_only {
-            Vec::new()
+        let (plans, applied) = if verdict_only {
+            (Vec::new(), 0)
         } else {
-            let (_, results) = swept(protocol, &analysis, opts);
-            results.into_iter().map(|r| (r.violated, r.blocking, r.witnessed)).collect()
+            let (shared, results) = swept(protocol, &analysis, opts);
+            let plans = results.into_iter().map(|r| (r.violated, r.blocking, r.witnessed));
+            (plans.collect(), shared.applied.load(Ordering::Relaxed))
         };
         let report = crate::run_check(protocol, opts.clone()).expect("catalog protocols analyse");
         let kept = Kept {
@@ -1903,7 +2071,7 @@ mod tests {
             unwitnessed: report.unwitnessed,
             blocking: report.blocking_witness.is_some(),
         };
-        (kept, report.stats)
+        (kept, report.stats, applied)
     }
 
     /// Run `opts` on `protocol` with the walk and with the unreduced walk,
@@ -1911,12 +2079,16 @@ mod tests {
     /// the state cap cuts, whose per-plan sweep results depend on
     /// scheduling), only the report's are compared.
     fn holds(protocol: &Protocol, opts: CheckOptions, verdict_only: bool) {
-        let (got, stats) = kept(protocol, &opts, verdict_only);
-        let (want, full) = unreduced(|| kept(protocol, &opts, verdict_only));
+        let (got, stats, applied) = kept(protocol, &opts, verdict_only);
+        let (want, full, all) = unreduced(|| kept(protocol, &opts, verdict_only));
         assert_eq!(got, want, "{}: the walk and the unreduced walk disagree", protocol.name);
+        // The reduced walk only skips transitions: equal counts are equal
+        // state sets.
+        let count = |s: &ExploreStats| (s.distinct_states, s.actions, s.truncated);
+        assert_eq!(count(&stats), count(&full), "{}: the walk lost states", protocol.name);
         println!(
             "{} (depth {} faults {} recoveries {} drops {} suspicions {} plans {}): \
-             {} states, {} actions; unreduced {} states, {} actions",
+             {} states, {} actions, {} successors applied; unreduced {} applied",
             protocol.name,
             opts.depth,
             opts.faults,
@@ -1926,8 +2098,8 @@ mod tests {
             stats.plans,
             stats.distinct_states,
             stats.actions,
-            full.distinct_states,
-            full.actions
+            applied,
+            all
         );
     }
 

@@ -249,12 +249,11 @@ impl CheckReport {
             o.seed.map_or("none".to_string(), |s| s.to_string()),
         ));
         out.push_str(&format!(
-            "  explored: {} vote plan{}, {} distinct states, {} actions ({} fused), {}\n",
+            "  explored: {} vote plan{}, {} distinct states, {} actions, {}\n",
             self.stats.plans,
             if self.stats.plans == 1 { "" } else { "s" },
             self.stats.distinct_states,
             self.stats.actions,
-            self.stats.fused,
             if self.stats.truncated { "TRUNCATED" } else { "exhaustive" },
         ));
         let failed = |oracle: &str| self.failures.iter().any(|f| f.oracle == oracle);
@@ -356,7 +355,6 @@ impl CheckReport {
             .num("plans", self.stats.plans as u64)
             .num("distinct_states", self.stats.distinct_states as u64)
             .num("actions", self.stats.actions)
-            .num("fused", self.stats.fused)
             .bool("truncated", self.stats.truncated)
             .bool("prediction_complete", self.prediction_complete)
             .raw("unwitnessed", &array(self.unwitnessed.iter().map(|s| string(s))))

@@ -8,13 +8,20 @@
 //! state and the first violation in canonical order), and the full
 //! rendered report — shrunk witness JSONL, failure details and
 //! counterexample JSONL included. They were captured at commit 1b21ddc,
-//! when the search, the redo and the sweep were three separate loops.
+//! when the search, the redo and the sweep were three separate loops, and
+//! re-pinned once, when sleep sets replaced fusion in the walk. That moved
+//! the report's `explored:` line (the fused count went; the states fusion
+//! jumped over came in: 4131 → 4391 and 3729 → 3892 states for central 2PC,
+//! 206062 → 209352 under two suspicions, the naive-rule run's 13347
+//! unchanged) and one fail-notice step of each central 2PC unshrunk
+//! witness, which the canonical walk now reaches in another order. Every
+//! shrunk witness and counterexample kept its bytes.
 
-use nbc_check::explore::explore;
-use nbc_check::{rule_name, run_check, CheckOptions, Schedule, Step};
+use nbc_check::explore::{explore, plan_config};
+use nbc_check::{replay_strict, rule_name, run_check, CheckOptions, Oracles, Schedule, Step};
 use nbc_core::protocols::{central_2pc, central_3pc};
 use nbc_core::{Analysis, Protocol};
-use nbc_engine::TerminationRule;
+use nbc_engine::{Runner, TerminationRule};
 
 /// Everything the serial passes decide, as text: the two unshrunk paths
 /// straight from `explore`, then the report `run_check` renders.
@@ -31,12 +38,21 @@ fn emitted(protocol: &Protocol, opts: &CheckOptions) -> String {
     };
     let analysis = Analysis::build(protocol).unwrap();
     let x = explore(protocol, &analysis, opts);
+    // Every unshrunk path replays step for step on a fresh engine.
+    let replays = |votes: &[bool], steps: &[Step]| {
+        let config = plan_config(protocol.n_sites(), votes, opts.rule);
+        let mut runner = Runner::new(protocol, &analysis, config);
+        replay_strict(&mut runner, steps).unwrap_or_else(|e| panic!("replay failed at {e}"));
+        runner
+    };
     let mut out = String::new();
     if let Some((votes, path)) = &x.blocking_witness {
+        assert!(Oracles::any_blocked(&replays(votes, path)), "the witness ends blocked");
         out.push_str("== unshrunk blocking witness ==\n");
         out.push_str(&jsonl(votes, path));
     }
     if let Some((oracle, detail, votes, path)) = &x.violation {
+        replays(votes, path);
         out.push_str(&format!("== unshrunk violation [{oracle}]: {detail} ==\n"));
         out.push_str(&jsonl(votes, path));
     }

@@ -221,7 +221,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
 use nbc_core::{Analysis, Fp128, FpBuildHasher, Protocol, RunSet, SpillStats};
-use nbc_engine::{channel_of, Channel, RunConfig, Runner, TerminationRule, Wire};
+use nbc_engine::{channel_of, Channel, RunConfig, Runner, TerminationRule};
 use nbc_simnet::NetEvent;
 
 use crate::oracle::{Oracles, Witnessed};
@@ -427,14 +427,9 @@ pub struct Exploration<'a> {
 /// The transaction id every checked execution runs under.
 pub const CHECK_TXN: u64 = 1;
 
-/// Destination site of a pending event — the only site its handler
-/// mutates.
-fn dest_of(ev: &NetEvent<Wire>) -> usize {
-    into_site(channel_of(ev))
-}
-
-/// The site a delivery on `ch` delivers into. Two deliveries are
-/// independent exactly when they deliver into different sites.
+/// The site a delivery on `ch` delivers into — the only site its handler
+/// mutates. Two deliveries are independent exactly when they deliver into
+/// different sites.
 fn into_site(ch: Channel) -> usize {
     match ch {
         Channel::Link(_, dst) => dst,
@@ -574,8 +569,9 @@ fn decode_entry(b: &[u8; ENTRY_BYTES]) -> Entry {
 /// Merge two spilled copies of the same state: the record expanded at
 /// the deepest `stats_depth` carries the authoritative edge stats (tie →
 /// the newer copy, mirroring the hot tier's `>=` publish guard), `best` is
-/// the monotone max of both, and the sleep sets intersect — what either
-/// copy applied at that depth has been applied.
+/// the monotone max of both, and the sleep set is the deeper copy's, or
+/// the intersection of two at one depth — what either copy applied at
+/// that depth has been applied.
 fn combine_entries(older: &[u8; ENTRY_BYTES], newer: &[u8; ENTRY_BYTES]) -> [u8; ENTRY_BYTES] {
     let (o, n) = (decode_entry(older), decode_entry(newer));
     let mut r = if n.stats_depth >= o.stats_depth { n } else { o };
@@ -766,8 +762,8 @@ struct Shared<'a> {
     hot_bytes: AtomicUsize,
     /// Runs spilled so far, over all plans (progress reporting).
     spill_runs: AtomicU64,
-    /// Successors applied, summed as each worker finishes (reporting
-    /// only).
+    /// Successors applied, summed as each worker finishes.
+    #[cfg(test)]
     applied: AtomicU64,
     /// The unreduced walk the tests hold the reduction against: every
     /// sleep set empty, so every enabled action of every state is applied.
@@ -804,6 +800,7 @@ impl<'a> Shared<'a> {
             expansions: AtomicU64::new(0),
             hot_bytes: AtomicUsize::new(0),
             spill_runs: AtomicU64::new(0),
+            #[cfg(test)]
             applied: AtomicU64::new(0),
             #[cfg(test)]
             unreduced: tests::UNREDUCED.get(),
@@ -905,10 +902,13 @@ impl<'a> Stepper<'a> {
     /// Move the deliveries `z` sleeps on to the front of `actions`, keeping
     /// the order of the rest, and count them.
     fn sleep_first(&self, actions: &mut [Action], z: Sleep) -> usize {
+        if z == 0 {
+            return 0;
+        }
         let mut slept = 0;
         for i in 0..actions.len() {
             if let Action::Fire(ch) = actions[i] {
-                if z != 0 && self.bit(ch).is_some_and(|bit| z & bit != 0) {
+                if self.bit(ch).is_some_and(|bit| z & bit != 0) {
                     actions[slept..=i].rotate_right(1);
                     slept += 1;
                 }
@@ -1024,7 +1024,7 @@ impl<'a> Stepper<'a> {
                 // Earliest first, as the time-ordered driver would.
                 let dead = runner
                     .iter_pending()
-                    .filter(|(_, _, ev)| !runner.sites()[dest_of(ev)].is_up())
+                    .filter(|(_, _, ev)| !runner.sites()[into_site(channel_of(ev))].is_up())
                     .min_by_key(|&(at, seq, _)| (at, seq))
                     .map(|(_, seq, ev)| (seq, step_for(ev)));
                 let Some((seq, step)) = dead else { break };
@@ -1166,6 +1166,7 @@ struct Worker<'w, 'a> {
     /// The sleep set of the branch being taken, kept for its allocation.
     sleep: Vec<Channel>,
     /// Successors this worker applied.
+    #[cfg(test)]
     applied: u64,
 }
 
@@ -1181,6 +1182,7 @@ impl<'w, 'a> Worker<'w, 'a> {
             spare: Vec::new(),
             spare_actions: Vec::new(),
             sleep: Vec::new(),
+            #[cfg(test)]
             applied: 0,
         }
     }
@@ -1241,6 +1243,7 @@ impl<'w, 'a> Worker<'w, 'a> {
             }
             self.shared.finish_task(plan);
         }
+        #[cfg(test)]
         self.shared.applied.fetch_add(self.applied, Ordering::Relaxed);
     }
 
@@ -1277,7 +1280,10 @@ impl<'w, 'a> Worker<'w, 'a> {
         b: Budgets,
         sleep: &[Channel],
     ) {
-        self.applied += 1;
+        #[cfg(test)]
+        {
+            self.applied += 1;
+        }
         match self.stepper.apply(&mut runner, action, b) {
             Err(detail) => {
                 self.flag_violation("recovery", detail);

@@ -32,15 +32,18 @@
 #![warn(rust_2018_idioms)]
 
 pub mod class_map;
+mod commit;
 pub mod config;
 pub mod decide;
 #[cfg(test)]
 mod digest_tests;
 pub mod explore;
+mod recovery;
 pub mod report;
 pub mod run;
 pub mod site;
 pub mod sweep;
+mod termination;
 pub mod wire;
 
 pub use config::{

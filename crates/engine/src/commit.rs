@@ -47,13 +47,23 @@ impl Io<'_> {
         self.net.send(self.now, src, dst, wire);
     }
 
-    /// Fire `t` at `site`: consume its messages, log progress, move the
-    /// local state.
+    /// Append `record` to `site`'s log and force it, tracing the append
+    /// (as `name`) and the force: the one durable write of the engine.
+    pub(crate) fn log(&self, site: &mut SiteRt, record: LogRecord, name: &str) {
+        site.wal.append_sync(&record).expect("wal record fits");
+        let ix = site.id;
+        self.tracer.emit(|| {
+            self.ev(EventKind::WalAppend { bytes: record.frame_len(), record: name.into() })
+                .at_site(ix)
+        });
+        self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
+    }
+
+    /// Fire `t` at `site`: consume its messages, move the local state, log
+    /// progress.
     pub(crate) fn transition(&self, site: &mut SiteRt, fsa: &Fsa, t: &Transition) {
-        let (ix, txn, from, to) = (site.id, self.txn, site.state, t.to);
-        let to_class = fsa.state(to).class;
+        let (ix, from, to) = (site.id, site.state, t.to);
         site.consume(&t.consume);
-        site.log_progress(txn, to, to_class);
         site.enter_state(to);
         self.tracer.emit(|| {
             self.ev(EventKind::Transition {
@@ -65,36 +75,19 @@ impl Io<'_> {
         if let Some(v) = t.vote {
             self.tracer.emit(|| self.ev(EventKind::Vote { yes: v == Vote::Yes }).at_site(ix));
         }
-        self.tracer.emit(|| {
-            let rec = LogRecord::Progress {
-                txn,
-                state: to.0,
-                class: crate::class_map::encode_class(to_class),
-            };
-            self.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "progress".into() })
-                .at_site(ix)
-        });
-        self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
+        let class = crate::class_map::encode_class(fsa.state(to).class);
+        self.log(site, LogRecord::Progress { txn: self.txn, state: to.0, class }, "progress");
     }
 
     /// `site` reaches a final outcome (via the protocol or a decision):
     /// logged unless it already holds one. The caller follows up with
     /// [`Runner::answer_pending_queries`].
     pub(crate) fn finish(&self, site: &mut SiteRt, commit: bool) {
-        let (ix, txn) = (site.id, self.txn);
-        let decides = site.outcome.is_none();
-        if decides {
-            site.log_decision(txn, commit);
-        }
         site.mode = Mode::Done;
-        if decides {
-            self.tracer.emit(|| {
-                let rec = LogRecord::Decision { txn, commit };
-                self.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "decision".into() })
-                    .at_site(ix)
-            });
-            self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
-            self.tracer.emit(|| self.ev(EventKind::Decision { commit }).at_site(ix));
+        if site.outcome.is_none() {
+            site.outcome = Some(commit);
+            self.log(site, LogRecord::Decision { txn: self.txn, commit }, "decision");
+            self.tracer.emit(|| self.ev(EventKind::Decision { commit }).at_site(site.id));
         }
     }
 }

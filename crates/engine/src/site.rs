@@ -7,7 +7,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, SiteId, StateId, Vote};
-use nbc_storage::{LogRecord, Wal};
+use nbc_storage::Wal;
 
 use crate::class_map::encode_class;
 
@@ -537,19 +537,6 @@ impl SiteRt {
         }
         None
     }
-
-    /// Log a progress record for entering `state`.
-    pub fn log_progress(&mut self, txn: u64, state: StateId, class: nbc_core::StateClass) {
-        self.wal
-            .append_sync(&LogRecord::Progress { txn, state: state.0, class: encode_class(class) })
-            .expect("wal record fits");
-    }
-
-    /// Log and adopt a final decision.
-    pub fn log_decision(&mut self, txn: u64, commit: bool) {
-        self.wal.append_sync(&LogRecord::Decision { txn, commit }).expect("wal record fits");
-        self.outcome = Some(commit);
-    }
 }
 
 /// `None` → 0, `Some(v)` → `v + 1`: an injective word for a small option.
@@ -605,6 +592,12 @@ pub const CLIENT_SRC: usize = usize::MAX;
 mod tests {
     use super::*;
     use nbc_core::protocols::central_2pc;
+    use nbc_core::StateClass;
+    use nbc_storage::LogRecord;
+
+    fn append(s: &mut SiteRt, record: LogRecord) {
+        s.wal.append_sync(&record).expect("wal record fits");
+    }
 
     #[test]
     fn inbox_multiset_ops() {
@@ -663,9 +656,14 @@ mod tests {
         let fsa = p.fsa(SiteId(1));
         let mut s = SiteRt::new(1, fsa, 3);
         s.inbox.push((0, MsgKind::XACT));
-        s.log_progress(9, fsa.state_by_name("w").unwrap(), nbc_core::StateClass::Wait);
-        s.enter_state(fsa.state_by_name("w").unwrap());
-        s.log_decision(9, false);
+        let w = fsa.state_by_name("w").unwrap();
+        append(
+            &mut s,
+            LogRecord::Progress { txn: 9, state: w.0, class: encode_class(StateClass::Wait) },
+        );
+        s.enter_state(w);
+        append(&mut s, LogRecord::Decision { txn: 9, commit: false });
+        s.outcome = Some(false);
         s.mode = Mode::Blocked;
         s.view[0] = false;
         s.aligned_class = Some(2);
@@ -688,8 +686,12 @@ mod tests {
         let fsa = p.fsa(SiteId(1));
         let mut source = SiteRt::new(1, fsa, 3);
         source.inbox.push((0, MsgKind::XACT));
-        source.log_progress(9, fsa.state_by_name("w").unwrap(), nbc_core::StateClass::Wait);
-        source.enter_state(fsa.state_by_name("w").unwrap());
+        let w = fsa.state_by_name("w").unwrap();
+        append(
+            &mut source,
+            LogRecord::Progress { txn: 9, state: w.0, class: encode_class(StateClass::Wait) },
+        );
+        source.enter_state(w);
         source.mode = Mode::Terminating { backup: 1 };
         source.view[0] = false;
         source.aligned_class = Some(2);
@@ -705,7 +707,8 @@ mod tests {
         // Another slot of another protocol, decided and busy; and a bare one.
         let mut busy = SiteRt::new(0, q.fsa(SiteId(0)), 4);
         busy.inbox.extend([(1, MsgKind::YES), (2, MsgKind::YES), (3, MsgKind::YES)]);
-        busy.log_decision(7, true);
+        append(&mut busy, LogRecord::Decision { txn: 7, commit: true });
+        busy.outcome = Some(true);
         busy.mode = Mode::Done;
         busy.backup_state.pending_acks.extend([1, 3]);
         busy.recovered_peers.extend([1, 2, 3]);

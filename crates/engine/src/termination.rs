@@ -247,15 +247,8 @@ impl<'a> Runner<'a> {
         site.mode = Mode::Terminating { backup };
         if !fsa.state(site.state).class.is_final() {
             // Make the transition to the backup's state: durable first.
-            let txn = io.txn;
-            site.wal.append_sync(&LogRecord::AlignedTo { txn, class }).expect("wal record fits");
             site.aligned_class = Some(class);
-            io.tracer.emit(|| {
-                let rec = LogRecord::AlignedTo { txn, class };
-                io.ev(EventKind::WalAppend { bytes: rec.frame_len(), record: "aligned-to".into() })
-                    .at_site(ix)
-            });
-            io.tracer.emit(|| io.ev(EventKind::WalFsync { physical: true }).at_site(ix));
+            io.log(site, LogRecord::AlignedTo { txn: io.txn, class }, "aligned-to");
             io.tracer.emit(|| {
                 let letter = crate::class_map::decode_class(class).letter();
                 io.ev(EventKind::Aligned { class: letter.to_string() }).at_site(ix)

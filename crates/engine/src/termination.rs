@@ -51,19 +51,24 @@ impl<'a> Runner<'a> {
         }
     }
 
+    /// Does the quorum absorb `observer`'s view change about `peer`? In a
+    /// quorum-based protocol, acceptor-involved view changes never drive
+    /// termination in either direction: an acceptor crash is absorbed by
+    /// the quorum (the leader can still assemble f+1 relays), so no one
+    /// abandons the commit protocol over it; and acceptors never run the
+    /// termination protocol themselves — when a participant crashes they
+    /// keep relaying and learn the outcome from the participants' decision
+    /// broadcast.
+    fn quorum_absorbs(&self, observer: usize, peer: usize) -> bool {
+        self.protocol.quorum().is_some()
+            && (self.protocol.is_acceptor(peer) || self.protocol.is_acceptor(observer))
+    }
+
     pub(crate) fn on_failure_notice(&mut self, observer: usize, crashed: usize) {
         let site = &mut *self.sites[observer];
         site.view[crashed] = false;
         site.recovered_peers.remove(&crashed);
-        if self.protocol.quorum().is_some()
-            && (self.protocol.is_acceptor(crashed) || self.protocol.is_acceptor(observer))
-        {
-            // Quorum-based protocol: an acceptor crash is absorbed by the
-            // quorum (the leader can still assemble f+1 relays), so no one
-            // abandons the commit protocol over it; and acceptors never run
-            // the termination protocol themselves — when a participant
-            // crashes they keep relaying and learn the outcome from the
-            // participants' decision broadcast.
+        if self.quorum_absorbs(observer, crashed) {
             return;
         }
         match self.sites[observer].mode {
@@ -132,12 +137,7 @@ impl<'a> Runner<'a> {
             }
             return;
         }
-        if self.protocol.quorum().is_some()
-            && (self.protocol.is_acceptor(peer) || self.protocol.is_acceptor(observer))
-        {
-            // Mirror of the absorption rule in `on_failure_notice`:
-            // acceptor-involved view changes never drive termination in
-            // either direction.
+        if self.quorum_absorbs(observer, peer) {
             return;
         }
         match self.sites[observer].mode {

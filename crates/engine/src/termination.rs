@@ -341,13 +341,10 @@ impl<'a> Runner<'a> {
             }
         };
         match decision {
-            Decision::Commit => {
-                self.finish(ix, true);
-                self.broadcast_decision(ix, true);
-            }
-            Decision::Abort => {
-                self.finish(ix, false);
-                self.broadcast_decision(ix, false);
+            Decision::Commit | Decision::Abort => {
+                let commit = decision == Decision::Commit;
+                self.finish(ix, commit);
+                self.broadcast_decision(ix, commit);
             }
             Decision::Blocked => {
                 self.tracer.emit(|| self.ev(EventKind::Blocked { backup: ix as u32 }).at_site(ix));

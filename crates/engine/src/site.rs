@@ -7,6 +7,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, SiteId, StateId, Vote};
+use nbc_storage::recovery::class_codes;
 use nbc_storage::Wal;
 
 use crate::class_map::encode_class;
@@ -435,14 +436,20 @@ impl SiteRt {
         self.mode != Mode::Down
     }
 
-    /// The class this site reports to the termination protocol: its
-    /// aligned class if phase 1 aligned it, else its current state's class.
+    /// The class this site reports to the termination and recovery
+    /// protocols: a decided site reports its outcome's final class even if
+    /// its FSA never reached a final state (it may have adopted a
+    /// `TermDecision` while frozen mid-protocol); otherwise its aligned
+    /// class if phase 1 aligned it, else its current state's class.
     pub fn reported_class(&self, fsa: &Fsa) -> u8 {
-        if fsa.state(self.state).class.is_final() {
+        let class = fsa.state(self.state).class;
+        match self.outcome {
+            Some(true) => class_codes::COMMITTED,
+            Some(false) => class_codes::ABORTED,
             // Final states never align; they report themselves.
-            return encode_class(fsa.state(self.state).class);
+            None if class.is_final() => encode_class(class),
+            None => self.aligned_class.unwrap_or_else(|| encode_class(class)),
         }
-        self.aligned_class.unwrap_or_else(|| encode_class(fsa.state(self.state).class))
     }
 
     /// The backup this site elects: the lowest-id site in its operational
@@ -771,5 +778,9 @@ mod tests {
         // Final states report themselves regardless of alignment.
         s.state = fsa.state_by_name("c").unwrap();
         assert_eq!(s.reported_class(fsa), nbc_storage::recovery::class_codes::COMMITTED);
+        // A decided site reports its outcome, wherever its FSA stands.
+        s.state = fsa.state_by_name("w").unwrap();
+        s.outcome = Some(false);
+        assert_eq!(s.reported_class(fsa), nbc_storage::recovery::class_codes::ABORTED);
     }
 }

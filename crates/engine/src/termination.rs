@@ -34,21 +34,11 @@ impl<'a> Runner<'a> {
     // Termination protocol
     // ------------------------------------------------------------------
 
-    /// The class a site reports to the termination and recovery protocols:
-    /// a decided site reports its outcome's final class even if its FSA
-    /// never reached a final state (it may have adopted a `TermDecision`
-    /// while frozen mid-protocol); otherwise the aligned class or the
-    /// current state's class.
+    /// The class site `ix` reports ([`SiteRt::reported_class`]).
+    ///
+    /// [`SiteRt::reported_class`]: crate::site::SiteRt::reported_class
     pub(crate) fn reported_class_of(&self, ix: usize) -> u8 {
-        use nbc_storage::recovery::class_codes;
-        match self.sites[ix].outcome {
-            Some(true) => class_codes::COMMITTED,
-            Some(false) => class_codes::ABORTED,
-            None => {
-                let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
-                self.sites[ix].reported_class(fsa)
-            }
-        }
+        self.sites[ix].reported_class(self.protocol.fsa(nbc_core::SiteId(ix as u32)))
     }
 
     /// Does the quorum absorb `observer`'s view change about `peer`? In a

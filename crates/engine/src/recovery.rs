@@ -116,19 +116,23 @@ impl Runner<'_> {
         }
     }
 
-    /// Is this site settled — guaranteed not to reach a decision on its
-    /// own? True once it has decided, blocked, or is itself recovering.
-    fn is_settled(&self, ix: usize) -> bool {
-        self.sites[ix].outcome.is_some()
-            || matches!(self.sites[ix].mode, Mode::Blocked | Mode::Recovering | Mode::Done)
+    /// Site `ix`'s answer to a recovering site: its outcome, the class it
+    /// reports, and whether it is settled — guaranteed not to reach a
+    /// decision on its own, once it has decided, blocked, or is itself
+    /// recovering.
+    fn outcome_is(&self, ix: usize) -> Wire {
+        let site = &self.sites[ix];
+        Wire::OutcomeIs {
+            outcome: site.outcome,
+            class: self.reported_class_of(ix),
+            settled: site.outcome.is_some()
+                || matches!(site.mode, Mode::Blocked | Mode::Recovering | Mode::Done),
+        }
     }
 
     pub(crate) fn on_what_happened(&mut self, ix: usize, from: usize) {
-        let class = self.reported_class_of(ix);
-        let outcome = self.sites[ix].outcome;
-        let settled = self.is_settled(ix);
-        self.send(ix, from, Wire::OutcomeIs { outcome, class, settled });
-        if outcome.is_none() {
+        self.send(ix, from, self.outcome_is(ix));
+        if self.sites[ix].outcome.is_none() {
             // Remember the asker; answer again on deciding or blocking.
             if !self.sites[ix].pending_queries.contains(&from) {
                 self.sites[ix].pending_queries.push(from);
@@ -140,13 +144,11 @@ impl Runner<'_> {
         if self.sites[ix].pending_queries.is_empty() {
             return;
         }
-        let outcome = self.sites[ix].outcome;
-        let class = self.reported_class_of(ix);
-        let settled = self.is_settled(ix);
+        let reply = self.outcome_is(ix);
         let pending = std::mem::take(&mut self.sites[ix].pending_queries);
         for q in pending {
             if self.sites[q].mode != Mode::Down {
-                self.send(ix, q, Wire::OutcomeIs { outcome, class, settled });
+                self.send(ix, q, reply.clone());
             }
         }
     }

@@ -10,7 +10,7 @@
 use nbc_core::recovery_analysis::RecoveryClass;
 use nbc_core::StateId;
 use nbc_obs::EventKind;
-use nbc_storage::recovery::{summarize, TxnOutcome};
+use nbc_storage::recovery::TxnOutcome;
 
 use crate::run::Runner;
 use crate::site::Mode;
@@ -48,9 +48,7 @@ impl Runner<'_> {
         if self.sites[ix].mode != Mode::Down {
             return;
         }
-        let records = nbc_storage::Wal::recover(self.sites[ix].wal.as_bytes()).expect("own log");
-        let summaries = summarize(&records);
-        let summary = summaries.iter().find(|t| t.txn == self.config.txn_id);
+        let durable = self.sites[ix].durable_outcome(self.config.txn_id);
         // Fresh view: the recovering site interacts via the recovery
         // protocol only, so an optimistic view is harmless.
         let n = self.sites.len();
@@ -67,7 +65,7 @@ impl Runner<'_> {
         }
 
         let acceptor = self.protocol.is_acceptor(ix);
-        match summary.map(|s| &s.outcome) {
+        match durable {
             None | Some(TxnOutcome::AbortOnRecovery) if !acceptor => {
                 // Crashed before voting (or before the transaction reached
                 // it): abort unilaterally upon recovering.
@@ -87,8 +85,8 @@ impl Runner<'_> {
                 // record must mirror theirs, so it always asks.
                 if let Some(TxnOutcome::MustAsk { state, aligned_class, .. }) = other {
                     let site = &mut *self.sites[ix];
-                    site.enter_state(StateId(*state));
-                    site.aligned_class = *aligned_class;
+                    site.enter_state(StateId(state));
+                    site.aligned_class = aligned_class;
                     site.mode = Mode::Recovering;
                     // Independent recovery (nbc-core::recovery_analysis): a
                     // durable state that provably never cast a yes vote lets
@@ -98,7 +96,7 @@ impl Runner<'_> {
                     // alignment intervened (alignment may carry another
                     // site's progress) — and never to an acceptor, whose
                     // vote is not part of that argument.
-                    let rc = self.analysis().recovery_classes()[ix][*state as usize];
+                    let rc = self.analysis().recovery_classes()[ix][state as usize];
                     if !acceptor && aligned_class.is_none() && rc == RecoveryClass::IndependentAbort
                     {
                         self.finish(ix, false);

@@ -9,7 +9,7 @@ use std::sync::{Arc, OnceLock};
 use nbc_core::{Analysis, Protocol, ReachOptions};
 use nbc_obs::{EventKind, LinesSink, SharedSink, Tracer};
 use nbc_simnet::{DetectorEvent, LatencyModel, NetEvent, Network, Suspicion, Time};
-use nbc_storage::recovery::{summarize, TxnOutcome};
+use nbc_storage::recovery::TxnOutcome;
 
 use crate::config::{CrashPoint, RunConfig, TransitionProgress};
 use crate::report::{RunReport, SiteOutcome};
@@ -509,11 +509,7 @@ impl<'a> Runner<'a> {
         let mut outcomes = Vec::with_capacity(self.sites.len());
         for s in &self.sites {
             let o = if s.mode == Mode::Down {
-                // Inspect the durable log of the dead site.
-                let recs =
-                    nbc_storage::Wal::recover(s.wal.as_bytes()).expect("own log well-formed");
-                let txn = self.config.txn_id;
-                match summarize(&recs).iter().find(|t| t.txn == txn).map(|t| &t.outcome) {
+                match s.durable_outcome(self.config.txn_id) {
                     Some(TxnOutcome::Committed) => SiteOutcome::DownCommitted,
                     Some(TxnOutcome::Aborted) => SiteOutcome::DownAborted,
                     _ => SiteOutcome::DownUndecided,

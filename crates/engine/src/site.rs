@@ -7,7 +7,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, SiteId, StateId, Vote};
-use nbc_storage::recovery::class_codes;
+use nbc_storage::recovery::{class_codes, summarize, TxnOutcome};
 use nbc_storage::Wal;
 
 use crate::class_map::encode_class;
@@ -450,6 +450,13 @@ impl SiteRt {
             None if class.is_final() => encode_class(class),
             None => self.aligned_class.unwrap_or_else(|| encode_class(class)),
         }
+    }
+
+    /// What this site's durable log says of transaction `txn`: what a
+    /// restart resumes from, and what a report says of a dead site.
+    pub(crate) fn durable_outcome(&self, txn: u64) -> Option<TxnOutcome> {
+        let records = Wal::recover(self.wal.as_bytes()).expect("own log well-formed");
+        summarize(&records).into_iter().find(|t| t.txn == txn).map(|t| t.outcome)
     }
 
     /// The backup this site elects: the lowest-id site in its operational

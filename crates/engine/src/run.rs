@@ -26,6 +26,17 @@ pub(crate) enum Timer {
     Partition,
 }
 
+/// The queues a run's events come from, in tie-break order: at one
+/// instant deliveries come before detector checks (a message arriving at
+/// the deadline is evidence of life and wins — the timeout boundary), and
+/// detector checks before crash, recovery and partition timers.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Queue {
+    Net,
+    Detector,
+    Timer,
+}
+
 /// Where a run finds its protocol's [`Analysis`]. The commit protocol
 /// itself never consults it — the paper's concurrency sets serve the
 /// termination and recovery protocols only — so a run reads it on the
@@ -318,10 +329,16 @@ impl<'a> Runner<'a> {
     /// backwards; the multiplexer uses it to interleave concurrent runs in
     /// global time order.
     pub fn next_time(&self) -> Option<Time> {
-        let net_t = self.net.peek_time();
-        let det_t = self.detector_deadline();
-        let timer_t = self.timers.peek().map(|Reverse((t, _))| *t);
-        [net_t, det_t, timer_t].into_iter().flatten().min()
+        self.next_due().map(|(t, _)| t)
+    }
+
+    /// The next pending event's time and queue: the earliest time, ties
+    /// broken in [`Queue`] order.
+    fn next_due(&self) -> Option<(Time, Queue)> {
+        let net = self.net.peek_time().map(|t| (t, Queue::Net));
+        let detector = self.detector_deadline().map(|t| (t, Queue::Detector));
+        let timer = self.timers.peek().map(|&Reverse((t, _))| (t, Queue::Timer));
+        [net, detector, timer].into_iter().flatten().min()
     }
 
     /// Next suspicion-timer deadline, when the detector still has work to
@@ -353,54 +370,49 @@ impl<'a> Runner<'a> {
             self.truncated = true;
             return false;
         }
-        let net_t = self.net.peek_time();
-        let det_t = self.detector_deadline();
-        let timer_t = self.timers.peek().map(|Reverse((t, _))| *t);
-        let Some(t) = [net_t, det_t, timer_t].into_iter().flatten().min() else {
+        let Some((t, queue)) = self.next_due() else {
             return false;
         };
-        // Tie-breaking order: deliveries before detector checks (a message
-        // arriving at the deadline is evidence of life and wins — the
-        // timeout boundary), detector checks before crash/recovery timers.
-        if net_t == Some(t) {
-            let (t, ev) = self.net.next_event().expect("peeked");
-            self.now = t;
-            self.events += 1;
-            self.handle_net(ev);
-            return true;
-        }
-        if det_t == Some(t) {
-            self.now = t;
-            self.events += 1;
-            let fired = self.detector.as_mut().expect("deadline implies a detector").poll(t);
-            for e in fired {
-                match e {
-                    DetectorEvent::Suspect { observer, peer } => self.on_suspect(observer, peer),
-                    DetectorEvent::Unsuspect { observer, peer } => {
-                        self.on_unsuspect(observer, peer)
+        self.now = t;
+        self.events += 1;
+        match queue {
+            Queue::Net => {
+                let (_, ev) = self.net.next_event().expect("peeked");
+                self.handle_net(ev);
+            }
+            Queue::Detector => {
+                let fired = self.detector.as_mut().expect("deadline implies a detector").poll(t);
+                for e in fired {
+                    match e {
+                        DetectorEvent::Suspect { observer, peer } => {
+                            self.on_suspect(observer, peer)
+                        }
+                        DetectorEvent::Unsuspect { observer, peer } => {
+                            self.on_unsuspect(observer, peer)
+                        }
                     }
                 }
             }
-            return true;
-        }
-        let Reverse((t, timer)) = self.timers.pop().expect("peeked");
-        self.now = t;
-        self.events += 1;
-        match timer {
-            Timer::Crash(site) => self.crash_site(site),
-            Timer::Recover(site) => self.recover_site(site),
-            Timer::Partition => {
-                let spec = self.config.partition.clone().expect("partition timer implies a spec");
-                self.tracer.emit(|| {
-                    self.ev(EventKind::Partition { groups: format!("{:?}", spec.groups) })
-                });
-                if let Some(d) = self.detector.as_mut() {
-                    // Imperfect detection: no failure notices — the cut
-                    // is *suspected*, at each observer's own timeout.
-                    d.set_groups(self.now, Some(spec.groups.clone()));
-                    self.net.partition_silent(self.now, spec.groups);
-                } else {
-                    self.net.partition(self.now, spec.groups);
+            Queue::Timer => {
+                let Reverse((_, timer)) = self.timers.pop().expect("peeked");
+                match timer {
+                    Timer::Crash(site) => self.crash_site(site),
+                    Timer::Recover(site) => self.recover_site(site),
+                    Timer::Partition => {
+                        let spec =
+                            self.config.partition.clone().expect("partition timer implies a spec");
+                        self.tracer.emit(|| {
+                            self.ev(EventKind::Partition { groups: format!("{:?}", spec.groups) })
+                        });
+                        if let Some(d) = self.detector.as_mut() {
+                            // Imperfect detection: no failure notices — the cut
+                            // is *suspected*, at each observer's own timeout.
+                            d.set_groups(self.now, Some(spec.groups.clone()));
+                            self.net.partition_silent(self.now, spec.groups);
+                        } else {
+                            self.net.partition(self.now, spec.groups);
+                        }
+                    }
                 }
             }
         }

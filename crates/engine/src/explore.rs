@@ -157,17 +157,20 @@ impl<'a> Runner<'a> {
 
     /// Partition the network at the current instant (`groups[i]` = site
     /// `i`'s group): in-flight cross-group messages are dropped, future
-    /// ones too, and every site is told the other side "failed" — the
-    /// deliberate assumption violation of experiment X3.
+    /// ones too, and every site learns the other side "failed" — told so
+    /// by the perfect detector, or suspecting it under an imperfect one —
+    /// the deliberate assumption violation of experiment X3.
     pub fn partition_now(&mut self, groups: Vec<usize>) {
         self.events += 1;
-        self.net.partition(self.now, groups);
+        self.set_partition(Some(groups));
     }
 
-    /// Heal a partition at the current instant.
+    /// Heal a partition at the current instant. An imperfect detector
+    /// re-arms the heartbeats across the old cut, so the suspicions the
+    /// cut raised clear.
     pub fn heal_now(&mut self) {
         self.events += 1;
-        self.net.heal();
+        self.set_partition(None);
     }
 
     /// Make `observer` suspect `peer` at the current instant — the

@@ -399,24 +399,35 @@ impl<'a> Runner<'a> {
                     Timer::Crash(site) => self.crash_site(site),
                     Timer::Recover(site) => self.recover_site(site),
                     Timer::Partition => {
-                        let spec =
-                            self.config.partition.clone().expect("partition timer implies a spec");
+                        let spec = self.config.partition.as_ref();
+                        let groups = spec.expect("partition timer implies a spec").groups.clone();
                         self.tracer.emit(|| {
-                            self.ev(EventKind::Partition { groups: format!("{:?}", spec.groups) })
+                            self.ev(EventKind::Partition { groups: format!("{groups:?}") })
                         });
-                        if let Some(d) = self.detector.as_mut() {
-                            // Imperfect detection: no failure notices — the cut
-                            // is *suspected*, at each observer's own timeout.
-                            d.set_groups(self.now, Some(spec.groups.clone()));
-                            self.net.partition_silent(self.now, spec.groups);
-                        } else {
-                            self.net.partition(self.now, spec.groups);
-                        }
+                        self.set_partition(Some(groups));
                     }
                 }
             }
         }
         true
+    }
+
+    /// Cut the network into `groups` (`groups[i]` is site `i`'s group) at
+    /// the current instant, or heal it with `None`: the one partition
+    /// path of timers and injected faults alike. In-flight messages across
+    /// the cut are lost. The perfect detector tells each side the other
+    /// failed; an imperfect one is told the cut instead, so each observer
+    /// suspects it at its own timeout, and a heal re-arms the heartbeats
+    /// of the pairs it reconnects.
+    pub(crate) fn set_partition(&mut self, groups: Option<Vec<usize>>) {
+        if let Some(d) = self.detector.as_mut() {
+            d.set_groups(self.now, groups.clone());
+        }
+        match groups {
+            None => self.net.heal(),
+            Some(groups) if self.detector.is_some() => self.net.partition_silent(self.now, groups),
+            Some(groups) => self.net.partition(self.now, groups),
+        }
     }
 
     // ------------------------------------------------------------------

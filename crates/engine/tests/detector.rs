@@ -14,6 +14,7 @@ use nbc_engine::{
     TransitionProgress,
 };
 use nbc_paxos::paxos_commit;
+use nbc_simnet::NetEvent;
 
 /// Jitter bounds shared by every spec in these tests.
 const JITTER: (u64, u64) = (1, 12);
@@ -120,5 +121,33 @@ fn aggressive_detector_still_decides_with_quorum_rule() {
                 "timeout {timeout} seed {seed}: quorum rule must terminate: {r}"
             );
         }
+    }
+}
+
+#[test]
+fn injected_partition_and_heal_go_through_the_detector() {
+    // A fault injected at the current instant takes the path a scheduled
+    // partition takes. Under an imperfect detector the cut is suspected,
+    // never announced; and the heal re-arms the heartbeats across it, so
+    // the run ends with every suspicion between live sites cleared.
+    let protocol = nbc_core::protocols::central_3pc(3);
+    let analysis = Analysis::build(&protocol).unwrap();
+    let mut cfg = RunConfig::happy(3).with_rule(TerminationRule::QuorumSkeen);
+    cfg.detector = Some(DetectorSpec { timeout: 10, jitter: (1, 11), seed: 3 });
+    cfg.max_events = 5_000;
+    let mut runner = Runner::new(&protocol, &analysis, cfg);
+    runner.partition_now(vec![0, 0, 1]);
+    let notices = runner.pending_events().into_iter().filter(|(_, ev)| {
+        matches!(ev, NetEvent::FailureNotice { .. } | NetEvent::RecoveryNotice { .. })
+    });
+    assert_eq!(notices.count(), 0, "an imperfect detector is never sent a notice");
+    while runner.now() < 30 && runner.step() {}
+    assert!(runner.sites()[2].suspects.contains(&0), "the minority suspects the cut");
+    runner.heal_now();
+    while runner.step() {}
+    let report = runner.report();
+    assert!(!report.truncated && report.all_operational_decided, "{report}");
+    for site in runner.sites() {
+        assert!(site.suspects.is_empty(), "site {} still suspects {:?}", site.id, site.suspects);
     }
 }

@@ -23,7 +23,8 @@ use crate::wire::Wire;
 /// What a handler needs besides the one site it mutates: the network, the
 /// tracer and the event skeleton. Borrowed apart from the runner's sites
 /// ([`Runner::site_io`]), so a handler holds a single `&mut SiteRt` — its
-/// cached fingerprint dropped once — across a whole event.
+/// cached fingerprint dropped once — across a whole event. Every send and
+/// every traced event of a run goes through it.
 pub(crate) struct Io<'r> {
     pub(crate) net: &'r mut Network<Wire>,
     pub(crate) tracer: &'r Tracer,
@@ -37,13 +38,17 @@ impl Io<'_> {
         Event::new(self.now, kind).for_txn(self.txn)
     }
 
+    /// Trace the event `kind` builds at site `ix`; `kind` runs only when a
+    /// sink is attached.
+    pub(crate) fn emit(&self, ix: usize, kind: impl FnOnce() -> EventKind) {
+        self.tracer.emit(|| self.ev(kind()).at_site(ix));
+    }
+
     /// Send with tracing. The send event is emitted even when a partition
     /// swallows the message — the site *did* send it; the network follows
     /// up with a drop event.
     pub(crate) fn send(&mut self, src: usize, dst: usize, wire: Wire) {
-        self.tracer.emit(|| {
-            self.ev(EventKind::MsgSend { dst: dst as u32, label: wire.to_string() }).at_site(src)
-        });
+        self.emit(src, || EventKind::MsgSend { dst: dst as u32, label: wire.to_string() });
         self.net.send(self.now, src, dst, wire);
     }
 
@@ -51,12 +56,11 @@ impl Io<'_> {
     /// (as `name`) and the force: the one durable write of the engine.
     pub(crate) fn log(&self, site: &mut SiteRt, record: LogRecord, name: &str) {
         site.wal.append_sync(&record).expect("wal record fits");
-        let ix = site.id;
-        self.tracer.emit(|| {
-            self.ev(EventKind::WalAppend { bytes: record.frame_len(), record: name.into() })
-                .at_site(ix)
+        self.emit(site.id, || EventKind::WalAppend {
+            bytes: record.frame_len(),
+            record: name.into(),
         });
-        self.tracer.emit(|| self.ev(EventKind::WalFsync { physical: true }).at_site(ix));
+        self.emit(site.id, || EventKind::WalFsync { physical: true });
     }
 
     /// Fire `t` at `site`: consume its messages, move the local state, log
@@ -65,15 +69,12 @@ impl Io<'_> {
         let (ix, from, to) = (site.id, site.state, t.to);
         site.consume(&t.consume);
         site.enter_state(to);
-        self.tracer.emit(|| {
-            self.ev(EventKind::Transition {
-                from: fsa.state(from).name.clone(),
-                to: fsa.state(to).name.clone(),
-            })
-            .at_site(ix)
+        self.emit(ix, || EventKind::Transition {
+            from: fsa.state(from).name.clone(),
+            to: fsa.state(to).name.clone(),
         });
         if let Some(v) = t.vote {
-            self.tracer.emit(|| self.ev(EventKind::Vote { yes: v == Vote::Yes }).at_site(ix));
+            self.emit(ix, || EventKind::Vote { yes: v == Vote::Yes });
         }
         let class = crate::class_map::encode_class(fsa.state(to).class);
         self.log(site, LogRecord::Progress { txn: self.txn, state: to.0, class }, "progress");
@@ -87,16 +88,12 @@ impl Io<'_> {
         if site.outcome.is_none() {
             site.outcome = Some(commit);
             self.log(site, LogRecord::Decision { txn: self.txn, commit }, "decision");
-            self.tracer.emit(|| self.ev(EventKind::Decision { commit }).at_site(site.id));
+            self.emit(site.id, || EventKind::Decision { commit });
         }
     }
 }
 
 impl Runner<'_> {
-    // ------------------------------------------------------------------
-    // Tracing
-    // ------------------------------------------------------------------
-
     /// The sites beside the rest of the runner a handler sends and traces
     /// through.
     pub(crate) fn sites_io(&mut self) -> (&mut [SiteCell], Io<'_>) {
@@ -111,18 +108,10 @@ impl Runner<'_> {
         (&mut *sites[ix], io)
     }
 
-    /// Event skeleton: current simulation time, this run's transaction.
-    pub(crate) fn ev(&self, kind: EventKind) -> Event {
-        Event::new(self.now, kind).for_txn(self.config.txn_id)
+    /// The [`Io`] alone, for a handler that reads other sites.
+    pub(crate) fn io(&mut self) -> Io<'_> {
+        self.sites_io().1
     }
-
-    pub(crate) fn send(&mut self, src: usize, dst: usize, wire: Wire) {
-        self.sites_io().1.send(src, dst, wire);
-    }
-
-    // ------------------------------------------------------------------
-    // Normal protocol execution
-    // ------------------------------------------------------------------
 
     /// Take delivery of `arrived` (if any) at `ix`, then fire enabled
     /// transitions there until quiescent (or crash).
@@ -175,7 +164,9 @@ impl Runner<'_> {
         }
     }
 
-    /// Reach a final outcome at `ix` (via the protocol or a decision).
+    /// Reach a final outcome at `ix` (via the protocol or a decision), then
+    /// answer the recovering sites waiting on it — which reads their modes,
+    /// so this stays a runner method.
     pub(crate) fn finish(&mut self, ix: usize, commit: bool) {
         let (site, io) = self.site_io(ix);
         io.finish(site, commit);

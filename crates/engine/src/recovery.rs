@@ -10,22 +10,19 @@
 use nbc_core::recovery_analysis::RecoveryClass;
 use nbc_core::StateId;
 use nbc_obs::EventKind;
-use nbc_storage::recovery::TxnOutcome;
+use nbc_storage::recovery::{class_codes, TxnOutcome};
 
 use crate::run::Runner;
 use crate::site::Mode;
 use crate::wire::Wire;
-impl Runner<'_> {
-    // ------------------------------------------------------------------
-    // Crash and recovery
-    // ------------------------------------------------------------------
 
+impl Runner<'_> {
     pub(crate) fn crash_site(&mut self, ix: usize) {
         if self.sites[ix].mode == Mode::Down {
             return;
         }
         // Volatile state is lost: only the synced WAL prefix survives.
-        let site = &mut *self.sites[ix];
+        let (site, io) = self.site_io(ix);
         site.wal.lose_volatile();
         site.inbox.clear();
         site.backup_state.clear();
@@ -34,13 +31,12 @@ impl Runner<'_> {
         site.suspects.clear();
         site.ever_down = true;
         site.mode = Mode::Down;
-        self.tracer.emit(|| self.ev(EventKind::Crash).at_site(ix));
-        if let Some(d) = self.detector.as_mut() {
+        io.emit(ix, || EventKind::Crash);
+        match self.detector.as_mut() {
             // No oracle notice: peers will suspect the silence, each at
             // its own timeout.
-            d.site_down(ix);
-        } else {
-            self.net.crash(self.now, ix);
+            Some(d) => d.site_down(ix),
+            None => self.net.crash(self.now, ix),
         }
     }
 
@@ -52,16 +48,15 @@ impl Runner<'_> {
         // Fresh view: the recovering site interacts via the recovery
         // protocol only, so an optimistic view is harmless.
         let n = self.sites.len();
-        let site = &mut *self.sites[ix];
+        let (site, io) = self.site_io(ix);
         site.view.fill(true);
         site.recovery_replies.clear();
-        self.tracer.emit(|| self.ev(EventKind::Recover).at_site(ix));
-        if let Some(d) = self.detector.as_mut() {
+        io.emit(ix, || EventKind::Recover);
+        match self.detector.as_mut() {
             // No oracle notice: peers detect the recovery when heartbeats
             // (or this site's recovery queries) next prove life.
-            d.site_up(self.now, ix);
-        } else {
-            self.net.recover(self.now, ix);
+            Some(d) => d.site_up(self.now, ix),
+            None => self.net.recover(self.now, ix),
         }
 
         let acceptor = self.protocol.is_acceptor(ix);
@@ -105,9 +100,10 @@ impl Runner<'_> {
                 } else {
                     self.sites[ix].mode = Mode::Recovering;
                 }
+                let mut io = self.io();
                 for j in 0..n {
                     if j != ix {
-                        self.send(ix, j, Wire::WhatHappened);
+                        io.send(ix, j, Wire::WhatHappened);
                     }
                 }
             }
@@ -129,12 +125,12 @@ impl Runner<'_> {
     }
 
     pub(crate) fn on_what_happened(&mut self, ix: usize, from: usize) {
-        self.send(ix, from, self.outcome_is(ix));
-        if self.sites[ix].outcome.is_none() {
-            // Remember the asker; answer again on deciding or blocking.
-            if !self.sites[ix].pending_queries.contains(&from) {
-                self.sites[ix].pending_queries.push(from);
-            }
+        let reply = self.outcome_is(ix);
+        self.io().send(ix, from, reply);
+        // Remember an undecided site's asker; answer again on deciding or
+        // blocking.
+        if self.sites[ix].outcome.is_none() && !self.sites[ix].pending_queries.contains(&from) {
+            self.sites[ix].pending_queries.push(from);
         }
     }
 
@@ -144,10 +140,9 @@ impl Runner<'_> {
         }
         let reply = self.outcome_is(ix);
         let pending = std::mem::take(&mut self.sites[ix].pending_queries);
-        for q in pending {
-            if self.sites[q].mode != Mode::Down {
-                self.send(ix, q, reply.clone());
-            }
+        let (sites, mut io) = self.sites_io();
+        for q in pending.into_iter().filter(|&q| sites[q].mode != Mode::Down) {
+            io.send(ix, q, reply.clone());
         }
     }
 
@@ -202,16 +197,14 @@ impl Runner<'_> {
         if lowest_recovering != Some(ix) {
             return;
         }
-        use nbc_storage::recovery::class_codes;
         let mut classes: Vec<u8> =
             self.sites[ix].recovery_replies.iter().map(|&(_, _, c)| c).collect();
         classes.push(self.reported_class_of(ix));
         let commit = classes.contains(&class_codes::COMMITTED);
         self.finish(ix, commit);
-        for j in 0..n {
-            if j != ix && self.sites[j].mode != Mode::Down {
-                self.send(ix, j, Wire::TermDecision { backup: ix, commit });
-            }
+        let (sites, mut io) = self.sites_io();
+        for j in (0..n).filter(|&j| j != ix && sites[j].mode != Mode::Down) {
+            io.send(ix, j, Wire::TermDecision { backup: ix, commit });
         }
     }
 }

@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
-use nbc_core::{Analysis, Protocol, ReachOptions};
+use nbc_core::{Analysis, Fsa, Protocol, ReachOptions, SiteId};
 use nbc_obs::{EventKind, LinesSink, SharedSink, Tracer};
 use nbc_simnet::{DetectorEvent, LatencyModel, NetEvent, Network, Suspicion, Time};
 use nbc_storage::recovery::TxnOutcome;
@@ -251,7 +251,7 @@ impl<'a> Runner<'a> {
         self.net.reset(config.latency.clone(), config.detect_delay);
         self.net.set_tracer(self.tracer.clone());
         for i in 0..n {
-            let fsa = protocol.fsa(nbc_core::SiteId(i as u32));
+            let fsa = protocol.fsa(SiteId(i as u32));
             match self.sites.get_mut(i) {
                 Some(site) => site.reset(fsa, n),
                 None => self.sites.push(SiteCell::new(SiteRt::new(i, fsa, n))),
@@ -316,6 +316,11 @@ impl<'a> Runner<'a> {
                 Analysis::build_with(self.protocol, opts).expect("protocol analyzable")
             }),
         }
+    }
+
+    /// Site `ix`'s automaton.
+    pub(crate) fn fsa(&self, ix: usize) -> &'a Fsa {
+        self.protocol.fsa(SiteId(ix as u32))
     }
 
     /// Execute to quiescence and report.
@@ -401,9 +406,9 @@ impl<'a> Runner<'a> {
                     Timer::Partition => {
                         let spec = self.config.partition.as_ref();
                         let groups = spec.expect("partition timer implies a spec").groups.clone();
-                        self.tracer.emit(|| {
-                            self.ev(EventKind::Partition { groups: format!("{groups:?}") })
-                        });
+                        let io = self.io();
+                        io.tracer
+                            .emit(|| io.ev(EventKind::Partition { groups: format!("{groups:?}") }));
                         self.set_partition(Some(groups));
                     }
                 }
@@ -430,19 +435,15 @@ impl<'a> Runner<'a> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Event handling
-    // ------------------------------------------------------------------
-
     pub(crate) fn handle_net(&mut self, ev: NetEvent<Wire>) {
         match ev {
             NetEvent::Deliver { src, dst, msg } => {
                 // Delivery is traced even to a down site — the network did
                 // its job; the dead site just never reads the message. This
                 // keeps sent == delivered + dropped at quiescence.
-                self.tracer.emit(|| {
-                    self.ev(EventKind::MsgDeliver { src: src as u32, label: msg.to_string() })
-                        .at_site(dst)
+                self.io().emit(dst, || EventKind::MsgDeliver {
+                    src: src as u32,
+                    label: msg.to_string(),
                 });
                 if self.sites[dst].mode == Mode::Down {
                     return; // lost with the site
@@ -458,27 +459,21 @@ impl<'a> Runner<'a> {
                 }
                 self.deliver(src, dst, msg);
             }
+            // A down site hears no notice.
+            NetEvent::FailureNotice { observer, .. }
+            | NetEvent::RecoveryNotice { observer, .. }
+                if self.sites[observer].mode == Mode::Down => {}
             NetEvent::FailureNotice { observer, crashed } => {
-                if self.sites[observer].mode == Mode::Down {
-                    return;
-                }
-                self.tracer.emit(|| {
-                    self.ev(EventKind::FailureNotice { crashed: crashed as u32 }).at_site(observer)
-                });
+                self.io().emit(observer, || EventKind::FailureNotice { crashed: crashed as u32 });
                 self.on_failure_notice(observer, crashed);
             }
             NetEvent::RecoveryNotice { observer, recovered } => {
-                if self.sites[observer].mode == Mode::Down {
-                    return;
-                }
-                self.tracer.emit(|| {
-                    self.ev(EventKind::RecoveryNotice { recovered: recovered as u32 })
-                        .at_site(observer)
-                });
-                self.sites[observer].recovered_peers.insert(recovered);
+                let (site, mut io) = self.site_io(observer);
+                io.emit(observer, || EventKind::RecoveryNotice { recovered: recovered as u32 });
+                site.recovered_peers.insert(recovered);
                 // Blocked and recovering sites probe recovered peers.
-                if matches!(self.sites[observer].mode, Mode::Blocked | Mode::Recovering) {
-                    self.send(observer, recovered, Wire::WhatHappened);
+                if matches!(site.mode, Mode::Blocked | Mode::Recovering) {
+                    io.send(observer, recovered, Wire::WhatHappened);
                 }
             }
         }
@@ -521,10 +516,6 @@ impl<'a> Runner<'a> {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Reporting
-    // ------------------------------------------------------------------
 
     /// Assemble the run's current outcome report (callable mid-run by
     /// the multiplexer once [`Runner::next_time`] returns `None`).

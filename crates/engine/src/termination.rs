@@ -16,29 +16,28 @@
 //!   stay consistent because alignment is durable and the decision is a
 //!   function of the aligned class.
 
-use nbc_core::StateClass;
+use nbc_core::{Decision, StateClass};
 use nbc_obs::EventKind;
 use nbc_storage::LogRecord;
 
+use crate::class_map::decode_class;
 use crate::config::TerminationRule;
 use crate::decide::ClassDecisions;
 use crate::run::Runner;
 use crate::site::Mode;
 use crate::wire::Wire;
+
 impl<'a> Runner<'a> {
     /// The termination protocol's class → decision table.
     fn decisions(&self) -> ClassDecisions<'a> {
         ClassDecisions::build(self.analysis())
     }
-    // ------------------------------------------------------------------
-    // Termination protocol
-    // ------------------------------------------------------------------
 
     /// The class site `ix` reports ([`SiteRt::reported_class`]).
     ///
     /// [`SiteRt::reported_class`]: crate::site::SiteRt::reported_class
     pub(crate) fn reported_class_of(&self, ix: usize) -> u8 {
-        self.sites[ix].reported_class(self.protocol.fsa(nbc_core::SiteId(ix as u32)))
+        self.sites[ix].reported_class(self.fsa(ix))
     }
 
     /// Does the quorum absorb `observer`'s view change about `peer`? In a
@@ -89,8 +88,7 @@ impl<'a> Runner<'a> {
         if !self.sites[observer].suspects.insert(peer) {
             return; // already suspected
         }
-        self.tracer
-            .emit(|| self.ev(EventKind::Suspect { suspected: peer as u32 }).at_site(observer));
+        self.io().emit(observer, || EventKind::Suspect { suspected: peer as u32 });
         self.on_failure_notice(observer, peer);
     }
 
@@ -107,9 +105,8 @@ impl<'a> Runner<'a> {
         if !self.sites[observer].suspects.contains(&peer) {
             return; // not currently suspected
         }
-        self.tracer
-            .emit(|| self.ev(EventKind::Unsuspect { suspected: peer as u32 }).at_site(observer));
-        let site = &mut *self.sites[observer];
+        let (site, mut io) = self.site_io(observer);
+        io.emit(observer, || EventKind::Unsuspect { suspected: peer as u32 });
         site.suspects.remove(&peer);
         site.view[peer] = true;
         // Evidence of life postdating the suspicion plays the role a
@@ -119,11 +116,11 @@ impl<'a> Runner<'a> {
         // A decided site's decision broadcast skipped every peer it was
         // suspecting at that moment, so restored life doubles as a
         // missed-broadcast signal: resend the outcome. Duplicate
-        // decisions are idempotent at the receiver, and a legacy run
-        // never unsuspects, so this arm is dead there.
-        if self.sites[observer].mode == Mode::Done {
-            if let Some(commit) = self.sites[observer].outcome {
-                self.send(observer, peer, Wire::TermDecision { backup: observer, commit });
+        // decisions are idempotent at the receiver, and a run under the
+        // perfect detector never unsuspects, so this arm is dead there.
+        if site.mode == Mode::Done {
+            if let Some(commit) = site.outcome {
+                io.send(observer, peer, Wire::TermDecision { backup: observer, commit });
             }
             return;
         }
@@ -132,7 +129,7 @@ impl<'a> Runner<'a> {
         }
         match self.sites[observer].mode {
             Mode::Terminating { .. } | Mode::Blocked => self.enter_termination(observer),
-            Mode::Recovering => self.send(observer, peer, Wire::WhatHappened),
+            Mode::Recovering => self.io().send(observer, peer, Wire::WhatHappened),
             Mode::Down | Mode::Normal | Mode::Done => {}
         }
     }
@@ -140,9 +137,9 @@ impl<'a> Runner<'a> {
     /// (Re)enter the termination protocol after a view change.
     fn enter_termination(&mut self, ix: usize) {
         self.elections += 1;
-        let backup = self.sites[ix].elected_backup();
-        self.tracer.emit(|| self.ev(EventKind::Election { backup: backup as u32 }).at_site(ix));
-        let site = &mut *self.sites[ix];
+        let (site, io) = self.site_io(ix);
+        let backup = site.elected_backup();
+        io.emit(ix, || EventKind::Election { backup: backup as u32 });
         site.mode = Mode::Terminating { backup };
         if backup == ix {
             self.start_backup(ix);
@@ -161,9 +158,9 @@ impl<'a> Runner<'a> {
             self.broadcast_decision(ix, commit);
             return;
         }
-        let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
-        if fsa.state(self.sites[ix].state).class.is_final() {
-            let commit = fsa.state(self.sites[ix].state).class == StateClass::Committed;
+        let class = self.fsa(ix).state(self.sites[ix].state).class;
+        if class.is_final() {
+            let commit = class == StateClass::Committed;
             self.finish(ix, commit);
             self.broadcast_decision(ix, commit);
             return;
@@ -191,11 +188,12 @@ impl<'a> Runner<'a> {
     }
 
     pub(crate) fn on_align_to(&mut self, ix: usize, backup: usize, class: u8) {
+        let fsa = self.fsa(ix);
         match self.sites[ix].mode {
             Mode::Down | Mode::Recovering => return,
             Mode::Done => {
-                let reported = self.reported_class_of(ix);
-                self.send(ix, backup, Wire::AlignAck { backup, reported_class: reported });
+                let reported_class = self.reported_class_of(ix);
+                self.io().send(ix, backup, Wire::AlignAck { backup, reported_class });
                 return;
             }
             Mode::Normal | Mode::Terminating { .. } | Mode::Blocked => {}
@@ -231,20 +229,16 @@ impl<'a> Runner<'a> {
         if self.sites[ix].elected_backup() != backup {
             return;
         }
-        let reported = self.reported_class_of(ix);
-        let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
         let (site, mut io) = self.site_io(ix);
+        let reported_class = site.reported_class(fsa);
         site.mode = Mode::Terminating { backup };
         if !fsa.state(site.state).class.is_final() {
             // Make the transition to the backup's state: durable first.
             site.aligned_class = Some(class);
             io.log(site, LogRecord::AlignedTo { txn: io.txn, class }, "aligned-to");
-            io.tracer.emit(|| {
-                let letter = crate::class_map::decode_class(class).letter();
-                io.ev(EventKind::Aligned { class: letter.to_string() }).at_site(ix)
-            });
+            io.emit(ix, || EventKind::Aligned { class: decode_class(class).letter().to_string() });
         }
-        io.send(ix, backup, Wire::AlignAck { backup, reported_class: reported });
+        io.send(ix, backup, Wire::AlignAck { backup, reported_class });
     }
 
     pub(crate) fn on_align_ack(&mut self, ix: usize, from: usize, reported_class: u8) {
@@ -261,8 +255,7 @@ impl<'a> Runner<'a> {
     }
 
     fn backup_decide(&mut self, ix: usize) {
-        use nbc_core::Decision;
-        let fsa = self.protocol.fsa(nbc_core::SiteId(ix as u32));
+        let fsa = self.fsa(ix);
         let my_class = self.reported_class_of(ix);
         // A peer that acked from a durable final state outranks every
         // class rule: that decision already happened, so the only safe
@@ -274,12 +267,12 @@ impl<'a> Runner<'a> {
         // own-state-only reading: it exists to demonstrate that unsafety.
         let reported_final = (self.config.rule != TerminationRule::NaiveCs)
             .then(|| {
-                self.sites[ix].backup_state.collected.iter().find_map(|&(_, c)| {
-                    match crate::class_map::decode_class(c) {
-                        StateClass::Committed => Some(Decision::Commit),
-                        StateClass::Aborted => Some(Decision::Abort),
-                        _ => None,
-                    }
+                self.sites[ix].backup_state.collected.iter().find_map(|&(_, c)| match decode_class(
+                    c,
+                ) {
+                    StateClass::Committed => Some(Decision::Commit),
+                    StateClass::Aborted => Some(Decision::Abort),
+                    _ => None,
                 })
             })
             .flatten();
@@ -337,9 +330,9 @@ impl<'a> Runner<'a> {
                 self.broadcast_decision(ix, commit);
             }
             Decision::Blocked => {
-                self.tracer.emit(|| self.ev(EventKind::Blocked { backup: ix as u32 }).at_site(ix));
                 let term_sites = self.protocol.n_participants();
                 let (site, mut io) = self.site_io(ix);
+                io.emit(ix, || EventKind::Blocked { backup: ix as u32 });
                 site.mode = Mode::Blocked;
                 for j in peers_in(&site.view, term_sites, ix) {
                     io.send(ix, j, Wire::TermBlocked { backup: ix });

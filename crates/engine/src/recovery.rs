@@ -66,47 +66,43 @@ impl Runner<'_> {
                 // it): abort unilaterally upon recovering.
                 self.sites[ix].mode = Mode::Recovering;
                 self.finish(ix, false);
+                return;
             }
             Some(decided @ (TxnOutcome::Committed | TxnOutcome::Aborted)) => {
                 let site = &mut *self.sites[ix];
-                site.outcome = Some(matches!(decided, TxnOutcome::Committed));
+                site.outcome = Some(decided == TxnOutcome::Committed);
                 site.mode = Mode::Done;
+                return;
             }
-            other => {
-                // MustAsk from any site — or any undecided acceptor log.
-                // An acceptor never decides unilaterally: its local log
-                // says nothing about whether the participants already
-                // committed through the other acceptors, and its decision
-                // record must mirror theirs, so it always asks.
-                if let Some(TxnOutcome::MustAsk { state, aligned_class, .. }) = other {
-                    let site = &mut *self.sites[ix];
-                    site.enter_state(StateId(state));
-                    site.aligned_class = aligned_class;
-                    site.mode = Mode::Recovering;
-                    // Independent recovery (nbc-core::recovery_analysis): a
-                    // durable state that provably never cast a yes vote lets
-                    // the site abort unilaterally — no commit can exist or
-                    // ever arise, because committable states require every
-                    // site's vote. Only applicable when no termination-phase
-                    // alignment intervened (alignment may carry another
-                    // site's progress) — and never to an acceptor, whose
-                    // vote is not part of that argument.
-                    let rc = self.analysis().recovery_classes()[ix][state as usize];
-                    if !acceptor && aligned_class.is_none() && rc == RecoveryClass::IndependentAbort
-                    {
-                        self.finish(ix, false);
-                        return;
-                    }
-                } else {
-                    self.sites[ix].mode = Mode::Recovering;
-                }
-                let mut io = self.io();
-                for j in 0..n {
-                    if j != ix {
-                        io.send(ix, j, Wire::WhatHappened);
-                    }
+            Some(TxnOutcome::MustAsk { state, aligned_class, .. }) => {
+                let site = &mut *self.sites[ix];
+                site.enter_state(StateId(state));
+                site.aligned_class = aligned_class;
+                site.mode = Mode::Recovering;
+                // Independent recovery (nbc-core::recovery_analysis): a
+                // durable state that provably never cast a yes vote lets
+                // the site abort unilaterally — no commit can exist or
+                // ever arise, because committable states require every
+                // site's vote. Only applicable when no termination-phase
+                // alignment intervened (alignment may carry another
+                // site's progress) — and never to an acceptor, whose
+                // vote is not part of that argument.
+                let rc = self.analysis().recovery_classes()[ix][state as usize];
+                if !acceptor && aligned_class.is_none() && rc == RecoveryClass::IndependentAbort {
+                    self.finish(ix, false);
+                    return;
                 }
             }
+            _ => self.sites[ix].mode = Mode::Recovering,
+        }
+        // MustAsk from any site — or any undecided acceptor log. An
+        // acceptor never decides unilaterally: its local log says nothing
+        // about whether the participants already committed through the
+        // other acceptors, and its decision record must mirror theirs, so
+        // it always asks.
+        let mut io = self.io();
+        for j in (0..n).filter(|&j| j != ix) {
+            io.send(ix, j, Wire::WhatHappened);
         }
     }
 
@@ -197,10 +193,9 @@ impl Runner<'_> {
         if lowest_recovering != Some(ix) {
             return;
         }
-        let mut classes: Vec<u8> =
-            self.sites[ix].recovery_replies.iter().map(|&(_, _, c)| c).collect();
-        classes.push(self.reported_class_of(ix));
-        let commit = classes.contains(&class_codes::COMMITTED);
+        let replies = &self.sites[ix].recovery_replies;
+        let commit = self.reported_class_of(ix) == class_codes::COMMITTED
+            || replies.iter().any(|&(_, _, c)| c == class_codes::COMMITTED);
         self.finish(ix, commit);
         let (sites, mut io) = self.sites_io();
         for j in (0..n).filter(|&j| j != ix && sites[j].mode != Mode::Down) {

@@ -134,10 +134,12 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// (Re)enter the termination protocol after a view change.
+    /// (Re)enter the termination protocol after a view change. Only an
+    /// undecided site does: a decided one is done, or down.
     fn enter_termination(&mut self, ix: usize) {
         self.elections += 1;
         let (site, io) = self.site_io(ix);
+        debug_assert!(site.outcome.is_none(), "site {ix} terminates a decided run");
         let backup = site.elected_backup();
         io.emit(ix, || EventKind::Election { backup: backup as u32 });
         site.mode = Mode::Terminating { backup };
@@ -154,15 +156,9 @@ impl<'a> Runner<'a> {
         // A backup already in a final state skips phase 1 (paper: "it can
         // be omitted if the backup coordinator is initially in a commit or
         // abort state") and simply propagates its outcome.
-        if let Some(commit) = self.sites[ix].outcome {
-            self.broadcast_decision(ix, commit);
-            return;
-        }
         let class = self.fsa(ix).state(self.sites[ix].state).class;
         if class.is_final() {
-            let commit = class == StateClass::Committed;
-            self.finish(ix, commit);
-            self.broadcast_decision(ix, commit);
+            self.decide(ix, class == StateClass::Committed);
             return;
         }
 
@@ -255,8 +251,13 @@ impl<'a> Runner<'a> {
     }
 
     fn backup_decide(&mut self, ix: usize) {
-        let fsa = self.fsa(ix);
-        let my_class = self.reported_class_of(ix);
+        let site = &self.sites[ix];
+        let my_class = site.reported_class(self.fsa(ix));
+        let final_decision = |class| match class {
+            StateClass::Committed => Some(Decision::Commit),
+            StateClass::Aborted => Some(Decision::Abort),
+            _ => None,
+        };
         // A peer that acked from a durable final state outranks every
         // class rule: that decision already happened, so the only safe
         // move is to adopt it. Under accurate detection this arm is
@@ -265,81 +266,58 @@ impl<'a> Runner<'a> {
         // races the still-live coordinator (or a parallel round) that may
         // have decided in the meantime. NaiveCs keeps its paper-verbatim,
         // own-state-only reading: it exists to demonstrate that unsafety.
-        let reported_final = (self.config.rule != TerminationRule::NaiveCs)
-            .then(|| {
-                self.sites[ix].backup_state.collected.iter().find_map(|&(_, c)| match decode_class(
-                    c,
-                ) {
-                    StateClass::Committed => Some(Decision::Commit),
-                    StateClass::Aborted => Some(Decision::Abort),
-                    _ => None,
-                })
-            })
-            .flatten();
-        let decision = if let Some(d) = reported_final {
-            d
-        } else {
-            match self.config.rule {
-                TerminationRule::NaiveCs => {
-                    // Paper rule verbatim on the backup's own local state —
-                    // deliberately unsafe for blocking protocols.
-                    let me = self.sites[ix].core_id();
-                    let st = self.sites[ix].state;
-                    match fsa.state(st).class {
-                        StateClass::Committed => Decision::Commit,
-                        StateClass::Aborted => Decision::Abort,
-                        _ => {
-                            if self.analysis().cs_has_commit(me, st) {
-                                Decision::Commit
-                            } else {
-                                Decision::Abort
-                            }
-                        }
-                    }
-                }
-                TerminationRule::Skeen => self.decisions().decide(my_class),
-                TerminationRule::QuorumSkeen => {
-                    // Count sites this backup believes operational (itself
-                    // included); without a strict majority of all n sites the
-                    // backup must not decide — the other side of a potential
-                    // partition might.
-                    let operational = self.sites[ix].view.iter().filter(|&&up| up).count();
-                    if 2 * operational > self.sites.len() {
-                        self.decisions().decide(my_class)
-                    } else {
-                        Decision::Blocked
-                    }
-                }
-                TerminationRule::Cooperative => {
-                    let base = self.decisions().decide(my_class);
-                    if base == Decision::Blocked {
-                        let mut classes: Vec<u8> =
-                            self.sites[ix].backup_state.collected.iter().map(|&(_, c)| c).collect();
-                        classes.push(my_class);
-                        self.decisions().decide_cooperative(classes)
-                    } else {
-                        base
-                    }
-                }
-            }
+        let acked = site.backup_state.collected.iter().map(|&(_, c)| c);
+        let reported_final = match self.config.rule {
+            TerminationRule::NaiveCs => None,
+            _ => acked.clone().find_map(|c| final_decision(decode_class(c))),
         };
-        match decision {
-            Decision::Commit | Decision::Abort => {
-                let commit = decision == Decision::Commit;
-                self.finish(ix, commit);
-                self.broadcast_decision(ix, commit);
+        let decision = reported_final.unwrap_or_else(|| match self.config.rule {
+            // Paper rule verbatim on the backup's own local state —
+            // deliberately unsafe for blocking protocols.
+            TerminationRule::NaiveCs => final_decision(self.fsa(ix).state(site.state).class)
+                .unwrap_or_else(|| {
+                    if self.analysis().cs_has_commit(site.core_id(), site.state) {
+                        Decision::Commit
+                    } else {
+                        Decision::Abort
+                    }
+                }),
+            // Count sites this backup believes operational (itself
+            // included); without a strict majority of all n sites the
+            // backup must not decide — the other side of a potential
+            // partition might.
+            TerminationRule::QuorumSkeen
+                if 2 * site.view.iter().filter(|&&up| up).count() <= self.sites.len() =>
+            {
+                Decision::Blocked
             }
-            Decision::Blocked => {
-                let term_sites = self.protocol.n_participants();
-                let (site, mut io) = self.site_io(ix);
-                io.emit(ix, || EventKind::Blocked { backup: ix as u32 });
-                site.mode = Mode::Blocked;
-                for j in peers_in(&site.view, term_sites, ix) {
-                    io.send(ix, j, Wire::TermBlocked { backup: ix });
-                }
-                self.answer_pending_queries(ix);
+            TerminationRule::Skeen | TerminationRule::QuorumSkeen => {
+                self.decisions().decide(my_class)
             }
+            TerminationRule::Cooperative => match self.decisions().decide(my_class) {
+                Decision::Blocked => self.decisions().decide_cooperative(acked.chain([my_class])),
+                base => base,
+            },
+        });
+        if decision == Decision::Blocked {
+            let term_sites = self.protocol.n_participants();
+            let (site, mut io) = self.site_io(ix);
+            io.emit(ix, || EventKind::Blocked { backup: ix as u32 });
+            site.mode = Mode::Blocked;
+            for j in peers_in(&site.view, term_sites, ix) {
+                io.send(ix, j, Wire::TermBlocked { backup: ix });
+            }
+            self.answer_pending_queries(ix);
+        } else {
+            self.decide(ix, decision == Decision::Commit);
         }
+    }
+
+    /// The backup at `ix` decides: its outcome, then every operational
+    /// peer's.
+    fn decide(&mut self, ix: usize, commit: bool) {
+        self.finish(ix, commit);
+        self.broadcast_decision(ix, commit);
     }
 
     fn broadcast_decision(&mut self, ix: usize, commit: bool) {

@@ -1,4 +1,7 @@
-//! Normal operation: the commit protocol itself.
+//! The commit protocol itself: normal operation, each site firing its
+//! automaton's enabled transitions under the vote plan (the paper's FSA
+//! model of a commit protocol). [`Io`] is what every handler of the run
+//! sends, logs and traces through.
 //!
 //! ## Execution discipline
 //!

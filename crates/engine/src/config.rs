@@ -83,7 +83,7 @@ pub enum TerminationRule {
 /// sampled uniformly from `jitter` (inclusive). A spec whose worst-case
 /// heartbeat latency fits inside the timeout ([`DetectorSpec::is_accurate`])
 /// can never falsely suspect, and the engine then degenerates — by
-/// construction — to the legacy perfect-detection path, byte for byte.
+/// construction — to the perfect detector's notice path, byte for byte.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DetectorSpec {
     /// Silence timeout: suspect a peer after this long without evidence

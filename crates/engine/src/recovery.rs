@@ -1,4 +1,7 @@
-//! The recovery protocol.
+//! The recovery protocol (paper §"The processing of a single
+//! transaction"): a crash loses a site's volatile state; on restart the
+//! site resumes from its durable log, aborts if it failed before its vote,
+//! and otherwise asks the other sites.
 //!
 //! ## Execution discipline
 //!

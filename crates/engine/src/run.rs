@@ -1,6 +1,12 @@
 //! The discrete-event run loop: executes one distributed transaction under
 //! a protocol, a vote plan, and a crash schedule, with the paper's
 //! termination and recovery protocols.
+//!
+//! The engine follows the paper's seams. This module holds the runner, its
+//! set-up and fork, the event loop with its dispatch, and the report; the
+//! handlers live in `commit.rs` (normal operation), `termination.rs` (the
+//! termination protocol) and `recovery.rs` (crash, restart and the
+//! recovery protocol).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -85,14 +91,14 @@ pub struct Runner<'a> {
     pub(crate) timers: BinaryHeap<Reverse<(Time, Timer)>>,
     /// Pending `OnTransition` crash points, per site.
     pub(crate) transition_crashes: Vec<Option<(u32, TransitionProgress, Option<Time>)>>,
-    /// Recovery times for timed crashes, per site.
+    /// Current simulation time.
     pub(crate) now: Time,
     pub(crate) events: usize,
     truncated: bool,
     /// Timeout-based failure detection, replacing the network's perfect
     /// detector when the config carries an *inaccurate* [`DetectorSpec`]
-    /// (accurate specs degenerate to the legacy path by construction —
-    /// that equivalence is tested). With a detector, crashes, recoveries
+    /// (accurate specs degenerate to the perfect detector by construction
+    /// — that equivalence is tested). With a detector, crashes, recoveries
     /// and partitions are learned by suspicion timers, never by notice.
     ///
     /// [`DetectorSpec`]: crate::config::DetectorSpec
@@ -106,7 +112,7 @@ pub struct Runner<'a> {
     /// When `config.record_trace`, a [`LinesSink`] attached to the tracer
     /// that re-renders the human-readable trace lines for
     /// [`RunReport::trace`] in their historical format.
-    legacy: Option<SharedSink<LinesSink>>,
+    lines: Option<SharedSink<LinesSink>>,
 }
 
 impl Clone for Runner<'_> {
@@ -125,7 +131,7 @@ impl Clone for Runner<'_> {
             detector: self.detector.clone(),
             elections: self.elections,
             tracer: self.tracer.clone(),
-            legacy: self.legacy.clone(),
+            lines: self.lines.clone(),
         }
     }
 
@@ -151,7 +157,7 @@ impl Clone for Runner<'_> {
             detector,
             elections,
             tracer,
-            legacy,
+            lines,
         } = self;
         *protocol = source.protocol;
         *analysis = source.analysis;
@@ -169,7 +175,7 @@ impl Clone for Runner<'_> {
         detector.clone_from(&source.detector);
         *elections = source.elections;
         tracer.clone_from(&source.tracer);
-        legacy.clone_from(&source.legacy);
+        lines.clone_from(&source.lines);
     }
 }
 
@@ -189,9 +195,10 @@ impl<'a> Runner<'a> {
     }
 
     /// As [`Runner::new`], emitting every protocol action through `tracer`
-    /// as typed [`Event`]s (state transitions, votes, message traffic, WAL
-    /// activity, elections, decisions, crashes). The tracer is also handed
-    /// to the network, which reports partition drops through it.
+    /// as typed [`Event`](nbc_obs::Event)s (state transitions, votes,
+    /// message traffic, WAL activity, elections, decisions, crashes). The
+    /// tracer is also handed to the network, which reports partition drops
+    /// through it.
     pub fn with_tracer(
         protocol: &'a Protocol,
         analysis: impl Into<AnalysisSource<'a>>,
@@ -211,7 +218,7 @@ impl<'a> Runner<'a> {
             events: 0,
             truncated: false,
             tracer,
-            legacy: None,
+            lines: None,
             detector: None,
             elections: 0,
         };
@@ -243,7 +250,7 @@ impl<'a> Runner<'a> {
         let config = Arc::clone(&self.config);
         let n = protocol.n_sites();
         assert_eq!(config.votes.len(), n, "one vote per site required");
-        self.legacy = config.record_trace.then(|| {
+        self.lines = config.record_trace.then(|| {
             let sink = SharedSink::new(LinesSink::default());
             self.tracer.attach(sink.clone());
             sink
@@ -284,8 +291,8 @@ impl<'a> Runner<'a> {
         self.elections = 0;
         // An accurate detector (heartbeats always beat the timeout) can
         // never falsely suspect; it is behaviorally the perfect detector,
-        // so use the legacy notice path verbatim — the equivalence the
-        // property tests pin down byte for byte.
+        // so the run takes the perfect detector's notices verbatim. The
+        // detector tests pin this filter byte for byte.
         self.detector = config.detector.filter(|d| !d.is_accurate()).map(|d| {
             let jitter = if d.jitter.0 == d.jitter.1 {
                 LatencyModel::constant(d.jitter.0)
@@ -538,7 +545,7 @@ impl<'a> Runner<'a> {
             };
             outcomes.push(o);
         }
-        let trace = self.legacy.as_ref().map(|l| l.with(|s| s.lines.clone())).unwrap_or_default();
+        let trace = self.lines.as_ref().map(|l| l.with(|s| s.lines.clone())).unwrap_or_default();
         let mut report = RunReport::assemble_with_trace(
             outcomes,
             self.net.stats().sent(),

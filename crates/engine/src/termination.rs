@@ -1,4 +1,7 @@
-//! The termination protocol (paper §"Termination Protocols").
+//! The termination protocol (paper §"Termination Protocols"): what the
+//! operational sites do once a failure is reported or suspected — elect a
+//! backup coordinator, align every site to its state, decide by the
+//! backup's class and broadcast the decision.
 //!
 //! ## Execution discipline
 //!

@@ -59,6 +59,10 @@ fn outcome(
     (report.to_json(), report.trace.clone(), runner.digest())
 }
 
+/// Pins `Runner`'s filter that drops an accurate spec: with it, both
+/// runs take the perfect detector's notice path; without it, the
+/// accurate spec would run suspicion timers, whose notices arrive at
+/// other times, and the bytes would differ.
 #[test]
 fn accurate_detector_is_the_perfect_detector_byte_for_byte() {
     let mut protocols: Vec<Protocol> = catalog(3);
@@ -68,11 +72,11 @@ fn accurate_detector_is_the_perfect_detector_byte_for_byte() {
         for cfg in scenarios(protocol.n_sites()) {
             let mut with_detector = cfg.clone();
             with_detector.detector = Some(accurate());
-            let legacy = outcome(protocol, &analysis, cfg);
+            let perfect = outcome(protocol, &analysis, cfg);
             let timed = outcome(protocol, &analysis, with_detector);
-            assert_eq!(legacy.0, timed.0, "{}: report JSON diverged", protocol.name);
-            assert_eq!(legacy.1, timed.1, "{}: trace diverged", protocol.name);
-            assert_eq!(legacy.2, timed.2, "{}: state digest diverged", protocol.name);
+            assert_eq!(perfect.0, timed.0, "{}: report JSON diverged", protocol.name);
+            assert_eq!(perfect.1, timed.1, "{}: trace diverged", protocol.name);
+            assert_eq!(perfect.2, timed.2, "{}: state digest diverged", protocol.name);
         }
     }
 }
@@ -80,7 +84,7 @@ fn accurate_detector_is_the_perfect_detector_byte_for_byte() {
 #[test]
 fn accuracy_boundary_is_the_jitter_ceiling() {
     // timeout == worst-case heartbeat latency: accurate, so filtered to
-    // the legacy path; one unit below: live, and allowed to diverge.
+    // the perfect detector; one unit below: live, and allowed to diverge.
     let at = DetectorSpec { timeout: JITTER.1, jitter: JITTER, seed: 0 };
     let below = DetectorSpec { timeout: JITTER.1 - 1, jitter: JITTER, seed: 0 };
     assert!(at.is_accurate());

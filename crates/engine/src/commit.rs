@@ -1,7 +1,6 @@
-//! The commit protocol itself: normal operation, each site firing its
-//! automaton's enabled transitions under the vote plan (the paper's FSA
-//! model of a commit protocol). [`Io`] is what every handler of the run
-//! sends, logs and traces through.
+//! The commit protocol: each site fires its automaton's enabled transitions
+//! under the vote plan. [`Io`] is what every handler sends, logs and traces
+//! through.
 //!
 //! ## Execution discipline
 //!
@@ -168,8 +167,7 @@ impl Runner<'_> {
     }
 
     /// Reach a final outcome at `ix` (via the protocol or a decision), then
-    /// answer the recovering sites waiting on it — which reads their modes,
-    /// so this stays a runner method.
+    /// answer the recovering sites waiting on it, which reads their modes.
     pub(crate) fn finish(&mut self, ix: usize, commit: bool) {
         let (site, io) = self.site_io(ix);
         io.finish(site, commit);

@@ -1,7 +1,6 @@
-//! The recovery protocol (paper §"The processing of a single
-//! transaction"): a crash loses a site's volatile state; on restart the
-//! site resumes from its durable log, aborts if it failed before its vote,
-//! and otherwise asks the other sites.
+//! The recovery protocol (paper §"The processing of a single transaction"):
+//! a restarted site resumes from its durable log, aborts if it failed
+//! before its vote, and otherwise asks the other sites.
 //!
 //! ## Execution discipline
 //!
@@ -106,6 +105,16 @@ impl Runner<'_> {
         let mut io = self.io();
         for j in (0..n).filter(|&j| j != ix) {
             io.send(ix, j, Wire::WhatHappened);
+        }
+    }
+
+    /// `observer` learns that `recovered` is up again; a blocked or
+    /// recovering site asks it what happened.
+    pub(crate) fn on_recovery_notice(&mut self, observer: usize, recovered: usize) {
+        let (site, mut io) = self.site_io(observer);
+        site.recovered_peers.insert(recovered);
+        if matches!(site.mode, Mode::Blocked | Mode::Recovering) {
+            io.send(observer, recovered, Wire::WhatHappened);
         }
     }
 

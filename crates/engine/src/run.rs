@@ -1,12 +1,8 @@
 //! The discrete-event run loop: executes one distributed transaction under
 //! a protocol, a vote plan, and a crash schedule, with the paper's
 //! termination and recovery protocols.
-//!
-//! The engine follows the paper's seams. This module holds the runner, its
-//! set-up and fork, the event loop with its dispatch, and the report; the
-//! handlers live in `commit.rs` (normal operation), `termination.rs` (the
-//! termination protocol) and `recovery.rs` (crash, restart and the
-//! recovery protocol).
+//! Its handlers follow the paper's seams: `commit.rs` (normal operation),
+//! `termination.rs` and `recovery.rs`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -424,13 +420,11 @@ impl<'a> Runner<'a> {
         true
     }
 
-    /// Cut the network into `groups` (`groups[i]` is site `i`'s group) at
-    /// the current instant, or heal it with `None`: the one partition
-    /// path of timers and injected faults alike. In-flight messages across
-    /// the cut are lost. The perfect detector tells each side the other
-    /// failed; an imperfect one is told the cut instead, so each observer
-    /// suspects it at its own timeout, and a heal re-arms the heartbeats
-    /// of the pairs it reconnects.
+    /// Cut the network into `groups` (`groups[i]` is site `i`'s group), or
+    /// heal it with `None`: the one partition path. The perfect detector
+    /// tells each side the other failed; an imperfect one learns the cut,
+    /// suspects across it at each observer's timeout, and re-arms the
+    /// heartbeats a heal reconnects.
     pub(crate) fn set_partition(&mut self, groups: Option<Vec<usize>>) {
         if let Some(d) = self.detector.as_mut() {
             d.set_groups(self.now, groups.clone());
@@ -475,17 +469,14 @@ impl<'a> Runner<'a> {
                 self.on_failure_notice(observer, crashed);
             }
             NetEvent::RecoveryNotice { observer, recovered } => {
-                let (site, mut io) = self.site_io(observer);
-                io.emit(observer, || EventKind::RecoveryNotice { recovered: recovered as u32 });
-                site.recovered_peers.insert(recovered);
-                // Blocked and recovering sites probe recovered peers.
-                if matches!(site.mode, Mode::Blocked | Mode::Recovering) {
-                    io.send(observer, recovered, Wire::WhatHappened);
-                }
+                self.io()
+                    .emit(observer, || EventKind::RecoveryNotice { recovered: recovered as u32 });
+                self.on_recovery_notice(observer, recovered);
             }
         }
     }
 
+    /// Hand `msg` to the handler of its protocol; `dst` is up.
     fn deliver(&mut self, src: usize, dst: usize, msg: Wire) {
         match msg {
             Wire::Proto(kind) => {
@@ -502,21 +493,8 @@ impl<'a> Runner<'a> {
                     self.on_align_ack(dst, src, reported_class);
                 }
             }
-            Wire::TermDecision { commit, .. } => {
-                if self.sites[dst].outcome.is_none() && self.sites[dst].mode != Mode::Down {
-                    self.finish(dst, commit);
-                }
-            }
-            Wire::TermBlocked { backup } => {
-                if matches!(self.sites[dst].mode, Mode::Terminating { .. })
-                    && self.sites[dst].elected_backup() == backup
-                {
-                    self.sites[dst].mode = Mode::Blocked;
-                    // A blocked site will not decide on its own: give any
-                    // waiting recoverers a settled answer.
-                    self.answer_pending_queries(dst);
-                }
-            }
+            Wire::TermDecision { commit, .. } => self.on_term_decision(dst, commit),
+            Wire::TermBlocked { backup } => self.on_term_blocked(dst, backup),
             Wire::WhatHappened => self.on_what_happened(dst, src),
             Wire::OutcomeIs { outcome, class, settled } => {
                 self.on_outcome_is(dst, src, outcome, class, settled)

@@ -426,11 +426,6 @@ impl SiteRt {
         self.visited[s.index()] = true;
     }
 
-    /// The site id as a core [`SiteId`].
-    pub fn core_id(&self) -> SiteId {
-        SiteId(self.id as u32)
-    }
-
     /// True if the site is up (any mode but `Down`).
     pub fn is_up(&self) -> bool {
         self.mode != Mode::Down

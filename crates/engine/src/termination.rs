@@ -1,7 +1,6 @@
-//! The termination protocol (paper §"Termination Protocols"): what the
-//! operational sites do once a failure is reported or suspected — elect a
-//! backup coordinator, align every site to its state, decide by the
-//! backup's class and broadcast the decision.
+//! The termination protocol (paper §"Termination Protocols"): once a failure
+//! is reported or suspected, elect a backup, align the operational sites to
+//! its state, decide by its class and broadcast the decision.
 //!
 //! ## Execution discipline
 //!
@@ -19,7 +18,7 @@
 //!   stay consistent because alignment is durable and the decision is a
 //!   function of the aligned class.
 
-use nbc_core::{Decision, StateClass};
+use nbc_core::{Decision, SiteId, StateClass};
 use nbc_obs::EventKind;
 use nbc_storage::LogRecord;
 
@@ -279,7 +278,7 @@ impl<'a> Runner<'a> {
             // deliberately unsafe for blocking protocols.
             TerminationRule::NaiveCs => final_decision(self.fsa(ix).state(site.state).class)
                 .unwrap_or_else(|| {
-                    if self.analysis().cs_has_commit(site.core_id(), site.state) {
+                    if self.analysis().cs_has_commit(SiteId(ix as u32), site.state) {
                         Decision::Commit
                     } else {
                         Decision::Abort
@@ -313,6 +312,25 @@ impl<'a> Runner<'a> {
             self.answer_pending_queries(ix);
         } else {
             self.decide(ix, decision == Decision::Commit);
+        }
+    }
+
+    /// A backup's decision reaches `ix`, which adopts it unless decided.
+    pub(crate) fn on_term_decision(&mut self, ix: usize, commit: bool) {
+        if self.sites[ix].outcome.is_none() {
+            self.finish(ix, commit);
+        }
+    }
+
+    /// The backup `backup` blocked; so does `ix` if it terminates under it.
+    pub(crate) fn on_term_blocked(&mut self, ix: usize, backup: usize) {
+        if matches!(self.sites[ix].mode, Mode::Terminating { .. })
+            && self.sites[ix].elected_backup() == backup
+        {
+            self.sites[ix].mode = Mode::Blocked;
+            // A blocked site will not decide on its own: give any waiting
+            // recoverers a settled answer.
+            self.answer_pending_queries(ix);
         }
     }
 

@@ -87,8 +87,8 @@
 //!   stored set as it was, since they were applied with less depth than
 //!   the entry claims.
 //! * **Stats.** `actions` counts a state's *enabled* actions at its deepest
-//!   expansion, slept or not: a function of the state, equal to the
-//!   unreduced walk's count.
+//!   expansion, slept or left out of a persistent set or not: a function
+//!   of the state.
 //!
 //! Why no state is lost: a delivery t sleeps at s only because a frame on
 //! the path to s applied t in an earlier branch, and every step from that
@@ -97,16 +97,67 @@
 //! branch by the same steps, with the same remaining depth, since every
 //! delivery costs one. The stored set keeps this true across revisits: an
 //! entry never claims a delivery applied that no expansion at its depth
-//! applied. So sleep sets prune transitions, never states: the walk reaches
-//! exactly the unreduced walk's states, which the `*_unreduced` tests
-//! check against a test-only walk with every sleep set empty, on the
-//! catalog, every pinned budget row and Paxos Commit.
+//! applied. So sleep sets prune transitions, never states: outside the
+//! delivery-only region (below) the walk reaches exactly the unreduced
+//! walk's states.
 //!
 //! The stored set is a `Sleep` mask over the state's own pending
 //! channels in canonical order. Every slept delivery is pending at its
 //! state, so 32 bits name the sleepers of any state with at most 32
 //! channels in flight, for any number of sites; a delivery past the last
 //! bit is applied, never slept. An entry stays 16 bytes, its hot slot 32.
+//!
+//! ## Persistent sets in the delivery-only region
+//!
+//! Most of the state space comes after the last fault: at states with no
+//! fault, recovery, drop or suspicion budget left and no standing
+//! suspicion, only deliveries are enabled, and the sleep sets still visit
+//! every interleaving of them. That is the **delivery-only region**.
+//! Budgets only fall and only an `Unsuspect` clears a suspicion, so the
+//! region is absorbing, and a walk enters it only by a budget-spending or
+//! unsuspect branch, which sleeps on nothing. Outside it a persistent set
+//! could not help: a crash depends on every delivery into or from its
+//! site and schedules a notice into every site, so a persistent set that
+//! holds one closes over every delivery.
+//!
+//! In the region the walk expands a persistent set (Godefroid, LNCS 1032,
+//! ch. 4): the deliveries T_y into one site y, when no other site can,
+//! while y takes no step, put a message on a channel into y that is empty
+//! now. Deliveries into other sites commute with T_y, and a tail append
+//! does not change a head, so every delivery outside T_y is independent of
+//! T_y in every state reachable without it. The engine's
+//! [`SendBound`] bounds where each site may still send (one row per send
+//! site, `nbc_engine::explore`'s module docs); y is the qualifying site
+//! with the fewest enabled channels, the lowest id on a tie. The choice is
+//! made only where two or more sites have a delivery enabled, since
+//! otherwise the set is everything.
+//!
+//! * **No sleep sets.** Every T_y delivers into one site, so a sleep set
+//!   has nothing to prune there. A region state takes and stores an empty
+//!   one, so the states the walk visits are a function of each state's
+//!   own choice, and reports stay byte-identical at any thread count and
+//!   seed.
+//! * **No proviso.** The region has no cycle (`the_region_is_acyclic`):
+//!   every execution in it ends quiescent, so no enabled delivery can be
+//!   ignored forever.
+//! * **What the oracles keep.** A persistent-set search of an acyclic
+//!   graph reaches every terminal state, and for every execution an
+//!   equivalent one. Here the terminal states are the quiescent ones, so
+//!   the blocking oracle sees every quiescent state it saw before;
+//!   outcomes are durable (no site crashes in the region), so a mixed
+//!   outcome reaches a terminal state and the consistency oracle sees it;
+//!   and equivalent executions deliver into each site in the same order,
+//!   so each site visits the same local states and the prediction oracle
+//!   and the witnessed bitmaps see the same slots.
+//! * **Depth.** A walk abandoned at a depth cut runs again exact without
+//!   persistent sets: the walk every cut row was counted with.
+//!
+//! `persistent_sets_are_persistent` checks every choice the walk makes on
+//! the explicit unreduced graph of the `heads_to_distinct_sites_commute`
+//! walks, central 3PC at n=4 and Paxos Commit; the `*_unreduced` tests
+//! hold the walk to a test-only walk with neither sleep nor persistent
+//! sets on the catalog, every pinned budget row and Paxos Commit: equal
+//! verdicts, flags, witnessed bitmaps and quiescent and blocked state sets.
 //!
 //! ## Parallel exploration and determinism
 //!
@@ -221,7 +272,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
 use nbc_core::{Analysis, Fp128, FpBuildHasher, Protocol, RunSet, SpillStats};
-use nbc_engine::{channel_of, Channel, RunConfig, Runner, TerminationRule};
+use nbc_engine::{channel_of, Channel, MaySend, RunConfig, Runner, SendBound, TerminationRule};
 use nbc_simnet::NetEvent;
 
 use crate::oracle::{Oracles, Witnessed};
@@ -332,6 +383,23 @@ impl Budgets {
             suspicions: opts.suspicions,
         }
     }
+
+    fn spent(&self) -> bool {
+        *self == Self { faults: 0, recoveries: 0, drops: 0, suspicions: 0 }
+    }
+}
+
+/// Is the state in the *delivery-only region*: no fault, recovery, drop or
+/// suspicion budget left and no standing suspicion to clear, so every
+/// enabled action is a delivery? Budgets only fall and only an `Unsuspect`
+/// clears a suspicion, so no action leads out of the region.
+/// A walk with no suspicion budget never has a suspicion to clear, and
+/// `suspicious` false spares the look.
+fn delivery_only(runner: &Runner<'_>, b: Budgets, suspicious: bool) -> bool {
+    let sites = runner.sites();
+    let standing =
+        || sites.iter().any(|s| s.is_up() && s.suspects.iter().any(|&p| sites[p].is_up()));
+    b.spent() && !(suspicious && standing())
 }
 
 /// The dedup key of one explored state: the engine's behavioral digest
@@ -390,8 +458,9 @@ pub struct ExploreStats {
     pub distinct_states: usize,
     /// Edges of the exploration graph: the scheduler actions enabled at
     /// each distinct state at its deepest expansion, whether the walk
-    /// applied them or slept through them (see the module docs) — a
-    /// function of the state, so the unreduced walk counts the same.
+    /// applied them, slept through them or left them out of a persistent
+    /// set (see the module docs) — a function of the state. The unreduced
+    /// walk visits more states and counts more.
     pub actions: u64,
     /// Always 0: distinct states whose commuting macro-step was taken, when
     /// the walk had one. Sleep sets replaced it; the field stays for the
@@ -738,6 +807,9 @@ struct Task<'a> {
 struct Shared<'a> {
     protocol: &'a Protocol,
     analysis: &'a Analysis,
+    /// Where each site may still send in the delivery-only region: what
+    /// the persistent sets rest on.
+    bound: SendBound,
     opts: CheckOptions,
     /// What a walk run alone stops at; the sweep and the redo have none.
     stop: Option<Target>,
@@ -772,7 +844,8 @@ struct Shared<'a> {
     #[cfg(test)]
     applied: AtomicU64,
     /// The unreduced walk the tests hold the reduction against: every
-    /// sleep set empty, so every enabled action of every state is applied.
+    /// sleep set empty and no persistent set, so every enabled action of
+    /// every state is applied.
     #[cfg(test)]
     unreduced: bool,
 }
@@ -790,6 +863,7 @@ impl<'a> Shared<'a> {
         Self {
             protocol,
             analysis,
+            bound: SendBound::new(protocol),
             opts,
             stop,
             exact,
@@ -811,6 +885,17 @@ impl<'a> Shared<'a> {
             #[cfg(test)]
             unreduced: tests::UNREDUCED.get(),
         }
+    }
+
+    /// Does this walk expand persistent sets in the delivery-only region?
+    /// The exact re-run after a depth cut does not: it is the walk every
+    /// cut row was counted with.
+    fn persistent_sets(&self) -> bool {
+        #[cfg(test)]
+        if self.unreduced {
+            return false;
+        }
+        !self.exact
     }
 
     /// Mark one task of `plan` finished; fold the plan when it was the
@@ -867,6 +952,10 @@ struct Stepper<'a> {
     /// Scratch, empty between calls and kept for its allocation: the sends
     /// a crash may lose, snapshotted before the crash.
     sends: Vec<(u64, usize)>,
+    /// Scratch for [`Stepper::persistent_site`]: `(enabled channels, site)` per
+    /// site with a delivery enabled, and the state's half of the send bound.
+    targets: Vec<(usize, usize)>,
+    may_send: MaySend,
 }
 
 impl<'a> Stepper<'a> {
@@ -877,6 +966,8 @@ impl<'a> Stepper<'a> {
             path: Vec::new(),
             channels: Vec::new(),
             sends: Vec::new(),
+            targets: Vec::new(),
+            may_send: MaySend::default(),
         }
     }
 
@@ -921,6 +1012,34 @@ impl<'a> Stepper<'a> {
             }
         }
         slept
+    }
+
+    /// The site whose deliveries form a delivery-only state's persistent
+    /// set: a site y for which `bound` proves that no other site can, while
+    /// y takes no step, put a message on a link into y that is empty now.
+    /// Every other delivery then commutes with those into y and none
+    /// enables a new one into y. Of the sites that qualify, y has the
+    /// fewest enabled channels, the lowest id on a tie. `None` when none
+    /// qualifies, or when fewer than two sites have a delivery enabled and
+    /// there is nothing to cut. Reads the channels [`Stepper::collect`]
+    /// took from the same runner.
+    fn persistent_site(&mut self, runner: &Runner<'a>, bound: &SendBound) -> Option<usize> {
+        let targets = &mut self.targets;
+        targets.clear();
+        for &ch in &self.channels {
+            let y = into_site(ch);
+            match targets.iter_mut().find(|(_, site)| *site == y) {
+                Some((count, _)) => *count += 1,
+                None => targets.push((1, y)),
+            }
+        }
+        if targets.len() < 2 {
+            return None;
+        }
+        targets.sort_unstable();
+        bound.read(runner, &mut self.may_send);
+        let may_send = &self.may_send;
+        targets.iter().map(|&(_, y)| y).find(|&y| may_send.closed_to(bound, y))
     }
 
     /// Fill `actions` with all branchable actions in `runner` under
@@ -1455,6 +1574,13 @@ impl<'w, 'a> Worker<'w, 'a> {
         let shard = &ps.shards[(fp as usize) & shared.shard_mask];
         #[cfg(test)]
         let sleep = if shared.unreduced { &[][..] } else { sleep };
+        // A delivery-only state takes and stores no sleep set: each of its
+        // persistent sets delivers into one site, which leaves a sleep set
+        // nothing to prune, and a state expanded under none is expanded
+        // the same whichever path reached it first.
+        let persistent =
+            shared.persistent_sets() && delivery_only(&runner, b, shared.opts.suspicions > 0);
+        let sleep = if persistent { &[][..] } else { sleep };
         // The channels name the sleep set; a state reached with none is
         // spared collecting them unless it is expanded.
         let z = if sleep.is_empty() {
@@ -1568,6 +1694,11 @@ impl<'w, 'a> Worker<'w, 'a> {
                 }
                 drop(map);
                 self.progress_tick();
+                if persistent {
+                    if let Some(y) = self.stepper.persistent_site(&runner, &shared.bound) {
+                        actions.retain(|a| matches!(*a, Action::Fire(ch) if into_site(ch) == y));
+                    }
+                }
                 self.stepper.sleep_first(&mut actions, z)
             }
             Claim::Wake { woken, asleep } => {
@@ -2005,18 +2136,7 @@ mod tests {
     /// state and the same budgets.
     #[test]
     fn heads_to_distinct_sites_commute() {
-        let cases = [
-            (central_2pc(3), CheckOptions::default()),
-            (central_3pc(3), CheckOptions::default()),
-            (paxos_commit(2, 1), with(|o| o.vote_plan = Some(vec![true; 5]))),
-            (paxos_commit(2, 1), CheckOptions::default()),
-            (central_3pc(3), with(|o| o.faults = 2)),
-            (central_3pc(3), with(|o| o.rule = TerminationRule::QuorumSkeen)),
-            (central_3pc(3), with(|o| o.drops = 1)),
-            (central_3pc(3), with(|o| o.recoveries = 1)),
-            (central_3pc(3), with(|o| o.suspicions = 1)),
-        ];
-        for (protocol, opts) in &cases {
+        for (protocol, opts) in &commuting_cases() {
             let mut pairs = 0usize;
             let analysis = analyse(protocol);
             for votes in vote_plans(protocol, opts) {
@@ -2047,6 +2167,252 @@ mod tests {
             }
             // Not vacuous.
             assert!(pairs > 0, "{}: no pair to commute", protocol.name);
+        }
+    }
+
+    /// The configurations of `heads_to_distinct_sites_commute`.
+    fn commuting_cases() -> Vec<(Protocol, CheckOptions)> {
+        vec![
+            (central_2pc(3), CheckOptions::default()),
+            (central_3pc(3), CheckOptions::default()),
+            (paxos_commit(2, 1), with(|o| o.vote_plan = Some(vec![true; 5]))),
+            (paxos_commit(2, 1), CheckOptions::default()),
+            (central_3pc(3), with(|o| o.faults = 2)),
+            (central_3pc(3), with(|o| o.rule = TerminationRule::QuorumSkeen)),
+            (central_3pc(3), with(|o| o.drops = 1)),
+            (central_3pc(3), with(|o| o.recoveries = 1)),
+            (central_3pc(3), with(|o| o.suspicions = 1)),
+        ]
+    }
+
+    /// One state of an explicit unreduced graph.
+    struct Node {
+        /// In the delivery-only region.
+        region: bool,
+        /// No action is enabled.
+        terminal: bool,
+        quiescent: bool,
+        /// `chans[y]`: the channels into `y` with a delivery enabled, bit
+        /// `b` for `Link(b, y)` and bit `n` for `Detector(y)`.
+        chans: Vec<u64>,
+        /// Every action's successor that violates no oracle, with the site
+        /// a delivery delivers into (`None` for any other action).
+        succs: Vec<(Option<usize>, usize)>,
+        /// The site whose deliveries the walk's persistent set keeps.
+        chosen: Option<usize>,
+    }
+
+    /// The explicit unreduced graph of one plan, root first: every state
+    /// the unreduced walk reaches and does not find violating, with every
+    /// action's successor.
+    fn graph(
+        protocol: &Protocol,
+        analysis: &Analysis,
+        opts: &CheckOptions,
+        votes: &[bool],
+    ) -> Vec<Node> {
+        let n = protocol.n_sites();
+        let bound = SendBound::new(protocol);
+        let mut stepper = Stepper::new(protocol, analysis);
+        let mut wit = Witnessed::for_protocol(protocol);
+        let mut index: HashMap<u128, usize> = HashMap::new();
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut edges: Vec<Vec<(Option<usize>, u128)>> = Vec::new();
+        let config = plan_config(n, votes, opts.rule);
+        let root = Runner::new(protocol, analysis, config);
+        let mut todo = vec![(root, opts.depth, Budgets::of(opts))];
+        while let Some((runner, depth_left, b)) = todo.pop() {
+            let key = state_key(runner.digest(), b);
+            if index.contains_key(&key) || stepper.oracles.observe_state(&mut wit, &runner).is_err()
+            {
+                continue;
+            }
+            index.insert(key, nodes.len());
+            stepper.collect(&runner);
+            let mut chans = vec![0u64; n];
+            for &ch in &stepper.channels {
+                match ch {
+                    Channel::Link(src, dst) => chans[dst] |= 1 << src,
+                    Channel::Detector(observer) => chans[observer] |= 1 << n,
+                }
+            }
+            let region = delivery_only(&runner, b, true);
+            let chosen = if region { stepper.persistent_site(&runner, &bound) } else { None };
+            let mut actions = Vec::new();
+            stepper.enumerate(&runner, b, &mut actions);
+            assert!(actions.iter().all(|a| a.cost() <= depth_left), "the depth bound cuts");
+            let mut out = Vec::new();
+            for action in actions.iter().copied() {
+                let mut next = runner.clone();
+                stepper.path.clear();
+                if let Ok(b2) = stepper.apply(&mut next, action, b) {
+                    let into = match action {
+                        Action::Fire(ch) => Some(into_site(ch)),
+                        _ => None,
+                    };
+                    out.push((into, state_key(next.digest(), b2)));
+                    todo.push((next, depth_left - action.cost(), b2));
+                }
+            }
+            let (terminal, quiescent) = (actions.is_empty(), runner.net_quiescent());
+            nodes.push(Node { region, terminal, quiescent, chans, succs: Vec::new(), chosen });
+            edges.push(out);
+        }
+        for (node, out) in nodes.iter_mut().zip(edges) {
+            node.succs =
+                out.into_iter().filter_map(|(into, k)| Some((into, *index.get(&k)?))).collect();
+        }
+        nodes
+    }
+
+    /// The region's states in an order where every successor comes before
+    /// its source, or `Err` with a state on a cycle.
+    fn region_order(nodes: &[Node]) -> Result<Vec<usize>, usize> {
+        // 0 unseen, 1 on the stack, 2 done.
+        let mut mark = vec![0u8; nodes.len()];
+        let mut order = Vec::new();
+        for start in (0..nodes.len()).filter(|&i| nodes[i].region) {
+            if mark[start] != 0 {
+                continue;
+            }
+            mark[start] = 1;
+            let mut stack = vec![(start, 0usize)];
+            while let Some(&mut (u, ref mut next)) = stack.last_mut() {
+                if let Some(&(_, v)) = nodes[u].succs.get(*next) {
+                    *next += 1;
+                    assert!(nodes[v].region, "a region state has a successor outside it");
+                    match mark[v] {
+                        0 => {
+                            mark[v] = 1;
+                            stack.push((v, 0));
+                        }
+                        1 => return Err(v),
+                        _ => {}
+                    }
+                } else {
+                    mark[u] = 2;
+                    order.push(u);
+                    stack.pop();
+                }
+            }
+        }
+        Ok(order)
+    }
+
+    /// How many states a walk reaches from the root that expands, at each
+    /// region state, only the deliveries into the site `choose` names.
+    fn reached(nodes: &[Node], choose: impl Fn(usize) -> Option<usize>) -> usize {
+        let mut seen = vec![false; nodes.len()];
+        seen[0] = true;
+        let mut todo = vec![0];
+        while let Some(u) = todo.pop() {
+            let y = choose(u);
+            for &(into, v) in &nodes[u].succs {
+                if (y.is_none() || into == y) && !std::mem::replace(&mut seen[v], true) {
+                    todo.push(v);
+                }
+            }
+        }
+        seen.iter().filter(|&&s| s).count()
+    }
+
+    /// Persistence checked on the explicit unreduced graph, at every region
+    /// state where the walk keeps the deliveries into one site y: no state
+    /// reachable by deliveries into other sites enables a delivery into y
+    /// on a channel that is empty at the state. The graph's count of the
+    /// walk's choices must be the walk's own count; an exact choice, the
+    /// y with the fewest channels among the sites that pass that test, is
+    /// printed beside it.
+    #[test]
+    fn persistent_sets_are_persistent() {
+        let mut cases = commuting_cases();
+        cases.push((central_3pc(4), CheckOptions::default()));
+        cases.push((paxos_commit(2, 1), CheckOptions::default()));
+        let mut checked = 0;
+        for (protocol, opts) in &cases {
+            let analysis = analyse(protocol);
+            let n = protocol.n_sites();
+            let (mut chosen, mut achieved, mut exact) = (0usize, 0usize, 0usize);
+            for votes in vote_plans(protocol, opts) {
+                let nodes = graph(protocol, &analysis, opts, &votes);
+                let order = region_order(&nodes).expect("the region is acyclic");
+                // `enabled[u][y]`: the channels into y a delivery into y
+                // finds enabled at a state reachable from u by deliveries
+                // into other sites, u included.
+                let mut enabled: Vec<Vec<u64>> = vec![Vec::new(); nodes.len()];
+                for &u in &order {
+                    let mut e = nodes[u].chans.clone();
+                    for &(into, v) in &nodes[u].succs {
+                        let into = into.expect("only deliveries in the region");
+                        for (y, mask) in e.iter_mut().enumerate().filter(|&(y, _)| y != into) {
+                            *mask |= enabled[v][y];
+                        }
+                    }
+                    enabled[u] = e;
+                }
+                let persistent = |u: usize, y: usize| enabled[u][y] & !nodes[u].chans[y] == 0;
+                for &u in &order {
+                    if let Some(y) = nodes[u].chosen {
+                        assert!(
+                            persistent(u, y),
+                            "{}: the deliveries into site{y} are not persistent",
+                            protocol.name
+                        );
+                        chosen += 1;
+                    }
+                }
+                let exact_choice = |u: usize| {
+                    let node = &nodes[u];
+                    let sites = (0..n).filter(|&y| node.chans[y] != 0);
+                    if !node.region || sites.clone().count() < 2 {
+                        return None;
+                    }
+                    sites.filter(|&y| persistent(u, y)).min_by_key(|&y| node.chans[y].count_ones())
+                };
+                achieved += reached(&nodes, |u| nodes[u].chosen);
+                exact += reached(&nodes, exact_choice);
+            }
+            let report =
+                crate::run_check(protocol, opts.clone()).expect("catalog protocols analyse");
+            assert_eq!(achieved, report.stats.distinct_states, "{}", protocol.name);
+            checked += chosen;
+            println!(
+                "{} (faults {} recoveries {} drops {} suspicions {} plans {}): {} persistent sets \
+                 checked; the walk reaches {} states, an exact choice {}",
+                protocol.name,
+                opts.faults,
+                opts.recoveries,
+                opts.drops,
+                opts.suspicions,
+                report.stats.plans,
+                chosen,
+                achieved,
+                exact
+            );
+        }
+        // Not vacuous (after two crashes of three sites there is no choice).
+        assert!(checked > 0, "no persistent set to check");
+    }
+
+    /// Persistent sets need no proviso against ignoring a delivery here:
+    /// the region has no cycle, so every execution in it is finite and
+    /// ends at a state with nothing enabled, which is quiescent.
+    #[test]
+    fn the_region_is_acyclic() {
+        for (protocol, opts) in &commuting_cases() {
+            let analysis = analyse(protocol);
+            let mut region = 0;
+            for votes in vote_plans(protocol, opts) {
+                let nodes = graph(protocol, &analysis, opts, &votes);
+                if let Err(u) = region_order(&nodes) {
+                    panic!("{}: region state {u} lies on a cycle", protocol.name);
+                }
+                for node in nodes.iter().filter(|node| node.region) {
+                    region += 1;
+                    assert!(!node.terminal || node.quiescent, "{}", protocol.name);
+                }
+            }
+            assert!(region > 0, "{}: no region state", protocol.name);
         }
     }
 

@@ -53,8 +53,8 @@ fn render_sans_seed(r: &CheckReport) -> String {
 
 #[test]
 fn tiny_mem_budget_is_byte_identical_to_unlimited() {
-    // central 2PC n=3 holds ~4k distinct states across its 8 plans
-    // (~33 KiB of hot entries per plan), so a 4 KiB budget forces many
+    // central 2PC n=3 holds ~3k distinct states across its 8 plans
+    // (~24 KiB of hot entries per plan), so a 2 KiB budget forces many
     // spill rounds and at least one compaction — while the unlimited
     // baseline never touches disk.
     let protocol = central_2pc(3);
@@ -64,7 +64,7 @@ fn tiny_mem_budget_is_byte_identical_to_unlimited() {
     for threads in [1, 2, 4] {
         let budgeted = run_check(
             &protocol,
-            CheckOptions { threads, mem_budget: 4096, ..CheckOptions::default() },
+            CheckOptions { threads, mem_budget: 2048, ..CheckOptions::default() },
         )
         .unwrap();
         assert!(
@@ -77,7 +77,7 @@ fn tiny_mem_budget_is_byte_identical_to_unlimited() {
             "threads={threads}: enough runs must accumulate to compact, got {:?}",
             budgeted.spill
         );
-        assert_identical(&base, &budgeted, &format!("4K budget at {threads} threads"));
+        assert_identical(&base, &budgeted, &format!("2K budget at {threads} threads"));
     }
 }
 

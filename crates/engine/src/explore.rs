@@ -21,22 +21,55 @@
 //!   dedup key for explored-state sets. The digest deliberately excludes
 //!   simulation time, event counts, and monitor-only data (the
 //!   visited-state bitmaps), so two interleavings that converge to the
-//!   same behavioral state merge.
+//!   same behavioral state merge;
+//! * [`SendBound`] — where each site may still send once only deliveries
+//!   remain, the bound a checker's persistent sets rest on (below).
 //!
 //! Exploration should run with zero latency and zero detection delay
 //! (e.g. [`RunConfig::lockstep`](crate::RunConfig::lockstep)): then every
 //! scheduled event sits at the same instant and *which one fires next* is
 //! pure scheduler choice — logical time disappears from the state, which
 //! is what makes the digest converge across interleavings.
+//!
+//! ## Who may still send where
+//!
+//! Once no crash, recovery, loss or suspicion can happen any more, every
+//! step is a delivery, and a delivery runs the handlers of the one site it
+//! delivers into. [`SendBound::read`] bounds where the handlers of a site
+//! z's future deliveries may send, while one chosen site stays silent,
+//! from z's mode, local state, inbox, pending queries, pending notices
+//! and the messages in flight to it. One row per `send` of `commit.rs`,
+//! `termination.rs` and `recovery.rs`:
+//!
+//! | z | sends | may send to |
+//! |---|---|---|
+//! | down | — | nobody |
+//! | recovering | `WhatHappened`, `OutcomeIs`, the total-failure `TermDecision` | every site |
+//! | backup of its own round | `AlignTo`, `TermDecision`, `TermBlocked` | every site |
+//! | holding a failure notice that may elect it backup | the same, or a decided backup's `TermDecision` | every site |
+//! | normal | `pump`'s protocol messages | the destinations of every FSA transition reachable from its local state whose trigger can be met without a new message from the silent site (one of its messages in z's inbox or in flight counts as met) |
+//! | any up | `OutcomeIs` to its pending queries, on deciding or blocking | the sites in `pending_queries` |
+//! | any up | `WhatHappened` on a recovery notice heard while blocked | the recovered site of each pending recovery notice |
+//! | any up | `AlignAck`, `OutcomeIs` answering a request | a site with an `AlignTo` or `WhatHappened` in flight to z |
+//!
+//! A request sent to z later comes from a site that may step, which is
+//! never the silent one, so its answer cannot reach the silent site. A
+//! notice may elect z when z's view, less the sites its pending notices
+//! name, keeps no lower-id site that an `AlignTo` could prune away: one
+//! from backup b removes every site below b, and only a backup sends one,
+//! so it is in flight already or comes from a site a notice may elect
+//! first. [`MaySend::closed_to`] closes the bound over the sites a
+//! delivery can wake and asks whether any of them may write to the silent
+//! site on a link that is empty now.
 
 use std::cmp::Reverse;
 
-use nbc_core::{Fp128, MultisetFp};
+use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, Protocol, SiteId, StateId};
 use nbc_simnet::{NetEvent, Time};
 
 use crate::config::RunConfig;
 use crate::run::{Runner, Timer};
-use crate::site::SiteCell;
+use crate::site::{quorum_candidates, Mode, SiteCell, CLIENT_SRC};
 use crate::wire::Wire;
 
 /// The FIFO channel an event belongs to. Protocol and control messages
@@ -60,6 +93,283 @@ pub fn channel_of(ev: &NetEvent<Wire>) -> Channel {
         NetEvent::FailureNotice { observer, .. } | NetEvent::RecoveryNotice { observer, .. } => {
             Channel::Detector(*observer)
         }
+    }
+}
+
+/// Where each site of a protocol may still send when only deliveries remain
+/// (see the module docs): the per-protocol half of the bound, built once.
+/// [`SendBound::read`] adds a state's half.
+#[derive(Debug, Clone)]
+pub struct SendBound {
+    n: usize,
+    /// `fsa[row[site] + state * (n + 1) + absent]`: the destinations, as a
+    /// site mask, of every FSA transition of `site` reachable from `state`
+    /// through triggers that can be met without a new message from site
+    /// `absent` (`absent == n`: every trigger can be met).
+    fsa: Vec<u64>,
+    row: Vec<usize>,
+    /// The sites whose failure, or whose view of one, a quorum absorbs
+    /// (`Runner::quorum_absorbs`): a quorum protocol's acceptors.
+    acceptors: u64,
+}
+
+/// A state's half of the bound, filled by [`SendBound::read`]. Site masks:
+/// bit `i` is site `i`.
+#[derive(Debug, Clone)]
+pub struct MaySend {
+    up: u64,
+    /// Sites with an event pending on a channel into them.
+    busy: u64,
+    /// Sites that may send to every site.
+    all: u64,
+    /// Sites in [`Mode::Normal`], whose protocol messages depend on who
+    /// stays silent.
+    normal: u64,
+    /// One row per site, the first `n` in use.
+    rows: [Row; 64],
+}
+
+/// What [`MaySend`] knows of one site z.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    /// The sites with a message in flight to z.
+    into: u64,
+    /// The sites with an `AlignTo` or a `WhatHappened` in flight to z,
+    /// which z answers.
+    asks: u64,
+    /// Where z may send whoever stays silent, the protocol messages of a
+    /// normal site aside.
+    base: u64,
+    /// The sites with a message in z's inbox or in flight to it; while
+    /// [`SendBound::read`] runs, the backups with an `AlignTo` in flight.
+    heard: u64,
+    /// The crashed sites of z's pending failure notices; then, for a site
+    /// a notice may elect, the lower-id sites of its view none removes.
+    noticed: u64,
+    /// Where z's local state starts in [`SendBound::fsa`].
+    fsa: usize,
+}
+
+impl Default for MaySend {
+    fn default() -> Self {
+        Self { up: 0, busy: 0, all: 0, normal: 0, rows: [Row::default(); 64] }
+    }
+}
+
+fn bit(site: usize) -> u64 {
+    1 << site
+}
+
+/// The sites below `site`.
+fn below(site: usize) -> u64 {
+    bit(site) - 1
+}
+
+/// The sites below the highest of `sites`.
+fn below_highest(sites: u64) -> u64 {
+    if sites == 0 {
+        0
+    } else {
+        below(63 - sites.leading_zeros() as usize)
+    }
+}
+
+/// Can `consume` be met without a new message from `absent`? Client
+/// stimuli are in the inbox from the start, and every other site may send.
+fn meetable(consume: &Consume, absent: Option<usize>) -> bool {
+    let present =
+        |&&(src, _): &&(SiteId, MsgKind)| src == SiteId::CLIENT || absent != Some(src.index());
+    match consume {
+        Consume::Spontaneous => true,
+        Consume::All(v) => v.iter().all(|m| present(&m)),
+        Consume::Any(v) => v.iter().any(|m| present(&m)),
+        Consume::Quorum { k, srcs } => {
+            quorum_candidates(srcs).filter(present).count() >= *k as usize
+        }
+    }
+}
+
+/// The destinations of every transition of `fsa` reachable from `from`
+/// through triggers that can be met without a new message from `absent`.
+fn reachable_dests(fsa: &Fsa, from: StateId, absent: Option<usize>, n: usize) -> u64 {
+    let mut seen = vec![false; fsa.state_count()];
+    seen[from.index()] = true;
+    let mut todo = vec![from];
+    let mut dests = 0;
+    while let Some(s) = todo.pop() {
+        for (_, t) in fsa.outgoing(s).filter(|(_, t)| meetable(&t.consume, absent)) {
+            let to = t.emit.iter().map(|e| e.dst.index()).filter(|&d| d < n);
+            dests |= to.fold(0, |m, d| m | bit(d));
+            if !std::mem::replace(&mut seen[t.to.index()], true) {
+                todo.push(t.to);
+            }
+        }
+    }
+    dests
+}
+
+impl SendBound {
+    /// The per-protocol half of the bound: each site's reachable protocol
+    /// messages, per local state and per site that may stay silent.
+    ///
+    /// # Panics
+    /// Panics on a protocol of more than 64 sites, the most a site mask
+    /// holds (and the most any command accepts).
+    pub fn new(protocol: &Protocol) -> Self {
+        let n = protocol.n_sites();
+        assert!(n <= 64, "a site mask holds 64 sites");
+        let (mut fsa, mut row) = (Vec::new(), Vec::new());
+        for site in protocol.fsas() {
+            row.push(fsa.len());
+            for s in (0..site.state_count()).map(|s| StateId(s as u32)) {
+                let absent = (0..n).map(Some).chain([None]);
+                fsa.extend(absent.map(|a| reachable_dests(site, s, a, n)));
+            }
+        }
+        let acceptors = (0..n).filter(|&j| protocol.is_acceptor(j)).fold(0, |m, j| m | bit(j));
+        let acceptors = if protocol.quorum().is_some() { acceptors } else { 0 };
+        Self { n, fsa, row, acceptors }
+    }
+
+    /// Fill `out` with `runner`'s half of the bound. Meaningful only where
+    /// every future step is a delivery: no crash, recovery, loss or
+    /// suspicion can come, and no event is pending into a down site. Under
+    /// an imperfect detector, whose heartbeats are steps of their own,
+    /// every site may send anywhere.
+    pub fn read(&self, runner: &Runner<'_>, out: &mut MaySend) {
+        let n = self.n;
+        let rows = &mut out.rows[..n];
+        rows.fill(Row::default());
+        let (mut busy, mut electing) = (0u64, 0u64);
+        for (_, _, ev) in runner.iter_pending() {
+            match *ev {
+                NetEvent::Deliver { src, dst, ref msg } => {
+                    let row = &mut rows[dst];
+                    row.into |= bit(src);
+                    busy |= bit(dst);
+                    match msg {
+                        Wire::AlignTo { .. } => {
+                            row.asks |= bit(src);
+                            row.heard |= bit(src);
+                        }
+                        Wire::WhatHappened => row.asks |= bit(src),
+                        _ => {}
+                    }
+                }
+                NetEvent::FailureNotice { observer, crashed } => {
+                    rows[observer].noticed |= bit(crashed);
+                    busy |= bit(observer);
+                    // A notice the quorum absorbs elects nobody.
+                    if self.acceptors & (bit(observer) | bit(crashed)) == 0 {
+                        electing |= bit(observer);
+                    }
+                }
+                NetEvent::RecoveryNotice { observer, recovered } => {
+                    rows[observer].base |= bit(recovered);
+                    busy |= bit(observer);
+                }
+            }
+        }
+        let backups = if electing == 0 { 0 } else { backups(runner, rows, electing) };
+        let (mut up, mut all, mut normal) = (0u64, 0u64, 0u64);
+        for ((z, site), row) in runner.sites().iter().enumerate().zip(rows.iter_mut()) {
+            let zb = bit(z);
+            row.heard = 0;
+            match site.mode {
+                Mode::Down => continue,
+                Mode::Recovering => all |= zb,
+                Mode::Terminating { backup } if backup == z => all |= zb,
+                _ if backups & zb != 0 => all |= zb,
+                Mode::Normal => {
+                    normal |= zb;
+                    let inbox = site.inbox.iter().filter(|&&(src, _)| src != CLIENT_SRC);
+                    row.heard = row.into | inbox.fold(0, |m, &(src, _)| m | bit(src));
+                    row.fsa = self.row[z] + site.state.index() * (n + 1);
+                }
+                _ => {}
+            }
+            up |= zb;
+            row.base |= site.pending_queries.iter().fold(row.asks, |m, &q| m | bit(q));
+        }
+        if runner.detector.is_some() {
+            all = up;
+        }
+        (out.up, out.busy, out.all, out.normal) = (up, busy, all, normal);
+    }
+
+    /// Where `z` may send while `silent` takes no step.
+    fn sends(&self, m: &MaySend, z: usize, silent: usize) -> u64 {
+        let zb = bit(z);
+        if m.all & zb != 0 {
+            return m.up;
+        }
+        let row = &m.rows[z];
+        if m.normal & zb == 0 {
+            return row.base;
+        }
+        let absent = if row.heard & bit(silent) != 0 { self.n } else { silent };
+        row.base | self.fsa[row.fsa + absent]
+    }
+}
+
+/// The `electing` sites a pending failure notice may elect backup. A notice
+/// elects z when z's view, less the sites its pending notices name, holds
+/// no lower-id site; an `AlignTo` from backup b prunes every site below b
+/// from its receiver's view, and one reaches z only if it is in flight
+/// already (`heard`, while [`SendBound::read`] runs) or comes from a site
+/// elected before. So the least fixpoint from nobody holds every site that
+/// can be elected, in the order they can be.
+fn backups(runner: &Runner<'_>, rows: &mut [Row], electing: u64) -> u64 {
+    let sites = runner.sites();
+    let each = |mut set: u64| {
+        std::iter::from_fn(move || {
+            let z = set.trailing_zeros() as usize;
+            set &= set.wrapping_sub(1);
+            (z < 64).then_some(z)
+        })
+    };
+    for z in each(electing) {
+        let view = sites[z].view.iter().enumerate().fold(0, |m, (j, &up)| m | u64::from(up) << j);
+        rows[z].noticed = view & !rows[z].noticed & below(z);
+    }
+    let mut backups = 0;
+    loop {
+        let elected = each(electing)
+            .filter(|&z| {
+                let pruned = below_highest((rows[z].heard | backups) & !bit(z));
+                rows[z].noticed & !pruned == 0
+            })
+            .fold(0, |m, z| m | bit(z));
+        if elected == backups {
+            return backups;
+        }
+        backups = elected;
+    }
+}
+
+impl MaySend {
+    /// While site `y` takes no step, can no other site put a message on a
+    /// link into `y` that is empty now? Then the deliveries into `y` are a
+    /// persistent set: every other delivery commutes with them, and none
+    /// can enable a new one into `y`. The sites that may step are those
+    /// with an event pending and, closed over `bound`, those another may
+    /// send to.
+    pub fn closed_to(&self, bound: &SendBound, y: usize) -> bool {
+        let yb = bit(y);
+        let mut active = self.busy & self.up & !yb;
+        let mut todo = active;
+        while todo != 0 {
+            let z = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let sends = bound.sends(self, z, y);
+            if sends & yb != 0 && self.rows[y].into & bit(z) == 0 {
+                return false;
+            }
+            let woken = sends & self.up & !active & !yb;
+            active |= woken;
+            todo |= woken;
+        }
+        true
     }
 }
 

@@ -51,7 +51,7 @@ pub use config::{
     TransitionProgress,
 };
 pub use decide::ClassDecisions;
-pub use explore::{channel_of, Channel};
+pub use explore::{channel_of, Channel, MaySend, SendBound};
 pub use report::{RunReport, SiteOutcome};
 pub use run::{run_one, run_traced, run_with, AnalysisSource, Runner};
 pub use sweep::{enumerate_crash_specs, sweep, sweep_traced, SweepSummary};

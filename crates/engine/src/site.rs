@@ -577,7 +577,9 @@ fn write_set(h: &mut Fp128, set: &BTreeSet<usize>) {
 
 /// The entries of a quorum trigger that can each contribute a message:
 /// every listed `(src, kind)` but repeats of an earlier entry.
-fn quorum_candidates(srcs: &[(SiteId, MsgKind)]) -> impl Iterator<Item = &(SiteId, MsgKind)> {
+pub(crate) fn quorum_candidates(
+    srcs: &[(SiteId, MsgKind)],
+) -> impl Iterator<Item = &(SiteId, MsgKind)> {
     srcs.iter().enumerate().filter(|&(i, item)| !srcs[..i].contains(item)).map(|(_, item)| item)
 }
 

@@ -50,7 +50,7 @@ impl<'a> Runner<'a> {
     /// termination protocol themselves — when a participant crashes they
     /// keep relaying and learn the outcome from the participants' decision
     /// broadcast.
-    fn quorum_absorbs(&self, observer: usize, peer: usize) -> bool {
+    pub(crate) fn quorum_absorbs(&self, observer: usize, peer: usize) -> bool {
         self.protocol.quorum().is_some()
             && (self.protocol.is_acceptor(peer) || self.protocol.is_acceptor(observer))
     }

@@ -191,10 +191,18 @@ fn meetable(consume: &Consume, absent: Option<usize>) -> bool {
 
 /// The destinations of every transition of `fsa` reachable from `from`
 /// through triggers that can be met without a new message from `absent`.
-fn reachable_dests(fsa: &Fsa, from: StateId, absent: Option<usize>, n: usize) -> u64 {
-    let mut seen = vec![false; fsa.state_count()];
+/// `seen` and `todo` are scratch, kept for their allocations.
+fn reachable_dests(
+    fsa: &Fsa,
+    from: StateId,
+    absent: Option<usize>,
+    n: usize,
+    (seen, todo): (&mut Vec<bool>, &mut Vec<StateId>),
+) -> u64 {
+    seen.clear();
+    seen.resize(fsa.state_count(), false);
     seen[from.index()] = true;
-    let mut todo = vec![from];
+    todo.push(from);
     let mut dests = 0;
     while let Some(s) = todo.pop() {
         for (_, t) in fsa.outgoing(s).filter(|(_, t)| meetable(&t.consume, absent)) {
@@ -218,12 +226,14 @@ impl SendBound {
     pub fn new(protocol: &Protocol) -> Self {
         let n = protocol.n_sites();
         assert!(n <= 64, "a site mask holds 64 sites");
-        let (mut fsa, mut row) = (Vec::new(), Vec::new());
+        let (mut fsa, mut row) = (Vec::new(), Vec::with_capacity(n));
+        let (mut seen, mut todo) = (Vec::new(), Vec::new());
         for site in protocol.fsas() {
             row.push(fsa.len());
             for s in (0..site.state_count()).map(|s| StateId(s as u32)) {
-                let absent = (0..n).map(Some).chain([None]);
-                fsa.extend(absent.map(|a| reachable_dests(site, s, a, n)));
+                for absent in (0..n).map(Some).chain([None]) {
+                    fsa.push(reachable_dests(site, s, absent, n, (&mut seen, &mut todo)));
+                }
             }
         }
         let acceptors = (0..n).filter(|&j| protocol.is_acceptor(j)).fold(0, |m, j| m | bit(j));

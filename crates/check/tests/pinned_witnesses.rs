@@ -15,7 +15,13 @@
 //! 206062 → 209352 under two suspicions, the naive-rule run's 13347
 //! unchanged) and one fail-notice step of each central 2PC unshrunk
 //! witness, which the canonical walk now reaches in another order. Every
-//! shrunk witness and counterexample kept its bytes.
+//! shrunk witness and counterexample kept its bytes. Re-pinned a second
+//! time when persistent sets came to the delivery-only region: the
+//! `explored:` lines moved (4391 → 3051 and 3892 → 3034 states for central
+//! 2PC, 209352 → 191282 under two suspicions, the naive-rule run's 13347
+//! unchanged) and, in each central 2PC unshrunk witness, the order of three
+//! deliveries after the crash. Every shrunk witness and counterexample
+//! kept its bytes again.
 
 use nbc_check::explore::{explore, plan_config};
 use nbc_check::{replay_strict, rule_name, run_check, CheckOptions, Oracles, Schedule, Step};

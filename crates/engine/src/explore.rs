@@ -137,11 +137,12 @@ struct Row {
     /// The sites with an `AlignTo` or a `WhatHappened` in flight to z,
     /// which z answers.
     asks: u64,
+    /// The backups with an `AlignTo` in flight to z.
+    aligns: u64,
     /// Where z may send whoever stays silent, the protocol messages of a
     /// normal site aside.
     base: u64,
-    /// The sites with a message in z's inbox or in flight to it; while
-    /// [`SendBound::read`] runs, the backups with an `AlignTo` in flight.
+    /// The sites with a message in z's inbox or in flight to it.
     heard: u64,
     /// The crashed sites of z's pending failure notices; then, for a site
     /// a notice may elect, the lower-id sites of its view none removes.
@@ -260,7 +261,7 @@ impl SendBound {
                     match msg {
                         Wire::AlignTo { .. } => {
                             row.asks |= bit(src);
-                            row.heard |= bit(src);
+                            row.aligns |= bit(src);
                         }
                         Wire::WhatHappened => row.asks |= bit(src),
                         _ => {}
@@ -284,7 +285,6 @@ impl SendBound {
         let (mut up, mut all, mut normal) = (0u64, 0u64, 0u64);
         for ((z, site), row) in runner.sites().iter().enumerate().zip(rows.iter_mut()) {
             let zb = bit(z);
-            row.heard = 0;
             match site.mode {
                 Mode::Down => continue,
                 Mode::Recovering => all |= zb,
@@ -326,9 +326,8 @@ impl SendBound {
 /// elects z when z's view, less the sites its pending notices name, holds
 /// no lower-id site; an `AlignTo` from backup b prunes every site below b
 /// from its receiver's view, and one reaches z only if it is in flight
-/// already (`heard`, while [`SendBound::read`] runs) or comes from a site
-/// elected before. So the least fixpoint from nobody holds every site that
-/// can be elected, in the order they can be.
+/// already or comes from a site elected before. So the least fixpoint from
+/// nobody holds every site that can be elected, in the order they can be.
 fn backups(runner: &Runner<'_>, rows: &mut [Row], electing: u64) -> u64 {
     let sites = runner.sites();
     let each = |mut set: u64| {
@@ -346,7 +345,7 @@ fn backups(runner: &Runner<'_>, rows: &mut [Row], electing: u64) -> u64 {
     loop {
         let elected = each(electing)
             .filter(|&z| {
-                let pruned = below_highest((rows[z].heard | backups) & !bit(z));
+                let pruned = below_highest((rows[z].aligns | backups) & !bit(z));
                 rows[z].noticed & !pruned == 0
             })
             .fold(0, |m, z| m | bit(z));

@@ -392,9 +392,9 @@ impl Budgets {
 /// Is the state in the *delivery-only region*: no fault, recovery, drop or
 /// suspicion budget left and no standing suspicion to clear, so every
 /// enabled action is a delivery? Budgets only fall and only an `Unsuspect`
-/// clears a suspicion, so no action leads out of the region.
-/// A walk with no suspicion budget never has a suspicion to clear, and
-/// `suspicious` false spares the look.
+/// clears a suspicion, so no action leads out of the region. A walk with
+/// no suspicion budget never has a suspicion to clear: `suspicious` false
+/// spares the look.
 fn delivery_only(runner: &Runner<'_>, b: Budgets, suspicious: bool) -> bool {
     let sites = runner.sites();
     let standing =

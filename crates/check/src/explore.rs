@@ -808,8 +808,9 @@ struct Shared<'a> {
     protocol: &'a Protocol,
     analysis: &'a Analysis,
     /// Where each site may still send in the delivery-only region: what
-    /// the persistent sets rest on.
-    bound: SendBound,
+    /// the persistent sets rest on. `None` past 64 sites, where the walk
+    /// keeps no persistent sets.
+    bound: Option<SendBound>,
     opts: CheckOptions,
     /// What a walk run alone stops at; the sweep and the redo have none.
     stop: Option<Target>,
@@ -887,15 +888,15 @@ impl<'a> Shared<'a> {
         }
     }
 
-    /// Does this walk expand persistent sets in the delivery-only region?
-    /// The exact re-run after a depth cut does not: it is the walk every
-    /// cut row was counted with.
-    fn persistent_sets(&self) -> bool {
+    /// The bound this walk's persistent sets in the delivery-only region
+    /// rest on, if it keeps any. The exact re-run after a depth cut does
+    /// not: it is the walk every cut row was counted with.
+    fn persistent_sets(&self) -> Option<&SendBound> {
         #[cfg(test)]
         if self.unreduced {
-            return false;
+            return None;
         }
-        !self.exact
+        self.bound.as_ref().filter(|_| !self.exact)
     }
 
     /// Mark one task of `plan` finished; fold the plan when it was the
@@ -1578,9 +1579,10 @@ impl<'w, 'a> Worker<'w, 'a> {
         // persistent sets delivers into one site, which leaves a sleep set
         // nothing to prune, and a state expanded under none is expanded
         // the same whichever path reached it first.
-        let persistent =
-            shared.persistent_sets() && delivery_only(&runner, b, shared.opts.suspicions > 0);
-        let sleep = if persistent { &[][..] } else { sleep };
+        let persistent = shared
+            .persistent_sets()
+            .filter(|_| delivery_only(&runner, b, shared.opts.suspicions > 0));
+        let sleep = if persistent.is_some() { &[][..] } else { sleep };
         // The channels name the sleep set; a state reached with none is
         // spared collecting them unless it is expanded.
         let z = if sleep.is_empty() {
@@ -1694,8 +1696,8 @@ impl<'w, 'a> Worker<'w, 'a> {
                 }
                 drop(map);
                 self.progress_tick();
-                if persistent {
-                    if let Some(y) = self.stepper.persistent_site(&runner, &shared.bound) {
+                if let Some(bound) = persistent {
+                    if let Some(y) = self.stepper.persistent_site(&runner, bound) {
                         actions.retain(|a| matches!(*a, Action::Fire(ch) if into_site(ch) == y));
                     }
                 }
@@ -2214,7 +2216,7 @@ mod tests {
         votes: &[bool],
     ) -> Vec<Node> {
         let n = protocol.n_sites();
-        let bound = SendBound::new(protocol);
+        let bound = SendBound::new(protocol).expect("a catalog protocol has at most 64 sites");
         let mut stepper = Stepper::new(protocol, analysis);
         let mut wit = Witnessed::for_protocol(protocol);
         let mut index: HashMap<u128, usize> = HashMap::new();

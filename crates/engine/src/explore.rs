@@ -220,13 +220,13 @@ fn reachable_dests(
 impl SendBound {
     /// The per-protocol half of the bound: each site's reachable protocol
     /// messages, per local state and per site that may stay silent.
-    ///
-    /// # Panics
-    /// Panics on a protocol of more than 64 sites, the most a site mask
-    /// holds (and the most any command accepts).
-    pub fn new(protocol: &Protocol) -> Self {
+    /// `None` for a protocol of more than 64 sites, the most a site mask
+    /// holds.
+    pub fn new(protocol: &Protocol) -> Option<Self> {
         let n = protocol.n_sites();
-        assert!(n <= 64, "a site mask holds 64 sites");
+        if n > 64 {
+            return None;
+        }
         let (mut fsa, mut row) = (Vec::new(), Vec::with_capacity(n));
         let (mut seen, mut todo) = (Vec::new(), Vec::new());
         for site in protocol.fsas() {
@@ -239,7 +239,7 @@ impl SendBound {
         }
         let acceptors = (0..n).filter(|&j| protocol.is_acceptor(j)).fold(0, |m, j| m | bit(j));
         let acceptors = if protocol.quorum().is_some() { acceptors } else { 0 };
-        Self { n, fsa, row, acceptors }
+        Some(Self { n, fsa, row, acceptors })
     }
 
     /// Fill `out` with `runner`'s half of the bound. Meaningful only where
@@ -330,25 +330,26 @@ impl SendBound {
 /// nobody holds every site that can be elected, in the order they can be.
 fn backups(runner: &Runner<'_>, rows: &mut [Row], electing: u64) -> u64 {
     let sites = runner.sites();
-    let each = |mut set: u64| {
-        std::iter::from_fn(move || {
-            let z = set.trailing_zeros() as usize;
-            set &= set.wrapping_sub(1);
-            (z < 64).then_some(z)
-        })
-    };
-    for z in each(electing) {
-        let view = sites[z].view.iter().enumerate().fold(0, |m, (j, &up)| m | u64::from(up) << j);
-        rows[z].noticed = view & !rows[z].noticed & below(z);
+    let mut rest = electing;
+    while rest != 0 {
+        let z = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        let mut lower = 0;
+        for (j, &up) in sites[z].view[..z].iter().enumerate() {
+            lower |= u64::from(up) << j;
+        }
+        rows[z].noticed = lower & !rows[z].noticed;
     }
     let mut backups = 0;
     loop {
-        let elected = each(electing)
-            .filter(|&z| {
-                let pruned = below_highest((rows[z].aligns | backups) & !bit(z));
-                rows[z].noticed & !pruned == 0
-            })
-            .fold(0, |m, z| m | bit(z));
+        let (mut elected, mut rest) = (0, electing);
+        while rest != 0 {
+            let z = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if rows[z].noticed & !below_highest((rows[z].aligns | backups) & !bit(z)) == 0 {
+                elected |= bit(z);
+            }
+        }
         if elected == backups {
             return backups;
         }

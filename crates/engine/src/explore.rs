@@ -108,9 +108,6 @@ pub struct SendBound {
     /// `absent` (`absent == n`: every trigger can be met).
     fsa: Vec<u64>,
     row: Vec<usize>,
-    /// The sites whose failure, or whose view of one, a quorum absorbs
-    /// (`Runner::quorum_absorbs`): a quorum protocol's acceptors.
-    acceptors: u64,
 }
 
 /// A state's half of the bound, filled by [`SendBound::read`]. Site masks:
@@ -237,9 +234,7 @@ impl SendBound {
                 }
             }
         }
-        let acceptors = (0..n).filter(|&j| protocol.is_acceptor(j)).fold(0, |m, j| m | bit(j));
-        let acceptors = if protocol.quorum().is_some() { acceptors } else { 0 };
-        Some(Self { n, fsa, row, acceptors })
+        Some(Self { n, fsa, row })
     }
 
     /// Fill `out` with `runner`'s half of the bound. Meaningful only where
@@ -271,7 +266,7 @@ impl SendBound {
                     rows[observer].noticed |= bit(crashed);
                     busy |= bit(observer);
                     // A notice the quorum absorbs elects nobody.
-                    if self.acceptors & (bit(observer) | bit(crashed)) == 0 {
+                    if !runner.quorum_absorbs(observer, crashed) {
                         electing |= bit(observer);
                     }
                 }

@@ -107,6 +107,7 @@ pub struct SendBound {
     /// through triggers that can be met without a new message from site
     /// `absent` (`absent == n`: every trigger can be met).
     fsa: Vec<u64>,
+    /// `row[site]`: where `site`'s part of `fsa` starts.
     row: Vec<usize>,
 }
 
@@ -139,10 +140,11 @@ struct Row {
     /// Where z may send whoever stays silent, the protocol messages of a
     /// normal site aside.
     base: u64,
-    /// The sites with a message in z's inbox or in flight to it.
+    /// For a normal z, the sites with a message in its inbox or in flight
+    /// to it.
     heard: u64,
-    /// The crashed sites of z's pending failure notices; then, for a site
-    /// a notice may elect, the lower-id sites of its view none removes.
+    /// The crashed sites of z's pending failure notices; then, if one of
+    /// them drives termination, the lower-id sites of z's view none names.
     noticed: u64,
     /// Where z's local state starts in [`SendBound::fsa`].
     fsa: usize,

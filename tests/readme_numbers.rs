@@ -1,0 +1,142 @@
+//! The documents say what the program prints, and name files that exist.
+//!
+//! `README.md` quotes counts a reader can reproduce with one `nbc`
+//! command. Each such number is a row below: the command line, the
+//! fragment the command prints, and the fragment README prints. Both
+//! fragments must be found, so a count that moves in the program or is
+//! edited in README fails here instead of drifting. A README number no
+//! command prints (a wall-clock figure) cites its EXPERIMENTS table
+//! instead, and is not checked.
+//!
+//! The second test reads every repository path README, DESIGN,
+//! EXPERIMENTS and `docs/PAPER_MAP.md` name under `crates/`, `tests/`,
+//! `specs/`, `examples/` or `docs/`, and checks that it exists, so a
+//! moved or deleted file cannot leave a stale pointer behind.
+
+use std::path::Path;
+
+/// `(argv, printed by the command, printed by README)`. The command's
+/// stdout and stderr are searched together, since a refused line prints
+/// its limit on stderr.
+const ROWS: &[(&str, &str, &str)] = &[
+    (
+        "analyze central-3pc -n 16",
+        "reachable state graph: 5114688108 global states",
+        "5 114 688 108 global states",
+    ),
+    (
+        "graph central-2pc -n 9",
+        "203426 global states",
+        "`nbc graph central-2pc -n 9`, 203 426 states",
+    ),
+    ("analyze central-3pc -n 10", "872676 global states", "central-3pc -n 10` (872 676 states"),
+    (
+        "verify central-3pc -n 10",
+        "model-checked 892747548 (global state x survivor subset) cases",
+        "892 747 548 cases",
+    ),
+    (
+        "sweep central-3pc --detector-timeout 2 --seed 7 --json",
+        "{\"total\":30,\"consistent\":12,",
+        "# 18/30 crash runs inconsistent under Skeen's rule",
+    ),
+    (
+        "sweep central-3pc --detector-timeout 2 --seed 7 --rule quorum --json",
+        "{\"total\":30,\"consistent\":30,",
+        "# same storm: 30/30 consistent",
+    ),
+    (
+        "check central-3pc -n 3",
+        "explored: 8 vote plans, 3290 distinct states",
+        "# all four oracles, exhaustive, 3 290 states: PASS",
+    ),
+    (
+        "check paxos:1 -n 2 --votes yyyyy",
+        "explored: 1 vote plan, 3220 distinct states",
+        "3 220 for `paxos:1`",
+    ),
+    ("check paxos:1 -n 3", "explored: 8 vote plans, 598993 distinct states", "598 993 states"),
+    (
+        "analyze central-2pc -n 65",
+        "error: -n 65 is over the limit of 64 sites",
+        "`-n` takes 2..=64",
+    ),
+];
+
+fn read(rel: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn readme_numbers_are_what_the_binary_prints() {
+    let readme = read("README.md");
+    for &(line, printed, quoted) in ROWS {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let outcome = nbc_cli::run_argv(&argv);
+        let output = format!("{}{}", outcome.stdout, outcome.stderr);
+        assert!(output.contains(printed), "`nbc {line}` no longer prints {printed:?}:\n{output}");
+        assert!(
+            readme.contains(quoted),
+            "README no longer says {quoted:?}, which `nbc {line}` backs"
+        );
+    }
+}
+
+/// Every maximal run of path characters that starts, at a word boundary,
+/// with one of the repository's top-level directories.
+fn named_paths(text: &str) -> Vec<String> {
+    const ROOTS: &[&str] = &["crates/", "tests/", "specs/", "examples/", "docs/"];
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_-./*".contains(c);
+    let mut found = Vec::new();
+    for (at, _) in text.char_indices() {
+        let rest = &text[at..];
+        let boundary = text[..at].chars().next_back().is_none_or(|c| !is_path(c));
+        if !boundary || !ROOTS.iter().any(|root| rest.starts_with(root)) {
+            continue;
+        }
+        let end = rest.find(|c: char| !is_path(c)).unwrap_or(rest.len());
+        // A sentence's full stop is not part of the path.
+        found.push(rest[..end].trim_end_matches('.').to_string());
+    }
+    found
+}
+
+/// Whether `path` names something in the tree. A glob is checked up to
+/// the directory of its first `*`: `specs/linear-*.nbc` needs `specs`.
+fn exists(root: &Path, path: &str) -> bool {
+    let concrete = match path.find('*') {
+        Some(star) => &path[..path[..star].rfind('/').unwrap_or(0)],
+        None => path,
+    };
+    root.join(concrete.trim_end_matches('/')).exists()
+}
+
+#[test]
+fn every_path_the_documents_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/PAPER_MAP.md"] {
+        for path in named_paths(&read(doc)) {
+            if !exists(root, &path) {
+                missing.push(format!("{doc}: {path}"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "the documents name paths that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn the_path_scan_reads_what_a_document_writes() {
+    let text = "see `crates/core/src/reach/mod.rs`, then tests/golden/. and \
+                `specs/linear-*.nbc`; not core/tests/y.rs";
+    let named = named_paths(text);
+    assert_eq!(named, ["crates/core/src/reach/mod.rs", "tests/golden/", "specs/linear-*.nbc"]);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(named.iter().all(|path| exists(root, path)));
+    assert!(!exists(root, "specs/no-such-file.nbc"));
+}

@@ -1,67 +1,100 @@
-//! The documents say what the program prints, and name files that exist.
+//! The documents say what the program prints, and name files and modules
+//! that exist.
 //!
-//! `README.md` quotes counts a reader can reproduce with one `nbc`
-//! command. Each such number is a row below: the command line, the
-//! fragment the command prints, and the fragment README prints. Both
-//! fragments must be found, so a count that moves in the program or is
-//! edited in README fails here instead of drifting. A README number no
-//! command prints (a wall-clock figure) cites its EXPERIMENTS table
-//! instead, and is not checked.
+//! `README.md` and `docs/PAPER_MAP.md` quote counts a reader can
+//! reproduce with one `nbc` command. Each such number is a row below: the
+//! document, the command line, the fragment the command prints, and the
+//! fragment the document prints. Both fragments must be found, so a count
+//! that moves in the program or is edited in the document fails here
+//! instead of drifting. A number no command prints (a wall-clock figure)
+//! cites its EXPERIMENTS table instead, and is not checked.
 //!
 //! The second test reads every repository path README, DESIGN,
 //! EXPERIMENTS and `docs/PAPER_MAP.md` name under `crates/`, `tests/`,
 //! `specs/`, `examples/` or `docs/`, and checks that it exists, so a
-//! moved or deleted file cannot leave a stale pointer behind.
+//! moved or deleted file cannot leave a stale pointer behind. The third
+//! does the same for the `crate::module` paths they name (`core::reach`,
+//! `simnet::net`).
 
 use std::path::Path;
 
-/// `(argv, printed by the command, printed by README)`. The command's
-/// stdout and stderr are searched together, since a refused line prints
-/// its limit on stderr.
-const ROWS: &[(&str, &str, &str)] = &[
+/// `(document, argv, printed by the command, printed by the document)`.
+/// The command's stdout and stderr are searched together, since a refused
+/// line prints its limit on stderr.
+const ROWS: &[(&str, &str, &str, &str)] = &[
     (
+        README,
         "analyze central-3pc -n 16",
         "reachable state graph: 5114688108 global states",
         "5 114 688 108 global states",
     ),
     (
+        README,
         "graph central-2pc -n 9",
         "203426 global states",
         "`nbc graph central-2pc -n 9`, 203 426 states",
     ),
-    ("analyze central-3pc -n 10", "872676 global states", "central-3pc -n 10` (872 676 states"),
     (
+        README,
+        "analyze central-3pc -n 10",
+        "872676 global states",
+        "central-3pc -n 10` (872 676 states",
+    ),
+    (
+        README,
         "verify central-3pc -n 10",
         "model-checked 892747548 (global state x survivor subset) cases",
         "892 747 548 cases",
     ),
     (
+        README,
         "sweep central-3pc --detector-timeout 2 --seed 7 --json",
         "{\"total\":30,\"consistent\":12,",
         "# 18/30 crash runs inconsistent under Skeen's rule",
     ),
     (
+        README,
         "sweep central-3pc --detector-timeout 2 --seed 7 --rule quorum --json",
         "{\"total\":30,\"consistent\":30,",
         "# same storm: 30/30 consistent",
     ),
     (
+        README,
         "check central-3pc -n 3",
         "explored: 8 vote plans, 3290 distinct states",
         "# all four oracles, exhaustive, 3 290 states: PASS",
     ),
     (
+        README,
         "check paxos:1 -n 2 --votes yyyyy",
         "explored: 1 vote plan, 3220 distinct states",
         "3 220 for `paxos:1`",
     ),
-    ("check paxos:1 -n 3", "explored: 8 vote plans, 598993 distinct states", "598 993 states"),
     (
+        README,
+        "check paxos:1 -n 3",
+        "explored: 8 vote plans, 598993 distinct states",
+        "598 993 states",
+    ),
+    (
+        PAPER_MAP,
+        "check paxos:1 -n 3",
+        "explored: 8 vote plans, 598993 distinct states",
+        "passes all four oracles (598 993 states, exhaustive)",
+    ),
+    (
+        README,
         "analyze central-2pc -n 65",
         "error: -n 65 is over the limit of 64 sites",
         "`-n` takes 2..=64",
     ),
 ];
+
+const README: &str = "README.md";
+const PAPER_MAP: &str = "docs/PAPER_MAP.md";
+
+/// The documents whose paths and module names are checked.
+const DOCS: [&str; 4] = [README, "DESIGN.md", "EXPERIMENTS.md", PAPER_MAP];
 
 fn read(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -70,15 +103,14 @@ fn read(rel: &str) -> String {
 
 #[test]
 fn readme_numbers_are_what_the_binary_prints() {
-    let readme = read("README.md");
-    for &(line, printed, quoted) in ROWS {
+    for &(doc, line, printed, quoted) in ROWS {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
         let outcome = nbc_cli::run_argv(&argv);
         let output = format!("{}{}", outcome.stdout, outcome.stderr);
         assert!(output.contains(printed), "`nbc {line}` no longer prints {printed:?}:\n{output}");
         assert!(
-            readme.contains(quoted),
-            "README no longer says {quoted:?}, which `nbc {line}` backs"
+            read(doc).contains(quoted),
+            "{doc} no longer says {quoted:?}, which `nbc {line}` backs"
         );
     }
 }
@@ -116,7 +148,7 @@ fn exists(root: &Path, path: &str) -> bool {
 fn every_path_the_documents_name_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut missing = Vec::new();
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/PAPER_MAP.md"] {
+    for doc in DOCS {
         for path in named_paths(&read(doc)) {
             if !exists(root, &path) {
                 missing.push(format!("{doc}: {path}"));
@@ -139,4 +171,74 @@ fn the_path_scan_reads_what_a_document_writes() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(named.iter().all(|path| exists(root, path)));
     assert!(!exists(root, "specs/no-such-file.nbc"));
+}
+
+/// Every `crate::module` a text names, as `(crate directory, module)`: a
+/// crate directory under `crates/`, written bare (`core::reach`, not
+/// `nbc_core::reach`, whose second segment may be an item), then `::` and
+/// a lower-case name.
+fn named_modules(text: &str) -> Vec<(String, String)> {
+    const CRATES: &[&str] = &[
+        "bench", "check", "cli", "core", "engine", "obs", "paxos", "pipeline", "simnet", "spec",
+        "storage", "txn",
+    ];
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices("::") {
+        let head = &text[..at];
+        let start = head.rfind(|c: char| !is_ident(c)).map_or(0, |i| i + 1);
+        let (krate, before) = (&head[start..], head[..start].chars().next_back());
+        if !CRATES.contains(&krate) || before == Some(':') {
+            continue;
+        }
+        let tail = &text[at + 2..];
+        let module = &tail[..tail.find(|c: char| !is_ident(c)).unwrap_or(tail.len())];
+        if module.starts_with(|c: char| c.is_ascii_lowercase()) {
+            found.push((krate.to_string(), module.to_string()));
+        }
+    }
+    found
+}
+
+/// Whether `module` is a module of the crate in `crates/<krate>`: a file
+/// or directory of that name under its `src`, or a `mod` its `lib.rs`
+/// declares inline.
+fn module_exists(root: &Path, krate: &str, module: &str) -> bool {
+    let src = root.join("crates").join(krate).join("src");
+    let declared =
+        |lib: &str| lib.lines().any(|l| l.trim_start().contains(&format!("mod {module} ")));
+    src.join(format!("{module}.rs")).exists()
+        || src.join(module).is_dir()
+        || std::fs::read_to_string(src.join("lib.rs")).is_ok_and(|lib| declared(&lib))
+}
+
+#[test]
+fn every_module_the_documents_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        for (krate, module) in named_modules(&read(doc)) {
+            if !module_exists(root, &krate, &module) {
+                missing.push(format!("{doc}: {krate}::{module}"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "the documents name modules that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn the_module_scan_reads_what_a_document_writes() {
+    let text = "`core::reach::graph`, engine::Runner, nbc_core::spec, `simnet::partition` \
+                and std::core::mem";
+    let named = named_modules(text);
+    let pair = |k: &str, m: &str| (k.to_string(), m.to_string());
+    assert_eq!(named, [pair("core", "reach"), pair("simnet", "partition")]);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(module_exists(root, "core", "reach"));
+    assert!(module_exists(root, "paxos", "tests"));
+    assert!(!module_exists(root, "simnet", "partition"));
 }

@@ -260,7 +260,7 @@
 //! crosses the byte budget, a worker locks *all* of the plan's shards (in
 //! index order, then the run-store write lock — probers hold one shard
 //! plus the read lock, so the orders cannot deadlock), drains them, and
-//! spills the entries as one sorted run file ([`nbc_core::extmem`]).
+//! spills the entries as one sorted run file ([`nbc_core::RunSet`]).
 //! Membership stays *exact* — a hot miss probes the runs before counting
 //! an insert — and `best` is monotone while stats merge by deepest
 //! `stats_depth`, so reports are byte-identical to the unlimited path at
@@ -467,7 +467,7 @@ pub struct ExploreStats {
     /// callers that read it.
     pub fused: u64,
     /// Vote plans explored.
-    pub plans: usize,
+    pub(crate) plans: usize,
     /// True if the depth bound (judged at each state's deepest expansion)
     /// or the state cap cut any branch short — the exploration was *not*
     /// exhaustive.
@@ -477,9 +477,9 @@ pub struct ExploreStats {
 /// Result of exploring one protocol under one option set.
 pub struct Exploration<'a> {
     /// Accumulated oracle state (witness bitmap and recovery checks).
-    pub oracles: Oracles<'a>,
+    pub(crate) oracles: Oracles<'a>,
     /// Counters.
-    pub stats: ExploreStats,
+    pub(crate) stats: ExploreStats,
     /// The canonical path to a blocked quiescent state, with the vote
     /// plan it occurred under: the first such state the canonical-order
     /// serial search reaches in the least plan containing one. Unshrunk.
@@ -490,11 +490,11 @@ pub struct Exploration<'a> {
     /// External-memory activity summed over all plans' stores (all zero
     /// without a `mem_budget`). Reported out of band — never part of the
     /// rendered report, which stays byte-identical either way.
-    pub spill: SpillStats,
+    pub(crate) spill: SpillStats,
 }
 
 /// The transaction id every checked execution runs under.
-pub const CHECK_TXN: u64 = 1;
+pub(crate) const CHECK_TXN: u64 = 1;
 
 /// The site a delivery on `ch` delivers into — the only site its handler
 /// mutates. Two deliveries are independent exactly when they deliver into

@@ -20,7 +20,7 @@
 //!    cleanly into a position compatible with the already-taken decision.
 //!
 //! Witnesses and violations are shrunk to 1-minimal schedules and emitted
-//! as replayable JSONL (see [`schedule`]) that `nbc simulate --schedule`
+//! as replayable JSONL (see [`Schedule`]) that `nbc simulate --schedule`
 //! re-executes byte-for-byte. The whole pipeline is deterministic: the
 //! same protocol and options produce the same report, byte for byte, *at
 //! any thread count and any traversal seed* — the parallel sweep only
@@ -31,13 +31,10 @@
 //! [`mem_budget`](CheckOptions::mem_budget) spills the fingerprint store
 //! to sorted disk runs without changing a byte of the report either.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod explore;
-pub mod oracle;
-pub mod schedule;
-pub mod shrink;
+mod oracle;
+mod schedule;
+mod shrink;
 
 use nbc_core::{
     resilience, theorem, Analysis, Protocol, ProtocolError, ReachOptions, SiteId, SpillStats,
@@ -45,10 +42,12 @@ use nbc_core::{
 };
 use nbc_engine::{Runner, TerminationRule};
 
-pub use explore::{CheckOptions, CheckProgress, ExploreStats, CHECK_TXN};
+pub(crate) use explore::ExploreStats;
+pub use explore::{CheckOptions, CheckProgress};
 pub use oracle::Oracles;
-pub use schedule::{apply_step, replay_lenient, replay_strict, ReplayError, Schedule, Step};
-pub use shrink::{drain, shrink};
+pub use schedule::{replay_lenient, replay_strict, Schedule, Step};
+pub(crate) use shrink::drain;
+pub use shrink::shrink;
 
 /// The CLI name of a termination rule (shared vocabulary with `nbc run
 /// --rule` and schedule headers).
@@ -169,15 +168,15 @@ pub struct OracleFailure {
 /// The complete result of one check run.
 pub struct CheckReport {
     /// Protocol name.
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// Site count.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Options the check ran under.
     pub options: CheckOptions,
     /// Did the fundamental nonblocking theorem certify the protocol?
     pub certified_nonblocking: bool,
     /// The k-resiliency bound from the theorem's per-site conditions.
-    pub max_tolerated_failures: usize,
+    pub(crate) max_tolerated_failures: usize,
     /// Was the fault budget within the certified resilience bound (and
     /// the network assumption unviolated)? Only then does the theorem
     /// promise no blocking. For quorum-based protocols this is instead

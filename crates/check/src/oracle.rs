@@ -46,17 +46,17 @@ use nbc_storage::Wal;
 /// plan's bitmap wholesale with the one the walk run alone produces — the
 /// merged union stays deterministic even when the sweep's coverage was not.
 #[derive(Default, Clone, Debug, PartialEq, Eq)]
-pub struct Witnessed(Vec<Vec<bool>>);
+pub(crate) struct Witnessed(Vec<Vec<bool>>);
 
 impl Witnessed {
     /// An all-false bitmap sized for `protocol`.
-    pub fn for_protocol(protocol: &Protocol) -> Self {
+    pub(crate) fn for_protocol(protocol: &Protocol) -> Self {
         Self(protocol.fsas().iter().map(|f| vec![false; f.state_count()]).collect())
     }
 
     /// OR `other` into this bitmap (commutative, associative, idempotent —
     /// merge order cannot change the result).
-    pub fn merge(&mut self, other: &Witnessed) {
+    pub(crate) fn merge(&mut self, other: &Witnessed) {
         for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
             for (m, &t) in mine.iter_mut().zip(theirs) {
                 *m |= t;
@@ -76,7 +76,7 @@ pub struct Oracles<'a> {
 
 impl<'a> Oracles<'a> {
     /// Fresh oracle accumulators for `protocol` / `analysis`.
-    pub fn new(protocol: &'a Protocol, analysis: &'a Analysis, txn: u64) -> Self {
+    pub(crate) fn new(protocol: &'a Protocol, analysis: &'a Analysis, txn: u64) -> Self {
         Self { protocol, analysis, txn, witnessed: Witnessed::for_protocol(protocol) }
     }
 
@@ -84,7 +84,7 @@ impl<'a> Oracles<'a> {
     /// (a caller-held bitmap: the explorer keeps one per vote plan) and
     /// check the per-state oracles (consistency, prediction soundness).
     /// Returns the first violation found, as `(oracle, detail)`.
-    pub fn observe_state(
+    pub(crate) fn observe_state(
         &self,
         witnessed: &mut Witnessed,
         runner: &Runner<'_>,
@@ -150,7 +150,7 @@ impl<'a> Oracles<'a> {
 
     /// The globally decided outcome, if any site has durably decided.
     /// (The consistency oracle guarantees all decisions agree.)
-    pub fn global_decision(runner: &Runner<'_>) -> Option<bool> {
+    pub(crate) fn global_decision(runner: &Runner<'_>) -> Option<bool> {
         runner.sites().iter().find_map(|s| s.outcome)
     }
 
@@ -175,7 +175,7 @@ impl<'a> Oracles<'a> {
     /// may recover with an empty or pre-relay log after the transaction
     /// committed through the other acceptors. Its durable *decisions*
     /// still must not contradict the global one.
-    pub fn check_recovery(&self, runner: &Runner<'_>, site: usize) -> Result<(), String> {
+    pub(crate) fn check_recovery(&self, runner: &Runner<'_>, site: usize) -> Result<(), String> {
         let s = &runner.sites()[site];
         let records = Wal::recover(s.wal.as_bytes())
             .map_err(|e| format!("site{site} WAL replay failed on recovery: {e:?}"))?;
@@ -251,7 +251,7 @@ impl<'a> Oracles<'a> {
 
     /// OR a per-plan [`Witnessed`] bitmap into this accumulator. The union
     /// is order-independent, so it is identical at any thread count.
-    pub fn absorb(&mut self, witnessed: &Witnessed) {
+    pub(crate) fn absorb(&mut self, witnessed: &Witnessed) {
         self.witnessed.merge(witnessed);
     }
 
@@ -260,7 +260,7 @@ impl<'a> Oracles<'a> {
     /// covered the full reachable state graph (prediction completeness,
     /// meaningful only after an untruncated exploration of all vote
     /// plans).
-    pub fn unwitnessed(&self) -> Vec<(SiteId, StateId)> {
+    pub(crate) fn unwitnessed(&self) -> Vec<(SiteId, StateId)> {
         let mut out = Vec::new();
         for (i, fsa) in self.protocol.fsas().iter().enumerate() {
             for s in 0..fsa.state_count() {
@@ -274,7 +274,7 @@ impl<'a> Oracles<'a> {
     }
 
     /// Human-readable name of a slot, for reports.
-    pub fn slot_name(&self, site: SiteId, state: StateId) -> String {
+    pub(crate) fn slot_name(&self, site: SiteId, state: StateId) -> String {
         format!("site{}:{}", site.index(), self.protocol.fsa(site).state(state).name)
     }
 }

@@ -135,9 +135,9 @@ pub struct Schedule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayError {
     /// Index of the failing step.
-    pub step: usize,
+    pub(crate) step: usize,
     /// What went wrong.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl fmt::Display for ReplayError {
@@ -158,7 +158,7 @@ pub(crate) fn step_for(ev: &NetEvent<nbc_engine::Wire>) -> Step {
 }
 
 /// Head (earliest-sent pending) event of one FIFO channel, if any.
-pub fn channel_head<'r>(
+pub(crate) fn channel_head<'r>(
     runner: &'r Runner<'_>,
     ch: Channel,
 ) -> Option<(u64, &'r NetEvent<nbc_engine::Wire>)> {
@@ -170,7 +170,7 @@ pub fn channel_head<'r>(
 }
 
 /// Tail (most recently sent pending) event of one FIFO channel, if any.
-pub fn channel_tail<'r>(
+pub(crate) fn channel_tail<'r>(
     runner: &'r Runner<'_>,
     ch: Channel,
 ) -> Option<(u64, &'r NetEvent<nbc_engine::Wire>)> {
@@ -209,7 +209,7 @@ fn check_range(step: &Step, n: usize) -> Result<(), String> {
 /// is not applicable in the current state (a site index out of range,
 /// nothing pending on the channel, site already down, head event mismatch,
 /// ...). The runner is unchanged on error.
-pub fn apply_step(runner: &mut Runner<'_>, step: &Step) -> Result<(), String> {
+pub(crate) fn apply_step(runner: &mut Runner<'_>, step: &Step) -> Result<(), String> {
     check_range(step, runner.sites().len())?;
     match step {
         Step::Deliver { src, dst } => {

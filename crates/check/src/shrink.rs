@@ -29,7 +29,7 @@ const DRAIN_CAP: usize = 10_000;
 /// Deliver pending events in canonical (channel-sorted, head-first) order
 /// until the network is quiescent, recording the steps taken. Returns
 /// `false` if the cap was hit.
-pub fn drain(runner: &mut Runner<'_>, record: &mut Vec<Step>) -> bool {
+pub(crate) fn drain(runner: &mut Runner<'_>, record: &mut Vec<Step>) -> bool {
     for _ in 0..DRAIN_CAP {
         let Some(first) = runner.iter_pending().map(|(_, _, ev)| channel_of(ev)).min() else {
             return true;

@@ -21,9 +21,6 @@
 //! to a `cmd_*` function (each returns its output as a string, so all of it
 //! is unit-testable), and `main.rs` prints the [`Outcome`] and exits.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod args;
 
 use std::fmt::Write as _;

@@ -69,7 +69,7 @@ use crate::termination::{self, ClassDecisionTable};
 
 /// A concurrency-set member serving as a theorem witness: the occupied
 /// `(site, state)` pair that puts a commit or abort state in the set.
-pub type Witness = (SiteId, StateId);
+pub(crate) type Witness = (SiteId, StateId);
 
 /// All per-state facts the theorem and termination rules need, accumulated
 /// in one pass over the reachable global states.
@@ -246,7 +246,9 @@ impl Analysis {
 
     /// Every occupied `(site, state)` with its class, in ascending
     /// `(SiteId, StateId)` order.
-    pub fn occupied_states(&self) -> impl Iterator<Item = (SiteId, StateId, StateClass)> + '_ {
+    pub(crate) fn occupied_states(
+        &self,
+    ) -> impl Iterator<Item = (SiteId, StateId, StateClass)> + '_ {
         self.classes.iter().enumerate().flat_map(move |(i, classes)| {
             let site = SiteId(i as u32);
             classes.iter().enumerate().filter_map(move |(s, &class)| {
@@ -257,7 +259,7 @@ impl Analysis {
     }
 
     /// The backup-coordinator decision per state class (see
-    /// [`termination::class_decisions`]), derived on first request and
+    /// `termination::class_decisions`), derived on first request and
     /// cached for the life of the analysis.
     pub fn class_decisions(&self) -> &ClassDecisionTable {
         self.class_decisions.get_or_init(|| termination::class_decisions(self))
@@ -265,14 +267,14 @@ impl Analysis {
 
     /// `recovery_classes()[site][state]`: what a site recovering in that
     /// durable state may conclude on its own (see
-    /// [`recovery_analysis::recovery_classes`]); unoccupied states read
+    /// `recovery_analysis::recovery_classes`); unoccupied states read
     /// [`RecoveryClass::MustAsk`]. Derived on first request and cached.
     pub fn recovery_classes(&self) -> &[Vec<RecoveryClass>] {
         self.recovery_classes.get_or_init(|| recovery_analysis::recovery_classes(self))
     }
 
     /// Number of local states of `site`'s automaton.
-    pub fn state_count(&self, site: SiteId) -> usize {
+    pub(crate) fn state_count(&self, site: SiteId) -> usize {
         self.classes[site.index()].len()
     }
 

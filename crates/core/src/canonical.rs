@@ -41,7 +41,7 @@ pub struct CanonicalState {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CanonicalFsa {
     /// Display name of the protocol.
-    pub name: String,
+    pub(crate) name: String,
     states: Vec<CanonicalState>,
     /// Directed edges `(from, to)` by state index.
     edges: Vec<(u32, u32)>,
@@ -64,11 +64,6 @@ impl CanonicalFsa {
         &self.states
     }
 
-    /// All edges.
-    pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
-    }
-
     /// Index of the initial state.
     pub fn initial(&self) -> u32 {
         self.initial
@@ -83,7 +78,7 @@ impl CanonicalFsa {
     /// successors. For a protocol synchronous within one state transition,
     /// this *is* the concurrency set (paper §"Concurrency sets in the
     /// canonical 2PC protocol").
-    pub fn adjacency_set(&self, s: u32) -> BTreeSet<u32> {
+    pub(crate) fn adjacency_set(&self, s: u32) -> BTreeSet<u32> {
         let mut out = BTreeSet::from([s]);
         for &(a, b) in &self.edges {
             if a == s {
@@ -315,14 +310,14 @@ mod tests {
         let reference = canonical_3pc();
         assert_eq!(f3.states().len(), reference.states().len());
         let mut e1: Vec<_> = f3
-            .edges()
+            .edges
             .iter()
             .map(|&(a, b)| {
                 (f3.states()[a as usize].name.clone(), f3.states()[b as usize].name.clone())
             })
             .collect();
         let mut e2: Vec<_> = reference
-            .edges()
+            .edges
             .iter()
             .map(|&(a, b)| {
                 (
@@ -341,7 +336,7 @@ mod tests {
         let f3 = canonical_3pc();
         let again = insert_buffer_states(&f3);
         assert_eq!(again.states().len(), f3.states().len());
-        assert_eq!(again.edges().len(), f3.edges().len());
+        assert_eq!(again.edges.len(), f3.edges.len());
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl StateCodec {
         self.words
     }
 
-    /// Size of the address universe (one count field each).
-    pub fn universe_len(&self) -> usize {
-        self.addrs.len()
-    }
-
     /// The local-state field of site `site`.
     pub(crate) fn local_field(&self, site: usize) -> Field {
         self.locals[site]
@@ -301,49 +296,44 @@ impl StateCodec {
 /// (i + 1) * stride` of one flat vector, so a whole BFS level — or a whole
 /// graph — is one allocation and a state is found by a multiplication.
 #[derive(Clone, Debug)]
-pub struct PackedArena {
+pub(crate) struct PackedArena {
     words: Vec<u64>,
     stride: usize,
 }
 
 impl PackedArena {
     /// An empty arena of `stride`-word states ([`StateCodec::words`]).
-    pub fn new(stride: usize) -> Self {
+    pub(crate) fn new(stride: usize) -> Self {
         assert!(stride > 0, "a packed state is at least one word");
         Self { words: Vec::new(), stride }
     }
 
     /// An empty arena with room for `states` states.
-    pub fn with_capacity(stride: usize, states: usize) -> Self {
+    pub(crate) fn with_capacity(stride: usize, states: usize) -> Self {
         let mut arena = Self::new(stride);
         arena.words.reserve_exact(states * stride);
         arena
     }
 
     /// Number of packed states.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.len() / self.stride
     }
 
     /// True if no states are packed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
 
-    /// Words currently held (the arena's memory footprint in `u64`s).
-    pub fn words_used(&self) -> usize {
-        self.words.len()
-    }
-
     /// Append one packed state.
-    pub fn push(&mut self, state: &[u64]) {
+    pub(crate) fn push(&mut self, state: &[u64]) {
         assert_eq!(state.len(), self.stride, "a packed state is {} words", self.stride);
         self.words.extend_from_slice(state);
     }
 
     /// The packed state `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> &[u64] {
+    pub(crate) fn get(&self, i: usize) -> &[u64] {
         &self.words[i * self.stride..(i + 1) * self.stride]
     }
 }
@@ -379,7 +369,7 @@ mod tests {
             arena.push(&words);
         }
         assert_eq!(arena.len(), graph.node_count());
-        assert_eq!(arena.words_used(), graph.node_count() * codec.words());
+        assert_eq!(arena.words.len(), graph.node_count() * codec.words());
         for (i, s) in graph.nodes().iter().enumerate() {
             assert_eq!(&codec.decode(arena.get(i)), s, "{}: node {i}", protocol.name);
         }

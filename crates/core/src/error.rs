@@ -44,14 +44,10 @@ pub enum ProtocolError {
     BadQuorumSpec { f: usize, acceptors_from: usize, n_sites: usize },
     /// Reachable-state-graph construction exceeded the configured bound.
     GraphTooLarge { limit: usize },
-    /// The FSA is not leveled (two paths from the initial state to the same
-    /// state differ in length), so phase-synchronicity analysis by state
-    /// depth is not defined for it.
-    NotLeveled { site: SiteId, state: StateId },
     /// A message multiset's per-address count overflowed `u16` — an
     /// unchecked increment would silently wrap to 0 and corrupt the
     /// multiset. The graph builders raise it when an emission finds its
-    /// address's count field full (see [`crate::codec`]).
+    /// address's count field full (see `codec`).
     MsgOverflow { src: SiteId, dst: SiteId, kind: crate::ids::MsgKind },
     /// More worker threads were asked for than a state-space exploration
     /// accepts ([`crate::reach::MAX_THREADS`]).
@@ -108,9 +104,6 @@ impl fmt::Display for ProtocolError {
             }
             Self::GraphTooLarge { limit } => {
                 write!(f, "reachable state graph exceeds limit of {limit} global states")
-            }
-            Self::NotLeveled { site, state } => {
-                write!(f, "{site}: state {state:?} is reachable along paths of different lengths")
             }
             Self::MsgOverflow { src, dst, kind } => {
                 write!(

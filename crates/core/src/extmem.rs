@@ -20,7 +20,7 @@
 //!   ascending key order, combining duplicate keys oldest-to-newest with
 //!   a caller-supplied `combine`. Used to fold final statistics.
 //!
-//! When the run count exceeds [`MAX_RUNS`], the whole set is compacted by
+//! When the run count exceeds `MAX_RUNS`, the whole set is compacted by
 //! the same k-way merge into a single run (one "merge pass" in
 //! [`SpillStats`]) so probe cost stays bounded however tiny the budget.
 //!
@@ -37,11 +37,11 @@ use std::sync::Mutex;
 /// Records per sparse-index block: an exact probe reads one block, so
 /// this bounds the probe's I/O at `BLOCK_RECORDS * (16 + P)` bytes while
 /// keeping the in-RAM index at one `u128` per block.
-pub const BLOCK_RECORDS: usize = 64;
+pub(crate) const BLOCK_RECORDS: usize = 64;
 
 /// Compact into a single run past this many runs, so lookup cost is
 /// bounded regardless of how many spills a tiny budget forces.
-pub const MAX_RUNS: usize = 8;
+pub(crate) const MAX_RUNS: usize = 8;
 
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -214,7 +214,7 @@ impl<const P: usize> RunSet<P> {
 
     /// Spill one hot tier: sort `entries` by key (keys must be unique —
     /// they come from a map/set drain) and write them as the newest run.
-    /// Compacts everything into a single run past [`MAX_RUNS`].
+    /// Compacts everything into a single run past `MAX_RUNS`.
     /// `combine(older, newer)` merges payloads of a key present in
     /// several runs during compaction.
     pub fn spill(
@@ -265,7 +265,7 @@ impl<const P: usize> RunSet<P> {
     /// Returns one flag per key, true iff the key is present in some run.
     /// One sequential merge pass per run — the "level barrier" access
     /// pattern of the streaming reachability fold.
-    pub fn contains_batch(&self, keys: &[u128]) -> io::Result<Vec<bool>> {
+    pub(crate) fn contains_batch(&self, keys: &[u128]) -> io::Result<Vec<bool>> {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "query keys must be sorted + unique");
         let mut present = vec![false; keys.len()];
         for run in &self.runs {

@@ -9,7 +9,7 @@
 //! transitions at other sites.
 //!
 //! The FSAs of commit protocols have these properties (paper §"Properties of
-//! the FSAs"), all of which [`Fsa::validate`] enforces:
+//! the FSAs"), all of which `Fsa::validate` enforces:
 //!
 //! * they are **nondeterministic** (a site may vote yes *or* no on the same
 //!   input — we additionally allow `Spontaneous` transitions for purely
@@ -146,15 +146,6 @@ impl Consume {
     pub fn one(src: SiteId, kind: MsgKind) -> Self {
         Self::All(vec![(src, kind)])
     }
-
-    /// Number of distinct message patterns this trigger mentions.
-    pub fn arity(&self) -> usize {
-        match self {
-            Self::Spontaneous => 0,
-            Self::All(v) | Self::Any(v) => v.len(),
-            Self::Quorum { srcs, .. } => srcs.len(),
-        }
-    }
 }
 
 /// One state transition of a site FSA.
@@ -176,7 +167,7 @@ pub struct Transition {
 
 /// A site's finite state automaton.
 ///
-/// Construct with [`FsaBuilder`]; validate with [`Fsa::validate`] (the
+/// Construct with [`FsaBuilder`]; validate with `Fsa::validate` (the
 /// [`Protocol`](crate::protocol::Protocol) validator calls it for every
 /// site).
 #[derive(Clone, Debug)]
@@ -228,7 +219,7 @@ impl Fsa {
 
     /// True if `s` is a final (commit or abort) state.
     #[inline]
-    pub fn is_final(&self, s: StateId) -> bool {
+    pub(crate) fn is_final(&self, s: StateId) -> bool {
         self.state(s).class.is_final()
     }
 
@@ -238,14 +229,9 @@ impl Fsa {
         self.state(s).class == StateClass::Committed
     }
 
-    /// True if `s` is the abort state.
-    #[inline]
-    pub fn is_abort(&self, s: StateId) -> bool {
-        self.state(s).class == StateClass::Aborted
-    }
-
     /// Find the (first) state with the given class, if any.
-    pub fn state_of_class(&self, class: StateClass) -> Option<StateId> {
+    #[cfg(test)]
+    pub(crate) fn state_of_class(&self, class: StateClass) -> Option<StateId> {
         self.states.iter().position(|i| i.class == class).map(|i| StateId(i as u32))
     }
 
@@ -272,35 +258,6 @@ impl Fsa {
         seen
     }
 
-    /// Per-state depth (number of transitions from the initial state), if
-    /// the FSA is *leveled* — every path from the initial state to a given
-    /// state has the same length. All catalog protocols are leveled; the
-    /// phase-synchronicity analysis relies on this.
-    ///
-    /// Unreachable states get depth `None` inside the `Ok` vector.
-    pub fn levels(&self, site: SiteId) -> Result<Vec<Option<u32>>, ProtocolError> {
-        let mut depth: Vec<Option<u32>> = vec![None; self.states.len()];
-        depth[self.initial.index()] = Some(0);
-        let mut queue = VecDeque::new();
-        queue.push_back(self.initial);
-        while let Some(s) = queue.pop_front() {
-            let d = depth[s.index()].expect("queued state has a depth");
-            for (_, t) in self.outgoing(s) {
-                match depth[t.to.index()] {
-                    None => {
-                        depth[t.to.index()] = Some(d + 1);
-                        queue.push_back(t.to);
-                    }
-                    Some(existing) if existing != d + 1 => {
-                        return Err(ProtocolError::NotLeveled { site, state: t.to });
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        Ok(depth)
-    }
-
     /// Longest path length from the initial state; this is the number of
     /// phases this site participates in.
     pub fn max_depth(&self) -> u32 {
@@ -318,32 +275,11 @@ impl Fsa {
         longest(self, self.initial, &mut memo)
     }
 
-    /// The undirected adjacency set of `s`: `s` itself plus its predecessor
-    /// and successor states in the state diagram.
-    ///
-    /// For protocols *synchronous within one state transition*, the paper's
-    /// Lemma shows the concurrency set of a state can only contain states
-    /// adjacent to it — this set is the basis of the cheap lemma-based
-    /// nonblocking check.
-    pub fn adjacent(&self, s: StateId) -> Vec<StateId> {
-        let mut out: Vec<StateId> = vec![s];
-        for t in &self.transitions {
-            if t.from == s && !out.contains(&t.to) {
-                out.push(t.to);
-            }
-            if t.to == s && !out.contains(&t.from) {
-                out.push(t.from);
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Validate the structural properties required of commit-protocol FSAs.
     ///
     /// `site` and `n_sites` contextualize error messages and let us check
     /// that emitted messages address real sites of the instance.
-    pub fn validate(&self, site: SiteId, n_sites: usize) -> Result<(), ProtocolError> {
+    pub(crate) fn validate(&self, site: SiteId, n_sites: usize) -> Result<(), ProtocolError> {
         if self.states.is_empty() {
             return Err(ProtocolError::EmptyFsa { site });
         }
@@ -519,7 +455,7 @@ impl FsaBuilder {
     ///
     /// # Panics
     /// Panics if no initial state was declared. Structural validation is
-    /// deferred to [`Fsa::validate`] so that invalid protocols can still be
+    /// deferred to `Fsa::validate` so that invalid protocols can still be
     /// constructed and *analyzed* (e.g. to demonstrate what goes wrong).
     pub fn build(self) -> Fsa {
         let initial = self.initial.expect("FSA needs an initial state");
@@ -596,7 +532,7 @@ mod tests {
         let a = fsa.state_by_name("a").unwrap();
         assert_eq!(fsa.outgoing(c).count(), 0);
         assert_eq!(fsa.outgoing(a).count(), 0);
-        assert!(fsa.is_commit(c) && fsa.is_abort(a));
+        assert!(fsa.is_commit(c) && fsa.state(a).class == StateClass::Aborted);
     }
 
     #[test]
@@ -676,52 +612,9 @@ mod tests {
     }
 
     #[test]
-    fn levels_of_leveled_fsa() {
-        // A strictly leveled chain q -> w -> c with a same-level abort
-        // branch w -> a.
-        let mut b = FsaBuilder::new("leveled");
-        let q = b.state("q", StateClass::Initial);
-        let w = b.state("w", StateClass::Wait);
-        let c = b.state("c", StateClass::Committed);
-        let a = b.state("a", StateClass::Aborted);
-        b.transition(q, w, Consume::Spontaneous, vec![], None, "go");
-        b.transition(w, c, Consume::Spontaneous, vec![], None, "commit");
-        b.transition(w, a, Consume::Spontaneous, vec![], None, "abort");
-        let fsa = b.build();
-        let lv = fsa.levels(SiteId(0)).unwrap();
-        assert_eq!(lv[q.index()], Some(0));
-        assert_eq!(lv[w.index()], Some(1));
-        assert_eq!(lv[c.index()], Some(2));
-        assert_eq!(lv[a.index()], Some(2));
-    }
-
-    #[test]
-    fn unleveled_abort_detected() {
-        // The slave abort state is reachable at two different depths, so a
-        // strict leveling check fails — this is expected, and the
-        // synchronicity analysis treats abort states specially.
-        let fsa = tiny_2pc_participant();
-        let res = fsa.levels(SiteId(1));
-        // q->a (depth 1) vs w->a (depth 2): conflict.
-        assert!(res.is_err());
-    }
-
-    #[test]
     fn max_depth_counts_phases() {
         let fsa = tiny_2pc_participant();
         assert_eq!(fsa.max_depth(), 2);
-    }
-
-    #[test]
-    fn adjacency_matches_paper_shape() {
-        let fsa = tiny_2pc_participant();
-        let q = fsa.state_by_name("q").unwrap();
-        let w = fsa.state_by_name("w").unwrap();
-        let a = fsa.state_by_name("a").unwrap();
-        let c = fsa.state_by_name("c").unwrap();
-        assert_eq!(fsa.adjacent(w), vec![q, w, a, c]);
-        assert_eq!(fsa.adjacent(q), vec![q, w, a]);
-        assert_eq!(fsa.adjacent(c), vec![w, c]);
     }
 
     #[test]

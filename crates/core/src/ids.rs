@@ -96,14 +96,14 @@ impl MsgKind {
     /// The abort decision.
     pub const ABORT: MsgKind = MsgKind(5);
     /// "Prepare to commit" — the buffer-state announcement of 3PC.
-    pub const PREPARE: MsgKind = MsgKind(6);
+    pub(crate) const PREPARE: MsgKind = MsgKind(6);
     /// Acknowledgement of a `PREPARE` (central-site 3PC, phase 3).
     pub const ACK: MsgKind = MsgKind(7);
     /// First kind available for user-defined protocols.
     pub const FIRST_CUSTOM: MsgKind = MsgKind(8);
 
     /// Built-in name for the well-known kinds, `None` for custom kinds.
-    pub fn builtin_name(self) -> Option<&'static str> {
+    pub(crate) fn builtin_name(self) -> Option<&'static str> {
         Some(match self {
             Self::REQUEST => "request",
             Self::XACT => "xact",

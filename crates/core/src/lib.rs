@@ -9,7 +9,7 @@
 //!   3PC) and the **canonical** single-automaton forms ([`canonical`]);
 //! * **global transaction states** and the **reachable state graph**
 //!   ([`reach`]);
-//! * **concurrency sets** and **committable states** ([`analysis`]);
+//! * **concurrency sets** and **committable states** ([`Analysis`]);
 //! * the **fundamental nonblocking theorem** ([`theorem`]), its
 //!   **k-resiliency corollary** ([`resilience`]), and the
 //!   synchronous-protocol **Lemma** ([`canonical`], [`sync_check`]);
@@ -50,17 +50,14 @@
 //! assert_eq!(nonblocking.phase_count(), 3); // 2PC + buffer round = 3PC
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod analysis;
+mod analysis;
 pub mod canonical;
-pub mod codec;
+mod codec;
 pub mod dot;
-pub mod error;
-pub mod extmem;
+mod error;
+mod extmem;
 mod facts;
-pub mod fp128;
+mod fp128;
 pub mod fsa;
 pub mod ids;
 pub mod kpc;
@@ -78,17 +75,16 @@ pub mod theorem;
 pub mod verify;
 
 pub use analysis::Analysis;
-pub use codec::{PackedArena, StateCodec};
+pub use codec::StateCodec;
 pub use error::ProtocolError;
 pub use extmem::{RunSet, SpillStats};
 pub use fp128::{Fp128, FpBuildHasher, MultisetFp};
-pub use fsa::{Consume, Envelope, Fsa, FsaBuilder, StateClass, StateInfo, Transition, Vote};
+pub use fsa::{Consume, Envelope, Fsa, FsaBuilder, StateClass, Transition, Vote};
 pub use ids::{MsgKind, SiteId, StateId};
 pub use protocol::{InitialMsg, Paradigm, Protocol};
 pub use reach::{
-    auto_threads, fingerprint128, Count, GlobalState, GraphStats, LevelProgress, ReachGraph,
-    ReachOptions, StreamStats, MAX_THREADS,
+    auto_threads, fingerprint128, Count, GlobalState, LevelProgress, ReachGraph, ReachOptions,
+    StreamStats, MAX_THREADS,
 };
 pub use symmetry::Symmetry;
 pub use termination::Decision;
-pub use theorem::{TheoremReport, Violation};

@@ -96,11 +96,11 @@ impl Protocol {
     }
 
     /// Declare this protocol quorum-based (see [`QuorumSpec`]).
-    pub fn set_quorum(&mut self, spec: QuorumSpec) {
+    pub(crate) fn set_quorum(&mut self, spec: QuorumSpec) {
         self.quorum = Some(spec);
     }
 
-    /// Builder-style [`Protocol::set_quorum`].
+    /// Builder-style `Protocol::set_quorum`.
     pub fn with_quorum(mut self, spec: QuorumSpec) -> Self {
         self.set_quorum(spec);
         self
@@ -173,7 +173,7 @@ impl Protocol {
     /// an unilateral abort"; every protocol in the design space studied has
     /// two or more phases — we still permit constructing 1PC for the
     /// catalog, so this check is only run by [`Protocol::validate_strict`]).
-    pub fn validate(&self) -> Result<(), ProtocolError> {
+    pub(crate) fn validate(&self) -> Result<(), ProtocolError> {
         if self.fsas.is_empty() {
             return Err(ProtocolError::NoSites);
         }
@@ -202,7 +202,7 @@ impl Protocol {
         Ok(())
     }
 
-    /// [`Protocol::validate`] plus the two-phase minimum.
+    /// `Protocol::validate` plus the two-phase minimum.
     pub fn validate_strict(&self) -> Result<(), ProtocolError> {
         self.validate()?;
         let phases = self.phase_count();

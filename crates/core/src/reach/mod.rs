@@ -27,7 +27,7 @@
 //! state of a protocol the same fixed-width bit layout — a field per site's
 //! local state, a count field per message address, `W` words in all (one
 //! for central 2PC n=7, two for central 3PC n=7..10, three for
-//! decentralized 3PC n=6; [`crate::codec`] has the argument that bounds a
+//! decentralized 3PC n=6; `codec` has the argument that bounds a
 //! channel) — and the protocol's transitions are compiled against it once
 //! (`Program`): which fields a trigger needs and how many of each, which
 //! fields an emission raises.
@@ -54,7 +54,7 @@
 //! walk, `fold_reachable`, which keeps no graph — a frontier of orbit
 //! representatives and a fingerprint set, wide frontiers fanned out to
 //! scoped workers — and folds the facts and counts the graph's
-//! [`GraphStats`] as it goes ([`crate::Analysis::build_with`] picks by
+//! `GraphStats` as it goes ([`crate::Analysis::build_with`] picks by
 //! [`ReachOptions::stream`]; every facts-only `nbc` command streams).
 //!
 //! ## Nodes on demand
@@ -90,7 +90,8 @@ mod graph;
 mod program;
 mod stream;
 
-pub use graph::{GraphStats, ReachGraph};
+pub(crate) use graph::GraphStats;
+pub use graph::ReachGraph;
 pub use stream::StreamStats;
 pub(crate) use stream::{fold_reachable, StateFolder, Visit};
 
@@ -128,7 +129,7 @@ pub struct Msgs(Vec<(MsgAddr, u16)>);
 
 impl Msgs {
     /// Empty multiset.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -152,7 +153,8 @@ impl Msgs {
     }
 
     /// Multiplicity of `addr`.
-    pub fn count(&self, addr: MsgAddr) -> u16 {
+    #[cfg(test)]
+    pub(crate) fn count(&self, addr: MsgAddr) -> u16 {
         match self.0.binary_search_by_key(&addr, |&(a, _)| a) {
             Ok(i) => self.0[i].1,
             Err(_) => 0,
@@ -160,7 +162,8 @@ impl Msgs {
     }
 
     /// True if at least one message with this address is outstanding.
-    pub fn contains(&self, addr: MsgAddr) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, addr: MsgAddr) -> bool {
         self.count(addr) > 0
     }
 
@@ -169,7 +172,7 @@ impl Msgs {
     /// Fails with [`ProtocolError::MsgOverflow`] if the multiplicity of
     /// `addr` would exceed `u16::MAX` — in release builds an unchecked
     /// increment would silently wrap to 0 and corrupt the multiset.
-    pub fn add(&mut self, addr: MsgAddr) -> Result<(), ProtocolError> {
+    pub(crate) fn add(&mut self, addr: MsgAddr) -> Result<(), ProtocolError> {
         match self.0.binary_search_by_key(&addr, |&(a, _)| a) {
             Ok(i) => {
                 self.0[i].1 = self.0[i].1.checked_add(1).ok_or(ProtocolError::MsgOverflow {
@@ -184,7 +187,8 @@ impl Msgs {
     }
 
     /// Remove one message; panics if absent (callers check first).
-    pub fn remove(&mut self, addr: MsgAddr) {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, addr: MsgAddr) {
         let Ok(i) = self.0.binary_search_by_key(&addr, |&(a, _)| a) else {
             panic!("removing absent message {addr:?}")
         };
@@ -320,7 +324,7 @@ pub struct ReachOptions {
     /// Approximate byte budget for the streaming fold's retired-level
     /// fingerprint set. `0` (the default) keeps everything in RAM; any
     /// other value makes the fold spill the hot set to sorted temp-file
-    /// runs ([`crate::extmem`]) whenever it outgrows the budget, answering
+    /// runs (`extmem`) whenever it outgrows the budget, answering
     /// membership at each level barrier by one batched merge pass. Every
     /// deterministic output — fold results, [`StreamStats`] counts,
     /// [`LevelProgress`] snapshots — is byte-identical to the unlimited

@@ -14,7 +14,7 @@
 //! * everything else **must ask** the operational sites: between the crash
 //!   and the recovery the survivors may have run the termination protocol,
 //!   whose class-based decisions (see
-//!   [`termination::class_decisions`](crate::termination::class_decisions))
+//!   `termination::class_decisions`)
 //!   can go either way from the concurrently-occupiable classes.
 //!
 //! The classification mirrors — and is cross-validated against — the
@@ -25,7 +25,7 @@ use std::fmt;
 
 use crate::analysis::Analysis;
 use crate::fsa::StateClass;
-use crate::ids::{SiteId, StateId};
+use crate::ids::SiteId;
 use crate::protocol::Protocol;
 use crate::termination::Decision;
 
@@ -57,8 +57,6 @@ impl fmt::Display for RecoveryClass {
 pub struct RecoveryRow {
     /// Site.
     pub site: SiteId,
-    /// State.
-    pub state: StateId,
     /// Display name.
     pub state_name: String,
     /// Classification.
@@ -72,7 +70,7 @@ pub struct RecoveryRow {
 /// (unoccupied states read [`RecoveryClass::MustAsk`]). This is the
 /// derivation; read it through [`Analysis::recovery_classes`], which
 /// memoises it per analysis.
-pub fn recovery_classes(analysis: &Analysis) -> Vec<Vec<RecoveryClass>> {
+pub(crate) fn recovery_classes(analysis: &Analysis) -> Vec<Vec<RecoveryClass>> {
     let mut table: Vec<Vec<RecoveryClass>> = (0..analysis.n_sites())
         .map(|i| vec![RecoveryClass::MustAsk; analysis.state_count(SiteId(i as u32))])
         .collect();
@@ -110,7 +108,6 @@ pub fn classify(protocol: &Protocol, analysis: &Analysis) -> Vec<RecoveryRow> {
         reachable.dedup();
         rows.push(RecoveryRow {
             site,
-            state: s,
             state_name: fsa.state(s).name.clone(),
             class: classes[site.index()][s.index()],
             reachable_decisions: reachable,
@@ -208,7 +205,8 @@ mod tests {
         let p = central_3pc(3);
         let a = Analysis::build(&p).unwrap();
         for r in classify(&p, &a) {
-            let fsa_class = p.fsa(r.site).state(r.state).class;
+            let fsa = p.fsa(r.site);
+            let fsa_class = fsa.state(fsa.state_by_name(&r.state_name).unwrap()).class;
             match fsa_class {
                 StateClass::Initial => {
                     assert_eq!(r.class, RecoveryClass::IndependentAbort)

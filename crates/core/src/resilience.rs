@@ -14,12 +14,10 @@ use crate::theorem::{self, TheoremReport};
 /// Resiliency analysis of one protocol.
 #[derive(Clone, Debug)]
 pub struct ResilienceReport {
-    /// Protocol name.
-    pub protocol: String,
     /// Number of participating sites.
     pub n_sites: usize,
     /// Per-site: does the site obey both theorem conditions?
-    pub clean: Vec<bool>,
+    pub(crate) clean: Vec<bool>,
     /// The largest number of site failures the protocol is nonblocking
     /// with respect to: `max(0, #clean − 1)` bounded to `n−1`.
     pub max_tolerated_failures: usize,
@@ -54,7 +52,7 @@ pub fn resilience_with(protocol: &Protocol, report: &TheoremReport) -> Resilienc
     // does not require sites) tolerates no failures rather than panicking
     // on `n - 1`.
     let max_tolerated_failures = clean_count.saturating_sub(1).min(n.saturating_sub(1));
-    ResilienceReport { protocol: protocol.name.clone(), n_sites: n, clean, max_tolerated_failures }
+    ResilienceReport { n_sites: n, clean, max_tolerated_failures }
 }
 
 #[cfg(test)]

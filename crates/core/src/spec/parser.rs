@@ -18,7 +18,7 @@ pub struct ParseError {
     /// 1-based line of the offending input.
     pub line: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseError {

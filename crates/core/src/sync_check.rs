@@ -27,30 +27,26 @@
 use std::collections::BTreeSet;
 
 use crate::analysis::Analysis;
-use crate::error::ProtocolError;
 use crate::fsa::StateClass;
 use crate::ids::{SiteId, StateId};
 use crate::protocol::Protocol;
-use crate::reach::ReachOptions;
 
 /// A concurrency-set member outside the adjacency set of the state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdjacencyEscape {
     /// The site whose concurrency set escapes adjacency.
-    pub site: SiteId,
+    pub(crate) site: SiteId,
     /// The state whose concurrency set escapes adjacency.
-    pub state: StateId,
+    pub(crate) state: StateId,
     /// The other site occupying the non-adjacent state.
-    pub other_site: SiteId,
+    pub(crate) other_site: SiteId,
     /// The concurrent state that is not adjacent.
-    pub other_state: StateId,
+    pub(crate) other_state: StateId,
 }
 
 /// Result of the synchronicity check.
 #[derive(Clone, Debug)]
 pub struct SyncReport {
-    /// Protocol name.
-    pub protocol: String,
     /// Concurrency-set members outside adjacency (empty iff the protocol
     /// is synchronous within one state transition in the Lemma-relevant
     /// sense).
@@ -64,12 +60,6 @@ impl SyncReport {
     pub fn synchronous_within_one(&self) -> bool {
         self.escapes.is_empty()
     }
-}
-
-/// Check synchronicity, building the analysis.
-pub fn check(protocol: &Protocol) -> Result<SyncReport, ProtocolError> {
-    let analysis = Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))?;
-    Ok(check_with(protocol, &analysis))
 }
 
 /// Check against a precomputed [`Analysis`].
@@ -106,7 +96,7 @@ pub fn check_with(protocol: &Protocol, analysis: &Analysis) -> SyncReport {
         }
     }
 
-    SyncReport { protocol: protocol.name.clone(), escapes }
+    SyncReport { escapes }
 }
 
 #[cfg(test)]
@@ -120,7 +110,7 @@ mod tests {
     fn whole_catalog_is_synchronous_within_one() {
         // The paper asserts this for both paradigms, 2PC and 3PC alike.
         for p in crate::protocols::catalog(3) {
-            let r = check(&p).unwrap();
+            let r = check_with(&p, &Analysis::build(&p).unwrap());
             assert!(r.synchronous_within_one(), "{}: escapes {:?}", p.name, r.escapes);
         }
     }
@@ -162,7 +152,7 @@ mod tests {
             vec![b0.build(), b1.build()],
             vec![],
         );
-        let r = check(&p).unwrap();
+        let r = check_with(&p, &Analysis::build(&p).unwrap());
         // The waiter's q co-occurs with runner states m and z, whose
         // classes are not among waiter-q's adjacent classes — an escape.
         assert!(!r.synchronous_within_one(), "escapes: {:?}", r.escapes);
@@ -191,7 +181,7 @@ mod tests {
             vec![b0.build(), b1.build()],
             vec![InitialMsg { src: SiteId::CLIENT, dst: SiteId(0), kind: MsgKind::REQUEST }],
         );
-        let r = check(&p).unwrap();
+        let r = check_with(&p, &Analysis::build(&p).unwrap());
         assert!(r.synchronous_within_one());
     }
 }

@@ -91,7 +91,7 @@ pub fn make_nonblocking(protocol: &Protocol) -> Result<Protocol, SynthesisError>
 /// Apply one buffer-insertion round *unconditionally* — even to an already
 /// nonblocking protocol. Used by the k-phase family ([`crate::kpc`]) and
 /// the "does a fourth phase buy anything?" ablation.
-pub fn buffer_once(protocol: &Protocol) -> Result<Protocol, SynthesisError> {
+pub(crate) fn buffer_once(protocol: &Protocol) -> Result<Protocol, SynthesisError> {
     let (prepare_kind, ack_kind) = fresh_kinds(protocol);
     match protocol.paradigm {
         Paradigm::CentralSite => Ok(central_transform(protocol, prepare_kind, ack_kind)),

@@ -50,7 +50,7 @@ impl fmt::Display for Decision {
 /// atomicity (e.g. a 2PC slave in `w` would commit while the crashed
 /// coordinator had aborted) — `nbc-engine` demonstrates this, and offers
 /// [`cautious_decision`] for the general case.
-pub fn backup_decision(analysis: &Analysis, site: SiteId, state: StateId) -> Decision {
+pub(crate) fn backup_decision(analysis: &Analysis, site: SiteId, state: StateId) -> Decision {
     match analysis.class_of(site, state) {
         StateClass::Committed => Decision::Commit,
         StateClass::Aborted => Decision::Abort,
@@ -80,7 +80,7 @@ pub fn backup_decision(analysis: &Analysis, site: SiteId, state: StateId) -> Dec
 /// With a single collected state and a nonblocking protocol this coincides
 /// with [`backup_decision`]; with the full set of operational states it is
 /// the classical *cooperative termination protocol* for 2PC.
-pub fn cautious_decision(analysis: &Analysis, states: &[(SiteId, StateId)]) -> Decision {
+pub(crate) fn cautious_decision(analysis: &Analysis, states: &[(SiteId, StateId)]) -> Decision {
     assert!(!states.is_empty(), "termination requires at least one operational site");
     if states.iter().any(|&(i, s)| analysis.class_of(i, s) == StateClass::Committed) {
         return Decision::Commit;
@@ -121,7 +121,7 @@ pub type ClassDecisionTable = BTreeMap<StateClass, Decision>;
 ///
 /// This is the derivation; callers should read the table through
 /// [`Analysis::class_decisions`], which memoises it per analysis.
-pub fn class_decisions(analysis: &Analysis) -> ClassDecisionTable {
+pub(crate) fn class_decisions(analysis: &Analysis) -> ClassDecisionTable {
     let mut by_class: BTreeMap<StateClass, Vec<(SiteId, StateId)>> = BTreeMap::new();
     for (site, s, class) in analysis.occupied_states() {
         by_class.entry(class).or_default().push((site, s));
@@ -156,8 +156,6 @@ pub fn class_decisions(analysis: &Analysis) -> ClassDecisionTable {
 pub struct DecisionRow {
     /// Site whose state the row describes.
     pub site: SiteId,
-    /// The local state.
-    pub state: StateId,
     /// Display name of the state.
     pub state_name: String,
     /// State class.
@@ -184,7 +182,6 @@ pub fn decision_table(protocol: &Protocol, analysis: &Analysis) -> Vec<DecisionR
             }
             rows.push(DecisionRow {
                 site,
-                state: s,
                 state_name: fsa.state(s).name.clone(),
                 class: fsa.state(s).class,
                 backup: backup_decision(analysis, site, s),

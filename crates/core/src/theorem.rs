@@ -44,31 +44,11 @@ pub enum Violation {
     NoncommittableSeesCommit { site: SiteId, state: StateId, commit_witness: (SiteId, StateId) },
 }
 
-impl Violation {
-    /// The site whose state violates a condition.
-    pub fn site(&self) -> SiteId {
-        match self {
-            Self::MixedConcurrency { site, .. } | Self::NoncommittableSeesCommit { site, .. } => {
-                *site
-            }
-        }
-    }
-
-    /// The violating local state.
-    pub fn state(&self) -> StateId {
-        match self {
-            Self::MixedConcurrency { state, .. } | Self::NoncommittableSeesCommit { state, .. } => {
-                *state
-            }
-        }
-    }
-}
-
 /// Result of checking the theorem against a protocol.
 #[derive(Clone, Debug)]
 pub struct TheoremReport {
     /// Protocol name the report refers to.
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// All violations found (empty iff nonblocking).
     pub violations: Vec<Violation>,
     /// Per-site cleanliness: `clean[i]` iff site `i` has no violating
@@ -200,10 +180,11 @@ mod tests {
         let p = central_2pc(3);
         let r = check(&p).unwrap();
         for v in &r.violations {
-            let site = v.site();
+            let (Violation::MixedConcurrency { site, state, .. }
+            | Violation::NoncommittableSeesCommit { site, state, .. }) = *v;
             assert_ne!(site, SiteId(0), "coordinator states are clean in central 2PC");
             let fsa = p.fsa(site);
-            assert_eq!(fsa.state(v.state()).name, "w");
+            assert_eq!(fsa.state(state).name, "w");
         }
         // Coordinator clean, every slave dirty.
         assert_eq!(r.clean, vec![true, false, false]);
@@ -224,13 +205,5 @@ mod tests {
         assert!(s.contains("cond.1") || s.contains("cond.2"));
         let r = check(&central_3pc(2)).unwrap();
         assert!(r.to_string().contains("NONBLOCKING"));
-    }
-
-    #[test]
-    fn violation_accessors() {
-        let r = check(&central_2pc(2)).unwrap();
-        let v = &r.violations[0];
-        assert_eq!(v.site(), SiteId(1));
-        let _ = v.state();
     }
 }

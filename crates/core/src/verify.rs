@@ -8,7 +8,7 @@
 //! of surviving sites,
 //!
 //! 1. the decision the elected backup of `S` derives (the backup rule per
-//!    [`termination::class_decisions`](crate::termination::class_decisions)
+//!    `termination::class_decisions`
 //!    applied to its state class) must not contradict a final state already
 //!    present anywhere in `G` — a crashed site may have durably committed
 //!    or aborted; and

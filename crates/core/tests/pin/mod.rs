@@ -24,12 +24,12 @@ thread_local! {
 }
 
 /// The progress hook every pinned build installs.
-pub fn hook(p: &LevelProgress) {
+pub(crate) fn hook(p: &LevelProgress) {
     LEVELS.with(|l| l.borrow_mut().push(*p));
 }
 
 /// The level lines recorded on this thread since the last call.
-pub fn take_levels() -> String {
+pub(crate) fn take_levels() -> String {
     let mut out = String::new();
     for p in LEVELS.with(|l| std::mem::take(&mut *l.borrow_mut())) {
         writeln!(
@@ -84,7 +84,7 @@ fn graph_line(g: &ReachGraph) -> String {
 }
 
 /// The pinned block for `protocol`, headed by `label`.
-pub fn render(label: &str, protocol: &Protocol) -> String {
+pub(crate) fn render(label: &str, protocol: &Protocol) -> String {
     let serial =
         ReachGraph::build_with(protocol, ReachOptions::default().with_progress(hook)).unwrap();
     let graph = graph_line(&serial);
@@ -132,7 +132,7 @@ pub fn render(label: &str, protocol: &Protocol) -> String {
 
 /// Compare a rendering with its golden, naming the first line that moved
 /// (the whole text is thousands of lines).
-pub fn assert_golden(got: &str, want: &str) {
+pub(crate) fn assert_golden(got: &str, want: &str) {
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
         assert_eq!(g, w, "golden line {}", i + 1);
     }

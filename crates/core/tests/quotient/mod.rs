@@ -66,7 +66,7 @@ fn assert_same_facts(p: &Protocol, want: &Analysis, got: &Analysis, ctx: &str) {
 /// — against the serial retained build. Termination verification walks
 /// the states again with each analysis's options, so its whole result is
 /// held to the serial one's too.
-pub fn assert_streamed_equals_retained(label: &str, p: &Protocol) {
+pub(crate) fn assert_streamed_equals_retained(label: &str, p: &Protocol) {
     let retained =
         Analysis::build_with(p, ReachOptions::default().with_threads(1).with_progress(pin::hook))
             .unwrap();

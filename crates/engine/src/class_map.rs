@@ -5,7 +5,7 @@ use nbc_core::StateClass;
 use nbc_storage::recovery::class_codes;
 
 /// Encode a state class as the storage/wire code.
-pub fn encode_class(class: StateClass) -> u8 {
+pub(crate) fn encode_class(class: StateClass) -> u8 {
     match class {
         StateClass::Initial => class_codes::INITIAL,
         StateClass::Wait => class_codes::WAIT,
@@ -19,7 +19,7 @@ pub fn encode_class(class: StateClass) -> u8 {
 /// Decode a storage/wire code back to a state class; `None` for codes
 /// between the reserved range and `CUSTOM_BASE` (never produced by
 /// [`encode_class`]).
-pub fn try_decode_class(code: u8) -> Option<StateClass> {
+pub(crate) fn try_decode_class(code: u8) -> Option<StateClass> {
     Some(match code {
         class_codes::INITIAL => StateClass::Initial,
         class_codes::WAIT => StateClass::Wait,
@@ -35,7 +35,7 @@ pub fn try_decode_class(code: u8) -> Option<StateClass> {
 ///
 /// # Panics
 /// Panics on codes [`try_decode_class`] rejects.
-pub fn decode_class(code: u8) -> StateClass {
+pub(crate) fn decode_class(code: u8) -> StateClass {
     try_decode_class(code).unwrap_or_else(|| panic!("invalid class code {code}"))
 }
 

@@ -145,7 +145,7 @@ pub struct RunConfig {
     /// Simulation time at which the run begins (client stimuli are
     /// injected at this instant). The pipeline admits rounds mid-
     /// simulation; single-shot runs start at `0`.
-    pub start_at: Time,
+    pub(crate) start_at: Time,
 }
 
 impl RunConfig {

@@ -11,13 +11,13 @@ use crate::class_map::try_decode_class;
 /// table its [`Analysis`] derives once and memoises, so every run over
 /// that analysis shares it.
 #[derive(Debug, Clone, Copy)]
-pub struct ClassDecisions<'a> {
+pub(crate) struct ClassDecisions<'a> {
     table: &'a ClassDecisionTable,
 }
 
 impl<'a> ClassDecisions<'a> {
     /// The analysis's (memoised) table.
-    pub fn build(analysis: &'a Analysis) -> Self {
+    pub(crate) fn build(analysis: &'a Analysis) -> Self {
         Self { table: analysis.class_decisions() }
     }
 
@@ -25,7 +25,7 @@ impl<'a> ClassDecisions<'a> {
     ///
     /// Unknown codes (possible when a custom protocol aligns to a class
     /// the analysis never saw) conservatively block.
-    pub fn decide(&self, class_code: u8) -> Decision {
+    pub(crate) fn decide(&self, class_code: u8) -> Decision {
         try_decode_class(class_code)
             .and_then(|class| self.table.get(&class))
             .copied()
@@ -35,7 +35,7 @@ impl<'a> ClassDecisions<'a> {
     /// Cooperative decision over a set of class codes: any committed →
     /// commit; any aborted → abort; any abort-deciding class → abort; any
     /// commit-deciding class → commit; otherwise blocked.
-    pub fn decide_cooperative(&self, codes: impl IntoIterator<Item = u8>) -> Decision {
+    pub(crate) fn decide_cooperative(&self, codes: impl IntoIterator<Item = u8>) -> Decision {
         use nbc_storage::recovery::class_codes;
         let codes: Vec<u8> = codes.into_iter().collect();
         assert!(!codes.is_empty(), "cooperative decision needs at least one state");

@@ -415,11 +415,6 @@ impl<'a> Runner<'a> {
         &self.sites
     }
 
-    /// The protocol this run executes.
-    pub fn protocol(&self) -> &'a nbc_core::Protocol {
-        self.protocol
-    }
-
     /// Every pending network event as `(time, sequence handle, event)`,
     /// borrowed, in **unspecified** order — the allocation-free form of
     /// [`Runner::pending_events`]. Delivery order (and FIFO order within a

@@ -28,31 +28,27 @@
 //!   them all — the experimental face of the fundamental nonblocking
 //!   theorem.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod class_map;
+mod class_map;
 mod commit;
-pub mod config;
-pub mod decide;
+mod config;
+mod decide;
 #[cfg(test)]
 mod digest_tests;
-pub mod explore;
+mod explore;
 mod recovery;
-pub mod report;
-pub mod run;
+mod report;
+mod run;
 pub mod site;
 pub mod sweep;
 mod termination;
-pub mod wire;
+mod wire;
 
 pub use config::{
     CrashPoint, CrashSpec, DetectorSpec, PartitionSpec, RunConfig, TerminationRule,
     TransitionProgress,
 };
-pub use decide::ClassDecisions;
 pub use explore::{channel_of, Channel, MaySend, SendBound};
 pub use report::{RunReport, SiteOutcome};
 pub use run::{run_one, run_traced, run_with, AnalysisSource, Runner};
-pub use sweep::{enumerate_crash_specs, sweep, sweep_traced, SweepSummary};
+pub use sweep::{enumerate_crash_specs, sweep, sweep_traced};
 pub use wire::Wire;

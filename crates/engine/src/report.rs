@@ -87,20 +87,10 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Audit the outcomes and assemble the report.
-    pub fn assemble(
-        outcomes: Vec<SiteOutcome>,
-        msgs_sent: u64,
-        finished_at: Time,
-        events: usize,
-        truncated: bool,
-    ) -> Self {
-        Self::assemble_with_trace(outcomes, msgs_sent, finished_at, events, truncated, Vec::new())
-    }
-
-    /// As [`RunReport::assemble`], attaching a recorded trace.
+    /// Audit the outcomes and assemble the report, attaching a recorded
+    /// trace.
     #[allow(clippy::too_many_arguments)]
-    pub fn assemble_with_trace(
+    pub(crate) fn assemble(
         outcomes: Vec<SiteOutcome>,
         msgs_sent: u64,
         finished_at: Time,
@@ -206,6 +196,7 @@ mod tests {
             5,
             3,
             false,
+            Vec::new(),
         );
         assert!(!r.consistent);
         assert_eq!(r.decision(), None);
@@ -219,6 +210,7 @@ mod tests {
             0,
             0,
             false,
+            Vec::new(),
         );
         assert!(!r.consistent);
     }
@@ -231,6 +223,7 @@ mod tests {
             0,
             0,
             false,
+            Vec::new(),
         );
         assert!(r.consistent);
         assert!(r.any_blocked);
@@ -246,6 +239,7 @@ mod tests {
             9,
             4,
             false,
+            Vec::new(),
         );
         assert!(r.consistent);
         assert_eq!(r.decision(), Some(true));
@@ -255,7 +249,7 @@ mod tests {
 
     #[test]
     fn display_is_compact() {
-        let r = RunReport::assemble(vec![SiteOutcome::Committed], 1, 2, 3, false);
+        let r = RunReport::assemble(vec![SiteOutcome::Committed], 1, 2, 3, false, Vec::new());
         let s = r.to_string();
         assert!(s.contains("site0=committed"));
         assert!(s.contains("consistent=true"));
@@ -263,7 +257,7 @@ mod tests {
 
     #[test]
     fn json_roundtrips_structure() {
-        let r = RunReport::assemble_with_trace(
+        let r = RunReport::assemble(
             vec![SiteOutcome::Committed, SiteOutcome::DownUndecided],
             7,
             9,
@@ -277,7 +271,7 @@ mod tests {
         assert!(j.contains("\"decision\":true"), "{j}");
         assert!(j.contains("\"trace\":["), "{j}");
 
-        let blocked = RunReport::assemble(vec![SiteOutcome::Blocked], 0, 0, 0, false);
+        let blocked = RunReport::assemble(vec![SiteOutcome::Blocked], 0, 0, 0, false, Vec::new());
         let j = blocked.to_json();
         nbc_obs::json::validate(&j).unwrap();
         assert!(j.contains("\"decision\":null"), "{j}");

@@ -19,7 +19,7 @@ use crate::site::{Mode, SiteCell, SiteRt, CLIENT_SRC};
 use crate::wire::Wire;
 
 /// Transaction id used for single-transaction runs.
-pub const TXN: u64 = 1;
+pub(crate) const TXN: u64 = 1;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Timer {
@@ -327,7 +327,7 @@ impl<'a> Runner<'a> {
     }
 
     /// Execute to quiescence and report.
-    pub fn run(mut self) -> RunReport {
+    pub(crate) fn run(mut self) -> RunReport {
         while self.step() {}
         self.report()
     }
@@ -524,9 +524,9 @@ impl<'a> Runner<'a> {
             outcomes.push(o);
         }
         let trace = self.lines.as_ref().map(|l| l.with(|s| s.lines.clone())).unwrap_or_default();
-        let mut report = RunReport::assemble_with_trace(
+        let mut report = RunReport::assemble(
             outcomes,
-            self.net.stats().sent(),
+            self.net.sent(),
             self.now,
             self.events,
             self.truncated,

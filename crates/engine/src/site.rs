@@ -38,9 +38,9 @@ pub struct BackupState {
     /// Sites whose phase-1 ack is still pending.
     pub pending_acks: BTreeSet<usize>,
     /// Collected `(site, pre-alignment class)` pairs from acks.
-    pub collected: Vec<(usize, u8)>,
+    pub(crate) collected: Vec<(usize, u8)>,
     /// True once phase 1 has been broadcast.
-    pub phase1_sent: bool,
+    pub(crate) phase1_sent: bool,
 }
 
 /// `to.clone_from(from)` for a site's small ordered sets.
@@ -57,7 +57,7 @@ fn copy_set(to: &mut BTreeSet<usize>, from: &BTreeSet<usize>) {
 impl BackupState {
     /// Back to the default — no acks pending or collected, phase 1 not
     /// sent — keeping `collected`'s allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         let Self { pending_acks, collected, phase1_sent } = self;
         pending_acks.clear();
         collected.clear();
@@ -86,9 +86,9 @@ pub struct SiteRt {
     /// This site's index.
     pub id: usize,
     /// Current local FSA state.
-    pub state: StateId,
+    pub(crate) state: StateId,
     /// Unconsumed protocol messages: multiset of `(src, kind)`.
-    pub inbox: Vec<(usize, MsgKind)>,
+    pub(crate) inbox: Vec<(usize, MsgKind)>,
     /// The write-ahead log.
     pub wal: Wal,
     /// Current mode.
@@ -98,15 +98,15 @@ pub struct SiteRt {
     /// of backup election; they interact through the recovery protocol.
     pub view: Vec<bool>,
     /// Class aligned to by termination phase 1, if any.
-    pub aligned_class: Option<u8>,
+    pub(crate) aligned_class: Option<u8>,
     /// Backup bookkeeping (when acting as backup).
     pub backup_state: BackupState,
     /// Adopted outcome, if decided (`true` = commit).
     pub outcome: Option<bool>,
     /// Number of transition attempts made (for crash-point matching).
-    pub transitions_attempted: u32,
+    pub(crate) transitions_attempted: u32,
     /// Recovery protocol: queries from recovering sites awaiting an answer.
-    pub pending_queries: Vec<usize>,
+    pub(crate) pending_queries: Vec<usize>,
     /// Recovery protocol (asker side): replies collected, `(site, outcome,
     /// class)`.
     pub recovery_replies: Vec<(usize, Option<bool>, u8)>,
@@ -139,7 +139,7 @@ impl Clone for SiteRt {
     /// Copy `source` into this site's storage: the inbox, WAL buffer, view
     /// and monitors keep their allocations, so copying over a site that
     /// has run as far allocates nothing. Destructured in full, like
-    /// [`SiteRt::reset`], so a new field cannot be left out of a fork.
+    /// `SiteRt::reset`, so a new field cannot be left out of a fork.
     fn clone_from(&mut self, source: &Self) {
         let Self {
             id,
@@ -348,7 +348,7 @@ impl SiteRt {
     }
 
     /// Fresh site at the FSA's initial state.
-    pub fn new(id: usize, fsa: &Fsa, n: usize) -> Self {
+    pub(crate) fn new(id: usize, fsa: &Fsa, n: usize) -> Self {
         let mut site = Self::empty(id, fsa.initial());
         site.reset(fsa, n);
         site
@@ -381,7 +381,7 @@ impl SiteRt {
     /// definition of a site's initial state — keeping every collection's
     /// allocation (inbox, WAL buffer, view, monitors). Destructured in
     /// full so a new field cannot be left out of a recycled run.
-    pub fn reset(&mut self, fsa: &Fsa, n: usize) {
+    pub(crate) fn reset(&mut self, fsa: &Fsa, n: usize) {
         let Self {
             id: _,
             state,
@@ -421,7 +421,7 @@ impl SiteRt {
     }
 
     /// Move to local state `s`, recording it in the visited-state monitor.
-    pub fn enter_state(&mut self, s: StateId) {
+    pub(crate) fn enter_state(&mut self, s: StateId) {
         self.state = s;
         self.visited[s.index()] = true;
     }
@@ -436,7 +436,7 @@ impl SiteRt {
     /// its FSA never reached a final state (it may have adopted a
     /// `TermDecision` while frozen mid-protocol); otherwise its aligned
     /// class if phase 1 aligned it, else its current state's class.
-    pub fn reported_class(&self, fsa: &Fsa) -> u8 {
+    pub(crate) fn reported_class(&self, fsa: &Fsa) -> u8 {
         let class = fsa.state(self.state).class;
         match self.outcome {
             Some(true) => class_codes::COMMITTED,
@@ -456,12 +456,12 @@ impl SiteRt {
 
     /// The backup this site elects: the lowest-id site in its operational
     /// view (itself included).
-    pub fn elected_backup(&self) -> usize {
+    pub(crate) fn elected_backup(&self) -> usize {
         self.view.iter().position(|&up| up).expect("at least this site is operational")
     }
 
     /// Remove one `(src, kind)` message from the inbox; true if present.
-    pub fn take_msg(&mut self, src: usize, kind: MsgKind) -> bool {
+    pub(crate) fn take_msg(&mut self, src: usize, kind: MsgKind) -> bool {
         if let Some(pos) = self.inbox.iter().position(|&m| m == (src, kind)) {
             self.inbox.swap_remove(pos);
             true
@@ -472,7 +472,7 @@ impl SiteRt {
 
     /// Does the inbox satisfy a trigger? Exactly when [`SiteRt::consume`]
     /// would find every message it needs.
-    pub fn satisfied(&self, consume: &Consume) -> bool {
+    pub(crate) fn satisfied(&self, consume: &Consume) -> bool {
         let present =
             |&(src, kind): &(SiteId, MsgKind)| self.inbox.contains(&(src_index(src), kind));
         match consume {
@@ -493,7 +493,7 @@ impl SiteRt {
     /// for `Quorum`, the first `k` listed messages present, each source at
     /// most once, in list order — a deterministic choice among the
     /// k-subsets the analysis enumerates.
-    pub fn consume(&mut self, consume: &Consume) {
+    pub(crate) fn consume(&mut self, consume: &Consume) {
         match consume {
             Consume::Spontaneous => {}
             Consume::All(v) => {
@@ -525,7 +525,7 @@ impl SiteRt {
     /// Pick the transition to fire under the vote plan: the first
     /// transition (in declaration order) that is vote-compatible and whose
     /// trigger the inbox satisfies.
-    pub fn choose_transition(&self, fsa: &Fsa, vote_yes: bool) -> Option<u32> {
+    pub(crate) fn choose_transition(&self, fsa: &Fsa, vote_yes: bool) -> Option<u32> {
         for (ti, t) in fsa.outgoing(self.state) {
             let compatible = match t.vote {
                 Some(Vote::Yes) => vote_yes,
@@ -588,7 +588,7 @@ pub(crate) fn quorum_candidates(
 /// # Panics
 /// Panics on [`SiteId::CLIENT`] — client stimuli are injected into inboxes
 /// directly with a reserved source index.
-pub fn src_index(src: SiteId) -> usize {
+pub(crate) fn src_index(src: SiteId) -> usize {
     if src == SiteId::CLIENT {
         CLIENT_SRC
     } else {
@@ -597,7 +597,7 @@ pub fn src_index(src: SiteId) -> usize {
 }
 
 /// Reserved inbox source index for client stimuli.
-pub const CLIENT_SRC: usize = usize::MAX;
+pub(crate) const CLIENT_SRC: usize = usize::MAX;
 
 #[cfg(test)]
 mod tests {

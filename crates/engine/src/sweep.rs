@@ -67,11 +67,11 @@ pub struct SweepSummary {
     /// engine's election counter, so the fields are populated whether or
     /// not tracing is on (they used to exist only as trace-derived
     /// metrics).
-    pub elections_total: u64,
+    pub(crate) elections_total: u64,
     /// Most elections any single run entered.
-    pub elections_max: u64,
+    pub(crate) elections_max: u64,
     /// Runs that entered the termination protocol at least once.
-    pub election_runs: usize,
+    pub(crate) election_runs: usize,
     /// Human-readable descriptions of the inconsistent runs (empty for
     /// correct protocol/rule combinations).
     pub inconsistent_runs: Vec<String>,
@@ -361,6 +361,7 @@ mod tests {
             1,
             1,
             false,
+            Vec::new(),
         );
         s.absorb("g".into(), &good);
         assert!(s.all_consistent());

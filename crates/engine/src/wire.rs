@@ -17,7 +17,7 @@ pub enum Wire {
         /// The backup coordinator issuing the directive.
         backup: usize,
         /// Class code of the backup's state (see
-        /// [`class_map`](crate::class_map)).
+        /// `class_map`).
         class: u8,
     },
     /// Termination protocol: acknowledgement of `AlignTo`, carrying the

@@ -57,7 +57,7 @@ fn need_bool(v: &Value, key: &str) -> Result<bool, String> {
 /// Parse one JSONL line back into a typed [`Event`] (the exact inverse of
 /// [`crate::export::event_json`]). Unknown kinds are an error — the
 /// taxonomy is closed.
-pub fn parse_event(line: &str) -> Result<Event, String> {
+pub(crate) fn parse_event(line: &str) -> Result<Event, String> {
     let v = json::parse(line)?;
     let time = need_u64(&v, "t")?;
     let site = match v.get("site") {
@@ -139,7 +139,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
 /// recovery, and decision distribution — renders with spaces and
 /// punctuation (`align-to(p) from backup site1`), so the label shape
 /// separates the two without the analyzer knowing any protocol.
-pub fn is_protocol_label(label: &str) -> bool {
+pub(crate) fn is_protocol_label(label: &str) -> bool {
     !label.is_empty()
         && label.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
 }
@@ -165,7 +165,7 @@ pub struct CausalTrace {
     /// Next event on the same chain, for reachability walks.
     next_in_chain: Vec<Option<usize>>,
     /// Deliver/drop events whose channel had no pending send.
-    pub orphan_receipts: u64,
+    pub(crate) orphan_receipts: u64,
 }
 
 impl CausalTrace {
@@ -249,14 +249,9 @@ impl CausalTrace {
         self.matched_send[ix]
     }
 
-    /// For a send event, the index of its delivery or drop.
-    pub fn receipt_of(&self, ix: usize) -> Option<usize> {
-        self.receipt[ix]
-    }
-
     /// Sends still unmatched at end of trace (messages in flight when the
     /// run stopped — zero at quiescence).
-    pub fn unmatched_sends(&self) -> u64 {
+    pub(crate) fn unmatched_sends(&self) -> u64 {
         self.receipt
             .iter()
             .zip(&self.events)
@@ -293,7 +288,7 @@ impl CausalTrace {
 
     /// Per-transaction spans: first/last event time, event count, and the
     /// first decision (time, verdict) if any.
-    pub fn txn_spans(&self) -> BTreeMap<u64, TxnSpan> {
+    pub(crate) fn txn_spans(&self) -> BTreeMap<u64, TxnSpan> {
         let mut spans: BTreeMap<u64, TxnSpan> = BTreeMap::new();
         for e in &self.events {
             let Some(txn) = e.txn else { continue };
@@ -340,15 +335,15 @@ impl CausalTrace {
 
 /// One transaction's extent within a trace (see [`CausalTrace::txn_spans`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TxnSpan {
+pub(crate) struct TxnSpan {
     /// Time of the transaction's first event.
-    pub first: u64,
+    pub(crate) first: u64,
     /// Time of the transaction's last event.
-    pub last: u64,
+    pub(crate) last: u64,
     /// Events attributed to the transaction.
-    pub events: u64,
+    pub(crate) events: u64,
     /// First decision (time, commit) if any site decided.
-    pub decided: Option<(u64, bool)>,
+    pub(crate) decided: Option<(u64, bool)>,
 }
 
 // ----------------------------------------------------------------------
@@ -360,18 +355,18 @@ pub struct TxnSpan {
 const MAX_VIOLATIONS_SHOWN: usize = 8;
 
 /// One offline oracle's outcome.
-pub struct TraceCheck {
+pub(crate) struct TraceCheck {
     /// Stable check name (`conservation`, `decision-consistency`, ...).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// One-line summary of what was checked (shown even when clean).
-    pub summary: String,
+    pub(crate) summary: String,
     /// Violation details; empty means the check passed.
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
 }
 
 impl TraceCheck {
     /// True when no violations were found.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.violations.is_empty()
     }
 }
@@ -379,27 +374,27 @@ impl TraceCheck {
 /// Gray–Lamport cost counters read off the trace: the quantities their
 /// *Consensus on Transaction Commit* uses to compare commit protocols.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct GlCounters {
+pub(crate) struct GlCounters {
     /// Protocol messages sent (control traffic excluded).
-    pub protocol_msgs: u64,
+    pub(crate) protocol_msgs: u64,
     /// Stable writes: physical WAL forces.
-    pub stable_writes: u64,
+    pub(crate) stable_writes: u64,
     /// Transactions with at least one decision event.
-    pub decided_txns: u64,
+    pub(crate) decided_txns: u64,
     /// Largest first-event → first-decision delay across transactions.
-    pub max_decision_delay: Option<u64>,
+    pub(crate) max_decision_delay: Option<u64>,
 }
 
 /// The full offline audit produced by [`verify`].
 pub struct TraceReport {
     /// Events analyzed.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Transactions seen.
-    pub txns: u64,
+    pub(crate) txns: u64,
     /// The oracle outcomes, in fixed order.
-    pub checks: Vec<TraceCheck>,
+    pub(crate) checks: Vec<TraceCheck>,
     /// The Gray–Lamport accounting.
-    pub gl: GlCounters,
+    pub(crate) gl: GlCounters,
 }
 
 impl TraceReport {
@@ -668,20 +663,20 @@ pub fn verify(events: &[Event]) -> TraceReport {
 /// by [`stats`].
 pub struct TraceStats {
     /// Events analyzed.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Transactions seen.
-    pub txns: u64,
+    pub(crate) txns: u64,
     /// Exact per-transaction decision latencies (first event → first
     /// decision), ascending.
-    pub latencies: Vec<u64>,
+    pub(crate) latencies: Vec<u64>,
     /// The `snapshot` rows, in trace order:
     /// `(t, committed, in_flight, blocked, wal_bytes)`.
-    pub snapshots: Vec<(u64, u64, u64, u64, u64)>,
+    pub(crate) snapshots: Vec<(u64, u64, u64, u64, u64)>,
 }
 
 impl TraceStats {
     /// Exact nearest-rank percentile over the latencies (`p` in 1..=100).
-    pub fn percentile(&self, p: u64) -> Option<u64> {
+    pub(crate) fn percentile(&self, p: u64) -> Option<u64> {
         if self.latencies.is_empty() {
             return None;
         }
@@ -879,7 +874,7 @@ mod tests {
         assert!(ct.clock(5) > ct.clock(4));
         assert!(ct.clock(5) > ct.clock(2), "site2's chain ticked");
         assert_eq!(ct.send_of(3), Some(1));
-        assert_eq!(ct.receipt_of(1), Some(3));
+        assert_eq!(ct.receipt[1], Some(3));
         assert_eq!(ct.orphan_receipts, 0);
         assert_eq!(ct.unmatched_sends(), 0);
     }

@@ -12,7 +12,7 @@ use crate::json::{array, Obj};
 /// Encode one event as a single-line JSON object with a fixed key order:
 /// `t`, then `site`/`txn` when present, then `kind`, then the kind's own
 /// fields.
-pub fn event_json(event: &Event) -> String {
+pub(crate) fn event_json(event: &Event) -> String {
     let mut o = Obj::new().num("t", event.time);
     if let Some(site) = event.site {
         o = o.num("site", u64::from(site));
@@ -53,7 +53,7 @@ pub fn event_json(event: &Event) -> String {
     o.build()
 }
 
-/// Encode the events as JSONL: one [`event_json`] object per line, each
+/// Encode the events as JSONL: one `event_json` object per line, each
 /// line newline-terminated.
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();

@@ -8,7 +8,7 @@
 //! output is deterministic and diffable.
 
 /// Escape `s` for inclusion in a JSON string literal (without the quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

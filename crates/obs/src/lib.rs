@@ -39,20 +39,17 @@
 //! bounded overwrite-oldest ring sink — retains the causal tail of any
 //! run so failures can dump their last moments for that analysis.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod analyze;
-pub mod event;
+mod event;
 pub mod export;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod progress;
-pub mod recorder;
-pub mod sink;
+mod recorder;
+mod sink;
 
-pub use analyze::{CausalTrace, TraceReport, TraceStats};
+pub use analyze::CausalTrace;
 pub use event::{Event, EventKind};
-pub use metrics::{Histogram, Metrics, TxnStats};
+pub use metrics::Metrics;
 pub use recorder::FlightRecorder;
 pub use sink::{LinesSink, MemorySink, SharedSink, Sink, Tracer};

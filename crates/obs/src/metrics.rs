@@ -24,7 +24,7 @@ const BUCKETS: usize = 17;
 
 /// A fixed power-of-two-bucket histogram of `u64` samples.
 #[derive(Clone, Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
@@ -39,7 +39,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Record one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         let ix =
             if value == 0 { 0 } else { (64 - value.leading_zeros() as usize).min(BUCKETS - 1) };
         self.buckets[ix] += 1;
@@ -49,29 +49,24 @@ impl Histogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Largest sample seen (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean sample, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Upper bound (exclusive) of the smallest bucket prefix holding at
     /// least `q` (in per-mille, e.g. 500 = median) of the samples — a
     /// bucket-resolution quantile.
-    pub fn quantile_le(&self, q: u64) -> u64 {
+    pub(crate) fn quantile_le(&self, q: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -106,33 +101,33 @@ impl fmt::Display for Histogram {
 #[derive(Clone, Debug, Default)]
 pub struct TxnStats {
     /// Earliest event time attributed to the transaction.
-    pub start: Option<u64>,
+    pub(crate) start: Option<u64>,
     /// Time of the first decision event, if any site decided.
-    pub decided_at: Option<u64>,
+    pub(crate) decided_at: Option<u64>,
     /// Verdict of the first decision event.
-    pub committed: Option<bool>,
+    pub(crate) committed: Option<bool>,
     /// Protocol messages handed to the network.
     pub msgs_sent: u64,
     /// Protocol messages delivered.
-    pub msgs_delivered: u64,
+    pub(crate) msgs_delivered: u64,
     /// Protocol messages dropped by partitions.
-    pub msgs_dropped: u64,
+    pub(crate) msgs_dropped: u64,
     /// WAL records appended.
-    pub wal_appends: u64,
+    pub(crate) wal_appends: u64,
     /// WAL bytes appended (full frame size).
-    pub wal_bytes: u64,
+    pub(crate) wal_bytes: u64,
     /// Stable writes: physical WAL forces paid on behalf of this
     /// transaction.
     pub stable_writes: u64,
     /// Backup-election rounds entered by sites of this transaction.
-    pub elections: u64,
+    pub(crate) elections: u64,
     /// Sites that reported the round blocked.
-    pub blocked: u64,
+    pub(crate) blocked: u64,
 }
 
 impl TxnStats {
     /// Decision latency: first decision time minus first event time.
-    pub fn latency(&self) -> Option<u64> {
+    pub(crate) fn latency(&self) -> Option<u64> {
         Some(self.decided_at?.saturating_sub(self.start?))
     }
 }
@@ -142,7 +137,7 @@ impl TxnStats {
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Total events folded in.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Global message counters (sent / delivered / dropped).
     pub msgs_sent: u64,
     /// Messages delivered to an up site.
@@ -150,21 +145,21 @@ pub struct Metrics {
     /// Messages swallowed by partitions.
     pub msgs_dropped: u64,
     /// Local state transitions fired.
-    pub transitions: u64,
+    pub(crate) transitions: u64,
     /// Site crashes.
-    pub crashes: u64,
+    pub(crate) crashes: u64,
     /// Site recoveries.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Backup-election rounds.
-    pub elections: u64,
+    pub(crate) elections: u64,
     /// Timeout-based suspicions raised (imperfect detection; counts both
     /// accurate and false suspicions — the detector cannot tell).
-    pub suspicions: u64,
+    pub(crate) suspicions: u64,
     /// Suspicions revoked by evidence of life. A high revocation share
     /// means the detector is too aggressive for the network's jitter.
-    pub unsuspicions: u64,
+    pub(crate) unsuspicions: u64,
     /// Blocked verdicts from backup coordinators.
-    pub blocked: u64,
+    pub(crate) blocked: u64,
     /// WAL records appended.
     pub wal_appends: u64,
     /// WAL bytes appended.
@@ -172,27 +167,22 @@ pub struct Metrics {
     /// Physical WAL forces.
     pub wal_fsyncs_physical: u64,
     /// Fsync requests absorbed by an open group-commit batch.
-    pub wal_fsyncs_batched: u64,
+    pub(crate) wal_fsyncs_batched: u64,
     /// Scheduler admissions.
-    pub admits: u64,
+    pub(crate) admits: u64,
     /// Scheduler parks (wait-die waits).
-    pub parks: u64,
+    pub(crate) parks: u64,
     /// Scheduler deaths (wait-die restarts).
-    pub dies: u64,
+    pub(crate) dies: u64,
     /// Blocked rounds reaped via recovery.
-    pub reaps: u64,
+    pub(crate) reaps: u64,
     /// Per-site decision latency (decision time − transaction start).
-    pub decision_latency: BTreeMap<u32, Histogram>,
+    pub(crate) decision_latency: BTreeMap<u32, Histogram>,
     /// Per-transaction rollups.
     pub txns: BTreeMap<u64, TxnStats>,
 }
 
 impl Metrics {
-    /// Fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn txn_mut(&mut self, event: &Event) -> Option<&mut TxnStats> {
         let txn = event.txn?;
         let stats = self.txns.entry(txn).or_default();
@@ -204,7 +194,7 @@ impl Metrics {
     /// the backup-election rounds it entered. Zero rounds means the
     /// commit protocol ran undisturbed; a heavy tail under an aggressive
     /// detector is the elect-and-re-elect churn of false suspicion.
-    pub fn election_rounds(&self) -> Histogram {
+    pub(crate) fn election_rounds(&self) -> Histogram {
         let mut h = Histogram::default();
         for t in self.txns.values() {
             h.record(t.elections);
@@ -447,7 +437,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 110);
+        assert_eq!(h.sum, 110);
         assert_eq!(h.max(), 100);
         assert_eq!(h.mean(), 18);
         // Median bucket: 3rd sample of 6 lands in the [2,4) bucket.
@@ -472,7 +462,7 @@ mod tests {
 
     #[test]
     fn metrics_fold_message_and_decision_flow() {
-        let mut m = Metrics::new();
+        let mut m = Metrics::default();
         let evs = [
             Event::new(0, EventKind::Transition { from: "q0".into(), to: "w0".into() })
                 .at_site(0)
@@ -516,7 +506,7 @@ mod tests {
 
     #[test]
     fn metrics_json_is_valid_and_carries_quantiles() {
-        let mut m = Metrics::new();
+        let mut m = Metrics::default();
         let evs = [
             Event::new(0, EventKind::Transition { from: "q0".into(), to: "w0".into() })
                 .at_site(0)

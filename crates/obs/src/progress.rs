@@ -70,7 +70,7 @@ pub fn spill_line(subject: &str, runs: u64, bytes: u64, merge_passes: u64) -> St
 /// `/proc/<pid>/status` file (`VmHWM:  1234 kB`). Pure parse — works on
 /// every platform, so the non-Linux builds still compile and test it.
 /// `None` when the line is missing or malformed.
-pub fn parse_vm_hwm(status: &str) -> Option<u64> {
+pub(crate) fn parse_vm_hwm(status: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)

@@ -46,7 +46,7 @@ impl FlightRecorder {
     }
 
     /// The retained events, oldest first.
-    pub fn events_in_order(&self) -> Vec<Event> {
+    pub(crate) fn events_in_order(&self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.buf.len());
         // Once full, `next` points at the oldest slot.
         out.extend_from_slice(&self.buf[self.next..]);

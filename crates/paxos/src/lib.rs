@@ -38,14 +38,14 @@ use nbc_core::ids::{MsgKind, SiteId};
 use nbc_core::protocol::{InitialMsg, Paradigm, Protocol, QuorumSpec};
 
 /// Acceptor-to-leader relay: "all my vote instances chose Prepared".
-pub const ACK_COMMIT: MsgKind = MsgKind::FIRST_CUSTOM;
+pub(crate) const ACK_COMMIT: MsgKind = MsgKind::FIRST_CUSTOM;
 /// Acceptor-to-leader relay: "some vote instance chose Aborted".
-pub const ACK_ABORT: MsgKind = MsgKind(MsgKind::FIRST_CUSTOM.0 + 1);
+pub(crate) const ACK_ABORT: MsgKind = MsgKind(MsgKind::FIRST_CUSTOM.0 + 1);
 
 /// Acceptor state class: every vote instance decided yes, outcome relayed.
-pub const ACC_COMMITTABLE: StateClass = StateClass::Custom(0);
+pub(crate) const ACC_COMMITTABLE: StateClass = StateClass::Custom(0);
 /// Acceptor state class: some vote instance decided no, outcome relayed.
-pub const ACC_ABORTING: StateClass = StateClass::Custom(1);
+pub(crate) const ACC_ABORTING: StateClass = StateClass::Custom(1);
 
 /// Build Paxos Commit for `n >= 2` participants (1 leader + `n-1`
 /// resource managers) and `2f + 1` acceptors, `n + 2f + 1` sites total.

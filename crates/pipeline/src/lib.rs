@@ -24,12 +24,9 @@
 //! Everything is deterministic: the same seed produces the same
 //! interleaving and a bit-identical [`ThroughputReport`].
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod report;
-pub mod scheduler;
-pub mod txn;
+mod report;
+mod scheduler;
+mod txn;
 
 pub use report::ThroughputReport;
 pub use scheduler::{Pipeline, PipelineConfig, MAX_REAP_AFTER};

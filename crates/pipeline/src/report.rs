@@ -55,7 +55,7 @@ impl ThroughputReport {
     }
 
     /// Fold in the WAL sync counters accumulated between two snapshots.
-    pub fn set_sync_stats(&mut self, requested: u64, physical: u64) {
+    pub(crate) fn set_sync_stats(&mut self, requested: u64, physical: u64) {
         self.wal_syncs = requested;
         self.wal_forces = physical;
         self.syncs_saved = requested - physical;
@@ -63,7 +63,7 @@ impl ThroughputReport {
 
     /// Convenience over [`ThroughputReport::set_sync_stats`] for a stats
     /// delta.
-    pub fn set_sync_delta(&mut self, delta: SyncStats) {
+    pub(crate) fn set_sync_delta(&mut self, delta: SyncStats) {
         self.set_sync_stats(delta.requested, delta.physical);
     }
 }

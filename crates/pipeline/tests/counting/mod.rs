@@ -5,13 +5,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pass-through to the system allocator that counts allocation calls.
-pub struct Counting;
+pub(crate) struct Counting;
 
 // A statistic only: it publishes no other data, so `Relaxed`.
 static CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) so far.
-pub fn calls() -> u64 {
+pub(crate) fn calls() -> u64 {
     CALLS.load(Ordering::Relaxed)
 }
 

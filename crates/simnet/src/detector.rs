@@ -113,13 +113,9 @@ impl Suspicion {
         Self { n, timeout, jitter, pairs: vec![pair; n * n], down: vec![false; n], groups: None }
     }
 
-    /// The configured silence timeout.
-    pub fn timeout(&self) -> Time {
-        self.timeout
-    }
-
     /// Does `observer` currently suspect `peer`?
-    pub fn suspected(&self, observer: SiteIx, peer: SiteIx) -> bool {
+    #[cfg(test)]
+    pub(crate) fn suspected(&self, observer: SiteIx, peer: SiteIx) -> bool {
         self.pairs[observer * self.n + peer].suspected
     }
 

@@ -21,9 +21,9 @@ pub enum LatencyModel {
 #[derive(Debug, Clone)]
 pub struct UniformLatency {
     /// Inclusive lower bound.
-    pub lo: Time,
+    pub(crate) lo: Time,
     /// Inclusive upper bound.
-    pub hi: Time,
+    pub(crate) hi: Time,
     /// RNG state (seeded at construction).
     rng: SimRng,
 }
@@ -44,7 +44,7 @@ impl LatencyModel {
     }
 
     /// Draw the latency for the next message.
-    pub fn sample(&mut self) -> Time {
+    pub(crate) fn sample(&mut self) -> Time {
         match self {
             Self::Constant(t) => *t,
             Self::Uniform(u) => u.rng.gen_range(u.lo..=u.hi),

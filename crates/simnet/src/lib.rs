@@ -12,24 +12,17 @@
 //!   is operational at detection time receives a [`NetEvent::FailureNotice`]
 //!   after a configurable detection delay;
 //! * deterministic tie-breaking (a global sequence number) so that two runs
-//!   with the same seed replay identically;
-//! * per-link and aggregate [`NetStats`] used by the message-complexity
-//!   experiments.
+//!   with the same seed replay identically.
 //!
 //! The fabric is generic over the message type `M`; the protocol engine
 //! instantiates it with its wire enum.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod detector;
-pub mod latency;
-pub mod net;
-pub mod rng;
-pub mod stats;
+mod detector;
+mod latency;
+mod net;
+mod rng;
 
 pub use detector::{DetectorEvent, Suspicion};
 pub use latency::LatencyModel;
-pub use net::{NetEvent, Network, SiteIx, Time};
+pub use net::{NetEvent, Network, Time};
 pub use rng::SimRng;
-pub use stats::NetStats;

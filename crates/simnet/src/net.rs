@@ -7,13 +7,12 @@ use std::collections::BinaryHeap;
 use nbc_obs::{Event, EventKind, Tracer};
 
 use crate::latency::LatencyModel;
-use crate::stats::NetStats;
 
 /// Logical simulation time.
 pub type Time = u64;
 
 /// Site index within one network instance (`0..n`).
-pub type SiteIx = usize;
+pub(crate) type SiteIx = usize;
 
 /// An event surfaced by the network to the simulation driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +102,8 @@ pub struct Network<M> {
     /// "network never fails" assumption and exists to demonstrate what
     /// that assumption buys (see the `x3` experiment).
     groups: Option<Vec<usize>>,
-    stats: NetStats,
+    /// Messages sent, the swallowed ones included.
+    sent: u64,
     /// Observability handle. The network reports only what it alone can
     /// see — messages swallowed by a partition ([`EventKind::MsgDrop`]);
     /// sends and deliveries are emitted by the driver, which knows the
@@ -122,7 +122,7 @@ impl<M: Clone> Clone for Network<M> {
     /// tables and the partition assignment keep their allocations.
     /// Destructured in full so a new field cannot be left out of the copy.
     fn clone_from(&mut self, source: &Self) {
-        let Self { n, latency, detect_delay, heap, seq, last_delivery, groups, stats, tracer } =
+        let Self { n, latency, detect_delay, heap, seq, last_delivery, groups, sent, tracer } =
             self;
         *n = source.n;
         latency.clone_from(&source.latency);
@@ -131,7 +131,7 @@ impl<M: Clone> Clone for Network<M> {
         *seq = source.seq;
         last_delivery.clone_from(&source.last_delivery);
         groups.clone_from(&source.groups);
-        stats.clone_from(&source.stats);
+        *sent = source.sent;
         tracer.clone_from(&source.tracer);
     }
 }
@@ -147,7 +147,7 @@ impl<M> Network<M> {
             seq: 0,
             last_delivery: vec![0; n * n],
             groups: None,
-            stats: NetStats::new(n),
+            sent: 0,
             tracer: Tracer::off(),
         }
     }
@@ -163,7 +163,7 @@ impl<M> Network<M> {
         self.seq = 0;
         self.last_delivery.fill(0);
         self.groups = None;
-        self.stats.reset();
+        self.sent = 0;
         self.tracer = Tracer::off();
     }
 
@@ -172,14 +172,9 @@ impl<M> Network<M> {
         self.tracer = tracer;
     }
 
-    /// Number of sites.
-    pub fn n_sites(&self) -> usize {
-        self.n
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    /// Total messages sent, the ones a partition swallowed included.
+    pub fn sent(&self) -> u64 {
+        self.sent
     }
 
     /// Send `msg` from `src` to `dst` at time `now`; returns the scheduled
@@ -191,8 +186,7 @@ impl<M> Network<M> {
         assert!(src < self.n && dst < self.n, "site index out of range");
         if let Some(groups) = &self.groups {
             if groups[src] != groups[dst] {
-                self.stats.record_send(src, dst);
-                self.stats.record_drop();
+                self.sent += 1;
                 self.tracer.emit(|| {
                     Event::new(now, EventKind::MsgDrop { dst: dst as u32, label: msg.to_string() })
                         .at_site(src)
@@ -204,7 +198,7 @@ impl<M> Network<M> {
         let link = src * self.n + dst;
         let at = (now + lat).max(self.last_delivery[link]);
         self.last_delivery[link] = at;
-        self.stats.record_send(src, dst);
+        self.sent += 1;
         self.push(at, NetEvent::Deliver { src, dst, msg });
         Some(at)
     }
@@ -256,11 +250,10 @@ impl<M> Network<M> {
         // Filter the heap's own buffer and re-heapify it whole: no
         // reallocation, and the same layout a filter-and-collect yields
         // (drop events are emitted in buffer order).
-        let (stats, tracer) = (&mut self.stats, &self.tracer);
+        let tracer = &self.tracer;
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         entries.retain(|Reverse(sch)| match &sch.event {
             NetEvent::Deliver { src, dst, msg } if assignment[*src] != assignment[*dst] => {
-                stats.record_drop();
                 tracer.emit(|| {
                     Event::new(now, EventKind::MsgDrop { dst: *dst as u32, label: msg.to_string() })
                         .at_site(*src)
@@ -321,12 +314,7 @@ impl<M> Network<M> {
 
     /// Pop the next event in time order (ties broken by send order).
     pub fn next_event(&mut self) -> Option<(Time, NetEvent<M>)> {
-        self.heap.pop().map(|Reverse(s)| {
-            if matches!(s.event, NetEvent::Deliver { .. }) {
-                self.stats.record_delivery();
-            }
-            (s.at, s.event)
-        })
+        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
     }
 
     /// Number of undelivered events still scheduled.
@@ -356,8 +344,7 @@ impl<M> Network<M> {
 
     /// Remove and return one specific scheduled event by sequence number,
     /// out of time order — the model checker's "deliver this one next"
-    /// hook. Counts as a delivery for [`NetStats`] when it is a
-    /// [`NetEvent::Deliver`]. Returns `None` if no such event is pending.
+    /// hook. Returns `None` if no such event is pending.
     pub fn take_seq(&mut self, seq: u64) -> Option<(Time, NetEvent<M>)> {
         // Remove in place: the heap's own buffer is re-heapified, never
         // reallocated (order-preserving removal keeps the buffer layout a
@@ -366,16 +353,11 @@ impl<M> Network<M> {
         let taken =
             entries.iter().position(|Reverse(s)| s.seq == seq).map(|at| entries.remove(at).0);
         self.heap = entries.into();
-        let s = taken?;
-        if matches!(s.event, NetEvent::Deliver { .. }) {
-            self.stats.record_delivery();
-        }
-        Some((s.at, s.event))
+        taken.map(|s| (s.at, s.event))
     }
 
     /// Remove one specific scheduled event by sequence number *as a loss*:
-    /// the message never arrives. Counts as a drop for [`NetStats`] and is
-    /// reported through the tracer. The model checker uses this to explore
+    /// the message never arrives. It is reported through the tracer. The model checker uses this to explore
     /// message-loss faults (in particular, in-flight messages of a crashed
     /// sender — the paper's non-atomic transition failure seen from the
     /// network side). Returns the dropped event, `None` if not pending.
@@ -385,9 +367,6 @@ impl<M> Network<M> {
     {
         let (_, ev) = self.take_seq(seq)?;
         if let NetEvent::Deliver { src, dst, msg } = &ev {
-            // take_seq counted it as delivered; reclassify as dropped.
-            self.stats.undo_delivery();
-            self.stats.record_drop();
             let (src, dst) = (*src, *dst);
             self.tracer.emit(|| {
                 Event::new(now, EventKind::MsgDrop { dst: dst as u32, label: msg.to_string() })
@@ -492,12 +471,12 @@ mod tests {
         let mut n = net(2);
         n.send(0, 0, 1, "x");
         n.send(0, 1, 0, "y");
-        assert_eq!(n.stats().sent(), 2);
-        assert_eq!(n.stats().delivered(), 0);
-        while n.next_event().is_some() {}
-        assert_eq!(n.stats().delivered(), 2);
-        assert_eq!(n.stats().link(0, 1), 1);
-        assert_eq!(n.stats().link(1, 0), 1);
+        assert_eq!(n.sent(), 2);
+        let mut links = Vec::new();
+        while let Some((_, NetEvent::Deliver { src, dst, .. })) = n.next_event() {
+            links.push((src, dst));
+        }
+        assert_eq!(links, [(0, 1), (1, 0)]);
     }
 
     #[test]
@@ -515,7 +494,6 @@ mod tests {
         assert!(n.is_partitioned());
         assert_eq!(n.send(5, 0, 1, "same side"), Some(10));
         assert_eq!(n.send(5, 0, 2, "cross"), None);
-        assert_eq!(n.stats().dropped(), 1);
         // Every site got failure notices for the other side's sites.
         let mut notices = 0;
         while let Some((_, e)) = n.next_event() {
@@ -562,10 +540,7 @@ mod tests {
         used.send(3, 0, 2, "dropped");
         used.reset(LatencyModel::constant(5), 2);
         assert_eq!((used.pending(), used.is_partitioned()), (0, false));
-        assert_eq!(
-            (used.stats().sent(), used.stats().dropped(), used.stats().link(0, 1)),
-            (0, 0, 0)
-        );
+        assert_eq!(used.sent(), 0);
         let mut fresh = net(3);
         for n in [&mut used, &mut fresh] {
             // FIFO floor and sequence numbers restart with the network.
@@ -599,7 +574,7 @@ mod tests {
                 n.scheduled().iter().map(|&(at, seq, ev)| (at, seq, ev.clone())).collect::<Vec<_>>()
             };
             assert_eq!(seqs(&target), seqs(&source));
-            assert_eq!(format!("{:?}", target.stats()), format!("{:?}", source.stats()));
+            assert_eq!(target.sent(), source.sent());
             assert_eq!(target.partition_groups(), source.partition_groups());
             // Sequence numbers, FIFO floors, the cut and the detection
             // delay carry on from the source's.
@@ -610,7 +585,7 @@ mod tests {
                 n.recover(5, 2);
             }
             assert_eq!(seqs(&target), seqs(&twin));
-            assert_eq!(format!("{:?}", target.stats()), format!("{:?}", twin.stats()));
+            assert_eq!(target.sent(), twin.sent());
         }
     }
 

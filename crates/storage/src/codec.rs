@@ -7,7 +7,7 @@
 //! primitives to a `Vec<u8>`.
 
 /// A consuming little-endian read cursor over a byte slice.
-pub trait BufExt {
+pub(crate) trait BufExt {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
     /// Skip `n` bytes. Panics if fewer remain.
@@ -49,7 +49,7 @@ impl BufExt for &[u8] {
 }
 
 /// Little-endian append helpers for a growable byte buffer.
-pub trait BufMutExt {
+pub(crate) trait BufMutExt {
     /// Append one byte.
     fn put_u8(&mut self, v: u8);
     /// Append a little-endian `u32`.

@@ -11,7 +11,7 @@ use crate::wal::{LogRecord, RecordRef, Wal};
 
 /// One staged operation of a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxnWrite {
+pub(crate) enum TxnWrite {
     /// Insert or overwrite `key` with `value`.
     Put(Vec<u8>, Vec<u8>),
     /// Remove `key`.
@@ -59,11 +59,6 @@ impl KvStore {
     /// Stage a delete for `txn`.
     pub fn stage_delete(&mut self, txn: u64, key: Vec<u8>) {
         self.staged.entry(txn).or_default().push(TxnWrite::Delete(key));
-    }
-
-    /// Number of staged writes for `txn`.
-    pub fn staged_len(&self, txn: u64) -> usize {
-        self.staged.get(&txn).map_or(0, Vec::len)
     }
 
     /// Log the redo images of `txn`'s staged writes into `wal` (without
@@ -193,7 +188,7 @@ mod tests {
         kv.stage_delete(1, b"y".to_vec());
         kv.abort(1);
         assert!(kv.is_empty());
-        assert_eq!(kv.staged_len(1), 0);
+        assert!(!kv.staged.contains_key(&1));
     }
 
     #[test]

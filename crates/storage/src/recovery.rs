@@ -44,7 +44,7 @@ pub struct RecoveredTxn {
     /// Protocol position at the crash.
     pub outcome: TxnOutcome,
     /// True if an `End` record made the transaction fully locally applied.
-    pub ended: bool,
+    pub(crate) ended: bool,
 }
 
 /// Class encodings the engine uses inside `Progress`/`AlignedTo` records.

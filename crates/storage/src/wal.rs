@@ -27,7 +27,7 @@ use crate::codec::{BufExt, BufMutExt};
 use crate::crc32::crc32;
 
 /// Byte offset of a record in the log.
-pub type Lsn = u64;
+pub(crate) type Lsn = u64;
 
 /// Errors from log operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -355,7 +355,7 @@ impl LogRecord {
 
 /// Counters for the sync path: how many durability requests the log saw
 /// and how many turned into physical forces. The gap is the group-commit
-/// win ([`SyncStats::saved`]).
+/// win.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
     /// Durability requests ([`Wal::sync`] / [`Wal::sync_batched`] calls).
@@ -365,12 +365,6 @@ pub struct SyncStats {
 }
 
 impl SyncStats {
-    /// Requests absorbed without a physical force (batched into an open
-    /// group-commit window, or no-ops with nothing new to force).
-    pub fn saved(&self) -> u64 {
-        self.requested - self.physical
-    }
-
     /// Accumulate another log's counters (for cluster-wide totals).
     pub fn absorb(&mut self, other: &SyncStats) {
         self.requested += other.requested;
@@ -422,8 +416,8 @@ impl Wal {
     }
 
     /// What a crash leaves of this log, in place: the unsynced tail is
-    /// gone and the volatile bookkeeping starts over, exactly as in the log
-    /// [`Wal::from_image`] restores from [`Wal::crash_image`] — without
+    /// gone and the volatile bookkeeping starts over, exactly as in a log
+    /// whose bytes are [`Wal::crash_image`] and all durable — without
     /// decoding a record or touching the allocator (the synced prefix ends
     /// on a frame boundary by construction: [`Wal::sync`] only ever moves
     /// the watermark to the end of a whole append).
@@ -437,7 +431,7 @@ impl Wal {
     /// Append a record; returns its LSN. The record is *not* durable until
     /// [`Wal::sync`].
     ///
-    /// Fails with [`WalError::RecordTooLarge`] — leaving the log untouched —
+    /// Fails with `WalError::RecordTooLarge` — leaving the log untouched —
     /// if any u32 length prefix of the frame would be narrowed.
     pub fn append(&mut self, rec: &LogRecord) -> Result<Lsn, WalError> {
         self.append_ref(rec.borrowed())
@@ -599,23 +593,6 @@ impl Wal {
         self.sync();
         Ok(lsn)
     }
-
-    /// Restore a `Wal` from a crash image: the image becomes the durable
-    /// prefix, with any torn tail discarded.
-    pub fn from_image(image: &[u8]) -> Result<(Self, Vec<LogRecord>), WalError> {
-        let recs = Self::recover(image)?;
-        // Re-encode nothing: keep only the well-formed prefix length.
-        let mut well_formed = 0usize;
-        let mut off = 0usize;
-        for _ in &recs {
-            let len = u32::from_le_bytes(image[off..off + 4].try_into().unwrap()) as usize;
-            off += 8 + len;
-            well_formed = off;
-        }
-        let buf = image[..well_formed].to_vec();
-        let durable = buf.len();
-        Ok((Self { buf, durable, ..Self::default() }, recs))
-    }
 }
 
 #[cfg(test)]
@@ -693,7 +670,6 @@ mod tests {
         let s = wal.sync_stats();
         assert_eq!(s.requested, 4);
         assert_eq!(s.physical, 2);
-        assert_eq!(s.saved(), 2);
     }
 
     #[test]
@@ -706,7 +682,7 @@ mod tests {
         // A request with nothing new to force is saved, not physical.
         assert!(!wal.sync_batched(3));
         let s = wal.sync_stats();
-        assert_eq!((s.requested, s.physical, s.saved()), (4, 3, 1));
+        assert_eq!((s.requested, s.physical), (4, 3));
     }
 
     #[test]
@@ -753,24 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn from_image_restores_durable_log() {
-        let mut wal = Wal::new();
-        for r in sample_records() {
-            wal.append(&r).unwrap();
-        }
-        wal.sync();
-        let image = wal.crash_image();
-        let (restored, recs) = Wal::from_image(&image).unwrap();
-        assert_eq!(recs, sample_records());
-        assert_eq!(restored.durable_len(), image.len());
-        // And the restored log keeps working.
-        let mut restored = restored;
-        restored.append_sync(&LogRecord::End { txn: 99 }).unwrap();
-        let again = Wal::recover(&restored.crash_image()).unwrap();
-        assert_eq!(again.len(), sample_records().len() + 1);
-    }
-
-    #[test]
     fn cleared_log_is_a_new_log() {
         let mut wal = Wal::new();
         wal.set_group_window(3);
@@ -791,11 +749,11 @@ mod tests {
         assert_eq!(format!("{wal:?}"), format!("{fresh:?}"));
     }
 
-    /// The crash a site takes in place must leave the log the decode path
-    /// left: for every number of synced records, with the rest of the log
-    /// cut at every byte (whole unsynced frames, a torn header, a torn
-    /// payload, nothing), `lose_volatile` against `from_image` of what a
-    /// reader would find on disk.
+    /// The crash a site takes in place must leave a log of the durable
+    /// bytes alone: for every number of synced records, with the rest of
+    /// the log cut at every byte (whole unsynced frames, a torn header, a
+    /// torn payload, nothing), `lose_volatile` against a log built from
+    /// what a reader would find on disk.
     #[test]
     fn lose_volatile_equals_restoring_the_crash_image() {
         let mut whole = Wal::new();
@@ -820,15 +778,16 @@ mod tests {
                 assert_eq!(wal.durable_len(), durable);
                 wal.buf.extend_from_slice(&image[durable..cut]);
 
-                // The torn tail is dropped by both: decoding `image[..cut]`
-                // keeps whole frames only, and nothing past `durable` was
+                // The torn tail is dropped: decoding `image[..cut]` keeps
+                // whole frames only, and nothing past `durable` was
                 // promised to survive.
-                let (from_disk, _) = Wal::from_image(&wal.crash_image()).unwrap();
-                let (from_torn, recs) = Wal::from_image(&image[..cut]).unwrap();
-                assert!(recs.len() >= synced && from_torn.len() >= durable, "cut {cut}");
+                let on_disk = wal.crash_image();
+                let from_disk = Wal { buf: on_disk.clone(), durable, ..Wal::default() };
+                assert_eq!(Wal::recover(&on_disk).unwrap().len(), synced);
+                assert!(Wal::recover(&image[..cut]).unwrap().len() >= synced, "cut {cut}");
                 wal.lose_volatile();
                 assert_eq!(format!("{wal:?}"), format!("{from_disk:?}"), "{synced} synced, {cut}");
-                assert_eq!(wal.as_bytes(), &from_torn.as_bytes()[..durable]);
+                assert_eq!(wal.as_bytes(), &image[..durable]);
                 assert_eq!(wal.sync_stats(), SyncStats::default());
 
                 // And both keep working identically: same bytes, same

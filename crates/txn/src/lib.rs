@@ -6,25 +6,22 @@
 //! a locking scheme is adopted."* This crate supplies that application
 //! layer:
 //!
-//! * [`locks`] — a per-site lock manager with shared/exclusive locks and
+//! * [`LockManager`] — a per-site lock manager with shared/exclusive locks and
 //!   **wait-die** deadlock avoidance, so no votes arise organically;
-//! * [`kind`] — [`ProtocolKind`]: which catalog protocol (2PC or 3PC,
-//!   central or decentralized, or Paxos Commit) every round runs, and the
-//!   termination rule that goes with it;
-//! * [`workload`] — the data operations of a distributed transaction
-//!   ([`Op`]) and bank-transfer and inventory generators whose
-//!   conservation invariants hold iff the commit protocol is atomic.
+//! * [`ProtocolKind`]: which catalog protocol (2PC or 3PC, central or
+//!   decentralized, or Paxos Commit) every round runs, and the termination
+//!   rule that goes with it;
+//! * the data operations of a distributed transaction ([`Op`]) and
+//!   bank-transfer and inventory generators whose conservation invariants
+//!   hold iff the commit protocol is atomic.
 //!
 //! The driver that puts these around commit rounds — stores, WALs,
 //! admission, blocked rounds that keep their locks — is `nbc-pipeline`;
 //! one round at a time is that scheduler at in-flight 1.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod kind;
-pub mod locks;
-pub mod workload;
+mod kind;
+mod locks;
+mod workload;
 
 pub use kind::ProtocolKind;
 pub use locks::{LockManager, LockMode, LockOutcome};

@@ -88,7 +88,7 @@ impl BankWorkload {
     }
 
     /// Encode a balance.
-    pub fn encode(balance: i64) -> Vec<u8> {
+    pub(crate) fn encode(balance: i64) -> Vec<u8> {
         balance.to_le_bytes().to_vec()
     }
 
@@ -194,11 +194,11 @@ mod tests {
 #[derive(Debug, Clone)]
 pub struct InventoryWorkload {
     /// Number of sites.
-    pub n_sites: usize,
+    pub(crate) n_sites: usize,
     /// Number of items.
     pub n_items: usize,
     /// Initial stock per item.
-    pub initial_stock: i64,
+    pub(crate) initial_stock: i64,
     rng: SimRng,
 }
 

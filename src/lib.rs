@@ -23,8 +23,6 @@
 //! Start with `examples/quickstart.rs`, or regenerate every figure of the
 //! paper with `cargo run -p nbc-bench --bin experiments`.
 
-#![warn(missing_docs)]
-
 pub use nbc_core;
 pub use nbc_engine;
 pub use nbc_pipeline;

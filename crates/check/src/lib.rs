@@ -42,11 +42,12 @@ use nbc_core::{
 };
 use nbc_engine::{Runner, TerminationRule};
 
-pub(crate) use explore::ExploreStats;
+use explore::ExploreStats;
+use shrink::drain;
+
 pub use explore::{CheckOptions, CheckProgress};
 pub use oracle::Oracles;
 pub use schedule::{replay_lenient, replay_strict, Schedule, Step};
-pub(crate) use shrink::drain;
 pub use shrink::shrink;
 
 /// The CLI name of a termination rule (shared vocabulary with `nbc run

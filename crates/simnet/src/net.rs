@@ -153,8 +153,8 @@ impl<M> Network<M> {
     }
 
     /// Back to the state [`Network::new`] returns for the same `n` — nothing
-    /// scheduled, sequence numbers from zero, links idle, no partition,
-    /// counters zeroed, tracing off — keeping the event heap's and the link
+    /// scheduled, sequence numbers from zero, links idle, no partition, no
+    /// sends counted, tracing off — keeping the event heap's and the link
     /// tables' allocations.
     pub fn reset(&mut self, latency: LatencyModel, detect_delay: Time) {
         self.latency = latency;

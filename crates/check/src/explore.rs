@@ -2174,6 +2174,77 @@ mod tests {
         }
     }
 
+    /// The events the engine calls inert commute with every other action:
+    /// from every state of the unreduced walks, each event
+    /// [`Runner::inert`] names (under the drop and `settled` conditions the
+    /// walk asks it with), fired before and after every other enabled
+    /// action, leaves the same state and budgets, and is still inert (or
+    /// into a down site) after the action if it is still pending. A crash
+    /// that loses the event is
+    /// matched by the crash that loses one send fewer after it fires.
+    #[test]
+    fn inert_events_commute() {
+        let mut named = [0usize; 2];
+        for (protocol, opts) in &commuting_cases() {
+            let analysis = analyse(protocol);
+            for votes in vote_plans(protocol, opts) {
+                search(protocol, &analysis, opts, &votes, |stepper, runner, b| {
+                    if b.drops > 0 {
+                        return;
+                    }
+                    let settled = delivery_only(runner, b, true);
+                    let inert: Vec<(u64, NetEvent<_>)> = runner
+                        .iter_pending()
+                        .filter(|&p| runner.inert(p, settled))
+                        .map(|(_, seq, ev)| (seq, ev.clone()))
+                        .collect();
+                    if inert.is_empty() {
+                        return;
+                    }
+                    stepper.collect(runner);
+                    let mut actions = Vec::new();
+                    stepper.enumerate(runner, b, &mut actions);
+                    for (seq, ev) in &inert {
+                        let ch = channel_of(ev);
+                        named[usize::from(matches!(ev, NetEvent::FailureNotice { .. }))] += 1;
+                        for &a in
+                            actions.iter().filter(|&&a| !matches!(a, Action::Fire(c) if c == ch))
+                        {
+                            let mut then = runner.clone();
+                            let after = stepper.apply_inner(&mut then, a, b);
+                            let settled =
+                                after.as_ref().is_ok_and(|&b2| delivery_only(&then, b2, true));
+                            let kept = then.iter_pending().find(|&(_, s, _)| s == *seq);
+                            let down = !then.sites()[into_site(ch)].is_up();
+                            let kept = kept.map(|p| down || then.inert(p, settled));
+                            assert_ne!(kept, Some(false), "{}: {ev:?} woke", protocol.name);
+                            if kept.is_some() {
+                                then.fire_scheduled(*seq);
+                            }
+                            let first = match a {
+                                Action::CrashSuffix { site, lose } if kept.is_none() => {
+                                    Action::CrashSuffix { site, lose: lose - 1 }
+                                }
+                                _ => a,
+                            };
+                            let mut now = runner.clone();
+                            now.fire_scheduled(*seq);
+                            let before = stepper.apply_inner(&mut now, first, b);
+                            assert_eq!(
+                                before.map(|b| (b, now.digest())),
+                                after.map(|b| (b, then.digest())),
+                                "{}: {ev:?} and {a:?} do not commute",
+                                protocol.name
+                            );
+                        }
+                    }
+                });
+            }
+        }
+        // Not vacuous: both rules name events.
+        assert!(named.iter().all(|&k| k > 0), "rules (a) and (b) named {named:?}");
+    }
+
     /// The configurations of `heads_to_distinct_sites_commute`.
     fn commuting_cases() -> Vec<(Protocol, CheckOptions)> {
         vec![

@@ -23,7 +23,10 @@
 //!   visited-state bitmaps), so two interleavings that converge to the
 //!   same behavioral state merge;
 //! * [`SendBound`] — where each site may still send once only deliveries
-//!   remain, the bound a checker's persistent sets rest on (below).
+//!   remain, the bound a checker's persistent sets rest on (below);
+//! * [`Runner::inert`] — whether a pending event changes nothing a later
+//!   step reads, so a checker may fire it at once instead of branching
+//!   over where it lands (below).
 //!
 //! Exploration should run with zero latency and zero detection delay
 //! (e.g. [`RunConfig::lockstep`](crate::RunConfig::lockstep)): then every
@@ -61,6 +64,37 @@
 //! first. [`MaySend::closed_to`] closes the bound over the sites a
 //! delivery can wake and asks whether any of them may write to the silent
 //! site on a link that is empty now.
+//!
+//! ## Inert events
+//!
+//! [`Runner::inert`] names a pending event e at the head of its channel
+//! that commutes with every other step and stays inert until it fires, so
+//! firing it at once reaches, for every execution, the state that
+//! execution reaches once e has fired. It holds for two kinds:
+//!
+//! * **(a) A protocol message to an up site y that has left the commit
+//!   protocol** (y's mode is not `Normal`). `Runner::deliver` drops it
+//!   unread, and only `SiteRt::reset`, at the start of a run, sets
+//!   `Normal`: a crash sets `Down`, a restart `Recovering` or `Done`. So e stays a
+//!   no-op whatever comes first, and a crash of y, before or after it,
+//!   leaves one state. Under an imperfect detector a delivery renews a
+//!   suspicion lease, which is a step of its own, so the rule needs the
+//!   lockstep configuration's perfect detector. A crash of the sender that
+//!   loses e ends where firing e and losing one send fewer does; only a
+//!   lossy network (a budgeted drop of e) tells e's delivery from its loss,
+//!   which the caller excludes.
+//! * **(b) A failure notice the quorum absorbs, once nothing but
+//!   deliveries can come** (`settled`: no crash, recovery, suspicion or
+//!   unsuspicion). The notice writes the observer's view bit of the
+//!   crashed site and takes it out of `recovered_peers`, and nothing else.
+//!   Only a termination round reads those (`elected_backup`, `peers_in`,
+//!   the stale-`AlignTo` rule), and in a quorum protocol no termination
+//!   round runs: a view change that involves an acceptor never starts one,
+//!   and a checker crashes and suspects acceptors only. Recovery rewrites
+//!   the view, an unsuspicion sets the bit, a crash of the observer keeps
+//!   it in a down site's digest, and a recovery notice on the same feed
+//!   re-adds the peer: each would order against e, so `settled` and the
+//!   head test exclude them.
 
 use std::cmp::Reverse;
 
@@ -505,6 +539,31 @@ impl<'a> Runner<'a> {
     pub fn unsuspect_now(&mut self, observer: usize, peer: usize) {
         self.events += 1;
         self.on_unsuspect(observer, peer);
+    }
+
+    /// Is `pending`, an event of [`Runner::iter_pending`], inert: at the
+    /// head of its channel, and commuting with every other step until it
+    /// fires (the module docs give both rules and why)? `settled` is the
+    /// caller's promise that no crash, recovery, suspicion or unsuspicion
+    /// will come; without it only rule (a) applies. Events into a down site
+    /// are the caller's to judge: they are no-ops until a restart.
+    pub fn inert(&self, (at, seq, ev): (Time, u64, &NetEvent<Wire>), settled: bool) -> bool {
+        let named = match *ev {
+            NetEvent::Deliver { dst, msg: Wire::Proto(_), .. } => {
+                self.detector.is_none()
+                    && !matches!(self.sites[dst].mode, Mode::Normal | Mode::Down)
+            }
+            NetEvent::FailureNotice { observer, crashed } => {
+                settled && self.quorum_absorbs(observer, crashed)
+            }
+            _ => false,
+        };
+        let ch = channel_of(ev);
+        named
+            && !self
+                .net
+                .iter_scheduled()
+                .any(|(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
     }
 
     /// True when no network event is pending — with no fault injection

@@ -72,12 +72,13 @@
 //! firing it at once reaches, for every execution, the state that
 //! execution reaches once e has fired. It holds for two kinds:
 //!
-//! * **(a) A protocol message to an up site y that has left the commit
-//!   protocol** (y's mode is not `Normal`). `Runner::deliver` drops it
-//!   unread, and only `SiteRt::reset`, at the start of a run, sets
-//!   `Normal`: a crash sets `Down`, a restart `Recovering` or `Done`. So e stays a
-//!   no-op whatever comes first, and a crash of y, before or after it,
-//!   leaves one state. Under an imperfect detector a delivery renews a
+//! * **(a) A protocol message to a site y that has left the commit
+//!   protocol** (y's mode is not `Normal`; y may be down). `Runner::deliver`
+//!   drops it unread, as the engine drops every event into a down site,
+//!   and only `SiteRt::reset`, at the start of a run, sets `Normal`: a
+//!   crash sets `Down`, a restart `Recovering` or `Done`. So e stays a
+//!   no-op whatever comes first, and a crash or a restart of y, before or
+//!   after it, leaves one state. Under an imperfect detector a delivery renews a
 //!   suspicion lease, which is a step of its own, so the rule needs the
 //!   lockstep configuration's perfect detector. A crash of the sender that
 //!   loses e ends where firing e and losing one send fewer does; only a
@@ -545,13 +546,13 @@ impl<'a> Runner<'a> {
     /// head of its channel, and commuting with every other step until it
     /// fires (the module docs give both rules and why)? `settled` is the
     /// caller's promise that no crash, recovery, suspicion or unsuspicion
-    /// will come; without it only rule (a) applies. Events into a down site
-    /// are the caller's to judge: they are no-ops until a restart.
+    /// will come; without it only rule (a) applies. Other events into a
+    /// down site are the caller's to judge: they are no-ops until a
+    /// restart.
     pub fn inert(&self, (at, seq, ev): (Time, u64, &NetEvent<Wire>), settled: bool) -> bool {
         let named = match *ev {
             NetEvent::Deliver { dst, msg: Wire::Proto(_), .. } => {
-                self.detector.is_none()
-                    && !matches!(self.sites[dst].mode, Mode::Normal | Mode::Down)
+                self.detector.is_none() && self.sites[dst].mode != Mode::Normal
             }
             NetEvent::FailureNotice { observer, crashed } => {
                 settled && self.quorum_absorbs(observer, crashed)

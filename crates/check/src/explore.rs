@@ -50,8 +50,8 @@
 //! reached with, a revisit with less is pruned (unless it wakes a slept
 //! delivery) and one with more is re-expanded, so the depth bound never
 //! hides a state a shallower path could reach. Under the default depth
-//! nothing is cut, and the rule's re-expansions (6 346 full expansions for
-//! central 3PC n=3's 4 676 states) would only revisit known states. The
+//! nothing is cut, and the rule's re-expansions (1 936 full expansions for
+//! central 3PC n=3's 1 810 states) would only revisit known states. The
 //! abandoned walk stops at its first cut, long before it has seen a
 //! quarter of the states (`a_cut_walk_is_abandoned_and_rerun_exact`).
 //!
@@ -2094,7 +2094,7 @@ mod tests {
             let expansions = shared.expansions.load(Ordering::Relaxed);
             assert_eq!(expansions, distinct as u64, "{}", protocol.name);
         }
-        // The depth-left rule re-expands: 6 346 full expansions for 4 676
+        // The depth-left rule re-expands: 1 936 full expansions for 1 810
         // states on central 3PC.
         let protocol = central_3pc(3);
         let analysis = analyse(&protocol);
@@ -2102,20 +2102,22 @@ mod tests {
         let plans = vote_plans(&protocol, &opts);
         let exact = Shared::new(&protocol, &analysis, opts, plans.len(), None, true);
         sweep(&exact, &plans);
-        assert_eq!(exact.expansions.load(Ordering::Relaxed), 6_346);
+        assert_eq!(exact.expansions.load(Ordering::Relaxed), 1_936);
     }
 
     /// The reductions' saving, pinned on the two walks the benchmark's
     /// `check-exhaustive` pass runs: one worker applies a successor per
     /// enabled action of each state it visits, less the slept ones and
     /// those a persistent set leaves out. Under sleep sets alone the rows
-    /// read `(4_676, 10_604, 7_936)` and `(6_517, 27_480, 14_216)`.
+    /// read `(4_676, 10_604, 7_936)` and `(6_517, 27_480, 14_216)`; with
+    /// persistent sets and no inert-event drain, `(3_290, 7_707, 5_355)`
+    /// and `(3_220, 14_004, 7_175)`.
     #[test]
     fn the_walk_applies_fewer_successors_than_it_counts_edges() {
         let paxos = paxos_commit(2, 1);
         let rows = [
-            (central_3pc(3), CheckOptions::default(), (3_290, 7_707, 5_355)),
-            (paxos, with(|o| o.vote_plan = Some(vec![true; 5])), (3_220, 14_004, 7_175)),
+            (central_3pc(3), CheckOptions::default(), (1_546, 2_649, 2_172)),
+            (paxos, with(|o| o.vote_plan = Some(vec![true; 5])), (340, 1_011, 725)),
         ];
         for (protocol, opts, want) in rows {
             let analysis = analyse(&protocol);
@@ -2130,9 +2132,9 @@ mod tests {
     #[test]
     fn a_cut_walk_is_abandoned_and_rerun_exact() {
         let rows = [
-            (central_2pc(3), 9, (4_290, 9_701)),
-            (central_3pc(3), 10, (4_449, 10_144)),
-            (decentralized_3pc(3), 14, (101_662, 373_530)),
+            (central_2pc(3), 9, (1_617, 2_703)),
+            (central_3pc(3), 10, (1_697, 2_883)),
+            (decentralized_3pc(3), 14, (16_109, 55_642)),
         ];
         for (protocol, depth, (states, actions)) in rows {
             let analysis = analyse(&protocol);

@@ -19,14 +19,20 @@ use nbc_core::Fp128;
 
 /// `exit stdout stderr-line-1 files $ command line`.
 ///
-/// The eleven `check` lines were re-pinned twice. First when sleep sets
-/// replaced fusion in the checker's walk: a report no longer prints a fused
-/// count, and counts the states fusion jumped over. Then when persistent
-/// sets came to the delivery-only region: seven lines' `explored:` counts
-/// fell (the n=2, depth-cut and two-crash lines kept theirs). Both times
-/// every witness and counterexample file kept its bytes, and the knife-edge
-/// line's cap moved with its plan's state count, `--max-states 3532` to
-/// `3672`, then to `2903`.
+/// The eleven `check` lines were re-pinned three times. First when sleep
+/// sets replaced fusion in the checker's walk: a report no longer prints a
+/// fused count, and counts the states fusion jumped over. Then when
+/// persistent sets came to the delivery-only region: seven lines'
+/// `explored:` counts fell (the n=2, depth-cut and two-crash lines kept
+/// theirs). Both times every witness and counterexample file kept its
+/// bytes, and the knife-edge line's cap moved with its plan's state count,
+/// `--max-states 3532` to `3672`, then to `2903`. Then when the walk came
+/// to fire inert events eagerly: every line's `explored:` count fell, and
+/// the naive-rule counterexample (`cx/cx.jsonl`, its flight record and the
+/// report that inlines it) kept its steps but swapped two deliveries into
+/// different sites: the walk now delivers site 2's protocol message to
+/// site 0 as soon as site 0 leaves the commit protocol and stops reading
+/// it. The central 2PC witness kept its bytes.
 const PINNED: &str = "\
 0 dd4fdb85d36d47a807909ea4b0b7ba66 - - $ list
 0 2695037d4dd353a41ef982a03b113e8e - - $ analyze central-2pc
@@ -81,20 +87,20 @@ const PINNED: &str = "\
 0 9ef615bba88f3a4f129ce079e5ec2e02 - - $ simulate paxos:1 --crash 1:1:1 --json
 0 6d3a2fbbe73423cbb33c824ea1d93842 - - $ simulate kpc:4 --story
 0 25c00a2b9384afd083cc73dcfc02f92d - - $ simulate $S/linear-2pc.nbc -n 3 --crash 1:1:log
-0 a6c7ac726c6b5d877e32418daec1855d - - $ check central-3pc -n 2
-0 2a2d33b512f82d363d1ff7c32d818d36 - - $ check central-2pc -n 2 --json
-0 b61c6a56396eb9ce485c01fcfbb10b35 - w.jsonl=7215a857dabcf7a160f3d23cd3569c2c,w.jsonl.flight.jsonl=cd5640438209f58f7107e6dcf3bbf8d7 $ check central-2pc -n 3 --counterexample w.jsonl --trace
+0 41ceb32ea208e8696e7a894804e10073 - - $ check central-3pc -n 2
+0 a22b614dd8ea92a40e1b4480e57e09a2 - - $ check central-2pc -n 2 --json
+0 49e3162885d22ca7e6d8d95aaf791b14 - w.jsonl=7215a857dabcf7a160f3d23cd3569c2c,w.jsonl.flight.jsonl=cd5640438209f58f7107e6dcf3bbf8d7 $ check central-2pc -n 3 --counterexample w.jsonl --trace
 0 31d1adcb43b10e80170a379f5995c2df - - $ simulate central-2pc -n 3 --schedule w.jsonl
 0 d6a2b881691b3e412fd75976ef2002be - - $ simulate central-2pc -n 3 --schedule w.jsonl --story
 0 76dc9b5f5affe4a04b456c6e2cb91b8d - - $ simulate central-2pc -n 3 --schedule w.jsonl --json
-1 b2dd1bd24fa34246872bf727ada7a2fe - cx/cx.jsonl=3f6f03aa3030518b90b6b889d98ae864,cx/cx.jsonl.flight.jsonl=5c200ea7e597b21b9057e62778ddb394 $ check central-3pc -n 3 --rule naive --faults 2 --counterexample cx/cx.jsonl
-0 9224252b263d9a514f35b84b2dca61a3 - - $ check central-3pc -n 3 --votes yyn --depth 40 --recoveries 1 --drops 1 --max-states 2000 --seed 7 --threads 2 --mem-budget 64K --progress
-1 7840402e75b0f00c4cba9f81f1777a97 - - $ check central-3pc -n 3 --faults 0 --suspicions 2 --votes yyy --json
-0 5ac8810d94e5ed20e7aa817981daef41 - - $ check central-3pc -n 3 --faults 0 --suspicions 2 --votes yyy --rule quorum
-0 8779a6263b6f45e58db9419c7bc60f84 - - $ check paxos:1 -n 2 --votes yyyyy
-0 a5223bb44fb5b0516c5d6c631c30e6ab - - $ check $S/linear-2pc.nbc -n 3 --votes yyy --json
-0 e0e71b621b2f3b2a1022c48a49a5258c - - $ check central-2pc -n 3 --depth 9
-0 b32503067a806b683b4f94ba7294ca88 - - $ check 1pc -n 3 --votes yyy --suspicions 1 --max-states 2903
+1 521bfcef282f613258db025cbd1728b2 - cx/cx.jsonl=35d7a74c07eaf846096e1dbf02ec3947,cx/cx.jsonl.flight.jsonl=65c235a6f089f336d78e7e2abcc13310 $ check central-3pc -n 3 --rule naive --faults 2 --counterexample cx/cx.jsonl
+0 95c9d52556d39d3089d592c5841c0fd5 - - $ check central-3pc -n 3 --votes yyn --depth 40 --recoveries 1 --drops 1 --max-states 2000 --seed 7 --threads 2 --mem-budget 64K --progress
+1 d0c114c25ac48bc56eeb64714ca3cbec - - $ check central-3pc -n 3 --faults 0 --suspicions 2 --votes yyy --json
+0 283f277aaa50fd5623780b6202de7830 - - $ check central-3pc -n 3 --faults 0 --suspicions 2 --votes yyy --rule quorum
+0 ecbc6e3ba7f649bdf9ee5e65c38b5d6e - - $ check paxos:1 -n 2 --votes yyyyy
+0 84f958265bcf67a585001fe54fb4904b - - $ check $S/linear-2pc.nbc -n 3 --votes yyy --json
+0 9693607fcc3b9a66ed8f75061b2ef6cf - - $ check central-2pc -n 3 --depth 9
+0 1aedd6bfb5de72ab1de0c3d76286615d - - $ check 1pc -n 3 --votes yyy --suspicions 1 --max-states 2903
 0 9e7c50efebead93c81f898fee5857fa8 - - $ sweep central-3pc
 0 581586f30501b25a01d010c4c71aed90 - - $ sweep central-2pc --rule cooperative --recover 200
 0 c9de8327d1f34d1ef56f78c6ea30c303 - - $ sweep central-2pc --rule naive --no-voter 0

@@ -61,26 +61,26 @@ const ROWS: &[(&str, &str, &str, &str)] = &[
     (
         README,
         "check central-3pc -n 3",
-        "explored: 8 vote plans, 3290 distinct states",
-        "# all four oracles, exhaustive, 3 290 states: PASS",
+        "explored: 8 vote plans, 1546 distinct states",
+        "# all four oracles, exhaustive, 1 546 states: PASS",
     ),
     (
         README,
         "check paxos:1 -n 2 --votes yyyyy",
-        "explored: 1 vote plan, 3220 distinct states",
-        "3 220 for `paxos:1`",
+        "explored: 1 vote plan, 340 distinct states",
+        "340 for `paxos:1`",
     ),
     (
         README,
         "check paxos:1 -n 3",
-        "explored: 8 vote plans, 598993 distinct states",
-        "598 993 states",
+        "explored: 8 vote plans, 20518 distinct states",
+        "20 518 states",
     ),
     (
         PAPER_MAP,
         "check paxos:1 -n 3",
-        "explored: 8 vote plans, 598993 distinct states",
-        "passes all four oracles (598 993 states, exhaustive)",
+        "explored: 8 vote plans, 20518 distinct states",
+        "passes all four oracles (20 518 states, exhaustive)",
     ),
     (
         README,

@@ -2688,7 +2688,7 @@ mod tests {
         holds(&central_3pc(3), with(|o| o.recoveries = 1), false);
         holds(&central_3pc(3), with(|o| o.drops = 1), false);
         holds(&central_3pc(3), with(|o| o.faults = 2), false);
-        holds(&central_3pc(3), with(|o| o.max_states = 500), true);
+        holds(&central_3pc(3), with(|o| o.max_states = 200), true);
         holds(&central_2pc(3), with(|o| o.depth = 9), false);
         holds(&central_3pc(3), with(|o| o.depth = 10), false);
         holds(&decentralized_3pc(3), with(|o| o.depth = 14), false);

@@ -24,7 +24,8 @@
 //! kept its bytes again. Re-pinned a third time when the walk came to fire
 //! inert events eagerly: every `explored:` line fell (3051 → 1387 states
 //! for central 2PC, 191282 → 79594 under two suspicions, 13347 → 6897 for
-//! the naive rule), each unshrunk path delivers the
+//! the naive rule; the capped run's cap fell from 500, which no longer
+//! cut, to 200), each unshrunk path delivers the
 //! protocol messages a terminating site no longer reads as soon as it
 //! stops reading them, and so the naive rule's shrunk counterexample,
 //! with the same steps, swaps two deliveries into different sites. The
@@ -113,8 +114,8 @@ fn false_suspicion_nonblocking_counterexample() {
 
 #[test]
 fn capped_run_with_a_witness() {
-    let golden = include_str!("golden/central_2pc_n3_max500.txt");
+    let golden = include_str!("golden/central_2pc_n3_max200.txt");
     assert!(golden.contains("TRUNCATED") && golden.contains("blocking confirmed"));
-    let opts = CheckOptions { max_states: 500, ..Default::default() };
+    let opts = CheckOptions { max_states: 200, ..Default::default() };
     assert_pinned(golden, &central_2pc(3), opts);
 }

@@ -85,9 +85,10 @@ fn tiny_mem_budget_is_byte_identical_to_unlimited() {
 fn sleep_sets_in_spilled_entries_change_no_byte() {
     // A spilled entry carries the sleep set its state was expanded under,
     // and a revisit that wakes a delivery brings it back hot with a smaller
-    // one; the fold intersects the copies. At 64 KiB both single-plan
-    // walks below spill, and neither the thread count, nor the seed, nor
-    // the budget may move a byte but the `budgets:` line.
+    // one; the fold intersects the copies. At 8 KiB both single-plan
+    // walks below spill (Paxos Commit's 340 states hold about 21 KiB of
+    // hot entries), and neither the thread count, nor the seed, nor the
+    // budget may move a byte but the `budgets:` line.
     let all_yes = |p: &Protocol| CheckOptions {
         vote_plan: Some(vec![true; p.n_sites()]),
         ..CheckOptions::default()
@@ -98,12 +99,8 @@ fn sleep_sets_in_spilled_entries_change_no_byte() {
         assert_eq!(base.spill.runs_written, 0, "unlimited run must not spill");
         for threads in [1, 2, 4] {
             for seed in [1, 7, 99] {
-                let o = CheckOptions {
-                    threads,
-                    seed: Some(seed),
-                    mem_budget: 64 << 10,
-                    ..opts.clone()
-                };
+                let o =
+                    CheckOptions { threads, seed: Some(seed), mem_budget: 8 << 10, ..opts.clone() };
                 let run = run_check(protocol, o).unwrap();
                 let what = format!("{} at threads={threads} seed={seed}", protocol.name);
                 assert!(run.spill.runs_written >= 1, "{what}: the budget must spill");
@@ -115,13 +112,13 @@ fn sleep_sets_in_spilled_entries_change_no_byte() {
 
 #[test]
 fn truncated_runs_are_identical_across_threads_and_seeds() {
-    // A per-plan cap of 500 truncates every plan of central 3PC n=3;
-    // the canonical redo must make the whole report a function of
+    // A per-plan cap of 200 truncates the larger plans of central 3PC
+    // n=3; the canonical redo must make the whole report a function of
     // (protocol, options) — seeds included, which only the rendered
     // `budgets:` line may reflect.
     let protocol = central_3pc(3);
     let opts =
-        |threads, seed| CheckOptions { max_states: 500, threads, seed, ..CheckOptions::default() };
+        |threads, seed| CheckOptions { max_states: 200, threads, seed, ..CheckOptions::default() };
     let base = run_check(&protocol, opts(1, None)).unwrap();
     assert!(base.stats.truncated, "the cap must actually truncate");
     for threads in [2, 4] {
@@ -187,10 +184,10 @@ fn truncated_and_budgeted_together_stay_identical() {
     // notice.
     let protocol = central_3pc(3);
     let base =
-        run_check(&protocol, CheckOptions { max_states: 500, ..CheckOptions::default() }).unwrap();
+        run_check(&protocol, CheckOptions { max_states: 200, ..CheckOptions::default() }).unwrap();
     let run = run_check(
         &protocol,
-        CheckOptions { max_states: 500, threads: 4, mem_budget: 4096, ..CheckOptions::default() },
+        CheckOptions { max_states: 200, threads: 4, mem_budget: 4096, ..CheckOptions::default() },
     )
     .unwrap();
     assert!(run.spill.runs_written >= 2, "budget must engage: {:?}", run.spill);

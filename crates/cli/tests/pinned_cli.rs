@@ -27,12 +27,13 @@ use nbc_core::Fp128;
 /// theirs). Both times every witness and counterexample file kept its
 /// bytes, and the knife-edge line's cap moved with its plan's state count,
 /// `--max-states 3532` to `3672`, then to `2903`. Then when the walk came
-/// to fire inert events eagerly: every line's `explored:` count fell, and
-/// the naive-rule counterexample (`cx/cx.jsonl`, its flight record and the
-/// report that inlines it) kept its steps but swapped two deliveries into
-/// different sites: the walk now delivers site 2's protocol message to
-/// site 0 as soon as site 0 leaves the commit protocol and stops reading
-/// it. The central 2PC witness kept its bytes.
+/// to fire inert events eagerly: every uncapped line's `explored:` count
+/// fell, the knife-edge cap moved to `1827`, and the naive-rule
+/// counterexample (`cx/cx.jsonl`, its flight record and the report that
+/// inlines it) kept its steps but swapped two deliveries into different
+/// sites: the walk now delivers site 2's protocol message to site 0 as
+/// soon as site 0 leaves the commit protocol and stops reading it. The
+/// central 2PC witness kept its bytes.
 const PINNED: &str = "\
 0 dd4fdb85d36d47a807909ea4b0b7ba66 - - $ list
 0 2695037d4dd353a41ef982a03b113e8e - - $ analyze central-2pc
@@ -100,7 +101,7 @@ const PINNED: &str = "\
 0 ecbc6e3ba7f649bdf9ee5e65c38b5d6e - - $ check paxos:1 -n 2 --votes yyyyy
 0 84f958265bcf67a585001fe54fb4904b - - $ check $S/linear-2pc.nbc -n 3 --votes yyy --json
 0 9693607fcc3b9a66ed8f75061b2ef6cf - - $ check central-2pc -n 3 --depth 9
-0 1aedd6bfb5de72ab1de0c3d76286615d - - $ check 1pc -n 3 --votes yyy --suspicions 1 --max-states 2903
+0 866e0462f8ab9a5cb5006129714117ba - - $ check 1pc -n 3 --votes yyy --suspicions 1 --max-states 1827
 0 9e7c50efebead93c81f898fee5857fa8 - - $ sweep central-3pc
 0 581586f30501b25a01d010c4c71aed90 - - $ sweep central-2pc --rule cooperative --recover 200
 0 c9de8327d1f34d1ef56f78c6ea30c303 - - $ sweep central-2pc --rule naive --no-voter 0
@@ -264,7 +265,7 @@ const LINES: &[(&str, &[&str])] = &[
     ("check paxos:1 -n 2 --votes yyyyy", &[]),
     ("check $S/linear-2pc.nbc -n 3 --votes yyy --json", &[]),
     ("check central-2pc -n 3 --depth 9", &[]),
-    ("check 1pc -n 3 --votes yyy --suspicions 1 --max-states 2903", &[]),
+    ("check 1pc -n 3 --votes yyy --suspicions 1 --max-states 1827", &[]),
     // sweep
     ("sweep central-3pc", &[]),
     ("sweep central-2pc --rule cooperative --recover 200", &[]),

@@ -1331,12 +1331,11 @@ struct Worker<'w, 'a> {
 
 impl<'w, 'a> Worker<'w, 'a> {
     fn new(shared: &'w Shared<'a>) -> Self {
-        #[allow(unused_mut)]
-        let mut stepper = Stepper::new(shared.protocol, shared.analysis);
-        #[cfg(test)]
-        {
-            stepper.undrained = shared.undrained;
-        }
+        let stepper = Stepper {
+            #[cfg(test)]
+            undrained: shared.undrained,
+            ..Stepper::new(shared.protocol, shared.analysis)
+        };
         Self {
             shared,
             stepper,

@@ -55,17 +55,34 @@
 //! abandoned walk stops at its first cut, long before it has seen a
 //! quarter of the states (`a_cut_walk_is_abandoned_and_rerun_exact`).
 //!
-//! Two further sound reductions: events addressed to a permanently-down
-//! site (no recovery budget left) are pure no-ops and are drained eagerly
-//! rather than branched over, and the behavioral digest canonicalizes
-//! arrival-order collections whose consumers are order-independent.
+//! The behavioral digest also canonicalizes arrival-order collections
+//! whose consumers are order-independent.
+//!
+//! ## The drain
+//!
+//! After every action the stepper fires, earliest first, the events whose
+//! delivery changes nothing a later step reads (`Stepper::drain`): events
+//! into a down site once no recovery can bring it back, and, once no drop
+//! can come, the events [`Runner::inert`] names — a protocol message to a
+//! site that has left the commit protocol, and in the delivery-only region
+//! a failure notice the quorum absorbs. The engine's module docs argue
+//! that each of them commutes with every other action and stays inert
+//! until it fires, so any execution from the state reaches, once the event
+//! has fired, a state the drained walk reaches by firing it first. Firing
+//! one before its turn therefore loses no state the unreduced walk reaches
+//! once that event is gone, and every quiescent state has every event
+//! gone. No oracle reads what the event changes (its channel, a view bit),
+//! so each judges the state before and after it alike. A drop would tell a delivery from a loss by the budget it spends,
+//! hence the drop guard. Drained events are steps of the path but cost no
+//! depth, so under a depth bound the drained walk reaches every quiescent
+//! state the undrained one reaches, and perhaps more.
 //!
 //! ## Sleep sets
 //!
 //! Two deliveries into different sites commute. A handler mutates only the
 //! site it delivers into and appends its sends to channel tails, so it
 //! neither changes nor disables another channel's head; fired in either
-//! order, with the dead-site drain after each, the two leave one state and
+//! order, with the drain after each, the two leave one state and
 //! spend no budget (`heads_to_distinct_sites_commute` checks every such
 //! pair at every state of nine walks). Every other action — crash,
 //! recover, drop, suspect, unsuspect — is taken to depend on every action.
@@ -2192,7 +2209,7 @@ mod tests {
 
     /// The independence the sleep sets rest on: two deliveries into
     /// distinct sites commute. Applied as the walk applies them —
-    /// `Stepper::apply`, dead-site drain included — in either order, from
+    /// `Stepper::apply`, drain included — in either order, from
     /// every state of the unreduced walk, they leave the same behavioral
     /// state and the same budgets.
     #[test]

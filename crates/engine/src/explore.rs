@@ -73,17 +73,17 @@
 //! execution reaches once e has fired. It holds for two kinds:
 //!
 //! * **(a) A protocol message to a site y that has left the commit
-//!   protocol** (y's mode is not `Normal`; y may be down). `Runner::deliver`
-//!   drops it unread, as the engine drops every event into a down site,
-//!   and only `SiteRt::reset`, at the start of a run, sets `Normal`: a
-//!   crash sets `Down`, a restart `Recovering` or `Done`. So e stays a
-//!   no-op whatever comes first, and a crash or a restart of y, before or
-//!   after it, leaves one state. Under an imperfect detector a delivery renews a
-//!   suspicion lease, which is a step of its own, so the rule needs the
-//!   lockstep configuration's perfect detector. A crash of the sender that
-//!   loses e ends where firing e and losing one send fewer does; only a
-//!   lossy network (a budgeted drop of e) tells e's delivery from its loss,
-//!   which the caller excludes.
+//!   protocol** (y's mode is not `Normal`; y may be down).
+//!   `Runner::deliver` drops it unread, as the engine drops every event
+//!   into a down site, and only `SiteRt::reset`, at the start of a run,
+//!   sets `Normal`: a crash sets `Down`, a restart `Recovering` or `Done`.
+//!   So e stays a no-op whatever comes first, and a crash or a restart of
+//!   y, before or after it, leaves one state. Under an imperfect detector a
+//!   delivery renews a suspicion lease, which is a step of its own, so the
+//!   rule needs the lockstep configuration's perfect detector. A crash of
+//!   the sender that loses e ends where firing e and losing one send fewer
+//!   does; only a lossy network (a budgeted drop of e) tells e's delivery
+//!   from its loss, which the caller excludes.
 //! * **(b) A failure notice the quorum absorbs, once nothing but
 //!   deliveries can come** (`settled`: no crash, recovery, suspicion or
 //!   unsuspicion). The notice writes the observer's view bit of the

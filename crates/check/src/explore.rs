@@ -72,10 +72,11 @@
 //! one before its turn therefore loses no state the unreduced walk reaches
 //! once that event is gone, and every quiescent state has every event
 //! gone. No oracle reads what the event changes (its channel, a view bit),
-//! so each judges the state before and after it alike. A drop would tell a delivery from a loss by the budget it spends,
-//! hence the drop guard. Drained events are steps of the path but cost no
-//! depth, so under a depth bound the drained walk reaches every quiescent
-//! state the undrained one reaches, and perhaps more.
+//! so each judges the state before and after it alike. A drop would tell
+//! a delivery from a loss by the budget it spends, hence the drop guard.
+//! Drained events are steps of the path but cost no depth, so under a
+//! depth bound the drained walk reaches every quiescent state the
+//! undrained one reaches, and perhaps more.
 //!
 //! ## Sleep sets
 //!

@@ -204,11 +204,11 @@ const REACH: u16 = Graph as u16 | Verify as u16 | FOLD;
 /// Commands that read facts only, folded over a stream of the states
 /// without retaining the graph, and take the fold's own flags. `verify`
 /// streams too, at the default options; `graph` reads the edges.
-const FOLD: u16 = Analyze as u16 | Synthesize as u16 | RUNS;
-/// Commands that run the engine on a [`crate::SimOpts`] configuration.
-const RUNS: u16 = Simulate as u16 | Sweep as u16 | DEMO;
-/// Commands that run it once, under a crash the command line may name.
-const DEMO: u16 = Simulate as u16 | Termination as u16 | Recovery as u16;
+const FOLD: u16 = Analyze as u16 | Synthesize as u16 | Termination as u16 | Recovery as u16 | RUNS;
+/// Commands that run the engine on the configuration their run flags
+/// describe; `simulate` runs it once, under a crash `--crash` may name.
+const RUNS: u16 = SIMULATE | Sweep as u16;
+const SIMULATE: u16 = Simulate as u16;
 const CHECK: u16 = Check as u16;
 const PIPELINE: u16 = Pipeline as u16;
 
@@ -244,12 +244,12 @@ pub const FLAGS: &[Flag] = &[
         "per-level BFS progress (frontier, new states, dedup hits, states/sec) on stderr while \
          the analysis builds; on check, exploration counters per reporting interval.",
     ),
-    option(&["--crash"], "SITE:ORDINAL:MSGS", Kind::Crash, DEMO).help(
+    option(&["--crash"], "SITE:ORDINAL:MSGS", Kind::Crash, SIMULATE).help(
         "crash SITE on its ORDINAL-th transition; MSGS is a number (messages sent before dying) \
          or `log` (crash before the write-ahead record).",
     ),
     option(&["--recover"], "T", Kind::Num(0, MAX_TICKS, "ticks"), RUNS)
-        .requires("--crash", Simulate as u16)
+        .requires("--crash", SIMULATE)
         .help("the crashed site comes back at time T (sweep: in every crash run)."),
     option(&["--no-voter"], "K", Kind::Num(0, MAX_SITE_INDEX, "(the highest site index)"), RUNS)
         .repeatable()
@@ -262,7 +262,7 @@ pub const FLAGS: &[Flag] = &[
         "seed of the latency model, the detector and the pipeline workload; on check it \
          perturbs traversal order only.",
     ),
-    switch(&["--story"], Simulate as u16).help("print the run's human-readable execution trace."),
+    switch(&["--story"], SIMULATE).help("print the run's human-readable execution trace."),
     option(&["--detector-timeout"], "T", Kind::Num(1, MAX_TICKS, "ticks"), RUNS).help(
         "replace the paper's perfect failure detector with timeout-based suspicion — a site \
          suspects a peer after T units of silence, with heartbeat latency drawn from \
@@ -273,7 +273,7 @@ pub const FLAGS: &[Flag] = &[
     option(&["--detector-jitter"], "LO..HI", Kind::Span, RUNS)
         .requires("--detector-timeout", RUNS)
         .help("heartbeat-latency bounds of the timeout detector."),
-    option(&["--schedule"], "FILE", Kind::Path, Simulate as u16)
+    option(&["--schedule"], "FILE", Kind::Path, SIMULATE)
         .overrides(&[
             "--crash",
             "--recover",
@@ -337,15 +337,15 @@ pub const FLAGS: &[Flag] = &[
         "emit a metrics snapshot event every T ticks (goodput, in-flight, blocked, WAL bytes) \
          into the trace for `nbc trace stats`.",
     ),
-    option(&["--flight"], "PATH", Kind::Path, DEMO | PIPELINE).help(
+    option(&["--flight"], "PATH", Kind::Path, SIMULATE | PIPELINE).help(
         "attach a bounded flight recorder and dump its tail to PATH only when the run ends \
          badly — atomicity violated, a site left undecided, or (pipeline) a panic or \
          conservation violation.",
     ),
-    option(&["--flight-cap"], "N", Kind::Num(1, 1 << 20, "events"), DEMO | PIPELINE)
-        .requires("--flight", DEMO | PIPELINE)
+    option(&["--flight-cap"], "N", Kind::Num(1, 1 << 20, "events"), SIMULATE | PIPELINE)
+        .requires("--flight", SIMULATE | PIPELINE)
         .help("events the flight recorder keeps (default 256)."),
-    switch(&["--json"], Simulate as u16 | Sweep as u16 | CHECK | Paxos as u16 | Trace as u16).help(
+    switch(&["--json"], SIMULATE | Sweep as u16 | CHECK | Paxos as u16 | Trace as u16).help(
         "print the report as JSON on stdout (simulate --json --metrics nests both under \
          {\"report\":..,\"metrics\":..}).",
     ),
@@ -785,10 +785,10 @@ mod tests {
     fn a_qualifier_without_its_subject_is_refused() {
         let words = |l: &str| l.split_whitespace().map(str::to_string).collect::<Vec<_>>();
         for (bad, good) in [
-            ("termination 3pc --flight-cap 9", "analyze 3pc --mem-budget 1K"),
+            ("simulate 3pc --flight-cap 9", "analyze 3pc --mem-budget 1K"),
             ("simulate 3pc --detector-jitter 1..5", "check 3pc --mem-budget 1K"),
             ("sweep 3pc --trace-format chrome", "sweep 3pc --recover 5"),
-            ("pipeline 3pc --flight-cap 9", "termination 3pc --recover 5"),
+            ("pipeline 3pc --flight-cap 9", "pipeline 3pc --flight-cap 9 --flight f"),
             ("simulate 3pc --recover 5", "simulate 3pc --recover 5 --crash 0:1:1"),
         ] {
             let err = parse(&words(bad)).expect_err(bad).0;

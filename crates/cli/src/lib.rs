@@ -129,8 +129,8 @@ fn run_on_protocol(inv: &Invocation) -> Result<String, CliError> {
         Cmd::Synthesize => cmd_synthesize(&protocol, &analysis),
         Cmd::Simulate => cmd_simulate(&protocol, &analysis, &opts),
         Cmd::Sweep => cmd_sweep(&protocol, &analysis, &opts),
-        Cmd::Termination => cmd_termination(&protocol, &analysis, &opts),
-        Cmd::Recovery => cmd_recovery(&protocol, &analysis, &opts),
+        Cmd::Termination => cmd_termination(&protocol, &analysis),
+        Cmd::Recovery => cmd_recovery(&protocol, &analysis),
         other => unreachable!("{other:?} does not take the reach flags"),
     }
 }
@@ -1051,52 +1051,8 @@ pub fn cmd_sweep(
     Ok(out)
 }
 
-/// Append an instrumented exemplar run to a table command's output when
-/// `--trace`/`--metrics` asked for one: the coordinator crashes mid-way
-/// through its decision broadcast (one message sent), which drives the
-/// full termination protocol — election, alignment, backup decision —
-/// through the tracer. With `recover` the crashed site comes back and runs
-/// the recovery protocol too.
-fn demo_run(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    opts: &SimOpts,
-    recover: bool,
-    out: &mut String,
-) -> Result<(), CliError> {
-    if !opts.wants_events() {
-        return Ok(());
-    }
-    let mut cfg = opts.to_config(protocol.n_sites())?;
-    if cfg.crashes.is_empty() {
-        cfg.crashes.push(CrashSpec {
-            site: 0,
-            point: CrashPoint::OnTransition {
-                ordinal: 2,
-                progress: TransitionProgress::AfterMsgs(1),
-            },
-            recover_at: opts.recover.or(if recover { Some(300) } else { None }),
-        });
-    }
-    let _ = writeln!(
-        out,
-        "exemplar run: site 0 crashes at ordinal 2 after 1 message{}",
-        if recover { ", recovers" } else { "" }
-    );
-    let (report, metrics) = run_observed(protocol, analysis, cfg, opts)?;
-    let _ = writeln!(out, "{report}");
-    if let Some(m) = metrics {
-        let _ = write!(out, "{m}");
-    }
-    Ok(())
-}
-
 /// `nbc termination PROTO`
-pub fn cmd_termination(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    opts: &SimOpts,
-) -> Result<String, CliError> {
+pub fn cmd_termination(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(out, "{}: backup-coordinator decision table", protocol.name);
     for row in termination::decision_table(protocol, analysis) {
@@ -1109,22 +1065,16 @@ pub fn cmd_termination(
             row.backup
         );
     }
-    demo_run(protocol, analysis, opts, false, &mut out)?;
     Ok(out)
 }
 
 /// `nbc recovery PROTO`
-pub fn cmd_recovery(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    opts: &SimOpts,
-) -> Result<String, CliError> {
+pub fn cmd_recovery(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(out, "{}: independent recovery classification", protocol.name);
     for row in recovery_analysis::classify(protocol, analysis) {
         let _ = writeln!(out, "  {} in {:<4} -> {}", row.site, row.state_name, row.class);
     }
-    demo_run(protocol, analysis, opts, true, &mut out)?;
     Ok(out)
 }
 
@@ -1393,9 +1343,8 @@ mod tests {
     fn tables_render() {
         let p = resolve_protocol("3pc", 3).unwrap();
         let a = streamed(&p);
-        let o = SimOpts::default();
-        assert!(cmd_termination(&p, &a, &o).unwrap().contains("commit"));
-        assert!(cmd_recovery(&p, &a, &o).unwrap().contains("must ask"));
+        assert!(cmd_termination(&p, &a).unwrap().contains("commit"));
+        assert!(cmd_recovery(&p, &a).unwrap().contains("must ask"));
         assert!(cmd_graph(&p, false, false).unwrap().contains("global states"));
         assert!(cmd_graph(&p, true, false).unwrap().contains("digraph"));
     }
@@ -1407,11 +1356,10 @@ mod tests {
         // one's bytes at any thread count.
         let p = resolve_protocol("3pc", 3).unwrap();
         let a = Analysis::build(&p).unwrap();
-        let o = SimOpts::default();
         for threads in [1, 2, 4] {
             let s = build_analysis(&p, threads, false, 0).unwrap();
-            assert_eq!(cmd_termination(&p, &a, &o).unwrap(), cmd_termination(&p, &s, &o).unwrap());
-            assert_eq!(cmd_recovery(&p, &a, &o).unwrap(), cmd_recovery(&p, &s, &o).unwrap());
+            assert_eq!(cmd_termination(&p, &a).unwrap(), cmd_termination(&p, &s).unwrap());
+            assert_eq!(cmd_recovery(&p, &a).unwrap(), cmd_recovery(&p, &s).unwrap());
         }
     }
 
@@ -1452,6 +1400,17 @@ mod tests {
         assert!(out.contains("metrics ("), "{out}");
         assert!(out.contains("messages"), "{out}");
         assert!(out.contains("preserved"), "{out}");
+
+        // The coordinator dies one message into its broadcast and comes
+        // back: the counters see the recovery.
+        let opts = SimOpts {
+            crash: Some((0, 2, Some(1))),
+            recover: Some(300),
+            metrics: true,
+            ..SimOpts::default()
+        };
+        let out = cmd_simulate(&p, &a, &opts).unwrap();
+        assert!(out.contains("recoveries=1"), "{out}");
     }
 
     #[test]
@@ -1494,19 +1453,6 @@ mod tests {
         let out = cmd_sweep(&p, &a, &SimOpts { json: true, ..SimOpts::default() }).unwrap();
         nbc_obs::json::validate(out.trim()).unwrap();
         assert!(out.contains("\"nonblocking\":true"), "{out}");
-    }
-
-    #[test]
-    fn tables_append_exemplar_run_when_observed() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let opts = SimOpts { metrics: true, ..SimOpts::default() };
-        let out = cmd_termination(&p, &a, &opts).unwrap();
-        assert!(out.contains("exemplar run"), "{out}");
-        assert!(out.contains("metrics ("), "{out}");
-        let out = cmd_recovery(&p, &a, &opts).unwrap();
-        assert!(out.contains("recovers"), "{out}");
-        assert!(out.contains("recoveries=1"), "{out}");
     }
 
     #[test]

@@ -9,6 +9,25 @@ fn nbc(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_nbc")).args(args).output().expect("run nbc binary")
 }
 
+/// The flags that configure or observe one engine run, each with a value:
+/// `simulate` reads them, `termination` and `recovery` do not, and beside
+/// `--schedule` they say nothing.
+const RUN_FLAGS: &[(&str, Option<&str>)] = &[
+    ("--crash", Some("0:2:1")),
+    ("--recover", Some("300")),
+    ("--no-voter", Some("1")),
+    ("--rule", Some("quorum")),
+    ("--latency", Some("1..5")),
+    ("--detector-timeout", Some("3")),
+    ("--detector-jitter", Some("1..5")),
+    ("--seed", Some("7")),
+    ("--trace", Some("t.jsonl")),
+    ("--trace-format", Some("chrome")),
+    ("--metrics", None),
+    ("--flight", Some("f.jsonl")),
+    ("--flight-cap", Some("8")),
+];
+
 #[test]
 fn check_pass_exits_zero() {
     let out = nbc(&["check", "central-3pc", "-n", "2"]);
@@ -151,7 +170,7 @@ fn the_deleted_stream_flag_and_the_retained_thread_count_exit_two() {
 fn flags_a_command_would_ignore_exit_two() {
     // Each of these used to exit 0 having dropped the flag: `graph` built
     // the retained graph with no budget.
-    for (args, flag) in [
+    let mut lines: Vec<(Vec<&str>, &str)> = [
         (&["graph", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
         (&["verify", "central-3pc", "--mem-budget", "1K"][..], "--mem-budget"),
         // The flag loop every analysis command shared parsed all of these
@@ -185,13 +204,27 @@ fn flags_a_command_would_ignore_exit_two() {
         (&["simulate", "3pc", "--trace-format", "chrome"][..], "--trace-format"),
         (&["pipeline", "3pc", "--flight-cap", "8"][..], "--flight-cap"),
         (&["simulate", "3pc", "--recover", "300"][..], "--recover"),
-    ] {
-        let out = nbc(args);
+    ]
+    .into_iter()
+    .map(|(args, flag)| (args.to_vec(), flag))
+    .collect();
+    // `termination` and `recovery` print tables: an engine run, and every
+    // flag that shapes or records one, is `simulate`'s.
+    for cmd in ["termination", "recovery"] {
+        for &(flag, value) in RUN_FLAGS {
+            lines.push(([cmd, "central-3pc", flag].into_iter().chain(value).collect(), flag));
+        }
+    }
+    for (args, flag) in lines {
+        let out = nbc(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         let first = stderr.lines().next().unwrap_or_default();
         assert!(first.starts_with("error: ") && first.contains(flag), "{args:?}: {first}");
         assert!(first.contains(args[0]), "{args:?}: the refusal names the command: {first}");
+        if args[0] == "termination" || args[0] == "recovery" {
+            assert!(first.contains("simulate"), "{args:?}: the refusal names simulate: {first}");
+        }
         assert!(out.stdout.is_empty(), "{args:?}: a refused command prints nothing");
     }
     // With the fold it caps, the budget runs and changes nothing on stdout.
@@ -203,10 +236,8 @@ fn flags_a_command_would_ignore_exit_two() {
         assert_eq!(budgeted.stdout, nbc(&[cmd, "central-3pc"]).stdout, "{cmd}");
     }
     // `--recover` is its own subject where the command supplies the crashes.
-    for cmd in ["sweep", "termination", "recovery"] {
-        let out = nbc(&[cmd, "central-3pc", "--recover", "300"]);
-        assert_eq!(out.status.code(), Some(0), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
-    }
+    let out = nbc(&["sweep", "central-3pc", "--recover", "300"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 #[test]
@@ -217,21 +248,7 @@ fn a_flag_the_schedule_overrides_exits_two_beside_it() {
     // table, before the schedule (here a file that does not exist) is
     // opened, and a qualifier is told to go, not to bring its subject.
     let replay = ["simulate", "central-2pc", "-n", "3", "--schedule", "/nonexistent/w"];
-    for (flag, value) in [
-        ("--crash", Some("0:2:1")),
-        ("--recover", Some("300")),
-        ("--no-voter", Some("1")),
-        ("--rule", Some("quorum")),
-        ("--latency", Some("1..5")),
-        ("--detector-timeout", Some("3")),
-        ("--detector-jitter", Some("1..5")),
-        ("--seed", Some("7")),
-        ("--trace", Some("t.jsonl")),
-        ("--trace-format", Some("chrome")),
-        ("--metrics", None),
-        ("--flight", Some("f.jsonl")),
-        ("--flight-cap", Some("8")),
-    ] {
+    for &(flag, value) in RUN_FLAGS {
         let mut args = replay.to_vec();
         args.push(flag);
         args.extend(value);

@@ -34,6 +34,13 @@ use nbc_core::Fp128;
 /// sites: the walk now delivers site 2's protocol message to site 0 as
 /// soon as site 0 leaves the commit protocol and stops reading it. The
 /// central 2PC witness kept its bytes.
+///
+/// The thirteen `termination`/`recovery` lines that carry an engine-run
+/// flag were re-pinned as usage errors when the exemplar run those
+/// commands appended became `simulate`'s job. The `simulate` lines after
+/// them run what each asked for (`--crash 0:2:1`, with `--recover 300`
+/// where `recovery` supplied it) and write the files, and the flight note
+/// on stderr, that the table commands wrote, byte for byte.
 const PINNED: &str = "\
 0 dd4fdb85d36d47a807909ea4b0b7ba66 - - $ list
 0 2695037d4dd353a41ef982a03b113e8e - - $ analyze central-2pc
@@ -117,24 +124,35 @@ const PINNED: &str = "\
 0 5d802b1eab4b5c0fbb0413490ccce76a - - $ termination central-3pc
 0 029d2c9acdb067a8f586fa593d5f460d - - $ termination central-2pc -n 4 --threads 2 --progress
 0 0b905b6587fde100fd2710c8402fb4f7 18a5cba567d00a1162a41c80fe2df9aa - $ termination central-3pc -n 4 --mem-budget 2K
-0 5d802b1eab4b5c0fbb0413490ccce76a - - $ termination central-3pc --recover 3
-0 b007f31b9154ee6e5c63dd224a77771f - - $ termination central-3pc --metrics
-0 f6f1843df2243166e941d45aefee4844 - term.jsonl=d631245d0205a189440a6bf50025defd $ termination central-3pc --trace term.jsonl --trace-format jsonl
-0 4d88ccf1206137b9dd356b0a080c708b - - $ termination central-3pc --metrics --crash 1:1:1 --recover 50 --no-voter 2 --rule quorum --latency 1..4 --seed 9
-0 173eb38cebf8049fcbb2ecf2a484731f - - $ termination central-3pc --metrics --detector-timeout 3 --detector-jitter 1..5 --seed 4
-0 d86298c68b0e9d1b8b8c6e1a8d089060 44d37fe1e08751c2e92ac87824e807dc term-flight.jsonl=e9f752d3a4de727de59ce9249b0aeef5 $ termination central-2pc --metrics --rule cooperative --crash 0:2:0 --flight term-flight.jsonl --flight-cap 16
+2 7d8795253d270d3cbc80efa97dca1234 - - $ termination central-3pc --recover 3
+2 7d8795253d270d3cbc80efa97dca1234 - - $ termination central-3pc --metrics
+2 7d8795253d270d3cbc80efa97dca1234 - - $ termination central-3pc --trace term.jsonl --trace-format jsonl
+2 7d8795253d270d3cbc80efa97dca1234 - - $ termination central-3pc --metrics --crash 1:1:1 --recover 50 --no-voter 2 --rule quorum --latency 1..4 --seed 9
+2 7d8795253d270d3cbc80efa97dca1234 - - $ termination central-3pc --metrics --detector-timeout 3 --detector-jitter 1..5 --seed 4
+2 7d8795253d270d3cbc80efa97dca1234 - - $ termination central-2pc --metrics --rule cooperative --crash 0:2:0 --flight term-flight.jsonl --flight-cap 16
 0 a966e2a4f9dd5f6b645dc26f39a21406 - - $ termination paxos:1 -n 2
-0 88a240e6153652092f145739ee0c6f11 - - $ termination $S/linear-2pc.nbc -n 3 --metrics
+2 7d8795253d270d3cbc80efa97dca1234 - - $ termination $S/linear-2pc.nbc -n 3 --metrics
 0 aca72c15aec0144daf5ec1f149b7172c - - $ recovery central-3pc
 0 c1d5e4727a43fd10b8f2f14a5b8baaf2 - - $ recovery central-2pc -n 4 --threads 2 --progress
 0 0f8c6bcc29f2c00a1657251a14a4b287 18a5cba567d00a1162a41c80fe2df9aa - $ recovery central-3pc -n 4 --mem-budget 2K
-0 aca72c15aec0144daf5ec1f149b7172c - - $ recovery central-3pc --recover 3
-0 bfe7cc8507ee07af360b239deefc66b0 - - $ recovery central-3pc --metrics
-0 8aad27aeb99a11926381dc5ea29519f6 - rec.chrome.json=39569721b4cd682cb862cfdb54249922 $ recovery central-3pc --trace rec.chrome.json --trace-format chrome --recover 120
-0 9719a46de60b5a22b5c4bd8b5669e2b3 - - $ recovery central-3pc --metrics --crash 1:1:1 --no-voter 2 --rule quorum --latency 1..4 --seed 9
-0 77f30eb7b221a56e4df9a20074e54779 - - $ recovery central-3pc --metrics --detector-timeout 3 --detector-jitter 1..5 --seed 4
-0 9409e209fb9095ed8c1edaae9d56fd65 - - $ recovery central-2pc --metrics --rule cooperative --flight rec-flight.jsonl --flight-cap 16
+2 7d8795253d270d3cbc80efa97dca1234 - - $ recovery central-3pc --recover 3
+2 7d8795253d270d3cbc80efa97dca1234 - - $ recovery central-3pc --metrics
+2 7d8795253d270d3cbc80efa97dca1234 - - $ recovery central-3pc --trace rec.chrome.json --trace-format chrome --recover 120
+2 7d8795253d270d3cbc80efa97dca1234 - - $ recovery central-3pc --metrics --crash 1:1:1 --no-voter 2 --rule quorum --latency 1..4 --seed 9
+2 7d8795253d270d3cbc80efa97dca1234 - - $ recovery central-3pc --metrics --detector-timeout 3 --detector-jitter 1..5 --seed 4
+2 7d8795253d270d3cbc80efa97dca1234 - - $ recovery central-2pc --metrics --rule cooperative --flight rec-flight.jsonl --flight-cap 16
 0 b6201d917842e461573cc59839b303b2 - - $ recovery $S/central-2pc.nbc -n 3
+0 1ead55c87ae17b86984a8bef2ea51ee0 - - $ simulate central-3pc --crash 0:2:1 --metrics
+0 7a195ac2b1b3aa4f8196d56028ef35b2 - term.jsonl=d631245d0205a189440a6bf50025defd $ simulate central-3pc --crash 0:2:1 --trace term.jsonl --trace-format jsonl
+0 423b4c3e2431b4e86d5b15d54b09d490 - - $ simulate central-3pc --metrics --crash 1:1:1 --recover 50 --no-voter 2 --rule quorum --latency 1..4 --seed 9
+0 3326a9fbd6ef525242d7176000987610 - - $ simulate central-3pc --crash 0:2:1 --metrics --detector-timeout 3 --detector-jitter 1..5 --seed 4
+0 d9b6ab34d9f4c9c7629531bfeada53c5 44d37fe1e08751c2e92ac87824e807dc term-flight.jsonl=e9f752d3a4de727de59ce9249b0aeef5 $ simulate central-2pc --metrics --rule cooperative --crash 0:2:0 --flight term-flight.jsonl --flight-cap 16
+0 a31a5ecbd8e73212026eeaaf3ca6bdf3 - - $ simulate $S/linear-2pc.nbc -n 3 --crash 0:2:1 --metrics
+0 8d61237a1b22b38929d43f950b8f043a - - $ simulate central-3pc --crash 0:2:1 --recover 300 --metrics
+0 ba50184326d188d5eb60dc216800374f - rec.chrome.json=39569721b4cd682cb862cfdb54249922 $ simulate central-3pc --crash 0:2:1 --trace rec.chrome.json --trace-format chrome --recover 120
+0 581c1a777756547259e7e9a9d0a6e755 - - $ simulate central-3pc --metrics --crash 1:1:1 --no-voter 2 --rule quorum --latency 1..4 --seed 9
+0 06a74b5d3a06dfe72a67c714229dde10 - - $ simulate central-3pc --crash 0:2:1 --recover 300 --metrics --detector-timeout 3 --detector-jitter 1..5 --seed 4
+0 38c6d93eef6b678cf540118c11a0ce4e - - $ simulate central-2pc --crash 0:2:1 --recover 300 --metrics --rule cooperative --flight rec-flight.jsonl --flight-cap 16
 0 15b17867110d31fb162da4df69de943f - - $ pipeline 3pc --txns 64 --crash-pct 25
 0 ce4bb6abbf7bd8bca802d1f743f6b31a - - $ pipeline 2pc --txns 64 --crash-pct 25
 0 45d0c39c54e500fc695fc85ecef76682 - - $ pipeline central-3pc -n 4 --txns 32 --in-flight 4 --window 3 --reap 17 --seed 7
@@ -291,7 +309,7 @@ const LINES: &[(&str, &[&str])] = &[
     ("termination central-3pc -n 4 --mem-budget 2K", &[]),
     ("termination central-3pc --recover 3", &[]),
     ("termination central-3pc --metrics", &[]),
-    ("termination central-3pc --trace term.jsonl --trace-format jsonl", &["term.jsonl"]),
+    ("termination central-3pc --trace term.jsonl --trace-format jsonl", &[]),
     (
         "termination central-3pc --metrics --crash 1:1:1 --recover 50 --no-voter 2 --rule quorum \
          --latency 1..4 --seed 9",
@@ -300,7 +318,7 @@ const LINES: &[(&str, &[&str])] = &[
     ("termination central-3pc --metrics --detector-timeout 3 --detector-jitter 1..5 --seed 4", &[]),
     (
         "termination central-2pc --metrics --rule cooperative --crash 0:2:0 --flight term-flight.jsonl --flight-cap 16",
-        &["term-flight.jsonl"],
+        &[],
     ),
     ("termination paxos:1 -n 2", &[]),
     ("termination $S/linear-2pc.nbc -n 3 --metrics", &[]),
@@ -309,10 +327,7 @@ const LINES: &[(&str, &[&str])] = &[
     ("recovery central-3pc -n 4 --mem-budget 2K", &[]),
     ("recovery central-3pc --recover 3", &[]),
     ("recovery central-3pc --metrics", &[]),
-    (
-        "recovery central-3pc --trace rec.chrome.json --trace-format chrome --recover 120",
-        &["rec.chrome.json"],
-    ),
+    ("recovery central-3pc --trace rec.chrome.json --trace-format chrome --recover 120", &[]),
     (
         "recovery central-3pc --metrics --crash 1:1:1 --no-voter 2 --rule quorum --latency 1..4 --seed 9",
         &[],
@@ -323,6 +338,49 @@ const LINES: &[(&str, &[&str])] = &[
         &[],
     ),
     ("recovery $S/central-2pc.nbc -n 3", &[]),
+    // the runs the refused lines above asked for, on simulate
+    ("simulate central-3pc --crash 0:2:1 --metrics", &[]),
+    (
+        "simulate central-3pc --crash 0:2:1 --trace term.jsonl --trace-format jsonl",
+        &["term.jsonl"],
+    ),
+    (
+        "simulate central-3pc --metrics --crash 1:1:1 --recover 50 --no-voter 2 --rule quorum \
+         --latency 1..4 --seed 9",
+        &[],
+    ),
+    (
+        "simulate central-3pc --crash 0:2:1 --metrics --detector-timeout 3 --detector-jitter 1..5 \
+         --seed 4",
+        &[],
+    ),
+    (
+        "simulate central-2pc --metrics --rule cooperative --crash 0:2:0 --flight term-flight.jsonl \
+         --flight-cap 16",
+        &["term-flight.jsonl"],
+    ),
+    ("simulate $S/linear-2pc.nbc -n 3 --crash 0:2:1 --metrics", &[]),
+    ("simulate central-3pc --crash 0:2:1 --recover 300 --metrics", &[]),
+    (
+        "simulate central-3pc --crash 0:2:1 --trace rec.chrome.json --trace-format chrome \
+         --recover 120",
+        &["rec.chrome.json"],
+    ),
+    (
+        "simulate central-3pc --metrics --crash 1:1:1 --no-voter 2 --rule quorum --latency 1..4 \
+         --seed 9",
+        &[],
+    ),
+    (
+        "simulate central-3pc --crash 0:2:1 --recover 300 --metrics --detector-timeout 3 \
+         --detector-jitter 1..5 --seed 4",
+        &[],
+    ),
+    (
+        "simulate central-2pc --crash 0:2:1 --recover 300 --metrics --rule cooperative \
+         --flight rec-flight.jsonl --flight-cap 16",
+        &[],
+    ),
     // pipeline
     ("pipeline 3pc --txns 64 --crash-pct 25", &[]),
     ("pipeline 2pc --txns 64 --crash-pct 25", &[]),

@@ -4,7 +4,7 @@
 //! A [`Flag`] row says how a flag is spelled, what value it takes and in
 //! what range, which commands read it, which other flag it qualifies, and
 //! what it does. [`parse`] checks a command line against the rows and
-//! [`usage`] prints them, so a flag cannot be parsed and then dropped,
+//! `usage` prints them, so a flag cannot be parsed and then dropped,
 //! accepted without a bound, or documented for a command that ignores it.
 
 use std::fmt::Write as _;
@@ -130,8 +130,7 @@ pub enum Kind {
 
 /// A parsed flag value.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)]
-pub enum Value {
+pub(crate) enum Value {
     On,
     Num(u64),
     Text(String),
@@ -194,7 +193,7 @@ impl Flag {
     }
 
     /// The commands that read it, by synopsis name.
-    pub fn readers(&self) -> impl Iterator<Item = &'static str> + '_ {
+    pub(crate) fn readers(&self) -> impl Iterator<Item = &'static str> + '_ {
         COMMANDS.iter().filter(|c| self.read_by(c.cmd)).map(|c| c.names[0])
     }
 }
@@ -356,31 +355,34 @@ pub const FLAGS: &[Flag] = &[
 #[derive(Debug)]
 pub struct Invocation {
     /// The command.
-    pub cmd: Cmd,
+    pub(crate) cmd: Cmd,
     /// Its positional operands, in order.
-    pub operands: Vec<String>,
+    pub(crate) operands: Vec<String>,
     values: Vec<(&'static str, Value)>,
 }
 
 impl Invocation {
     /// The value `flag` (a row's first name) was given, if it was.
-    pub fn get(&self, flag: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, flag: &str) -> Option<&Value> {
         debug_assert!(FLAGS.iter().any(|f| f.names[0] == flag), "{flag} is not a row");
         self.values.iter().find(|(name, _)| *name == flag).map(|(_, v)| v)
     }
 
     /// Was `flag` given?
-    pub fn has(&self, flag: &str) -> bool {
+    pub(crate) fn has(&self, flag: &str) -> bool {
         self.get(flag).is_some()
     }
 
     /// The number `flag` was given, as the field that takes it.
-    pub fn num<T: TryFrom<u64>>(&self, flag: &str) -> Option<T> {
+    pub(crate) fn num<T: TryFrom<u64>>(&self, flag: &str) -> Option<T> {
         self.nums(flag).next()
     }
 
     /// Every number a repeatable `flag` was given.
-    pub fn nums<'a, T: TryFrom<u64>>(&'a self, flag: &'a str) -> impl Iterator<Item = T> + 'a {
+    pub(crate) fn nums<'a, T: TryFrom<u64>>(
+        &'a self,
+        flag: &'a str,
+    ) -> impl Iterator<Item = T> + 'a {
         self.values.iter().filter_map(move |(name, v)| match v {
             Value::Num(v) if *name == flag => T::try_from(*v).ok(),
             _ => None,
@@ -388,7 +390,7 @@ impl Invocation {
     }
 
     /// The path `flag` was given.
-    pub fn text(&self, flag: &str) -> Option<String> {
+    pub(crate) fn text(&self, flag: &str) -> Option<String> {
         match self.get(flag)? {
             Value::Text(s) => Some(s.clone()),
             _ => None,
@@ -396,7 +398,7 @@ impl Invocation {
     }
 
     /// The `LO..HI` bounds `flag` was given.
-    pub fn span(&self, flag: &str) -> Option<(u64, u64)> {
+    pub(crate) fn span(&self, flag: &str) -> Option<(u64, u64)> {
         match self.get(flag)? {
             Value::Span(lo, hi) => Some((*lo, *hi)),
             _ => None,
@@ -404,7 +406,7 @@ impl Invocation {
     }
 
     /// `--crash`, as `(site, ordinal, messages sent or None for "before the log")`.
-    pub fn crash(&self) -> Option<(usize, u32, Option<u32>)> {
+    pub(crate) fn crash(&self) -> Option<(usize, u32, Option<u32>)> {
         match self.get("--crash")? {
             Value::Crash(site, ordinal, msgs) => Some((*site, *ordinal, *msgs)),
             _ => None,
@@ -412,7 +414,7 @@ impl Invocation {
     }
 
     /// `--rule`, or the paper's rule.
-    pub fn rule(&self) -> TerminationRule {
+    pub(crate) fn rule(&self) -> TerminationRule {
         match self.get("--rule") {
             Some(Value::Rule(rule)) => *rule,
             _ => TerminationRule::Skeen,
@@ -420,7 +422,7 @@ impl Invocation {
     }
 
     /// `--votes`.
-    pub fn votes(&self) -> Option<Vec<bool>> {
+    pub(crate) fn votes(&self) -> Option<Vec<bool>> {
         match self.get("--votes")? {
             Value::Votes(plan) => Some(plan.clone()),
             _ => None,
@@ -428,7 +430,7 @@ impl Invocation {
     }
 
     /// The site count: `-n`, or 3.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.num("-n").unwrap_or(3)
     }
 }
@@ -471,7 +473,7 @@ impl Kind {
 
 /// Parse a `--mem-budget` byte count: plain digits with an optional
 /// case-insensitive `K`/`M`/`G` suffix (KiB/MiB/GiB multipliers).
-pub fn parse_mem_budget(s: &str, flag: &str) -> Result<usize, CliError> {
+fn parse_mem_budget(s: &str, flag: &str) -> Result<usize, CliError> {
     let (digits, mult) = match s.as_bytes().last() {
         Some(b'k') | Some(b'K') => (&s[..s.len() - 1], 1usize << 10),
         Some(b'm') | Some(b'M') => (&s[..s.len() - 1], 1usize << 20),
@@ -485,7 +487,7 @@ pub fn parse_mem_budget(s: &str, flag: &str) -> Result<usize, CliError> {
 }
 
 /// Parse `site:ordinal:msgs` (msgs may be `log`).
-pub fn parse_crash_arg(arg: &str) -> Result<(usize, u32, Option<u32>), CliError> {
+fn parse_crash_arg(arg: &str) -> Result<(usize, u32, Option<u32>), CliError> {
     let want = || bad("--crash", arg, "SITE:ORDINAL:MSGS, MSGS a count or `log`");
     let parts: Vec<&str> = arg.split(':').collect();
     let [site, ordinal, msgs] = parts[..] else { return Err(want()) };
@@ -494,7 +496,7 @@ pub fn parse_crash_arg(arg: &str) -> Result<(usize, u32, Option<u32>), CliError>
 }
 
 /// Parse the `LO..HI` time bounds of `--latency` or `--detector-jitter`.
-pub fn parse_span(flag: &str, arg: &str) -> Result<(u64, u64), CliError> {
+fn parse_span(flag: &str, arg: &str) -> Result<(u64, u64), CliError> {
     let bounds =
         arg.split_once("..").and_then(|(lo, hi)| Some((lo.parse().ok()?, hi.parse().ok()?)));
     match bounds {
@@ -504,7 +506,7 @@ pub fn parse_span(flag: &str, arg: &str) -> Result<(u64, u64), CliError> {
 }
 
 /// Parse a `--trace-format` value; `true` selects Chrome trace-event JSON.
-pub fn parse_trace_format(arg: &str) -> Result<bool, CliError> {
+fn parse_trace_format(arg: &str) -> Result<bool, CliError> {
     match arg {
         "jsonl" => Ok(false),
         "chrome" => Ok(true),
@@ -513,7 +515,7 @@ pub fn parse_trace_format(arg: &str) -> Result<bool, CliError> {
 }
 
 /// Parse a termination-rule name.
-pub fn parse_rule_arg(arg: &str) -> Result<TerminationRule, CliError> {
+fn parse_rule_arg(arg: &str) -> Result<TerminationRule, CliError> {
     match arg {
         "skeen" => Ok(TerminationRule::Skeen),
         "cooperative" => Ok(TerminationRule::Cooperative),
@@ -525,7 +527,7 @@ pub fn parse_rule_arg(arg: &str) -> Result<TerminationRule, CliError> {
 
 /// Parse a `--votes` plan: one `y`/`1` (yes) or `n`/`0` (no) per site,
 /// e.g. `yyn`.
-pub fn parse_votes_arg(arg: &str) -> Result<Vec<bool>, CliError> {
+fn parse_votes_arg(arg: &str) -> Result<Vec<bool>, CliError> {
     arg.chars()
         .map(|c| match c {
             'y' | '1' => Ok(true),
@@ -634,7 +636,7 @@ fn fill<'a>(out: &mut String, head: &str, indent: usize, items: impl Iterator<It
 
 /// `nbc help`: the synopsis of every command, generated from the rows in
 /// table order, then what each operand, flag and command means.
-pub fn usage() -> String {
+pub(crate) fn usage() -> String {
     let mut out = "nbc — nonblocking commit protocols (Skeen, SIGMOD 1981)\n\nUSAGE:\n".to_string();
     for c in COMMANDS {
         let flags = FLAGS.iter().filter(|f| f.read_by(c.cmd)).map(|f| match f.value {
@@ -795,5 +797,32 @@ mod tests {
             assert!(err.starts_with(bad.split(' ').nth(2).unwrap()), "{bad}: {err}");
             parse(&words(good)).unwrap_or_else(|e| panic!("{good}: {e}"));
         }
+    }
+
+    #[test]
+    fn mem_budget_parses_suffixes() {
+        assert_eq!(parse_mem_budget("4096", "--mem-budget").unwrap(), 4096);
+        assert_eq!(parse_mem_budget("64K", "--mem-budget").unwrap(), 64 << 10);
+        assert_eq!(parse_mem_budget("64k", "--mem-budget").unwrap(), 64 << 10);
+        assert_eq!(parse_mem_budget("16M", "--mem-budget").unwrap(), 16 << 20);
+        assert_eq!(parse_mem_budget("1g", "--mem-budget").unwrap(), 1 << 30);
+        assert!(parse_mem_budget("", "--mem-budget").is_err());
+        assert!(parse_mem_budget("K", "--mem-budget").is_err());
+        assert!(parse_mem_budget("12Q", "--mem-budget").is_err());
+        assert!(parse_mem_budget("999999999999999999G", "--mem-budget").is_err());
+    }
+
+    #[test]
+    fn arg_parsers() {
+        assert_eq!(parse_crash_arg("0:3:1").unwrap(), (0, 3, Some(1)));
+        assert_eq!(parse_crash_arg("2:1:log").unwrap(), (2, 1, None));
+        assert!(parse_crash_arg("1:2").is_err());
+        assert_eq!(parse_span("--latency", "1..20").unwrap(), (1, 20));
+        assert!(parse_span("--latency", "9..2").is_err());
+        assert!(parse_rule_arg("cooperative").is_ok());
+        assert!(parse_rule_arg("yolo").is_err());
+        assert!(!parse_trace_format("jsonl").unwrap());
+        assert!(parse_trace_format("chrome").unwrap());
+        assert!(parse_trace_format("svg").is_err());
     }
 }

@@ -35,7 +35,7 @@ use nbc_core::{
 };
 use nbc_engine::{
     enumerate_crash_specs, run_traced, run_with, sweep, sweep_traced, CrashPoint, CrashSpec,
-    DetectorSpec, RunConfig, RunReport, Runner, TerminationRule, TransitionProgress,
+    DetectorSpec, RunConfig, RunReport, Runner, TransitionProgress,
 };
 use nbc_obs::export::{to_chrome, to_jsonl};
 use nbc_obs::json::Obj;
@@ -122,13 +122,12 @@ fn run_on_protocol(inv: &Invocation) -> Result<String, CliError> {
     let (threads, budget) =
         (inv.num("--threads").unwrap_or(0), inv.num("--mem-budget").unwrap_or(0));
     let analysis = build_analysis(&protocol, threads, progress, budget)?;
-    let opts = SimOpts::of(inv);
     match inv.cmd {
         Cmd::Analyze => cmd_analyze(&protocol, &analysis),
         Cmd::Verify => cmd_verify(&protocol, &analysis),
         Cmd::Synthesize => cmd_synthesize(&protocol, &analysis),
-        Cmd::Simulate => cmd_simulate(&protocol, &analysis, &opts),
-        Cmd::Sweep => cmd_sweep(&protocol, &analysis, &opts),
+        Cmd::Simulate => cmd_simulate(&protocol, &analysis, inv),
+        Cmd::Sweep => cmd_sweep(&protocol, &analysis, inv),
         Cmd::Termination => cmd_termination(&protocol, &analysis),
         Cmd::Recovery => cmd_recovery(&protocol, &analysis),
         other => unreachable!("{other:?} does not take the reach flags"),
@@ -200,7 +199,7 @@ pub fn resolve_protocol(arg: &str, n: usize) -> Result<Protocol, CliError> {
 }
 
 /// `nbc list`
-pub fn cmd_list() -> String {
+pub(crate) fn cmd_list() -> String {
     "catalog protocols (use with -n N, default 3):\n\
      \x20 central-2pc (alias 2pc)          blocking\n\
      \x20 central-3pc (alias 3pc)          nonblocking\n\
@@ -219,7 +218,7 @@ pub fn cmd_list() -> String {
 /// `--threads`, `--mem-budget` and `--progress`. The reachability fold
 /// retires node payloads level by level and retains no graph; only
 /// [`cmd_graph`], which reads edges, builds the graph instead.
-pub fn build_analysis(
+pub(crate) fn build_analysis(
     protocol: &Protocol,
     threads: usize,
     progress: bool,
@@ -334,7 +333,7 @@ pub fn cmd_analyze(protocol: &Protocol, analysis: &Analysis) -> Result<String, C
 }
 
 /// `nbc verify PROTO`: the verdict, the counts and the first witnesses.
-pub fn cmd_verify(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
+pub(crate) fn cmd_verify(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
     let v = verify::verify_termination_with(protocol, analysis);
     let mut out = String::new();
     let _ = writeln!(
@@ -367,7 +366,7 @@ pub fn cmd_verify(protocol: &Protocol, analysis: &Analysis) -> Result<String, Cl
 
 /// `nbc graph PROTO [--dot] [--progress]`: the one command that reads
 /// the edges, so the one that builds the retained graph.
-pub fn cmd_graph(
+pub(crate) fn cmd_graph(
     protocol: &Protocol,
     dot_output: bool,
     progress: bool,
@@ -388,7 +387,7 @@ pub fn cmd_graph(
 ///
 /// The "before" check reuses the invocation's shared analysis; the
 /// synthesized protocol is new, so its "after" check builds its own.
-pub fn cmd_synthesize(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
+pub(crate) fn cmd_synthesize(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
     let before = theorem::check_with(protocol, analysis);
     let fixed = synthesis::make_nonblocking(protocol).map_err(|e| CliError(e.to_string()))?;
     let after = theorem::check(&fixed).map_err(|e| CliError(e.to_string()))?;
@@ -409,175 +408,77 @@ pub fn cmd_synthesize(protocol: &Protocol, analysis: &Analysis) -> Result<String
     Ok(out)
 }
 
-/// Options for `nbc simulate` / `nbc sweep`.
-#[derive(Debug, Clone)]
-pub struct SimOpts {
-    /// Crash spec as `site:ordinal:msgs` (msgs = `log` for before-log).
-    pub crash: Option<(usize, u32, Option<u32>)>,
-    /// Recovery time for the crash.
-    pub recover: Option<u64>,
-    /// Sites voting no.
-    pub no_voters: Vec<usize>,
-    /// Termination rule.
-    pub rule: TerminationRule,
-    /// Uniform latency bounds (`lo..hi`), else constant 1.
-    pub latency: Option<(u64, u64)>,
-    /// Timeout-based failure detection: suspect a peer after this many
-    /// units of silence (`--detector-timeout`). `None` keeps the paper's
-    /// perfect detector.
-    pub detector_timeout: Option<u64>,
-    /// Inclusive heartbeat-latency bounds for the detector
-    /// (`--detector-jitter LO..HI`, default `1..12`).
-    pub detector_jitter: Option<(u64, u64)>,
-    /// RNG seed for the latency model.
-    pub seed: u64,
-    /// Record and print the human-readable execution story (`--story`).
-    pub trace: bool,
-    /// Write the structured event trace to this path (`--trace PATH`).
-    pub trace_path: Option<String>,
-    /// Export the trace as Chrome trace-event JSON instead of JSONL
-    /// (`--trace-format chrome`).
-    pub trace_chrome: bool,
-    /// Print the metrics table after the run (`--metrics`).
-    pub metrics: bool,
-    /// Attach a flight recorder and dump its tail to this path when the
-    /// run ends badly — atomicity violated or an operational site left
-    /// undecided (`--flight PATH`).
-    pub flight_path: Option<String>,
-    /// Flight-recorder ring capacity in events (`--flight-cap N`).
-    pub flight_cap: usize,
-    /// Print the machine-readable JSON report instead of the human text
-    /// (`--json`).
-    pub json: bool,
-    /// Replay a recorded `nbc-check` JSONL schedule instead of running the
-    /// timed simulation (`--schedule PATH`). Overrides crash/latency/vote
-    /// options — the schedule carries its own.
-    pub schedule: Option<String>,
-}
-
-impl Default for SimOpts {
-    fn default() -> Self {
-        Self {
-            crash: None,
-            recover: None,
-            no_voters: Vec::new(),
-            rule: TerminationRule::Skeen,
-            latency: None,
-            detector_timeout: None,
-            detector_jitter: None,
-            seed: 0,
-            trace: false,
-            trace_path: None,
-            trace_chrome: false,
-            metrics: false,
-            flight_path: None,
-            flight_cap: 256,
-            json: false,
-            schedule: None,
+/// The run the run flags describe on `n` sites; a flag naming a site the
+/// protocol does not have is a usage error.
+fn to_config(inv: &Invocation, n: usize) -> Result<RunConfig, CliError> {
+    let site_of = |flag: &str, site: usize| {
+        if site < n {
+            Ok(site)
+        } else {
+            fail(format!("{flag} names site {site}, but the protocol has {n} sites (0..{n})"))
         }
+    };
+    let mut cfg = RunConfig::happy(n);
+    for v in inv.nums("--no-voter") {
+        cfg.votes[site_of("--no-voter", v)?] = false;
     }
-}
-
-impl SimOpts {
-    /// The options a parsed command line carries.
-    fn of(inv: &Invocation) -> Self {
-        Self {
-            crash: inv.crash(),
-            recover: inv.num("--recover"),
-            no_voters: inv.nums("--no-voter").collect(),
-            rule: inv.rule(),
-            latency: inv.span("--latency"),
-            detector_timeout: inv.num("--detector-timeout"),
-            detector_jitter: inv.span("--detector-jitter"),
-            seed: inv.num("--seed").unwrap_or(0),
-            trace: inv.has("--story"),
-            trace_path: inv.text("--trace"),
-            trace_chrome: inv.get("--trace-format") == Some(&Value::Chrome(true)),
-            metrics: inv.has("--metrics"),
-            flight_path: inv.text("--flight"),
-            flight_cap: inv.num("--flight-cap").unwrap_or(256),
-            json: inv.has("--json"),
-            schedule: inv.text("--schedule"),
-        }
+    cfg.rule = inv.rule();
+    let seed = inv.num("--seed").unwrap_or(0);
+    if let Some((lo, hi)) = inv.span("--latency") {
+        cfg.latency = LatencyModel::uniform(lo, hi, seed);
     }
-
-    /// The run these options describe on `n` sites; a flag naming a site
-    /// the protocol does not have is a usage error.
-    fn to_config(&self, n: usize) -> Result<RunConfig, CliError> {
-        let site_of = |flag: &str, site: usize| {
-            if site < n {
-                Ok(site)
-            } else {
-                fail(format!("{flag} names site {site}, but the protocol has {n} sites (0..{n})"))
-            }
-        };
-        let mut cfg = RunConfig::happy(n);
-        for &v in &self.no_voters {
-            cfg.votes[site_of("--no-voter", v)?] = false;
-        }
-        cfg.rule = self.rule;
-        if let Some((lo, hi)) = self.latency {
-            cfg.latency = LatencyModel::uniform(lo, hi, self.seed);
-        }
-        if let Some(timeout) = self.detector_timeout {
-            cfg.detector = Some(DetectorSpec {
-                timeout,
-                jitter: self.detector_jitter.unwrap_or((1, 12)),
-                seed: self.seed,
-            });
-        }
-        cfg.record_trace = self.trace;
-        if let Some((site, ordinal, msgs)) = self.crash {
-            cfg.crashes.push(CrashSpec {
-                site: site_of("--crash", site)?,
-                point: CrashPoint::OnTransition {
-                    ordinal,
-                    progress: match msgs {
-                        None => TransitionProgress::BeforeLog,
-                        Some(k) => TransitionProgress::AfterMsgs(k),
-                    },
+    if let Some(timeout) = inv.num("--detector-timeout") {
+        let jitter = inv.span("--detector-jitter").unwrap_or((1, 12));
+        cfg.detector = Some(DetectorSpec { timeout, jitter, seed });
+    }
+    cfg.record_trace = inv.has("--story");
+    if let Some((site, ordinal, msgs)) = inv.crash() {
+        cfg.crashes.push(CrashSpec {
+            site: site_of("--crash", site)?,
+            point: CrashPoint::OnTransition {
+                ordinal,
+                progress: match msgs {
+                    None => TransitionProgress::BeforeLog,
+                    Some(k) => TransitionProgress::AfterMsgs(k),
                 },
-                recover_at: self.recover,
-            });
-        }
-        Ok(cfg)
+            },
+            recover_at: inv.num("--recover"),
+        });
     }
-}
-
-impl SimOpts {
-    /// True when the run must be executed through a tracer (a structured
-    /// trace, the metrics table, or a flight recorder was requested).
-    fn wants_events(&self) -> bool {
-        self.trace_path.is_some() || self.metrics || self.flight_path.is_some()
-    }
+    Ok(cfg)
 }
 
 /// The sinks a run records into — the event list behind `--trace` (and
 /// `--trace-format`), the `--metrics` counters, the `--flight` ring (sized
 /// by `--flight-cap`) — and what becomes of them when the run ends.
-struct Observers<'a> {
-    trace_path: Option<&'a str>,
+struct Observers {
+    trace_path: Option<String>,
     chrome: bool,
     metrics: bool,
     events: SharedSink<MemorySink>,
     counters: SharedSink<Metrics>,
-    flight: Option<(&'a str, SharedSink<FlightRecorder>)>,
+    flight: Option<(String, SharedSink<FlightRecorder>)>,
 }
 
-impl<'a> Observers<'a> {
-    fn of(opts: &'a SimOpts) -> Self {
-        let ring = || SharedSink::new(FlightRecorder::new(opts.flight_cap.max(1)));
+impl Observers {
+    fn of(inv: &Invocation) -> Self {
+        let ring = || SharedSink::new(FlightRecorder::new(inv.num("--flight-cap").unwrap_or(256)));
         Self {
-            trace_path: opts.trace_path.as_deref(),
-            chrome: opts.trace_chrome,
-            metrics: opts.metrics,
+            trace_path: inv.text("--trace"),
+            chrome: inv.get("--trace-format") == Some(&Value::Chrome(true)),
+            metrics: inv.has("--metrics"),
             events: SharedSink::new(MemorySink::default()),
             counters: SharedSink::new(Metrics::default()),
-            flight: opts.flight_path.as_deref().map(|path| (path, ring())),
+            flight: inv.text("--flight").map(|path| (path, ring())),
         }
     }
 
-    fn tracer(&self) -> Tracer {
+    /// A tracer into the sinks, or `None` when no flag asked for one and
+    /// the run goes untraced.
+    fn tracer(&self) -> Option<Tracer> {
+        if self.trace_path.is_none() && !self.metrics && self.flight.is_none() {
+            return None;
+        }
         let mut tracer = Tracer::to_sink(self.events.clone());
         if self.metrics {
             tracer.attach(self.counters.clone());
@@ -585,7 +486,7 @@ impl<'a> Observers<'a> {
         if let Some((_, ring)) = &self.flight {
             tracer.attach(ring.clone());
         }
-        tracer
+        Some(tracer)
     }
 
     /// Write the flight recorder's tail to its path; `why` opens the note
@@ -603,7 +504,7 @@ impl<'a> Observers<'a> {
     /// file's existence is itself a signal scripts can gate on), and hand
     /// back the counters if they were asked for.
     fn finish(&self, ended_badly: Option<&str>) -> Result<Option<Metrics>, CliError> {
-        if let Some(path) = self.trace_path {
+        if let Some(path) = &self.trace_path {
             let export = if self.chrome { to_chrome } else { to_jsonl };
             std::fs::write(path, self.events.with(|s| export(&s.events)))
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
@@ -615,47 +516,8 @@ impl<'a> Observers<'a> {
     }
 }
 
-/// Execute one run through a tracer, honoring the trace/metrics options:
-/// writes the trace file (if requested) and returns the report together
-/// with the rendered metrics table (if requested).
-fn run_observed(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    cfg: RunConfig,
-    opts: &SimOpts,
-) -> Result<(RunReport, Option<Metrics>), CliError> {
-    let observers = Observers::of(opts);
-    let report = run_traced(protocol, analysis, cfg, observers.tracer());
-    let ended_badly = !report.consistent || !report.all_operational_decided;
-    let metrics = observers.finish(ended_badly.then_some(""))?;
-    Ok((report, metrics))
-}
-
-/// `nbc simulate PROTO [opts]`
-pub fn cmd_simulate(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    opts: &SimOpts,
-) -> Result<String, CliError> {
-    if let Some(path) = &opts.schedule {
-        return cmd_replay(protocol, analysis, path, opts);
-    }
-    let cfg = opts.to_config(protocol.n_sites())?;
-    let (report, metrics) = if opts.wants_events() {
-        run_observed(protocol, analysis, cfg, opts)?
-    } else {
-        (run_with(protocol, analysis, cfg), None)
-    };
-    if opts.json {
-        // `--json --metrics` nests both documents under fixed keys so a
-        // script gets the verdict and the counters in one parse.
-        let report = report.to_json();
-        return Ok(match &metrics {
-            Some(m) => Obj::new().raw("report", &report).raw("metrics", &m.to_json()).build(),
-            None => report,
-        } + "\n");
-    }
-    let mut out = String::new();
+/// The story lines, the report and the atomicity line of a finished run.
+fn render_run(out: &mut String, report: &RunReport) {
     for line in &report.trace {
         let _ = writeln!(out, "{line}");
     }
@@ -666,6 +528,36 @@ pub fn cmd_simulate(
         if report.consistent { "preserved" } else { "VIOLATED" },
         report.all_operational_decided
     );
+}
+
+/// `nbc simulate PROTO [opts]`
+pub(crate) fn cmd_simulate(
+    protocol: &Protocol,
+    analysis: &Analysis,
+    inv: &Invocation,
+) -> Result<String, CliError> {
+    if let Some(path) = inv.text("--schedule") {
+        return cmd_replay(protocol, analysis, &path, inv);
+    }
+    let cfg = to_config(inv, protocol.n_sites())?;
+    let observers = Observers::of(inv);
+    let report = match observers.tracer() {
+        Some(tracer) => run_traced(protocol, analysis, cfg, tracer),
+        None => run_with(protocol, analysis, cfg),
+    };
+    let ended_badly = !report.consistent || !report.all_operational_decided;
+    let metrics = observers.finish(ended_badly.then_some(""))?;
+    if inv.has("--json") {
+        // `--json --metrics` nests both documents under fixed keys so a
+        // script gets the verdict and the counters in one parse.
+        let report = report.to_json();
+        return Ok(match &metrics {
+            Some(m) => Obj::new().raw("report", &report).raw("metrics", &m.to_json()).build(),
+            None => report,
+        } + "\n");
+    }
+    let mut out = String::new();
+    render_run(&mut out, &report);
     if let Some(m) = metrics {
         let _ = write!(out, "{m}");
     }
@@ -677,11 +569,11 @@ pub fn cmd_simulate(
 /// schedule header carries the vote plan and termination rule; the
 /// protocol on the command line must match the one the schedule was
 /// recorded against.
-pub fn cmd_replay(
+pub(crate) fn cmd_replay(
     protocol: &Protocol,
     analysis: &Analysis,
     path: &str,
-    opts: &SimOpts,
+    inv: &Invocation,
 ) -> Result<String, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
@@ -702,12 +594,12 @@ pub fn cmd_replay(
     let rule = nbc_check::rule_from_name(&sched.rule)
         .ok_or_else(|| CliError(format!("{path}: unknown termination rule {:?}", sched.rule)))?;
     let mut cfg = nbc_check::explore::plan_config(sched.n, &sched.votes, rule);
-    cfg.record_trace = opts.trace;
+    cfg.record_trace = inv.has("--story");
     let mut runner = Runner::new(protocol, analysis, cfg);
     nbc_check::replay_strict(&mut runner, &sched.steps)
         .map_err(|e| CliError(format!("{path}: replay failed at {e}")))?;
     let report = runner.report();
-    if opts.json {
+    if inv.has("--json") {
         return Ok(format!("{}\n", report.to_json()));
     }
     let mut out = String::new();
@@ -718,16 +610,7 @@ pub fn cmd_replay(
         sched.rule,
         sched.votes.iter().map(|&v| if v { 'y' } else { 'n' }).collect::<String>(),
     );
-    for line in &report.trace {
-        let _ = writeln!(out, "{line}");
-    }
-    let _ = writeln!(out, "{report}");
-    let _ = writeln!(
-        out,
-        "atomicity: {}   all operational decided: {}",
-        if report.consistent { "preserved" } else { "VIOLATED" },
-        report.all_operational_decided
-    );
+    render_run(&mut out, &report);
     Ok(out)
 }
 
@@ -735,15 +618,15 @@ pub fn cmd_replay(
 /// binary turns into its exit status (0 = every oracle passed, 1 = some
 /// oracle failed; usage and protocol errors stay on the [`CliError`]
 /// path and exit 2).
-pub struct CheckRun {
+pub(crate) struct CheckRun {
     /// The rendered report (text or `--json`).
-    pub output: String,
+    pub(crate) output: String,
     /// True iff every oracle passed.
-    pub ok: bool,
+    pub(crate) ok: bool,
 }
 
 /// `nbc check PROTO [opts]` — run the schedule-exploring model checker.
-pub fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
+pub(crate) fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
     let defaults = CheckOptions::default();
     let opts = CheckOptions {
         depth: inv.num("--depth").unwrap_or(defaults.depth),
@@ -844,7 +727,7 @@ pub fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
 /// time-series snapshot curve; it always exits 0 unless the trace is
 /// unreadable. Both are pure functions of the file bytes: the same trace
 /// renders byte-identically on every run.
-pub fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
+pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
     let (sub, files) = inv.operands.split_first().expect("the table asks for a subcommand");
     let verify_mode = match sub.as_str() {
         "verify" => true,
@@ -889,15 +772,17 @@ pub fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
 fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), CliError> {
     let analysis = build_analysis(protocol, 0, false, 0)?;
     let cfg = RunConfig::happy(protocol.n_sites());
-    let opts = SimOpts { metrics: true, ..SimOpts::default() };
-    let observers = Observers::of(&opts);
-    let report = run_traced(protocol, &analysis, cfg, observers.tracer());
+    let (events, counters) =
+        (SharedSink::new(MemorySink::default()), SharedSink::new(Metrics::default()));
+    let mut tracer = Tracer::to_sink(events.clone());
+    tracer.attach(counters.clone());
+    let report = run_traced(protocol, &analysis, cfg, tracer);
     if !report.consistent {
         return fail(format!("{}: happy-path run was inconsistent", protocol.name));
     }
     // Delays: unit network latency makes "time until the last site logs
     // its decision" exactly the sequential-message-delay count.
-    let delays = observers.events.with(|s| {
+    let delays = events.with(|s| {
         let start = s.events.iter().map(|e| e.time).min().unwrap_or(0);
         let last = s
             .events
@@ -908,7 +793,7 @@ fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), C
             .unwrap_or(start);
         (last - start) as usize
     });
-    let m = observers.counters.with(|m| m.clone());
+    let m = counters.with(|m| m.clone());
     let row = nbc_paxos::CostRow {
         messages: m.txns.values().map(|t| t.msgs_sent).sum::<u64>() as usize,
         stable_writes: m.txns.values().map(|t| t.stable_writes).sum::<u64>() as usize,
@@ -922,7 +807,7 @@ fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), C
 /// print the Gray–Lamport cost table: measured messages / stable writes /
 /// message delays per committed transaction for Paxos Commit next to this
 /// repo's central 2PC and 3PC, plus Gray & Lamport's analytic predictions.
-pub fn cmd_paxos(inv: &Invocation) -> Result<String, CliError> {
+pub(crate) fn cmd_paxos(inv: &Invocation) -> Result<String, CliError> {
     let sites: usize = inv.num("--sites").unwrap_or(3);
     let faults: usize = inv.num("--faults").unwrap_or(1);
     let (want_metrics, json) = (inv.has("--metrics"), inv.has("--json"));
@@ -1008,21 +893,20 @@ pub fn cmd_paxos(inv: &Invocation) -> Result<String, CliError> {
 }
 
 /// `nbc sweep PROTO [opts]`
-pub fn cmd_sweep(
+pub(crate) fn cmd_sweep(
     protocol: &Protocol,
     analysis: &Analysis,
-    opts: &SimOpts,
+    inv: &Invocation,
 ) -> Result<String, CliError> {
-    let specs = enumerate_crash_specs(protocol, opts.recover);
-    let base = opts.to_config(protocol.n_sites())?;
-    let observers = Observers::of(opts);
-    let s = if opts.wants_events() {
-        sweep_traced(protocol, analysis, &base, &specs, observers.tracer())
-    } else {
-        sweep(protocol, analysis, &base, &specs)
+    let specs = enumerate_crash_specs(protocol, inv.num("--recover"));
+    let base = to_config(inv, protocol.n_sites())?;
+    let observers = Observers::of(inv);
+    let s = match observers.tracer() {
+        Some(tracer) => sweep_traced(protocol, analysis, &base, &specs, tracer),
+        None => sweep(protocol, analysis, &base, &specs),
     };
     let metrics_table = observers.finish(None)?;
-    if opts.json {
+    if inv.has("--json") {
         return Ok(format!("{}\n", s.to_json()));
     }
     let mut out = String::new();
@@ -1052,7 +936,10 @@ pub fn cmd_sweep(
 }
 
 /// `nbc termination PROTO`
-pub fn cmd_termination(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
+pub(crate) fn cmd_termination(
+    protocol: &Protocol,
+    analysis: &Analysis,
+) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(out, "{}: backup-coordinator decision table", protocol.name);
     for row in termination::decision_table(protocol, analysis) {
@@ -1069,7 +956,7 @@ pub fn cmd_termination(protocol: &Protocol, analysis: &Analysis) -> Result<Strin
 }
 
 /// `nbc recovery PROTO`
-pub fn cmd_recovery(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
+pub(crate) fn cmd_recovery(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(out, "{}: independent recovery classification", protocol.name);
     for row in recovery_analysis::classify(protocol, analysis) {
@@ -1082,7 +969,7 @@ pub fn cmd_recovery(protocol: &Protocol, analysis: &Analysis) -> Result<String, 
 /// over a bank workload and report throughput, latency percentiles, and
 /// group-commit savings, alongside a serial baseline (the same scheduler
 /// at in-flight 1 with group commit off).
-pub fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
+pub(crate) fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
     use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
     use nbc_simnet::SimRng;
     use nbc_txn::BankWorkload;
@@ -1106,8 +993,7 @@ pub fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
     let reap: u64 = inv.num("--reap").unwrap_or(200);
     let seed: u64 = inv.num("--seed").unwrap_or(42);
     let series_every: u64 = inv.num("--series-every").unwrap_or(0);
-    let opts = SimOpts::of(inv);
-    let observers = Observers::of(&opts);
+    let observers = Observers::of(inv);
 
     let accounts = (n * 4).max(8);
     let mut w = BankWorkload::new(n, accounts, 1_000, seed);
@@ -1135,7 +1021,7 @@ pub fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
         (r, ticks, conserved)
     };
     let (serial, serial_ticks, serial_ok) = run_with(1, 0, None);
-    let tracer = opts.wants_events().then(|| observers.tracer());
+    let tracer = observers.tracer();
     // With a flight recorder attached, a scheduler panic still yields its
     // black box: catch the unwind, dump the ring, then surface the error.
     let (report, pipe_ticks, pipe_ok) = if observers.flight.is_some() {
@@ -1188,36 +1074,44 @@ pub fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::{
-        parse_crash_arg, parse_mem_budget, parse_rule_arg, parse_span, parse_trace_format,
-    };
+    use std::path::Path;
 
     /// `nbc CMD ARGS...` through the table, as `run_argv` takes it.
-    fn parsed(cmd: &str, args: &[String]) -> Result<Invocation, CliError> {
+    fn parsed(cmd: &str, args: &[&str]) -> Result<Invocation, CliError> {
         let words: Vec<String> =
-            std::iter::once(cmd.to_string()).chain(args.iter().cloned()).collect();
+            std::iter::once(cmd).chain(args.iter().copied()).map(String::from).collect();
         args::parse(&words)
     }
 
-    fn pipeline(args: &[String]) -> Result<String, CliError> {
+    /// `nbc simulate ARGS...` or `nbc sweep ARGS...`, on PROTO's streamed
+    /// analysis.
+    fn run_engine(cmd: &str, args: &[&str]) -> Result<String, CliError> {
+        let inv = parsed(cmd, args)?;
+        let p = resolve_protocol(&inv.operands[0], inv.n())?;
+        match inv.cmd {
+            Cmd::Simulate => cmd_simulate(&p, &streamed(&p), &inv),
+            _ => cmd_sweep(&p, &streamed(&p), &inv),
+        }
+    }
+
+    fn simulate(args: &[&str]) -> String {
+        run_engine("simulate", args).unwrap_or_else(|e| panic!("{args:?}: {e}"))
+    }
+
+    fn sweep_of(args: &[&str]) -> String {
+        run_engine("sweep", args).unwrap_or_else(|e| panic!("{args:?}: {e}"))
+    }
+
+    fn pipeline(args: &[&str]) -> Result<String, CliError> {
         cmd_pipeline(&parsed("pipeline", args)?)
     }
 
-    fn trace(args: &[String]) -> Result<CheckRun, CliError> {
+    fn trace(args: &[&str]) -> Result<CheckRun, CliError> {
         cmd_trace(&parsed("trace", args)?)
     }
 
-    #[test]
-    fn mem_budget_parses_suffixes() {
-        assert_eq!(parse_mem_budget("4096", "--mem-budget").unwrap(), 4096);
-        assert_eq!(parse_mem_budget("64K", "--mem-budget").unwrap(), 64 << 10);
-        assert_eq!(parse_mem_budget("64k", "--mem-budget").unwrap(), 64 << 10);
-        assert_eq!(parse_mem_budget("16M", "--mem-budget").unwrap(), 16 << 20);
-        assert_eq!(parse_mem_budget("1g", "--mem-budget").unwrap(), 1 << 30);
-        assert!(parse_mem_budget("", "--mem-budget").is_err());
-        assert!(parse_mem_budget("K", "--mem-budget").is_err());
-        assert!(parse_mem_budget("12Q", "--mem-budget").is_err());
-        assert!(parse_mem_budget("999999999999999999G", "--mem-budget").is_err());
+    fn temp(name: &str) -> String {
+        std::env::temp_dir().join(name).to_string_lossy().into_owned()
     }
 
     #[test]
@@ -1289,29 +1183,23 @@ mod tests {
 
     #[test]
     fn simulate_happy_path() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let out = cmd_simulate(&p, &streamed(&p), &SimOpts::default()).unwrap();
+        let out = simulate(&["3pc"]);
         assert!(out.contains("committed"));
         assert!(out.contains("preserved"));
     }
 
     #[test]
     fn simulate_with_crash_and_recovery() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let opts =
-            SimOpts { crash: Some((0, 3, Some(1))), recover: Some(300), ..SimOpts::default() };
-        let out = cmd_simulate(&p, &streamed(&p), &opts).unwrap();
+        let out = simulate(&["3pc", "--crash", "0:3:1", "--recover", "300"]);
         assert!(out.contains("preserved"), "{out}");
     }
 
     #[test]
     fn simulate_trace_shows_the_story() {
-        let p = resolve_protocol("3pc", 3).unwrap();
         // Partial prepare broadcast: the backup must run phase 1
         // (alignment) before deciding, so the whole termination protocol
         // shows up in the trace.
-        let opts = SimOpts { crash: Some((0, 2, Some(1))), trace: true, ..SimOpts::default() };
-        let out = cmd_simulate(&p, &streamed(&p), &opts).unwrap();
+        let out = simulate(&["3pc", "--crash", "0:2:1", "--story"]);
         assert!(out.contains("CRASH"), "{out}");
         assert!(out.contains("align-to"), "{out}");
         assert!(out.contains("align-ack"), "{out}");
@@ -1321,15 +1209,10 @@ mod tests {
 
     #[test]
     fn sweep_verdicts() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        assert!(cmd_sweep(&p, &streamed(&p), &SimOpts::default()).unwrap().contains("nonblocking"));
-        let p = resolve_protocol("2pc", 3).unwrap();
-        let a = streamed(&p);
-        let opts = SimOpts { rule: TerminationRule::Cooperative, ..SimOpts::default() };
-        assert!(cmd_sweep(&p, &a, &opts).unwrap().contains("blocking window"));
-        let opts =
-            SimOpts { rule: TerminationRule::NaiveCs, no_voters: vec![0], ..SimOpts::default() };
-        assert!(cmd_sweep(&p, &a, &opts).unwrap().contains("ATOMICITY VIOLATED"));
+        assert!(sweep_of(&["3pc"]).contains("nonblocking"));
+        assert!(sweep_of(&["2pc", "--rule", "cooperative"]).contains("blocking window"));
+        let naive = sweep_of(&["2pc", "--rule", "naive", "--no-voter", "0"]);
+        assert!(naive.contains("ATOMICITY VIOLATED"), "{naive}");
     }
 
     #[test]
@@ -1365,12 +1248,9 @@ mod tests {
 
     #[test]
     fn pipeline_command_reports_speedup() {
-        let args: Vec<String> =
-            ["3pc", "--txns", "32", "--in-flight", "8", "--window", "3", "--seed", "7"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let out = pipeline(&args).unwrap();
+        let out =
+            pipeline(&["3pc", "--txns", "32", "--in-flight", "8", "--window", "3", "--seed", "7"])
+                .unwrap();
         assert!(out.contains("speedup over serial"), "{out}");
         assert!(out.contains("conservation: ok"), "{out}");
         assert!(out.contains("saved by group commit"), "{out}");
@@ -1378,66 +1258,42 @@ mod tests {
 
     #[test]
     fn pipeline_command_rejects_junk() {
-        let bad = |v: &[&str]| {
-            let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-            pipeline(&args)
-        };
-        assert!(bad(&[]).is_err());
-        assert!(bad(&["1pc"]).is_err(), "non-cluster protocol");
-        assert!(bad(&["3pc", "--crash-pct", "101"]).is_err());
-        assert!(bad(&["3pc", "--bogus"]).is_err());
+        assert!(pipeline(&[]).is_err());
+        assert!(pipeline(&["1pc"]).is_err(), "non-cluster protocol");
+        assert!(pipeline(&["3pc", "--crash-pct", "101"]).is_err());
+        assert!(pipeline(&["3pc", "--bogus"]).is_err());
     }
 
     #[test]
     fn simulate_json_and_metrics() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let out = cmd_simulate(&p, &a, &SimOpts { json: true, ..SimOpts::default() }).unwrap();
+        let out = simulate(&["3pc", "--json"]);
         nbc_obs::json::validate(out.trim()).unwrap();
         assert!(out.contains("\"decision\":true"), "{out}");
 
-        let out = cmd_simulate(&p, &a, &SimOpts { metrics: true, ..SimOpts::default() }).unwrap();
+        let out = simulate(&["3pc", "--metrics"]);
         assert!(out.contains("metrics ("), "{out}");
         assert!(out.contains("messages"), "{out}");
         assert!(out.contains("preserved"), "{out}");
 
         // The coordinator dies one message into its broadcast and comes
         // back: the counters see the recovery.
-        let opts = SimOpts {
-            crash: Some((0, 2, Some(1))),
-            recover: Some(300),
-            metrics: true,
-            ..SimOpts::default()
-        };
-        let out = cmd_simulate(&p, &a, &opts).unwrap();
+        let out = simulate(&["3pc", "--crash", "0:2:1", "--recover", "300", "--metrics"]);
         assert!(out.contains("recoveries=1"), "{out}");
     }
 
     #[test]
     fn simulate_writes_trace_files() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let dir = std::env::temp_dir();
-        let jsonl = dir.join("nbc-cli-test-trace.jsonl");
-        let chrome = dir.join("nbc-cli-test-trace.chrome.json");
+        let jsonl = temp("nbc-cli-test-trace.jsonl");
+        let chrome = temp("nbc-cli-test-trace.chrome.json");
 
-        let opts = SimOpts {
-            trace_path: Some(jsonl.to_string_lossy().into_owned()),
-            ..SimOpts::default()
-        };
-        cmd_simulate(&p, &a, &opts).unwrap();
+        simulate(&["3pc", "--trace", &jsonl]);
         let data = std::fs::read_to_string(&jsonl).unwrap();
         assert!(!data.is_empty());
         for line in data.lines() {
             nbc_obs::json::validate(line).unwrap();
         }
 
-        let opts = SimOpts {
-            trace_path: Some(chrome.to_string_lossy().into_owned()),
-            trace_chrome: true,
-            ..SimOpts::default()
-        };
-        cmd_simulate(&p, &a, &opts).unwrap();
+        simulate(&["3pc", "--trace", &chrome, "--trace-format", "chrome"]);
         let data = std::fs::read_to_string(&chrome).unwrap();
         nbc_obs::json::validate(&data).unwrap();
         assert!(data.starts_with("{\"traceEvents\":["), "{data}");
@@ -1448,22 +1304,16 @@ mod tests {
 
     #[test]
     fn sweep_json_is_valid() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let out = cmd_sweep(&p, &a, &SimOpts { json: true, ..SimOpts::default() }).unwrap();
+        let out = sweep_of(&["3pc", "--json"]);
         nbc_obs::json::validate(out.trim()).unwrap();
         assert!(out.contains("\"nonblocking\":true"), "{out}");
     }
 
     #[test]
     fn pipeline_trace_and_metrics() {
-        let path = std::env::temp_dir().join("nbc-cli-test-pipeline.jsonl");
-        let args: Vec<String> =
-            ["3pc", "--txns", "16", "--seed", "7", "--metrics", "--trace", path.to_str().unwrap()]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let out = pipeline(&args).unwrap();
+        let path = temp("nbc-cli-test-pipeline.jsonl");
+        let out = pipeline(&["3pc", "--txns", "16", "--seed", "7", "--metrics", "--trace", &path])
+            .unwrap();
         assert!(out.contains("scheduler"), "{out}");
         assert!(out.contains("admits="), "{out}");
         let data = std::fs::read_to_string(&path).unwrap();
@@ -1475,26 +1325,16 @@ mod tests {
 
     #[test]
     fn trace_verify_passes_on_recorded_trace() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let path = std::env::temp_dir().join("nbc-cli-test-trace-verify.jsonl");
-        let opts = SimOpts {
-            crash: Some((0, 2, Some(1))),
-            trace_path: Some(path.to_string_lossy().into_owned()),
-            ..SimOpts::default()
-        };
-        cmd_simulate(&p, &a, &opts).unwrap();
-        let args = vec!["verify".to_string(), path.to_string_lossy().into_owned()];
-        let run = trace(&args).unwrap();
+        let path = temp("nbc-cli-test-trace-verify.jsonl");
+        simulate(&["3pc", "--crash", "0:2:1", "--trace", &path]);
+        let run = trace(&["verify", &path]).unwrap();
         assert!(run.ok, "{}", run.output);
         assert!(run.output.contains("result: PASS"), "{}", run.output);
         assert!(run.output.contains("gray-lamport:"), "{}", run.output);
         // Byte-determinism: a second pass over the same file is identical.
-        assert_eq!(run.output, trace(&args).unwrap().output);
+        assert_eq!(run.output, trace(&["verify", &path]).unwrap().output);
         // --json emits one valid object with the same verdict.
-        let jargs =
-            vec!["verify".to_string(), path.to_string_lossy().into_owned(), "--json".into()];
-        let jrun = trace(&jargs).unwrap();
+        let jrun = trace(&["verify", &path, "--json"]).unwrap();
         nbc_obs::json::validate(jrun.output.trim()).unwrap();
         assert!(jrun.output.contains("\"ok\":true"), "{}", jrun.output);
         let _ = std::fs::remove_file(&path);
@@ -1502,12 +1342,8 @@ mod tests {
 
     #[test]
     fn trace_verify_detects_corruption() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let path = std::env::temp_dir().join("nbc-cli-test-trace-corrupt.jsonl");
-        let opts =
-            SimOpts { trace_path: Some(path.to_string_lossy().into_owned()), ..SimOpts::default() };
-        cmd_simulate(&p, &a, &opts).unwrap();
+        let path = temp("nbc-cli-test-trace-corrupt.jsonl");
+        simulate(&["3pc", "--trace", &path]);
         // Drop one delivery: conservation must notice the orphaned send.
         let text = std::fs::read_to_string(&path).unwrap();
         let corrupted: String = {
@@ -1526,8 +1362,7 @@ mod tests {
         };
         assert_ne!(text, corrupted, "trace had no delivery to remove");
         std::fs::write(&path, corrupted).unwrap();
-        let args = vec!["verify".to_string(), path.to_string_lossy().into_owned()];
-        let run = trace(&args).unwrap();
+        let run = trace(&["verify", &path]).unwrap();
         assert!(!run.ok, "{}", run.output);
         assert!(run.output.contains("conservation"), "{}", run.output);
         assert!(run.output.contains("result: FAIL"), "{}", run.output);
@@ -1536,30 +1371,15 @@ mod tests {
 
     #[test]
     fn trace_stats_renders_percentiles() {
-        let path = std::env::temp_dir().join("nbc-cli-test-trace-stats.jsonl");
-        let args: Vec<String> = [
-            "3pc",
-            "--txns",
-            "24",
-            "--seed",
-            "9",
-            "--series-every",
-            "64",
-            "--trace",
-            path.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        pipeline(&args).unwrap();
-        let targs = vec!["stats".to_string(), path.to_string_lossy().into_owned()];
-        let run = trace(&targs).unwrap();
+        let path = temp("nbc-cli-test-trace-stats.jsonl");
+        pipeline(&["3pc", "--txns", "24", "--seed", "9", "--series-every", "64", "--trace", &path])
+            .unwrap();
+        let run = trace(&["stats", &path]).unwrap();
         assert!(run.ok);
         assert!(run.output.contains("decision latency: n="), "{}", run.output);
         assert!(run.output.contains("p95="), "{}", run.output);
         assert!(run.output.contains("time series ("), "{}", run.output);
-        let jargs = vec!["stats".to_string(), path.to_string_lossy().into_owned(), "--json".into()];
-        let jrun = trace(&jargs).unwrap();
+        let jrun = trace(&["stats", &path, "--json"]).unwrap();
         nbc_obs::json::validate(jrun.output.trim()).unwrap();
         assert!(jrun.output.contains("\"snapshots\":["), "{}", jrun.output);
         let _ = std::fs::remove_file(&path);
@@ -1567,42 +1387,35 @@ mod tests {
 
     #[test]
     fn trace_usage_errors() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(trace(&s(&[])).is_err(), "missing subcommand");
-        assert!(trace(&s(&["frob", "x.jsonl"])).is_err(), "unknown subcommand");
-        assert!(trace(&s(&["verify"])).is_err(), "missing file");
-        assert!(trace(&s(&["verify", "--bogus", "x.jsonl"])).is_err(), "unknown flag");
-        assert!(trace(&s(&["verify", "/does/not/exist.jsonl"])).is_err(), "missing file");
+        assert!(trace(&[]).is_err(), "missing subcommand");
+        assert!(trace(&["frob", "x.jsonl"]).is_err(), "unknown subcommand");
+        assert!(trace(&["verify"]).is_err(), "missing file");
+        assert!(trace(&["verify", "--bogus", "x.jsonl"]).is_err(), "unknown flag");
+        assert!(trace(&["verify", "/does/not/exist.jsonl"]).is_err(), "missing file");
     }
 
     #[test]
     fn simulate_flight_dump_only_on_bad_runs() {
-        let dir = std::env::temp_dir();
         // Clean run: no dump.
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let clean = dir.join("nbc-cli-test-flight-clean.jsonl");
+        let clean = temp("nbc-cli-test-flight-clean.jsonl");
         let _ = std::fs::remove_file(&clean);
-        let opts = SimOpts {
-            flight_path: Some(clean.to_string_lossy().into_owned()),
-            ..SimOpts::default()
-        };
-        cmd_simulate(&p, &a, &opts).unwrap();
-        assert!(!clean.exists(), "clean run must not write a flight dump");
+        simulate(&["3pc", "--flight", &clean]);
+        assert!(!Path::new(&clean).exists(), "clean run must not write a flight dump");
 
         // Blocked run (2PC coordinator crash, cooperative rule): dump.
-        let p = resolve_protocol("2pc", 3).unwrap();
-        let a = streamed(&p);
-        let bad = dir.join("nbc-cli-test-flight-bad.jsonl");
+        let bad = temp("nbc-cli-test-flight-bad.jsonl");
         let _ = std::fs::remove_file(&bad);
-        let opts = SimOpts {
-            crash: Some((0, 2, Some(0))),
-            rule: TerminationRule::Cooperative,
-            flight_path: Some(bad.to_string_lossy().into_owned()),
-            flight_cap: 32,
-            ..SimOpts::default()
-        };
-        let out = cmd_simulate(&p, &a, &opts).unwrap();
+        let out = simulate(&[
+            "2pc",
+            "--crash",
+            "0:2:0",
+            "--rule",
+            "cooperative",
+            "--flight",
+            &bad,
+            "--flight-cap",
+            "32",
+        ]);
         assert!(out.contains("all operational decided: false"), "{out}");
         let dump = std::fs::read_to_string(&bad).expect("flight dump written");
         assert!(dump.lines().next().unwrap().contains("flight recorder"), "{dump}");
@@ -1614,10 +1427,7 @@ mod tests {
 
     #[test]
     fn simulate_json_with_metrics_nests_both() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        let opts = SimOpts { json: true, metrics: true, ..SimOpts::default() };
-        let out = cmd_simulate(&p, &a, &opts).unwrap();
+        let out = simulate(&["3pc", "--json", "--metrics"]);
         let v = nbc_obs::json::parse(out.trim()).unwrap();
         assert!(v.get("report").is_some(), "{out}");
         assert!(v.get("metrics").is_some(), "{out}");
@@ -1626,19 +1436,5 @@ mod tests {
             Some(true),
             "{out}"
         );
-    }
-
-    #[test]
-    fn arg_parsers() {
-        assert_eq!(parse_crash_arg("0:3:1").unwrap(), (0, 3, Some(1)));
-        assert_eq!(parse_crash_arg("2:1:log").unwrap(), (2, 1, None));
-        assert!(parse_crash_arg("1:2").is_err());
-        assert_eq!(parse_span("--latency", "1..20").unwrap(), (1, 20));
-        assert!(parse_span("--latency", "9..2").is_err());
-        assert!(parse_rule_arg("cooperative").is_ok());
-        assert!(parse_rule_arg("yolo").is_err());
-        assert!(!parse_trace_format("jsonl").unwrap());
-        assert!(parse_trace_format("chrome").unwrap());
-        assert!(parse_trace_format("svg").is_err());
     }
 }

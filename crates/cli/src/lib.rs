@@ -55,7 +55,7 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
+pub(crate) fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
@@ -135,7 +135,7 @@ fn run_on_protocol(inv: &Invocation) -> Result<String, CliError> {
 }
 
 /// What a protocol argument names.
-enum Named<'a> {
+pub(crate) enum Named<'a> {
     /// A protocol `nbc pipeline` can run a cluster on.
     Cluster(ProtocolKind),
     OnePc,
@@ -145,7 +145,7 @@ enum Named<'a> {
 
 /// The one protocol-name table: a catalog name, `kpc:K`, `paxos:F`, or a
 /// spec file path (anything containing `/` or ending in `.nbc`).
-fn protocol_name(arg: &str) -> Result<Named<'_>, CliError> {
+pub(crate) fn protocol_name(arg: &str) -> Result<Named<'_>, CliError> {
     Ok(match arg {
         "central-2pc" | "2pc" => Named::Cluster(ProtocolKind::Central2pc),
         "central-3pc" | "3pc" => Named::Cluster(ProtocolKind::Central3pc),
@@ -293,7 +293,7 @@ fn print_check_progress(p: &CheckProgress) {
 
 /// Per-thread progress rate over successive calls (the hooks above are
 /// plain `fn` pointers, so their estimator state lives here).
-fn tick_rate(events: u64) -> Option<f64> {
+pub(crate) fn tick_rate(events: u64) -> Option<f64> {
     use std::cell::Cell;
     thread_local! {
         static RATE: Cell<nbc_obs::progress::Rate> =
@@ -451,17 +451,17 @@ fn to_config(inv: &Invocation, n: usize) -> Result<RunConfig, CliError> {
 /// The sinks a run records into — the event list behind `--trace` (and
 /// `--trace-format`), the `--metrics` counters, the `--flight` ring (sized
 /// by `--flight-cap`) — and what becomes of them when the run ends.
-struct Observers {
+pub(crate) struct Observers {
     trace_path: Option<String>,
     chrome: bool,
     metrics: bool,
     events: SharedSink<MemorySink>,
     counters: SharedSink<Metrics>,
-    flight: Option<(String, SharedSink<FlightRecorder>)>,
+    pub(crate) flight: Option<(String, SharedSink<FlightRecorder>)>,
 }
 
 impl Observers {
-    fn of(inv: &Invocation) -> Self {
+    pub(crate) fn of(inv: &Invocation) -> Self {
         let ring = || SharedSink::new(FlightRecorder::new(inv.num("--flight-cap").unwrap_or(256)));
         Self {
             trace_path: inv.text("--trace"),
@@ -475,7 +475,7 @@ impl Observers {
 
     /// A tracer into the sinks, or `None` when no flag asked for one and
     /// the run goes untraced.
-    fn tracer(&self) -> Option<Tracer> {
+    pub(crate) fn tracer(&self) -> Option<Tracer> {
         if self.trace_path.is_none() && !self.metrics && self.flight.is_none() {
             return None;
         }
@@ -491,7 +491,7 @@ impl Observers {
 
     /// Write the flight recorder's tail to its path; `why` opens the note
     /// on stderr.
-    fn dump_flight(&self, why: &str) -> Result<(), CliError> {
+    pub(crate) fn dump_flight(&self, why: &str) -> Result<(), CliError> {
         let Some((path, ring)) = &self.flight else { return Ok(()) };
         let (dump, kept, total) = ring.with(|r| (r.dump_jsonl(), r.len(), r.total_seen()));
         std::fs::write(path, dump).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
@@ -503,7 +503,7 @@ impl Observers {
     /// the run `ended_badly` (a clean run leaves nothing behind, so the
     /// file's existence is itself a signal scripts can gate on), and hand
     /// back the counters if they were asked for.
-    fn finish(&self, ended_badly: Option<&str>) -> Result<Option<Metrics>, CliError> {
+    pub(crate) fn finish(&self, ended_badly: Option<&str>) -> Result<Option<Metrics>, CliError> {
         if let Some(path) = &self.trace_path {
             let export = if self.chrome { to_chrome } else { to_jsonl };
             std::fs::write(path, self.events.with(|s| export(&s.events)))
@@ -1077,7 +1077,7 @@ mod tests {
     use std::path::Path;
 
     /// `nbc CMD ARGS...` through the table, as `run_argv` takes it.
-    fn parsed(cmd: &str, args: &[&str]) -> Result<Invocation, CliError> {
+    pub(crate) fn parsed(cmd: &str, args: &[&str]) -> Result<Invocation, CliError> {
         let words: Vec<String> =
             std::iter::once(cmd).chain(args.iter().copied()).map(String::from).collect();
         args::parse(&words)
@@ -1085,7 +1085,7 @@ mod tests {
 
     /// `nbc simulate ARGS...` or `nbc sweep ARGS...`, on PROTO's streamed
     /// analysis.
-    fn run_engine(cmd: &str, args: &[&str]) -> Result<String, CliError> {
+    pub(crate) fn run_engine(cmd: &str, args: &[&str]) -> Result<String, CliError> {
         let inv = parsed(cmd, args)?;
         let p = resolve_protocol(&inv.operands[0], inv.n())?;
         match inv.cmd {
@@ -1094,23 +1094,23 @@ mod tests {
         }
     }
 
-    fn simulate(args: &[&str]) -> String {
+    pub(crate) fn simulate(args: &[&str]) -> String {
         run_engine("simulate", args).unwrap_or_else(|e| panic!("{args:?}: {e}"))
     }
 
-    fn sweep_of(args: &[&str]) -> String {
+    pub(crate) fn sweep_of(args: &[&str]) -> String {
         run_engine("sweep", args).unwrap_or_else(|e| panic!("{args:?}: {e}"))
     }
 
-    fn pipeline(args: &[&str]) -> Result<String, CliError> {
+    pub(crate) fn pipeline(args: &[&str]) -> Result<String, CliError> {
         cmd_pipeline(&parsed("pipeline", args)?)
     }
 
-    fn trace(args: &[&str]) -> Result<CheckRun, CliError> {
+    pub(crate) fn trace(args: &[&str]) -> Result<CheckRun, CliError> {
         cmd_trace(&parsed("trace", args)?)
     }
 
-    fn temp(name: &str) -> String {
+    pub(crate) fn temp(name: &str) -> String {
         std::env::temp_dir().join(name).to_string_lossy().into_owned()
     }
 
@@ -1139,7 +1139,7 @@ mod tests {
         assert!(resolve_protocol("/does/not/exist.nbc", 3).is_err());
     }
 
-    fn streamed(p: &Protocol) -> Analysis {
+    pub(crate) fn streamed(p: &Protocol) -> Analysis {
         build_analysis(p, 0, false, 0).unwrap()
     }
 

@@ -20,28 +20,31 @@
 //! is the only code that reads `argv`, [`run_argv`] hands what it accepted
 //! to a `cmd_*` function (each returns its output as a string, so all of it
 //! is unit-testable), and `main.rs` prints the [`Outcome`] and exits.
+//!
+//! This file keeps the dispatch and protocol resolution. The commands live
+//! by family: `reach` (analyze, verify, graph, synthesize, termination,
+//! recovery), `run` (simulate and its schedule replay, sweep, paxos, and
+//! the `Observers` an engine run records into), `check`, `pipeline` and
+//! `trace`.
 
 pub mod args;
+mod check;
+mod pipeline;
+mod reach;
+mod run;
+mod trace;
 
-use std::fmt::Write as _;
-
-use args::{Cmd, Invocation, Value};
-use nbc_check::{CheckOptions, CheckProgress, Schedule};
+use args::{Cmd, Invocation};
+use check::{cmd_check, CheckRun};
 use nbc_core::kpc::k_phase_central;
-use nbc_core::protocols::{central_2pc, central_3pc, one_pc};
-use nbc_core::{
-    dot, recovery_analysis, resilience, sync_check, synthesis, termination, theorem, verify,
-    Analysis, Count, LevelProgress, Protocol, ProtocolError, ReachGraph, ReachOptions,
-};
-use nbc_engine::{
-    enumerate_crash_specs, run_traced, run_with, sweep, sweep_traced, CrashPoint, CrashSpec,
-    DetectorSpec, RunConfig, RunReport, Runner, TransitionProgress,
-};
-use nbc_obs::export::{to_chrome, to_jsonl};
-use nbc_obs::json::Obj;
-use nbc_obs::{analyze, EventKind, FlightRecorder, MemorySink, Metrics, SharedSink, Tracer};
-use nbc_simnet::LatencyModel;
+use nbc_core::protocols::one_pc;
+use nbc_core::{verify, Protocol};
 use nbc_txn::ProtocolKind;
+use pipeline::cmd_pipeline;
+pub use reach::cmd_analyze;
+use reach::{build_analysis, cmd_graph, cmd_recovery, cmd_synthesize, cmd_termination, cmd_verify};
+use run::{cmd_paxos, cmd_simulate, cmd_sweep};
+use trace::cmd_trace;
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -212,85 +215,6 @@ pub(crate) fn cmd_list() -> String {
         .to_string()
 }
 
-/// Build the single [`Analysis`] an invocation shares across every
-/// facts-only subcommand (theorem, resilience, sync, termination
-/// verification, termination, recovery, simulation), honoring
-/// `--threads`, `--mem-budget` and `--progress`. The reachability fold
-/// retires node payloads level by level and retains no graph; only
-/// [`cmd_graph`], which reads edges, builds the graph instead.
-pub(crate) fn build_analysis(
-    protocol: &Protocol,
-    threads: usize,
-    progress: bool,
-    mem_budget: usize,
-) -> Result<Analysis, CliError> {
-    let mut opts = ReachOptions::default()
-        .with_threads(threads)
-        .with_streaming(true)
-        .with_mem_budget(mem_budget);
-    if progress {
-        opts = opts.with_progress(print_progress);
-    }
-    let analysis = Analysis::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
-    if mem_budget > 0 {
-        let s = analysis.stream_stats().expect("a streamed analysis carries its stats").spill;
-        eprintln!(
-            "{}",
-            nbc_obs::progress::spill_line("reach", s.runs_written, s.bytes_written, s.merge_passes)
-        );
-    }
-    Ok(analysis)
-}
-
-/// A failed retained build as a CLI error. One that ran into the state
-/// limit names the way out: the streaming fold behind `nbc analyze` holds
-/// one representative per orbit of interchangeable sites, and no graph.
-fn graph_error(e: ProtocolError) -> CliError {
-    match e {
-        ProtocolError::GraphTooLarge { .. } => {
-            CliError(format!("{e} (`nbc analyze` folds the facts without keeping the graph)"))
-        }
-        e => CliError(e.to_string()),
-    }
-}
-
-/// The `--progress` hook: one stderr line per completed BFS level, with a
-/// nodes/sec rate derived from a thread-local clock (stderr only — stdout
-/// and all results stay byte-identical with or without it).
-fn print_progress(p: &LevelProgress) {
-    let rate = match tick_rate(u64::try_from(p.new_states).unwrap_or(u64::MAX)) {
-        Some(r) => format!(" ({r:.0} states/s)"),
-        None => String::new(),
-    };
-    eprintln!(
-        "level {:>3}: frontier {:>7}  new {:>7}  dedup {:>8}  total {:>8}{rate}",
-        p.level,
-        Count(p.frontier),
-        Count(p.new_states),
-        Count(p.dedup_hits),
-        Count(p.total)
-    );
-}
-
-/// The `nbc check --progress` hook: one stderr line per reporting
-/// interval of the parallel exploration (stderr only — the report stays
-/// byte-identical with or without it).
-fn print_check_progress(p: &CheckProgress) {
-    let rate = match tick_rate(1 << 16) {
-        Some(r) => format!(" ({r:.0} expansions/s)"),
-        None => String::new(),
-    };
-    let spill = if p.spill_runs > 0 {
-        format!("  spilled {:>4} runs", p.spill_runs)
-    } else {
-        String::new()
-    };
-    eprintln!(
-        "plans {:>3}/{:<3}  distinct {:>9}  expansions {:>10}{spill}{rate}",
-        p.plans_done, p.plans_total, p.distinct_states, p.expansions
-    );
-}
-
 /// Per-thread progress rate over successive calls (the hooks above are
 /// plain `fn` pointers, so their estimator state lives here).
 pub(crate) fn tick_rate(events: u64) -> Option<f64> {
@@ -307,774 +231,10 @@ pub(crate) fn tick_rate(events: u64) -> Option<f64> {
     })
 }
 
-/// `nbc analyze PROTO`
-pub fn cmd_analyze(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
-    let report = theorem::check_with(protocol, analysis);
-    let res = resilience::resilience_with(protocol, &report);
-    let sync = sync_check::check_with(protocol, analysis);
-
-    let mut out = String::new();
-    let _ = writeln!(out, "{protocol}");
-    let _ = writeln!(out, "reachable state graph: {}", analysis.graph_stats());
-    let _ = writeln!(
-        out,
-        "synchronous within one state transition: {}",
-        if sync.synchronous_within_one() { "yes" } else { "NO" }
-    );
-    let _ = writeln!(out, "\n{report}");
-    let _ = writeln!(
-        out,
-        "resiliency: {} clean site(s) of {}; nonblocking w.r.t. {} failure(s)",
-        res.clean_count(),
-        res.n_sites,
-        res.max_tolerated_failures
-    );
-    Ok(out)
-}
-
-/// `nbc verify PROTO`: the verdict, the counts and the first witnesses.
-pub(crate) fn cmd_verify(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
-    let v = verify::verify_termination_with(protocol, analysis);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}: model-checked {} (global state x survivor subset) cases",
-        v.protocol,
-        Count(v.cases)
-    );
-    let _ = writeln!(
-        out,
-        "safety (no decision contradicts a durable final): {}",
-        if v.safe() { "HOLDS" } else { "VIOLATED" }
-    );
-    for w in &v.unsafe_witnesses {
-        let _ = writeln!(out, "  ! {w}");
-    }
-    let _ = writeln!(
-        out,
-        "liveness (every survivor subset can decide): {}",
-        match v.stuck_cases {
-            0 => "HOLDS — nonblocking".to_string(),
-            stuck => format!("{} stuck cases — blocking", Count(stuck)),
-        }
-    );
-    for w in &v.stuck_witnesses {
-        let _ = writeln!(out, "  . {w}");
-    }
-    Ok(out)
-}
-
-/// `nbc graph PROTO [--dot] [--progress]`: the one command that reads
-/// the edges, so the one that builds the retained graph.
-pub(crate) fn cmd_graph(
-    protocol: &Protocol,
-    dot_output: bool,
-    progress: bool,
-) -> Result<String, CliError> {
-    let mut opts = ReachOptions::default();
-    if progress {
-        opts = opts.with_progress(print_progress);
-    }
-    let g = ReachGraph::build_with(protocol, opts).map_err(graph_error)?;
-    if dot_output {
-        Ok(dot::reach_graph_to_dot(&g, protocol, true))
-    } else {
-        Ok(format!("{}\n{}\n", protocol.name, g.stats()))
-    }
-}
-
-/// `nbc synthesize PROTO`
-///
-/// The "before" check reuses the invocation's shared analysis; the
-/// synthesized protocol is new, so its "after" check builds its own.
-pub(crate) fn cmd_synthesize(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
-    let before = theorem::check_with(protocol, analysis);
-    let fixed = synthesis::make_nonblocking(protocol).map_err(|e| CliError(e.to_string()))?;
-    let after = theorem::check(&fixed).map_err(|e| CliError(e.to_string()))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "before: {} violation(s), {} phase(s)",
-        before.violations.len(),
-        protocol.phase_count()
-    );
-    let _ = writeln!(
-        out,
-        "after:  {} violation(s), {} phase(s)\n",
-        after.violations.len(),
-        fixed.phase_count()
-    );
-    let _ = write!(out, "{fixed}");
-    Ok(out)
-}
-
-/// The run the run flags describe on `n` sites; a flag naming a site the
-/// protocol does not have is a usage error.
-fn to_config(inv: &Invocation, n: usize) -> Result<RunConfig, CliError> {
-    let site_of = |flag: &str, site: usize| {
-        if site < n {
-            Ok(site)
-        } else {
-            fail(format!("{flag} names site {site}, but the protocol has {n} sites (0..{n})"))
-        }
-    };
-    let mut cfg = RunConfig::happy(n);
-    for v in inv.nums("--no-voter") {
-        cfg.votes[site_of("--no-voter", v)?] = false;
-    }
-    cfg.rule = inv.rule();
-    let seed = inv.num("--seed").unwrap_or(0);
-    if let Some((lo, hi)) = inv.span("--latency") {
-        cfg.latency = LatencyModel::uniform(lo, hi, seed);
-    }
-    if let Some(timeout) = inv.num("--detector-timeout") {
-        let jitter = inv.span("--detector-jitter").unwrap_or((1, 12));
-        cfg.detector = Some(DetectorSpec { timeout, jitter, seed });
-    }
-    cfg.record_trace = inv.has("--story");
-    if let Some((site, ordinal, msgs)) = inv.crash() {
-        cfg.crashes.push(CrashSpec {
-            site: site_of("--crash", site)?,
-            point: CrashPoint::OnTransition {
-                ordinal,
-                progress: match msgs {
-                    None => TransitionProgress::BeforeLog,
-                    Some(k) => TransitionProgress::AfterMsgs(k),
-                },
-            },
-            recover_at: inv.num("--recover"),
-        });
-    }
-    Ok(cfg)
-}
-
-/// The sinks a run records into — the event list behind `--trace` (and
-/// `--trace-format`), the `--metrics` counters, the `--flight` ring (sized
-/// by `--flight-cap`) — and what becomes of them when the run ends.
-pub(crate) struct Observers {
-    trace_path: Option<String>,
-    chrome: bool,
-    metrics: bool,
-    events: SharedSink<MemorySink>,
-    counters: SharedSink<Metrics>,
-    pub(crate) flight: Option<(String, SharedSink<FlightRecorder>)>,
-}
-
-impl Observers {
-    pub(crate) fn of(inv: &Invocation) -> Self {
-        let ring = || SharedSink::new(FlightRecorder::new(inv.num("--flight-cap").unwrap_or(256)));
-        Self {
-            trace_path: inv.text("--trace"),
-            chrome: inv.get("--trace-format") == Some(&Value::Chrome(true)),
-            metrics: inv.has("--metrics"),
-            events: SharedSink::new(MemorySink::default()),
-            counters: SharedSink::new(Metrics::default()),
-            flight: inv.text("--flight").map(|path| (path, ring())),
-        }
-    }
-
-    /// A tracer into the sinks, or `None` when no flag asked for one and
-    /// the run goes untraced.
-    pub(crate) fn tracer(&self) -> Option<Tracer> {
-        if self.trace_path.is_none() && !self.metrics && self.flight.is_none() {
-            return None;
-        }
-        let mut tracer = Tracer::to_sink(self.events.clone());
-        if self.metrics {
-            tracer.attach(self.counters.clone());
-        }
-        if let Some((_, ring)) = &self.flight {
-            tracer.attach(ring.clone());
-        }
-        Some(tracer)
-    }
-
-    /// Write the flight recorder's tail to its path; `why` opens the note
-    /// on stderr.
-    pub(crate) fn dump_flight(&self, why: &str) -> Result<(), CliError> {
-        let Some((path, ring)) = &self.flight else { return Ok(()) };
-        let (dump, kept, total) = ring.with(|r| (r.dump_jsonl(), r.len(), r.total_seen()));
-        std::fs::write(path, dump).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        eprintln!("flight recorder: {why}dumped last {kept} of {total} events to {path}");
-        Ok(())
-    }
-
-    /// The run is over: write the trace file, dump the flight recorder if
-    /// the run `ended_badly` (a clean run leaves nothing behind, so the
-    /// file's existence is itself a signal scripts can gate on), and hand
-    /// back the counters if they were asked for.
-    pub(crate) fn finish(&self, ended_badly: Option<&str>) -> Result<Option<Metrics>, CliError> {
-        if let Some(path) = &self.trace_path {
-            let export = if self.chrome { to_chrome } else { to_jsonl };
-            std::fs::write(path, self.events.with(|s| export(&s.events)))
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        }
-        if let Some(why) = ended_badly {
-            self.dump_flight(why)?;
-        }
-        Ok(self.metrics.then(|| self.counters.with(|m| m.clone())))
-    }
-}
-
-/// The story lines, the report and the atomicity line of a finished run.
-fn render_run(out: &mut String, report: &RunReport) {
-    for line in &report.trace {
-        let _ = writeln!(out, "{line}");
-    }
-    let _ = writeln!(out, "{report}");
-    let _ = writeln!(
-        out,
-        "atomicity: {}   all operational decided: {}",
-        if report.consistent { "preserved" } else { "VIOLATED" },
-        report.all_operational_decided
-    );
-}
-
-/// `nbc simulate PROTO [opts]`
-pub(crate) fn cmd_simulate(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    inv: &Invocation,
-) -> Result<String, CliError> {
-    if let Some(path) = inv.text("--schedule") {
-        return cmd_replay(protocol, analysis, &path, inv);
-    }
-    let cfg = to_config(inv, protocol.n_sites())?;
-    let observers = Observers::of(inv);
-    let report = match observers.tracer() {
-        Some(tracer) => run_traced(protocol, analysis, cfg, tracer),
-        None => run_with(protocol, analysis, cfg),
-    };
-    let ended_badly = !report.consistent || !report.all_operational_decided;
-    let metrics = observers.finish(ended_badly.then_some(""))?;
-    if inv.has("--json") {
-        // `--json --metrics` nests both documents under fixed keys so a
-        // script gets the verdict and the counters in one parse.
-        let report = report.to_json();
-        return Ok(match &metrics {
-            Some(m) => Obj::new().raw("report", &report).raw("metrics", &m.to_json()).build(),
-            None => report,
-        } + "\n");
-    }
-    let mut out = String::new();
-    render_run(&mut out, &report);
-    if let Some(m) = metrics {
-        let _ = write!(out, "{m}");
-    }
-    Ok(out)
-}
-
-/// `nbc simulate PROTO --schedule FILE`: strictly replay a recorded
-/// `nbc-check` JSONL schedule against the engine in lockstep mode. The
-/// schedule header carries the vote plan and termination rule; the
-/// protocol on the command line must match the one the schedule was
-/// recorded against.
-pub(crate) fn cmd_replay(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    path: &str,
-    inv: &Invocation,
-) -> Result<String, CliError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-    let sched = Schedule::from_jsonl(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
-    if sched.n != protocol.n_sites() {
-        return fail(format!(
-            "{path}: schedule is for n={}, resolved protocol has n={}",
-            sched.n,
-            protocol.n_sites()
-        ));
-    }
-    if sched.protocol != protocol.name {
-        return fail(format!(
-            "{path}: schedule was recorded against {:?}, not {:?}",
-            sched.protocol, protocol.name
-        ));
-    }
-    let rule = nbc_check::rule_from_name(&sched.rule)
-        .ok_or_else(|| CliError(format!("{path}: unknown termination rule {:?}", sched.rule)))?;
-    let mut cfg = nbc_check::explore::plan_config(sched.n, &sched.votes, rule);
-    cfg.record_trace = inv.has("--story");
-    let mut runner = Runner::new(protocol, analysis, cfg);
-    nbc_check::replay_strict(&mut runner, &sched.steps)
-        .map_err(|e| CliError(format!("{path}: replay failed at {e}")))?;
-    let report = runner.report();
-    if inv.has("--json") {
-        return Ok(format!("{}\n", report.to_json()));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "replayed {} steps from {path} (rule={}, votes={})",
-        sched.steps.len(),
-        sched.rule,
-        sched.votes.iter().map(|&v| if v { 'y' } else { 'n' }).collect::<String>(),
-    );
-    render_run(&mut out, &report);
-    Ok(out)
-}
-
-/// Outcome of `nbc check`: the rendered report plus the verdict bit the
-/// binary turns into its exit status (0 = every oracle passed, 1 = some
-/// oracle failed; usage and protocol errors stay on the [`CliError`]
-/// path and exit 2).
-pub(crate) struct CheckRun {
-    /// The rendered report (text or `--json`).
-    pub(crate) output: String,
-    /// True iff every oracle passed.
-    pub(crate) ok: bool,
-}
-
-/// `nbc check PROTO [opts]` — run the schedule-exploring model checker.
-pub(crate) fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
-    let defaults = CheckOptions::default();
-    let opts = CheckOptions {
-        depth: inv.num("--depth").unwrap_or(defaults.depth),
-        faults: inv.num("--faults").unwrap_or(defaults.faults),
-        recoveries: inv.num("--recoveries").unwrap_or(defaults.recoveries),
-        drops: inv.num("--drops").unwrap_or(defaults.drops),
-        suspicions: inv.num("--suspicions").unwrap_or(defaults.suspicions),
-        rule: inv.rule(),
-        seed: inv.num("--seed"),
-        vote_plan: inv.votes(),
-        max_states: inv.num("--max-states").unwrap_or(defaults.max_states),
-        threads: inv.num("--threads").unwrap_or(defaults.threads),
-        progress: inv.has("--progress").then_some(print_check_progress),
-        mem_budget: inv.num("--mem-budget").unwrap_or(defaults.mem_budget),
-    };
-    let (json, trace, cx_path) =
-        (inv.has("--json"), inv.has("--trace"), inv.text("--counterexample"));
-    let protocol = resolve_protocol(&inv.operands[0], inv.n())?;
-    let budgeted = opts.mem_budget > 0;
-    let report = nbc_check::run_check(&protocol, opts).map_err(|e| match e {
-        nbc_check::CheckError::VotePlanLength { expected, got } => {
-            CliError(format!("--votes names {got} sites, protocol has {expected}"))
-        }
-        e => CliError(e.to_string()),
-    })?;
-    // Spill stats go to stderr only: the rendered report and JSON stay
-    // byte-identical with and without a budget.
-    if budgeted {
-        let s = report.spill;
-        eprintln!(
-            "{}",
-            nbc_obs::progress::spill_line("check", s.runs_written, s.bytes_written, s.merge_passes)
-        );
-    }
-    if let Some(path) = cx_path {
-        let sched = report
-            .failures
-            .iter()
-            .find_map(|f| f.counterexample.as_ref())
-            .or(report.blocking_witness.as_ref());
-        match sched {
-            Some(s) => {
-                if let Some(parent) = std::path::Path::new(&path).parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent).map_err(|e| {
-                            CliError(format!("cannot create {}: {e}", parent.display()))
-                        })?;
-                    }
-                }
-                std::fs::write(&path, s.to_jsonl())
-                    .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-                // Replay the shrunk schedule with a flight recorder
-                // attached and drop its event tail next to the schedule:
-                // the causal last moments of the failure, ready for
-                // `nbc trace verify`.
-                let flight_path = format!("{path}.flight.jsonl");
-                match nbc_check::replay_flight_dump(&protocol, s, 256) {
-                    Ok(dump) => std::fs::write(&flight_path, dump)
-                        .map_err(|e| CliError(format!("cannot write {flight_path}: {e}")))?,
-                    Err(e) => eprintln!("note: flight replay failed: {e}"),
-                }
-            }
-            None => eprintln!("note: no counterexample or witness to write to {path}"),
-        }
-    }
-    let ok = report.ok();
-    if json {
-        return Ok(CheckRun { output: format!("{}\n", report.to_json()), ok });
-    }
-    let mut out = report.render();
-    if trace {
-        let mut listing = |label: &str, sched: &Schedule| {
-            let _ = writeln!(out, "  {label} steps:");
-            for (ix, step) in sched.steps.iter().enumerate() {
-                let _ = writeln!(out, "    {ix:3}. {step}");
-            }
-        };
-        if let Some(w) = &report.blocking_witness {
-            listing("witness", w);
-        }
-        for f in &report.failures {
-            if let Some(cx) = &f.counterexample {
-                listing(f.oracle, cx);
-            }
-        }
-    }
-    Ok(CheckRun { output: out, ok })
-}
-
-/// `nbc trace verify FILE...` / `nbc trace stats FILE...` — offline
-/// analysis of recorded JSONL event traces.
-///
-/// `verify` re-checks the engine's invariants from the trace alone —
-/// message conservation, decision consistency, WAL-before-send ordering,
-/// stable decisions — and reports the Gray–Lamport accounting; it shares
-/// `nbc check`'s exit contract (0 = every oracle passed, 1 = a violation,
-/// 2 = usage error). `stats` derives decision-latency percentiles and the
-/// time-series snapshot curve; it always exits 0 unless the trace is
-/// unreadable. Both are pure functions of the file bytes: the same trace
-/// renders byte-identically on every run.
-pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
-    let (sub, files) = inv.operands.split_first().expect("the table asks for a subcommand");
-    let verify_mode = match sub.as_str() {
-        "verify" => true,
-        "stats" => false,
-        other => return fail(format!("trace: unknown subcommand {other:?} (verify | stats)")),
-    };
-    let json = inv.has("--json");
-    let mut out = String::new();
-    let mut ok = true;
-    for path in files {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-        let events = analyze::parse_jsonl(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
-        if files.len() > 1 && !json {
-            let _ = writeln!(out, "{path}:");
-        }
-        if verify_mode {
-            let report = analyze::verify(&events);
-            ok &= report.ok();
-            if json {
-                let _ = writeln!(out, "{}", report.to_json());
-            } else {
-                out.push_str(&report.render());
-            }
-        } else {
-            let stats = analyze::stats(&events);
-            if json {
-                let _ = writeln!(out, "{}", stats.to_json());
-            } else {
-                out.push_str(&stats.render());
-            }
-        }
-    }
-    Ok(CheckRun { output: out, ok })
-}
-
-/// Run one happy-path (all-yes, no-failure) transaction through the
-/// instrumented engine and fold the event stream into the Gray–Lamport
-/// accounting unit: messages sent, stable writes, and sequential message
-/// delays (the latest decision latency under the constant-1 lockstep
-/// clock) per committed transaction.
-fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), CliError> {
-    let analysis = build_analysis(protocol, 0, false, 0)?;
-    let cfg = RunConfig::happy(protocol.n_sites());
-    let (events, counters) =
-        (SharedSink::new(MemorySink::default()), SharedSink::new(Metrics::default()));
-    let mut tracer = Tracer::to_sink(events.clone());
-    tracer.attach(counters.clone());
-    let report = run_traced(protocol, &analysis, cfg, tracer);
-    if !report.consistent {
-        return fail(format!("{}: happy-path run was inconsistent", protocol.name));
-    }
-    // Delays: unit network latency makes "time until the last site logs
-    // its decision" exactly the sequential-message-delay count.
-    let delays = events.with(|s| {
-        let start = s.events.iter().map(|e| e.time).min().unwrap_or(0);
-        let last = s
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Decision { .. }))
-            .map(|e| e.time)
-            .max()
-            .unwrap_or(start);
-        (last - start) as usize
-    });
-    let m = counters.with(|m| m.clone());
-    let row = nbc_paxos::CostRow {
-        messages: m.txns.values().map(|t| t.msgs_sent).sum::<u64>() as usize,
-        stable_writes: m.txns.values().map(|t| t.stable_writes).sum::<u64>() as usize,
-        delays,
-    };
-    Ok((row, m))
-}
-
-/// `nbc paxos [--sites N] [--faults F] [--metrics] [--json]` — run one
-/// happy-path Paxos Commit transaction under the instrumented engine and
-/// print the Gray–Lamport cost table: measured messages / stable writes /
-/// message delays per committed transaction for Paxos Commit next to this
-/// repo's central 2PC and 3PC, plus Gray & Lamport's analytic predictions.
-pub(crate) fn cmd_paxos(inv: &Invocation) -> Result<String, CliError> {
-    let sites: usize = inv.num("--sites").unwrap_or(3);
-    let faults: usize = inv.num("--faults").unwrap_or(1);
-    let (want_metrics, json) = (inv.has("--metrics"), inv.has("--json"));
-    let paxos = nbc_paxos::paxos_commit(sites, faults);
-    let (px, px_metrics) = measured_cost(&paxos)?;
-    let (c2, _) = measured_cost(&central_2pc(sites))?;
-    let (c3, _) = measured_cost(&central_3pc(sites))?;
-    // Gray & Lamport count resource managers; our leader doubles as the
-    // first RM, so n participants = n RMs in their accounting.
-    let gl2 = nbc_paxos::gl_2pc_cost(sites);
-    let glp = nbc_paxos::gl_paxos_cost(sites, faults);
-
-    if json {
-        let row = |r: &nbc_paxos::CostRow| {
-            Obj::new()
-                .num("messages", r.messages as u64)
-                .num("stable_writes", r.stable_writes as u64)
-                .num("delays", r.delays as u64)
-                .build()
-        };
-        let measured = Obj::new()
-            .raw("paxos", &row(&px))
-            .raw("central_2pc", &row(&c2))
-            .raw("central_3pc", &row(&c3));
-        let predicted = Obj::new().raw("paxos", &row(&glp)).raw("two_pc", &row(&gl2));
-        let doc = Obj::new()
-            .str("protocol", &paxos.name)
-            .num("sites", sites as u64)
-            .num("faults", faults as u64)
-            .raw("measured", &measured.build())
-            .raw("gray_lamport", &predicted.build());
-        return Ok(doc.build() + "\n");
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}: one committed transaction, all sites vote yes\n\
-         quorum: {} acceptors, decision needs {} ack-commit(s)\n",
-        paxos.name,
-        2 * faults + 1,
-        faults + 1
-    );
-    let _ = writeln!(
-        out,
-        "cost per committed transaction (measured by the event stream):\n\
-         \x20 {:<22} {:>6} {:>14} {:>8}",
-        "protocol", "msgs", "stable-writes", "delays"
-    );
-    for (name, r) in
-        [("central-2pc", &c2), ("central-3pc", &c3), (&*format!("paxos-commit f={faults}"), &px)]
-    {
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>6} {:>14} {:>8}",
-            name, r.messages, r.stable_writes, r.delays
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nGray & Lamport analytic predictions ({} resource managers):\n\
-         \x20 {:<22} {:>6} {:>14} {:>8}",
-        sites, "protocol", "msgs", "stable-writes", "delays"
-    );
-    for (name, r) in [("two-phase commit", &gl2), (&*format!("paxos commit f={faults}"), &glp)] {
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>6} {:>14} {:>8}",
-            name, r.messages, r.stable_writes, r.delays
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nDivergence from the paper is structural: Gray & Lamport colocate\n\
-         acceptors with RMs and the leader with one acceptor, eliding relay\n\
-         messages and acceptor log writes that this model keeps as distinct\n\
-         sites (each acceptor adds its own messages and 3 stable writes)."
-    );
-    if want_metrics {
-        let _ = write!(out, "\n{px_metrics}");
-    }
-    Ok(out)
-}
-
-/// `nbc sweep PROTO [opts]`
-pub(crate) fn cmd_sweep(
-    protocol: &Protocol,
-    analysis: &Analysis,
-    inv: &Invocation,
-) -> Result<String, CliError> {
-    let specs = enumerate_crash_specs(protocol, inv.num("--recover"));
-    let base = to_config(inv, protocol.n_sites())?;
-    let observers = Observers::of(inv);
-    let s = match observers.tracer() {
-        Some(tracer) => sweep_traced(protocol, analysis, &base, &specs, tracer),
-        None => sweep(protocol, analysis, &base, &specs),
-    };
-    let metrics_table = observers.finish(None)?;
-    if inv.has("--json") {
-        return Ok(format!("{}\n", s.to_json()));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}: {} crash points; consistent {}/{}; blocked {}; all-decided {}",
-        protocol.name, s.total, s.consistent, s.total, s.blocked, s.fully_decided
-    );
-    for bad in s.inconsistent_runs.iter().take(5) {
-        let _ = writeln!(out, "  ! {bad}");
-    }
-    let _ = writeln!(
-        out,
-        "verdict: {}",
-        if !s.all_consistent() {
-            "ATOMICITY VIOLATED"
-        } else if s.nonblocking() {
-            "nonblocking"
-        } else {
-            "blocking window present"
-        }
-    );
-    if let Some(m) = metrics_table {
-        let _ = write!(out, "{m}");
-    }
-    Ok(out)
-}
-
-/// `nbc termination PROTO`
-pub(crate) fn cmd_termination(
-    protocol: &Protocol,
-    analysis: &Analysis,
-) -> Result<String, CliError> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}: backup-coordinator decision table", protocol.name);
-    for row in termination::decision_table(protocol, analysis) {
-        let _ = writeln!(
-            out,
-            "  {} in {:<4} ({}) -> {}",
-            row.site,
-            row.state_name,
-            row.class.letter(),
-            row.backup
-        );
-    }
-    Ok(out)
-}
-
-/// `nbc recovery PROTO`
-pub(crate) fn cmd_recovery(protocol: &Protocol, analysis: &Analysis) -> Result<String, CliError> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}: independent recovery classification", protocol.name);
-    for row in recovery_analysis::classify(protocol, analysis) {
-        let _ = writeln!(out, "  {} in {:<4} -> {}", row.site, row.state_name, row.class);
-    }
-    Ok(out)
-}
-
-/// `nbc pipeline PROTO [flags]` — run the concurrent commit scheduler
-/// over a bank workload and report throughput, latency percentiles, and
-/// group-commit savings, alongside a serial baseline (the same scheduler
-/// at in-flight 1 with group commit off).
-pub(crate) fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
-    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
-    use nbc_simnet::SimRng;
-    use nbc_txn::BankWorkload;
-
-    let kind = match protocol_name(&inv.operands[0])? {
-        Named::Cluster(kind) => kind,
-        _ => {
-            return fail(format!(
-                "pipeline runs the cluster protocols only \
-                 (central-2pc | central-3pc | decentralized-2pc | decentralized-3pc | paxos:F), \
-                 got {:?}",
-                inv.operands[0]
-            ))
-        }
-    };
-    let n = inv.n();
-    let txns: usize = inv.num("--txns").unwrap_or(64);
-    let crash_pct: u32 = inv.num("--crash-pct").unwrap_or(0);
-    let in_flight: usize = inv.num("--in-flight").unwrap_or(8);
-    let window: u64 = inv.num("--window").unwrap_or(2);
-    let reap: u64 = inv.num("--reap").unwrap_or(200);
-    let seed: u64 = inv.num("--seed").unwrap_or(42);
-    let series_every: u64 = inv.num("--series-every").unwrap_or(0);
-    let observers = Observers::of(inv);
-
-    let accounts = (n * 4).max(8);
-    let mut w = BankWorkload::new(n, accounts, 1_000, seed);
-    let mut rng = SimRng::seed_from_u64(seed);
-    let batch = bank_transfer_txns(&mut w, txns, crash_pct, &mut rng);
-
-    let run_with = |max_in_flight: usize, group_window: u64, tracer: Option<Tracer>| {
-        let mut p = Pipeline::new(
-            PipelineConfig::new(n, kind)
-                .with_in_flight(max_in_flight)
-                .with_group_window(group_window)
-                .with_reap_after(reap)
-                .with_series_every(series_every),
-        );
-        p.run(vec![PipelineTxn::from_ops(&w.setup_ops())]);
-        // Attach only after the setup transaction: the trace covers the
-        // measured batch, not the workload bootstrap.
-        if let Some(t) = tracer {
-            p.set_tracer(t);
-        }
-        let start = p.now();
-        let r = p.run(batch.clone());
-        let conserved = p.total_balance(&w) == w.expected_total() && p.locked_keys() == 0;
-        let ticks = r.finished_at - start;
-        (r, ticks, conserved)
-    };
-    let (serial, serial_ticks, serial_ok) = run_with(1, 0, None);
-    let tracer = observers.tracer();
-    // With a flight recorder attached, a scheduler panic still yields its
-    // black box: catch the unwind, dump the ring, then surface the error.
-    let (report, pipe_ticks, pipe_ok) = if observers.flight.is_some() {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_with(in_flight, window, tracer)
-        })) {
-            Ok(r) => r,
-            Err(panic) => {
-                observers.dump_flight("scheduler panicked; ")?;
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".to_string());
-                return fail(format!("pipeline panicked: {msg}"));
-            }
-        }
-    } else {
-        run_with(in_flight, window, tracer)
-    };
-    let metrics = observers.finish((!pipe_ok).then_some("conservation violated; "))?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "pipeline: {} x{n} sites, {txns} txns, crash {crash_pct}%, \
-         in-flight {in_flight}, window {window}, seed {seed}",
-        kind.name()
-    );
-    let _ = writeln!(out, "{report}");
-    let _ = writeln!(
-        out,
-        "serial baseline (in-flight 1, window 0): {} ticks, {:.2} txn/ktick, {} syncs",
-        serial_ticks,
-        serial.txns_per_kilotick(),
-        serial.wal_forces
-    );
-    let speedup = serial_ticks as f64 / pipe_ticks.max(1) as f64;
-    let _ = writeln!(
-        out,
-        "speedup over serial: {speedup:.2}x; conservation: {}",
-        if serial_ok && pipe_ok { "ok" } else { "VIOLATED" }
-    );
-    if let Some(m) = metrics {
-        let _ = write!(out, "{m}");
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
+    use nbc_core::Analysis;
 
     /// `nbc CMD ARGS...` through the table, as `run_argv` takes it.
     pub(crate) fn parsed(cmd: &str, args: &[&str]) -> Result<Invocation, CliError> {
@@ -1115,21 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn a_retained_build_over_the_state_limit_names_the_streaming_fold() {
-        // The mapping, not a run: a retained central 3PC n=12 holds 4.2 M
-        // nodes and some 17 M edges before it gives up.
-        let over = ProtocolError::GraphTooLarge { limit: 4_194_304 };
-        assert_eq!(
-            graph_error(over).0,
-            "reachable state graph exceeds limit of 4194304 global states \
-             (`nbc analyze` folds the facts without keeping the graph)"
-        );
-        // No other error grows a hint.
-        let threads = ProtocolError::TooManyThreads { max: 64, got: 65 };
-        assert_eq!(graph_error(threads.clone()).0, threads.to_string());
-    }
-
-    #[test]
     fn resolve_catalog_names() {
         assert_eq!(resolve_protocol("3pc", 3).unwrap().phase_count(), 3);
         assert_eq!(resolve_protocol("d2pc", 4).unwrap().n_sites(), 4);
@@ -1141,300 +286,5 @@ mod tests {
 
     pub(crate) fn streamed(p: &Protocol) -> Analysis {
         build_analysis(p, 0, false, 0).unwrap()
-    }
-
-    #[test]
-    fn analyze_reports_verdicts() {
-        let p = resolve_protocol("2pc", 3).unwrap();
-        let out = cmd_analyze(&p, &streamed(&p)).unwrap();
-        assert!(out.contains("BLOCKING"));
-        assert!(out.contains("1 clean site(s) of 3"));
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let out = cmd_analyze(&p, &streamed(&p)).unwrap();
-        assert!(out.contains("NONBLOCKING"));
-        assert_eq!(out, cmd_analyze(&p, &Analysis::build(&p).unwrap()).unwrap());
-    }
-
-    #[test]
-    fn budgeted_streamed_analyze_is_byte_identical() {
-        // A 1-byte budget forces a spill after every level; the rendered
-        // analysis must not change by a byte.
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let unlimited = cmd_analyze(&p, &build_analysis(&p, 2, false, 0).unwrap()).unwrap();
-        let budgeted = cmd_analyze(&p, &build_analysis(&p, 2, false, 1).unwrap()).unwrap();
-        assert_eq!(unlimited, budgeted);
-    }
-
-    #[test]
-    fn verify_distinguishes_blocking() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let out = cmd_verify(&p, &build_analysis(&p, 0, false, 0).unwrap()).unwrap();
-        assert!(out.contains("HOLDS — nonblocking"), "{out}");
-        let p = resolve_protocol("2pc", 3).unwrap();
-        let out = cmd_verify(&p, &build_analysis(&p, 0, false, 0).unwrap()).unwrap();
-        assert!(out.contains("stuck cases — blocking"), "{out}");
-        assert!(out.contains("  . state (w1, q, q), survivors [0]: no survivor"), "{out}");
-        // Survivor subsets are 64-bit masks: 62 participants and three
-        // acceptors are refused before anything is walked.
-        let refused = run_argv(&["verify", "paxos:1", "-n", "62"].map(String::from));
-        assert_eq!(refused.code, 2, "{}", refused.stderr);
-        assert!(refused.stderr.contains("at most 64 sites"), "{}", refused.stderr);
-    }
-
-    #[test]
-    fn simulate_happy_path() {
-        let out = simulate(&["3pc"]);
-        assert!(out.contains("committed"));
-        assert!(out.contains("preserved"));
-    }
-
-    #[test]
-    fn simulate_with_crash_and_recovery() {
-        let out = simulate(&["3pc", "--crash", "0:3:1", "--recover", "300"]);
-        assert!(out.contains("preserved"), "{out}");
-    }
-
-    #[test]
-    fn simulate_trace_shows_the_story() {
-        // Partial prepare broadcast: the backup must run phase 1
-        // (alignment) before deciding, so the whole termination protocol
-        // shows up in the trace.
-        let out = simulate(&["3pc", "--crash", "0:2:1", "--story"]);
-        assert!(out.contains("CRASH"), "{out}");
-        assert!(out.contains("align-to"), "{out}");
-        assert!(out.contains("align-ack"), "{out}");
-        assert!(out.contains("DECIDED COMMIT"), "{out}");
-        assert!(out.contains("q1 -> w1"), "{out}");
-    }
-
-    #[test]
-    fn sweep_verdicts() {
-        assert!(sweep_of(&["3pc"]).contains("nonblocking"));
-        assert!(sweep_of(&["2pc", "--rule", "cooperative"]).contains("blocking window"));
-        let naive = sweep_of(&["2pc", "--rule", "naive", "--no-voter", "0"]);
-        assert!(naive.contains("ATOMICITY VIOLATED"), "{naive}");
-    }
-
-    #[test]
-    fn synthesize_2pc() {
-        let p = resolve_protocol("2pc", 3).unwrap();
-        let out = cmd_synthesize(&p, &streamed(&p)).unwrap();
-        assert!(out.contains("after:  0 violation(s), 3 phase(s)"), "{out}");
-    }
-
-    #[test]
-    fn tables_render() {
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = streamed(&p);
-        assert!(cmd_termination(&p, &a).unwrap().contains("commit"));
-        assert!(cmd_recovery(&p, &a).unwrap().contains("must ask"));
-        assert!(cmd_graph(&p, false, false).unwrap().contains("global states"));
-        assert!(cmd_graph(&p, true, false).unwrap().contains("digraph"));
-    }
-
-    #[test]
-    fn tables_identical_under_streaming() {
-        // Termination and recovery tables are pure concurrency-set
-        // queries, so the streamed analysis must produce the retained
-        // one's bytes at any thread count.
-        let p = resolve_protocol("3pc", 3).unwrap();
-        let a = Analysis::build(&p).unwrap();
-        for threads in [1, 2, 4] {
-            let s = build_analysis(&p, threads, false, 0).unwrap();
-            assert_eq!(cmd_termination(&p, &a).unwrap(), cmd_termination(&p, &s).unwrap());
-            assert_eq!(cmd_recovery(&p, &a).unwrap(), cmd_recovery(&p, &s).unwrap());
-        }
-    }
-
-    #[test]
-    fn pipeline_command_reports_speedup() {
-        let out =
-            pipeline(&["3pc", "--txns", "32", "--in-flight", "8", "--window", "3", "--seed", "7"])
-                .unwrap();
-        assert!(out.contains("speedup over serial"), "{out}");
-        assert!(out.contains("conservation: ok"), "{out}");
-        assert!(out.contains("saved by group commit"), "{out}");
-    }
-
-    #[test]
-    fn pipeline_command_rejects_junk() {
-        assert!(pipeline(&[]).is_err());
-        assert!(pipeline(&["1pc"]).is_err(), "non-cluster protocol");
-        assert!(pipeline(&["3pc", "--crash-pct", "101"]).is_err());
-        assert!(pipeline(&["3pc", "--bogus"]).is_err());
-    }
-
-    #[test]
-    fn simulate_json_and_metrics() {
-        let out = simulate(&["3pc", "--json"]);
-        nbc_obs::json::validate(out.trim()).unwrap();
-        assert!(out.contains("\"decision\":true"), "{out}");
-
-        let out = simulate(&["3pc", "--metrics"]);
-        assert!(out.contains("metrics ("), "{out}");
-        assert!(out.contains("messages"), "{out}");
-        assert!(out.contains("preserved"), "{out}");
-
-        // The coordinator dies one message into its broadcast and comes
-        // back: the counters see the recovery.
-        let out = simulate(&["3pc", "--crash", "0:2:1", "--recover", "300", "--metrics"]);
-        assert!(out.contains("recoveries=1"), "{out}");
-    }
-
-    #[test]
-    fn simulate_writes_trace_files() {
-        let jsonl = temp("nbc-cli-test-trace.jsonl");
-        let chrome = temp("nbc-cli-test-trace.chrome.json");
-
-        simulate(&["3pc", "--trace", &jsonl]);
-        let data = std::fs::read_to_string(&jsonl).unwrap();
-        assert!(!data.is_empty());
-        for line in data.lines() {
-            nbc_obs::json::validate(line).unwrap();
-        }
-
-        simulate(&["3pc", "--trace", &chrome, "--trace-format", "chrome"]);
-        let data = std::fs::read_to_string(&chrome).unwrap();
-        nbc_obs::json::validate(&data).unwrap();
-        assert!(data.starts_with("{\"traceEvents\":["), "{data}");
-
-        let _ = std::fs::remove_file(&jsonl);
-        let _ = std::fs::remove_file(&chrome);
-    }
-
-    #[test]
-    fn sweep_json_is_valid() {
-        let out = sweep_of(&["3pc", "--json"]);
-        nbc_obs::json::validate(out.trim()).unwrap();
-        assert!(out.contains("\"nonblocking\":true"), "{out}");
-    }
-
-    #[test]
-    fn pipeline_trace_and_metrics() {
-        let path = temp("nbc-cli-test-pipeline.jsonl");
-        let out = pipeline(&["3pc", "--txns", "16", "--seed", "7", "--metrics", "--trace", &path])
-            .unwrap();
-        assert!(out.contains("scheduler"), "{out}");
-        assert!(out.contains("admits="), "{out}");
-        let data = std::fs::read_to_string(&path).unwrap();
-        for line in data.lines() {
-            nbc_obs::json::validate(line).unwrap();
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trace_verify_passes_on_recorded_trace() {
-        let path = temp("nbc-cli-test-trace-verify.jsonl");
-        simulate(&["3pc", "--crash", "0:2:1", "--trace", &path]);
-        let run = trace(&["verify", &path]).unwrap();
-        assert!(run.ok, "{}", run.output);
-        assert!(run.output.contains("result: PASS"), "{}", run.output);
-        assert!(run.output.contains("gray-lamport:"), "{}", run.output);
-        // Byte-determinism: a second pass over the same file is identical.
-        assert_eq!(run.output, trace(&["verify", &path]).unwrap().output);
-        // --json emits one valid object with the same verdict.
-        let jrun = trace(&["verify", &path, "--json"]).unwrap();
-        nbc_obs::json::validate(jrun.output.trim()).unwrap();
-        assert!(jrun.output.contains("\"ok\":true"), "{}", jrun.output);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trace_verify_detects_corruption() {
-        let path = temp("nbc-cli-test-trace-corrupt.jsonl");
-        simulate(&["3pc", "--trace", &path]);
-        // Drop one delivery: conservation must notice the orphaned send.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let corrupted: String = {
-            let mut removed = false;
-            text.lines()
-                .filter(|l| {
-                    if !removed && l.contains("\"kind\":\"msg-deliver\"") {
-                        removed = true;
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .map(|l| format!("{l}\n"))
-                .collect()
-        };
-        assert_ne!(text, corrupted, "trace had no delivery to remove");
-        std::fs::write(&path, corrupted).unwrap();
-        let run = trace(&["verify", &path]).unwrap();
-        assert!(!run.ok, "{}", run.output);
-        assert!(run.output.contains("conservation"), "{}", run.output);
-        assert!(run.output.contains("result: FAIL"), "{}", run.output);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trace_stats_renders_percentiles() {
-        let path = temp("nbc-cli-test-trace-stats.jsonl");
-        pipeline(&["3pc", "--txns", "24", "--seed", "9", "--series-every", "64", "--trace", &path])
-            .unwrap();
-        let run = trace(&["stats", &path]).unwrap();
-        assert!(run.ok);
-        assert!(run.output.contains("decision latency: n="), "{}", run.output);
-        assert!(run.output.contains("p95="), "{}", run.output);
-        assert!(run.output.contains("time series ("), "{}", run.output);
-        let jrun = trace(&["stats", &path, "--json"]).unwrap();
-        nbc_obs::json::validate(jrun.output.trim()).unwrap();
-        assert!(jrun.output.contains("\"snapshots\":["), "{}", jrun.output);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trace_usage_errors() {
-        assert!(trace(&[]).is_err(), "missing subcommand");
-        assert!(trace(&["frob", "x.jsonl"]).is_err(), "unknown subcommand");
-        assert!(trace(&["verify"]).is_err(), "missing file");
-        assert!(trace(&["verify", "--bogus", "x.jsonl"]).is_err(), "unknown flag");
-        assert!(trace(&["verify", "/does/not/exist.jsonl"]).is_err(), "missing file");
-    }
-
-    #[test]
-    fn simulate_flight_dump_only_on_bad_runs() {
-        // Clean run: no dump.
-        let clean = temp("nbc-cli-test-flight-clean.jsonl");
-        let _ = std::fs::remove_file(&clean);
-        simulate(&["3pc", "--flight", &clean]);
-        assert!(!Path::new(&clean).exists(), "clean run must not write a flight dump");
-
-        // Blocked run (2PC coordinator crash, cooperative rule): dump.
-        let bad = temp("nbc-cli-test-flight-bad.jsonl");
-        let _ = std::fs::remove_file(&bad);
-        let out = simulate(&[
-            "2pc",
-            "--crash",
-            "0:2:0",
-            "--rule",
-            "cooperative",
-            "--flight",
-            &bad,
-            "--flight-cap",
-            "32",
-        ]);
-        assert!(out.contains("all operational decided: false"), "{out}");
-        let dump = std::fs::read_to_string(&bad).expect("flight dump written");
-        assert!(dump.lines().next().unwrap().contains("flight recorder"), "{dump}");
-        // The tail minus its header note is a verifiable trace fragment.
-        let events = nbc_obs::analyze::parse_jsonl(&dump).unwrap();
-        assert!(!events.is_empty());
-        let _ = std::fs::remove_file(&bad);
-    }
-
-    #[test]
-    fn simulate_json_with_metrics_nests_both() {
-        let out = simulate(&["3pc", "--json", "--metrics"]);
-        let v = nbc_obs::json::parse(out.trim()).unwrap();
-        assert!(v.get("report").is_some(), "{out}");
-        assert!(v.get("metrics").is_some(), "{out}");
-        assert_eq!(
-            v.get("report").and_then(|r| r.get("decision")).and_then(|d| d.as_bool()),
-            Some(true),
-            "{out}"
-        );
     }
 }

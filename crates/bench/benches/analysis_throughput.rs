@@ -12,8 +12,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use nbc_bench::BenchGroup;
-use nbc_core::protocols::{central_2pc, central_3pc};
-use nbc_core::{Analysis, ReachOptions};
+use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
+use nonblocking_commit::model::{Analysis, ReachOptions};
 
 fn bench_retained_vs_streamed() {
     let mut g = BenchGroup::new("analysis_throughput");

@@ -19,10 +19,11 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use nbc_check::{run_check, CheckOptions, CheckReport};
-use nbc_core::protocols::{central_2pc, central_3pc};
-use nbc_core::Protocol;
-use nbc_paxos::paxos_commit;
+use nonblocking_commit::check::{run_check, CheckOptions, CheckReport};
+use nonblocking_commit::model::paxos::paxos_commit;
+use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
+use nonblocking_commit::model::Protocol;
+use nonblocking_commit::obs::progress::peak_rss_bytes;
 
 struct Row {
     section: &'static str,
@@ -199,7 +200,7 @@ fn write_json(rows: &[Row]) {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(out, "    {}{sep}", row.to_json());
     }
-    let rss = nbc_obs::progress::peak_rss_bytes().map_or("null".to_string(), |b| b.to_string());
+    let rss = peak_rss_bytes().map_or("null".to_string(), |b| b.to_string());
     let _ = writeln!(out, "  ],\n  \"peak_rss_bytes\": {rss}\n}}");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_check.json");
     std::fs::write(path, out).expect("write BENCH_check.json");

@@ -19,12 +19,12 @@
 
 use std::fmt::Write as _;
 
-use nbc_core::protocols::{central_2pc, central_3pc};
-use nbc_core::{Analysis, Protocol};
-use nbc_engine::{
+use nonblocking_commit::engine::{
     run_with, CrashPoint, CrashSpec, DetectorSpec, RunConfig, TerminationRule, TransitionProgress,
 };
-use nbc_paxos::paxos_commit;
+use nonblocking_commit::model::paxos::paxos_commit;
+use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
+use nonblocking_commit::model::{Analysis, Protocol};
 
 /// Inclusive heartbeat-latency bounds: the most lenient timeout in the
 /// ladder equals the ceiling, so that column is the accurate baseline.

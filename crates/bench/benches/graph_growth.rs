@@ -3,8 +3,10 @@
 //! number of sites" observation as wall-clock.
 
 use nbc_bench::BenchGroup;
-use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
-use nbc_core::{Analysis, ReachGraph};
+use nonblocking_commit::model::protocols::{
+    central_2pc, central_3pc, decentralized_2pc, decentralized_3pc,
+};
+use nonblocking_commit::model::{theorem, Analysis, ReachGraph};
 use std::hint::black_box;
 
 fn bench_graph_build() {
@@ -31,7 +33,7 @@ fn bench_full_analysis() {
         let p = central_3pc(n);
         g.bench(&format!("central_3pc/{n}"), || {
             let a = Analysis::build(black_box(&p)).unwrap();
-            nbc_core::theorem::check_with(&p, &a).nonblocking()
+            theorem::check_with(&p, &a).nonblocking()
         });
     }
 }

@@ -3,9 +3,11 @@
 //! phase counts.
 
 use nbc_bench::BenchGroup;
-use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
-use nbc_core::Analysis;
-use nbc_engine::{run_with, RunConfig};
+use nonblocking_commit::engine::{run_with, RunConfig};
+use nonblocking_commit::model::protocols::{
+    central_2pc, central_3pc, decentralized_2pc, decentralized_3pc,
+};
+use nonblocking_commit::model::Analysis;
 use std::hint::black_box;
 
 fn bench_commit_round() {
@@ -35,7 +37,7 @@ fn bench_commit_round() {
 fn bench_termination_round() {
     // A commit round that goes through the full termination protocol:
     // coordinator dies after a partial prepare broadcast.
-    use nbc_engine::{CrashPoint, CrashSpec, TransitionProgress};
+    use nonblocking_commit::engine::{CrashPoint, CrashSpec, TransitionProgress};
     let mut g = BenchGroup::new("termination_round");
     g.sample_size(50);
     for n in [3usize, 5] {
@@ -63,9 +65,9 @@ fn bench_tracing_overhead() {
     // collected into a memory sink, with a bounded flight-recorder ring,
     // and with the full JSONL render on top. `off` is the baseline the
     // flight recorder must stay close to when no failure ever dumps it.
-    use nbc_engine::run_traced;
-    use nbc_obs::export::to_jsonl;
-    use nbc_obs::{FlightRecorder, MemorySink, SharedSink, Tracer};
+    use nonblocking_commit::engine::run_traced;
+    use nonblocking_commit::obs::export::to_jsonl;
+    use nonblocking_commit::obs::{FlightRecorder, MemorySink, SharedSink, Tracer};
     let mut g = BenchGroup::new("tracing_overhead");
     g.sample_size(50);
     for n in [3usize, 5] {

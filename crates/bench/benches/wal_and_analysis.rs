@@ -2,8 +2,8 @@
 //! the KV store's transactional operations.
 
 use nbc_bench::BenchGroup;
-use nbc_storage::crc32::crc32;
-use nbc_storage::{KvStore, LogRecord, Wal};
+use nonblocking_commit::storage::crc32::crc32;
+use nonblocking_commit::storage::{KvStore, LogRecord, Wal};
 use std::hint::black_box;
 
 fn bench_wal_append() {

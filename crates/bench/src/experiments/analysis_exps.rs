@@ -2,10 +2,10 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use nbc_core::canonical::canonical_2pc;
-use nbc_core::protocols::{catalog, decentralized_2pc};
-use nbc_core::reach::NodeId;
-use nbc_core::{sync_check, theorem, Analysis, ReachGraph, SiteId, StateId};
+use nonblocking_commit::model::canonical::canonical_2pc;
+use nonblocking_commit::model::protocols::{catalog, central_2pc, decentralized_2pc};
+use nonblocking_commit::model::reach::NodeId;
+use nonblocking_commit::model::{sync_check, theorem, Analysis, ReachGraph, SiteId, StateId};
 
 use crate::table::Table;
 
@@ -52,7 +52,7 @@ pub fn e5_blocking_2pc() -> String {
         out.push_str(&format!("  - {v}\n"));
     }
     out.push('\n');
-    for p in [nbc_core::protocols::central_2pc(3), nbc_core::protocols::decentralized_2pc(3)] {
+    for p in [central_2pc(3), decentralized_2pc(3)] {
         let r = theorem::check(&p).expect("analyzable");
         out.push_str(&format!("{r}"));
     }
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn commit_paths_have_lead_at_most_one() {
-        use nbc_core::protocols::{central_2pc, central_3pc, decentralized_3pc};
+        use nonblocking_commit::model::protocols::{central_2pc, central_3pc, decentralized_3pc};
         for p in [central_2pc(3), central_3pc(3), decentralized_2pc(3), decentralized_3pc(3)] {
             let (lead, witness) = max_transition_lead(&ReachGraph::build(&p).unwrap());
             assert!(lead <= 1, "{}: still-executing lead {lead} at {witness:?}", p.name);
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn lockstep_protocol_leads_by_at_most_one() {
-        use nbc_core::{
+        use nonblocking_commit::model::{
             Consume, Envelope, FsaBuilder, InitialMsg, MsgKind, Paradigm, Protocol, StateClass,
         };
         // Site 0 commits on the client's request and passes the commit on.
@@ -229,7 +229,9 @@ mod tests {
 
     #[test]
     fn a_site_two_transitions_ahead_leads_by_two() {
-        use nbc_core::{Consume, Envelope, FsaBuilder, MsgKind, Paradigm, Protocol, StateClass};
+        use nonblocking_commit::model::{
+            Consume, Envelope, FsaBuilder, MsgKind, Paradigm, Protocol, StateClass,
+        };
         // Site 0 takes two spontaneous transitions before site 1 can move.
         let mut b0 = FsaBuilder::new("runner");
         let q0 = b0.state("q", StateClass::Initial);

@@ -4,11 +4,11 @@
 //! * **X2** — independent recovery: which durable states let a restarted
 //!   site decide without asking anyone?
 
-use nbc_core::kpc::{k_phase_central, k_phase_decentralized};
-use nbc_core::protocols::{central_3pc, decentralized_3pc};
-use nbc_core::recovery_analysis::classify;
-use nbc_core::{resilience, theorem, Analysis};
-use nbc_engine::{enumerate_crash_specs, run_with, sweep, RunConfig};
+use nonblocking_commit::engine::{enumerate_crash_specs, run_with, sweep, RunConfig, RunReport};
+use nonblocking_commit::model::kpc::{k_phase_central, k_phase_decentralized};
+use nonblocking_commit::model::protocols::{central_3pc, decentralized_3pc};
+use nonblocking_commit::model::recovery_analysis::classify;
+use nonblocking_commit::model::{resilience, theorem, Analysis};
 
 use crate::table::Table;
 
@@ -87,8 +87,8 @@ pub fn x2_independent_recovery() -> String {
 /// masquerades as site failures, 3PC's termination protocol splits the
 /// decision. Reproduces the famous caveat.
 pub fn x3_partition_unsafety() -> String {
-    use nbc_engine::{run_with, PartitionSpec, RunConfig};
-    use nbc_simnet::LatencyModel;
+    use nonblocking_commit::engine::{run_with, PartitionSpec, RunConfig};
+    use nonblocking_commit::net::LatencyModel;
 
     let p = central_3pc(3);
     let a = Analysis::build(&p).expect("analyzable");
@@ -123,8 +123,8 @@ pub fn x3_partition_unsafety() -> String {
 /// commit. Gating the termination decision on a strict majority closes the
 /// X3 split window — the minority side blocks instead of deciding.
 pub fn x4_quorum_termination() -> String {
-    use nbc_engine::{run_with, PartitionSpec, RunConfig, TerminationRule};
-    use nbc_simnet::LatencyModel;
+    use nonblocking_commit::engine::{run_with, PartitionSpec, RunConfig, TerminationRule};
+    use nonblocking_commit::net::LatencyModel;
 
     let p = central_3pc(3);
     let a = Analysis::build(&p).expect("analyzable");
@@ -140,7 +140,7 @@ pub fn x4_quorum_termination() -> String {
         qcfg.rule = TerminationRule::QuorumSkeen;
         let quorum = run_with(&p, &a, qcfg);
 
-        let show = |r: &nbc_engine::RunReport| {
+        let show = |r: &RunReport| {
             if !r.consistent {
                 "SPLIT".to_string()
             } else if r.any_blocked {

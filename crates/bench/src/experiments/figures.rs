@@ -1,8 +1,10 @@
 //! Protocol-figure experiments: render each FSA figure of the paper as a
 //! transition table and as Graphviz DOT.
 
-use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
-use nbc_core::{dot, Protocol, SiteId};
+use nonblocking_commit::model::protocols::{
+    central_2pc, central_3pc, decentralized_2pc, decentralized_3pc,
+};
+use nonblocking_commit::model::{dot, theorem, Protocol, SiteId};
 
 fn render_protocol_figure(p: &Protocol, note: &str) -> String {
     let mut out = String::new();
@@ -42,7 +44,7 @@ pub fn e3_decentralized_2pc_fsa() -> String {
 /// E7 — "A nonblocking central site 3PC protocol".
 pub fn e7_central_3pc_fsas() -> String {
     let p = central_3pc(3);
-    let report = nbc_core::theorem::check(&p).expect("analyzable");
+    let report = theorem::check(&p).expect("analyzable");
     let mut out = render_protocol_figure(
         &p,
         "Paper shape: 2PC plus the buffer state p between w and c \
@@ -55,7 +57,7 @@ pub fn e7_central_3pc_fsas() -> String {
 /// E8 — "A nonblocking decentralized 3PC protocol".
 pub fn e8_decentralized_3pc_fsa() -> String {
     let p = decentralized_3pc(3);
-    let report = nbc_core::theorem::check(&p).expect("analyzable");
+    let report = theorem::check(&p).expect("analyzable");
     let mut out = render_protocol_figure(
         &p,
         "Paper shape: decentralized 2PC plus a full prepare interchange \

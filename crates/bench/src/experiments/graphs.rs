@@ -1,8 +1,8 @@
 //! Reachable-state-graph experiments: the 2-site 2PC figure and the
 //! exponential-growth observation.
 
-use nbc_core::protocols::{catalog, central_2pc, central_3pc};
-use nbc_core::{dot, Analysis, Count, ReachGraph, ReachOptions, SiteId};
+use nonblocking_commit::model::protocols::{catalog, central_2pc, central_3pc};
+use nonblocking_commit::model::{dot, Analysis, Count, ReachGraph, ReachOptions, SiteId};
 
 use crate::table::Table;
 

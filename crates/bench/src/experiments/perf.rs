@@ -1,18 +1,20 @@
 //! Quantitative shape experiments B1–B4: blocking probability, message
 //! complexity, phase latency, and throughput under failures.
 
-use nbc_core::protocols::{central_2pc, central_3pc, decentralized_2pc, decentralized_3pc};
-use nbc_core::{Analysis, Protocol};
-use nbc_engine::{
+use nonblocking_commit::engine::{
     enumerate_crash_specs, run_with, sweep, CrashPoint, CrashSpec, RunConfig, TerminationRule,
     TransitionProgress,
 };
-use nbc_obs::{EventKind, MemorySink, SharedSink, Tracer};
-use nbc_pipeline::{
-    bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn, ThroughputReport, MAX_REAP_AFTER,
+use nonblocking_commit::model::protocols::{
+    central_2pc, central_3pc, decentralized_2pc, decentralized_3pc,
 };
-use nbc_simnet::{SimRng, Time};
-use nbc_txn::{BankWorkload, ProtocolKind};
+use nonblocking_commit::model::{Analysis, Protocol};
+use nonblocking_commit::net::{SimRng, Time};
+use nonblocking_commit::obs::{EventKind, MemorySink, SharedSink, Tracer};
+use nonblocking_commit::pipeline::{
+    bank_transfer_txns, BankWorkload, Pipeline, PipelineConfig, PipelineTxn, ProtocolKind,
+    ThroughputReport, MAX_REAP_AFTER,
+};
 
 use crate::table::Table;
 
@@ -318,7 +320,9 @@ pub fn b6_pipeline_group_commit() -> String {
 /// crashed acceptor per round with goodput intact, paying a linear
 /// message premium per extra acceptor pair.
 pub fn b8_paxos_resilience() -> String {
-    use nbc_paxos::{central_2pc_cost, central_3pc_cost, gl_2pc_cost, gl_paxos_cost, paxos_cost};
+    use nonblocking_commit::model::paxos::{
+        central_2pc_cost, central_3pc_cost, gl_2pc_cost, gl_paxos_cost, paxos_cost, CostRow,
+    };
 
     let n = 3usize;
     let mut t = Table::new([
@@ -393,10 +397,9 @@ pub fn b8_paxos_resilience() -> String {
         "GL writes",
         "GL delays",
     ]);
-    let gl = |r: nbc_paxos::CostRow| {
-        [r.messages.to_string(), r.stable_writes.to_string(), r.delays.to_string()]
-    };
-    let mut push = |name: String, m: nbc_paxos::CostRow, g: Option<nbc_paxos::CostRow>| {
+    let gl =
+        |r: CostRow| [r.messages.to_string(), r.stable_writes.to_string(), r.delays.to_string()];
+    let mut push = |name: String, m: CostRow, g: Option<CostRow>| {
         let [gm, gw, gd] = g.map(gl).unwrap_or_else(|| ["-".into(), "-".into(), "-".into()]);
         cost.row([
             name,

@@ -1,9 +1,9 @@
 //! E6 — the paper's design method: buffer-state insertion turns blocking
 //! protocols into nonblocking ones.
 
-use nbc_core::canonical::{canonical_2pc, insert_buffer_states};
-use nbc_core::protocols::{central_2pc, decentralized_2pc};
-use nbc_core::{synthesis, theorem};
+use nonblocking_commit::model::canonical::{canonical_2pc, insert_buffer_states};
+use nonblocking_commit::model::protocols::{central_2pc, decentralized_2pc};
+use nonblocking_commit::model::{synthesis, theorem};
 
 /// E6 — run the synthesis at all three levels: the canonical automaton
 /// (figure "Making the canonical 2PC protocol nonblocking") and both

@@ -1,10 +1,10 @@
 //! E9/E10 — termination decision tables, exhaustive termination sweeps,
 //! and the k-resiliency corollary.
 
-use nbc_core::canonical::canonical_3pc;
-use nbc_core::protocols::{catalog, central_2pc, central_3pc, decentralized_3pc};
-use nbc_core::{resilience, termination, Analysis};
-use nbc_engine::{enumerate_crash_specs, sweep, RunConfig, TerminationRule};
+use nonblocking_commit::engine::{enumerate_crash_specs, sweep, RunConfig, TerminationRule};
+use nonblocking_commit::model::canonical::canonical_3pc;
+use nonblocking_commit::model::protocols::{catalog, central_2pc, central_3pc, decentralized_3pc};
+use nonblocking_commit::model::{resilience, termination, Analysis};
 
 use crate::table::Table;
 

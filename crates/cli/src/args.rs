@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use nbc_engine::TerminationRule;
+use nonblocking_commit::engine::TerminationRule;
 
 use crate::{fail, CliError};
 
@@ -20,7 +20,7 @@ const MAX_SITES: u64 = 64;
 pub(crate) const MAX_PAXOS_F: u64 = 8;
 /// The longest simulated time a flag may name: what the `u64` clock
 /// carries without wrapping once delays are added to it.
-const MAX_TICKS: u64 = nbc_pipeline::MAX_REAP_AFTER;
+const MAX_TICKS: u64 = nonblocking_commit::pipeline::MAX_REAP_AFTER;
 /// The largest `pipeline` batch, and the most rounds in flight at once.
 const MAX_TXNS: u64 = 1 << 24;
 const MAX_SITE_INDEX: u64 = MAX_SITES + 2 * MAX_PAXOS_F;
@@ -227,7 +227,7 @@ pub const FLAGS: &[Flag] = &[
     option(
         &["--threads"],
         "T",
-        Kind::Num(0, nbc_core::MAX_THREADS as u64, "worker threads"),
+        Kind::Num(0, nonblocking_commit::model::MAX_THREADS as u64, "worker threads"),
         FOLD | CHECK,
     )
     .help(
@@ -651,7 +651,7 @@ pub(crate) fn usage() -> String {
     }
     out.push_str(
         "\nPROTO: central-2pc | central-3pc | decentralized-2pc | decentralized-3pc |\n\
-         \x20      1pc | kpc:K | paxos:F | a .nbc spec file (format: specs/*.nbc, nbc_core::spec)\n\n",
+         \x20      1pc | kpc:K | paxos:F | a .nbc spec file (format: specs/*.nbc, model::spec)\n\n",
     );
     for f in FLAGS {
         let mut head = f.names.join(" | ");

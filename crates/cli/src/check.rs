@@ -2,7 +2,10 @@
 
 use std::fmt::Write as _;
 
-use nbc_check::{CheckOptions, CheckProgress, Schedule};
+use nonblocking_commit::check::{
+    replay_flight_dump, run_check, CheckError, CheckOptions, CheckProgress, Schedule,
+};
+use nonblocking_commit::obs::progress::spill_line;
 
 use crate::args::Invocation;
 use crate::{resolve_protocol, tick_rate, CliError};
@@ -58,8 +61,8 @@ pub(crate) fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
         (inv.has("--json"), inv.has("--trace"), inv.text("--counterexample"));
     let protocol = resolve_protocol(&inv.operands[0], inv.n())?;
     let budgeted = opts.mem_budget > 0;
-    let report = nbc_check::run_check(&protocol, opts).map_err(|e| match e {
-        nbc_check::CheckError::VotePlanLength { expected, got } => {
+    let report = run_check(&protocol, opts).map_err(|e| match e {
+        CheckError::VotePlanLength { expected, got } => {
             CliError(format!("--votes names {got} sites, protocol has {expected}"))
         }
         e => CliError(e.to_string()),
@@ -68,10 +71,7 @@ pub(crate) fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
     // byte-identical with and without a budget.
     if budgeted {
         let s = report.spill;
-        eprintln!(
-            "{}",
-            nbc_obs::progress::spill_line("check", s.runs_written, s.bytes_written, s.merge_passes)
-        );
+        eprintln!("{}", spill_line("check", s.runs_written, s.bytes_written, s.merge_passes));
     }
     if let Some(path) = cx_path {
         let sched = report
@@ -95,7 +95,7 @@ pub(crate) fn cmd_check(inv: &Invocation) -> Result<CheckRun, CliError> {
                 // the causal last moments of the failure, ready for
                 // `nbc trace verify`.
                 let flight_path = format!("{path}.flight.jsonl");
-                match nbc_check::replay_flight_dump(&protocol, s, 256) {
+                match replay_flight_dump(&protocol, s, 256) {
                     Ok(dump) => std::fs::write(&flight_path, dump)
                         .map_err(|e| CliError(format!("cannot write {flight_path}: {e}")))?,
                     Err(e) => eprintln!("note: flight replay failed: {e}"),

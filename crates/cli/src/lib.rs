@@ -36,10 +36,10 @@ mod trace;
 
 use args::{Cmd, Invocation};
 use check::{cmd_check, CheckRun};
-use nbc_core::kpc::k_phase_central;
-use nbc_core::protocols::one_pc;
-use nbc_core::{verify, Protocol};
-use nbc_txn::ProtocolKind;
+use nonblocking_commit::model::kpc::k_phase_central;
+use nonblocking_commit::model::protocols::one_pc;
+use nonblocking_commit::model::{spec, verify, Protocol};
+use nonblocking_commit::pipeline::ProtocolKind;
 use pipeline::cmd_pipeline;
 pub use reach::cmd_analyze;
 use reach::{build_analysis, cmd_graph, cmd_recovery, cmd_synthesize, cmd_termination, cmd_verify};
@@ -196,7 +196,7 @@ pub fn resolve_protocol(arg: &str, n: usize) -> Result<Protocol, CliError> {
         Named::Spec(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-            nbc_core::spec::parse(&text, n).map_err(|e| CliError(format!("{path}: {e}")))
+            spec::parse(&text, n).map_err(|e| CliError(format!("{path}: {e}")))
         }
     }
 }
@@ -218,10 +218,10 @@ pub(crate) fn cmd_list() -> String {
 /// Per-thread progress rate over successive calls (the hooks above are
 /// plain `fn` pointers, so their estimator state lives here).
 pub(crate) fn tick_rate(events: u64) -> Option<f64> {
+    use nonblocking_commit::obs::progress::Rate;
     use std::cell::Cell;
     thread_local! {
-        static RATE: Cell<nbc_obs::progress::Rate> =
-            const { Cell::new(nbc_obs::progress::Rate::new()) };
+        static RATE: Cell<Rate> = const { Cell::new(Rate::new()) };
     }
     RATE.with(|c| {
         let mut r = c.get();
@@ -234,7 +234,7 @@ pub(crate) fn tick_rate(events: u64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbc_core::Analysis;
+    use nonblocking_commit::model::Analysis;
 
     /// `nbc CMD ARGS...` through the table, as `run_argv` takes it.
     pub(crate) fn parsed(cmd: &str, args: &[&str]) -> Result<Invocation, CliError> {

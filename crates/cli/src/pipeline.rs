@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use nbc_obs::Tracer;
+use nonblocking_commit::obs::Tracer;
 
 use crate::args::Invocation;
 use crate::run::Observers;
@@ -13,9 +13,10 @@ use crate::{fail, protocol_name, CliError, Named};
 /// group-commit savings, alongside a serial baseline (the same scheduler
 /// at in-flight 1 with group commit off).
 pub(crate) fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
-    use nbc_pipeline::{bank_transfer_txns, Pipeline, PipelineConfig, PipelineTxn};
-    use nbc_simnet::SimRng;
-    use nbc_txn::BankWorkload;
+    use nonblocking_commit::net::SimRng;
+    use nonblocking_commit::pipeline::{
+        bank_transfer_txns, BankWorkload, Pipeline, PipelineConfig, PipelineTxn,
+    };
 
     let kind = match protocol_name(&inv.operands[0])? {
         Named::Cluster(kind) => kind,
@@ -117,6 +118,7 @@ pub(crate) fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use crate::tests::{pipeline, temp};
+    use nonblocking_commit::obs::json;
 
     #[test]
     fn pipeline_command_reports_speedup() {
@@ -145,7 +147,7 @@ mod tests {
         assert!(out.contains("admits="), "{out}");
         let data = std::fs::read_to_string(&path).unwrap();
         for line in data.lines() {
-            nbc_obs::json::validate(line).unwrap();
+            json::validate(line).unwrap();
         }
         let _ = std::fs::remove_file(&path);
     }

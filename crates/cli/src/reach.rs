@@ -4,10 +4,11 @@
 
 use std::fmt::Write as _;
 
-use nbc_core::{
+use nonblocking_commit::model::{
     dot, recovery_analysis, resilience, sync_check, synthesis, termination, theorem, verify,
     Analysis, Count, LevelProgress, Protocol, ProtocolError, ReachGraph, ReachOptions,
 };
+use nonblocking_commit::obs::progress::spill_line;
 
 use crate::{tick_rate, CliError};
 
@@ -33,10 +34,7 @@ pub(crate) fn build_analysis(
     let analysis = Analysis::build_with(protocol, opts).map_err(|e| CliError(e.to_string()))?;
     if mem_budget > 0 {
         let s = analysis.stream_stats().expect("a streamed analysis carries its stats").spill;
-        eprintln!(
-            "{}",
-            nbc_obs::progress::spill_line("reach", s.runs_written, s.bytes_written, s.merge_passes)
-        );
+        eprintln!("{}", spill_line("reach", s.runs_written, s.bytes_written, s.merge_passes));
     }
     Ok(analysis)
 }

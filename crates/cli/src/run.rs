@@ -3,25 +3,29 @@
 
 use std::fmt::Write as _;
 
-use nbc_check::Schedule;
-use nbc_core::protocols::{central_2pc, central_3pc};
-use nbc_core::{Analysis, Protocol};
-use nbc_engine::{
+use nonblocking_commit::check::explore::plan_config;
+use nonblocking_commit::check::{replay_strict, rule_from_name, Schedule};
+use nonblocking_commit::engine::{
     enumerate_crash_specs, run_traced, run_with, sweep, sweep_traced, CrashPoint, CrashSpec,
     DetectorSpec, RunConfig, RunReport, Runner, TransitionProgress,
 };
-use nbc_obs::export::{to_chrome, to_jsonl};
-use nbc_obs::json::Obj;
-use nbc_obs::{EventKind, FlightRecorder, MemorySink, Metrics, SharedSink, Tracer};
-use nbc_simnet::LatencyModel;
+use nonblocking_commit::model::paxos::{gl_2pc_cost, gl_paxos_cost, paxos_commit, CostRow};
+use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
+use nonblocking_commit::model::{Analysis, Protocol, SiteId};
+use nonblocking_commit::net::LatencyModel;
+use nonblocking_commit::obs::export::{to_chrome, to_jsonl};
+use nonblocking_commit::obs::json::Obj;
+use nonblocking_commit::obs::{EventKind, FlightRecorder, MemorySink, Metrics, SharedSink, Tracer};
 
 use crate::args::{Invocation, Value};
 use crate::reach::build_analysis;
 use crate::{fail, CliError};
 
-/// The run the run flags describe on `n` sites; a flag naming a site the
-/// protocol does not have is a usage error.
-fn to_config(inv: &Invocation, n: usize) -> Result<RunConfig, CliError> {
+/// The run the run flags describe on `protocol`; a flag naming a site the
+/// protocol does not have, or a `--crash` transition its site never
+/// makes, is a usage error.
+fn to_config(inv: &Invocation, protocol: &Protocol) -> Result<RunConfig, CliError> {
+    let n = protocol.n_sites();
     let site_of = |flag: &str, site: usize| {
         if site < n {
             Ok(site)
@@ -44,8 +48,18 @@ fn to_config(inv: &Invocation, n: usize) -> Result<RunConfig, CliError> {
     }
     cfg.record_trace = inv.has("--story");
     if let Some((site, ordinal, msgs)) = inv.crash() {
+        let site = site_of("--crash", site)?;
+        // A site counts the transitions it starts from 1, and makes at most
+        // its automaton's depth of them: any other ordinal never fires.
+        let depth = protocol.fsa(SiteId(site as u32)).max_depth();
+        if !(1..=depth).contains(&ordinal) {
+            return fail(format!(
+                "--crash names transition {ordinal} of site {site}, but that site makes \
+                 transitions 1..={depth}"
+            ));
+        }
         cfg.crashes.push(CrashSpec {
-            site: site_of("--crash", site)?,
+            site,
             point: CrashPoint::OnTransition {
                 ordinal,
                 progress: match msgs {
@@ -150,7 +164,7 @@ pub(crate) fn cmd_simulate(
     if let Some(path) = inv.text("--schedule") {
         return cmd_replay(protocol, analysis, &path, inv);
     }
-    let cfg = to_config(inv, protocol.n_sites())?;
+    let cfg = to_config(inv, protocol)?;
     let observers = Observers::of(inv);
     let report = match observers.tracer() {
         Some(tracer) => run_traced(protocol, analysis, cfg, tracer),
@@ -202,12 +216,12 @@ pub(crate) fn cmd_replay(
             sched.protocol, protocol.name
         ));
     }
-    let rule = nbc_check::rule_from_name(&sched.rule)
+    let rule = rule_from_name(&sched.rule)
         .ok_or_else(|| CliError(format!("{path}: unknown termination rule {:?}", sched.rule)))?;
-    let mut cfg = nbc_check::explore::plan_config(sched.n, &sched.votes, rule);
+    let mut cfg = plan_config(sched.n, &sched.votes, rule);
     cfg.record_trace = inv.has("--story");
     let mut runner = Runner::new(protocol, analysis, cfg);
-    nbc_check::replay_strict(&mut runner, &sched.steps)
+    replay_strict(&mut runner, &sched.steps)
         .map_err(|e| CliError(format!("{path}: replay failed at {e}")))?;
     let report = runner.report();
     if inv.has("--json") {
@@ -230,7 +244,7 @@ pub(crate) fn cmd_replay(
 /// accounting unit: messages sent, stable writes, and sequential message
 /// delays (the latest decision latency under the constant-1 lockstep
 /// clock) per committed transaction.
-fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), CliError> {
+fn measured_cost(protocol: &Protocol) -> Result<(CostRow, Metrics), CliError> {
     let analysis = build_analysis(protocol, 0, false, 0)?;
     let cfg = RunConfig::happy(protocol.n_sites());
     let (events, counters) =
@@ -255,7 +269,7 @@ fn measured_cost(protocol: &Protocol) -> Result<(nbc_paxos::CostRow, Metrics), C
         (last - start) as usize
     });
     let m = counters.with(|m| m.clone());
-    let row = nbc_paxos::CostRow {
+    let row = CostRow {
         messages: m.txns.values().map(|t| t.msgs_sent).sum::<u64>() as usize,
         stable_writes: m.txns.values().map(|t| t.stable_writes).sum::<u64>() as usize,
         delays,
@@ -272,17 +286,17 @@ pub(crate) fn cmd_paxos(inv: &Invocation) -> Result<String, CliError> {
     let sites: usize = inv.num("--sites").unwrap_or(3);
     let faults: usize = inv.num("--faults").unwrap_or(1);
     let (want_metrics, json) = (inv.has("--metrics"), inv.has("--json"));
-    let paxos = nbc_paxos::paxos_commit(sites, faults);
+    let paxos = paxos_commit(sites, faults);
     let (px, px_metrics) = measured_cost(&paxos)?;
     let (c2, _) = measured_cost(&central_2pc(sites))?;
     let (c3, _) = measured_cost(&central_3pc(sites))?;
     // Gray & Lamport count resource managers; our leader doubles as the
     // first RM, so n participants = n RMs in their accounting.
-    let gl2 = nbc_paxos::gl_2pc_cost(sites);
-    let glp = nbc_paxos::gl_paxos_cost(sites, faults);
+    let gl2 = gl_2pc_cost(sites);
+    let glp = gl_paxos_cost(sites, faults);
 
     if json {
-        let row = |r: &nbc_paxos::CostRow| {
+        let row = |r: &CostRow| {
             Obj::new()
                 .num("messages", r.messages as u64)
                 .num("stable_writes", r.stable_writes as u64)
@@ -360,7 +374,7 @@ pub(crate) fn cmd_sweep(
     inv: &Invocation,
 ) -> Result<String, CliError> {
     let specs = enumerate_crash_specs(protocol, inv.num("--recover"));
-    let base = to_config(inv, protocol.n_sites())?;
+    let base = to_config(inv, protocol)?;
     let observers = Observers::of(inv);
     let s = match observers.tracer() {
         Some(tracer) => sweep_traced(protocol, analysis, &base, &specs, tracer),
@@ -399,6 +413,7 @@ pub(crate) fn cmd_sweep(
 #[cfg(test)]
 mod tests {
     use crate::tests::{simulate, sweep_of, temp};
+    use nonblocking_commit::obs::{analyze, json};
     use std::path::Path;
 
     #[test]
@@ -438,7 +453,7 @@ mod tests {
     #[test]
     fn simulate_json_and_metrics() {
         let out = simulate(&["3pc", "--json"]);
-        nbc_obs::json::validate(out.trim()).unwrap();
+        json::validate(out.trim()).unwrap();
         assert!(out.contains("\"decision\":true"), "{out}");
 
         let out = simulate(&["3pc", "--metrics"]);
@@ -461,12 +476,12 @@ mod tests {
         let data = std::fs::read_to_string(&jsonl).unwrap();
         assert!(!data.is_empty());
         for line in data.lines() {
-            nbc_obs::json::validate(line).unwrap();
+            json::validate(line).unwrap();
         }
 
         simulate(&["3pc", "--trace", &chrome, "--trace-format", "chrome"]);
         let data = std::fs::read_to_string(&chrome).unwrap();
-        nbc_obs::json::validate(&data).unwrap();
+        json::validate(&data).unwrap();
         assert!(data.starts_with("{\"traceEvents\":["), "{data}");
 
         let _ = std::fs::remove_file(&jsonl);
@@ -476,7 +491,7 @@ mod tests {
     #[test]
     fn sweep_json_is_valid() {
         let out = sweep_of(&["3pc", "--json"]);
-        nbc_obs::json::validate(out.trim()).unwrap();
+        json::validate(out.trim()).unwrap();
         assert!(out.contains("\"nonblocking\":true"), "{out}");
     }
 
@@ -506,7 +521,7 @@ mod tests {
         let dump = std::fs::read_to_string(&bad).expect("flight dump written");
         assert!(dump.lines().next().unwrap().contains("flight recorder"), "{dump}");
         // The tail minus its header note is a verifiable trace fragment.
-        let events = nbc_obs::analyze::parse_jsonl(&dump).unwrap();
+        let events = analyze::parse_jsonl(&dump).unwrap();
         assert!(!events.is_empty());
         let _ = std::fs::remove_file(&bad);
     }
@@ -514,7 +529,7 @@ mod tests {
     #[test]
     fn simulate_json_with_metrics_nests_both() {
         let out = simulate(&["3pc", "--json", "--metrics"]);
-        let v = nbc_obs::json::parse(out.trim()).unwrap();
+        let v = json::parse(out.trim()).unwrap();
         assert!(v.get("report").is_some(), "{out}");
         assert!(v.get("metrics").is_some(), "{out}");
         assert_eq!(

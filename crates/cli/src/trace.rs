@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use nbc_obs::analyze;
+use nonblocking_commit::obs::analyze;
 
 use crate::args::Invocation;
 use crate::check::CheckRun;
@@ -59,6 +59,7 @@ pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
 #[cfg(test)]
 mod tests {
     use crate::tests::{pipeline, simulate, temp, trace};
+    use nonblocking_commit::obs::json;
 
     #[test]
     fn trace_verify_passes_on_recorded_trace() {
@@ -72,7 +73,7 @@ mod tests {
         assert_eq!(run.output, trace(&["verify", &path]).unwrap().output);
         // --json emits one valid object with the same verdict.
         let jrun = trace(&["verify", &path, "--json"]).unwrap();
-        nbc_obs::json::validate(jrun.output.trim()).unwrap();
+        json::validate(jrun.output.trim()).unwrap();
         assert!(jrun.output.contains("\"ok\":true"), "{}", jrun.output);
         let _ = std::fs::remove_file(&path);
     }
@@ -117,7 +118,7 @@ mod tests {
         assert!(run.output.contains("p95="), "{}", run.output);
         assert!(run.output.contains("time series ("), "{}", run.output);
         let jrun = trace(&["stats", &path, "--json"]).unwrap();
-        nbc_obs::json::validate(jrun.output.trim()).unwrap();
+        json::validate(jrun.output.trim()).unwrap();
         assert!(jrun.output.contains("\"snapshots\":["), "{}", jrun.output);
         let _ = std::fs::remove_file(&path);
     }

@@ -278,8 +278,9 @@ fn a_flag_the_schedule_overrides_exits_two_beside_it() {
 fn a_number_past_its_ceiling_exits_two() {
     // None of these had a ceiling: the site counts and the batch size
     // aborted on a multi-gigabyte allocation (exit 134), the times
-    // overflowed the simulated clock (a panic in a debug build), and
-    // `--flight-cap 0` quietly became 1.
+    // overflowed the simulated clock (a panic in a debug build),
+    // `--flight-cap 0` quietly became 1, and a `--crash` ordinal outside
+    // the site's transitions never fired and printed the crash-free run.
     let max = "18446744073709551615";
     for (args, flag, limit) in [
         (&["analyze", "central-2pc", "-n", "100000"][..], "-n", "64"),
@@ -311,6 +312,8 @@ fn a_number_past_its_ceiling_exits_two() {
             "1",
         ),
         (&["check", "central-3pc", "--depth", "4294967296"][..], "--depth", "4294967295"),
+        (&["simulate", "central-3pc", "--crash", "0:4:1"][..], "--crash", "1..=3"),
+        (&["simulate", "central-3pc", "--crash", "0:0:1"][..], "--crash", "1..=3"),
     ] {
         let out = nbc(args);
         assert_typed_error(&out, &format!("{args:?}"));
@@ -321,6 +324,8 @@ fn a_number_past_its_ceiling_exits_two() {
     }
     // The ceilings themselves are values that run.
     let out = nbc(&["simulate", "central-3pc", "--crash", "0:2:1", "--recover", "1099511627776"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = nbc(&["simulate", "central-3pc", "--crash", "0:3:1"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let out = nbc(&["pipeline", "central-3pc", "--txns", "8", "--in-flight", "16777216"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));

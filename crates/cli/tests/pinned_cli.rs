@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::process::Command;
 
-use nbc_core::Fp128;
+use nonblocking_commit::model::Fp128;
 
 /// `exit stdout stderr-line-1 files $ command line`.
 ///

@@ -5,7 +5,7 @@
 use std::process::Command;
 
 use nbc_cli::{cmd_analyze, resolve_protocol};
-use nbc_core::Analysis;
+use nonblocking_commit::model::Analysis;
 
 #[test]
 fn the_streamed_report_is_the_retained_report() {

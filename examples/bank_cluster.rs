@@ -10,10 +10,11 @@
 //! cargo run --example bank_cluster
 //! ```
 
-use nonblocking_commit::nbc_engine::{CrashPoint, CrashSpec, TransitionProgress};
-use nonblocking_commit::nbc_pipeline::{Pipeline, PipelineConfig, PipelineTxn, MAX_REAP_AFTER};
-use nonblocking_commit::nbc_simnet::SimRng;
-use nonblocking_commit::nbc_txn::{BankWorkload, ProtocolKind};
+use nonblocking_commit::engine::{CrashPoint, CrashSpec, TransitionProgress};
+use nonblocking_commit::net::SimRng;
+use nonblocking_commit::pipeline::{
+    BankWorkload, Pipeline, PipelineConfig, PipelineTxn, ProtocolKind, MAX_REAP_AFTER,
+};
 
 fn run(kind: ProtocolKind) {
     let n_sites = 3;

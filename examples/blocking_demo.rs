@@ -11,11 +11,11 @@
 //! cargo run --example blocking_demo
 //! ```
 
-use nonblocking_commit::nbc_core::protocols::central_2pc;
-use nonblocking_commit::nbc_core::Analysis;
-use nonblocking_commit::nbc_engine::{
+use nonblocking_commit::engine::{
     run_with, CrashPoint, CrashSpec, RunConfig, TerminationRule, TransitionProgress,
 };
+use nonblocking_commit::model::protocols::central_2pc;
+use nonblocking_commit::model::Analysis;
 
 fn main() {
     let protocol = central_2pc(3);

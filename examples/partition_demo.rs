@@ -11,10 +11,10 @@
 //! cargo run --example partition_demo
 //! ```
 
-use nonblocking_commit::nbc_core::protocols::central_3pc;
-use nonblocking_commit::nbc_core::Analysis;
-use nonblocking_commit::nbc_engine::{run_with, PartitionSpec, RunConfig};
-use nonblocking_commit::nbc_simnet::LatencyModel;
+use nonblocking_commit::engine::{run_with, PartitionSpec, RunConfig};
+use nonblocking_commit::model::protocols::central_3pc;
+use nonblocking_commit::model::Analysis;
+use nonblocking_commit::net::LatencyModel;
 
 fn main() {
     let protocol = central_3pc(3);

@@ -10,8 +10,8 @@
 //! cargo run --example protocol_designer
 //! ```
 
-use nonblocking_commit::nbc_core::protocols::central_2pc;
-use nonblocking_commit::nbc_core::{
+use nonblocking_commit::model::protocols::central_2pc;
+use nonblocking_commit::model::{
     dot, synthesis, termination, theorem, Analysis, Consume, Envelope, FsaBuilder, InitialMsg,
     MsgKind, Paradigm, Protocol, SiteId, StateClass, Vote,
 };

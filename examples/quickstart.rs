@@ -6,11 +6,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use nonblocking_commit::nbc_core::protocols::{central_2pc, central_3pc};
-use nonblocking_commit::nbc_core::{theorem, Analysis};
-use nonblocking_commit::nbc_engine::{
-    run_with, CrashPoint, CrashSpec, RunConfig, TransitionProgress,
-};
+use nonblocking_commit::engine::{run_with, CrashPoint, CrashSpec, RunConfig, TransitionProgress};
+use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
+use nonblocking_commit::model::{theorem, Analysis};
 
 fn main() {
     // ---------------------------------------------------------------
@@ -56,7 +54,7 @@ fn main() {
     println!("== The same crash under 2PC ==\n");
     let analysis2 = Analysis::build(&two_pc).unwrap();
     let config2 = RunConfig::happy(3)
-        .with_rule(nonblocking_commit::nbc_engine::TerminationRule::Cooperative)
+        .with_rule(nonblocking_commit::engine::TerminationRule::Cooperative)
         .with_crash(CrashSpec {
             site: 0,
             point: CrashPoint::OnTransition {

@@ -26,11 +26,11 @@
 //!   run, merely suspected — falls short of quorum and blocks instead of
 //!   deciding the other way. Availability is sacrificed, atomicity is not.
 
-use nbc_check::explore::plan_config;
-use nbc_check::{replay_strict, rule_from_name, Schedule};
-use nbc_core::{Analysis, Protocol};
-use nbc_engine::site::Mode;
-use nbc_engine::Runner;
+use nonblocking_commit::check::explore::plan_config;
+use nonblocking_commit::check::{replay_strict, rule_from_name, Schedule};
+use nonblocking_commit::engine::site::Mode;
+use nonblocking_commit::engine::Runner;
+use nonblocking_commit::model::{protocols, spec, Analysis, Protocol};
 
 fn corpus(name: &str) -> (String, Schedule) {
     let path = format!("{}/tests/corpus/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -42,9 +42,9 @@ fn corpus(name: &str) -> (String, Schedule) {
 fn resolve(schedule: &Schedule) -> Protocol {
     let protocol = if schedule.protocol.starts_with("linear-2pc") {
         let path = format!("{}/specs/linear-2pc.nbc", env!("CARGO_MANIFEST_DIR"));
-        nbc_core::spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
+        spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
     } else {
-        nbc_core::protocols::catalog(schedule.n)
+        protocols::catalog(schedule.n)
             .into_iter()
             .find(|p| p.name == schedule.protocol)
             .unwrap_or_else(|| panic!("unknown corpus protocol {:?}", schedule.protocol))

@@ -10,22 +10,24 @@
 //! from the CLI's own flag table. Returning is the assertion; a panic
 //! anywhere fails the test.
 
-use nbc_check::explore::plan_config;
-use nbc_check::{replay_lenient, rule_from_name, Schedule, Step};
 use nbc_cli::args::{self, Command, Flag, Kind, COMMANDS, FLAGS};
-use nbc_core::{Analysis, Protocol};
-use nbc_engine::{run_traced, CrashPoint, CrashSpec, RunConfig, Runner, TransitionProgress};
-use nbc_obs::{analyze, export::to_jsonl, MemorySink, SharedSink, Tracer};
-use nbc_simnet::SimRng;
+use nonblocking_commit::check::explore::plan_config;
+use nonblocking_commit::check::{replay_lenient, rule_from_name, Schedule, Step};
+use nonblocking_commit::engine::{
+    run_traced, CrashPoint, CrashSpec, RunConfig, Runner, TransitionProgress,
+};
+use nonblocking_commit::model::{protocols, spec, Analysis, Protocol};
+use nonblocking_commit::net::SimRng;
+use nonblocking_commit::obs::{analyze, export::to_jsonl, MemorySink, SharedSink, Tracer};
 
 const MUTANTS_PER_FILE: u64 = 2_000;
 
 fn protocol_of(schedule: &Schedule) -> Protocol {
     if schedule.protocol.starts_with("linear-2pc") {
         let path = format!("{}/specs/linear-2pc.nbc", env!("CARGO_MANIFEST_DIR"));
-        nbc_core::spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
+        spec::parse(&std::fs::read_to_string(path).unwrap(), schedule.n).unwrap()
     } else {
-        let catalog = nbc_core::protocols::catalog(schedule.n);
+        let catalog = protocols::catalog(schedule.n);
         catalog.into_iter().find(|p| p.name == schedule.protocol).expect("catalog protocol")
     }
 }
@@ -100,7 +102,7 @@ fn mutated_corpus_schedules_never_panic() {
 fn out_of_range_steps_are_skipped_not_indexed() {
     // `apply_step` is public and the shrinker feeds it candidates, so it
     // checks indices itself rather than trusting the reader to have.
-    let protocol = nbc_core::protocols::central_2pc(3);
+    let protocol = protocols::central_2pc(3);
     let analysis = Analysis::build(&protocol).unwrap();
     let rule = rule_from_name("skeen").unwrap();
     let mut runner = Runner::new(&protocol, &analysis, plan_config(3, &[true; 3], rule));
@@ -146,13 +148,12 @@ fn mutated_spec_files_never_panic() {
         let text = std::fs::read_to_string(path).unwrap();
         // A spec written for exactly three sites is refused at the other
         // counts, mutated or not: the sweep runs at the counts it parses at.
-        let sizes: Vec<usize> =
-            (2..=5).filter(|&n| nbc_core::spec::parse(&text, n).is_ok()).collect();
+        let sizes: Vec<usize> = (2..=5).filter(|&n| spec::parse(&text, n).is_ok()).collect();
         assert!(!sizes.is_empty(), "{path:?} parses at no n in 2..=5");
         for n in sizes {
             let salt = (file_ix * 8 + n) as u64;
             sweep_mutants(&format!("{path:?} n={n}"), &text, salt, 500, |mutant| {
-                nbc_core::spec::parse(mutant, n).is_ok()
+                spec::parse(mutant, n).is_ok()
             });
         }
     }
@@ -162,7 +163,7 @@ fn mutated_spec_files_never_panic() {
 fn mutated_traces_never_panic() {
     // A crashed coordinator and a recovery: every event kind a single run
     // emits is in the trace.
-    let protocol = nbc_core::protocols::central_3pc(3);
+    let protocol = protocols::central_3pc(3);
     let analysis = Analysis::build(&protocol).unwrap();
     let mut config = RunConfig::happy(3);
     config.crashes.push(CrashSpec {
@@ -344,7 +345,7 @@ fn accepted_command_lines_run() {
         ("help", 0),
         ("analyze 2pc -n 2 --mem-budget 0 --threads 64", 0),
         ("graph d3pc -n 2 --dot", 0),
-        ("simulate 3pc --crash 2:4294967295:4294967295 --recover 0 --no-voter 0 --no-voter 0", 0),
+        ("simulate 3pc --crash 2:2:4294967295 --recover 0 --no-voter 0 --no-voter 0", 0),
         ("simulate 3pc --latency 0..0 --seed 18446744073709551615 --detector-timeout 1", 0),
         ("sweep 2pc -n 2 --recover 1099511627776 --rule quorum --json", 0),
         ("check 3pc -n 2 --depth 0 --faults 4294967295 --max-states 0 --votes yy", 0),

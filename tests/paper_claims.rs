@@ -3,9 +3,9 @@
 //! exhaustive crash sweeps) on every protocol in the catalog. This is the
 //! reproduction's keystone test.
 
-use nonblocking_commit::nbc_core::protocols::catalog;
-use nonblocking_commit::nbc_core::{resilience, sync_check, theorem, Analysis};
-use nonblocking_commit::nbc_engine::{enumerate_crash_specs, sweep, RunConfig, TerminationRule};
+use nonblocking_commit::engine::{enumerate_crash_specs, sweep, RunConfig, TerminationRule};
+use nonblocking_commit::model::protocols::catalog;
+use nonblocking_commit::model::{resilience, sync_check, theorem, Analysis};
 
 #[test]
 fn theorem_verdict_matches_engine_behavior() {
@@ -46,7 +46,7 @@ fn theorem_verdict_matches_engine_behavior() {
 
 #[test]
 fn resilience_matches_double_failure_sweeps() {
-    use nonblocking_commit::nbc_engine::sweep::sweep_double;
+    use nonblocking_commit::engine::sweep::sweep_double;
     // 3PC is nonblocking w.r.t. n-1 failures per the corollary; the
     // double-failure sweep (2 of 3 sites die) must terminate every run.
     for p in catalog(3).into_iter().filter(|p| p.phase_count() == 3) {
@@ -72,7 +72,7 @@ fn synchronicity_holds_across_catalog() {
 #[test]
 fn concurrency_sets_are_symmetric() {
     // (j, t) ∈ CS(i, s) ⟺ (i, s) ∈ CS(j, t): co-occupancy is symmetric.
-    use nonblocking_commit::nbc_core::StateId;
+    use nonblocking_commit::model::StateId;
     for p in catalog(3) {
         let a = Analysis::build(&p).unwrap();
         for site in p.sites() {
@@ -92,7 +92,7 @@ fn concurrency_sets_are_symmetric() {
 
 #[test]
 fn synthesis_agrees_with_engine() {
-    use nonblocking_commit::nbc_core::synthesis::make_nonblocking;
+    use nonblocking_commit::model::synthesis::make_nonblocking;
     // Synthesize 3PC from 2PC, then let the engine hammer it.
     for p in catalog(3).into_iter().filter(|p| p.phase_count() == 2) {
         let fixed = make_nonblocking(&p).unwrap();

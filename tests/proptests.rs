@@ -15,14 +15,14 @@
 //!   automaton.
 //! * **KV store model** — staged transactions against a reference model.
 
-use nonblocking_commit::nbc_core::canonical::{insert_buffer_states, CanonicalFsa, CanonicalState};
-use nonblocking_commit::nbc_core::protocols::{catalog, central_3pc, decentralized_3pc};
-use nonblocking_commit::nbc_core::{Analysis, StateClass};
-use nonblocking_commit::nbc_engine::{
+use nonblocking_commit::engine::{
     run_with, CrashPoint, CrashSpec, RunConfig, TerminationRule, TransitionProgress,
 };
-use nonblocking_commit::nbc_simnet::SimRng;
-use nonblocking_commit::nbc_storage::{KvStore, LogRecord, Wal};
+use nonblocking_commit::model::canonical::{insert_buffer_states, CanonicalFsa, CanonicalState};
+use nonblocking_commit::model::protocols::{catalog, central_3pc, decentralized_3pc};
+use nonblocking_commit::model::{Analysis, StateClass};
+use nonblocking_commit::net::SimRng;
+use nonblocking_commit::storage::{KvStore, LogRecord, Wal};
 
 // ---------------------------------------------------------------------
 // Engine properties

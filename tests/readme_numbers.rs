@@ -14,7 +14,8 @@
 //! `specs/`, `examples/` or `docs/`, and checks that it exists, so a
 //! moved or deleted file cannot leave a stale pointer behind. The third
 //! does the same for the `crate::module` paths they name (`core::reach`,
-//! `simnet::net`).
+//! `simnet::net`). The last checks that README's library example is the
+//! crate-doc example of `src/lib.rs`, which `cargo test` compiles and runs.
 
 use std::path::Path;
 
@@ -175,8 +176,9 @@ fn the_path_scan_reads_what_a_document_writes() {
 
 /// Every `crate::module` a text names, as `(crate directory, module)`: a
 /// crate directory under `crates/`, written bare (`core::reach`, not
-/// `nbc_core::reach`, whose second segment may be an item), then `::` and
-/// a lower-case name.
+/// `my_core::reach`, whose second segment may be an item), then `::` and
+/// a lower-case name. A role of the umbrella (`model::spec`) is not a
+/// crate directory and is not read.
 fn named_modules(text: &str) -> Vec<(String, String)> {
     const CRATES: &[&str] = &[
         "bench", "check", "cli", "core", "engine", "obs", "paxos", "pipeline", "simnet", "spec",
@@ -232,8 +234,8 @@ fn every_module_the_documents_name_exists() {
 
 #[test]
 fn the_module_scan_reads_what_a_document_writes() {
-    let text = "`core::reach::graph`, engine::Runner, nbc_core::spec, `simnet::partition` \
-                and std::core::mem";
+    let text = "`core::reach::graph`, engine::Runner, my_core::spec, `simnet::partition` \
+                model::spec and std::core::mem";
     let named = named_modules(text);
     let pair = |k: &str, m: &str| (k.to_string(), m.to_string());
     assert_eq!(named, [pair("core", "reach"), pair("simnet", "partition")]);
@@ -241,4 +243,28 @@ fn the_module_scan_reads_what_a_document_writes() {
     assert!(module_exists(root, "core", "reach"));
     assert!(module_exists(root, "paxos", "tests"));
     assert!(!module_exists(root, "simnet", "partition"));
+}
+
+/// The lines of the first example in `src/lib.rs`'s crate doc.
+fn crate_doc_example() -> Vec<String> {
+    read("src/lib.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("//!"))
+        .map(|line| line.strip_prefix(' ').unwrap_or(line))
+        .skip_while(|line| *line != "```")
+        .skip(1)
+        .take_while(|line| *line != "```")
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn readme_quotes_the_crate_doc_example() {
+    let example = crate_doc_example();
+    assert!(example.len() > 1, "src/lib.rs has no crate-doc example");
+    let block = format!("```rust\n{}\n```\n", example.join("\n"));
+    assert!(
+        read(README).contains(&block),
+        "README no longer quotes src/lib.rs's example:\n{block}"
+    );
 }

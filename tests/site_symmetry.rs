@@ -1,4 +1,4 @@
-//! Site symmetry from the outside: the group `nbc_core::symmetry` finds,
+//! Site symmetry from the outside: the group `model::symmetry` finds,
 //! its canonical form and orbit sizes against brute force on every
 //! reachable state, the count that refutes reducing two classes that talk
 //! to each other, and what the reduction buys — the paper's concurrency
@@ -11,14 +11,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nbc_paxos::paxos_commit;
-use nonblocking_commit::nbc_core::protocols::{central_2pc, central_3pc};
-use nonblocking_commit::nbc_core::reach::{MsgAddr, Msgs};
-use nonblocking_commit::nbc_core::{
-    Analysis, GlobalState, Protocol, ReachGraph, ReachOptions, SiteId, StateCodec, StateId,
-    Symmetry,
+use nonblocking_commit::model::paxos::paxos_commit;
+use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
+use nonblocking_commit::model::reach::{MsgAddr, Msgs};
+use nonblocking_commit::model::{
+    spec, symmetry, Analysis, GlobalState, Protocol, ReachGraph, ReachOptions, SiteId, StateCodec,
+    StateId, Symmetry,
 };
-use nonblocking_commit::nbc_simnet::SimRng;
+use nonblocking_commit::net::SimRng;
 
 /// `state` with every site `s` renamed `to[s]`.
 fn renamed(state: &GlobalState, to: &[u32]) -> GlobalState {
@@ -136,7 +136,7 @@ fn canonical_form_and_orbit_size_agree_with_brute_force_on_every_reachable_state
 #[test]
 fn paxos_commit_reduces_one_of_its_two_classes() {
     let p = paxos_commit(3, 1);
-    let found = nonblocking_commit::nbc_core::symmetry::interchangeable_classes(&p);
+    let found = symmetry::interchangeable_classes(&p);
     let sites = |v: &[u32]| v.iter().map(|&s| SiteId(s)).collect::<Vec<_>>();
     assert_eq!(found, [sites(&[1, 2]), sites(&[3, 4, 5])], "resource managers, acceptors");
     let codec = StateCodec::new(&p).unwrap();
@@ -177,16 +177,13 @@ fn reducing_both_paxos_classes_independently_miscounts() {
 fn a_chain_has_no_interchangeable_sites() {
     for file in ["linear-2pc.nbc", "linear-irrevocable.nbc"] {
         let path = format!("{}/specs/{file}", env!("CARGO_MANIFEST_DIR"));
-        let p =
-            nonblocking_commit::nbc_core::spec::parse(&std::fs::read_to_string(&path).unwrap(), 3)
-                .unwrap();
+        let p = spec::parse(&std::fs::read_to_string(&path).unwrap(), 3).unwrap();
         let codec = StateCodec::new(&p).unwrap();
         assert_eq!(classes_of(&Symmetry::of(&p, &codec)), Vec::<Vec<u32>>::new(), "{file}");
     }
     // The spec of central 3PC gets what its text has: the slaves.
     let path = format!("{}/specs/central-3pc.nbc", env!("CARGO_MANIFEST_DIR"));
-    let p = nonblocking_commit::nbc_core::spec::parse(&std::fs::read_to_string(&path).unwrap(), 5)
-        .unwrap();
+    let p = spec::parse(&std::fs::read_to_string(&path).unwrap(), 5).unwrap();
     let codec = StateCodec::new(&p).unwrap();
     assert_eq!(classes_of(&Symmetry::of(&p, &codec)), [[1, 2, 3, 4]]);
 }

@@ -2,13 +2,13 @@
 //! same verdicts as their catalog counterparts, and the three twins of
 //! catalog protocols must build the same automata.
 
-use nonblocking_commit::nbc_core::protocols::{central_2pc, central_3pc, decentralized_3pc};
-use nonblocking_commit::nbc_core::{theorem, verify, Protocol};
+use nonblocking_commit::model::protocols::{central_2pc, central_3pc, decentralized_3pc};
+use nonblocking_commit::model::{spec, theorem, verify, Protocol};
 
 fn load(name: &str, n: usize) -> Protocol {
     let path = format!("{}/specs/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    nonblocking_commit::nbc_core::spec::parse(&text, n).unwrap_or_else(|e| panic!("{path}: {e}"))
+    spec::parse(&text, n).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 /// Everything of a protocol but its name and its transitions' labels:
@@ -65,8 +65,8 @@ fn shipped_3pc_specs_are_nonblocking_and_verify() {
 
 #[test]
 fn spec_protocols_run_in_the_engine() {
-    use nonblocking_commit::nbc_core::Analysis;
-    use nonblocking_commit::nbc_engine::{enumerate_crash_specs, sweep, RunConfig};
+    use nonblocking_commit::engine::{enumerate_crash_specs, sweep, RunConfig};
+    use nonblocking_commit::model::Analysis;
     let p = load("central-3pc.nbc", 3);
     let a = Analysis::build(&p).unwrap();
     let specs = enumerate_crash_specs(&p, None);
@@ -79,14 +79,14 @@ fn spec_protocols_run_in_the_engine() {
 fn linear_2pc_is_a_custom_topology_and_blocking() {
     // A chained commit protocol outside the paper's two paradigms: the
     // theorem still applies and finds it blocking, and the engine agrees.
-    use nonblocking_commit::nbc_core::Analysis;
-    use nonblocking_commit::nbc_engine::{
+    use nonblocking_commit::engine::{
         enumerate_crash_specs, run_with, sweep, RunConfig, TerminationRule,
     };
+    use nonblocking_commit::model::Analysis;
 
     let p = load("linear-2pc.nbc", 3);
     p.validate_strict().unwrap();
-    assert_eq!(p.paradigm, nonblocking_commit::nbc_core::Paradigm::Custom);
+    assert_eq!(p.paradigm, nonblocking_commit::model::Paradigm::Custom);
     let verdict = theorem::check(&p).unwrap();
     assert!(!verdict.nonblocking(), "chained 2PC must block");
 
@@ -112,7 +112,7 @@ fn linear_2pc_is_a_custom_topology_and_blocking() {
 
 #[test]
 fn linear_2pc_synthesis_is_out_of_scope_and_says_so() {
-    use nonblocking_commit::nbc_core::synthesis;
+    use nonblocking_commit::model::synthesis;
     let p = load("linear-2pc.nbc", 3);
     // The paper's buffer-insertion rules are defined for its two
     // paradigms; a custom topology is rejected, not silently mangled.
@@ -128,8 +128,8 @@ fn linear_irrevocable_is_nonblocking_without_buffer_states() {
     // at entry satisfies the fundamental nonblocking theorem with ZERO
     // buffer states — the theorem's conditions, not the 3PC shape, are
     // what matters. The model checker and the engine both confirm it.
-    use nonblocking_commit::nbc_core::Analysis;
-    use nonblocking_commit::nbc_engine::{enumerate_crash_specs, sweep, RunConfig};
+    use nonblocking_commit::engine::{enumerate_crash_specs, sweep, RunConfig};
+    use nonblocking_commit::model::Analysis;
 
     let p = load("linear-irrevocable.nbc", 3);
     p.validate_strict().unwrap();
@@ -148,8 +148,8 @@ fn linear_irrevocable_is_nonblocking_without_buffer_states() {
 
 #[test]
 fn linear_irrevocable_no_votes_abort_cleanly() {
-    use nonblocking_commit::nbc_core::Analysis;
-    use nonblocking_commit::nbc_engine::{run_with, RunConfig};
+    use nonblocking_commit::engine::{run_with, RunConfig};
+    use nonblocking_commit::model::Analysis;
     let p = load("linear-irrevocable.nbc", 3);
     let a = Analysis::build(&p).unwrap();
     for no_voter in 0..3 {

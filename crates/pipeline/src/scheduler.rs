@@ -1127,6 +1127,29 @@ mod tests {
         }
     }
 
+    /// The checkpoint image is the committed pairs in key order, whatever
+    /// order the store keeps them in: pinned byte for byte (its `Fp128`
+    /// over every site's WAL), then rebuilt into the same stores.
+    #[test]
+    fn the_checkpoint_image_after_a_crashy_batch_is_pinned() {
+        use nbc_core::Fp128;
+        let bank = BankWorkload::new(4, 64, 0, 31);
+        let txns = bank_transfer_txns(&mut bank.clone(), 400, 10, &mut SimRng::seed_from_u64(41));
+        let mut p = Pipeline::new(PipelineConfig::new(4, ProtocolKind::Central3pc));
+        assert_eq!(p.run(txns).decided(), 400);
+        p.checkpoint();
+        let mut h = Fp128::new();
+        for wal in &p.wals {
+            h.write_bytes(wal.as_bytes());
+        }
+        let image = h.finish();
+        assert_eq!(image, 0xd26d_7609_5190_3f52_e587_885c_af81_c125, "{} bytes", p.wal_bytes());
+        let before: Vec<_> = p.stores.iter().map(KvStore::snapshot).collect();
+        p.restart_from_logs();
+        assert_eq!(p.stores.iter().map(KvStore::snapshot).collect::<Vec<_>>(), before);
+        assert_eq!(p.total_balance(&bank), bank.expected_total());
+    }
+
     #[test]
     fn clock_persists_across_runs() {
         let (mut p, mut w) = seeded_pipeline(ProtocolKind::Central3pc, 2);

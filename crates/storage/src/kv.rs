@@ -253,6 +253,104 @@ mod tests {
         assert_eq!(rebuilt.get(b"k"), None);
     }
 
+    /// The store against the plainest model of it: a sorted map and one
+    /// list of `(txn, key, value or delete)` in staging order. Random
+    /// stage/read/commit/abort/log/redo sequences over a few short keys
+    /// must read the same, snapshot the same sorted pairs and log the same
+    /// WAL bytes, so no order of the store's own can leak out of it.
+    #[test]
+    fn random_sequences_match_a_sorted_map_model() {
+        type Staged = Vec<(u64, Vec<u8>, Option<Vec<u8>>)>;
+        fn model_commit(base: &mut BTreeMap<Vec<u8>, Vec<u8>>, staged: &mut Staged, txn: u64) {
+            for (_, k, v) in staged.iter().filter(|w| w.0 == txn) {
+                match v {
+                    Some(v) => base.insert(k.clone(), v.clone()),
+                    None => base.remove(k),
+                };
+            }
+            staged.retain(|w| w.0 != txn);
+        }
+        // xorshift64*: the storage crate has no random source of its own.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+        };
+        for case in 0..200 {
+            let (mut kv, mut base, mut staged) = (KvStore::new(), BTreeMap::new(), Staged::new());
+            // Redo-only frames: what a site that missed the decision logged.
+            let mut redo_log = Wal::new();
+            for step in 0..next(80) {
+                let txn = next(5);
+                let key = vec![b'k', next(7) as u8];
+                let at = format!("case {case} step {step}");
+                match next(8) {
+                    0 | 1 => {
+                        let value = vec![next(256) as u8; next(3) as usize];
+                        kv.stage_put(txn, key.clone(), value.clone());
+                        staged.push((txn, key, Some(value)));
+                    }
+                    2 => {
+                        kv.stage_delete(txn, key.clone());
+                        staged.push((txn, key, None));
+                    }
+                    3 => {
+                        let mine = staged.iter().rev().find(|w| w.0 == txn && w.1 == key);
+                        let want = mine.map_or(base.get(&key), |w| w.2.as_ref());
+                        assert_eq!(kv.get_in_txn(txn, &key), want.map(Vec::as_slice), "{at}");
+                    }
+                    4 => {
+                        kv.commit(txn);
+                        model_commit(&mut base, &mut staged, txn);
+                    }
+                    5 => {
+                        kv.abort(txn);
+                        staged.retain(|w| w.0 != txn);
+                    }
+                    6 => {
+                        let (mut got, mut want) = (Wal::new(), Wal::new());
+                        kv.log_stage(txn, &mut got);
+                        kv.log_stage(txn, &mut redo_log);
+                        for (_, key, value) in staged.iter().filter(|w| w.0 == txn) {
+                            let rec = match value {
+                                Some(v) => {
+                                    LogRecord::Put { txn, key: key.clone(), value: v.clone() }
+                                }
+                                None => LogRecord::Delete { txn, key: key.clone() },
+                            };
+                            want.append(&rec).expect("wal record fits");
+                        }
+                        assert_eq!(got.as_bytes(), want.as_bytes(), "{at}");
+                    }
+                    _ => {
+                        let records = Wal::recover(redo_log.as_bytes()).expect("clean log");
+                        kv.redo_one(&records, txn);
+                        for r in &records {
+                            match r {
+                                LogRecord::Put { txn: t, key, value } if *t == txn => {
+                                    base.insert(key.clone(), value.clone());
+                                }
+                                LogRecord::Delete { txn: t, key } if *t == txn => {
+                                    base.remove(key);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+                for k in 0..7 {
+                    let key = [b'k', k];
+                    assert_eq!(kv.get(&key), base.get(key.as_slice()).map(Vec::as_slice), "{at}");
+                }
+                let sorted: Vec<_> = base.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                assert_eq!(kv.snapshot(), sorted, "{at}");
+                assert_eq!(kv.len(), base.len(), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn iter_yields_sorted_pairs() {
         let mut kv = KvStore::new();

@@ -550,7 +550,7 @@ pub fn plan_config(n: usize, votes: &[bool], rule: TerminationRule) -> RunConfig
 pub use nbc_core::MAX_THREADS;
 
 /// Worker-thread count for an options value (0 = auto).
-fn resolved_threads(threads: usize) -> usize {
+pub(crate) fn resolved_threads(threads: usize) -> usize {
     if threads == 0 {
         nbc_core::auto_threads()
     } else {

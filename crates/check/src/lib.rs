@@ -385,8 +385,12 @@ pub fn run_check(protocol: &Protocol, options: CheckOptions) -> Result<CheckRepo
     if options.threads > explore::MAX_THREADS {
         return Err(CheckError::TooManyThreads { max: explore::MAX_THREADS, got: options.threads });
     }
-    // The theorem, the oracles and the runners read facts, never a graph.
-    let analysis = Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))?;
+    // The theorem, the oracles and the runners read facts, never a graph;
+    // the fold runs on the workers the walk was given.
+    let reach = ReachOptions::default()
+        .with_streaming(true)
+        .with_threads(explore::resolved_threads(options.threads));
+    let analysis = Analysis::build_with(protocol, reach)?;
     let theorem = theorem::check_with(protocol, &analysis);
     let resil = resilience::resilience_with(protocol, &theorem);
     let certified = theorem.nonblocking();

@@ -65,6 +65,21 @@ fn fmix64(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
+/// `bytes` as little-endian words, eight bytes each, the tail zero-padded.
+#[inline(always)]
+fn for_each_word(bytes: &[u8], mut absorb: impl FnMut(u64)) {
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        absorb(u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(u64::from_le_bytes(last));
+    }
+}
+
 /// Streaming two-lane 128-bit fingerprint (see the module docs for the
 /// pinned algorithm).
 #[derive(Clone, Copy, Debug)]
@@ -126,16 +141,7 @@ impl Fp128 {
     #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_usize(bytes.len());
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.write_u64(u64::from_le_bytes(c.try_into().expect("chunk of 8")));
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            self.write_u64(u64::from_le_bytes(last));
-        }
+        for_each_word(bytes, |w| self.write_u64(w));
     }
 
     /// The 128-bit fingerprint of everything absorbed so far.
@@ -211,6 +217,51 @@ impl Hasher for FpKeyHasher {
 
 /// `BuildHasher` for `HashMap<u128, _>` keyed by fingerprints.
 pub type FpBuildHasher = BuildHasherDefault<FpKeyHasher>;
+
+/// `Hasher` for hash maps keyed by byte strings (store keys, lock keys):
+/// lane A of [`Fp128`] alone, one folded multiply per eight bytes and no
+/// finaliser. The fold spreads every input bit over both halves of the
+/// word, which is what a table's bucket index and tag bits read; std's
+/// `DefaultHasher` spends SipHash rounds on a guarantee (resistance to
+/// chosen keys) that keys of the workspace's own making do not need, and
+/// is not specified across releases. A byte string's `Hash` writes its
+/// length first, so keys that differ only by trailing zero bytes differ.
+#[derive(Clone, Copy, Debug)]
+pub struct BytesKeyHasher(u64);
+
+impl Default for BytesKeyHasher {
+    #[inline]
+    fn default() -> Self {
+        Self(SEED_A)
+    }
+}
+
+impl Hasher for BytesKeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for_each_word(bytes, |w| self.write_u64(w));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, w: u64) {
+        self.0 = fold(self.0 ^ w, K_A);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `BuildHasher` for hash maps keyed by byte strings: deterministic, so a
+/// table's iteration order is the same on every run (the workspace never
+/// lets it reach an output all the same: whoever prints sorts first).
+pub type BytesBuildHasher = BuildHasherDefault<BytesKeyHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -297,5 +348,25 @@ mod tests {
         let mut m: HashMap<u128, u32, FpBuildHasher> = HashMap::default();
         m.insert(key, 7);
         assert_eq!(m.get(&key), Some(&7));
+    }
+
+    /// The byte-key hasher is deterministic, sees the length, and spreads
+    /// a dense key space over a table's low (bucket) and high (tag) bits.
+    #[test]
+    fn bytes_key_hasher_is_deterministic_and_spreads_dense_keys() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let hash = |key: &[u8]| BytesBuildHasher::default().hash_one(key);
+        assert_eq!(hash(b"acct000042"), hash(b"acct000042"));
+        assert_ne!(hash(b"k"), hash(b"k\0"));
+        assert_ne!(hash(b""), hash(b"\0"));
+        let keys: Vec<u64> = (0..4096).map(|a| hash(format!("acct{a:06}").as_bytes())).collect();
+        let low: HashSet<u64> = keys.iter().map(|h| h & 4095).collect();
+        let high: HashSet<u64> = keys.iter().map(|h| h >> 57).collect();
+        assert!(low.len() > 2400, "{} of 4096 low-bit buckets", low.len());
+        assert_eq!(high.len(), 128, "every 7-bit tag is used");
+        let mut m: HashMap<Vec<u8>, u32, BytesBuildHasher> = HashMap::default();
+        m.insert(b"x".to_vec(), 1);
+        assert_eq!(m.get(b"x".as_slice()), Some(&1));
     }
 }

@@ -78,7 +78,7 @@ pub use analysis::Analysis;
 pub use codec::StateCodec;
 pub use error::ProtocolError;
 pub use extmem::{RunSet, SpillStats};
-pub use fp128::{Fp128, FpBuildHasher, MultisetFp};
+pub use fp128::{BytesBuildHasher, Fp128, FpBuildHasher, MultisetFp};
 pub use fsa::{Consume, Envelope, Fsa, FsaBuilder, StateClass, Transition, Vote};
 pub use ids::{MsgKind, SiteId, StateId};
 pub use protocol::{InitialMsg, Paradigm, Protocol};

@@ -105,9 +105,12 @@ pub const MAX_THREADS: usize = 64;
 
 /// The worker count a thread option of `0` stands for, wherever this
 /// workspace fans work out: [`std::thread::available_parallelism`] capped
-/// at 8, and 1 when it cannot be read.
+/// at 8, and 1 when it cannot be read. Read once per process: the call
+/// reads cgroup files, tens of microseconds that every check, analysis
+/// and sweep would otherwise pay again.
 pub fn auto_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get()).min(8)
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()).min(8))
 }
 
 /// Address of an outstanding message: who sent it, to whom, what kind.

@@ -231,8 +231,31 @@ impl<'a> Runner<'a> {
     ///
     /// # Panics
     /// As [`Runner::new`].
-    pub fn recycle(mut self, config: RunConfig, tracer: Tracer) -> Self {
-        self.config = Arc::new(config);
+    pub fn recycle(self, config: RunConfig, tracer: Tracer) -> Self {
+        self.recycle_with(tracer, |_| config)
+    }
+
+    /// As [`Runner::recycle`], with the configuration `configure` makes of
+    /// the spent run's: the configuration is rewritten in place when this
+    /// runner is its only holder, so the round pays for no new one, and
+    /// `configure` may keep what storage of the spent one it likes (a vote
+    /// vector, say).
+    ///
+    /// # Panics
+    /// As [`Runner::new`].
+    pub fn recycle_with(
+        mut self,
+        tracer: Tracer,
+        configure: impl FnOnce(RunConfig) -> RunConfig,
+    ) -> Self {
+        match Arc::get_mut(&mut self.config) {
+            Some(config) => {
+                // `happy(0)` allocates nothing: a placeholder while `configure` runs.
+                let spent = std::mem::replace(config, RunConfig::happy(0));
+                *config = configure(spent);
+            }
+            None => self.config = Arc::new(configure(RunConfig::clone(&self.config))),
+        }
         self.tracer = tracer;
         self.arm()
     }

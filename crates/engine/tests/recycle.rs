@@ -92,7 +92,18 @@ fn recycled_matches_fresh(p: &Protocol, stride: usize) -> [usize; 3] {
         let (fresh_tracer, fresh_events) = traced();
         let (recycled_tracer, recycled_events) = traced();
         let mut fresh = Runner::with_tracer(p, &a, cfg.clone(), fresh_tracer);
-        let mut recycled = spare.recycle(cfg, recycled_tracer);
+        // Every other run is configured in the spent run's vote vector.
+        let mut recycled = if i % 2 == 0 {
+            spare.recycle(cfg, recycled_tracer)
+        } else {
+            spare.recycle_with(recycled_tracer, |mut spent| {
+                let mut cfg = cfg;
+                std::mem::swap(&mut cfg.votes, &mut spent.votes);
+                cfg.votes.clear();
+                cfg.votes.extend_from_slice(&spent.votes);
+                cfg
+            })
+        };
         assert_eq!(state(&recycled), state(&fresh), "armed: {label}");
         // Every fifth run is abandoned at its first election (or after 25
         // steps), so the next one inherits a half-finished termination.

@@ -62,12 +62,12 @@
 //! not by the transaction, so it is not dropped when its round is over:
 //! it waits in a list local to [`Pipeline::run`] (never longer than
 //! [`PipelineConfig::max_in_flight`]; a single runner when nobody is
-//! watching) and the next admission re-arms it in place
-//! ([`Runner::recycle`]), which is indistinguishable from a fresh
-//! [`Runner`] for the new configuration. The finalised round's box and
-//! `logged` vector wait in a second list the same way. Neither list can
-//! outlive `run`: a [`Runner`] borrows that call's handle on the shared
-//! protocol.
+//! watching) and the next admission re-arms it in place, configuration
+//! and vote vector included ([`Runner::recycle_with`]), which is
+//! indistinguishable from a fresh [`Runner`] for the new configuration.
+//! The finalised round's box and `logged` vector wait in a second list the
+//! same way. Neither list can outlive `run`: a [`Runner`] borrows that
+//! call's handle on the shared protocol.
 //!
 //! # Admission (wait-die, with a retry budget)
 //!
@@ -713,21 +713,31 @@ impl Pipeline {
             }
         }
 
-        // Quorum protocols bring extra acceptor sites along; they carry
-        // no data and always "vote" yes.
-        let mut rc = RunConfig::happy(round_sites);
-        rc.votes[..n].copy_from_slice(votes);
-        rc.crashes = std::mem::take(&mut spec.crashes);
-        rc.rule = self.cfg.kind.rule();
-        rc.latency = LatencyModel::constant(self.cfg.latency);
-        rc.detect_delay = self.cfg.detect_delay;
-        let rc = rc.with_txn_id(txn).with_start_at(now);
+        let crashes = std::mem::take(&mut spec.crashes);
+        // The round's configuration, in the vote vector of the spent one.
+        let configure = |spent: RunConfig| {
+            let mut rc = RunConfig::happy(0);
+            rc.votes = spent.votes;
+            rc.votes.clear();
+            rc.votes.extend_from_slice(votes);
+            // Quorum protocols bring extra acceptor sites along; they
+            // carry no data and always "vote" yes.
+            rc.votes.resize(round_sites, true);
+            rc.crashes = crashes;
+            rc.rule = self.cfg.kind.rule();
+            rc.latency = LatencyModel::constant(self.cfg.latency);
+            rc.detect_delay = self.cfg.detect_delay;
+            rc.with_txn_id(txn).with_start_at(now)
+        };
         self.tracer.emit(|| Event::new(now, EventKind::Admit).for_txn(txn));
         let tracer = self.tracer.clone();
-        // A round that is over lends this one its runner.
+        // A round that is over lends this one its runner and configuration.
         let mut runner = match runners.pop() {
-            Some(spent) => spent.recycle(rc, tracer),
-            None => Runner::with_tracer(&shared.protocol, &shared.analysis, rc, tracer),
+            Some(spent) => spent.recycle_with(tracer, configure),
+            None => {
+                let rc = configure(RunConfig::happy(0));
+                Runner::with_tracer(&shared.protocol, &shared.analysis, rc, tracer)
+            }
         };
         // The one line a watched and an unwatched batch differ by. Nothing
         // a round does between admission and finalisation touches what the

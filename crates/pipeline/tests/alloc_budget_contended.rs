@@ -2,8 +2,9 @@
 //! accounts and a tenth of the coordinators crashing, so a transaction is
 //! refused three to five times before it runs. A refusal must cost the heap
 //! nothing — no key built to be dropped on the conflict, no parked-list
-//! node, no fresh runner for the round that finally starts. At commit
-//! b880787 these batches allocated 19.4 times per transaction.
+//! node, no fresh runner for the round that finally starts — and over 32
+//! accounts the lock tables soon know every key. At commit b880787 these
+//! batches allocated 19.4 times per transaction, at 9abce70 8.4 times.
 //!
 //! Its own test binary with a single test, like `alloc_budget.rs`, so
 //! nothing else allocates while it counts.
@@ -21,7 +22,7 @@ const TXNS: usize = 1024;
 /// Allocation calls per transaction measured for these batches, start-up
 /// included (the first failure builds the protocol's analysis). The test
 /// allows a fifth more.
-const MEASURED_PER_TXN: f64 = 8.4;
+const MEASURED_PER_TXN: f64 = 3.3;
 
 #[test]
 fn a_contended_crashy_batch_stays_within_its_allocation_budget() {

@@ -4,8 +4,16 @@
 //! the commit decision arrives, after the redo images have been logged.
 //! An abort simply discards the stage; a crash before the decision loses
 //! nothing but the stage — which is the whole point of write-ahead logging.
+//!
+//! The base map is hashed, so its order is nobody's: [`KvStore::snapshot`]
+//! sorts, and it is the only way out for the pairs as a whole. The stage is
+//! one list for every transaction in flight, in staging order, so staging
+//! costs no allocation of its own once the list has grown to the
+//! pipeline's depth.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+
+use nbc_core::BytesBuildHasher;
 
 use crate::wal::{LogRecord, RecordRef, Wal};
 
@@ -18,11 +26,13 @@ pub(crate) enum TxnWrite {
     Delete(Vec<u8>),
 }
 
-/// The store: a base map plus per-transaction staging areas.
+/// The store: a base map plus the staged writes of every open transaction.
 #[derive(Debug, Default, Clone)]
 pub struct KvStore {
-    base: BTreeMap<Vec<u8>, Vec<u8>>,
-    staged: BTreeMap<u64, Vec<TxnWrite>>,
+    base: HashMap<Vec<u8>, Vec<u8>, BytesBuildHasher>,
+    /// `(txn, write)` in staging order: a transaction's writes are the
+    /// entries tagged with it, oldest first.
+    staged: Vec<(u64, TxnWrite)>,
 }
 
 impl KvStore {
@@ -39,13 +49,11 @@ impl KvStore {
     /// Read through the stage of `txn` (its own writes win), falling back
     /// to the committed value.
     pub fn get_in_txn(&self, txn: u64, key: &[u8]) -> Option<&[u8]> {
-        if let Some(writes) = self.staged.get(&txn) {
-            for w in writes.iter().rev() {
-                match w {
-                    TxnWrite::Put(k, v) if k == key => return Some(v),
-                    TxnWrite::Delete(k) if k == key => return None,
-                    _ => {}
-                }
+        for (t, w) in self.staged.iter().rev() {
+            match w {
+                TxnWrite::Put(k, v) if *t == txn && k == key => return Some(v),
+                TxnWrite::Delete(k) if *t == txn && k == key => return None,
+                _ => {}
             }
         }
         self.get(key)
@@ -53,12 +61,12 @@ impl KvStore {
 
     /// Stage a put for `txn`.
     pub fn stage_put(&mut self, txn: u64, key: Vec<u8>, value: Vec<u8>) {
-        self.staged.entry(txn).or_default().push(TxnWrite::Put(key, value));
+        self.staged.push((txn, TxnWrite::Put(key, value)));
     }
 
     /// Stage a delete for `txn`.
     pub fn stage_delete(&mut self, txn: u64, key: Vec<u8>) {
-        self.staged.entry(txn).or_default().push(TxnWrite::Delete(key));
+        self.staged.push((txn, TxnWrite::Delete(key)));
     }
 
     /// Log the redo images of `txn`'s staged writes into `wal` (without
@@ -66,36 +74,34 @@ impl KvStore {
     /// point requires the site to be able to finish the transaction even
     /// through failures, so the images must be durable before the vote.
     pub fn log_stage(&self, txn: u64, wal: &mut Wal) {
-        if let Some(writes) = self.staged.get(&txn) {
-            for w in writes {
-                let rec = match w {
-                    TxnWrite::Put(key, value) => RecordRef::Put { txn, key, value },
-                    TxnWrite::Delete(key) => RecordRef::Delete { txn, key },
-                };
-                wal.append_ref(rec).expect("wal record fits");
-            }
+        for (_, w) in self.staged.iter().filter(|(t, _)| *t == txn) {
+            let rec = match w {
+                TxnWrite::Put(key, value) => RecordRef::Put { txn, key, value },
+                TxnWrite::Delete(key) => RecordRef::Delete { txn, key },
+            };
+            wal.append_ref(rec).expect("wal record fits");
         }
     }
 
     /// Apply `txn`'s staged writes to the base map (the commit action).
     pub fn commit(&mut self, txn: u64) {
-        if let Some(writes) = self.staged.remove(&txn) {
-            for w in writes {
-                match w {
-                    TxnWrite::Put(k, v) => {
-                        self.base.insert(k, v);
-                    }
-                    TxnWrite::Delete(k) => {
-                        self.base.remove(&k);
-                    }
-                }
+        let base = &mut self.base;
+        self.staged.retain_mut(|(t, w)| {
+            if *t != txn {
+                return true;
             }
-        }
+            // Taken by value: the key and value bytes move into the map.
+            match std::mem::replace(w, TxnWrite::Delete(Vec::new())) {
+                TxnWrite::Put(k, v) => drop(base.insert(k, v)),
+                TxnWrite::Delete(k) => drop(base.remove(&k)),
+            }
+            false
+        });
     }
 
     /// Discard `txn`'s staged writes (the abort action).
     pub fn abort(&mut self, txn: u64) {
-        self.staged.remove(&txn);
+        self.staged.retain(|(t, _)| *t != txn);
     }
 
     /// Rebuild the committed state from a recovered record stream: redo
@@ -119,7 +125,8 @@ impl KvStore {
                 }
                 LogRecord::Checkpoint { pairs } => {
                     // A checkpoint supersedes everything before it.
-                    store.base = pairs.iter().cloned().collect::<BTreeMap<Vec<u8>, Vec<u8>>>();
+                    store.base.clear();
+                    store.base.extend(pairs.iter().cloned());
                 }
                 _ => {}
             }
@@ -127,11 +134,15 @@ impl KvStore {
         store
     }
 
-    /// Snapshot the committed pairs (for [`Wal::checkpoint_compact`]).
+    /// Snapshot the committed pairs in key order (for
+    /// [`Wal::checkpoint_compact`], whose image is therefore the same
+    /// bytes whatever order the map keeps).
     ///
     /// [`Wal::checkpoint_compact`]: crate::wal::Wal::checkpoint_compact
     pub fn snapshot(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.base.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        let mut pairs: Vec<_> = self.base.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Redo one committed transaction's images from a record stream into
@@ -160,11 +171,6 @@ impl KvStore {
     pub fn is_empty(&self) -> bool {
         self.base.is_empty()
     }
-
-    /// Iterate over committed key-value pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.base.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +194,7 @@ mod tests {
         kv.stage_delete(1, b"y".to_vec());
         kv.abort(1);
         assert!(kv.is_empty());
-        assert!(!kv.staged.contains_key(&1));
+        assert!(kv.staged.is_empty());
     }
 
     #[test]
@@ -352,15 +358,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_sorted_pairs() {
+    fn snapshot_yields_sorted_pairs() {
         let mut kv = KvStore::new();
         kv.stage_put(1, b"b".to_vec(), b"2".to_vec());
         kv.stage_put(1, b"a".to_vec(), b"1".to_vec());
         kv.commit(1);
-        let pairs: Vec<_> = kv.iter().collect();
         assert_eq!(
-            pairs,
-            vec![(b"a".as_slice(), b"1".as_slice()), (b"b".as_slice(), b"2".as_slice())]
+            kv.snapshot(),
+            vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())]
         );
         assert_eq!(kv.len(), 2);
     }

@@ -13,8 +13,9 @@
 //! [`LockOutcome::Wait`] and the caller retries after the conflicting
 //! transaction finishes.
 
-use std::collections::btree_map::{BTreeMap, Entry::Occupied};
-use std::sync::Arc;
+use std::collections::HashMap;
+
+use nbc_core::BytesBuildHasher;
 
 /// Lock modes.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -37,10 +38,12 @@ pub enum LockOutcome {
     Die,
 }
 
-/// Who holds a locked key. An exclusive lock has exactly one holder, so
-/// only shared locks carry a list.
+/// Who holds a key. An exclusive lock has exactly one holder, so only
+/// shared locks carry a list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Holders {
+    /// Nobody: the key was locked once and its last holder has gone.
+    Free,
     Exclusive(u64),
     Shared(Vec<u64>),
 }
@@ -48,13 +51,19 @@ enum Holders {
 /// One site's lock table.
 #[derive(Debug, Default, Clone)]
 pub struct LockManager {
-    /// Locked keys only: an entry leaves with its last holder.
-    table: BTreeMap<Arc<[u8]>, Holders>,
-    /// One `(txn, key)` per holder of each entry, sorted by transaction, so
-    /// a transaction's locks are one run found by binary search: releasing
-    /// and counting cost what the transaction holds, not what the table
-    /// holds. The key bytes are the table's own, shared.
-    held: Vec<(u64, Arc<[u8]>)>,
+    /// Every key ever locked here, to its entry in `entries`. An entry
+    /// stays, marked free, after its last holder goes, so a request on a
+    /// key the site has seen builds nothing; the table grows to the keys
+    /// the site's transactions touch, as the store does.
+    index: HashMap<Box<[u8]>, usize, BytesBuildHasher>,
+    entries: Vec<Holders>,
+    /// One `(txn, entry)` per holder of each entry, sorted by transaction,
+    /// so a transaction's locks are one run found by binary search:
+    /// releasing and counting cost what the transaction holds, not what
+    /// the table holds, and hash no key.
+    held: Vec<(u64, usize)>,
+    /// Entries that are not free.
+    locked: usize,
 }
 
 impl LockManager {
@@ -66,19 +75,27 @@ impl LockManager {
     /// Request `mode` on `key` for `txn`.
     pub fn request(&mut self, txn: u64, key: &[u8], mode: LockMode) -> LockOutcome {
         // Looked up before anything is built: a refusal — under contention
-        // the common outcome — and a re-request cost one descent of the
-        // table and leave it untouched; only a new entry pays for its key.
-        let Some(holders) = self.table.get_mut(key) else {
-            let key: Arc<[u8]> = key.into();
-            let holders = match mode {
-                LockMode::Exclusive => Holders::Exclusive(txn),
-                LockMode::Shared => Holders::Shared(vec![txn]),
-            };
-            self.table.insert(Arc::clone(&key), holders);
-            self.note_held(txn, key);
-            return LockOutcome::Granted;
+        // the common outcome — and a re-request cost one probe and leave
+        // the table untouched; only a key never seen pays for its bytes.
+        let entry = match self.index.get(key) {
+            Some(&entry) => entry,
+            None => {
+                self.index.insert(key.into(), self.entries.len());
+                self.entries.push(Holders::Free);
+                self.entries.len() - 1
+            }
         };
+        let holders = &mut self.entries[entry];
         let sharers = match holders {
+            Holders::Free => {
+                *holders = match mode {
+                    LockMode::Exclusive => Holders::Exclusive(txn),
+                    LockMode::Shared => Holders::Shared(vec![txn]),
+                };
+                self.locked += 1;
+                note_held(&mut self.held, txn, entry);
+                return LockOutcome::Granted;
+            }
             // Re-entrant: the exclusive holder may ask for anything.
             Holders::Exclusive(holder) if *holder == txn => return LockOutcome::Granted,
             Holders::Exclusive(holder) => return wait_die(txn, &[*holder]),
@@ -89,8 +106,7 @@ impl LockManager {
             LockMode::Shared if holds => {}
             LockMode::Shared => {
                 sharers.push(txn);
-                let (key, _) = self.table.get_key_value(key).expect("found above");
-                self.note_held(txn, Arc::clone(key));
+                note_held(&mut self.held, txn, entry);
             }
             // Upgrade shared -> exclusive: the sole sharer upgrades in place.
             LockMode::Exclusive if holds && sharers.len() == 1 => {
@@ -102,12 +118,6 @@ impl LockManager {
         LockOutcome::Granted
     }
 
-    /// Record that `txn` now holds `key`, after its other keys.
-    fn note_held(&mut self, txn: u64, key: Arc<[u8]>) {
-        let at = self.held.partition_point(|&(t, _)| t <= txn);
-        self.held.insert(at, (txn, key));
-    }
-
     /// The run of `held` that is `txn`'s.
     fn held_range(&self, txn: u64) -> std::ops::Range<usize> {
         let start = self.held.partition_point(|&(t, _)| t < txn);
@@ -116,13 +126,14 @@ impl LockManager {
 
     /// Release every lock held by `txn` (strict 2PL: at commit/abort).
     pub fn release_all(&mut self, txn: u64) {
-        for (_, key) in self.held.drain(self.held_range(txn)) {
-            let Occupied(mut entry) = self.table.entry(key) else {
-                unreachable!("a held key is in the table");
-            };
-            match entry.get_mut() {
+        for (_, entry) in self.held.drain(self.held_range(txn)) {
+            let holders = &mut self.entries[entry];
+            match holders {
                 Holders::Shared(sharers) if sharers.len() > 1 => sharers.retain(|&t| t != txn),
-                _ => drop(entry.remove()),
+                _ => {
+                    *holders = Holders::Free;
+                    self.locked -= 1;
+                }
             }
         }
     }
@@ -134,8 +145,14 @@ impl LockManager {
 
     /// Total number of locked keys.
     pub fn locked_keys(&self) -> usize {
-        self.table.len()
+        self.locked
     }
+}
+
+/// Record in `held` that `txn` now holds `entry`, after its other keys.
+fn note_held(held: &mut Vec<(u64, usize)>, txn: u64, entry: usize) {
+    let at = held.partition_point(|&(t, _)| t <= txn);
+    held.insert(at, (txn, entry));
 }
 
 /// Wait-die against the other transactions among `holders` (an upgrading
@@ -221,7 +238,10 @@ mod tests {
     #[track_caller]
     fn assert_unchanged(lm: &LockManager, before: &LockManager, what: &str) {
         assert!(
-            lm.table == before.table && lm.held == before.held,
+            lm.index == before.index
+                && lm.entries == before.entries
+                && lm.held == before.held
+                && lm.locked == before.locked,
             "{what}: {lm:?} from {before:?}"
         );
     }
@@ -253,6 +273,7 @@ mod tests {
 
     fn holders(entry: &Holders) -> &[u64] {
         match entry {
+            Holders::Free => &[],
             Holders::Exclusive(holder) => std::slice::from_ref(holder),
             Holders::Shared(sharers) => sharers,
         }
@@ -260,7 +281,7 @@ mod tests {
 
     /// `held_by` the slow way: scan the whole table.
     fn scan_held_by(lm: &LockManager, txn: u64) -> usize {
-        lm.table.values().filter(|e| holders(e).contains(&txn)).count()
+        lm.entries.iter().filter(|e| holders(e).contains(&txn)).count()
     }
 
     /// The lock table as a flat `(key, txn, mode)` list: the rules spelled
@@ -328,12 +349,37 @@ mod tests {
                 assert_eq!(lm.held_by(t), scan_held_by(&lm, t), "step {step}, txn {t}");
                 assert_eq!(lm.held_by(t), model.0.iter().filter(|e| e.1 == t).count(), "{step}");
             }
-            assert!(lm.table.values().all(|e| !holders(e).is_empty()), "step {step}: empty entry");
+            // Entries outlive their holders, marked free: every other one
+            // has a holder, and they are exactly the keys the model locks.
+            let free = |e: &&Holders| matches!(e, Holders::Free);
+            assert!(
+                lm.entries.iter().filter(|e| !free(e)).all(|e| !holders(e).is_empty()),
+                "step {step}: a locked entry with no holder"
+            );
+            let mut model_keys: Vec<u8> = model.0.iter().map(|&(k, _, _)| k).collect();
+            model_keys.sort_unstable();
+            model_keys.dedup();
+            assert_eq!(lm.locked_keys(), model_keys.len(), "step {step}");
+            assert_eq!(lm.entries.iter().filter(|e| !free(e)).count(), lm.locked_keys(), "{step}");
             assert_eq!(lm.held.len(), model.0.len(), "step {step}");
         }
         for t in 0..12 {
             lm.release_all(t);
         }
         assert_eq!((lm.locked_keys(), lm.held.len()), (0, 0));
+        assert!(lm.entries.iter().all(|e| *e == Holders::Free), "{lm:?}");
+    }
+
+    #[test]
+    fn a_released_key_stays_free_and_is_granted_again_in_place() {
+        let mut lm = LockManager::new();
+        lm.request(1, b"k", LockMode::Shared);
+        lm.request(2, b"k", LockMode::Shared);
+        lm.release_all(1);
+        assert_eq!(lm.locked_keys(), 1, "2 still shares k");
+        lm.release_all(2);
+        assert_eq!((lm.locked_keys(), lm.index.len()), (0, 1));
+        assert_eq!(lm.request(3, b"k", LockMode::Exclusive), LockOutcome::Granted);
+        assert_eq!((lm.locked_keys(), lm.index.len(), lm.entries.len()), (1, 1, 1));
     }
 }

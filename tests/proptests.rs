@@ -327,8 +327,7 @@ fn kv_store_matches_reference_model() {
                 }
             }
         }
-        let got: BTreeMap<Vec<u8>, Vec<u8>> =
-            kv.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        let got: BTreeMap<Vec<u8>, Vec<u8>> = kv.snapshot().into_iter().collect();
         assert_eq!(got, model);
     }
 }

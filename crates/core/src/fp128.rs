@@ -259,8 +259,8 @@ impl Hasher for BytesKeyHasher {
 }
 
 /// `BuildHasher` for hash maps keyed by byte strings: deterministic, so a
-/// table's iteration order is the same on every run (the workspace never
-/// lets it reach an output all the same: whoever prints sorts first).
+/// table's iteration order is the same on every run. No output relies on
+/// it: whoever writes a table's pairs out sorts them (`KvStore::snapshot`).
 pub type BytesBuildHasher = BuildHasherDefault<BytesKeyHasher>;
 
 #[cfg(test)]

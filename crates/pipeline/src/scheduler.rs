@@ -1137,23 +1137,34 @@ mod tests {
         }
     }
 
-    /// The checkpoint image is the committed pairs in key order, whatever
-    /// order the store keeps them in: pinned byte for byte (its `Fp128`
-    /// over every site's WAL), then rebuilt into the same stores.
+    /// The data WALs a crashy batch leaves (every frame kind the pipeline
+    /// writes: `Begin`, redo `Put`s, `Decision`, `End`) and the checkpoint
+    /// image that replaces them, which is the committed pairs in key order
+    /// whatever order the store keeps them in: both pinned byte for byte
+    /// (an `Fp128` over every site's WAL), then rebuilt into the same
+    /// stores.
     #[test]
     fn the_checkpoint_image_after_a_crashy_batch_is_pinned() {
         use nbc_core::Fp128;
+        let image = |p: &Pipeline| {
+            let mut h = Fp128::new();
+            for wal in &p.wals {
+                h.write_bytes(wal.as_bytes());
+            }
+            h.finish()
+        };
         let bank = BankWorkload::new(4, 64, 0, 31);
         let txns = bank_transfer_txns(&mut bank.clone(), 400, 10, &mut SimRng::seed_from_u64(41));
         let mut p = Pipeline::new(PipelineConfig::new(4, ProtocolKind::Central3pc));
         assert_eq!(p.run(txns).decided(), 400);
+        assert_eq!(
+            image(&p),
+            0xcbfd_7d17_5723_411b_6bf5_126f_720d_e8a2,
+            "data WALs, {} bytes",
+            p.wal_bytes()
+        );
         p.checkpoint();
-        let mut h = Fp128::new();
-        for wal in &p.wals {
-            h.write_bytes(wal.as_bytes());
-        }
-        let image = h.finish();
-        assert_eq!(image, 0xd26d_7609_5190_3f52_e587_885c_af81_c125, "{} bytes", p.wal_bytes());
+        assert_eq!(image(&p), 0xd26d_7609_5190_3f52_e587_885c_af81_c125, "{} bytes", p.wal_bytes());
         let before: Vec<_> = p.stores.iter().map(KvStore::snapshot).collect();
         p.restart_from_logs();
         assert_eq!(p.stores.iter().map(KvStore::snapshot).collect::<Vec<_>>(), before);

@@ -663,7 +663,8 @@ impl Pipeline {
 
         // Stage writes at voting sites (own staged values visible, so
         // repeated AddI64 on one key accumulates). The stage takes the
-        // key and value bytes the transaction came with.
+        // key and value bytes the transaction came with; a new balance is
+        // written into a buffer the store kept from a replaced value.
         for op in &mut spec.ops {
             let site = op.site();
             if !votes[site] {
@@ -677,7 +678,9 @@ impl Pipeline {
                 }
                 Op::AddI64 { key, delta, .. } => {
                     let cur = store.get_in_txn(txn, key).map_or(0, decode_i64);
-                    store.stage_put(txn, std::mem::take(key), encode_i64(cur + *delta));
+                    let mut value = store.spare_value();
+                    value.extend_from_slice(&(cur + *delta).to_le_bytes());
+                    store.stage_put(txn, std::mem::take(key), value);
                 }
             }
         }
@@ -890,10 +893,6 @@ impl Pipeline {
             }
         }
     }
-}
-
-fn encode_i64(v: i64) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
 }
 
 fn decode_i64(bytes: &[u8]) -> i64 {

@@ -1,10 +1,12 @@
 //! The allocation budget of a commit round, so the diet cannot regress
 //! silently between benchmark runs: a fault-free batch must cost the heap
 //! what its transactions bring (a lock-table copy of each key a site has
-//! not seen, the staged values) and a report per round, not a fresh runner
+//! not seen, the staged value of a key its store has not seen: a balance
+//! that replaces one is written into the replaced value's buffer) and a
+//! report per round, not a fresh runner
 //! or configuration, a stage vector, a scratch payload per log record or a
 //! cloned emit list per transition. At commit 55b52a3 this batch allocated
-//! ~135 times per transaction, at 9abce70 9.3 times.
+//! ~135 times per transaction, at 9abce70 9.3 times, at 88669f0 5.2.
 //!
 //! This file is its own test binary with a single test, so nothing else
 //! allocates while it counts.
@@ -22,7 +24,7 @@ const TXNS: usize = 512;
 /// Allocation calls per transaction measured for this batch, start-up
 /// included (the pipeline's own logs and maps growing, the one runner an
 /// untraced batch cycles through). The test allows a fifth more.
-const MEASURED_PER_TXN: f64 = 5.2;
+const MEASURED_PER_TXN: f64 = 5.0;
 
 #[test]
 fn a_fault_free_batch_stays_within_its_allocation_budget() {

@@ -9,7 +9,9 @@
 //! sorts, and it is the only way out for the pairs as a whole. The stage is
 //! one list for every transaction in flight, in staging order, so staging
 //! costs no allocation of its own once the list has grown to the
-//! pipeline's depth.
+//! pipeline's depth. A value a commit replaces or an abort discards keeps
+//! its buffer in the store, for the next staged value to be written into
+//! ([`KvStore::spare_value`]).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -33,7 +35,13 @@ pub struct KvStore {
     /// `(txn, write)` in staging order: a transaction's writes are the
     /// entries tagged with it, oldest first.
     staged: Vec<(u64, TxnWrite)>,
+    /// Emptied value buffers, at most [`SPARE_VALUES`].
+    spare: Vec<Vec<u8>>,
 }
+
+/// How many replaced or discarded value buffers a store keeps: more than a
+/// pipeline's depth of transfers stages between two commits.
+const SPARE_VALUES: usize = 64;
 
 impl KvStore {
     /// An empty store.
@@ -57,6 +65,20 @@ impl KvStore {
             }
         }
         self.get(key)
+    }
+
+    /// An empty buffer to stage a value in: one a commit replaced or an
+    /// abort discarded, when the store has kept one.
+    pub fn spare_value(&mut self) -> Vec<u8> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Keep `value`'s buffer for [`KvStore::spare_value`].
+    fn recycle(spare: &mut Vec<Vec<u8>>, mut value: Vec<u8>) {
+        if spare.len() < SPARE_VALUES {
+            value.clear();
+            spare.push(value);
+        }
     }
 
     /// Stage a put for `txn`.
@@ -85,15 +107,18 @@ impl KvStore {
 
     /// Apply `txn`'s staged writes to the base map (the commit action).
     pub fn commit(&mut self, txn: u64) {
-        let base = &mut self.base;
-        self.staged.retain_mut(|(t, w)| {
+        let Self { base, staged, spare } = self;
+        staged.retain_mut(|(t, w)| {
             if *t != txn {
                 return true;
             }
             // Taken by value: the key and value bytes move into the map.
-            match std::mem::replace(w, TxnWrite::Delete(Vec::new())) {
-                TxnWrite::Put(k, v) => drop(base.insert(k, v)),
-                TxnWrite::Delete(k) => drop(base.remove(&k)),
+            let replaced = match std::mem::replace(w, TxnWrite::Delete(Vec::new())) {
+                TxnWrite::Put(k, v) => base.insert(k, v),
+                TxnWrite::Delete(k) => base.remove(&k),
+            };
+            if let Some(old) = replaced {
+                Self::recycle(spare, old);
             }
             false
         });
@@ -101,7 +126,16 @@ impl KvStore {
 
     /// Discard `txn`'s staged writes (the abort action).
     pub fn abort(&mut self, txn: u64) {
-        self.staged.retain(|(t, _)| *t != txn);
+        let Self { staged, spare, .. } = self;
+        staged.retain_mut(|(t, w)| {
+            if *t != txn {
+                return true;
+            }
+            if let TxnWrite::Put(_, v) = w {
+                Self::recycle(spare, std::mem::take(v));
+            }
+            false
+        });
     }
 
     /// Rebuild the committed state from a recovered record stream: redo
@@ -355,6 +389,29 @@ mod tests {
                 assert_eq!(kv.len(), base.len(), "{at}");
             }
         }
+    }
+
+    /// A replaced or discarded value's buffer is handed out again, empty,
+    /// and the store reads as if it had been dropped.
+    #[test]
+    fn replaced_and_discarded_values_are_spare_buffers() {
+        let mut kv = KvStore::new();
+        assert_eq!(kv.spare_value().capacity(), 0, "a new store has no spare");
+        kv.stage_put(1, b"x".to_vec(), 1i64.to_le_bytes().to_vec());
+        kv.commit(1);
+        kv.stage_put(2, b"x".to_vec(), 2i64.to_le_bytes().to_vec());
+        kv.commit(2);
+        let spare = kv.spare_value();
+        assert!(spare.is_empty() && spare.capacity() >= 8, "the replaced value's buffer");
+        kv.stage_put(3, b"y".to_vec(), spare);
+        kv.abort(3);
+        assert!(kv.spare_value().capacity() >= 8, "the discarded value's buffer");
+        assert_eq!(kv.snapshot(), vec![(b"x".to_vec(), 2i64.to_le_bytes().to_vec())]);
+        for txn in 0..2 * SPARE_VALUES as u64 {
+            kv.stage_put(txn, b"x".to_vec(), vec![0; 8]);
+            kv.commit(txn);
+        }
+        assert_eq!(kv.spare.len(), SPARE_VALUES, "the spares are bounded");
     }
 
     #[test]

@@ -12,7 +12,18 @@
 //! integers are little-endian. Recovery reads records until the first
 //! frame that is truncated or fails its checksum — everything after a torn
 //! write is discarded, which is exactly the local atomicity the paper
-//! assumes of each site.
+//! assumes of each site. A frame whose checksum holds must still be its
+//! record's layout to the byte, or recovery refuses it.
+//!
+//! ## Two ways a frame is built
+//!
+//! The DT-log kinds — `Begin`, `End` (9 bytes of tag + payload),
+//! `Decision`, `AlignedTo` (10) and `Progress` (14) — are most of what a
+//! transaction logs, and their size is known at compile time: the whole
+//! frame is built on the stack under `crc32_fixed` and appended with one
+//! copy. `Put`, `Delete` and `Checkpoint` are encoded straight into the
+//! log and checked by the general [`crc32`]. The bytes are the same either
+//! way (`crates/storage/tests/golden_frames.rs`).
 //!
 //! ## Durability model
 //!
@@ -24,7 +35,7 @@
 
 use crate::codec::{BufExt, BufMutExt};
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_fixed};
 
 /// Byte offset of a record in the log.
 pub(crate) type Lsn = u64;
@@ -54,6 +65,15 @@ pub enum WalError {
         /// Offset of the bad frame.
         at: Lsn,
     },
+    /// A frame's length disagrees with its record's layout: a fixed-size
+    /// tag at any length but its own, or a variable-size record that ends
+    /// before its frame does.
+    LengthMismatch {
+        /// Offset of the bad frame.
+        at: Lsn,
+        /// The frame's tag byte.
+        tag: u8,
+    },
     /// A record to be appended does not fit the frame format: some u32
     /// length prefix (key/value length, checkpoint pair count, or the
     /// frame's own tag+payload length) would be silently narrowed.
@@ -70,6 +90,9 @@ impl std::fmt::Display for WalError {
             Self::BadChecksum { at } => write!(f, "checksum mismatch at lsn {at}"),
             Self::UnknownTag { at, tag } => write!(f, "unknown record tag {tag} at lsn {at}"),
             Self::Truncated { at } => write!(f, "truncated record payload at lsn {at}"),
+            Self::LengthMismatch { at, tag } => {
+                write!(f, "frame length disagrees with record tag {tag}'s layout at lsn {at}")
+            }
             Self::RecordTooLarge { len } => {
                 write!(f, "record of {len} encoded bytes exceeds the u32 frame limit")
             }
@@ -212,46 +235,47 @@ impl RecordRef<'_> {
         }
         Ok(len as u32)
     }
+}
 
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            Self::Begin { txn } | Self::End { txn } => out.put_u64_le(*txn),
-            Self::Progress { txn, state, class } => {
-                out.put_u64_le(*txn);
-                out.put_u32_le(*state);
-                out.put_u8(*class);
-            }
-            Self::Decision { txn, commit } => {
-                out.put_u64_le(*txn);
-                out.put_u8(u8::from(*commit));
-            }
-            Self::AlignedTo { txn, class } => {
-                out.put_u64_le(*txn);
-                out.put_u8(*class);
-            }
-            Self::Put { txn, key, value } => {
-                out.put_u64_le(*txn);
-                out.put_u32_le(key.len() as u32);
-                out.put_slice(key);
-                out.put_u32_le(value.len() as u32);
-                out.put_slice(value);
-            }
-            Self::Delete { txn, key } => {
-                out.put_u64_le(*txn);
-                out.put_u32_le(key.len() as u32);
-                out.put_slice(key);
-            }
-            Self::Checkpoint { pairs } => {
-                out.put_u32_le(pairs.len() as u32);
-                for (k, v) in *pairs {
-                    out.put_u32_le(k.len() as u32);
-                    out.put_slice(k);
-                    out.put_u32_le(v.len() as u32);
-                    out.put_slice(v);
-                }
-            }
-        }
-    }
+/// Longest tag + payload of a fixed-size kind (`Progress`).
+const MAX_FIXED: usize = 14;
+
+/// Append the frame of a fixed-size record — `tag`, `txn` and `tail` in
+/// `N` bytes — built whole on the stack: `N` is a constant at every call,
+/// so the body's layout and its checksum compile to straight-line code.
+#[inline]
+fn push_fixed<const N: usize>(out: &mut Vec<u8>, tag: u8, txn: u64, tail: &[u8]) {
+    let mut frame = [0u8; 8 + MAX_FIXED];
+    frame[..4].copy_from_slice(&(N as u32).to_le_bytes());
+    let body: &mut [u8; N] = (&mut frame[8..8 + N]).try_into().expect("N <= MAX_FIXED");
+    body[0] = tag;
+    body[1..9].copy_from_slice(&txn.to_le_bytes());
+    body[9..].copy_from_slice(tail);
+    let crc = crc32_fixed(body);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&frame[..8 + N]);
+}
+
+/// Append the frame of a variable-size record: header reserved, tag and
+/// `payload` encoded in place, then length and checksum patched in. Fails,
+/// leaving `out` untouched, if a length prefix would be narrowed.
+fn push_general(
+    out: &mut Vec<u8>,
+    rec: RecordRef<'_>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WalError> {
+    let at = out.len();
+    let len = rec.check_fits()?;
+    out.reserve(8 + len as usize);
+    out.extend_from_slice(&[0; 8]);
+    out.put_u8(rec.tag());
+    payload(out);
+    let body = &out[at + 8..];
+    debug_assert_eq!(body.len(), len as usize, "encoded_len is exact");
+    let crc = crc32(body);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 impl LogRecord {
@@ -277,6 +301,9 @@ impl LogRecord {
         8 + self.borrowed().encoded_len()
     }
 
+    /// Decode the payload of a frame whose checksum held. The payload must
+    /// be exactly the record's layout: a fixed-size kind at its own length
+    /// only, a variable-size one with no byte past its last field.
     fn decode(tag: u8, mut buf: &[u8], at: Lsn) -> Result<Self, WalError> {
         fn need(buf: &[u8], n: usize, at: Lsn) -> Result<(), WalError> {
             if buf.remaining() < n {
@@ -285,71 +312,80 @@ impl LogRecord {
                 Ok(())
             }
         }
-        match tag {
+        fn bytes(buf: &mut &[u8], at: Lsn) -> Result<Vec<u8>, WalError> {
+            need(buf, 4, at)?;
+            let len = buf.get_u32_le() as usize;
+            need(buf, len, at)?;
+            let v = buf[..len].to_vec();
+            buf.advance(len);
+            Ok(v)
+        }
+        let fixed = |n: usize| {
+            if buf.len() == n {
+                Ok(())
+            } else {
+                Err(WalError::LengthMismatch { at, tag })
+            }
+        };
+        let rec = match tag {
             1 | 7 => {
-                need(buf, 8, at)?;
+                fixed(8)?;
                 let txn = buf.get_u64_le();
-                Ok(if tag == 1 { Self::Begin { txn } } else { Self::End { txn } })
+                if tag == 1 {
+                    Self::Begin { txn }
+                } else {
+                    Self::End { txn }
+                }
             }
             2 => {
-                need(buf, 13, at)?;
+                fixed(13)?;
                 let txn = buf.get_u64_le();
                 let state = buf.get_u32_le();
                 let class = buf.get_u8();
-                Ok(Self::Progress { txn, state, class })
+                Self::Progress { txn, state, class }
             }
             3 => {
-                need(buf, 9, at)?;
+                fixed(9)?;
                 let txn = buf.get_u64_le();
                 let commit = buf.get_u8() != 0;
-                Ok(Self::Decision { txn, commit })
+                Self::Decision { txn, commit }
             }
             4 => {
-                need(buf, 9, at)?;
+                fixed(9)?;
                 let txn = buf.get_u64_le();
                 let class = buf.get_u8();
-                Ok(Self::AlignedTo { txn, class })
+                Self::AlignedTo { txn, class }
             }
             5 => {
-                need(buf, 12, at)?;
+                need(buf, 8, at)?;
                 let txn = buf.get_u64_le();
-                let klen = buf.get_u32_le() as usize;
-                need(buf, klen + 4, at)?;
-                let key = buf[..klen].to_vec();
-                buf.advance(klen);
-                let vlen = buf.get_u32_le() as usize;
-                need(buf, vlen, at)?;
-                let value = buf[..vlen].to_vec();
-                Ok(Self::Put { txn, key, value })
+                let key = bytes(&mut buf, at)?;
+                let value = bytes(&mut buf, at)?;
+                Self::Put { txn, key, value }
             }
             6 => {
-                need(buf, 12, at)?;
+                need(buf, 8, at)?;
                 let txn = buf.get_u64_le();
-                let klen = buf.get_u32_le() as usize;
-                need(buf, klen, at)?;
-                let key = buf[..klen].to_vec();
-                Ok(Self::Delete { txn, key })
+                let key = bytes(&mut buf, at)?;
+                Self::Delete { txn, key }
             }
             8 => {
                 need(buf, 4, at)?;
                 let count = buf.get_u32_le() as usize;
                 let mut pairs = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    need(buf, 4, at)?;
-                    let klen = buf.get_u32_le() as usize;
-                    need(buf, klen + 4, at)?;
-                    let k = buf[..klen].to_vec();
-                    buf.advance(klen);
-                    let vlen = buf.get_u32_le() as usize;
-                    need(buf, vlen, at)?;
-                    let v = buf[..vlen].to_vec();
-                    buf.advance(vlen);
+                    let k = bytes(&mut buf, at)?;
+                    let v = bytes(&mut buf, at)?;
                     pairs.push((k, v));
                 }
-                Ok(Self::Checkpoint { pairs })
+                Self::Checkpoint { pairs }
             }
-            other => Err(WalError::UnknownTag { at, tag: other }),
+            other => return Err(WalError::UnknownTag { at, tag: other }),
+        };
+        if !buf.is_empty() {
+            return Err(WalError::LengthMismatch { at, tag });
         }
+        Ok(rec)
     }
 }
 
@@ -437,21 +473,47 @@ impl Wal {
         self.append_ref(rec.borrowed())
     }
 
-    /// [`Wal::append`] from borrowed bytes. The frame is built in place at
-    /// the end of the log: header reserved, tag + payload encoded straight
-    /// into the buffer, then length and checksum patched in.
+    /// [`Wal::append`] from borrowed bytes, each kind's layout written
+    /// here once. A fixed-size kind's frame is built on the stack under
+    /// the fixed-length checksum and appended whole; the others are
+    /// encoded straight into the log, the header patched in after.
     pub(crate) fn append_ref(&mut self, rec: RecordRef<'_>) -> Result<Lsn, WalError> {
         let at = self.buf.len();
-        let len = rec.check_fits()?;
-        self.buf.reserve(8 + len as usize);
-        self.buf.extend_from_slice(&[0; 8]);
-        self.buf.put_u8(rec.tag());
-        rec.encode_payload(&mut self.buf);
-        let body = &self.buf[at + 8..];
-        debug_assert_eq!(body.len(), len as usize, "encoded_len is exact");
-        let crc = crc32(body);
-        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-        self.buf[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        let (out, tag) = (&mut self.buf, rec.tag());
+        match rec {
+            RecordRef::Begin { txn } | RecordRef::End { txn } => {
+                push_fixed::<9>(out, tag, txn, &[])
+            }
+            RecordRef::Progress { txn, state, class } => {
+                let [s0, s1, s2, s3] = state.to_le_bytes();
+                push_fixed::<14>(out, tag, txn, &[s0, s1, s2, s3, class]);
+            }
+            RecordRef::Decision { txn, commit } => {
+                push_fixed::<10>(out, tag, txn, &[u8::from(commit)]);
+            }
+            RecordRef::AlignedTo { txn, class } => push_fixed::<10>(out, tag, txn, &[class]),
+            RecordRef::Put { txn, key, value } => push_general(out, rec, |out| {
+                out.put_u64_le(txn);
+                out.put_u32_le(key.len() as u32);
+                out.put_slice(key);
+                out.put_u32_le(value.len() as u32);
+                out.put_slice(value);
+            })?,
+            RecordRef::Delete { txn, key } => push_general(out, rec, |out| {
+                out.put_u64_le(txn);
+                out.put_u32_le(key.len() as u32);
+                out.put_slice(key);
+            })?,
+            RecordRef::Checkpoint { pairs } => push_general(out, rec, |out| {
+                out.put_u32_le(pairs.len() as u32);
+                for (k, v) in pairs {
+                    out.put_u32_le(k.len() as u32);
+                    out.put_slice(k);
+                    out.put_u32_le(v.len() as u32);
+                    out.put_slice(v);
+                }
+            })?,
+        }
         Ok(at as Lsn)
     }
 
@@ -711,13 +773,86 @@ mod tests {
 
     #[test]
     fn unknown_tag_detected() {
-        // Hand-craft a frame with tag 99.
-        let payload = vec![99u8, 0, 0, 0, 0, 0, 0, 0, 0];
-        let mut image = Vec::new();
-        image.put_u32_le(payload.len() as u32);
-        image.put_u32_le(crc32(&payload));
-        image.extend_from_slice(&payload);
+        let image = hand_frame(&[99u8, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert!(matches!(Wal::recover(&image), Err(WalError::UnknownTag { tag: 99, .. })));
+    }
+
+    /// `body` (tag + payload) framed by hand: length, checksum, body.
+    fn hand_frame(body: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.put_u32_le(body.len() as u32);
+        frame.put_u32_le(crc32(body));
+        frame.put_slice(body);
+        frame
+    }
+
+    /// A frame whose checksum holds but whose length is not its record's
+    /// layout is refused, never decoded from a prefix: one byte past the
+    /// layout for every tag, one byte short for the fixed-size ones.
+    #[test]
+    fn a_frame_longer_or_shorter_than_its_layout_is_refused() {
+        let mut records = sample_records();
+        records.push(LogRecord::Checkpoint { pairs: vec![(b"k".to_vec(), b"v".to_vec())] });
+        let lead = hand_frame(&[1, 9, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(Wal::recover(&lead).unwrap(), vec![LogRecord::Begin { txn: 9 }]);
+        let at = lead.len() as Lsn;
+        for rec in &records {
+            let mut wal = Wal::new();
+            wal.append(rec).unwrap();
+            let body = &wal.as_bytes()[8..];
+            let tag = body[0];
+            let mut long = body.to_vec();
+            long.push(0);
+            let mut cuts = vec![long];
+            if rec.frame_len() <= 8 + MAX_FIXED as u64 {
+                cuts.push(body[..body.len() - 1].to_vec());
+            }
+            for hostile in cuts {
+                let image = [lead.as_slice(), &hand_frame(&hostile)].concat();
+                let err = Wal::recover(&image).unwrap_err();
+                assert_eq!(
+                    err,
+                    WalError::LengthMismatch { at, tag },
+                    "{rec:?}, {} bytes",
+                    hostile.len()
+                );
+            }
+        }
+    }
+
+    /// Random field values of every fixed-size kind frame exactly as
+    /// `[len | crc32(body) | body]`, the body laid out by hand and checked
+    /// by the general checksum, and recover as themselves.
+    #[test]
+    fn fixed_size_kinds_frame_as_length_checksum_body() {
+        let mut state = 0x0DDB_1A5Eu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2_000 {
+            let (txn, word) = (next(), next());
+            let (state, class, commit) = (word as u32, (word >> 32) as u8, word >> 40 & 1 == 1);
+            let t = txn.to_le_bytes();
+            let rows = [
+                (LogRecord::Begin { txn }, [&[1], &t[..]].concat()),
+                (LogRecord::End { txn }, [&[7], &t[..]].concat()),
+                (
+                    LogRecord::Progress { txn, state, class },
+                    [&[2], &t[..], &state.to_le_bytes(), &[class]].concat(),
+                ),
+                (LogRecord::Decision { txn, commit }, [&[3], &t[..], &[u8::from(commit)]].concat()),
+                (LogRecord::AlignedTo { txn, class }, [&[4], &t[..], &[class]].concat()),
+            ];
+            for (rec, body) in rows {
+                let mut wal = Wal::new();
+                wal.append(&rec).unwrap();
+                assert_eq!(wal.as_bytes(), hand_frame(&body), "{rec:?}");
+                assert_eq!(Wal::recover(wal.as_bytes()).unwrap(), vec![rec]);
+            }
+        }
     }
 
     #[test]

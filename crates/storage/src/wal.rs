@@ -13,7 +13,8 @@
 //! frame that is truncated or fails its checksum — everything after a torn
 //! write is discarded, which is exactly the local atomicity the paper
 //! assumes of each site. A frame whose checksum holds must still be its
-//! record's layout to the byte, or recovery refuses it.
+//! record's layout to the byte, holding only values an append writes, or
+//! recovery refuses it.
 //!
 //! ## Two ways a frame is built
 //!
@@ -74,6 +75,14 @@ pub enum WalError {
         /// The frame's tag byte.
         tag: u8,
     },
+    /// A field holds a value no append writes: a `Decision` byte other
+    /// than 0 (abort) or 1 (commit).
+    BadField {
+        /// Offset of the bad frame.
+        at: Lsn,
+        /// The frame's tag byte.
+        tag: u8,
+    },
     /// A record to be appended does not fit the frame format: some u32
     /// length prefix (key/value length, checkpoint pair count, or the
     /// frame's own tag+payload length) would be silently narrowed.
@@ -92,6 +101,9 @@ impl std::fmt::Display for WalError {
             Self::Truncated { at } => write!(f, "truncated record payload at lsn {at}"),
             Self::LengthMismatch { at, tag } => {
                 write!(f, "frame length disagrees with record tag {tag}'s layout at lsn {at}")
+            }
+            Self::BadField { at, tag } => {
+                write!(f, "record tag {tag} holds a value no append writes at lsn {at}")
             }
             Self::RecordTooLarge { len } => {
                 write!(f, "record of {len} encoded bytes exceeds the u32 frame limit")
@@ -347,7 +359,11 @@ impl LogRecord {
             3 => {
                 fixed(9)?;
                 let txn = buf.get_u64_le();
-                let commit = buf.get_u8() != 0;
+                let commit = match buf.get_u8() {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(WalError::BadField { at, tag }),
+                };
                 Self::Decision { txn, commit }
             }
             4 => {
@@ -817,6 +833,20 @@ mod tests {
                     hostile.len()
                 );
             }
+        }
+    }
+
+    /// A `Decision` frame with a valid checksum and any byte but 0 or 1
+    /// is refused: it would otherwise recover as commit.
+    #[test]
+    fn a_decision_byte_other_than_0_or_1_is_refused() {
+        for v in 0..=255u8 {
+            let image = hand_frame(&[3, 5, 0, 0, 0, 0, 0, 0, 0, v]);
+            let expected = match v {
+                0 | 1 => Ok(vec![LogRecord::Decision { txn: 5, commit: v == 1 }]),
+                _ => Err(WalError::BadField { at: 0, tag: 3 }),
+            };
+            assert_eq!(Wal::recover(&image), expected, "byte {v}");
         }
     }
 

@@ -377,7 +377,9 @@ impl ReachGraph {
 pub(super) mod tests {
     use super::super::MAX_THREADS;
     use super::*;
-    use crate::protocols::{catalog, central_2pc, central_3pc, decentralized_2pc};
+    use crate::protocols::{
+        catalog, central_2pc, central_3pc, decentralized_2pc, decentralized_3pc,
+    };
 
     /// Folds nothing: for the tests that want a walk's counts alone.
     pub(crate) struct NoFolder;
@@ -434,15 +436,17 @@ pub(super) mod tests {
                 assert!(st.levels > 1 && st.peak_resident >= 1, "{}", p.name);
             }
         }
-        // Two interchangeable slaves fold to fewer representatives than
-        // states; peers that talk to each other are not reduced.
+        // Interchangeable slaves fold to fewer representatives than states,
+        // and so do peers that talk to each other.
         let reps = |p: &Protocol| {
             let st = fold_reachable(p, ReachOptions::default(), &mut NoFolder).unwrap();
             (st.representatives as u128, st.distinct_states)
         };
         assert_eq!(reps(&central_2pc(3)), (24, 38));
-        let (folded, states) = reps(&decentralized_2pc(3));
-        assert_eq!(folded, states);
+        assert_eq!(reps(&decentralized_2pc(3)), (17, 55));
+        assert_eq!(reps(&decentralized_3pc(6)), (87, 8_571));
+        assert_eq!(reps(&decentralized_3pc(7)), (134, 57_510));
+        assert_eq!(reps(&decentralized_3pc(8)), (203, 419_743));
     }
 
     #[test]

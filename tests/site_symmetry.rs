@@ -12,7 +12,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use nonblocking_commit::model::paxos::paxos_commit;
-use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
+use nonblocking_commit::model::protocols::{
+    central_2pc, central_3pc, decentralized_2pc, decentralized_3pc,
+};
 use nonblocking_commit::model::reach::{MsgAddr, Msgs};
 use nonblocking_commit::model::{
     spec, symmetry, Analysis, GlobalState, Protocol, ReachGraph, ReachOptions, SiteId, StateCodec,
@@ -130,6 +132,58 @@ fn canonical_form_and_orbit_size_agree_with_brute_force_on_every_reachable_state
         }
         assert_eq!(orbit_sum, graph.node_count() as u128, "{}: orbits partition", p.name);
         assert!(representatives.len() < graph.node_count(), "{}: nothing reduced", p.name);
+    }
+}
+
+/// Decentralized peers message each other, so their class is reduced by
+/// canonical labelling, not by sorting blocks. On every reachable state of
+/// decentralized 2PC and 3PC at n = 3..6: the representative is a
+/// relabelling of the state, a random relabelling of the state has the
+/// same representative, each representative's orbit — all n! relabellings
+/// of it — is as large as `orbit_size` says, and those sizes add up to the
+/// retained graph's node count. So two states share a representative iff
+/// some relabelling of the peers maps one onto the other.
+#[test]
+fn peers_share_a_representative_iff_a_relabelling_maps_one_onto_the_other() {
+    let mut rng = SimRng::seed_from_u64(0x9e_e125);
+    let counts = [(3, 55, 62), (4, 256, 271), (5, 1_389, 1_420), (6, 8_508, 8_571)];
+    for (n, d2pc, d3pc) in counts {
+        for (p, nodes) in [(decentralized_2pc(n), d2pc), (decentralized_3pc(n), d3pc)] {
+            let codec = StateCodec::new(&p).unwrap();
+            let symmetry = Symmetry::of(&p, &codec);
+            let classes = classes_of(&symmetry);
+            assert_eq!(classes, [(0..n as u32).collect::<Vec<_>>()], "{}", p.name);
+            let group = group_elements(n, &classes);
+            let mut packed = Packed { codec, symmetry: &symmetry, keys: Vec::new() };
+            let graph = ReachGraph::build(&p).unwrap();
+            assert_eq!(graph.node_count(), nodes, "{}", p.name);
+            let mut orbits: BTreeMap<Vec<u64>, BTreeSet<Vec<u64>>> = BTreeMap::new();
+            for state in graph.nodes() {
+                let canon = packed.canon(state);
+                let decoded = packed.codec.decode(&canon);
+                assert_eq!(packed.canon(&decoded), canon, "{}: canon twice", p.name);
+                let g = &group[rng.gen_range(0..group.len())];
+                assert_eq!(packed.canon(&renamed(state, g)), canon, "{}: canon(g.s)", p.name);
+                let orbit = orbits.entry(canon).or_insert_with(|| {
+                    let images = group.iter().map(|g| {
+                        let mut words = Vec::new();
+                        packed.codec.encode_into(&renamed(&decoded, g), &mut words);
+                        words
+                    });
+                    images.collect()
+                });
+                let mut words = Vec::new();
+                packed.codec.encode_into(state, &mut words);
+                assert!(orbit.contains(&words), "{}: the representative left the orbit", p.name);
+            }
+            let mut orbit_sum = 0u128;
+            for (rep, images) in &orbits {
+                let said = symmetry.orbit_size(rep, &mut packed.keys);
+                assert_eq!(said, images.len() as u128, "{}: orbit size", p.name);
+                orbit_sum += said;
+            }
+            assert_eq!(orbit_sum, nodes as u128, "{}: orbits partition", p.name);
+        }
     }
 }
 

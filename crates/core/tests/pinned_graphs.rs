@@ -6,6 +6,10 @@
 //! serial builder interned whole states under `RandomState`, the parallel
 //! one sharded by `DefaultHasher`, and the streaming fold carried owned
 //! successor states to the level barrier.
+//!
+//! `peak_resident` counts orbit representatives, so the decentralized
+//! protocols' figures were re-pinned when the fold came to reduce peers
+//! that message each other; every other line kept its bytes.
 
 mod pin;
 

@@ -344,16 +344,18 @@ impl Schedule {
     }
 
     /// Parse the JSONL form. Accepts any object-field order; rejects
-    /// unknown step kinds, missing fields, a vote plan that is not one
+    /// a field named twice, unknown step kinds, missing fields, a vote plan that is not one
     /// vote per site, and any number that is not a site index in `0..n`,
     /// with a line-numbered error.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let at = |ix: usize| move |e: String| format!("line {}: {e}", ix + 1);
         let (ix, header) = lines.next().ok_or("empty schedule")?;
-        let mut sched = parse(header).and_then(|h| parse_header(&h)).map_err(at(ix))?;
+        let mut sched =
+            parse(header).map_err(String::from).and_then(|h| parse_header(&h)).map_err(at(ix))?;
         for (ix, line) in lines {
-            let step = parse(line).and_then(|o| parse_step(&o)).map_err(at(ix))?;
+            let step =
+                parse(line).map_err(String::from).and_then(|o| parse_step(&o)).map_err(at(ix))?;
             check_range(&step, sched.n).map_err(at(ix))?;
             sched.steps.push(step);
         }

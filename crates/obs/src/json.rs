@@ -168,7 +168,7 @@ impl Value {
 /// message on failure. Used by the trace tests and the CI smoke step to
 /// check every exported line without an external JSON library.
 pub fn validate(input: &str) -> Result<(), String> {
-    parse(input).map(|_| ())
+    parse(input).map(|_| ()).map_err(String::from)
 }
 
 /// Deepest array/object nesting `parse` accepts. The parser recurses
@@ -176,16 +176,52 @@ pub fn validate(input: &str) -> Result<(), String> {
 /// exporters here nest three or four levels.
 const MAX_DEPTH: usize = 64;
 
+/// Why [`parse`] refused its input; `Display` names the byte offset.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ParseError {
+    /// Not one well-formed JSON value.
+    Malformed {
+        /// What was expected or wrong.
+        what: String,
+        /// The byte offset where it was found.
+        at: usize,
+    },
+    /// An object names a key twice. No writer here writes that, and a
+    /// reader that kept either copy would be guessing which one was meant.
+    DuplicateKey {
+        /// The key.
+        key: String,
+        /// The byte offset of its second copy.
+        at: usize,
+    },
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Malformed { what, at } => write!(f, "{what} at byte {at}"),
+            Self::DuplicateKey { key, at } => write!(f, "duplicate key {key:?} at byte {at}"),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Parse `input` as one well-formed JSON value (the same strict grammar
-/// as [`validate`]), nested at most 64 deep. Returns the byte offset and a
-/// message on failure.
-pub fn parse(input: &str) -> Result<Value, String> {
+/// as [`validate`]), nested at most 64 deep, no object naming a key twice.
+pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return p.err("trailing data");
     }
     Ok(v)
 }
@@ -198,8 +234,8 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        Err(format!("{msg} at byte {}", self.pos))
+    fn err<T>(&self, what: &str) -> Result<T, ParseError> {
+        Err(ParseError::Malformed { what: what.to_string(), at: self.pos })
     }
 
     fn peek(&self) -> Option<u8> {
@@ -212,7 +248,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -221,7 +257,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
+    fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
@@ -230,7 +266,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
@@ -245,8 +281,8 @@ impl Parser<'_> {
 
     fn nested(
         &mut self,
-        container: fn(&mut Self) -> Result<Value, String>,
-    ) -> Result<Value, String> {
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
         if self.depth == MAX_DEPTH {
             return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
         }
@@ -256,7 +292,7 @@ impl Parser<'_> {
         v
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         self.skip_ws();
         let mut fields = Vec::new();
@@ -266,7 +302,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(ParseError::DuplicateKey { key, at });
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -284,7 +324,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         self.skip_ws();
         let mut items = Vec::new();
@@ -307,7 +347,7 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -357,21 +397,20 @@ impl Parser<'_> {
                     }
                     // The input is a &str, so slicing at non-escape byte
                     // boundaries stays valid UTF-8.
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
-                    );
+                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(
+                        |_| ParseError::Malformed { what: "invalid UTF-8".into(), at: start },
+                    )?);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits = |p: &mut Self| -> Result<(), String> {
+        let digits = |p: &mut Self| -> Result<(), ParseError> {
             let ds = p.pos;
             while matches!(p.peek(), Some(b'0'..=b'9')) {
                 p.pos += 1;
@@ -395,7 +434,7 @@ impl Parser<'_> {
             digits(self)?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+            .map_err(|_| ParseError::Malformed { what: "invalid UTF-8".into(), at: start })?;
         Ok(Value::Num(text.to_string()))
     }
 }
@@ -447,9 +486,9 @@ mod tests {
         let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         parse(&nest(MAX_DEPTH)).unwrap();
         let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
-        assert_eq!(err, "nesting deeper than 64 at byte 64");
+        assert_eq!(err.to_string(), "nesting deeper than 64 at byte 64");
         let objects = format!("{}1{}", "{\"a\":".repeat(65), "}".repeat(65));
-        assert!(parse(&objects).unwrap_err().starts_with("nesting deeper than 64"));
+        assert!(parse(&objects).unwrap_err().to_string().starts_with("nesting deeper than 64"));
         // The input that used to overflow the stack.
         assert!(parse(&"[".repeat(200_000)).is_err());
     }
@@ -498,6 +537,17 @@ mod tests {
             }
             other => panic!("expected object, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_key_named_twice_is_refused_by_name_at_any_depth() {
+        let twice = |at| ParseError::DuplicateKey { key: "t".into(), at };
+        assert_eq!(parse("{\"t\":0,\"t\":999999}"), Err(twice(7)));
+        assert_eq!(parse("[{\"a\":{\"t\":1, \"t\":1}}]"), Err(twice(14)));
+        assert_eq!(twice(7).to_string(), "duplicate key \"t\" at byte 7");
+        // The same key in two objects, or as a value, is no duplicate.
+        assert!(parse("[{\"t\":0},{\"t\":1,\"u\":\"t\"}]").is_ok());
+        assert!(validate("{\"rule\":\"quorum\",\"rule\":\"skeen\"}").is_err());
     }
 
     #[test]

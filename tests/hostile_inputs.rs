@@ -185,6 +185,52 @@ fn mutated_traces_never_panic() {
     });
 }
 
+/// A key named twice is refused by name with its format's malformed-input
+/// code (2, for a schedule and for `trace verify`) rather than read as
+/// whichever copy the parser meets first: a schedule header's `rule`, in
+/// both orders, and a trace event's `t`.
+#[test]
+fn a_key_named_twice_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("nbc-duplicate-keys-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let root = env!("CARGO_MANIFEST_DIR");
+    let run = |words: &[&str], file: &std::path::Path, text: &str| {
+        std::fs::write(file, text).unwrap();
+        let path = file.to_string_lossy().into_owned();
+        let words: Vec<String> =
+            words.iter().map(|w| if *w == "FILE" { path.clone() } else { w.to_string() }).collect();
+        nbc_cli::run_argv(&words)
+    };
+
+    let corpus = std::fs::read_to_string(format!("{root}/tests/corpus/linear-2pc-blocking.jsonl"));
+    let corpus = corpus.unwrap();
+    let spec = format!("{root}/specs/linear-2pc.nbc");
+    let replay = ["simulate", spec.as_str(), "-n", "3", "--schedule", "FILE"];
+    assert_eq!(run(&replay, &dir.join("s.jsonl"), &corpus).code, 0, "the corpus file replays");
+    for (first, second) in [("quorum", "skeen"), ("skeen", "quorum")] {
+        let twice = format!("\"rule\":\"{first}\",\"rule\":\"{second}\"");
+        let text = corpus.replacen("\"rule\":\"skeen\"", &twice, 1);
+        assert_ne!(text, corpus);
+        let outcome = run(&replay, &dir.join("s.jsonl"), &text);
+        assert_eq!(outcome.code, 2, "{twice}: {}", outcome.stderr);
+        assert!(outcome.stderr.contains("line 1: duplicate key \"rule\""), "{}", outcome.stderr);
+    }
+
+    let protocol = protocols::central_3pc(3);
+    let analysis = Analysis::build(&protocol).unwrap();
+    let events = SharedSink::new(MemorySink::default());
+    run_traced(&protocol, &analysis, RunConfig::happy(3), Tracer::to_sink(events.clone()));
+    let trace = events.with(|sink| to_jsonl(&sink.events));
+    let verify = ["trace", "verify", "FILE"];
+    assert_eq!(run(&verify, &dir.join("t.jsonl"), &trace).code, 0, "the trace verifies");
+    let text = trace.replacen("{\"t\":0,", "{\"t\":0,\"t\":999999,", 1);
+    assert_ne!(text, trace);
+    let outcome = run(&verify, &dir.join("t.jsonl"), &text);
+    assert_eq!(outcome.code, 2, "{}", outcome.stderr);
+    assert!(outcome.stderr.contains("duplicate key \"t\""), "{}", outcome.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Values for a flag of `kind`: ones its row accepts, then ones it refuses.
 fn values(kind: Kind) -> (Vec<String>, Vec<String>) {
     let own = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();

@@ -5,7 +5,8 @@
 //! talk only to the coordinator, so a global state with slave 2 in `w` and
 //! slave 3 in `a` and the state with the two swapped are the same state
 //! up to naming: same depth in the reachable graph, same out-degree, same
-//! classification, and facts that differ by the same renaming. The
+//! classification, and facts that differ by the same renaming. So are the
+//! peers of a decentralized protocol, which talk to each other. The
 //! streaming fold ([`crate::reach`]) therefore walks one representative of
 //! each such orbit and weighs what it counts by the orbit's size.
 //!
@@ -25,26 +26,86 @@
 //!
 //! ## Which classes are reduced
 //!
-//! A member's *block* is its local-state field plus the count fields of
-//! the channels it sends or receives on. Permuting a class permutes whole
-//! blocks — and nothing else — exactly when every channel of every member
-//! ends at a site no reduced class moves: then the state is a fixed part
-//! plus a tuple of blocks, and the tuple sorted is a canonical form. A
-//! class whose members talk to each other (decentralized peers), or to a
-//! class already accepted, is left alone: Paxos Commit's resource managers
-//! and acceptors are both classes, but a vote channel belongs to one block
-//! of each, and sorting the two tuples independently is not a canonical
-//! form of the product action: the second sort rewrites fields the first
-//! one ordered by (`tests/site_symmetry.rs` keeps the count that refutes
-//! it). Classes are taken largest first.
+//! Classes are taken largest first. A class is reduced when every channel
+//! of every member ends at a member, at the client, or at a *fixed* site,
+//! one no class taken so far moves, and its fields fit the keys below. A
+//! class with a channel into a class already taken is left alone: Paxos
+//! Commit's resource managers and acceptors are both classes, but a vote
+//! channel runs from a member of one to a member of the other, so the two
+//! permutations act on it at once, and reducing each class on its own is
+//! not a canonical form of the product action (`tests/site_symmetry.rs`
+//! keeps the count that refutes it: 1 719 "states" for 1 239).
 //!
-//! ## Canonical form and orbit size
+//! A member's *block* is its local-state field and the count fields of
+//! its channels to fixed sites and to itself, packed into one `u64` key
+//! laid out alike for every member. The class's *links* are the channels
+//! between members: those from member `i` to member `j` pack into one key
+//! per ordered pair, again laid out alike. Permuting the class permutes
+//! the blocks, permutes the link matrix's rows and columns together, and
+//! moves nothing else.
 //!
-//! A block is packed into one `u64` key, the same bit layout for every
-//! member (a class whose block is wider is left alone). The representative
-//! is the state with its keys in ascending member order; the orbit's size
-//! is the number of distinct arrangements of the keys, the multinomial
-//! `m! / ∏ run!` over runs of equal keys.
+//! ## Blocks alone: sorting
+//!
+//! When no member messages another (central slaves, Paxos acceptors), the
+//! state is a fixed part plus a tuple of blocks, so the tuple sorted is a
+//! canonical form, and the orbit's size is the number of distinct
+//! arrangements of the keys: the multinomial `m! / ∏ run!` over runs of
+//! equal keys.
+//!
+//! ## Peers: individualisation and refinement
+//!
+//! With links, the class at a state is a directed graph, a vertex per
+//! member coloured by its block key and an arc per ordered pair coloured by
+//! its link key, and a canonical form is a canonical labelling of it:
+//! individualisation-refinement (McKay and Piperno, "Practical graph
+//! isomorphism, II", 2014) in the symmetry-reduction setting of Ip and
+//! Dill (1996).
+//!
+//! 1. *Refine.* Order the members into cells by block key, then split each
+//!    cell by every member's multiset of (cell, arc out, arc in) over the
+//!    other members, the parts in signature order, until no cell splits.
+//!    Each step reads colours and cell positions only, so refining a
+//!    relabelled graph yields the relabelled partition.
+//! 2. *Individualise.* While some cell of non-twins is left, take the first
+//!    such cell and, for each member in turn, make it a cell of its own
+//!    ahead of the rest, refine and recurse. A leaf places every member;
+//!    the representative is the leaf whose arc matrix, read row by row, is
+//!    least. Relabelling the graph relabels the whole tree, so the least
+//!    leaf is the same graph for every state of the orbit.
+//! 3. *Prune.* Two members are twins when swapping them is an
+//!    automorphism. A cell of twins can stay in any order (every order is
+//!    the same graph), and the search explores one member per twin class.
+//!    Two leaves with the same graph give an automorphism, and a member the
+//!    automorphisms found so far map onto an explored one is not explored:
+//!    its subtree is the image of an explored subtree.
+//!
+//! The orbit's size is `m! / |Aut|`, and the search yields |Aut| by
+//! orbit and stabiliser. At a node, the members of the tied cell whose
+//! subtrees reach the least graph are the best child's orbit under the
+//! node's automorphisms (twins and found automorphisms join them, and no
+//! other member reaches it); |Aut| of the node is their number times |Aut|
+//! of the best child. Where only twin cells are left it is the product of
+//! the cells' factorials. Every factor is at most 64, so |Aut| is kept as
+//! prime exponents and the orbit's size is exact wherever it fits a `u128`.
+//!
+//! ## Why the counts are exact
+//!
+//! An automorphism fixes the initial state, so BFS depth and out-degree
+//! are the same on an orbit: a level's frontier, new states and total are
+//! sums of orbit sizes, its successor occurrences are `Σ orbit(s) ·
+//! outdeg(s)`, and every progress line, the state count and the depth are
+//! the retained build's. A sum past `u128` saturates, never wraps.
+//!
+//! ## Facts from the quotient: the closure
+//!
+//! What a folder reads of `π·s` is the `π`-image of what it reads of `s`.
+//! After the last level `Symmetry::close` ORs in the image under each
+//! transposition of adjacent members of a class, to a fixpoint
+//! (`StateFolder::close_under_swap`, in place over the two sites' slot
+//! ranges). Adjacent transpositions generate the group and bits only
+//! grow, so the result is closed under every permutation: the analysis
+//! reads exactly the bits folding every state would have set. A folder
+//! that counts instead weighs each representative by its orbit.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -210,10 +271,10 @@ struct Class {
 }
 
 impl Class {
-    /// The class over `sites`, unless a key would be wider than 64 bits,
-    /// the members' blocks or links are not laid out alike, or more than
-    /// [`MAX_PEERS`] members message each other. `fixed` says whether a far
-    /// end outside the class stays put; with `None` nobody asks.
+    /// The class over `sites`, unless it has more than [`MAX_MEMBERS`]
+    /// members, a key would be wider than 64 bits, or the members' blocks
+    /// or links are not laid out alike. `fixed` says whether a far end
+    /// outside the class stays put; with `None` nobody asks.
     fn new(
         codec: &StateCodec,
         sites: &[SiteId],
@@ -223,6 +284,9 @@ impl Class {
         // for a loop), kind.
         type Role = (bool, Option<SiteId>, MsgKind);
         let m = sites.len();
+        if m > MAX_MEMBERS {
+            return None;
+        }
         let member = |s: SiteId| sites.iter().position(|&x| x == s);
         let mut layout: Option<Vec<(Role, u32)>> = None;
         let mut blocks = Vec::with_capacity(m);
@@ -263,9 +327,7 @@ impl Class {
         }
         // The address order lists one pair's kinds ascending.
         let layout = |k: usize| links[k].iter().map(|&(kind, f)| (kind, f.bits()));
-        if !links.is_empty()
-            && (m > MAX_PEERS || (0..m * m).any(|k| k / m != k % m && !layout(k).eq(layout(1))))
-        {
+        if !links.is_empty() && (0..m * m).any(|k| k / m != k % m && !layout(k).eq(layout(1))) {
             return None;
         }
         let links: Option<Vec<Key>> =
@@ -291,31 +353,11 @@ impl Class {
 }
 
 /// The number of distinct arrangements of `keys` (ascending): `m! / ∏
-/// run!` over runs of equal keys, built one key at a time so that every
-/// intermediate value is itself such a count. `u128::MAX` once it no
-/// longer fits.
+/// run!` over runs of equal keys; `u128::MAX` once it does not fit.
 fn arrangements(keys: &[u64]) -> u128 {
-    fn gcd(a: u128, b: u128) -> u128 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    let mut ways = 1u128;
-    let mut run = 0u128;
-    for (i, &key) in keys.iter().enumerate() {
-        run = if i > 0 && keys[i - 1] == key { run + 1 } else { 1 };
-        // ways · (i + 1) / run, exactly: what is left of `run` once its
-        // common factor with `i + 1` is gone divides `ways`.
-        let placed = i as u128 + 1;
-        let g = gcd(placed, run);
-        match (ways / (run / g)).checked_mul(placed / g) {
-            Some(w) => ways = w,
-            None => return u128::MAX,
-        }
-    }
-    ways
+    let runs = keys.chunk_by(|a, b| a == b);
+    let fixing = runs.fold(Factors::default(), |aut, run| aut.times_factorial(run.len()));
+    fixing.dividing_factorial(keys.len())
 }
 
 /// The primes up to 64: every factor of a group order found here is at
@@ -339,8 +381,16 @@ impl Factors {
         self
     }
 
-    fn times_factorial(self, k: usize) -> Self {
-        (2..=k).fold(self, Self::times)
+    /// `self · k!`, by Legendre: `k!` holds `p` to the power `Σ ⌊k / pⁱ⌋`.
+    fn times_factorial(mut self, k: usize) -> Self {
+        for (e, &p) in self.0.iter_mut().zip(&PRIMES) {
+            let mut power = usize::from(p);
+            while power <= k {
+                *e += (k / power) as u8;
+                power *= usize::from(p);
+            }
+        }
+        self
     }
 
     /// `m! / self`, which must be whole; `u128::MAX` once it does not fit.
@@ -359,12 +409,13 @@ impl Factors {
     }
 }
 
-/// Most members a class of peers may have: a set of them is one `u64`.
-const MAX_PEERS: usize = u64::BITS as usize;
+/// Most members a reduced class may have: a set of them is one `u64`, and
+/// every factor of a group order is at most 64.
+const MAX_MEMBERS: usize = u64::BITS as usize;
 
 /// An arrangement of a class of peers: `order[p]` is the member placed at
 /// position `p`.
-type Order = [u8; MAX_PEERS];
+type Order = [u8; MAX_MEMBERS];
 
 /// An ordered partition of the members: `order` lists them cell by cell,
 /// and `cell[i]` is the position at which member `i`'s cell starts.
@@ -418,7 +469,7 @@ struct Peers<'a> {
 
 impl<'a> Peers<'a> {
     fn new(m: usize, node: &'a [u64], link: &'a [u64]) -> Self {
-        let mut twin = [0; MAX_PEERS];
+        let mut twin = [0; MAX_MEMBERS];
         for (i, t) in twin.iter_mut().enumerate().take(m) {
             *t = i as u8;
         }
@@ -432,7 +483,7 @@ impl<'a> Peers<'a> {
 
     /// The canonical order and |Aut|.
     fn label(mut self) -> (Order, Factors) {
-        let mut part = Partition { order: self.twin, cell: [0; MAX_PEERS] };
+        let mut part = Partition { order: self.twin, cell: [0; MAX_MEMBERS] };
         let members = &mut part.order[..self.m];
         members.sort_by_key(|&i| self.node[usize::from(i)]);
         for q in 0..self.m {
@@ -456,7 +507,7 @@ impl<'a> Peers<'a> {
     /// with relabelling the members.
     fn refine(&self, part: &mut Partition) {
         let m = self.m;
-        let mut sig = [0u64; MAX_PEERS];
+        let mut sig = [0u64; MAX_MEMBERS];
         loop {
             for i in 0..m as u8 {
                 sig[usize::from(i)] = (0..m as u8).filter(|&j| j != i).fold(0u64, |h, j| {
@@ -574,7 +625,7 @@ impl<'a> Peers<'a> {
                 Some(Ordering::Equal) => {
                     equal |= 1 << v;
                     let b = &best.as_ref().expect("compared with it").0;
-                    let mut g = [0; MAX_PEERS];
+                    let mut g = [0; MAX_MEMBERS];
                     for p in 0..m {
                         g[usize::from(b[p])] = leaf[p];
                     }

@@ -2,11 +2,13 @@
 //! differs from its peers in one vote tag, one state class, one initial
 //! message or one entry of an `Any` list is left out of the class, the
 //! rest are still reduced, and the streamed analysis of the lopsided
-//! protocol still carries the retained build's facts and counts.
+//! protocol still carries the retained build's facts and counts. The same
+//! holds for decentralized peers, which message each other: the peer left
+//! out is a fixed site the others talk to, and they are still reduced.
 
 mod quotient;
 
-use nbc_core::protocols::central_3pc;
+use nbc_core::protocols::{central_3pc, decentralized_2pc, decentralized_3pc};
 use nbc_core::{
     Consume, Fsa, FsaBuilder, InitialMsg, MsgKind, Protocol, SiteId, StateClass, StateCodec,
     Symmetry, Transition, Vote,
@@ -106,4 +108,37 @@ fn a_site_that_differs_in_one_detail_is_not_interchangeable() {
     }
     assert_eq!(reduced(&p), [[1, 2, 3]]);
     quotient::assert_streamed_equals_retained("no slave tags its yes", &p);
+}
+
+#[test]
+fn a_peer_that_differs_in_one_detail_leaves_the_others_reduced() {
+    let but = |p: Protocol,
+               site: usize,
+               edit: fn(&mut Vec<(String, StateClass)>, &mut Vec<Transition>)| {
+        let mut fsas = p.fsas().to_vec();
+        fsas[site] = edited(&fsas[site], edit);
+        Protocol::new(
+            format!("{} but site {site}", p.name),
+            p.paradigm,
+            fsas,
+            p.initial_msgs().to_vec(),
+        )
+    };
+    let untagged: fn(&mut Vec<(String, StateClass)>, &mut Vec<Transition>) = |_, ts| {
+        let yes = ts.iter().position(|t| t.vote == Some(Vote::Yes)).expect("the peer's yes vote");
+        ts[yes].vote = None;
+    };
+    let reclassed: fn(&mut Vec<(String, StateClass)>, &mut Vec<Transition>) = |states, _| {
+        let w = states.iter().position(|s| s.1 == StateClass::Wait).unwrap();
+        states[w].1 = StateClass::Custom(7);
+    };
+    let cases = [
+        (but(decentralized_3pc(4), 3, untagged), [vec![0, 1, 2]]),
+        (but(decentralized_3pc(4), 0, reclassed), [vec![1, 2, 3]]),
+        (but(decentralized_2pc(5), 2, untagged), [vec![0, 1, 3, 4]]),
+    ];
+    for (p, peers) in &cases {
+        assert_eq!(reduced(p), *peers, "{}", p.name);
+        quotient::assert_streamed_equals_retained(&p.name, p);
+    }
 }

@@ -31,6 +31,12 @@ const ROWS: &[(&str, &str, &str, &str)] = &[
     ),
     (
         README,
+        "analyze decentralized-3pc -n 8",
+        "reachable state graph: 419743 global states, 2113856 edges",
+        "419 743 states from 203 representatives",
+    ),
+    (
+        README,
         "graph central-2pc -n 9",
         "203426 global states",
         "`nbc graph central-2pc -n 9`, 203 426 states",
@@ -267,4 +273,59 @@ fn readme_quotes_the_crate_doc_example() {
         read(README).contains(&block),
         "README no longer quotes src/lib.rs's example:\n{block}"
     );
+}
+
+/// The four workloads of `BENCH_perf.json`, as README names them.
+const WORKLOADS: [&str; 4] =
+    ["pipeline-steady", "pipeline-faulty", "check-exhaustive", "reach-analysis"];
+
+/// README's "Where the four stand" quotes, per workload, the latest
+/// `BENCH_perf.json` row that measured it: a pipeline's transactions a
+/// second, the checker's and the fold's calibrated milliseconds a unit,
+/// and the range of the four peak RSS figures.
+#[test]
+fn where_the_four_stand_is_the_latest_bench_perf_rows() {
+    use nonblocking_commit::obs::json::{parse, Value};
+    let file = parse(&read("BENCH_perf.json")).expect("BENCH_perf.json is JSON");
+    let Some(Value::Arr(rows)) = file.get("rows") else { panic!("BENCH_perf.json has no rows") };
+    let num = |v: Option<&Value>| match v {
+        Some(Value::Num(text)) => text.parse::<f64>().ok(),
+        _ => None,
+    };
+    // A metric's build median, [parent, build], in the latest row giving it.
+    let latest = |workload: &str, metric: &str| -> f64 {
+        let build = |row: &Value| match row.get("medians")?.get(workload)?.get(metric)? {
+            Value::Arr(pair) => num(pair.get(1)),
+            _ => None,
+        };
+        rows.iter().rev().find_map(build).unwrap_or_else(|| panic!("no {workload} {metric}"))
+    };
+    let readme = read(README);
+    let stand = readme
+        .split("Where the four stand")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("README has its \"Where the four stand\" paragraph")
+        .replace('\n', " ");
+    let mut quoted = vec![
+        format!(
+            "`pipeline-steady` {:.1} K transactions/s",
+            latest(WORKLOADS[0], "ops_per_s") / 1e3
+        ),
+        format!(
+            "`pipeline-faulty` {:.1} K transactions/s",
+            latest(WORKLOADS[1], "ops_per_s") / 1e3
+        ),
+        format!("`check-exhaustive` {:.2} ms a unit", latest(WORKLOADS[2], "unit_ms_p50")),
+        format!("`reach-analysis` {:.2} ms a unit", latest(WORKLOADS[3], "unit_ms_p50")),
+    ];
+    let rss: Vec<f64> = WORKLOADS.iter().map(|w| latest(w, "peak_rss_mb")).collect();
+    let (low, high) = rss.iter().fold((f64::MAX, f64::MIN), |(l, h), &r| (l.min(r), h.max(r)));
+    quoted.push(format!("peak RSS {low:.1}–{high:.1} MiB on all four"));
+    for fragment in quoted {
+        assert!(
+            stand.contains(&fragment),
+            "README's paragraph does not say {fragment:?}:\n{stand}"
+        );
+    }
 }

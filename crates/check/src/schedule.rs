@@ -343,10 +343,10 @@ impl Schedule {
         out
     }
 
-    /// Parse the JSONL form. Accepts any object-field order; rejects
-    /// a field named twice, unknown step kinds, missing fields, a vote plan that is not one
-    /// vote per site, and any number that is not a site index in `0..n`,
-    /// with a line-numbered error.
+    /// Parse the JSONL form. Accepts any object-field order; rejects a
+    /// field named twice, unknown step kinds, missing fields, a vote plan
+    /// that is not one vote per site, and any number that is not a site
+    /// index in `0..n`, with a line-numbered error.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let at = |ix: usize| move |e: String| format!("line {}: {e}", ix + 1);

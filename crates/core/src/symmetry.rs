@@ -326,8 +326,8 @@ impl Class {
             blocks.push(key_of(local.chain(channels.iter().map(|&(_, field)| field)))?);
         }
         // The address order lists one pair's kinds ascending.
-        let layout = |k: usize| links[k].iter().map(|&(kind, f)| (kind, f.bits()));
-        if !links.is_empty() && (0..m * m).any(|k| k / m != k % m && !layout(k).eq(layout(1))) {
+        let pair = |k: usize| links[k].iter().map(|&(kind, f)| (kind, f.bits()));
+        if !links.is_empty() && (0..m * m).any(|k| k / m != k % m && !pair(k).eq(pair(1))) {
             return None;
         }
         let links: Option<Vec<Key>> =
@@ -429,7 +429,7 @@ impl Partition {
     /// The position past the cell that starts at `start`.
     fn end(&self, start: usize, m: usize) -> usize {
         (start + 1..m)
-            .find(|&q| usize::from(self.cell[self.order[q] as usize]) != start)
+            .find(|&q| usize::from(self.cell[usize::from(self.order[q])]) != start)
             .unwrap_or(m)
     }
 
@@ -608,7 +608,7 @@ impl<'a> Peers<'a> {
                 continue;
             }
             let mut child = *part;
-            let at = s + cell.iter().position(|&w| w == v).unwrap_or(0);
+            let at = s + cell.iter().position(|&w| w == v).expect("v is a member of the cell");
             child.order.swap(s, at);
             for &w in &child.order[s + 1..target.end] {
                 child.cell[usize::from(w)] = s as u8 + 1;

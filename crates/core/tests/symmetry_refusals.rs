@@ -142,3 +142,15 @@ fn a_peer_that_differs_in_one_detail_leaves_the_others_reduced() {
         quotient::assert_streamed_equals_retained(&p.name, p);
     }
 }
+
+/// Buffer states added by synthesis keep the peers interchangeable: the
+/// decentralized k-phase protocols reduce all their sites as one class of
+/// peers, and stream to the retained build's facts and counts.
+#[test]
+fn decentralized_k_phase_peers_are_reduced_and_stream_to_the_retained_facts() {
+    for (n, k) in [(3, 4), (4, 4), (3, 5)] {
+        let p = nbc_core::kpc::k_phase_decentralized(n, k).unwrap();
+        assert_eq!(reduced(&p), [(0..n as u32).collect::<Vec<_>>()], "{}", p.name);
+        quotient::assert_streamed_equals_retained(&p.name, &p);
+    }
+}

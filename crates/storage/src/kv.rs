@@ -7,11 +7,13 @@
 //!
 //! The base map is hashed, so its order is nobody's: [`KvStore::snapshot`]
 //! sorts, and it is the only way out for the pairs as a whole. The stage is
-//! one list for every transaction in flight, in staging order, so staging
-//! costs no allocation of its own once the list has grown to the
-//! pipeline's depth. A value a commit replaces or an abort discards keeps
-//! its buffer in the store, for the next staged value to be written into
-//! ([`KvStore::spare_value`]).
+//! one list for every transaction in flight, sorted by transaction, so
+//! staging costs no allocation of its own once the list has grown to the
+//! pipeline's depth, and a read, a redo log, a commit or an abort finds its
+//! transaction's writes by binary search: it costs what that transaction
+//! staged, not what the pipeline has in flight. A value a commit replaces
+//! or an abort discards keeps its buffer in the store, for the next staged
+//! value to be written into ([`KvStore::spare_value`]).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -32,8 +34,8 @@ pub(crate) enum TxnWrite {
 #[derive(Debug, Default, Clone)]
 pub struct KvStore {
     base: HashMap<Vec<u8>, Vec<u8>, BytesBuildHasher>,
-    /// `(txn, write)` in staging order: a transaction's writes are the
-    /// entries tagged with it, oldest first.
+    /// `(txn, write)` sorted by transaction, each transaction's writes in
+    /// staging order: one run per transaction, oldest write first.
     staged: Vec<(u64, TxnWrite)>,
     /// Emptied value buffers, at most [`SPARE_VALUES`].
     spare: Vec<Vec<u8>>,
@@ -57,14 +59,27 @@ impl KvStore {
     /// Read through the stage of `txn` (its own writes win), falling back
     /// to the committed value.
     pub fn get_in_txn(&self, txn: u64, key: &[u8]) -> Option<&[u8]> {
-        for (t, w) in self.staged.iter().rev() {
+        for (_, w) in self.staged[self.run(txn)].iter().rev() {
             match w {
-                TxnWrite::Put(k, v) if *t == txn && k == key => return Some(v),
-                TxnWrite::Delete(k) if *t == txn && k == key => return None,
+                TxnWrite::Put(k, v) if k == key => return Some(v),
+                TxnWrite::Delete(k) if k == key => return None,
                 _ => {}
             }
         }
         self.get(key)
+    }
+
+    /// The run of `staged` that is `txn`'s.
+    fn run(&self, txn: u64) -> std::ops::Range<usize> {
+        let start = self.staged.partition_point(|&(t, _)| t < txn);
+        start..start + self.staged[start..].partition_point(|&(t, _)| t == txn)
+    }
+
+    /// Stage `write` after `txn`'s other writes: an append, unless an
+    /// older transaction stages after younger ones.
+    fn stage(&mut self, txn: u64, write: TxnWrite) {
+        let at = self.staged.partition_point(|&(t, _)| t <= txn);
+        self.staged.insert(at, (txn, write));
     }
 
     /// An empty buffer to stage a value in: one a commit replaced or an
@@ -83,12 +98,12 @@ impl KvStore {
 
     /// Stage a put for `txn`.
     pub fn stage_put(&mut self, txn: u64, key: Vec<u8>, value: Vec<u8>) {
-        self.staged.push((txn, TxnWrite::Put(key, value)));
+        self.stage(txn, TxnWrite::Put(key, value));
     }
 
     /// Stage a delete for `txn`.
     pub fn stage_delete(&mut self, txn: u64, key: Vec<u8>) {
-        self.staged.push((txn, TxnWrite::Delete(key)));
+        self.stage(txn, TxnWrite::Delete(key));
     }
 
     /// Log the redo images of `txn`'s staged writes into `wal` (without
@@ -96,7 +111,7 @@ impl KvStore {
     /// point requires the site to be able to finish the transaction even
     /// through failures, so the images must be durable before the vote.
     pub fn log_stage(&self, txn: u64, wal: &mut Wal) {
-        for (_, w) in self.staged.iter().filter(|(t, _)| *t == txn) {
+        for (_, w) in &self.staged[self.run(txn)] {
             let rec = match w {
                 TxnWrite::Put(key, value) => RecordRef::Put { txn, key, value },
                 TxnWrite::Delete(key) => RecordRef::Delete { txn, key },
@@ -107,35 +122,29 @@ impl KvStore {
 
     /// Apply `txn`'s staged writes to the base map (the commit action).
     pub fn commit(&mut self, txn: u64) {
+        let run = self.run(txn);
         let Self { base, staged, spare } = self;
-        staged.retain_mut(|(t, w)| {
-            if *t != txn {
-                return true;
-            }
-            // Taken by value: the key and value bytes move into the map.
-            let replaced = match std::mem::replace(w, TxnWrite::Delete(Vec::new())) {
+        // Drained by value: the key and value bytes move into the map.
+        for (_, w) in staged.drain(run) {
+            let replaced = match w {
                 TxnWrite::Put(k, v) => base.insert(k, v),
                 TxnWrite::Delete(k) => base.remove(&k),
             };
             if let Some(old) = replaced {
                 Self::recycle(spare, old);
             }
-            false
-        });
+        }
     }
 
     /// Discard `txn`'s staged writes (the abort action).
     pub fn abort(&mut self, txn: u64) {
+        let run = self.run(txn);
         let Self { staged, spare, .. } = self;
-        staged.retain_mut(|(t, w)| {
-            if *t != txn {
-                return true;
-            }
+        for (_, w) in staged.drain(run) {
             if let TxnWrite::Put(_, v) = w {
-                Self::recycle(spare, std::mem::take(v));
+                Self::recycle(spare, v);
             }
-            false
-        });
+        }
     }
 
     /// Rebuild the committed state from a recovered record stream: redo
@@ -293,23 +302,126 @@ mod tests {
         assert_eq!(rebuilt.get(b"k"), None);
     }
 
-    /// The store against the plainest model of it: a sorted map and one
-    /// list of `(txn, key, value or delete)` in staging order. Random
-    /// stage/read/commit/abort/log/redo sequences over a few short keys
-    /// must read the same, snapshot the same sorted pairs and log the same
-    /// WAL bytes, so no order of the store's own can leak out of it.
+    /// One step of a store run for the model test.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Stage a put of `len` copies of the byte.
+        Put {
+            txn: u64,
+            key: u8,
+            byte: u8,
+            len: usize,
+        },
+        Delete {
+            txn: u64,
+            key: u8,
+        },
+        Commit(u64),
+        Abort(u64),
+        /// `log_stage`, into a scratch WAL and into the run's redo log.
+        Log(u64),
+        /// `redo_one` from the run's redo log.
+        Redo(u64),
+    }
+
+    const MODEL_TXNS: u64 = 5;
+    const MODEL_KEYS: u8 = 7;
+
+    /// The model's stage: `(txn, key, value or delete)` in staging order.
+    type Staged = Vec<(u64, Vec<u8>, Option<Vec<u8>>)>;
+
+    /// `txn`'s staged writes in `staged` as the redo frames `log_stage`
+    /// must write, in staging order.
+    fn model_frames(staged: &Staged, txn: u64) -> Wal {
+        let mut want = Wal::new();
+        for (_, key, value) in staged.iter().filter(|w| w.0 == txn) {
+            let rec = match value {
+                Some(v) => LogRecord::Put { txn, key: key.clone(), value: v.clone() },
+                None => LogRecord::Delete { txn, key: key.clone() },
+            };
+            want.append(&rec).expect("wal record fits");
+        }
+        want
+    }
+
+    /// Run `ops` on a store and on the plainest model of it: a sorted map
+    /// and one list of `(txn, key, value or delete)` in staging order.
+    /// After every step each transaction must read every key the same
+    /// through its stage and log the same redo bytes, and the committed
+    /// pairs must snapshot the same, so no order of the store's own can
+    /// leak out of it.
+    fn match_the_model(ops: &[Op], case: &str) {
+        let (mut kv, mut base, mut staged) = (KvStore::new(), BTreeMap::new(), Staged::new());
+        // Redo-only frames: what a site that missed the decision logged.
+        let mut redo_log = Wal::new();
+        for (step, &op) in ops.iter().enumerate() {
+            let at = format!("{case} step {step}: {op:?}");
+            match op {
+                Op::Put { txn, key, byte, len } => {
+                    let (key, value) = (vec![b'k', key], vec![byte; len]);
+                    kv.stage_put(txn, key.clone(), value.clone());
+                    staged.push((txn, key, Some(value)));
+                }
+                Op::Delete { txn, key } => {
+                    kv.stage_delete(txn, vec![b'k', key]);
+                    staged.push((txn, vec![b'k', key], None));
+                }
+                Op::Commit(txn) => {
+                    kv.commit(txn);
+                    for (_, k, v) in staged.iter().filter(|w| w.0 == txn) {
+                        match v {
+                            Some(v) => base.insert(k.clone(), v.clone()),
+                            None => base.remove(k),
+                        };
+                    }
+                    staged.retain(|w| w.0 != txn);
+                }
+                Op::Abort(txn) => {
+                    kv.abort(txn);
+                    staged.retain(|w| w.0 != txn);
+                }
+                Op::Log(txn) => kv.log_stage(txn, &mut redo_log),
+                Op::Redo(txn) => {
+                    let records = Wal::recover(redo_log.as_bytes()).expect("clean log");
+                    kv.redo_one(&records, txn);
+                    for r in &records {
+                        match r {
+                            LogRecord::Put { txn: t, key, value } if *t == txn => {
+                                base.insert(key.clone(), value.clone());
+                            }
+                            LogRecord::Delete { txn: t, key } if *t == txn => {
+                                base.remove(key);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            for txn in 0..MODEL_TXNS {
+                for k in 0..MODEL_KEYS {
+                    let key = [b'k', k];
+                    let mine = staged.iter().rev().find(|w| w.0 == txn && w.1 == key);
+                    let want = mine.map_or(base.get(key.as_slice()), |w| w.2.as_ref());
+                    assert_eq!(kv.get_in_txn(txn, &key), want.map(Vec::as_slice), "{at}");
+                }
+                let mut got = Wal::new();
+                kv.log_stage(txn, &mut got);
+                assert_eq!(got.as_bytes(), model_frames(&staged, txn).as_bytes(), "{at}: {txn}");
+            }
+            for k in 0..MODEL_KEYS {
+                let key = [b'k', k];
+                assert_eq!(kv.get(&key), base.get(key.as_slice()).map(Vec::as_slice), "{at}");
+            }
+            let sorted: Vec<_> = base.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            assert_eq!(kv.snapshot(), sorted, "{at}");
+            assert_eq!(kv.len(), base.len(), "{at}");
+        }
+    }
+
+    /// Random stage/commit/abort/log/redo sequences over a few
+    /// transactions and short keys, staged in any order of age.
     #[test]
     fn random_sequences_match_a_sorted_map_model() {
-        type Staged = Vec<(u64, Vec<u8>, Option<Vec<u8>>)>;
-        fn model_commit(base: &mut BTreeMap<Vec<u8>, Vec<u8>>, staged: &mut Staged, txn: u64) {
-            for (_, k, v) in staged.iter().filter(|w| w.0 == txn) {
-                match v {
-                    Some(v) => base.insert(k.clone(), v.clone()),
-                    None => base.remove(k),
-                };
-            }
-            staged.retain(|w| w.0 != txn);
-        }
         // xorshift64*: the storage crate has no random source of its own.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move |bound: u64| {
@@ -319,76 +431,50 @@ mod tests {
             state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
         };
         for case in 0..200 {
-            let (mut kv, mut base, mut staged) = (KvStore::new(), BTreeMap::new(), Staged::new());
-            // Redo-only frames: what a site that missed the decision logged.
-            let mut redo_log = Wal::new();
-            for step in 0..next(80) {
-                let txn = next(5);
-                let key = vec![b'k', next(7) as u8];
-                let at = format!("case {case} step {step}");
-                match next(8) {
-                    0 | 1 => {
-                        let value = vec![next(256) as u8; next(3) as usize];
-                        kv.stage_put(txn, key.clone(), value.clone());
-                        staged.push((txn, key, Some(value)));
+            let ops: Vec<Op> = (0..next(80))
+                .map(|_| {
+                    let txn = next(MODEL_TXNS);
+                    let key = next(MODEL_KEYS.into()) as u8;
+                    match next(7) {
+                        0 | 1 => Op::Put { txn, key, byte: next(256) as u8, len: next(3) as usize },
+                        2 => Op::Delete { txn, key },
+                        3 => Op::Commit(txn),
+                        4 => Op::Abort(txn),
+                        5 => Op::Log(txn),
+                        _ => Op::Redo(txn),
                     }
-                    2 => {
-                        kv.stage_delete(txn, key.clone());
-                        staged.push((txn, key, None));
-                    }
-                    3 => {
-                        let mine = staged.iter().rev().find(|w| w.0 == txn && w.1 == key);
-                        let want = mine.map_or(base.get(&key), |w| w.2.as_ref());
-                        assert_eq!(kv.get_in_txn(txn, &key), want.map(Vec::as_slice), "{at}");
-                    }
-                    4 => {
-                        kv.commit(txn);
-                        model_commit(&mut base, &mut staged, txn);
-                    }
-                    5 => {
-                        kv.abort(txn);
-                        staged.retain(|w| w.0 != txn);
-                    }
-                    6 => {
-                        let (mut got, mut want) = (Wal::new(), Wal::new());
-                        kv.log_stage(txn, &mut got);
-                        kv.log_stage(txn, &mut redo_log);
-                        for (_, key, value) in staged.iter().filter(|w| w.0 == txn) {
-                            let rec = match value {
-                                Some(v) => {
-                                    LogRecord::Put { txn, key: key.clone(), value: v.clone() }
-                                }
-                                None => LogRecord::Delete { txn, key: key.clone() },
-                            };
-                            want.append(&rec).expect("wal record fits");
-                        }
-                        assert_eq!(got.as_bytes(), want.as_bytes(), "{at}");
-                    }
-                    _ => {
-                        let records = Wal::recover(redo_log.as_bytes()).expect("clean log");
-                        kv.redo_one(&records, txn);
-                        for r in &records {
-                            match r {
-                                LogRecord::Put { txn: t, key, value } if *t == txn => {
-                                    base.insert(key.clone(), value.clone());
-                                }
-                                LogRecord::Delete { txn: t, key } if *t == txn => {
-                                    base.remove(key);
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-                for k in 0..7 {
-                    let key = [b'k', k];
-                    assert_eq!(kv.get(&key), base.get(key.as_slice()).map(Vec::as_slice), "{at}");
-                }
-                let sorted: Vec<_> = base.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                assert_eq!(kv.snapshot(), sorted, "{at}");
-                assert_eq!(kv.len(), base.len(), "{at}");
-            }
+                })
+                .collect();
+            match_the_model(&ops, &format!("case {case}"));
         }
+    }
+
+    /// A parked retry: the oldest transaction stages after younger ones
+    /// have staged (their runs now follow its own), reads through its own
+    /// writes, logs them in staging order, and its commit, then a younger
+    /// one's abort, leave the other runs as they were.
+    #[test]
+    fn an_older_transaction_staging_after_younger_ones_matches_the_model() {
+        let put = |txn, key, byte| Op::Put { txn, key, byte, len: 2 };
+        let ops = [
+            put(3, 0, 30),
+            put(4, 1, 40),
+            put(3, 2, 31),
+            Op::Delete { txn: 4, key: 0 },
+            put(1, 2, 10),
+            put(1, 0, 11),
+            Op::Delete { txn: 1, key: 2 },
+            put(1, 2, 12),
+            put(2, 1, 20),
+            Op::Log(1),
+            Op::Commit(1),
+            Op::Abort(3),
+            put(0, 1, 1),
+            Op::Commit(4),
+            Op::Commit(0),
+            Op::Commit(2),
+        ];
+        match_the_model(&ops, "interleaved");
     }
 
     /// A replaced or discarded value's buffer is handed out again, empty,

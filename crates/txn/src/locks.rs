@@ -13,7 +13,7 @@
 //! [`LockOutcome::Wait`] and the caller retries after the conflicting
 //! transaction finishes.
 
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use nbc_core::BytesBuildHasher;
 
@@ -51,11 +51,20 @@ enum Holders {
 /// One site's lock table.
 #[derive(Debug, Default, Clone)]
 pub struct LockManager {
-    /// Every key ever locked here, to its entry in `entries`. An entry
-    /// stays, marked free, after its last holder goes, so a request on a
-    /// key the site has seen builds nothing; the table grows to the keys
-    /// the site's transactions touch, as the store does.
-    index: HashMap<Box<[u8]>, usize, BytesBuildHasher>,
+    /// Every key ever locked here, to its entry in `entries`: an open
+    /// addressing table (linear probing, at most half full) of entry + 1,
+    /// 0 for an empty slot. An entry stays, marked free, after its last
+    /// holder goes, so a request on a key the site has seen builds nothing
+    /// and the table never deletes; it grows to the keys the site's
+    /// transactions touch, as the store does.
+    slots: Vec<u32>,
+    /// Per entry, its key's hash and the end of its bytes in `bytes`
+    /// (they start where the previous entry's end): a key is hashed once
+    /// per request, and never again when the slots grow.
+    keys: Vec<(u64, usize)>,
+    /// Every key's bytes, interned in entry order: a key the site has not
+    /// seen costs one copy into this buffer, not an allocation of its own.
+    bytes: Vec<u8>,
     entries: Vec<Holders>,
     /// One `(txn, entry)` per holder of each entry, sorted by transaction,
     /// so a transaction's locks are one run found by binary search:
@@ -74,17 +83,7 @@ impl LockManager {
 
     /// Request `mode` on `key` for `txn`.
     pub fn request(&mut self, txn: u64, key: &[u8], mode: LockMode) -> LockOutcome {
-        // Looked up before anything is built: a refusal — under contention
-        // the common outcome — and a re-request cost one probe and leave
-        // the table untouched; only a key never seen pays for its bytes.
-        let entry = match self.index.get(key) {
-            Some(&entry) => entry,
-            None => {
-                self.index.insert(key.into(), self.entries.len());
-                self.entries.push(Holders::Free);
-                self.entries.len() - 1
-            }
-        };
+        let entry = self.entry(key);
         let holders = &mut self.entries[entry];
         let sharers = match holders {
             Holders::Free => {
@@ -116,6 +115,63 @@ impl LockManager {
             LockMode::Exclusive => return wait_die(txn, sharers),
         }
         LockOutcome::Granted
+    }
+
+    /// The entry of `key`, made free if the site has not seen it. A key
+    /// seen before — a refusal under contention, a re-request — costs one
+    /// hash and one probe, and leaves the table untouched.
+    fn entry(&mut self, key: &[u8]) -> usize {
+        let hash = BytesBuildHasher::default().hash_one(key);
+        let mut slot = match self.find(hash, key) {
+            Ok(entry) => return entry,
+            Err(slot) => slot,
+        };
+        let entry = self.entries.len();
+        if 2 * (entry + 1) > self.slots.len() {
+            self.grow();
+            slot = self.probe(hash).find(|&i| self.slots[i] == 0).expect("a free slot");
+        }
+        self.slots[slot] = u32::try_from(entry + 1).expect("fewer than 2^32 lock keys");
+        self.bytes.extend_from_slice(key);
+        self.keys.push((hash, self.bytes.len()));
+        self.entries.push(Holders::Free);
+        entry
+    }
+
+    /// `Ok(entry)` of `key`, or `Err(slot)`, the empty slot it would take.
+    fn find(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
+        for i in self.probe(hash) {
+            let Some(entry) = self.slots[i].checked_sub(1) else { return Err(i) };
+            let entry = entry as usize;
+            if self.keys[entry].0 == hash && self.key(entry) == key {
+                return Ok(entry);
+            }
+        }
+        Err(usize::MAX) // no slots yet: `entry` grows them first
+    }
+
+    /// The slots `hash` probes, in order: every slot once.
+    fn probe(&self, hash: u64) -> impl Iterator<Item = usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        (0..self.slots.len()).map(move |step| (hash as usize).wrapping_add(step) & mask)
+    }
+
+    /// The bytes of `entry`'s key.
+    fn key(&self, entry: usize) -> &[u8] {
+        let start = entry.checked_sub(1).map_or(0, |before| self.keys[before].1);
+        &self.bytes[start..self.keys[entry].1]
+    }
+
+    /// Double the slots (16 at first) and place every entry again from its
+    /// stored hash.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (entry, &(hash, _)) in self.keys.iter().enumerate() {
+            let slot = self.probe(hash).find(|&i| self.slots[i] == 0).expect("a free slot");
+            self.slots[slot] = entry as u32 + 1;
+        }
     }
 
     /// The run of `held` that is `txn`'s.
@@ -238,7 +294,7 @@ mod tests {
     #[track_caller]
     fn assert_unchanged(lm: &LockManager, before: &LockManager, what: &str) {
         assert!(
-            lm.index == before.index
+            (&lm.slots, &lm.keys, &lm.bytes) == (&before.slots, &before.keys, &before.bytes)
                 && lm.entries == before.entries
                 && lm.held == before.held
                 && lm.locked == before.locked,
@@ -378,8 +434,35 @@ mod tests {
         lm.release_all(1);
         assert_eq!(lm.locked_keys(), 1, "2 still shares k");
         lm.release_all(2);
-        assert_eq!((lm.locked_keys(), lm.index.len()), (0, 1));
+        assert_eq!((lm.locked_keys(), lm.keys.len()), (0, 1));
         assert_eq!(lm.request(3, b"k", LockMode::Exclusive), LockOutcome::Granted);
-        assert_eq!((lm.locked_keys(), lm.index.len(), lm.entries.len()), (1, 1, 1));
+        assert_eq!((lm.locked_keys(), lm.keys.len(), lm.entries.len()), (1, 1, 1));
+    }
+
+    /// Keys of every length up to a few bytes, the empty one and keys that
+    /// are prefixes of others among them, through several growths of the
+    /// slots: each is interned once, found again by its bytes, and a
+    /// request on a key seen before leaves the table as it was.
+    #[test]
+    fn every_key_is_interned_once_and_found_again_after_the_slots_grow() {
+        let mut lm = LockManager::new();
+        let keys: Vec<Vec<u8>> = (0..3_000u32).map(|i| i.to_string().into_bytes()).collect();
+        let keys: Vec<&[u8]> =
+            std::iter::once(&[][..]).chain(keys.iter().map(Vec::as_slice)).collect();
+        for (txn, key) in keys.iter().enumerate() {
+            assert_eq!(lm.request(txn as u64, key, LockMode::Exclusive), LockOutcome::Granted);
+        }
+        assert_eq!(lm.keys.len(), keys.len());
+        assert_eq!(lm.bytes.len(), keys.iter().map(|k| k.len()).sum::<usize>());
+        assert!(lm.slots.len() >= 2 * keys.len(), "at most half full");
+        let before = lm.clone();
+        for (txn, key) in keys.iter().enumerate() {
+            let entry = lm.find(BytesBuildHasher::default().hash_one(key), key);
+            assert_eq!(entry, Ok(txn), "{key:?}");
+            assert_eq!(lm.key(txn), *key);
+            assert_eq!(lm.request(txn as u64, key, LockMode::Shared), LockOutcome::Granted);
+            assert_eq!(lm.request(txn as u64 + 1, key, LockMode::Shared), LockOutcome::Die);
+        }
+        assert_unchanged(&lm, &before, "every key re-requested");
     }
 }

@@ -1200,11 +1200,10 @@ impl<'a> Stepper<'a> {
         loop {
             let next = runner
                 .iter_pending()
-                .filter(|&p| {
+                .find(|&p| {
                     (down && !runner.sites()[into_site(channel_of(p.2))].is_up())
                         || (inert && runner.inert(p, settled))
                 })
-                .min_by_key(|&(at, seq, _)| (at, seq))
                 .map(|(_, seq, ev)| (seq, step_for(ev)));
             let Some((seq, step)) = next else { break };
             self.path.push(step);

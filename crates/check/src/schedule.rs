@@ -162,11 +162,7 @@ pub(crate) fn channel_head<'r>(
     runner: &'r Runner<'_>,
     ch: Channel,
 ) -> Option<(u64, &'r NetEvent<nbc_engine::Wire>)> {
-    runner
-        .iter_pending()
-        .filter(|(_, _, ev)| channel_of(ev) == ch)
-        .min_by_key(|&(at, seq, _)| (at, seq))
-        .map(|(_, seq, ev)| (seq, ev))
+    runner.iter_pending().find(|(_, _, ev)| channel_of(ev) == ch).map(|(_, seq, ev)| (seq, ev))
 }
 
 /// Tail (most recently sent pending) event of one FIFO channel, if any.
@@ -177,7 +173,7 @@ pub(crate) fn channel_tail<'r>(
     runner
         .iter_pending()
         .filter(|(_, _, ev)| channel_of(ev) == ch)
-        .max_by_key(|&(at, seq, _)| (at, seq))
+        .last()
         .map(|(_, seq, ev)| (seq, ev))
 }
 

@@ -7,8 +7,9 @@
 //! [`Runner`], without touching the time-ordered path:
 //!
 //! * [`Runner::pending_events`] — every scheduled network event with its
-//!   stable sequence handle, in deterministic order ([`Runner::iter_pending`]
-//!   is the borrowing, unordered form for hot loops);
+//!   stable sequence handle, in delivery order ([`Runner::iter_pending`]
+//!   is the borrowing form for hot loops; a channel's events come head
+//!   first in both);
 //! * [`Runner::fire_scheduled`] / [`Runner::drop_scheduled`] — deliver or
 //!   lose one chosen event, out of time order (per-link FIFO is the
 //!   checker's responsibility: it should only fire a link's *head* event,
@@ -451,15 +452,16 @@ impl<'a> Runner<'a> {
     }
 
     /// Every pending network event as `(time, sequence handle, event)`,
-    /// borrowed, in **unspecified** order — the allocation-free form of
+    /// borrowed, in delivery order — the allocation-free form of
     /// [`Runner::pending_events`]. Delivery order (and FIFO order within a
-    /// [`Channel`]) is ascending `(time, sequence)`.
+    /// [`Channel`]) is ascending `(time, sequence)`: the first event of a
+    /// channel met is its head.
     pub fn iter_pending(&self) -> impl Iterator<Item = (Time, u64, &NetEvent<Wire>)> {
         self.net.iter_scheduled()
     }
 
     /// Every pending network event as `(sequence handle, event)`, in
-    /// deterministic `(time, send order)` order.
+    /// delivery order: ascending `(time, send order)`.
     pub fn pending_events(&self) -> Vec<(u64, NetEvent<Wire>)> {
         self.net.scheduled().into_iter().map(|(_, seq, ev)| (seq, ev.clone())).collect()
     }
@@ -549,7 +551,7 @@ impl<'a> Runner<'a> {
     /// will come; without it only rule (a) applies. Other events into a
     /// down site are the caller's to judge: they are no-ops until a
     /// restart.
-    pub fn inert(&self, (at, seq, ev): (Time, u64, &NetEvent<Wire>), settled: bool) -> bool {
+    pub fn inert(&self, (_, seq, ev): (Time, u64, &NetEvent<Wire>), settled: bool) -> bool {
         let named = match *ev {
             NetEvent::Deliver { dst, msg: Wire::Proto(_), .. } => {
                 self.detector.is_none() && self.sites[dst].mode != Mode::Normal
@@ -559,12 +561,13 @@ impl<'a> Runner<'a> {
             }
             _ => false,
         };
+        if !named {
+            return false;
+        }
+        // Delivery order meets a channel's head first.
         let ch = channel_of(ev);
-        named
-            && !self
-                .net
-                .iter_scheduled()
-                .any(|(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
+        let head = self.net.iter_scheduled().find(|&(_, _, ev2)| channel_of(ev2) == ch);
+        head.is_some_and(|(_, head, _)| head == seq)
     }
 
     /// True when no network event is pending — with no fault injection
@@ -598,12 +601,14 @@ impl<'a> Runner<'a> {
             h.write_u128(s.digest());
         }
         let mut in_flight = MultisetFp::default();
-        for (at, seq, ev) in self.net.iter_scheduled() {
+        for (i, (_, _, ev)) in self.net.iter_scheduled().enumerate() {
             let ch = channel_of(ev);
+            // Delivery order puts a channel's earlier events before it.
             let rank = self
                 .net
                 .iter_scheduled()
-                .filter(|&(at2, seq2, ev2)| (at2, seq2) < (at, seq) && channel_of(ev2) == ch)
+                .take(i)
+                .filter(|&(_, _, ev2)| channel_of(ev2) == ch)
                 .count();
             let mut eh = Fp128::new();
             match ch {

@@ -1,9 +1,6 @@
 //! The reliable point-to-point message fabric with a perfect failure
 //! detector.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use nbc_obs::{Event, EventKind, Tracer};
 
 use crate::latency::LatencyModel;
@@ -57,23 +54,6 @@ struct Scheduled<M> {
     event: NetEvent<M>,
 }
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Deterministic reliable network for `n` sites.
 ///
 /// * **Reliable**: every sent message is eventually delivered (even to a
@@ -92,7 +72,15 @@ pub struct Network<M> {
     n: usize,
     latency: LatencyModel,
     detect_delay: Time,
-    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    /// The scheduled events in delivery order, ascending `(at, seq)`, from
+    /// `head` on: the live slice. A send at constant latency is due last
+    /// and appends; a notice or a sampled latency due earlier is inserted
+    /// by binary search. A delivery moves the front event out and steps
+    /// `head` past the slot it leaves, so nothing shifts; the delivered
+    /// prefix is let go when the queue empties, or reclaimed when the
+    /// buffer is full and the prefix is at least half of it.
+    queue: Vec<Scheduled<M>>,
+    head: usize,
     seq: u64,
     /// `last_delivery[src * n + dst]` = latest delivery time scheduled on
     /// the link, for FIFO enforcement.
@@ -118,16 +106,29 @@ impl<M: Clone> Clone for Network<M> {
         copy
     }
 
-    /// Copy `source` into this network's storage: the event heap, the link
-    /// tables and the partition assignment keep their allocations.
-    /// Destructured in full so a new field cannot be left out of the copy.
+    /// Copy `source` into this network's storage: the event queue (its
+    /// live slice, from the front of the buffer), the link tables and the
+    /// partition assignment keep their allocations. Destructured in full
+    /// so a new field cannot be left out of the copy.
     fn clone_from(&mut self, source: &Self) {
-        let Self { n, latency, detect_delay, heap, seq, last_delivery, groups, sent, tracer } =
-            self;
+        let Self {
+            n,
+            latency,
+            detect_delay,
+            queue,
+            head,
+            seq,
+            last_delivery,
+            groups,
+            sent,
+            tracer,
+        } = self;
         *n = source.n;
         latency.clone_from(&source.latency);
         *detect_delay = source.detect_delay;
-        heap.clone_from(&source.heap);
+        queue.clear();
+        queue.extend_from_slice(source.live());
+        *head = 0;
         *seq = source.seq;
         last_delivery.clone_from(&source.last_delivery);
         groups.clone_from(&source.groups);
@@ -143,7 +144,8 @@ impl<M> Network<M> {
             n,
             latency,
             detect_delay,
-            heap: BinaryHeap::new(),
+            queue: Vec::new(),
+            head: 0,
             seq: 0,
             last_delivery: vec![0; n * n],
             groups: None,
@@ -154,12 +156,13 @@ impl<M> Network<M> {
 
     /// Back to the state [`Network::new`] returns for the same `n` — nothing
     /// scheduled, sequence numbers from zero, links idle, no partition, no
-    /// sends counted, tracing off — keeping the event heap's and the link
+    /// sends counted, tracing off — keeping the event queue's and the link
     /// tables' allocations.
     pub fn reset(&mut self, latency: LatencyModel, detect_delay: Time) {
         self.latency = latency;
         self.detect_delay = detect_delay;
-        self.heap.clear();
+        self.queue.clear();
+        self.head = 0;
         self.seq = 0;
         self.last_delivery.fill(0);
         self.groups = None;
@@ -247,12 +250,11 @@ impl<M> Network<M> {
     where
         M: std::fmt::Display,
     {
-        // Filter the heap's own buffer and re-heapify it whole: no
-        // reallocation, and the same layout a filter-and-collect yields
-        // (drop events are emitted in buffer order).
+        // Filtered in place, so drop events are emitted in delivery order.
+        self.queue.drain(..self.head);
+        self.head = 0;
         let tracer = &self.tracer;
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|Reverse(sch)| match &sch.event {
+        self.queue.retain(|sch| match &sch.event {
             NetEvent::Deliver { src, dst, msg } if assignment[*src] != assignment[*dst] => {
                 tracer.emit(|| {
                     Event::new(now, EventKind::MsgDrop { dst: *dst as u32, label: msg.to_string() })
@@ -262,7 +264,6 @@ impl<M> Network<M> {
             }
             _ => true,
         });
-        self.heap = entries.into();
     }
 
     /// Heal a partition (messages flow again; no automatic notices).
@@ -309,51 +310,66 @@ impl<M> Network<M> {
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(s)| s.at)
+        self.live().first().map(|s| s.at)
     }
 
     /// Pop the next event in time order (ties broken by send order).
     pub fn next_event(&mut self) -> Option<(Time, NetEvent<M>)> {
-        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
+        let front = self.queue.get_mut(self.head)?;
+        // What the delivered slot keeps: an event that owns no message.
+        let event = std::mem::replace(
+            &mut front.event,
+            NetEvent::FailureNotice { observer: 0, crashed: 0 },
+        );
+        let at = front.at;
+        self.head += 1;
+        if self.head == self.queue.len() {
+            self.queue.clear();
+            self.head = 0;
+        }
+        Some((at, event))
     }
 
     /// Number of undelivered events still scheduled.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.queue.len() - self.head
     }
 
-    /// Every scheduled event as `(at, seq, event)`, borrowed, in
-    /// **unspecified** order — the allocation-free view. Delivery order is
-    /// ascending `(at, seq)`; callers that need it take a `min`/`max` or
-    /// use [`Network::scheduled`].
+    /// The scheduled events, in delivery order.
+    fn live(&self) -> &[Scheduled<M>] {
+        &self.queue[self.head..]
+    }
+
+    /// Every scheduled event as `(at, seq, event)`, borrowed, in delivery
+    /// order: ascending `(at, seq)`, so each FIFO channel's events come
+    /// head first (FIFO order on one `(src, dst)` link is exactly
+    /// ascending `(at, seq)` order among that link's entries). The
+    /// allocation-free view; the sequence number is the handle for
+    /// [`Network::take_seq`] / [`Network::drop_seq`], and a model checker
+    /// uses it to name the per-channel head events it may deliver next.
     pub fn iter_scheduled(&self) -> impl Iterator<Item = (Time, u64, &NetEvent<M>)> {
-        self.heap.iter().map(|Reverse(s)| (s.at, s.seq, &s.event))
+        self.live().iter().map(|s| (s.at, s.seq, &s.event))
     }
 
-    /// Every scheduled event in deterministic `(at, seq)` order, with its
-    /// sequence number. The sequence number is the handle for
-    /// [`Network::take_seq`] / [`Network::drop_seq`]; a model checker uses
-    /// this to enumerate the per-channel head events it may deliver next
-    /// (FIFO order on one `(src, dst)` link is exactly ascending `(at,
-    /// seq)` order among that link's entries).
+    /// [`Network::iter_scheduled`], collected.
     pub fn scheduled(&self) -> Vec<(Time, u64, &NetEvent<M>)> {
-        let mut out: Vec<_> = self.iter_scheduled().collect();
-        out.sort_by_key(|&(at, seq, _)| (at, seq));
-        out
+        self.iter_scheduled().collect()
     }
 
     /// Remove and return one specific scheduled event by sequence number,
     /// out of time order — the model checker's "deliver this one next"
-    /// hook. Returns `None` if no such event is pending.
+    /// hook. Returns `None` if no such event is pending. The events on
+    /// the shorter side of it close the gap, so taking a channel's head
+    /// near the front, or a tail near the back, moves few of them.
     pub fn take_seq(&mut self, seq: u64) -> Option<(Time, NetEvent<M>)> {
-        // Remove in place: the heap's own buffer is re-heapified, never
-        // reallocated (order-preserving removal keeps the buffer layout a
-        // function of the push/remove history alone).
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        let taken =
-            entries.iter().position(|Reverse(s)| s.seq == seq).map(|at| entries.remove(at).0);
-        self.heap = entries.into();
-        taken.map(|s| (s.at, s.event))
+        let at = self.head + self.live().iter().position(|s| s.seq == seq)?;
+        if at - self.head < self.queue.len() - at {
+            self.queue[self.head..=at].rotate_right(1);
+            self.next_event()
+        } else {
+            let s = self.queue.remove(at);
+            Some((s.at, s.event))
+        }
     }
 
     /// Remove one specific scheduled event by sequence number *as a loss*:
@@ -376,10 +392,22 @@ impl<M> Network<M> {
         Some(ev)
     }
 
+    /// Schedule `event` at `at`, behind every event due no later: its
+    /// sequence number is the largest yet.
     fn push(&mut self, at: Time, event: NetEvent<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
+        if self.queue.len() == self.queue.capacity() && 2 * self.head >= self.queue.len() {
+            self.queue.drain(..self.head);
+            self.head = 0;
+        }
+        let scheduled = Scheduled { at, seq, event };
+        if self.queue.last().is_none_or(|last| last.at <= at) {
+            self.queue.push(scheduled);
+        } else {
+            let behind = self.head + self.live().partition_point(|s| s.at <= at);
+            self.queue.insert(behind, scheduled);
+        }
     }
 }
 
@@ -596,5 +624,164 @@ mod tests {
         n.send(0, 0, 1, "x");
         n.crash(0, 1);
         assert_eq!(n.pending(), 2); // one delivery + one notice (to site 0)
+    }
+
+    /// The queue against a list kept by hand: random sends at constant and
+    /// sampled latency, crashes and recoveries (their notices fall due
+    /// `detect_delay` later, so they are inserted behind later sends),
+    /// partitions with and without notices, heals, deliveries, takes and
+    /// drops by sequence number, and forks into fresh and used networks.
+    /// After every step the next event and the whole queue must be the
+    /// reference sorted by `(at, seq)`.
+    #[test]
+    fn random_operations_keep_delivery_order() {
+        use crate::SimRng;
+        type Reference = Vec<(Time, u64, NetEvent<u32>)>;
+        let sites = 4;
+        for seed in 0..24u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let latency = if seed % 2 == 0 {
+                LatencyModel::constant(rng.gen_range(0u64..4))
+            } else {
+                LatencyModel::uniform(1, 12, seed)
+            };
+            let detect_delay = rng.gen_range(0u64..20);
+            let mut net: Network<u32> = Network::new(sites, latency, detect_delay);
+            let (mut reference, mut next_seq, mut now) = (Reference::new(), 0u64, 0);
+            let mut groups: Option<Vec<usize>> = None;
+            for step in 0..600u32 {
+                now += rng.gen_range(0u64..3);
+                let notices = |reference: &mut Reference, next_seq: &mut u64, site, back| {
+                    for observer in (0..sites).filter(|&o| o != site) {
+                        let event = if back {
+                            NetEvent::RecoveryNotice { observer, recovered: site }
+                        } else {
+                            NetEvent::FailureNotice { observer, crashed: site }
+                        };
+                        reference.push((now + detect_delay, *next_seq, event));
+                        *next_seq += 1;
+                    }
+                };
+                match rng.gen_range(0u32..20) {
+                    0..=7 => {
+                        let (src, dst) = (rng.gen_range(0..sites), rng.gen_range(0..sites));
+                        let at = net.send(now, src, dst, step);
+                        let cut = groups.as_ref().is_some_and(|g| g[src] != g[dst]);
+                        assert_eq!(at.is_none(), cut, "seed {seed} step {step}");
+                        if let Some(at) = at {
+                            reference.push((
+                                at,
+                                next_seq,
+                                NetEvent::Deliver { src, dst, msg: step },
+                            ));
+                            next_seq += 1;
+                        }
+                    }
+                    8..=10 => {
+                        let want = reference.iter().enumerate().min_by_key(|(_, e)| (e.0, e.1));
+                        let want = want.map(|(i, _)| i).map(|i| reference.remove(i));
+                        assert_eq!(
+                            net.next_event(),
+                            want.map(|(at, _, ev)| (at, ev)),
+                            "{seed} {step}"
+                        );
+                    }
+                    11 => {
+                        let site = rng.gen_range(0..sites);
+                        net.crash(now, site);
+                        notices(&mut reference, &mut next_seq, site, false);
+                    }
+                    12 => {
+                        let site = rng.gen_range(0..sites);
+                        net.recover(now, site);
+                        notices(&mut reference, &mut next_seq, site, true);
+                    }
+                    13 | 14 => {
+                        // A pending sequence number, or one long gone.
+                        let seq = match reference.len() {
+                            0 => next_seq + 1,
+                            len => reference[rng.gen_range(0..len)].1,
+                        };
+                        let want = reference.iter().position(|e| e.1 == seq);
+                        let want = want.map(|i| reference.remove(i));
+                        if rng.gen_bool(0.5) {
+                            let got = net.take_seq(seq);
+                            assert_eq!(got, want.map(|(at, _, ev)| (at, ev)), "{seed} {step}");
+                        } else {
+                            let got = net.drop_seq(now, seq);
+                            assert_eq!(got, want.map(|(_, _, ev)| ev), "{seed} {step}");
+                        }
+                    }
+                    15 => {
+                        let assignment: Vec<usize> =
+                            (0..sites).map(|_| rng.gen_range(0usize..2)).collect();
+                        reference.retain(|(_, _, ev)| match ev {
+                            NetEvent::Deliver { src, dst, .. } => {
+                                assignment[*src] == assignment[*dst]
+                            }
+                            _ => true,
+                        });
+                        if rng.gen_bool(0.5) {
+                            net.partition_silent(now, assignment.clone());
+                        } else {
+                            net.partition(now, assignment.clone());
+                            for observer in 0..sites {
+                                for other in
+                                    (0..sites).filter(|&o| assignment[o] != assignment[observer])
+                                {
+                                    let event =
+                                        NetEvent::FailureNotice { observer, crashed: other };
+                                    reference.push((now + detect_delay, next_seq, event));
+                                    next_seq += 1;
+                                }
+                            }
+                        }
+                        groups = Some(assignment);
+                    }
+                    16 => {
+                        net.heal();
+                        groups = None;
+                    }
+                    17 => net = net.clone(),
+                    _ => {
+                        // Into a used network, with a delivered prefix of its own.
+                        let mut used = Network::new(sites, LatencyModel::constant(1), 0);
+                        for t in 0..rng.gen_range(0u64..40) {
+                            used.send(t, 0, 1, 0);
+                        }
+                        for _ in 0..rng.gen_range(0u32..30) {
+                            used.next_event();
+                        }
+                        used.clone_from(&net);
+                        net = used;
+                    }
+                }
+                reference.sort_by_key(|e| (e.0, e.1));
+                let queue: Reference =
+                    net.iter_scheduled().map(|(at, seq, ev)| (at, seq, ev.clone())).collect();
+                assert_eq!(queue, reference, "seed {seed} step {step}");
+                assert_eq!(net.scheduled().len(), reference.len(), "seed {seed} step {step}");
+                assert_eq!(net.pending(), reference.len(), "seed {seed} step {step}");
+                assert_eq!(net.peek_time(), reference.first().map(|e| e.0), "{seed} {step}");
+            }
+        }
+    }
+
+    /// 100 000 events due at one instant come out in send order, each
+    /// delivery stepping past the front slot instead of shifting the
+    /// queue: the buffer keeps its length until the last one goes.
+    #[test]
+    fn a_delivery_steps_past_the_front_and_shifts_nothing() {
+        const EVENTS: u32 = 100_000;
+        let mut n: Network<u32> = Network::new(3, LatencyModel::constant(0), 0);
+        for i in 0..EVENTS {
+            n.send(7, (i % 3) as usize, ((i + 1) % 3) as usize, i);
+        }
+        for i in 0..EVENTS {
+            assert_eq!((n.head, n.queue.len()), (i as usize, EVENTS as usize), "before {i}");
+            let (at, event) = n.next_event().expect("pending");
+            assert!(at == 7 && matches!(event, NetEvent::Deliver { msg, .. } if msg == i), "{i}");
+        }
+        assert_eq!((n.head, n.queue.len(), n.pending()), (0, 0, 0));
     }
 }

@@ -211,7 +211,7 @@
 //! two in three end in a dedup hit. So a worker never gives a [`Runner`]
 //! back to the allocator: one that no frame keeps goes on the worker's
 //! free list, the next fork is [`Clone::clone_from`] into it — every site,
-//! WAL buffer, inbox and event heap overwritten in place, cached site
+//! WAL buffer, inbox and event queue overwritten in place, cached site
 //! fingerprints included — and the last untried branch of a frame takes
 //! the frame's runner by move instead of forking it. The seeded root tasks
 //! and donated ones fork through the free list too. Action lists and the

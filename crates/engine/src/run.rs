@@ -132,7 +132,7 @@ impl Clone for Runner<'_> {
     }
 
     /// Become a fork of `source` in this runner's storage, whatever run it
-    /// held: every site slot, WAL buffer, inbox, event heap and link table
+    /// held: every site slot, WAL buffer, inbox, event queue and link table
     /// is overwritten in place (a site slot's cached fingerprint with the
     /// source's — see [`SiteCell`]). The source's site slots are stamped
     /// first, so a slot this runner already holds under the same stamp — a
@@ -222,7 +222,7 @@ impl<'a> Runner<'a> {
     }
 
     /// Run `config` on this runner's protocol in the storage of a run that
-    /// is over: the event heap, the link tables, the timers, the site cells
+    /// is over: the event queue, the link tables, the timers, the site cells
     /// and their inbox, view and WAL buffers are cleared and re-armed in
     /// place instead of being dropped and allocated again. The result is
     /// indistinguishable from [`Runner::with_tracer`] on the same

@@ -73,8 +73,9 @@ pub struct Network<M> {
     latency: LatencyModel,
     detect_delay: Time,
     /// The scheduled events in delivery order, ascending `(at, seq)`, from
-    /// `head` on: the live slice. A send at constant latency is due last
-    /// and appends; a notice or a sampled latency due earlier is inserted
+    /// `head` on: the live slice. An event due no earlier than the last
+    /// appends, as a send at constant latency does; one due earlier (a
+    /// sampled latency, a send ahead of a notice due later) is inserted
     /// by binary search. A delivery moves the front event out and steps
     /// `head` past the slot it leaves, so nothing shifts; the delivered
     /// prefix is let go when the queue empties, or reclaimed when the
@@ -358,18 +359,12 @@ impl<M> Network<M> {
 
     /// Remove and return one specific scheduled event by sequence number,
     /// out of time order — the model checker's "deliver this one next"
-    /// hook. Returns `None` if no such event is pending. The events on
-    /// the shorter side of it close the gap, so taking a channel's head
-    /// near the front, or a tail near the back, moves few of them.
+    /// hook. Returns `None` if no such event is pending. The events
+    /// behind it close the gap, in delivery order.
     pub fn take_seq(&mut self, seq: u64) -> Option<(Time, NetEvent<M>)> {
         let at = self.head + self.live().iter().position(|s| s.seq == seq)?;
-        if at - self.head < self.queue.len() - at {
-            self.queue[self.head..=at].rotate_right(1);
-            self.next_event()
-        } else {
-            let s = self.queue.remove(at);
-            Some((s.at, s.event))
-        }
+        let taken = self.queue.remove(at);
+        Some((taken.at, taken.event))
     }
 
     /// Remove one specific scheduled event by sequence number *as a loss*:

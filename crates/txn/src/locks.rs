@@ -122,32 +122,32 @@ impl LockManager {
     /// hash and one probe, and leaves the table untouched.
     fn entry(&mut self, key: &[u8]) -> usize {
         let hash = BytesBuildHasher::default().hash_one(key);
-        let mut slot = match self.find(hash, key) {
-            Ok(entry) => return entry,
-            Err(slot) => slot,
-        };
+        if let Some(entry) = self.find(hash, key) {
+            return entry;
+        }
         let entry = self.entries.len();
         if 2 * (entry + 1) > self.slots.len() {
             self.grow();
-            slot = self.probe(hash).find(|&i| self.slots[i] == 0).expect("a free slot");
         }
-        self.slots[slot] = u32::try_from(entry + 1).expect("fewer than 2^32 lock keys");
+        self.place(hash, entry);
         self.bytes.extend_from_slice(key);
         self.keys.push((hash, self.bytes.len()));
         self.entries.push(Holders::Free);
         entry
     }
 
-    /// `Ok(entry)` of `key`, or `Err(slot)`, the empty slot it would take.
-    fn find(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
-        for i in self.probe(hash) {
-            let Some(entry) = self.slots[i].checked_sub(1) else { return Err(i) };
-            let entry = entry as usize;
-            if self.keys[entry].0 == hash && self.key(entry) == key {
-                return Ok(entry);
-            }
-        }
-        Err(usize::MAX) // no slots yet: `entry` grows them first
+    /// The entry of `key`, whose hash is `hash`, if the site has seen it.
+    fn find(&self, hash: u64, key: &[u8]) -> Option<usize> {
+        self.probe(hash)
+            .map_while(|i| self.slots[i].checked_sub(1))
+            .map(|entry| entry as usize)
+            .find(|&entry| self.keys[entry].0 == hash && self.key(entry) == key)
+    }
+
+    /// Put `entry` in the first empty slot `hash` probes.
+    fn place(&mut self, hash: u64, entry: usize) {
+        let slot = self.probe(hash).find(|&i| self.slots[i] == 0).expect("slots half empty");
+        self.slots[slot] = u32::try_from(entry + 1).expect("fewer than 2^32 lock keys");
     }
 
     /// The slots `hash` probes, in order: every slot once.
@@ -168,9 +168,8 @@ impl LockManager {
         let len = (2 * self.slots.len()).max(16);
         self.slots.clear();
         self.slots.resize(len, 0);
-        for (entry, &(hash, _)) in self.keys.iter().enumerate() {
-            let slot = self.probe(hash).find(|&i| self.slots[i] == 0).expect("a free slot");
-            self.slots[slot] = entry as u32 + 1;
+        for entry in 0..self.keys.len() {
+            self.place(self.keys[entry].0, entry);
         }
     }
 
@@ -458,7 +457,7 @@ mod tests {
         let before = lm.clone();
         for (txn, key) in keys.iter().enumerate() {
             let entry = lm.find(BytesBuildHasher::default().hash_one(key), key);
-            assert_eq!(entry, Ok(txn), "{key:?}");
+            assert_eq!(entry, Some(txn), "{key:?}");
             assert_eq!(lm.key(txn), *key);
             assert_eq!(lm.request(txn as u64, key, LockMode::Shared), LockOutcome::Granted);
             assert_eq!(lm.request(txn as u64 + 1, key, LockMode::Shared), LockOutcome::Die);

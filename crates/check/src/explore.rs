@@ -80,21 +80,20 @@
 //!
 //! ## Sleep sets
 //!
-//! Two deliveries into different sites commute. A handler mutates only the
-//! site it delivers into and appends its sends to channel tails, so it
-//! neither changes nor disables another channel's head; fired in either
-//! order, with the drain after each, the two leave one state and
-//! spend no budget (`heads_to_distinct_sites_commute` checks every such
-//! pair at every state of nine walks). Every other action — crash,
-//! recover, drop, suspect, unsuspect — is taken to depend on every action.
-//! That is the independence relation of Godefroid's sleep sets (LNCS 1032,
-//! 1996), which the walk keeps over `Fire` actions:
+//! Which deliveries commute is the engine's to say ([`Independence`], built
+//! once per protocol): today, two deliveries into different sites. Fired in
+//! either order, with the drain after each, two deliveries it relates leave
+//! one state and spend no budget (`independent_deliveries_commute` checks
+//! every such pair at every state of thirteen walks). Every other action —
+//! crash, recover, drop, suspect, unsuspect — is taken to depend on every
+//! action. That is the independence relation of Godefroid's sleep sets
+//! (LNCS 1032, 1996), which the walk keeps over `Fire` actions:
 //!
 //! * **Branching.** A frame's actions start with the deliveries it
-//!   *sleeps on*, which it does not apply. The branch on `Fire(c)` into
-//!   site d sleeps on every delivery before it in the frame, slept on or
-//!   branched on, except those into d. A branch on any other action sleeps
-//!   on nothing. Seeded and donated tasks carry their branch's set.
+//!   *sleeps on*, which it does not apply. The branch on `Fire(c)` sleeps
+//!   on every delivery before it in the frame, slept on or branched on,
+//!   that commutes with it. A branch on any other action sleeps on
+//!   nothing. Seeded and donated tasks carry their branch's set.
 //! * **Revisits.** A dedup entry stores the set its state was expanded
 //!   under. A revisit under Z prunes iff the stored set ⊆ Z. Otherwise it
 //!   applies only the *woken* deliveries, stored \ Z (still under the
@@ -139,16 +138,15 @@
 //! holds one closes over every delivery.
 //!
 //! In the region the walk expands a persistent set (Godefroid, LNCS 1032,
-//! ch. 4): the deliveries T_y into one site y, when no other site can,
-//! while y takes no step, put a message on a channel into y that is empty
-//! now. Deliveries into other sites commute with T_y, and a tail append
-//! does not change a head, so every delivery outside T_y is independent of
-//! T_y in every state reachable without it. The engine's
-//! [`SendBound`] bounds where each site may still send (one row per send
-//! site, `nbc_engine::explore`'s module docs); y is the qualifying site
-//! with the fewest enabled channels, the lowest id on a tie. The choice is
-//! made only where two or more sites have a delivery enabled, since
-//! otherwise the set is everything.
+//! ch. 4): the deliveries T_y into the site y that
+//! [`Independence::persistent_site`] names, one no other site can, while y
+//! takes no step, put a message on a channel into y that is empty now.
+//! Deliveries into other sites commute with T_y, and a tail append does not
+//! change a head, so every delivery outside T_y is independent of T_y in
+//! every state reachable without it. The engine's may-send bound proves y
+//! qualifies (`nbc_engine::explore`'s module docs); y has the fewest
+//! enabled channels, the lowest id on a tie, and two or more sites must
+//! have a delivery enabled, since otherwise the set is everything.
 //!
 //! * **No sleep sets.** Every T_y delivers into one site, so a sleep set
 //!   has nothing to prune there. A region state takes and stores an empty
@@ -171,11 +169,12 @@
 //!   persistent sets: the walk every cut row was counted with.
 //!
 //! `persistent_sets_are_persistent` checks every choice the walk makes on
-//! the explicit unreduced graph of the `heads_to_distinct_sites_commute`
+//! the explicit unreduced graph of the `independent_deliveries_commute`
 //! walks, central 3PC at n=4 and Paxos Commit; the `*_unreduced` tests
 //! hold the walk to a test-only walk with neither sleep nor persistent
-//! sets on the catalog, every pinned budget row and Paxos Commit: equal
-//! verdicts, flags, witnessed bitmaps and quiescent and blocked state sets.
+//! sets on the catalog, the linear specs, every pinned budget row and Paxos
+//! Commit: equal verdicts, flags, witnessed bitmaps and quiescent and
+//! blocked state sets.
 //!
 //! ## Parallel exploration and determinism
 //!
@@ -290,7 +289,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
 use nbc_core::{Analysis, Fp128, FpBuildHasher, Protocol, RunSet, SpillStats};
-use nbc_engine::{channel_of, Channel, MaySend, RunConfig, Runner, SendBound, TerminationRule};
+use nbc_engine::{channel_of, Channel, Independence, RunConfig, Runner, TerminationRule};
 use nbc_simnet::NetEvent;
 
 use crate::oracle::{Oracles, Witnessed};
@@ -513,16 +512,6 @@ pub struct Exploration<'a> {
 
 /// The transaction id every checked execution runs under.
 pub(crate) const CHECK_TXN: u64 = 1;
-
-/// The site a delivery on `ch` delivers into — the only site its handler
-/// mutates. Two deliveries are independent exactly when they deliver into
-/// different sites.
-fn into_site(ch: Channel) -> usize {
-    match ch {
-        Channel::Link(_, dst) => dst,
-        Channel::Detector(observer) => observer,
-    }
-}
 
 /// A stored sleep set: bit `i` stands for the `i`-th channel with
 /// something in flight at the state, in canonical order. A state's slept
@@ -825,10 +814,8 @@ struct Task<'a> {
 struct Shared<'a> {
     protocol: &'a Protocol,
     analysis: &'a Analysis,
-    /// Where each site may still send in the delivery-only region: what
-    /// the persistent sets rest on. `None` past 64 sites, where the walk
-    /// keeps no persistent sets.
-    bound: Option<SendBound>,
+    /// What the sleep sets and persistent sets rest on.
+    independence: Independence,
     opts: CheckOptions,
     /// What a walk run alone stops at; the sweep and the redo have none.
     stop: Option<Target>,
@@ -885,7 +872,7 @@ impl<'a> Shared<'a> {
         Self {
             protocol,
             analysis,
-            bound: SendBound::new(protocol),
+            independence: Independence::new(protocol),
             opts,
             stop,
             exact,
@@ -911,15 +898,15 @@ impl<'a> Shared<'a> {
         }
     }
 
-    /// The bound this walk's persistent sets in the delivery-only region
-    /// rest on, if it keeps any. The exact re-run after a depth cut does
-    /// not: it is the walk every cut row was counted with.
-    fn persistent_sets(&self) -> Option<&SendBound> {
+    /// The relation that names this walk's persistent sets in the
+    /// delivery-only region, if it keeps any. The exact re-run after a depth
+    /// cut does not: it is the walk every cut row was counted with.
+    fn persistent_sets(&self) -> Option<&Independence> {
         #[cfg(test)]
         if self.unreduced {
             return None;
         }
-        self.bound.as_ref().filter(|_| !self.exact)
+        Some(&self.independence).filter(|i| !self.exact && i.names_persistent_sets())
     }
 
     /// Mark one task of `plan` finished; fold the plan when it was the
@@ -976,10 +963,6 @@ struct Stepper<'a> {
     /// Scratch, empty between calls and kept for its allocation: the sends
     /// a crash may lose, snapshotted before the crash.
     sends: Vec<(u64, usize)>,
-    /// Scratch for [`Stepper::persistent_site`]: `(enabled channels, site)` per
-    /// site with a delivery enabled, and the state's half of the send bound.
-    targets: Vec<(usize, usize)>,
-    may_send: MaySend,
     /// Fire only the events into down sites, not the inert ones: the
     /// reference walk the tests hold the drain against.
     #[cfg(test)]
@@ -994,8 +977,6 @@ impl<'a> Stepper<'a> {
             path: Vec::new(),
             channels: Vec::new(),
             sends: Vec::new(),
-            targets: Vec::new(),
-            may_send: MaySend::default(),
             #[cfg(test)]
             undrained: tests::UNDRAINED.get(),
         }
@@ -1042,34 +1023,6 @@ impl<'a> Stepper<'a> {
             }
         }
         slept
-    }
-
-    /// The site whose deliveries form a delivery-only state's persistent
-    /// set: a site y for which `bound` proves that no other site can, while
-    /// y takes no step, put a message on a link into y that is empty now.
-    /// Every other delivery then commutes with those into y and none
-    /// enables a new one into y. Of the sites that qualify, y has the
-    /// fewest enabled channels, the lowest id on a tie. `None` when none
-    /// qualifies, or when fewer than two sites have a delivery enabled and
-    /// there is nothing to cut. Reads the channels [`Stepper::collect`]
-    /// took from the same runner.
-    fn persistent_site(&mut self, runner: &Runner<'a>, bound: &SendBound) -> Option<usize> {
-        let targets = &mut self.targets;
-        targets.clear();
-        for &ch in &self.channels {
-            let y = into_site(ch);
-            match targets.iter_mut().find(|(_, site)| *site == y) {
-                Some((count, _)) => *count += 1,
-                None => targets.push((1, y)),
-            }
-        }
-        if targets.len() < 2 {
-            return None;
-        }
-        targets.sort_unstable();
-        bound.read(runner, &mut self.may_send);
-        let may_send = &self.may_send;
-        targets.iter().map(|&(_, y)| y).find(|&y| may_send.closed_to(bound, y))
     }
 
     /// Fill `actions` with all branchable actions in `runner` under
@@ -1201,7 +1154,7 @@ impl<'a> Stepper<'a> {
             let next = runner
                 .iter_pending()
                 .find(|&p| {
-                    (down && !runner.sites()[into_site(channel_of(p.2))].is_up())
+                    (down && !runner.sites()[channel_of(p.2).dst()].is_up())
                         || (inert && runner.inert(p, settled))
                 })
                 .map(|(_, seq, ev)| (seq, step_for(ev)));
@@ -1304,15 +1257,14 @@ fn fork<'a>(spare: &mut Vec<Box<Runner<'a>>>, source: &Runner<'a>) -> Box<Runner
 }
 
 /// Fill `out` with the sleep set of the branch on `actions[i]`: the
-/// deliveries done before it in its frame — slept on or branched on — less
-/// those into the site it delivers into. Every other action depends on
+/// deliveries done before it in its frame — slept on or branched on — that
+/// commute with it under `independence`. Every other action depends on
 /// every action, so its branch sleeps on nothing.
-fn sleep_of(actions: &[Action], i: usize, out: &mut Vec<Channel>) {
+fn sleep_of(independence: &Independence, actions: &[Action], i: usize, out: &mut Vec<Channel>) {
     out.clear();
     let Action::Fire(c) = actions[i] else { return };
-    let site = into_site(c);
     out.extend(actions[..i].iter().filter_map(|a| match *a {
-        Action::Fire(ch) if into_site(ch) != site => Some(ch),
+        Action::Fire(ch) if independence.commute(ch, c) => Some(ch),
         _ => None,
     }));
 }
@@ -1387,7 +1339,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                     shared.outstanding.fetch_add(branches.len(), Ordering::AcqRel);
                     for i in branches {
                         let mut sleep = Vec::new();
-                        sleep_of(&f.actions, i, &mut sleep);
+                        sleep_of(&shared.independence, &f.actions, i, &mut sleep);
                         queue.push_back(Task {
                             plan: idx,
                             runner: fork(&mut self.spare, &f.runner),
@@ -1521,7 +1473,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                 self.retire(f.runner);
                 continue;
             };
-            sleep_of(&f.actions, f.next, &mut self.sleep);
+            sleep_of(&self.shared.independence, &f.actions, f.next, &mut self.sleep);
             f.next += 1;
             let (depth_left, budgets) = (f.depth_left, f.budgets);
             // The last branch of a frame takes the frame's runner itself;
@@ -1558,7 +1510,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                 return;
             }
             let mut sleep = Vec::new();
-            sleep_of(&f.actions, f.next, &mut sleep);
+            sleep_of(&self.shared.independence, &f.actions, f.next, &mut sleep);
             let action = f.actions[f.next];
             f.next += 1;
             let task = Task {
@@ -1751,10 +1703,9 @@ impl<'w, 'a> Worker<'w, 'a> {
                 }
                 drop(map);
                 self.progress_tick();
-                if let Some(bound) = persistent {
-                    if let Some(y) = self.stepper.persistent_site(&runner, bound) {
-                        actions.retain(|a| matches!(*a, Action::Fire(ch) if into_site(ch) == y));
-                    }
+                let channels = &self.stepper.channels;
+                if let Some(y) = persistent.and_then(|i| i.persistent_site(&runner, channels)) {
+                    actions.retain(|a| matches!(*a, Action::Fire(ch) if ch.dst() == y));
                 }
                 self.stepper.sleep_first(&mut actions, z)
             }
@@ -2207,44 +2158,69 @@ mod tests {
         }
     }
 
-    /// The independence the sleep sets rest on: two deliveries into
-    /// distinct sites commute. Applied as the walk applies them —
-    /// `Stepper::apply`, drain included — in either order, from
-    /// every state of the unreduced walk, they leave the same behavioral
-    /// state and the same budgets.
+    /// The independence the sleep sets rest on: the engine's relation is
+    /// symmetric, and every pair of enabled deliveries it says commute,
+    /// applied as the walk applies them — `Stepper::apply`, drain included —
+    /// in either order, from every state of the unreduced walk, leaves the
+    /// same behavioral state and the same budgets. Every state but a plan's
+    /// root holds no event the drain would fire. The root is visited as
+    /// `Runner::new` left it, so there the drain after the first delivery
+    /// may fire the second one's head event; that second delivery counts as
+    /// fired.
     #[test]
-    fn heads_to_distinct_sites_commute() {
+    fn independent_deliveries_commute() {
         for (protocol, opts) in &commuting_cases() {
-            let mut pairs = 0usize;
+            let (mut pairs, mut drained) = (0usize, 0usize);
             let analysis = analyse(protocol);
+            let independence = Independence::new(protocol);
             for votes in vote_plans(protocol, opts) {
+                let mut root = true;
                 search(protocol, &analysis, opts, &votes, |stepper, runner, b| {
+                    let at_root = std::mem::take(&mut root);
+                    stepper.path.clear();
+                    stepper.drain(&mut runner.clone(), b);
+                    let left = &stepper.path;
+                    assert!(at_root || left.is_empty(), "{}: {left:?} undrained", protocol.name);
                     stepper.collect(runner);
-                    let channels = stepper.channels.clone();
-                    let mut fire = |first: Channel, second: Channel| {
+                    let heads: Vec<(Channel, u64)> = stepper
+                        .channels
+                        .iter()
+                        .map(|&ch| (ch, channel_head(runner, ch).expect("a pending head").0))
+                        .collect();
+                    let mut fire = |first: Channel, (second, head): (Channel, u64)| {
                         let mut r = runner.clone();
                         let b1 = stepper.apply(&mut r, Action::Fire(first), b);
-                        let b2 = stepper.apply(&mut r, Action::Fire(second), b);
+                        let b2 = if r.iter_pending().any(|(_, seq, _)| seq == head) {
+                            stepper.apply(&mut r, Action::Fire(second), b)
+                        } else {
+                            assert!(at_root, "{}: the drain fired {second:?}", protocol.name);
+                            drained += 1;
+                            Ok(b)
+                        };
                         assert_eq!((b1, b2), (Ok(b), Ok(b)), "a delivery spends no budget");
                         r.digest()
                     };
-                    for (i, &a) in channels.iter().enumerate() {
-                        for &c in
-                            channels[i + 1..].iter().filter(|&&c| into_site(c) != into_site(a))
-                        {
-                            assert_eq!(
-                                fire(a, c),
-                                fire(c, a),
-                                "{}: {a:?} and {c:?} do not commute",
-                                protocol.name
-                            );
-                            pairs += 1;
+                    for (i, &a) in heads.iter().enumerate() {
+                        for &c in &heads[i + 1..] {
+                            let related = independence.commute(a.0, c.0);
+                            let converse = independence.commute(c.0, a.0);
+                            assert_eq!(related, converse, "{}: {a:?}, {c:?}", protocol.name);
+                            if related {
+                                assert_eq!(
+                                    fire(a.0, c),
+                                    fire(c.0, a),
+                                    "{}: {a:?} and {c:?} do not commute",
+                                    protocol.name
+                                );
+                                pairs += 1;
+                            }
                         }
                     }
                 });
             }
             // Not vacuous.
             assert!(pairs > 0, "{}: no pair to commute", protocol.name);
+            println!("{}: {pairs} pairs commute, {drained} seconds drained", protocol.name);
         }
     }
 
@@ -2291,7 +2267,7 @@ mod tests {
                                 let settled =
                                     after.as_ref().is_ok_and(|&b2| delivery_only(&then, b2, true));
                                 let kept = then.iter_pending().find(|&(_, s, _)| s == *seq);
-                                let down = !then.sites()[into_site(ch)].is_up();
+                                let down = !then.sites()[ch.dst()].is_up();
                                 let kept = kept.map(|p| down || then.inert(p, settled));
                                 assert_ne!(kept, Some(false), "{}: {ev:?} woke", protocol.name);
                                 if kept.is_some() {
@@ -2322,11 +2298,22 @@ mod tests {
         assert!(named.iter().all(|&k| k > 0), "rules (a) and (b) named {named:?}");
     }
 
-    /// The configurations of `heads_to_distinct_sites_commute`.
+    /// `specs/NAME.nbc` at three sites.
+    fn spec(name: &str) -> Protocol {
+        let path = format!("{}/../../specs/{name}.nbc", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("the spec file reads");
+        nbc_core::spec::parse(&text, 3).expect("the spec parses")
+    }
+
+    /// The configurations of `independent_deliveries_commute`.
     fn commuting_cases() -> Vec<(Protocol, CheckOptions)> {
         vec![
             (central_2pc(3), CheckOptions::default()),
             (central_3pc(3), CheckOptions::default()),
+            (decentralized_2pc(3), CheckOptions::default()),
+            (decentralized_3pc(3), CheckOptions::default()),
+            (spec("linear-2pc"), CheckOptions::default()),
+            (spec("linear-irrevocable"), CheckOptions::default()),
             (paxos_commit(2, 1), with(|o| o.vote_plan = Some(vec![true; 5]))),
             (paxos_commit(2, 1), CheckOptions::default()),
             (central_3pc(3), with(|o| o.faults = 2)),
@@ -2364,7 +2351,7 @@ mod tests {
         votes: &[bool],
     ) -> Vec<Node> {
         let n = protocol.n_sites();
-        let bound = SendBound::new(protocol).expect("a catalog protocol has at most 64 sites");
+        let independence = Independence::new(protocol);
         let mut stepper = Stepper::new(protocol, analysis);
         let mut wit = Witnessed::for_protocol(protocol);
         let mut index: HashMap<u128, usize> = HashMap::new();
@@ -2389,7 +2376,9 @@ mod tests {
                 }
             }
             let region = delivery_only(&runner, b, true);
-            let chosen = if region { stepper.persistent_site(&runner, &bound) } else { None };
+            let channels = &stepper.channels;
+            let chosen =
+                if region { independence.persistent_site(&runner, channels) } else { None };
             let mut actions = Vec::new();
             stepper.enumerate(&runner, b, &mut actions);
             assert!(actions.iter().all(|a| a.cost() <= depth_left), "the depth bound cuts");
@@ -2399,7 +2388,7 @@ mod tests {
                 stepper.path.clear();
                 if let Ok(b2) = stepper.apply(&mut next, action, b) {
                     let into = match action {
-                        Action::Fire(ch) => Some(into_site(ch)),
+                        Action::Fire(ch) => Some(ch.dst()),
                         _ => None,
                     };
                     out.push((into, state_key(next.digest(), b2)));
@@ -2692,6 +2681,8 @@ mod tests {
             decentralized_3pc(3),
             one_pc(3),
             k_phase_central(3, 4).expect("kpc builds"),
+            spec("linear-2pc"),
+            spec("linear-irrevocable"),
         ] {
             holds(&protocol, CheckOptions::default(), false);
         }

@@ -23,8 +23,8 @@
 //!   simulation time, event counts, and monitor-only data (the
 //!   visited-state bitmaps), so two interleavings that converge to the
 //!   same behavioral state merge;
-//! * [`SendBound`] — where each site may still send once only deliveries
-//!   remain, the bound a checker's persistent sets rest on (below);
+//! * [`Independence`] — which enabled deliveries commute, and whose form a
+//!   persistent set once only deliveries remain (below);
 //! * [`Runner::inert`] — whether a pending event changes nothing a later
 //!   step reads, so a checker may fire it at once instead of branching
 //!   over where it lands (below).
@@ -35,15 +35,16 @@
 //! pure scheduler choice — logical time disappears from the state, which
 //! is what makes the digest converge across interleavings.
 //!
-//! ## Who may still send where
+//! ## Which deliveries commute, and who may still send where
 //!
-//! Once no crash, recovery, loss or suspicion can happen any more, every
-//! step is a delivery, and a delivery runs the handlers of the one site it
-//! delivers into. [`SendBound::read`] bounds where the handlers of a site
-//! z's future deliveries may send, while one chosen site stays silent,
-//! from z's mode, local state, inbox, pending queries, pending notices
-//! and the messages in flight to it. One row per `send` of `commit.rs`,
-//! `termination.rs` and `recovery.rs`:
+//! Two deliveries into different sites commute ([`Independence::commute`]):
+//! a handler mutates only the site it delivers into ([`Channel::dst`]) and
+//! appends its sends to channel tails. Once only deliveries can come,
+//! [`Independence::persistent_site`] bounds where the handlers of a site
+//! z's future deliveries may send, while one site y stays silent, from z's
+//! mode, local state, inbox, pending queries, pending notices and the
+//! messages in flight to it. One row per `send` of `commit.rs`,
+//! `termination.rs` and `recovery.rs` (a new `send` needs a row first):
 //!
 //! | z | sends | may send to |
 //! |---|---|---|
@@ -62,9 +63,9 @@
 //! name, keeps no lower-id site that an `AlignTo` could prune away: one
 //! from backup b removes every site below b, and only a backup sends one,
 //! so it is in flight already or comes from a site a notice may elect
-//! first. [`MaySend::closed_to`] closes the bound over the sites a
-//! delivery can wake and asks whether any of them may write to the silent
-//! site on a link that is empty now.
+//! first. `MaySend::closed_to` closes the bound over the sites a delivery
+//! can wake and asks whether any of them may write to the silent site on a
+//! link that is empty now.
 //!
 //! ## Inert events
 //!
@@ -98,6 +99,7 @@
 //!   re-adds the peer: each would order against e, so `settled` and the
 //!   head test exclude them.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 
 use nbc_core::{Consume, Fp128, Fsa, MsgKind, MultisetFp, Protocol, SiteId, StateId};
@@ -122,6 +124,16 @@ pub enum Channel {
     Detector(usize),
 }
 
+impl Channel {
+    /// The site a delivery on this channel delivers into, the only one its handler mutates.
+    #[inline]
+    pub fn dst(self) -> usize {
+        match self {
+            Channel::Link(_, dst) | Channel::Detector(dst) => dst,
+        }
+    }
+}
+
 /// The channel of a scheduled event.
 pub fn channel_of(ev: &NetEvent<Wire>) -> Channel {
     match ev {
@@ -132,25 +144,26 @@ pub fn channel_of(ev: &NetEvent<Wire>) -> Channel {
     }
 }
 
-/// Where each site of a protocol may still send when only deliveries remain
-/// (see the module docs): the per-protocol half of the bound, built once.
-/// [`SendBound::read`] adds a state's half.
+/// The independence relation a model checker's sleep and persistent sets
+/// read, built once per protocol (see the module docs).
 #[derive(Debug, Clone)]
-pub struct SendBound {
+pub struct Independence {
     n: usize,
+    /// The protocol's half of the may-send bound,
     /// `fsa[row[site] + state * (n + 1) + absent]`: the destinations, as a
     /// site mask, of every FSA transition of `site` reachable from `state`
     /// through triggers that can be met without a new message from site
     /// `absent` (`absent == n`: every trigger can be met).
     fsa: Vec<u64>,
-    /// `row[site]`: where `site`'s part of `fsa` starts.
+    /// `row[site]`: where `site`'s part of `fsa` starts. Empty past 64
+    /// sites, the most a site mask holds: then no persistent set is named.
     row: Vec<usize>,
 }
 
-/// A state's half of the bound, filled by [`SendBound::read`]. Site masks:
+/// A state's half of the bound, filled by [`Independence::read`]. Site masks:
 /// bit `i` is site `i`.
 #[derive(Debug, Clone)]
-pub struct MaySend {
+struct MaySend {
     up: u64,
     /// Sites with an event pending on a channel into them.
     busy: u64,
@@ -182,7 +195,7 @@ struct Row {
     /// The crashed sites of z's pending failure notices; then, if one of
     /// them drives termination, the lower-id sites of z's view none names.
     noticed: u64,
-    /// Where z's local state starts in [`SendBound::fsa`].
+    /// Where z's local state starts in [`Independence::fsa`].
     fsa: usize,
 }
 
@@ -190,6 +203,11 @@ impl Default for MaySend {
     fn default() -> Self {
         Self { up: 0, busy: 0, all: 0, normal: 0, rows: [Row::default(); 64] }
     }
+}
+
+thread_local! {
+    /// [`Independence::persistent_site`]'s scratch: a call zeroes n rows, not 64.
+    static MAY_SEND: RefCell<MaySend> = RefCell::new(MaySend::default());
 }
 
 fn bit(site: usize) -> u64 {
@@ -252,19 +270,15 @@ fn reachable_dests(
     dests
 }
 
-impl SendBound {
-    /// The per-protocol half of the bound: each site's reachable protocol
-    /// messages, per local state and per site that may stay silent.
-    /// `None` for a protocol of more than 64 sites, the most a site mask
-    /// holds.
-    pub fn new(protocol: &Protocol) -> Option<Self> {
+impl Independence {
+    /// The relation for `protocol`, with each site's reachable protocol
+    /// messages per local state and per site that may stay silent.
+    pub fn new(protocol: &Protocol) -> Self {
         let n = protocol.n_sites();
-        if n > 64 {
-            return None;
-        }
-        let (mut fsa, mut row) = (Vec::new(), Vec::with_capacity(n));
+        let (mut fsa, mut row) = (Vec::new(), Vec::new());
         let (mut seen, mut todo) = (Vec::new(), Vec::new());
-        for site in protocol.fsas() {
+        let fsas = if n <= 64 { protocol.fsas() } else { &[] };
+        for site in fsas {
             row.push(fsa.len());
             for s in (0..site.state_count()).map(|s| StateId(s as u32)) {
                 for absent in (0..n).map(Some).chain([None]) {
@@ -272,7 +286,47 @@ impl SendBound {
                 }
             }
         }
-        Some(Self { n, fsa, row })
+        Self { n, fsa, row }
+    }
+
+    /// Do the deliveries at the heads of `a` and `b`, both enabled, commute?
+    /// They do when they deliver into different sites.
+    #[inline]
+    pub fn commute(&self, a: Channel, b: Channel) -> bool {
+        a.dst() != b.dst()
+    }
+
+    /// Does [`Independence::persistent_site`] name sites? Not past 64 sites.
+    pub fn names_persistent_sets(&self) -> bool {
+        !self.row.is_empty()
+    }
+
+    /// The site y whose deliveries form a persistent set at `runner`, a
+    /// state where every future step is a delivery and `channels` are
+    /// pending: one the may-send bound proves no other site can, while y
+    /// takes no step, put a message on an empty link into. Of those, the one
+    /// with the fewest of `channels`, the lowest id on a tie. `None` when
+    /// none qualifies, or when fewer than two sites have a delivery enabled.
+    pub fn persistent_site(&self, runner: &Runner<'_>, channels: &[Channel]) -> Option<usize> {
+        if !self.names_persistent_sets() {
+            return None;
+        }
+        // At most 65 channels lead into one site.
+        let mut targets: [(u8, u8); 64] = std::array::from_fn(|y| (0, y as u8));
+        for &ch in channels {
+            targets[ch.dst()].0 += 1;
+        }
+        let targets = &mut targets[..self.n];
+        targets.sort_unstable();
+        let first = targets.partition_point(|&(count, _)| count == 0);
+        if first + 2 > self.n {
+            return None;
+        }
+        MAY_SEND.with_borrow_mut(|may_send| {
+            self.read(runner, may_send);
+            let mut sites = targets[first..].iter().map(|&(_, y)| usize::from(y));
+            sites.find(|&y| may_send.closed_to(self, y))
+        })
     }
 
     /// Fill `out` with `runner`'s half of the bound. Meaningful only where
@@ -280,7 +334,7 @@ impl SendBound {
     /// suspicion can come, and no event is pending into a down site. Under
     /// an imperfect detector, whose heartbeats are steps of their own,
     /// every site may send anywhere.
-    pub fn read(&self, runner: &Runner<'_>, out: &mut MaySend) {
+    fn read(&self, runner: &Runner<'_>, out: &mut MaySend) {
         let n = self.n;
         let rows = &mut out.rows[..n];
         rows.fill(Row::default());
@@ -392,12 +446,10 @@ fn backups(runner: &Runner<'_>, rows: &mut [Row], electing: u64) -> u64 {
 
 impl MaySend {
     /// While site `y` takes no step, can no other site put a message on a
-    /// link into `y` that is empty now? Then the deliveries into `y` are a
-    /// persistent set: every other delivery commutes with them, and none
-    /// can enable a new one into `y`. The sites that may step are those
+    /// link into `y` that is empty now? The sites that may step are those
     /// with an event pending and, closed over `bound`, those another may
     /// send to.
-    pub fn closed_to(&self, bound: &SendBound, y: usize) -> bool {
+    fn closed_to(&self, bound: &Independence, y: usize) -> bool {
         let yb = bit(y);
         let mut active = self.busy & self.up & !yb;
         let mut todo = active;

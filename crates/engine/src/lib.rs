@@ -47,7 +47,7 @@ pub use config::{
     CrashPoint, CrashSpec, DetectorSpec, PartitionSpec, RunConfig, TerminationRule,
     TransitionProgress,
 };
-pub use explore::{channel_of, Channel, MaySend, SendBound};
+pub use explore::{channel_of, Channel, Independence};
 pub use report::{RunReport, SiteOutcome};
 pub use run::{run_one, run_traced, run_with, AnalysisSource, Runner};
 pub use sweep::{enumerate_crash_specs, sweep, sweep_traced};

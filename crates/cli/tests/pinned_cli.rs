@@ -93,6 +93,7 @@ const PINNED: &str = "\
 0 7a195ac2b1b3aa4f8196d56028ef35b2 - sim.chrome.json=7518ec69fda8fe9b34a2fa269971d382 $ simulate central-3pc --crash 0:2:1 --trace sim.chrome.json --trace-format chrome
 0 e627f14218e200a697e4740d5e916b43 - - $ simulate central-3pc --json
 0 9dbae87fdd491d8a08384a1e8c7e7fdd - - $ simulate central-3pc --crash 0:3:1 --json --metrics
+0 1b9349cb42dbada4615080299a569ec3 - - $ simulate central-3pc --crash 0:2:1 --story --json
 0 7a195ac2b1b3aa4f8196d56028ef35b2 - - $ simulate central-3pc --crash 0:2:1 --rule naive
 0 7a195ac2b1b3aa4f8196d56028ef35b2 - - $ simulate central-3pc --crash 0:2:1 --rule quorum
 0 207fd99ce2b4673b26de9ecd3b973ff1 - - $ simulate central-2pc --crash 0:2:0 --rule skeen
@@ -106,6 +107,7 @@ const PINNED: &str = "\
 0 31d1adcb43b10e80170a379f5995c2df - - $ simulate central-2pc -n 3 --schedule w.jsonl
 0 d6a2b881691b3e412fd75976ef2002be - - $ simulate central-2pc -n 3 --schedule w.jsonl --story
 0 76dc9b5f5affe4a04b456c6e2cb91b8d - - $ simulate central-2pc -n 3 --schedule w.jsonl --json
+0 898e1f7ddf26315146b1a07f3c7416de - - $ simulate central-2pc -n 3 --schedule w.jsonl --story --json
 1 521bfcef282f613258db025cbd1728b2 - cx/cx.jsonl=35d7a74c07eaf846096e1dbf02ec3947,cx/cx.jsonl.flight.jsonl=65c235a6f089f336d78e7e2abcc13310 $ check central-3pc -n 3 --rule naive --faults 2 --counterexample cx/cx.jsonl
 0 95c9d52556d39d3089d592c5841c0fd5 - - $ check central-3pc -n 3 --votes yyn --depth 40 --recoveries 1 --drops 1 --max-states 2000 --seed 7 --threads 2 --mem-budget 64K --progress
 1 d0c114c25ac48bc56eeb64714ca3cbec - - $ check central-3pc -n 3 --faults 0 --suspicions 2 --votes yyy --json
@@ -257,6 +259,7 @@ const LINES: &[(&str, &[&str])] = &[
     ),
     ("simulate central-3pc --json", &[]),
     ("simulate central-3pc --crash 0:3:1 --json --metrics", &[]),
+    ("simulate central-3pc --crash 0:2:1 --story --json", &[]),
     ("simulate central-3pc --crash 0:2:1 --rule naive", &[]),
     ("simulate central-3pc --crash 0:2:1 --rule quorum", &[]),
     ("simulate central-2pc --crash 0:2:0 --rule skeen", &[]),
@@ -274,6 +277,7 @@ const LINES: &[(&str, &[&str])] = &[
     ("simulate central-2pc -n 3 --schedule w.jsonl", &[]),
     ("simulate central-2pc -n 3 --schedule w.jsonl --story", &[]),
     ("simulate central-2pc -n 3 --schedule w.jsonl --json", &[]),
+    ("simulate central-2pc -n 3 --schedule w.jsonl --story --json", &[]),
     (
         "check central-3pc -n 3 --rule naive --faults 2 --counterexample cx/cx.jsonl",
         &["cx/cx.jsonl", "cx/cx.jsonl.flight.jsonl"],

@@ -1022,6 +1022,49 @@ mod tests {
         crate::json::validate(&s.to_json()).unwrap();
     }
 
+    /// `stats`' latencies and `verify`'s transaction and Gray–Lamport
+    /// counts are what a `Metrics` fold of the same events reads: two
+    /// interleaved transactions, one never decided, one with an event timed
+    /// before its first line, and a physical force outside any transaction.
+    #[test]
+    fn the_trace_folds_agree_with_metrics() {
+        let fsync = |physical| EventKind::WalFsync { physical };
+        let events = vec![
+            Event::new(5, EventKind::Transition { from: "q".into(), to: "w".into() })
+                .at_site(0)
+                .for_txn(1),
+            Event::new(6, EventKind::Admit).for_txn(2),
+            Event::new(3, EventKind::MsgSend { dst: 1, label: "yes".into() }).at_site(0).for_txn(1),
+            Event::new(7, fsync(true)).at_site(1).for_txn(2),
+            Event::new(8, fsync(true)).at_site(0).for_txn(1),
+            Event::new(9, fsync(false)).at_site(0).for_txn(1),
+            Event::new(10, EventKind::MsgDeliver { src: 0, label: "yes".into() })
+                .at_site(1)
+                .for_txn(1),
+            Event::new(12, EventKind::Decision { commit: true }).at_site(1).for_txn(1),
+            Event::new(11, EventKind::MsgSend { dst: 0, label: "yes".into() })
+                .at_site(1)
+                .for_txn(2),
+            Event::new(14, EventKind::Decision { commit: true }).at_site(0).for_txn(1),
+            Event::new(15, fsync(true)).at_site(2),
+        ];
+        let mut metrics = crate::Metrics::default();
+        for e in &events {
+            crate::Sink::record(&mut metrics, e);
+        }
+        let mut latencies: Vec<u64> =
+            metrics.txns.values().filter_map(crate::metrics::TxnStats::latency).collect();
+        latencies.sort_unstable();
+        assert_eq!(latencies, vec![9]);
+        assert_eq!(stats(&events).latencies, latencies);
+        let report = verify(&events);
+        assert_eq!(report.txns, metrics.txns.len() as u64);
+        assert_eq!(report.txns, 2);
+        assert_eq!(report.gl.decided_txns, latencies.len() as u64);
+        assert_eq!(report.gl.stable_writes, metrics.wal_fsyncs_physical);
+        assert_eq!(report.gl.max_decision_delay, latencies.last().copied());
+    }
+
     #[test]
     fn stats_render_the_snapshot_curve() {
         let events = vec![

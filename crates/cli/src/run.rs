@@ -14,8 +14,10 @@ use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
 use nonblocking_commit::model::{Analysis, Protocol, SiteId};
 use nonblocking_commit::net::LatencyModel;
 use nonblocking_commit::obs::export::{to_chrome, to_jsonl};
-use nonblocking_commit::obs::json::Obj;
-use nonblocking_commit::obs::{EventKind, FlightRecorder, MemorySink, Metrics, SharedSink, Tracer};
+use nonblocking_commit::obs::json::{array, string, Obj};
+use nonblocking_commit::obs::{
+    EventKind, FlightRecorder, LinesSink, MemorySink, Metrics, SharedSink, Tracer,
+};
 
 use crate::args::{Invocation, Value};
 use crate::reach::build_analysis;
@@ -46,7 +48,6 @@ fn to_config(inv: &Invocation, protocol: &Protocol) -> Result<RunConfig, CliErro
         let jitter = inv.span("--detector-jitter").unwrap_or((1, 12));
         cfg.detector = Some(DetectorSpec { timeout, jitter, seed });
     }
-    cfg.record_trace = inv.has("--story");
     if let Some((site, ordinal, msgs)) = inv.crash() {
         let site = site_of("--crash", site)?;
         // A site counts the transitions it starts from 1, and makes at most
@@ -75,7 +76,8 @@ fn to_config(inv: &Invocation, protocol: &Protocol) -> Result<RunConfig, CliErro
 
 /// The sinks a run records into — the event list behind `--trace` (and
 /// `--trace-format`), the `--metrics` counters, the `--flight` ring (sized
-/// by `--flight-cap`) — and what becomes of them when the run ends.
+/// by `--flight-cap`), the `--story` lines — and what becomes of them when
+/// the run ends.
 pub(crate) struct Observers {
     trace_path: Option<String>,
     chrome: bool,
@@ -83,6 +85,7 @@ pub(crate) struct Observers {
     events: SharedSink<MemorySink>,
     counters: SharedSink<Metrics>,
     pub(crate) flight: Option<(String, SharedSink<FlightRecorder>)>,
+    story: Option<SharedSink<LinesSink>>,
 }
 
 impl Observers {
@@ -95,23 +98,32 @@ impl Observers {
             events: SharedSink::new(MemorySink::default()),
             counters: SharedSink::new(Metrics::default()),
             flight: inv.text("--flight").map(|path| (path, ring())),
+            story: inv.has("--story").then(|| SharedSink::new(LinesSink::default())),
         }
     }
 
     /// A tracer into the sinks, or `None` when no flag asked for one and
     /// the run goes untraced.
     pub(crate) fn tracer(&self) -> Option<Tracer> {
-        if self.trace_path.is_none() && !self.metrics && self.flight.is_none() {
-            return None;
+        let mut tracer = Tracer::off();
+        if self.trace_path.is_some() {
+            tracer.attach(self.events.clone());
         }
-        let mut tracer = Tracer::to_sink(self.events.clone());
         if self.metrics {
             tracer.attach(self.counters.clone());
         }
         if let Some((_, ring)) = &self.flight {
             tracer.attach(ring.clone());
         }
-        Some(tracer)
+        if let Some(story) = &self.story {
+            tracer.attach(story.clone());
+        }
+        tracer.enabled().then_some(tracer)
+    }
+
+    /// The `--story` lines the run told, in order (none without the flag).
+    fn story(&self) -> Vec<String> {
+        self.story.as_ref().map_or_else(Vec::new, |s| s.with(|s| std::mem::take(&mut s.lines)))
     }
 
     /// Write the flight recorder's tail to its path; `why` opens the note
@@ -141,9 +153,18 @@ impl Observers {
     }
 }
 
+/// The report as JSON, the story's lines, if any, as its `trace` array.
+fn report_json(report: &RunReport, story: &[String]) -> String {
+    let o = report.json();
+    match story {
+        [] => o.build(),
+        lines => o.raw("trace", &array(lines.iter().map(|l| string(l)))).build(),
+    }
+}
+
 /// The story lines, the report and the atomicity line of a finished run.
-fn render_run(out: &mut String, report: &RunReport) {
-    for line in &report.trace {
+fn render_run(out: &mut String, report: &RunReport, story: &[String]) {
+    for line in story {
         let _ = writeln!(out, "{line}");
     }
     let _ = writeln!(out, "{report}");
@@ -172,17 +193,18 @@ pub(crate) fn cmd_simulate(
     };
     let ended_badly = !report.consistent || !report.all_operational_decided;
     let metrics = observers.finish(ended_badly.then_some(""))?;
+    let story = observers.story();
     if inv.has("--json") {
         // `--json --metrics` nests both documents under fixed keys so a
         // script gets the verdict and the counters in one parse.
-        let report = report.to_json();
+        let report = report_json(&report, &story);
         return Ok(match &metrics {
             Some(m) => Obj::new().raw("report", &report).raw("metrics", &m.to_json()).build(),
             None => report,
         } + "\n");
     }
     let mut out = String::new();
-    render_run(&mut out, &report);
+    render_run(&mut out, &report, &story);
     if let Some(m) = metrics {
         let _ = write!(out, "{m}");
     }
@@ -218,14 +240,16 @@ pub(crate) fn cmd_replay(
     }
     let rule = rule_from_name(&sched.rule)
         .ok_or_else(|| CliError(format!("{path}: unknown termination rule {:?}", sched.rule)))?;
-    let mut cfg = plan_config(sched.n, &sched.votes, rule);
-    cfg.record_trace = inv.has("--story");
-    let mut runner = Runner::new(protocol, analysis, cfg);
+    let cfg = plan_config(sched.n, &sched.votes, rule);
+    let observers = Observers::of(inv);
+    let tracer = observers.tracer().unwrap_or_else(Tracer::off);
+    let mut runner = Runner::with_tracer(protocol, analysis, cfg, tracer);
     replay_strict(&mut runner, &sched.steps)
         .map_err(|e| CliError(format!("{path}: replay failed at {e}")))?;
     let report = runner.report();
+    let story = observers.story();
     if inv.has("--json") {
-        return Ok(format!("{}\n", report.to_json()));
+        return Ok(format!("{}\n", report_json(&report, &story)));
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -235,7 +259,7 @@ pub(crate) fn cmd_replay(
         sched.rule,
         sched.votes.iter().map(|&v| if v { 'y' } else { 'n' }).collect::<String>(),
     );
-    render_run(&mut out, &report);
+    render_run(&mut out, &report, &story);
     Ok(out)
 }
 

@@ -136,8 +136,6 @@ pub struct RunConfig {
     pub detector: Option<DetectorSpec>,
     /// Safety valve: abort the run after this many network events.
     pub max_events: usize,
-    /// Record a human-readable execution trace into the report.
-    pub record_trace: bool,
     /// Transaction id stamped on every WAL record of the run. Single-shot
     /// runs use the default (`1`); the pipeline gives each concurrent
     /// round its own id so one site log can carry many interleaved rounds.
@@ -161,7 +159,6 @@ impl RunConfig {
             detect_delay: 5,
             detector: None,
             max_events: 200_000,
-            record_trace: false,
             txn_id: crate::run::TXN,
             start_at: 0,
         }

@@ -82,21 +82,16 @@ pub struct RunReport {
     /// round count). Maintained by an engine counter, so it is populated
     /// whether or not tracing is on.
     pub elections: u64,
-    /// Execution trace (populated when `RunConfig::record_trace` is set).
-    pub trace: Vec<String>,
 }
 
 impl RunReport {
-    /// Audit the outcomes and assemble the report, attaching a recorded
-    /// trace.
-    #[allow(clippy::too_many_arguments)]
+    /// Audit the outcomes and assemble the report.
     pub(crate) fn assemble(
         outcomes: Vec<SiteOutcome>,
         msgs_sent: u64,
         finished_at: Time,
         events: usize,
         truncated: bool,
-        trace: Vec<String>,
     ) -> Self {
         let mut commit_seen = false;
         let mut abort_seen = false;
@@ -125,7 +120,6 @@ impl RunReport {
             events,
             truncated,
             elections: 0,
-            trace,
         }
     }
 
@@ -142,11 +136,16 @@ impl RunReport {
         self.outcomes.iter().filter(|o| o.decision() == Some(true)).count()
     }
 
-    /// Encode the report as a JSON object (for `--json` CLI output). The
-    /// trace, when recorded, is included as an array of its lines.
+    /// Encode the report as a JSON object (for `--json` CLI output).
     pub fn to_json(&self) -> String {
+        self.json().build()
+    }
+
+    /// The report's fields as an open JSON object, for a caller that
+    /// appends its own after them.
+    pub fn json(&self) -> Obj {
         let outcomes = array(self.outcomes.iter().map(|o| string(&o.to_string())));
-        let mut o = Obj::new()
+        let o = Obj::new()
             .raw("outcomes", &outcomes)
             .bool("consistent", self.consistent)
             .bool("any_blocked", self.any_blocked)
@@ -156,14 +155,10 @@ impl RunReport {
             .num("events", self.events as u64)
             .bool("truncated", self.truncated)
             .num("elections", self.elections);
-        o = match self.decision() {
+        match self.decision() {
             Some(commit) => o.bool("decision", commit),
             None => o.raw("decision", "null"),
-        };
-        if !self.trace.is_empty() {
-            o = o.raw("trace", &array(self.trace.iter().map(|l| string(l))));
         }
-        o.build()
     }
 }
 
@@ -196,7 +191,6 @@ mod tests {
             5,
             3,
             false,
-            Vec::new(),
         );
         assert!(!r.consistent);
         assert_eq!(r.decision(), None);
@@ -210,7 +204,6 @@ mod tests {
             0,
             0,
             false,
-            Vec::new(),
         );
         assert!(!r.consistent);
     }
@@ -223,7 +216,6 @@ mod tests {
             0,
             0,
             false,
-            Vec::new(),
         );
         assert!(r.consistent);
         assert!(r.any_blocked);
@@ -239,7 +231,6 @@ mod tests {
             9,
             4,
             false,
-            Vec::new(),
         );
         assert!(r.consistent);
         assert_eq!(r.decision(), Some(true));
@@ -249,7 +240,7 @@ mod tests {
 
     #[test]
     fn display_is_compact() {
-        let r = RunReport::assemble(vec![SiteOutcome::Committed], 1, 2, 3, false, Vec::new());
+        let r = RunReport::assemble(vec![SiteOutcome::Committed], 1, 2, 3, false);
         let s = r.to_string();
         assert!(s.contains("site0=committed"));
         assert!(s.contains("consistent=true"));
@@ -263,18 +254,17 @@ mod tests {
             9,
             4,
             false,
-            vec!["t=0    site0: q1 -> w1 (logged)".to_string()],
         );
         let j = r.to_json();
         nbc_obs::json::validate(&j).unwrap();
         assert!(j.contains("\"outcomes\":[\"committed\",\"down(undecided)\"]"), "{j}");
         assert!(j.contains("\"decision\":true"), "{j}");
-        assert!(j.contains("\"trace\":["), "{j}");
+        let extended = r.json().raw("trace", "[]").build();
+        assert_eq!(extended, format!("{},\"trace\":[]}}", &j[..j.len() - 1]));
 
-        let blocked = RunReport::assemble(vec![SiteOutcome::Blocked], 0, 0, 0, false, Vec::new());
+        let blocked = RunReport::assemble(vec![SiteOutcome::Blocked], 0, 0, 0, false);
         let j = blocked.to_json();
         nbc_obs::json::validate(&j).unwrap();
         assert!(j.contains("\"decision\":null"), "{j}");
-        assert!(!j.contains("\"trace\""), "{j}");
     }
 }

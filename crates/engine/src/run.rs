@@ -9,7 +9,7 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 use nbc_core::{Analysis, Fsa, Protocol, ReachOptions, SiteId};
-use nbc_obs::{EventKind, LinesSink, SharedSink, Tracer};
+use nbc_obs::{EventKind, Tracer};
 use nbc_simnet::{DetectorEvent, LatencyModel, NetEvent, Network, Suspicion, Time};
 use nbc_storage::recovery::TxnOutcome;
 
@@ -105,10 +105,6 @@ pub struct Runner<'a> {
     /// Observability handle; every protocol action is emitted through it
     /// as a typed event (no-op when no sink is attached).
     pub(crate) tracer: Tracer,
-    /// When `config.record_trace`, a [`LinesSink`] attached to the tracer
-    /// that re-renders the human-readable trace lines for
-    /// [`RunReport::trace`] in their historical format.
-    lines: Option<SharedSink<LinesSink>>,
 }
 
 impl Clone for Runner<'_> {
@@ -127,7 +123,6 @@ impl Clone for Runner<'_> {
             detector: self.detector.clone(),
             elections: self.elections,
             tracer: self.tracer.clone(),
-            lines: self.lines.clone(),
         }
     }
 
@@ -153,7 +148,6 @@ impl Clone for Runner<'_> {
             detector,
             elections,
             tracer,
-            lines,
         } = self;
         *protocol = source.protocol;
         *analysis = source.analysis;
@@ -171,7 +165,6 @@ impl Clone for Runner<'_> {
         detector.clone_from(&source.detector);
         *elections = source.elections;
         tracer.clone_from(&source.tracer);
-        lines.clone_from(&source.lines);
     }
 }
 
@@ -214,7 +207,6 @@ impl<'a> Runner<'a> {
             events: 0,
             truncated: false,
             tracer,
-            lines: None,
             detector: None,
             elections: 0,
         };
@@ -269,11 +261,6 @@ impl<'a> Runner<'a> {
         let config = Arc::clone(&self.config);
         let n = protocol.n_sites();
         assert_eq!(config.votes.len(), n, "one vote per site required");
-        self.lines = config.record_trace.then(|| {
-            let sink = SharedSink::new(LinesSink::default());
-            self.tracer.attach(sink.clone());
-            sink
-        });
         self.net.reset(config.latency.clone(), config.detect_delay);
         self.net.set_tracer(self.tracer.clone());
         for i in 0..n {
@@ -546,15 +533,8 @@ impl<'a> Runner<'a> {
             };
             outcomes.push(o);
         }
-        let trace = self.lines.as_ref().map(|l| l.with(|s| s.lines.clone())).unwrap_or_default();
-        let mut report = RunReport::assemble(
-            outcomes,
-            self.net.sent(),
-            self.now,
-            self.events,
-            self.truncated,
-            trace,
-        );
+        let mut report =
+            RunReport::assemble(outcomes, self.net.sent(), self.now, self.events, self.truncated);
         report.elections = self.elections;
         report
     }

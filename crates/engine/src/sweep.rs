@@ -361,7 +361,6 @@ mod tests {
             1,
             1,
             false,
-            Vec::new(),
         );
         s.absorb("g".into(), &good);
         assert!(s.all_consistent());

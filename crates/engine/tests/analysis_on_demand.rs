@@ -9,23 +9,27 @@ use nbc_core::{Analysis, Protocol};
 use nbc_engine::{
     enumerate_crash_specs, run_with, AnalysisSource, RunConfig, Runner, TerminationRule,
 };
-use nbc_obs::{Event, MemorySink, SharedSink, Tracer};
+use nbc_obs::{Event, LinesSink, MemorySink, SharedSink, Tracer};
 use nbc_paxos::paxos_commit;
 
-/// Run to quiescence; the digest after every step, the report with its
+/// Run to quiescence; the digest after every step, the report, its
 /// narrated trace, and the typed event stream.
 fn observe<'a>(
     p: &'a Protocol,
     analysis: impl Into<AnalysisSource<'a>>,
     cfg: RunConfig,
-) -> (Vec<u128>, String, Vec<Event>) {
+) -> (Vec<u128>, String, Vec<String>, Vec<Event>) {
     let sink = SharedSink::new(MemorySink::default());
-    let mut runner = Runner::with_tracer(p, analysis, cfg, Tracer::to_sink(sink.clone()));
+    let story = SharedSink::new(LinesSink::default());
+    let mut tracer = Tracer::to_sink(sink.clone());
+    tracer.attach(story.clone());
+    let mut runner = Runner::with_tracer(p, analysis, cfg, tracer);
     let mut digests = vec![runner.digest()];
     while runner.step() {
         digests.push(runner.digest());
     }
-    (digests, format!("{:?}", runner.report()), sink.with(|s| s.events.clone()))
+    let lines = story.with(|s| std::mem::take(&mut s.lines));
+    (digests, format!("{:?}", runner.report()), lines, sink.with(|s| s.events.clone()))
 }
 
 #[test]
@@ -41,8 +45,7 @@ fn on_demand_runs_equal_built_runs_at_every_crash_point() {
         {
             for recover_at in [None, Some(40)] {
                 for spec in enumerate_crash_specs(&p, recover_at) {
-                    let mut cfg = RunConfig::happy(p.n_sites()).with_rule(rule).with_crash(spec);
-                    cfg.record_trace = true;
+                    let cfg = RunConfig::happy(p.n_sites()).with_rule(rule).with_crash(spec);
                     let want = observe(&p, &built, cfg.clone());
                     let got = observe(&p, &cell, cfg);
                     assert_eq!(got, want, "{} {rule:?} {spec:?}", p.name);

@@ -13,6 +13,7 @@ use nbc_engine::{
     run_with, CrashPoint, CrashSpec, DetectorSpec, RunConfig, Runner, TerminationRule,
     TransitionProgress,
 };
+use nbc_obs::{LinesSink, SharedSink, Tracer};
 use nbc_paxos::paxos_commit;
 use nbc_simnet::NetEvent;
 
@@ -40,9 +41,6 @@ fn scenarios(n: usize) -> Vec<RunConfig> {
         out.push(crash.clone());
         out.push(crash.with_rule(TerminationRule::QuorumSkeen));
     }
-    for cfg in &mut out {
-        cfg.record_trace = true;
-    }
     out
 }
 
@@ -53,10 +51,11 @@ fn outcome(
     analysis: &Analysis,
     cfg: RunConfig,
 ) -> (String, Vec<String>, u128) {
-    let mut runner = Runner::new(protocol, analysis, cfg);
+    let story = SharedSink::new(LinesSink::default());
+    let mut runner = Runner::with_tracer(protocol, analysis, cfg, Tracer::to_sink(story.clone()));
     while runner.step() {}
-    let report = runner.report();
-    (report.to_json(), report.trace.clone(), runner.digest())
+    let lines = story.with(|s| std::mem::take(&mut s.lines));
+    (runner.report().to_json(), lines, runner.digest())
 }
 
 /// Pins `Runner`'s filter that drops an accurate spec: with it, both
@@ -97,7 +96,6 @@ fn inaccurate_detector_runs_are_seed_deterministic() {
     let analysis = Analysis::build(&protocol).unwrap();
     for seed in 0..8u64 {
         let mut cfg = RunConfig::happy(3);
-        cfg.record_trace = true;
         cfg.detector = Some(DetectorSpec { timeout: 2, jitter: JITTER, seed });
         let a = outcome(&protocol, &analysis, cfg.clone());
         let b = outcome(&protocol, &analysis, cfg);

@@ -3,7 +3,12 @@
 
 use nbc_core::protocols::catalog;
 use nbc_core::Analysis;
-use nbc_engine::{run_with, CrashPoint, CrashSpec, RunConfig, TerminationRule, TransitionProgress};
+use nbc_core::Protocol;
+use nbc_engine::{
+    run_traced, run_with, CrashPoint, CrashSpec, RunConfig, RunReport, TerminationRule,
+    TransitionProgress,
+};
+use nbc_obs::{LinesSink, SharedSink, Tracer};
 use nbc_simnet::LatencyModel;
 
 fn configs(n: usize) -> Vec<RunConfig> {
@@ -49,26 +54,30 @@ fn different_latency_seeds_may_differ_but_stay_correct() {
     }
 }
 
+/// Run `cfg` with a story sink attached: the report and the story's lines.
+fn told(p: &Protocol, a: &Analysis, cfg: RunConfig) -> (RunReport, Vec<String>) {
+    let story = SharedSink::new(LinesSink::default());
+    let report = run_traced(p, a, cfg, Tracer::to_sink(story.clone()));
+    (report, story.with(|s| std::mem::take(&mut s.lines)))
+}
+
 #[test]
-fn trace_is_empty_unless_requested() {
+fn a_story_sink_narrates_the_run_it_does_not_change() {
     let p = nbc_core::protocols::central_3pc(3);
     let a = Analysis::build(&p).unwrap();
-    let r = run_with(&p, &a, RunConfig::happy(3));
-    assert!(r.trace.is_empty());
-
-    let mut cfg = RunConfig::happy(3);
-    cfg.record_trace = true;
-    let r = run_with(&p, &a, cfg);
-    assert!(!r.trace.is_empty());
+    let untold = run_with(&p, &a, RunConfig::happy(3));
+    let (r, story) = told(&p, &a, RunConfig::happy(3));
+    assert_eq!(r.to_json(), untold.to_json());
+    assert!(!story.is_empty());
     // The trace narrates the whole happy path in order: request, votes,
     // prepares, acks, commits.
-    let joined = r.trace.join("\n");
+    let joined = story.join("\n");
     for needle in ["q1 -> w1", "xact", "yes", "prepare", "ack", "commit", "DECIDED COMMIT"] {
         assert!(joined.contains(needle), "missing {needle:?} in:\n{joined}");
     }
     // Timestamps are non-decreasing.
     let times: Vec<u64> =
-        r.trace.iter().map(|l| l[2..l.find(' ').unwrap()].trim().parse().unwrap()).collect();
+        story.iter().map(|l| l[2..l.find(' ').unwrap()].trim().parse().unwrap()).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
 }
 
@@ -76,14 +85,12 @@ fn trace_is_empty_unless_requested() {
 fn trace_narrates_termination_and_recovery() {
     let p = nbc_core::protocols::central_3pc(3);
     let a = Analysis::build(&p).unwrap();
-    let mut cfg = RunConfig::happy(3).with_crash(CrashSpec {
+    let cfg = RunConfig::happy(3).with_crash(CrashSpec {
         site: 2,
         point: CrashPoint::OnTransition { ordinal: 2, progress: TransitionProgress::BeforeLog },
         recover_at: Some(100),
     });
-    cfg.record_trace = true;
-    let r = run_with(&p, &a, cfg);
-    let joined = r.trace.join("\n");
+    let joined = told(&p, &a, cfg).1.join("\n");
     assert!(joined.contains("CRASH"), "{joined}");
     assert!(joined.contains("RECOVER"), "{joined}");
     assert!(joined.contains("what-happened?"), "{joined}");

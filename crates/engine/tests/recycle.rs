@@ -8,7 +8,7 @@
 //! the leftovers of a *different* one: runs that ended blocked, runs the
 //! event valve truncated, runs abandoned in the middle of an election, and
 //! runs that carried a partition, a suspicion detector, jittered latency or
-//! a recorded story.
+//! a story sink on its tracer.
 //!
 //! And `clone_from` ≡ `clone`: a fork copied into the storage of a runner
 //! left anywhere — the model checker's fork — must be indistinguishable
@@ -21,13 +21,14 @@ use nbc_engine::{
     channel_of, enumerate_crash_specs, DetectorSpec, PartitionSpec, RunConfig, Runner,
     TerminationRule,
 };
-use nbc_obs::{export::to_jsonl, MemorySink, SharedSink, Tracer};
+use nbc_obs::{export::to_jsonl, LinesSink, MemorySink, SharedSink, Tracer};
 use nbc_paxos::paxos_commit;
 use nbc_simnet::{LatencyModel, NetEvent, SimRng};
 
 /// The configurations one protocol's runner is dragged through: every
-/// `stride`-th crash point, each decorated differently.
-fn configs(p: &Protocol, stride: usize) -> Vec<RunConfig> {
+/// `stride`-th crash point, each decorated differently, and whether its
+/// tracer tells the story.
+fn configs(p: &Protocol, stride: usize) -> Vec<(RunConfig, bool)> {
     let n = p.n_sites();
     let rules = [
         TerminationRule::Skeen,
@@ -35,7 +36,7 @@ fn configs(p: &Protocol, stride: usize) -> Vec<RunConfig> {
         TerminationRule::QuorumSkeen,
         TerminationRule::NaiveCs,
     ];
-    let mut out = vec![RunConfig::happy(n), RunConfig::one_no(n, n - 1)];
+    let mut out = vec![(RunConfig::happy(n), false), (RunConfig::one_no(n, n - 1), false)];
     let crashes = enumerate_crash_specs(p, None).into_iter().step_by(stride);
     for (i, mut crash) in crashes.enumerate() {
         if i % 3 == 1 {
@@ -46,8 +47,7 @@ fn configs(p: &Protocol, stride: usize) -> Vec<RunConfig> {
         // is truncated here, not at the default 200 000 events.
         cfg.max_events = 600;
         match i % 7 {
-            0 => {}
-            1 => cfg.record_trace = true,
+            0 | 1 => {}
             // Inaccurate on purpose: false suspicions, elections, churn.
             2 => cfg.detector = Some(DetectorSpec { timeout: 6, jitter: (1, 12), seed: i as u64 }),
             3 => {
@@ -62,14 +62,23 @@ fn configs(p: &Protocol, stride: usize) -> Vec<RunConfig> {
                 cfg = cfg.with_txn_id(1_000 + i as u64).with_start_at(17 * i as u64);
             }
         }
-        out.push(cfg);
+        out.push((cfg, i % 7 == 1));
     }
     out
 }
 
-fn traced() -> (Tracer, SharedSink<MemorySink>) {
-    let sink = SharedSink::new(MemorySink::default());
-    (Tracer::to_sink(sink.clone()), sink)
+/// A tracer into an event list and, when `tells`, a story sink as well.
+fn traced(tells: bool) -> (Tracer, SharedSink<MemorySink>, SharedSink<LinesSink>) {
+    let (sink, story) = (SharedSink::new(MemorySink::default()), SharedSink::default());
+    let mut tracer = Tracer::to_sink(sink.clone());
+    if tells {
+        tracer.attach(story.clone());
+    }
+    (tracer, sink, story)
+}
+
+fn lines(story: &SharedSink<LinesSink>) -> Vec<String> {
+    story.with(|s| s.lines.clone())
 }
 
 /// What a run leaves behind, rendered for comparison.
@@ -87,10 +96,10 @@ fn recycled_matches_fresh(p: &Protocol, stride: usize) -> [usize; 3] {
     let a = Analysis::build(p).unwrap();
     let mut seen = [0; 3];
     let mut spare = Runner::new(p, &a, RunConfig::happy(p.n_sites()));
-    for (i, cfg) in configs(p, stride).into_iter().enumerate() {
+    for (i, (cfg, tells)) in configs(p, stride).into_iter().enumerate() {
         let label = format!("{} config {i}: {cfg:?}", p.name);
-        let (fresh_tracer, fresh_events) = traced();
-        let (recycled_tracer, recycled_events) = traced();
+        let (fresh_tracer, fresh_events, fresh_story) = traced(tells);
+        let (recycled_tracer, recycled_events, recycled_story) = traced(tells);
         let mut fresh = Runner::with_tracer(p, &a, cfg.clone(), fresh_tracer);
         // Every other run is configured in the spent run's vote vector.
         let mut recycled = if i % 2 == 0 {
@@ -122,6 +131,7 @@ fn recycled_matches_fresh(p: &Protocol, stride: usize) -> [usize; 3] {
         assert_eq!(state(&recycled), state(&fresh), "after {steps} steps: {label}");
         let events = |sink: &SharedSink<MemorySink>| sink.with(|s| to_jsonl(&s.events));
         assert_eq!(events(&recycled_events), events(&fresh_events), "{label}");
+        assert_eq!(lines(&recycled_story), lines(&fresh_story), "story: {label}");
         let report = fresh.report();
         seen[0] += usize::from(report.any_blocked);
         seen[1] += usize::from(report.truncated);
@@ -205,14 +215,13 @@ fn random_move(r: &mut Runner<'_>, rng: &mut SimRng) {
     }
 }
 
-/// Everything observable about a runner but its recorded story (forks
-/// share the story sink of their source, so each sees the other's lines).
+/// Everything observable about a runner but what its tracer's sinks were
+/// told (forks share their source's sinks, so each sees the other's).
 /// Of the network's counters the report carries the send count; the rest
 /// are compared where they can be reached, in the engine's `digest_tests`
 /// and in `nbc-simnet`'s own `clone_from` tests.
 fn fork_state(r: &Runner<'_>) -> String {
-    let mut report = r.report();
-    report.trace.clear();
+    let report = r.report();
     let pending = r.pending_events();
     format!(
         "{report:?}\n{:032x}\n{pending:?}\n{:?} at {}\n{:?}",
@@ -278,13 +287,13 @@ fn clone_from_matches_clone(protocols: &[(Protocol, Analysis)], ix: usize, dirt:
     let (p, a) = &protocols[ix];
     let stride = 2 * p.n_sites().min(5) - 5;
     let mut target: Option<(Runner<'_>, SharedSink<MemorySink>)> = None;
-    for (i, cfg) in configs(p, stride).into_iter().enumerate() {
+    for (i, (cfg, tells)) in configs(p, stride).into_iter().enumerate() {
         let label = format!("{} config {i}: {cfg:?}", p.name);
         let mut rng = SimRng::seed_from_u64(i as u64);
         note(dirt, "inaccurate detector", cfg.detector.is_some_and(|d| !d.is_accurate()));
         note(dirt, "partition", cfg.partition.is_some());
-        note(dirt, "story", cfg.record_trace);
-        let (tracer, events) = traced();
+        note(dirt, "story", tells);
+        let (tracer, events, story) = traced(tells);
         let mut source = Runner::with_tracer(p, a, cfg, tracer);
         for _ in 0..rng.gen_range(0..40) {
             random_move(&mut source, &mut rng);
@@ -296,7 +305,7 @@ fn clone_from_matches_clone(protocols: &[(Protocol, Analysis)], ix: usize, dirt:
             _ => {
                 let (q, qa) = &protocols[(ix + 1 + i) % protocols.len()];
                 note(dirt, "target of another protocol", q.name != p.name);
-                let (tracer, events) = traced();
+                let (tracer, events, _) = traced(false);
                 let mut other = Runner::with_tracer(q, qa, RunConfig::happy(q.n_sites()), tracer);
                 (0..i % 9).for_each(|_| random_move(&mut other, &mut rng));
                 (other, events)
@@ -315,8 +324,7 @@ fn clone_from_matches_clone(protocols: &[(Protocol, Analysis)], ix: usize, dirt:
         note_sites(dirt, &source);
         note_sites(dirt, &fork);
         let old_len = old_events.with(|s| s.events.len());
-        let (at_fork, told_at_fork) =
-            (events.with(|s| s.events.len()), source.report().trace.len());
+        let (at_fork, told_at_fork) = (events.with(|s| s.events.len()), lines(&story).len());
 
         // Judged before anything asks the source for its digest, which
         // would fill the caches the fork must have copied empty.
@@ -337,8 +345,7 @@ fn clone_from_matches_clone(protocols: &[(Protocol, Analysis)], ix: usize, dirt:
         }
         while reference.step() {}
         states.push(fork_state(&reference));
-        let (midway, told_midway) =
-            (events.with(|s| s.events.len()), reference.report().trace.len());
+        let (midway, told_midway) = (events.with(|s| s.events.len()), lines(&story).len());
         for (step, state) in states.iter().enumerate() {
             if step == 12 {
                 while fork.step() {}
@@ -352,8 +359,8 @@ fn clone_from_matches_clone(protocols: &[(Protocol, Analysis)], ix: usize, dirt:
             let (first, second) = s.events[at_fork..].split_at(midway - at_fork);
             assert_eq!(to_jsonl(second), to_jsonl(first), "events after the fork: {label}");
         });
-        let told = fork.report().trace;
-        assert_eq!(told, reference.report().trace, "one story sink: {label}");
+        // One story sink: the fork told the reference's lines after them.
+        let told = lines(&story);
         assert_eq!(told[told_midway..], told[told_at_fork..told_midway], "story: {label}");
         // Neither fork reached back into the source or into the tracer the
         // target used to have.
@@ -412,10 +419,11 @@ fn sites_text(r: &Runner<'_>) -> String {
 fn re_forks_match_clones(p: &Protocol, a: &Analysis) -> [usize; 4] {
     let mut differed = [0; 4];
     let stride = 2 * p.n_sites().min(5) - 5;
-    for (i, cfg) in configs(p, stride).into_iter().enumerate() {
+    for (i, (cfg, tells)) in configs(p, stride).into_iter().enumerate() {
         let label = |case: &str| format!("{} config {i}, {case}: {cfg:?}", p.name);
         let mut rng = SimRng::seed_from_u64(1_000 + i as u64);
-        let mut source = Runner::new(p, a, cfg.clone());
+        let tracer = if tells { Tracer::to_sink(LinesSink::default()) } else { Tracer::off() };
+        let mut source = Runner::with_tracer(p, a, cfg.clone(), tracer);
         for _ in 0..rng.gen_range(0..30) {
             random_move(&mut source, &mut rng);
         }

@@ -109,10 +109,9 @@ impl Tracer {
     }
 }
 
-/// Renders the subset of events that made up the engine's original
-/// human-readable trace into exactly those legacy lines (`t=...` prefixed),
-/// so `RunReport::trace` keeps its historical byte-for-byte format while
-/// being routed through the sink layer.
+/// Renders the events of a run's human-readable story (`nbc simulate
+/// --story`) as `t=...` lines, byte for byte the story's historical
+/// format. Attach it to the run's tracer and read `lines` afterwards.
 #[derive(Clone, Debug, Default)]
 pub struct LinesSink {
     /// The rendered lines, in emission order.

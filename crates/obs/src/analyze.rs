@@ -5,9 +5,9 @@
 //! drives it backwards. [`parse_jsonl`] inverts [`crate::export::to_jsonl`]
 //! exactly (every [`EventKind`] round-trips), [`CausalTrace`] assigns
 //! Lamport clocks from send/deliver edges plus per-site program order and
-//! exposes the happens-before structure (per-transaction spans, per-site
-//! timelines, message-flow matrix), and [`verify`] re-checks the engine's
-//! core invariants from the trace alone:
+//! exposes the happens-before structure (per-site timelines, message-flow
+//! matrix), and [`verify`] re-checks the engine's core invariants from the
+//! trace alone:
 //!
 //! * **conservation** — every message handed to the network is delivered
 //!   or dropped, globally, per channel, and per payload label;
@@ -21,6 +21,10 @@
 //!   decision record at the same site (Gray–Lamport's stable-write
 //!   accounting).
 //!
+//! [`verify`] and [`stats`] read message totals, stable writes and each
+//! transaction's decision latency off a [`Metrics`] fold of the events,
+//! the registry `--metrics` fills from a live run.
+//!
 //! Everything here is a pure function of the event sequence — no maps
 //! with nondeterministic iteration, no wall clock — so verifying the same
 //! trace twice produces byte-identical reports.
@@ -29,6 +33,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::event::{Event, EventKind};
 use crate::json::{self, Obj, Value};
+use crate::metrics::{Metrics, TxnStats};
+use crate::sink::Sink;
 
 // ----------------------------------------------------------------------
 // Parsing: the inverse of `export::event_json`
@@ -286,30 +292,6 @@ impl CausalTrace {
         false
     }
 
-    /// Per-transaction spans: first/last event time, event count, and the
-    /// first decision (time, verdict) if any.
-    pub(crate) fn txn_spans(&self) -> BTreeMap<u64, TxnSpan> {
-        let mut spans: BTreeMap<u64, TxnSpan> = BTreeMap::new();
-        for e in &self.events {
-            let Some(txn) = e.txn else { continue };
-            let s = spans.entry(txn).or_insert(TxnSpan {
-                first: e.time,
-                last: e.time,
-                events: 0,
-                decided: None,
-            });
-            s.first = s.first.min(e.time);
-            s.last = s.last.max(e.time);
-            s.events += 1;
-            if s.decided.is_none() {
-                if let EventKind::Decision { commit } = e.kind {
-                    s.decided = Some((e.time, commit));
-                }
-            }
-        }
-        spans
-    }
-
     /// Per-site timelines: event indices in trace order, per site.
     pub fn site_timelines(&self) -> BTreeMap<u32, Vec<usize>> {
         let mut out: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
@@ -331,19 +313,6 @@ impl CausalTrace {
         }
         out
     }
-}
-
-/// One transaction's extent within a trace (see [`CausalTrace::txn_spans`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct TxnSpan {
-    /// Time of the transaction's first event.
-    pub(crate) first: u64,
-    /// Time of the transaction's last event.
-    pub(crate) last: u64,
-    /// Events attributed to the transaction.
-    pub(crate) events: u64,
-    /// First decision (time, commit) if any site decided.
-    pub(crate) decided: Option<(u64, bool)>,
 }
 
 // ----------------------------------------------------------------------
@@ -450,6 +419,8 @@ impl TraceReport {
     }
 }
 
+/// Keep the first [`MAX_VIOLATIONS_SHOWN`] of a check's `total` findings
+/// and say how many more there were.
 fn clip(violations: &mut Vec<String>, total: usize) {
     if total > MAX_VIOLATIONS_SHOWN {
         violations.truncate(MAX_VIOLATIONS_SHOWN);
@@ -457,33 +428,33 @@ fn clip(violations: &mut Vec<String>, total: usize) {
     }
 }
 
+/// `events` folded through the registry `--metrics` fills from a live run.
+fn metrics_of(events: &[Event]) -> Metrics {
+    let mut metrics = Metrics::default();
+    events.iter().for_each(|e| metrics.record(e));
+    metrics
+}
+
 /// Run the four offline oracles over a trace. A pure function of the
 /// event sequence: the same trace always yields a byte-identical report.
 pub fn verify(events: &[Event]) -> TraceReport {
+    let metrics = metrics_of(events);
     let causal = CausalTrace::build(events.to_vec());
 
     // -- conservation ---------------------------------------------------
-    let (mut sent, mut delivered, mut dropped) = (0u64, 0u64, 0u64);
+    let (sent, delivered, dropped) =
+        (metrics.msgs_sent, metrics.msgs_delivered, metrics.msgs_dropped);
     let mut channel: BTreeMap<(u32, u32), (i64, i64)> = BTreeMap::new(); // (sends, receipts)
     for e in events {
-        match &e.kind {
-            EventKind::MsgSend { dst, .. } => {
-                sent += 1;
-                if let Some(src) = e.site {
-                    channel.entry((src, *dst)).or_default().0 += 1;
-                }
+        match (&e.kind, e.site) {
+            (EventKind::MsgSend { dst, .. }, Some(src)) => {
+                channel.entry((src, *dst)).or_default().0 += 1;
             }
-            EventKind::MsgDeliver { src, .. } => {
-                delivered += 1;
-                if let Some(dst) = e.site {
-                    channel.entry((*src, dst)).or_default().1 += 1;
-                }
+            (EventKind::MsgDeliver { src, .. }, Some(dst)) => {
+                channel.entry((*src, dst)).or_default().1 += 1;
             }
-            EventKind::MsgDrop { dst, .. } => {
-                dropped += 1;
-                if let Some(src) = e.site {
-                    channel.entry((src, *dst)).or_default().1 += 1;
-                }
+            (EventKind::MsgDrop { dst, .. }, Some(src)) => {
+                channel.entry((src, *dst)).or_default().1 += 1;
             }
             _ => {}
         }
@@ -493,14 +464,10 @@ pub fn verify(events: &[Event]) -> TraceReport {
         cons_violations
             .push(format!("global: {sent} sent != {delivered} delivered + {dropped} dropped"));
     }
-    let mut chan_bad = 0usize;
     for ((src, dst), (s, r)) in &channel {
         if s != r {
-            chan_bad += 1;
-            if cons_violations.len() <= MAX_VIOLATIONS_SHOWN {
-                cons_violations
-                    .push(format!("channel site{src}->site{dst}: {s} sends vs {r} receipts"));
-            }
+            cons_violations
+                .push(format!("channel site{src}->site{dst}: {s} sends vs {r} receipts"));
         }
     }
     if causal.orphan_receipts > 0 {
@@ -513,7 +480,6 @@ pub fn verify(events: &[Event]) -> TraceReport {
     if in_flight > 0 && sent != delivered + dropped {
         cons_violations.push(format!("{in_flight} sends never delivered or dropped"));
     }
-    let _ = chan_bad;
     let total = cons_violations.len();
     clip(&mut cons_violations, total);
     let conservation = TraceCheck {
@@ -579,9 +545,7 @@ pub fn verify(events: &[Event]) -> TraceReport {
             _ => {}
         }
     }
-    if wbs_total > MAX_VIOLATIONS_SHOWN {
-        wbs_violations.push(format!("... and {} more", wbs_total - MAX_VIOLATIONS_SHOWN));
-    }
+    clip(&mut wbs_violations, wbs_total);
     let wal_before_send = TraceCheck {
         name: "wal-before-send",
         summary: format!("{protocol_sends} protocol sends"),
@@ -618,39 +582,23 @@ pub fn verify(events: &[Event]) -> TraceReport {
             _ => {}
         }
     }
-    if sd_total > MAX_VIOLATIONS_SHOWN {
-        sd_violations.push(format!("... and {} more", sd_total - MAX_VIOLATIONS_SHOWN));
-    }
+    clip(&mut sd_violations, sd_total);
     let stable_decision = TraceCheck {
         name: "stable-decision",
         summary: format!("{decisions} decision events"),
         violations: sd_violations,
     };
 
-    // -- Gray–Lamport counters ------------------------------------------
-    let stable_writes =
-        events.iter().filter(|e| matches!(e.kind, EventKind::WalFsync { physical: true })).count()
-            as u64;
-    let spans = causal.txn_spans();
-    let mut decided_txns = 0u64;
-    let mut max_delay = None;
-    for span in spans.values() {
-        if let Some((at, _)) = span.decided {
-            decided_txns += 1;
-            let delay = at.saturating_sub(span.first);
-            max_delay = Some(max_delay.map_or(delay, |m: u64| m.max(delay)));
-        }
-    }
-
+    let delays = metrics.txns.values().filter_map(TxnStats::latency);
     TraceReport {
         events: events.len() as u64,
-        txns: spans.len() as u64,
+        txns: metrics.txns.len() as u64,
         checks: vec![conservation, decision_consistency, wal_before_send, stable_decision],
         gl: GlCounters {
             protocol_msgs: protocol_sends,
-            stable_writes,
-            decided_txns,
-            max_decision_delay: max_delay,
+            stable_writes: metrics.wal_fsyncs_physical,
+            decided_txns: delays.clone().count() as u64,
+            max_decision_delay: delays.max(),
         },
     }
 }
@@ -762,12 +710,8 @@ impl TraceStats {
 /// Compute decision-latency percentiles and collect the snapshot rows
 /// from a trace.
 pub fn stats(events: &[Event]) -> TraceStats {
-    let causal = CausalTrace::build(events.to_vec());
-    let spans = causal.txn_spans();
-    let mut latencies: Vec<u64> = spans
-        .values()
-        .filter_map(|s| s.decided.map(|(at, _)| at.saturating_sub(s.first)))
-        .collect();
+    let metrics = metrics_of(events);
+    let mut latencies: Vec<u64> = metrics.txns.values().filter_map(TxnStats::latency).collect();
     latencies.sort_unstable();
     let snapshots = events
         .iter()
@@ -778,7 +722,12 @@ pub fn stats(events: &[Event]) -> TraceStats {
             _ => None,
         })
         .collect();
-    TraceStats { events: events.len() as u64, txns: spans.len() as u64, latencies, snapshots }
+    TraceStats {
+        events: events.len() as u64,
+        txns: metrics.txns.len() as u64,
+        latencies,
+        snapshots,
+    }
 }
 
 #[cfg(test)]
@@ -890,15 +839,10 @@ mod tests {
     }
 
     #[test]
-    fn spans_timelines_and_flow_matrix() {
+    fn timelines_and_flow_matrix() {
         let mut events = msg_chain();
-        for e in &mut events {
-            e.txn = Some(7);
-        }
-        events.push(Event::new(11, EventKind::Decision { commit: true }).at_site(2).for_txn(7));
+        events.push(Event::new(11, EventKind::Decision { commit: true }).at_site(2));
         let ct = CausalTrace::build(events);
-        let spans = ct.txn_spans();
-        assert_eq!(spans[&7], TxnSpan { first: 0, last: 11, events: 7, decided: Some((11, true)) });
         let timelines = ct.site_timelines();
         assert_eq!(timelines[&0], vec![0, 1]);
         assert_eq!(timelines[&2], vec![2, 5, 6]);
@@ -990,6 +934,26 @@ mod tests {
         let bad: Vec<_> = report.checks.iter().filter(|c| !c.ok()).collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].name, "stable-decision");
+    }
+
+    /// Twelve unbalanced channels over four sites make fourteen findings
+    /// (the global balance, the channels, the sends in flight): eight are
+    /// shown and the other six counted.
+    #[test]
+    fn verify_counts_every_conservation_finding() {
+        let mut events = Vec::new();
+        for src in 0..4 {
+            for dst in (0..4).filter(|&dst| dst != src) {
+                let send = EventKind::MsgSend { dst, label: "m".into() };
+                events.push(Event::new(0, send).at_site(src as usize));
+            }
+        }
+        let report = verify(&events);
+        let conservation = &report.checks[0];
+        assert_eq!(conservation.name, "conservation");
+        assert_eq!(conservation.violations.len(), MAX_VIOLATIONS_SHOWN + 1);
+        assert_eq!(conservation.violations[0], "global: 12 sent != 0 delivered + 0 dropped");
+        assert_eq!(conservation.violations[MAX_VIOLATIONS_SHOWN], "... and 6 more");
     }
 
     #[test]

@@ -36,10 +36,7 @@ mod oracle;
 mod schedule;
 mod shrink;
 
-use nbc_core::{
-    resilience, theorem, Analysis, Protocol, ProtocolError, ReachOptions, SiteId, SpillStats,
-    StateId,
-};
+use nbc_core::{resilience, theorem, Analysis, Protocol, ProtocolError, ReachOptions, SpillStats};
 use nbc_engine::{Runner, TerminationRule};
 
 use explore::ExploreStats;
@@ -431,18 +428,10 @@ pub fn run_check(protocol: &Protocol, options: CheckOptions) -> Result<CheckRepo
     // Hard per-state / per-recovery oracle violations, shrunk with the
     // predicate that re-detects the same class of violation.
     if let Some((oracle, detail, votes, path)) = &exploration.violation {
-        let analysis_ref = &analysis;
         let predicate: ShrinkPredicate<'_> = match *oracle {
-            "consistency" => Box::new(|r: &Runner<'_>, _| {
-                let outcomes: Vec<_> = r.sites().iter().filter_map(|s| s.outcome).collect();
-                outcomes.contains(&true) && outcomes.contains(&false)
-            }),
-            "prediction" => Box::new(move |r: &Runner<'_>, _| {
-                r.sites().iter().enumerate().any(|(i, s)| {
-                    s.visited.iter().enumerate().any(|(st, &v)| {
-                        v && !analysis_ref.occupied(SiteId(i as u32), StateId(st as u32))
-                    })
-                })
+            "consistency" => Box::new(|r: &Runner<'_>, _| Oracles::mixed_decisions(r).is_some()),
+            "prediction" => Box::new(|r: &Runner<'_>, _| {
+                Oracles::unpredicted(&analysis, r, |_, _| {}).is_some()
             }),
             _ => Box::new(|_: &Runner<'_>, recovery_failed| recovery_failed),
         };

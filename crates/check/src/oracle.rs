@@ -89,38 +89,52 @@ impl<'a> Oracles<'a> {
         witnessed: &mut Witnessed,
         runner: &Runner<'_>,
     ) -> Result<(), (&'static str, String)> {
-        let mut commit: Option<usize> = None;
-        let mut abort: Option<usize> = None;
-        for (i, s) in runner.sites().iter().enumerate() {
-            match s.outcome {
-                Some(true) => commit = commit.or(Some(i)),
-                Some(false) => abort = abort.or(Some(i)),
-                None => {}
-            }
-            for (state, &seen) in s.visited.iter().enumerate() {
-                if seen {
-                    witnessed.0[i][state] = true;
-                    if !self.analysis.occupied(SiteId(i as u32), StateId(state as u32)) {
-                        let name =
-                            &self.protocol.fsa(SiteId(i as u32)).state(StateId(state as u32)).name;
-                        return Err((
-                            "prediction",
-                            format!(
-                                "site{i} occupied local state {name:?} which is unreachable in \
-                                 the analytic state graph"
-                            ),
-                        ));
-                    }
-                }
-            }
+        let fold = |i: usize, state: usize| witnessed.0[i][state] = true;
+        if let Some((i, state)) = Self::unpredicted(self.analysis, runner, fold) {
+            let name = &self.protocol.fsa(SiteId(i as u32)).state(StateId(state as u32)).name;
+            return Err((
+                "prediction",
+                format!(
+                    "site{i} occupied local state {name:?} which is unreachable in the analytic \
+                     state graph"
+                ),
+            ));
         }
-        if let (Some(c), Some(a)) = (commit, abort) {
+        if let Some((c, a)) = Self::mixed_decisions(runner) {
             return Err((
                 "consistency",
                 format!("site{c} decided commit while site{a} decided abort"),
             ));
         }
         Ok(())
+    }
+
+    /// The prediction oracle: the first `(site, local state)` a site of
+    /// `runner` has visited that `analysis` finds in no reachable global
+    /// state. `seen` is told each visited state up to it.
+    pub(crate) fn unpredicted(
+        analysis: &Analysis,
+        runner: &Runner<'_>,
+        mut seen: impl FnMut(usize, usize),
+    ) -> Option<(usize, usize)> {
+        for (i, s) in runner.sites().iter().enumerate() {
+            for (state, &visited) in s.visited.iter().enumerate() {
+                if visited {
+                    seen(i, state);
+                    if !analysis.occupied(SiteId(i as u32), StateId(state as u32)) {
+                        return Some((i, state));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The consistency oracle: the first site to decide commit and the
+    /// first to decide abort, when both exist.
+    pub(crate) fn mixed_decisions(runner: &Runner<'_>) -> Option<(usize, usize)> {
+        let decided = |d| runner.sites().iter().position(|s| s.outcome == Some(d));
+        Some((decided(true)?, decided(false)?))
     }
 
     /// Is `site` *blocked*, assuming network quiescence: up, undecided,

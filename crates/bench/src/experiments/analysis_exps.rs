@@ -26,8 +26,8 @@ pub fn e4_concurrency_sets() -> String {
         let s = fsa.state_by_name(name).expect("state");
         let mut ids: Vec<StateId> = a
             .concurrency_set(SiteId(0), s)
-            .iter()
-            .map(|&(_, t)| t)
+            .into_iter()
+            .map(|(_, t)| t)
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();

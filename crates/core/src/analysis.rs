@@ -29,9 +29,8 @@
 //! [`crate::facts`](self)) and are accumulated by one `StateFolder`, which
 //! reads a state's site-local fields off its packed words. Queries like
 //! [`cs_has_commit`] are word-wise intersections against a precomputed
-//! commit mask instead of `BTreeSet` scans. The `BTreeSet` form of a
-//! concurrency set is still available through [`concurrency_set`] and is
-//! materialized lazily, once, on first request.
+//! commit mask instead of `BTreeSet` scans. [`concurrency_set`] collects a
+//! row into a `BTreeSet` for a caller that wants one.
 //!
 //! By default [`Analysis::build_with`] builds the [`ReachGraph`] and then
 //! folds its nodes in one pass ([`Analysis::from_graph`]): the builders
@@ -93,8 +92,6 @@ pub struct Analysis {
     abort_mask: Vec<u64>,
     /// `classes[i][s]` = state class, for commit/abort queries.
     classes: Vec<Vec<StateClass>>,
-    /// Lazily materialized `BTreeSet` view of each slot's concurrency row.
-    cs_views: Vec<OnceLock<BTreeSet<(SiteId, StateId)>>>,
     /// Lazily derived per-protocol tables the engine consults on every
     /// run: memoised here so a batch of runs over one analysis derives
     /// them once, not once per `Runner`.
@@ -201,7 +198,6 @@ impl Analysis {
             commit_mask,
             abort_mask,
             classes,
-            cs_views: (0..total).map(|_| OnceLock::new()).collect(),
             class_decisions: OnceLock::new(),
             recovery_classes: OnceLock::new(),
             graph,
@@ -278,18 +274,14 @@ impl Analysis {
         self.classes[site.index()].len()
     }
 
-    /// The concurrency set of `(site, state)` as `(other_site, state)` pairs.
-    ///
-    /// Materialized lazily from the bitset row on first request and cached;
-    /// queries that only need membership or witnesses should prefer
-    /// [`concurrency_slots`](Self::concurrency_slots),
+    /// The concurrency set of `(site, state)` as `(other_site, state)` pairs,
+    /// collected from [`concurrency_slots`](Self::concurrency_slots).
+    /// Queries that only need membership or witnesses should prefer
     /// [`cs_has_commit`](Self::cs_has_commit) /
-    /// [`cs_has_abort`](Self::cs_has_abort), or
+    /// [`cs_has_abort`](Self::cs_has_abort) or
     /// [`cs_witnesses`](Self::cs_witnesses), which never allocate.
-    pub fn concurrency_set(&self, site: SiteId, s: StateId) -> &BTreeSet<(SiteId, StateId)> {
-        let slot = self.slots.slot(site, s);
-        self.cs_views[slot as usize]
-            .get_or_init(|| iter_ones(self.cs_row(slot)).map(|b| self.slots.unslot(b)).collect())
+    pub fn concurrency_set(&self, site: SiteId, s: StateId) -> BTreeSet<(SiteId, StateId)> {
+        self.concurrency_slots(site, s).collect()
     }
 
     /// Iterate the concurrency set of `(site, s)` in ascending
@@ -530,7 +522,7 @@ mod tests {
         let a = Analysis::build(&p).unwrap();
         let s0 = SiteId(0);
         for i in 0..p.fsa(s0).state_count() {
-            for &(j, _) in a.concurrency_set(s0, StateId(i as u32)) {
+            for (j, _) in a.concurrency_set(s0, StateId(i as u32)) {
                 assert_ne!(j, s0);
             }
         }
@@ -545,7 +537,7 @@ mod tests {
                 let s = StateId(i as u32);
                 let set = a.concurrency_set(site, s);
                 let from_slots: BTreeSet<_> = a.concurrency_slots(site, s).collect();
-                assert_eq!(*set, from_slots);
+                assert_eq!(set, from_slots);
                 let (commit, abort) = a.cs_witnesses(site, s);
                 let want_commit =
                     set.iter().find(|&&(j, t)| a.class_of(j, t) == StateClass::Committed).copied();

@@ -85,7 +85,7 @@ fn assert_analysis_matches(p: &nbc_core::Protocol, r: &Reference, a: &Analysis, 
             );
             // Full concurrency set, through both the lazy BTreeSet view and
             // the non-materializing slot iterator.
-            assert_eq!(*a.concurrency_set(site, s), r.cs[i][idx], "{ctx}: cs {site} {idx}");
+            assert_eq!(a.concurrency_set(site, s), r.cs[i][idx], "{ctx}: cs {site} {idx}");
             let slots: BTreeSet<_> = a.concurrency_slots(site, s).collect();
             assert_eq!(slots, r.cs[i][idx], "{ctx}: cs slots {site} {idx}");
             // Class projection and commit/abort queries + witnesses.

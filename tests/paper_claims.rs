@@ -78,7 +78,7 @@ fn concurrency_sets_are_symmetric() {
         for site in p.sites() {
             for idx in 0..p.fsa(site).state_count() {
                 let s = StateId(idx as u32);
-                for &(j, t) in a.concurrency_set(site, s) {
+                for (j, t) in a.concurrency_set(site, s) {
                     assert!(
                         a.concurrency_set(j, t).contains(&(site, s)),
                         "{}: CS asymmetry at {site:?}/{s:?} vs {j:?}/{t:?}",

@@ -2,7 +2,8 @@
 
 use std::fmt::Write as _;
 
-use nonblocking_commit::obs::analyze;
+use nonblocking_commit::obs::analyze::{self, AuditSink, StatsSink};
+use nonblocking_commit::obs::Sink;
 
 use crate::args::Invocation;
 use crate::check::CheckRun;
@@ -15,9 +16,10 @@ use crate::{fail, CliError};
 /// message conservation, decision consistency, WAL-before-send ordering,
 /// stable decisions — and reports the Gray–Lamport accounting; it shares
 /// `nbc check`'s exit contract (0 = every oracle passed, 1 = a violation,
-/// 2 = usage error). `stats` derives decision-latency percentiles and the
-/// time-series snapshot curve; it always exits 0 unless the trace is
-/// unreadable. Both are pure functions of the file bytes: the same trace
+/// 2 = usage error or unreadable trace). `stats` derives decision-latency
+/// percentiles and the time-series snapshot curve; it always exits 0
+/// unless the trace is unreadable. Each parsed line goes to an
+/// [`AuditSink`] or a [`StatsSink`] and no event is kept; the same trace
 /// renders byte-identically on every run.
 pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
     let (sub, files) = inv.operands.split_first().expect("the table asks for a subcommand");
@@ -30,14 +32,11 @@ pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
     let mut out = String::new();
     let mut ok = true;
     for path in files {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-        let events = analyze::parse_jsonl(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
         if files.len() > 1 && !json {
             let _ = writeln!(out, "{path}:");
         }
         if verify_mode {
-            let report = analyze::verify(&events);
+            let report = fold_file(path, AuditSink::default())?.finish();
             ok &= report.ok();
             if json {
                 let _ = writeln!(out, "{}", report.to_json());
@@ -45,7 +44,7 @@ pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
                 out.push_str(&report.render());
             }
         } else {
-            let stats = analyze::stats(&events);
+            let stats = fold_file(path, StatsSink::default())?.finish();
             if json {
                 let _ = writeln!(out, "{}", stats.to_json());
             } else {
@@ -54,6 +53,15 @@ pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
         }
     }
     Ok(CheckRun { output: out, ok })
+}
+
+/// `sink` fed every event of the trace at `path`, one parsed line at a time.
+fn fold_file<S: Sink>(path: &str, mut sink: S) -> Result<S, CliError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+    analyze::fold_jsonl(&text, |e| sink.record(&e))
+        .map_err(|e| CliError(format!("{path}: {e}")))?;
+    Ok(sink)
 }
 
 #[cfg(test)]

@@ -1,13 +1,10 @@
 //! The read side of observability: parse JSONL traces back into typed
-//! events, reconstruct causality, and audit invariants offline.
+//! events, audit invariants offline, and reconstruct causality.
 //!
-//! The write side ([`crate::export`]) is a one-way street — this module
-//! drives it backwards. [`parse_jsonl`] inverts [`crate::export::to_jsonl`]
-//! exactly (every [`EventKind`] round-trips), [`CausalTrace`] assigns
-//! Lamport clocks from send/deliver edges plus per-site program order and
-//! exposes the happens-before structure (per-site timelines, message-flow
-//! matrix), and [`verify`] re-checks the engine's core invariants from the
-//! trace alone:
+//! [`fold_jsonl`] inverts [`crate::export::to_jsonl`] exactly (every
+//! [`EventKind`] round-trips; a key no kind carries is refused), handing
+//! each event on as its line parses. [`AuditSink`] re-checks the engine's
+//! core invariants from the trace alone:
 //!
 //! * **conservation** — every message handed to the network is delivered
 //!   or dropped, globally, per channel, and per payload label;
@@ -21,9 +18,10 @@
 //!   decision record at the same site (Gray–Lamport's stable-write
 //!   accounting).
 //!
-//! [`verify`] and [`stats`] read message totals, stable writes and each
-//! transaction's decision latency off a [`Metrics`] fold of the events,
-//! the registry `--metrics` fills from a live run.
+//! [`AuditSink`] and [`StatsSink`] are [`Sink`]s: one pass each, keeping
+//! no event, through the [`Metrics`] registry `--metrics` fills from a live
+//! run. [`CausalTrace`] is the happens-before view of a held trace: Lamport
+//! clocks, per-site timelines and the message-flow matrix.
 //!
 //! Everything here is a pure function of the event sequence — no maps
 //! with nondeterministic iteration, no wall clock — so verifying the same
@@ -40,103 +38,113 @@ use crate::sink::Sink;
 // Parsing: the inverse of `export::event_json`
 // ----------------------------------------------------------------------
 
-fn need<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+/// An event line's fields; bit `i` of `taken` is set once field `i` is read.
+struct Fields<'v> {
+    fields: &'v [(String, Value)],
+    taken: u64,
 }
 
-fn need_u64(v: &Value, key: &str) -> Result<u64, String> {
-    need(v, key)?.as_u64().ok_or_else(|| format!("field {key:?} is not a u64"))
-}
+impl<'v> Fields<'v> {
+    fn get(&mut self, key: &str) -> Option<&'v Value> {
+        let ix = self.fields.iter().position(|(k, _)| k == key)?;
+        self.taken |= 1u64.checked_shl(ix as u32).unwrap_or(0);
+        Some(&self.fields[ix].1)
+    }
 
-fn need_u32(v: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(need_u64(v, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
-}
+    fn need(&mut self, key: &str) -> Result<&'v Value, String> {
+        self.get(key).ok_or_else(|| format!("missing field {key:?}"))
+    }
 
-fn need_str(v: &Value, key: &str) -> Result<String, String> {
-    Ok(need(v, key)?.as_str().ok_or_else(|| format!("field {key:?} is not a string"))?.to_string())
-}
+    fn u64(&mut self, key: &str) -> Result<u64, String> {
+        self.need(key)?.as_u64().ok_or_else(|| format!("field {key:?} is not a u64"))
+    }
 
-fn need_bool(v: &Value, key: &str) -> Result<bool, String> {
-    need(v, key)?.as_bool().ok_or_else(|| format!("field {key:?} is not a bool"))
+    fn u32(&mut self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.u64(key)?).map_err(|_| format!("field {key:?} exceeds u32"))
+    }
+
+    fn str(&mut self, key: &str) -> Result<String, String> {
+        let value = self.need(key)?.as_str();
+        Ok(value.ok_or_else(|| format!("field {key:?} is not a string"))?.to_string())
+    }
+
+    fn bool(&mut self, key: &str) -> Result<bool, String> {
+        self.need(key)?.as_bool().ok_or_else(|| format!("field {key:?} is not a bool"))
+    }
+
+    /// The first key no reader took (past the 64th field, every key).
+    fn untaken(&self) -> Option<&'v str> {
+        let taken = |ix: usize| ix < 64 && self.taken >> ix & 1 == 1;
+        self.fields.iter().enumerate().find(|&(ix, _)| !taken(ix)).map(|(_, (k, _))| k.as_str())
+    }
 }
 
 /// Parse one JSONL line back into a typed [`Event`] (the exact inverse of
-/// [`crate::export::event_json`]). Unknown kinds are an error — the
-/// taxonomy is closed.
+/// [`crate::export::event_json`]). Unknown kinds, and keys the line's kind
+/// does not carry, are an error — the taxonomy is closed.
 pub(crate) fn parse_event(line: &str) -> Result<Event, String> {
     let v = json::parse(line)?;
-    let time = need_u64(&v, "t")?;
-    let site = match v.get("site") {
-        Some(s) => Some(
-            u32::try_from(s.as_u64().ok_or("field \"site\" is not a u64")?)
-                .map_err(|_| "field \"site\" exceeds u32")?,
-        ),
-        None => None,
-    };
-    let txn = match v.get("txn") {
-        Some(t) => Some(t.as_u64().ok_or("field \"txn\" is not a u64")?),
-        None => None,
-    };
-    let kind_name = need_str(&v, "kind")?;
-    let kind = match kind_name.as_str() {
-        "transition" => {
-            EventKind::Transition { from: need_str(&v, "from")?, to: need_str(&v, "to")? }
-        }
-        "vote" => EventKind::Vote { yes: need_bool(&v, "yes")? },
-        "msg-send" => {
-            EventKind::MsgSend { dst: need_u32(&v, "dst")?, label: need_str(&v, "label")? }
-        }
-        "msg-deliver" => {
-            EventKind::MsgDeliver { src: need_u32(&v, "src")?, label: need_str(&v, "label")? }
-        }
-        "msg-drop" => {
-            EventKind::MsgDrop { dst: need_u32(&v, "dst")?, label: need_str(&v, "label")? }
-        }
-        "decision" => EventKind::Decision { commit: need_bool(&v, "commit")? },
+    let mut f = Fields { fields: if let Value::Obj(fields) = &v { fields } else { &[] }, taken: 0 };
+    let time = f.u64("t")?;
+    let site = if f.get("site").is_some() { Some(f.u32("site")?) } else { None };
+    let txn = if f.get("txn").is_some() { Some(f.u64("txn")?) } else { None };
+    let kind = match f.str("kind")?.as_str() {
+        "transition" => EventKind::Transition { from: f.str("from")?, to: f.str("to")? },
+        "vote" => EventKind::Vote { yes: f.bool("yes")? },
+        "msg-send" => EventKind::MsgSend { dst: f.u32("dst")?, label: f.str("label")? },
+        "msg-deliver" => EventKind::MsgDeliver { src: f.u32("src")?, label: f.str("label")? },
+        "msg-drop" => EventKind::MsgDrop { dst: f.u32("dst")?, label: f.str("label")? },
+        "decision" => EventKind::Decision { commit: f.bool("commit")? },
         "crash" => EventKind::Crash,
         "recover" => EventKind::Recover,
-        "failure-notice" => EventKind::FailureNotice { crashed: need_u32(&v, "crashed")? },
-        "recovery-notice" => EventKind::RecoveryNotice { recovered: need_u32(&v, "recovered")? },
-        "suspect" => EventKind::Suspect { suspected: need_u32(&v, "suspected")? },
-        "unsuspect" => EventKind::Unsuspect { suspected: need_u32(&v, "suspected")? },
-        "election" => EventKind::Election { backup: need_u32(&v, "backup")? },
-        "aligned" => EventKind::Aligned { class: need_str(&v, "class")? },
-        "blocked" => EventKind::Blocked { backup: need_u32(&v, "backup")? },
-        "wal-append" => {
-            EventKind::WalAppend { bytes: need_u64(&v, "bytes")?, record: need_str(&v, "record")? }
-        }
-        "wal-fsync" => EventKind::WalFsync { physical: need_bool(&v, "physical")? },
-        "wal-compact" => {
-            EventKind::WalCompact { before: need_u64(&v, "before")?, after: need_u64(&v, "after")? }
-        }
+        "failure-notice" => EventKind::FailureNotice { crashed: f.u32("crashed")? },
+        "recovery-notice" => EventKind::RecoveryNotice { recovered: f.u32("recovered")? },
+        "suspect" => EventKind::Suspect { suspected: f.u32("suspected")? },
+        "unsuspect" => EventKind::Unsuspect { suspected: f.u32("suspected")? },
+        "election" => EventKind::Election { backup: f.u32("backup")? },
+        "aligned" => EventKind::Aligned { class: f.str("class")? },
+        "blocked" => EventKind::Blocked { backup: f.u32("backup")? },
+        "wal-append" => EventKind::WalAppend { bytes: f.u64("bytes")?, record: f.str("record")? },
+        "wal-fsync" => EventKind::WalFsync { physical: f.bool("physical")? },
+        "wal-compact" => EventKind::WalCompact { before: f.u64("before")?, after: f.u64("after")? },
         "admit" => EventKind::Admit,
         "park" => EventKind::Park,
         "die" => EventKind::Die,
-        "reap" => EventKind::Reap { commit: need_bool(&v, "commit")? },
-        "partition" => EventKind::Partition { groups: need_str(&v, "groups")? },
+        "reap" => EventKind::Reap { commit: f.bool("commit")? },
+        "partition" => EventKind::Partition { groups: f.str("groups")? },
         "snapshot" => EventKind::Snapshot {
-            committed: need_u64(&v, "committed")?,
-            in_flight: need_u64(&v, "in_flight")?,
-            blocked: need_u64(&v, "blocked")?,
-            wal_bytes: need_u64(&v, "wal_bytes")?,
+            committed: f.u64("committed")?,
+            in_flight: f.u64("in_flight")?,
+            blocked: f.u64("blocked")?,
+            wal_bytes: f.u64("wal_bytes")?,
         },
-        "note" => EventKind::Note { text: need_str(&v, "text")? },
+        "note" => EventKind::Note { text: f.str("text")? },
         other => return Err(format!("unknown event kind {other:?}")),
     };
-    Ok(Event { time, site, txn, kind })
+    match f.untaken() {
+        Some(key) => Err(format!("unknown key {key:?}")),
+        None => Ok(Event { time, site, txn, kind }),
+    }
 }
 
-/// Parse a whole JSONL trace (the output of [`crate::export::to_jsonl`] or
-/// a flight-recorder dump). Blank lines are skipped; errors carry the
-/// 1-based line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
-    let mut events = Vec::new();
+/// Parse a JSONL trace (the output of [`crate::export::to_jsonl`] or a
+/// flight-recorder dump) one line at a time, handing each event to `each`
+/// and keeping none. Blank lines are skipped; errors carry the 1-based line
+/// number.
+pub fn fold_jsonl(text: &str, mut each: impl FnMut(Event)) -> Result<(), String> {
     for (ix, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        events.push(parse_event(line).map_err(|e| format!("line {}: {e}", ix + 1))?);
+        each(parse_event(line).map_err(|e| format!("line {}: {e}", ix + 1))?);
     }
+    Ok(())
+}
+
+/// Parse a whole JSONL trace into its events (see [`fold_jsonl`]).
+pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
+    let mut events = Vec::new();
+    fold_jsonl(text, |e| events.push(e))?;
     Ok(events)
 }
 
@@ -148,6 +156,19 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
 pub(crate) fn is_protocol_label(label: &str) -> bool {
     !label.is_empty()
         && label.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
+}
+
+/// A message event's link `(src, dst)` and payload label, and whether it
+/// hands the message to the network (`true`: a send) or takes it off (a
+/// delivery or a drop). A message event without a site has no link.
+fn message(e: &Event) -> Option<(bool, (u32, u32), &str)> {
+    let site = e.site?;
+    match &e.kind {
+        EventKind::MsgSend { dst, label } => Some((true, (site, *dst), label)),
+        EventKind::MsgDeliver { src, label } => Some((false, (*src, site), label)),
+        EventKind::MsgDrop { dst, label } => Some((false, (site, *dst), label)),
+        _ => None,
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -170,8 +191,6 @@ pub struct CausalTrace {
     receipt: Vec<Option<usize>>,
     /// Next event on the same chain, for reachability walks.
     next_in_chain: Vec<Option<usize>>,
-    /// Deliver/drop events whose channel had no pending send.
-    pub(crate) orphan_receipts: u64,
 }
 
 impl CausalTrace {
@@ -184,45 +203,21 @@ impl CausalTrace {
         let mut next_in_chain = vec![None; n];
         let mut chain_clock: BTreeMap<Option<u32>, u64> = BTreeMap::new();
         let mut chain_last: BTreeMap<Option<u32>, usize> = BTreeMap::new();
-        let mut queues: BTreeMap<(u32, u32, String), VecDeque<usize>> = BTreeMap::new();
-        let mut orphan_receipts = 0u64;
+        let mut queues: BTreeMap<((u32, u32), String), VecDeque<usize>> = BTreeMap::new();
 
         for (i, e) in events.iter().enumerate() {
-            match &e.kind {
-                EventKind::MsgSend { dst, label } => {
-                    if let Some(src) = e.site {
-                        queues.entry((src, *dst, label.clone())).or_default().push_back(i);
+            match message(e) {
+                Some((true, link, label)) => {
+                    queues.entry((link, label.to_string())).or_default().push_back(i);
+                }
+                Some((false, link, label)) => {
+                    let queue = queues.get_mut(&(link, label.to_string()));
+                    if let Some(j) = queue.and_then(VecDeque::pop_front) {
+                        matched_send[i] = Some(j);
+                        receipt[j] = Some(i);
                     }
                 }
-                EventKind::MsgDeliver { src, label } => {
-                    if let Some(dst) = e.site {
-                        match queues
-                            .get_mut(&(*src, dst, label.clone()))
-                            .and_then(VecDeque::pop_front)
-                        {
-                            Some(j) => {
-                                matched_send[i] = Some(j);
-                                receipt[j] = Some(i);
-                            }
-                            None => orphan_receipts += 1,
-                        }
-                    }
-                }
-                EventKind::MsgDrop { dst, label } => {
-                    if let Some(src) = e.site {
-                        match queues
-                            .get_mut(&(src, *dst, label.clone()))
-                            .and_then(VecDeque::pop_front)
-                        {
-                            Some(j) => {
-                                matched_send[i] = Some(j);
-                                receipt[j] = Some(i);
-                            }
-                            None => orphan_receipts += 1,
-                        }
-                    }
-                }
-                _ => {}
+                None => {}
             }
             let mut c = chain_clock.get(&e.site).copied().unwrap_or(0) + 1;
             if let Some(j) = matched_send[i] {
@@ -236,7 +231,7 @@ impl CausalTrace {
             chain_last.insert(e.site, i);
         }
 
-        Self { events, clock, matched_send, receipt, next_in_chain, orphan_receipts }
+        Self { events, clock, matched_send, receipt, next_in_chain }
     }
 
     /// The events, in trace order.
@@ -253,16 +248,6 @@ impl CausalTrace {
     /// For a deliver/drop event, the index of the send it consumed.
     pub fn send_of(&self, ix: usize) -> Option<usize> {
         self.matched_send[ix]
-    }
-
-    /// Sends still unmatched at end of trace (messages in flight when the
-    /// run stopped — zero at quiescence).
-    pub(crate) fn unmatched_sends(&self) -> u64 {
-        self.receipt
-            .iter()
-            .zip(&self.events)
-            .filter(|(r, e)| r.is_none() && matches!(e.kind, EventKind::MsgSend { .. }))
-            .count() as u64
     }
 
     /// True when event `a` happens-before event `b` in Lamport's sense:
@@ -419,188 +404,192 @@ impl TraceReport {
     }
 }
 
-/// Keep the first [`MAX_VIOLATIONS_SHOWN`] of a check's `total` findings
-/// and say how many more there were.
-fn clip(violations: &mut Vec<String>, total: usize) {
-    if total > MAX_VIOLATIONS_SHOWN {
-        violations.truncate(MAX_VIOLATIONS_SHOWN);
-        violations.push(format!("... and {} more", total - MAX_VIOLATIONS_SHOWN));
+/// A check's findings: the first [`MAX_VIOLATIONS_SHOWN`] rendered, every
+/// one counted.
+#[derive(Default)]
+struct Findings {
+    shown: Vec<String>,
+    total: usize,
+}
+
+impl Findings {
+    fn push(&mut self, finding: impl FnOnce() -> String) {
+        self.total += 1;
+        if self.shown.len() < MAX_VIOLATIONS_SHOWN {
+            self.shown.push(finding());
+        }
+    }
+
+    /// The check these findings make, saying how many were not shown.
+    fn check(self, name: &'static str, summary: String) -> TraceCheck {
+        let mut violations = self.shown;
+        if self.total > MAX_VIOLATIONS_SHOWN {
+            violations.push(format!("... and {} more", self.total - MAX_VIOLATIONS_SHOWN));
+        }
+        TraceCheck { name, summary, violations }
     }
 }
 
-/// `events` folded through the registry `--metrics` fills from a live run.
-fn metrics_of(events: &[Event]) -> Metrics {
-    let mut metrics = Metrics::default();
-    events.iter().for_each(|e| metrics.record(e));
-    metrics
+/// Sends and receipts (deliveries and drops) on one `(src, dst)` link.
+#[derive(Default)]
+struct Link {
+    sends: u64,
+    receipts: u64,
+    /// Sends no receipt has taken yet, per payload label. The network
+    /// delivers each `(src, dst, label)` channel in FIFO order, so which
+    /// send a receipt takes never matters, only whether one is pending.
+    pending: BTreeMap<String, u64>,
 }
 
-/// Run the four offline oracles over a trace. A pure function of the
-/// event sequence: the same trace always yields a byte-identical report.
-pub fn verify(events: &[Event]) -> TraceReport {
-    let metrics = metrics_of(events);
-    let causal = CausalTrace::build(events.to_vec());
+/// The fold behind [`verify`]: one pass over the events through the one
+/// [`Metrics`] registry, keeping beside it what the four oracles read.
+/// Feed it a trace's events (it is a [`Sink`]), then call
+/// [`AuditSink::finish`].
+#[derive(Default)]
+pub struct AuditSink {
+    metrics: Metrics,
+    links: BTreeMap<(u32, u32), Link>,
+    /// Receipts whose channel had no pending send.
+    orphans: u64,
+    /// Per transaction: (saw a commit, saw an abort).
+    verdicts: BTreeMap<u64, (bool, bool)>,
+    /// `(site, txn)` pairs with a WAL append: whether one was a decision
+    /// record.
+    logged: BTreeMap<(u32, u64), bool>,
+    protocol_sends: u64,
+    sends_before_wal: Findings,
+    decisions: u64,
+    unlogged_decisions: Findings,
+}
 
-    // -- conservation ---------------------------------------------------
-    let (sent, delivered, dropped) =
-        (metrics.msgs_sent, metrics.msgs_delivered, metrics.msgs_dropped);
-    let mut channel: BTreeMap<(u32, u32), (i64, i64)> = BTreeMap::new(); // (sends, receipts)
-    for e in events {
-        match (&e.kind, e.site) {
-            (EventKind::MsgSend { dst, .. }, Some(src)) => {
-                channel.entry((src, *dst)).or_default().0 += 1;
+impl Sink for AuditSink {
+    fn record(&mut self, e: &Event) {
+        self.metrics.record(e);
+        if let Some((send, link, label)) = message(e) {
+            let link = self.links.entry(link).or_default();
+            if send {
+                link.sends += 1;
+                *link.pending.entry(label.to_string()).or_default() += 1;
+            } else {
+                link.receipts += 1;
+                match link.pending.get_mut(label) {
+                    Some(n) if *n > 0 => *n -= 1,
+                    _ => self.orphans += 1,
+                }
             }
-            (EventKind::MsgDeliver { src, .. }, Some(dst)) => {
-                channel.entry((*src, dst)).or_default().1 += 1;
-            }
-            (EventKind::MsgDrop { dst, .. }, Some(src)) => {
-                channel.entry((src, *dst)).or_default().1 += 1;
-            }
-            _ => {}
         }
-    }
-    let mut cons_violations = Vec::new();
-    if sent != delivered + dropped {
-        cons_violations
-            .push(format!("global: {sent} sent != {delivered} delivered + {dropped} dropped"));
-    }
-    for ((src, dst), (s, r)) in &channel {
-        if s != r {
-            cons_violations
-                .push(format!("channel site{src}->site{dst}: {s} sends vs {r} receipts"));
-        }
-    }
-    if causal.orphan_receipts > 0 {
-        cons_violations.push(format!(
-            "{} deliveries/drops with no matching send (label-level FIFO)",
-            causal.orphan_receipts
-        ));
-    }
-    let in_flight = causal.unmatched_sends();
-    if in_flight > 0 && sent != delivered + dropped {
-        cons_violations.push(format!("{in_flight} sends never delivered or dropped"));
-    }
-    let total = cons_violations.len();
-    clip(&mut cons_violations, total);
-    let conservation = TraceCheck {
-        name: "conservation",
-        summary: format!("{sent} sent = {delivered} delivered + {dropped} dropped"),
-        violations: cons_violations,
-    };
-
-    // -- decision-consistency -------------------------------------------
-    let mut verdicts: BTreeMap<u64, (bool, bool)> = BTreeMap::new(); // (saw commit, saw abort)
-    for e in events {
-        let outcome = match e.kind {
-            EventKind::Decision { commit } | EventKind::Reap { commit } => commit,
-            _ => continue,
-        };
-        let Some(txn) = e.txn else { continue };
-        let v = verdicts.entry(txn).or_default();
-        if outcome {
-            v.0 = true;
-        } else {
-            v.1 = true;
-        }
-    }
-    let mut dc_violations: Vec<String> = verdicts
-        .iter()
-        .filter(|(_, (c, a))| *c && *a)
-        .map(|(txn, _)| format!("txn {txn}: both commit and abort observed"))
-        .collect();
-    let dc_total = dc_violations.len();
-    clip(&mut dc_violations, dc_total);
-    let decision_consistency = TraceCheck {
-        name: "decision-consistency",
-        summary: format!("{} decided txns", verdicts.len()),
-        violations: dc_violations,
-    };
-
-    // -- wal-before-send ------------------------------------------------
-    let mut logged: BTreeSet<(u32, u64)> = BTreeSet::new();
-    let mut protocol_sends = 0u64;
-    let mut wbs_violations = Vec::new();
-    let mut wbs_total = 0usize;
-    for e in events {
+        let at = e.site.zip(e.txn);
         match &e.kind {
-            EventKind::WalAppend { .. } => {
-                if let (Some(site), Some(txn)) = (e.site, e.txn) {
-                    logged.insert((site, txn));
+            EventKind::WalAppend { record, .. } => {
+                if let Some(at) = at {
+                    *self.logged.entry(at).or_default() |= record == "decision";
                 }
             }
             EventKind::MsgSend { dst, label } if is_protocol_label(label) => {
-                protocol_sends += 1;
-                if let (Some(site), Some(txn)) = (e.site, e.txn) {
-                    if !logged.contains(&(site, txn)) {
-                        wbs_total += 1;
-                        if wbs_violations.len() < MAX_VIOLATIONS_SHOWN {
-                            wbs_violations.push(format!(
-                                "t={} site{site} txn {txn}: sent {label:?} to site{dst} before any WAL append",
-                                e.time
-                            ));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    clip(&mut wbs_violations, wbs_total);
-    let wal_before_send = TraceCheck {
-        name: "wal-before-send",
-        summary: format!("{protocol_sends} protocol sends"),
-        violations: wbs_violations,
-    };
-
-    // -- stable-decision ------------------------------------------------
-    let mut decision_logged: BTreeSet<(u32, u64)> = BTreeSet::new();
-    let mut decisions = 0u64;
-    let mut sd_violations = Vec::new();
-    let mut sd_total = 0usize;
-    for e in events {
-        match &e.kind {
-            EventKind::WalAppend { record, .. } if record == "decision" => {
-                if let (Some(site), Some(txn)) = (e.site, e.txn) {
-                    decision_logged.insert((site, txn));
+                self.protocol_sends += 1;
+                if let Some((site, txn)) = at.filter(|at| !self.logged.contains_key(at)) {
+                    self.sends_before_wal.push(|| {
+                        format!(
+                            "t={} site{site} txn {txn}: sent {label:?} to site{dst} before any WAL append",
+                            e.time
+                        )
+                    });
                 }
             }
             EventKind::Decision { commit } => {
-                decisions += 1;
-                if let (Some(site), Some(txn)) = (e.site, e.txn) {
-                    if !decision_logged.contains(&(site, txn)) {
-                        sd_total += 1;
-                        if sd_violations.len() < MAX_VIOLATIONS_SHOWN {
-                            let verdict = if *commit { "commit" } else { "abort" };
-                            sd_violations.push(format!(
-                                "t={} site{site} txn {txn}: decided {verdict} without a durable decision record",
-                                e.time
-                            ));
-                        }
-                    }
+                self.decisions += 1;
+                if let Some((site, txn)) = at.filter(|at| self.logged.get(at) != Some(&true)) {
+                    let verdict = if *commit { "commit" } else { "abort" };
+                    self.unlogged_decisions.push(|| {
+                        format!(
+                            "t={} site{site} txn {txn}: decided {verdict} without a durable decision record",
+                            e.time
+                        )
+                    });
                 }
             }
             _ => {}
         }
+        if let (EventKind::Decision { commit } | EventKind::Reap { commit }, Some(txn)) =
+            (&e.kind, e.txn)
+        {
+            let (committed, aborted) = self.verdicts.entry(txn).or_default();
+            *if *commit { committed } else { aborted } = true;
+        }
     }
-    clip(&mut sd_violations, sd_total);
-    let stable_decision = TraceCheck {
-        name: "stable-decision",
-        summary: format!("{decisions} decision events"),
-        violations: sd_violations,
-    };
+}
 
-    let delays = metrics.txns.values().filter_map(TxnStats::latency);
-    TraceReport {
-        events: events.len() as u64,
-        txns: metrics.txns.len() as u64,
-        checks: vec![conservation, decision_consistency, wal_before_send, stable_decision],
-        gl: GlCounters {
-            protocol_msgs: protocol_sends,
-            stable_writes: metrics.wal_fsyncs_physical,
-            decided_txns: delays.clone().count() as u64,
-            max_decision_delay: delays.max(),
-        },
+impl AuditSink {
+    /// Sends no receipt took: messages in flight when the trace stopped
+    /// (zero at quiescence).
+    fn in_flight(&self) -> u64 {
+        self.links.values().flat_map(|link| link.pending.values()).sum()
     }
+
+    /// The four oracles' outcomes and the Gray–Lamport accounting of the
+    /// events recorded.
+    pub fn finish(self) -> TraceReport {
+        let m = &self.metrics;
+        let (sent, delivered, dropped) = (m.msgs_sent, m.msgs_delivered, m.msgs_dropped);
+        let mut imbalance = Findings::default();
+        if sent != delivered + dropped {
+            imbalance.push(|| {
+                format!("global: {sent} sent != {delivered} delivered + {dropped} dropped")
+            });
+        }
+        for ((src, dst), link) in &self.links {
+            let (s, r) = (link.sends, link.receipts);
+            if s != r {
+                imbalance
+                    .push(|| format!("channel site{src}->site{dst}: {s} sends vs {r} receipts"));
+            }
+        }
+        let orphans = self.orphans;
+        if orphans > 0 {
+            imbalance.push(|| {
+                format!("{orphans} deliveries/drops with no matching send (label-level FIFO)")
+            });
+        }
+        let in_flight = self.in_flight();
+        if in_flight > 0 && sent != delivered + dropped {
+            imbalance.push(|| format!("{in_flight} sends never delivered or dropped"));
+        }
+        let mut mixed = Findings::default();
+        for (txn, _) in self.verdicts.iter().filter(|(_, (c, a))| *c && *a) {
+            mixed.push(|| format!("txn {txn}: both commit and abort observed"));
+        }
+        let delays = m.txns.values().filter_map(TxnStats::latency);
+        TraceReport {
+            events: m.events,
+            txns: m.txns.len() as u64,
+            checks: vec![
+                imbalance.check(
+                    "conservation",
+                    format!("{sent} sent = {delivered} delivered + {dropped} dropped"),
+                ),
+                mixed
+                    .check("decision-consistency", format!("{} decided txns", self.verdicts.len())),
+                self.sends_before_wal
+                    .check("wal-before-send", format!("{} protocol sends", self.protocol_sends)),
+                self.unlogged_decisions
+                    .check("stable-decision", format!("{} decision events", self.decisions)),
+            ],
+            gl: GlCounters {
+                protocol_msgs: self.protocol_sends,
+                stable_writes: m.wal_fsyncs_physical,
+                decided_txns: delays.clone().count() as u64,
+                max_decision_delay: delays.max(),
+            },
+        }
+    }
+}
+
+/// The four offline oracles over a held trace: an [`AuditSink`] fed every
+/// event, so the same trace always yields a byte-identical report.
+pub fn verify(events: &[Event]) -> TraceReport {
+    let mut audit = AuditSink::default();
+    events.iter().for_each(|e| audit.record(e));
+    audit.finish()
 }
 
 // ----------------------------------------------------------------------
@@ -707,27 +696,45 @@ impl TraceStats {
     }
 }
 
-/// Compute decision-latency percentiles and collect the snapshot rows
-/// from a trace.
-pub fn stats(events: &[Event]) -> TraceStats {
-    let metrics = metrics_of(events);
-    let mut latencies: Vec<u64> = metrics.txns.values().filter_map(TxnStats::latency).collect();
-    latencies.sort_unstable();
-    let snapshots = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Snapshot { committed, in_flight, blocked, wal_bytes } => {
-                Some((e.time, committed, in_flight, blocked, wal_bytes))
-            }
-            _ => None,
-        })
-        .collect();
-    TraceStats {
-        events: events.len() as u64,
-        txns: metrics.txns.len() as u64,
-        latencies,
-        snapshots,
+/// The fold behind [`stats`]: decision latencies off the one [`Metrics`]
+/// registry, and the `snapshot` rows. Feed it a trace's events (it is a
+/// [`Sink`]), then call [`StatsSink::finish`].
+#[derive(Default)]
+pub struct StatsSink {
+    metrics: Metrics,
+    snapshots: Vec<(u64, u64, u64, u64, u64)>,
+}
+
+impl Sink for StatsSink {
+    fn record(&mut self, e: &Event) {
+        self.metrics.record(e);
+        if let EventKind::Snapshot { committed, in_flight, blocked, wal_bytes } = e.kind {
+            self.snapshots.push((e.time, committed, in_flight, blocked, wal_bytes));
+        }
     }
+}
+
+impl StatsSink {
+    /// Decision-latency percentiles and the snapshot rows of the events
+    /// recorded.
+    pub fn finish(self) -> TraceStats {
+        let mut latencies: Vec<u64> =
+            self.metrics.txns.values().filter_map(TxnStats::latency).collect();
+        latencies.sort_unstable();
+        TraceStats {
+            events: self.metrics.events,
+            txns: self.metrics.txns.len() as u64,
+            latencies,
+            snapshots: self.snapshots,
+        }
+    }
+}
+
+/// Decision-latency percentiles and the snapshot rows of a held trace.
+pub fn stats(events: &[Event]) -> TraceStats {
+    let mut sink = StatsSink::default();
+    events.iter().for_each(|e| sink.record(e));
+    sink.finish()
 }
 
 #[cfg(test)]
@@ -792,6 +799,14 @@ mod tests {
         assert!(parse_event("not json").is_err());
         let err = parse_jsonl("{\"t\":1,\"kind\":\"crash\"}\nbroken\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+        // A key the line's kind does not carry, a common one included.
+        let err = parse_jsonl("\n{\"t\":1,\"kind\":\"crash\",\"zz\":1}\n").unwrap_err();
+        assert_eq!(err, "line 2: unknown key \"zz\"");
+        let err = parse_event("{\"t\":1,\"kind\":\"vote\",\"yes\":true,\"commit\":true}");
+        assert_eq!(err.unwrap_err(), "unknown key \"commit\"");
+        let wide: String = (0..70).map(|i| format!(",\"k{i}\":0")).collect();
+        let err = parse_event(&format!("{{\"t\":1,\"kind\":\"crash\"{wide}}}"));
+        assert_eq!(err.unwrap_err(), "unknown key \"k0\"");
     }
 
     #[test]
@@ -824,8 +839,55 @@ mod tests {
         assert!(ct.clock(5) > ct.clock(2), "site2's chain ticked");
         assert_eq!(ct.send_of(3), Some(1));
         assert_eq!(ct.receipt[1], Some(3));
-        assert_eq!(ct.orphan_receipts, 0);
-        assert_eq!(ct.unmatched_sends(), 0);
+    }
+
+    /// The audit's label-level FIFO counts are what matching receipts to
+    /// sends in [`CausalTrace`] gives — receipts that took no send, sends no
+    /// receipt took — over random message events on three sites and two
+    /// labels, some without a site.
+    #[test]
+    fn the_audit_counts_what_causal_matching_counts() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..2_000 {
+            let len = next(40);
+            let events: Vec<Event> = (0..len)
+                .map(|t| {
+                    let peer = next(3) as u32;
+                    let label = if next(2) == 0 { "yes" } else { "commit" }.to_string();
+                    let kind = match next(3) {
+                        0 => EventKind::MsgSend { dst: peer, label },
+                        1 => EventKind::MsgDeliver { src: peer, label },
+                        _ => EventKind::MsgDrop { dst: peer, label },
+                    };
+                    let event = Event::new(t, kind);
+                    if next(8) == 0 {
+                        event
+                    } else {
+                        event.at_site(next(3) as usize)
+                    }
+                })
+                .collect();
+            let mut audit = AuditSink::default();
+            events.iter().for_each(|e| audit.record(e));
+            let causal = CausalTrace::build(events.clone());
+            let receipts: Vec<usize> = (0..events.len())
+                .filter(|&i| matches!(message(&events[i]), Some((false, ..))))
+                .collect();
+            let taken: BTreeSet<usize> =
+                receipts.iter().filter_map(|&i| causal.send_of(i)).collect();
+            let orphans = receipts.iter().filter(|&&i| causal.send_of(i).is_none()).count();
+            let in_flight = (0..events.len())
+                .filter(|&i| matches!(message(&events[i]), Some((true, ..))) && !taken.contains(&i))
+                .count();
+            assert_eq!(audit.orphans, orphans as u64, "{events:?}");
+            assert_eq!(audit.in_flight(), in_flight as u64, "{events:?}");
+        }
     }
 
     #[test]

@@ -31,13 +31,12 @@
 //! messages and stable writes per transaction, WAL traffic, election
 //! rounds).
 //!
-//! The crate also has a **read side**: [`analyze`] parses JSONL traces
-//! back into typed events, reconstructs happens-before with Lamport
-//! clocks ([`CausalTrace`]), audits the engine's invariants offline
-//! ([`analyze::verify`]), and derives decision-latency percentiles and
-//! time-series curves ([`analyze::stats`]). A [`FlightRecorder`] — a
-//! bounded overwrite-oldest ring sink — retains the causal tail of any
-//! run so failures can dump their last moments for that analysis.
+//! The crate also has a **read side**: [`analyze`] folds JSONL traces
+//! line by line into an audit of the engine's invariants
+//! ([`analyze::AuditSink`]) or latency percentiles and time series
+//! ([`analyze::StatsSink`]), and rebuilds happens-before ([`CausalTrace`]).
+//! A [`FlightRecorder`] — a bounded overwrite-oldest ring sink — retains
+//! the causal tail of any run so failures can dump their last moments.
 
 pub mod analyze;
 mod event;

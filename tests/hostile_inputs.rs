@@ -18,7 +18,9 @@ use nonblocking_commit::engine::{
 };
 use nonblocking_commit::model::{protocols, spec, Analysis, Protocol};
 use nonblocking_commit::net::SimRng;
-use nonblocking_commit::obs::{analyze, export::to_jsonl, MemorySink, SharedSink, Tracer};
+use nonblocking_commit::obs::{
+    analyze, export::to_jsonl, FlightRecorder, MemorySink, SharedSink, Tracer,
+};
 
 const MUTANTS_PER_FILE: u64 = 2_000;
 
@@ -228,6 +230,41 @@ fn a_key_named_twice_is_refused_by_name() {
     let outcome = run(&verify, &dir.join("t.jsonl"), &text);
     assert_eq!(outcome.code, 2, "{}", outcome.stderr);
     assert!(outcome.stderr.contains("duplicate key \"t\""), "{}", outcome.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A key no event kind carries is refused by name and line, with
+/// `trace verify`'s malformed-input code 2, rather than skipped: in a
+/// recorded trace and in a flight dump, whose first line is the
+/// recorder's note.
+#[test]
+fn an_unknown_trace_key_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("nbc-unknown-keys-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let protocol = protocols::central_2pc(3);
+    let analysis = Analysis::build(&protocol).unwrap();
+    let events = SharedSink::new(MemorySink::default());
+    let flight = SharedSink::new(FlightRecorder::new(16));
+    let mut tracer = Tracer::to_sink(events.clone());
+    tracer.attach(flight.clone());
+    run_traced(&protocol, &analysis, RunConfig::happy(3), tracer);
+    let trace = events.with(|sink| to_jsonl(&sink.events));
+    let dump = flight.with(|recorder| recorder.dump_jsonl());
+    for (name, text) in [("trace.jsonl", trace), ("flight.jsonl", dump)] {
+        let path = dir.join(name).to_string_lossy().into_owned();
+        let verify = |text: &str| {
+            std::fs::write(&path, text).unwrap();
+            nbc_cli::run_argv(&["trace".into(), "verify".into(), path.clone()])
+        };
+        // A flight dump holds a tail, so its audit may fail: exit 1, not 2.
+        assert!(verify(&text).code < 2, "{name} parses");
+        let second = text.lines().nth(1).unwrap();
+        let widened = second.replacen(",\"kind\":", ",\"zz\":1,\"kind\":", 1);
+        let outcome = verify(&text.replacen(second, &widened, 1));
+        assert_eq!(outcome.code, 2, "{name}: {}", outcome.stderr);
+        let named = format!("{path}: line 2: unknown key \"zz\"");
+        assert!(outcome.stderr.contains(&named), "{name}: {}", outcome.stderr);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -40,6 +40,7 @@ use nbc_core::{resilience, theorem, Analysis, Protocol, ProtocolError, ReachOpti
 use nbc_engine::{Runner, TerminationRule};
 
 use explore::ExploreStats;
+use schedule::ReplayError;
 use shrink::drain;
 
 pub use explore::{CheckOptions, CheckProgress};
@@ -60,49 +61,32 @@ pub fn rule_name(rule: TerminationRule) -> &'static str {
 
 /// Parse a termination rule name (inverse of [`rule_name`]).
 pub fn rule_from_name(name: &str) -> Option<TerminationRule> {
-    match name {
-        "skeen" => Some(TerminationRule::Skeen),
-        "naive" => Some(TerminationRule::NaiveCs),
-        "cooperative" => Some(TerminationRule::Cooperative),
-        "quorum" => Some(TerminationRule::QuorumSkeen),
-        _ => None,
-    }
+    use TerminationRule::{Cooperative, NaiveCs, QuorumSkeen, Skeen};
+    [Skeen, NaiveCs, Cooperative, QuorumSkeen].into_iter().find(|&rule| rule_name(rule) == name)
 }
 
 /// Re-execute a counterexample [`Schedule`] with a flight recorder
 /// attached and return the recorder's JSONL dump — the causal event tail
 /// that ships next to the counterexample file so `nbc trace` can
-/// reconstruct what led up to the violation. Strict replay is attempted
-/// first; a schedule that no longer applies step-for-step (shrinking can
-/// leave conditionally applicable steps) is replayed leniently. After the
-/// schedule, the run is drained to quiescence so the dump captures the
+/// reconstruct what led up to the violation. [`shrink`] materialised the
+/// schedule, so every step applies (one that does not is an error). After
+/// it, the run is drained to quiescence so the dump captures the
 /// aftermath, not just the injected steps.
 pub fn replay_flight_dump(
     protocol: &Protocol,
     sched: &Schedule,
     capacity: usize,
-) -> Result<String, ProtocolError> {
+) -> Result<String, CheckError> {
     use nbc_obs::{FlightRecorder, SharedSink, Tracer};
+    let rule =
+        rule_from_name(&sched.rule).ok_or_else(|| CheckError::UnknownRule(sched.rule.clone()))?;
     // The runner reads facts, never a graph: stream the analysis.
     let analysis = Analysis::build_with(protocol, ReachOptions::default().with_streaming(true))?;
-    let rule = rule_from_name(&sched.rule).unwrap_or(TerminationRule::Cooperative);
-    let replay_once = |strict: bool| {
-        let rec = SharedSink::new(FlightRecorder::new(capacity));
-        let cfg = explore::plan_config(sched.n, &sched.votes, rule);
-        let mut runner =
-            Runner::with_tracer(protocol, &analysis, cfg, Tracer::to_sink(rec.clone()));
-        let ok = if strict {
-            replay_strict(&mut runner, &sched.steps).is_ok()
-        } else {
-            replay_lenient(&mut runner, &sched.steps);
-            true
-        };
-        let mut tail = Vec::new();
-        drain(&mut runner, &mut tail);
-        (ok, rec)
-    };
-    let (strict_ok, rec) = replay_once(true);
-    let rec = if strict_ok { rec } else { replay_once(false).1 };
+    let rec = SharedSink::new(FlightRecorder::new(capacity));
+    let cfg = explore::plan_config(sched.n, &sched.votes, rule);
+    let mut runner = Runner::with_tracer(protocol, &analysis, cfg, Tracer::to_sink(rec.clone()));
+    replay_strict(&mut runner, &sched.steps).map_err(CheckError::Replay)?;
+    drain(&mut runner, &mut Vec::new());
     Ok(rec.with(|r| r.dump_jsonl()))
 }
 
@@ -127,6 +111,11 @@ pub enum CheckError {
         /// The count asked for.
         got: usize,
     },
+    /// A schedule names a termination rule [`rule_from_name`] does not read.
+    UnknownRule(String),
+    /// A schedule [`replay_flight_dump`] re-executes has a step that does
+    /// not apply.
+    Replay(ReplayError),
 }
 
 impl std::fmt::Display for CheckError {
@@ -139,6 +128,8 @@ impl std::fmt::Display for CheckError {
             Self::TooManyThreads { max, got } => {
                 write!(f, "{got} worker threads asked for, at most {max} are run")
             }
+            Self::UnknownRule(rule) => write!(f, "unknown termination rule {rule:?}"),
+            Self::Replay(e) => write!(f, "replay failed at {e}"),
         }
     }
 }

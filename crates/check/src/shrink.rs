@@ -19,7 +19,7 @@ use nbc_engine::{channel_of, Runner};
 
 use crate::explore::{plan_config, CHECK_TXN};
 use crate::oracle::Oracles;
-use crate::schedule::{apply_step, channel_head, step_for, Schedule, Step};
+use crate::schedule::{apply_step, channel_head, replay_lenient, step_for, Schedule, Step};
 use crate::CheckOptions;
 
 /// Upper bound on drain deliveries — far above any real execution; only a
@@ -107,12 +107,7 @@ where
     // Materialize: record what actually applies, then the drain, giving a
     // schedule every step of which is strictly replayable.
     let mut runner = fresh();
-    let mut materialized = Vec::with_capacity(current.len());
-    for step in &current {
-        if apply_step(&mut runner, step).is_ok() {
-            materialized.push(step.clone());
-        }
-    }
+    let mut materialized = replay_lenient(&mut runner, &current);
     drain(&mut runner, &mut materialized);
     Schedule {
         protocol: protocol.name.clone(),

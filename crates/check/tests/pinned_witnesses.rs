@@ -33,7 +33,10 @@
 //! bytes.
 
 use nbc_check::explore::{explore, plan_config};
-use nbc_check::{replay_strict, rule_name, run_check, CheckOptions, Oracles, Schedule, Step};
+use nbc_check::{
+    replay_flight_dump, replay_strict, rule_from_name, rule_name, run_check, CheckError,
+    CheckOptions, Oracles, Schedule, Step,
+};
 use nbc_core::protocols::{central_2pc, central_3pc};
 use nbc_core::{Analysis, Protocol};
 use nbc_engine::{Runner, TerminationRule};
@@ -118,4 +121,28 @@ fn capped_run_with_a_witness() {
     assert!(golden.contains("TRUNCATED") && golden.contains("blocking confirmed"));
     let opts = CheckOptions { max_states: 200, ..Default::default() };
     assert_pinned(golden, &central_2pc(3), opts);
+}
+
+/// The flight dump beside a shrunk witness replays the witness once,
+/// strictly: a step that does not apply and a rule no reader spells are
+/// typed errors, not a lenient second run or a silent `cooperative`.
+#[test]
+fn a_flight_dump_replays_its_schedule_strictly() {
+    let protocol = central_2pc(3);
+    let report = run_check(&protocol, CheckOptions::default()).unwrap();
+    let witness = report.blocking_witness.expect("central 2PC blocks");
+    let dump = replay_flight_dump(&protocol, &witness, 256).unwrap();
+    assert!(dump.starts_with("{\"t\":"), "{dump}");
+    let mut stale = witness.clone();
+    stale.steps.insert(0, Step::Recover { site: 0 });
+    let err = replay_flight_dump(&protocol, &stale, 256).unwrap_err();
+    assert!(matches!(err, CheckError::Replay(_)), "{err}");
+    assert_eq!(err.to_string(), "replay failed at step 0: site0 is not down");
+    let unknown = Schedule { rule: "quorum2".into(), ..witness };
+    let err = replay_flight_dump(&protocol, &unknown, 256);
+    assert_eq!(err, Err(CheckError::UnknownRule("quorum2".into())));
+    use TerminationRule::{Cooperative, NaiveCs, QuorumSkeen, Skeen};
+    for rule in [Skeen, NaiveCs, Cooperative, QuorumSkeen] {
+        assert_eq!(rule_from_name(rule_name(rule)), Some(rule));
+    }
 }

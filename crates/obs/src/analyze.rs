@@ -82,7 +82,7 @@ impl<'v> Fields<'v> {
 /// Parse one JSONL line back into a typed [`Event`] (the exact inverse of
 /// [`crate::export::event_json`]). Unknown kinds, and keys the line's kind
 /// does not carry, are an error — the taxonomy is closed.
-pub(crate) fn parse_event(line: &str) -> Result<Event, String> {
+fn parse_event(line: &str) -> Result<Event, String> {
     let v = json::parse(line)?;
     let mut f = Fields { fields: if let Value::Obj(fields) = &v { fields } else { &[] }, taken: 0 };
     let time = f.u64("t")?;

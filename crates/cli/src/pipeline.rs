@@ -37,7 +37,7 @@ pub(crate) fn cmd_pipeline(inv: &Invocation) -> Result<String, CliError> {
     let reap: u64 = inv.num("--reap").unwrap_or(200);
     let seed: u64 = inv.num("--seed").unwrap_or(42);
     let series_every: u64 = inv.num("--series-every").unwrap_or(0);
-    let observers = Observers::of(inv);
+    let observers = Observers::of(inv)?;
 
     let accounts = (n * 4).max(8);
     let mut w = BankWorkload::new(n, accounts, 1_000, seed);

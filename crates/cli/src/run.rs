@@ -2,6 +2,8 @@
 //! replay), `sweep` and `paxos`, with the `Observers` a run records into.
 
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::BufWriter;
 
 use nonblocking_commit::check::explore::plan_config;
 use nonblocking_commit::check::{replay_strict, rule_from_name, Schedule};
@@ -13,7 +15,7 @@ use nonblocking_commit::model::paxos::{gl_2pc_cost, gl_paxos_cost, paxos_commit,
 use nonblocking_commit::model::protocols::{central_2pc, central_3pc};
 use nonblocking_commit::model::{Analysis, Protocol, SiteId};
 use nonblocking_commit::net::LatencyModel;
-use nonblocking_commit::obs::export::{to_chrome, to_jsonl};
+use nonblocking_commit::obs::export::TraceWriter;
 use nonblocking_commit::obs::json::{array, string, Obj};
 use nonblocking_commit::obs::{
     EventKind, FlightRecorder, LinesSink, MemorySink, Metrics, SharedSink, Tracer,
@@ -74,40 +76,44 @@ fn to_config(inv: &Invocation, protocol: &Protocol) -> Result<RunConfig, CliErro
     Ok(cfg)
 }
 
-/// The sinks a run records into — the event list behind `--trace` (and
+/// The sinks a run records into — the `--trace` file's writer (in the
 /// `--trace-format`), the `--metrics` counters, the `--flight` ring (sized
 /// by `--flight-cap`), the `--story` lines — and what becomes of them when
-/// the run ends.
+/// the run ends. The trace file is written as the events arrive, so a run
+/// that stops part-way leaves the lines written so far.
 pub(crate) struct Observers {
-    trace_path: Option<String>,
-    chrome: bool,
+    trace: Option<(String, SharedSink<TraceWriter<BufWriter<File>>>)>,
     metrics: bool,
-    events: SharedSink<MemorySink>,
     counters: SharedSink<Metrics>,
     pub(crate) flight: Option<(String, SharedSink<FlightRecorder>)>,
     story: Option<SharedSink<LinesSink>>,
 }
 
 impl Observers {
-    pub(crate) fn of(inv: &Invocation) -> Self {
+    /// The sinks `inv`'s flags ask for; creating the `--trace` file can fail.
+    pub(crate) fn of(inv: &Invocation) -> Result<Self, CliError> {
         let ring = || SharedSink::new(FlightRecorder::new(inv.num("--flight-cap").unwrap_or(256)));
-        Self {
-            trace_path: inv.text("--trace"),
-            chrome: inv.get("--trace-format") == Some(&Value::Chrome(true)),
+        let writer = |path: String| {
+            let out = BufWriter::new(File::create(&path).map_err(|e| cannot_write(&path, e))?);
+            let chrome = inv.get("--trace-format") == Some(&Value::Chrome(true));
+            let writer = if chrome { TraceWriter::chrome(out) } else { TraceWriter::jsonl(out) };
+            Ok((path, SharedSink::new(writer)))
+        };
+        Ok(Self {
+            trace: inv.text("--trace").map(writer).transpose()?,
             metrics: inv.has("--metrics"),
-            events: SharedSink::new(MemorySink::default()),
             counters: SharedSink::new(Metrics::default()),
             flight: inv.text("--flight").map(|path| (path, ring())),
             story: inv.has("--story").then(|| SharedSink::new(LinesSink::default())),
-        }
+        })
     }
 
     /// A tracer into the sinks, or `None` when no flag asked for one and
     /// the run goes untraced.
     pub(crate) fn tracer(&self) -> Option<Tracer> {
         let mut tracer = Tracer::off();
-        if self.trace_path.is_some() {
-            tracer.attach(self.events.clone());
+        if let Some((_, writer)) = &self.trace {
+            tracer.attach(writer.clone());
         }
         if self.metrics {
             tracer.attach(self.counters.clone());
@@ -131,26 +137,28 @@ impl Observers {
     pub(crate) fn dump_flight(&self, why: &str) -> Result<(), CliError> {
         let Some((path, ring)) = &self.flight else { return Ok(()) };
         let (dump, kept, total) = ring.with(|r| (r.dump_jsonl(), r.len(), r.total_seen()));
-        std::fs::write(path, dump).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        std::fs::write(path, dump).map_err(|e| cannot_write(path, e))?;
         eprintln!("flight recorder: {why}dumped last {kept} of {total} events to {path}");
         Ok(())
     }
 
-    /// The run is over: write the trace file, dump the flight recorder if
+    /// The run is over: end the trace file, dump the flight recorder if
     /// the run `ended_badly` (a clean run leaves nothing behind, so the
     /// file's existence is itself a signal scripts can gate on), and hand
     /// back the counters if they were asked for.
     pub(crate) fn finish(&self, ended_badly: Option<&str>) -> Result<Option<Metrics>, CliError> {
-        if let Some(path) = &self.trace_path {
-            let export = if self.chrome { to_chrome } else { to_jsonl };
-            std::fs::write(path, self.events.with(|s| export(&s.events)))
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        if let Some((path, writer)) = &self.trace {
+            writer.with(TraceWriter::finish).map_err(|e| cannot_write(path, e))?;
         }
         if let Some(why) = ended_badly {
             self.dump_flight(why)?;
         }
         Ok(self.metrics.then(|| self.counters.with(|m| m.clone())))
     }
+}
+
+fn cannot_write(path: &str, e: std::io::Error) -> CliError {
+    CliError(format!("cannot write {path}: {e}"))
 }
 
 /// The report as JSON, the story's lines, if any, as its `trace` array.
@@ -186,7 +194,7 @@ pub(crate) fn cmd_simulate(
         return cmd_replay(protocol, analysis, &path, inv);
     }
     let cfg = to_config(inv, protocol)?;
-    let observers = Observers::of(inv);
+    let observers = Observers::of(inv)?;
     let report = match observers.tracer() {
         Some(tracer) => run_traced(protocol, analysis, cfg, tracer),
         None => run_with(protocol, analysis, cfg),
@@ -241,7 +249,7 @@ pub(crate) fn cmd_replay(
     let rule = rule_from_name(&sched.rule)
         .ok_or_else(|| CliError(format!("{path}: unknown termination rule {:?}", sched.rule)))?;
     let cfg = plan_config(sched.n, &sched.votes, rule);
-    let observers = Observers::of(inv);
+    let observers = Observers::of(inv)?;
     let tracer = observers.tracer().unwrap_or_else(Tracer::off);
     let mut runner = Runner::with_tracer(protocol, analysis, cfg, tracer);
     replay_strict(&mut runner, &sched.steps)
@@ -399,7 +407,7 @@ pub(crate) fn cmd_sweep(
 ) -> Result<String, CliError> {
     let specs = enumerate_crash_specs(protocol, inv.num("--recover"));
     let base = to_config(inv, protocol)?;
-    let observers = Observers::of(inv);
+    let observers = Observers::of(inv)?;
     let s = match observers.tracer() {
         Some(tracer) => sweep_traced(protocol, analysis, &base, &specs, tracer),
         None => sweep(protocol, analysis, &base, &specs),

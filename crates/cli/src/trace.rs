@@ -1,6 +1,8 @@
 //! `nbc trace`: offline analysis of recorded JSONL event traces.
 
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufReader, ErrorKind};
 
 use nonblocking_commit::obs::analyze::{self, AuditSink, StatsSink};
 use nonblocking_commit::obs::Sink;
@@ -18,9 +20,9 @@ use crate::{fail, CliError};
 /// `nbc check`'s exit contract (0 = every oracle passed, 1 = a violation,
 /// 2 = usage error or unreadable trace). `stats` derives decision-latency
 /// percentiles and the time-series snapshot curve; it always exits 0
-/// unless the trace is unreadable. Each parsed line goes to an
-/// [`AuditSink`] or a [`StatsSink`] and no event is kept; the same trace
-/// renders byte-identically on every run.
+/// unless the trace is unreadable. The file is read one line at a time:
+/// each parsed line goes to an [`AuditSink`] or a [`StatsSink`] and no
+/// event is kept; the same trace renders byte-identically on every run.
 pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
     let (sub, files) = inv.operands.split_first().expect("the table asks for a subcommand");
     let verify_mode = match sub.as_str() {
@@ -55,12 +57,14 @@ pub(crate) fn cmd_trace(inv: &Invocation) -> Result<CheckRun, CliError> {
     Ok(CheckRun { output: out, ok })
 }
 
-/// `sink` fed every event of the trace at `path`, one parsed line at a time.
+/// `sink` fed every event of the trace at `path`, one parsed line at a time;
+/// an error names the line that does not parse, or else the file.
 fn fold_file<S: Sink>(path: &str, mut sink: S) -> Result<S, CliError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-    analyze::fold_jsonl(&text, |e| sink.record(&e))
-        .map_err(|e| CliError(format!("{path}: {e}")))?;
+    let fold = |file| analyze::fold_jsonl(BufReader::new(file), |e| sink.record(&e));
+    File::open(path).and_then(fold).map_err(|e| match e.kind() {
+        ErrorKind::InvalidData => CliError(format!("{path}: {e}")),
+        _ => CliError(format!("cannot read {path}: {e}")),
+    })?;
     Ok(sink)
 }
 

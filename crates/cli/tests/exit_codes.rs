@@ -439,7 +439,46 @@ fn trace_verify_passes_on_every_catalog_protocol() {
         // Determinism: a second pass renders byte-identically.
         let again = nbc(&["trace", "verify", path.to_str().unwrap()]);
         assert_eq!(out.stdout, again.stdout, "{proto}");
+        // A line may end in `\r\n`: the same trace reads the same.
+        let crlf = path.with_extension("crlf.jsonl");
+        std::fs::write(&crlf, std::fs::read_to_string(&path).unwrap().replace('\n', "\r\n"))
+            .unwrap();
+        let again = nbc(&["trace", "verify", crlf.to_str().unwrap()]);
+        assert_eq!(out.stdout, again.stdout, "{proto}, CRLF");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&crlf);
+    }
+}
+
+/// The trace file is written as the run goes: a file that cannot be made,
+/// or a device that takes no byte, ends the command with exit 2 and
+/// `cannot write PATH`, in either format.
+#[test]
+fn a_trace_file_that_cannot_be_written_exits_two() {
+    let missing = std::env::temp_dir().join("nbc-exit-no-such-dir").join("t.jsonl");
+    let missing = missing.to_str().unwrap();
+    let mut cases = vec![
+        vec!["simulate", "central-3pc", "--trace", missing],
+        vec!["pipeline", "central-3pc", "--txns", "8", "--trace", missing],
+    ];
+    if std::path::Path::new("/dev/full").exists() {
+        for format in ["jsonl", "chrome"] {
+            for run in [
+                &["simulate", "central-3pc", "--crash", "0:2:1"][..],
+                &["sweep", "central-3pc"][..],
+                &["pipeline", "central-3pc", "--txns", "8"][..],
+            ] {
+                cases.push([run, &["--trace", "/dev/full", "--trace-format", format]].concat());
+            }
+        }
+    }
+    for args in cases {
+        let out = nbc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let path = args[args.iter().position(|&a| a == "--trace").unwrap() + 1];
+        assert!(stderr.starts_with(&format!("error: cannot write {path}: ")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
     }
 }
 

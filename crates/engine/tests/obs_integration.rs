@@ -9,8 +9,8 @@ use nbc_engine::{
     enumerate_crash_specs, run_traced, CrashPoint, CrashSpec, RunConfig, TerminationRule,
     TransitionProgress,
 };
-use nbc_obs::export::{to_chrome, to_jsonl};
-use nbc_obs::{Event, EventKind, MemorySink, Metrics, SharedSink, Tracer};
+use nbc_obs::export::{to_jsonl, TraceWriter};
+use nbc_obs::{Event, EventKind, MemorySink, Metrics, SharedSink, Sink, Tracer};
 use nbc_simnet::LatencyModel;
 
 fn traced(
@@ -21,6 +21,15 @@ fn traced(
     let sink = SharedSink::new(MemorySink::default());
     let report = run_traced(p, a, cfg, Tracer::to_sink(sink.clone()));
     (report, sink.with(|s| s.events.clone()))
+}
+
+/// What `--trace-format chrome` writes for `events`.
+fn to_chrome(events: &[Event]) -> String {
+    let mut out = Vec::new();
+    let mut writer = TraceWriter::chrome(&mut out);
+    events.iter().for_each(|e| writer.record(e));
+    writer.finish().unwrap();
+    String::from_utf8(out).unwrap()
 }
 
 fn stress_config(n: usize) -> RunConfig {

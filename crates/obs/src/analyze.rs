@@ -1,10 +1,10 @@
 //! The read side of observability: parse JSONL traces back into typed
-//! events, audit invariants offline, and reconstruct causality.
+//! events and audit invariants offline.
 //!
-//! [`fold_jsonl`] inverts [`crate::export::to_jsonl`] exactly (every
-//! [`EventKind`] round-trips; a key no kind carries is refused), handing
-//! each event on as its line parses. [`AuditSink`] re-checks the engine's
-//! core invariants from the trace alone:
+//! [`fold_jsonl`] inverts the JSONL writer exactly (every [`EventKind`]
+//! round-trips; a key no kind carries is refused), reading one line at a
+//! time and handing each event on as its line parses. [`AuditSink`]
+//! re-checks the engine's core invariants from the trace alone:
 //!
 //! * **conservation** — every message handed to the network is delivered
 //!   or dropped, globally, per channel, and per payload label;
@@ -20,14 +20,14 @@
 //!
 //! [`AuditSink`] and [`StatsSink`] are [`Sink`]s: one pass each, keeping
 //! no event, through the [`Metrics`] registry `--metrics` fills from a live
-//! run. [`CausalTrace`] is the happens-before view of a held trace: Lamport
-//! clocks, per-site timelines and the message-flow matrix.
+//! run.
 //!
 //! Everything here is a pure function of the event sequence — no maps
 //! with nondeterministic iteration, no wall clock — so verifying the same
 //! trace twice produces byte-identical reports.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
+use std::io::{self, BufRead};
 
 use crate::event::{Event, EventKind};
 use crate::json::{self, Obj, Value};
@@ -127,16 +127,26 @@ fn parse_event(line: &str) -> Result<Event, String> {
     }
 }
 
-/// Parse a JSONL trace (the output of [`crate::export::to_jsonl`] or a
-/// flight-recorder dump) one line at a time, handing each event to `each`
-/// and keeping none. Blank lines are skipped; errors carry the 1-based line
-/// number.
-pub fn fold_jsonl(text: &str, mut each: impl FnMut(Event)) -> Result<(), String> {
-    for (ix, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+/// Parse a JSONL trace (a `--trace` file or a flight-recorder dump) one
+/// line at a time, holding that line alone, and hand each event to `each`.
+/// A line ends at `\n` or `\r\n`; blank lines are skipped. A line that is
+/// not UTF-8 or not an event is an [`io::ErrorKind::InvalidData`] error
+/// that starts with its 1-based number; other errors are `input`'s own.
+pub fn fold_jsonl(mut input: impl BufRead, mut each: impl FnMut(Event)) -> io::Result<()> {
+    let mut buf = Vec::new();
+    for number in 1.. {
+        buf.clear();
+        if input.read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        each(parse_event(line).map_err(|e| format!("line {}: {e}", ix + 1))?);
+        let line = buf.strip_suffix(b"\n").map_or(&buf[..], |l| l.strip_suffix(b"\r").unwrap_or(l));
+        let event = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_event(line),
+            Err(_) => Err("stream did not contain valid UTF-8".to_string()),
+        };
+        let bad = |e| io::Error::new(io::ErrorKind::InvalidData, format!("line {number}: {e}"));
+        each(event.map_err(bad)?);
     }
     Ok(())
 }
@@ -144,7 +154,7 @@ pub fn fold_jsonl(text: &str, mut each: impl FnMut(Event)) -> Result<(), String>
 /// Parse a whole JSONL trace into its events (see [`fold_jsonl`]).
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
     let mut events = Vec::new();
-    fold_jsonl(text, |e| events.push(e))?;
+    fold_jsonl(text.as_bytes(), |e| events.push(e)).map_err(|e| e.to_string())?;
     Ok(events)
 }
 
@@ -168,135 +178,6 @@ fn message(e: &Event) -> Option<(bool, (u32, u32), &str)> {
         EventKind::MsgDeliver { src, label } => Some((false, (*src, site), label)),
         EventKind::MsgDrop { dst, label } => Some((false, (site, *dst), label)),
         _ => None,
-    }
-}
-
-// ----------------------------------------------------------------------
-// Causal reconstruction
-// ----------------------------------------------------------------------
-
-/// A trace with its happens-before structure reconstructed.
-///
-/// Lamport clocks are assigned in one pass: each chain (a site, or the
-/// virtual chain for site-less events) ticks in program order, and a
-/// delivery additionally dominates its matched send. Sends are matched to
-/// deliveries/drops per `(src, dst, label)` channel in FIFO order — the
-/// network's own delivery discipline.
-pub struct CausalTrace {
-    events: Vec<Event>,
-    clock: Vec<u64>,
-    /// For deliver/drop events: index of the matched send.
-    matched_send: Vec<Option<usize>>,
-    /// For send events: index of the matched deliver/drop.
-    receipt: Vec<Option<usize>>,
-    /// Next event on the same chain, for reachability walks.
-    next_in_chain: Vec<Option<usize>>,
-}
-
-impl CausalTrace {
-    /// Reconstruct causality over `events` (kept in trace order).
-    pub fn build(events: Vec<Event>) -> Self {
-        let n = events.len();
-        let mut clock = vec![0u64; n];
-        let mut matched_send = vec![None; n];
-        let mut receipt = vec![None; n];
-        let mut next_in_chain = vec![None; n];
-        let mut chain_clock: BTreeMap<Option<u32>, u64> = BTreeMap::new();
-        let mut chain_last: BTreeMap<Option<u32>, usize> = BTreeMap::new();
-        let mut queues: BTreeMap<((u32, u32), String), VecDeque<usize>> = BTreeMap::new();
-
-        for (i, e) in events.iter().enumerate() {
-            match message(e) {
-                Some((true, link, label)) => {
-                    queues.entry((link, label.to_string())).or_default().push_back(i);
-                }
-                Some((false, link, label)) => {
-                    let queue = queues.get_mut(&(link, label.to_string()));
-                    if let Some(j) = queue.and_then(VecDeque::pop_front) {
-                        matched_send[i] = Some(j);
-                        receipt[j] = Some(i);
-                    }
-                }
-                None => {}
-            }
-            let mut c = chain_clock.get(&e.site).copied().unwrap_or(0) + 1;
-            if let Some(j) = matched_send[i] {
-                c = c.max(clock[j] + 1);
-            }
-            clock[i] = c;
-            chain_clock.insert(e.site, c);
-            if let Some(&prev) = chain_last.get(&e.site) {
-                next_in_chain[prev] = Some(i);
-            }
-            chain_last.insert(e.site, i);
-        }
-
-        Self { events, clock, matched_send, receipt, next_in_chain }
-    }
-
-    /// The events, in trace order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// The Lamport clock of event `ix` (`a → b` implies
-    /// `clock(a) < clock(b)`; the converse does not hold).
-    pub fn clock(&self, ix: usize) -> u64 {
-        self.clock[ix]
-    }
-
-    /// For a deliver/drop event, the index of the send it consumed.
-    pub fn send_of(&self, ix: usize) -> Option<usize> {
-        self.matched_send[ix]
-    }
-
-    /// True when event `a` happens-before event `b` in Lamport's sense:
-    /// reachable along program order (same chain) and send→receipt edges.
-    pub fn happens_before(&self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        let mut frontier = vec![a];
-        let mut seen = BTreeSet::new();
-        while let Some(i) = frontier.pop() {
-            if i == b {
-                return true;
-            }
-            // The clock is monotone along every edge, so anything at or
-            // past b's clock cannot lead back to b.
-            if self.clock[i] >= self.clock[b] || !seen.insert(i) {
-                continue;
-            }
-            if let Some(j) = self.next_in_chain[i] {
-                frontier.push(j);
-            }
-            if let Some(j) = self.receipt[i] {
-                frontier.push(j);
-            }
-        }
-        false
-    }
-
-    /// Per-site timelines: event indices in trace order, per site.
-    pub fn site_timelines(&self) -> BTreeMap<u32, Vec<usize>> {
-        let mut out: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if let Some(site) = e.site {
-                out.entry(site).or_default().push(i);
-            }
-        }
-        out
-    }
-
-    /// Message-flow matrix: sends per `(src, dst)` link.
-    pub fn flow_matrix(&self) -> BTreeMap<(u32, u32), u64> {
-        let mut out: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        for e in &self.events {
-            if let (Some(src), EventKind::MsgSend { dst, .. }) = (e.site, &e.kind) {
-                *out.entry((src, *dst)).or_default() += 1;
-            }
-        }
-        out
     }
 }
 
@@ -339,7 +220,7 @@ pub(crate) struct GlCounters {
     pub(crate) max_decision_delay: Option<u64>,
 }
 
-/// The full offline audit produced by [`verify`].
+/// The full offline audit, made by [`AuditSink::finish`].
 pub struct TraceReport {
     /// Events analyzed.
     pub(crate) events: u64,
@@ -441,10 +322,10 @@ struct Link {
     pending: BTreeMap<String, u64>,
 }
 
-/// The fold behind [`verify`]: one pass over the events through the one
-/// [`Metrics`] registry, keeping beside it what the four oracles read.
-/// Feed it a trace's events (it is a [`Sink`]), then call
-/// [`AuditSink::finish`].
+/// The offline audit: one pass over the events through the one [`Metrics`]
+/// registry, keeping beside it what the four oracles read. Feed it a
+/// trace's events (it is a [`Sink`]), then call [`AuditSink::finish`],
+/// which yields a byte-identical report for the same trace.
 #[derive(Default)]
 pub struct AuditSink {
     metrics: Metrics,
@@ -584,20 +465,12 @@ impl AuditSink {
     }
 }
 
-/// The four offline oracles over a held trace: an [`AuditSink`] fed every
-/// event, so the same trace always yields a byte-identical report.
-pub fn verify(events: &[Event]) -> TraceReport {
-    let mut audit = AuditSink::default();
-    events.iter().for_each(|e| audit.record(e));
-    audit.finish()
-}
-
 // ----------------------------------------------------------------------
 // Time-series statistics
 // ----------------------------------------------------------------------
 
-/// Decision-latency percentiles and the metrics-snapshot curve, produced
-/// by [`stats`].
+/// Decision-latency percentiles and the metrics-snapshot curve, made by
+/// [`StatsSink::finish`].
 pub struct TraceStats {
     /// Events analyzed.
     pub(crate) events: u64,
@@ -696,8 +569,8 @@ impl TraceStats {
     }
 }
 
-/// The fold behind [`stats`]: decision latencies off the one [`Metrics`]
-/// registry, and the `snapshot` rows. Feed it a trace's events (it is a
+/// Decision latencies off the one [`Metrics`] registry, and the
+/// `snapshot` rows. Feed it a trace's events (it is a
 /// [`Sink`]), then call [`StatsSink::finish`].
 #[derive(Default)]
 pub struct StatsSink {
@@ -730,19 +603,29 @@ impl StatsSink {
     }
 }
 
-/// Decision-latency percentiles and the snapshot rows of a held trace.
-pub fn stats(events: &[Event]) -> TraceStats {
-    let mut sink = StatsSink::default();
-    events.iter().for_each(|e| sink.record(e));
-    sink.finish()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::collections::{BTreeSet, VecDeque};
+
     use super::*;
     use crate::export::to_jsonl;
 
-    fn all_kinds() -> Vec<Event> {
+    /// An [`AuditSink`]'s report on `events`.
+    fn verify(events: &[Event]) -> TraceReport {
+        let mut audit = AuditSink::default();
+        events.iter().for_each(|e| audit.record(e));
+        audit.finish()
+    }
+
+    /// A [`StatsSink`]'s summary of `events`.
+    fn stats(events: &[Event]) -> TraceStats {
+        let mut sink = StatsSink::default();
+        events.iter().for_each(|e| sink.record(e));
+        sink.finish()
+    }
+
+    /// One event of every kind.
+    pub(crate) fn all_kinds() -> Vec<Event> {
         vec![
             Event::new(0, EventKind::Transition { from: "q1".into(), to: "w1".into() })
                 .at_site(1)
@@ -819,6 +702,98 @@ mod tests {
         }
     }
 
+    /// A trace with its happens-before structure reconstructed, by brute
+    /// force: the reference the sinks' one-pass counts are held to.
+    ///
+    /// Lamport clocks are assigned in one pass: each chain (a site, or the
+    /// virtual chain for site-less events) ticks in program order, and a
+    /// delivery additionally dominates its matched send. Sends are matched
+    /// to deliveries/drops per `(src, dst, label)` channel in FIFO order —
+    /// the network's own delivery discipline.
+    struct CausalTrace {
+        clock: Vec<u64>,
+        /// For deliver/drop events: index of the matched send.
+        matched_send: Vec<Option<usize>>,
+        /// For send events: index of the matched deliver/drop.
+        receipt: Vec<Option<usize>>,
+        /// Next event on the same chain, for reachability walks.
+        next_in_chain: Vec<Option<usize>>,
+    }
+
+    impl CausalTrace {
+        fn build(events: &[Event]) -> Self {
+            let n = events.len();
+            let mut clock = vec![0u64; n];
+            let mut matched_send = vec![None; n];
+            let mut receipt = vec![None; n];
+            let mut next_in_chain = vec![None; n];
+            let mut chain_clock: BTreeMap<Option<u32>, u64> = BTreeMap::new();
+            let mut chain_last: BTreeMap<Option<u32>, usize> = BTreeMap::new();
+            let mut queues: BTreeMap<((u32, u32), String), VecDeque<usize>> = BTreeMap::new();
+
+            for (i, e) in events.iter().enumerate() {
+                match message(e) {
+                    Some((true, link, label)) => {
+                        queues.entry((link, label.to_string())).or_default().push_back(i);
+                    }
+                    Some((false, link, label)) => {
+                        let queue = queues.get_mut(&(link, label.to_string()));
+                        if let Some(j) = queue.and_then(VecDeque::pop_front) {
+                            matched_send[i] = Some(j);
+                            receipt[j] = Some(i);
+                        }
+                    }
+                    None => {}
+                }
+                let mut c = chain_clock.get(&e.site).copied().unwrap_or(0) + 1;
+                if let Some(j) = matched_send[i] {
+                    c = c.max(clock[j] + 1);
+                }
+                clock[i] = c;
+                chain_clock.insert(e.site, c);
+                if let Some(&prev) = chain_last.get(&e.site) {
+                    next_in_chain[prev] = Some(i);
+                }
+                chain_last.insert(e.site, i);
+            }
+
+            Self { clock, matched_send, receipt, next_in_chain }
+        }
+
+        /// For a deliver/drop event, the index of the send it consumed.
+        fn send_of(&self, ix: usize) -> Option<usize> {
+            self.matched_send[ix]
+        }
+
+        /// True when event `a` happens-before event `b` in Lamport's sense:
+        /// reachable along program order (same chain) and send→receipt
+        /// edges.
+        fn happens_before(&self, a: usize, b: usize) -> bool {
+            if a == b {
+                return false;
+            }
+            let mut frontier = vec![a];
+            let mut seen = BTreeSet::new();
+            while let Some(i) = frontier.pop() {
+                if i == b {
+                    return true;
+                }
+                // The clock is monotone along every edge, so anything at or
+                // past b's clock cannot lead back to b.
+                if self.clock[i] >= self.clock[b] || !seen.insert(i) {
+                    continue;
+                }
+                if let Some(j) = self.next_in_chain[i] {
+                    frontier.push(j);
+                }
+                if let Some(j) = self.receipt[i] {
+                    frontier.push(j);
+                }
+            }
+            false
+        }
+    }
+
     fn msg_chain() -> Vec<Event> {
         vec![
             Event::new(0, EventKind::Note { text: "start".into() }).at_site(0),
@@ -832,11 +807,11 @@ mod tests {
 
     #[test]
     fn lamport_clocks_respect_message_edges() {
-        let ct = CausalTrace::build(msg_chain());
+        let ct = CausalTrace::build(&msg_chain());
         // Delivery dominates both its sender chain and its own site chain.
-        assert!(ct.clock(3) > ct.clock(1));
-        assert!(ct.clock(5) > ct.clock(4));
-        assert!(ct.clock(5) > ct.clock(2), "site2's chain ticked");
+        assert!(ct.clock[3] > ct.clock[1]);
+        assert!(ct.clock[5] > ct.clock[4]);
+        assert!(ct.clock[5] > ct.clock[2], "site2's chain ticked");
         assert_eq!(ct.send_of(3), Some(1));
         assert_eq!(ct.receipt[1], Some(3));
     }
@@ -875,7 +850,7 @@ mod tests {
                 .collect();
             let mut audit = AuditSink::default();
             events.iter().for_each(|e| audit.record(e));
-            let causal = CausalTrace::build(events.clone());
+            let causal = CausalTrace::build(&events);
             let receipts: Vec<usize> = (0..events.len())
                 .filter(|&i| matches!(message(&events[i]), Some((false, ..))))
                 .collect();
@@ -892,25 +867,12 @@ mod tests {
 
     #[test]
     fn happens_before_follows_program_and_message_order() {
-        let ct = CausalTrace::build(msg_chain());
+        let ct = CausalTrace::build(&msg_chain());
         assert!(ct.happens_before(0, 1), "program order");
         assert!(ct.happens_before(1, 3), "send -> deliver");
         assert!(ct.happens_before(0, 5), "transitive across two hops");
         assert!(!ct.happens_before(2, 3), "site2's note is concurrent with the delivery");
         assert!(!ct.happens_before(5, 0), "no edge runs backwards");
-    }
-
-    #[test]
-    fn timelines_and_flow_matrix() {
-        let mut events = msg_chain();
-        events.push(Event::new(11, EventKind::Decision { commit: true }).at_site(2));
-        let ct = CausalTrace::build(events);
-        let timelines = ct.site_timelines();
-        assert_eq!(timelines[&0], vec![0, 1]);
-        assert_eq!(timelines[&2], vec![2, 5, 6]);
-        let flow = ct.flow_matrix();
-        assert_eq!(flow[&(0, 1)], 1);
-        assert_eq!(flow[&(1, 2)], 1);
     }
 
     /// A minimal clean trace that satisfies all four oracles.

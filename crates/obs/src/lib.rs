@@ -22,21 +22,22 @@
 //! * **Deterministic output.** Events are stamped with simulation time,
 //!   never wall-clock time, and sinks record them in emission order. The
 //!   same protocol, seed, and configuration produce a byte-identical
-//!   [`export::to_jsonl`] log at any analysis thread count.
+//!   JSONL trace at any analysis thread count.
 //!
-//! Exporters: [`export::to_jsonl`] (one JSON object per line),
-//! [`export::to_chrome`] (Chrome trace-event format — load the file in
-//! Perfetto or `chrome://tracing` to see the run as a timeline), and the
-//! [`Metrics`] registry's stdout table (decision latency per site,
-//! messages and stable writes per transaction, WAL traffic, election
-//! rounds).
+//! The trace file is a sink too: [`export::TraceWriter`] writes each
+//! event as it arrives, as one JSON object per line or in Chrome
+//! trace-event format (load the file in Perfetto or `chrome://tracing` to
+//! see the run as a timeline), so a run that stops part-way leaves the
+//! lines written so far. The [`Metrics`] registry renders a stdout table
+//! (decision latency per site, messages and stable writes per
+//! transaction, WAL traffic, election rounds).
 //!
 //! The crate also has a **read side**: [`analyze`] folds JSONL traces
-//! line by line into an audit of the engine's invariants
+//! one line at a time into an audit of the engine's invariants
 //! ([`analyze::AuditSink`]) or latency percentiles and time series
-//! ([`analyze::StatsSink`]), and rebuilds happens-before ([`CausalTrace`]).
-//! A [`FlightRecorder`] — a bounded overwrite-oldest ring sink — retains
-//! the causal tail of any run so failures can dump their last moments.
+//! ([`analyze::StatsSink`]), holding no event. A [`FlightRecorder`] — a
+//! bounded overwrite-oldest ring sink — retains the causal tail of any run
+//! so failures can dump their last moments.
 
 pub mod analyze;
 mod event;
@@ -47,7 +48,6 @@ pub mod progress;
 mod recorder;
 mod sink;
 
-pub use analyze::CausalTrace;
 pub use event::{Event, EventKind};
 pub use metrics::Metrics;
 pub use recorder::FlightRecorder;

@@ -5,12 +5,13 @@
 //! cost — one clone and one slot write per event, no growth, no export
 //! work — so it can ride along on every run and only pay off when
 //! something goes wrong. On an oracle violation, panic, or nonzero exit,
-//! [`FlightRecorder::dump_jsonl`] writes the retained tail as ordinary
-//! JSONL (the same encoding as [`crate::export::to_jsonl`]), ready for
-//! `nbc trace` analysis next to the counterexample that produced it.
+//! [`FlightRecorder::dump_jsonl`] writes the retained tail, oldest first,
+//! through the same JSONL writer as a `--trace` file
+//! ([`crate::export::TraceWriter`]), ready for `nbc trace` analysis next to
+//! the counterexample that produced it.
 
-use crate::event::Event;
-use crate::export::event_json;
+use crate::event::{Event, EventKind};
+use crate::export::to_jsonl;
 use crate::sink::Sink;
 
 /// A fixed-capacity, overwrite-oldest event buffer.
@@ -45,40 +46,24 @@ impl FlightRecorder {
         self.buf.is_empty()
     }
 
-    /// The retained events, oldest first.
-    pub(crate) fn events_in_order(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        // Once full, `next` points at the oldest slot.
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
-    }
-
     /// Encode the retained tail as JSONL, preceded by one `note` line
     /// stating how many earlier events the ring dropped — so a reader of
     /// the dump knows whether it is looking at the whole run.
     pub fn dump_jsonl(&self) -> String {
-        let events = self.events_in_order();
-        let dropped = self.total - events.len() as u64;
+        // Once full, `next` points at the oldest slot.
+        let ring = self.buf[self.next..].iter().chain(&self.buf[..self.next]);
+        let kept = self.buf.len();
         let header = Event::new(
-            events.first().map_or(0, |e| e.time),
-            crate::event::EventKind::Note {
+            ring.clone().next().map_or(0, |e| e.time),
+            EventKind::Note {
                 text: format!(
-                    "flight recorder: last {} of {} events ({} overwritten)",
-                    events.len(),
+                    "flight recorder: last {kept} of {} events ({} overwritten)",
                     self.total,
-                    dropped
+                    self.total - kept as u64
                 ),
             },
         );
-        let mut out = String::new();
-        out.push_str(&event_json(&header));
-        out.push('\n');
-        for e in &events {
-            out.push_str(&event_json(e));
-            out.push('\n');
-        }
-        out
+        to_jsonl(std::iter::once(&header).chain(ring))
     }
 }
 
@@ -97,7 +82,13 @@ impl Sink for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+
+    /// The retained events, oldest first.
+    fn events_in_order(r: &FlightRecorder) -> Vec<Event> {
+        let mut out = r.buf[r.next..].to_vec();
+        out.extend_from_slice(&r.buf[..r.next]);
+        out
+    }
 
     fn note(t: u64, text: &str) -> Event {
         Event::new(t, EventKind::Note { text: text.into() })
@@ -112,7 +103,7 @@ mod tests {
         }
         assert_eq!(r.len(), 5);
         assert_eq!(r.total_seen(), 5);
-        let times: Vec<u64> = r.events_in_order().iter().map(|e| e.time).collect();
+        let times: Vec<u64> = events_in_order(&r).iter().map(|e| e.time).collect();
         assert_eq!(times, vec![0, 1, 2, 3, 4]);
     }
 
@@ -124,7 +115,7 @@ mod tests {
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.total_seen(), 10);
-        let times: Vec<u64> = r.events_in_order().iter().map(|e| e.time).collect();
+        let times: Vec<u64> = events_in_order(&r).iter().map(|e| e.time).collect();
         assert_eq!(times, vec![7, 8, 9], "last three survive, oldest first");
     }
 
@@ -148,6 +139,6 @@ mod tests {
         let mut r = FlightRecorder::new(1);
         r.record(&note(1, "a"));
         r.record(&note(2, "b"));
-        assert_eq!(r.events_in_order()[0].time, 2);
+        assert_eq!(events_in_order(&r)[0].time, 2);
     }
 }

@@ -18,8 +18,9 @@ use nonblocking_commit::engine::{
 };
 use nonblocking_commit::model::{protocols, spec, Analysis, Protocol};
 use nonblocking_commit::net::SimRng;
+use nonblocking_commit::obs::analyze::{self, AuditSink, StatsSink};
 use nonblocking_commit::obs::{
-    analyze, export::to_jsonl, FlightRecorder, MemorySink, SharedSink, Tracer,
+    export::to_jsonl, FlightRecorder, MemorySink, SharedSink, Sink, Tracer,
 };
 
 const MUTANTS_PER_FILE: u64 = 2_000;
@@ -176,14 +177,17 @@ fn mutated_traces_never_panic() {
     let events = SharedSink::new(MemorySink::default());
     run_traced(&protocol, &analysis, config, Tracer::to_sink(events.clone()));
     let text = events.with(|sink| to_jsonl(&sink.events));
-    assert!(analyze::verify(&analyze::parse_jsonl(&text).unwrap()).ok());
-    sweep_mutants("trace", &text, 0, 3_000, |mutant| match analyze::parse_jsonl(mutant) {
-        Ok(events) => {
-            let _ = analyze::verify(&events).render();
-            let _ = analyze::stats(&events).render();
-            true
-        }
-        Err(_) => false,
+    let mut audit = AuditSink::default();
+    analyze::fold_jsonl(text.as_bytes(), |e| audit.record(&e)).unwrap();
+    assert!(audit.finish().ok());
+    sweep_mutants("trace", &text, 0, 3_000, |mutant| {
+        let (mut audit, mut stats) = (AuditSink::default(), StatsSink::default());
+        let folded = analyze::fold_jsonl(mutant.as_bytes(), |e| {
+            audit.record(&e);
+            stats.record(&e);
+        });
+        let _ = (audit.finish().render(), stats.finish().render());
+        folded.is_ok()
     });
 }
 
@@ -264,6 +268,38 @@ fn an_unknown_trace_key_is_refused_by_name() {
         assert_eq!(outcome.code, 2, "{name}: {}", outcome.stderr);
         let named = format!("{path}: line 2: unknown key \"zz\"");
         assert!(outcome.stderr.contains(&named), "{name}: {}", outcome.stderr);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace line that is not UTF-8 is refused by its number and the file's
+/// name, with the malformed-input code 2 of `trace verify` and `trace
+/// stats`; the lines before it are read.
+#[test]
+fn a_trace_line_that_is_not_utf8_is_refused_by_line() {
+    let dir = std::env::temp_dir().join(format!("nbc-not-utf8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let protocol = protocols::central_3pc(3);
+    let analysis = Analysis::build(&protocol).unwrap();
+    let events = SharedSink::new(MemorySink::default());
+    run_traced(&protocol, &analysis, RunConfig::happy(3), Tracer::to_sink(events.clone()));
+    let trace = events.with(|sink| to_jsonl(&sink.events));
+    let mut bytes = Vec::new();
+    for (ix, line) in trace.lines().enumerate() {
+        bytes.extend_from_slice(line.as_bytes());
+        if ix == 2 {
+            bytes.push(0xff);
+        }
+        bytes.push(b'\n');
+    }
+    let path = dir.join("latin.jsonl");
+    std::fs::write(&path, bytes).unwrap();
+    let path = path.to_string_lossy().into_owned();
+    for command in ["verify", "stats"] {
+        let outcome = nbc_cli::run_argv(&["trace".into(), command.into(), path.clone()]);
+        assert_eq!(outcome.code, 2, "{command}: {}", outcome.stderr);
+        let named = format!("{path}: line 3: stream did not contain valid UTF-8");
+        assert!(outcome.stderr.contains(&named), "{command}: {}", outcome.stderr);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
